@@ -44,6 +44,11 @@ fi
 go test -race ./...
 go test ./...
 
+# The benchmark is its own module (bench/go.mod), so ./... above does not
+# reach it; its tests check BENCHMARK.json against bench/spec.go and drive
+# every workload at small size through the real transport.
+(cd bench && go test ./...)
+
 # Shuffled run: catches tests that only pass because of package-level state
 # left behind by an earlier test in file order.
 go test -shuffle=on ./...
@@ -105,6 +110,18 @@ rm -rf "$tmpdir"
 # run inside `go test ./...` above).
 go test -run='^Test(SampledOutPathAllocFree|StripedCounterAllocFree|DisabledPathsAllocFree)$' -count=1 ./internal/trace
 
+# Real-transport gates, visible as their own pass (they also run inside
+# `go test ./...` above): a 4 MiB transfer through a Peer pair allocates at
+# most 1.1 x payload per direction and a null call no more objects than the
+# pinned count (one buffer per bulk transfer); a peer that has not
+# authenticated cannot make either handshake role allocate on the strength
+# of a length prefix; the streamed frame is byte for byte what
+# WriteFrame(Seal(...)) puts on the wire; and a WAL commit allocates the
+# record it appends and nothing else of that size.
+go test -run='^Test(PeerBulkTransferAllocs|PeerNullCallAllocs|HandshakeFrameCap)$' -count=1 ./internal/rpc
+go test -run='^TestSealFrameMatchesSeal$' -count=1 ./internal/secure
+go test -run='^TestCommitBuildsRecordInOneBuffer$' -count=1 ./internal/store/walstore
+
 # Sim-kernel micro-benchmarks, one short pass each: keeps the park/resume,
 # mailbox and timetable benches building and running. The zero-alloc gates
 # (TestMailboxPutGetZeroAlloc and friends) run in `go test ./...` above.
@@ -113,6 +130,7 @@ go test -run=NONE -bench='^Benchmark(ParkResume|MailboxSendRecv|ScheduleDrain)$'
 # Short fuzz passes over the attacker-facing decoders and the path walker.
 go test -run=NONE -fuzz='^FuzzDecodeCall$' -fuzztime=10s ./internal/rpc
 go test -run=NONE -fuzz='^FuzzDecodeReply$' -fuzztime=10s ./internal/rpc
+go test -run=NONE -fuzz='^FuzzPeerFrames$' -fuzztime=10s ./internal/rpc
 go test -run=NONE -fuzz='^FuzzResolvePath$' -fuzztime=10s ./internal/vice
 go test -run=NONE -fuzz='^FuzzDispatch$' -fuzztime=10s ./internal/vice
 go test -run=NONE -fuzz='^FuzzLocEntry$' -fuzztime=10s ./internal/proto

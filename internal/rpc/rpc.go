@@ -156,24 +156,22 @@ const (
 	kindClose     = 7
 )
 
-// encodeCall produces the plaintext of a call packet (seq, trace context,
-// op, body, bulk). The trace header is always present — zero when untraced —
-// so packet sizes, and with them simulated time, never depend on whether
-// tracing is enabled.
-func encodeCallInto(e *wire.Encoder, seq uint32, tc wire.TraceHeader, req Request) {
+// A call or reply packet is a small head followed by the raw Bulk bytes. The
+// head encoders below are the one definition of that layout: the simulated
+// transport appends Bulk and seals the whole (sealCall, sealReply), the real
+// one hands head and Bulk separately to secure.Box.SealFrame (Peer.send),
+// and the bytes sealed are the same either way.
+
+// encodeCallHead appends a call packet up to and including Bulk's length
+// prefix: seq, trace context, op, body. The trace header is always present —
+// zero when untraced — so packet sizes, and with them simulated time, never
+// depend on whether tracing is enabled.
+func encodeCallHead(e *wire.Encoder, seq uint32, tc wire.TraceHeader, req Request) {
 	e.U32(seq)
 	tc.Encode(e)
 	e.U16(uint16(req.Op))
 	e.Bytes(req.Body)
-	e.Bytes(req.Bulk)
-}
-
-func encodeCall(seq uint32, tc wire.TraceHeader, req Request) []byte {
-	e := wire.GetEncoder()
-	encodeCallInto(e, seq, tc, req)
-	out := append([]byte(nil), e.Buf()...)
-	wire.PutEncoder(e)
-	return out
+	e.U32(uint32(len(req.Bulk)))
 }
 
 // sealCall encodes and seals a call packet in one step: the plaintext lives
@@ -182,7 +180,8 @@ func encodeCall(seq uint32, tc wire.TraceHeader, req Request) []byte {
 // measurable slice of the simulator's allocation volume.
 func sealCall(box *secure.Box, seq uint32, tc wire.TraceHeader, req Request) []byte {
 	e := wire.GetEncoder()
-	encodeCallInto(e, seq, tc, req)
+	encodeCallHead(e, seq, tc, req)
+	e.Raw(req.Bulk)
 	sealed := box.Seal(e.Buf())
 	wire.PutEncoder(e)
 	return sealed
@@ -190,8 +189,9 @@ func sealCall(box *secure.Box, seq uint32, tc wire.TraceHeader, req Request) []b
 
 // decodeCall decodes a call packet. The returned request's Body and Bulk
 // alias plain, which the caller must treat as surrendered: every transport
-// hands decodeCall a freshly allocated buffer (Box.Open output or a frame
-// read), so aliasing saves two copies per call without sharing hazards.
+// hands decodeCall a buffer nothing else refers to (Box.Open's output in the
+// simulator; on a Peer the frame just read, opened in place), so aliasing
+// saves two copies per call without sharing hazards.
 func decodeCall(plain []byte) (seq uint32, tc wire.TraceHeader, req Request, err error) {
 	var d wire.Decoder
 	d.Reset(plain)
@@ -206,31 +206,25 @@ func decodeCall(plain []byte) (seq uint32, tc wire.TraceHeader, req Request, err
 	return seq, tc, req, nil
 }
 
-// encodeReply produces the plaintext of a reply packet (seq, service time,
-// code, body, bulk). The server echoes its measured service time so the
-// client can attribute call latency between network and server; like the
-// trace header it is always present, zero on transports that don't measure.
-func encodeReplyInto(e *wire.Encoder, seq uint32, svc time.Duration, resp Response) {
+// encodeReplyHead appends a reply packet up to and including Bulk's length
+// prefix: seq, service time, code, body. The server echoes its measured
+// service time so the client can attribute call latency between network and
+// server; like the trace header it is always present, zero on transports
+// that don't measure.
+func encodeReplyHead(e *wire.Encoder, seq uint32, svc time.Duration, resp Response) {
 	e.U32(seq)
 	e.U64(uint64(svc))
 	e.U16(resp.Code)
 	e.Bytes(resp.Body)
-	e.Bytes(resp.Bulk)
+	e.U32(uint32(len(resp.Bulk)))
 }
 
-func encodeReply(seq uint32, svc time.Duration, resp Response) []byte {
-	e := wire.GetEncoder()
-	encodeReplyInto(e, seq, svc, resp)
-	out := append([]byte(nil), e.Buf()...)
-	wire.PutEncoder(e)
-	return out
-}
-
-// sealReply is encodeReply fused with Seal; see sealCall. Fetch replies
-// carry whole files in Bulk, so the skipped plaintext copy is the file.
+// sealReply is the reply-side sealCall. Fetch replies carry whole files in
+// Bulk, so the skipped plaintext copy is the file.
 func sealReply(box *secure.Box, seq uint32, svc time.Duration, resp Response) []byte {
 	e := wire.GetEncoder()
-	encodeReplyInto(e, seq, svc, resp)
+	encodeReplyHead(e, seq, svc, resp)
+	e.Raw(resp.Bulk)
 	sealed := box.Seal(e.Buf())
 	wire.PutEncoder(e)
 	return sealed

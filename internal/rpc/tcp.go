@@ -5,6 +5,7 @@ import (
 	"io"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"itcfs/internal/secure"
@@ -24,7 +25,7 @@ type Peer struct {
 	name   string
 	server *Server
 
-	wmu sync.Mutex // serializes frame writes
+	wmu sync.Mutex // serializes frame writes: held while a frame is sealed onto conn
 
 	mu      sync.Mutex
 	nextSeq uint32                  // guarded by mu
@@ -32,19 +33,29 @@ type Peer struct {
 	closed  bool                    // guarded by mu
 	done    chan struct{}           // created at construction; closed (once) under mu, readable always
 
-	tracer  *trace.Tracer   // optional wall-clock tracer for served calls
-	metrics *trace.Registry // optional registry for served-call latency
+	// Atomic because AcceptPeer starts the read loop itself: the first call
+	// may already be in serve when the caller gets the peer to configure.
+	tracer  atomic.Pointer[trace.Tracer]   // optional wall-clock tracer for served calls
+	metrics atomic.Pointer[trace.Registry] // optional registry for served-call latency
 }
 
 // SetTracer installs a tracer recording a span per call this peer serves.
 // Real clients do not propagate trace context, so each served call begins a
-// new root (see Tracer.StartRemote). Call before traffic flows.
-func (p *Peer) SetTracer(t *trace.Tracer) { p.tracer = t }
+// new root (see Tracer.StartRemote). Calls served before it is installed go
+// untraced.
+func (p *Peer) SetTracer(t *trace.Tracer) { p.tracer.Store(t) }
 
 // SetMetrics installs a registry observing the wall-clock service time of
 // every call this peer serves into the canonical rpc.serve.latency
-// histogram. Call before traffic flows; a nil registry is inert.
-func (p *Peer) SetMetrics(reg *trace.Registry) { p.metrics = reg }
+// histogram. Calls served before it is installed go unobserved; a nil
+// registry is inert.
+func (p *Peer) SetMetrics(reg *trace.Registry) { p.metrics.Store(reg) }
+
+// maxHandshakeFrame caps the four handshake messages (each well under
+// 1 KiB: a user name plus a sealed nonce or key). Until they verify, the far
+// side is anyone who can open a socket, and must not be able to make this
+// process allocate wire.MaxField on the strength of a 4-byte header.
+const maxHandshakeFrame = 4 << 10
 
 // DialPeer authenticates as user over conn (handshake messages 1-4) and
 // returns a connected peer. server, which may be nil, handles calls the far
@@ -54,7 +65,7 @@ func DialPeer(conn io.ReadWriteCloser, user string, key secure.Key, server *Serv
 	if err := wire.WriteFrame(conn, hs.Hello()); err != nil {
 		return nil, fmt.Errorf("rpc: handshake: %w", err)
 	}
-	challenge, err := wire.ReadFrame(conn)
+	challenge, err := wire.ReadFrameLimit(conn, maxHandshakeFrame)
 	if err != nil {
 		return nil, fmt.Errorf("rpc: handshake: %w", err)
 	}
@@ -65,7 +76,7 @@ func DialPeer(conn io.ReadWriteCloser, user string, key secure.Key, server *Serv
 	if err := wire.WriteFrame(conn, proof); err != nil {
 		return nil, fmt.Errorf("rpc: handshake: %w", err)
 	}
-	final, err := wire.ReadFrame(conn)
+	final, err := wire.ReadFrameLimit(conn, maxHandshakeFrame)
 	if err != nil {
 		return nil, fmt.Errorf("rpc: handshake: %w", err)
 	}
@@ -83,7 +94,7 @@ func DialPeer(conn io.ReadWriteCloser, user string, key secure.Key, server *Serv
 // handles the client's calls.
 func AcceptPeer(conn io.ReadWriteCloser, keys secure.KeyLookup, server *Server) (*Peer, error) {
 	hs := secure.NewServerHandshake(keys)
-	hello, err := wire.ReadFrame(conn)
+	hello, err := wire.ReadFrameLimit(conn, maxHandshakeFrame)
 	if err != nil {
 		return nil, fmt.Errorf("rpc: handshake: %w", err)
 	}
@@ -94,7 +105,7 @@ func AcceptPeer(conn io.ReadWriteCloser, keys secure.KeyLookup, server *Server) 
 	if err := wire.WriteFrame(conn, challenge); err != nil {
 		return nil, fmt.Errorf("rpc: handshake: %w", err)
 	}
-	proof, err := wire.ReadFrame(conn)
+	proof, err := wire.ReadFrameLimit(conn, maxHandshakeFrame)
 	if err != nil {
 		return nil, fmt.Errorf("rpc: handshake: %w", err)
 	}
@@ -142,11 +153,10 @@ func (p *Peer) Call(_ *sim.Proc, req Request) (Response, error) {
 	p.mu.Unlock()
 
 	// Real clients do not trace; the header rides zeroed.
-	plain := append([]byte{kindCall}, encodeCall(seq, wire.TraceHeader{}, req)...)
-	if err := p.writeSealed(plain); err != nil {
-		p.mu.Lock()
-		delete(p.pending, seq)
-		p.mu.Unlock()
+	e := wire.GetEncoder()
+	e.U8(kindCall)
+	encodeCallHead(e, seq, wire.TraceHeader{}, req)
+	if err := p.send(e, req.Bulk); err != nil {
 		return Response{}, err
 	}
 	select {
@@ -189,11 +199,23 @@ func (p *Peer) Close() error {
 // Done is closed when the connection has terminated.
 func (p *Peer) Done() <-chan struct{} { return p.done }
 
-func (p *Peer) writeSealed(plain []byte) error {
+// send seals one packet — the head in e, then bulk — onto the connection as
+// one frame and returns e to its pool. The bulk bytes go from the caller's
+// slice through the sealer's chunk buffer to the socket and are never copied
+// whole. A failure (a short or refused write, nonce exhaustion) can leave
+// part of a frame on the wire, so it closes the peer: in-flight calls fail
+// with ErrClosed and the owner redials, which also renews the session key.
+func (p *Peer) send(e *wire.Encoder, bulk []byte) error {
 	p.wmu.Lock()
-	defer p.wmu.Unlock()
-	//itcvet:allowblocking wmu exists to serialize frame writes; writers expect to pace each other on socket I/O
-	return wire.WriteFrame(p.conn, p.box.Seal(plain))
+	//itcvet:allowblocking wmu exists to serialize frame writes; writers expect to pace each other on socket I/O, now chunk by chunk as the frame is sealed
+	err := p.box.SealFrame(p.conn, e.Buf(), bulk)
+	p.wmu.Unlock()
+	wire.PutEncoder(e)
+	if err != nil {
+		p.Close()
+		return fmt.Errorf("%w: %v", ErrClosed, err)
+	}
+	return nil
 }
 
 // readLoop demultiplexes inbound frames until the connection dies.
@@ -204,7 +226,10 @@ func (p *Peer) readLoop() {
 		if err != nil {
 			return
 		}
-		plain, err := p.box.Open(frame)
+		// The frame is this loop's alone, so it is opened where it lies
+		// (after the tag verifies, never before) and the decoded Body and
+		// Bulk alias it: the one file-sized allocation of a transfer.
+		plain, err := p.box.OpenInPlace(frame)
 		if err != nil || len(plain) == 0 {
 			return // tampering: drop the connection, per mutual suspicion
 		}
@@ -236,7 +261,7 @@ func (p *Peer) readLoop() {
 
 func (p *Peer) serve(seq uint32, tc wire.TraceHeader, req Request) {
 	started := time.Now() //itcvet:allow wallclock -- real transport: service time here IS wall time
-	sp := p.tracer.StartRemote(tc, trace.SpanRPCServe, p.name)
+	sp := p.tracer.Load().StartRemote(tc, trace.SpanRPCServe, p.name)
 	sp.SetInt(trace.AttrOp, int64(req.Op))
 	var resp Response
 	if p.server == nil {
@@ -247,7 +272,12 @@ func (p *Peer) serve(seq uint32, tc wire.TraceHeader, req Request) {
 	sp.End()
 	// Wall-clock service time stands in for the simulator's virtual measure.
 	elapsed := time.Since(started) //itcvet:allow wallclock -- real transport: service time here IS wall time
-	p.metrics.Histogram(trace.MetricRPCServeLatency).Observe(elapsed)
-	plain := append([]byte{kindReply}, encodeReply(seq, elapsed, resp)...)
-	_ = p.writeSealed(plain) // a write failure kills the readLoop shortly
+	p.metrics.Load().Histogram(trace.MetricRPCServeLatency).Observe(elapsed)
+	// resp.Bulk is read while it streams out, after the handler has returned:
+	// a fetch reply's Bulk is the volume's own slice, safe because volume
+	// replaces file contents and never mutates them in place.
+	e := wire.GetEncoder()
+	e.U8(kindReply)
+	encodeReplyHead(e, seq, elapsed, resp)
+	_ = p.send(e, resp.Bulk) // a failed send has closed the peer; nobody to tell
 }

@@ -23,8 +23,11 @@ import (
 	"errors"
 	"fmt"
 	"hash"
+	"io"
 	"sync"
 	"sync/atomic"
+
+	"itcfs/internal/wire"
 )
 
 // KeySize is the byte length of all keys in this package.
@@ -150,35 +153,147 @@ func (b *Box) mac(body, out []byte) []byte {
 	return out
 }
 
-// Seal encrypts and authenticates plain, returning nonce||ct||tag.
+// ErrNonceExhausted is returned by SealFrame when the Box has sealed 2^32-1
+// records: one more would repeat a nonce under the same key. The connection
+// must be torn down and re-established, which yields a fresh session key.
+var ErrNonceExhausted = errors.New("secure: nonce counter exhausted")
+
+// nextNonce writes the next record's nonce into nonce[:nonceSize], taking
+// exactly one counter step whether or not anything is later written with it,
+// so an abandoned record's nonce is never handed out again.
+func (b *Box) nextNonce(nonce []byte) error {
+	ctr := b.nonceCtr.Add(1)
+	if ctr>>32 != 0 {
+		return ErrNonceExhausted
+	}
+	copy(nonce, b.noncePrefix[:])
+	binary.BigEndian.PutUint32(nonce[8:12], uint32(ctr))
+	binary.BigEndian.PutUint32(nonce[12:16], 0)
+	return nil
+}
+
+// Seal encrypts and authenticates plain, returning nonce||ct||tag. It panics
+// when the nonce counter is exhausted: its callers are the simulator, whose
+// connections never approach 2^32 records, and the four-message handshake.
+// The real transport seals with SealFrame, which reports exhaustion as an
+// error instead.
 func (b *Box) Seal(plain []byte) []byte {
 	out := make([]byte, nonceSize+len(plain), nonceSize+len(plain)+tagSize)
 	nonce := out[:nonceSize]
-	copy(nonce, b.noncePrefix[:])
-	ctr := b.nonceCtr.Add(1)
-	if ctr>>32 != 0 {
-		panic("secure: nonce counter exhausted")
+	if err := b.nextNonce(nonce); err != nil {
+		panic(err.Error())
 	}
-	binary.BigEndian.PutUint32(nonce[8:12], uint32(ctr))
 	ct := out[nonceSize:]
 	b.ctrXOR(nonce, ct, plain)
 	return b.mac(out, out)
 }
 
-// Open authenticates and decrypts a record produced by Seal.
-func (b *Box) Open(sealed []byte) ([]byte, error) {
+// sealChunk is SealFrame's working-buffer size: large enough that a 4 MiB
+// transfer spends its time in AES and SHA-256 rather than in Write calls,
+// small enough to stay cache-resident between the encrypt, MAC and write
+// passes over it and to keep the pool (one buffer per concurrently sealing
+// connection) invisible in a small daemon's resident set. A 4 MiB echo
+// between two Peers over loopback TCP took about a fifth longer at 16 KiB
+// and was no faster at 64 or 128 KiB. Every call or reply without a bulk
+// payload fits in one chunk and so in one Write.
+const sealChunk = 32 << 10
+
+var sealBufs = sync.Pool{New: func() any { return new([sealChunk]byte) }}
+
+// SealFrame seals head||bulk as one record and writes it to w as one wire
+// frame: the bytes are exactly those of wire.WriteFrame(w, b.Seal(head||bulk))
+// under the same nonce — length prefix, nonce, ciphertext, tag — but the
+// plaintext is never joined and the record never exists whole. It is
+// encrypted chunk by chunk through a pooled buffer under one nonce, one CTR
+// stream and one HMAC (encrypt-then-MAC over nonce||ct, as Seal), and each
+// chunk goes to w as soon as it is full. The pooled buffer only ever holds
+// ciphertext.
+//
+// An error means w may have received part of a frame: the caller must
+// abandon the stream. head and bulk are only read.
+func (b *Box) SealFrame(w io.Writer, head, bulk []byte) error {
+	bp := sealBufs.Get().(*[sealChunk]byte)
+	defer sealBufs.Put(bp)
+	buf := bp[:]
+	wire.PutFrameHeader(buf, len(head)+len(bulk)+Overhead)
+	nonce := buf[wire.FrameHeaderSize : wire.FrameHeaderSize+nonceSize]
+	if err := b.nextNonce(nonce); err != nil {
+		return err
+	}
+	stream := cipher.NewCTR(b.block, nonce)
+	mp := b.macs.Get().(*hash.Hash)
+	defer b.macs.Put(mp)
+	m := *mp
+	m.Reset()
+
+	// buf[:fill] is output not yet written; buf[macFrom:fill] of it is not
+	// yet MACed (the length prefix never is).
+	macFrom, fill := wire.FrameHeaderSize, wire.FrameHeaderSize+nonceSize
+	for _, src := range [2][]byte{head, bulk} {
+		for len(src) > 0 {
+			if fill == len(buf) {
+				m.Write(buf[macFrom:])
+				if _, err := w.Write(buf); err != nil {
+					return err
+				}
+				macFrom, fill = 0, 0
+			}
+			n := min(len(src), len(buf)-fill)
+			stream.XORKeyStream(buf[fill:fill+n], src[:n])
+			fill += n
+			src = src[n:]
+		}
+	}
+	m.Write(buf[macFrom:fill])
+	if len(buf)-fill < tagSize {
+		if _, err := w.Write(buf[:fill]); err != nil {
+			return err
+		}
+		fill = 0
+	}
+	_, err := w.Write(m.Sum(buf[:fill]))
+	return err
+}
+
+// verify authenticates a record produced by Seal or SealFrame in constant
+// time and returns its nonce and ciphertext, both aliasing sealed.
+func (b *Box) verify(sealed []byte) (nonce, ct []byte, err error) {
 	if len(sealed) < Overhead {
-		return nil, ErrBadSeal
+		return nil, nil, ErrBadSeal
 	}
 	body := sealed[:len(sealed)-tagSize]
 	tag := sealed[len(sealed)-tagSize:]
 	var sum [tagSize]byte
 	if subtle.ConstantTimeCompare(b.mac(body, sum[:0]), tag) != 1 {
-		return nil, ErrBadSeal
+		return nil, nil, ErrBadSeal
 	}
-	nonce := body[:nonceSize]
-	ct := body[nonceSize:]
+	return body[:nonceSize], body[nonceSize:], nil
+}
+
+// Open authenticates and decrypts a record into a fresh buffer, leaving
+// sealed untouched. The simulator needs exactly that: its at-most-once reply
+// cache and the fault plane's duplicate delivery hand the same sealed slice
+// to Open more than once.
+func (b *Box) Open(sealed []byte) ([]byte, error) {
+	nonce, ct, err := b.verify(sealed)
+	if err != nil {
+		return nil, err
+	}
 	plain := make([]byte, len(ct))
 	b.ctrXOR(nonce, plain, ct)
 	return plain, nil
+}
+
+// OpenInPlace authenticates sealed and only then decrypts it where it lies,
+// returning the plaintext as a sub-slice of sealed. On error not one byte of
+// sealed has been changed, so a forged record is never turned into
+// attacker-chosen plaintext. The caller must own sealed and must not open it
+// again: after success it no longer verifies.
+func (b *Box) OpenInPlace(sealed []byte) ([]byte, error) {
+	nonce, ct, err := b.verify(sealed)
+	if err != nil {
+		return nil, err
+	}
+	b.ctrXOR(nonce, ct, ct)
+	return ct, nil
 }

@@ -1,0 +1,204 @@
+package secure
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"testing"
+
+	"itcfs/internal/wire"
+)
+
+// fitsChunk is the largest payload whose whole frame — length prefix, nonce,
+// ciphertext, tag — fills SealFrame's chunk buffer exactly.
+const fitsChunk = sealChunk - wire.FrameHeaderSize - Overhead
+
+// twinBoxes returns two Boxes that will issue the same nonces, so what one
+// seals the other must seal byte for byte.
+func twinBoxes() (*Box, *Box) {
+	k := DeriveKey("stream", "test")
+	a, b := NewBox(k), NewBox(k)
+	b.noncePrefix = a.noncePrefix
+	return a, b
+}
+
+func pattern(n int) []byte {
+	p := make([]byte, n)
+	for i := range p {
+		p[i] = byte(i*7 + i>>8)
+	}
+	return p
+}
+
+// countingWriter records what it is given and in how many Write calls.
+type countingWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestSealFrameMatchesSeal pins wire compatibility: for every size around
+// the chunk boundaries and every way of splitting the payload between head
+// and bulk, the streamed frame is bytes.Equal to WriteFrame(Seal(head||bulk))
+// under the same nonce, and a frame that fits the chunk is one Write.
+func TestSealFrameMatchesSeal(t *testing.T) {
+	sizes := []int{0, 1, fitsChunk - 1, fitsChunk, fitsChunk + 1,
+		sealChunk - tagSize, sealChunk - 1, sealChunk, 3*sealChunk + 7, 4 << 20}
+	for _, size := range sizes {
+		payload := pattern(size)
+		for _, split := range []int{0, 1, size / 2, size - 1, size} {
+			if split < 0 || split > size {
+				continue
+			}
+			ref, streamed := twinBoxes()
+			var want bytes.Buffer
+			if err := wire.WriteFrame(&want, ref.Seal(payload)); err != nil {
+				t.Fatal(err)
+			}
+			var got countingWriter
+			if err := streamed.SealFrame(&got, payload[:split], payload[split:]); err != nil {
+				t.Fatalf("size %d split %d: %v", size, split, err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("size %d split %d: streamed frame differs from WriteFrame(Seal)", size, split)
+			}
+			if size <= fitsChunk && got.writes != 1 {
+				t.Fatalf("size %d split %d: frame fits the chunk but took %d writes", size, split, got.writes)
+			}
+			// And the receiver's half: the frame opens in place to the payload.
+			frame, err := wire.ReadFrame(&got.Buffer)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain, err := ref.OpenInPlace(frame)
+			if err != nil || !bytes.Equal(plain, payload) {
+				t.Fatalf("size %d split %d: OpenInPlace = %v, payload equal %v", size, split, err, bytes.Equal(plain, payload))
+			}
+			if size > 0 && &plain[0] != &frame[nonceSize] {
+				t.Fatalf("size %d: OpenInPlace copied", size)
+			}
+		}
+	}
+}
+
+// TestOpenInPlaceRejectsBeforeDecrypting flips one bit in the nonce, in every
+// chunk of the ciphertext and in the tag, and truncates the record: each must
+// fail, and the buffer must come back exactly as it went in — verification
+// precedes decryption, so a forgery is never turned into plaintext.
+func TestOpenInPlaceRejectsBeforeDecrypting(t *testing.T) {
+	box := NewBox(DeriveKey("u", "p"))
+	plain := pattern(3*sealChunk + 7)
+	sealed := box.Seal(plain)
+	cases := map[string]func([]byte) []byte{
+		"nonce":                func(b []byte) []byte { b[3] ^= 0x10; return b },
+		"tag":                  func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b },
+		"truncated mid-record": func(b []byte) []byte { return b[:len(b)/2] },
+		"truncated by one":     func(b []byte) []byte { return b[:len(b)-1] },
+	}
+	for chunk := 0; chunk < 4; chunk++ {
+		at := nonceSize + chunk*sealChunk + 5
+		cases[fmt.Sprintf("ciphertext chunk %d", chunk)] = func(b []byte) []byte { b[at] ^= 0x80; return b }
+	}
+	for name, tamper := range cases {
+		bad := tamper(append([]byte(nil), sealed...))
+		handed := append([]byte(nil), bad...)
+		if _, err := box.OpenInPlace(handed); err != ErrBadSeal {
+			t.Fatalf("%s: err = %v, want ErrBadSeal", name, err)
+		}
+		if !bytes.Equal(handed, bad) {
+			t.Fatalf("%s: OpenInPlace wrote to a record that failed authentication", name)
+		}
+	}
+	if got, err := box.OpenInPlace(sealed); err != nil || !bytes.Equal(got, plain) {
+		t.Fatalf("untampered record: %v", err)
+	}
+}
+
+// failingWriter accepts limit bytes, then fails every Write (a short one
+// first, as a socket that dies mid-frame does).
+type failingWriter struct {
+	got   bytes.Buffer
+	limit int
+}
+
+var errWriterDead = errors.New("writer dead")
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	room := w.limit - w.got.Len()
+	if room >= len(p) {
+		return w.got.Write(p)
+	}
+	w.got.Write(p[:room])
+	return room, errWriterDead
+}
+
+// TestSealFrameWriteFailure: a Write that fails mid-stream surfaces as
+// SealFrame's error, and the nonce of the abandoned record is spent — the
+// next record takes the next counter value, never the same one.
+func TestSealFrameWriteFailure(t *testing.T) {
+	box := NewBox(DeriveKey("u", "p"))
+	payload := pattern(3 * sealChunk)
+	for _, limit := range []int{0, 10, sealChunk, 2*sealChunk + 100, len(payload) + wire.FrameHeaderSize + Overhead - 1} {
+		w := &failingWriter{limit: limit}
+		if err := box.SealFrame(w, nil, payload); !errors.Is(err, errWriterDead) {
+			t.Fatalf("limit %d: err = %v, want the writer's error", limit, err)
+		}
+	}
+	// Five records were abandoned; the sixth must carry counter 6.
+	var ok bytes.Buffer
+	if err := box.SealFrame(&ok, nil, []byte("next")); err != nil {
+		t.Fatal(err)
+	}
+	nonce := ok.Bytes()[wire.FrameHeaderSize:][:nonceSize]
+	if ctr := binary.BigEndian.Uint32(nonce[8:12]); ctr != 6 {
+		t.Fatalf("record after five failed ones carries counter %d, want 6", ctr)
+	}
+}
+
+// TestNonceExhaustion: SealFrame reports the spent counter as an error and
+// writes nothing; Seal, the simulator's path, still panics.
+func TestNonceExhaustion(t *testing.T) {
+	box := NewBox(DeriveKey("u", "p"))
+	box.nonceCtr.Store(1<<32 - 2)
+	var w countingWriter
+	if err := box.SealFrame(&w, []byte("last"), nil); err != nil {
+		t.Fatalf("record 2^32-1: %v", err)
+	}
+	w.Reset()
+	w.writes = 0
+	for i := 0; i < 3; i++ {
+		if err := box.SealFrame(&w, []byte("one too many"), nil); !errors.Is(err, ErrNonceExhausted) {
+			t.Fatalf("err = %v, want ErrNonceExhausted", err)
+		}
+	}
+	if w.writes != 0 || w.Len() != 0 {
+		t.Fatalf("exhausted SealFrame wrote %d bytes in %d writes", w.Len(), w.writes)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Seal on an exhausted Box did not panic")
+		}
+	}()
+	box.Seal([]byte("x"))
+}
+
+func BenchmarkSealFrame4M(b *testing.B) {
+	box := NewBox(DeriveKey("u", "p"))
+	bulk := pattern(4 << 20)
+	b.SetBytes(int64(len(bulk)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := box.SealFrame(discard{}, nil, bulk); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+type discard struct{}
+
+func (discard) Write(p []byte) (int, error) { return len(p), nil }

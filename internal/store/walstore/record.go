@@ -73,16 +73,32 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 var errTorn = errors.New("walstore: torn or corrupt record")
 
-// frameRecord builds one framed record: header plus seq/kind-stamped body.
-func frameRecord(seq uint64, kind uint8, body []byte) []byte {
-	payload := make([]byte, 0, 9+len(body))
-	payload = binary.LittleEndian.AppendUint64(payload, seq)
-	payload = append(payload, kind)
-	payload = append(payload, body...)
-	out := make([]byte, 0, 8+len(payload))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))
-	return append(out, payload...)
+// recPrefix is the bytes of a record ahead of its body: the len/crc header
+// and the seq/kind stamp.
+const recPrefix = 8 + 9
+
+// newRecord returns an encoder holding a record whose prefix is reserved but
+// blank, with room for bodySize more bytes. The caller encodes the body
+// straight after it and finishRecord fills the prefix in, so a record —
+// which may carry a whole file — is built in the one buffer that is appended
+// to the log, not encoded, stamped and framed through three.
+func newRecord(bodySize int) wire.Encoder {
+	var e wire.Encoder
+	e.Grow(recPrefix + bodySize)
+	var blank [recPrefix]byte
+	e.Raw(blank[:])
+	return e
+}
+
+// finishRecord completes rec, a newRecord buffer with its body encoded, in
+// place: it stamps seq and kind ahead of the body, then writes the header
+// over the finished payload.
+func finishRecord(rec []byte, seq uint64, kind uint8) {
+	payload := rec[8:]
+	binary.LittleEndian.PutUint64(payload, seq)
+	payload[8] = kind
+	binary.LittleEndian.PutUint32(rec, uint32(len(payload)))
+	binary.LittleEndian.PutUint32(rec[4:], crc32.Checksum(payload, castagnoli))
 }
 
 // readRecord parses the record at buf[off:], returning the payload past the
@@ -106,13 +122,6 @@ func readRecord(buf []byte, off int) (seq uint64, kind uint8, body []byte, next 
 		return 0, 0, nil, 0, errTorn
 	}
 	return binary.LittleEndian.Uint64(payload), payload[8], payload[9:], end, nil
-}
-
-func encodeVolumeBody(id uint32, image []byte) []byte {
-	var e wire.Encoder
-	e.U32(id)
-	e.Bytes(image)
-	return append([]byte(nil), e.Buf()...)
 }
 
 func encodeCheckpoint(seq uint64, cp store.Checkpoint) []byte {

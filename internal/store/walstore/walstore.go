@@ -302,14 +302,15 @@ func (s *Store) writeMagic() error {
 	return nil
 }
 
-// append frames and appends one record, assigning it the next seqno.
-func (s *Store) append(kind uint8, body []byte) error {
+// append completes rec (a newRecord buffer, body encoded) with the next
+// seqno and appends it to the log.
+func (s *Store) append(kind uint8, rec []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.err != nil {
 		return s.err
 	}
-	rec := frameRecord(s.seq+1, kind, body)
+	finishRecord(rec, s.seq+1, kind)
 	if err := s.log.Append(rec); err != nil {
 		s.err = fmt.Errorf("walstore: append: %w", err)
 		s.cond.Broadcast()
@@ -321,33 +322,45 @@ func (s *Store) append(kind uint8, body []byte) error {
 
 // BeginVolume records a volume's existence with its full initial image.
 func (s *Store) BeginVolume(id uint32, image []byte) error {
-	return s.append(kindBegin, encodeVolumeBody(id, image))
+	e := newRecord(8 + len(image))
+	e.U32(id)
+	e.Bytes(image)
+	return s.append(kindBegin, e.Buf())
 }
 
 // DropVolume forgets a volume.
 func (s *Store) DropVolume(id uint32) error {
-	var e wire.Encoder
+	e := newRecord(4)
 	e.U32(id)
 	return s.append(kindDrop, e.Buf())
 }
 
 // Commit records the durable effect of one logical operation.
 func (s *Store) Commit(c store.Commit) error {
-	var e wire.Encoder
+	// Sized so the record, file contents included, is allocated once: a
+	// generous bound on the fixed fields plus every variable-length one.
+	size := 64 + 4*len(c.Deletes)
+	for _, m := range c.Meta {
+		size += 8 + len(m.Meta)
+	}
+	for _, d := range c.Data {
+		size += 8 + len(d.Data)
+	}
+	e := newRecord(size)
 	c.Encode(&e)
 	return s.append(kindCommit, e.Buf())
 }
 
 // PutLoc records a location-database change.
 func (s *Store) PutLoc(entries []proto.LocEntry, remove []string) error {
-	var e wire.Encoder
+	e := newRecord(0)
 	proto.LocInstallArgs{Entries: entries, Remove: remove}.Encode(&e)
 	return s.append(kindLoc, e.Buf())
 }
 
 // PutProt records a protection-database mutation.
 func (s *Store) PutProt(m prot.Mutation) error {
-	var e wire.Encoder
+	e := newRecord(0)
 	m.Encode(&e)
 	return s.append(kindProt, e.Buf())
 }

@@ -40,6 +40,14 @@ func (e *Encoder) Len() int { return len(e.buf) }
 // Reset discards the buffer contents, retaining capacity.
 func (e *Encoder) Reset() { e.buf = e.buf[:0] }
 
+// Grow ensures room for n more bytes without another allocation, for callers
+// that know roughly how large the message will be.
+func (e *Encoder) Grow(n int) {
+	if cap(e.buf)-len(e.buf) < n {
+		e.buf = append(make([]byte, 0, len(e.buf)+n), e.buf...)
+	}
+}
+
 // U8 appends a byte.
 func (e *Encoder) U8(v uint8) { e.buf = append(e.buf, v) }
 
@@ -271,10 +279,19 @@ func Marshal(m Message) []byte {
 // The TCP transport uses frames; the simulated transport carries the same
 // payloads in netsim messages, so byte counts agree across transports.
 
+// FrameHeaderSize is the byte length of a frame's length prefix.
+const FrameHeaderSize = 4
+
+// PutFrameHeader writes the length prefix of a frame carrying n payload
+// bytes into dst[:FrameHeaderSize]. It is exported so a writer that streams a
+// payload it never holds whole (secure.Box.SealFrame) emits the same header
+// WriteFrame does.
+func PutFrameHeader(dst []byte, n int) { binary.LittleEndian.PutUint32(dst, uint32(n)) }
+
 // WriteFrame writes one length-prefixed frame.
 func WriteFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
+	var hdr [FrameHeaderSize]byte
+	PutFrameHeader(hdr[:], len(payload))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -283,13 +300,19 @@ func WriteFrame(w io.Writer, payload []byte) error {
 }
 
 // ReadFrame reads one length-prefixed frame, enforcing the MaxField limit.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
+func ReadFrame(r io.Reader) ([]byte, error) { return ReadFrameLimit(r, MaxField) }
+
+// ReadFrameLimit reads one length-prefixed frame whose payload may not
+// exceed limit bytes. The declared length is checked before the payload
+// buffer is allocated, so a peer that has not yet proved anything (the
+// handshake reads in rpc) can cost at most limit bytes of memory.
+func ReadFrameLimit(r io.Reader, limit uint32) ([]byte, error) {
+	var hdr [FrameHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > MaxField {
+	if n > limit {
 		return nil, ErrTooLong
 	}
 	payload := make([]byte, n)

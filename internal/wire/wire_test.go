@@ -150,6 +150,20 @@ func TestFrameRejectsHugeLength(t *testing.T) {
 	}
 }
 
+func TestReadFrameLimit(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, make([]byte, 100)); err != nil {
+		t.Fatal(err)
+	}
+	frame := buf.Bytes()
+	if got, err := ReadFrameLimit(bytes.NewReader(frame), 100); err != nil || len(got) != 100 {
+		t.Fatalf("frame at the limit: %d bytes, err %v", len(got), err)
+	}
+	if _, err := ReadFrameLimit(bytes.NewReader(frame), 99); err != ErrTooLong {
+		t.Fatalf("frame over the limit: err = %v, want ErrTooLong", err)
+	}
+}
+
 func TestFrameShortBody(t *testing.T) {
 	var e Encoder
 	e.U32(100)

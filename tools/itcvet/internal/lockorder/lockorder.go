@@ -25,7 +25,8 @@
 // that parks the holder — a channel send or receive, a select with no
 // default, an RPC Call/CallBack, a Store.Commit/Checkpoint, an fsync
 // (Sync), a durable replace (WriteFileAtomic), or socket frame I/O
-// (wire.WriteFrame/ReadFrame, net.Conn reads and writes) — stalls every
+// (wire.WriteFrame/ReadFrame/ReadFrameLimit, a SealFrame method streaming a
+// sealed frame into a writer, net.Conn reads and writes) — stalls every
 // other path through that lock for an unbounded time, and under the WAL's
 // group-commit protocol can deadlock outright. Genuinely intended waits
 // (the WAL append that must stay inside applyMu so log order matches apply
@@ -923,7 +924,7 @@ func (a *analysis) blockingCall(e *ast.CallExpr) (string, bool) {
 		name := fun.Sel.Name
 		// Package-level socket frame I/O: wire.WriteFrame / wire.ReadFrame.
 		if obj, ok := a.info.Uses[fun.Sel].(*types.Func); ok && obj.Type().(*types.Signature).Recv() == nil {
-			if (name == "WriteFrame" || name == "ReadFrame") && obj.Pkg() != nil && obj.Pkg().Name() == "wire" {
+			if (name == "WriteFrame" || name == "ReadFrame" || name == "ReadFrameLimit") && obj.Pkg() != nil && obj.Pkg().Name() == "wire" {
 				return "socket frame I/O (" + name + ")", true
 			}
 			return "", false
@@ -936,6 +937,8 @@ func (a *analysis) blockingCall(e *ast.CallExpr) (string, bool) {
 		switch name {
 		case "Call", "CallBack":
 			return "RPC " + name, true
+		case "SealFrame":
+			return "socket frame I/O (SealFrame)", true
 		case "Sync":
 			return "fsync (Sync)", true
 		case "WriteFileAtomic":

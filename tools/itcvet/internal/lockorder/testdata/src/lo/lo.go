@@ -15,6 +15,10 @@ type Peer struct{}
 
 func (*Peer) Call(op string) error
 
+type Box struct{}
+
+func (*Box) SealFrame(w interface{}, head, bulk []byte) error
+
 type Store struct{}
 
 func (*Store) Commit() error
@@ -74,6 +78,12 @@ func poll(a *A, ch chan int) {
 func rpc(a *A, p *Peer) {
 	a.mu.Lock()
 	_ = p.Call("ping") // want `RPC Call while A\.mu is held`
+	a.mu.Unlock()
+}
+
+func sealFrame(a *A, b *Box) {
+	a.mu.Lock()
+	_ = b.SealFrame(nil, nil, nil) // want `socket frame I/O \(SealFrame\) while A\.mu is held`
 	a.mu.Unlock()
 }
 
