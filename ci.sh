@@ -116,11 +116,28 @@ go test -run='^Test(SampledOutPathAllocFree|StripedCounterAllocFree|DisabledPath
 # pinned count (one buffer per bulk transfer); a peer that has not
 # authenticated cannot make either handshake role allocate on the strength
 # of a length prefix; the streamed frame is byte for byte what
-# WriteFrame(Seal(...)) puts on the wire; and a WAL commit allocates the
-# record it appends and nothing else of that size.
+# WriteFrame(Seal(...)) puts on the wire; a WAL commit allocates the record it
+# appends and nothing else of that size; and a checkpoint is built once (at
+# most 2.2 x the image) and refused, with nothing written, when recovery could
+# not read it back.
 go test -run='^Test(PeerBulkTransferAllocs|PeerNullCallAllocs|HandshakeFrameCap)$' -count=1 ./internal/rpc
 go test -run='^TestSealFrameMatchesSeal$' -count=1 ./internal/secure
-go test -run='^TestCommitBuildsRecordInOneBuffer$' -count=1 ./internal/store/walstore
+go test -run='^Test(CommitBuildsRecordInOneBuffer|CheckpointBuildsSnapshotOnce|CheckpointRefusesUnreadableSnapshot)$' -count=1 ./internal/store/walstore
+
+# Hand-over gates (the hops either side of the transport): a 4 MiB fetch
+# through Venus.Open allocates the receive buffer and nothing else of that
+# size, a 4 MiB handleStore on a walstore only the WAL record, the choice is
+# made by size on both ends, and decoding a message allocates nothing (the
+# null-call count above covers the tag check). The ownership rules they lean on — a lent slice is
+# never written after hand-out, a clone's bytes survive a store to its
+# parent, a store in flight carries the bytes it began with — run under the
+# race detector, where an in-place write to lent bytes is a reported race.
+go test -run='^Test(FetchKeepsTheReceiveBuffer|FetchHandOverIsChosenBySize)$' -count=1 ./internal/venus
+go test -run='^TestHandleStoreAllocatesOnlyTheRecord$' -count=1 ./internal/vice
+go test -run='^TestUnmarshalDoesNotAllocate$' -count=1 ./internal/proto
+go test -race -run='^Test(OwnershipModel|WriteAtUsesSpareCapacity)$' -count=1 ./internal/unixfs
+go test -race -run='^TestWriteDuringStoreLeavesLentBytesAlone$' -count=1 ./internal/venus
+go test -race -run='^TestStoreCloneStoreLeavesCloneUntouched$' -count=1 ./internal/vice
 
 # Sim-kernel micro-benchmarks, one short pass each: keeps the park/resume,
 # mailbox and timetable benches building and running. The zero-alloc gates

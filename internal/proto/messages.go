@@ -13,9 +13,11 @@ import (
 
 // Unmarshal decodes body into any message with a decode function.
 func Unmarshal[T any](body []byte, decode func(*wire.Decoder) T) (T, error) {
-	d := wire.NewDecoder(body)
+	d := wire.GetDecoder(body)
 	v := decode(d)
-	if err := d.Close(); err != nil {
+	err := d.Close()
+	wire.PutDecoder(d)
+	if err != nil {
 		var zero T
 		return zero, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}

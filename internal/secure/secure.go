@@ -112,7 +112,15 @@ type Box struct {
 	macKey      []byte
 	noncePrefix [8]byte
 	nonceCtr    atomic.Uint64
-	macs        sync.Pool // *hash.Hash (HMAC-SHA256 keyed by macKey)
+	macs        sync.Pool // *macState
+}
+
+// macState is one pooled HMAC-SHA256 keyed by macKey, with the scratch verify
+// computes a record's expected tag into: a local array there would escape
+// through hash.Hash.Sum and cost an allocation per opened record.
+type macState struct {
+	h   hash.Hash
+	sum [tagSize]byte
 }
 
 // NewBox returns a Box keyed by k.
@@ -125,10 +133,7 @@ func NewBox(k Key) *Box {
 	if _, err := rand.Read(b.noncePrefix[:]); err != nil {
 		panic(fmt.Sprintf("secure: nonce prefix: %v", err))
 	}
-	b.macs.New = func() any {
-		m := hmac.New(sha256.New, b.macKey)
-		return &m
-	}
+	b.macs.New = func() any { return &macState{h: hmac.New(sha256.New, b.macKey)} }
 	return b
 }
 
@@ -144,12 +149,11 @@ func (b *Box) ctrXOR(nonce, dst, src []byte) {
 // mac computes HMAC(macKey, body) into out (which must have tagSize spare
 // capacity) using a pooled state.
 func (b *Box) mac(body, out []byte) []byte {
-	mp := b.macs.Get().(*hash.Hash)
-	m := *mp
-	m.Reset()
-	m.Write(body)
-	out = m.Sum(out)
-	b.macs.Put(mp)
+	st := b.macs.Get().(*macState)
+	st.h.Reset()
+	st.h.Write(body)
+	out = st.h.Sum(out)
+	b.macs.Put(st)
 	return out
 }
 
@@ -221,9 +225,9 @@ func (b *Box) SealFrame(w io.Writer, head, bulk []byte) error {
 		return err
 	}
 	stream := cipher.NewCTR(b.block, nonce)
-	mp := b.macs.Get().(*hash.Hash)
-	defer b.macs.Put(mp)
-	m := *mp
+	st := b.macs.Get().(*macState)
+	defer b.macs.Put(st)
+	m := st.h
 	m.Reset()
 
 	// buf[:fill] is output not yet written; buf[macFrom:fill] of it is not
@@ -263,8 +267,12 @@ func (b *Box) verify(sealed []byte) (nonce, ct []byte, err error) {
 	}
 	body := sealed[:len(sealed)-tagSize]
 	tag := sealed[len(sealed)-tagSize:]
-	var sum [tagSize]byte
-	if subtle.ConstantTimeCompare(b.mac(body, sum[:0]), tag) != 1 {
+	st := b.macs.Get().(*macState)
+	st.h.Reset()
+	st.h.Write(body)
+	ok := subtle.ConstantTimeCompare(st.h.Sum(st.sum[:0]), tag) == 1
+	b.macs.Put(st)
+	if !ok {
 		return nil, nil, ErrBadSeal
 	}
 	return body[:nonceSize], body[nonceSize:], nil

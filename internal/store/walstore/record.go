@@ -124,8 +124,22 @@ func readRecord(buf []byte, off int) (seq uint64, kind uint8, body []byte, next 
 	return binary.LittleEndian.Uint64(payload), payload[8], payload[9:], end, nil
 }
 
-func encodeCheckpoint(seq uint64, cp store.Checkpoint) []byte {
+// ckptPrefix is the bytes of a checkpoint file ahead of its payload: the
+// magic and the len/crc header.
+const ckptPrefix = len(ckptMagic) + 8
+
+// buildCheckpoint builds the checkpoint file as newRecord/finishRecord build
+// a log record: the prefix is reserved, the payload is encoded after it — the
+// buffer grown once, to exactly what the volume images need, when their sizes
+// are known — and magic, length and CRC are stamped in place.
+//
+// It refuses, before that growth, a snapshot decodeCheckpoint would reject: a
+// checkpoint is written in order to truncate the log, so one that cannot be
+// read back loses everything.
+func buildCheckpoint(seq uint64, cp store.Checkpoint) ([]byte, error) {
 	var e wire.Encoder
+	var blank [ckptPrefix]byte
+	e.Raw(blank[:])
 	e.U64(seq)
 	e.Bytes(cp.Prot)
 	e.ListLen(len(cp.Loc))
@@ -133,27 +147,36 @@ func encodeCheckpoint(seq uint64, cp store.Checkpoint) []byte {
 		le.Encode(&e)
 	}
 	e.ListLen(len(cp.Volumes))
+	images := 0
+	for _, vi := range cp.Volumes {
+		images += 8 + len(vi.Image)
+	}
+	if size := e.Len() - ckptPrefix + images; size > maxRecord || len(cp.Prot) > wire.MaxField {
+		return nil, fmt.Errorf("walstore: checkpoint payload of %d bytes (protection database %d) is more than recovery reads back (%d, %d)",
+			size, len(cp.Prot), maxRecord, wire.MaxField)
+	}
+	e.Grow(images)
 	for _, vi := range cp.Volumes {
 		e.U32(vi.ID)
 		e.Bytes(vi.Image)
 	}
-	payload := e.Buf()
-	out := make([]byte, 0, len(ckptMagic)+8+len(payload))
-	out = append(out, ckptMagic...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))
-	return append(out, payload...)
+	out := e.Buf()
+	payload := out[ckptPrefix:]
+	copy(out, ckptMagic)
+	binary.LittleEndian.PutUint32(out[len(ckptMagic):], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(out[len(ckptMagic)+4:], crc32.Checksum(payload, castagnoli))
+	return out, nil
 }
 
 // decodeCheckpoint parses a checkpoint file. Any malformation is an error;
 // the caller treats a bad checkpoint as absent (and says so in the report).
 func decodeCheckpoint(buf []byte) (seq uint64, cp store.Checkpoint, err error) {
-	if len(buf) < len(ckptMagic)+8 || string(buf[:len(ckptMagic)]) != ckptMagic {
+	if len(buf) < ckptPrefix || string(buf[:len(ckptMagic)]) != ckptMagic {
 		return 0, cp, fmt.Errorf("walstore: checkpoint: bad magic")
 	}
 	n := binary.LittleEndian.Uint32(buf[len(ckptMagic):])
 	crc := binary.LittleEndian.Uint32(buf[len(ckptMagic)+4:])
-	payload := buf[len(ckptMagic)+8:]
+	payload := buf[ckptPrefix:]
 	if uint32(len(payload)) != n || n > maxRecord {
 		return 0, cp, fmt.Errorf("walstore: checkpoint: bad length")
 	}
@@ -173,7 +196,9 @@ func decodeCheckpoint(buf []byte) (seq uint64, cp store.Checkpoint, err error) {
 	nv := d.ListLen(5)
 	for i := 0; i < nv && d.Err() == nil; i++ {
 		vi := store.VolumeImage{ID: d.U32()}
-		vi.Image = append([]byte(nil), d.Bytes()...)
+		// An image is bounded by the checkpoint's own format (the payload
+		// length checked above), not by what one network message may carry.
+		vi.Image = append([]byte(nil), d.BytesLimit(maxRecord)...)
 		cp.Volumes = append(cp.Volumes, vi)
 	}
 	if err := d.Close(); err != nil {

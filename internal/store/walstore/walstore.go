@@ -243,7 +243,7 @@ func applyRecord(kind uint8, body []byte, vols map[uint32]*volume.Volume, rec *s
 	case kindBegin:
 		d := wire.NewDecoder(body)
 		id := d.U32()
-		image := d.Bytes()
+		image := d.BytesLimit(maxRecord) // bounded by the record, not the wire
 		if d.Close() != nil {
 			return errRecordCorrupt
 		}
@@ -417,14 +417,22 @@ func (s *Store) Recover() (*store.Recovery, error) {
 // Checkpoint atomically replaces all history with a full snapshot: write
 // the snapshot file (atomic rename), then truncate the log. A crash between
 // the two is safe — replay skips records at or below the checkpoint seqno.
+//
+// A snapshot too large for recovery to read back is refused with nothing
+// written: the old checkpoint and the log stay as they are, the log keeps
+// growing, and the store stays usable.
 func (s *Store) Checkpoint(cp store.Checkpoint) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.err != nil {
 		return s.err
 	}
+	snapshot, err := buildCheckpoint(s.seq, cp)
+	if err != nil {
+		return err
+	}
 	//itcvet:allowblocking checkpoint must exclude appends for the snapshot+truncate pair to be a consistent cut
-	if err := s.fsys.WriteFileAtomic(ckptName, encodeCheckpoint(s.seq, cp)); err != nil {
+	if err := s.fsys.WriteFileAtomic(ckptName, snapshot); err != nil {
 		s.err = fmt.Errorf("walstore: write checkpoint: %w", err)
 		s.cond.Broadcast()
 		return s.err

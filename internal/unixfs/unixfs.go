@@ -85,11 +85,16 @@ type DirEntry struct {
 }
 
 type inode struct {
-	ino     Ino
-	typ     FileType
-	mode    uint16
-	nlink   int
-	data    []byte
+	ino   Ino
+	typ   FileType
+	mode  uint16
+	nlink int
+	data  []byte
+	// lent records that data has been handed out by Lend: a borrower may
+	// still be reading those bytes, so from then on they are replaced, never
+	// written in place. It is cleared when data becomes a slice nobody else
+	// holds. Like every inode field it is guarded by FS.mu.
+	lent    bool
 	entries map[string]Ino
 	target  string
 	mtime   int64
@@ -441,9 +446,24 @@ func (fs *FS) create(parent *inode, name string, typ FileType, mode uint16, owne
 	return n
 }
 
-// WriteFile creates or replaces the regular file at path with data, like the
-// whole-file store operation Venus performs on close.
+// WriteFile creates or replaces the regular file at path with a copy of
+// data, like the whole-file store operation Venus performs on close.
 func (fs *FS) WriteFile(path string, data []byte, mode uint16, owner string) error {
+	return fs.install(path, data, false, mode, owner)
+}
+
+// Adopt is WriteFile without the copy: data itself becomes the file's
+// contents. The caller gives the slice up — nothing else may read or write
+// it, or the bytes beyond its length up to its capacity, afterwards — and
+// later writes to the file edit it in place.
+func (fs *FS) Adopt(path string, data []byte, mode uint16, owner string) error {
+	return fs.install(path, data, true, mode, owner)
+}
+
+// install creates or replaces the regular file at path. When owned, data
+// becomes the contents as it is; otherwise it is copied first — into the
+// file's present buffer where that is large enough and no borrower holds it.
+func (fs *FS) install(path string, data []byte, owned bool, mode uint16, owner string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	parent, name, node, err := fs.walk(path, true, 0)
@@ -460,8 +480,16 @@ func (fs *FS) WriteFile(path string, data []byte, mode uint16, owner string) err
 	} else if node.typ == TypeSymlink {
 		return fmt.Errorf("%w: unresolved symlink %s", ErrInvalid, path)
 	}
+	switch {
+	case owned:
+	case node.lent:
+		data = append([]byte(nil), data...)
+	default:
+		data = append(node.data[:0], data...)
+	}
 	fs.used += int64(len(data)) - int64(len(node.data))
-	node.data = append(node.data[:0], data...)
+	node.data = data
+	node.lent = false
 	node.mtime = fs.clock()
 	node.version++
 	return nil
@@ -479,6 +507,26 @@ func (fs *FS) ReadFile(path string) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %s", ErrIsDir, path)
 	}
 	return append([]byte(nil), n.data...), nil
+}
+
+// Lend is ReadFile without the copy: it returns the file's contents
+// themselves, for reading only. The slice stays bit-identical for as long as
+// the caller holds it, whatever happens to the file meanwhile: contents that
+// have been lent are replaced by later writes, never written in place. So a
+// caller may hand it to an RPC in flight or decode out of it with no lock
+// held; the price is one copy of the file on the first write that follows.
+func (fs *FS) Lend(path string) ([]byte, error) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	n, err := fs.lookup(path, true)
+	if err != nil {
+		return nil, err
+	}
+	if n.typ == TypeDir {
+		return nil, fmt.Errorf("%w: %s", ErrIsDir, path)
+	}
+	n.lent = true
+	return n.data[:len(n.data):len(n.data)], nil
 }
 
 // ReadAt copies file bytes at offset into buf, returning the count. Reads at
@@ -517,17 +565,35 @@ func (fs *FS) WriteAt(path string, buf []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, ErrInvalid
 	}
-	end := off + int64(len(buf))
-	if end > int64(len(n.data)) {
-		grown := make([]byte, end)
-		copy(grown, n.data)
-		fs.used += end - int64(len(n.data))
-		n.data = grown
-	}
+	size := max(off+int64(len(buf)), int64(len(n.data)))
+	fs.resize(n, size)
 	copy(n.data[off:], buf)
 	n.mtime = fs.clock()
 	n.version++
 	return len(buf), nil
+}
+
+// resize makes n.data size bytes long — at least its present length — and
+// safe to write in place, keeping the bytes it has and zero-filling those it
+// gains. Spare capacity is used where there is some; contents a borrower may
+// hold (Lend) are copied to a buffer of their own first, even at an unchanged
+// size.
+//
+//itcvet:holds mu
+func (fs *FS) resize(n *inode, size int64) {
+	old := int64(len(n.data))
+	if n.lent || size > int64(cap(n.data)) {
+		grown := make([]byte, size)
+		copy(grown, n.data)
+		n.data = grown
+		n.lent = false
+	} else {
+		n.data = n.data[:size]
+		if size > old {
+			clear(n.data[old:]) // spare capacity holds whatever was there before
+		}
+	}
+	fs.used += size - old
 }
 
 // Truncate sets the file's length, extending with zeros or discarding.
@@ -544,16 +610,13 @@ func (fs *FS) Truncate(path string, size int64) error {
 	if size < 0 {
 		return ErrInvalid
 	}
-	old := int64(len(n.data))
-	switch {
-	case size < old:
+	if old := int64(len(n.data)); size <= old {
+		// Discarding writes no byte, so it is safe on lent contents too.
 		n.data = n.data[:size]
-	case size > old:
-		grown := make([]byte, size)
-		copy(grown, n.data)
-		n.data = grown
+		fs.used += size - old
+	} else {
+		fs.resize(n, size)
 	}
-	fs.used += size - old
 	n.mtime = fs.clock()
 	n.version++
 	return nil

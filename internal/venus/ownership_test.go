@@ -1,0 +1,252 @@
+package venus
+
+import (
+	"bytes"
+	"runtime"
+	"testing"
+
+	"itcfs/internal/proto"
+	"itcfs/internal/rpc"
+	"itcfs/internal/sim"
+	"itcfs/internal/vice"
+)
+
+// Bulk data changes hands instead of being copied: a large fetch reply
+// becomes the cache file, and a store lends the cache file to the RPC. These
+// tests pin what that must not break, and what it is for.
+
+// beforeConn runs a hook on each request before forwarding it — the window in
+// which a store's Bulk has left Venus but not yet reached the server.
+type beforeConn struct {
+	inner  Conn
+	before func(req rpc.Request)
+}
+
+func (c beforeConn) Call(p *sim.Proc, req rpc.Request) (rpc.Response, error) {
+	c.before(req)
+	return c.inner.Call(p, req)
+}
+
+// pattern returns n bytes that differ from position to position and from
+// seed to seed.
+func pattern(n int, seed byte) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(i*7) ^ byte(i>>8) ^ seed
+	}
+	return b
+}
+
+func readAll(t *testing.T, v *Venus, path string, size int) []byte {
+	t.Helper()
+	h, err := v.Open(nil, path, FlagRead)
+	if err != nil {
+		t.Fatalf("open %s: %v", path, err)
+	}
+	defer h.Close(nil)
+	buf := make([]byte, size+1)
+	n, err := h.ReadAt(buf, 0)
+	if err != nil {
+		t.Fatalf("read %s: %v", path, err)
+	}
+	return buf[:n]
+}
+
+// TestWriteDuringStoreLeavesLentBytesAlone writes through a second handle
+// while the store of the same entry is parked in Call. The store sends the
+// cache file's own bytes, lent; the write must replace them, not edit them,
+// so the server receives the file as it was when the store began — and a
+// write after the store has returned must not reach what the server holds
+// either. Run on both sides of the hand-over size.
+func TestWriteDuringStoreLeavesLentBytesAlone(t *testing.T) {
+	for _, size := range []int{100, 300 << 10} {
+		c := newTestCell(t, vice.Revised, "s0")
+		c.mkVolume("u", "/u", "satya", 0)
+		const path = "/u/f"
+		v1 := pattern(size, 1)
+
+		var inStore func()
+		writer := c.newVenus("s0", "satya", nil)
+		inner := writer.cfg.Connect
+		writer.cfg.Connect = func(p *sim.Proc, server string) (Conn, error) {
+			conn, err := inner(p, server)
+			if err != nil {
+				return nil, err
+			}
+			return beforeConn{inner: conn, before: func(req rpc.Request) {
+				if req.Op == rpc.Op(proto.OpStore) && inStore != nil {
+					hook := inStore
+					inStore = nil
+					hook()
+				}
+			}}, nil
+		}
+
+		h1, err := writer.Open(nil, path, FlagWrite|FlagCreate|FlagTrunc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h1.Write(v1); err != nil {
+			t.Fatal(err)
+		}
+		h2, err := writer.Open(nil, path, FlagWrite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fired := false
+		inStore = func() {
+			fired = true
+			if _, err := h2.WriteAt([]byte("scribble"), 3); err != nil {
+				t.Errorf("write during store: %v", err)
+			}
+		}
+		if err := h1.Close(nil); err != nil {
+			t.Fatal(err)
+		}
+		if !fired {
+			t.Fatalf("size %d: the store never reached the connection", size)
+		}
+		reader := c.newVenus("s0", "satya", nil)
+		if got := readAll(t, reader, path, size); !bytes.Equal(got, v1) {
+			t.Fatalf("size %d: server received bytes written after the store began", size)
+		}
+		// The cache file itself does carry the write.
+		want := append([]byte(nil), v1...)
+		copy(want[3:], "scribble")
+		if got := readAll(t, writer, path, size); !bytes.Equal(got, want) {
+			t.Fatalf("size %d: the write through the second handle was lost locally", size)
+		}
+		// The store is over; its Bulk may still be what the server keeps.
+		if _, err := h2.WriteAt([]byte("again"), 50); err != nil {
+			t.Fatal(err)
+		}
+		fresh := c.newVenus("s0", "satya", nil)
+		if got := readAll(t, fresh, path, size); !bytes.Equal(got, v1) {
+			t.Fatalf("size %d: a local write after the store changed what the server holds", size)
+		}
+		if err := h2.Close(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// allocatedBytes runs fn and returns how many bytes the whole process
+// allocated meanwhile (client and server live in it).
+func allocatedBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestFetchKeepsTheReceiveBuffer is the client half of the hand-over gate: a
+// 4 MiB miss through Venus.Open over the real transport allocates the buffer
+// the reply is received into and nothing else of that size — server included,
+// which streams the volume's own slice. Copying it into the cache file, as
+// before, costs a second payload.
+func TestFetchKeepsTheReceiveBuffer(t *testing.T) {
+	const size = 4 << 20
+	c := newTCPCell(t, vice.Revised)
+	writer := c.tcpVenus(t, vice.Revised, "satya", "pw")
+	reader := c.tcpVenus(t, vice.Revised, "howard", "pw")
+	paths := []string{"/warm", "/f0", "/f1", "/f2", "/f3"}
+	for i, p := range paths {
+		h, err := writer.Open(nil, p, FlagWrite|FlagCreate|FlagTrunc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Write(pattern(size, byte(i))); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Close(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	open := func(p string) {
+		h, err := reader.Open(nil, p, FlagRead)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := h.Status(); st.Size != size {
+			t.Fatalf("%s: fetched %d bytes", p, st.Size)
+		}
+		if err := h.Close(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	open(paths[0]) // warm the pools, the connection and the root directory
+	total := allocatedBytes(func() {
+		for _, p := range paths[1:] {
+			open(p)
+		}
+	})
+	per := float64(total) / float64(len(paths)-1)
+	if limit := 1.1 * size; per > limit {
+		t.Fatalf("a 4 MiB fetch allocated %.0f bytes, want <= %.0f (1.1 x payload)", per, limit)
+	}
+	if got := readAll(t, reader, paths[2], size); !bytes.Equal(got, pattern(size, 2)) {
+		t.Fatal("fetched file differs from what was stored")
+	}
+}
+
+// TestFetchHandOverIsChosenBySize checks the rule on both sides: the cache
+// file of a large fetch is the reply's Bulk itself, while a small file is
+// copied out of its frame, which would otherwise stay pinned — head, tag and
+// page rounding — for as long as the file is cached.
+func TestFetchHandOverIsChosenBySize(t *testing.T) {
+	c := newTCPCell(t, vice.Revised)
+	writer := c.tcpVenus(t, vice.Revised, "satya", "pw")
+	var bulk []byte // the last fetch reply's Bulk, as the transport delivered it
+	hook := func(req rpc.Request, resp rpc.Response) {
+		if req.Op == rpc.Op(proto.OpFetch) {
+			bulk = resp.Bulk
+		}
+	}
+	reader := c.tcpVenus(t, vice.Revised, "howard", "pw")
+	dial := reader.cfg.Connect
+	reader.cfg.Connect = func(p *sim.Proc, server string) (Conn, error) {
+		conn, err := dial(p, server)
+		if err != nil {
+			return nil, err
+		}
+		return hookConn{inner: conn, hook: hook}, nil
+	}
+	for _, tc := range []struct {
+		path string
+		size int
+		kept bool
+	}{
+		{"/tiny", 100, false},
+		{"/page", 64 << 10, false},
+		{"/big", 256 << 10, true},
+	} {
+		h, err := writer.Open(nil, tc.path, FlagWrite|FlagCreate|FlagTrunc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Write(pattern(tc.size, 9)); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Close(nil); err != nil {
+			t.Fatal(err)
+		}
+		rh, err := reader.Open(nil, tc.path, FlagRead)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cached, err := reader.cfg.Local.Lend(rh.e.cacheFile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(bulk) != tc.size || !bytes.Equal(cached, bulk) {
+			t.Fatalf("%s: cached %d bytes, reply carried %d", tc.path, len(cached), len(bulk))
+		}
+		if kept := &cached[0] == &bulk[0]; kept != tc.kept {
+			t.Fatalf("%s (%d bytes): cache file shares the receive buffer = %v, want %v", tc.path, tc.size, kept, tc.kept)
+		}
+		if err := rh.Close(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

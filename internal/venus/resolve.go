@@ -455,7 +455,7 @@ func (v *Venus) dirEntries(p *sim.Proc, dir proto.FID, path string) ([]proto.Dir
 	}
 	v.mu.Unlock()
 	if e != nil && e.cacheFile != "" && fresh {
-		data, err := v.cfg.Local.ReadFile(e.cacheFile)
+		data, err := v.cfg.Local.Lend(e.cacheFile)
 		if err == nil {
 			ents, derr := proto.DecodeDirEntries(data)
 			if derr != nil {
@@ -472,7 +472,7 @@ func (v *Venus) dirEntries(p *sim.Proc, dir proto.FID, path string) ([]proto.Dir
 	if err != nil {
 		return nil, err
 	}
-	data, err := v.cfg.Local.ReadFile(e.cacheFile)
+	data, err := v.cfg.Local.Lend(e.cacheFile)
 	if err != nil {
 		return nil, err
 	}
@@ -571,7 +571,7 @@ func (v *Venus) ReadDir(p *sim.Proc, path string) ([]proto.DirEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	data, err := v.cfg.Local.ReadFile(e.cacheFile)
+	data, err := v.cfg.Local.Lend(e.cacheFile)
 	if err != nil {
 		return nil, err
 	}
@@ -655,7 +655,7 @@ func (v *Venus) patchDir(dir proto.FID, patch dirPatch, resp rpc.Response) bool 
 	if e == nil || e.cacheFile == "" || !e.valid {
 		return false
 	}
-	data, err := v.cfg.Local.ReadFile(e.cacheFile)
+	data, err := v.cfg.Local.Lend(e.cacheFile)
 	if err != nil {
 		return false
 	}
@@ -664,8 +664,8 @@ func (v *Venus) patchDir(dir proto.FID, patch dirPatch, resp rpc.Response) bool 
 		return false
 	}
 	patched := patch(entries, resp)
-	updated := proto.EncodeDirEntries(patched)
-	if err := v.cfg.Local.WriteFile(e.cacheFile, updated, 0o600, "venus"); err != nil {
+	updated := proto.EncodeDirEntries(patched) // a fresh slice nothing else holds
+	if err := v.cfg.Local.Adopt(e.cacheFile, updated, 0o600, "venus"); err != nil {
 		return false
 	}
 	v.mu.Lock()

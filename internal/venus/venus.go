@@ -31,9 +31,17 @@ import (
 	"itcfs/internal/trace"
 	"itcfs/internal/unixfs"
 	"itcfs/internal/vice"
+	"itcfs/internal/wire"
 )
 
 // Conn abstracts an authenticated connection to one server.
+//
+// Bulk changes hands with the call. A request's Bulk is only read, and only
+// until Call returns. A response's Bulk belongs to the caller outright —
+// nothing else may refer to its array afterwards — because Venus keeps a
+// large one as the cache file's contents and later writes edit it in place.
+// Both transports satisfy this: each reply is decoded out of a buffer of its
+// own.
 type Conn interface {
 	Call(p *sim.Proc, req rpc.Request) (rpc.Response, error)
 }
@@ -655,7 +663,10 @@ func (v *Venus) createFile(p *sim.Proc, path string) (*entry, error) {
 	return v.installEntry(path, st, nil, v.now(p))
 }
 
-// installEntry writes fetched data into the local cache and indexes it.
+// installEntry writes fetched data into the local cache and indexes it. The
+// caller gives data up (it is a reply's Bulk): from wire.KeepField's size on,
+// the buffer the transfer landed in becomes the cache file's contents;
+// smaller files are copied out of their frame.
 func (v *Venus) installEntry(path string, st proto.Status, data []byte, now sim.Time) (*entry, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -672,10 +683,13 @@ func (v *Venus) installEntry(path string, st proto.Status, data []byte, now sim.
 	} else {
 		v.bytes -= e.status.Size
 	}
+	write := v.cfg.Local.WriteFile
 	if ix := v.cfg.Blocks; ix != nil {
-		data = ix.Intern(data)
+		data = ix.Intern(data) // now shared cell-wide: the cache file needs a copy
+	} else if wire.KeepField(data) {
+		write = v.cfg.Local.Adopt
 	}
-	if err := v.cfg.Local.WriteFile(e.cacheFile, data, 0o600, "venus"); err != nil {
+	if err := write(e.cacheFile, data, 0o600, "venus"); err != nil {
 		return nil, err
 	}
 	e.path = path
@@ -931,7 +945,9 @@ func (v *Venus) storeEntry(p *sim.Proc, e *entry) error {
 		sp.End()
 		v.mStoreLat.Observe(v.now(p).Sub(started))
 	}()
-	data, err := v.cfg.Local.ReadFile(e.cacheFile)
+	// Lent, not copied: a write through another handle while the store is in
+	// flight replaces the cache file's contents and leaves these bytes alone.
+	data, err := v.cfg.Local.Lend(e.cacheFile)
 	if err != nil {
 		return err
 	}

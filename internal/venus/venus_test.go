@@ -1,6 +1,7 @@
 package venus
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -93,7 +94,12 @@ type wsConn struct {
 }
 
 func (c wsConn) Call(p *sim.Proc, req rpc.Request) (rpc.Response, error) {
-	return c.srv.Dispatcher().Dispatch(rpc.Ctx{User: c.user(), Back: c.back, Proc: p}, req), nil
+	// As a transport does, deliver Bulk in a buffer of the receiver's own in
+	// both directions: server and Venus each keep what they are handed.
+	req.Bulk = bytes.Clone(req.Bulk)
+	resp := c.srv.Dispatcher().Dispatch(rpc.Ctx{User: c.user(), Back: c.back, Proc: p}, req)
+	resp.Bulk = bytes.Clone(resp.Bulk)
+	return resp, nil
 }
 
 // wsBack delivers callbacks into a Venus.

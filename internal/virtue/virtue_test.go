@@ -1,6 +1,7 @@
 package virtue
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -65,7 +66,12 @@ type directConn struct {
 }
 
 func (c directConn) Call(p *sim.Proc, req rpc.Request) (rpc.Response, error) {
-	return c.srv.Dispatcher().Dispatch(rpc.Ctx{User: c.user(), Proc: p}, req), nil
+	// As a transport does, deliver Bulk in a buffer of the receiver's own in
+	// both directions: server and Venus each keep what they are handed.
+	req.Bulk = bytes.Clone(req.Bulk)
+	resp := c.srv.Dispatcher().Dispatch(rpc.Ctx{User: c.user(), Proc: p}, req)
+	resp.Bulk = bytes.Clone(resp.Bulk)
+	return resp, nil
 }
 
 func TestLocalAndSharedSplit(t *testing.T) {

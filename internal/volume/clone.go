@@ -50,28 +50,46 @@ func (v *Volume) Clone(newID uint32, newName string) *Volume {
 }
 
 // Serialize encodes the entire volume for transfer to another server
-// (volume moves and read-only replication).
+// (volume moves and read-only replication) or into a checkpoint. The image
+// is allocated once, at exactly its size: the metadata is encoded first on
+// its own into a pooled scratch buffer to measure it, so the file contents —
+// nearly all of a large image — are copied exactly once.
 func (v *Volume) Serialize() []byte {
+	ids := v.VnodeIDs()
+	scratch := wire.GetEncoder()
+	size := v.encodeImage(scratch, ids, false)
+	wire.PutEncoder(scratch)
 	var e wire.Encoder
+	e.Grow(size)
+	v.encodeImage(&e, ids, true)
+	return e.Buf()
+}
+
+// encodeImage encodes the volume image into e, which must be empty, and
+// returns the image's full length. Without withData each file's contents are
+// left out after their length prefix (and still counted): the sizing pass of
+// Serialize.
+func (v *Volume) encodeImage(e *wire.Encoder, ids []uint32, withData bool) int {
+	skipped := 0
 	e.U32(v.id)
 	e.String(v.name)
 	e.Bool(v.readOnly)
 	e.I64(v.quota)
 	e.U32(v.next)
 	e.U32(v.uniq)
-	ids := make([]uint32, 0, len(v.vnodes))
-	for id := range v.vnodes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	e.U32(uint32(len(ids)))
 	for _, id := range ids {
 		vn := v.vnodes[id]
 		e.U32(id)
 		e.U32(vn.Parent)
-		vn.Status.Encode(&e)
-		e.Bytes(vn.Data)
-		vn.ACL.Encode(&e)
+		vn.Status.Encode(e)
+		if withData {
+			e.Bytes(vn.Data)
+		} else {
+			e.U32(uint32(len(vn.Data)))
+			skipped += len(vn.Data)
+		}
+		vn.ACL.Encode(e)
 		names := make([]string, 0, len(vn.Entries))
 		for n := range vn.Entries {
 			names = append(names, n)
@@ -81,11 +99,11 @@ func (v *Volume) Serialize() []byte {
 		for _, n := range names {
 			de := vn.Entries[n]
 			e.String(de.Name)
-			de.FID.Encode(&e)
+			de.FID.Encode(e)
 			e.U8(uint8(de.Type))
 		}
 	}
-	return append([]byte(nil), e.Buf()...)
+	return e.Len() + skipped
 }
 
 // Deserialize reconstructs a volume from Serialize output.

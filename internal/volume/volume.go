@@ -22,6 +22,7 @@ import (
 
 	"itcfs/internal/prot"
 	"itcfs/internal/proto"
+	"itcfs/internal/wire"
 )
 
 // RootVnode is the vnode number of every volume's root directory.
@@ -335,6 +336,11 @@ func (v *Volume) mutableDir(dir proto.FID) (*Vnode, error) {
 
 // WriteData replaces a file's contents — the server half of a whole-file
 // store. The data version advances, which is what invalidates caches.
+//
+// The caller gives data up: from wire.KeepField's size on, the slice itself
+// becomes the vnode's contents (a store hands over req.Bulk, the buffer the
+// transfer was received into), so nothing may write to it afterwards. Below
+// that size the bytes are copied and the caller's buffer is not retained.
 func (v *Volume) WriteData(fid proto.FID, data []byte) (*Vnode, error) {
 	if err := v.checkWritable(); err != nil {
 		return nil, err
@@ -350,7 +356,10 @@ func (v *Volume) WriteData(fid proto.FID, data []byte) (*Vnode, error) {
 		return nil, err
 	}
 	// Replace, never mutate: clones share the old slice (copy-on-write).
-	vn.Data = append([]byte(nil), data...)
+	if !wire.KeepField(data) {
+		data = append([]byte(nil), data...)
+	}
+	vn.Data = data
 	v.used += int64(len(data)) - vn.Status.Size
 	vn.Status.Size = int64(len(data))
 	vn.Status.Version++
