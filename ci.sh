@@ -41,6 +41,11 @@ else
 	echo "govulncheck not installed; skipping vulnerability scan"
 fi
 
+# Every Go test in the module, under the race detector and plain: the
+# zero-alloc, real-transport and hand-over gates, the WAL crash matrix, the
+# E12–E17 determinism suites, and the schema of the committed
+# BENCH_scale.json/BENCH_obs.json against the result types that emit them
+# (TestCommittedBenchFilesMatchTheirTypes) are all ordinary tests.
 go test -race ./...
 go test ./...
 
@@ -63,81 +68,24 @@ cmp "$tmpdir/t1.txt" "$tmpdir/t2.txt"
 cmp "$tmpdir/s1.csv" "$tmpdir/s2.csv"
 rm -rf "$tmpdir"
 
-# Replication determinism smoke: two same-seed E16 runs must produce
-# byte-identical reports — release pushes, the mid-run crash, failovers,
-# dedup counters and the Andrew run all replay exactly — and the
-# experiment's own invariants (zero failed replicated reads, a real
-# unreplicated outage, dedup ratio >= 1.5) are asserted inside it. Runs
-# under the race detector like the rest of the suite; kept visible as
-# its own gate alongside the E15 smoke above.
-go test -race -run='^TestE16Determinism$' -count=1 ./internal/harness
-
-# Crash-matrix smoke: every injected crash point across three seeds must
-# recover to exactly the acknowledged prefix (strict) or an unbroken prefix
-# (generous). The full property also runs inside `go test ./...`; this keeps
-# it visible as its own gate.
-go test -run='^TestWALCrashProperty$' -count=1 ./internal/store/walstore
-
 # Kernel scale smoke: the batched E14 mix at 10k clients (quick per-client
-# mix) must complete, and the scale-bench JSON it emits must carry exactly
-# the same keys as the committed BENCH_scale.json, so the committed
-# trajectory cannot silently drift from what the tool produces. Values are
-# machine-dependent and deliberately not compared.
+# mix) must complete through the real itcbench surface and write its
+# scale-bench JSON.
 tmpdir="$(mktemp -d)"
 go run ./cmd/itcbench -run E14 -clients 10000 -quick -scale-out "$tmpdir/scale.json" >/dev/null
-grep -o '"[a-z_]*":' "$tmpdir/scale.json" | sort -u > "$tmpdir/keys_new.txt"
-grep -o '"[a-z_]*":' BENCH_scale.json | sort -u > "$tmpdir/keys_committed.txt"
-cmp "$tmpdir/keys_new.txt" "$tmpdir/keys_committed.txt"
+test -s "$tmpdir/scale.json"
 rm -rf "$tmpdir"
 
 # Observability-at-scale smoke: the E17 ablation at 10k clients (quick mix)
 # must complete — which also enforces its built-in inertness guard (tracing
 # off/sampled/full produce identical virtual timelines and byte-identical
 # metric registries) and fires the seeded SLO breach with its critical-path
-# attribution — and the JSON it emits must carry exactly the same keys as
-# the committed BENCH_obs.json. Values are machine-dependent and
-# deliberately not compared; the committed 30k overhead numbers are
+# attribution — and write its JSON. The committed 30k overhead numbers are
 # regenerated with: go run ./cmd/itcbench -run E17 -scale-reps 5 -obs-out BENCH_obs.json
 tmpdir="$(mktemp -d)"
 go run ./cmd/itcbench -run E17 -clients 10000 -obs-out "$tmpdir/obs.json" >/dev/null
-grep -o '"[a-z_]*":' "$tmpdir/obs.json" | sort -u > "$tmpdir/keys_new.txt"
-grep -o '"[a-z_]*":' BENCH_obs.json | sort -u > "$tmpdir/keys_committed.txt"
-cmp "$tmpdir/keys_new.txt" "$tmpdir/keys_committed.txt"
+test -s "$tmpdir/obs.json"
 rm -rf "$tmpdir"
-
-# Observability zero-alloc gates, visible as their own pass: the sampled-out
-# trace path and the striped-counter hot path must not allocate (these also
-# run inside `go test ./...` above).
-go test -run='^Test(SampledOutPathAllocFree|StripedCounterAllocFree|DisabledPathsAllocFree)$' -count=1 ./internal/trace
-
-# Real-transport gates, visible as their own pass (they also run inside
-# `go test ./...` above): a 4 MiB transfer through a Peer pair allocates at
-# most 1.1 x payload per direction and a null call no more objects than the
-# pinned count (one buffer per bulk transfer); a peer that has not
-# authenticated cannot make either handshake role allocate on the strength
-# of a length prefix; the streamed frame is byte for byte what
-# WriteFrame(Seal(...)) puts on the wire; a WAL commit allocates the record it
-# appends and nothing else of that size; and a checkpoint is built once (at
-# most 2.2 x the image) and refused, with nothing written, when recovery could
-# not read it back.
-go test -run='^Test(PeerBulkTransferAllocs|PeerNullCallAllocs|HandshakeFrameCap)$' -count=1 ./internal/rpc
-go test -run='^TestSealFrameMatchesSeal$' -count=1 ./internal/secure
-go test -run='^Test(CommitBuildsRecordInOneBuffer|CheckpointBuildsSnapshotOnce|CheckpointRefusesUnreadableSnapshot)$' -count=1 ./internal/store/walstore
-
-# Hand-over gates (the hops either side of the transport): a 4 MiB fetch
-# through Venus.Open allocates the receive buffer and nothing else of that
-# size, a 4 MiB handleStore on a walstore only the WAL record, the choice is
-# made by size on both ends, and decoding a message allocates nothing (the
-# null-call count above covers the tag check). The ownership rules they lean on — a lent slice is
-# never written after hand-out, a clone's bytes survive a store to its
-# parent, a store in flight carries the bytes it began with — run under the
-# race detector, where an in-place write to lent bytes is a reported race.
-go test -run='^Test(FetchKeepsTheReceiveBuffer|FetchHandOverIsChosenBySize)$' -count=1 ./internal/venus
-go test -run='^TestHandleStoreAllocatesOnlyTheRecord$' -count=1 ./internal/vice
-go test -run='^TestUnmarshalDoesNotAllocate$' -count=1 ./internal/proto
-go test -race -run='^Test(OwnershipModel|WriteAtUsesSpareCapacity)$' -count=1 ./internal/unixfs
-go test -race -run='^TestWriteDuringStoreLeavesLentBytesAlone$' -count=1 ./internal/venus
-go test -race -run='^TestStoreCloneStoreLeavesCloneUntouched$' -count=1 ./internal/vice
 
 # Sim-kernel micro-benchmarks, one short pass each: keeps the park/resume,
 # mailbox and timetable benches building and running. The zero-alloc gates

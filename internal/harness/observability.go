@@ -260,7 +260,7 @@ func measureObsLeg(e14 E14Config, n int, mode string, cfg E17Config) (ObsLeg, st
 				Default: trace.ClassPolicy{Rate: cfg.Rate, SlowKeep: cfg.SlowKeep},
 			}
 		case "full":
-			cc.Trace = true // TraceSample 0 = keep every root
+			cc.Trace = true // no policy = keep every root
 		}
 	}
 	var before, after runtime.MemStats

@@ -31,12 +31,6 @@ type E14Config struct {
 	// CallbackTTL bounds promise trust so the periodic sweeps have entries
 	// to revalidate.
 	CallbackTTL time.Duration
-	// LoginStagger spreads client logins uniformly over this ramp. Zero
-	// keeps the original all-at-once login (fine into the low thousands);
-	// the kernel scale bench sets it, because tens of thousands of
-	// simultaneous handshakes against one server exceed any retry budget —
-	// and real workstation populations don't power on in the same instant.
-	LoginStagger time.Duration
 }
 
 // DefaultE14 returns the standard configuration.
@@ -181,11 +175,7 @@ func e14Run(cfg E14Config, n int, batched bool) (e14Side, error) {
 	for i := range ws {
 		i := i
 		u := workload.NewScaleUser(i, scale)
-		start := cell.Now()
-		if cfg.LoginStagger > 0 {
-			start = start.Add(cfg.LoginStagger * time.Duration(i) / time.Duration(n))
-		}
-		cell.Kernel.SpawnAt(start, fmt.Sprintf("scale-%04d", i), func(p *sim.Proc) {
+		cell.Kernel.SpawnAt(cell.Now(), fmt.Sprintf("scale-%04d", i), func(p *sim.Proc) {
 			if lerr := ws[i].Login(p, "load", "pw"); lerr != nil {
 				errs[i] = lerr
 				return

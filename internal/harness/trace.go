@@ -97,7 +97,7 @@ func tracedAndrew(mode itcfs.Mode, cfg E13Config) (*trace.Tracer, error) {
 		Mode:        mode,
 		Clusters:    1,
 		Trace:       true,
-		TraceSample: cfg.Sample,
+		TracePolicy: &trace.SamplePolicy{Default: trace.ClassPolicy{Rate: cfg.Sample}},
 		Metrics:     trace.NewRegistry(),
 	})
 	var err error

@@ -111,10 +111,6 @@ type EndpointConfig struct {
 	// Retry enables bounded retransmission with exponential backoff and
 	// jitter; the zero value keeps the original single-attempt behavior.
 	Retry RetryPolicy
-	// CallbackTimeout bounds a server-to-client callback break. 0 means a
-	// quarter of CallTimeout: a dead cache holder must not stall a
-	// mutation for the caller's full call deadline.
-	CallbackTimeout time.Duration
 	// Tracer records distributed spans for calls through this endpoint.
 	// Nil disables tracing at near-zero cost (one nil check per call).
 	Tracer *trace.Tracer
@@ -142,7 +138,7 @@ type Endpoint struct {
 
 	nextConn uint64
 	outbound map[uint64]*SimConn
-	inbound  map[inKey]*inConn
+	inbound  map[inKey]*SimConn
 
 	down bool
 	rng  *rand.Rand // deterministic jitter source for retry backoff
@@ -189,31 +185,27 @@ type outcome struct {
 	pkt  *pkt          // the reply packet, carrying its network delays
 }
 
-// SimConn is an authenticated outbound connection.
+// SimConn is one end of an authenticated connection: the end that dialed
+// (kept in Endpoint.outbound under id) or the end that accepted (kept in
+// Endpoint.inbound under {remote, id}). Both ends place calls, match replies
+// and dedupe inbound calls the same way; they differ in how the handshake
+// gets them a box and in how patiently they call (see CallBack).
 type SimConn struct {
 	ep      *Endpoint
 	remote  netsim.NodeID
-	id      uint64
-	user    string
+	id      uint64 // the dialer's connection number, as carried in every packet
+	user    string // the identity the dialer authenticated as
 	box     *secure.Box
-	nextSeq uint32
-	pending map[uint32]*sim.Future[outcome]
-	hsReply *sim.Future[[]byte] // in-flight handshake step
-	serve   *replyCache         // dedupes inbound callback calls
-	closed  bool
-}
-
-// inConn is the server-side state of an accepted connection.
-type inConn struct {
-	ep      *Endpoint
-	key     inKey
-	hs      *secure.ServerHandshake
-	hsFinal []byte // saved final handshake message, resent on duplicate proofs
-	box     *secure.Box
-	user    string
 	nextSeq uint32
 	pending map[uint32]*sim.Future[outcome]
 	serve   *replyCache // dedupes inbound calls
+	closed  bool
+
+	hsReply *sim.Future[[]byte] // dialing end: in-flight handshake step
+
+	accepted bool                    // accepting end
+	hs       *secure.ServerHandshake // accepting end: handshake in progress
+	hsFinal  []byte                  // accepting end: final handshake message, resent on duplicate proofs
 }
 
 // NewEndpoint attaches an endpoint to node and registers its receive sink.
@@ -221,8 +213,8 @@ func NewEndpoint(net *netsim.Network, node *netsim.Node, cfg EndpointConfig) *En
 	if cfg.CallTimeout == 0 {
 		cfg.CallTimeout = 60 * time.Second
 	}
-	if cfg.CallbackTimeout == 0 {
-		cfg.CallbackTimeout = cfg.CallTimeout / 4
+	if cfg.Retry.Attempts < 1 {
+		cfg.Retry.Attempts = 1
 	}
 	ep := &Endpoint{
 		k:          net.Kernel(),
@@ -230,7 +222,7 @@ func NewEndpoint(net *netsim.Network, node *netsim.Node, cfg EndpointConfig) *En
 		node:       node,
 		cfg:        cfg,
 		outbound:   make(map[uint64]*SimConn),
-		inbound:    make(map[inKey]*inConn),
+		inbound:    make(map[inKey]*SimConn),
 		callCounts: make(map[Op]int64),
 		rng:        rand.New(rand.NewSource(cfg.Retry.Seed ^ int64(node.ID)*0x5851f42d4c957f2d)),
 	}
@@ -257,7 +249,7 @@ func NewEndpoint(net *netsim.Network, node *netsim.Node, cfg EndpointConfig) *En
 func (ep *Endpoint) Crash() {
 	ep.down = true
 	ep.outbound = make(map[uint64]*SimConn)
-	ep.inbound = make(map[inKey]*inConn)
+	ep.inbound = make(map[inKey]*SimConn)
 }
 
 // Restart brings a crashed endpoint back up with empty connection state.
@@ -388,13 +380,9 @@ func (ep *Endpoint) handleHandshake(pk *pkt) {
 			if err != nil {
 				return // authentication failure: no reply, client times out
 			}
-			ep.inbound[key] = &inConn{
-				ep:      ep,
-				key:     key,
-				hs:      hs,
-				pending: make(map[uint32]*sim.Future[outcome]),
-				serve:   newReplyCache(),
-			}
+			ic := ep.newConn(pk.From, pk.Conn, "")
+			ic.accepted, ic.hs = true, hs
+			ep.inbound[key] = ic
 			ep.send(pk.From, &pkt{Conn: pk.Conn, Kind: kindChallenge, Data: challenge})
 		case kindProof:
 			ic := ep.inbound[key]
@@ -428,16 +416,16 @@ func (ep *Endpoint) handleHandshake(pk *pkt) {
 // process. Calls arrive on inbound connections (a client calling the
 // server) or on outbound ones (the server breaking a callback to us).
 func (ep *Endpoint) handleCall(pk *pkt) {
-	var box *secure.Box
-	var user string
-	var back Backchannel
-	var serve *replyCache
-	if ic := ep.inbound[inKey{pk.From, pk.Conn}]; ic != nil && ic.box != nil {
-		box, user, back, serve = ic.box, ic.user, ic, ic.serve
-	} else if c := ep.outbound[pk.Conn]; c != nil && c.remote == pk.From && c.box != nil {
-		box, user, back, serve = c.box, "", c, c.serve
-	} else {
-		return // unknown or unauthenticated connection
+	c := ep.inbound[inKey{pk.From, pk.Conn}]
+	if c == nil || c.box == nil {
+		if c = ep.outbound[pk.Conn]; c == nil || c.remote != pk.From || c.box == nil {
+			return // unknown or unauthenticated connection
+		}
+	}
+	box, serve := c.box, c.serve
+	user := "" // a call arriving on a connection we dialed is the server's, not a user's
+	if c.accepted {
+		user = c.user
 	}
 	plain, err := box.Open(pk.Data)
 	if err != nil {
@@ -475,7 +463,7 @@ func (ep *Endpoint) handleCall(pk *pkt) {
 		started := p.Now()
 		sp := ep.cfg.Tracer.BeginRemote(p, tc, trace.SpanRPCServe, ep.node.Name)
 		sp.SetInt(trace.AttrOp, int64(req.Op))
-		ctx := Ctx{User: user, Peer: ep.net.Node(pk.From).Name, Back: back, Proc: p, Span: sp}
+		ctx := Ctx{User: user, Peer: ep.net.Node(pk.From).Name, Back: c, Proc: p, Span: sp}
 		resp := ep.cfg.Server.Dispatch(ctx, req)
 		if ep.cfg.Model != nil {
 			ep.cfg.Meters.charge(p, ep.cfg.Model(ctx, req, resp))
@@ -498,15 +486,16 @@ func (ep *Endpoint) handleCall(pk *pkt) {
 // endpoint originated — on an outbound connection, or a callback on an
 // inbound one.
 func (ep *Endpoint) handleReply(pk *pkt) {
-	if c := ep.outbound[pk.Conn]; c != nil && c.remote == pk.From {
-		c.resolve(pk)
-		return
+	c := ep.outbound[pk.Conn]
+	if c == nil || c.remote != pk.From {
+		c = ep.inbound[inKey{pk.From, pk.Conn}]
 	}
-	if ic := ep.inbound[inKey{pk.From, pk.Conn}]; ic != nil && ic.box != nil {
-		ic.resolve(pk)
+	if c != nil && c.box != nil {
+		c.resolve(pk)
 	}
 }
 
+// resolve hands a reply packet to the call waiting for it.
 func (c *SimConn) resolve(pk *pkt) {
 	plain, err := c.box.Open(pk.Data)
 	if err != nil {
@@ -522,18 +511,15 @@ func (c *SimConn) resolve(pk *pkt) {
 	}
 }
 
-func (ic *inConn) resolve(pk *pkt) {
-	plain, err := ic.box.Open(pk.Data)
-	if err != nil {
-		return
-	}
-	seq, svc, resp, err := decodeReply(plain)
-	if err != nil {
-		return
-	}
-	if f := ic.pending[seq]; f != nil {
-		delete(ic.pending, seq)
-		f.TrySet(outcome{resp: resp, svc: svc, pkt: pk})
+// newConn returns the state both ends of a connection start from.
+func (ep *Endpoint) newConn(remote netsim.NodeID, id uint64, user string) *SimConn {
+	return &SimConn{
+		ep:      ep,
+		remote:  remote,
+		id:      id,
+		user:    user,
+		pending: make(map[uint32]*sim.Future[outcome]),
+		serve:   newReplyCache(),
 	}
 }
 
@@ -542,14 +528,7 @@ func (ic *inConn) resolve(pk *pkt) {
 // It must be called from a simulated process.
 func (ep *Endpoint) Dial(p *sim.Proc, remote netsim.NodeID, user string, key secure.Key) (*SimConn, error) {
 	ep.nextConn++
-	c := &SimConn{
-		ep:      ep,
-		remote:  remote,
-		id:      ep.nextConn,
-		user:    user,
-		pending: make(map[uint32]*sim.Future[outcome]),
-		serve:   newReplyCache(),
-	}
+	c := ep.newConn(remote, ep.nextConn, user)
 	ep.outbound[c.id] = c
 	hs := secure.NewClientHandshake(user, key)
 
@@ -582,19 +561,9 @@ func (ep *Endpoint) Dial(p *sim.Proc, remote netsim.NodeID, user string, key sec
 // attempt sends a fresh copy of the message so an in-flight corruption
 // fault cannot poison later retransmissions.
 func (c *SimConn) handshakeStep(p *sim.Proc, kind uint8, data []byte) ([]byte, error) {
-	attempts := c.ep.cfg.Retry.Attempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	for a := 0; a < attempts; a++ {
+	for a := 0; a < c.ep.cfg.Retry.Attempts; a++ {
 		if a > 0 {
-			c.ep.retries++
-			c.ep.mRetries.Inc(c.ep.mShard)
-			if fl := c.ep.cfg.Flight; fl != nil {
-				fl.Log(trace.EventRPCRetry, c.ep.node.Name,
-					fmt.Sprintf("handshake kind %d attempt %d to node %d", kind, a+1, c.remote))
-			}
-			p.Sleep(c.ep.backoff(a))
+			c.retryPause(p, "handshake kind", int(kind), a)
 		}
 		f := sim.NewFuture[[]byte](c.ep.k)
 		c.hsReply = f
@@ -611,6 +580,18 @@ func (c *SimConn) handshakeStep(p *sim.Proc, kind uint8, data []byte) ([]byte, e
 	return nil, fmt.Errorf("%w: handshake timeout to node %d", ErrUnreachable, c.remote)
 }
 
+// retryPause counts and logs the retransmission that attempt a (a >= 1) is,
+// then sleeps its backoff. what and n name the thing retried.
+func (c *SimConn) retryPause(p *sim.Proc, what string, n, a int) {
+	c.ep.retries++
+	c.ep.mRetries.Inc(c.ep.mShard)
+	if fl := c.ep.cfg.Flight; fl != nil {
+		fl.Log(trace.EventRPCRetry, c.ep.node.Name,
+			fmt.Sprintf("%s %d attempt %d to node %d", what, n, a+1, c.remote))
+	}
+	p.Sleep(c.ep.backoff(a))
+}
+
 // User returns the identity the connection authenticated as.
 func (c *SimConn) User() string { return c.user }
 
@@ -623,29 +604,27 @@ func (c *SimConn) Remote() netsim.NodeID { return c.remote }
 // server's at-most-once cache executes the operation exactly once no matter
 // how often frames are lost or duplicated in flight.
 func (c *SimConn) Call(p *sim.Proc, req Request) (Response, error) {
-	if c.closed {
+	return c.call(p, req, c.ep.cfg.Retry.Attempts, c.ep.cfg.CallTimeout, false)
+}
+
+// call is the one call routine: attempts tries of timeout each, all under one
+// sequence number. callback only words the timeout error.
+func (c *SimConn) call(p *sim.Proc, req Request, attempts int, timeout time.Duration, callback bool) (Response, error) {
+	if c.closed || c.box == nil {
 		return Response{}, ErrClosed
 	}
+	// A callback rides the worker's ambient serve span, so the break appears
+	// in the same distributed trace as the mutation that caused it.
 	sp := c.ep.cfg.Tracer.Begin(p, trace.SpanRPCCall, c.ep.node.Name)
 	sp.SetInt(trace.AttrOp, int64(req.Op))
 	started := p.Now()
 	c.nextSeq++
 	seq := c.nextSeq
 	tc := sp.Context()
-	attempts := c.ep.cfg.Retry.Attempts
-	if attempts < 1 {
-		attempts = 1
-	}
 	var lastErr error
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
-			c.ep.retries++
-			c.ep.mRetries.Inc(c.ep.mShard)
-			if fl := c.ep.cfg.Flight; fl != nil {
-				fl.Log(trace.EventRPCRetry, c.ep.node.Name,
-					fmt.Sprintf("op %d attempt %d to node %d", req.Op, a+1, c.remote))
-			}
-			p.Sleep(c.ep.backoff(a))
+			c.retryPause(p, "op", int(req.Op), a)
 			if c.closed {
 				sp.End()
 				return Response{}, lastErr
@@ -657,11 +636,15 @@ func (c *SimConn) Call(p *sim.Proc, req Request) (Response, error) {
 		// across the call; each attempt seals fresh (new nonce) regardless.
 		reqPkt := &pkt{Conn: c.id, Kind: kindCall, Data: sealCall(c.box, seq, tc, req)}
 		c.ep.send(c.remote, reqPkt)
-		c.ep.k.After(c.ep.cfg.CallTimeout, func() {
+		c.ep.k.After(timeout, func() {
 			if f.Done() {
 				return // answered; don't build the timeout error
 			}
-			f.Set(outcome{err: fmt.Errorf("%w: op %d to node %d", ErrTimeout, req.Op, c.remote)})
+			if callback {
+				f.Set(outcome{err: fmt.Errorf("%w: callback op %d", ErrTimeout, req.Op)})
+			} else {
+				f.Set(outcome{err: fmt.Errorf("%w: op %d to node %d", ErrTimeout, req.Op, c.remote)})
+			}
 			if c.pending[seq] == f {
 				delete(c.pending, seq)
 			}
@@ -710,47 +693,18 @@ func (c *SimConn) Close() {
 	delete(c.ep.outbound, c.id)
 }
 
-// CallBack places a call from the server back to the client on an accepted
-// connection (callback breaking). It implements Backchannel.
-func (ic *inConn) CallBack(p *sim.Proc, req Request) (Response, error) {
-	if ic.box == nil {
-		return Response{}, ErrClosed
+// CallBack places a call in the direction a callback travels. On the
+// accepting end that is the server breaking a promise: one attempt, and a
+// quarter of the call timeout, because a dead cache holder must not stall a
+// mutation for the caller's full call deadline. On the dialing end it is an
+// ordinary call — the client reaches the server the same way in both roles.
+// It implements Backchannel.
+func (c *SimConn) CallBack(p *sim.Proc, req Request) (Response, error) {
+	if !c.accepted {
+		return c.Call(p, req)
 	}
-	// The callback rides the worker's ambient serve span, so the break
-	// appears in the same distributed trace as the mutation that caused it.
-	sp := ic.ep.cfg.Tracer.Begin(p, trace.SpanRPCCall, ic.ep.node.Name)
-	sp.SetInt(trace.AttrOp, int64(req.Op))
-	started := p.Now()
-	ic.nextSeq++
-	seq := ic.nextSeq
-	f := sim.NewFuture[outcome](ic.ep.k)
-	ic.pending[seq] = f
-	reqPkt := &pkt{Conn: ic.key.conn, Kind: kindCall, Data: sealCall(ic.box, seq, sp.Context(), req)}
-	ic.ep.send(ic.key.from, reqPkt)
-	ic.ep.k.After(ic.ep.cfg.CallbackTimeout, func() {
-		if f.Done() {
-			return // answered; don't build the timeout error
-		}
-		f.Set(outcome{err: fmt.Errorf("%w: callback op %d", ErrTimeout, req.Op)})
-		delete(ic.pending, seq)
-	})
-	out := f.Wait(p)
-	if out.err != nil {
-		ic.ep.mTimeouts.Inc(ic.ep.mShard)
-		sp.End()
-		return out.resp, out.err
-	}
-	ic.ep.finishCall(sp, p, started, reqPkt, out)
-	return out.resp, out.err
+	return c.call(p, req, 1, c.ep.cfg.CallTimeout/4, true)
 }
 
-// BackUser returns the authenticated user of the connection.
-func (ic *inConn) BackUser() string { return ic.user }
-
-// CallBack on an outbound connection is an ordinary call: the client side of
-// a connection reaches the server the same way in both roles. It implements
-// Backchannel so callback handlers can answer the server symmetrically.
-func (c *SimConn) CallBack(p *sim.Proc, req Request) (Response, error) { return c.Call(p, req) }
-
-// BackUser returns the identity this connection authenticated as.
+// BackUser returns the identity the connection authenticated as.
 func (c *SimConn) BackUser() string { return c.user }

@@ -6,14 +6,13 @@
 // changed — the volume header plus the metadata records and file contents of
 // the touched vnodes, split into separate fields so an engine can route
 // small metadata records and large data blobs differently (the classic
-// metadata/blocks layering of log-structured file stores). An engine makes
-// the commit durable however it likes:
-//
-//   - memstore keeps shadow volumes in memory. It verifies the commit
-//     protocol without touching disk, and is what the deterministic
-//     simulator uses — no clocks, no fsync, no perturbation.
-//   - walstore appends each commit to a checksummed write-ahead log with
-//     group-commit fsync and periodic checkpoints, and recovers by replay.
+// metadata/blocks layering of log-structured file stores). There is one
+// engine, walstore: it appends each commit to a checksummed write-ahead log
+// with group-commit fsync and periodic checkpoints, and recovers by replay.
+// It runs on an FS — the daemon's real directory (DirFS), or MemFS when the
+// deterministic simulator journals without touching disk: no clocks, no
+// fsync, no perturbation. The interface stays because vice's tests put fakes
+// behind it.
 //
 // Location-database and protection-database changes flow through the same
 // store (PutLoc/PutProt) so a server restart loses neither.

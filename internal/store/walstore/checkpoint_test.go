@@ -149,3 +149,39 @@ func TestCheckpointRefusesUnreadableSnapshot(t *testing.T) {
 		t.Fatalf("after refusal recovered %d volumes, replayed %d", len(rec.Volumes), rec.Report.Replayed)
 	}
 }
+
+// TestAppendRefusesUnreadableRecord pins the same rule for the log: a record
+// recovery would take for a torn tail — and drop, with every record after it —
+// is refused before it is appended. Nothing is written, the store is not
+// latched, and what was acknowledged before and after is all recovered.
+func TestAppendRefusesUnreadableRecord(t *testing.T) {
+	fsys := store.NewMemFS()
+	s, _ := open(t, fsys)
+	workload(t, s)
+	logBefore, _ := fsys.Bytes(walName)
+
+	// Five views of one 60 MiB buffer: a commit over maxRecord in total, each
+	// file under wire.MaxField.
+	chunk := make([]byte, 60<<20)
+	over := store.Commit{Vol: 3}
+	for vn := uint32(10); vn < 15; vn++ {
+		over.Data = append(over.Data, store.VnodeData{Vnode: vn, Data: chunk})
+	}
+	if err := s.Commit(over); err == nil {
+		t.Fatal("a record recovery cannot read back was appended")
+	}
+	if got, _ := fsys.Bytes(walName); !bytes.Equal(got, logBefore) {
+		t.Fatal("refused record changed the log")
+	}
+	if err := s.PutLoc(nil, []string{"/still-alive"}); err != nil {
+		t.Fatalf("store unusable after a refused record: %v", err)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	_, rec := open(t, fsys)
+	if len(rec.Volumes) != 1 || rec.Report.Replayed != 6 || rec.Report.DiscardedRecords != 0 {
+		t.Fatalf("after refusal recovered %d volumes, replayed %d, discarded %d",
+			len(rec.Volumes), rec.Report.Replayed, rec.Report.DiscardedRecords)
+	}
+}

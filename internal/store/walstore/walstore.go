@@ -304,11 +304,21 @@ func (s *Store) writeMagic() error {
 
 // append completes rec (a newRecord buffer, body encoded) with the next
 // seqno and appends it to the log.
+//
+// A record recovery would not read back (readRecord takes a payload over
+// maxRecord for a torn tail, and drops it and everything after it) is refused
+// here, before it is appended and without latching the store, as Checkpoint
+// refuses an unreadable snapshot: the caller's operation fails, the log and
+// every other volume are untouched.
 func (s *Store) append(kind uint8, rec []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.err != nil {
 		return s.err
+	}
+	if payload := len(rec) - 8; payload > maxRecord {
+		return fmt.Errorf("walstore: %s record of %d bytes is more than recovery reads back (%d)",
+			kindName(kind), payload, maxRecord)
 	}
 	finishRecord(rec, s.seq+1, kind)
 	if err := s.log.Append(rec); err != nil {

@@ -55,8 +55,9 @@ func readAll(t *testing.T, v *Venus, path string, size int) []byte {
 // TestWriteDuringStoreLeavesLentBytesAlone writes through a second handle
 // while the store of the same entry is parked in Call. The store sends the
 // cache file's own bytes, lent; the write must replace them, not edit them,
-// so the server receives the file as it was when the store began — and a
-// write after the store has returned must not reach what the server holds
+// so the server receives the file as it was when the store began, and the
+// entry stays dirty so that the second handle's close stores the write — and
+// a write after a store has returned must not reach what the server holds
 // either. Run on both sides of the hand-over size.
 func TestWriteDuringStoreLeavesLentBytesAlone(t *testing.T) {
 	for _, size := range []int{100, 300 << 10} {
@@ -110,21 +111,35 @@ func TestWriteDuringStoreLeavesLentBytesAlone(t *testing.T) {
 		if got := readAll(t, reader, path, size); !bytes.Equal(got, v1) {
 			t.Fatalf("size %d: server received bytes written after the store began", size)
 		}
-		// The cache file itself does carry the write.
+		// The cache file itself does carry the write. Read through the handle
+		// that is still open: the entry is dirty, so closing any handle on it
+		// would store it.
 		want := append([]byte(nil), v1...)
 		copy(want[3:], "scribble")
-		if got := readAll(t, writer, path, size); !bytes.Equal(got, want) {
-			t.Fatalf("size %d: the write through the second handle was lost locally", size)
+		got := make([]byte, size)
+		if _, err := h2.ReadAt(got, 0); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("size %d: the write through the second handle was lost locally (%v)", size, err)
 		}
-		// The store is over; its Bulk may still be what the server keeps.
-		if _, err := h2.WriteAt([]byte("again"), 50); err != nil {
+		// That write was not in the bytes the first close stored, so the entry
+		// stayed dirty and the second close stores it.
+		if err := h2.Close(nil); err != nil {
 			t.Fatal(err)
 		}
-		fresh := c.newVenus("s0", "satya", nil)
-		if got := readAll(t, fresh, path, size); !bytes.Equal(got, v1) {
+		if got := readAll(t, c.newVenus("s0", "satya", nil), path, size); !bytes.Equal(got, want) {
+			t.Fatalf("size %d: after both handles closed the server lacks the second handle's write", size)
+		}
+		// The stores are over; their Bulk may still be what the server keeps.
+		h3, err := writer.Open(nil, path, FlagWrite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h3.WriteAt([]byte("again"), 50); err != nil {
+			t.Fatal(err)
+		}
+		if got := readAll(t, c.newVenus("s0", "satya", nil), path, size); !bytes.Equal(got, want) {
 			t.Fatalf("size %d: a local write after the store changed what the server holds", size)
 		}
-		if err := h2.Close(nil); err != nil {
+		if err := h3.Close(nil); err != nil {
 			t.Fatal(err)
 		}
 	}

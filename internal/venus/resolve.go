@@ -66,7 +66,12 @@ func (v *Venus) locate(p *sim.Proc, path string) (proto.CustodianReply, error) {
 		probe = unixfs.Dir(probe)
 	}
 	v.mu.Unlock()
+	return v.askCustodian(p, path)
+}
 
+// askCustodian asks the home cluster server which volume covers path and who
+// holds it, and caches the answer under both of its keys.
+func (v *Venus) askCustodian(p *sim.Proc, path string) (proto.CustodianReply, error) {
 	v.mu.Lock()
 	v.stats.OtherRPCs++
 	v.mu.Unlock()
@@ -172,7 +177,9 @@ func (v *Venus) callPath(p *sim.Proc, path string, req rpc.Request) (rpc.Respons
 // locate, a cached path prefix is not good enough: a mount-point crossing
 // means the path cache's entry names the wrong (parent) volume, so on a
 // miss the home server is asked about the full path, whose answer names the
-// deepest prefix and its replicas.
+// deepest prefix and its replicas. When the hint path did not land in the
+// volume (renamed mount?) the reply is used anyway — the wrong-server redirect
+// corrects the rest.
 func (v *Venus) locateVolume(p *sim.Proc, vol uint32, pathHint string) (proto.CustodianReply, error) {
 	v.mu.Lock()
 	cr, ok := v.volLoc[vol]
@@ -180,37 +187,7 @@ func (v *Venus) locateVolume(p *sim.Proc, vol uint32, pathHint string) (proto.Cu
 	if ok {
 		return cr, nil
 	}
-	v.mu.Lock()
-	v.stats.OtherRPCs++
-	v.mu.Unlock()
-	c, err := v.conn(p, v.cfg.HomeServer)
-	if err != nil {
-		return proto.CustodianReply{}, err
-	}
-	resp, err := c.Call(p, rpc.Request{
-		Op:   rpc.Op(proto.OpGetCustodian),
-		Body: proto.Marshal(proto.CustodianArgs{Path: pathHint}),
-	})
-	if err != nil {
-		return proto.CustodianReply{}, err
-	}
-	if !resp.OK() {
-		return proto.CustodianReply{}, proto.CodeToErr(resp.Code, string(resp.Body))
-	}
-	cr, err = proto.Unmarshal(resp.Body, proto.DecodeCustodianReply)
-	if err != nil {
-		return proto.CustodianReply{}, err
-	}
-	v.mu.Lock()
-	v.pathLoc[cr.Prefix] = cr
-	v.volLoc[cr.Volume] = cr
-	v.mu.Unlock()
-	if cr.Volume != vol {
-		// The hint path did not land in the volume (renamed mount?); use
-		// the reply anyway — the wrong-server redirect corrects the rest.
-		return cr, nil
-	}
-	return cr, nil
+	return v.askCustodian(p, pathHint)
 }
 
 // callRef routes by FID when the reference has one, else by path. pathHint
@@ -224,6 +201,28 @@ func (v *Venus) callRef(p *sim.Proc, ref proto.Ref, pathHint string, req rpc.Req
 		return rpc.Response{}, err
 	}
 	return v.callAt(p, v.serverOrder(cr, readOp(req.Op)), pathHint, cr, req)
+}
+
+// call is the simple-call path, the one home of three steps every plain
+// operation takes: count the RPC (under the counter its op belongs to), route
+// it by ref, and turn a reply the server refused into its proto error — the
+// reply comes back too, for callers that read its code.
+func (v *Venus) call(p *sim.Proc, ref proto.Ref, pathHint string, op uint16, body []byte) (rpc.Response, error) {
+	v.mu.Lock()
+	switch op {
+	case proto.OpTestValid:
+		v.stats.Validations++
+	case proto.OpFetchStatus:
+		v.stats.StatRPCs++
+	default:
+		v.stats.OtherRPCs++
+	}
+	v.mu.Unlock()
+	resp, err := v.callRef(p, ref, pathHint, rpc.Request{Op: rpc.Op(op), Body: body})
+	if err == nil && !resp.OK() {
+		err = proto.CodeToErr(resp.Code, string(resp.Body))
+	}
+	return resp, err
 }
 
 // callAt performs the call against the first reachable server in servers,
@@ -494,17 +493,15 @@ func (v *Venus) statFID(p *sim.Proc, fid proto.FID, pathHint string) (proto.Stat
 		v.mu.Unlock()
 		return st, nil
 	}
-	v.stats.StatRPCs++
 	v.mu.Unlock()
-	resp, err := v.callRef(p, proto.Ref{FID: fid}, pathHint, rpc.Request{
-		Op:   rpc.Op(proto.OpFetchStatus),
-		Body: proto.Marshal(proto.StatusArgs{Ref: proto.Ref{FID: fid}}),
-	})
+	return v.fetchStatus(p, proto.Ref{FID: fid}, pathHint)
+}
+
+// fetchStatus asks the custodian for ref's status.
+func (v *Venus) fetchStatus(p *sim.Proc, ref proto.Ref, pathHint string) (proto.Status, error) {
+	resp, err := v.call(p, ref, pathHint, proto.OpFetchStatus, proto.Marshal(proto.StatusArgs{Ref: ref}))
 	if err != nil {
 		return proto.Status{}, err
-	}
-	if !resp.OK() {
-		return proto.Status{}, proto.CodeToErr(resp.Code, string(resp.Body))
 	}
 	return proto.Unmarshal(resp.Body, proto.DecodeStatus)
 }
@@ -521,11 +518,6 @@ func (v *Venus) refFor(p *sim.Proc, path string) (proto.Ref, error) {
 	return proto.Ref{FID: fid}, nil
 }
 
-// refForDir is refFor for a directory argument.
-func (v *Venus) refForDir(p *sim.Proc, dir string) (proto.Ref, error) {
-	return v.refFor(p, dir)
-}
-
 // Stat returns the Vice status of path. The prototype always asks the
 // custodian — status caching was ineffective in it, which is why
 // "GetFileStat" contributed 27% of all server calls (§5.2). The revised
@@ -533,20 +525,7 @@ func (v *Venus) refForDir(p *sim.Proc, dir string) (proto.Ref, error) {
 func (v *Venus) Stat(p *sim.Proc, path string) (proto.Status, error) {
 	path = unixfs.Clean(path)
 	if v.cfg.Mode == vice.Prototype {
-		v.mu.Lock()
-		v.stats.StatRPCs++
-		v.mu.Unlock()
-		resp, err := v.callPath(p, path, rpc.Request{
-			Op:   rpc.Op(proto.OpFetchStatus),
-			Body: proto.Marshal(proto.StatusArgs{Ref: proto.Ref{Path: path}}),
-		})
-		if err != nil {
-			return proto.Status{}, err
-		}
-		if !resp.OK() {
-			return proto.Status{}, proto.CodeToErr(resp.Code, string(resp.Body))
-		}
-		return proto.Unmarshal(resp.Body, proto.DecodeStatus)
+		return v.fetchStatus(p, proto.Ref{Path: path}, path)
 	}
 	fid, err := v.Resolve(p, path)
 	if err != nil {
@@ -590,18 +569,12 @@ type dirPatch func(entries []proto.DirEntry, resp rpc.Response) []proto.DirEntry
 // validation compares versions with the custodian, which incremented), so
 // there the stale listing is dropped.
 func (v *Venus) dirCall(p *sim.Proc, dir string, op uint16, body []byte, patch dirPatch) (rpc.Response, error) {
-	v.mu.Lock()
-	v.stats.OtherRPCs++
-	v.mu.Unlock()
-	ref, err := v.refForDir(p, dir)
+	ref, err := v.refFor(p, dir)
 	if err != nil {
 		return rpc.Response{}, err
 	}
-	resp, err := v.callRef(p, ref, dir, rpc.Request{Op: rpc.Op(op), Body: body})
+	resp, err := v.call(p, ref, dir, op, body)
 	if err != nil {
-		return resp, err
-	}
-	if !resp.OK() {
 		// With ReconnectRetries enabled a call may be re-issued on a fresh
 		// connection, outside the transport's at-most-once window, after an
 		// earlier attempt already executed (its reply died with the server).
@@ -609,12 +582,12 @@ func (v *Venus) dirCall(p *sim.Proc, dir string, op uint16, body []byte, patch d
 		// a delete — is then indistinguishable from that re-execution, so
 		// treat it as success with at-least-once semantics. The cached
 		// listing cannot be patched (the reply carries no status), so fall
-		// through to the drop-and-refetch path below.
-		if v.cfg.ReconnectRetries > 0 && mutationAlreadyDone(op, resp.Code) {
-			patch = nil
-		} else {
-			return resp, proto.CodeToErr(resp.Code, string(resp.Body))
+		// through to the drop-and-refetch path below. (A call that got no
+		// reply at all carries code 0 and is never "already done".)
+		if v.cfg.ReconnectRetries == 0 || !mutationAlreadyDone(op, resp.Code) {
+			return resp, err
 		}
+		patch = nil
 	}
 	if v.cfg.Mode == vice.Revised && patch != nil && v.patchDir(ref.FID, patch, resp) {
 		return resp, nil
@@ -704,7 +677,7 @@ func patchDel(name string) dirPatch {
 // Mkdir creates a directory in the shared space.
 func (v *Venus) Mkdir(p *sim.Proc, path string, mode uint16) error {
 	dir, name := unixfs.Dir(path), unixfs.Base(path)
-	ref, err := v.refForDir(p, dir)
+	ref, err := v.refFor(p, dir)
 	if err != nil {
 		return err
 	}
@@ -718,7 +691,7 @@ func (v *Venus) Mkdir(p *sim.Proc, path string, mode uint16) error {
 func (v *Venus) Remove(p *sim.Proc, path string) error {
 	path = unixfs.Clean(path)
 	dir, name := unixfs.Dir(path), unixfs.Base(path)
-	ref, err := v.refForDir(p, dir)
+	ref, err := v.refFor(p, dir)
 	if err != nil {
 		return err
 	}
@@ -738,7 +711,7 @@ func (v *Venus) Remove(p *sim.Proc, path string) error {
 func (v *Venus) RemoveDir(p *sim.Proc, path string) error {
 	path = unixfs.Clean(path)
 	dir, name := unixfs.Dir(path), unixfs.Base(path)
-	ref, err := v.refForDir(p, dir)
+	ref, err := v.refFor(p, dir)
 	if err != nil {
 		return err
 	}
@@ -755,11 +728,11 @@ func (v *Venus) Rename(p *sim.Proc, from, to string) error {
 	from, to = unixfs.Clean(from), unixfs.Clean(to)
 	fromDir, fromName := unixfs.Dir(from), unixfs.Base(from)
 	toDir, toName := unixfs.Dir(to), unixfs.Base(to)
-	fromRef, err := v.refForDir(p, fromDir)
+	fromRef, err := v.refFor(p, fromDir)
 	if err != nil {
 		return err
 	}
-	toRef, err := v.refForDir(p, toDir)
+	toRef, err := v.refFor(p, toDir)
 	if err != nil {
 		return err
 	}
@@ -825,7 +798,7 @@ func (v *Venus) Rename(p *sim.Proc, from, to string) error {
 // Symlink creates a symbolic link in the shared space.
 func (v *Venus) Symlink(p *sim.Proc, target, path string) error {
 	dir, name := unixfs.Dir(path), unixfs.Base(path)
-	ref, err := v.refForDir(p, dir)
+	ref, err := v.refFor(p, dir)
 	if err != nil {
 		return err
 	}
@@ -838,7 +811,7 @@ func (v *Venus) Symlink(p *sim.Proc, target, path string) error {
 // Link creates a hard link within one volume.
 func (v *Venus) Link(p *sim.Proc, oldPath, newPath string) error {
 	dir, name := unixfs.Dir(newPath), unixfs.Base(newPath)
-	dirRef, err := v.refForDir(p, dir)
+	dirRef, err := v.refFor(p, dir)
 	if err != nil {
 		return err
 	}
@@ -863,18 +836,10 @@ func (v *Venus) SetMode(p *sim.Proc, path string, mode uint16) error {
 	if err != nil {
 		return err
 	}
-	v.mu.Lock()
-	v.stats.OtherRPCs++
-	v.mu.Unlock()
-	resp, err := v.callRef(p, ref, path, rpc.Request{
-		Op:   rpc.Op(proto.OpSetStatus),
-		Body: proto.Marshal(proto.SetStatusArgs{Ref: ref, SetMode: true, Mode: mode}),
-	})
+	resp, err := v.call(p, ref, path, proto.OpSetStatus,
+		proto.Marshal(proto.SetStatusArgs{Ref: ref, SetMode: true, Mode: mode}))
 	if err != nil {
 		return err
-	}
-	if !resp.OK() {
-		return proto.CodeToErr(resp.Code, string(resp.Body))
 	}
 	st, err := proto.Unmarshal(resp.Body, proto.DecodeStatus)
 	if err != nil {
@@ -892,46 +857,25 @@ func (v *Venus) SetMode(p *sim.Proc, path string, mode uint16) error {
 
 // GetACL fetches the access list of a directory.
 func (v *Venus) GetACL(p *sim.Proc, dir string) ([]byte, error) {
-	ref, err := v.refForDir(p, dir)
+	ref, err := v.refFor(p, dir)
 	if err != nil {
 		return nil, err
 	}
-	v.mu.Lock()
-	v.stats.OtherRPCs++
-	v.mu.Unlock()
-	resp, err := v.callRef(p, ref, dir, rpc.Request{
-		Op:   rpc.Op(proto.OpGetACL),
-		Body: proto.Marshal(proto.ACLArgs{Dir: ref}),
-	})
+	resp, err := v.call(p, ref, dir, proto.OpGetACL, proto.Marshal(proto.ACLArgs{Dir: ref}))
 	if err != nil {
 		return nil, err
-	}
-	if !resp.OK() {
-		return nil, proto.CodeToErr(resp.Code, string(resp.Body))
 	}
 	return resp.Body, nil
 }
 
 // SetACL replaces the access list of a directory.
 func (v *Venus) SetACL(p *sim.Proc, dir string, acl []byte) error {
-	ref, err := v.refForDir(p, dir)
+	ref, err := v.refFor(p, dir)
 	if err != nil {
 		return err
 	}
-	v.mu.Lock()
-	v.stats.OtherRPCs++
-	v.mu.Unlock()
-	resp, err := v.callRef(p, ref, dir, rpc.Request{
-		Op:   rpc.Op(proto.OpSetACL),
-		Body: proto.Marshal(proto.ACLArgs{Dir: ref, ACL: acl}),
-	})
-	if err != nil {
-		return err
-	}
-	if !resp.OK() {
-		return proto.CodeToErr(resp.Code, string(resp.Body))
-	}
-	return nil
+	_, err = v.call(p, ref, dir, proto.OpSetACL, proto.Marshal(proto.ACLArgs{Dir: ref, ACL: acl}))
+	return err
 }
 
 // Lock acquires an advisory lock.
@@ -940,20 +884,8 @@ func (v *Venus) Lock(p *sim.Proc, path string, exclusive bool) error {
 	if err != nil {
 		return err
 	}
-	v.mu.Lock()
-	v.stats.OtherRPCs++
-	v.mu.Unlock()
-	resp, err := v.callRef(p, ref, path, rpc.Request{
-		Op:   rpc.Op(proto.OpSetLock),
-		Body: proto.Marshal(proto.LockArgs{Ref: ref, Exclusive: exclusive}),
-	})
-	if err != nil {
-		return err
-	}
-	if !resp.OK() {
-		return proto.CodeToErr(resp.Code, string(resp.Body))
-	}
-	return nil
+	_, err = v.call(p, ref, path, proto.OpSetLock, proto.Marshal(proto.LockArgs{Ref: ref, Exclusive: exclusive}))
+	return err
 }
 
 // Unlock releases an advisory lock.
@@ -962,18 +894,6 @@ func (v *Venus) Unlock(p *sim.Proc, path string) error {
 	if err != nil {
 		return err
 	}
-	v.mu.Lock()
-	v.stats.OtherRPCs++
-	v.mu.Unlock()
-	resp, err := v.callRef(p, ref, path, rpc.Request{
-		Op:   rpc.Op(proto.OpReleaseLock),
-		Body: proto.Marshal(proto.LockArgs{Ref: ref}),
-	})
-	if err != nil {
-		return err
-	}
-	if !resp.OK() {
-		return proto.CodeToErr(resp.Code, string(resp.Body))
-	}
-	return nil
+	_, err = v.call(p, ref, path, proto.OpReleaseLock, proto.Marshal(proto.LockArgs{Ref: ref}))
+	return err
 }

@@ -140,6 +140,7 @@ type entry struct {
 	dirEnts   []proto.DirEntry
 	valid     bool     // revised: callback promise still held
 	dirty     bool     // modified locally, not yet stored
+	writes    int64    // local modifications so far; a store clears dirty only if none raced it
 	open      int      // open handle count (pinned)
 	fetchedAt sim.Time // when the copy (and its promise) was last confirmed
 	lruEl     *list.Element
@@ -341,6 +342,7 @@ func (v *Venus) Open(p *sim.Proc, path string, flags OpenFlag) (*Handle, error) 
 		}
 		v.mu.Lock()
 		e.dirty = true
+		e.writes++
 		e.dirEnts = nil
 		v.mu.Unlock()
 	}
@@ -561,18 +563,14 @@ func (v *Venus) lookupRevised(p *sim.Proc, path string, flags OpenFlag) (*entry,
 func (v *Venus) testValid(p *sim.Proc, ref proto.Ref, version uint64) (bool, uint64, error) {
 	sp := v.cfg.Tracer.Begin(p, trace.SpanVenusValidate, v.cfg.Machine)
 	defer sp.End()
-	v.mu.Lock()
-	v.stats.Validations++
-	v.mu.Unlock()
-	resp, err := v.callPath(p, ref.Path, rpc.Request{
-		Op:   rpc.Op(proto.OpTestValid),
-		Body: proto.Marshal(proto.TestValidArgs{Ref: ref, Version: version}),
-	})
+	// Routed by the ref's path even when it carries a FID (the path is then
+	// empty and locates the root volume's custodian, whose wrong-server hint
+	// corrects the rest): how validations have always travelled, and the
+	// fingerprint goldens pin every hop.
+	resp, err := v.call(p, proto.Ref{Path: ref.Path}, ref.Path, proto.OpTestValid,
+		proto.Marshal(proto.TestValidArgs{Ref: ref, Version: version}))
 	if err != nil {
 		return false, 0, err
-	}
-	if !resp.OK() {
-		return false, 0, proto.CodeToErr(resp.Code, string(resp.Body))
 	}
 	tv, err := proto.Unmarshal(resp.Body, proto.DecodeTestValidReply)
 	if err != nil {
@@ -629,7 +627,7 @@ func (v *Venus) fetchEntry(p *sim.Proc, ref proto.Ref, path string, flags OpenFl
 // createFile creates a new empty file at path on the custodian.
 func (v *Venus) createFile(p *sim.Proc, path string) (*entry, error) {
 	dir, name := unixfs.Dir(path), unixfs.Base(path)
-	dirRef, err := v.refForDir(p, dir)
+	dirRef, err := v.refFor(p, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -874,6 +872,7 @@ func (h *Handle) WriteAt(buf []byte, off int64) (int, error) {
 	if err == nil {
 		h.v.mu.Lock()
 		h.e.dirty = true
+		h.e.writes++
 		h.e.dirEnts = nil
 		h.v.mu.Unlock()
 	}
@@ -947,6 +946,12 @@ func (v *Venus) storeEntry(p *sim.Proc, e *entry) error {
 	}()
 	// Lent, not copied: a write through another handle while the store is in
 	// flight replaces the cache file's contents and leaves these bytes alone.
+	// Such a write is not in the bytes being stored, so the entry must stay
+	// dirty for that handle's close: the write count is sampled before the
+	// loan and compared when the reply arrives.
+	v.mu.Lock()
+	writes := e.writes
+	v.mu.Unlock()
 	data, err := v.cfg.Local.Lend(e.cacheFile)
 	if err != nil {
 		return err
@@ -979,7 +984,7 @@ func (v *Venus) storeEntry(p *sim.Proc, e *entry) error {
 	v.bytes += st.Size - e.status.Size
 	e.status = st
 	e.fid = st.FID
-	e.dirty = false
+	e.dirty = e.writes != writes
 	// Valid only if no break raced the store: a concurrent writer may have
 	// superseded our version while the reply was in flight.
 	e.valid = v.breakGen == gen

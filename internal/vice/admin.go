@@ -20,6 +20,27 @@ import (
 // system" (§3.1). That cost is exactly what experiment E10 measures against
 // negative-rights revocation.
 
+// staffOnly and serverOnly wrap a handler, where it is registered, in the
+// refusal its callers outside the operations staff (or outside the trust
+// boundary) get before the request is even decoded.
+func (s *Server) staffOnly(what string, h rpc.HandlerFunc) rpc.HandlerFunc {
+	return func(ctx rpc.Ctx, req rpc.Request) rpc.Response {
+		if !s.isAdmin(ctx.User) {
+			return respErr(fmt.Errorf("%w: %s", proto.ErrNotAllowed, what))
+		}
+		return h(ctx, req)
+	}
+}
+
+func serverOnly(h rpc.HandlerFunc) rpc.HandlerFunc {
+	return func(ctx rpc.Ctx, req rpc.Request) rpc.Response {
+		if ctx.User != ServerUser {
+			return respErr(fmt.Errorf("%w: server-to-server only", proto.ErrNotAllowed))
+		}
+		return h(ctx, req)
+	}
+}
+
 // broadcast sends a request to every peer server, returning the first
 // error. The caller must not hold s.mu (peer calls park).
 func (s *Server) broadcast(p *sim.Proc, req rpc.Request) error {
@@ -61,9 +82,6 @@ func (s *Server) installLoc(p *sim.Proc, entries []proto.LocEntry, remove []stri
 // requested path. The parent directory's volume must be local: the mount
 // entry lives there. The new location row is pushed to every server.
 func (s *Server) handleVolCreate(ctx rpc.Ctx, req rpc.Request) rpc.Response {
-	if !s.isAdmin(ctx.User) {
-		return respErr(fmt.Errorf("%w: volume creation is operations-staff only", proto.ErrNotAllowed))
-	}
 	args, err := proto.Unmarshal(req.Body, proto.DecodeVolCreateArgs)
 	if err != nil {
 		return respErr(err)
@@ -93,9 +111,7 @@ func (s *Server) handleVolCreate(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if err := s.installLoc(ctx.Proc, []proto.LocEntry{le}, nil); err != nil {
 		return respErr(err)
 	}
-	if s.cfg.Mode == Revised {
-		s.callbacks.Break(ctx.Proc, pdir, parentPath, nil)
-	}
+	s.callbacks.Break(ctx.Proc, pdir, parentPath, nil)
 	return rpc.Response{Body: proto.Marshal(s.volStatusLocked(vol))}
 }
 
@@ -103,21 +119,13 @@ func (s *Server) handleVolCreate(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 // installs it on replica servers, and optionally mounts it. This is the
 // orderly-release mechanism for system software (§3.2).
 func (s *Server) handleVolClone(ctx rpc.Ctx, req rpc.Request) rpc.Response {
-	if !s.isAdmin(ctx.User) {
-		return respErr(fmt.Errorf("%w: cloning is operations-staff only", proto.ErrNotAllowed))
-	}
 	args, err := proto.Unmarshal(req.Body, proto.DecodeVolCloneArgs)
 	if err != nil {
 		return respErr(err)
 	}
-	s.mu.Lock()
-	src, ok := s.vols[args.Volume]
-	s.mu.Unlock()
-	if !ok {
-		if le, found := s.cfg.Loc.ResolveVolume(args.Volume); found {
-			return respErr(&proto.WrongServer{Custodian: le.Custodian})
-		}
-		return respErr(fmt.Errorf("%w: volume %d", proto.ErrStale, args.Volume))
+	src, err := s.localVolume(args.Volume)
+	if err != nil {
+		return respErr(err)
 	}
 	// Validate the replica set before any visible effect: an unknown server
 	// name must fail the whole release, not leave a mounted release with a
@@ -169,9 +177,7 @@ func (s *Server) handleVolClone(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 		if err := s.installLoc(ctx.Proc, []proto.LocEntry{le}, nil); err != nil {
 			return respErr(err)
 		}
-		if s.cfg.Mode == Revised {
-			s.callbacks.Break(ctx.Proc, pdir, parentPath, nil)
-		}
+		s.callbacks.Break(ctx.Proc, pdir, parentPath, nil)
 	}
 
 	// Push the image to each replica, after the location entry naming the
@@ -206,31 +212,21 @@ func (s *Server) handleVolStatus(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if err != nil {
 		return respErr(err)
 	}
-	s.mu.Lock()
-	v, ok := s.vols[args.Volume]
-	s.mu.Unlock()
-	if !ok {
-		if le, found := s.cfg.Loc.ResolveVolume(args.Volume); found {
-			return respErr(&proto.WrongServer{Custodian: le.Custodian})
-		}
-		return respErr(fmt.Errorf("%w: volume %d", proto.ErrStale, args.Volume))
+	v, err := s.localVolume(args.Volume)
+	if err != nil {
+		return respErr(err)
 	}
 	return rpc.Response{Body: proto.Marshal(s.volStatusLocked(v))}
 }
 
 func (s *Server) handleVolSetQuota(ctx rpc.Ctx, req rpc.Request) rpc.Response {
-	if !s.isAdmin(ctx.User) {
-		return respErr(fmt.Errorf("%w: quota changes are operations-staff only", proto.ErrNotAllowed))
-	}
 	args, err := proto.Unmarshal(req.Body, proto.DecodeVolSetQuotaArgs)
 	if err != nil {
 		return respErr(err)
 	}
-	s.mu.Lock()
-	v, ok := s.vols[args.Volume]
-	s.mu.Unlock()
-	if !ok {
-		return respErr(fmt.Errorf("%w: volume %d", proto.ErrStale, args.Volume))
+	v, err := s.localVolume(args.Volume)
+	if err != nil {
+		return respErr(err)
 	}
 	if err := s.mutate(v, func() error { v.SetQuota(args.Quota); return nil }); err != nil {
 		return respErr(err)
@@ -240,18 +236,13 @@ func (s *Server) handleVolSetQuota(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 
 func (s *Server) handleVolOnlineOffline(online bool) rpc.HandlerFunc {
 	return func(ctx rpc.Ctx, req rpc.Request) rpc.Response {
-		if !s.isAdmin(ctx.User) {
-			return respErr(fmt.Errorf("%w: operations-staff only", proto.ErrNotAllowed))
-		}
 		args, err := proto.Unmarshal(req.Body, proto.DecodeVolStatusArgs)
 		if err != nil {
 			return respErr(err)
 		}
-		s.mu.Lock()
-		v, ok := s.vols[args.Volume]
-		s.mu.Unlock()
-		if !ok {
-			return respErr(fmt.Errorf("%w: volume %d", proto.ErrStale, args.Volume))
+		v, err := s.localVolume(args.Volume)
+		if err != nil {
+			return respErr(err)
 		}
 		if err := s.mutate(v, func() error { v.SetOnline(online); return nil }); err != nil {
 			return respErr(err)
@@ -264,23 +255,17 @@ func (s *Server) handleVolOnlineOffline(online bool) rpc.HandlerFunc {
 // delete locally, and update the location database everywhere. The files
 // are unavailable during the change (§3.1).
 func (s *Server) handleVolMove(ctx rpc.Ctx, req rpc.Request) rpc.Response {
-	if !s.isAdmin(ctx.User) {
-		return respErr(fmt.Errorf("%w: volume moves are operations-staff only", proto.ErrNotAllowed))
-	}
 	args, err := proto.Unmarshal(req.Body, proto.DecodeVolMoveArgs)
 	if err != nil {
 		return respErr(err)
 	}
+	v, err := s.localVolume(args.Volume)
+	if err != nil {
+		return respErr(err)
+	}
 	s.mu.Lock()
-	v, ok := s.vols[args.Volume]
 	peer, havePeer := s.peers[args.Target]
 	s.mu.Unlock()
-	if !ok {
-		if le, found := s.cfg.Loc.ResolveVolume(args.Volume); found {
-			return respErr(&proto.WrongServer{Custodian: le.Custodian})
-		}
-		return respErr(fmt.Errorf("%w: volume %d", proto.ErrStale, args.Volume))
-	}
 	if !havePeer {
 		return respErr(fmt.Errorf("%w: unknown server %s", proto.ErrBadRequest, args.Target))
 	}
@@ -324,9 +309,6 @@ func (s *Server) handleVolMove(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 // crash" (§5.3). The reply body carries the aggregate repair counts:
 // orphans removed, dangling entries dropped, link counts fixed.
 func (s *Server) handleVolSalvage(ctx rpc.Ctx, req rpc.Request) rpc.Response {
-	if !s.isAdmin(ctx.User) {
-		return respErr(fmt.Errorf("%w: salvage is operations-staff only", proto.ErrNotAllowed))
-	}
 	args, err := proto.Unmarshal(req.Body, proto.DecodeVolStatusArgs)
 	if err != nil {
 		return respErr(err)
@@ -343,11 +325,9 @@ func (s *Server) handleVolSalvage(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 			reports = append(reports, all[id])
 		}
 	} else {
-		s.mu.Lock()
-		v, ok := s.vols[args.Volume]
-		s.mu.Unlock()
-		if !ok {
-			return respErr(fmt.Errorf("%w: volume %d", proto.ErrStale, args.Volume))
+		v, err := s.localVolume(args.Volume)
+		if err != nil {
+			return respErr(err)
 		}
 		var rep volume.SalvageReport
 		_ = s.mutate(v, func() error { rep = v.Salvage(); return nil }) // repairs applied in memory regardless
@@ -377,9 +357,6 @@ func (s *Server) handleProtMutate(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if !s.cfg.ProtAuthority {
 		return respErr(fmt.Errorf("%w: not the protection server", proto.ErrNotAllowed))
 	}
-	if !s.isAdmin(ctx.User) {
-		return respErr(fmt.Errorf("%w: protection changes are operations-staff only", proto.ErrNotAllowed))
-	}
 	m, err := proto.Unmarshal(req.Body, prot.DecodeMutation)
 	if err != nil {
 		return respErr(err)
@@ -396,9 +373,6 @@ func (s *Server) handleProtMutate(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 }
 
 func (s *Server) handleProtSnapshot(ctx rpc.Ctx, req rpc.Request) rpc.Response {
-	if !s.isAdmin(ctx.User) {
-		return respErr(fmt.Errorf("%w: operations-staff only", proto.ErrNotAllowed))
-	}
 	return rpc.Response{Bulk: s.cfg.DB.Snapshot()}
 }
 
@@ -406,9 +380,6 @@ func (s *Server) handleProtSnapshot(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 // these.
 
 func (s *Server) handleLocInstall(ctx rpc.Ctx, req rpc.Request) rpc.Response {
-	if ctx.User != ServerUser {
-		return respErr(fmt.Errorf("%w: server-to-server only", proto.ErrNotAllowed))
-	}
 	args, err := proto.Unmarshal(req.Body, proto.DecodeLocInstallArgs)
 	if err != nil {
 		return respErr(err)
@@ -420,9 +391,6 @@ func (s *Server) handleLocInstall(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 }
 
 func (s *Server) handleVolInstall(ctx rpc.Ctx, req rpc.Request) rpc.Response {
-	if ctx.User != ServerUser {
-		return respErr(fmt.Errorf("%w: server-to-server only", proto.ErrNotAllowed))
-	}
 	args, err := proto.Unmarshal(req.Body, proto.DecodeVolInstallArgs)
 	if err != nil {
 		return respErr(err)
@@ -433,10 +401,7 @@ func (s *Server) handleVolInstall(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	// has nothing left to do. Without this, every resume would fail on the
 	// replicas that DID confirm before the crash.
 	if args.ReadOnly {
-		s.mu.Lock()
-		_, have := s.vols[args.Volume]
-		s.mu.Unlock()
-		if have {
+		if _, have := s.Volume(args.Volume); have {
 			return rpc.Response{}
 		}
 	}
@@ -455,9 +420,6 @@ func (s *Server) handleVolInstall(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 }
 
 func (s *Server) handleProtInstall(ctx rpc.Ctx, req rpc.Request) rpc.Response {
-	if ctx.User != ServerUser {
-		return respErr(fmt.Errorf("%w: server-to-server only", proto.ErrNotAllowed))
-	}
 	m, err := proto.Unmarshal(req.Body, prot.DecodeMutation)
 	if err != nil {
 		return respErr(err)

@@ -24,7 +24,14 @@ import (
 // with a thousand clients a hot-file update costs one RPC per interested
 // client, and overlapping updates share those RPCs instead of each paying
 // full fan-out.
+//
+// The table is also where "does this cell run callbacks?" is decided, once:
+// a prototype-mode server's table is off, and on a table that is off Promise,
+// Break and BreakBatch do nothing and the counters stay zero. Handlers call
+// them unconditionally.
 type CallbackTable struct {
+	on bool // fixed before the table is shared (vice.New)
+
 	mu sync.Mutex
 	// shards holds per-volume promise state; entries are created on first
 	// promise and survive until Reset. Keyed by FID.Volume.
@@ -88,9 +95,10 @@ type BreakTarget struct {
 // fewer RPCs — E14 sweeps that trade-off — without weakening visibility.
 const DefaultBreakWindow = 10 * time.Millisecond
 
-// NewCallbackTable returns an empty table.
+// NewCallbackTable returns an empty table, switched on.
 func NewCallbackTable() *CallbackTable {
 	return &CallbackTable{
+		on:     true,
 		shards: make(map[uint32]*cbShard),
 		queues: make(map[rpc.Backchannel]*clientQueue),
 		window: DefaultBreakWindow,
@@ -113,7 +121,7 @@ func (t *CallbackTable) shard(vol uint32) *cbShard {
 // remember their registration order so breaks fire deterministically (map
 // iteration order must never leak into the event schedule).
 func (t *CallbackTable) Promise(fid proto.FID, back rpc.Backchannel) {
-	if back == nil {
+	if !t.on || back == nil {
 		return
 	}
 	s := t.shard(fid.Volume)
@@ -264,6 +272,9 @@ func (t *CallbackTable) Break(p *sim.Proc, fid proto.FID, path string, skip rpc.
 // deliveries to distinct workstations proceed in parallel flusher
 // processes. Must be called without server locks held.
 func (t *CallbackTable) BreakBatch(p *sim.Proc, targets []BreakTarget, skip rpc.Backchannel) {
+	if !t.on {
+		return
+	}
 	type delivery struct {
 		back rpc.Backchannel
 		args proto.CallbackBreakArgs
@@ -305,11 +316,7 @@ func (t *CallbackTable) BreakBatch(p *sim.Proc, targets []BreakTarget, skip rpc.
 		// simulation kernel's futures.
 		for _, dv := range deliveries {
 			t.countRPC(m, 1)
-			// A dead workstation just times out; the promise is already gone.
-			_, _ = dv.back.CallBack(p, rpc.Request{
-				Op:   rpc.Op(proto.OpCallbackBreak),
-				Body: proto.Marshal(dv.args),
-			})
+			t.revoke(p, dv.back, dv.args)
 		}
 		return
 	}
@@ -336,6 +343,17 @@ func (t *CallbackTable) BreakBatch(p *sim.Proc, targets []BreakTarget, skip rpc.
 	for _, f := range waits {
 		f.Wait(p)
 	}
+}
+
+// revoke tells one workstation, in a call of its own, that its copy is
+// invalid: the unbatched delivery of a broken promise, and what a store does
+// to its own updater when a later store overtook it. A dead workstation just
+// times out; the promise is already gone.
+func (t *CallbackTable) revoke(p *sim.Proc, back rpc.Backchannel, args proto.CallbackBreakArgs) {
+	if !t.on || back == nil {
+		return
+	}
+	_, _ = back.CallBack(p, rpc.Request{Op: rpc.Op(proto.OpCallbackBreak), Body: proto.Marshal(args)})
 }
 
 // countRPC bumps the delivered-RPC counters for one break RPC carrying n

@@ -35,19 +35,74 @@ func (s *Server) registerHandlers() {
 	h(rpc.Op(proto.OpSetLock), s.handleSetLock)
 	h(rpc.Op(proto.OpReleaseLock), s.handleReleaseLock)
 	h(rpc.Op(proto.OpGetCustodian), s.handleGetCustodian)
-	h(rpc.Op(proto.OpVolCreate), s.handleVolCreate)
-	h(rpc.Op(proto.OpVolClone), s.handleVolClone)
+	h(rpc.Op(proto.OpVolCreate), s.staffOnly("volume creation is operations-staff only", s.handleVolCreate))
+	h(rpc.Op(proto.OpVolClone), s.staffOnly("cloning is operations-staff only", s.handleVolClone))
 	h(rpc.Op(proto.OpVolStatus), s.handleVolStatus)
-	h(rpc.Op(proto.OpVolSetQuota), s.handleVolSetQuota)
-	h(rpc.Op(proto.OpVolOffline), s.handleVolOnlineOffline(false))
-	h(rpc.Op(proto.OpVolOnline), s.handleVolOnlineOffline(true))
-	h(rpc.Op(proto.OpVolMove), s.handleVolMove)
-	h(rpc.Op(proto.OpVolSalvage), s.handleVolSalvage)
-	h(rpc.Op(proto.OpProtMutate), s.handleProtMutate)
-	h(rpc.Op(proto.OpProtSnapshot), s.handleProtSnapshot)
-	h(rpc.Op(proto.OpLocInstall), s.handleLocInstall)
-	h(rpc.Op(proto.OpVolInstall), s.handleVolInstall)
-	h(rpc.Op(proto.OpProtInstall), s.handleProtInstall)
+	h(rpc.Op(proto.OpVolSetQuota), s.staffOnly("quota changes are operations-staff only", s.handleVolSetQuota))
+	h(rpc.Op(proto.OpVolOffline), s.staffOnly("operations-staff only", s.handleVolOnlineOffline(false)))
+	h(rpc.Op(proto.OpVolOnline), s.staffOnly("operations-staff only", s.handleVolOnlineOffline(true)))
+	h(rpc.Op(proto.OpVolMove), s.staffOnly("volume moves are operations-staff only", s.handleVolMove))
+	h(rpc.Op(proto.OpVolSalvage), s.staffOnly("salvage is operations-staff only", s.handleVolSalvage))
+	h(rpc.Op(proto.OpProtMutate), s.staffOnly("protection changes are operations-staff only", s.handleProtMutate))
+	h(rpc.Op(proto.OpProtSnapshot), s.staffOnly("operations-staff only", s.handleProtSnapshot))
+	h(rpc.Op(proto.OpLocInstall), serverOnly(s.handleLocInstall))
+	h(rpc.Op(proto.OpVolInstall), serverOnly(s.handleVolInstall))
+	h(rpc.Op(proto.OpProtInstall), serverOnly(s.handleProtInstall))
+}
+
+// refUse says what a handler asks of the prologue beyond the right it needs.
+type refUse uint8
+
+const (
+	// counted marks a hot-path operation: the access is recorded per volume
+	// and per calling node (noteAccess).
+	counted refUse = 1 << iota
+	// dirOnly requires the Ref to name a directory, whose own access list
+	// governs; without it a file is governed by its parent directory's.
+	dirOnly
+	// noFollow leaves a final symbolic link unfollowed (prototype paths).
+	noFollow
+)
+
+// governed is the first half of every file-system handler's prologue: it
+// resolves the Ref, records the access where the handler asks for that, and
+// returns the access list governing the object.
+func (s *Server) governed(ctx rpc.Ctx, ref proto.Ref, use refUse) (*volume.Volume, proto.FID, prot.ACL, error) {
+	v, fid, err := s.resolveRef(ref, use&noFollow == 0)
+	if err != nil {
+		return nil, fid, prot.ACL{}, err
+	}
+	if use&counted != 0 {
+		s.noteAccess(ctx, v.ID())
+	}
+	var acl prot.ACL
+	if use&dirOnly != 0 {
+		acl, err = v.GetACL(fid)
+	} else {
+		acl, err = v.GoverningACL(fid)
+	}
+	return v, fid, acl, err
+}
+
+// authorize is the whole prologue: governed, then the rights check. Every
+// handler whose needed right is known before the object is read calls it;
+// fetch and TestValid, whose right depends on the vnode's type, call
+// governed and check for themselves (readRight).
+func (s *Server) authorize(ctx rpc.Ctx, ref proto.Ref, need prot.Right, use refUse) (*volume.Volume, proto.FID, error) {
+	v, fid, acl, err := s.governed(ctx, ref, use)
+	if err != nil {
+		return nil, fid, err
+	}
+	return v, fid, s.checkRights(ctx.User, acl, need)
+}
+
+// readRight is the right that lets a caller hold a copy of vn: lookup for a
+// directory's listing, read for anything else.
+func readRight(vn *volume.Vnode) prot.Right {
+	if vn.Status.Type == proto.TypeDir {
+		return prot.RightLookup
+	}
+	return prot.RightRead
 }
 
 // handleFetch serves a whole-file (or directory-listing) fetch. In revised
@@ -57,12 +112,7 @@ func (s *Server) handleFetch(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if err != nil {
 		return respErr(err)
 	}
-	v, fid, err := s.resolveRef(args.Ref, true)
-	if err != nil {
-		return respErr(err)
-	}
-	s.noteAccess(ctx, v.ID())
-	acl, err := v.GoverningACL(fid)
+	v, fid, acl, err := s.governed(ctx, args.Ref, counted)
 	if err != nil {
 		return respErr(err)
 	}
@@ -70,17 +120,13 @@ func (s *Server) handleFetch(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if err != nil {
 		return respErr(err)
 	}
-	need := prot.RightRead
-	if vn.Status.Type == proto.TypeDir {
-		need = prot.RightLookup
-	}
-	if err := s.checkRights(ctx.User, acl, need); err != nil {
+	if err := s.checkRights(ctx.User, acl, readRight(vn)); err != nil {
 		return respErr(err)
 	}
 	s.mu.Lock()
 	s.fetchBytes += int64(len(data))
 	s.mu.Unlock()
-	if s.cfg.Mode == Revised && !v.ReadOnly() {
+	if !v.ReadOnly() {
 		// Read-only clones can never be invalid, so no promise is needed
 		// (caching from read-only subtrees is simplified, §3.2).
 		s.callbacks.Promise(fid, ctx.Back)
@@ -96,16 +142,8 @@ func (s *Server) handleStore(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if err != nil {
 		return respErr(err)
 	}
-	v, fid, err := s.resolveRef(args.Ref, true)
+	v, fid, err := s.authorize(ctx, args.Ref, prot.RightWrite, counted)
 	if err != nil {
-		return respErr(err)
-	}
-	s.noteAccess(ctx, v.ID())
-	acl, err := v.GoverningACL(fid)
-	if err != nil {
-		return respErr(err)
-	}
-	if err := s.checkRights(ctx.User, acl, prot.RightWrite); err != nil {
 		return respErr(err)
 	}
 	vn, err := v.Get(fid)
@@ -128,21 +166,15 @@ func (s *Server) handleStore(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	s.mu.Lock()
 	s.storeBytes += int64(len(req.Bulk))
 	s.mu.Unlock()
-	if s.cfg.Mode == Revised {
-		s.callbacks.Break(ctx.Proc, fid, args.Ref.Path, ctx.Back)
-		// The updater's cached copy is the current version — unless another
-		// store slipped in while we were breaking callbacks (Break parks
-		// this worker). Promise only if our version still stands; otherwise
-		// break the updater too, so no client is left believing a stale
-		// copy valid.
-		if cur, gerr := v.Get(fid); gerr == nil && cur.Status.Version == st.Version {
-			s.callbacks.Promise(fid, ctx.Back)
-		} else if ctx.Back != nil {
-			_, _ = ctx.Back.CallBack(ctx.Proc, rpc.Request{
-				Op:   rpc.Op(proto.OpCallbackBreak),
-				Body: proto.Marshal(proto.CallbackBreakArgs{FID: fid, Path: args.Ref.Path}),
-			})
-		}
+	s.callbacks.Break(ctx.Proc, fid, args.Ref.Path, ctx.Back)
+	// The updater's cached copy is the current version — unless another
+	// store slipped in while we were breaking callbacks (Break parks this
+	// worker). Promise only if our version still stands; otherwise break the
+	// updater too, so no client is left believing a stale copy valid.
+	if cur, gerr := v.Get(fid); gerr == nil && cur.Status.Version == st.Version {
+		s.callbacks.Promise(fid, ctx.Back)
+	} else {
+		s.callbacks.revoke(ctx.Proc, ctx.Back, proto.CallbackBreakArgs{FID: fid, Path: args.Ref.Path})
 	}
 	return respStatus(st)
 }
@@ -152,16 +184,8 @@ func (s *Server) handleFetchStatus(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if err != nil {
 		return respErr(err)
 	}
-	v, fid, err := s.resolveRef(args.Ref, false)
+	v, fid, err := s.authorize(ctx, args.Ref, prot.RightLookup, counted|noFollow)
 	if err != nil {
-		return respErr(err)
-	}
-	s.noteAccess(ctx, v.ID())
-	acl, err := v.GoverningACL(fid)
-	if err != nil {
-		return respErr(err)
-	}
-	if err := s.checkRights(ctx.User, acl, prot.RightLookup); err != nil {
 		return respErr(err)
 	}
 	vn, err := v.Get(fid)
@@ -176,15 +200,8 @@ func (s *Server) handleSetStatus(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if err != nil {
 		return respErr(err)
 	}
-	v, fid, err := s.resolveRef(args.Ref, true)
+	v, fid, err := s.authorize(ctx, args.Ref, prot.RightWrite, 0)
 	if err != nil {
-		return respErr(err)
-	}
-	acl, err := v.GoverningACL(fid)
-	if err != nil {
-		return respErr(err)
-	}
-	if err := s.checkRights(ctx.User, acl, prot.RightWrite); err != nil {
 		return respErr(err)
 	}
 	if args.SetOwner && !s.isAdmin(ctx.User) {
@@ -210,9 +227,7 @@ func (s *Server) handleSetStatus(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if err != nil {
 		return respErr(err)
 	}
-	if s.cfg.Mode == Revised {
-		s.callbacks.Break(ctx.Proc, fid, args.Ref.Path, ctx.Back)
-	}
+	s.callbacks.Break(ctx.Proc, fid, args.Ref.Path, ctx.Back)
 	return respStatus(vn.Status)
 }
 
@@ -223,38 +238,9 @@ func (s *Server) handleTestValid(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if err != nil {
 		return respErr(err)
 	}
-	v, fid, err := s.resolveRef(args.Ref, true)
+	reply, err := s.testValid(ctx, args)
 	if err != nil {
 		return respErr(err)
-	}
-	s.noteAccess(ctx, v.ID())
-	vn, err := v.Get(fid)
-	if err != nil {
-		return respErr(err)
-	}
-	// Validation is the gate to a cached copy, so it enforces the same
-	// rights a fetch would: otherwise revocation (negative rights) would
-	// never catch up with workstations holding cached data.
-	acl, err := v.GoverningACL(fid)
-	if err != nil {
-		return respErr(err)
-	}
-	need := prot.RightRead
-	if vn.Status.Type == proto.TypeDir {
-		need = prot.RightLookup
-	}
-	if err := s.checkRights(ctx.User, acl, need); err != nil {
-		return respErr(err)
-	}
-	reply := proto.TestValidReply{
-		Valid:   vn.Status.Version == args.Version,
-		Version: vn.Status.Version,
-	}
-	if reply.Valid && s.cfg.Mode == Revised && !v.ReadOnly() {
-		// A revised-mode client revalidating an expired promise gets a new
-		// one: this is how the callback table is rebuilt after a server
-		// restart wipes it (§3.3 recovery).
-		s.callbacks.Promise(fid, ctx.Back)
 	}
 	return rpc.Response{Body: proto.Marshal(reply)}
 }
@@ -276,42 +262,40 @@ func (s *Server) handleBulkTestValid(ctx rpc.Ctx, req rpc.Request) rpc.Response 
 	}
 	reply := proto.BulkTestValidReply{Items: make([]proto.TestValidReply, 0, len(args.Items))}
 	for _, it := range args.Items {
-		reply.Items = append(reply.Items, s.testValidOne(ctx, it))
+		one, _ := s.testValid(ctx, it) // a failure is the zero reply: Valid=false
+		reply.Items = append(reply.Items, one)
 	}
 	return rpc.Response{Body: proto.Marshal(reply)}
 }
 
-// testValidOne validates a single cached copy for the bulk path, reducing
-// every failure to Valid=false.
-func (s *Server) testValidOne(ctx rpc.Ctx, args proto.TestValidArgs) proto.TestValidReply {
-	v, fid, err := s.resolveRef(args.Ref, true)
+// testValid validates one cached copy, for the single call and for each item
+// of the bulk one. On an error the reply is the zero value.
+func (s *Server) testValid(ctx rpc.Ctx, args proto.TestValidArgs) (proto.TestValidReply, error) {
+	v, fid, acl, err := s.governed(ctx, args.Ref, counted)
 	if err != nil {
-		return proto.TestValidReply{}
+		return proto.TestValidReply{}, err
 	}
-	s.noteAccess(ctx, v.ID())
 	vn, err := v.Get(fid)
 	if err != nil {
-		return proto.TestValidReply{}
+		return proto.TestValidReply{}, err
 	}
-	acl, err := v.GoverningACL(fid)
-	if err != nil {
-		return proto.TestValidReply{}
-	}
-	need := prot.RightRead
-	if vn.Status.Type == proto.TypeDir {
-		need = prot.RightLookup
-	}
-	if err := s.checkRights(ctx.User, acl, need); err != nil {
-		return proto.TestValidReply{}
+	// Validation is the gate to a cached copy, so it enforces the same
+	// rights a fetch would: otherwise revocation (negative rights) would
+	// never catch up with workstations holding cached data.
+	if err := s.checkRights(ctx.User, acl, readRight(vn)); err != nil {
+		return proto.TestValidReply{}, err
 	}
 	reply := proto.TestValidReply{
 		Valid:   vn.Status.Version == args.Version,
 		Version: vn.Status.Version,
 	}
-	if reply.Valid && s.cfg.Mode == Revised && !v.ReadOnly() {
+	if reply.Valid && !v.ReadOnly() {
+		// A revised-mode client revalidating an expired promise gets a new
+		// one: this is how the callback table is rebuilt after a server
+		// restart wipes it (§3.3 recovery).
 		s.callbacks.Promise(fid, ctx.Back)
 	}
-	return reply
+	return reply, nil
 }
 
 func (s *Server) handleCreate(ctx rpc.Ctx, req rpc.Request) rpc.Response {
@@ -319,15 +303,8 @@ func (s *Server) handleCreate(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if err != nil {
 		return respErr(err)
 	}
-	v, dir, err := s.resolveRef(args.Dir, true)
+	v, dir, err := s.authorize(ctx, args.Dir, prot.RightInsert, dirOnly)
 	if err != nil {
-		return respErr(err)
-	}
-	acl, err := v.GetACL(dir)
-	if err != nil {
-		return respErr(err)
-	}
-	if err := s.checkRights(ctx.User, acl, prot.RightInsert); err != nil {
 		return respErr(err)
 	}
 	var vn *volume.Vnode
@@ -338,10 +315,8 @@ func (s *Server) handleCreate(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if err != nil {
 		return respErr(err)
 	}
-	if s.cfg.Mode == Revised {
-		s.callbacks.Break(ctx.Proc, dir, args.Dir.Path, ctx.Back)
-		s.callbacks.Promise(vn.Status.FID, ctx.Back)
-	}
+	s.callbacks.Break(ctx.Proc, dir, args.Dir.Path, ctx.Back)
+	s.callbacks.Promise(vn.Status.FID, ctx.Back)
 	return respStatus(vn.Status)
 }
 
@@ -350,15 +325,8 @@ func (s *Server) handleMakeDir(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if err != nil {
 		return respErr(err)
 	}
-	v, dir, err := s.resolveRef(args.Dir, true)
+	v, dir, err := s.authorize(ctx, args.Dir, prot.RightInsert, dirOnly)
 	if err != nil {
-		return respErr(err)
-	}
-	acl, err := v.GetACL(dir)
-	if err != nil {
-		return respErr(err)
-	}
-	if err := s.checkRights(ctx.User, acl, prot.RightInsert); err != nil {
 		return respErr(err)
 	}
 	var vn *volume.Vnode
@@ -369,9 +337,7 @@ func (s *Server) handleMakeDir(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if err != nil {
 		return respErr(err)
 	}
-	if s.cfg.Mode == Revised {
-		s.callbacks.Break(ctx.Proc, dir, args.Dir.Path, ctx.Back)
-	}
+	s.callbacks.Break(ctx.Proc, dir, args.Dir.Path, ctx.Back)
 	return respStatus(vn.Status)
 }
 
@@ -388,15 +354,8 @@ func (s *Server) removeCommon(ctx rpc.Ctx, req rpc.Request, isDir bool) rpc.Resp
 	if err != nil {
 		return respErr(err)
 	}
-	v, dir, err := s.resolveRef(args.Dir, true)
+	v, dir, err := s.authorize(ctx, args.Dir, prot.RightDelete, dirOnly)
 	if err != nil {
-		return respErr(err)
-	}
-	acl, err := v.GetACL(dir)
-	if err != nil {
-		return respErr(err)
-	}
-	if err := s.checkRights(ctx.User, acl, prot.RightDelete); err != nil {
 		return respErr(err)
 	}
 	victim, lookupErr := v.Lookup(dir, args.Name)
@@ -409,13 +368,11 @@ func (s *Server) removeCommon(ctx rpc.Ctx, req rpc.Request, isDir bool) rpc.Resp
 	if err != nil {
 		return respErr(err)
 	}
-	if s.cfg.Mode == Revised {
-		targets := []BreakTarget{{FID: dir, Path: args.Dir.Path}}
-		if lookupErr == nil {
-			targets = append(targets, BreakTarget{FID: victim.FID})
-		}
-		s.callbacks.BreakBatch(ctx.Proc, targets, ctx.Back)
+	targets := []BreakTarget{{FID: dir, Path: args.Dir.Path}}
+	if lookupErr == nil {
+		targets = append(targets, BreakTarget{FID: victim.FID})
 	}
+	s.callbacks.BreakBatch(ctx.Proc, targets, ctx.Back)
 	return rpc.Response{}
 }
 
@@ -424,43 +381,27 @@ func (s *Server) handleRename(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if err != nil {
 		return respErr(err)
 	}
-	v, from, err := s.resolveRef(args.FromDir, true)
+	v, from, err := s.authorize(ctx, args.FromDir, prot.RightDelete, dirOnly)
 	if err != nil {
 		return respErr(err)
 	}
-	v2, to, err := s.resolveRef(args.ToDir, true)
+	v2, to, err := s.authorize(ctx, args.ToDir, prot.RightInsert, dirOnly)
 	if err != nil {
 		return respErr(err)
 	}
 	if v != v2 {
 		return respErr(fmt.Errorf("%w: rename across volumes", proto.ErrBadRequest))
 	}
-	fromACL, err := v.GetACL(from)
-	if err != nil {
-		return respErr(err)
-	}
-	toACL, err := v.GetACL(to)
-	if err != nil {
-		return respErr(err)
-	}
-	if err := s.checkRights(ctx.User, fromACL, prot.RightDelete); err != nil {
-		return respErr(err)
-	}
-	if err := s.checkRights(ctx.User, toACL, prot.RightInsert); err != nil {
-		return respErr(err)
-	}
 	if err := s.mutate(v, func() error {
 		return v.Rename(from, args.FromName, to, args.ToName)
 	}); err != nil {
 		return respErr(err)
 	}
-	if s.cfg.Mode == Revised {
-		targets := []BreakTarget{{FID: from, Path: args.FromDir.Path}}
-		if from != to {
-			targets = append(targets, BreakTarget{FID: to, Path: args.ToDir.Path})
-		}
-		s.callbacks.BreakBatch(ctx.Proc, targets, ctx.Back)
+	targets := []BreakTarget{{FID: from, Path: args.FromDir.Path}}
+	if from != to {
+		targets = append(targets, BreakTarget{FID: to, Path: args.ToDir.Path})
 	}
+	s.callbacks.BreakBatch(ctx.Proc, targets, ctx.Back)
 	return rpc.Response{}
 }
 
@@ -469,15 +410,8 @@ func (s *Server) handleSymlink(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if err != nil {
 		return respErr(err)
 	}
-	v, dir, err := s.resolveRef(args.Dir, true)
+	v, dir, err := s.authorize(ctx, args.Dir, prot.RightInsert, dirOnly)
 	if err != nil {
-		return respErr(err)
-	}
-	acl, err := v.GetACL(dir)
-	if err != nil {
-		return respErr(err)
-	}
-	if err := s.checkRights(ctx.User, acl, prot.RightInsert); err != nil {
 		return respErr(err)
 	}
 	var vn *volume.Vnode
@@ -488,9 +422,7 @@ func (s *Server) handleSymlink(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if err != nil {
 		return respErr(err)
 	}
-	if s.cfg.Mode == Revised {
-		s.callbacks.Break(ctx.Proc, dir, args.Dir.Path, ctx.Back)
-	}
+	s.callbacks.Break(ctx.Proc, dir, args.Dir.Path, ctx.Back)
 	return respStatus(vn.Status)
 }
 
@@ -499,7 +431,7 @@ func (s *Server) handleLink(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if err != nil {
 		return respErr(err)
 	}
-	v, dir, err := s.resolveRef(args.Dir, true)
+	v, dir, err := s.authorize(ctx, args.Dir, prot.RightInsert, dirOnly)
 	if err != nil {
 		return respErr(err)
 	}
@@ -510,21 +442,12 @@ func (s *Server) handleLink(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if v != vt {
 		return respErr(fmt.Errorf("%w: hard link across volumes", proto.ErrBadRequest))
 	}
-	acl, err := v.GetACL(dir)
-	if err != nil {
-		return respErr(err)
-	}
-	if err := s.checkRights(ctx.User, acl, prot.RightInsert); err != nil {
-		return respErr(err)
-	}
 	if err := s.mutate(v, func() error {
 		return v.Link(dir, args.Name, target)
 	}); err != nil {
 		return respErr(err)
 	}
-	if s.cfg.Mode == Revised {
-		s.callbacks.Break(ctx.Proc, dir, args.Dir.Path, ctx.Back)
-	}
+	s.callbacks.Break(ctx.Proc, dir, args.Dir.Path, ctx.Back)
 	return rpc.Response{}
 }
 
@@ -537,15 +460,8 @@ func (s *Server) handleSetACL(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if err != nil {
 		return respErr(err)
 	}
-	v, dir, err := s.resolveRef(args.Dir, true)
+	v, dir, err := s.authorize(ctx, args.Dir, prot.RightAdmin, dirOnly)
 	if err != nil {
-		return respErr(err)
-	}
-	acl, err := v.GetACL(dir)
-	if err != nil {
-		return respErr(err)
-	}
-	if err := s.checkRights(ctx.User, acl, prot.RightAdmin); err != nil {
 		return respErr(err)
 	}
 	if err := s.mutate(v, func() error {
@@ -553,9 +469,7 @@ func (s *Server) handleSetACL(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	}); err != nil {
 		return respErr(err)
 	}
-	if s.cfg.Mode == Revised {
-		s.callbacks.Break(ctx.Proc, dir, args.Dir.Path, ctx.Back)
-	}
+	s.callbacks.Break(ctx.Proc, dir, args.Dir.Path, ctx.Back)
 	return rpc.Response{}
 }
 
@@ -564,15 +478,12 @@ func (s *Server) handleGetACL(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if err != nil {
 		return respErr(err)
 	}
-	v, dir, err := s.resolveRef(args.Dir, true)
+	v, dir, err := s.authorize(ctx, args.Dir, prot.RightLookup, dirOnly)
 	if err != nil {
 		return respErr(err)
 	}
 	acl, err := v.GetACL(dir)
 	if err != nil {
-		return respErr(err)
-	}
-	if err := s.checkRights(ctx.User, acl, prot.RightLookup); err != nil {
 		return respErr(err)
 	}
 	return rpc.Response{Body: proto.ACLEncode(acl)}
@@ -583,15 +494,8 @@ func (s *Server) handleSetLock(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if err != nil {
 		return respErr(err)
 	}
-	v, fid, err := s.resolveRef(args.Ref, true)
+	_, fid, err := s.authorize(ctx, args.Ref, prot.RightLock, 0)
 	if err != nil {
-		return respErr(err)
-	}
-	acl, err := v.GoverningACL(fid)
-	if err != nil {
-		return respErr(err)
-	}
-	if err := s.checkRights(ctx.User, acl, prot.RightLock); err != nil {
 		return respErr(err)
 	}
 	if err := s.locks.Lock(fid, ctx.User, args.Exclusive); err != nil {
@@ -642,6 +546,3 @@ func (s *Server) handleGetCustodian(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 func dirOfPath(path string) (string, string) {
 	return unixfs.Dir(path), unixfs.Base(path)
 }
-
-// ensure volume import is used even if handlers evolve.
-var _ = volume.RootVnode

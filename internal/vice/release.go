@@ -67,9 +67,7 @@ func (s *Server) ResumeReleases(p *sim.Proc) (resumed []uint32, err error) {
 		if le.Custodian != s.cfg.Name || len(le.Replicas) == 0 {
 			continue
 		}
-		s.mu.Lock()
-		vol, ok := s.vols[le.Volume]
-		s.mu.Unlock()
+		vol, ok := s.Volume(le.Volume)
 		if !ok || !vol.ReadOnly() {
 			continue
 		}

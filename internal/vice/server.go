@@ -66,8 +66,6 @@ type Config struct {
 	ProtAuthority bool
 	// AllocVolID issues cell-wide unique volume IDs.
 	AllocVolID func() uint32
-	// MaxWalkDepth bounds symlink-following during server-side walks.
-	MaxWalkDepth int
 	// Metrics, when set, receives server-side counters and per-volume
 	// service-time histograms (lock conflicts, callback fan-out,
 	// vice.vol.<id>.latency, vice.vol.<id>.ops). Nil disables all of it.
@@ -144,9 +142,6 @@ func New(cfg Config) *Server {
 	if cfg.Clock == nil {
 		cfg.Clock = func() int64 { return 0 }
 	}
-	if cfg.MaxWalkDepth == 0 {
-		cfg.MaxWalkDepth = 16
-	}
 	if cfg.Loc == nil {
 		cfg.Loc = NewLocDB()
 	}
@@ -166,6 +161,9 @@ func New(cfg Config) *Server {
 		pendingVol: make(map[*sim.Proc]uint32),
 	}
 	s.release = replica.NewController(cfg.Name, cfg.Metrics, cfg.Flight)
+	// The one place a cell decides whether it runs callbacks: handlers call
+	// the table unconditionally and a prototype-mode table ignores them.
+	s.callbacks.on = cfg.Mode == Revised
 	s.callbacks.SetMetrics(cfg.Metrics)
 	s.callbacks.SetFlight(cfg.Flight, cfg.Name)
 	s.callbacks.SetUnbatched(cfg.UnbatchedBreaks)
@@ -397,20 +395,21 @@ func (s *Server) checkRights(user string, acl prot.ACL, want prot.Right) error {
 	return fmt.Errorf("%w: need %v", proto.ErrAccess, want)
 }
 
-// resolveFID locates the volume for a FID, returning WrongServer with the
-// custodian hint when the volume lives elsewhere.
-func (s *Server) resolveFID(fid proto.FID) (*volume.Volume, error) {
-	s.mu.Lock()
-	v, ok := s.vols[fid.Volume]
-	s.mu.Unlock()
-	if ok {
+// localVolume returns a volume stored here, or the error that sends the
+// caller on: WrongServer naming the custodian when the location database
+// knows the volume lives elsewhere, ErrStale when nobody has it.
+func (s *Server) localVolume(id uint32) (*volume.Volume, error) {
+	if v, ok := s.Volume(id); ok {
 		return v, nil
 	}
-	if le, ok := s.cfg.Loc.ResolveVolume(fid.Volume); ok {
+	if le, ok := s.cfg.Loc.ResolveVolume(id); ok {
 		return nil, &proto.WrongServer{Custodian: le.Custodian}
 	}
-	return nil, fmt.Errorf("%w: volume %d", proto.ErrStale, fid.Volume)
+	return nil, fmt.Errorf("%w: volume %d", proto.ErrStale, id)
 }
+
+// maxWalkDepth bounds symlink-following during server-side walks.
+const maxWalkDepth = 16
 
 // resolvePath walks an entire pathname server-side (prototype mode, §3.5).
 // It resolves the longest location-database prefix, walks the remaining
@@ -423,7 +422,7 @@ func (s *Server) resolvePath(path string, followLast bool) (*volume.Volume, prot
 }
 
 func (s *Server) walkPath(path string, followLast bool, depth int) (*volume.Volume, proto.FID, error) {
-	if depth > s.cfg.MaxWalkDepth {
+	if depth > maxWalkDepth {
 		return nil, proto.FID{}, fmt.Errorf("%w: %s", proto.ErrLoop, path)
 	}
 	if path == "" || path[0] != '/' {
@@ -436,9 +435,7 @@ func (s *Server) walkPath(path string, followLast bool, depth int) (*volume.Volu
 	if !ok {
 		return nil, proto.FID{}, fmt.Errorf("%w: no volume covers %s", proto.ErrNoEnt, path)
 	}
-	s.mu.Lock()
-	v, local := s.vols[le.Volume]
-	s.mu.Unlock()
+	v, local := s.Volume(le.Volume)
 	if !local {
 		return nil, proto.FID{}, &proto.WrongServer{Custodian: le.Custodian}
 	}
@@ -489,7 +486,7 @@ func join(parts []string) string {
 // directories itself).
 func (s *Server) resolveRef(ref proto.Ref, followLast bool) (*volume.Volume, proto.FID, error) {
 	if ref.ByFID() {
-		v, err := s.resolveFID(ref.FID)
+		v, err := s.localVolume(ref.FID.Volume)
 		if err != nil {
 			return nil, proto.FID{}, err
 		}

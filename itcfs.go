@@ -128,20 +128,12 @@ type CellConfig struct {
 	// the network and Vice, in virtual time: identical seeds yield
 	// byte-identical exported traces. Read them from Cell.Tracer.
 	Trace bool
-	// TraceSample keeps every nth root operation when tracing (0 or 1 =
-	// keep all). Sampling decides per operation, so a kept operation is
-	// always complete.
-	TraceSample int
-	// TracePolicy, when set, replaces TraceSample with the full deterministic
-	// sampling policy: seeded per-op-class rates and slow always-keep
-	// thresholds (see trace.SamplePolicy). Ignored unless Trace is set.
+	// TracePolicy, when set, is the deterministic sampling policy: a default
+	// keep-one-in-n rate, seeded per-op-class rates and slow always-keep
+	// thresholds (see trace.SamplePolicy). Sampling decides per operation, so
+	// a kept operation is always complete. Nil keeps every operation; ignored
+	// unless Trace is set.
 	TracePolicy *trace.SamplePolicy
-	// SeriesTopK bounds per-volume series cardinality in StartSampling: each
-	// sampling window only the K busiest volumes keep their own ops/latency
-	// series, the rest fold into a "vice.vol.other.*" series. 0 = the default
-	// budget (trace.DefaultSeriesTopK); negative = unbounded (the pre-collapse
-	// behaviour).
-	SeriesTopK int
 	// Metrics, when set, receives counters and histograms from every layer
 	// (cache hits, RPC latency, link utilization, per-volume service time).
 	Metrics *trace.Registry
@@ -154,8 +146,8 @@ type CellConfig struct {
 	// Store, when set, supplies a durable store per server (argument is the
 	// server index; return nil for volatile). The default — nil everywhere —
 	// keeps volumes in memory, exactly the pre-durability behaviour; attach
-	// memstore.New() to journal through the store without touching disk, or
-	// a walstore for real files. The simulator's determinism is unaffected
+	// a walstore, on store.NewMemFS() to journal without touching disk or on
+	// a directory for real files. The simulator's determinism is unaffected
 	// either way (see TestStoreDeterminism).
 	Store func(server int) store.Store
 
@@ -249,8 +241,6 @@ func NewCell(cfg CellConfig) *Cell {
 		c.Tracer = trace.New(func() sim.Time { return k.Now() })
 		if cfg.TracePolicy != nil {
 			c.Tracer.SetPolicy(*cfg.TracePolicy)
-		} else {
-			c.Tracer.SetSample(cfg.TraceSample)
 		}
 	}
 	c.Metrics = cfg.Metrics
@@ -425,13 +415,11 @@ func LinkBusySeries(link string) string { return trace.LinkBusySeries(link) }
 // is also stored in Cell.Sampler.
 func (c *Cell) StartSampling(every, horizon time.Duration) *trace.Sampler {
 	s := trace.NewSampler(c.Metrics, every, 0)
-	if c.cfg.SeriesTopK >= 0 {
-		// Bound per-volume series cardinality: the registry still tracks
-		// every volume's instruments, but only the top-K per window get their
-		// own rings; the rest fold into "vice.vol.other.*".
-		s.Collapse("vice.vol.", ".ops", c.cfg.SeriesTopK)
-		s.Collapse("vice.vol.", ".latency", c.cfg.SeriesTopK)
-	}
+	// Bound per-volume series cardinality: the registry still tracks every
+	// volume's instruments, but only the top-K per window get their own
+	// rings; the rest fold into "vice.vol.other.*".
+	s.Collapse("vice.vol.", ".ops", trace.DefaultSeriesTopK)
+	s.Collapse("vice.vol.", ".latency", trace.DefaultSeriesTopK)
 	if c.Tracer != nil {
 		s.AttachExemplars(c.Tracer.TakeExemplars)
 	}

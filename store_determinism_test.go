@@ -8,7 +8,7 @@ import (
 
 	"itcfs/internal/sim"
 	"itcfs/internal/store"
-	"itcfs/internal/store/memstore"
+	"itcfs/internal/store/walstore"
 )
 
 // storeScenario drives a fixed workload — user provisioning, writes across
@@ -74,30 +74,39 @@ func storeScenario(t *testing.T, stores func(int) store.Store) (string, *Cell) {
 
 // TestStoreDeterminism is the simulator's durability contract: attaching a
 // store must not perturb the simulation by one event — the fingerprint with
-// journalling on (memstore under every server) is byte-identical to the
-// fingerprint with no store at all. This is what lets E12–E15 keep their
-// pinned telemetry while the same server code journals durably in itcfsd.
+// journalling on (the daemon's own engine, walstore, on an in-memory FS under
+// every server) is byte-identical to the fingerprint with no store at all.
+// This is what lets E12–E15 keep their pinned telemetry while the same server
+// code journals durably in itcfsd.
 func TestStoreDeterminism(t *testing.T) {
 	bare, _ := storeScenario(t, nil)
 
-	stores := map[int]*memstore.Store{}
+	disks := map[int]*store.MemFS{}
 	journaled, cell := storeScenario(t, func(i int) store.Store {
-		s := memstore.New()
-		stores[i] = s
+		disks[i] = store.NewMemFS()
+		s, err := walstore.Open(disks[i])
+		if err != nil {
+			t.Fatalf("server %d: open store: %v", i, err)
+		}
 		return s
 	})
 
 	if bare != journaled {
-		t.Fatalf("attaching a store perturbed the simulation:\n--- no store\n%s\n--- memstore\n%s", bare, journaled)
+		t.Fatalf("attaching a store perturbed the simulation:\n--- no store\n%s\n--- walstore\n%s", bare, journaled)
 	}
 	if len(bare) < 200 {
 		t.Fatalf("fingerprint suspiciously small (%d bytes)", len(bare))
 	}
 
-	// Durability cross-check: what each store would recover is exactly what
-	// each live server holds.
+	// Durability cross-check: what a restart would recover from each server's
+	// log — a second store opened on the same files — is exactly what the
+	// live server holds.
 	for i, s := range cell.Servers {
-		rec, err := stores[i].Recover()
+		restarted, err := walstore.Open(disks[i])
+		if err != nil {
+			t.Fatalf("server %d: reopen store: %v", i, err)
+		}
+		rec, err := restarted.Recover()
 		if err != nil {
 			t.Fatalf("server %d: recover: %v", i, err)
 		}
