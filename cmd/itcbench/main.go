@@ -1,6 +1,8 @@
 // Command itcbench regenerates the paper's evaluation (§5.2): every
-// quantitative claim has an experiment (E1–E13) that runs the corresponding
-// workload on the simulated cell and prints a paper-vs-measured table.
+// quantitative claim has an experiment (E1–E17, indexed in DESIGN.md §3) that
+// runs the corresponding workload on the simulated cell and prints a
+// paper-vs-measured table. SCALE and E17 measure the simulator itself and run
+// only on request.
 //
 // Usage:
 //
@@ -14,8 +16,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -25,20 +29,45 @@ import (
 	"itcfs/internal/harness"
 )
 
-func main() {
-	quick := flag.Bool("quick", false, "scaled-down experiments (fast)")
-	full := flag.Bool("full", false, "paper-sized deployment (slow)")
-	run := flag.String("run", "", "comma-separated experiment IDs (default all)")
-	traceFlag := flag.Bool("trace", false, "export a Chrome trace of the instrumented benchmark")
-	traceOut := flag.String("trace-out", "trace.json", "trace output path (with -trace)")
-	timeline := flag.Bool("timeline", false, "print the E15 telemetry dashboard and flight recorder")
-	timelineOut := flag.String("timeline-out", "", "write the E15 dashboard and flight recorder to this file")
-	seriesOut := flag.String("series-out", "", "export the E15 time series (.json = JSON, otherwise CSV)")
-	clients := flag.String("clients", "", "comma-separated client counts for the kernel scale bench (implies -run SCALE; with -run E14 it replaces the protocol sweep)")
-	scaleOut := flag.String("scale-out", "", "write the scale bench result as BENCH_scale.json-format JSON to this path")
-	scaleReps := flag.Int("scale-reps", 1, "scale/obs bench measurement repetitions per client count (best-of)")
-	obsOut := flag.String("obs-out", "", "write the E17 observability bench result as BENCH_obs.json-format JSON to this path")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// writeFile creates path, hands it to write and closes it, returning the
+// first error of the three.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// run is the whole command: it parses args, runs the selected experiments,
+// writes the requested exports and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("itcbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	quick := fs.Bool("quick", false, "scaled-down experiments (fast)")
+	full := fs.Bool("full", false, "paper-sized deployment (slow)")
+	run := fs.String("run", "", "comma-separated experiment IDs (default all)")
+	traceFlag := fs.Bool("trace", false, "export a Chrome trace of the instrumented benchmark")
+	traceOut := fs.String("trace-out", "trace.json", "trace output path (with -trace)")
+	timeline := fs.Bool("timeline", false, "print the E15 telemetry dashboard and flight recorder")
+	timelineOut := fs.String("timeline-out", "", "write the E15 dashboard and flight recorder to this file")
+	seriesOut := fs.String("series-out", "", "export the E15 time series (.json = JSON, otherwise CSV)")
+	clients := fs.String("clients", "", "comma-separated client counts for the kernel scale bench (implies -run SCALE; with -run E14 it replaces the protocol sweep)")
+	scaleOut := fs.String("scale-out", "", "write the scale bench result as BENCH_scale.json-format JSON to this path")
+	scaleReps := fs.Int("scale-reps", 1, "scale/obs bench measurement repetitions per client count (best-of)")
+	obsOut := fs.String("obs-out", "", "write the E17 observability bench result as BENCH_obs.json-format JSON to this path")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	want := map[string]bool{}
 	if *run != "" {
@@ -63,6 +92,22 @@ func main() {
 			return id != "SCALE" && id != "E17"
 		}
 		return want[strings.ToUpper(id)]
+	}
+
+	// clientCounts replaces a config's client list with the -clients one.
+	clientCounts := func(into *[]int) error {
+		if *clients == "" {
+			return nil
+		}
+		*into = nil
+		for _, s := range strings.Split(*clients, ",") {
+			n, err := strconv.Atoi(strings.TrimSpace(s))
+			if err != nil || n <= 0 {
+				return fmt.Errorf("bad -clients entry %q", s)
+			}
+			*into = append(*into, n)
+		}
+		return nil
 	}
 
 	type exp struct {
@@ -199,15 +244,8 @@ func main() {
 		}},
 		{"E17", func() (*harness.Report, error) {
 			cfg := harness.DefaultE17()
-			if *clients != "" {
-				cfg.Clients = nil
-				for _, s := range strings.Split(*clients, ",") {
-					n, err := strconv.Atoi(strings.TrimSpace(s))
-					if err != nil || n <= 0 {
-						return nil, fmt.Errorf("bad -clients entry %q", s)
-					}
-					cfg.Clients = append(cfg.Clients, n)
-				}
+			if err := clientCounts(&cfg.Clients); err != nil {
+				return nil, err
 			}
 			cfg.Reps = *scaleReps
 			ob, err := harness.RunObsBench(cfg)
@@ -219,15 +257,8 @@ func main() {
 		}},
 		{"SCALE", func() (*harness.Report, error) {
 			cfg := harness.DefaultScaleBench()
-			if *clients != "" {
-				cfg.Clients = nil
-				for _, s := range strings.Split(*clients, ",") {
-					n, err := strconv.Atoi(strings.TrimSpace(s))
-					if err != nil || n <= 0 {
-						return nil, fmt.Errorf("bad -clients entry %q", s)
-					}
-					cfg.Clients = append(cfg.Clients, n)
-				}
+			if err := clientCounts(&cfg.Clients); err != nil {
+				return nil, err
 			}
 			cfg.Quick = *quick
 			cfg.Reps = *scaleReps
@@ -240,7 +271,7 @@ func main() {
 		}},
 	}
 
-	fmt.Println("itcbench — reproduction of 'The ITC Distributed File System' (SOSP 1985), §5.2")
+	fmt.Fprintln(stdout, "itcbench — reproduction of 'The ITC Distributed File System' (SOSP 1985), §5.2")
 	failed := 0
 	for _, e := range experiments {
 		if !selected(e.id) {
@@ -249,98 +280,73 @@ func main() {
 		start := time.Now() //itcvet:allow wallclock -- reports how long the experiment took to simulate
 		r, err := e.fn()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", e.id, err)
+			fmt.Fprintf(stderr, "%s: %v\n", e.id, err)
 			failed++
 			continue
 		}
-		r.Print(os.Stdout)
-		fmt.Printf("  (%.1fs wall clock)\n", time.Since(start).Seconds()) //itcvet:allow wallclock -- operator-facing elapsed time, not in any result
+		r.Print(stdout)
+		fmt.Fprintf(stdout, "  (%.1fs wall clock)\n", time.Since(start).Seconds()) //itcvet:allow wallclock -- operator-facing elapsed time, not in any result
 	}
-	if *traceFlag {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			os.Exit(1)
-		}
-		err = harness.ExportTracedAndrew(itcfs.Revised, harness.DefaultE13(), f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote Chrome trace of the revised-mode Andrew run to %s\n", *traceOut)
-	}
-	if *scaleOut != "" {
-		if scaleRes == nil {
-			fmt.Fprintln(os.Stderr, "scale-out: no scale bench result (run with -run SCALE or -clients, and check it succeeded)")
-			os.Exit(1)
-		}
-		f, err := os.Create(*scaleOut)
-		if err == nil {
-			err = scaleRes.WriteJSON(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
+
+	// The exports, in flag order; the first that cannot be written ends the
+	// run.
+	exports := func() error {
+		if *traceFlag {
+			if err := writeFile(*traceOut, func(w io.Writer) error {
+				return harness.ExportTracedAndrew(itcfs.Revised, harness.DefaultE13(), w)
+			}); err != nil {
+				return fmt.Errorf("trace: %w", err)
 			}
+			fmt.Fprintf(stdout, "wrote Chrome trace of the revised-mode Andrew run to %s\n", *traceOut)
 		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "scale-out: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote kernel scale bench to %s\n", *scaleOut)
-	}
-	if *obsOut != "" {
-		if obsRes == nil {
-			fmt.Fprintln(os.Stderr, "obs-out: no observability bench result (run with -run E17, and check it succeeded)")
-			os.Exit(1)
-		}
-		f, err := os.Create(*obsOut)
-		if err == nil {
-			err = obsRes.WriteJSON(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
+		if *scaleOut != "" {
+			if scaleRes == nil {
+				return errors.New("scale-out: no scale bench result (run with -run SCALE or -clients, and check it succeeded)")
 			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "obs-out: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote observability bench to %s\n", *obsOut)
-	}
-	if *timeline || *timelineOut != "" || *seriesOut != "" {
-		if e15 == nil {
-			fmt.Fprintln(os.Stderr, "timeline: no E15 result (run with -run E15, and check it succeeded)")
-			os.Exit(1)
-		}
-		if *timeline {
-			fmt.Print("\n" + e15.Timeline + "\n" + e15.Flight)
-		}
-		if *timelineOut != "" {
-			if err := os.WriteFile(*timelineOut, []byte(e15.Timeline+"\n"+e15.Flight), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "timeline: %v\n", err)
-				os.Exit(1)
+			if err := writeFile(*scaleOut, scaleRes.WriteJSON); err != nil {
+				return fmt.Errorf("scale-out: %w", err)
 			}
+			fmt.Fprintf(stdout, "wrote kernel scale bench to %s\n", *scaleOut)
 		}
-		if *seriesOut != "" {
-			f, err := os.Create(*seriesOut)
-			if err == nil {
+		if *obsOut != "" {
+			if obsRes == nil {
+				return errors.New("obs-out: no observability bench result (run with -run E17, and check it succeeded)")
+			}
+			if err := writeFile(*obsOut, obsRes.WriteJSON); err != nil {
+				return fmt.Errorf("obs-out: %w", err)
+			}
+			fmt.Fprintf(stdout, "wrote observability bench to %s\n", *obsOut)
+		}
+		if *timeline || *timelineOut != "" || *seriesOut != "" {
+			if e15 == nil {
+				return errors.New("timeline: no E15 result (run with -run E15, and check it succeeded)")
+			}
+			if *timeline {
+				fmt.Fprint(stdout, "\n"+e15.Timeline+"\n"+e15.Flight)
+			}
+			if *timelineOut != "" {
+				if err := os.WriteFile(*timelineOut, []byte(e15.Timeline+"\n"+e15.Flight), 0o644); err != nil {
+					return fmt.Errorf("timeline: %w", err)
+				}
+			}
+			if *seriesOut != "" {
+				write := e15.Cell.Sampler.WriteCSV
 				if strings.HasSuffix(*seriesOut, ".json") {
-					err = e15.Cell.Sampler.WriteJSON(f)
-				} else {
-					err = e15.Cell.Sampler.WriteCSV(f)
+					write = e15.Cell.Sampler.WriteJSON
 				}
-				if cerr := f.Close(); err == nil {
-					err = cerr
+				if err := writeFile(*seriesOut, write); err != nil {
+					return fmt.Errorf("series: %w", err)
 				}
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "series: %v\n", err)
-				os.Exit(1)
 			}
 		}
+		return nil
+	}
+	if err := exports(); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	if failed > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
