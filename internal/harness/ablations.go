@@ -36,45 +36,30 @@ func E6ValidationAblation(cfg E6Config) (*Report, error) {
 	r := newReport("E6", "Check-on-open vs callback invalidation (identical load)",
 		"prototype validation traffic dominates; callbacks eliminate it (§3.2, §5.2)",
 		"metric", "check-on-open", "callback")
-	type side struct {
-		calls    int64
-		valid    float64
-		cpu      float64
-		breaks   int64
-		promises int64
-	}
-	var sides [2]side
+	var calls, promises, breaks [2]int64
+	var valid, cpu [2]float64
 	for i, mode := range []itcfs.Mode{itcfs.Prototype, itcfs.Revised} {
 		load := DefaultLoad(mode)
 		load.UsersPer = cfg.UsersPer
-		lc, err := BuildLoadedCell(load)
+		lc, err := buildLoadedCell(load)
 		if err != nil {
 			return nil, err
 		}
-		if err := lc.Drive(load, cfg.Warm, cfg.Measure); err != nil {
+		if err := lc.drive(load, cfg.Warm, cfg.Measure, nil); err != nil {
 			return nil, err
 		}
-		mix, total := lc.CallMix()
-		cpu, _ := lc.windowUtil(lc.Cell.Servers[0])
-		promised, breaks := lc.Cell.Servers[0].Vice.Callbacks().Stats()
-		sides[i] = side{
-			calls:    total,
-			valid:    mix["TestValid (cache validity)"],
-			cpu:      cpu,
-			breaks:   breaks,
-			promises: promised,
-		}
+		var mix map[string]float64
+		mix, calls[i] = lc.callMix()
+		valid[i] = mix["TestValid (cache validity)"]
+		cpu[i], _ = lc.windowUtil(lc.cell.Servers[0])
+		promises[i], breaks[i] = lc.cell.Servers[0].Vice.Callbacks().Stats()
 	}
-	r.addRow("total server calls", fmt.Sprintf("%d", sides[0].calls), fmt.Sprintf("%d", sides[1].calls))
-	r.addRow("validation share", pct(sides[0].valid), pct(sides[1].valid))
-	r.addRow("server CPU", pct(sides[0].cpu), pct(sides[1].cpu))
-	r.addRow("callback promises", "0", fmt.Sprintf("%d", sides[1].promises))
-	r.addRow("callback breaks", "0", fmt.Sprintf("%d", sides[1].breaks))
-	r.Metrics["calls_proto"] = float64(sides[0].calls)
-	r.Metrics["calls_revised"] = float64(sides[1].calls)
-	r.Metrics["call_reduction"] = 1 - float64(sides[1].calls)/float64(sides[0].calls)
-	r.Metrics["cpu_proto"] = sides[0].cpu
-	r.Metrics["cpu_revised"] = sides[1].cpu
+	r.row("total server calls", count("calls_proto", calls[0]), count("calls_revised", calls[1]))
+	r.row("validation share", share("", valid[0]), share("", valid[1]))
+	r.row("server CPU", share("cpu_proto", cpu[0]), share("cpu_revised", cpu[1]))
+	r.row("callback promises", text("0"), count("", promises[1]))
+	r.row("callback breaks", text("0"), count("", breaks[1]))
+	r.Metrics["call_reduction"] = 1 - float64(calls[1])/float64(calls[0])
 	return r, nil
 }
 
@@ -98,96 +83,56 @@ func E7PathnameAblation(cfg E7Config) (*Report, error) {
 	r := newReport("E7", "Server-side vs client-side pathname traversal",
 		"moving traversal to workstations cuts server CPU per operation (§5.3)",
 		"metric", "prototype (server walks)", "revised (FIDs)")
-	type side struct {
-		walked    int64
-		cpu       time.Duration
-		calls     int64
-		perOpCPU  time.Duration
-		elapsedWS time.Duration
-	}
-	var sides [2]side
+	var walked, calls [2]int64
+	var cpu, perOpCPU [2]time.Duration
 	for i, mode := range []itcfs.Mode{itcfs.Prototype, itcfs.Revised} {
 		cell := itcfs.NewCell(itcfs.CellConfig{Mode: mode, Clusters: 1})
-		var err error
-		cell.Run(func(p *sim.Proc) {
-			admin, aerr := cell.Admin(p, 0)
-			if aerr != nil {
-				err = aerr
-				return
-			}
-			if err = admin.NewUser(p, "deep", "pw", 0); err != nil {
-				return
-			}
-		})
-		if err != nil {
+		if err := provision(cell, "deep"); err != nil {
 			return nil, err
 		}
 		// Build a deep directory chain and a file at the bottom.
 		dir := "/vice/usr/deep"
-		setup := cell.AddWorkstation(0, "setup")
-		cell.Run(func(p *sim.Proc) {
-			if err = setup.Login(p, "deep", "pw"); err != nil {
-				return
-			}
+		_, err := station(cell, 0, "setup", "deep", func(p *sim.Proc, ws *itcfs.Workstation) error {
 			for d := 0; d < cfg.Depth; d++ {
 				dir = fmt.Sprintf("%s/d%d", dir, d)
-				if err = setup.FS.Mkdir(p, dir, 0o755); err != nil {
-					return
+				if err := ws.FS.Mkdir(p, dir, 0o755); err != nil {
+					return err
 				}
 			}
-			err = setup.FS.WriteFile(p, dir+"/leaf", []byte("deep data"))
+			return ws.FS.WriteFile(p, dir+"/leaf", []byte("deep data"))
 		})
 		if err != nil {
 			return nil, err
 		}
-		leaf := dir + "/leaf"
 		srv := cell.Servers[0]
 		cpu0 := srv.CPU.BusyTime()
 		_, _, walked0 := srv.Vice.TrafficStats()
 		calls0 := srv.Endpoint.CallsTotal()
-		start := cell.Now()
 		for u := 0; u < cfg.Users; u++ {
-			ws := cell.AddWorkstation(0, fmt.Sprintf("deep-ws%d", u))
-			cell.Run(func(p *sim.Proc) {
-				if lerr := ws.Login(p, "deep", "pw"); lerr != nil {
-					err = lerr
-					return
-				}
+			_, err := station(cell, 0, fmt.Sprintf("deep-ws%d", u), "deep", func(p *sim.Proc, ws *itcfs.Workstation) error {
 				for op := 0; op < cfg.OpsEach; op++ {
-					if _, serr := ws.FS.Stat(p, leaf); serr != nil {
-						err = serr
-						return
+					if _, err := ws.FS.Stat(p, dir+"/leaf"); err != nil {
+						return err
 					}
 				}
+				return nil
 			})
 			if err != nil {
 				return nil, err
 			}
 		}
 		_, _, walked1 := srv.Vice.TrafficStats()
-		calls := srv.Endpoint.CallsTotal() - calls0
-		cpu := srv.CPU.BusyTime() - cpu0
-		sides[i] = side{
-			walked:    walked1 - walked0,
-			cpu:       cpu,
-			calls:     calls,
-			perOpCPU:  cpu / time.Duration(cfg.Users*cfg.OpsEach),
-			elapsedWS: cell.Now().Sub(start),
-		}
+		walked[i] = walked1 - walked0
+		calls[i] = srv.Endpoint.CallsTotal() - calls0
+		cpu[i] = srv.CPU.BusyTime() - cpu0
+		perOpCPU[i] = cpu[i] / time.Duration(cfg.Users*cfg.OpsEach)
 	}
-	r.addRow("components walked on server",
-		fmt.Sprintf("%d", sides[0].walked), fmt.Sprintf("%d", sides[1].walked))
-	r.addRow("server CPU total",
-		sides[0].cpu.Round(time.Millisecond).String(), sides[1].cpu.Round(time.Millisecond).String())
-	r.addRow("server CPU per stat",
-		sides[0].perOpCPU.Round(time.Microsecond).String(), sides[1].perOpCPU.Round(time.Microsecond).String())
-	r.addRow("server calls",
-		fmt.Sprintf("%d", sides[0].calls), fmt.Sprintf("%d", sides[1].calls))
-	r.Metrics["walked_proto"] = float64(sides[0].walked)
-	r.Metrics["walked_revised"] = float64(sides[1].walked)
-	r.Metrics["cpu_per_op_proto_ms"] = float64(sides[0].perOpCPU) / float64(time.Millisecond)
-	r.Metrics["cpu_per_op_revised_ms"] = float64(sides[1].perOpCPU) / float64(time.Millisecond)
-	r.Metrics["cpu_saving"] = 1 - float64(sides[1].cpu)/float64(sides[0].cpu)
+	r.row("components walked on server", count("walked_proto", walked[0]), count("walked_revised", walked[1]))
+	r.row("server CPU total", millis("", cpu[0]), millis("", cpu[1]))
+	r.row("server CPU per stat", rounded("cpu_per_op_proto_ms", perOpCPU[0], time.Microsecond),
+		rounded("cpu_per_op_revised_ms", perOpCPU[1], time.Microsecond))
+	r.row("server calls", count("", calls[0]), count("", calls[1]))
+	r.Metrics["cpu_saving"] = 1 - float64(cpu[1])/float64(cpu[0])
 	return r, nil
 }
 
@@ -213,70 +158,51 @@ func DefaultE8() E8Config {
 func E8WholeFileVsPaged(cfg E8Config) (*Report, error) {
 	// Whole-file side: a standard cell.
 	cell := itcfs.NewCell(itcfs.CellConfig{Mode: itcfs.Revised, Clusters: 1})
-	var err error
-	cell.Run(func(p *sim.Proc) {
-		admin, aerr := cell.Admin(p, 0)
-		if aerr != nil {
-			err = aerr
-			return
-		}
-		err = admin.NewUser(p, "u", "pw", 0)
-	})
-	if err != nil {
+	if err := provision(cell, "u"); err != nil {
 		return nil, err
 	}
-	ws := cell.AddWorkstation(0, "ws")
 	seq := make([]byte, cfg.FileKB<<10)
 	big := make([]byte, cfg.BigMB<<20)
-	var wholeSeq, wholeRe, wholePartial time.Duration
-	cell.Run(func(p *sim.Proc) {
-		if err = ws.Login(p, "u", "pw"); err != nil {
-			return
+	_, err := station(cell, 0, "ws", "u", func(p *sim.Proc, ws *itcfs.Workstation) error {
+		if err := ws.FS.WriteFile(p, "/vice/usr/u/seq", seq); err != nil {
+			return err
 		}
-		if err = ws.FS.WriteFile(p, "/vice/usr/u/seq", seq); err != nil {
-			return
-		}
-		if err = ws.FS.WriteFile(p, "/vice/usr/u/big", big); err != nil {
-			return
-		}
+		return ws.FS.WriteFile(p, "/vice/usr/u/big", big)
 	})
 	if err != nil {
 		return nil, err
 	}
 	// Fresh workstation: cold cache for the measured reads.
-	cold := cell.AddWorkstation(0, "cold")
+	var wholeSeq, wholeRe, wholePartial time.Duration
 	var wholeSeqBytes int64
-	cell.Run(func(p *sim.Proc) {
-		if err = cold.Login(p, "u", "pw"); err != nil {
-			return
-		}
+	_, err = station(cell, 0, "cold", "u", func(p *sim.Proc, cold *itcfs.Workstation) error {
 		t0 := p.Now()
 		lan0 := cell.Clusters[0].LAN.Bytes()
-		if _, err = cold.FS.ReadFile(p, "/vice/usr/u/seq"); err != nil {
-			return
+		if _, err := cold.FS.ReadFile(p, "/vice/usr/u/seq"); err != nil {
+			return err
 		}
 		wholeSeqBytes = cell.Clusters[0].LAN.Bytes() - lan0
 		wholeSeq = p.Now().Sub(t0)
 		t0 = p.Now()
 		for i := 0; i < cfg.Rereads; i++ {
-			if _, err = cold.FS.ReadFile(p, "/vice/usr/u/seq"); err != nil {
-				return
+			if _, err := cold.FS.ReadFile(p, "/vice/usr/u/seq"); err != nil {
+				return err
 			}
 		}
 		wholeRe = p.Now().Sub(t0) / time.Duration(cfg.Rereads)
 		// Partial access: whole-file caching must fetch all of it.
 		t0 = p.Now()
-		f, oerr := cold.FS.Open(p, "/vice/usr/u/big", itcfs.FlagRead)
-		if oerr != nil {
-			err = oerr
-			return
+		f, err := cold.FS.Open(p, "/vice/usr/u/big", itcfs.FlagRead)
+		if err != nil {
+			return err
 		}
 		buf := make([]byte, cfg.PartialB)
-		if _, err = f.ReadAt(buf, 1<<20); err != nil {
-			return
+		if _, err := f.ReadAt(buf, 1<<20); err != nil {
+			return err
 		}
 		f.Close(p)
 		wholePartial = p.Now().Sub(t0)
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -357,22 +283,13 @@ func E8WholeFileVsPaged(cfg E8Config) (*Report, error) {
 	r := newReport("E8", "Whole-file transfer + caching vs page-at-a-time access",
 		"whole-file wins on protocol overhead and repeat access; paging only wins partial reads of huge files (§2.2, §3.2)",
 		"scenario", "whole-file", "page-at-a-time")
-	r.addRow(fmt.Sprintf("first sequential read (%d KB)", cfg.FileKB),
-		wholeSeq.Round(time.Millisecond).String(), pageSeq.Round(time.Millisecond).String())
-	r.addRow("re-read (cached)",
-		wholeRe.Round(time.Millisecond).String(), pageRe.Round(time.Millisecond).String())
-	r.addRow(fmt.Sprintf("read %d B of a %d MB file (cold)", cfg.PartialB, cfg.BigMB),
-		wholePartial.Round(time.Millisecond).String(), pagePartial.Round(time.Millisecond).String())
-	r.addRow("network bytes, first read",
-		fmt.Sprintf("%d", wholeSeqBytes), fmt.Sprintf("%d", pageSeqBytes))
-	r.addRow("server calls (whole run)",
-		fmt.Sprintf("%d", wsCalls), fmt.Sprintf("%d page reads", pgReads))
-	r.Metrics["whole_seq_ms"] = float64(wholeSeq) / float64(time.Millisecond)
-	r.Metrics["page_seq_ms"] = float64(pageSeq) / float64(time.Millisecond)
-	r.Metrics["whole_reread_ms"] = float64(wholeRe) / float64(time.Millisecond)
-	r.Metrics["page_reread_ms"] = float64(pageRe) / float64(time.Millisecond)
-	r.Metrics["whole_partial_ms"] = float64(wholePartial) / float64(time.Millisecond)
-	r.Metrics["page_partial_ms"] = float64(pagePartial) / float64(time.Millisecond)
+	r.row(fmt.Sprintf("first sequential read (%d KB)", cfg.FileKB),
+		millis("whole_seq_ms", wholeSeq), millis("page_seq_ms", pageSeq))
+	r.row("re-read (cached)", millis("whole_reread_ms", wholeRe), millis("page_reread_ms", pageRe))
+	r.row(fmt.Sprintf("read %d B of a %d MB file (cold)", cfg.PartialB, cfg.BigMB),
+		millis("whole_partial_ms", wholePartial), millis("page_partial_ms", pagePartial))
+	r.row("network bytes, first read", count("", wholeSeqBytes), count("", pageSeqBytes))
+	r.row("server calls (whole run)", count("", wsCalls), text(fmt.Sprintf("%d page reads", pgReads)))
 	return r, nil
 }
 
@@ -396,48 +313,36 @@ func DefaultE9() E9Config {
 func E9ReadOnlyReplication(cfg E9Config) (*Report, error) {
 	run := func(replicate bool) (backbone int64, custodianFetch, replicaFetch int64, mean time.Duration, err error) {
 		cell := itcfs.NewCell(itcfs.CellConfig{Mode: itcfs.Revised, Clusters: 2})
-		var vid uint32
-		cell.Run(func(p *sim.Proc) {
-			admin, aerr := cell.Admin(p, 0)
-			if aerr != nil {
-				err = aerr
-				return
-			}
-			if err = admin.MkdirAll(p, "/unix"); err != nil {
-				return
-			}
-			if vid, err = admin.CreateVolume(p, "sys.bin", "/unix/bin", "operator", 0); err != nil {
-				return
+		root := "/unix/bin"
+		err = asAdmin(cell, func(p *sim.Proc, admin *itcfs.Admin) error {
+			vid, err := sysVolume(p, admin, root)
+			if err != nil {
+				return err
 			}
 			op := cell.AddWorkstation(0, "op")
-			if err = op.Login(p, "operator", "operator-password"); err != nil {
-				return
+			if err := login(p, op, "operator"); err != nil {
+				return err
 			}
 			for i := 0; i < cfg.Binaries; i++ {
 				data := make([]byte, 20<<10)
-				if err = op.FS.WriteFile(p, fmt.Sprintf("/vice/unix/bin/b%02d", i), data); err != nil {
-					return
+				if err := op.FS.WriteFile(p, fmt.Sprintf("/vice/unix/bin/b%02d", i), data); err != nil {
+					return err
 				}
 			}
-			mountAt := "/unix/bin"
 			if replicate {
-				mountAt = "/unix/bin-ro"
-				if _, err = admin.CloneVolume(p, vid, mountAt, "server1"); err != nil {
-					return
+				if root, err = release(p, admin, vid, root, cell.Servers[1:]); err != nil {
+					return err
 				}
 			}
 			for u := 0; u < cfg.Readers; u++ {
-				if err = admin.NewUser(p, fmt.Sprintf("reader%d", u), "pw", 0); err != nil {
-					return
+				if err := newUsers(p, admin, "", fmt.Sprintf("reader%d", u)); err != nil {
+					return err
 				}
 			}
+			return nil
 		})
 		if err != nil {
 			return
-		}
-		root := "/vice/unix/bin"
-		if replicate {
-			root = "/vice/unix/bin-ro"
 		}
 		frames0 := cell.Net.CrossClusterFrames()
 		f0, _, _ := cell.Servers[0].Vice.TrafficStats()
@@ -445,23 +350,16 @@ func E9ReadOnlyReplication(cfg E9Config) (*Report, error) {
 		var totalTime time.Duration
 		var reads int
 		for u := 0; u < cfg.Readers; u++ {
-			ws := cell.AddWorkstation(1, fmt.Sprintf("dorm%d", u))
-			u := u
-			cell.Run(func(p *sim.Proc) {
-				if lerr := ws.Login(p, fmt.Sprintf("reader%d", u), "pw"); lerr != nil {
-					err = lerr
-					return
-				}
+			_, err = station(cell, 1, fmt.Sprintf("dorm%d", u), fmt.Sprintf("reader%d", u), func(p *sim.Proc, ws *itcfs.Workstation) error {
 				for i := 0; i < cfg.Reads; i++ {
-					path := fmt.Sprintf("%s/b%02d", root, i%cfg.Binaries)
 					t0 := p.Now()
-					if _, rerr := ws.FS.ReadFile(p, path); rerr != nil {
-						err = rerr
-						return
+					if _, err := ws.FS.ReadFile(p, fmt.Sprintf("/vice%s/b%02d", root, i%cfg.Binaries)); err != nil {
+						return err
 					}
 					totalTime += p.Now().Sub(t0)
 					reads++
 				}
+				return nil
 			})
 			if err != nil {
 				return
@@ -488,15 +386,10 @@ func E9ReadOnlyReplication(cfg E9Config) (*Report, error) {
 	r := newReport("E9", "Read-only replication of system binaries",
 		"replicas serve from the nearest cluster server, balancing load and localizing traffic (§3.2)",
 		"metric", "single custodian", "replicated")
-	r.addRow("backbone frames", fmt.Sprintf("%d", bbNo), fmt.Sprintf("%d", bbYes))
-	r.addRow("bytes fetched from custodian", fmt.Sprintf("%d", custNo), fmt.Sprintf("%d", custYes))
-	r.addRow("bytes fetched from replica", fmt.Sprintf("%d", replNo), fmt.Sprintf("%d", replYes))
-	r.addRow("mean read latency", meanNo.Round(time.Millisecond).String(), meanYes.Round(time.Millisecond).String())
-	r.Metrics["backbone_single"] = float64(bbNo)
-	r.Metrics["backbone_replicated"] = float64(bbYes)
-	r.Metrics["latency_single_ms"] = float64(meanNo) / float64(time.Millisecond)
-	r.Metrics["latency_replicated_ms"] = float64(meanYes) / float64(time.Millisecond)
-	r.Metrics["replica_bytes"] = float64(replYes)
+	r.row("backbone frames", count("backbone_single", bbNo), count("backbone_replicated", bbYes))
+	r.row("bytes fetched from custodian", count("", custNo), count("", custYes))
+	r.row("bytes fetched from replica", count("", replNo), count("replica_bytes", replYes))
+	r.row("mean read latency", millis("latency_single_ms", meanNo), millis("latency_replicated_ms", meanYes))
 	return r, nil
 }
 
@@ -518,47 +411,35 @@ func DefaultE10() E10Config {
 // revocation mechanism.
 func E10Revocation(cfg E10Config) (*Report, error) {
 	cell := itcfs.NewCell(itcfs.CellConfig{Mode: itcfs.Prototype, Clusters: cfg.Servers})
-	var err error
-	cell.Run(func(p *sim.Proc) {
-		admin, aerr := cell.Admin(p, 0)
-		if aerr != nil {
-			err = aerr
-			return
-		}
-		if err = admin.NewUser(p, "victim", "pw", 0); err != nil {
-			return
-		}
-		if err = admin.NewUser(p, "owner", "pw", 0); err != nil {
-			return
+	group := func(g int) string { return fmt.Sprintf("grp%d", g) }
+	err := asAdmin(cell, func(p *sim.Proc, admin *itcfs.Admin) error {
+		if err := newUsers(p, admin, "", "victim", "owner"); err != nil {
+			return err
 		}
 		// The victim gets access through several nested groups.
 		for g := 0; g < cfg.Groups; g++ {
-			name := fmt.Sprintf("grp%d", g)
-			if err = admin.Protect(p, prot.Mutation{Kind: prot.MutAddGroup, Name: name, Owner: "owner"}); err != nil {
-				return
+			if err := admin.Protect(p, prot.Mutation{Kind: prot.MutAddGroup, Name: group(g), Owner: "owner"}); err != nil {
+				return err
 			}
-			if err = admin.Protect(p, prot.Mutation{Kind: prot.MutAddMember, Name: name, Member: "victim"}); err != nil {
-				return
+			if err := admin.Protect(p, prot.Mutation{Kind: prot.MutAddMember, Name: group(g), Member: "victim"}); err != nil {
+				return err
 			}
 		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	owner := cell.AddWorkstation(0, "owner-ws")
-	cell.Run(func(p *sim.Proc) {
-		if err = owner.Login(p, "owner", "pw"); err != nil {
-			return
+	acl := prot.NewACL()
+	acl.Grant("owner", prot.RightsAll)
+	for g := 0; g < cfg.Groups; g++ {
+		acl.Grant(group(g), prot.RightsAll)
+	}
+	owner, err := station(cell, 0, "owner-ws", "owner", func(p *sim.Proc, ws *itcfs.Workstation) error {
+		if err := ws.Venus.SetACL(p, "/usr/owner", proto.ACLEncode(acl)); err != nil {
+			return err
 		}
-		acl := prot.NewACL()
-		acl.Grant("owner", prot.RightsAll)
-		for g := 0; g < cfg.Groups; g++ {
-			acl.Grant(fmt.Sprintf("grp%d", g), prot.RightsAll)
-		}
-		if err = owner.Venus.SetACL(p, "/usr/owner", itcfsACL(acl)); err != nil {
-			return
-		}
-		err = owner.FS.WriteFile(p, "/vice/usr/owner/doc", []byte("sensitive"))
+		return ws.FS.WriteFile(p, "/vice/usr/owner/doc", []byte("sensitive"))
 	})
 	if err != nil {
 		return nil, err
@@ -569,16 +450,12 @@ func E10Revocation(cfg E10Config) (*Report, error) {
 	// timeouts, which must not count.
 	negCalls0 := totalCalls(cell)
 	var negTime time.Duration
-	cell.Run(func(p *sim.Proc) {
-		acl := prot.NewACL()
-		acl.Grant("owner", prot.RightsAll)
-		for g := 0; g < cfg.Groups; g++ {
-			acl.Grant(fmt.Sprintf("grp%d", g), prot.RightsAll)
-		}
+	err = cell.Do(func(p *sim.Proc) error {
 		acl.Deny("victim", prot.RightsAll)
 		t0 := p.Now()
-		err = owner.Venus.SetACL(p, "/usr/owner", itcfsACL(acl))
+		err := owner.Venus.SetACL(p, "/usr/owner", proto.ACLEncode(acl))
 		negTime = p.Now().Sub(t0)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -589,21 +466,15 @@ func E10Revocation(cfg E10Config) (*Report, error) {
 	// each replicated to every server.
 	dbCalls0 := totalCalls(cell)
 	var dbTime time.Duration
-	cell.Run(func(p *sim.Proc) {
-		admin, aerr := cell.Admin(p, 0)
-		if aerr != nil {
-			err = aerr
-			return
-		}
+	err = asAdmin(cell, func(p *sim.Proc, admin *itcfs.Admin) error {
 		t0 := p.Now()
 		for g := 0; g < cfg.Groups; g++ {
-			if err = admin.Protect(p, prot.Mutation{
-				Kind: prot.MutRemoveMember, Name: fmt.Sprintf("grp%d", g), Member: "victim",
-			}); err != nil {
-				return
+			if err := admin.Protect(p, prot.Mutation{Kind: prot.MutRemoveMember, Name: group(g), Member: "victim"}); err != nil {
+				return err
 			}
 		}
 		dbTime = p.Now().Sub(t0)
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -611,32 +482,22 @@ func E10Revocation(cfg E10Config) (*Report, error) {
 	dbCalls := totalCalls(cell) - dbCalls0
 
 	// Both paths leave the victim locked out.
-	victim := cell.AddWorkstation(0, "victim-ws")
-	var victimErr error
-	cell.Run(func(p *sim.Proc) {
-		if lerr := victim.Login(p, "victim", "pw"); lerr != nil {
-			err = lerr
-			return
+	_, err = station(cell, 0, "victim-ws", "victim", func(p *sim.Proc, ws *itcfs.Workstation) error {
+		if _, err := ws.FS.ReadFile(p, "/vice/usr/owner/doc"); err == nil {
+			return fmt.Errorf("E10: victim still has access after both revocations")
 		}
-		_, victimErr = victim.FS.ReadFile(p, "/vice/usr/owner/doc")
+		return nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	if victimErr == nil {
-		return nil, fmt.Errorf("E10: victim still has access after both revocations")
 	}
 
 	r := newReport("E10", "Rapid revocation: negative rights vs protection-database update",
 		"negative rights revoke at a single site; group changes must update every server (§3.4)",
 		"metric", "negative right", fmt.Sprintf("group removal (%d groups, %d servers)", cfg.Groups, cfg.Servers))
-	r.addRow("server calls", fmt.Sprintf("%d", negCalls), fmt.Sprintf("%d", dbCalls))
-	r.addRow("elapsed (virtual)", negTime.Round(time.Millisecond).String(), dbTime.Round(time.Millisecond).String())
-	r.addRow("sites touched", "1", fmt.Sprintf("%d", cfg.Servers))
-	r.Metrics["neg_calls"] = float64(negCalls)
-	r.Metrics["db_calls"] = float64(dbCalls)
-	r.Metrics["neg_ms"] = float64(negTime) / float64(time.Millisecond)
-	r.Metrics["db_ms"] = float64(dbTime) / float64(time.Millisecond)
+	r.row("server calls", count("neg_calls", negCalls), count("db_calls", dbCalls))
+	r.row("elapsed (virtual)", millis("neg_ms", negTime), millis("db_ms", dbTime))
+	r.row("sites touched", text("1"), count("", cfg.Servers))
 	return r, nil
 }
 
@@ -647,6 +508,3 @@ func totalCalls(cell *itcfs.Cell) int64 {
 	}
 	return n
 }
-
-// itcfsACL encodes an ACL for the Venus SetACL API.
-func itcfsACL(a prot.ACL) []byte { return proto.ACLEncode(a) }

@@ -6,7 +6,6 @@ import (
 
 	"itcfs"
 	"itcfs/internal/sim"
-	"itcfs/internal/vice"
 	"itcfs/internal/workload"
 )
 
@@ -31,14 +30,14 @@ func DefaultE1() E1Config {
 // use (§5.2): cache-validity checks 65%, file status 27%, fetch 4%,
 // store 2% — more than 98% of all calls.
 func E1CallMix(cfg E1Config) (*Report, error) {
-	lc, err := BuildLoadedCell(cfg.Load)
+	lc, err := buildLoadedCell(cfg.Load)
 	if err != nil {
 		return nil, err
 	}
-	if err := lc.Drive(cfg.Load, cfg.Warm, cfg.Measure); err != nil {
+	if err := lc.drive(cfg.Load, cfg.Warm, cfg.Measure, nil); err != nil {
 		return nil, err
 	}
-	mix, total := lc.CallMix()
+	mix, total := lc.callMix()
 	r := newReport("E1", "Histogram of calls received by servers",
 		"validity checks 65%, status 27%, fetch 4%, store 2% (>98% of calls)",
 		"call", "paper", "measured")
@@ -55,13 +54,12 @@ func E1CallMix(cfg E1Config) (*Report, error) {
 		}
 		r.addRow(name, p, pct(mix[name]))
 	}
-	r.addRow("total calls", "—", fmt.Sprintf("%d", total))
+	r.row("total calls", text("—"), count("total", total))
 	r.Metrics["validate"] = mix["TestValid (cache validity)"]
 	r.Metrics["status"] = mix["GetFileStat (status)"]
 	r.Metrics["fetch"] = mix["Fetch"]
 	r.Metrics["store"] = mix["Store"]
 	r.Metrics["top4"] = r.Metrics["validate"] + r.Metrics["status"] + r.Metrics["fetch"] + r.Metrics["store"]
-	r.Metrics["total"] = float64(total)
 	return r, nil
 }
 
@@ -94,15 +92,15 @@ func DefaultE2() E2Config {
 // averaging ≈40% on the most heavily loaded servers, disk ≈14%, short-term
 // peaks near 98% — the server CPU is the bottleneck.
 func E2Utilization(cfg E2Config) (*Report, error) {
-	lc, err := BuildLoadedCell(cfg.Load)
+	lc, err := buildLoadedCell(cfg.Load)
 	if err != nil {
 		return nil, err
 	}
-	gauges := make([]*sim.Gauge, len(lc.Cell.Servers))
-	err = lc.DriveHook(cfg.Load, cfg.Warm, cfg.Measure, func() {
-		horizon := lc.Cell.Now().Add(cfg.Measure)
-		for i, s := range lc.Cell.Servers {
-			gauges[i] = sim.NewGauge(lc.Cell.Kernel, s.CPU, cfg.PeakWindow, horizon)
+	gauges := make([]*sim.Gauge, len(lc.cell.Servers))
+	err = lc.drive(cfg.Load, cfg.Warm, cfg.Measure, func() {
+		horizon := lc.cell.Now().Add(cfg.Measure)
+		for i, s := range lc.cell.Servers {
+			gauges[i] = sim.NewGauge(lc.cell.Kernel, s.CPU, cfg.PeakWindow, horizon)
 		}
 	})
 	if err != nil {
@@ -113,7 +111,7 @@ func E2Utilization(cfg E2Config) (*Report, error) {
 		"CPU ≈40% avg on busiest servers (peaks to 98%), disk ≈14%; CPU is the bottleneck",
 		"server", "CPU avg", "CPU peak (5 min)", "disk avg")
 	var maxCPU, maxDisk, maxPeak float64
-	for i, s := range lc.Cell.Servers {
+	for i, s := range lc.cell.Servers {
 		cpu, disk := lc.windowUtil(s)
 		peak := gauges[i].Peak()
 		r.addRow(s.Vice.Name(), pct(cpu), pct(peak), pct(disk))
@@ -153,24 +151,21 @@ func DefaultE3() E3Config {
 // E3HitRatio reproduces "an average cache hit ratio of over 80% during
 // actual use".
 func E3HitRatio(cfg E3Config) (*Report, error) {
-	lc, err := BuildLoadedCell(cfg.Load)
+	lc, err := buildLoadedCell(cfg.Load)
 	if err != nil {
 		return nil, err
 	}
-	if err := lc.Drive(cfg.Load, cfg.Warm, cfg.Measure); err != nil {
+	if err := lc.drive(cfg.Load, cfg.Warm, cfg.Measure, nil); err != nil {
 		return nil, err
 	}
 	total := lc.aggregateStats()
 	r := newReport("E3", "Workstation cache hit ratio",
 		"average cache hit ratio over 80% during actual use",
 		"metric", "paper", "measured")
-	ratio := total.HitRatio()
-	r.addRow("hit ratio", ">80%", pct(ratio))
-	r.addRow("opens", "—", fmt.Sprintf("%d", total.Opens))
-	r.addRow("whole-file fetches", "—", fmt.Sprintf("%d", total.Fetches))
-	r.addRow("bytes fetched", "—", fmt.Sprintf("%d", total.BytesFetched))
-	r.Metrics["hit_ratio"] = ratio
-	r.Metrics["opens"] = float64(total.Opens)
+	r.row("hit ratio", text(">80%"), share("hit_ratio", total.HitRatio()))
+	r.row("opens", text("—"), count("opens", total.Opens))
+	r.row("whole-file fetches", text("—"), count("", total.Fetches))
+	r.row("bytes fetched", text("—"), count("", total.BytesFetched))
 	return r, nil
 }
 
@@ -190,76 +185,44 @@ func DefaultE4() E4Config {
 // files local, and about 80% longer when every file comes from an unloaded
 // Vice server.
 func E4AndrewBenchmark(cfg E4Config) (*Report, error) {
-	// Local run: source and target both on the workstation's own disk.
 	cell := itcfs.NewCell(itcfs.CellConfig{Mode: cfg.Mode, Clusters: 1})
-	var provisionErr error
-	cell.Run(func(p *sim.Proc) {
-		admin, err := cell.Admin(p, 0)
-		if err != nil {
-			provisionErr = err
-			return
+	err := provision(cell, "bench")
+	if err != nil {
+		return nil, err
+	}
+	var local, remote, warm workload.PhaseTimes
+	// Local run: source and target both on the workstation's own disk.
+	_, err = station(cell, 0, "bench-local", "bench", func(p *sim.Proc, ws *itcfs.Workstation) (err error) {
+		if _, err = workload.GenerateTree(p, ws.FS, "/src", cfg.Andrew); err != nil {
+			return err
 		}
-		provisionErr = admin.NewUser(p, "bench", "pw", 0)
+		local, err = workload.RunAndrew(p, ws.FS, "/src", "/dst", cfg.Andrew)
+		return err
 	})
-	if provisionErr != nil {
-		return nil, provisionErr
-	}
-
-	runOne := func(ws *itcfs.Workstation, src, dst string, generate bool) (workload.PhaseTimes, error) {
-		var pt workload.PhaseTimes
-		var err error
-		cell.Run(func(p *sim.Proc) {
-			if lerr := ws.Login(p, "bench", "pw"); lerr != nil {
-				err = lerr
-				return
-			}
-			if generate {
-				if _, gerr := workload.GenerateTree(p, ws.FS, src, cfg.Andrew); gerr != nil {
-					err = gerr
-					return
-				}
-			}
-			pt, err = workload.RunAndrew(p, ws.FS, src, dst, cfg.Andrew)
-		})
-		return pt, err
-	}
-
-	localWS := cell.AddWorkstation(0, "bench-local")
-	local, err := runOne(localWS, "/src", "/dst", true)
 	if err != nil {
 		return nil, fmt.Errorf("local run: %w", err)
 	}
-	// The remote source tree is installed by a separate workstation, so the
-	// benchmark workstation's cache is genuinely cold.
-	setupWS := cell.AddWorkstation(0, "bench-setup")
-	var genErr error
-	cell.Run(func(p *sim.Proc) {
-		if genErr = setupWS.Login(p, "bench", "pw"); genErr != nil {
-			return
-		}
-		_, genErr = workload.GenerateTree(p, setupWS.FS, "/vice/usr/bench/src", cfg.Andrew)
-	})
-	if genErr != nil {
-		return nil, fmt.Errorf("remote tree: %w", genErr)
+	if _, err := andrewTree(cell, "bench-setup", cfg.Andrew); err != nil {
+		return nil, fmt.Errorf("remote tree: %w", err)
 	}
 	// Remote run: a fresh workstation; every file comes from the unloaded
 	// server.
-	remoteWS := cell.AddWorkstation(0, "bench-remote")
-	remote, err := runOne(remoteWS, "/vice/usr/bench/src", "/vice/usr/bench/dst", false)
+	remoteWS, err := station(cell, 0, "bench-remote", "bench", func(p *sim.Proc, ws *itcfs.Workstation) (err error) {
+		remote, err = workload.RunAndrew(p, ws.FS, andrewSrc, "/vice/usr/bench/dst", cfg.Andrew)
+		return err
+	})
 	if err != nil {
 		return nil, fmt.Errorf("remote run: %w", err)
 	}
 	// Warm run: the same workstation repeats the benchmark (fresh target)
 	// with the source tree already cached. In revised mode callbacks make
 	// the cached reads free; the prototype still validates each one.
-	var warm workload.PhaseTimes
-	var warmErr error
-	cell.Run(func(p *sim.Proc) {
-		warm, warmErr = workload.RunAndrew(p, remoteWS.FS,
-			"/vice/usr/bench/src", "/vice/usr/bench/dst2", cfg.Andrew)
+	err = cell.Do(func(p *sim.Proc) (err error) {
+		warm, err = workload.RunAndrew(p, remoteWS.FS, andrewSrc, "/vice/usr/bench/dst2", cfg.Andrew)
+		return err
 	})
-	if warmErr != nil {
-		return nil, fmt.Errorf("warm run: %w", warmErr)
+	if err != nil {
+		return nil, fmt.Errorf("warm run: %w", err)
 	}
 
 	r := newReport("E4", "Five-phase benchmark, local vs all-remote",
@@ -271,11 +234,8 @@ func E4AndrewBenchmark(cfg E4Config) (*Report, error) {
 		r.addRow(lp[i].Name, secs(lp[i].D), secs(rp[i].D), fmt.Sprintf("%.2fx", ratio), secs(wp[i].D))
 	}
 	overall := float64(remote.Total()) / float64(local.Total())
-	r.addRow("Total", secs(local.Total()), secs(remote.Total()),
-		fmt.Sprintf("%.2fx", overall), secs(warm.Total()))
-	r.Metrics["local_s"] = local.Total().Seconds()
-	r.Metrics["remote_s"] = remote.Total().Seconds()
-	r.Metrics["warm_s"] = warm.Total().Seconds()
+	r.row("Total", seconds("local_s", local.Total()), seconds("remote_s", remote.Total()),
+		float("", "%.2fx", overall), seconds("warm_s", warm.Total()))
 	r.Metrics["overhead"] = overall - 1
 	r.Metrics["warm_overhead"] = float64(warm.Total())/float64(local.Total()) - 1
 	return r, nil
@@ -320,87 +280,70 @@ func E5Scalability(cfg E5Config) (*Report, error) {
 		if n == cfg.LoadWS[0] {
 			base = elapsed
 		}
-		ratio := float64(elapsed) / float64(base)
-		r.addRow(fmt.Sprintf("%d", n), secs(elapsed), fmt.Sprintf("%.2fx", ratio), pct(cpu))
-		r.Metrics[fmt.Sprintf("t_%d", n)] = elapsed.Seconds()
-		r.Metrics[fmt.Sprintf("ratio_%d", n)] = ratio
+		r.row(fmt.Sprintf("%d", n), seconds(fmt.Sprintf("t_%d", n), elapsed),
+			float(fmt.Sprintf("ratio_%d", n), "%.2fx", float64(elapsed)/float64(base)), share("", cpu))
 	}
 	return r, nil
 }
 
 // e5Point runs the benchmark with n load workstations on one server.
 func e5Point(cfg E5Config, n int) (time.Duration, float64, error) {
-	load := LoadConfig{
-		Mode:     cfg.Mode,
-		Clusters: 1,
-		UsersPer: n,
-		Seed:     7,
-		Drive:    cfg.Drive,
-	}
-	if n == 0 {
-		load.UsersPer = 0
-	}
-	lc, err := BuildLoadedCell(load)
+	lc, ws, err := e5Cell(cfg, n)
 	if err != nil {
 		return 0, 0, err
 	}
-	cell := lc.Cell
-	var provisionErr error
-	cell.Run(func(p *sim.Proc) {
-		admin, err := cell.Admin(p, 0)
-		if err != nil {
-			provisionErr = err
-			return
-		}
-		provisionErr = admin.NewUser(p, "bench", "pw", 0)
-	})
-	if provisionErr != nil {
-		return 0, 0, provisionErr
-	}
-	ws := cell.AddWorkstation(0, "bench-ws")
+	return e5Run(cfg, lc, ws)
+}
 
-	// Generate the remote source tree before measuring.
-	var genErr error
-	cell.Run(func(p *sim.Proc) {
-		if err := ws.Login(p, "bench", "pw"); err != nil {
-			genErr = err
-			return
-		}
-		_, genErr = workload.GenerateTree(p, ws.FS, "/vice/usr/bench/src", cfg.Andrew)
-	})
-	if genErr != nil {
-		return 0, 0, genErr
+// e5Cell builds one sweep point's cell: n load users at their stations, and
+// the benchmark's source tree installed from the station that will run it.
+func e5Cell(cfg E5Config, n int) (*loadedCell, *itcfs.Workstation, error) {
+	lc, err := buildLoadedCell(LoadConfig{Mode: cfg.Mode, Clusters: 1, UsersPer: n, Seed: 7, Drive: cfg.Drive})
+	if err != nil {
+		return nil, nil, err
 	}
+	if err := provision(lc.cell, "bench"); err != nil {
+		return nil, nil, err
+	}
+	ws, err := andrewTree(lc.cell, "bench-ws", cfg.Andrew)
+	return lc, ws, err
+}
 
-	// Load users run continuously; the benchmark runs once among them.
+// e5Run measures the benchmark at ws while the load users run continuously
+// around it. A load driver that fails stops offering load, so its first error
+// fails the point: the row would claim more load than was applied.
+func e5Run(cfg E5Config, lc *loadedCell, ws *itcfs.Workstation) (time.Duration, float64, error) {
+	cell := lc.cell
 	lc.resetResourceWindow(cell.Servers[0])
 	var bench workload.PhaseTimes
-	var benchErr error
+	var benchErr, loadErr error
 	done := false
-	for i, name := range lc.Users {
-		i, name := i, name
+	for i, name := range lc.users {
 		drv := cfg.Drive
 		drv.Seed = 500 + int64(i)
 		u := workload.NewUser(name, "/usr/"+name, drv)
-		lc.Cell.Kernel.Spawn("load-"+name, func(p *sim.Proc) {
+		cell.Kernel.Spawn("load-"+name, func(p *sim.Proc) {
 			for !done {
-				if err := u.Step(p, lc.WS[i].FS); err != nil {
+				if err := u.Step(p, lc.ws[i].FS); err != nil {
+					if loadErr == nil {
+						loadErr = fmt.Errorf("driver %s: %w", name, err)
+					}
 					return
 				}
 			}
 		})
 	}
 	cell.Kernel.Spawn("bench", func(p *sim.Proc) {
-		bench, benchErr = workload.RunAndrew(p, ws.FS, "/vice/usr/bench/src", "/vice/usr/bench/dst", cfg.Andrew)
+		bench, benchErr = workload.RunAndrew(p, ws.FS, andrewSrc, "/vice/usr/bench/dst", cfg.Andrew)
 		done = true
 	})
 	cell.Kernel.Run()
+	if loadErr != nil {
+		return 0, 0, loadErr
+	}
 	if benchErr != nil {
 		return 0, 0, benchErr
 	}
 	cpu, _ := lc.windowUtil(cell.Servers[0])
 	return bench.Total(), cpu, nil
 }
-
-// ModeString names a mode for table rows.
-func ModeString(m itcfs.Mode) string { return vice.Mode(m).String() }

@@ -3,18 +3,14 @@
 // and network statistics, and renders each experiment as a table comparing
 // the paper's reported numbers with the measured reproduction.
 //
-// Experiment index (see DESIGN.md §3):
-//
-//	E1  server call-mix histogram          (validate 65%, stat 27%, fetch 4%, store 2%)
-//	E2  server CPU/disk utilization        (CPU ≈40% avg, disk ≈14%, peaks ≈98%)
-//	E3  cache hit ratio                    (>80%)
-//	E4  five-phase benchmark local/remote  (≈1000 s local, ≈80% longer remote)
-//	E5  benchmark time vs server load      (≈20 WS/server acceptable)
-//	E6  check-on-open vs callbacks         (motivates the revised design)
-//	E7  server-side vs client-side walks   (server CPU per op)
-//	E8  whole-file vs page-at-a-time       (protocol overhead, crossover)
-//	E9  read-only replication              (locality, load spread)
-//	E10 negative rights vs database update (rapid revocation)
+// The experiments are E1–E17 and SCALE, indexed in DESIGN.md §3: E1–E5
+// reproduce the paper's measurements (harness.go, experiments.go), E6–E10 are
+// the design ablations (ablations.go), E11 and E13–E17 exercise monitoring,
+// tracing, scale, telemetry, replication and observability (one file each),
+// and SCALE measures the simulator itself (scalebench.go). They share one
+// vocabulary: provisioning steps (cell.go), the hot-volume and scale cells
+// (hotcell.go, scalability.go), real-cost measurement (scalebench.go) and the
+// Report row helpers below.
 package harness
 
 import (
@@ -49,6 +45,51 @@ func newReport(id, title, claim string, header ...string) *Report {
 }
 
 func (r *Report) addRow(cells ...string) { r.Rows = append(r.Rows, cells) }
+
+// An entry is one table cell that is also, when key is set, a metric: the
+// text a reader sees and the number a test checks come from one value.
+type entry struct {
+	text, key string
+	v         float64
+}
+
+// row adds a table row of entries after label and records their metrics.
+func (r *Report) row(label string, entries ...entry) {
+	row := []string{label}
+	for _, e := range entries {
+		row = append(row, e.text)
+		if e.key != "" {
+			r.Metrics[e.key] = e.v
+		}
+	}
+	r.addRow(row...)
+}
+
+// text is an entry with no metric.
+func text(s string) entry { return entry{text: s} }
+
+// count is an integer entry.
+func count[N int | int64 | uint64](key string, n N) entry {
+	return entry{fmt.Sprint(n), key, float64(n)}
+}
+
+// share is a ratio shown as a percentage; the metric is the ratio.
+func share(key string, x float64) entry { return entry{pct(x), key, x} }
+
+// seconds is a duration shown in whole seconds; the metric is in seconds.
+func seconds(key string, d time.Duration) entry { return entry{secs(d), key, d.Seconds()} }
+
+// rounded is a duration shown rounded to unit; the metric is in (fractional)
+// milliseconds whatever the unit.
+func rounded(key string, d, unit time.Duration) entry {
+	return entry{d.Round(unit).String(), key, float64(d) / float64(time.Millisecond)}
+}
+
+// millis is a duration shown rounded to the millisecond.
+func millis(key string, d time.Duration) entry { return rounded(key, d, time.Millisecond) }
+
+// float is a number shown in the given format.
+func float(key, format string, v float64) entry { return entry{fmt.Sprintf(format, v), key, v} }
 
 // Print renders the report as an aligned text table.
 func (r *Report) Print(w io.Writer) {
@@ -92,33 +133,29 @@ func pct(x float64) string { return fmt.Sprintf("%.1f%%", 100*x) }
 // secs formats a duration in whole seconds.
 func secs(d time.Duration) string { return fmt.Sprintf("%.0f s", d.Seconds()) }
 
-// LoadedCell is a provisioned cell with system binaries and per-user home
+// loadedCell is a provisioned cell with system binaries and per-user home
 // volumes, ready for synthetic load.
-type LoadedCell struct {
-	Cell  *itcfs.Cell
-	Users []string
-	// WS[i] is user i's workstation; user i's home server is the cluster
-	// server of WS[i]'s cluster.
-	WS []*itcfs.Workstation
-	// SysRoot is the Vice directory drivers read system binaries from: the
+type loadedCell struct {
+	cell  *itcfs.Cell
+	users []string
+	// ws[i] is user i's workstation; user i's home server is the cluster
+	// server of ws[i]'s cluster.
+	ws []*itcfs.Workstation
+	// sysRoot is the Vice directory drivers read system binaries from: the
 	// read-write volume, or its read-only replicated clone.
-	SysRoot string
+	sysRoot string
 	marks   map[*itcfs.Server]windowMark
 }
 
 // LoadConfig sizes a loaded cell.
 type LoadConfig struct {
-	Mode       itcfs.Mode
-	Clusters   int
-	UsersPer   int // users (each with a workstation) per cluster
-	Seed       int64
-	Drive      workload.Config // per-user driver shape (Seed is overridden)
-	CacheFiles int
-	CacheBytes int64
-	// ReplicateSys clones the system-binary volume read-only onto every
-	// cluster server, the deployment the paper describes for frequently
-	// read, rarely modified files (§3.2). Multi-cluster cells default to
-	// it in DefaultLoad.
+	Mode     itcfs.Mode
+	Clusters int
+	UsersPer int // users (each with a workstation) per cluster
+	Seed     int64
+	Drive    workload.Config // per-user driver shape (Seed is overridden)
+	// ReplicateSys releases the system-binary volume read-only onto every
+	// other cluster server (§3.2). Multi-cluster experiments set it.
 	ReplicateSys bool
 }
 
@@ -134,148 +171,109 @@ func DefaultLoad(mode itcfs.Mode) LoadConfig {
 	}
 }
 
-// BuildLoadedCell provisions the cell: system binaries in a shared volume,
+// buildLoadedCell provisions the cell: system binaries in a shared volume,
 // one user+volume+workstation per seat, every home populated and every
 // user logged in at their station.
-func BuildLoadedCell(cfg LoadConfig) (*LoadedCell, error) {
-	cell := itcfs.NewCell(itcfs.CellConfig{
-		Mode:       cfg.Mode,
-		Clusters:   cfg.Clusters,
-		CacheFiles: cfg.CacheFiles,
-		CacheBytes: cfg.CacheBytes,
-	})
-	lc := &LoadedCell{Cell: cell, SysRoot: cfg.Drive.SysRoot, marks: make(map[*itcfs.Server]windowMark)}
-	var setupErr error
-	cell.Run(func(p *sim.Proc) {
-		admin, err := cell.Admin(p, 0)
+func buildLoadedCell(cfg LoadConfig) (*loadedCell, error) {
+	cell := itcfs.NewCell(itcfs.CellConfig{Mode: cfg.Mode, Clusters: cfg.Clusters})
+	lc := &loadedCell{cell: cell, sysRoot: cfg.Drive.SysRoot, marks: make(map[*itcfs.Server]windowMark)}
+	err := asAdmin(cell, func(p *sim.Proc, admin *itcfs.Admin) error {
+		sysVol, err := sysVolume(p, admin, cfg.Drive.SysRoot)
 		if err != nil {
-			setupErr = err
-			return
-		}
-		if err := admin.MkdirAll(p, "/unix"); err != nil {
-			setupErr = err
-			return
-		}
-		sysVol, err := admin.CreateVolume(p, "sys.bin", cfg.Drive.SysRoot, "operator", 0)
-		if err != nil {
-			setupErr = fmt.Errorf("system volume: %w", err)
-			return
+			return fmt.Errorf("system volume: %w", err)
 		}
 		opWS := cell.AddWorkstation(0, "op-console")
-		if err := opWS.Login(p, "operator", "operator-password"); err != nil {
-			setupErr = err
-			return
+		if err := login(p, opWS, "operator"); err != nil {
+			return err
 		}
 		r := rand.New(rand.NewSource(cfg.Seed))
 		if err := workload.PopulateSystem(p, opWS.FS, cfg.Drive, r); err != nil {
-			setupErr = err
-			return
+			return err
 		}
 		if cfg.ReplicateSys {
-			// Release the binaries as a read-only clone replicated to
-			// every other cluster server; drivers read the released tree.
-			var replicas []string
-			for _, s := range cell.Servers[1:] {
-				replicas = append(replicas, s.Vice.Name())
+			// Drivers read the released tree.
+			if lc.sysRoot, err = release(p, admin, sysVol, cfg.Drive.SysRoot, cell.Servers[1:]); err != nil {
+				return fmt.Errorf("replicate system volume: %w", err)
 			}
-			roRoot := cfg.Drive.SysRoot + "-ro"
-			if _, err := admin.CloneVolume(p, sysVol, roRoot, replicas...); err != nil {
-				setupErr = fmt.Errorf("replicate system volume: %w", err)
-				return
-			}
-			lc.SysRoot = roRoot
 		}
 		for c := 0; c < cfg.Clusters; c++ {
 			for u := 0; u < cfg.UsersPer; u++ {
-				name := fmt.Sprintf("user%d-%d", c, u)
-				// The home volume lives on the user's own cluster server:
-				// custodianship placement balances load and localizes
-				// references (§3.1).
-				home := cell.Servers[c].Vice.Name()
-				if _, err := admin.NewUserAt(p, name, "pw-"+name, 0, home); err != nil {
-					setupErr = fmt.Errorf("provision %s: %w", name, err)
-					return
-				}
-				lc.Users = append(lc.Users, name)
+				lc.users = append(lc.users, fmt.Sprintf("user%d-%d", c, u))
+			}
+			// Each home volume lives on its user's own cluster server.
+			if err := newUsers(p, admin, cell.Servers[c].Vice.Name(), lc.users[c*cfg.UsersPer:]...); err != nil {
+				return err
 			}
 		}
+		return nil
 	})
-	if setupErr != nil {
-		return nil, setupErr
+	if err != nil {
+		return nil, err
 	}
 	// One workstation per user, logged in, home populated.
-	for i, name := range lc.Users {
-		cluster := i / cfg.UsersPer
-		ws := cell.AddWorkstation(cluster, "ws-"+name)
-		lc.WS = append(lc.WS, ws)
+	for i, name := range lc.users {
+		lc.ws = append(lc.ws, cell.AddWorkstation(i/cfg.UsersPer, "ws-"+name))
 	}
-	for i, name := range lc.Users {
-		i, name := i, name
-		cell.Run(func(p *sim.Proc) {
-			if err := lc.WS[i].Login(p, name, "pw-"+name); err != nil {
-				setupErr = err
-				return
+	for i, name := range lc.users {
+		drv := cfg.Drive
+		drv.Seed = cfg.Seed + int64(i)
+		drv.Think = 0
+		u := workload.NewUser(name, "/usr/"+name, drv)
+		err := cell.Do(func(p *sim.Proc) error {
+			if err := login(p, lc.ws[i], name); err != nil {
+				return err
 			}
-			drv := cfg.Drive
-			drv.Seed = cfg.Seed + int64(i)
-			drv.Think = 0
-			u := workload.NewUser(name, "/usr/"+name, drv)
-			if err := u.PopulateHome(p, lc.WS[i].FS); err != nil {
-				setupErr = fmt.Errorf("populate %s: %w", name, err)
+			if err := u.PopulateHome(p, lc.ws[i].FS); err != nil {
+				return fmt.Errorf("populate %s: %w", name, err)
 			}
+			return nil
 		})
-		if setupErr != nil {
-			return nil, setupErr
+		if err != nil {
+			return nil, err
 		}
 	}
 	return lc, nil
 }
 
-// Drive runs every user's driver concurrently for the given virtual
-// duration (after a warm-up of the same shape), then returns. Venus stats
-// are reset after warm-up so measurements cover only the steady state.
-func (lc *LoadedCell) Drive(cfg LoadConfig, warm, measure time.Duration) error {
-	return lc.DriveHook(cfg, warm, measure, nil)
-}
-
-// DriveHook is Drive with a callback invoked at the boundary between
-// warm-up and measurement — the place to attach gauges, whose self-renewing
-// tick events must not be scheduled before a kernel run that would drain
-// them through idle time.
-func (lc *LoadedCell) DriveHook(cfg LoadConfig, warm, measure time.Duration, atMeasureStart func()) error {
+// drive runs every user's driver concurrently for the given virtual duration
+// (after a warm-up of the same shape), then returns. Venus stats are reset
+// after warm-up so measurements cover only the steady state. atMeasureStart,
+// when non-nil, is called at that boundary — the place to attach gauges, whose
+// self-renewing tick events must not be scheduled before a kernel run that
+// would drain them through idle time.
+func (lc *loadedCell) drive(cfg LoadConfig, warm, measure time.Duration, atMeasureStart func()) error {
 	var driveErr error
 	run := func(until sim.Time) {
-		for i, name := range lc.Users {
-			i, name := i, name
+		for i, name := range lc.users {
 			drv := cfg.Drive
 			drv.Seed = cfg.Seed + 1000 + int64(i)
-			drv.SysRoot = lc.SysRoot
+			drv.SysRoot = lc.sysRoot
 			u := workload.NewUser(name, "/usr/"+name, drv)
-			lc.Cell.Kernel.Spawn("drive-"+name, func(p *sim.Proc) {
-				if err := u.RunUntil(p, lc.WS[i].FS, until); err != nil && driveErr == nil {
+			lc.cell.Kernel.Spawn("drive-"+name, func(p *sim.Proc) {
+				if err := u.RunUntil(p, lc.ws[i].FS, until); err != nil && driveErr == nil {
 					driveErr = fmt.Errorf("driver %s: %w", name, err)
 				}
 			})
 		}
-		lc.Cell.Kernel.Run()
+		lc.cell.Kernel.Run()
 	}
-	start := lc.Cell.Now()
+	start := lc.cell.Now()
 	if warm > 0 {
 		run(start.Add(warm))
 		if driveErr != nil {
 			return driveErr
 		}
 	}
-	for _, ws := range lc.WS {
+	for _, ws := range lc.ws {
 		ws.Venus.ResetStats()
 	}
-	for _, s := range lc.Cell.Servers {
+	for _, s := range lc.cell.Servers {
 		lc.resetResourceWindow(s)
 	}
 	if atMeasureStart != nil {
 		atMeasureStart()
 	}
-	mid := lc.Cell.Now()
+	mid := lc.cell.Now()
 	run(mid.Add(measure))
 	return driveErr
 }
@@ -289,7 +287,7 @@ type windowMark struct {
 	calls map[rpc.Op]int64
 }
 
-func (lc *LoadedCell) resetResourceWindow(s *itcfs.Server) {
+func (lc *loadedCell) resetResourceWindow(s *itcfs.Server) {
 	lc.marks[s] = windowMark{
 		at:    s.CPU.Kernel().Now(),
 		cpu:   s.CPU.BusyTime(),
@@ -299,7 +297,7 @@ func (lc *LoadedCell) resetResourceWindow(s *itcfs.Server) {
 }
 
 // windowUtil returns CPU and disk utilization since the last reset.
-func (lc *LoadedCell) windowUtil(s *itcfs.Server) (cpu, disk float64) {
+func (lc *loadedCell) windowUtil(s *itcfs.Server) (cpu, disk float64) {
 	m, ok := lc.marks[s]
 	if !ok {
 		return s.CPU.Utilization(0), s.Disk.Utilization(0)
@@ -313,9 +311,9 @@ func (lc *LoadedCell) windowUtil(s *itcfs.Server) (cpu, disk float64) {
 }
 
 // aggregateStats sums Venus counters over all workstations.
-func (lc *LoadedCell) aggregateStats() itcfs.Stats {
+func (lc *loadedCell) aggregateStats() itcfs.Stats {
 	var total itcfs.Stats
-	for _, ws := range lc.WS {
+	for _, ws := range lc.ws {
 		s := ws.Venus.Stats()
 		total.Opens += s.Opens
 		total.Hits += s.Hits
@@ -333,12 +331,12 @@ func (lc *LoadedCell) aggregateStats() itcfs.Stats {
 	return total
 }
 
-// CallMix aggregates server histograms over the measured window into
+// callMix aggregates server histograms over the measured window into
 // fractions of total calls, grouped by human-readable op name.
-func (lc *LoadedCell) CallMix() (map[string]float64, int64) {
+func (lc *loadedCell) callMix() (map[string]float64, int64) {
 	counts := map[rpc.Op]int64{}
 	var total int64
-	for _, s := range lc.Cell.Servers {
+	for _, s := range lc.cell.Servers {
 		base := map[rpc.Op]int64{}
 		if m, ok := lc.marks[s]; ok && m.calls != nil {
 			base = m.calls

@@ -3,17 +3,13 @@ package harness
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
-	"runtime"
 	"strings"
 	"time"
 
 	"itcfs"
 	"itcfs/internal/monitor"
-	"itcfs/internal/sim"
 	"itcfs/internal/trace"
 )
 
@@ -30,7 +26,7 @@ import (
 // burn-rate evaluation attached, and requires at least one slo.breach flight
 // event whose embedded exemplar critical path names the saturated server.
 // BENCH_obs.json, emitted here and committed at the repo root, records both
-// legs; ci.sh re-emits the 10k point and compares the schema.
+// legs; ci.sh runs the 10k point and a test holds the file to these types.
 
 // E17Config sizes the observability bench.
 type E17Config struct {
@@ -45,19 +41,10 @@ type E17Config struct {
 }
 
 // E17BreachConfig sizes the seeded hot-volume breach leg — an E15-shaped
-// two-cluster cell driven into saturation with the SLO layer attached.
+// two-cluster cell (a calm phase, then a hot one) driven into saturation with
+// the SLO layer attached.
 type E17BreachConfig struct {
-	Seed            int64
-	Cadence         time.Duration
-	Phase           time.Duration // length of each load phase (calm, then hot)
-	HotReaders      int
-	WarmReaders     int
-	LightPerCluster int
-	Files           int
-	FileBytes       int
-	HotThink        time.Duration
-	WarmThink       time.Duration
-	LightThink      time.Duration
+	HotCellConfig
 	// Objective/Target/Window/BreachBurn configure the venus.open SLO.
 	Objective  time.Duration
 	Target     float64
@@ -65,53 +52,38 @@ type E17BreachConfig struct {
 	BreachBurn float64
 	// SampleRate/SlowKeep shape the breach cell's trace policy — sampled, so
 	// the breach attribution exercises the exemplar path, not full retention.
-	SampleRate   int
-	SlowKeep     time.Duration
-	FlightEvents int
-	Detect       monitor.OverloadConfig
+	SampleRate int
+	SlowKeep   time.Duration
 }
 
 // DefaultE17 returns the standard configuration: the tentpole's 10k/30k
 // ablation at rate-1024 sampling, and the E15-quick-shaped breach cell.
 func DefaultE17() E17Config {
+	hot := DefaultE15().HotCellConfig
+	hot.Cadence = 15 * time.Second
+	hot.Phase = 150 * time.Second
 	return E17Config{
 		Clients:  []int{10000, 30000},
 		Rate:     1024,
 		SlowKeep: 5 * time.Minute,
 		Seed:     17,
 		Breach: E17BreachConfig{
-			Seed:            1,
-			Cadence:         15 * time.Second,
-			Phase:           150 * time.Second,
-			HotReaders:      6,
-			WarmReaders:     4,
-			LightPerCluster: 2,
-			Files:           6,
-			FileBytes:       8 << 10,
-			HotThink:        1700 * time.Millisecond,
-			WarmThink:       1250 * time.Millisecond,
-			LightThink:      1200 * time.Millisecond,
-			Objective:       250 * time.Millisecond,
-			Target:          0.95,
-			Window:          4,
-			BreachBurn:      2.0,
-			SampleRate:      4,
-			SlowKeep:        2 * time.Second,
-			FlightEvents:    512,
-			Detect:          monitor.DefaultOverloadConfig(),
+			HotCellConfig: hot,
+			Objective:     250 * time.Millisecond,
+			Target:        0.95,
+			Window:        4,
+			BreachBurn:    2.0,
+			SampleRate:    4,
+			SlowKeep:      2 * time.Second,
 		},
 	}
 }
 
-// ObsLeg is one tracing mode measured at one client count.
+// ObsLeg is one tracing mode measured at one client count; its unit costs
+// normalize by the simulated client-hours, mirroring BENCH_scale.json.
 type ObsLeg struct {
-	Mode        string  `json:"mode"` // off | sampled | full
-	WallSeconds float64 `json:"wall_seconds"`
-	Allocs      uint64  `json:"allocs"`
-	// WallPerClientHour and AllocsPerClientHour normalize by the simulated
-	// client-hours, mirroring BENCH_scale.json.
-	WallPerClientHour   float64 `json:"wall_seconds_per_client_hour"`
-	AllocsPerClientHour float64 `json:"allocs_per_client_hour"`
+	Mode string `json:"mode"` // off | sampled | full
+	RealCost
 	// SpansKept is how many spans the tracer retained over the whole run —
 	// the retention the sampling policy is bounding.
 	SpansKept int `json:"spans_kept"`
@@ -169,9 +141,6 @@ func RunObsBench(cfg E17Config) (*ObsBench, error) {
 	if len(cfg.Clients) == 0 {
 		cfg = DefaultE17()
 	}
-	if cfg.Reps <= 0 {
-		cfg.Reps = 1
-	}
 	if cfg.Rate <= 1 {
 		cfg.Rate = 1024
 	}
@@ -196,38 +165,25 @@ func RunObsBench(cfg E17Config) (*ObsBench, error) {
 		var baseElapsed time.Duration
 		var baseFP string
 		for _, mode := range obsLegModes {
-			best := ObsLeg{}
-			var bestElapsed time.Duration
-			var bestFP string
-			for rep := 0; rep < cfg.Reps; rep++ {
-				leg, fp, elapsed, err := measureObsLeg(e14, n, mode, cfg)
-				if err != nil {
-					return nil, fmt.Errorf("obs bench %s at %d clients: %w", mode, n, err)
-				}
-				if rep == 0 || leg.WallSeconds < best.WallSeconds {
-					best, bestFP, bestElapsed = leg, fp, elapsed
-				}
+			leg, fp, elapsed, err := measureObsLeg(e14, n, mode, cfg)
+			if err != nil {
+				return nil, fmt.Errorf("obs bench %s at %d clients: %w", mode, n, err)
 			}
 			if mode == "off" {
-				baseElapsed, baseFP = bestElapsed, bestFP
-				pt.ClientHours = round3(float64(n) * bestElapsed.Seconds() / 3600)
+				baseElapsed, baseFP = elapsed, fp
+				pt.ClientHours = round3(clientHours(n, elapsed))
 			} else {
 				// The inertness guard: tracing may cost real time, never
 				// virtual time or a single metric count.
-				if bestElapsed != baseElapsed {
+				if elapsed != baseElapsed {
 					return nil, fmt.Errorf("obs bench at %d clients: %s leg took %v virtual, off took %v — tracing perturbed the workload",
-						n, mode, bestElapsed, baseElapsed)
+						n, mode, elapsed, baseElapsed)
 				}
-				if bestFP != baseFP {
+				if fp != baseFP {
 					return nil, fmt.Errorf("obs bench at %d clients: %s leg's metrics registry diverged from off — tracing perturbed the workload", n, mode)
 				}
 			}
-			ch := float64(n) * bestElapsed.Seconds() / 3600
-			if ch > 0 {
-				best.WallPerClientHour = round6(best.WallSeconds / ch)
-				best.AllocsPerClientHour = round3(float64(best.Allocs) / ch)
-			}
-			pt.Legs = append(pt.Legs, best)
+			pt.Legs = append(pt.Legs, leg)
 		}
 		off, sampled, full := pt.Legs[0], pt.Legs[1], pt.Legs[2]
 		if off.WallSeconds > 0 {
@@ -246,10 +202,9 @@ func RunObsBench(cfg E17Config) (*ObsBench, error) {
 	return ob, nil
 }
 
-// measureObsLeg runs the sharded quick mix once at n clients in one tracing
-// mode, measuring wall time and allocations around the whole run, and
-// returning the registry fingerprint and virtual elapsed time for the
-// inertness guard.
+// measureObsLeg measures the sharded quick mix at n clients in one tracing
+// mode (best of cfg.Reps), returning the registry fingerprint and virtual
+// elapsed time for the inertness guard.
 func measureObsLeg(e14 E14Config, n int, mode string, cfg E17Config) (ObsLeg, string, time.Duration, error) {
 	mut := func(cc *itcfs.CellConfig) {
 		switch mode {
@@ -263,27 +218,20 @@ func measureObsLeg(e14 E14Config, n int, mode string, cfg E17Config) (ObsLeg, st
 			cc.Trace = true // no policy = keep every root
 		}
 	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	start := time.Now() //itcvet:allow wallclock -- the obs bench measures real elapsed time by design
-	cell, elapsed, err := scaleRun(e14, n, mut)
+	var cell *itcfs.Cell
+	cost, elapsed, err := measureCost(n, cfg.Reps, func() (elapsed time.Duration, err error) {
+		cell, elapsed, err = scaleRun(e14, n, mut)
+		return elapsed, err
+	})
 	if err != nil {
 		return ObsLeg{}, "", 0, err
-	}
-	wall := time.Since(start) //itcvet:allow wallclock -- the obs bench measures real elapsed time by design
-	runtime.ReadMemStats(&after)
-	leg := ObsLeg{
-		Mode:        mode,
-		WallSeconds: round3(wall.Seconds()),
-		Allocs:      after.Mallocs - before.Mallocs,
 	}
 	// Fingerprint and span count come after the measurement window so the
 	// guard itself costs the legs nothing.
 	var reg strings.Builder
 	cell.Metrics.WriteText(&reg)
 	sum := sha256.Sum256([]byte(reg.String()))
-	leg.SpansKept = len(cell.Tracer.Spans())
+	leg := ObsLeg{Mode: mode, RealCost: cost, SpansKept: len(cell.Tracer.Spans())}
 	return leg, hex.EncodeToString(sum[:]), elapsed, nil
 }
 
@@ -293,142 +241,14 @@ func measureObsLeg(e14 E14Config, n int, mode string, cfg E17Config) (ObsLeg, st
 // requires at least one slo.breach whose exemplar critical path names the
 // saturated server.
 func e17Breach(cfg E17BreachConfig) (*ObsBreach, error) {
-	cell := itcfs.NewCell(itcfs.CellConfig{
-		Mode:         itcfs.Prototype,
-		Clusters:     2,
-		Metrics:      trace.NewRegistry(),
-		FlightEvents: cfg.FlightEvents,
-		Trace:        true,
-		TracePolicy: &trace.SamplePolicy{
-			Seed:    cfg.Seed,
-			Default: trace.ClassPolicy{Rate: cfg.SampleRate, SlowKeep: cfg.SlowKeep},
-		},
-	})
-	saturated := cell.Servers[0].Vice.Name()
-
-	// Provision: public volumes on server0, background homes per cluster.
-	lightUsers := [2][]string{}
-	for c := 0; c < 2; c++ {
-		for i := 0; i < cfg.LightPerCluster; i++ {
-			lightUsers[c] = append(lightUsers[c], fmt.Sprintf("bg%d-%d", c, i))
-		}
-	}
-	var err error
-	cell.Run(func(p *sim.Proc) {
-		admin, aerr := cell.Admin(p, 0)
-		if aerr != nil {
-			err = aerr
-			return
-		}
-		if _, err = admin.NewUserAt(p, "pub-hot", "pw", 0, ""); err != nil {
-			return
-		}
-		if _, err = admin.NewUserAt(p, "pub-warm", "pw", 0, ""); err != nil {
-			return
-		}
-		for c := 0; c < 2; c++ {
-			home := cell.Servers[c].Vice.Name()
-			for _, name := range lightUsers[c] {
-				if _, err = admin.NewUserAt(p, name, "pw", 0, home); err != nil {
-					return
-				}
-			}
-		}
+	h, err := newHotCell(cfg.HotCellConfig, &trace.SamplePolicy{
+		Seed:    cfg.Seed,
+		Default: trace.ClassPolicy{Rate: cfg.SampleRate, SlowKeep: cfg.SlowKeep},
 	})
 	if err != nil {
-		return nil, fmt.Errorf("E17 breach provisioning: %w", err)
+		return nil, fmt.Errorf("E17 breach %w", err)
 	}
-
-	addGroup := func(n int, cluster int, prefix, user string) ([]*itcfs.Workstation, error) {
-		var group []*itcfs.Workstation
-		for i := 0; i < n; i++ {
-			ws := cell.AddWorkstation(cluster, fmt.Sprintf("%s%d", prefix, i))
-			group = append(group, ws)
-			u := user
-			if u == "" {
-				u = lightUsers[cluster][i]
-			}
-			var lerr error
-			cell.Run(func(p *sim.Proc) { lerr = ws.Login(p, u, "pw") })
-			if lerr != nil {
-				return nil, lerr
-			}
-		}
-		return group, nil
-	}
-	hotWS, err := addGroup(cfg.HotReaders, 1, "hot-ws", "pub-hot")
-	if err != nil {
-		return nil, err
-	}
-	warmWS, err := addGroup(cfg.WarmReaders, 1, "warm-ws", "pub-warm")
-	if err != nil {
-		return nil, err
-	}
-	bgWS := [2][]*itcfs.Workstation{}
-	for c := 0; c < 2; c++ {
-		if bgWS[c], err = addGroup(cfg.LightPerCluster, c, fmt.Sprintf("bg%d-ws", c), ""); err != nil {
-			return nil, err
-		}
-	}
-
-	populate := func(ws *itcfs.Workstation, owner string) error {
-		var werr error
-		cell.Run(func(p *sim.Proc) {
-			for f := 0; f < cfg.Files; f++ {
-				body := make([]byte, cfg.FileBytes)
-				for b := range body {
-					body[b] = byte(f)
-				}
-				if werr = ws.FS.WriteFile(p, fmt.Sprintf("/vice/usr/%s/f%d", owner, f), body); werr != nil {
-					return
-				}
-			}
-		})
-		return werr
-	}
-	if err := populate(hotWS[0], "pub-hot"); err != nil {
-		return nil, err
-	}
-	if err := populate(warmWS[0], "pub-warm"); err != nil {
-		return nil, err
-	}
-	for c := 0; c < 2; c++ {
-		for i, ws := range bgWS[c] {
-			if err := populate(ws, lightUsers[c][i]); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	stagger := make(map[*itcfs.Workstation]time.Duration)
-	for _, ws := range hotWS {
-		stagger[ws] = time.Duration(rng.Int63n(int64(cfg.HotThink)))
-	}
-	for _, ws := range warmWS {
-		stagger[ws] = time.Duration(rng.Int63n(int64(cfg.WarmThink)))
-	}
-	for c := 0; c < 2; c++ {
-		for _, ws := range bgWS[c] {
-			stagger[ws] = time.Duration(rng.Int63n(int64(cfg.LightThink)))
-		}
-	}
-
-	var loadErr error
-	reader := func(ws *itcfs.Workstation, owner string, think time.Duration, until sim.Time) {
-		cell.Kernel.Spawn("read-"+ws.Name, func(p *sim.Proc) {
-			p.Sleep(stagger[ws])
-			for f := 0; p.Now() < until; f++ {
-				if _, rerr := ws.FS.ReadFile(p, fmt.Sprintf("/vice/usr/%s/f%d", owner, f%cfg.Files)); rerr != nil {
-					if loadErr == nil {
-						loadErr = fmt.Errorf("reader %s: %w", ws.Name, rerr)
-					}
-					return
-				}
-				p.Sleep(think)
-			}
-		})
-	}
+	cell := h.cell
 
 	// Telemetry and the SLO layer on. The pre-phase Sample absorbs the
 	// provisioning traffic into the monitor's histogram baselines, so phase A
@@ -452,14 +272,9 @@ func e17Breach(cfg E17BreachConfig) (*ObsBreach, error) {
 
 	// Phase A: background only — the burn rate should idle at zero.
 	aEnd := t0.Add(cfg.Phase)
-	for c := 0; c < 2; c++ {
-		for i, ws := range bgWS[c] {
-			reader(ws, lightUsers[c][i], cfg.LightThink, aEnd.Add(2*cfg.Phase))
-		}
-	}
-	cell.Kernel.RunUntil(aEnd)
-	if loadErr != nil {
-		return nil, loadErr
+	h.spawnBackground(aEnd.Add(2 * cfg.Phase))
+	if err := h.runUntil(aEnd); err != nil {
+		return nil, err
 	}
 	if mon.Breaching(trace.SpanVenusOpen) {
 		return nil, fmt.Errorf("E17 breach: SLO breached during the calm phase")
@@ -467,15 +282,9 @@ func e17Breach(cfg E17BreachConfig) (*ObsBreach, error) {
 
 	// Phase B: the cluster-1 readers pile onto server0.
 	bEnd := aEnd.Add(cfg.Phase)
-	for _, ws := range hotWS {
-		reader(ws, "pub-hot", cfg.HotThink, bEnd)
-	}
-	for _, ws := range warmWS {
-		reader(ws, "pub-warm", cfg.WarmThink, bEnd)
-	}
-	cell.Kernel.RunUntil(bEnd)
-	if loadErr != nil {
-		return nil, loadErr
+	h.spawnShared(bEnd)
+	if err := h.runUntil(bEnd); err != nil {
+		return nil, err
 	}
 
 	// The overload detector reads the same telemetry; with UseSLO it cites
@@ -485,13 +294,11 @@ func e17Breach(cfg E17BreachConfig) (*ObsBreach, error) {
 	findings := adv.DetectOverload(sampler, cfg.Detect)
 
 	// Phase C: hot load gone — the episode should close.
-	cEnd := bEnd.Add(cfg.Phase)
-	cell.Kernel.RunUntil(cEnd)
-	if loadErr != nil {
-		return nil, loadErr
+	if err := h.runUntil(bEnd.Add(cfg.Phase)); err != nil {
+		return nil, err
 	}
 
-	br := &ObsBreach{SaturatedServer: saturated}
+	br := &ObsBreach{SaturatedServer: cell.Servers[0].Vice.Name()}
 	for _, e := range cell.Flight.Events() {
 		switch e.Kind {
 		case trace.EventSLOBreach:
@@ -518,13 +325,8 @@ func e17Breach(cfg E17BreachConfig) (*ObsBreach, error) {
 	return br, nil
 }
 
-// WriteJSON emits the bench as deterministic, indented JSON (struct field
-// order; no map keys anywhere in the schema).
-func (ob *ObsBench) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(ob)
-}
+// WriteJSON emits the bench in the form BENCH_obs.json is committed in.
+func (ob *ObsBench) WriteJSON(w io.Writer) error { return writeJSON(w, ob) }
 
 // Report renders both legs as a standard experiment table.
 func (ob *ObsBench) Report() *Report {
@@ -533,33 +335,25 @@ func (ob *ObsBench) Report() *Report {
 			"stay on without distorting what it measures",
 		"clients · leg", "wall s", "wall s/ch", "allocs/ch", "spans kept")
 	for _, pt := range ob.Points {
+		key := func(format string) string { return fmt.Sprintf(format, pt.Clients) }
 		for _, leg := range pt.Legs {
-			r.addRow(fmt.Sprintf("%d · %s", pt.Clients, leg.Mode),
-				fmt.Sprintf("%.2f", leg.WallSeconds),
-				fmt.Sprintf("%.6f", leg.WallPerClientHour),
-				fmt.Sprintf("%.1f", leg.AllocsPerClientHour),
-				fmt.Sprintf("%d", leg.SpansKept))
+			r.row(fmt.Sprintf("%d · %s", pt.Clients, leg.Mode), float("", "%.2f", leg.WallSeconds),
+				float("", "%.6f", leg.WallPerClientHour), float("", "%.1f", leg.AllocsPerClientHour),
+				count("", leg.SpansKept))
 		}
-		r.addRow(fmt.Sprintf("%d · sampled overhead", pt.Clients),
-			fmt.Sprintf("%+.1f%%", pt.SampledWallOverheadPct), "",
-			fmt.Sprintf("%+.1f", pt.SampledAllocsPerCHOver), "")
-		r.addRow(fmt.Sprintf("%d · full overhead", pt.Clients),
-			fmt.Sprintf("%+.1f%%", pt.FullWallOverheadPct), "",
-			fmt.Sprintf("%+.1f", pt.FullAllocsPerCHOver), "")
-		r.Metrics[fmt.Sprintf("sampled_wall_overhead_pct_%d", pt.Clients)] = pt.SampledWallOverheadPct
-		r.Metrics[fmt.Sprintf("sampled_allocs_per_ch_over_%d", pt.Clients)] = pt.SampledAllocsPerCHOver
-		r.Metrics[fmt.Sprintf("full_wall_overhead_pct_%d", pt.Clients)] = pt.FullWallOverheadPct
-		r.Metrics[fmt.Sprintf("spans_sampled_%d", pt.Clients)] = float64(pt.Legs[1].SpansKept)
-		r.Metrics[fmt.Sprintf("spans_full_%d", pt.Clients)] = float64(pt.Legs[2].SpansKept)
+		r.row(key("%d · sampled overhead"), float(key("sampled_wall_overhead_pct_%d"), "%+.1f%%", pt.SampledWallOverheadPct),
+			text(""), float(key("sampled_allocs_per_ch_over_%d"), "%+.1f", pt.SampledAllocsPerCHOver))
+		r.row(key("%d · full overhead"), float(key("full_wall_overhead_pct_%d"), "%+.1f%%", pt.FullWallOverheadPct),
+			text(""), float("", "%+.1f", pt.FullAllocsPerCHOver))
+		r.Metrics[key("spans_sampled_%d")] = float64(pt.Legs[1].SpansKept)
+		r.Metrics[key("spans_full_%d")] = float64(pt.Legs[2].SpansKept)
 	}
 	if br := ob.Breach; br != nil {
-		r.addRow("slo.breach events", fmt.Sprintf("%d", br.Breaches), "", "", "")
-		r.addRow("breach blamed node", br.HotNode, "", "", "")
-		r.addRow("saturated server", br.SaturatedServer, "", "", "")
-		r.addRow("peak burn rate", fmt.Sprintf("%.1fx", float64(br.BurnMilliPeak)/1000), "", "", "")
-		r.addRow("episode recovered", fmt.Sprintf("%v", br.Recovered), "", "", "")
-		r.Metrics["breaches"] = float64(br.Breaches)
-		r.Metrics["burn_milli_peak"] = float64(br.BurnMilliPeak)
+		r.row("slo.breach events", count("breaches", br.Breaches))
+		r.addRow("breach blamed node", br.HotNode)
+		r.addRow("saturated server", br.SaturatedServer)
+		r.row("peak burn rate", entry{fmt.Sprintf("%.1fx", float64(br.BurnMilliPeak)/1000), "burn_milli_peak", float64(br.BurnMilliPeak)})
+		r.addRow("episode recovered", fmt.Sprint(br.Recovered))
 		if br.HotNode == br.SaturatedServer {
 			r.Metrics["breach_named_saturated_server"] = 1
 		}

@@ -32,62 +32,46 @@ func DefaultE11() E11Config {
 // automated up to the human decision.
 func E11Rebalance(cfg E11Config) (*Report, error) {
 	cell := itcfs.NewCell(itcfs.CellConfig{Mode: itcfs.Prototype, Clusters: 2})
-	var err error
-	cell.Run(func(p *sim.Proc) {
-		admin, aerr := cell.Admin(p, 0)
-		if aerr != nil {
-			err = aerr
-			return
-		}
-		for i := 0; i < cfg.Movers; i++ {
-			// Volumes created on server0 — but the users work in cluster 1.
-			if _, err = admin.NewUserAt(p, fmt.Sprintf("mover%d", i), "pw", 0, ""); err != nil {
-				return
-			}
-		}
-	})
-	if err != nil {
+	var movers []string
+	for i := 0; i < cfg.Movers; i++ {
+		movers = append(movers, fmt.Sprintf("mover%d", i))
+	}
+	// Volumes created on server0 — but the users work in cluster 1.
+	if err := provision(cell, movers...); err != nil {
 		return nil, err
 	}
 	var stations []*itcfs.Workstation
-	for i := 0; i < cfg.Movers; i++ {
-		ws := cell.AddWorkstation(1, fmt.Sprintf("dorm%d", i))
-		stations = append(stations, ws)
-		i := i
-		cell.Run(func(p *sim.Proc) {
-			if lerr := ws.Login(p, fmt.Sprintf("mover%d", i), "pw"); lerr != nil {
-				err = lerr
-				return
-			}
+	for i, mover := range movers {
+		ws, err := station(cell, 1, fmt.Sprintf("dorm%d", i), mover, func(p *sim.Proc, ws *itcfs.Workstation) error {
 			for f := 0; f < 5; f++ {
-				if err = ws.FS.WriteFile(p, fmt.Sprintf("/vice/usr/mover%d/f%d", i, f), []byte("contents")); err != nil {
-					return
+				if err := ws.FS.WriteFile(p, fmt.Sprintf("/vice/usr/%s/f%d", mover, f), []byte("contents")); err != nil {
+					return err
 				}
 			}
+			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
+		stations = append(stations, ws)
 	}
 
 	burst := func() (time.Duration, int64, error) {
 		frames0 := cell.Net.CrossClusterFrames()
 		var total time.Duration
-		var derr error
 		for i, ws := range stations {
-			i, ws := i, ws
-			cell.Run(func(p *sim.Proc) {
+			err := cell.Do(func(p *sim.Proc) error {
 				t0 := p.Now()
 				for op := 0; op < cfg.OpsEach; op++ {
-					if _, rerr := ws.FS.ReadFile(p, fmt.Sprintf("/vice/usr/mover%d/f%d", i, op%5)); rerr != nil {
-						derr = rerr
-						return
+					if _, err := ws.FS.ReadFile(p, fmt.Sprintf("/vice/usr/%s/f%d", movers[i], op%5)); err != nil {
+						return err
 					}
 				}
 				total += p.Now().Sub(t0)
+				return nil
 			})
-			if derr != nil {
-				return 0, 0, derr
+			if err != nil {
+				return 0, 0, err
 			}
 		}
 		return total / time.Duration(len(stations)), cell.Net.CrossClusterFrames() - frames0, nil
@@ -104,17 +88,13 @@ func E11Rebalance(cfg E11Config) (*Report, error) {
 		return nil, fmt.Errorf("E11: advisor produced no recommendations")
 	}
 	// The operator applies every recommendation.
-	cell.Run(func(p *sim.Proc) {
-		admin, aerr := cell.Admin(p, 0)
-		if aerr != nil {
-			err = aerr
-			return
-		}
+	err = asAdmin(cell, func(p *sim.Proc, admin *itcfs.Admin) error {
 		for _, r := range recs {
-			if err = admin.MoveVolume(p, r.Volume, r.To); err != nil {
-				return
+			if err := admin.MoveVolume(p, r.Volume, r.To); err != nil {
+				return err
 			}
 		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -127,13 +107,8 @@ func E11Rebalance(cfg E11Config) (*Report, error) {
 	r := newReport("E11", "Monitoring tools: detect and repair misplaced volumes",
 		"monitor access patterns, recommend reassignment, operator applies it (§3.6)",
 		"metric", "before rebalancing", "after")
-	r.addRow("volumes recommended to move", fmt.Sprintf("%d", len(recs)), "0 (all applied)")
-	r.addRow("cross-cluster frames per burst", fmt.Sprintf("%d", beforeFrames), fmt.Sprintf("%d", afterFrames))
-	r.addRow("mean user burst time", beforeTime.Round(time.Millisecond).String(), afterTime.Round(time.Millisecond).String())
-	r.Metrics["recommendations"] = float64(len(recs))
-	r.Metrics["frames_before"] = float64(beforeFrames)
-	r.Metrics["frames_after"] = float64(afterFrames)
-	r.Metrics["time_before_ms"] = float64(beforeTime) / float64(time.Millisecond)
-	r.Metrics["time_after_ms"] = float64(afterTime) / float64(time.Millisecond)
+	r.row("volumes recommended to move", count("recommendations", len(recs)), text("0 (all applied)"))
+	r.row("cross-cluster frames per burst", count("frames_before", beforeFrames), count("frames_after", afterFrames))
+	r.row("mean user burst time", millis("time_before_ms", beforeTime), millis("time_after_ms", afterTime))
 	return r, nil
 }

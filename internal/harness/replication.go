@@ -47,7 +47,7 @@ type E16Config struct {
 // while readers in every cluster and an Andrew run are consuming the
 // released tree.
 func DefaultE16() E16Config {
-	andrew := DefaultAndrew()
+	andrew := workload.DefaultAndrew()
 	andrew.Files = 24
 	andrew.Dirs = 3
 	andrew.MeanFileBytes = 4 << 10
@@ -70,10 +70,6 @@ func DefaultE16() E16Config {
 		FlightEvents:      512,
 	}
 }
-
-// DefaultAndrew re-exports the calibrated Andrew shape for configs built on
-// it.
-func DefaultAndrew() workload.AndrewConfig { return workload.DefaultAndrew() }
 
 // E16Result is the experiment outcome plus the two cells, kept alive so
 // tests can inspect metrics and flight recorders.
@@ -143,37 +139,26 @@ func E16Replication(cfg E16Config) (*E16Result, error) {
 	}
 
 	logical, physical, blocks := rep.blocks.Stats()
-	andrewCell := func(l *e16Leg) string {
+	andrewCell := func(key string, l *e16Leg) entry {
 		if l.andrewErr != nil {
-			return fmt.Sprintf("failed: %v", l.andrewErr)
+			return entry{fmt.Sprintf("failed: %v", l.andrewErr), key, 0}
 		}
-		return fmt.Sprintf("completed (%s)", secs(l.andrewTotal))
+		return entry{fmt.Sprintf("completed (%s)", secs(l.andrewTotal)), key, 1}
 	}
 	r := newReport("E16", "Read-only replication: release, failover, dedup",
 		"replicating read-only subtrees \"at many sites\" keeps them available (§3.2, §5.3)",
 		"metric", "replicated", "unreplicated")
-	r.addRow("reads attempted", fmt.Sprintf("%d", rep.attempted), fmt.Sprintf("%d", unrep.attempted))
-	r.addRow("reads failed", fmt.Sprintf("%d", rep.failed), fmt.Sprintf("%d", unrep.failed))
+	r.row("reads attempted", count("attempted_replicated", rep.attempted), count("attempted_unreplicated", unrep.attempted))
+	r.row("reads failed", count("failed_replicated", rep.failed), count("failed_unreplicated", unrep.failed))
 	r.addRow("… by replica-local readers", fmt.Sprintf("%d of %d", rep.localFailed, rep.localAttempted),
 		fmt.Sprintf("%d of %d", unrep.localFailed, unrep.localAttempted))
-	r.addRow("Venus failovers", fmt.Sprintf("%d", rep.failovers), fmt.Sprintf("%d", unrep.failovers))
-	r.addRow("release installs pushed", fmt.Sprintf("%d", rep.releaseInstalls), fmt.Sprintf("%d", unrep.releaseInstalls))
-	r.addRow("Andrew run over released tree", andrewCell(rep), andrewCell(unrep))
-	r.addRow("dedup ratio (system binaries)",
-		fmt.Sprintf("%.2fx (%d KB over %d KB, %d blocks)", ratio, logical>>10, physical>>10, blocks),
-		fmt.Sprintf("%.2fx", unrep.blocks.Ratio()))
-	r.addRow("flight events recorded", fmt.Sprintf("%d", rep.cell.Flight.Total()),
-		fmt.Sprintf("%d", unrep.cell.Flight.Total()))
-
-	r.Metrics["attempted_replicated"] = float64(rep.attempted)
-	r.Metrics["failed_replicated"] = float64(rep.failed)
-	r.Metrics["attempted_unreplicated"] = float64(unrep.attempted)
-	r.Metrics["failed_unreplicated"] = float64(unrep.failed)
-	r.Metrics["failovers_replicated"] = float64(rep.failovers)
-	r.Metrics["release_installs"] = float64(rep.releaseInstalls)
-	r.Metrics["dedup_ratio"] = ratio
-	r.Metrics["andrew_ok_replicated"] = boolMetric(rep.andrewErr == nil)
-	r.Metrics["andrew_ok_unreplicated"] = boolMetric(unrep.andrewErr == nil)
+	r.row("Venus failovers", count("failovers_replicated", rep.failovers), count("", unrep.failovers))
+	r.row("release installs pushed", count("release_installs", rep.releaseInstalls), count("", unrep.releaseInstalls))
+	r.row("Andrew run over released tree", andrewCell("andrew_ok_replicated", rep), andrewCell("andrew_ok_unreplicated", unrep))
+	r.row("dedup ratio (system binaries)",
+		entry{fmt.Sprintf("%.2fx (%d KB over %d KB, %d blocks)", ratio, logical>>10, physical>>10, blocks), "dedup_ratio", ratio},
+		float("", "%.2fx", unrep.blocks.Ratio()))
+	r.row("flight events recorded", count("", rep.cell.Flight.Total()), count("", unrep.cell.Flight.Total()))
 
 	return &E16Result{
 		Report:       r,
@@ -181,13 +166,6 @@ func E16Replication(cfg E16Config) (*E16Result, error) {
 		Unreplicated: unrep.cell,
 		DedupRatio:   ratio,
 	}, nil
-}
-
-func boolMetric(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // e16RunLeg provisions one cell, releases the binaries (with or without
@@ -214,34 +192,22 @@ func e16RunLeg(cfg E16Config, replicate bool) (*e16Leg, error) {
 	drive.SysFiles = cfg.SysFiles
 	srcRW := "/vice" + drive.SysRoot + "/src"
 	var sysVol uint32
-	var err error
-	cell.Run(func(p *sim.Proc) {
-		admin, aerr := cell.Admin(p, 0)
-		if aerr != nil {
-			err = aerr
-			return
+	err := asAdmin(cell, func(p *sim.Proc, admin *itcfs.Admin) (err error) {
+		if sysVol, err = sysVolume(p, admin, drive.SysRoot); err != nil {
+			return err
 		}
-		if err = admin.MkdirAll(p, "/unix"); err != nil {
-			return
-		}
-		if sysVol, err = admin.CreateVolume(p, "sys.bin", drive.SysRoot, "operator", 0); err != nil {
-			return
-		}
-		_, err = admin.NewUserAt(p, "andrew", "pw", 0, cell.Servers[1].Vice.Name())
+		return newUsers(p, admin, cell.Servers[1].Vice.Name(), "andrew")
 	})
 	if err != nil {
 		return nil, fmt.Errorf("provision: %w", err)
 	}
-	opWS := cell.AddWorkstation(0, "op-console")
-	cell.Run(func(p *sim.Proc) {
-		if err = opWS.Login(p, "operator", "operator-password"); err != nil {
-			return
-		}
+	_, err = station(cell, 0, "op-console", "operator", func(p *sim.Proc, ws *itcfs.Workstation) error {
 		r := rand.New(rand.NewSource(cfg.Seed))
-		if err = workload.PopulateSystem(p, opWS.FS, drive, r); err != nil {
-			return
+		if err := workload.PopulateSystem(p, ws.FS, drive, r); err != nil {
+			return err
 		}
-		_, err = workload.GenerateTree(p, opWS.FS, srcRW, cfg.Andrew)
+		_, err := workload.GenerateTree(p, ws.FS, srcRW, cfg.Andrew)
+		return err
 	})
 	if err != nil {
 		return nil, fmt.Errorf("populate: %w", err)
@@ -249,20 +215,14 @@ func e16RunLeg(cfg E16Config, replicate bool) (*e16Leg, error) {
 
 	// Release. The read-only clone mounts beside the read-write volume; in
 	// the replicated leg it is also pushed to every other cluster server.
-	roRoot := drive.SysRoot + "-ro"
-	var replicas []string
+	var onto []*itcfs.Server
 	if replicate {
-		for _, s := range cell.Servers[1:] {
-			replicas = append(replicas, s.Vice.Name())
-		}
+		onto = cell.Servers[1:]
 	}
-	cell.Run(func(p *sim.Proc) {
-		admin, aerr := cell.Admin(p, 0)
-		if aerr != nil {
-			err = aerr
-			return
-		}
-		_, err = admin.CloneVolume(p, sysVol, roRoot, replicas...)
+	var roRoot string
+	err = asAdmin(cell, func(p *sim.Proc, admin *itcfs.Admin) (err error) {
+		roRoot, err = release(p, admin, sysVol, drive.SysRoot, onto)
+		return err
 	})
 	if err != nil {
 		return nil, fmt.Errorf("release: %w", err)
@@ -272,24 +232,21 @@ func e16RunLeg(cfg E16Config, replicate bool) (*e16Leg, error) {
 	// Stations: readers in every cluster (logged in as the operator — the
 	// released tree is world-readable) plus the Andrew runner next to its
 	// home server in cluster 1.
-	type station struct {
+	type reader struct {
 		ws    *itcfs.Workstation
 		local bool // homed on a server that carries a replica
 	}
-	var readers []station
+	var readers []reader
 	for c := 0; c < cfg.Clusters; c++ {
 		for i := 0; i < cfg.ReadersPerCluster; i++ {
-			ws := cell.AddWorkstation(c, fmt.Sprintf("read%d-%d", c, i))
-			var lerr error
-			cell.Run(func(p *sim.Proc) { lerr = ws.Login(p, "operator", "operator-password") })
-			if lerr != nil {
-				return nil, lerr
+			ws, err := station(cell, c, fmt.Sprintf("read%d-%d", c, i), "operator", nil)
+			if err != nil {
+				return nil, err
 			}
-			readers = append(readers, station{ws: ws, local: replicate && c > 0})
+			readers = append(readers, reader{ws: ws, local: replicate && c > 0})
 		}
 	}
-	andrewWS := cell.AddWorkstation(1, "andrew-ws")
-	cell.Run(func(p *sim.Proc) { err = andrewWS.Login(p, "andrew", "pw") })
+	andrewWS, err := station(cell, 1, "andrew-ws", "andrew", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -299,7 +256,10 @@ func e16RunLeg(cfg E16Config, replicate bool) (*e16Leg, error) {
 	// replicating "at many sites"; this cell leaves them on server0, so a
 	// workstation that never resolved /usr before the crash would lose it
 	// with the custodian — a real exposure, but not the one E16 measures.
-	cell.Run(func(p *sim.Proc) { _, err = andrewWS.FS.ReadDir(p, "/vice/usr/andrew") })
+	err = cell.Do(func(p *sim.Proc) error {
+		_, err := andrewWS.FS.ReadDir(p, "/vice/usr/andrew")
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -310,7 +270,6 @@ func e16RunLeg(cfg E16Config, replicate bool) (*e16Leg, error) {
 	start := cell.Now()
 	until := start.Add(cfg.Window)
 	for _, st := range readers {
-		st := st
 		stagger := time.Duration(rng.Int63n(int64(cfg.Think)))
 		cell.Kernel.Spawn("read-"+st.ws.Name, func(p *sim.Proc) {
 			p.Sleep(stagger)

@@ -9,7 +9,6 @@ import (
 	"itcfs/internal/rpc"
 	"itcfs/internal/sim"
 	"itcfs/internal/trace"
-	"itcfs/internal/venus"
 	"itcfs/internal/workload"
 )
 
@@ -77,27 +76,18 @@ func E14Scalability(cfg E14Config) (*Report, error) {
 			sides[i] = s
 		}
 		un, ba := sides[0], sides[1]
-		row := func(metric, a, b string) {
-			r.addRow(fmt.Sprintf("%d · %s", n, metric), a, b)
-		}
-		row("server CPU util", pct(un.util), pct(ba.util))
-		row("p90 open latency", un.p90.Round(time.Millisecond).String(), ba.p90.Round(time.Millisecond).String())
-		row("promises broken", fmt.Sprintf("%d", un.breaks), fmt.Sprintf("%d", ba.breaks))
-		row("callback RPCs", fmt.Sprintf("%d", un.breakRPCs), fmt.Sprintf("%d", ba.breakRPCs))
-		row("RPCs per break", ratio(un.breakRPCs, un.breaks), ratio(ba.breakRPCs, ba.breaks))
-		row("revalidation RPCs", fmt.Sprintf("%d", un.revalRPCs), fmt.Sprintf("%d", ba.revalRPCs))
-		row("entries revalidated", fmt.Sprintf("%d", un.revalItems), fmt.Sprintf("%d", ba.revalItems))
-		r.Metrics[fmt.Sprintf("util_unbatched_%d", n)] = un.util
-		r.Metrics[fmt.Sprintf("util_batched_%d", n)] = ba.util
-		r.Metrics[fmt.Sprintf("p90_unbatched_ms_%d", n)] = float64(un.p90) / float64(time.Millisecond)
-		r.Metrics[fmt.Sprintf("p90_batched_ms_%d", n)] = float64(ba.p90) / float64(time.Millisecond)
-		r.Metrics[fmt.Sprintf("break_rpcs_unbatched_%d", n)] = float64(un.breakRPCs)
-		r.Metrics[fmt.Sprintf("break_rpcs_batched_%d", n)] = float64(ba.breakRPCs)
+		label := func(metric string) string { return fmt.Sprintf("%d · %s", n, metric) }
+		key := func(format string) string { return fmt.Sprintf(format, n) }
+		r.row(label("server CPU util"), share(key("util_unbatched_%d"), un.util), share(key("util_batched_%d"), ba.util))
+		r.row(label("p90 open latency"), millis(key("p90_unbatched_ms_%d"), un.p90), millis(key("p90_batched_ms_%d"), ba.p90))
+		r.row(label("promises broken"), count("", un.breaks), count("", ba.breaks))
+		r.row(label("callback RPCs"), count(key("break_rpcs_unbatched_%d"), un.breakRPCs), count(key("break_rpcs_batched_%d"), ba.breakRPCs))
+		r.addRow(label("RPCs per break"), ratio(un.breakRPCs, un.breaks), ratio(ba.breakRPCs, ba.breaks))
+		r.row(label("revalidation RPCs"), count(key("reval_rpcs_unbatched_%d"), un.revalRPCs), count(key("reval_rpcs_batched_%d"), ba.revalRPCs))
+		r.row(label("entries revalidated"), count("", un.revalItems), count("", ba.revalItems))
 		if ba.breakRPCs > 0 {
-			r.Metrics[fmt.Sprintf("break_rpc_reduction_%d", n)] = float64(un.breakRPCs) / float64(ba.breakRPCs)
+			r.Metrics[key("break_rpc_reduction_%d")] = float64(un.breakRPCs) / float64(ba.breakRPCs)
 		}
-		r.Metrics[fmt.Sprintf("reval_rpcs_unbatched_%d", n)] = float64(un.revalRPCs)
-		r.Metrics[fmt.Sprintf("reval_rpcs_batched_%d", n)] = float64(ba.revalRPCs)
 	}
 	return r, nil
 }
@@ -109,75 +99,85 @@ func ratio(a, b int64) string {
 	return fmt.Sprintf("%.2f", float64(a)/float64(b))
 }
 
-// e14Run measures one point: n clients against one cluster server, batched
-// or legacy protocol.
-func e14Run(cfg E14Config, n int, batched bool) (e14Side, error) {
-	scale := cfg.Scale
-	scale.Seed = cfg.Seed
-	reg := trace.NewRegistry()
-	cc := itcfs.CellConfig{
+// A scale cell carries the batched E14 mix, one scaleShard per cluster. E14's
+// sweep (e14Run: one cluster, every client arriving at once, either protocol)
+// and the kernel scale bench (scaleRun: a cluster per scaleClusterSize
+// clients, arrivals ramped) are two thin callers over the three steps below;
+// they stay two because they differ in what they measure and in the names
+// and seeds the committed numbers were recorded under, not in how the cell is
+// built.
+
+// scaleShard is one cluster's share of a scale cell.
+type scaleShard struct {
+	// user is the account every client of the cluster logs in as; its home
+	// volume, on the cluster's own server, holds the shared pool.
+	user string
+	// setup names the station that writes the pool and then stays idle, so
+	// every client starts cold and every client's copy is broken when a
+	// writer strikes.
+	setup string
+	mix   workload.ScaleConfig
+}
+
+// scaleCellConfig is the cell a scale run builds, on the batched protocol.
+func scaleCellConfig(cfg E14Config, clusters int) itcfs.CellConfig {
+	return itcfs.CellConfig{
 		Mode:        itcfs.Revised,
-		Clusters:    1,
+		Clusters:    clusters,
 		CallbackTTL: cfg.CallbackTTL,
-		Metrics:     reg,
+		Metrics:     trace.NewRegistry(),
 		Retry:       e14Retry(),
-	}
-	if !batched {
-		cc.UnbatchedBreaks = true
-		cc.RevalidateBatch = 1
-	} else {
 		// Let a busy server linger a few seconds before each BulkBreak
 		// drain: install bursts serialize on server CPU, so their breaks
 		// for one workstation arrive seconds apart and need a window that
 		// wide to share RPCs. Updates still reply only after delivery.
-		cc.BreakWindow = 8 * time.Second
+		BreakWindow: 8 * time.Second,
 	}
-	cell := itcfs.NewCell(cc)
-	var err error
-	cell.Run(func(p *sim.Proc) {
-		admin, aerr := cell.Admin(p, 0)
-		if aerr != nil {
-			err = aerr
-			return
+}
+
+// provisionShards creates every shard's load user in one step, then writes
+// each shard's pool from its set-up station, a step each.
+func provisionShards(cell *itcfs.Cell, shards []scaleShard) error {
+	err := asAdmin(cell, func(p *sim.Proc, admin *itcfs.Admin) error {
+		for c, sh := range shards {
+			if err := newUsers(p, admin, cell.Servers[c].Vice.Name(), sh.user); err != nil {
+				return err
+			}
 		}
-		err = admin.NewUser(p, "load", "pw", 0)
+		return nil
 	})
 	if err != nil {
-		return e14Side{}, err
+		return err
 	}
-
-	// The pool is written by a setup workstation that then stays idle, so
-	// every client starts cold and every client's copy is broken when a
-	// writer strikes.
-	setup := cell.AddWorkstation(0, "setup")
-	cell.Run(func(p *sim.Proc) {
-		if err = setup.Login(p, "load", "pw"); err != nil {
-			return
+	for c, sh := range shards {
+		_, err := station(cell, c, sh.setup, sh.user, func(p *sim.Proc, ws *itcfs.Workstation) error {
+			return workload.PopulateShared(p, ws.FS, sh.mix, rand.New(rand.NewSource(sh.mix.Seed)))
+		})
+		if err != nil {
+			return err
 		}
-		r := rand.New(rand.NewSource(cfg.Seed))
-		err = workload.PopulateShared(p, setup.FS, scale, r)
-	})
-	if err != nil {
-		return e14Side{}, err
 	}
+	return nil
+}
 
+// runScaleClients adds n stations round-robin over the shards (numbered to
+// width digits), starts client i at ramp·i/n from now — it logs in as its
+// shard's user and runs its shard's mix — and runs the cell until every
+// client is done. It returns the stations and the virtual time that took.
+func runScaleClients(cell *itcfs.Cell, shards []scaleShard, n, width int, ramp time.Duration) ([]*itcfs.Workstation, time.Duration, error) {
 	ws := make([]*itcfs.Workstation, n)
 	for i := range ws {
-		ws[i] = cell.AddWorkstation(0, fmt.Sprintf("scale-ws%04d", i))
+		ws[i] = cell.AddWorkstation(i%len(shards), fmt.Sprintf("scale-ws%0*d", width, i))
 	}
-	srv := cell.Servers[0]
-	cpu0 := srv.CPU.BusyTime()
 	t0 := cell.Now()
-	breaks0 := breaksOf(srv)
-	breakRPCs0 := srv.Vice.Callbacks().BreakRPCs()
-
 	errs := make([]error, n)
 	for i := range ws {
-		i := i
-		u := workload.NewScaleUser(i, scale)
-		cell.Kernel.SpawnAt(cell.Now(), fmt.Sprintf("scale-%04d", i), func(p *sim.Proc) {
-			if lerr := ws[i].Login(p, "load", "pw"); lerr != nil {
-				errs[i] = lerr
+		sh := &shards[i%len(shards)]
+		u := workload.NewScaleUser(i/len(shards), sh.mix)
+		start := t0.Add(ramp * time.Duration(i) / time.Duration(n))
+		cell.Kernel.SpawnAt(start, fmt.Sprintf("scale-%0*d", width, i), func(p *sim.Proc) {
+			if err := login(p, ws[i], sh.user); err != nil {
+				errs[i] = err
 				return
 			}
 			errs[i] = u.Run(p, ws[i].FS, ws[i].Venus)
@@ -186,28 +186,52 @@ func e14Run(cfg E14Config, n int, batched bool) (e14Side, error) {
 	cell.Kernel.Run()
 	for _, e := range errs {
 		if e != nil {
-			return e14Side{}, e
+			return nil, 0, e
 		}
 	}
+	return ws, cell.Now().Sub(t0), nil
+}
 
-	side := e14Side{elapsed: cell.Now().Sub(t0)}
+// e14Run measures one point: n clients against one cluster server, batched
+// or legacy protocol.
+func e14Run(cfg E14Config, n int, batched bool) (e14Side, error) {
+	cc := scaleCellConfig(cfg, 1)
+	if !batched {
+		cc.UnbatchedBreaks = true
+		cc.RevalidateBatch = 1
+		cc.BreakWindow = 0
+	}
+	cell := itcfs.NewCell(cc)
+	mix := cfg.Scale
+	mix.Seed = cfg.Seed
+	shards := []scaleShard{{user: "load", setup: "setup", mix: mix}}
+	if err := provisionShards(cell, shards); err != nil {
+		return e14Side{}, err
+	}
+
+	srv := cell.Servers[0]
+	cpu0 := srv.CPU.BusyTime()
+	breaks0 := breaksOf(srv)
+	breakRPCs0 := srv.Vice.Callbacks().BreakRPCs()
+	ws, elapsed, err := runScaleClients(cell, shards, n, 4, 0)
+	if err != nil {
+		return e14Side{}, err
+	}
+
+	side := e14Side{elapsed: elapsed}
 	if side.elapsed > 0 {
 		side.util = float64(srv.CPU.BusyTime()-cpu0) / float64(side.elapsed)
 	}
-	if h := reg.FindHistogram(trace.MetricVenusOpenLatency); h != nil {
+	if h := cell.Metrics.FindHistogram(trace.MetricVenusOpenLatency); h != nil {
 		side.p90 = h.Quantile(0.90)
 	}
 	side.breaks = breaksOf(srv) - breaks0
 	side.breakRPCs = srv.Vice.Callbacks().BreakRPCs() - breakRPCs0
-	var agg venus.Stats
 	for _, w := range ws {
 		st := w.Venus.Stats()
-		agg.Validations += st.Validations
-		agg.BulkValidations += st.BulkValidations
-		agg.Revalidated += st.Revalidated
+		side.revalRPCs += st.Validations + st.BulkValidations
+		side.revalItems += st.Revalidated
 	}
-	side.revalRPCs = agg.Validations + agg.BulkValidations
-	side.revalItems = agg.Revalidated
 	return side, nil
 }
 

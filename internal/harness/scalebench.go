@@ -4,14 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"runtime"
 	"time"
 
 	"itcfs"
-	"itcfs/internal/sim"
-	"itcfs/internal/trace"
-	"itcfs/internal/workload"
 )
 
 // Scale bench — the simulator's own performance trajectory. Every other
@@ -21,20 +17,65 @@ import (
 // The numbers gate the kernel-scale refactor (bucketed timetable, pooled
 // messages and frames, flattened receive paths): BENCH_scale.json, emitted
 // from this code and committed at the repo root, records the trajectory, and
-// ci.sh re-emits it and compares the schema so the file cannot silently rot.
+// TestCommittedBenchFilesMatchTheirTypes holds it to these types so the file
+// cannot silently rot.
+
+// RealCost is what simulating a run cost the machine: real seconds and heap
+// allocations, in total and per simulated client-hour — the two headline unit
+// costs.
+type RealCost struct {
+	WallSeconds         float64 `json:"wall_seconds"`
+	Allocs              uint64  `json:"allocs"`
+	WallPerClientHour   float64 `json:"wall_seconds_per_client_hour"`
+	AllocsPerClientHour float64 `json:"allocs_per_client_hour"`
+}
+
+// clientHours is n clients times the virtual hours their phase took — the
+// work actually simulated, and the normalizer for the unit costs.
+func clientHours(n int, elapsed time.Duration) float64 {
+	return float64(n) * elapsed.Seconds() / 3600
+}
+
+// measureCost runs a simulation of n clients and measures real time and
+// allocations around the whole of it (set-up included: at 30k clients,
+// building the cell is part of what must scale). run returns the virtual time
+// the client phase took. Of reps runs (0 = 1) it reports the fastest.
+func measureCost(n, reps int, run func() (time.Duration, error)) (best RealCost, elapsed time.Duration, err error) {
+	for rep := 0; rep == 0 || rep < reps; rep++ {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		start := time.Now() //itcvet:allow wallclock -- the scale and obs benches measure real elapsed time by design
+		if elapsed, err = run(); err != nil {
+			return RealCost{}, 0, err
+		}
+		wall := time.Since(start).Seconds() //itcvet:allow wallclock -- the scale and obs benches measure real elapsed time by design
+		runtime.ReadMemStats(&after)
+		cost := RealCost{WallSeconds: round3(wall), Allocs: after.Mallocs - before.Mallocs}
+		if ch := clientHours(n, elapsed); ch > 0 {
+			cost.WallPerClientHour = round6(wall / ch)
+			cost.AllocsPerClientHour = round3(float64(cost.Allocs) / ch)
+		}
+		if rep == 0 || cost.WallSeconds < best.WallSeconds {
+			best = cost
+		}
+	}
+	return best, elapsed, nil
+}
+
+// writeJSON emits a bench result as deterministic, indented JSON (struct
+// field order; no map keys anywhere in either schema).
+func writeJSON(w io.Writer, bench any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(bench)
+}
 
 // ScalePoint is one measured client count.
 type ScalePoint struct {
-	Clients int `json:"clients"`
-	// ClientHours is clients times the virtual hours the client phase took —
-	// the work actually simulated, and the normalizer for the two unit costs.
+	Clients     int     `json:"clients"`
 	ClientHours float64 `json:"client_hours"`
-	WallSeconds float64 `json:"wall_seconds"`
-	Allocs      uint64  `json:"allocs"`
-	// WallPerClientHour and AllocsPerClientHour are the headline unit costs:
-	// real seconds and heap allocations spent to simulate one client-hour.
-	WallPerClientHour   float64 `json:"wall_seconds_per_client_hour"`
-	AllocsPerClientHour float64 `json:"allocs_per_client_hour"`
+	RealCost
 }
 
 // ScaleImprovement compares the reference point against the pre-refactor
@@ -67,12 +108,14 @@ type ScaleBench struct {
 // driving batched E14 at 1000 clients: best of 3 runs of the same
 // measurement loop, taken via `git stash` from the refactored tree.
 var preRefactorBaseline = ScalePoint{
-	Clients:             1000,
-	ClientHours:         26392.4,
-	WallSeconds:         5.417,
-	Allocs:              14569414,
-	WallPerClientHour:   0.000205,
-	AllocsPerClientHour: 552,
+	Clients:     1000,
+	ClientHours: 26392.4,
+	RealCost: RealCost{
+		WallSeconds:         5.417,
+		Allocs:              14569414,
+		WallPerClientHour:   0.000205,
+		AllocsPerClientHour: 552,
+	},
 }
 
 // ScaleBenchConfig sizes a scale-bench run.
@@ -95,9 +138,6 @@ func RunScaleBench(cfg ScaleBenchConfig) (*ScaleBench, error) {
 	if len(cfg.Clients) == 0 {
 		cfg.Clients = DefaultScaleBench().Clients
 	}
-	if cfg.Reps <= 0 {
-		cfg.Reps = 1
-	}
 	e14 := DefaultE14()
 	if cfg.Quick {
 		// A lighter per-client mix with the same shape: enough ops to touch
@@ -116,17 +156,21 @@ func RunScaleBench(cfg ScaleBenchConfig) (*ScaleBench, error) {
 			"and goroutine-based process switches (see DESIGN.md)",
 	}
 	for _, n := range cfg.Clients {
-		best := ScalePoint{}
-		for rep := 0; rep < cfg.Reps; rep++ {
-			p, err := measureScalePoint(e14, n)
-			if err != nil {
-				return nil, fmt.Errorf("scale bench at %d clients: %w", n, err)
+		// At or below 1000 clients, the exact single-cluster e14Run the
+		// pre-refactor baseline was measured with, so the improvement ratio
+		// compares identical workloads; above that, the sharded variant.
+		cost, elapsed, err := measureCost(n, cfg.Reps, func() (time.Duration, error) {
+			if n <= 1000 {
+				side, err := e14Run(e14, n, true)
+				return side.elapsed, err
 			}
-			if rep == 0 || p.WallSeconds < best.WallSeconds {
-				best = p
-			}
+			_, elapsed, err := scaleRun(e14, n, nil)
+			return elapsed, err
+		})
+		if err != nil {
+			return nil, fmt.Errorf("scale bench at %d clients: %w", n, err)
 		}
-		sb.Points = append(sb.Points, best)
+		sb.Points = append(sb.Points, ScalePoint{Clients: n, ClientHours: round3(clientHours(n, elapsed)), RealCost: cost})
 	}
 	ref := sb.Points[0]
 	sb.Improvement = &ScaleImprovement{
@@ -159,48 +203,6 @@ const scaleClusterSize = 500
 // point sustains with headroom.
 const scaleArrivalSpacing = 3600 * time.Millisecond
 
-// measureScalePoint runs the batched E14 mix once at n clients, measuring
-// real time and allocations around the whole run (setup included: at 30k
-// clients, building the cell is part of what must scale). At or below 1000
-// clients it runs the exact single-cluster e14Run the pre-refactor baseline
-// was measured with, so the improvement ratio compares identical workloads;
-// above that, the sharded multi-cluster variant.
-func measureScalePoint(cfg E14Config, n int) (ScalePoint, error) {
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	start := time.Now() //itcvet:allow wallclock -- the scale bench measures real elapsed time by design
-	var elapsed time.Duration
-	if n <= 1000 {
-		side, err := e14Run(cfg, n, true)
-		if err != nil {
-			return ScalePoint{}, err
-		}
-		elapsed = side.elapsed
-	} else {
-		var err error
-		_, elapsed, err = scaleRun(cfg, n, nil)
-		if err != nil {
-			return ScalePoint{}, err
-		}
-	}
-	wall := time.Since(start) //itcvet:allow wallclock -- the scale bench measures real elapsed time by design
-	runtime.ReadMemStats(&after)
-	allocs := after.Mallocs - before.Mallocs
-	ch := float64(n) * elapsed.Seconds() / 3600
-	p := ScalePoint{
-		Clients:     n,
-		ClientHours: round3(ch),
-		WallSeconds: round3(wall.Seconds()),
-		Allocs:      allocs,
-	}
-	if ch > 0 {
-		p.WallPerClientHour = round6(wall.Seconds() / ch)
-		p.AllocsPerClientHour = round3(float64(allocs) / ch)
-	}
-	return p, nil
-}
-
 // scaleRun drives the batched E14 mix at n clients across one cluster per
 // scaleClusterSize of them: per-cluster load users, shared pools and
 // publishers (clients round-robin over clusters, so each cluster's client 0
@@ -210,15 +212,7 @@ func measureScalePoint(cfg E14Config, n int) (ScalePoint, error) {
 // cell and the virtual time the client phase took.
 func scaleRun(cfg E14Config, n int, mut func(*itcfs.CellConfig)) (*itcfs.Cell, time.Duration, error) {
 	clusters := (n + scaleClusterSize - 1) / scaleClusterSize
-	reg := trace.NewRegistry()
-	cc := itcfs.CellConfig{
-		Mode:        itcfs.Revised,
-		Clusters:    clusters,
-		CallbackTTL: cfg.CallbackTTL,
-		Metrics:     reg,
-		Retry:       e14Retry(),
-		BreakWindow: 8 * time.Second,
-	}
+	cc := scaleCellConfig(cfg, clusters)
 	if mut != nil {
 		mut(&cc)
 	}
@@ -232,81 +226,22 @@ func scaleRun(cfg E14Config, n int, mut func(*itcfs.CellConfig)) (*itcfs.Cell, t
 	if min := time.Duration(n) * scaleArrivalSpacing; stagger < min {
 		stagger = min
 	}
-
-	loadUser := func(c int) string { return fmt.Sprintf("load%d", c) }
-	poolRoot := func(c int) string { return fmt.Sprintf("/vice/usr/load%d/shared", c) }
-	perCluster := func(c int) workload.ScaleConfig {
-		sc := cfg.Scale
+	shards := make([]scaleShard, clusters)
+	for c := range shards {
+		user := fmt.Sprintf("load%d", c)
 		// Decorrelate the clusters' schedules: each gets its own seed, pool
 		// and publisher, like independent buildings on one campus.
-		sc.Seed = cfg.Seed + int64(c)*1_000_003
-		sc.Root = poolRoot(c)
-		sc.Stagger = stagger
-		return sc
+		mix := cfg.Scale
+		mix.Seed = cfg.Seed + int64(c)*1_000_003
+		mix.Root = "/vice/usr/" + user + "/shared"
+		mix.Stagger = stagger
+		shards[c] = scaleShard{user: user, setup: fmt.Sprintf("setup%d", c), mix: mix}
 	}
-
-	var err error
-	cell.Run(func(p *sim.Proc) {
-		admin, aerr := cell.Admin(p, 0)
-		if aerr != nil {
-			err = aerr
-			return
-		}
-		for c := 0; c < clusters; c++ {
-			if _, aerr := admin.NewUserAt(p, loadUser(c), "pw", 0, cell.Servers[c].Vice.Name()); aerr != nil {
-				err = aerr
-				return
-			}
-		}
-	})
-	if err != nil {
+	if err := provisionShards(cell, shards); err != nil {
 		return nil, 0, err
 	}
-	for c := 0; c < clusters; c++ {
-		c := c
-		setup := cell.AddWorkstation(c, fmt.Sprintf("setup%d", c))
-		cell.Run(func(p *sim.Proc) {
-			if err = setup.Login(p, loadUser(c), "pw"); err != nil {
-				return
-			}
-			sc := perCluster(c)
-			r := rand.New(rand.NewSource(sc.Seed))
-			err = workload.PopulateShared(p, setup.FS, sc, r)
-		})
-		if err != nil {
-			return nil, 0, err
-		}
-	}
-
-	ws := make([]*itcfs.Workstation, n)
-	for i := range ws {
-		ws[i] = cell.AddWorkstation(i%clusters, fmt.Sprintf("scale-ws%05d", i))
-	}
-	t0 := cell.Now()
-	errs := make([]error, n)
-	for i := range ws {
-		i := i
-		c := i % clusters
-		u := workload.NewScaleUser(i/clusters, perCluster(c))
-		start := t0
-		if stagger > 0 {
-			start = start.Add(stagger * time.Duration(i) / time.Duration(n))
-		}
-		cell.Kernel.SpawnAt(start, fmt.Sprintf("scale-%05d", i), func(p *sim.Proc) {
-			if lerr := ws[i].Login(p, loadUser(c), "pw"); lerr != nil {
-				errs[i] = lerr
-				return
-			}
-			errs[i] = u.Run(p, ws[i].FS, ws[i].Venus)
-		})
-	}
-	cell.Kernel.Run()
-	for _, e := range errs {
-		if e != nil {
-			return nil, 0, e
-		}
-	}
-	return cell, cell.Now().Sub(t0), nil
+	_, elapsed, err := runScaleClients(cell, shards, n, 5, stagger)
+	return cell, elapsed, err
 }
 
 func round3(v float64) float64 { return roundTo(v, 1e3) }
@@ -319,13 +254,8 @@ func roundTo(v, scale float64) float64 {
 	return float64(int64(v*scale+0.5)) / scale
 }
 
-// WriteJSON emits the bench as deterministic, indented JSON (struct field
-// order; no map keys anywhere in the schema).
-func (sb *ScaleBench) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(sb)
-}
+// WriteJSON emits the bench in the form BENCH_scale.json is committed in.
+func (sb *ScaleBench) WriteJSON(w io.Writer) error { return writeJSON(w, sb) }
 
 // Report renders the trajectory as a standard experiment table.
 func (sb *ScaleBench) Report() *Report {
@@ -333,26 +263,17 @@ func (sb *ScaleBench) Report() *Report {
 		"the revised design exists to serve many more clients per server; the simulator "+
 			"itself must scale to drive that population",
 		"clients", "client-hours", "wall s", "wall s/ch", "allocs/ch")
-	base := sb.Baseline
-	r.addRow(fmt.Sprintf("%d (pre-refactor)", base.Clients),
-		fmt.Sprintf("%.1f", base.ClientHours),
-		fmt.Sprintf("%.2f", base.WallSeconds),
-		fmt.Sprintf("%.6f", base.WallPerClientHour),
-		fmt.Sprintf("%.0f", base.AllocsPerClientHour))
+	point := func(label string, p ScalePoint, wallKey, allocsKey string) {
+		r.row(label, float("", "%.1f", p.ClientHours), float("", "%.2f", p.WallSeconds),
+			float(wallKey, "%.6f", p.WallPerClientHour), float(allocsKey, "%.0f", p.AllocsPerClientHour))
+	}
+	point(fmt.Sprintf("%d (pre-refactor)", sb.Baseline.Clients), sb.Baseline, "", "")
 	for _, p := range sb.Points {
-		r.addRow(fmt.Sprintf("%d", p.Clients),
-			fmt.Sprintf("%.1f", p.ClientHours),
-			fmt.Sprintf("%.2f", p.WallSeconds),
-			fmt.Sprintf("%.6f", p.WallPerClientHour),
-			fmt.Sprintf("%.0f", p.AllocsPerClientHour))
-		r.Metrics[fmt.Sprintf("wall_per_ch_%d", p.Clients)] = p.WallPerClientHour
-		r.Metrics[fmt.Sprintf("allocs_per_ch_%d", p.Clients)] = p.AllocsPerClientHour
+		point(fmt.Sprint(p.Clients), p, fmt.Sprintf("wall_per_ch_%d", p.Clients), fmt.Sprintf("allocs_per_ch_%d", p.Clients))
 	}
 	if imp := sb.Improvement; imp != nil {
-		r.addRow(fmt.Sprintf("improvement @%d", imp.ReferenceClients), "",
-			"", fmt.Sprintf("%.1fx", imp.Wall), fmt.Sprintf("%.1fx", imp.Allocs))
-		r.Metrics["improvement_wall"] = imp.Wall
-		r.Metrics["improvement_allocs"] = imp.Allocs
+		r.row(fmt.Sprintf("improvement @%d", imp.ReferenceClients), text(""), text(""),
+			float("improvement_wall", "%.1fx", imp.Wall), float("improvement_allocs", "%.1fx", imp.Allocs))
 	}
 	return r
 }

@@ -2,43 +2,20 @@ package harness
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"time"
 
 	"itcfs"
 	"itcfs/internal/monitor"
 	"itcfs/internal/sim"
-	"itcfs/internal/trace"
 )
 
 // E15Config sizes the saturation-timeline experiment.
 type E15Config struct {
-	Seed int64
-	// Cadence is the telemetry sampling window; Phase is how long each load
-	// phase runs. The detector needs Detect.MinWindows full windows of
-	// overload inside phase B, so Phase should be several times Cadence.
-	Cadence time.Duration
-	Phase   time.Duration
+	HotCellConfig
 	// MoveGrace separates phases B and C: the first half drains in-flight
 	// phase-B operations, then the operator moves the hot volume.
 	MoveGrace time.Duration
-	// HotReaders and WarmReaders are cluster-1 stations hammering the two
-	// public volumes hosted (initially) on server0; LightPerCluster stations
-	// per cluster read their own local home volumes throughout.
-	HotReaders      int
-	WarmReaders     int
-	LightPerCluster int
-	Files           int // files per volume, read round-robin
-	FileBytes       int
-	// Per-group think times between reads; the hot group's shorter think is
-	// what pushes server0 over its CPU ceiling in phase B.
-	HotThink   time.Duration
-	WarmThink  time.Duration
-	LightThink time.Duration
-	Detect     monitor.OverloadConfig
-	// FlightEvents bounds the cell's flight-recorder ring.
-	FlightEvents int
 }
 
 // DefaultE15 returns the standard configuration: phase B offers roughly 110%
@@ -46,20 +23,22 @@ type E15Config struct {
 // moves, each server carries well under the detection threshold.
 func DefaultE15() E15Config {
 	return E15Config{
-		Seed:            1,
-		Cadence:         30 * time.Second,
-		Phase:           10 * time.Minute,
-		MoveGrace:       time.Minute,
-		HotReaders:      6,
-		WarmReaders:     4,
-		LightPerCluster: 2,
-		Files:           6,
-		FileBytes:       8 << 10,
-		HotThink:        1700 * time.Millisecond,
-		WarmThink:       1250 * time.Millisecond,
-		LightThink:      1200 * time.Millisecond,
-		Detect:          monitor.DefaultOverloadConfig(),
-		FlightEvents:    512,
+		HotCellConfig: HotCellConfig{
+			Seed:            1,
+			Cadence:         30 * time.Second,
+			Phase:           10 * time.Minute,
+			HotReaders:      6,
+			WarmReaders:     4,
+			LightPerCluster: 2,
+			Files:           6,
+			FileBytes:       8 << 10,
+			HotThink:        1700 * time.Millisecond,
+			WarmThink:       1250 * time.Millisecond,
+			LightThink:      1200 * time.Millisecond,
+			Detect:          monitor.DefaultOverloadConfig(),
+			FlightEvents:    512,
+		},
+		MoveGrace: time.Minute,
 	}
 }
 
@@ -83,158 +62,16 @@ type E15Result struct {
 // both servers below threshold. Everything — series, dashboard, flight
 // recorder, the report — replays byte-identically under one seed.
 func E15HotVolume(cfg E15Config) (*E15Result, error) {
-	cell := itcfs.NewCell(itcfs.CellConfig{
-		Mode:         itcfs.Prototype,
-		Clusters:     2,
-		Metrics:      trace.NewRegistry(),
-		FlightEvents: cfg.FlightEvents,
-	})
-
-	// Provision: the two public volumes (owners pub-hot, pub-warm) stay on
-	// server0 where CreateVolume put them; each background user's home is
-	// moved to their own cluster server, the standard placement.
-	lightUsers := [2][]string{}
-	for c := 0; c < 2; c++ {
-		for i := 0; i < cfg.LightPerCluster; i++ {
-			lightUsers[c] = append(lightUsers[c], fmt.Sprintf("bg%d-%d", c, i))
-		}
-	}
-	var hotVol uint32
-	var err error
-	cell.Run(func(p *sim.Proc) {
-		admin, aerr := cell.Admin(p, 0)
-		if aerr != nil {
-			err = aerr
-			return
-		}
-		if hotVol, err = admin.NewUserAt(p, "pub-hot", "pw", 0, ""); err != nil {
-			return
-		}
-		if _, err = admin.NewUserAt(p, "pub-warm", "pw", 0, ""); err != nil {
-			return
-		}
-		for c := 0; c < 2; c++ {
-			home := cell.Servers[c].Vice.Name()
-			for _, name := range lightUsers[c] {
-				if _, err = admin.NewUserAt(p, name, "pw", 0, home); err != nil {
-					return
-				}
-			}
-		}
-	})
+	h, err := newHotCell(cfg.HotCellConfig, nil)
 	if err != nil {
-		return nil, fmt.Errorf("E15 provisioning: %w", err)
+		return nil, fmt.Errorf("E15 %w", err)
 	}
-
-	// Stations. The shared-volume readers all sit in cluster 1 — their load
-	// crosses the backbone to server0, the misplacement the move repairs.
-	addGroup := func(n int, cluster int, prefix, user string) ([]*itcfs.Workstation, error) {
-		var group []*itcfs.Workstation
-		for i := 0; i < n; i++ {
-			ws := cell.AddWorkstation(cluster, fmt.Sprintf("%s%d", prefix, i))
-			group = append(group, ws)
-			u := user
-			if u == "" {
-				u = lightUsers[cluster][i]
-			}
-			var lerr error
-			cell.Run(func(p *sim.Proc) { lerr = ws.Login(p, u, "pw") })
-			if lerr != nil {
-				return nil, lerr
-			}
-		}
-		return group, nil
-	}
-	hotWS, err := addGroup(cfg.HotReaders, 1, "hot-ws", "pub-hot")
-	if err != nil {
-		return nil, err
-	}
-	warmWS, err := addGroup(cfg.WarmReaders, 1, "warm-ws", "pub-warm")
-	if err != nil {
-		return nil, err
-	}
-	bgWS := [2][]*itcfs.Workstation{}
-	for c := 0; c < 2; c++ {
-		if bgWS[c], err = addGroup(cfg.LightPerCluster, c, fmt.Sprintf("bg%d-ws", c), ""); err != nil {
-			return nil, err
-		}
-	}
-
-	// Populate every volume from one logged-in station each.
-	populate := func(ws *itcfs.Workstation, owner string) error {
-		var werr error
-		cell.Run(func(p *sim.Proc) {
-			for f := 0; f < cfg.Files; f++ {
-				body := make([]byte, cfg.FileBytes)
-				for b := range body {
-					body[b] = byte(f)
-				}
-				if werr = ws.FS.WriteFile(p, fmt.Sprintf("/vice/usr/%s/f%d", owner, f), body); werr != nil {
-					return
-				}
-			}
-		})
-		return werr
-	}
-	if err := populate(hotWS[0], "pub-hot"); err != nil {
-		return nil, err
-	}
-	if err := populate(warmWS[0], "pub-warm"); err != nil {
-		return nil, err
-	}
-	for c := 0; c < 2; c++ {
-		for i, ws := range bgWS[c] {
-			if err := populate(ws, lightUsers[c][i]); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	// Per-station start staggers, drawn deterministically from the seed in a
-	// fixed order, so the stations never march in lockstep.
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	stagger := make(map[*itcfs.Workstation]time.Duration)
-	for _, ws := range hotWS {
-		stagger[ws] = time.Duration(rng.Int63n(int64(cfg.HotThink)))
-	}
-	for _, ws := range warmWS {
-		stagger[ws] = time.Duration(rng.Int63n(int64(cfg.WarmThink)))
-	}
-	for c := 0; c < 2; c++ {
-		for _, ws := range bgWS[c] {
-			stagger[ws] = time.Duration(rng.Int63n(int64(cfg.LightThink)))
-		}
-	}
-
-	var loadErr error
-	reader := func(ws *itcfs.Workstation, owner string, think time.Duration, until sim.Time) {
-		cell.Kernel.Spawn("read-"+ws.Name, func(p *sim.Proc) {
-			p.Sleep(stagger[ws])
-			for f := 0; p.Now() < until; f++ {
-				if _, rerr := ws.FS.ReadFile(p, fmt.Sprintf("/vice/usr/%s/f%d", owner, f%cfg.Files)); rerr != nil {
-					if loadErr == nil {
-						loadErr = fmt.Errorf("reader %s: %w", ws.Name, rerr)
-					}
-					return
-				}
-				p.Sleep(think)
-			}
-		})
-	}
+	cell := h.cell
 	spawnPhase := func(until sim.Time, shared bool) {
 		if shared {
-			for _, ws := range hotWS {
-				reader(ws, "pub-hot", cfg.HotThink, until)
-			}
-			for _, ws := range warmWS {
-				reader(ws, "pub-warm", cfg.WarmThink, until)
-			}
+			h.spawnShared(until)
 		}
-		for c := 0; c < 2; c++ {
-			for i, ws := range bgWS[c] {
-				reader(ws, lightUsers[c][i], cfg.LightThink, until)
-			}
-		}
+		h.spawnBackground(until)
 	}
 
 	// Telemetry on. From here the kernel is driven with RunUntil only: the
@@ -247,17 +84,15 @@ func E15HotVolume(cfg E15Config) (*E15Result, error) {
 	// Phase A: background load only — the calm before.
 	aEnd := t0.Add(cfg.Phase)
 	spawnPhase(aEnd, false)
-	cell.Kernel.RunUntil(aEnd)
-	if loadErr != nil {
-		return nil, loadErr
+	if err := h.runUntil(aEnd); err != nil {
+		return nil, err
 	}
 
 	// Phase B: the cluster-1 readers pile onto server0's public volumes.
 	bEnd := aEnd.Add(cfg.Phase)
 	spawnPhase(bEnd, true)
-	cell.Kernel.RunUntil(bEnd)
-	if loadErr != nil {
-		return nil, loadErr
+	if err := h.runUntil(bEnd); err != nil {
+		return nil, err
 	}
 
 	// The detector reads the sampled series as they stand at the end of B.
@@ -316,9 +151,8 @@ func E15HotVolume(cfg E15Config) (*E15Result, error) {
 	// Phase C: the same load, rebalanced.
 	cEnd := moveEnd.Add(cfg.Phase)
 	spawnPhase(cEnd, true)
-	cell.Kernel.RunUntil(cEnd)
-	if loadErr != nil {
-		return nil, loadErr
+	if err := h.runUntil(cEnd); err != nil {
+		return nil, err
 	}
 
 	utilStats := func(server string, from, to sim.Time) (mean, peak float64) {
@@ -351,37 +185,24 @@ func E15HotVolume(cfg E15Config) (*E15Result, error) {
 	r := newReport("E15", "Time-series telemetry: detect and relieve a saturated server",
 		"server CPU \"sometimes peaking at 98% utilization\" (§5.2); volume moves rebalance load (§3.6)",
 		"phase / metric", s0, s1)
-	r.addRow("A background · mean CPU util", pct(meanA0), pct(meanA1))
-	r.addRow("B hot volumes · mean CPU util", pct(meanB0), pct(meanB1))
-	r.addRow("B hot volumes · peak CPU util", pct(peakB0), pct(peakB1))
-	r.addRow("C after move · mean CPU util", pct(meanC0), pct(meanC1))
-	r.addRow("C after move · peak CPU util", pct(peakC0), pct(peakC1))
-	r.addRow("overload onset (virtual time)", hv.Onset.String(), "—")
-	r.addRow("windows over threshold", fmt.Sprintf("%d", hv.Windows), "—")
-	r.addRow("hottest volume", fmt.Sprintf("vol %d (%d sampled ops)", hv.Volume, hv.VolumeOps), "—")
+	r.row("A background · mean CPU util", share("mean_a_s0", meanA0), share("", meanA1))
+	r.row("B hot volumes · mean CPU util", share("mean_b_s0", meanB0), share("mean_b_s1", meanB1))
+	r.row("B hot volumes · peak CPU util", share("peak_b_s0", peakB0), share("peak_b_s1", peakB1))
+	r.row("C after move · mean CPU util", share("mean_c_s0", meanC0), share("mean_c_s1", meanC1))
+	r.row("C after move · peak CPU util", share("peak_c_s0", peakC0), share("peak_c_s1", peakC1))
+	r.row("overload onset (virtual time)", entry{hv.Onset.String(), "onset_s", hv.Onset.Seconds()}, text("—"))
+	r.row("windows over threshold", count("overload_windows", hv.Windows), text("—"))
+	r.row("hottest volume", entry{fmt.Sprintf("vol %d (%d sampled ops)", hv.Volume, hv.VolumeOps), "hot_volume", float64(hv.Volume)}, text("—"))
 	r.addRow("applied move", fmt.Sprintf("vol %d → %s", hv.Volume, hv.To), "—")
-	r.addRow("post-move advisor check", pct(postMove0), pct(postMove1))
-	r.addRow("flight events recorded", fmt.Sprintf("%d", cell.Flight.Total()), "—")
+	r.row("post-move advisor check", share("", postMove0), share("", postMove1))
+	r.row("flight events recorded", count("flight_events", cell.Flight.Total()), text("—"))
 
 	r.Metrics["detector_fired"] = 1
-	r.Metrics["onset_s"] = hv.Onset.Seconds()
 	r.Metrics["b_start_s"] = aEnd.Seconds()
 	r.Metrics["b_end_s"] = bEnd.Seconds()
-	r.Metrics["hot_volume"] = float64(hv.Volume)
-	r.Metrics["expected_hot_volume"] = float64(hotVol)
-	r.Metrics["overload_windows"] = float64(hv.Windows)
-	r.Metrics["mean_a_s0"] = meanA0
-	r.Metrics["mean_b_s0"] = meanB0
-	r.Metrics["mean_b_s1"] = meanB1
-	r.Metrics["peak_b_s0"] = peakB0
-	r.Metrics["peak_b_s1"] = peakB1
-	r.Metrics["mean_c_s0"] = meanC0
-	r.Metrics["mean_c_s1"] = meanC1
-	r.Metrics["peak_c_s0"] = peakC0
-	r.Metrics["peak_c_s1"] = peakC1
+	r.Metrics["expected_hot_volume"] = float64(h.hotVol)
 	r.Metrics["imbalance_b"] = meanB0 - meanB1
 	r.Metrics["imbalance_c"] = meanC0 - meanC1
-	r.Metrics["flight_events"] = float64(cell.Flight.Total())
 
 	var tl, fl strings.Builder
 	sampler.WriteDashboard(&tl)

@@ -46,7 +46,7 @@ func E13LatencyBreakdown(cfg E13Config) (*Report, error) {
 				continue
 			}
 			n := time.Duration(b.Count)
-			r.addRow(mode.String(), b.Name, fmt.Sprintf("%d", b.Count),
+			r.addRow(mode.String(), b.Name, fmt.Sprint(b.Count),
 				fmt.Sprint(b.Total/n), fmt.Sprint(b.Client/n), fmt.Sprint(b.Server/n),
 				fmt.Sprint(b.NetQueue/n), fmt.Sprint(b.NetSerial/n), fmt.Sprint(b.NetProp/n))
 			total += b.Total
@@ -100,41 +100,20 @@ func tracedAndrew(mode itcfs.Mode, cfg E13Config) (*trace.Tracer, error) {
 		TracePolicy: &trace.SamplePolicy{Default: trace.ClassPolicy{Rate: cfg.Sample}},
 		Metrics:     trace.NewRegistry(),
 	})
-	var err error
-	cell.Run(func(p *sim.Proc) {
-		var admin *itcfs.Admin
-		if admin, err = cell.Admin(p, 0); err != nil {
-			return
-		}
-		err = admin.NewUser(p, "bench", "pw", 0)
-	})
-	if err != nil {
+	if err := provision(cell, "bench"); err != nil {
 		return nil, err
 	}
-	setupWS := cell.AddWorkstation(0, "bench-setup")
-	cell.Run(func(p *sim.Proc) {
-		if err = setupWS.Login(p, "bench", "pw"); err != nil {
-			return
-		}
-		_, err = workload.GenerateTree(p, setupWS.FS, "/vice/usr/bench/src", cfg.Andrew)
-	})
-	if err != nil {
+	if _, err := andrewTree(cell, "bench-setup", cfg.Andrew); err != nil {
 		return nil, err
 	}
-	benchWS := cell.AddWorkstation(0, "bench-cold")
-	cell.Run(func(p *sim.Proc) {
-		err = benchWS.Login(p, "bench", "pw")
-	})
+	benchWS, err := station(cell, 0, "bench-cold", "bench", nil)
 	if err != nil {
 		return nil, err
 	}
 	cell.Tracer.Reset() // measure the benchmark, not the provisioning
-	cell.Run(func(p *sim.Proc) {
-		_, err = workload.RunAndrew(p, benchWS.FS,
-			"/vice/usr/bench/src", "/vice/usr/bench/dst", cfg.Andrew)
+	err = cell.Do(func(p *sim.Proc) error {
+		_, err := workload.RunAndrew(p, benchWS.FS, andrewSrc, "/vice/usr/bench/dst", cfg.Andrew)
+		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return cell.Tracer, nil
+	return cell.Tracer, err
 }

@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"fmt"
-	"io"
 	"sort"
 	"time"
 )
@@ -88,20 +86,4 @@ func Analyze(spans []*Span) []OpBreakdown {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// WriteBreakdown prints breakdowns as a fixed-width table with per-operation
-// means and component percentages.
-func WriteBreakdown(w io.Writer, rows []OpBreakdown) {
-	fmt.Fprintf(w, "%-16s %6s %12s %12s %12s %12s %12s %12s\n",
-		"op", "n", "mean", "client", "server", "net-queue", "net-serial", "net-prop")
-	for _, b := range rows {
-		if b.Count == 0 {
-			continue
-		}
-		n := time.Duration(b.Count)
-		fmt.Fprintf(w, "%-16s %6d %12v %12v %12v %12v %12v %12v\n",
-			b.Name, b.Count, b.Total/n, b.Client/n, b.Server/n,
-			b.NetQueue/n, b.NetSerial/n, b.NetProp/n)
-	}
 }

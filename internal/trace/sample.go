@@ -47,7 +47,7 @@ type ClassPolicy struct {
 // SamplePolicy is a tracer's full sampling configuration.
 type SamplePolicy struct {
 	// Seed rotates each class's keep phase (see seededOffset). Zero keeps
-	// phase 0 for every class — the legacy SetSample behaviour.
+	// phase 0 for every class — a flat every-nth-root rate.
 	Seed int64
 	// Default applies to classes without an explicit entry in Classes.
 	Default ClassPolicy
@@ -230,7 +230,7 @@ func (t *Tracer) TakeExemplars() []Exemplar {
 }
 
 // TraceSpans returns the finished spans of one trace in (start, span ID)
-// order — the input WriteBreakdown and the SLO layer's critical-path
+// order — the input Analyze and the SLO layer's critical-path
 // embedding want for a single exemplar.
 func (t *Tracer) TraceSpans(trace uint64) []*Span {
 	if t == nil {

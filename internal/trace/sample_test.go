@@ -34,7 +34,7 @@ func TestPerClassRates(t *testing.T) {
 }
 
 func TestSeedZeroKeepsFirstRoot(t *testing.T) {
-	// Seed 0 pins every class's phase to 0 — the legacy SetSample behaviour
+	// Seed 0 pins every class's phase to 0 — a flat every-nth-root rate
 	// of keeping roots 0, n, 2n, ...
 	clk := &fakeClock{}
 	tr := New(clk.now)

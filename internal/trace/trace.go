@@ -115,13 +115,6 @@ func New(now func() sim.Time) *Tracer {
 	}
 }
 
-// SetSample records every nth root operation (and, transitively, its whole
-// distributed trace); n <= 1 records everything. Shorthand for a SamplePolicy
-// with one flat default rate and no seed, kept for the common case.
-func (t *Tracer) SetSample(n int) {
-	t.SetPolicy(SamplePolicy{Default: ClassPolicy{Rate: n}})
-}
-
 // Reset discards recorded spans — the boundary between an observation
 // window and what preceded it (bootstrap, warm-up). ID counters keep
 // increasing so spans recorded after a Reset are unaffected by when (or
@@ -144,10 +137,6 @@ func Current(p *sim.Proc) *Span {
 	s, _ := p.Trace.(*Span)
 	return s
 }
-
-// ContextOf returns the propagation context of the process's ambient span;
-// zero when untraced or suppressed.
-func ContextOf(p *sim.Proc) SpanContext { return Current(p).Context() }
 
 // install makes s the ambient span of p until End.
 func (s *Span) install(p *sim.Proc) *Span {
@@ -333,9 +322,6 @@ func (s *Span) Start() sim.Time { return s.start }
 
 // Duration returns the span's extent in virtual time.
 func (s *Span) Duration() sim.Duration { return s.end.Sub(s.start) }
-
-// Attrs returns the span's annotations in the order they were set.
-func (s *Span) Attrs() []Attr { return s.attrs }
 
 // Spans returns every finished span, ordered by start time then span ID —
 // a total, deterministic order. Unfinished spans (long-lived daemon loops

@@ -381,6 +381,14 @@ func (c *Cell) Run(fn func(p *sim.Proc)) {
 	c.Kernel.Run()
 }
 
+// Do is Run for a step that can fail: it returns fn's error once the kernel
+// has drained. Like Run it is a barrier — pending timers fire and virtual time
+// moves past them — so two steps are not the same as one step doing both.
+func (c *Cell) Do(fn func(p *sim.Proc) error) (err error) {
+	c.Run(func(p *sim.Proc) { err = fn(p) })
+	return err
+}
+
 // RunFor drives the kernel for a span of virtual time.
 func (c *Cell) RunFor(d time.Duration) {
 	c.Kernel.RunUntil(c.Kernel.Now().Add(d))

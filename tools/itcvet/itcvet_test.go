@@ -434,4 +434,20 @@ func Stamp() int64 { return time.Now().UnixNano() }
 	if g1 != g2 {
 		t.Fatalf("-lockgraph output differs between identical runs:\n--- first\n%s\n--- second\n%s", g1, g2)
 	}
+
+	// The graph embedded in DESIGN.md section 7 is the same graph, so the
+	// documented one cannot drift from the code. Regenerate the block with:
+	// go run ./tools/itcvet -lockgraph ./...
+	design, err := os.ReadFile(filepath.Join("..", "..", "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, block, found := strings.Cut(string(design), "<!-- lockgraph:begin -->\n")
+	block, _, closed := strings.Cut(block, "<!-- lockgraph:end -->")
+	if !found || !closed {
+		t.Fatal("DESIGN.md has no <!-- lockgraph:begin/end --> block")
+	}
+	if doc := strings.ReplaceAll(block, "```\n", ""); doc != g1 {
+		t.Fatalf("DESIGN.md's lock graph is not what -lockgraph prints:\n--- DESIGN.md\n%s\n--- itcvet\n%s", doc, g1)
+	}
 }
