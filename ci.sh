@@ -67,6 +67,11 @@ rm -rf "$tmpdir"
 # mailbox and timetable benches building and running. The zero-alloc gates
 # (TestMailboxPutGetZeroAlloc and friends) run in `go test ./...` above.
 go test -run=NONE -bench='^Benchmark(ParkResume|MailboxSendRecv|ScheduleDrain)$' -benchtime=100x ./internal/sim
+# The same for the two measurements size bounds rest on: the small-record CTR
+# crossover (secure.smallRecord) and pooled against fresh record buffers
+# (wire.maxPooled, walstore.pooledRecord).
+go test -run=NONE -bench='^BenchmarkCTR' -benchtime=100x ./internal/secure
+go test -run=NONE -bench='^BenchmarkCommit' -benchtime=100x ./internal/store/walstore
 
 # Short fuzz passes over the attacker-facing decoders and the path walker.
 go test -run=NONE -fuzz='^FuzzDecodeCall$' -fuzztime=10s ./internal/rpc

@@ -14,6 +14,7 @@ package prot
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -169,20 +170,25 @@ func (a ACL) Check(cps []string, want Right) bool {
 // Encode marshals the ACL (entries in sorted order, so encodings are
 // deterministic and comparable).
 func (a ACL) Encode(e *wire.Encoder) {
-	encodeSide := func(m map[string]Right) {
-		names := make([]string, 0, len(m))
-		for n := range m {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		e.U32(uint32(len(names)))
-		for _, n := range names {
-			e.String(n)
-			e.U8(uint8(m[n]))
-		}
+	encodeRights(e, a.Positive)
+	encodeRights(e, a.Negative)
+}
+
+// encodeRights appends one side of an access list. An access list names a
+// handful of users and groups, so the names are sorted in an array on the
+// stack; a longer list spills to the heap.
+func encodeRights(e *wire.Encoder, m map[string]Right) {
+	var few [8]string
+	names := few[:0]
+	for n := range m {
+		names = append(names, n)
 	}
-	encodeSide(a.Positive)
-	encodeSide(a.Negative)
+	slices.Sort(names)
+	e.U32(uint32(len(names)))
+	for _, n := range names {
+		e.String(n)
+		e.U8(uint8(m[n]))
+	}
 }
 
 // DecodeACL unmarshals an ACL written by Encode.

@@ -148,7 +148,7 @@ func (p *Peer) Call(_ *sim.Proc, req Request) (Response, error) {
 	}
 	p.nextSeq++
 	seq := p.nextSeq
-	ch := make(chan outcome, 1)
+	ch := outcomes.Get().(chan outcome)
 	p.pending[seq] = ch
 	p.mu.Unlock()
 
@@ -161,11 +161,23 @@ func (p *Peer) Call(_ *sim.Proc, req Request) (Response, error) {
 	}
 	select {
 	case out := <-ch:
+		// The channel's one send has been received and whoever sent it
+		// unlinked it from pending first: nothing can reach it again.
+		outcomes.Put(ch)
 		return out.resp, out.err
 	case <-p.done:
+		// Close's ErrClosed may be in ch or still on its way: not reusable.
 		return Response{}, ErrClosed
 	}
 }
+
+// outcomes recycles the one-shot channels calls wait on. A pending channel
+// receives exactly one send — the reply from readLoop, or ErrClosed from
+// Close, each after removing it from pending under mu — so it is empty and
+// unreferenced, and may serve another call, only once that send has been
+// received. Call returns it on that branch and no other: a channel abandoned
+// with its send undelivered would hand a later call a stale outcome.
+var outcomes = sync.Pool{New: func() any { return make(chan outcome, 1) }}
 
 // CallBack implements Backchannel.
 func (p *Peer) CallBack(proc *sim.Proc, req Request) (Response, error) { return p.Call(proc, req) }

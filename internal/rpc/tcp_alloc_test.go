@@ -49,12 +49,12 @@ func TestPeerBulkTransferAllocs(t *testing.T) {
 }
 
 // nullCallAllocs is the object count of one 128-byte call and its reply
-// through a Peer pair, both sides included. The parent commit measured 25
-// with this same test; the streamed sealer and in-place open removed the
-// plaintext copy, the kind-byte prepend, the sealed record and the opened
-// copy on each side (13), and keeping verify's tag scratch beside the pooled
-// HMAC state removed the one it leaked per opened record.
-const nullCallAllocs = 11
+// through a Peer pair, both sides included: the two received frames and the
+// goroutine that serves the call. The parent commit measured 11 with this
+// same test; sealing and opening a small record without a cipher stream
+// object removed four, reading frame headers into pooled scratch two, and
+// reusing the caller's outcome channel two (the channel and its buffer).
+const nullCallAllocs = 3
 
 func TestPeerNullCallAllocs(t *testing.T) {
 	if raceEnabled {

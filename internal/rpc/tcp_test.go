@@ -1,9 +1,12 @@
 package rpc
 
 import (
+	"encoding/binary"
 	"errors"
+	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -67,6 +70,62 @@ func TestPeerConcurrentCalls(t *testing.T) {
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("call %d: %v", i, err)
+		}
+	}
+}
+
+// TestPeerReusedChannelsCarryNoStaleOutcome is the gate on recycling the
+// channels calls wait on: 32 goroutines place 200 calls each on one peer pair
+// whose far side is closed at a seeded point, pair after pair so that each
+// draws the channels the one before it returned (and would draw any it had
+// abandoned with an ErrClosed still inside). Every call must come back with
+// its own echo or with ErrClosed — never another call's reply, never a
+// failure it did not earn.
+func TestPeerReusedChannelsCarryNoStaleOutcome(t *testing.T) {
+	const callers, calls = 32, 200
+	for seed := int64(1); seed <= 4; seed++ {
+		closeAt := rand.New(rand.NewSource(seed)).Int63n(callers * calls)
+		var served atomic.Int64
+		reached := make(chan struct{})
+		srv := NewServer()
+		srv.Handle(opEcho, func(_ Ctx, req Request) Response {
+			if served.Add(1) == closeAt+1 {
+				close(reached)
+			}
+			return Response{Body: req.Body}
+		})
+		dialed, accepted := pipePair(t, nil, srv)
+		go func() {
+			<-reached
+			accepted.Close()
+		}()
+		var wg sync.WaitGroup
+		var echoed, refused atomic.Int64
+		for g := 0; g < callers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < calls; i++ {
+					want := uint64(seed)<<32 | uint64(g)<<16 | uint64(i)
+					resp, err := dialed.Call(nil, Request{Op: opEcho, Body: binary.BigEndian.AppendUint64(nil, want)})
+					switch {
+					case errors.Is(err, ErrClosed):
+						refused.Add(1)
+					case err != nil:
+						t.Errorf("seed %d caller %d call %d: %v", seed, g, i, err)
+						return
+					case len(resp.Body) != 8 || binary.BigEndian.Uint64(resp.Body) != want:
+						t.Errorf("seed %d caller %d call %d: got the reply to %x", seed, g, i, resp.Body)
+						return
+					default:
+						echoed.Add(1)
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		if echoed.Load() == 0 || refused.Load() == 0 {
+			t.Errorf("seed %d: %d echoed, %d refused; want calls on both sides of the close", seed, echoed.Load(), refused.Load())
 		}
 	}
 }

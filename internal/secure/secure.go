@@ -103,24 +103,32 @@ var ErrBadSeal = errors.New("secure: record failed authentication")
 // record: 8 random bytes fixed at Box creation (so two Boxes sealing under
 // the same key cannot collide), a 32-bit record counter, and 4 zero bytes
 // left for CTR's own block counter — records up to 2^32 AES blocks (64 GiB)
-// cannot run into the next record's keystream. HMAC states are pooled and
-// reset rather than re-keyed per record — at tens of thousands of simulated
-// clients, per-message hmac.New was the single largest allocation site in
-// the whole system.
+// cannot run into the next record's keystream. Per-record working state is
+// pooled and reset rather than re-keyed per record — at tens of thousands of
+// simulated clients, per-message hmac.New was the single largest allocation
+// site in the whole system.
 type Box struct {
 	block       cipher.Block
 	macKey      []byte
 	noncePrefix [8]byte
 	nonceCtr    atomic.Uint64
-	macs        sync.Pool // *macState
+	states      sync.Pool // *recordState
 }
 
-// macState is one pooled HMAC-SHA256 keyed by macKey, with the scratch verify
-// computes a record's expected tag into: a local array there would escape
-// through hash.Hash.Sum and cost an allocation per opened record.
-type macState struct {
+// recordState is the pooled working state of one record being sealed or
+// opened: an HMAC-SHA256 keyed by macKey, the scratch verify computes the
+// expected tag into, and the counter and keystream blocks of a small
+// record's CTR. All three are here because a local array would escape
+// through the hash.Hash or cipher.Block interface and cost an allocation
+// per record.
+type recordState struct {
 	h   hash.Hash
 	sum [tagSize]byte
+
+	block cipher.Block
+	ctr   [aes.BlockSize]byte // next counter block
+	ks    [aes.BlockSize]byte // keystream block in use
+	used  int                 // bytes of ks already consumed
 }
 
 // NewBox returns a Box keyed by k.
@@ -133,28 +141,65 @@ func NewBox(k Key) *Box {
 	if _, err := rand.Read(b.noncePrefix[:]); err != nil {
 		panic(fmt.Sprintf("secure: nonce prefix: %v", err))
 	}
-	b.macs.New = func() any { return &macState{h: hmac.New(sha256.New, b.macKey)} }
+	b.states.New = func() any { return &recordState{h: hmac.New(sha256.New, b.macKey), block: b.block} }
 	return b
 }
 
-// ctrXOR encrypts (or decrypts — CTR is symmetric) src into dst under
-// nonce. The stream state is one short-lived allocation per record; a
-// hand-rolled stack-counter loop was tried and lost badly, because it forces
-// one cipher.Block.Encrypt interface call per 16-byte block where the
-// stdlib stream runs eight blocks per assembly dispatch.
-func (b *Box) ctrXOR(nonce, dst, src []byte) {
-	cipher.NewCTR(b.block, nonce).XORKeyStream(dst, src)
+// smallRecord is the largest record whose CTR keystream is produced one AES
+// block at a time in the pooled state instead of by a cipher.NewCTR stream.
+// The stdlib stream runs eight blocks per assembly dispatch but is a 512-byte
+// allocation per record; stepping the counter costs one cipher.Block.Encrypt
+// interface call per 16 bytes and allocates nothing. The crossover, measured
+// by BenchmarkCTR on the two-vCPU sandbox this was written on (ns per record,
+// median of three):
+//
+//	bytes      64   128   256   512
+//	blockwise  97   187   362   747
+//	stdlib    319   304   346   433   (plus one 512 B object)
+//
+// Most calls and replies without bulk data, and every callback break, are
+// under 256 bytes. The two produce the same bytes at every length
+// (TestSmallCTRMatchesStdlib).
+const smallRecord = 256
+
+// ctrStream returns the CTR keystream for a record of n bytes under nonce: st
+// itself, stepping the counter block, when the record is small, and the
+// stdlib's stream otherwise.
+func (st *recordState) ctrStream(nonce []byte, n int) cipher.Stream {
+	if n > smallRecord {
+		return cipher.NewCTR(st.block, nonce)
+	}
+	copy(st.ctr[:], nonce)
+	st.used = len(st.ks)
+	return st
 }
 
-// mac computes HMAC(macKey, body) into out (which must have tagSize spare
-// capacity) using a pooled state.
-func (b *Box) mac(body, out []byte) []byte {
-	st := b.macs.Get().(*macState)
+// XORKeyStream implements cipher.Stream exactly as cipher.NewCTR's does:
+// the 16-byte counter block starts at the nonce and is incremented as one
+// big-endian integer for each block of keystream.
+func (st *recordState) XORKeyStream(dst, src []byte) {
+	for len(src) > 0 {
+		if st.used == len(st.ks) {
+			st.block.Encrypt(st.ks[:], st.ctr[:])
+			for i := len(st.ctr) - 1; i >= 0; i-- {
+				st.ctr[i]++
+				if st.ctr[i] != 0 {
+					break
+				}
+			}
+			st.used = 0
+		}
+		n := subtle.XORBytes(dst, src, st.ks[st.used:])
+		st.used += n
+		dst, src = dst[n:], src[n:]
+	}
+}
+
+// tag appends HMAC(macKey, body) to out.
+func (st *recordState) tag(body, out []byte) []byte {
 	st.h.Reset()
 	st.h.Write(body)
-	out = st.h.Sum(out)
-	b.macs.Put(st)
-	return out
+	return st.h.Sum(out)
 }
 
 // ErrNonceExhausted is returned by SealFrame when the Box has sealed 2^32-1
@@ -187,9 +232,10 @@ func (b *Box) Seal(plain []byte) []byte {
 	if err := b.nextNonce(nonce); err != nil {
 		panic(err.Error())
 	}
-	ct := out[nonceSize:]
-	b.ctrXOR(nonce, ct, plain)
-	return b.mac(out, out)
+	st := b.states.Get().(*recordState)
+	defer b.states.Put(st)
+	st.ctrStream(nonce, len(plain)).XORKeyStream(out[nonceSize:], plain)
+	return st.tag(out, out)
 }
 
 // sealChunk is SealFrame's working-buffer size: large enough that a 4 MiB
@@ -224,9 +270,9 @@ func (b *Box) SealFrame(w io.Writer, head, bulk []byte) error {
 	if err := b.nextNonce(nonce); err != nil {
 		return err
 	}
-	stream := cipher.NewCTR(b.block, nonce)
-	st := b.macs.Get().(*macState)
-	defer b.macs.Put(st)
+	st := b.states.Get().(*recordState)
+	defer b.states.Put(st)
+	stream := st.ctrStream(nonce, len(head)+len(bulk))
 	m := st.h
 	m.Reset()
 
@@ -261,18 +307,13 @@ func (b *Box) SealFrame(w io.Writer, head, bulk []byte) error {
 
 // verify authenticates a record produced by Seal or SealFrame in constant
 // time and returns its nonce and ciphertext, both aliasing sealed.
-func (b *Box) verify(sealed []byte) (nonce, ct []byte, err error) {
+func (st *recordState) verify(sealed []byte) (nonce, ct []byte, err error) {
 	if len(sealed) < Overhead {
 		return nil, nil, ErrBadSeal
 	}
 	body := sealed[:len(sealed)-tagSize]
 	tag := sealed[len(sealed)-tagSize:]
-	st := b.macs.Get().(*macState)
-	st.h.Reset()
-	st.h.Write(body)
-	ok := subtle.ConstantTimeCompare(st.h.Sum(st.sum[:0]), tag) == 1
-	b.macs.Put(st)
-	if !ok {
+	if subtle.ConstantTimeCompare(st.tag(body, st.sum[:0]), tag) != 1 {
 		return nil, nil, ErrBadSeal
 	}
 	return body[:nonceSize], body[nonceSize:], nil
@@ -283,12 +324,14 @@ func (b *Box) verify(sealed []byte) (nonce, ct []byte, err error) {
 // cache and the fault plane's duplicate delivery hand the same sealed slice
 // to Open more than once.
 func (b *Box) Open(sealed []byte) ([]byte, error) {
-	nonce, ct, err := b.verify(sealed)
+	st := b.states.Get().(*recordState)
+	defer b.states.Put(st)
+	nonce, ct, err := st.verify(sealed)
 	if err != nil {
 		return nil, err
 	}
 	plain := make([]byte, len(ct))
-	b.ctrXOR(nonce, plain, ct)
+	st.ctrStream(nonce, len(ct)).XORKeyStream(plain, ct)
 	return plain, nil
 }
 
@@ -298,10 +341,12 @@ func (b *Box) Open(sealed []byte) ([]byte, error) {
 // attacker-chosen plaintext. The caller must own sealed and must not open it
 // again: after success it no longer verifies.
 func (b *Box) OpenInPlace(sealed []byte) ([]byte, error) {
-	nonce, ct, err := b.verify(sealed)
+	st := b.states.Get().(*recordState)
+	defer b.states.Put(st)
+	nonce, ct, err := st.verify(sealed)
 	if err != nil {
 		return nil, err
 	}
-	b.ctrXOR(nonce, ct, ct)
+	st.ctrStream(nonce, len(ct)).XORKeyStream(ct, ct)
 	return ct, nil
 }

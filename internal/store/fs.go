@@ -25,7 +25,9 @@ type FS interface {
 
 // File is an append-only log file handle.
 type File interface {
-	// Append writes b at the end of the file.
+	// Append writes b at the end of the file. It must not retain b or
+	// modify it: the caller reuses the buffer as soon as Append returns
+	// (walstore builds the next record in it).
 	Append(b []byte) error
 	// Sync flushes everything appended so far to stable storage.
 	Sync() error

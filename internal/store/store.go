@@ -97,11 +97,22 @@ func DecodeCommit(d *wire.Decoder) Commit {
 }
 
 // CommitOf drains v's dirty sets into a commit record. The volume must have
-// dirty tracking enabled. Data slices are shared with the volume (WriteData
-// replaces slices, so they are stable).
+// dirty tracking enabled.
+//
+// The commit borrows from v: Deletes and every Meta[i].Meta are slices of
+// the volume's journal scratch (volume.TakeDirty), valid until the next
+// CommitOf(v) overwrites them; Data slices are the volume's own contents
+// (WriteData replaces slices, so they are stable). A caller therefore hands
+// the commit to Store.Commit, or encodes it, before v is next drained —
+// vice.mutate does both steps inside one hold of its apply lock — and a
+// Store is done with a commit's slices when its Commit returns.
 func CommitOf(v *volume.Volume) Commit {
 	meta, data, dead := v.TakeDirty()
-	c := Commit{Vol: v.ID(), Hdr: v.Header(), Deletes: dead}
+	c := Commit{
+		Vol: v.ID(), Hdr: v.Header(), Deletes: dead,
+		Meta: make([]VnodeMeta, 0, len(meta)), // sized: an empty one costs nothing
+		Data: make([]VnodeData, 0, len(data)),
+	}
 	for _, id := range meta {
 		if rec, ok := v.EncodeVnodeMeta(id); ok {
 			c.Meta = append(c.Meta, VnodeMeta{Vnode: id, Meta: rec})
@@ -233,7 +244,9 @@ type Store interface {
 	BeginVolume(id uint32, image []byte) error
 	// DropVolume forgets a volume and all its history.
 	DropVolume(id uint32) error
-	// Commit records the durable effect of one logical operation.
+	// Commit records the durable effect of one logical operation. The
+	// commit's slices are the caller's (see CommitOf): an implementation
+	// reads them before it returns and keeps none of them.
 	Commit(c Commit) error
 	// PutLoc records a location-database change.
 	PutLoc(entries []proto.LocEntry, remove []string) error

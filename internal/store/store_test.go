@@ -295,3 +295,46 @@ func TestMemFSAtomicWriteAndTruncate(t *testing.T) {
 		t.Fatalf("second remove: %v", err)
 	}
 }
+
+// TestAppendDoesNotRetainItsArgument holds every FS to File.Append's
+// contract: walstore builds the next record in the buffer it just appended,
+// so a file that kept the slice (or wrote through it) would journal garbage.
+func TestAppendDoesNotRetainItsArgument(t *testing.T) {
+	for name, fsys := range map[string]FS{
+		"DirFS":   DirFS(t.TempDir()),
+		"MemFS":   NewMemFS(),
+		"FaultFS": NewFaultFS(1, 0),
+	} {
+		f, err := fsys.Open("log")
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		buf := []byte("first record ")
+		want := append([]byte(nil), buf...)
+		if err := f.Append(buf); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(buf, want) {
+			t.Fatalf("%s: Append modified its argument", name)
+		}
+		copy(buf, "SECOND RECORD") // the caller reuses its buffer
+		want = append(want, buf...)
+		if err := f.Append(buf); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i := range buf {
+			buf[i] = 0xff
+		}
+		if err := f.Sync(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := fsys.ReadFile("log")
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: file holds %q after its appended buffer was overwritten, want %q", name, got, want)
+		}
+		f.Close()
+	}
+}

@@ -77,13 +77,30 @@ var errTorn = errors.New("walstore: torn or corrupt record")
 // and the seq/kind stamp.
 const recPrefix = 8 + 9
 
+// pooledRecord is the record size from which newRecord does not borrow from
+// the encoder pool. It repeats wire.maxPooled, the bound wire.PutEncoder
+// enforces (see there for the measurement that set it): a buffer grown to
+// this size would not be taken back, and growing a warm pooled encoder only
+// to have it dropped would cost the next small message its buffer. Were the
+// two to differ nothing breaks — a record between them is built in a pooled
+// encoder that is then dropped, or in a fresh one that is then pooled.
+const pooledRecord = 64 << 10
+
 // newRecord returns an encoder holding a record whose prefix is reserved but
 // blank, with room for bodySize more bytes. The caller encodes the body
-// straight after it and finishRecord fills the prefix in, so a record —
-// which may carry a whole file — is built in the one buffer that is appended
-// to the log, not encoded, stamped and framed through three.
-func newRecord(bodySize int) wire.Encoder {
-	var e wire.Encoder
+// straight after it and Store.append fills the prefix in, appends the record
+// and releases the encoder, so a record is built in the one buffer that is
+// appended to the log, not encoded, stamped and framed through three. A
+// small record is built in a pooled buffer, the memory the last one used; a
+// record that may carry a whole file costs its one sized allocation, which
+// no pool keeps afterwards.
+func newRecord(bodySize int) *wire.Encoder {
+	var e *wire.Encoder
+	if recPrefix+bodySize < pooledRecord {
+		e = wire.GetEncoder()
+	} else {
+		e = new(wire.Encoder)
+	}
 	e.Grow(recPrefix + bodySize)
 	var blank [recPrefix]byte
 	e.Raw(blank[:])

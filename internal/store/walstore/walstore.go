@@ -302,15 +302,20 @@ func (s *Store) writeMagic() error {
 	return nil
 }
 
-// append completes rec (a newRecord buffer, body encoded) with the next
-// seqno and appends it to the log.
+// append completes the record in e (a newRecord encoder, body encoded) with
+// the next seqno, appends it to the log in one Append — a record is never
+// split: each Append is one crash point, and recovery's torn-tail rule is
+// stated per record — and returns e to its pool, which File.Append's
+// contract (it keeps nothing of its argument) makes safe.
 //
 // A record recovery would not read back (readRecord takes a payload over
 // maxRecord for a torn tail, and drops it and everything after it) is refused
 // here, before it is appended and without latching the store, as Checkpoint
 // refuses an unreadable snapshot: the caller's operation fails, the log and
 // every other volume are untouched.
-func (s *Store) append(kind uint8, rec []byte) error {
+func (s *Store) append(kind uint8, e *wire.Encoder) error {
+	defer wire.PutEncoder(e)
+	rec := e.Buf()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.err != nil {
@@ -335,20 +340,22 @@ func (s *Store) BeginVolume(id uint32, image []byte) error {
 	e := newRecord(8 + len(image))
 	e.U32(id)
 	e.Bytes(image)
-	return s.append(kindBegin, e.Buf())
+	return s.append(kindBegin, e)
 }
 
 // DropVolume forgets a volume.
 func (s *Store) DropVolume(id uint32) error {
 	e := newRecord(4)
 	e.U32(id)
-	return s.append(kindDrop, e.Buf())
+	return s.append(kindDrop, e)
 }
 
-// Commit records the durable effect of one logical operation.
+// Commit records the durable effect of one logical operation. It is done
+// with c's slices when it returns: they are copied into the record here.
 func (s *Store) Commit(c store.Commit) error {
-	// Sized so the record, file contents included, is allocated once: a
-	// generous bound on the fixed fields plus every variable-length one.
+	// Sized so the record, file contents included, is allocated at most
+	// once: a generous bound on the fixed fields plus every variable-length
+	// one.
 	size := 64 + 4*len(c.Deletes)
 	for _, m := range c.Meta {
 		size += 8 + len(m.Meta)
@@ -357,22 +364,22 @@ func (s *Store) Commit(c store.Commit) error {
 		size += 8 + len(d.Data)
 	}
 	e := newRecord(size)
-	c.Encode(&e)
-	return s.append(kindCommit, e.Buf())
+	c.Encode(e)
+	return s.append(kindCommit, e)
 }
 
 // PutLoc records a location-database change.
 func (s *Store) PutLoc(entries []proto.LocEntry, remove []string) error {
 	e := newRecord(0)
-	proto.LocInstallArgs{Entries: entries, Remove: remove}.Encode(&e)
-	return s.append(kindLoc, e.Buf())
+	proto.LocInstallArgs{Entries: entries, Remove: remove}.Encode(e)
+	return s.append(kindLoc, e)
 }
 
 // PutProt records a protection-database mutation.
 func (s *Store) PutProt(m prot.Mutation) error {
 	e := newRecord(0)
-	m.Encode(&e)
-	return s.append(kindProt, e.Buf())
+	m.Encode(e)
+	return s.append(kindProt, e)
 }
 
 // Sync makes every appended record durable before returning. Concurrent

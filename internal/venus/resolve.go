@@ -126,16 +126,7 @@ func (v *Venus) serverOrder(cr proto.CustodianReply, readOnlyOK bool) []string {
 		}
 		return false
 	}
-	if v.cfg.HomeServer == cr.Custodian {
-		order = append(order, cr.Custodian)
-	} else {
-		for _, rep := range cr.Replicas {
-			if rep == v.cfg.HomeServer {
-				order = append(order, rep)
-				break
-			}
-		}
-	}
+	order = append(order, v.serverFor(cr, readOnlyOK))
 	if !seen(cr.Custodian) {
 		order = append(order, cr.Custodian)
 	}
@@ -150,9 +141,17 @@ func (v *Venus) serverOrder(cr proto.CustodianReply, readOnlyOK bool) []string {
 }
 
 // serverFor picks the preferred server for a location entry — the head of
-// serverOrder.
+// serverOrder, found without building the list: it is all a call needs
+// unless that server turns out to be unreachable.
 func (v *Venus) serverFor(cr proto.CustodianReply, readOnlyOK bool) string {
-	return v.serverOrder(cr, readOnlyOK)[0]
+	if readOnlyOK && v.cfg.HomeServer != cr.Custodian {
+		for _, rep := range cr.Replicas {
+			if rep == v.cfg.HomeServer {
+				return rep
+			}
+		}
+	}
+	return cr.Custodian
 }
 
 func readOp(op rpc.Op) bool {
@@ -170,7 +169,7 @@ func (v *Venus) callPath(p *sim.Proc, path string, req rpc.Request) (rpc.Respons
 	if err != nil {
 		return rpc.Response{}, err
 	}
-	return v.callAt(p, v.serverOrder(cr, readOp(req.Op)), path, cr, req)
+	return v.callAt(p, path, cr, req)
 }
 
 // locateVolume finds the location entry for a specific volume. Unlike
@@ -200,7 +199,7 @@ func (v *Venus) callRef(p *sim.Proc, ref proto.Ref, pathHint string, req rpc.Req
 	if err != nil {
 		return rpc.Response{}, err
 	}
-	return v.callAt(p, v.serverOrder(cr, readOp(req.Op)), pathHint, cr, req)
+	return v.callAt(p, pathHint, cr, req)
 }
 
 // call is the simple-call path, the one home of three steps every plain
@@ -225,23 +224,30 @@ func (v *Venus) call(p *sim.Proc, ref proto.Ref, pathHint string, op uint16, bod
 	return resp, err
 }
 
-// callAt performs the call against the first reachable server in servers,
-// retrying at the hinted custodian on CodeWrongServer (stale hints are
-// corrected, not fatal). Under ReconnectRetries, a transport failure drops
-// the dead connection, redials and re-issues the call — this is how Venus
-// survives a server that crashed and restarted, losing every connection it
-// had accepted. When the current server stays unreachable after its redial
-// budget, the call fails over to the next server in the fallback order
-// (read-only replicas of the same volume), with a short doubling backoff
-// between hops — a crashed custodian blacks nothing out as long as one
-// replica survives.
-func (v *Venus) callAt(p *sim.Proc, servers []string, path string, cr proto.CustodianReply, req rpc.Request) (rpc.Response, error) {
+// callAt performs the call against the first reachable server in cr's
+// serverOrder for req, retrying at the hinted custodian on CodeWrongServer
+// (stale hints are corrected, not fatal). Under ReconnectRetries, a transport
+// failure drops the dead connection, redials and re-issues the call — this is
+// how Venus survives a server that crashed and restarted, losing every
+// connection it had accepted. When the current server stays unreachable after
+// its redial budget, the call fails over to the next server in the fallback
+// order (read-only replicas of the same volume), with a short doubling
+// backoff between hops — a crashed custodian blacks nothing out as long as
+// one replica survives.
+func (v *Venus) callAt(p *sim.Proc, path string, cr proto.CustodianReply, req rpc.Request) (rpc.Response, error) {
 	redials, redirects := 0, 0
+	// The fallback order is built by the first failover: nearly every call
+	// is answered by the head of it.
+	readOnlyOK := readOp(req.Op)
+	server := v.serverFor(cr, readOnlyOK)
+	var servers []string
 	si := 0
-	server := servers[si]
 	// failNext advances to the next fallback server, reporting whether one
 	// exists.
 	failNext := func(err error) bool {
+		if servers == nil {
+			servers = v.serverOrder(cr, readOnlyOK)
+		}
 		if si+1 >= len(servers) {
 			return false
 		}

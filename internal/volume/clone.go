@@ -2,7 +2,6 @@ package volume
 
 import (
 	"fmt"
-	"sort"
 
 	"itcfs/internal/prot"
 	"itcfs/internal/proto"
@@ -71,6 +70,7 @@ func (v *Volume) Serialize() []byte {
 // Serialize.
 func (v *Volume) encodeImage(e *wire.Encoder, ids []uint32, withData bool) int {
 	skipped := 0
+	var names []string // encodeEntries' scratch, shared by every vnode
 	e.U32(v.id)
 	e.String(v.name)
 	e.Bool(v.readOnly)
@@ -90,18 +90,7 @@ func (v *Volume) encodeImage(e *wire.Encoder, ids []uint32, withData bool) int {
 			skipped += len(vn.Data)
 		}
 		vn.ACL.Encode(e)
-		names := make([]string, 0, len(vn.Entries))
-		for n := range vn.Entries {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		e.U32(uint32(len(names)))
-		for _, n := range names {
-			de := vn.Entries[n]
-			e.String(de.Name)
-			de.FID.Encode(e)
-			e.U8(uint8(de.Type))
-		}
+		names = encodeEntries(e, vn.Entries, names)
 	}
 	return e.Len() + skipped
 }

@@ -21,7 +21,7 @@ package volume
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"itcfs/internal/prot"
 	"itcfs/internal/proto"
@@ -87,35 +87,50 @@ const (
 	dirtyData                   // file content changed
 )
 
+// journal is a journalled volume's dirty sets, and the memory its commit
+// path uses again from one commit to the next: a small mutation journals
+// what it changed without allocating. Everything TakeDirty and
+// EncodeVnodeMeta return is a slice of it, valid until the next TakeDirty.
+// The arena holds the metadata of the vnodes one operation dirtied — the
+// volume already holds the same directories as maps, several times the
+// size — so it is not bounded separately.
+type journal struct {
+	dirty map[uint32]uint8
+	dead  map[uint32]bool
+
+	meta, data, gone []uint32     // TakeDirty's three results
+	arena            wire.Encoder // the metadata records since TakeDirty, back to back
+	names            []string     // one directory's entry names, for sorting
+}
+
 // EnableDirtyTracking turns on mutation tracking for this volume. A server
 // backed by a store enables it on every volume it installs; simulator
 // volumes leave it off and pay nothing.
 func (v *Volume) EnableDirtyTracking() {
-	if v.dirty == nil {
-		v.dirty = make(map[uint32]uint8)
-		v.dead = make(map[uint32]bool)
+	if v.journal == nil {
+		v.journal = &journal{dirty: make(map[uint32]uint8), dead: make(map[uint32]bool)}
 	}
 }
 
 // TrackingDirty reports whether mutation tracking is enabled.
-func (v *Volume) TrackingDirty() bool { return v.dirty != nil }
+func (v *Volume) TrackingDirty() bool { return v.journal != nil }
 
 func (v *Volume) markMeta(id uint32) {
-	if v.dirty != nil {
-		v.dirty[id] |= dirtyMeta
+	if j := v.journal; j != nil {
+		j.dirty[id] |= dirtyMeta
 	}
 }
 
 func (v *Volume) markData(id uint32) {
-	if v.dirty != nil {
-		v.dirty[id] |= dirtyMeta | dirtyData
+	if j := v.journal; j != nil {
+		j.dirty[id] |= dirtyMeta | dirtyData
 	}
 }
 
 func (v *Volume) markDead(id uint32) {
-	if v.dirty != nil {
-		delete(v.dirty, id)
-		v.dead[id] = true
+	if j := v.journal; j != nil {
+		delete(j.dirty, id)
+		j.dead[id] = true
 	}
 }
 
@@ -123,52 +138,73 @@ func (v *Volume) markDead(id uint32) {
 // ascending order: vnodes whose metadata changed, vnodes whose content
 // changed, and vnodes deleted since the last drain. Vnode numbers are never
 // reused, so a number cannot appear as both changed and deleted.
+//
+// The three slices, and every record EncodeVnodeMeta has returned, belong to
+// the volume and are valid until the next TakeDirty, which reuses them.
 func (v *Volume) TakeDirty() (meta, data, dead []uint32) {
-	if v.dirty == nil {
+	j := v.journal
+	if j == nil {
 		return nil, nil, nil
 	}
-	for id, bits := range v.dirty {
-		meta = append(meta, id)
+	j.meta, j.data, j.gone = j.meta[:0], j.data[:0], j.gone[:0]
+	j.arena.Reset()
+	for id, bits := range j.dirty {
+		j.meta = append(j.meta, id)
 		if bits&dirtyData != 0 {
-			data = append(data, id)
+			j.data = append(j.data, id)
 		}
 	}
-	for id := range v.dead {
-		dead = append(dead, id)
+	for id := range j.dead {
+		j.gone = append(j.gone, id)
 	}
-	sort.Slice(meta, func(i, j int) bool { return meta[i] < meta[j] })
-	sort.Slice(data, func(i, j int) bool { return data[i] < data[j] })
-	sort.Slice(dead, func(i, j int) bool { return dead[i] < dead[j] })
-	v.dirty = make(map[uint32]uint8)
-	v.dead = make(map[uint32]bool)
-	return meta, data, dead
+	slices.Sort(j.meta)
+	slices.Sort(j.data)
+	slices.Sort(j.gone)
+	clear(j.dirty)
+	clear(j.dead)
+	return j.meta, j.data, j.gone
 }
 
 // EncodeVnodeMeta encodes one vnode's metadata — parent, status, ACL and
 // directory entries, but not file content — for the journal. The second
-// return is false when the vnode no longer exists.
+// return is false when the vnode no longer exists. The volume must have
+// dirty tracking enabled: the record is appended to the journal's arena and
+// returned as a slice of it (see TakeDirty for how long it is valid).
 func (v *Volume) EncodeVnodeMeta(id uint32) ([]byte, bool) {
 	vn, ok := v.vnodes[id]
 	if !ok {
 		return nil, false
 	}
-	var e wire.Encoder
+	j := v.journal
+	e := &j.arena
+	start := e.Len()
 	e.U32(vn.Parent)
-	vn.Status.Encode(&e)
-	vn.ACL.Encode(&e)
-	names := make([]string, 0, len(vn.Entries))
-	for n := range vn.Entries {
+	vn.Status.Encode(e)
+	vn.ACL.Encode(e)
+	j.names = encodeEntries(e, vn.Entries, j.names)
+	// Capacity capped at the record: an append by its holder cannot run into
+	// the next record. (The arena growing under a later record leaves this
+	// one where it was, in the buffer it was written to.)
+	return e.Buf()[start:e.Len():e.Len()], true
+}
+
+// encodeEntries appends a directory's entry table, sorted by name, to e. It
+// collects the names in scratch and returns it, grown if it had to be, for
+// the next call.
+func encodeEntries(e *wire.Encoder, entries map[string]proto.DirEntry, scratch []string) []string {
+	names := scratch[:0]
+	for n := range entries {
 		names = append(names, n)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	e.U32(uint32(len(names)))
 	for _, n := range names {
-		de := vn.Entries[n]
+		de := entries[n]
 		e.String(de.Name)
-		de.FID.Encode(&e)
+		de.FID.Encode(e)
 		e.U8(uint8(de.Type))
 	}
-	return append([]byte(nil), e.Buf()...), true
+	return names
 }
 
 // RestoreVnodeMeta installs a vnode's metadata during recovery, creating the
@@ -249,6 +285,6 @@ func (v *Volume) VnodeIDs() []uint32 {
 	for id := range v.vnodes {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }

@@ -56,11 +56,11 @@ type Volume struct {
 	vnodes   map[uint32]*Vnode
 	clock    Clock
 
-	// Dirty tracking for durable stores (see store.go). Both maps are nil
-	// unless EnableDirtyTracking has been called; nil maps make every mark a
-	// no-op, so simulator volumes pay nothing.
-	dirty map[uint32]uint8
-	dead  map[uint32]bool
+	// Dirty tracking for durable stores (see store.go): nil unless
+	// EnableDirtyTracking has been called, which makes every mark a no-op,
+	// so simulator volumes pay one word for it. Never shared: Clone and
+	// Deserialize build their Volume field by field and leave it nil.
+	journal *journal
 }
 
 // New creates an empty read-write volume whose root directory carries acl.

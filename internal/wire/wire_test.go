@@ -256,3 +256,26 @@ func TestTraceHeaderRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestPutEncoderDropsLargeBuffers: an encoder a large message has grown is
+// not pooled, so a later 60-byte call head is never handed — and does not
+// keep alive — a megabyte. Smaller ones do go back.
+func TestPutEncoderDropsLargeBuffers(t *testing.T) {
+	e := GetEncoder()
+	e.Bytes(make([]byte, 1<<20))
+	PutEncoder(e)
+	small := GetEncoder()
+	small.Bytes(make([]byte, 1<<10))
+	PutEncoder(small)
+	// A sync.Pool hands back what this goroutine just put, when anything:
+	// draw more than were put, so the large one would have to surface.
+	for i := 0; i < 8; i++ {
+		got := GetEncoder()
+		if got.Len() != 0 {
+			t.Fatalf("GetEncoder returned an encoder holding %d bytes", got.Len())
+		}
+		if cap(got.buf) > maxPooled {
+			t.Fatalf("GetEncoder returned a %d-byte buffer, above the %d the pool keeps", cap(got.buf), maxPooled)
+		}
+	}
+}
