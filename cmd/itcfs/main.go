@@ -11,6 +11,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"sort"
@@ -29,15 +30,25 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "localhost:7001", "server address")
-	user := flag.String("user", "", "user name (required)")
-	password := flag.String("password", "", "password (required)")
-	serverName := flag.String("server", "server0", "server name (must match itcfsd -name)")
-	modeFlag := flag.String("mode", "revised", "client mode: prototype or revised")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
+
+// run is main with its arguments and streams explicit, so the scripted
+// session test can drive the shell in-process.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("itcfs", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	addr := flags.String("addr", "localhost:7001", "server address")
+	user := flags.String("user", "", "user name (required)")
+	password := flags.String("password", "", "password (required)")
+	serverName := flags.String("server", "server0", "server name (must match itcfsd -name)")
+	modeFlag := flags.String("mode", "revised", "client mode: prototype or revised")
+	if err := flags.Parse(args); err != nil {
+		return 2
+	}
 	if *user == "" || *password == "" {
-		fmt.Fprintln(os.Stderr, "itcfs: -user and -password are required")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "itcfs: -user and -password are required")
+		return 2
 	}
 	mode := vice.Revised
 	if *modeFlag == "prototype" {
@@ -50,13 +61,13 @@ func main() {
 
 	conn, err := net.Dial("tcp", *addr)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "itcfs: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "itcfs: %v\n", err)
+		return 1
 	}
 	peer, err := rpc.DialPeer(conn, *user, secure.DeriveKey(*user, *password), cbServer)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "itcfs: authentication failed: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "itcfs: authentication failed: %v\n", err)
+		return 1
 	}
 	defer peer.Close()
 
@@ -78,10 +89,10 @@ func main() {
 	fs := virtue.New(local, v)
 	local.MkdirAll("/tmp", 0o777, *user)
 
-	fmt.Printf("connected to %s as %s (%s mode); shared space under /vice\n", *addr, *user, mode)
-	sh := &shell{fs: fs, v: v, peer: peer, user: *user}
-	scanner := bufio.NewScanner(os.Stdin)
-	fmt.Print("itcfs> ")
+	fmt.Fprintf(stdout, "connected to %s as %s (%s mode); shared space under /vice\n", *addr, *user, mode)
+	sh := &shell{fs: fs, v: v, peer: peer, user: *user, out: stdout}
+	scanner := bufio.NewScanner(stdin)
+	fmt.Fprint(stdout, "itcfs> ")
 	for scanner.Scan() {
 		line := strings.TrimSpace(scanner.Text())
 		if line != "" {
@@ -89,11 +100,12 @@ func main() {
 				break
 			}
 			if err := sh.exec(line); err != nil {
-				fmt.Printf("error: %v\n", err)
+				fmt.Fprintf(stdout, "error: %v\n", err)
 			}
 		}
-		fmt.Print("itcfs> ")
+		fmt.Fprint(stdout, "itcfs> ")
 	}
+	return 0
 }
 
 type shell struct {
@@ -101,6 +113,7 @@ type shell struct {
 	v    *venus.Venus
 	peer *rpc.Peer
 	user string
+	out  io.Writer
 }
 
 func (sh *shell) exec(line string) error {
@@ -114,7 +127,7 @@ func (sh *shell) exec(line string) error {
 	}
 	switch cmd {
 	case "help":
-		fmt.Print(`commands:
+		fmt.Fprint(sh.out, `commands:
   ls PATH                 list a directory
   cat PATH                print a file
   write PATH TEXT...      write text to a file
@@ -149,7 +162,7 @@ func (sh *shell) exec(line string) error {
 			if e.IsDir {
 				suffix = "/"
 			}
-			fmt.Println(e.Name + suffix)
+			fmt.Fprintln(sh.out, e.Name+suffix)
 		}
 		return nil
 	case "cat":
@@ -160,9 +173,9 @@ func (sh *shell) exec(line string) error {
 		if err != nil {
 			return err
 		}
-		os.Stdout.Write(data)
+		sh.out.Write(data)
 		if len(data) > 0 && data[len(data)-1] != '\n' {
-			fmt.Println()
+			fmt.Fprintln(sh.out)
 		}
 		return nil
 	case "write":
@@ -200,7 +213,7 @@ func (sh *shell) exec(line string) error {
 		if st.Shared {
 			space = "vice"
 		}
-		fmt.Printf("%s: %d bytes, mode %04o, owner %s, version %d (%s)\n",
+		fmt.Fprintf(sh.out, "%s: %d bytes, mode %04o, owner %s, version %d (%s)\n",
 			st.Name, st.Size, st.Mode, st.Owner, st.Version, space)
 		return nil
 	case "mkdir":
@@ -267,7 +280,7 @@ func (sh *shell) exec(line string) error {
 			}
 			sort.Strings(names)
 			for _, n := range names {
-				fmt.Printf("  %s %-24s %s\n", label, n, m[n])
+				fmt.Fprintf(sh.out, "  %s %-24s %s\n", label, n, m[n])
 			}
 		}
 		printSide("+", acl.Positive)
@@ -298,10 +311,10 @@ func (sh *shell) exec(line string) error {
 		return sh.v.SetACL(nil, dir, proto.ACLEncode(acl))
 	case "stats":
 		st := sh.v.Stats()
-		fmt.Printf("opens %d  hits %d (%.1f%%)  fetches %d  stores %d  validations %d  breaks %d\n",
+		fmt.Fprintf(sh.out, "opens %d  hits %d (%.1f%%)  fetches %d  stores %d  validations %d  breaks %d\n",
 			st.Opens, st.Hits, 100*st.HitRatio(), st.Fetches, st.Stores, st.Validations, st.CallbackBreaks)
 		files, bytes := sh.v.CacheUsage()
-		fmt.Printf("cache: %d entries, %d bytes\n", files, bytes)
+		fmt.Fprintf(sh.out, "cache: %d entries, %d bytes\n", files, bytes)
 		return nil
 	case "adduser":
 		if err := need(2); err != nil {
@@ -328,7 +341,7 @@ func (sh *shell) exec(line string) error {
 		if !resp.OK() {
 			return proto.CodeToErr(resp.Code, string(resp.Body))
 		}
-		fmt.Printf("created user %s with home /vice/usr/%s\n", name, name)
+		fmt.Fprintf(sh.out, "created user %s with home /vice/usr/%s\n", name, name)
 		return nil
 	case "salvage":
 		var id uint32
@@ -352,7 +365,7 @@ func (sh *shell) exec(line string) error {
 		if err := d.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("salvage: %d orphans removed, %d dangling entries dropped, %d link counts fixed\n",
+		fmt.Fprintf(sh.out, "salvage: %d orphans removed, %d dangling entries dropped, %d link counts fixed\n",
 			orphans, dangling, links)
 		return nil
 	case "volstat":
@@ -377,7 +390,7 @@ func (sh *shell) exec(line string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("volume %d %q on %s: %d/%d bytes, online=%v readonly=%v\n",
+		fmt.Fprintf(sh.out, "volume %d %q on %s: %d/%d bytes, online=%v readonly=%v\n",
 			vs.Volume, vs.Name, vs.Server, vs.Used, vs.Quota, vs.Online, vs.ReadOnly)
 		return nil
 	default:
