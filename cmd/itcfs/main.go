@@ -5,6 +5,12 @@
 //	itcfs -addr localhost:7001 -user operator -password secret
 //
 // Type "help" at the prompt for commands.
+//
+// What is left in this file is the flags, two dials and the command table.
+// The workstation is virtue.NewWorkstation over the first connection; the
+// operator's commands (adduser, volstat, salvage) are itcfs.Admin over the
+// second — the same two pieces a simulated cell's workstations and
+// Cell.Admin are made of.
 package main
 
 import (
@@ -17,6 +23,7 @@ import (
 	"sort"
 	"strings"
 
+	"itcfs"
 	"itcfs/internal/prot"
 	"itcfs/internal/proto"
 	"itcfs/internal/rpc"
@@ -26,7 +33,6 @@ import (
 	"itcfs/internal/venus"
 	"itcfs/internal/vice"
 	"itcfs/internal/virtue"
-	"itcfs/internal/wire"
 )
 
 func main() {
@@ -55,24 +61,39 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		mode = vice.Prototype
 	}
 
+	key := secure.DeriveKey(*user, *password)
+	dial := func(callbacks *rpc.Server) (*rpc.Peer, error) {
+		conn, err := net.Dial("tcp", *addr)
+		if err != nil {
+			return nil, err
+		}
+		peer, err := rpc.DialPeer(conn, *user, key, callbacks)
+		if err != nil {
+			conn.Close()
+			return nil, fmt.Errorf("authentication failed: %w", err)
+		}
+		return peer, nil
+	}
 	// The callback service: the server breaks our cached copies through it.
 	cbServer := rpc.NewServer()
-	var v *venus.Venus
-
-	conn, err := net.Dial("tcp", *addr)
+	peer, err := dial(cbServer)
 	if err != nil {
 		fmt.Fprintf(stderr, "itcfs: %v\n", err)
 		return 1
 	}
-	peer, err := rpc.DialPeer(conn, *user, secure.DeriveKey(*user, *password), cbServer)
+	defer peer.Close()
+	// The operator's console is a connection of its own, as in the simulator:
+	// what it changes reaches this workstation's cache the way anyone's
+	// change does, as a callback break.
+	console, err := dial(nil)
 	if err != nil {
-		fmt.Fprintf(stderr, "itcfs: authentication failed: %v\n", err)
+		fmt.Fprintf(stderr, "itcfs: %v\n", err)
 		return 1
 	}
-	defer peer.Close()
+	defer console.Close()
 
 	local := unixfs.New(nil)
-	v = venus.New(venus.Config{
+	fs := virtue.NewWorkstation(venus.Config{
 		Mode:       mode,
 		Machine:    "itcfs-cli",
 		Local:      local,
@@ -83,14 +104,12 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			}
 			return peer, nil
 		},
-	})
-	cbServer.Handle(rpc.Op(proto.OpCallbackBreak), v.HandleCallbackBreak)
-	v.Login(*user)
-	fs := virtue.New(local, v)
+	}, cbServer)
+	fs.Venus().Login(*user)
 	local.MkdirAll("/tmp", 0o777, *user)
 
 	fmt.Fprintf(stdout, "connected to %s as %s (%s mode); shared space under /vice\n", *addr, *user, mode)
-	sh := &shell{fs: fs, v: v, peer: peer, user: *user, out: stdout}
+	sh := &shell{fs: fs, v: fs.Venus(), admin: itcfs.NewAdmin(console, *serverName), out: stdout}
 	scanner := bufio.NewScanner(stdin)
 	fmt.Fprint(stdout, "itcfs> ")
 	for scanner.Scan() {
@@ -109,11 +128,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 }
 
 type shell struct {
-	fs   *virtue.FS
-	v    *venus.Venus
-	peer *rpc.Peer
-	user string
-	out  io.Writer
+	fs    *virtue.FS
+	v     *venus.Venus
+	admin *itcfs.Admin
+	out   io.Writer
 }
 
 func (sh *shell) exec(line string) error {
@@ -320,28 +338,10 @@ func (sh *shell) exec(line string) error {
 		if err := need(2); err != nil {
 			return err
 		}
-		name, pw := rest[0], rest[1]
-		if err := sh.protect(prot.Mutation{
-			Kind: prot.MutAddUser, Name: name, Key: secure.DeriveKey(name, pw),
-		}); err != nil {
+		if err := sh.admin.NewUser(nil, rest[0], rest[1], 0); err != nil {
 			return err
 		}
-		if err := sh.fs.Mkdir(nil, "/vice/usr", 0o755); err != nil && !strings.Contains(err.Error(), "exists") {
-			return err
-		}
-		resp, err := sh.peer.Call(nil, rpc.Request{
-			Op: rpc.Op(proto.OpVolCreate),
-			Body: proto.Marshal(proto.VolCreateArgs{
-				Name: "user." + name, Path: "/usr/" + name, Owner: name,
-			}),
-		})
-		if err != nil {
-			return err
-		}
-		if !resp.OK() {
-			return proto.CodeToErr(resp.Code, string(resp.Body))
-		}
-		fmt.Fprintf(sh.out, "created user %s with home /vice/usr/%s\n", name, name)
+		fmt.Fprintf(sh.out, "created user %s with home /vice/usr/%s\n", rest[0], rest[0])
 		return nil
 	case "salvage":
 		var id uint32
@@ -350,23 +350,12 @@ func (sh *shell) exec(line string) error {
 				return fmt.Errorf("bad volume id %q", rest[0])
 			}
 		}
-		resp, err := sh.peer.Call(nil, rpc.Request{
-			Op:   rpc.Op(proto.OpVolSalvage),
-			Body: proto.Marshal(proto.VolStatusArgs{Volume: id}),
-		})
+		rep, err := sh.admin.Salvage(nil, id)
 		if err != nil {
 			return err
 		}
-		if !resp.OK() {
-			return proto.CodeToErr(resp.Code, string(resp.Body))
-		}
-		d := wire.NewDecoder(resp.Body)
-		orphans, dangling, links := d.Int(), d.Int(), d.Int()
-		if err := d.Close(); err != nil {
-			return err
-		}
 		fmt.Fprintf(sh.out, "salvage: %d orphans removed, %d dangling entries dropped, %d link counts fixed\n",
-			orphans, dangling, links)
+			rep.Orphans, rep.Dangling, rep.Links)
 		return nil
 	case "volstat":
 		if err := need(1); err != nil {
@@ -376,17 +365,7 @@ func (sh *shell) exec(line string) error {
 		if _, err := fmt.Sscanf(rest[0], "%d", &id); err != nil {
 			return fmt.Errorf("bad volume id %q", rest[0])
 		}
-		resp, err := sh.peer.Call(nil, rpc.Request{
-			Op:   rpc.Op(proto.OpVolStatus),
-			Body: proto.Marshal(proto.VolStatusArgs{Volume: id}),
-		})
-		if err != nil {
-			return err
-		}
-		if !resp.OK() {
-			return proto.CodeToErr(resp.Code, string(resp.Body))
-		}
-		vs, err := proto.Unmarshal(resp.Body, proto.DecodeVolStatusReply)
+		vs, err := sh.admin.VolumeStatus(nil, id)
 		if err != nil {
 			return err
 		}
@@ -396,15 +375,4 @@ func (sh *shell) exec(line string) error {
 	default:
 		return fmt.Errorf("unknown command %q (try help)", cmd)
 	}
-}
-
-func (sh *shell) protect(m prot.Mutation) error {
-	resp, err := sh.peer.Call(nil, rpc.Request{Op: rpc.Op(proto.OpProtMutate), Body: proto.Marshal(m)})
-	if err != nil {
-		return err
-	}
-	if !resp.OK() {
-		return proto.CodeToErr(resp.Code, string(resp.Body))
-	}
-	return nil
 }

@@ -10,42 +10,17 @@ import (
 	"sync"
 	"testing"
 
-	"itcfs/internal/prot"
-	"itcfs/internal/proto"
-	"itcfs/internal/rpc"
-	"itcfs/internal/secure"
 	"itcfs/internal/vice"
-	"itcfs/internal/volume"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// serve stands up what itcfsd serves — one Vice server with an operator
-// account and a root volume — on a loopback listener, and returns its address.
+// serve stands up what itcfsd serves, from the pieces itcfsd is made of, on a
+// loopback listener, and returns its address.
 func serve(t *testing.T) string {
 	t.Helper()
-	db := prot.NewDB()
-	for _, m := range []prot.Mutation{
-		{Kind: prot.MutAddUser, Name: "operator", Key: secure.DeriveKey("operator", "secret")},
-		{Kind: prot.MutAddGroup, Name: vice.AdminGroup, Owner: "operator"},
-		{Kind: prot.MutAddMember, Name: vice.AdminGroup, Member: "operator"},
-	} {
-		if err := db.Apply(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	nextVol := uint32(1)
-	srv := vice.New(vice.Config{
-		Name: "server0", Mode: vice.Revised, DB: db, ProtAuthority: true,
-		AllocVolID: func() uint32 { nextVol++; return nextVol },
-	})
-	rootACL := prot.NewACL()
-	rootACL.Grant(prot.AnyUser, prot.RightLookup|prot.RightRead)
-	rootACL.Grant(vice.AdminGroup, prot.RightsAll)
-	if err := srv.AddVolume(volume.New(1, "root", rootACL, 0, "operator", nil)); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.InstallLoc([]proto.LocEntry{{Prefix: "/", Volume: 1, Custodian: "server0"}}, nil); err != nil {
+	srv, _, err := vice.Boot(vice.Config{Name: "server0", Mode: vice.Revised, ProtAuthority: true}, "secret")
+	if err != nil {
 		t.Fatal(err)
 	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -64,14 +39,7 @@ func serve(t *testing.T) string {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				peer, err := rpc.AcceptPeer(conn, db.LookupKey, srv.Dispatcher())
-				if err != nil {
-					conn.Close()
-					return
-				}
-				<-peer.Done()
-				srv.Locks().ReleaseAllFor(peer.User())
-				srv.Callbacks().Drop(peer)
+				srv.ServeConn(conn, nil)
 			}()
 		}
 	}()

@@ -23,6 +23,11 @@
 // /locdb (the location database with per-volume custodians and replica
 // sets), /snapshot (the combined dump also written to stderr on shutdown)
 // and /debug/pprof/ (live CPU and heap profiling via net/http/pprof).
+//
+// What is left in this file is the deployment: flags, the store, signals,
+// checkpoint pacing, the debug endpoint and the accept loop. The server is
+// stood up by vice.Boot and each connection lives and dies in
+// (*vice.Server).ServeConn, which tests drive in-process.
 package main
 
 import (
@@ -38,16 +43,11 @@ import (
 	"syscall"
 	"time"
 
-	"itcfs/internal/prot"
-	"itcfs/internal/proto"
-	"itcfs/internal/rpc"
-	"itcfs/internal/secure"
 	"itcfs/internal/sim"
 	"itcfs/internal/store"
 	"itcfs/internal/store/walstore"
 	"itcfs/internal/trace"
 	"itcfs/internal/vice"
-	"itcfs/internal/volume"
 )
 
 func main() {
@@ -97,19 +97,6 @@ func run(args []string) int {
 		mode = vice.Prototype
 	}
 
-	db := prot.NewDB()
-	must := func(err error) {
-		if err != nil {
-			log.Fatalf("itcfsd: bootstrap: %v", err)
-		}
-	}
-	must(db.Apply(prot.Mutation{
-		Kind: prot.MutAddUser, Name: "operator",
-		Key: secure.DeriveKey("operator", *opPassword),
-	}))
-	must(db.Apply(prot.Mutation{Kind: prot.MutAddGroup, Name: vice.AdminGroup, Owner: "operator"}))
-	must(db.Apply(prot.Mutation{Kind: prot.MutAddMember, Name: vice.AdminGroup, Member: "operator"}))
-
 	// The real daemon serves real clients: file timestamps are wall time,
 	// and the flight recorder stamps events with a monotonic offset from
 	// process start.
@@ -133,60 +120,25 @@ func run(args []string) int {
 		st = ws
 	}
 
-	nextVol := uint32(1)
-	locdb := vice.NewLocDB()
-	srv := vice.New(vice.Config{
+	srv, rep, err := vice.Boot(vice.Config{
 		Name:          *name,
 		Mode:          mode,
-		DB:            db,
-		Loc:           locdb,
 		Clock:         clock,
 		ProtAuthority: true,
-		AllocVolID:    func() uint32 { nextVol++; return nextVol },
 		Metrics:       metrics,
 		Flight:        flight,
 		Store:         st,
-	})
-
-	if st != nil {
-		rep, err := srv.RecoverStore()
-		if err != nil {
-			log.Printf("itcfsd: recover store: %v", err)
-			return 1
-		}
+	}, *opPassword)
+	if err != nil {
+		log.Printf("itcfsd: %v", err)
+		return 1
+	}
+	if rep != nil {
 		for _, line := range rep.Lines() {
 			log.Printf("itcfsd: %s", line)
 		}
-		// Resume volume-ID allocation past everything recovered: volumes
-		// still held here, and every ID the location database references —
-		// a volume moved to a peer before the restart is no longer local,
-		// but re-issuing its ID would break AllocVolID's cell-wide
-		// uniqueness and collide in the location database.
-		for _, id := range srv.VolumeIDs() {
-			if id > nextVol {
-				nextVol = id
-			}
-		}
-		for _, e := range locdb.Entries() {
-			if e.Volume > nextVol {
-				nextVol = e.Volume
-			}
-		}
 	}
-	if _, ok := srv.Volume(1); !ok {
-		// First boot (or no durable state): create the root volume.
-		rootACL := prot.NewACL()
-		rootACL.Grant(prot.AnyUser, prot.RightLookup|prot.RightRead)
-		rootACL.Grant(vice.AdminGroup, prot.RightsAll)
-		if err := srv.AddVolume(volume.New(1, "root", rootACL, 0, "operator", clock)); err != nil {
-			log.Printf("itcfsd: bootstrap root volume: %v", err)
-			return 1
-		}
-		if err := srv.InstallLoc([]proto.LocEntry{{Prefix: "/", Volume: 1, Custodian: *name}}, nil); err != nil {
-			log.Printf("itcfsd: bootstrap location: %v", err)
-			return 1
-		}
-	}
+	locdb := srv.Loc()
 
 	// A wall-clock tracer: real transports have no virtual time, so spans
 	// carry the same monotonic offset the flight recorder uses.
@@ -324,21 +276,12 @@ func run(args []string) int {
 			shutdown(1)
 		}
 		go func(c net.Conn) {
-			acceptStart := time.Now() //itcvet:allow wallclock -- real handshake cost, outside the simulator
-			peer, err := rpc.AcceptPeer(c, db.LookupKey, srv.Dispatcher())
+			user, err := srv.ServeConn(c, tracer)
 			if err != nil {
 				log.Printf("itcfsd: %s: handshake rejected: %v", c.RemoteAddr(), err)
-				c.Close()
 				return
 			}
-			metrics.Histogram(trace.MetricRPCAcceptLatency).Observe(time.Since(acceptStart)) //itcvet:allow wallclock -- real handshake cost, outside the simulator
-			peer.SetTracer(tracer)
-			peer.SetMetrics(metrics)
-			log.Printf("itcfsd: %s authenticated as %q", c.RemoteAddr(), peer.User())
-			<-peer.Done()
-			srv.Locks().ReleaseAllFor(peer.User())
-			srv.Callbacks().Drop(peer)
-			log.Printf("itcfsd: %s (%q) disconnected", c.RemoteAddr(), peer.User())
+			log.Printf("itcfsd: %s (%q) disconnected", c.RemoteAddr(), user)
 		}(conn)
 	}
 }

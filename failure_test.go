@@ -206,7 +206,7 @@ func TestSalvageRPC(t *testing.T) {
 			v.CorruptForTest()
 		}
 	}
-	var repairs int
+	var repairs proto.SalvageReply
 	cell.Run(func(p *sim.Proc) {
 		admin, aerr := cell.Admin(p, 0)
 		if aerr != nil {
@@ -218,7 +218,7 @@ func TestSalvageRPC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if repairs == 0 {
+	if repairs == (proto.SalvageReply{}) {
 		t.Fatal("salvage RPC repaired nothing after corruption")
 	}
 	// Non-admins are refused.

@@ -14,6 +14,7 @@
 package baseline
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -24,43 +25,70 @@ import (
 	"itcfs/internal/wire"
 )
 
-// PageSize is the transfer unit, a 4 KB page.
-const PageSize = 4096
+// pageSize is the transfer unit, a 4 KB page.
+const pageSize = 4096
 
 // Ops of the page protocol (distinct from the Vice range).
 const (
-	OpOpen  = 100
-	OpRead  = 101
-	OpWrite = 102
-	OpClose = 103
-	OpStat  = 104
+	opOpen  = 100
+	opRead  = 101
+	opWrite = 102
+	opClose = 103
+	opStat  = 104
 )
 
-// Server is a page server over an in-memory Unix file system.
+// Backend is the name space a page server serves pages of: the page
+// protocol's handlers know only how to open a file in it and describe one.
+// An in-memory Unix file system (NewServer) and a whole workstation view
+// (virtue.Surrogate) are the two.
+type Backend interface {
+	// Open opens path, creating it first when create is set and it is absent.
+	Open(p *sim.Proc, path string, create bool) (OpenFile, error)
+	// Stat reports the size and version of path.
+	Stat(p *sim.Proc, path string) (size int64, version uint64, err error)
+}
+
+// OpenFile is a file a Backend has opened, held under a descriptor until the
+// client closes it.
+type OpenFile interface {
+	ReadAt(buf []byte, off int64) (int, error)
+	WriteAt(buf []byte, off int64) (int, error)
+	Close(p *sim.Proc) error
+}
+
+// Server serves the page protocol over a Backend.
 type Server struct {
+	back Backend
+	disp *rpc.Server
+
 	mu     sync.Mutex
-	fs     *unixfs.FS
-	disp   *rpc.Server
-	nextFD uint64 // guarded by mu
-	// guarded by mu
-	open map[uint64]string // fd -> path
+	nextFD uint64              // guarded by mu
+	open   map[uint64]OpenFile // guarded by mu
 
 	reads, writes, opens int64 // guarded by mu
 }
 
-// NewServer builds a page server around fs.
-func NewServer(fs *unixfs.FS) *Server {
-	s := &Server{fs: fs, disp: rpc.NewServer(), open: make(map[uint64]string)}
-	s.disp.Handle(OpOpen, s.handleOpen)
-	s.disp.Handle(OpRead, s.handleRead)
-	s.disp.Handle(OpWrite, s.handleWrite)
-	s.disp.Handle(OpClose, s.handleClose)
-	s.disp.Handle(OpStat, s.handleStat)
+// NewServer builds a page server around an in-memory Unix file system.
+func NewServer(fs *unixfs.FS) *Server { return NewServerOver(unixFiles{fs}) }
+
+// NewServerOver builds a page server over back. Attach its Dispatcher to an
+// rpc endpoint (simulated or TCP) the page clients can reach.
+func NewServerOver(back Backend) *Server {
+	s := &Server{back: back, disp: rpc.NewServer(), open: make(map[uint64]OpenFile)}
+	s.disp.Handle(opOpen, s.handleOpen)
+	s.disp.Handle(opRead, s.handleRead)
+	s.disp.Handle(opWrite, s.handleWrite)
+	s.disp.Handle(opClose, s.handleClose)
+	s.disp.Handle(opStat, s.handleStat)
 	return s
 }
 
-// FS returns the backing file system (for populating test data).
-func (s *Server) FS() *unixfs.FS { return s.fs }
+// FS returns the Unix file system behind a server NewServer built (for
+// populating test data); nil over any other Backend.
+func (s *Server) FS() *unixfs.FS {
+	u, _ := s.back.(unixFiles)
+	return u.fs
+}
 
 // Dispatcher returns the handler set to bind to a transport.
 func (s *Server) Dispatcher() *rpc.Server { return s.disp }
@@ -72,42 +100,43 @@ func (s *Server) OpCounts() (opens, reads, writes int64) {
 	return s.opens, s.reads, s.writes
 }
 
-func (s *Server) handleOpen(_ rpc.Ctx, req rpc.Request) rpc.Response {
+func errResponse(err error) rpc.Response {
+	return rpc.Response{Code: proto.ErrToCode(err), Body: []byte(err.Error())}
+}
+
+func (s *Server) handleOpen(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	d := wire.NewDecoder(req.Body)
 	path := d.String()
 	create := d.Bool()
 	if d.Close() != nil {
 		return rpc.Response{Code: proto.CodeBadRequest}
 	}
-	if !s.fs.Exists(path) {
-		if !create {
-			return rpc.Response{Code: proto.CodeNoEnt, Body: []byte(path)}
-		}
-		if err := s.fs.WriteFile(path, nil, 0o644, ""); err != nil {
-			return rpc.Response{Code: proto.ErrToCode(err), Body: []byte(err.Error())}
-		}
-	}
-	st, err := s.fs.Stat(path)
+	f, err := s.back.Open(ctx.Proc, path, create)
 	if err != nil {
-		return rpc.Response{Code: proto.ErrToCode(err), Body: []byte(err.Error())}
+		return errResponse(err)
+	}
+	size, _, err := s.back.Stat(ctx.Proc, path)
+	if err != nil {
+		f.Close(ctx.Proc)
+		return errResponse(err)
 	}
 	s.mu.Lock()
 	s.nextFD++
 	fd := s.nextFD
-	s.open[fd] = path
+	s.open[fd] = f
 	s.opens++
 	s.mu.Unlock()
 	var e wire.Encoder
 	e.U64(fd)
-	e.I64(st.Size)
+	e.I64(size)
 	return rpc.Response{Body: append([]byte(nil), e.Buf()...)}
 }
 
-func (s *Server) path(fd uint64) (string, bool) {
+func (s *Server) file(fd uint64) (OpenFile, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p, ok := s.open[fd]
-	return p, ok
+	f, ok := s.open[fd]
+	return f, ok
 }
 
 func (s *Server) handleRead(_ rpc.Ctx, req rpc.Request) rpc.Response {
@@ -115,17 +144,17 @@ func (s *Server) handleRead(_ rpc.Ctx, req rpc.Request) rpc.Response {
 	fd := d.U64()
 	off := d.I64()
 	n := d.Int()
-	if d.Close() != nil || n <= 0 || n > PageSize {
+	if d.Close() != nil || n <= 0 || n > pageSize {
 		return rpc.Response{Code: proto.CodeBadRequest}
 	}
-	path, ok := s.path(fd)
+	f, ok := s.file(fd)
 	if !ok {
 		return rpc.Response{Code: proto.CodeStale}
 	}
 	buf := make([]byte, n)
-	got, err := s.fs.ReadAt(path, buf, off)
+	got, err := f.ReadAt(buf, off)
 	if err != nil {
-		return rpc.Response{Code: proto.ErrToCode(err), Body: []byte(err.Error())}
+		return errResponse(err)
 	}
 	s.mu.Lock()
 	s.reads++
@@ -137,15 +166,15 @@ func (s *Server) handleWrite(_ rpc.Ctx, req rpc.Request) rpc.Response {
 	d := wire.NewDecoder(req.Body)
 	fd := d.U64()
 	off := d.I64()
-	if d.Close() != nil || len(req.Bulk) > PageSize {
+	if d.Close() != nil || len(req.Bulk) > pageSize {
 		return rpc.Response{Code: proto.CodeBadRequest}
 	}
-	path, ok := s.path(fd)
+	f, ok := s.file(fd)
 	if !ok {
 		return rpc.Response{Code: proto.CodeStale}
 	}
-	if _, err := s.fs.WriteAt(path, req.Bulk, off); err != nil {
-		return rpc.Response{Code: proto.ErrToCode(err), Body: []byte(err.Error())}
+	if _, err := f.WriteAt(req.Bulk, off); err != nil {
+		return errResponse(err)
 	}
 	s.mu.Lock()
 	s.writes++
@@ -153,46 +182,82 @@ func (s *Server) handleWrite(_ rpc.Ctx, req rpc.Request) rpc.Response {
 	return rpc.Response{}
 }
 
-func (s *Server) handleClose(_ rpc.Ctx, req rpc.Request) rpc.Response {
+// handleClose releases the descriptor and closes the file — over a
+// workstation view, the moment Venus stores a modified shared file back.
+func (s *Server) handleClose(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	d := wire.NewDecoder(req.Body)
 	fd := d.U64()
 	if d.Close() != nil {
 		return rpc.Response{Code: proto.CodeBadRequest}
 	}
 	s.mu.Lock()
+	f, ok := s.open[fd]
 	delete(s.open, fd)
 	s.mu.Unlock()
+	if !ok {
+		return rpc.Response{Code: proto.CodeStale}
+	}
+	if err := f.Close(ctx.Proc); err != nil {
+		return errResponse(err)
+	}
 	return rpc.Response{}
 }
 
-func (s *Server) handleStat(_ rpc.Ctx, req rpc.Request) rpc.Response {
+func (s *Server) handleStat(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	d := wire.NewDecoder(req.Body)
 	path := d.String()
 	if d.Close() != nil {
 		return rpc.Response{Code: proto.CodeBadRequest}
 	}
-	st, err := s.fs.Stat(path)
+	size, version, err := s.back.Stat(ctx.Proc, path)
 	if err != nil {
-		return rpc.Response{Code: proto.ErrToCode(err), Body: []byte(err.Error())}
+		return errResponse(err)
 	}
 	var e wire.Encoder
-	e.I64(st.Size)
-	e.U64(st.Version)
+	e.I64(size)
+	e.U64(version)
 	return rpc.Response{Body: append([]byte(nil), e.Buf()...)}
 }
 
-// Conn abstracts the transport, as in venus.
-type Conn interface {
-	Call(p *sim.Proc, req rpc.Request) (rpc.Response, error)
+// unixFiles is the Backend over a Unix file system, whose open files are
+// their paths.
+type unixFiles struct{ fs *unixfs.FS }
+
+type unixFile struct {
+	fs   *unixfs.FS
+	path string
 }
+
+func (u unixFiles) Open(_ *sim.Proc, path string, create bool) (OpenFile, error) {
+	if !u.fs.Exists(path) {
+		if !create {
+			return nil, fmt.Errorf("%w: %s", proto.ErrNoEnt, path)
+		}
+		if err := u.fs.WriteFile(path, nil, 0o644, ""); err != nil {
+			return nil, err
+		}
+	}
+	return unixFile{u.fs, path}, nil
+}
+
+func (u unixFiles) Stat(_ *sim.Proc, path string) (int64, uint64, error) {
+	st, err := u.fs.Stat(path)
+	return st.Size, st.Version, err
+}
+
+func (f unixFile) ReadAt(buf []byte, off int64) (int, error) { return f.fs.ReadAt(f.path, buf, off) }
+func (f unixFile) WriteAt(buf []byte, off int64) (int, error) {
+	return f.fs.WriteAt(f.path, buf, off)
+}
+func (f unixFile) Close(*sim.Proc) error { return nil }
 
 // Client accesses remote files page by page with no local cache.
 type Client struct {
-	conn Conn
+	conn rpc.Conn
 }
 
 // NewClient wraps a connection to a page server.
-func NewClient(conn Conn) *Client {
+func NewClient(conn rpc.Conn) *Client {
 	return &Client{conn: conn}
 }
 
@@ -218,7 +283,7 @@ func (c *Client) Open(p *sim.Proc, path string, create bool) (*File, error) {
 	var e wire.Encoder
 	e.String(path)
 	e.Bool(create)
-	resp, err := c.conn.Call(p, rpc.Request{Op: OpOpen, Body: append([]byte(nil), e.Buf()...)})
+	resp, err := c.conn.Call(p, rpc.Request{Op: opOpen, Body: append([]byte(nil), e.Buf()...)})
 	if err := respErr(resp, err); err != nil {
 		return nil, err
 	}
@@ -238,14 +303,14 @@ func (f *File) ReadAt(p *sim.Proc, buf []byte, off int64) (int, error) {
 	total := 0
 	for total < len(buf) {
 		want := len(buf) - total
-		if want > PageSize {
-			want = PageSize
+		if want > pageSize {
+			want = pageSize
 		}
 		var e wire.Encoder
 		e.U64(f.fd)
 		e.I64(off + int64(total))
 		e.Int(want)
-		resp, err := f.c.conn.Call(p, rpc.Request{Op: OpRead, Body: append([]byte(nil), e.Buf()...)})
+		resp, err := f.c.conn.Call(p, rpc.Request{Op: opRead, Body: append([]byte(nil), e.Buf()...)})
 		if err := respErr(resp, err); err != nil {
 			return total, err
 		}
@@ -263,14 +328,14 @@ func (f *File) WriteAt(p *sim.Proc, buf []byte, off int64) (int, error) {
 	total := 0
 	for total < len(buf) {
 		n := len(buf) - total
-		if n > PageSize {
-			n = PageSize
+		if n > pageSize {
+			n = pageSize
 		}
 		var e wire.Encoder
 		e.U64(f.fd)
 		e.I64(off + int64(total))
 		resp, err := f.c.conn.Call(p, rpc.Request{
-			Op:   OpWrite,
+			Op:   opWrite,
 			Body: append([]byte(nil), e.Buf()...),
 			Bulk: buf[total : total+n],
 		})
@@ -286,7 +351,7 @@ func (f *File) WriteAt(p *sim.Proc, buf []byte, off int64) (int, error) {
 func (f *File) Close(p *sim.Proc) error {
 	var e wire.Encoder
 	e.U64(f.fd)
-	resp, err := f.c.conn.Call(p, rpc.Request{Op: OpClose, Body: append([]byte(nil), e.Buf()...)})
+	resp, err := f.c.conn.Call(p, rpc.Request{Op: opClose, Body: append([]byte(nil), e.Buf()...)})
 	return respErr(resp, err)
 }
 
@@ -324,7 +389,7 @@ func Costs(baseCPU, perKBCPU, diskOp, perKBDisk time.Duration) rpc.CostModel {
 		kb := time.Duration((len(req.Bulk) + len(resp.Bulk) + 1023) / 1024)
 		cost.CPU += kb * perKBCPU
 		switch req.Op {
-		case OpRead, OpWrite:
+		case opRead, opWrite:
 			cost.Disk = diskOp + kb*perKBDisk
 		}
 		return cost

@@ -142,7 +142,7 @@ type E8Config struct {
 	Rereads    int // how many times the same file is re-read
 	BigMB      int // size of the partially-read file
 	PartialB   int // bytes read out of the big file
-	PageServer baseline.Conn
+	PageServer rpc.Conn
 }
 
 // DefaultE8 returns the standard configuration.

@@ -8,6 +8,7 @@ import (
 	"itcfs"
 	"itcfs/internal/monitor"
 	"itcfs/internal/sim"
+	"itcfs/internal/trace"
 )
 
 // E15Config sizes the saturation-timeline experiment.
@@ -157,7 +158,7 @@ func E15HotVolume(cfg E15Config) (*E15Result, error) {
 
 	utilStats := func(server string, from, to sim.Time) (mean, peak float64) {
 		n := 0
-		for _, p := range sampler.Points(itcfs.ServerCPUSeries(server)) {
+		for _, p := range sampler.Points(trace.ServerCPUSeries(server)) {
 			if p.At > from && p.At <= to {
 				u := float64(p.V) / float64(cfg.Cadence)
 				mean += u

@@ -18,7 +18,7 @@ import (
 	"time"
 
 	"itcfs"
-	"itcfs/internal/vice"
+	"itcfs/internal/trace"
 )
 
 // Recommendation proposes moving one volume to a new custodian.
@@ -174,7 +174,7 @@ func (a *Advisor) Recommend() []Recommendation {
 // volumeP90 looks up the volume's observed service-time histogram in the
 // cell's metrics registry (zero without one, or before any observation).
 func (a *Advisor) volumeP90(vol uint32) time.Duration {
-	h := a.cell.Metrics.FindHistogram(vice.VolLatencyMetric(vol))
+	h := a.cell.Metrics.FindHistogram(trace.VolLatencyMetric(vol))
 	if h == nil || h.Count() == 0 {
 		return 0
 	}

@@ -3,7 +3,6 @@ package monitor
 import (
 	"fmt"
 
-	"itcfs"
 	"itcfs/internal/sim"
 	"itcfs/internal/trace"
 	"itcfs/internal/vice"
@@ -76,7 +75,7 @@ func (a *Advisor) DetectOverload(s *trace.Sampler, cfg OverloadConfig) []HotVolu
 	var out []HotVolume
 	for _, srv := range a.cell.Servers {
 		name := srv.Vice.Name()
-		pts := s.Points(itcfs.ServerCPUSeries(name))
+		pts := s.Points(trace.ServerCPUSeries(name))
 		run := overloadRun(pts, window, cfg)
 		if run < 0 {
 			continue
@@ -137,7 +136,7 @@ func (a *Advisor) hottestVolume(s *trace.Sampler, srv *vice.Server, from, to sim
 	var best uint32
 	var bestOps int64 = -1
 	for _, vol := range srv.VolumeIDs() {
-		ops := sumWindow(s.Points(vice.VolOpsMetric(vol)), from, to)
+		ops := sumWindow(s.Points(trace.VolOpsMetric(vol)), from, to)
 		if ops > bestOps {
 			best, bestOps = vol, ops
 		}
@@ -158,7 +157,7 @@ func (a *Advisor) coolestOther(s *trace.Sampler, overloaded string, from, to sim
 		if name == overloaded {
 			continue
 		}
-		busy := sumWindow(s.Points(itcfs.ServerCPUSeries(name)), from, to)
+		busy := sumWindow(s.Points(trace.ServerCPUSeries(name)), from, to)
 		span := float64(to-from) + window // windows are (prev, At] intervals
 		util := float64(busy) / span
 		if best == "" || util < bestUtil {
@@ -186,7 +185,7 @@ func (a *Advisor) MeanUtilSince(s *trace.Sampler, server string, since sim.Time)
 	if s == nil || s.Every() <= 0 {
 		return 0
 	}
-	pts := s.Points(itcfs.ServerCPUSeries(server))
+	pts := s.Points(trace.ServerCPUSeries(server))
 	var sum float64
 	n := 0
 	for _, p := range pts {

@@ -7,7 +7,6 @@ import (
 	"itcfs"
 	"itcfs/internal/sim"
 	"itcfs/internal/trace"
-	"itcfs/internal/vice"
 )
 
 // overloadRig wires a two-server cell to a hand-driven sampler: the test
@@ -48,12 +47,12 @@ func newOverloadRig(t *testing.T) *overloadRig {
 	rig.s = trace.NewSampler(nil, rigCadence, 0)
 	for i, srv := range cell.Servers {
 		i, name := i, srv.Vice.Name()
-		rig.s.AddCumulative(itcfs.ServerCPUSeries(name), func() int64 { return rig.cpu[i] })
+		rig.s.AddCumulative(trace.ServerCPUSeries(name), func() int64 { return rig.cpu[i] })
 	}
 	for _, vol := range []uint32{rig.volA, rig.volB} {
 		n := new(int64)
 		rig.ops[vol] = n
-		rig.s.AddCumulative(vice.VolOpsMetric(vol), func() int64 { return *n })
+		rig.s.AddCumulative(trace.VolOpsMetric(vol), func() int64 { return *n })
 	}
 	rig.at = cell.Now()
 	return rig

@@ -466,6 +466,25 @@ func DecodeVolStatusReply(d *wire.Decoder) VolStatusReply {
 	}
 }
 
+// SalvageReply carries what a salvage repaired, summed over the volumes it
+// scanned.
+type SalvageReply struct {
+	Orphans  int // vnodes no directory reached, removed
+	Dangling int // directory entries naming no vnode, dropped
+	Links    int // link counts corrected
+}
+
+func (r SalvageReply) Encode(e *wire.Encoder) {
+	e.Int(r.Orphans)
+	e.Int(r.Dangling)
+	e.Int(r.Links)
+}
+
+// DecodeSalvageReply unmarshals SalvageReply.
+func DecodeSalvageReply(d *wire.Decoder) SalvageReply {
+	return SalvageReply{Orphans: d.Int(), Dangling: d.Int(), Links: d.Int()}
+}
+
 // VolSetQuotaArgs changes a volume's quota.
 type VolSetQuotaArgs struct {
 	Volume uint32

@@ -145,6 +145,7 @@ func messageCases(r *rand.Rand) []struct {
 			Volume: r.Uint32(), Name: randName(r), Quota: r.Int63(), Used: r.Int63(),
 			Online: r.Intn(2) == 0, ReadOnly: r.Intn(2) == 0, Server: randName(r),
 		}, dec(DecodeVolStatusReply)},
+		{"SalvageReply", SalvageReply{Orphans: r.Intn(1000), Dangling: r.Intn(1000), Links: r.Intn(1000)}, dec(DecodeSalvageReply)},
 		{"VolSetQuotaArgs", VolSetQuotaArgs{Volume: r.Uint32(), Quota: r.Int63()}, dec(DecodeVolSetQuotaArgs)},
 		{"VolMoveArgs", VolMoveArgs{Volume: r.Uint32(), Target: randName(r)}, dec(DecodeVolMoveArgs)},
 		{"LocEntry", randLocEntry(r), dec(DecodeLocEntry)},

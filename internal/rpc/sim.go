@@ -86,6 +86,14 @@ func (rc *replyCache) finish(seq uint32, sealed []byte) {
 	}
 }
 
+// Conn is an authenticated connection calls are placed on — the one interface
+// both transports present (SimConn, Peer) and every caller above them takes.
+// The proc argument is the calling simulated process; real transports accept
+// nil. Who owns Bulk across a call is set out at venus.Conn.
+type Conn interface {
+	Call(p *sim.Proc, req Request) (Response, error)
+}
+
 // Backchannel lets a server place calls back to a connected client (the
 // callback path of the revised design). The proc argument is the calling
 // simulated process; real transports accept nil.

@@ -51,9 +51,9 @@ func (h *HistSnapshot) quantile(q float64) time.Duration {
 
 // bucketQuantile returns the q-quantile (0 < q <= 1) of count observations
 // spread over the logarithmic buckets, as the midpoint of the bucket holding
-// that rank. It is the shared core of Histogram.Quantile and the Sampler's
-// per-window quantiles (which diff two snapshots and so have no min/max to
-// clamp against).
+// that rank. It is the shared core of HistSnapshot.quantile (and through it
+// Histogram.Quantile) and the Sampler's per-window quantiles (which diff two
+// snapshots and so have no min/max to clamp against).
 func bucketQuantile(buckets *[histBuckets]int64, count int64, q float64) time.Duration {
 	if count <= 0 {
 		return 0

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -264,83 +263,12 @@ func (h *Histogram) Count() int64 {
 	return h.count
 }
 
-// Sum returns the total of all observations.
-func (h *Histogram) Sum() time.Duration {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
-// Mean returns the average observation, or 0 with no observations.
-func (h *Histogram) Mean() time.Duration {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / time.Duration(h.count)
-}
-
-// Min returns the smallest observation.
-func (h *Histogram) Min() time.Duration {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.min
-}
-
-// Max returns the largest observation.
-func (h *Histogram) Max() time.Duration {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.max
-}
-
 // Quantile returns the q-quantile (0 < q <= 1) as the midpoint of the bucket
 // containing that rank, clamped to the observed min and max. 0 with no
 // observations or on a nil histogram.
 func (h *Histogram) Quantile(q float64) time.Duration {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	rank := int64(q * float64(h.count))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > h.count {
-		rank = h.count
-	}
-	var cum int64
-	for i, n := range h.buckets {
-		cum += n
-		if cum >= rank {
-			v := bucketMid(i)
-			if v < h.min {
-				v = h.min
-			}
-			if v > h.max {
-				v = h.max
-			}
-			return v
-		}
-	}
-	return h.max
+	s := h.snapshot("")
+	return s.quantile(q)
 }
 
 // bucketMid returns the midpoint of bucket i's value range.
@@ -357,43 +285,21 @@ func bucketMid(i int) time.Duration {
 // WriteText writes every instrument in name order — a deterministic,
 // human-readable report.
 func (r *Registry) WriteText(w io.Writer) {
-	if r == nil {
-		return
+	s := r.Snapshot()
+	for _, c := range s.Counters {
+		fmt.Fprintf(w, "counter %-48s %d\n", c.Name, c.Value)
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	counts := make(map[string]int64, len(r.counters)+len(r.striped))
-	for n, c := range r.counters {
-		counts[n] = c.Value()
+	for _, g := range s.Gauges {
+		fmt.Fprintf(w, "gauge   %-48s %d\n", g.Name, g.Value)
 	}
-	for n, c := range r.striped {
-		counts[n] = c.Value()
-	}
-	names := make([]string, 0, len(counts))
-	for n := range counts {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Fprintf(w, "counter %-48s %d\n", n, counts[n])
-	}
-	names = names[:0]
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Fprintf(w, "gauge   %-48s %d\n", n, r.gauges[n].Value())
-	}
-	names = names[:0]
-	for n := range r.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		h := r.hists[n]
+	for i := range s.Hists {
+		h := &s.Hists[i]
+		var mean time.Duration
+		if h.Count > 0 {
+			mean = h.Sum / time.Duration(h.Count)
+		}
 		fmt.Fprintf(w, "hist    %-48s n=%d mean=%v p50=%v p90=%v p99=%v p999=%v min=%v max=%v\n",
-			n, h.Count(), h.Mean(), h.Quantile(0.50), h.Quantile(0.90),
-			h.Quantile(0.99), h.Quantile(0.999), h.Min(), h.Max())
+			h.Name, h.Count, mean, h.quantile(0.50), h.quantile(0.90),
+			h.quantile(0.99), h.quantile(0.999), h.Min, h.Max)
 	}
 }

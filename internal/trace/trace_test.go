@@ -141,8 +141,8 @@ func TestHistogramQuantiles(t *testing.T) {
 	if h.Count() != 1000 {
 		t.Fatalf("count = %d", h.Count())
 	}
-	if h.Min() != time.Microsecond || h.Max() != time.Millisecond {
-		t.Fatalf("min=%v max=%v", h.Min(), h.Max())
+	if st := h.State("lat"); st.Min != time.Microsecond || st.Max != time.Millisecond {
+		t.Fatalf("min=%v max=%v", st.Min, st.Max)
 	}
 	// Log buckets: quantiles are within a factor of two of the true value.
 	for _, c := range []struct {

@@ -1,100 +1,41 @@
-package venus
+package venus_test
 
 import (
 	"net"
-	"sync"
 	"testing"
 
-	"itcfs/internal/prot"
-	"itcfs/internal/proto"
 	"itcfs/internal/rpc"
 	"itcfs/internal/secure"
 	"itcfs/internal/sim"
 	"itcfs/internal/unixfs"
+	"itcfs/internal/venus"
 	"itcfs/internal/vice"
-	"itcfs/internal/volume"
+	"itcfs/internal/virtue"
 )
 
 // Venus over the real TCP transport: the same cache-manager logic the
 // simulator evaluates, talking to the same Vice server code, through
-// authenticated encrypted rpc.Peer connections — exactly what cmd/itcfsd
-// and cmd/itcfs deploy.
+// authenticated encrypted rpc.Peer connections — the server booted and
+// served (tcp_helpers_test.go), and the workstations assembled, by the calls
+// cmd/itcfsd and cmd/itcfs make. (The root package's real-cell tests cover
+// what a connection's end releases and the batched break.)
 
-// tcpCell serves one Vice server on a real TCP listener.
-type tcpCell struct {
-	srv  *vice.Server
-	db   *prot.DB
-	addr string
-	l    net.Listener
-	wg   sync.WaitGroup
-}
-
-func newTCPCell(t *testing.T, mode vice.Mode) *tcpCell {
+// tcpWorkstation is a full workstation logged in as the operator — the one
+// account a fresh cell has, and one that may write anywhere.
+func tcpWorkstation(t *testing.T, addr string, mode vice.Mode, password string) *virtue.FS {
 	t.Helper()
-	db := prot.NewDB()
-	for _, m := range []prot.Mutation{
-		{Kind: prot.MutAddUser, Name: "satya", Key: secure.DeriveKey("satya", "pw")},
-		{Kind: prot.MutAddUser, Name: "howard", Key: secure.DeriveKey("howard", "pw")},
-		{Kind: prot.MutAddGroup, Name: vice.AdminGroup},
-	} {
-		if err := db.Apply(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	next := uint32(1)
-	srv := vice.New(vice.Config{
-		Name: "tcp0", Mode: mode, DB: db,
-		AllocVolID: func() uint32 { next++; return next },
-	})
-	acl := prot.NewACL()
-	acl.Grant(prot.AnyUser, prot.RightsAll) // open cell: this test is about transport
-	srv.AddVolume(volume.New(1, "root", acl, 0, "satya", nil))
-	srv.Loc().Install([]proto.LocEntry{{Prefix: "/", Volume: 1, Custodian: "tcp0"}}, nil)
-
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := &tcpCell{srv: srv, db: db, addr: l.Addr().String(), l: l}
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go func(nc net.Conn) {
-				peer, err := rpc.AcceptPeer(nc, db.LookupKey, srv.Dispatcher())
-				if err != nil {
-					nc.Close()
-					return
-				}
-				<-peer.Done()
-				srv.Callbacks().Drop(peer)
-			}(conn)
-		}
-	}()
-	t.Cleanup(func() { l.Close(); c.wg.Wait() })
-	return c
-}
-
-// tcpVenus is a full workstation connected over TCP.
-func (c *tcpCell) tcpVenus(t *testing.T, mode vice.Mode, user, password string) *Venus {
-	t.Helper()
-	cbServer := rpc.NewServer()
-	var v *Venus
-	v = New(Config{
+	callbacks := rpc.NewServer()
+	fs := virtue.NewWorkstation(venus.Config{
 		Mode:       mode,
-		Machine:    "tcp-ws-" + user,
+		Machine:    "tcp-ws",
 		Local:      unixfs.New(nil),
 		HomeServer: "tcp0",
-		Connect: func(_ *sim.Proc, server string) (Conn, error) {
-			nc, err := net.Dial("tcp", c.addr)
+		Connect: func(_ *sim.Proc, server string) (venus.Conn, error) {
+			nc, err := net.Dial("tcp", addr)
 			if err != nil {
 				return nil, err
 			}
-			peer, err := rpc.DialPeer(nc, user, secure.DeriveKey(user, password), cbServer)
+			peer, err := rpc.DialPeer(nc, "operator", secure.DeriveKey("operator", password), callbacks)
 			if err != nil {
 				nc.Close()
 				return nil, err
@@ -102,25 +43,39 @@ func (c *tcpCell) tcpVenus(t *testing.T, mode vice.Mode, user, password string) 
 			t.Cleanup(func() { peer.Close() })
 			return peer, nil
 		},
-	})
-	cbServer.Handle(rpc.Op(proto.OpCallbackBreak), v.HandleCallbackBreak)
-	v.Login(user)
-	return v
+	}, callbacks)
+	fs.Venus().Login("operator")
+	return fs
+}
+
+func write(t *testing.T, fs *virtue.FS, path, contents string) {
+	t.Helper()
+	if err := fs.WriteFile(nil, path, []byte(contents)); err != nil {
+		t.Fatalf("write %s: %v", path, err)
+	}
+}
+
+func read(t *testing.T, fs *virtue.FS, path string) string {
+	t.Helper()
+	data, err := fs.ReadFile(nil, path)
+	if err != nil {
+		t.Fatalf("read %s: %v", path, err)
+	}
+	return string(data)
 }
 
 func TestVenusOverTCPRoundTrip(t *testing.T) {
 	for _, mode := range []vice.Mode{vice.Prototype, vice.Revised} {
 		t.Run(mode.String(), func(t *testing.T) {
-			c := newTCPCell(t, mode)
-			v := c.tcpVenus(t, mode, "satya", "pw")
-			writeFile(t, v, "/doc", "over real TCP with real encryption")
-			if got := readFile(t, v, "/doc"); got != "over real TCP with real encryption" {
+			fs := tcpWorkstation(t, venus.TCPServer(t, mode), mode, "pw")
+			write(t, fs, "/vice/doc", "over real TCP with real encryption")
+			if got := read(t, fs, "/vice/doc"); got != "over real TCP with real encryption" {
 				t.Fatalf("read %q", got)
 			}
-			if err := v.Mkdir(nil, "/dir", 0o755); err != nil {
+			if err := fs.Mkdir(nil, "/vice/dir", 0o755); err != nil {
 				t.Fatal(err)
 			}
-			entries, err := v.ReadDir(nil, "/")
+			entries, err := fs.ReadDir(nil, "/vice")
 			if err != nil || len(entries) != 2 {
 				t.Fatalf("ReadDir: %+v %v", entries, err)
 			}
@@ -129,29 +84,28 @@ func TestVenusOverTCPRoundTrip(t *testing.T) {
 }
 
 func TestVenusOverTCPCallbackBreak(t *testing.T) {
-	c := newTCPCell(t, vice.Revised)
-	reader := c.tcpVenus(t, vice.Revised, "satya", "pw")
-	writer := c.tcpVenus(t, vice.Revised, "howard", "pw")
+	addr := venus.TCPServer(t, vice.Revised)
+	reader := tcpWorkstation(t, addr, vice.Revised, "pw")
+	writer := tcpWorkstation(t, addr, vice.Revised, "pw")
 
-	writeFile(t, reader, "/shared", "v1")
-	if got := readFile(t, reader, "/shared"); got != "v1" {
+	write(t, reader, "/vice/shared", "v1")
+	if got := read(t, reader, "/vice/shared"); got != "v1" {
 		t.Fatalf("warm read %q", got)
 	}
-	// howard stores a new version over his own TCP connection; the server
-	// breaks satya's callback over hers.
-	writeFile(t, writer, "/shared", "v2")
-	if got := readFile(t, reader, "/shared"); got != "v2" {
+	// The writer stores a new version over its own TCP connection; the
+	// server breaks the reader's callback over the reader's.
+	write(t, writer, "/vice/shared", "v2")
+	if got := read(t, reader, "/vice/shared"); got != "v2" {
 		t.Fatalf("after remote update: %q", got)
 	}
-	if reader.Stats().CallbackBreaks == 0 {
+	if reader.Venus().Stats().CallbackBreaks == 0 {
 		t.Fatal("no callback break delivered over TCP")
 	}
 }
 
 func TestVenusOverTCPWrongPassword(t *testing.T) {
-	c := newTCPCell(t, vice.Revised)
-	v := c.tcpVenus(t, vice.Revised, "satya", "wrong")
-	if _, err := v.Stat(nil, "/"); err == nil {
+	fs := tcpWorkstation(t, venus.TCPServer(t, vice.Revised), vice.Revised, "wrong")
+	if _, err := fs.Stat(nil, "/vice"); err == nil {
 		t.Fatal("operations succeeded with a wrong password")
 	}
 }

@@ -42,9 +42,7 @@ import (
 // large one as the cache file's contents and later writes edit it in place.
 // Both transports satisfy this: each reply is decoded out of a buffer of its
 // own.
-type Conn interface {
-	Call(p *sim.Proc, req rpc.Request) (rpc.Response, error)
-}
+type Conn = rpc.Conn
 
 // Connector dials the named server, authenticating as the current user.
 type Connector func(p *sim.Proc, server string) (Conn, error)

@@ -50,7 +50,7 @@ func (s *Server) broadcast(p *sim.Proc, req rpc.Request) error {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	peers := make([]Caller, len(names))
+	peers := make([]rpc.Conn, len(names))
 	for i, name := range names {
 		peers[i] = s.peers[name]
 	}
@@ -306,8 +306,7 @@ func (s *Server) handleVolMove(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 
 // handleVolSalvage runs crash recovery on one volume (or, with volume 0,
 // every local volume): "each volume may be … salvaged after a system
-// crash" (§5.3). The reply body carries the aggregate repair counts:
-// orphans removed, dangling entries dropped, link counts fixed.
+// crash" (§5.3). The reply is a proto.SalvageReply summed over them.
 func (s *Server) handleVolSalvage(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	args, err := proto.Unmarshal(req.Body, proto.DecodeVolStatusArgs)
 	if err != nil {
@@ -333,22 +332,18 @@ func (s *Server) handleVolSalvage(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 		_ = s.mutate(v, func() error { rep = v.Salvage(); return nil }) // repairs applied in memory regardless
 		reports = append(reports, rep)
 	}
-	var orphans, dangling, links int
+	var sum proto.SalvageReply
 	for _, rep := range reports {
-		orphans += rep.OrphansRemoved
-		dangling += rep.DanglingEntries
-		links += rep.LinksFixed
+		sum.Orphans += rep.OrphansRemoved
+		sum.Dangling += rep.DanglingEntries
+		sum.Links += rep.LinksFixed
 	}
 	if fl := s.cfg.Flight; fl != nil {
 		fl.Log(trace.EventViceSalvage, s.cfg.Name,
 			fmt.Sprintf("volume %d: %d volumes scanned, %d orphans removed, %d dangling entries, %d links fixed",
-				args.Volume, len(reports), orphans, dangling, links))
+				args.Volume, len(reports), sum.Orphans, sum.Dangling, sum.Links))
 	}
-	var e wire.Encoder
-	e.Int(orphans)
-	e.Int(dangling)
-	e.Int(links)
-	return rpc.Response{Body: append([]byte(nil), e.Buf()...)}
+	return rpc.Response{Body: proto.Marshal(sum)}
 }
 
 // handleProtMutate is the protection server (§3.4): it validates the

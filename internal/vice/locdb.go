@@ -107,23 +107,6 @@ func (l *LocDB) Entries() []proto.LocEntry {
 	return out
 }
 
-// MountsUnder lists entries whose prefix is strictly below dir, one path
-// component deeper (used to surface mount points in directory listings of
-// the prototype walker).
-func (l *LocDB) MountsUnder(dir string) []proto.LocEntry {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	dir = unixfs.Clean(dir)
-	var out []proto.LocEntry
-	for prefix, le := range l.entries {
-		if unixfs.Dir(prefix) == dir && prefix != dir {
-			out = append(out, le)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Prefix < out[j].Prefix })
-	return out
-}
-
 // PathWithin returns the remainder of path below the entry's prefix, as a
 // component list. It assumes Resolve matched.
 func PathWithin(le proto.LocEntry, path string) []string {

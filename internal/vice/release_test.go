@@ -23,7 +23,7 @@ import (
 // tripped — a replica that is up (location broadcasts reach it) but whose
 // bulk-transfer path is down, the classic mid-release failure.
 type dropInstalls struct {
-	inner   Caller
+	inner   rpc.Conn
 	tripped *bool
 }
 

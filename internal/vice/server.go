@@ -48,12 +48,6 @@ const ServerUser = "System:Server"
 // and the protection database.
 const AdminGroup = "System:Administrators"
 
-// Caller abstracts an outbound authenticated connection to a peer server
-// (both rpc.SimConn and rpc.Peer satisfy it).
-type Caller interface {
-	Call(p *sim.Proc, req rpc.Request) (rpc.Response, error)
-}
-
 // Config assembles a server's dependencies.
 type Config struct {
 	Name  string
@@ -100,7 +94,7 @@ type Server struct {
 
 	mu    sync.Mutex
 	vols  map[uint32]*volume.Volume // guarded by mu
-	peers map[string]Caller         // guarded by mu
+	peers map[string]rpc.Conn       // guarded by mu
 
 	// applyMu serializes mutation+journal pairs when a store is configured
 	// (see store.go). Acquired before mu; never while holding mu.
@@ -151,7 +145,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:        cfg,
 		vols:       make(map[uint32]*volume.Volume),
-		peers:      make(map[string]Caller),
+		peers:      make(map[string]rpc.Conn),
 		locks:      NewLockTable(),
 		callbacks:  NewCallbackTable(),
 		disp:       rpc.NewServer(),
@@ -175,9 +169,6 @@ func New(cfg Config) *Server {
 // Name returns the server's name.
 func (s *Server) Name() string { return s.cfg.Name }
 
-// Mode returns the implementation mode.
-func (s *Server) Mode() Mode { return s.cfg.Mode }
-
 // DB returns the protection-database replica (it doubles as the key lookup
 // for the authentication handshake).
 func (s *Server) DB() *prot.DB { return s.cfg.DB }
@@ -195,7 +186,7 @@ func (s *Server) Callbacks() *CallbackTable { return s.callbacks }
 func (s *Server) Dispatcher() *rpc.Server { return s.disp }
 
 // AddPeer registers an authenticated connection to another server.
-func (s *Server) AddPeer(name string, c Caller) {
+func (s *Server) AddPeer(name string, c rpc.Conn) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.peers[name] = c
@@ -254,7 +245,7 @@ func (s *Server) noteAccess(ctx rpc.Ctx, vol uint32) {
 		// registry never calls back into vice.)
 		c := s.volOps[vol]
 		if c == nil {
-			c = s.cfg.Metrics.Counter(VolOpsMetric(vol))
+			c = s.cfg.Metrics.Counter(trace.VolOpsMetric(vol))
 			s.volOps[vol] = c
 		}
 		c.Inc()
@@ -263,15 +254,6 @@ func (s *Server) noteAccess(ctx rpc.Ctx, vol uint32) {
 		}
 	}
 }
-
-// VolLatencyMetric names the per-volume service-time histogram; monitoring
-// tools look latencies up under the same name. Delegates to the canonical
-// table in trace.
-func VolLatencyMetric(vol uint32) string { return trace.VolLatencyMetric(vol) }
-
-// VolOpsMetric names the per-volume hot-path operation counter; the overload
-// detector reads its per-window rate to find the volume behind a hot server.
-func VolOpsMetric(vol uint32) string { return trace.VolOpsMetric(vol) }
 
 // ObserveCall is the rpc Observe hook: after each served call it records the
 // measured service time against the volume the call touched (if any). svc is
@@ -287,7 +269,7 @@ func (s *Server) ObserveCall(ctx rpc.Ctx, req rpc.Request, resp rpc.Response, sv
 		delete(s.pendingVol, ctx.Proc)
 		h = s.volLat[vol]
 		if h == nil {
-			h = s.cfg.Metrics.Histogram(VolLatencyMetric(vol))
+			h = s.cfg.Metrics.Histogram(trace.VolLatencyMetric(vol))
 			s.volLat[vol] = h
 		}
 	}

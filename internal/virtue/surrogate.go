@@ -1,13 +1,9 @@
 package virtue
 
 import (
-	"sync"
-
 	"itcfs/internal/baseline"
-	"itcfs/internal/proto"
-	"itcfs/internal/rpc"
+	"itcfs/internal/sim"
 	"itcfs/internal/venus"
-	"itcfs/internal/wire"
 )
 
 // Surrogate is the surrogate server of §3.3: it runs on a Virtue
@@ -22,162 +18,36 @@ import (
 // client works against a surrogate unchanged; the difference is what backs
 // it: the full workstation view, local files and the shared name space
 // alike, with Venus caching doing its usual work underneath.
-type Surrogate struct {
-	fs   *FS
-	disp *rpc.Server
-
-	mu     sync.Mutex
-	nextFD uint64 // guarded by mu
-	// guarded by mu
-	open map[uint64]*File // fd -> open workstation file
-
-	opens, reads, writes int64 // guarded by mu
-}
+type Surrogate struct{ *baseline.Server }
 
 // NewSurrogate builds a surrogate server over the workstation view fs.
 // Attach its Dispatcher to an rpc endpoint (simulated or TCP) reachable by
 // the low-function clients.
 func NewSurrogate(fs *FS) *Surrogate {
-	s := &Surrogate{fs: fs, disp: rpc.NewServer(), open: make(map[uint64]*File)}
-	s.disp.Handle(baseline.OpOpen, s.handleOpen)
-	s.disp.Handle(baseline.OpRead, s.handleRead)
-	s.disp.Handle(baseline.OpWrite, s.handleWrite)
-	s.disp.Handle(baseline.OpClose, s.handleClose)
-	s.disp.Handle(baseline.OpStat, s.handleStat)
-	return s
+	return &Surrogate{baseline.NewServerOver(workstationFiles{fs})}
 }
 
-// Dispatcher returns the handler set to bind to a transport.
-func (s *Surrogate) Dispatcher() *rpc.Server { return s.disp }
+// workstationFiles is the page protocol's Backend over a workstation view.
+type workstationFiles struct{ fs *FS }
 
-// OpCounts reports opens, page reads and page writes served.
-func (s *Surrogate) OpCounts() (opens, reads, writes int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.opens, s.reads, s.writes
-}
-
-func (s *Surrogate) handleOpen(ctx rpc.Ctx, req rpc.Request) rpc.Response {
-	d := wire.NewDecoder(req.Body)
-	path := d.String()
-	create := d.Bool()
-	if d.Close() != nil {
-		return rpc.Response{Code: proto.CodeBadRequest}
-	}
+func (w workstationFiles) Open(p *sim.Proc, path string, create bool) (baseline.OpenFile, error) {
 	flags := venus.FlagRead | venus.FlagWrite
 	if create {
 		flags |= venus.FlagCreate
 	}
-	f, err := s.fs.Open(ctx.Proc, path, flags)
+	f, err := w.fs.Open(p, path, flags)
 	if err != nil {
 		// Retry read-only: the PC may be opening a file it cannot write
 		// (a released binary, a file protected by mode bits).
-		f, err = s.fs.Open(ctx.Proc, path, venus.FlagRead)
+		f, err = w.fs.Open(p, path, venus.FlagRead)
 		if err != nil {
-			return rpc.Response{Code: proto.ErrToCode(err), Body: []byte(err.Error())}
+			return nil, err
 		}
 	}
-	st, err := s.fs.Stat(ctx.Proc, path)
-	if err != nil {
-		f.Close(ctx.Proc)
-		return rpc.Response{Code: proto.ErrToCode(err), Body: []byte(err.Error())}
-	}
-	s.mu.Lock()
-	s.nextFD++
-	fd := s.nextFD
-	s.open[fd] = f
-	s.opens++
-	s.mu.Unlock()
-	var e wire.Encoder
-	e.U64(fd)
-	e.I64(st.Size)
-	return rpc.Response{Body: append([]byte(nil), e.Buf()...)}
+	return f, nil
 }
 
-func (s *Surrogate) file(fd uint64) (*File, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, ok := s.open[fd]
-	return f, ok
-}
-
-func (s *Surrogate) handleRead(ctx rpc.Ctx, req rpc.Request) rpc.Response {
-	d := wire.NewDecoder(req.Body)
-	fd := d.U64()
-	off := d.I64()
-	n := d.Int()
-	if d.Close() != nil || n <= 0 || n > baseline.PageSize {
-		return rpc.Response{Code: proto.CodeBadRequest}
-	}
-	f, ok := s.file(fd)
-	if !ok {
-		return rpc.Response{Code: proto.CodeStale}
-	}
-	buf := make([]byte, n)
-	got, err := f.ReadAt(buf, off)
-	if err != nil {
-		return rpc.Response{Code: proto.ErrToCode(err), Body: []byte(err.Error())}
-	}
-	s.mu.Lock()
-	s.reads++
-	s.mu.Unlock()
-	return rpc.Response{Bulk: buf[:got]}
-}
-
-func (s *Surrogate) handleWrite(ctx rpc.Ctx, req rpc.Request) rpc.Response {
-	d := wire.NewDecoder(req.Body)
-	fd := d.U64()
-	off := d.I64()
-	if d.Close() != nil || len(req.Bulk) > baseline.PageSize {
-		return rpc.Response{Code: proto.CodeBadRequest}
-	}
-	f, ok := s.file(fd)
-	if !ok {
-		return rpc.Response{Code: proto.CodeStale}
-	}
-	if _, err := f.WriteAt(req.Bulk, off); err != nil {
-		return rpc.Response{Code: proto.ErrToCode(err), Body: []byte(err.Error())}
-	}
-	s.mu.Lock()
-	s.writes++
-	s.mu.Unlock()
-	return rpc.Response{}
-}
-
-// handleClose closes the workstation file; for a modified shared file this
-// is the moment Venus stores it back to its custodian — the PC's writes
-// reach Vice with Virtue's usual write-on-close semantics.
-func (s *Surrogate) handleClose(ctx rpc.Ctx, req rpc.Request) rpc.Response {
-	d := wire.NewDecoder(req.Body)
-	fd := d.U64()
-	if d.Close() != nil {
-		return rpc.Response{Code: proto.CodeBadRequest}
-	}
-	s.mu.Lock()
-	f, ok := s.open[fd]
-	delete(s.open, fd)
-	s.mu.Unlock()
-	if !ok {
-		return rpc.Response{Code: proto.CodeStale}
-	}
-	if err := f.Close(ctx.Proc); err != nil {
-		return rpc.Response{Code: proto.ErrToCode(err), Body: []byte(err.Error())}
-	}
-	return rpc.Response{}
-}
-
-func (s *Surrogate) handleStat(ctx rpc.Ctx, req rpc.Request) rpc.Response {
-	d := wire.NewDecoder(req.Body)
-	path := d.String()
-	if d.Close() != nil {
-		return rpc.Response{Code: proto.CodeBadRequest}
-	}
-	st, err := s.fs.Stat(ctx.Proc, path)
-	if err != nil {
-		return rpc.Response{Code: proto.ErrToCode(err), Body: []byte(err.Error())}
-	}
-	var e wire.Encoder
-	e.I64(st.Size)
-	e.U64(st.Version)
-	return rpc.Response{Body: append([]byte(nil), e.Buf()...)}
+func (w workstationFiles) Stat(p *sim.Proc, path string) (int64, uint64, error) {
+	st, err := w.fs.Stat(p, path)
+	return st.Size, st.Version, err
 }

@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"itcfs/internal/proto"
+	"itcfs/internal/rpc"
 	"itcfs/internal/sim"
 	"itcfs/internal/unixfs"
 	"itcfs/internal/venus"
@@ -63,14 +64,23 @@ func New(local *unixfs.FS, v *venus.Venus) *FS {
 	return &FS{local: local, venus: v, mount: MountPoint, maxLinkDepth: 16}
 }
 
+// NewWorkstation assembles a whole workstation round cfg: a Venus over
+// cfg.Local reaching servers through cfg.Connect, both of its callback-break
+// handlers registered on callbacks — the service the caller has given, or
+// will give, every connection cfg.Connect opens, simulated or real — and the
+// view over the two.
+func NewWorkstation(cfg venus.Config, callbacks *rpc.Server) *FS {
+	v := venus.New(cfg)
+	callbacks.Handle(rpc.Op(proto.OpCallbackBreak), v.HandleCallbackBreak)
+	callbacks.Handle(rpc.Op(proto.OpBulkBreak), v.HandleBulkBreak)
+	return New(cfg.Local, v)
+}
+
 // Local exposes the local file system (boot scripts, tests).
 func (fs *FS) Local() *unixfs.FS { return fs.local }
 
 // Venus exposes the cache manager (stats, login).
 func (fs *FS) Venus() *venus.Venus { return fs.venus }
-
-// Login authenticates the workstation's user to Vice.
-func (fs *FS) Login(user string) { fs.venus.Login(user) }
 
 // target is the result of resolving a workstation path: either a path in
 // the shared space (shared=true, path relative to the Vice root) or a local

@@ -46,8 +46,6 @@ import (
 	"itcfs/internal/venus"
 	"itcfs/internal/vice"
 	"itcfs/internal/virtue"
-	"itcfs/internal/volume"
-	"itcfs/internal/wire"
 )
 
 // Mode re-exports the implementation mode.
@@ -257,13 +255,16 @@ func NewCell(cfg CellConfig) *Cell {
 	}
 	c.serverKey = serverKey
 
-	// Bootstrap protection database, replicated to every server.
+	// Bootstrap protection database, replicated to every server: the server
+	// identity first, then the operations staff.
 	base := prot.NewDB()
-	mustApply(base, prot.Mutation{Kind: prot.MutAddUser, Name: vice.ServerUser, Key: serverKey})
-	mustApply(base, prot.Mutation{Kind: prot.MutAddUser, Name: "operator",
-		Key: secure.DeriveKey("operator", cfg.OperatorPassword)})
-	mustApply(base, prot.Mutation{Kind: prot.MutAddGroup, Name: vice.AdminGroup, Owner: "operator"})
-	mustApply(base, prot.Mutation{Kind: prot.MutAddMember, Name: vice.AdminGroup, Member: "operator"})
+	err = base.Apply(prot.Mutation{Kind: prot.MutAddUser, Name: vice.ServerUser, Key: serverKey})
+	if err == nil {
+		err = vice.BootstrapDB(base, cfg.OperatorPassword)
+	}
+	if err != nil {
+		panic(fmt.Sprintf("itcfs: bootstrap: %v", err))
+	}
 
 	// Whole-file operations on multi-megabyte files legitimately take
 	// minutes at 1985 speeds (§2.2 bounds the design to files of a few
@@ -318,14 +319,10 @@ func NewCell(cfg CellConfig) *Cell {
 	}
 
 	// Root volume on server0, location known everywhere.
-	rootACL := prot.NewACL()
-	rootACL.Grant(prot.AnyUser, prot.RightLookup|prot.RightRead)
-	rootACL.Grant(vice.AdminGroup, prot.RightsAll)
-	root := volume.New(1, "root", rootACL, 0, "operator", clock)
-	if err := c.Servers[0].Vice.AddVolume(root); err != nil {
+	le, err := c.Servers[0].Vice.BootstrapRoot()
+	if err != nil {
 		panic(err)
 	}
-	le := proto.LocEntry{Prefix: "/", Volume: 1, Custodian: c.Servers[0].Vice.Name()}
 	for _, s := range c.Servers {
 		s.Vice.Loc().Install([]proto.LocEntry{le}, nil)
 	}
@@ -353,12 +350,6 @@ func NewCell(cfg CellConfig) *Cell {
 		}
 	}
 	return c
-}
-
-func mustApply(db *prot.DB, m prot.Mutation) {
-	if err := db.Apply(m); err != nil {
-		panic(fmt.Sprintf("itcfs: bootstrap: %v", err))
-	}
 }
 
 // storeFor indirects through the optional per-server store factory.
@@ -397,23 +388,6 @@ func (c *Cell) RunFor(d time.Duration) {
 // Now returns the cell's virtual time.
 func (c *Cell) Now() sim.Time { return c.Kernel.Now() }
 
-// ServerCPUSeries names the sampled per-window CPU busy-time series (in
-// nanoseconds of busy time per window) for a server; divide by the sampling
-// cadence for utilization. The overload detector reads it by this name.
-// These helpers delegate to the canonical name table in trace.
-func ServerCPUSeries(server string) string { return trace.ServerCPUSeries(server) }
-
-// ServerDiskSeries names the sampled per-window disk busy-time series.
-func ServerDiskSeries(server string) string { return trace.ServerDiskSeries(server) }
-
-// ServerQueueSeries names the sampled instantaneous CPU queue-depth series —
-// the LWP backlog of §5.2's saturated servers.
-func ServerQueueSeries(server string) string { return trace.ServerQueueSeries(server) }
-
-// LinkBusySeries names the sampled per-window busy-time series for a network
-// link (the backbone or a cluster LAN).
-func LinkBusySeries(link string) string { return trace.LinkBusySeries(link) }
-
 // StartSampling installs a time-series sampler over the cell: every registry
 // instrument plus probes for per-server CPU/disk busy time and queue depth
 // and per-link busy time, sampled every cadence of virtual time until
@@ -433,13 +407,13 @@ func (c *Cell) StartSampling(every, horizon time.Duration) *trace.Sampler {
 	}
 	for _, srv := range c.Servers {
 		srv := srv
-		s.AddCumulative(ServerCPUSeries(srv.Vice.Name()), func() int64 { return int64(srv.CPU.BusyTime()) })
-		s.AddCumulative(ServerDiskSeries(srv.Vice.Name()), func() int64 { return int64(srv.Disk.BusyTime()) })
-		s.AddInstant(ServerQueueSeries(srv.Vice.Name()), func() int64 { return int64(srv.CPU.QueueLen()) })
+		s.AddCumulative(trace.ServerCPUSeries(srv.Vice.Name()), func() int64 { return int64(srv.CPU.BusyTime()) })
+		s.AddCumulative(trace.ServerDiskSeries(srv.Vice.Name()), func() int64 { return int64(srv.Disk.BusyTime()) })
+		s.AddInstant(trace.ServerQueueSeries(srv.Vice.Name()), func() int64 { return int64(srv.CPU.QueueLen()) })
 	}
 	for _, l := range c.Net.Links() {
 		l := l
-		s.AddCumulative(LinkBusySeries(l.Name()), func() int64 { return int64(l.BusyTime()) })
+		s.AddCumulative(trace.LinkBusySeries(l.Name()), func() int64 { return int64(l.BusyTime()) })
 	}
 	s.Start(c.Kernel, horizon)
 	c.Sampler = s
@@ -499,8 +473,7 @@ func (c *Cell) AddWorkstation(cluster int, name string) *Workstation {
 	})
 
 	home := c.Servers[cluster]
-	var v *venus.Venus
-	v = venus.New(venus.Config{
+	ws.FS = virtue.NewWorkstation(venus.Config{
 		Mode:             c.Mode,
 		Machine:          name,
 		Local:            local,
@@ -519,13 +492,10 @@ func (c *Cell) AddWorkstation(cluster int, name string) *Workstation {
 			if srv == nil {
 				return nil, fmt.Errorf("itcfs: unknown server %s", server)
 			}
-			return ws.Endpoint.Dial(p, srv.Node.ID, v.User(), ws.key)
+			return ws.Endpoint.Dial(p, srv.Node.ID, ws.Venus.User(), ws.key)
 		},
-	})
-	ws.Venus = v
-	cbServer.Handle(rpc.Op(proto.OpCallbackBreak), v.HandleCallbackBreak)
-	cbServer.Handle(rpc.Op(proto.OpBulkBreak), v.HandleBulkBreak)
-	ws.FS = virtue.New(local, v)
+	}, cbServer)
+	ws.Venus = ws.FS.Venus()
 	c.workst = append(c.workst, ws)
 	return ws
 }
@@ -589,10 +559,17 @@ func (ws *Workstation) Login(p *sim.Proc, user, password string) error {
 	return nil
 }
 
-// Admin is an authenticated administrative connection to a server.
+// Admin is the operator's client: the administrative calls of §3.6 placed on
+// one authenticated connection, simulated (Cell.Admin) or real (cmd/itcfs).
 type Admin struct {
-	cell *Cell
-	conn *rpc.SimConn
+	conn   rpc.Conn
+	server string
+}
+
+// NewAdmin wraps conn, a connection authenticated as a member of the
+// operations staff to the server named server.
+func NewAdmin(conn rpc.Conn, server string) *Admin {
+	return &Admin{conn: conn, server: server}
 }
 
 // Admin dials server (index) as the operator account.
@@ -605,7 +582,7 @@ func (c *Cell) Admin(p *sim.Proc, server int) (*Admin, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Admin{cell: c, conn: conn}, nil
+	return NewAdmin(conn, s.Vice.Name()), nil
 }
 
 func (a *Admin) call(p *sim.Proc, op uint16, body []byte) (rpc.Response, error) {
@@ -695,18 +672,13 @@ func (a *Admin) VolumeStatus(p *sim.Proc, vol uint32) (proto.VolStatusReply, err
 }
 
 // Salvage runs crash recovery on the connected server's volumes (volume 0
-// = all). It returns the number of repairs made.
-func (a *Admin) Salvage(p *sim.Proc, vol uint32) (repairs int, err error) {
+// = all) and returns what it repaired.
+func (a *Admin) Salvage(p *sim.Proc, vol uint32) (proto.SalvageReply, error) {
 	resp, err := a.call(p, proto.OpVolSalvage, proto.Marshal(proto.VolStatusArgs{Volume: vol}))
 	if err != nil {
-		return 0, err
+		return proto.SalvageReply{}, err
 	}
-	d := wire.NewDecoder(resp.Body)
-	repairs = d.Int() + d.Int() + d.Int()
-	if err := d.Close(); err != nil {
-		return 0, err
-	}
-	return repairs, nil
+	return proto.Unmarshal(resp.Body, proto.DecodeSalvageReply)
 }
 
 // Protect applies a protection-database mutation through the protection
@@ -727,8 +699,8 @@ func (a *Admin) NewUser(p *sim.Proc, name, password string, quota int64) error {
 // NewUserAt provisions a user and then reassigns the home volume to the
 // named custodian — how files are placed in the cluster of the user's usual
 // workstation "to balance server load and minimize cross-cluster
-// references" (§3.1). An empty server leaves the volume where it was
-// created.
+// references" (§3.1). An empty server, or the connected one, leaves the
+// volume where it was created.
 func (a *Admin) NewUserAt(p *sim.Proc, name, password string, quota int64, server string) (uint32, error) {
 	if err := a.Protect(p, prot.Mutation{
 		Kind: prot.MutAddUser, Name: name, Key: secure.DeriveKey(name, password),
@@ -742,7 +714,7 @@ func (a *Admin) NewUserAt(p *sim.Proc, name, password string, quota int64, serve
 	if err != nil {
 		return 0, err
 	}
-	if server != "" && server != a.cell.Servers[0].Vice.Name() {
+	if server != "" && server != a.server {
 		if err := a.MoveVolume(p, vid, server); err != nil {
 			return 0, err
 		}
