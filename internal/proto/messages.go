@@ -304,34 +304,10 @@ func DecodeCustodianArgs(d *wire.Decoder) CustodianArgs {
 	return CustodianArgs{Path: d.String()}
 }
 
-// CustodianReply answers a location query: the matched subtree prefix, the
-// volume mounted there, its custodian, and any read-only replica sites.
-type CustodianReply struct {
-	Prefix    string
-	Volume    uint32
-	Custodian string
-	Replicas  []string
-}
-
-func (r CustodianReply) Encode(e *wire.Encoder) {
-	e.String(r.Prefix)
-	e.U32(r.Volume)
-	e.String(r.Custodian)
-	e.ListLen(len(r.Replicas))
-	for _, rep := range r.Replicas {
-		e.String(rep)
-	}
-}
-
-// DecodeCustodianReply unmarshals CustodianReply.
-func DecodeCustodianReply(d *wire.Decoder) CustodianReply {
-	r := CustodianReply{Prefix: d.String(), Volume: d.U32(), Custodian: d.String()}
-	n := d.ListLen(4) // each replica name is at least a u32 length prefix
-	for i := 0; i < n && d.Err() == nil; i++ {
-		r.Replicas = append(r.Replicas, d.String())
-	}
-	return r
-}
+// CustodianReply answers a location query with the row that covers the
+// path: the matched subtree prefix, the volume mounted there, its custodian
+// and any read-only replica sites.
+type CustodianReply = LocEntry
 
 // CallbackBreakArgs tells a workstation its cached copy is no longer valid.
 type CallbackBreakArgs struct {

@@ -130,9 +130,6 @@ func messageCases(r *rand.Rand) []struct {
 		{"ACLArgs", ACLArgs{Dir: randRef(r), ACL: randBytes(r)}, dec(DecodeACLArgs)},
 		{"LockArgs", LockArgs{Ref: randRef(r), Exclusive: r.Intn(2) == 0}, dec(DecodeLockArgs)},
 		{"CustodianArgs", CustodianArgs{Path: randPath(r)}, dec(DecodeCustodianArgs)},
-		{"CustodianReply", CustodianReply{
-			Prefix: randPath(r), Volume: r.Uint32(), Custodian: randName(r), Replicas: randStrings(r),
-		}, dec(DecodeCustodianReply)},
 		{"CallbackBreakArgs", CallbackBreakArgs{FID: randFID(r), Path: randPath(r)}, dec(DecodeCallbackBreakArgs)},
 		{"VolCreateArgs", VolCreateArgs{
 			Name: randName(r), Path: randPath(r), Quota: r.Int63(), Owner: randName(r),

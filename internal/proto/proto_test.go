@@ -196,7 +196,7 @@ func TestMessageRoundTrips(t *testing.T) {
 	}
 	cr, err := Unmarshal(Marshal(CustodianReply{
 		Prefix: "/usr", Volume: 4, Custodian: "s1", Replicas: []string{"s2", "s3"},
-	}), DecodeCustodianReply)
+	}), DecodeLocEntry)
 	if err != nil || cr.Custodian != "s1" || len(cr.Replicas) != 2 {
 		t.Fatalf("CustodianReply: %+v %v", cr, err)
 	}

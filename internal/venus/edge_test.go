@@ -175,3 +175,25 @@ func TestDeepPathsBothModes(t *testing.T) {
 		})
 	}
 }
+
+// Mkdir of the shared space's root is mkdir of a directory that exists —
+// what a mkdir -p walk from "/vice" starts with. Venus says so itself: "/"
+// is not a name Vice would take, and at one time it was sent as one and
+// entered into the root directory.
+func TestMkdirOfRootExists(t *testing.T) {
+	for _, mode := range []vice.Mode{vice.Prototype, vice.Revised} {
+		v := newTestCell(t, mode, "s0").newVenus("s0", "operator", nil)
+		if err := v.Mkdir(nil, "/", 0o755); !errors.Is(err, proto.ErrExist) {
+			t.Fatalf("Mkdir(/) = %v, want ErrExist", err)
+		}
+		ents, err := v.ReadDir(nil, "/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			if e.Name == "/" {
+				t.Fatalf("root directory gained an entry named \"/\": %+v", ents)
+			}
+		}
+	}
+}

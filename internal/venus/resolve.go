@@ -89,7 +89,7 @@ func (v *Venus) askCustodian(p *sim.Proc, path string) (proto.CustodianReply, er
 	if !resp.OK() {
 		return proto.CustodianReply{}, proto.CodeToErr(resp.Code, string(resp.Body))
 	}
-	cr, err := proto.Unmarshal(resp.Body, proto.DecodeCustodianReply)
+	cr, err := proto.Unmarshal(resp.Body, proto.DecodeLocEntry)
 	if err != nil {
 		return proto.CustodianReply{}, err
 	}
@@ -683,6 +683,11 @@ func patchDel(name string) dirPatch {
 // Mkdir creates a directory in the shared space.
 func (v *Venus) Mkdir(p *sim.Proc, path string, mode uint16) error {
 	dir, name := unixfs.Dir(path), unixfs.Base(path)
+	if name == "/" {
+		// The root of the shared space is always there, and "/" is not a
+		// name Vice would take: answer what mkdir of an existing directory does.
+		return fmt.Errorf("%w: %s", proto.ErrExist, path)
+	}
 	ref, err := v.refFor(p, dir)
 	if err != nil {
 		return err

@@ -138,6 +138,15 @@ func FuzzDispatch(f *testing.F) {
 		f.Add(allOps[i%len(allOps)], body, []byte(nil))
 	}
 	f.Add(uint16(9999), []byte(nil), []byte("bulk with no body"))
+	// Names that are not names, through each way a name enters a directory.
+	u, uf := proto.Ref{Path: "/u"}, proto.Ref{Path: "/u/f"}
+	for _, name := range hostileNames {
+		f.Add(proto.OpCreate, proto.Marshal(proto.NameArgs{Dir: u, Name: name, Mode: 0o644}), []byte(nil))
+		f.Add(proto.OpMakeDir, proto.Marshal(proto.NameArgs{Dir: u, Name: name, Mode: 0o755}), []byte(nil))
+		f.Add(proto.OpSymlink, proto.Marshal(proto.SymlinkArgs{Dir: u, Name: name, Target: "/u/f"}), []byte(nil))
+		f.Add(proto.OpLink, proto.Marshal(proto.LinkArgs{Dir: u, Name: name, Target: uf}), []byte(nil))
+		f.Add(proto.OpRename, proto.Marshal(proto.RenameArgs{FromDir: u, FromName: "f", ToDir: u, ToName: name}), []byte(nil))
+	}
 	f.Fuzz(func(t *testing.T, op uint16, body, bulk []byte) {
 		for _, user := range []string{"mallory", "satya", "operator", ServerUser} {
 			c.servers[0].Dispatcher().Dispatch(

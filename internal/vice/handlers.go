@@ -298,26 +298,45 @@ func (s *Server) testValid(ctx rpc.Ctx, args proto.TestValidArgs) (proto.TestVal
 	return reply, nil
 }
 
+// mutateDir is the one body of a mutation of a single directory: the caller
+// must hold need on ref, which must name a directory; op runs under the
+// journalling discipline of mutate; then every other holder of a promise on
+// the directory is told. What each handler keeps is its decoding, its own
+// checks and its reply.
+func (s *Server) mutateDir(ctx rpc.Ctx, ref proto.Ref, need prot.Right, op func(v *volume.Volume, dir proto.FID) error) error {
+	v, dir, err := s.authorize(ctx, ref, need, dirOnly)
+	if err != nil {
+		return err
+	}
+	if err := s.mutate(v, func() error { return op(v, dir) }); err != nil {
+		return err
+	}
+	s.callbacks.Break(ctx.Proc, dir, ref.Path, ctx.Back)
+	return nil
+}
+
+// respNew answers a mutation that made a vnode: its status, or the error.
+func respNew(vn *volume.Vnode, err error) rpc.Response {
+	if err != nil {
+		return respErr(err)
+	}
+	return respStatus(vn.Status)
+}
+
 func (s *Server) handleCreate(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	args, err := proto.Unmarshal(req.Body, proto.DecodeNameArgs)
 	if err != nil {
 		return respErr(err)
 	}
-	v, dir, err := s.authorize(ctx, args.Dir, prot.RightInsert, dirOnly)
-	if err != nil {
-		return respErr(err)
-	}
 	var vn *volume.Vnode
-	err = s.mutate(v, func() error {
+	err = s.mutateDir(ctx, args.Dir, prot.RightInsert, func(v *volume.Volume, dir proto.FID) (err error) {
 		vn, err = v.Create(dir, args.Name, args.Mode, ctx.User)
 		return err
 	})
-	if err != nil {
-		return respErr(err)
+	if err == nil {
+		s.callbacks.Promise(vn.Status.FID, ctx.Back)
 	}
-	s.callbacks.Break(ctx.Proc, dir, args.Dir.Path, ctx.Back)
-	s.callbacks.Promise(vn.Status.FID, ctx.Back)
-	return respStatus(vn.Status)
+	return respNew(vn, err)
 }
 
 func (s *Server) handleMakeDir(ctx rpc.Ctx, req rpc.Request) rpc.Response {
@@ -325,20 +344,12 @@ func (s *Server) handleMakeDir(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if err != nil {
 		return respErr(err)
 	}
-	v, dir, err := s.authorize(ctx, args.Dir, prot.RightInsert, dirOnly)
-	if err != nil {
-		return respErr(err)
-	}
 	var vn *volume.Vnode
-	err = s.mutate(v, func() error {
+	err = s.mutateDir(ctx, args.Dir, prot.RightInsert, func(v *volume.Volume, dir proto.FID) (err error) {
 		vn, err = v.MakeDir(dir, args.Name, args.Mode, ctx.User)
 		return err
 	})
-	if err != nil {
-		return respErr(err)
-	}
-	s.callbacks.Break(ctx.Proc, dir, args.Dir.Path, ctx.Back)
-	return respStatus(vn.Status)
+	return respNew(vn, err)
 }
 
 func (s *Server) handleRemove(ctx rpc.Ctx, req rpc.Request) rpc.Response {
@@ -410,20 +421,12 @@ func (s *Server) handleSymlink(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if err != nil {
 		return respErr(err)
 	}
-	v, dir, err := s.authorize(ctx, args.Dir, prot.RightInsert, dirOnly)
-	if err != nil {
-		return respErr(err)
-	}
 	var vn *volume.Vnode
-	err = s.mutate(v, func() error {
+	err = s.mutateDir(ctx, args.Dir, prot.RightInsert, func(v *volume.Volume, dir proto.FID) (err error) {
 		vn, err = v.Symlink(dir, args.Name, args.Target)
 		return err
 	})
-	if err != nil {
-		return respErr(err)
-	}
-	s.callbacks.Break(ctx.Proc, dir, args.Dir.Path, ctx.Back)
-	return respStatus(vn.Status)
+	return respNew(vn, err)
 }
 
 func (s *Server) handleLink(ctx rpc.Ctx, req rpc.Request) rpc.Response {
@@ -431,23 +434,21 @@ func (s *Server) handleLink(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if err != nil {
 		return respErr(err)
 	}
-	v, dir, err := s.authorize(ctx, args.Dir, prot.RightInsert, dirOnly)
-	if err != nil {
-		return respErr(err)
-	}
-	vt, target, err := s.resolveRef(args.Target, true)
-	if err != nil {
-		return respErr(err)
-	}
-	if v != vt {
-		return respErr(fmt.Errorf("%w: hard link across volumes", proto.ErrBadRequest))
-	}
-	if err := s.mutate(v, func() error {
+	// The refusal of a link across volumes needs the directory's volume, so
+	// it is made where the body hands that over.
+	err = s.mutateDir(ctx, args.Dir, prot.RightInsert, func(v *volume.Volume, dir proto.FID) error {
+		vt, target, err := s.resolveRef(args.Target, true)
+		if err != nil {
+			return err
+		}
+		if v != vt {
+			return fmt.Errorf("%w: hard link across volumes", proto.ErrBadRequest)
+		}
 		return v.Link(dir, args.Name, target)
-	}); err != nil {
+	})
+	if err != nil {
 		return respErr(err)
 	}
-	s.callbacks.Break(ctx.Proc, dir, args.Dir.Path, ctx.Back)
 	return rpc.Response{}
 }
 
@@ -460,16 +461,12 @@ func (s *Server) handleSetACL(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if err != nil {
 		return respErr(err)
 	}
-	v, dir, err := s.authorize(ctx, args.Dir, prot.RightAdmin, dirOnly)
+	err = s.mutateDir(ctx, args.Dir, prot.RightAdmin, func(v *volume.Volume, dir proto.FID) error {
+		return v.SetACL(dir, newACL)
+	})
 	if err != nil {
 		return respErr(err)
 	}
-	if err := s.mutate(v, func() error {
-		return v.SetACL(dir, newACL)
-	}); err != nil {
-		return respErr(err)
-	}
-	s.callbacks.Break(ctx.Proc, dir, args.Dir.Path, ctx.Back)
 	return rpc.Response{}
 }
 
@@ -533,13 +530,7 @@ func (s *Server) handleGetCustodian(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if !ok {
 		return respErr(fmt.Errorf("%w: no volume covers %s", proto.ErrNoEnt, args.Path))
 	}
-	reply := proto.CustodianReply{
-		Prefix:    le.Prefix,
-		Volume:    le.Volume,
-		Custodian: le.Custodian,
-		Replicas:  le.Replicas,
-	}
-	return rpc.Response{Body: proto.Marshal(reply)}
+	return rpc.Response{Body: proto.Marshal(le)}
 }
 
 // dirOfPath returns the parent path and leaf name for mount placement.

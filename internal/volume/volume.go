@@ -19,6 +19,7 @@ package volume
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"itcfs/internal/prot"
 	"itcfs/internal/proto"
@@ -237,15 +238,9 @@ func (v *Volume) touchDir(dn *Vnode) {
 
 // Create makes a new empty file name in dir.
 func (v *Volume) Create(dir proto.FID, name string, mode uint16, owner string) (*Vnode, error) {
-	dn, err := v.mutableDir(dir)
+	dn, err := v.dirForNewName(dir, name)
 	if err != nil {
 		return nil, err
-	}
-	if name == "" {
-		return nil, fmt.Errorf("%w: empty name", proto.ErrBadRequest)
-	}
-	if _, exists := dn.Entries[name]; exists {
-		return nil, fmt.Errorf("%w: %s", proto.ErrExist, name)
 	}
 	vn := v.newVnode(proto.TypeFile, mode, owner)
 	vn.Parent = dir.Vnode
@@ -257,15 +252,9 @@ func (v *Volume) Create(dir proto.FID, name string, mode uint16, owner string) (
 // MakeDir makes a new directory name in dir. The new directory inherits its
 // parent's access list (per-directory protection, §3.4).
 func (v *Volume) MakeDir(dir proto.FID, name string, mode uint16, owner string) (*Vnode, error) {
-	dn, err := v.mutableDir(dir)
+	dn, err := v.dirForNewName(dir, name)
 	if err != nil {
 		return nil, err
-	}
-	if name == "" {
-		return nil, fmt.Errorf("%w: empty name", proto.ErrBadRequest)
-	}
-	if _, exists := dn.Entries[name]; exists {
-		return nil, fmt.Errorf("%w: %s", proto.ErrExist, name)
 	}
 	vn := v.newVnode(proto.TypeDir, mode, owner)
 	vn.Parent = dir.Vnode
@@ -278,15 +267,9 @@ func (v *Volume) MakeDir(dir proto.FID, name string, mode uint16, owner string) 
 
 // Symlink makes a symbolic link name in dir pointing at target.
 func (v *Volume) Symlink(dir proto.FID, name, target string) (*Vnode, error) {
-	dn, err := v.mutableDir(dir)
+	dn, err := v.dirForNewName(dir, name)
 	if err != nil {
 		return nil, err
-	}
-	if name == "" {
-		return nil, fmt.Errorf("%w: empty name", proto.ErrBadRequest)
-	}
-	if _, exists := dn.Entries[name]; exists {
-		return nil, fmt.Errorf("%w: %s", proto.ErrExist, name)
 	}
 	vn := v.newVnode(proto.TypeSymlink, 0o777, "")
 	vn.Parent = dir.Vnode
@@ -299,7 +282,7 @@ func (v *Volume) Symlink(dir proto.FID, name, target string) (*Vnode, error) {
 
 // Link adds a hard link name in dir to the existing file target.
 func (v *Volume) Link(dir proto.FID, name string, target proto.FID) error {
-	dn, err := v.mutableDir(dir)
+	dn, err := v.dirForNewName(dir, name)
 	if err != nil {
 		return err
 	}
@@ -310,14 +293,42 @@ func (v *Volume) Link(dir proto.FID, name string, target proto.FID) error {
 	if tn.Status.Type == proto.TypeDir {
 		return proto.ErrIsDir
 	}
-	if _, exists := dn.Entries[name]; exists {
-		return fmt.Errorf("%w: %s", proto.ErrExist, name)
-	}
 	dn.Entries[name] = proto.DirEntry{Name: name, FID: tn.Status.FID, Type: tn.Status.Type}
 	tn.Status.Links++
 	v.markMeta(tn.Status.FID.Vnode)
 	v.touchDir(dn)
 	return nil
+}
+
+// validName says what a directory entry's name is: one path component.
+// Empty, "." and "..", and anything with a slash in it would make an entry
+// no pathname reaches — unixfs.Clean removes them before any walk.
+func validName(name string) error {
+	switch {
+	case name == "":
+		return fmt.Errorf("%w: empty name", proto.ErrBadRequest)
+	case name == "." || name == ".." || strings.Contains(name, "/"):
+		return fmt.Errorf("%w: %q is not a name", proto.ErrBadRequest, name)
+	}
+	return nil
+}
+
+// dirForNewName is the one place a name enters a directory: dir is a
+// directory of a writable volume, name is a name, and it is free there.
+// Rename, whose target may exist, checks the first two for itself; recovery
+// (RestoreVnodeMeta) replays what was once accepted and is not a client.
+func (v *Volume) dirForNewName(dir proto.FID, name string) (*Vnode, error) {
+	dn, err := v.mutableDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	if err := validName(name); err != nil {
+		return nil, err
+	}
+	if _, exists := dn.Entries[name]; exists {
+		return nil, fmt.Errorf("%w: %s", proto.ErrExist, name)
+	}
+	return dn, nil
 }
 
 func (v *Volume) mutableDir(dir proto.FID) (*Vnode, error) {
@@ -457,8 +468,8 @@ func (v *Volume) Rename(fromDir proto.FID, fromName string, toDir proto.FID, toN
 	if !ok {
 		return fmt.Errorf("%w: %s", proto.ErrNoEnt, fromName)
 	}
-	if toName == "" {
-		return fmt.Errorf("%w: empty name", proto.ErrBadRequest)
+	if err := validName(toName); err != nil {
+		return err
 	}
 	if de.Type == proto.TypeDir && v.isAncestor(de.FID, toDir) {
 		return fmt.Errorf("%w: cannot move a directory under itself", proto.ErrBadRequest)
@@ -570,15 +581,9 @@ func (v *Volume) GetACL(dir proto.FID) (prot.ACL, error) {
 // space; a walker crossing an entry with a foreign volume ID re-resolves
 // through the location database.
 func (v *Volume) Mount(dir proto.FID, name string, target proto.FID) error {
-	dn, err := v.mutableDir(dir)
+	dn, err := v.dirForNewName(dir, name)
 	if err != nil {
 		return err
-	}
-	if name == "" {
-		return fmt.Errorf("%w: empty name", proto.ErrBadRequest)
-	}
-	if _, exists := dn.Entries[name]; exists {
-		return fmt.Errorf("%w: %s", proto.ErrExist, name)
 	}
 	if target.Volume == v.id {
 		return fmt.Errorf("%w: mount target in same volume", proto.ErrBadRequest)

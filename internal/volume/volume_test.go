@@ -483,3 +483,47 @@ func TestQuickSerializeStable(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Every way a name enters a directory — the dispatcher's five are also
+// tested where they arrive, in vice; Mount is the operator's — refuses what
+// is not one path component, and changes nothing when it does.
+func TestNewNameMustBeAName(t *testing.T) {
+	v := newVol()
+	root := v.Root()
+	fid := mkFile(t, v, root, "f", "x")
+	foreign := proto.FID{Volume: 9, Vnode: RootVnode, Uniq: 1}
+	enter := []struct {
+		op string
+		fn func(name string) error
+	}{
+		{"Create", func(n string) error { _, err := v.Create(root, n, 0o644, "satya"); return err }},
+		{"MakeDir", func(n string) error { _, err := v.MakeDir(root, n, 0o755, "satya"); return err }},
+		{"Symlink", func(n string) error { _, err := v.Symlink(root, n, "/t"); return err }},
+		{"Link", func(n string) error { return v.Link(root, n, fid) }},
+		{"Mount", func(n string) error { return v.Mount(root, n, foreign) }},
+		{"Rename", func(n string) error { return v.Rename(root, "f", root, n) }},
+	}
+	before, _ := v.Get(root)
+	version := before.Status.Version
+	for _, e := range enter {
+		for _, name := range []string{"", ".", "..", "a/b", "/", "x/"} {
+			if err := e.fn(name); !errors.Is(err, proto.ErrBadRequest) {
+				t.Errorf("%s(%q) = %v, want ErrBadRequest", e.op, name, err)
+			}
+		}
+	}
+	if ents, _ := v.List(root); len(ents) != 1 || before.Status.Version != version {
+		t.Fatalf("refusals changed the directory: version %d -> %d, entries %+v", version, before.Status.Version, ents)
+	}
+	// Names with a dot in them, or made of dots, are still names.
+	for i, e := range enter {
+		name := fmt.Sprintf("...%d.ok", i)
+		if e.op == "Rename" {
+			mkFile(t, v, root, "f2", "")
+			e.fn = func(n string) error { return v.Rename(root, "f2", root, n) }
+		}
+		if err := e.fn(name); err != nil {
+			t.Errorf("%s(%q): %v", e.op, name, err)
+		}
+	}
+}

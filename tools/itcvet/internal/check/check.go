@@ -1,4 +1,4 @@
-// Package check is the minimal analysis framework under itcvet's four
+// Package check is the minimal analysis framework under itcvet's
 // analyzers. It plays the role golang.org/x/tools/go/analysis plays for
 // ordinary vet tools — Analyzer, Pass, diagnostics — reimplemented on the
 // standard library alone so the tree builds hermetically, with no module
@@ -11,9 +11,17 @@
 //	//itcvet:allow <category> -- <justification>
 //
 // where <category> names the analyzer's diagnostic class (wallclock,
-// globalrand, unguarded, maporder). The justification is free text for the
-// reader; only the category is machine-checked. Unused allow annotations
-// are themselves diagnosed, so stale escapes cannot accumulate.
+// globalrand, unguarded, maporder, lockorder, durability, drift). The
+// justification is free text for the reader; only the category is
+// machine-checked. lockorder's blocking-while-locked findings have a second
+// spelling that covers nothing else and must give its reason:
+//
+//	//itcvet:allowblocking <justification>
+//
+// Both are read here and nowhere else. An annotation that is malformed
+// (unknown category, empty allowblocking reason) suppresses nothing and is
+// diagnosed; so is one that nothing consumed, so stale escapes cannot
+// accumulate.
 package check
 
 import (
@@ -56,6 +64,8 @@ type Diagnostic struct {
 	Category string
 	Pos      token.Position
 	Message  string
+
+	blocking bool // also covered by //itcvet:allowblocking
 }
 
 func (d Diagnostic) String() string {
@@ -70,6 +80,14 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Pos:      p.Fset.Position(pos),
 		Message:  fmt.Sprintf(format, args...),
 	})
+}
+
+// ReportBlockingf records a diagnostic for an operation that can park its
+// process while a lock is held: //itcvet:allowblocking <why> suppresses it,
+// as does an allow of the analyzer's category.
+func (p *Pass) ReportBlockingf(pos token.Pos, format string, args ...any) {
+	p.Reportf(pos, format, args...)
+	(*p.sink)[len(*p.sink)-1].blocking = true
 }
 
 // IsTestFile reports whether the file containing pos is a *_test.go file.
@@ -87,42 +105,74 @@ func (p *Pass) PkgNameOf(ident *ast.Ident) *types.PkgName {
 	return nil
 }
 
-// allowSite is one //itcvet:allow comment: its position, category, and
-// whether any diagnostic consumed it.
-type allowSite struct {
-	file     string
-	line     int
-	category string
-	pos      token.Position
-	used     bool
+// NamedOf returns the *types.TypeName behind t, unwrapping one pointer; nil
+// when t is nil or not a (pointer to a) named type.
+func NamedOf(t types.Type) *types.TypeName {
+	if t == nil {
+		return nil
+	}
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok {
+		return n.Obj()
+	}
+	return nil
 }
 
-// collectAllows scans file comments for //itcvet:allow annotations.
-func collectAllows(fset *token.FileSet, files []*ast.File) []*allowSite {
+// CommentText returns one // comment's text without the marker and
+// surrounding space — the form every itcvet annotation is matched in.
+func CommentText(c *ast.Comment) string {
+	return strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+}
+
+// blockingCategory is the category of the analyzer (lockorder) whose
+// blocking findings //itcvet:allowblocking covers. The directive reads as an
+// allow of that category narrowed to ReportBlockingf's diagnostics, and is
+// not diagnosed when that analyzer is switched off.
+const blockingCategory = "lockorder"
+
+// allowSite is one suppression comment: where it is, what it covers, and
+// whether any diagnostic consumed it.
+type allowSite struct {
+	pos       token.Position
+	category  string
+	blocking  bool // an allowblocking: covers only blocking findings
+	malformed bool // unknown category, or an allowblocking with no reason
+	used      bool
+}
+
+// covers reports whether s suppresses d: same file, same line or the line
+// above, same category. A malformed annotation suppresses nothing.
+func (s *allowSite) covers(d Diagnostic) bool {
+	return !s.malformed && s.category == d.Category && (!s.blocking || d.blocking) &&
+		s.pos.Filename == d.Pos.Filename && (s.pos.Line == d.Pos.Line || s.pos.Line == d.Pos.Line-1)
+}
+
+// collectAllows scans file comments for both suppression syntaxes; valid
+// holds the categories of the analyzers being run.
+func collectAllows(fset *token.FileSet, files []*ast.File, valid map[string]bool) []*allowSite {
 	var sites []*allowSite
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				rest, ok := strings.CutPrefix(strings.TrimSpace(strings.TrimPrefix(c.Text, "//")), "itcvet:allow")
-				if !ok {
+				s, text := &allowSite{pos: fset.Position(c.Pos())}, CommentText(c)
+				if why, ok := strings.CutPrefix(text, "itcvet:allowblocking"); ok {
+					if !valid[blockingCategory] {
+						continue
+					}
+					s.category, s.blocking = blockingCategory, true
+					s.malformed = strings.TrimSpace(why) == ""
+				} else if rest, ok := strings.CutPrefix(text, "itcvet:allow"); ok && (rest == "" || rest[0] == ' ' || rest[0] == '\t') {
+					rest, _, _ = strings.Cut(rest, "--")
+					if fields := strings.Fields(rest); len(fields) > 0 {
+						s.category = fields[0]
+					}
+					s.malformed = !valid[s.category]
+				} else {
 					continue
 				}
-				// A longer directive sharing the prefix — itcvet:allowblocking,
-				// owned by the lockorder analyzer — is not an itcvet:allow.
-				if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-					continue
-				}
-				if i := strings.Index(rest, "--"); i >= 0 {
-					rest = rest[:i]
-				}
-				cat := ""
-				if fields := strings.Fields(rest); len(fields) > 0 {
-					cat = fields[0]
-				}
-				posn := fset.Position(c.Pos())
-				sites = append(sites, &allowSite{
-					file: posn.Filename, line: posn.Line, category: cat, pos: posn,
-				})
+				sites = append(sites, s)
 			}
 		}
 	}
@@ -134,6 +184,8 @@ func collectAllows(fset *token.FileSet, files []*ast.File) []*allowSite {
 // diagnostic per malformed or unused annotation.
 func Run(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) []Diagnostic {
 	var raw []Diagnostic
+	valid := map[string]bool{}
+	var cats []string
 	for _, a := range analyzers {
 		passFiles := files
 		if a.SkipTestFiles {
@@ -146,52 +198,38 @@ func Run(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types
 		}
 		pass := &Pass{Fset: fset, Files: passFiles, Pkg: pkg, Info: info, analyzer: a, sink: &raw}
 		a.Run(pass)
+		valid[a.Category] = true
+		cats = append(cats, a.Category)
 	}
 
-	allows := collectAllows(fset, files)
-	allowed := func(d Diagnostic) bool {
-		ok := false
-		for _, s := range allows {
-			if s.file == d.Pos.Filename && s.category == d.Category &&
-				(s.line == d.Pos.Line || s.line == d.Pos.Line-1) {
-				s.used = true
-				ok = true
-			}
-		}
-		return ok
-	}
-
+	allows := collectAllows(fset, files, valid)
 	var out []Diagnostic
 	for _, d := range raw {
-		if !allowed(d) {
+		covered := false
+		for _, s := range allows {
+			if s.covers(d) {
+				s.used, covered = true, true
+			}
+		}
+		if !covered {
 			out = append(out, d)
 		}
 	}
-	validCats := map[string]bool{}
-	for _, a := range analyzers {
-		validCats[a.Category] = true
-	}
 	for _, s := range allows {
+		var msg string
 		switch {
-		case s.category == "" || !validCats[s.category]:
-			out = append(out, Diagnostic{
-				Analyzer: "itcvet", Category: "annotation", Pos: s.pos,
-				Message: fmt.Sprintf("malformed itcvet:allow annotation: want //itcvet:allow <category> -- <why>, with category one of %s", catList(analyzers)),
-			})
-		case !s.used:
-			out = append(out, Diagnostic{
-				Analyzer: "itcvet", Category: "annotation", Pos: s.pos,
-				Message: fmt.Sprintf("unused itcvet:allow %s annotation: nothing on this or the next line trips it", s.category),
-			})
+		case s.malformed && s.blocking:
+			msg = "malformed itcvet:allowblocking annotation: want //itcvet:allowblocking <why>, with a non-empty justification"
+		case s.malformed:
+			msg = fmt.Sprintf("malformed itcvet:allow annotation: want //itcvet:allow <category> -- <why>, with category one of %s", strings.Join(cats, ", "))
+		case s.used:
+			continue
+		case s.blocking:
+			msg = "unused itcvet:allowblocking annotation: nothing on this or the next line blocks under a lock"
+		default:
+			msg = fmt.Sprintf("unused itcvet:allow %s annotation: nothing on this or the next line trips it", s.category)
 		}
+		out = append(out, Diagnostic{Analyzer: "itcvet", Category: "annotation", Pos: s.pos, Message: msg})
 	}
 	return out
-}
-
-func catList(analyzers []*Analyzer) string {
-	var cats []string
-	for _, a := range analyzers {
-		cats = append(cats, a.Category)
-	}
-	return strings.Join(cats, ", ")
 }

@@ -42,7 +42,6 @@ package driftcheck
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -50,6 +49,7 @@ import (
 	"strings"
 
 	"itcfs/tools/itcvet/internal/check"
+	"itcfs/tools/itcvet/internal/locks"
 )
 
 // Analyzer is the driftcheck pass.
@@ -213,70 +213,35 @@ func recvTypeName(pass *check.Pass, fd *ast.FuncDecl) string {
 	if len(fd.Recv.List) == 0 {
 		return ""
 	}
-	t := pass.Info.TypeOf(fd.Recv.List[0].Type)
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj().Name()
+	if tn := check.NamedOf(pass.Info.TypeOf(fd.Recv.List[0].Type)); tn != nil {
+		return tn.Name()
 	}
 	return ""
 }
 
 // --- invariant 3: mutex contracts -------------------------------------
 
-var guardedByRE = regexp.MustCompile(`guarded by ([A-Za-z_][A-Za-z0-9_]*)`)
-
 // contractWords in a mutex's own comment count as a stated contract for
 // mutexes that serialize actions rather than guard fields (Peer.wmu,
 // Server.applyMu).
 var contractWords = regexp.MustCompile(`\b(serializes|guards|guarded)\b`)
 
+// checkMutexContracts reads the same lock inventory lockcheck and lockorder
+// do: a mutex is contracted when a sibling's guarded-by names it, in
+// canonical form or in prose, or its own comment says what it is for.
 func checkMutexContracts(pass *check.Pass) {
-	for _, f := range pass.Files {
-		if strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {
+	for _, s := range locks.NewInventory(pass.Files, pass.Info).Structs {
+		if pass.IsTestFile(s.Spec.Pos()) {
 			continue
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			ts, ok := n.(*ast.TypeSpec)
-			if !ok {
-				return true
+		for _, m := range s.Mutexes {
+			if s.Named[m.Name] || contractWords.MatchString(fieldComments(m.Field)) {
+				continue
 			}
-			st, ok := ts.Type.(*ast.StructType)
-			if !ok {
-				return true
-			}
-			// Which mutex fields exist, and which are named by a sibling's
-			// guarded-by comment or carry their own contract comment.
-			type mutexField struct {
-				name string
-				fld  *ast.Field
-			}
-			var mutexes []mutexField
-			named := map[string]bool{}
-			for _, fld := range st.Fields.List {
-				if isMutexType(pass.Info.TypeOf(fld.Type)) {
-					for _, name := range fld.Names {
-						mutexes = append(mutexes, mutexField{name.Name, fld})
-					}
-					if len(fld.Names) == 0 { // embedded sync.Mutex
-						mutexes = append(mutexes, mutexField{"Mutex", fld})
-					}
-				}
-				for _, m := range guardedByRE.FindAllStringSubmatch(fieldComments(fld), -1) {
-					named[m[1]] = true
-				}
-			}
-			for _, m := range mutexes {
-				if named[m.name] || contractWords.MatchString(fieldComments(m.fld)) {
-					continue
-				}
-				pass.Reportf(m.fld.Pos(),
-					"mutex %s.%s has no contract: no sibling field says `// guarded by %s` and the mutex's own comment does not say what it serializes or guards",
-					ts.Name.Name, m.name, m.name)
-			}
-			return true
-		})
+			pass.Reportf(m.Field.Pos(),
+				"mutex %s.%s has no contract: no sibling field says `// guarded by %s` and the mutex's own comment does not say what it serializes or guards",
+				s.Type.Name(), m.Name, m.Name)
+		}
 	}
 }
 
@@ -290,21 +255,6 @@ func fieldComments(fld *ast.Field) string {
 		sb.WriteString(fld.Comment.Text())
 	}
 	return sb.String()
-}
-
-func isMutexType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return false
-	}
-	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
 }
 
 // --- invariant 4: canonical metric and flight-event names -------------
@@ -350,20 +300,9 @@ func checkCanonicalNames(pass *check.Pass) {
 // traceReceiver returns the receiver type name ("Registry", "Recorder")
 // when sel selects a method on an internal/trace type, else "".
 func traceReceiver(pass *check.Pass, sel *ast.SelectorExpr) string {
-	t := pass.Info.TypeOf(sel.X)
-	if t == nil {
+	tn := check.NamedOf(pass.Info.TypeOf(sel.X))
+	if tn == nil || tn.Pkg() == nil || !strings.HasSuffix(tn.Pkg().Path(), "internal/trace") {
 		return ""
 	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return ""
-	}
-	obj := n.Obj()
-	if obj.Pkg() == nil || !strings.HasSuffix(obj.Pkg().Path(), "internal/trace") {
-		return ""
-	}
-	return obj.Name()
+	return tn.Name()
 }

@@ -268,7 +268,7 @@ func durCall(pass *check.Pass, e ast.Expr) (string, bool) {
 	if !durMethods[name] {
 		return "", false
 	}
-	tn := namedOf(sig.Recv().Type())
+	tn := check.NamedOf(sig.Recv().Type())
 	if tn == nil || !durReceiver(tn) {
 		return "", false
 	}
@@ -289,7 +289,7 @@ func durReceiver(tn *types.TypeName) bool {
 }
 
 func callName(sig *types.Signature, method string) string {
-	if tn := namedOf(sig.Recv().Type()); tn != nil {
+	if tn := check.NamedOf(sig.Recv().Type()); tn != nil {
 		return tn.Name() + "." + method
 	}
 	return method
@@ -303,18 +303,4 @@ func returnsError(sig *types.Signature) bool {
 	last := res.At(res.Len() - 1).Type()
 	named, ok := last.(*types.Named)
 	return ok && named.Obj().Name() == "error" && named.Obj().Pkg() == nil
-}
-
-// namedOf returns the *types.TypeName behind t, unwrapping one pointer.
-func namedOf(t types.Type) *types.TypeName {
-	if t == nil {
-		return nil
-	}
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj()
-	}
-	return nil
 }

@@ -13,21 +13,15 @@
 // This is exactly the class of bug PR 2 fixed by hand in CallbackTable,
 // where an unlocked counter read raced the break path.
 //
-// The analysis is a conservative single-function approximation, not a
-// whole-program proof:
-//
-//   - Branches merge to the weakest level on any incoming path, and a
-//     branch that provably terminates (return, panic, break/continue) is
-//     excluded from the merge — so the common "if bad { mu.Unlock();
-//     return }" shape does not poison the rest of the method.
-//   - Loop bodies merge with the zero-iteration path.
-//   - A goroutine body starts with no locks held, whatever the spawner
-//     held. Other function literals inherit the state at their creation
-//     point, approximating synchronous use.
-//   - Helper methods documented to run under the lock declare it with
-//     //itcvet:holds mu (or //itcvet:holds mu(read)) in their doc comment,
-//     which sets the entry state instead of suppressing the check; callers
-//     are still checked at their own call sites' accesses.
+// The walk itself — paths, merges, literals, goroutines, //itcvet:holds
+// entry states, and what it approximates — is package locks' Walker, shared
+// with lockorder (DESIGN.md §7). What is lockcheck's own: only lock
+// operations made through the receiver identifier count (another value's
+// lock is not the receiver's), a function literal that is not a goroutine
+// body inherits the state where it is written, and helper methods
+// documented to run under the lock say so with //itcvet:holds mu (or
+// //itcvet:holds mu(read)), which sets the entry state instead of
+// suppressing the check.
 //
 // Accesses through anything but the receiver identifier (aliases, copies,
 // other values of the type) are out of scope, as are constructors —
@@ -38,10 +32,9 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"regexp"
-	"strings"
 
 	"itcfs/tools/itcvet/internal/check"
+	"itcfs/tools/itcvet/internal/locks"
 )
 
 // Analyzer is the lockcheck pass.
@@ -52,31 +45,29 @@ var Analyzer = &check.Analyzer{
 	Run:      run,
 }
 
-// guardRE is the canonical annotation: nothing but "guarded by <lock>" on
-// its comment line (trailing period tolerated). DESIGN.md documents the
-// form; anything else is prose, not a contract.
-var guardRE = regexp.MustCompile(`^guarded by ([A-Za-z_][A-Za-z0-9_]*)\.?$`)
-
-// holdsRE is the entry-state annotation for helpers called under the lock.
-var holdsRE = regexp.MustCompile(`^itcvet:holds ([A-Za-z_][A-Za-z0-9_]*)(\(read\))?$`)
-
-// Lock levels, ordered: holding more satisfies needing less.
-const (
-	lvlNone  = 0
-	lvlRead  = 1
-	lvlWrite = 2
-)
-
-// structInfo is one annotated struct: which fields each lock guards.
-type structInfo struct {
-	name   string
-	fields map[string]string // field -> lock field name
-	locks  map[string]bool   // lock field -> is RWMutex
-}
-
 func run(pass *check.Pass) {
-	structs := collectGuarded(pass)
-	if len(structs) == 0 {
+	inv := locks.NewInventory(pass.Files, pass.Info)
+	// Bind each annotated field to its lock, validating that the annotation
+	// names a mutex field of the same struct.
+	guarded := map[*types.TypeName]map[string]string{} // struct -> field -> lock
+	for _, s := range inv.Structs {
+		fields := map[string]string{}
+		for _, g := range s.Guards {
+			if !s.HasMutex(g.Lock) {
+				pass.Reportf(g.Field.Pos(),
+					"guarded-by annotation names %q, which is not a sync.Mutex or sync.RWMutex field of %s",
+					g.Lock, s.Type.Name())
+				continue
+			}
+			for _, name := range g.Field.Names {
+				fields[name.Name] = g.Lock
+			}
+		}
+		if len(fields) > 0 {
+			guarded[s.Type] = fields
+		}
+	}
+	if len(guarded) == 0 {
 		return
 	}
 	for _, f := range pass.Files {
@@ -89,489 +80,56 @@ func run(pass *check.Pass) {
 			if len(names) == 0 || names[0].Name == "_" {
 				continue
 			}
-			recvObj := pass.Info.Defs[names[0]]
-			if recvObj == nil {
+			recv := pass.Info.Defs[names[0]]
+			if recv == nil {
 				continue
 			}
-			si := structs[namedOf(recvObj.Type())]
-			if si == nil {
+			tn := check.NamedOf(recv.Type())
+			if guarded[tn] == nil {
 				continue
 			}
-			c := &checker{pass: pass, recv: recvObj, si: si}
-			c.block(fd.Body.List, entryState(fd.Doc, si))
+			c := &checker{pass: pass, recv: recv, typ: tn.Name(), fields: guarded[tn]}
+			(&locks.Walker{Inv: inv, Obs: c, Recv: recv}).Walk(fd)
 		}
 	}
 }
 
-// entryState derives the method's initial lock state from //itcvet:holds
-// annotations in its doc comment.
-func entryState(doc *ast.CommentGroup, si *structInfo) state {
-	st := state{}
-	if doc == nil {
-		return st
-	}
-	for _, c := range doc.List {
-		m := holdsRE.FindStringSubmatch(strings.TrimSpace(strings.TrimPrefix(c.Text, "//")))
-		if m == nil {
-			continue
-		}
-		if _, ok := si.locks[m[1]]; !ok {
-			continue // unknown lock; collectGuarded diagnoses the struct side
-		}
-		if m[2] != "" {
-			st[m[1]] = max(st[m[1]], lvlRead)
-		} else {
-			st[m[1]] = lvlWrite
-		}
-	}
-	return st
-}
-
-// collectGuarded parses every struct declaration's guarded-by annotations,
-// validating that each names a mutex field of the same struct.
-func collectGuarded(pass *check.Pass) map[*types.TypeName]*structInfo {
-	out := map[*types.TypeName]*structInfo{}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			ts, ok := n.(*ast.TypeSpec)
-			if !ok {
-				return true
-			}
-			st, ok := ts.Type.(*ast.StructType)
-			if !ok {
-				return true
-			}
-			tn, _ := pass.Info.Defs[ts.Name].(*types.TypeName)
-			if tn == nil {
-				return true
-			}
-			si := &structInfo{name: ts.Name.Name, fields: map[string]string{}, locks: map[string]bool{}}
-			// First pass: find the mutex fields.
-			for _, fld := range st.Fields.List {
-				rw, isMutex := mutexType(pass, fld.Type)
-				if !isMutex {
-					continue
-				}
-				for _, name := range fld.Names {
-					si.locks[name.Name] = rw
-				}
-			}
-			// Second pass: bind annotated fields to their locks.
-			for _, fld := range st.Fields.List {
-				lock := guardAnnotation(fld)
-				if lock == "" {
-					continue
-				}
-				if _, ok := si.locks[lock]; !ok {
-					pass.Reportf(fld.Pos(),
-						"guarded-by annotation names %q, which is not a sync.Mutex or sync.RWMutex field of %s",
-						lock, si.name)
-					continue
-				}
-				for _, name := range fld.Names {
-					si.fields[name.Name] = lock
-				}
-			}
-			if len(si.fields) > 0 {
-				out[tn] = si
-			}
-			return true
-		})
-	}
-	return out
-}
-
-// guardAnnotation returns the lock named by fld's canonical guarded-by
-// comment: the trailing line comment, or any line of the doc comment.
-func guardAnnotation(fld *ast.Field) string {
-	for _, cg := range []*ast.CommentGroup{fld.Comment, fld.Doc} {
-		if cg == nil {
-			continue
-		}
-		for _, c := range cg.List {
-			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-			if m := guardRE.FindStringSubmatch(text); m != nil {
-				return m[1]
-			}
-		}
-	}
-	return ""
-}
-
-// mutexType reports whether expr denotes sync.Mutex or sync.RWMutex
-// (rw reports which).
-func mutexType(pass *check.Pass, expr ast.Expr) (rw, ok bool) {
-	t := pass.Info.TypeOf(expr)
-	if t == nil {
-		return false, false
-	}
-	named := namedOf(t)
-	if named == nil || named.Pkg() == nil || named.Pkg().Path() != "sync" {
-		return false, false
-	}
-	switch named.Name() {
-	case "Mutex":
-		return false, true
-	case "RWMutex":
-		return true, true
-	}
-	return false, false
-}
-
-// namedOf returns the *types.TypeName behind t, unwrapping one pointer.
-func namedOf(t types.Type) *types.TypeName {
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj()
-	}
-	return nil
-}
-
-// state maps lock field name to held level.
-type state map[string]int
-
-func (s state) clone() state {
-	out := state{}
-	for k, v := range s {
-		out[k] = v
-	}
-	return out
-}
-
-// meet merges two path states to the weakest common level.
-func meet(a, b state) state {
-	out := state{}
-	for k, v := range a {
-		out[k] = min(v, b[k])
-	}
-	return out
-}
-
-const (
-	read  = 0
-	write = 1
-)
-
-// checker walks one method body.
+// checker observes one method's walk: the accesses it makes through its
+// receiver to guarded fields, against the level held at each.
 type checker struct {
-	pass *check.Pass
-	recv types.Object
-	si   *structInfo
+	pass   *check.Pass
+	recv   types.Object
+	typ    string            // the receiver's struct
+	fields map[string]string // its guarded fields -> lock
 }
 
-func (c *checker) block(list []ast.Stmt, st state) state {
-	for _, s := range list {
-		st = c.stmt(s, st)
-	}
-	return st
-}
+func (c *checker) Acquire(locks.Key, token.Pos, locks.Held) {}
+func (c *checker) Call(*ast.CallExpr, locks.Held)           {}
+func (c *checker) Blocking(token.Pos, string, locks.Held)   {}
+func (c *checker) LiteralEntry(at locks.Held) locks.Held    { return at }
 
-func (c *checker) stmt(s ast.Stmt, st state) state {
-	switch s := s.(type) {
-	case nil:
-		return st
-	case *ast.ExprStmt:
-		if lock, op := c.lockOp(s.X); lock != "" {
-			return apply(st, lock, op)
-		}
-		c.expr(s.X, st, read)
-	case *ast.DeferStmt:
-		if lock, _ := c.lockOp(s.Call); lock != "" {
-			return st // deferred unlock fires at exit; no change now
-		}
-		c.expr(s.Call, st, read)
-	case *ast.GoStmt:
-		for _, a := range s.Call.Args {
-			c.expr(a, st, read)
-		}
-		if fl, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			c.block(fl.Body.List, state{}) // the goroutine holds nothing
-		} else {
-			c.expr(s.Call.Fun, st, read)
-		}
-	case *ast.AssignStmt:
-		for _, r := range s.Rhs {
-			c.expr(r, st, read)
-		}
-		for _, l := range s.Lhs {
-			c.lvalue(l, st)
-		}
-	case *ast.IncDecStmt:
-		c.lvalue(s.X, st)
-	case *ast.IfStmt:
-		st = c.stmt(s.Init, st)
-		c.expr(s.Cond, st, read)
-		thenOut := c.block(s.Body.List, st.clone())
-		elseOut := st.clone()
-		if s.Else != nil {
-			elseOut = c.stmt(s.Else, st.clone())
-		}
-		thenDead := terminates(s.Body.List)
-		elseDead := s.Else != nil && terminatesStmt(s.Else)
-		switch {
-		case thenDead && elseDead:
-			return st
-		case thenDead:
-			return elseOut
-		case elseDead:
-			return thenOut
-		default:
-			return meet(thenOut, elseOut)
-		}
-	case *ast.ForStmt:
-		st = c.stmt(s.Init, st)
-		if s.Cond != nil {
-			c.expr(s.Cond, st, read)
-		}
-		bodyOut := c.block(s.Body.List, st.clone())
-		bodyOut = c.stmt(s.Post, bodyOut)
-		return meet(st, bodyOut)
-	case *ast.RangeStmt:
-		c.expr(s.X, st, read)
-		if s.Key != nil {
-			c.lvalue(s.Key, st)
-		}
-		if s.Value != nil {
-			c.lvalue(s.Value, st)
-		}
-		bodyOut := c.block(s.Body.List, st.clone())
-		return meet(st, bodyOut)
-	case *ast.SwitchStmt:
-		st = c.stmt(s.Init, st)
-		if s.Tag != nil {
-			c.expr(s.Tag, st, read)
-		}
-		return c.clauses(s.Body.List, st)
-	case *ast.TypeSwitchStmt:
-		st = c.stmt(s.Init, st)
-		c.stmt(s.Assign, st)
-		return c.clauses(s.Body.List, st)
-	case *ast.SelectStmt:
-		return c.clauses(s.Body.List, st)
-	case *ast.BlockStmt:
-		return c.block(s.List, st.clone())
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			c.expr(r, st, read)
-		}
-	case *ast.SendStmt:
-		c.expr(s.Chan, st, read)
-		c.expr(s.Value, st, read)
-	case *ast.LabeledStmt:
-		return c.stmt(s.Stmt, st)
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						c.expr(v, st, read)
-					}
-				}
-			}
-		}
-	}
-	return st
-}
-
-// clauses merges switch/select case bodies: the weakest level across every
-// non-terminating case, and the entry state unless a default guarantees one
-// case runs.
-func (c *checker) clauses(list []ast.Stmt, st state) state {
-	outs := []state{}
-	hasDefault := false
-	for _, cl := range list {
-		var body []ast.Stmt
-		switch cl := cl.(type) {
-		case *ast.CaseClause:
-			for _, e := range cl.List {
-				c.expr(e, st, read)
-			}
-			hasDefault = hasDefault || cl.List == nil
-			body = cl.Body
-		case *ast.CommClause:
-			branch := c.stmt(cl.Comm, st.clone())
-			hasDefault = hasDefault || cl.Comm == nil
-			out := c.block(cl.Body, branch)
-			if !terminates(cl.Body) {
-				outs = append(outs, out)
-			}
-			continue
-		}
-		out := c.block(body, st.clone())
-		if !terminates(body) {
-			outs = append(outs, out)
-		}
-	}
-	if !hasDefault || len(outs) == 0 {
-		outs = append(outs, st)
-	}
-	merged := outs[0]
-	for _, o := range outs[1:] {
-		merged = meet(merged, o)
-	}
-	return merged
-}
-
-// lockOp recognizes recv.<lock>.Lock() and friends; returns the lock field
-// name and the operation, or "".
-func (c *checker) lockOp(e ast.Expr) (lock, op string) {
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return "", ""
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", ""
-	}
-	switch sel.Sel.Name {
-	case "Lock", "Unlock", "RLock", "RUnlock":
-	default:
-		return "", ""
-	}
-	field, ok := sel.X.(*ast.SelectorExpr)
-	if !ok {
-		return "", ""
-	}
-	id, ok := field.X.(*ast.Ident)
-	if !ok || c.pass.Info.Uses[id] != c.recv {
-		return "", ""
-	}
-	if _, known := c.si.locks[field.Sel.Name]; !known {
-		return "", ""
-	}
-	return field.Sel.Name, sel.Sel.Name
-}
-
-func apply(st state, lock, op string) state {
-	st = st.clone()
-	switch op {
-	case "Lock":
-		st[lock] = lvlWrite
-	case "RLock":
-		st[lock] = max(st[lock], lvlRead)
-	case "Unlock", "RUnlock":
-		st[lock] = lvlNone
-	}
-	return st
-}
-
-// lvalue checks an assignment target.
-func (c *checker) lvalue(e ast.Expr, st state) {
-	switch e := e.(type) {
-	case *ast.Ident:
-		// Local or blank: not a guarded access.
-	case *ast.SelectorExpr:
-		c.expr(e, st, write)
-	case *ast.IndexExpr:
-		c.expr(e.X, st, write) // m[k] = v mutates the container
-		c.expr(e.Index, st, read)
-	case *ast.StarExpr:
-		c.expr(e.X, st, write)
-	case *ast.ParenExpr:
-		c.lvalue(e.X, st)
-	default:
-		c.expr(e, st, read)
-	}
-}
-
-// expr scans an expression for guarded accesses, mode read or write.
-func (c *checker) expr(e ast.Expr, st state, mode int) {
-	switch e := e.(type) {
-	case nil:
-	case *ast.SelectorExpr:
-		c.access(e, st, mode)
-		c.expr(e.X, st, mode) // v.field.sub: touching sub touches field
-	case *ast.Ident, *ast.BasicLit:
-	case *ast.CallExpr:
-		c.expr(e.Fun, st, read)
-		for _, a := range e.Args {
-			c.expr(a, st, read)
-		}
-	case *ast.FuncLit:
-		c.block(e.Body.List, st.clone()) // approximates synchronous use
-	case *ast.UnaryExpr:
-		if e.Op == token.AND {
-			c.expr(e.X, st, write) // address escapes the lock's reach
-		} else {
-			c.expr(e.X, st, mode)
-		}
-	case *ast.StarExpr:
-		c.expr(e.X, st, mode)
-	case *ast.ParenExpr:
-		c.expr(e.X, st, mode)
-	case *ast.IndexExpr:
-		c.expr(e.X, st, mode)
-		c.expr(e.Index, st, read)
-	case *ast.SliceExpr:
-		c.expr(e.X, st, mode)
-		c.expr(e.Low, st, read)
-		c.expr(e.High, st, read)
-		c.expr(e.Max, st, read)
-	case *ast.BinaryExpr:
-		c.expr(e.X, st, read)
-		c.expr(e.Y, st, read)
-	case *ast.CompositeLit:
-		for _, el := range e.Elts {
-			c.expr(el, st, read)
-		}
-	case *ast.KeyValueExpr:
-		c.expr(e.Key, st, read)
-		c.expr(e.Value, st, read)
-	case *ast.TypeAssertExpr:
-		c.expr(e.X, st, mode)
-	}
-}
-
-// access reports a guarded-field access made without the needed level.
-func (c *checker) access(sel *ast.SelectorExpr, st state, mode int) {
+// Access reports a guarded-field access made without the needed level.
+func (c *checker) Access(sel *ast.SelectorExpr, write bool, held locks.Held) {
 	id, ok := sel.X.(*ast.Ident)
 	if !ok || c.pass.Info.Uses[id] != c.recv {
 		return
 	}
-	lock, guarded := c.si.fields[sel.Sel.Name]
+	lock, guarded := c.fields[sel.Sel.Name]
 	if !guarded {
 		return
 	}
-	held := st[lock]
-	switch {
-	case held == lvlNone:
+	switch level := held[locks.Key{Type: c.typ, Field: lock}]; {
+	case level == locks.None:
 		verb := "read"
-		if mode == write {
+		if write {
 			verb = "written"
 		}
 		c.pass.Reportf(sel.Pos(),
 			"%s.%s is guarded by %s but %s here on a path that does not hold it (//itcvet:holds %s on the method if every caller locks, or //itcvet:allow unguarded -- why)",
-			c.si.name, sel.Sel.Name, lock, verb, lock)
-	case held == lvlRead && mode == write:
+			c.typ, sel.Sel.Name, lock, verb, lock)
+	case level == locks.Read && write:
 		c.pass.Reportf(sel.Pos(),
 			"%s.%s is written here while %s is held only for reading",
-			c.si.name, sel.Sel.Name, lock)
+			c.typ, sel.Sel.Name, lock)
 	}
-}
-
-// terminatesStmt reports whether control cannot flow past s.
-func terminatesStmt(s ast.Stmt) bool {
-	switch s := s.(type) {
-	case *ast.ReturnStmt, *ast.BranchStmt:
-		return true
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
-				return true
-			}
-		}
-	case *ast.BlockStmt:
-		return terminates(s.List)
-	case *ast.IfStmt:
-		return terminates(s.Body.List) && s.Else != nil && terminatesStmt(s.Else)
-	case *ast.LabeledStmt:
-		return terminatesStmt(s.Stmt)
-	}
-	return false
-}
-
-func terminates(list []ast.Stmt) bool {
-	return len(list) > 0 && terminatesStmt(list[len(list)-1])
 }

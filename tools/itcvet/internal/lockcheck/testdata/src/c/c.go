@@ -129,3 +129,27 @@ type wrong struct {
 	// guarded by missing
 	n int // want `guarded-by annotation names "missing", which is not a sync\.Mutex or sync\.RWMutex field of wrong`
 }
+
+// A range statement assigns to its key and value targets on every
+// iteration: a guarded field there is a write.
+func (c *counter) BadRangeTarget(xs []int) {
+	for _, c.n = range xs { // want `counter\.n is guarded by mu but written here`
+	}
+}
+
+// A deferred literal inherits the state at the defer statement, like any
+// literal that is not a goroutine body: lockcheck approximates synchronous
+// use.
+func (c *counter) DeferredLit() {
+	c.mu.Lock()
+	defer func() {
+		c.n++ // inherits the lock: no finding
+		c.mu.Unlock()
+	}()
+}
+
+func (c *counter) DeferredLitUnlocked() {
+	defer func() {
+		c.n++ // want `counter\.n is guarded by mu but written here`
+	}()
+}

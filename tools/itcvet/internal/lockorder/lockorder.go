@@ -5,9 +5,9 @@
 // declared in the package as a lock node, identified by type and field name
 // (Server.mu, cbShard.mu) — all instances of a type share one node, which
 // is exactly the granularity a lock-ordering discipline is stated at. For
-// every function it tracks, along each control-flow path, which locks are
-// held (seeded from //itcvet:holds entry states, exactly as lockcheck reads
-// them), and builds an acquisition graph:
+// every function it follows package locks' Walker — the one lockcheck uses,
+// seeded from the same //itcvet:holds entry states — for which locks are
+// held along each control-flow path, and builds an acquisition graph:
 //
 //	A -> B: some path acquires B while holding A,
 //
@@ -34,21 +34,19 @@
 //
 //	//itcvet:allowblocking <why>
 //
-// on the flagged line or the line above. The why is free text for the
-// reader; unused and empty annotations are themselves diagnosed, so stale
-// escapes cannot accumulate. sync.Cond operations are exempt: Wait releases
-// the paired mutex by contract.
+// on the flagged line or the line above (package check reads it, and
+// diagnoses an unused one or one with no reason). sync.Cond operations are
+// exempt: Wait releases the paired mutex by contract.
 //
-// Approximations, chosen to avoid false positives rather than catch every
-// bug: path merges keep only locks held on every incoming path (as
-// lockcheck does); goroutine bodies, deferred function literals and
-// function literals passed as arguments are analyzed with no locks held
-// (asynchronous use); calls that cannot be resolved to a same-package
-// declaration contribute no graph edges (the blocking check still sees
-// them). Locks are conflated per type, so nesting two instances of the
-// same type reports as a self-cycle — which is the conservative reading: a
-// program that nests same-type locks needs an instance order the analyzer
-// cannot see.
+// The walk's approximations are the Walker's (DESIGN.md §7 lists them).
+// What is lockorder's own: a lock counts as held at either level; every
+// function literal, deferred ones included, is analyzed with no locks held
+// (it may run anywhere); a deferred or spawned call is not a call made
+// here; calls that cannot be resolved to a same-package declaration
+// contribute no graph edges (the blocking check still sees them). Locks are
+// conflated per type, so nesting two instances of the same type reports as
+// a self-cycle — which is the conservative reading: a program that nests
+// same-type locks needs an instance order the analyzer cannot see.
 package lockorder
 
 import (
@@ -57,11 +55,11 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
-	"regexp"
 	"sort"
 	"strings"
 
 	"itcfs/tools/itcvet/internal/check"
+	"itcfs/tools/itcvet/internal/locks"
 )
 
 // Analyzer is the lockorder pass.
@@ -73,19 +71,7 @@ var Analyzer = &check.Analyzer{
 }
 
 // Key identifies one lock node: a mutex field of a named struct type.
-type Key struct {
-	Type  string // declaring type name
-	Field string // mutex field name
-}
-
-func (k Key) String() string { return k.Type + "." + k.Field }
-
-func keyLess(a, b Key) bool {
-	if a.Type != b.Type {
-		return a.Type < b.Type
-	}
-	return a.Field < b.Field
-}
+type Key = locks.Key
 
 // Edge is one acquisition-order observation: some path acquires To while
 // holding From. Pos is a witness site; Via names the function it is in
@@ -103,37 +89,14 @@ type Graph struct {
 	Edges []Edge // deduplicated: one lexicographically-least witness per (From, To)
 }
 
-// holdsRE matches lockcheck's //itcvet:holds entry-state annotation.
-var holdsRE = regexp.MustCompile(`^itcvet:holds ([A-Za-z_][A-Za-z0-9_]*)(\(read\))?$`)
-
-// allowBlockingRE matches the blocking escape hatch; group 1 is the
-// justification, which must be non-empty.
-var allowBlockingRE = regexp.MustCompile(`^itcvet:allowblocking(.*)$`)
-
 func run(pass *check.Pass) {
 	a := newAnalysis(pass.Fset, pass.Files, pass.Pkg, pass.Info)
 	a.analyze()
 
-	// Blocking findings, filtered through //itcvet:allowblocking.
-	allows := collectAllowBlocking(pass.Fset, pass.Files)
 	for _, b := range a.blocking {
-		posn := pass.Fset.Position(b.pos)
-		if allowed(allows, posn) {
-			continue
-		}
-		pass.Reportf(b.pos,
+		pass.ReportBlockingf(b.pos,
 			"%s while %s is held; a blocked holder stalls every path through the lock (annotate //itcvet:allowblocking <why> if the wait is intended)",
 			b.desc, b.held)
-	}
-	for _, s := range allows {
-		switch {
-		case !s.ok:
-			pass.Reportf(s.pos,
-				"malformed itcvet:allowblocking annotation: want //itcvet:allowblocking <why>, with a non-empty justification")
-		case !s.used:
-			pass.Reportf(s.pos,
-				"unused itcvet:allowblocking annotation: nothing on this or the next line blocks under a lock")
-		}
 	}
 
 	// Lock-order cycles over the package's merged graph.
@@ -181,13 +144,13 @@ func Cycles(g Graph) []Cycle {
 	}
 	for k := range adj {
 		es := adj[k]
-		sort.Slice(es, func(i, j int) bool { return keyLess(es[i].To, es[j].To) })
+		sort.Slice(es, func(i, j int) bool { return es[i].To.Less(es[j].To) })
 	}
 	var nodes []Key
 	for _, n := range g.Nodes {
 		nodes = append(nodes, n)
 	}
-	sort.Slice(nodes, func(i, j int) bool { return keyLess(nodes[i], nodes[j]) })
+	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Less(nodes[j]) })
 
 	var out []Cycle
 	seen := map[string]bool{} // canonical node sequence -> reported
@@ -253,46 +216,6 @@ func canonicalCycle(c Cycle) string {
 	return best
 }
 
-// allowSite is one //itcvet:allowblocking comment.
-type allowSite struct {
-	file string
-	line int
-	pos  token.Pos
-	ok   bool // has a non-empty justification
-	used bool
-}
-
-func collectAllowBlocking(fset *token.FileSet, files []*ast.File) []*allowSite {
-	var sites []*allowSite
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				m := allowBlockingRE.FindStringSubmatch(strings.TrimSpace(strings.TrimPrefix(c.Text, "//")))
-				if m == nil {
-					continue
-				}
-				posn := fset.Position(c.Pos())
-				sites = append(sites, &allowSite{
-					file: posn.Filename, line: posn.Line, pos: c.Pos(),
-					ok: strings.TrimSpace(m[1]) != "",
-				})
-			}
-		}
-	}
-	return sites
-}
-
-func allowed(sites []*allowSite, posn token.Position) bool {
-	ok := false
-	for _, s := range sites {
-		if s.ok && s.file == posn.Filename && (s.line == posn.Line || s.line == posn.Line-1) {
-			s.used = true
-			ok = true
-		}
-	}
-	return ok
-}
-
 // blockFinding is one blocking operation performed with locks held.
 type blockFinding struct {
 	pos  token.Pos
@@ -309,9 +232,8 @@ type callSite struct {
 
 // summary is the per-function analysis result.
 type summary struct {
-	directAcq map[Key]token.Pos // locks acquired in the body itself
-	calls     []callSite
-	allAcq    map[Key]bool // directAcq plus everything reachable callees acquire
+	calls  []callSite
+	allAcq map[Key]bool // locks acquired in the body, plus everything reachable callees acquire
 	// blockDescs are the function's direct blocking operations, independent
 	// of lock state — the caller-side check uses them for calls made under a
 	// lock. Bounded to the first few for message brevity.
@@ -326,19 +248,19 @@ type analysis struct {
 	pkg   *types.Package
 	info  *types.Info
 
-	mutexes map[*types.TypeName]map[string]bool // struct -> mutex fields
-	decls   map[*types.Func]*ast.FuncDecl
-	sums    map[*types.Func]*summary
+	inv   *locks.Inventory
+	decls map[*types.Func]*ast.FuncDecl
+	sums  map[*types.Func]*summary
 
-	edges    map[[2]Key]Edge     // deduplicated, least witness
-	edgePos  map[Edge]token.Pos  // report position for cycle diagnostics
+	edges    map[[2]Key]Edge    // deduplicated, least witness
+	edgePos  map[Edge]token.Pos // report position for cycle diagnostics
 	blocking []blockFinding
 }
 
 func newAnalysis(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) *analysis {
 	return &analysis{
 		fset: fset, files: files, pkg: pkg, info: info,
-		mutexes: map[*types.TypeName]map[string]bool{},
+		inv:     locks.NewInventory(files, info),
 		decls:   map[*types.Func]*ast.FuncDecl{},
 		sums:    map[*types.Func]*summary{},
 		edges:   map[[2]Key]Edge{},
@@ -347,7 +269,6 @@ func newAnalysis(fset *token.FileSet, files []*ast.File, pkg *types.Package, inf
 }
 
 func (a *analysis) analyze() {
-	a.collectMutexes()
 	a.collectDecls()
 	// Per-function intraprocedural pass.
 	for fn, decl := range a.decls {
@@ -419,7 +340,7 @@ func (a *analysis) analyze() {
 
 func funcName(fn *types.Func) string {
 	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-		if tn := namedOf(recv.Type()); tn != nil {
+		if tn := check.NamedOf(recv.Type()); tn != nil {
 			return tn.Name() + "." + fn.Name()
 		}
 	}
@@ -451,12 +372,12 @@ func witnessLess(x, y Edge) bool {
 func (a *analysis) graph() Graph {
 	g := Graph{}
 	var nodes []Key
-	for tn, fields := range a.mutexes {
-		for f := range fields {
-			nodes = append(nodes, Key{Type: tn.Name(), Field: f})
+	for _, s := range a.inv.Structs {
+		for _, m := range s.Mutexes {
+			nodes = append(nodes, Key{Type: s.Type.Name(), Field: m.Name})
 		}
 	}
-	sort.Slice(nodes, func(i, j int) bool { return keyLess(nodes[i], nodes[j]) })
+	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Less(nodes[j]) })
 	g.Nodes = nodes
 	for _, e := range a.edges {
 		g.Edges = append(g.Edges, e)
@@ -464,46 +385,11 @@ func (a *analysis) graph() Graph {
 	sort.Slice(g.Edges, func(i, j int) bool {
 		x, y := g.Edges[i], g.Edges[j]
 		if x.From != y.From {
-			return keyLess(x.From, y.From)
+			return x.From.Less(y.From)
 		}
-		return keyLess(x.To, y.To)
+		return x.To.Less(y.To)
 	})
 	return g
-}
-
-// collectMutexes finds every sync.Mutex / sync.RWMutex field of every
-// struct declared in the package.
-func (a *analysis) collectMutexes() {
-	for _, f := range a.files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			ts, ok := n.(*ast.TypeSpec)
-			if !ok {
-				return true
-			}
-			st, ok := ts.Type.(*ast.StructType)
-			if !ok {
-				return true
-			}
-			tn, _ := a.info.Defs[ts.Name].(*types.TypeName)
-			if tn == nil {
-				return true
-			}
-			for _, fld := range st.Fields.List {
-				if !isMutexType(a.info.TypeOf(fld.Type)) {
-					continue
-				}
-				for _, name := range fld.Names {
-					m := a.mutexes[tn]
-					if m == nil {
-						m = map[string]bool{}
-						a.mutexes[tn] = m
-					}
-					m[name.Name] = true
-				}
-			}
-			return true
-		})
-	}
 }
 
 func (a *analysis) collectDecls() {
@@ -522,374 +408,52 @@ func (a *analysis) collectDecls() {
 
 // scanFunc runs the intraprocedural pass over one declaration.
 func (a *analysis) scanFunc(fn *types.Func, decl *ast.FuncDecl) *summary {
-	sum := &summary{directAcq: map[Key]token.Pos{}, allAcq: map[Key]bool{}}
-	w := &walker{a: a, sum: sum}
-	st := a.entryState(fn, decl)
-	w.block(decl.Body.List, st)
-	for k := range sum.directAcq {
-		sum.allAcq[k] = true
-	}
+	sum := &summary{allAcq: map[Key]bool{}}
+	w := locks.Walker{Inv: a.inv, Obs: &scanner{a: a, sum: sum, fn: funcName(fn)}}
+	w.Walk(decl)
 	sum.mayBlock = len(sum.blockDescs) > 0
 	return sum
 }
 
-// entryState seeds the held set from //itcvet:holds annotations, resolving
-// the named lock against the receiver's type.
-func (a *analysis) entryState(fn *types.Func, decl *ast.FuncDecl) state {
-	st := state{}
-	if decl.Doc == nil || decl.Recv == nil {
-		return st
-	}
-	recvTN := namedOf(fn.Type().(*types.Signature).Recv().Type())
-	if recvTN == nil {
-		return st
-	}
-	fields := a.mutexes[recvTN]
-	for _, c := range decl.Doc.List {
-		m := holdsRE.FindStringSubmatch(strings.TrimSpace(strings.TrimPrefix(c.Text, "//")))
-		if m == nil || !fields[m[1]] {
-			continue
-		}
-		st[Key{Type: recvTN.Name(), Field: m[1]}] = true
-	}
-	return st
-}
-
-// state is the set of locks held on the current path.
-type state map[Key]bool
-
-func (s state) clone() state {
-	out := state{}
-	for k := range s {
-		out[k] = true
-	}
-	return out
-}
-
-// meet keeps locks held on both paths (must-hold).
-func meet(a, b state) state {
-	out := state{}
-	for k := range a {
-		if b[k] {
-			out[k] = true
-		}
-	}
-	return out
-}
-
-// heldKeys returns the sorted held set.
-func (s state) heldKeys() []Key {
-	out := make([]Key, 0, len(s))
-	for k := range s {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return keyLess(out[i], out[j]) })
-	return out
-}
-
-// walker walks one function body tracking the held set.
-type walker struct {
+// scanner observes one function's walk, filling its summary and the
+// package's direct edges and blocking findings. A lock counts as held at
+// either level.
+type scanner struct {
 	a   *analysis
 	sum *summary
+	fn  string // for edge labels
 }
 
-func (w *walker) block(list []ast.Stmt, st state) state {
-	for _, s := range list {
-		st = w.stmt(s, st)
+func (s *scanner) Access(*ast.SelectorExpr, bool, locks.Held) {}
+
+// LiteralEntry: a literal may run anywhere — deferred to exit, handed to
+// another process — so its body is analyzed with nothing held.
+func (s *scanner) LiteralEntry(locks.Held) locks.Held { return nil }
+
+func (s *scanner) Acquire(key Key, pos token.Pos, held locks.Held) {
+	for from := range held {
+		s.a.addEdge(from, key, pos, s.fn)
 	}
-	return st
+	s.sum.allAcq[key] = true
 }
 
-func (w *walker) stmt(s ast.Stmt, st state) state {
-	switch s := s.(type) {
-	case nil:
-		return st
-	case *ast.ExprStmt:
-		if key, op, ok := w.a.lockOp(s.X); ok {
-			return w.apply(st, key, op, s.X.Pos())
-		}
-		w.expr(s.X, st)
-	case *ast.DeferStmt:
-		if _, _, ok := w.a.lockOp(s.Call); ok {
-			return st // deferred unlock fires at exit; no change now
-		}
-		// Deferred work runs at exit with unknowable lock state: analyze the
-		// callee body (if a literal) with nothing held, and scan arguments.
-		for _, arg := range s.Call.Args {
-			w.expr(arg, st)
-		}
-		if fl, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			w.block(fl.Body.List, state{})
-		}
-	case *ast.GoStmt:
-		for _, arg := range s.Call.Args {
-			w.expr(arg, st)
-		}
-		if fl, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			w.block(fl.Body.List, state{}) // the goroutine holds nothing
-		}
-	case *ast.AssignStmt:
-		for _, r := range s.Rhs {
-			w.expr(r, st)
-		}
-		for _, l := range s.Lhs {
-			w.expr(l, st)
-		}
-	case *ast.IncDecStmt:
-		w.expr(s.X, st)
-	case *ast.IfStmt:
-		st = w.stmt(s.Init, st)
-		w.expr(s.Cond, st)
-		thenOut := w.block(s.Body.List, st.clone())
-		elseOut := st.clone()
-		if s.Else != nil {
-			elseOut = w.stmt(s.Else, st.clone())
-		}
-		thenDead := terminates(s.Body.List)
-		elseDead := s.Else != nil && terminatesStmt(s.Else)
-		switch {
-		case thenDead && elseDead:
-			return st
-		case thenDead:
-			return elseOut
-		case elseDead:
-			return thenOut
-		default:
-			return meet(thenOut, elseOut)
-		}
-	case *ast.ForStmt:
-		st = w.stmt(s.Init, st)
-		if s.Cond != nil {
-			w.expr(s.Cond, st)
-		}
-		bodyOut := w.block(s.Body.List, st.clone())
-		bodyOut = w.stmt(s.Post, bodyOut)
-		return meet(st, bodyOut)
-	case *ast.RangeStmt:
-		w.expr(s.X, st)
-		bodyOut := w.block(s.Body.List, st.clone())
-		return meet(st, bodyOut)
-	case *ast.SwitchStmt:
-		st = w.stmt(s.Init, st)
-		if s.Tag != nil {
-			w.expr(s.Tag, st)
-		}
-		return w.clauses(s.Body.List, st)
-	case *ast.TypeSwitchStmt:
-		st = w.stmt(s.Init, st)
-		w.stmt(s.Assign, st)
-		return w.clauses(s.Body.List, st)
-	case *ast.SelectStmt:
-		w.selectStmt(s, st)
-		return w.clauses(s.Body.List, st)
-	case *ast.BlockStmt:
-		return w.block(s.List, st.clone())
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			w.expr(r, st)
-		}
-	case *ast.SendStmt:
-		w.blockingOp(s.Pos(), "channel send", st)
-		w.expr(s.Chan, st)
-		w.expr(s.Value, st)
-	case *ast.LabeledStmt:
-		return w.stmt(s.Stmt, st)
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						w.expr(v, st)
-					}
-				}
-			}
-		}
+// Call classifies blocking and records resolvable same-package callees.
+func (s *scanner) Call(e *ast.CallExpr, held locks.Held) {
+	if desc, ok := s.a.blockingCall(e); ok {
+		s.Blocking(e.Pos(), desc, held)
 	}
-	return st
-}
-
-// selectStmt flags a select with no default: every arm can park the holder.
-func (w *walker) selectStmt(s *ast.SelectStmt, st state) {
-	for _, cl := range s.Body.List {
-		if cc, ok := cl.(*ast.CommClause); ok && cc.Comm == nil {
-			return // default case: the select cannot block
-		}
-	}
-	w.blockingOp(s.Pos(), "select with no default", st)
-}
-
-// clauses merges switch/select case bodies (weakest common held set).
-func (w *walker) clauses(list []ast.Stmt, st state) state {
-	outs := []state{}
-	hasDefault := false
-	for _, cl := range list {
-		var body []ast.Stmt
-		switch cl := cl.(type) {
-		case *ast.CaseClause:
-			for _, e := range cl.List {
-				w.expr(e, st)
-			}
-			hasDefault = hasDefault || cl.List == nil
-			body = cl.Body
-		case *ast.CommClause:
-			// The comm statement itself is not re-classified as blocking: the
-			// enclosing select already was (if it had no default), and a comm
-			// op chosen by a ready select does not park the holder.
-			hasDefault = hasDefault || cl.Comm == nil
-			out := w.block(cl.Body, st.clone())
-			if !terminates(cl.Body) {
-				outs = append(outs, out)
-			}
-			continue
-		}
-		out := w.block(body, st.clone())
-		if !terminates(body) {
-			outs = append(outs, out)
-		}
-	}
-	if !hasDefault || len(outs) == 0 {
-		outs = append(outs, st)
-	}
-	merged := outs[0]
-	for _, o := range outs[1:] {
-		merged = meet(merged, o)
-	}
-	return merged
-}
-
-func (w *walker) apply(st state, key Key, op string, pos token.Pos) state {
-	st = st.clone()
-	switch op {
-	case "Lock", "RLock":
-		for held := range st {
-			w.a.addEdge(held, key, pos, w.curFunc(pos))
-		}
-		if _, ok := w.sum.directAcq[key]; !ok {
-			w.sum.directAcq[key] = pos
-		}
-		st[key] = true
-	case "Unlock", "RUnlock":
-		delete(st, key)
-	}
-	return st
-}
-
-// curFunc names the enclosing function for edge labels; walker is built per
-// function, so record it lazily from the analysis decl map.
-func (w *walker) curFunc(pos token.Pos) string {
-	for fn, decl := range w.a.decls {
-		if decl.Body != nil && decl.Pos() <= pos && pos <= decl.End() {
-			return funcName(fn)
-		}
-	}
-	return "func"
-}
-
-// expr scans an expression for lock operations, blocking operations and
-// resolvable calls. Expressions do not change the held set (lock calls in
-// expression position would; none exist in this tree and meet-conservatism
-// tolerates missing them).
-func (w *walker) expr(e ast.Expr, st state) {
-	switch e := e.(type) {
-	case nil:
-	case *ast.CallExpr:
-		if key, op, ok := w.a.lockOp(e); ok {
-			// A lock op in expression position (rare); record the edge but
-			// leave flow to the statement walker.
-			_ = w.apply(st, key, op, e.Pos())
-			return
-		}
-		w.call(e, st)
-	case *ast.UnaryExpr:
-		if e.Op == token.ARROW {
-			w.blockingOp(e.Pos(), "channel receive", st)
-		}
-		w.expr(e.X, st)
-	case *ast.FuncLit:
-		w.block(e.Body.List, state{}) // treated as asynchronous: holds nothing
-	case *ast.SelectorExpr:
-		w.expr(e.X, st)
-	case *ast.StarExpr:
-		w.expr(e.X, st)
-	case *ast.ParenExpr:
-		w.expr(e.X, st)
-	case *ast.IndexExpr:
-		w.expr(e.X, st)
-		w.expr(e.Index, st)
-	case *ast.SliceExpr:
-		w.expr(e.X, st)
-		w.expr(e.Low, st)
-		w.expr(e.High, st)
-		w.expr(e.Max, st)
-	case *ast.BinaryExpr:
-		w.expr(e.X, st)
-		w.expr(e.Y, st)
-	case *ast.CompositeLit:
-		for _, el := range e.Elts {
-			w.expr(el, st)
-		}
-	case *ast.KeyValueExpr:
-		w.expr(e.Key, st)
-		w.expr(e.Value, st)
-	case *ast.TypeAssertExpr:
-		w.expr(e.X, st)
+	if fn := s.a.calleeOf(e); fn != nil {
+		s.sum.calls = append(s.sum.calls, callSite{callee: fn, pos: e.Pos(), held: held.Keys()})
 	}
 }
 
-// call handles one non-lock call: classify blocking, record resolvable
-// same-package callees, scan arguments.
-func (w *walker) call(e *ast.CallExpr, st state) {
-	if desc, ok := w.a.blockingCall(e); ok {
-		w.blockingOp(e.Pos(), desc, st)
+func (s *scanner) Blocking(pos token.Pos, desc string, held locks.Held) {
+	if len(s.sum.blockDescs) < 3 {
+		s.sum.blockDescs = append(s.sum.blockDescs, desc)
 	}
-	if fn := w.a.calleeOf(e); fn != nil {
-		w.sum.calls = append(w.sum.calls, callSite{callee: fn, pos: e.Pos(), held: st.heldKeys()})
+	if keys := held.Keys(); len(keys) > 0 {
+		s.a.blocking = append(s.a.blocking, blockFinding{pos: pos, desc: desc, held: keys[0]})
 	}
-	w.expr(e.Fun, st)
-	for _, arg := range e.Args {
-		w.expr(arg, st)
-	}
-}
-
-func (w *walker) blockingOp(pos token.Pos, desc string, st state) {
-	if len(w.sum.blockDescs) < 3 {
-		w.sum.blockDescs = append(w.sum.blockDescs, desc)
-	}
-	held := st.heldKeys()
-	if len(held) == 0 {
-		return
-	}
-	w.a.blocking = append(w.a.blocking, blockFinding{pos: pos, desc: desc, held: held[0]})
-}
-
-// lockOp recognizes expr.<mutexfield>.Lock() and friends, where expr's
-// static type is a struct declared in this package with that mutex field.
-func (a *analysis) lockOp(e ast.Expr) (Key, string, bool) {
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return Key{}, "", false
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return Key{}, "", false
-	}
-	switch sel.Sel.Name {
-	case "Lock", "Unlock", "RLock", "RUnlock":
-	default:
-		return Key{}, "", false
-	}
-	field, ok := sel.X.(*ast.SelectorExpr)
-	if !ok {
-		return Key{}, "", false
-	}
-	ownerTN := namedOf(a.info.TypeOf(field.X))
-	if ownerTN == nil || ownerTN.Pkg() != a.pkg {
-		return Key{}, "", false
-	}
-	if !a.mutexes[ownerTN][field.Sel.Name] {
-		return Key{}, "", false
-	}
-	return Key{Type: ownerTN.Name(), Field: field.Sel.Name}, sel.Sel.Name, true
 }
 
 // calleeOf resolves a call to a function or method declared in this package.
@@ -929,7 +493,7 @@ func (a *analysis) blockingCall(e *ast.CallExpr) (string, bool) {
 			}
 			return "", false
 		}
-		recvTN := namedOf(a.info.TypeOf(fun.X))
+		recvTN := check.NamedOf(a.info.TypeOf(fun.X))
 		// sync.Cond is exempt: Wait releases the paired mutex by contract.
 		if recvTN != nil && recvTN.Pkg() != nil && recvTN.Pkg().Path() == "sync" {
 			return "", false
@@ -969,54 +533,4 @@ func storeLike(tn *types.TypeName) bool {
 		return true
 	}
 	return false
-}
-
-func isMutexType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	tn := namedOf(t)
-	if tn == nil || tn.Pkg() == nil || tn.Pkg().Path() != "sync" {
-		return false
-	}
-	return tn.Name() == "Mutex" || tn.Name() == "RWMutex"
-}
-
-// namedOf returns the *types.TypeName behind t, unwrapping one pointer.
-func namedOf(t types.Type) *types.TypeName {
-	if t == nil {
-		return nil
-	}
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj()
-	}
-	return nil
-}
-
-// terminatesStmt reports whether control cannot flow past s.
-func terminatesStmt(s ast.Stmt) bool {
-	switch s := s.(type) {
-	case *ast.ReturnStmt, *ast.BranchStmt:
-		return true
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
-				return true
-			}
-		}
-	case *ast.BlockStmt:
-		return terminates(s.List)
-	case *ast.IfStmt:
-		return terminates(s.Body.List) && s.Else != nil && terminatesStmt(s.Else)
-	case *ast.LabeledStmt:
-		return terminatesStmt(s.Stmt)
-	}
-	return false
-}
-
-func terminates(list []ast.Stmt) bool {
-	return len(list) > 0 && terminatesStmt(list[len(list)-1])
 }

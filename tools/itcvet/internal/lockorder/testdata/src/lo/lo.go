@@ -133,3 +133,61 @@ func bare(a *A, ch chan int) {
 	ch <- 1 // want `channel send while A\.mu is held`
 	a.mu.Unlock()
 }
+
+// next takes the lock itself, so calling it with the lock held is a
+// self-deadlock: an A.mu -> A.mu edge.
+func (a *A) next() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.n
+}
+
+// A select arm's comm statement is evaluated by the holder like any other
+// expression: the call in it is a call made under the lock. The arm's own
+// send is not a second blocking finding — the default keeps the select from
+// parking.
+func commCall(a *A, ch chan int) {
+	a.mu.Lock()
+	select {
+	case ch <- a.next(): // want `lock-order cycle \(potential deadlock\): A\.mu -> A\.mu \(lo\.go:\d+, commCall calls A\.next\)`
+	default:
+	}
+	a.mu.Unlock()
+}
+
+// A deferred literal runs at exit, when the held set is unknowable, and a
+// literal bound to a variable may run anywhere: lockorder analyzes both with
+// nothing held.
+func deferredLit(a *A, ch chan int) {
+	a.mu.Lock()
+	defer func() { ch <- 1 }() // no finding
+	later := func() { <-ch }   // no finding
+	_ = later
+	a.mu.Unlock()
+}
+
+func pickWorker(ch chan int) func() { <-ch; return nil }
+
+func slot(ch chan int) []int { <-ch; return nil }
+
+// The spawner evaluates a go statement's callee expression, and a loop its
+// range targets, under whatever it holds.
+func goCallee(a *A, ch chan int) {
+	a.mu.Lock()
+	go pickWorker(ch)() // want `call to pickWorker performs channel receive while A\.mu is held`
+	a.mu.Unlock()
+}
+
+func rangeTarget(a *A, ch chan int, xs []int) {
+	a.mu.Lock()
+	for slot(ch)[0] = range xs { // want `call to slot performs channel receive while A\.mu is held`
+	}
+	a.mu.Unlock()
+}
+
+// The category's own allow covers blocking findings too.
+func sendAllowedByCategory(a *A, ch chan int) {
+	a.mu.Lock()
+	ch <- 1 //itcvet:allow lockorder -- fixture: capacity-1 channel, as above
+	a.mu.Unlock()
+}
