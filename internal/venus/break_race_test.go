@@ -3,6 +3,7 @@ package venus
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"itcfs/internal/proto"
 	"itcfs/internal/rpc"
@@ -121,5 +122,58 @@ func TestBreakDuringInFlightFetchNotClobbered(t *testing.T) {
 	}
 	if v.Stats().Fetches == before {
 		t.Fatal("post-race open trusted the cache instead of revalidating")
+	}
+}
+
+// The same race one step later: dirCall patches the cached listing of the
+// directory it just changed while a break for that directory — another
+// client changed it too — arrives on the transport's serving goroutine.
+// patchDir once read the entry's cacheFile and valid after dropping v.mu,
+// which HandleCallbackBreak writes under it; the race detector is the
+// assertion. The break is timed, not signalled, into the patch (stalled in
+// the cache's clock, which Adopt reads): any signal from the patching
+// goroutine would order its reads before the break's write and hide the race.
+func TestBreakWhileDirCallPatchesListing(t *testing.T) {
+	c := newTestCell(t, vice.Revised, "s0")
+	c.mkVolume("u", "/u", "satya", 0)
+	stall := false
+	v := c.newVenus("s0", "satya", func(cfg *Config) {
+		cfg.Local = unixfs.New(func() int64 {
+			if stall {
+				stall = false
+				time.Sleep(100 * time.Millisecond) //itcvet:allow wallclock -- holds the patch open while the break lands on a real goroutine
+			}
+			return 0
+		})
+	})
+	if _, err := v.ReadDir(nil, "/u"); err != nil {
+		t.Fatal(err)
+	}
+	dir, err := v.Resolve(nil, "/u")
+	if err != nil {
+		t.Fatal(err)
+	}
+	broke := make(chan struct{})
+	go func() {
+		defer close(broke)
+		time.Sleep(10 * time.Millisecond) //itcvet:allow wallclock -- lands inside the stalled patch
+		v.HandleCallbackBreak(rpc.Ctx{}, rpc.Request{Body: proto.Marshal(proto.CallbackBreakArgs{FID: dir})})
+	}()
+	stall = true
+	if err := v.Mkdir(nil, "/u/d", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	<-broke
+	if stall {
+		t.Fatal("the listing was never patched; the race was not exercised")
+	}
+	// The break outlives the patch: the next listing comes from the custodian.
+	before := v.Stats().Fetches
+	ents, err := v.ReadDir(nil, "/u")
+	if err != nil || len(ents) != 1 || ents[0].Name != "d" {
+		t.Fatalf("listing after the patch and the break: %v, %v", ents, err)
+	}
+	if v.Stats().Fetches == before {
+		t.Fatal("the patch resurrected a broken promise: the listing was served from the cache")
 	}
 }

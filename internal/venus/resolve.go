@@ -628,13 +628,17 @@ func (v *Venus) patchDir(dir proto.FID, patch dirPatch, resp rpc.Response) bool 
 	if dir.IsZero() {
 		return false
 	}
+	// A break from the serving goroutine writes the entry's fields under mu.
 	v.mu.Lock()
-	e := v.byFID[dir]
+	e, file := v.byFID[dir], ""
+	if e != nil && e.valid {
+		file = e.cacheFile
+	}
 	v.mu.Unlock()
-	if e == nil || e.cacheFile == "" || !e.valid {
+	if file == "" {
 		return false
 	}
-	data, err := v.cfg.Local.Lend(e.cacheFile)
+	data, err := v.cfg.Local.Lend(file)
 	if err != nil {
 		return false
 	}
@@ -644,7 +648,7 @@ func (v *Venus) patchDir(dir proto.FID, patch dirPatch, resp rpc.Response) bool 
 	}
 	patched := patch(entries, resp)
 	updated := proto.EncodeDirEntries(patched) // a fresh slice nothing else holds
-	if err := v.cfg.Local.Adopt(e.cacheFile, updated, 0o600, "venus"); err != nil {
+	if err := v.cfg.Local.Adopt(file, updated, 0o600, "venus"); err != nil {
 		return false
 	}
 	v.mu.Lock()

@@ -90,7 +90,7 @@ func (s *Server) handleVolCreate(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 		return respErr(fmt.Errorf("%w: name and path required", proto.ErrBadRequest))
 	}
 	parentPath, leaf := dirOfPath(args.Path)
-	pv, pdir, err := s.resolvePath(parentPath, true)
+	pv, pdir, err := s.resolvePathLocked(parentPath)
 	if err != nil {
 		return respErr(err)
 	}
@@ -112,7 +112,7 @@ func (s *Server) handleVolCreate(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 		return respErr(err)
 	}
 	s.callbacks.Break(ctx.Proc, pdir, parentPath, nil)
-	return rpc.Response{Body: proto.Marshal(s.volStatusLocked(vol))}
+	return s.volStatus(vol)
 }
 
 // handleVolClone freezes a read-only snapshot of a volume, optionally
@@ -139,12 +139,14 @@ func (s *Server) handleVolClone(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 		}
 	}
 	id := s.cfg.AllocVolID()
+	s.gate.RLock()
 	clone := src.Clone(id, src.Name()+".readonly")
+	s.gate.RUnlock()
+	if ix := s.cfg.Blocks; ix != nil {
+		clone.InternData(ix.Intern) // before other connections can fetch from it
+	}
 	if err := s.attachVolume(clone); err != nil {
 		return respErr(err)
-	}
-	if ix := s.cfg.Blocks; ix != nil {
-		clone.InternData(ix.Intern)
 	}
 	if len(args.Replicas) > 0 {
 		s.release.Begin(id, clone.Name(), args.Path, args.Replicas)
@@ -152,7 +154,7 @@ func (s *Server) handleVolClone(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 
 	if args.Path != "" {
 		parentPath, leaf := dirOfPath(args.Path)
-		pv, pdir, err := s.resolvePath(parentPath, true)
+		pv, pdir, err := s.resolvePathLocked(parentPath)
 		if err != nil {
 			return respErr(err)
 		}
@@ -192,11 +194,14 @@ func (s *Server) handleVolClone(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 			return respErr(err)
 		}
 	}
-	return rpc.Response{Body: proto.Marshal(s.volStatusLocked(clone))}
+	return s.volStatus(clone)
 }
 
-func (s *Server) volStatusLocked(v *volume.Volume) proto.VolStatusReply {
-	return proto.VolStatusReply{
+// volStatus answers with v's status, read under the gate.
+func (s *Server) volStatus(v *volume.Volume) rpc.Response {
+	s.gate.RLock()
+	defer s.gate.RUnlock()
+	return rpc.Response{Body: proto.Marshal(proto.VolStatusReply{
 		Volume:   v.ID(),
 		Name:     v.Name(),
 		Quota:    v.Quota(),
@@ -204,7 +209,15 @@ func (s *Server) volStatusLocked(v *volume.Volume) proto.VolStatusReply {
 		Online:   v.Online(),
 		ReadOnly: v.ReadOnly(),
 		Server:   s.cfg.Name,
-	}
+	})}
+}
+
+// resolvePathLocked is resolvePath for a caller between holds (volume
+// administration): the walk reads directories, so it takes the read side.
+func (s *Server) resolvePathLocked(path string) (*volume.Volume, proto.FID, error) {
+	s.gate.RLock()
+	defer s.gate.RUnlock()
+	return s.resolvePath(path, true)
 }
 
 func (s *Server) handleVolStatus(ctx rpc.Ctx, req rpc.Request) rpc.Response {
@@ -216,7 +229,7 @@ func (s *Server) handleVolStatus(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if err != nil {
 		return respErr(err)
 	}
-	return rpc.Response{Body: proto.Marshal(s.volStatusLocked(v))}
+	return s.volStatus(v)
 }
 
 func (s *Server) handleVolSetQuota(ctx rpc.Ctx, req rpc.Request) rpc.Response {
@@ -277,7 +290,9 @@ func (s *Server) handleVolMove(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if err := s.mutate(v, func() error { v.SetOnline(false); return nil }); err != nil { // unavailable during the change
 		return respErr(err)
 	}
+	s.gate.RLock()
 	image := v.Serialize()
+	s.gate.RUnlock()
 	resp, err := peer.Call(ctx.Proc, rpc.Request{
 		Op:   rpc.Op(proto.OpVolInstall),
 		Body: proto.Marshal(proto.VolInstallArgs{Volume: v.ID(), Name: v.Name(), ReadOnly: v.ReadOnly()}),

@@ -14,6 +14,16 @@ import (
 // request body, the server must answer with an error code — never panic,
 // never hang, never corrupt state.
 
+// gateFree fails t if the handler just dispatched returned holding s's gate:
+// the check a lock-and-unlock discipline needs on its error returns.
+func gateFree(t testing.TB, s *Server) {
+	t.Helper()
+	if !s.gate.TryLock() {
+		t.Fatal("a handler returned holding the gate")
+	}
+	s.gate.Unlock()
+}
+
 var allOps = []uint16{
 	proto.OpFetch, proto.OpStore, proto.OpFetchStatus, proto.OpSetStatus,
 	proto.OpTestValid, proto.OpBulkTestValid, proto.OpCreate, proto.OpMakeDir, proto.OpRemove,
@@ -45,6 +55,7 @@ func TestHandlersSurviveGarbage(t *testing.T) {
 				rpc.Request{Op: rpc.Op(op), Body: body, Bulk: bulk},
 			)
 			_ = resp
+			gateFree(t, c.servers[0])
 		}
 		return true
 	}
@@ -70,6 +81,7 @@ func TestHandlersRejectNonsenseRefs(t *testing.T) {
 	}
 	for _, ref := range bogus {
 		resp := c.call("satya", 0, proto.OpFetch, proto.Marshal(proto.FetchArgs{Ref: ref}), nil)
+		gateFree(t, c.servers[0])
 		if resp.OK() {
 			t.Errorf("fetch of %v succeeded", ref)
 		}
@@ -153,6 +165,7 @@ func FuzzDispatch(f *testing.F) {
 				rpc.Ctx{User: user},
 				rpc.Request{Op: rpc.Op(op), Body: body, Bulk: bulk},
 			)
+			gateFree(t, c.servers[0])
 		}
 		// The server must still answer well-formed requests afterwards.
 		// (A fuzzed input may itself be a legal mutation — even a Remove

@@ -11,10 +11,11 @@ import (
 	"itcfs/internal/volume"
 )
 
-// registerHandlers wires every Vice operation into the dispatcher. Handlers
-// hold s.mu only across in-memory state transitions and never across
-// callback breaks or peer calls, so a handler worker never parks while
-// holding a lock.
+// registerHandlers wires every Vice operation into the dispatcher. Each
+// handler keeps the gate's rule (Server.gate) for itself — a handler that
+// only reads holds the read side for its whole body, one that changes state
+// does so through commit — and holds s.mu only across in-memory state
+// transitions, so a handler worker never parks while holding a lock.
 func (s *Server) registerHandlers() {
 	h := s.disp.Handle
 	h(rpc.Op(proto.OpFetch), s.handleFetch)
@@ -112,6 +113,8 @@ func (s *Server) handleFetch(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if err != nil {
 		return respErr(err)
 	}
+	s.gate.RLock()
+	defer s.gate.RUnlock()
 	v, fid, acl, err := s.governed(ctx, args.Ref, counted)
 	if err != nil {
 		return respErr(err)
@@ -128,7 +131,8 @@ func (s *Server) handleFetch(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	s.mu.Unlock()
 	if !v.ReadOnly() {
 		// Read-only clones can never be invalid, so no promise is needed
-		// (caching from read-only subtrees is simplified, §3.2).
+		// (caching from read-only subtrees is simplified, §3.2). Any other
+		// promise is made under the hold that read the version it covers.
 		s.callbacks.Promise(fid, ctx.Back)
 	}
 	return rpc.Response{Body: proto.Marshal(vn.Status), Bulk: data}
@@ -142,41 +146,66 @@ func (s *Server) handleStore(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if err != nil {
 		return respErr(err)
 	}
-	v, fid, err := s.authorize(ctx, args.Ref, prot.RightWrite, counted)
+	var st status // the version this store produced
+	err = s.commit(func() (*volume.Volume, error) {
+		v, fid, err := s.authorize(ctx, args.Ref, prot.RightWrite, counted)
+		if err != nil {
+			return nil, err
+		}
+		vn, err := v.Get(fid)
+		if err != nil {
+			return nil, err
+		}
+		if s.cfg.Mode == Revised && ctx.User != ServerUser && vn.Status.Mode&0o222 == 0 {
+			// Per-file protection bits (§5.1): a file with no write bits cannot
+			// be overwritten even by holders of directory write rights.
+			return nil, fmt.Errorf("%w: file mode %04o forbids writing", proto.ErrAccess, vn.Status.Mode)
+		}
+		return v, st.of(v.WriteData(fid, req.Bulk))
+	}, nil)
 	if err != nil {
 		return respErr(err)
 	}
-	vn, err := v.Get(fid)
-	if err != nil {
-		return respErr(err)
-	}
-	if s.cfg.Mode == Revised && ctx.User != ServerUser && vn.Status.Mode&0o222 == 0 {
-		// Per-file protection bits (§5.1): a file with no write bits cannot
-		// be overwritten even by holders of directory write rights.
-		return respErr(fmt.Errorf("%w: file mode %04o forbids writing", proto.ErrAccess, vn.Status.Mode))
-	}
-	err = s.mutate(v, func() error {
-		vn, err = v.WriteData(fid, req.Bulk)
-		return err
-	})
-	if err != nil {
-		return respErr(err)
-	}
-	st := vn.Status // reply with the version this store produced
 	s.mu.Lock()
 	s.storeBytes += int64(len(req.Bulk))
 	s.mu.Unlock()
-	s.callbacks.Break(ctx.Proc, fid, args.Ref.Path, ctx.Back)
-	// The updater's cached copy is the current version — unless another
-	// store slipped in while we were breaking callbacks (Break parks this
-	// worker). Promise only if our version still stands; otherwise break the
-	// updater too, so no client is left believing a stale copy valid.
-	if cur, gerr := v.Get(fid); gerr == nil && cur.Status.Version == st.Version {
-		s.callbacks.Promise(fid, ctx.Back)
-	} else {
-		s.callbacks.revoke(ctx.Proc, ctx.Back, proto.CallbackBreakArgs{FID: fid, Path: args.Ref.Path})
+	s.callbacks.Break(ctx.Proc, st.FID, args.Ref.Path, ctx.Back)
+	s.promiseIfStands(ctx, st.Status, args.Ref.Path)
+	return respStatus(st.Status)
+}
+
+// promiseIfStands leaves an updater the promise on the version its reply
+// carries, which its cache now holds — unless another update slipped in
+// while the first was breaking callbacks (Break parks the worker), when the
+// updater is told so instead and no client is left believing a stale copy
+// valid. The version is read and the promise made under one hold.
+func (s *Server) promiseIfStands(ctx rpc.Ctx, st proto.Status, path string) {
+	s.gate.RLock()
+	stands := false
+	if v, ok := s.Volume(st.FID.Volume); ok {
+		cur, err := v.Get(st.FID)
+		stands = err == nil && cur.Status.Version == st.Version
 	}
-	return respStatus(st)
+	if stands {
+		s.callbacks.Promise(st.FID, ctx.Back)
+	}
+	s.gate.RUnlock()
+	if !stands {
+		s.callbacks.revoke(ctx.Proc, ctx.Back, proto.CallbackBreakArgs{FID: st.FID, Path: path})
+	}
+}
+
+// status carries a vnode's status out of the hold that read it: a
+// *volume.Vnode is updated in place and must not leave one.
+type status struct{ proto.Status }
+
+// of keeps vn's status if the operation that returned it succeeded (and
+// made one).
+func (st *status) of(vn *volume.Vnode, err error) error {
+	if err == nil && vn != nil {
+		st.Status = vn.Status
+	}
+	return err
 }
 
 func (s *Server) handleFetchStatus(ctx rpc.Ctx, req rpc.Request) rpc.Response {
@@ -184,6 +213,8 @@ func (s *Server) handleFetchStatus(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if err != nil {
 		return respErr(err)
 	}
+	s.gate.RLock()
+	defer s.gate.RUnlock()
 	v, fid, err := s.authorize(ctx, args.Ref, prot.RightLookup, counted|noFollow)
 	if err != nil {
 		return respErr(err)
@@ -200,35 +231,32 @@ func (s *Server) handleSetStatus(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if err != nil {
 		return respErr(err)
 	}
-	v, fid, err := s.authorize(ctx, args.Ref, prot.RightWrite, 0)
-	if err != nil {
-		return respErr(err)
-	}
-	if args.SetOwner && !s.isAdmin(ctx.User) {
-		return respErr(fmt.Errorf("%w: only operations staff may change owners", proto.ErrNotAllowed))
-	}
-	err = s.mutate(v, func() error {
+	var st status
+	err = s.commit(func() (*volume.Volume, error) {
+		v, fid, err := s.authorize(ctx, args.Ref, prot.RightWrite, 0)
+		if err != nil {
+			return nil, err
+		}
+		if args.SetOwner && !s.isAdmin(ctx.User) {
+			return nil, fmt.Errorf("%w: only operations staff may change owners", proto.ErrNotAllowed)
+		}
 		if args.SetMode {
 			if err := v.SetMode(fid, args.Mode); err != nil {
-				return err
+				return v, err
 			}
 		}
 		if args.SetOwner {
 			if err := v.SetOwner(fid, args.Owner); err != nil {
-				return err
+				return v, err
 			}
 		}
-		return nil
-	})
+		return v, st.of(v.Get(fid))
+	}, nil)
 	if err != nil {
 		return respErr(err)
 	}
-	vn, err := v.Get(fid)
-	if err != nil {
-		return respErr(err)
-	}
-	s.callbacks.Break(ctx.Proc, fid, args.Ref.Path, ctx.Back)
-	return respStatus(vn.Status)
+	s.callbacks.Break(ctx.Proc, st.FID, args.Ref.Path, ctx.Back)
+	return respStatus(st.Status)
 }
 
 // handleTestValid is the prototype's cache-validity check: the call that
@@ -271,6 +299,8 @@ func (s *Server) handleBulkTestValid(ctx rpc.Ctx, req rpc.Request) rpc.Response 
 // testValid validates one cached copy, for the single call and for each item
 // of the bulk one. On an error the reply is the zero value.
 func (s *Server) testValid(ctx rpc.Ctx, args proto.TestValidArgs) (proto.TestValidReply, error) {
+	s.gate.RLock()
+	defer s.gate.RUnlock()
 	v, fid, acl, err := s.governed(ctx, args.Ref, counted)
 	if err != nil {
 		return proto.TestValidReply{}, err
@@ -299,28 +329,32 @@ func (s *Server) testValid(ctx rpc.Ctx, args proto.TestValidArgs) (proto.TestVal
 }
 
 // mutateDir is the one body of a mutation of a single directory: the caller
-// must hold need on ref, which must name a directory; op runs under the
-// journalling discipline of mutate; then every other holder of a promise on
-// the directory is told. What each handler keeps is its decoding, its own
-// checks and its reply.
-func (s *Server) mutateDir(ctx rpc.Ctx, ref proto.Ref, need prot.Right, op func(v *volume.Volume, dir proto.FID) error) error {
-	v, dir, err := s.authorize(ctx, ref, need, dirOnly)
-	if err != nil {
-		return err
+// must hold need on ref, which must name a directory; op runs in the same
+// hold, under the journalling discipline of commit; then every other holder
+// of a promise on the directory is told. What each handler keeps is its
+// decoding, its own checks and its reply; the status returned is that of the
+// vnode op made, if it made one.
+func (s *Server) mutateDir(ctx rpc.Ctx, ref proto.Ref, need prot.Right, op func(v *volume.Volume, dir proto.FID) (*volume.Vnode, error)) (proto.Status, error) {
+	var dir proto.FID
+	var st status
+	err := s.commit(func() (v *volume.Volume, err error) {
+		if v, dir, err = s.authorize(ctx, ref, need, dirOnly); err != nil {
+			return nil, err
+		}
+		return v, st.of(op(v, dir))
+	}, nil)
+	if err == nil {
+		s.callbacks.Break(ctx.Proc, dir, ref.Path, ctx.Back)
 	}
-	if err := s.mutate(v, func() error { return op(v, dir) }); err != nil {
-		return err
-	}
-	s.callbacks.Break(ctx.Proc, dir, ref.Path, ctx.Back)
-	return nil
+	return st.Status, err
 }
 
 // respNew answers a mutation that made a vnode: its status, or the error.
-func respNew(vn *volume.Vnode, err error) rpc.Response {
+func respNew(st proto.Status, err error) rpc.Response {
 	if err != nil {
 		return respErr(err)
 	}
-	return respStatus(vn.Status)
+	return respStatus(st)
 }
 
 func (s *Server) handleCreate(ctx rpc.Ctx, req rpc.Request) rpc.Response {
@@ -328,15 +362,13 @@ func (s *Server) handleCreate(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if err != nil {
 		return respErr(err)
 	}
-	var vn *volume.Vnode
-	err = s.mutateDir(ctx, args.Dir, prot.RightInsert, func(v *volume.Volume, dir proto.FID) (err error) {
-		vn, err = v.Create(dir, args.Name, args.Mode, ctx.User)
-		return err
+	st, err := s.mutateDir(ctx, args.Dir, prot.RightInsert, func(v *volume.Volume, dir proto.FID) (*volume.Vnode, error) {
+		return v.Create(dir, args.Name, args.Mode, ctx.User)
 	})
 	if err == nil {
-		s.callbacks.Promise(vn.Status.FID, ctx.Back)
+		s.promiseIfStands(ctx, st, "")
 	}
-	return respNew(vn, err)
+	return respNew(st, err)
 }
 
 func (s *Server) handleMakeDir(ctx rpc.Ctx, req rpc.Request) rpc.Response {
@@ -344,12 +376,9 @@ func (s *Server) handleMakeDir(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if err != nil {
 		return respErr(err)
 	}
-	var vn *volume.Vnode
-	err = s.mutateDir(ctx, args.Dir, prot.RightInsert, func(v *volume.Volume, dir proto.FID) (err error) {
-		vn, err = v.MakeDir(dir, args.Name, args.Mode, ctx.User)
-		return err
-	})
-	return respNew(vn, err)
+	return respNew(s.mutateDir(ctx, args.Dir, prot.RightInsert, func(v *volume.Volume, dir proto.FID) (*volume.Vnode, error) {
+		return v.MakeDir(dir, args.Name, args.Mode, ctx.User)
+	}))
 }
 
 func (s *Server) handleRemove(ctx rpc.Ctx, req rpc.Request) rpc.Response {
@@ -365,23 +394,23 @@ func (s *Server) removeCommon(ctx rpc.Ctx, req rpc.Request, isDir bool) rpc.Resp
 	if err != nil {
 		return respErr(err)
 	}
-	v, dir, err := s.authorize(ctx, args.Dir, prot.RightDelete, dirOnly)
-	if err != nil {
-		return respErr(err)
-	}
-	victim, lookupErr := v.Lookup(dir, args.Name)
-	err = s.mutate(v, func() error {
-		if isDir {
-			return v.RemoveDir(dir, args.Name)
+	targets := make([]BreakTarget, 0, 2)
+	err = s.commit(func() (*volume.Volume, error) {
+		v, dir, err := s.authorize(ctx, args.Dir, prot.RightDelete, dirOnly)
+		if err != nil {
+			return nil, err
 		}
-		return v.Remove(dir, args.Name)
-	})
+		targets = append(targets, BreakTarget{FID: dir, Path: args.Dir.Path})
+		if victim, err := v.Lookup(dir, args.Name); err == nil {
+			targets = append(targets, BreakTarget{FID: victim.FID})
+		}
+		if isDir {
+			return v, v.RemoveDir(dir, args.Name)
+		}
+		return v, v.Remove(dir, args.Name)
+	}, nil)
 	if err != nil {
 		return respErr(err)
-	}
-	targets := []BreakTarget{{FID: dir, Path: args.Dir.Path}}
-	if lookupErr == nil {
-		targets = append(targets, BreakTarget{FID: victim.FID})
 	}
 	s.callbacks.BreakBatch(ctx.Proc, targets, ctx.Back)
 	return rpc.Response{}
@@ -392,25 +421,27 @@ func (s *Server) handleRename(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if err != nil {
 		return respErr(err)
 	}
-	v, from, err := s.authorize(ctx, args.FromDir, prot.RightDelete, dirOnly)
+	targets := make([]BreakTarget, 0, 2)
+	err = s.commit(func() (*volume.Volume, error) {
+		v, from, err := s.authorize(ctx, args.FromDir, prot.RightDelete, dirOnly)
+		if err != nil {
+			return nil, err
+		}
+		v2, to, err := s.authorize(ctx, args.ToDir, prot.RightInsert, dirOnly)
+		if err != nil {
+			return nil, err
+		}
+		if v != v2 {
+			return nil, fmt.Errorf("%w: rename across volumes", proto.ErrBadRequest)
+		}
+		targets = append(targets, BreakTarget{FID: from, Path: args.FromDir.Path})
+		if from != to {
+			targets = append(targets, BreakTarget{FID: to, Path: args.ToDir.Path})
+		}
+		return v, v.Rename(from, args.FromName, to, args.ToName)
+	}, nil)
 	if err != nil {
 		return respErr(err)
-	}
-	v2, to, err := s.authorize(ctx, args.ToDir, prot.RightInsert, dirOnly)
-	if err != nil {
-		return respErr(err)
-	}
-	if v != v2 {
-		return respErr(fmt.Errorf("%w: rename across volumes", proto.ErrBadRequest))
-	}
-	if err := s.mutate(v, func() error {
-		return v.Rename(from, args.FromName, to, args.ToName)
-	}); err != nil {
-		return respErr(err)
-	}
-	targets := []BreakTarget{{FID: from, Path: args.FromDir.Path}}
-	if from != to {
-		targets = append(targets, BreakTarget{FID: to, Path: args.ToDir.Path})
 	}
 	s.callbacks.BreakBatch(ctx.Proc, targets, ctx.Back)
 	return rpc.Response{}
@@ -421,12 +452,9 @@ func (s *Server) handleSymlink(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if err != nil {
 		return respErr(err)
 	}
-	var vn *volume.Vnode
-	err = s.mutateDir(ctx, args.Dir, prot.RightInsert, func(v *volume.Volume, dir proto.FID) (err error) {
-		vn, err = v.Symlink(dir, args.Name, args.Target)
-		return err
-	})
-	return respNew(vn, err)
+	return respNew(s.mutateDir(ctx, args.Dir, prot.RightInsert, func(v *volume.Volume, dir proto.FID) (*volume.Vnode, error) {
+		return v.Symlink(dir, args.Name, args.Target)
+	}))
 }
 
 func (s *Server) handleLink(ctx rpc.Ctx, req rpc.Request) rpc.Response {
@@ -436,15 +464,15 @@ func (s *Server) handleLink(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	}
 	// The refusal of a link across volumes needs the directory's volume, so
 	// it is made where the body hands that over.
-	err = s.mutateDir(ctx, args.Dir, prot.RightInsert, func(v *volume.Volume, dir proto.FID) error {
+	_, err = s.mutateDir(ctx, args.Dir, prot.RightInsert, func(v *volume.Volume, dir proto.FID) (*volume.Vnode, error) {
 		vt, target, err := s.resolveRef(args.Target, true)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if v != vt {
-			return fmt.Errorf("%w: hard link across volumes", proto.ErrBadRequest)
+			return nil, fmt.Errorf("%w: hard link across volumes", proto.ErrBadRequest)
 		}
-		return v.Link(dir, args.Name, target)
+		return nil, v.Link(dir, args.Name, target)
 	})
 	if err != nil {
 		return respErr(err)
@@ -461,8 +489,8 @@ func (s *Server) handleSetACL(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if err != nil {
 		return respErr(err)
 	}
-	err = s.mutateDir(ctx, args.Dir, prot.RightAdmin, func(v *volume.Volume, dir proto.FID) error {
-		return v.SetACL(dir, newACL)
+	_, err = s.mutateDir(ctx, args.Dir, prot.RightAdmin, func(v *volume.Volume, dir proto.FID) (*volume.Vnode, error) {
+		return nil, v.SetACL(dir, newACL)
 	})
 	if err != nil {
 		return respErr(err)
@@ -475,6 +503,8 @@ func (s *Server) handleGetACL(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if err != nil {
 		return respErr(err)
 	}
+	s.gate.RLock()
+	defer s.gate.RUnlock()
 	v, dir, err := s.authorize(ctx, args.Dir, prot.RightLookup, dirOnly)
 	if err != nil {
 		return respErr(err)
@@ -491,6 +521,8 @@ func (s *Server) handleSetLock(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if err != nil {
 		return respErr(err)
 	}
+	s.gate.RLock()
+	defer s.gate.RUnlock()
 	_, fid, err := s.authorize(ctx, args.Ref, prot.RightLock, 0)
 	if err != nil {
 		return respErr(err)
@@ -509,6 +541,8 @@ func (s *Server) handleReleaseLock(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if err != nil {
 		return respErr(err)
 	}
+	s.gate.RLock()
+	defer s.gate.RUnlock()
 	_, fid, err := s.resolveRef(args.Ref, true)
 	if err != nil {
 		return respErr(err)

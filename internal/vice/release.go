@@ -29,7 +29,9 @@ func (s *Server) Releases() []replica.Release {
 // acknowledged (its attachVolume journals the image durably when a store is
 // configured, so an acknowledged install survives the replica's own crash).
 func (s *Server) pushRelease(p *sim.Proc, vol *volume.Volume) func(server string) error {
+	s.gate.RLock()
 	image := vol.Serialize()
+	s.gate.RUnlock()
 	body := proto.Marshal(proto.VolInstallArgs{Volume: vol.ID(), Name: vol.Name(), ReadOnly: true})
 	return func(server string) error {
 		s.mu.Lock()

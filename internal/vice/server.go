@@ -96,9 +96,15 @@ type Server struct {
 	vols  map[uint32]*volume.Volume // guarded by mu
 	peers map[string]rpc.Conn       // guarded by mu
 
-	// applyMu serializes mutation+journal pairs when a store is configured
-	// (see store.go). Acquired before mu; never while holding mu.
-	applyMu sync.Mutex
+	// gate guards Vice's state as a whole — volumes, the databases, the
+	// promise a reply leaves — in place of the paper's non-pre-emptive LWPs
+	// (§3.5.2). One rule: a handler holds it, read side to build a reply from
+	// server state, write side to change it (commit, store.go), from its
+	// first touch of that state to the first point where the simulator would
+	// park it (fsync wait, callback break, peer call), and never across one.
+	// Acquired before mu and every other lock of the package; not
+	// re-entrant, so nothing that holds it calls what takes it.
+	gate sync.RWMutex
 
 	locks     *LockTable
 	callbacks *CallbackTable
@@ -324,7 +330,7 @@ func (s *Server) Restarts() int64 {
 
 // SalvageAll runs crash recovery on every local volume, journalling any
 // repairs. Volumes are collected under mu and salvaged outside it: salvage
-// mutates, and mutations must take applyMu first (lock order, see store.go).
+// mutates, and mutations take the gate first (lock order, see store.go).
 func (s *Server) SalvageAll() map[uint32]volume.SalvageReport {
 	s.mu.Lock()
 	vols := make([]*volume.Volume, 0, len(s.vols))

@@ -5,14 +5,12 @@ package vice
 // journalled through the store before the operation is acknowledged; at
 // startup RecoverStore loads back what survived a crash and reports what
 // salvage repaired. When Config.Store is nil — the deterministic simulator's
-// default — every hook here is an inert nil check and the server behaves
-// exactly as before.
+// default — the same changes go through the same routine and nothing is
+// appended.
 //
-// Locking: applyMu serializes mutation+journal pairs so the log order
-// matches the apply order. It is acquired before s.mu (CheckpointStore holds
-// both); nothing acquires applyMu while holding s.mu. Sync runs outside
-// applyMu so slow fsyncs don't serialize independent operations — the store
-// coalesces concurrent Syncs into one fsync (group commit).
+// Locking is the gate's rule (Server.gate): every change is made by commit,
+// under the gate's write side, and CheckpointStore holds that side for its
+// cut. The gate is acquired before s.mu, never while holding it.
 
 import (
 	"fmt"
@@ -33,25 +31,35 @@ func storeErr(err error) error {
 	return fmt.Errorf("%w: store: %v", proto.ErrInternal, err)
 }
 
-// mutate runs fn, which mutates v, and journals what it dirtied. The
-// operation is durable (synced) before mutate returns nil. With no store
-// configured this is exactly fn().
-func (s *Server) mutate(v *volume.Volume, fn func() error) error {
+// commit is the one way Vice's state changes. apply runs under the gate's
+// write side — a handler's authorization and the change it authorizes are one
+// hold — and what it did is appended to the journal under the same hold, so
+// log order is apply order: what apply dirtied in the volume it returns, or
+// rec when the change is not a volume's. The gate is released before the
+// wait for the disk, where the paper's LWP would park, so slow fsyncs do not
+// serialize independent operations and concurrent committers share one (the
+// store's group commit). The change is durable before commit returns nil. A
+// change apply gave up on is journalled as far as it got and apply's error
+// returned; a caller whose change must not outlive a failed append undoes it.
+func (s *Server) commit(apply func() (*volume.Volume, error), rec func(store.Store) error) error {
 	st := s.cfg.Store
-	if st == nil {
-		return fn()
-	}
-	s.applyMu.Lock()
-	err := fn()
-	c := store.CommitOf(v)
-	committed := err == nil || len(c.Deletes)+len(c.Meta)+len(c.Data) > 0
+	s.gate.Lock()
+	v, err := apply()
 	var werr error
-	if committed {
-		//itcvet:allowblocking Commit is a buffered append, not an fsync (Sync runs outside applyMu); log order must match apply order
-		werr = st.Commit(c)
+	logged := false
+	switch {
+	case st == nil:
+	case v != nil:
+		c := store.CommitOf(v)
+		if logged = err == nil || len(c.Deletes)+len(c.Meta)+len(c.Data) > 0; logged {
+			//itcvet:allowblocking Commit is a buffered append, not an fsync (Sync runs outside the gate); log order must match apply order
+			werr = st.Commit(c)
+		}
+	case rec != nil && err == nil:
+		logged, werr = true, rec(st)
 	}
-	s.applyMu.Unlock()
-	if werr == nil && committed {
+	s.gate.Unlock()
+	if logged && werr == nil {
 		werr = st.Sync()
 	}
 	if err != nil {
@@ -63,122 +71,69 @@ func (s *Server) mutate(v *volume.Volume, fn func() error) error {
 	return nil
 }
 
-// attachVolume registers v locally, journalling its full image first so the
-// volume exists durably before any mutation of it can be logged. The journal
-// append and the s.vols insert happen under one applyMu hold: a checkpoint
-// interleaving between them would snapshot without the volume yet truncate
-// the log past its BeginVolume record, losing the acked create and orphaning
-// every later commit for it.
+// mutate is commit for a caller that already has the volume: fn changes v.
+func (s *Server) mutate(v *volume.Volume, fn func() error) error {
+	return s.commit(func() (*volume.Volume, error) { return v, fn() }, nil)
+}
+
+// attachVolume registers v locally, journalling its full image in the same
+// hold so the volume exists durably before any mutation of it can be logged,
+// and a checkpoint sees the volume and its BeginVolume record or neither.
 func (s *Server) attachVolume(v *volume.Volume) error {
-	st := s.cfg.Store
-	if st == nil {
-		s.mu.Lock()
-		s.vols[v.ID()] = v
-		s.mu.Unlock()
-		return nil
+	if s.cfg.Store != nil {
+		v.EnableDirtyTracking()
 	}
-	v.EnableDirtyTracking()
-	s.applyMu.Lock()
-	err := st.BeginVolume(v.ID(), v.Serialize())
-	if err == nil {
-		s.mu.Lock()
-		s.vols[v.ID()] = v
-		s.mu.Unlock()
-	}
-	s.applyMu.Unlock()
-	if err == nil {
-		err = st.Sync()
-	}
+	err := s.commit(func() (*volume.Volume, error) {
+		s.setVolume(v.ID(), v)
+		return nil, nil
+	}, func(st store.Store) error { return st.BeginVolume(v.ID(), v.Serialize()) })
 	if err != nil {
-		// Not durable, so not acked: the volume must not be visible either.
-		s.mu.Lock()
-		delete(s.vols, v.ID())
-		s.mu.Unlock()
-		return storeErr(err)
+		s.setVolume(v.ID(), nil) // not durable, so not acked: it must not be visible either
 	}
-	return nil
+	return err
 }
 
 // detachVolume removes a volume locally and from the store (volume moves,
-// and undo of a failed create). As in attachVolume, the local removal and
-// the journal append share one applyMu hold so a checkpoint sees either
-// both or neither.
+// and undo of a failed create).
 func (s *Server) detachVolume(id uint32) error {
-	st := s.cfg.Store
-	if st == nil {
-		s.mu.Lock()
-		delete(s.vols, id)
-		s.mu.Unlock()
-		return nil
-	}
-	s.applyMu.Lock()
+	return s.commit(func() (*volume.Volume, error) {
+		s.setVolume(id, nil)
+		return nil, nil
+	}, func(st store.Store) error { return st.DropVolume(id) })
+}
+
+// setVolume enters v in the volume table, or with a nil v removes id.
+func (s *Server) setVolume(id uint32, v *volume.Volume) {
 	s.mu.Lock()
-	delete(s.vols, id)
-	s.mu.Unlock()
-	err := st.DropVolume(id)
-	s.applyMu.Unlock()
-	if err == nil {
-		err = st.Sync()
+	defer s.mu.Unlock()
+	if v == nil {
+		delete(s.vols, id)
+	} else {
+		s.vols[id] = v
 	}
-	if err != nil {
-		return storeErr(err)
-	}
-	return nil
 }
 
 // InstallLoc applies a location-database update locally and journals it.
-// Apply and journal happen under one applyMu hold (as mutate does for volume
-// commits): Loc.Install is last-writer-wins per prefix, so two concurrent
-// installs applied in order A,B but journalled B,A would replay after a
-// crash to state the pre-crash server never acknowledged.
+// Loc.Install is last-writer-wins per prefix, so two installs applied in one
+// order and journalled in the other would replay after a crash to a state
+// the server never acknowledged: commit's one hold rules that out.
 func (s *Server) InstallLoc(entries []proto.LocEntry, remove []string) error {
-	st := s.cfg.Store
-	if st == nil {
+	return s.commit(func() (*volume.Volume, error) {
 		s.cfg.Loc.Install(entries, remove)
-		return nil
-	}
-	s.applyMu.Lock()
-	s.cfg.Loc.Install(entries, remove)
-	err := st.PutLoc(entries, remove)
-	s.applyMu.Unlock()
-	if err == nil {
-		err = st.Sync()
-	}
-	if err != nil {
-		return storeErr(err)
-	}
-	return nil
+		return nil, nil
+	}, func(st store.Store) error { return st.PutLoc(entries, remove) })
 }
 
-// applyProt applies a protection-database mutation locally and journals it,
-// under one applyMu hold so the log order matches the apply order (prot
-// mutations are order-sensitive). A mutation the database rejects is never
-// journalled.
+// applyProt applies a protection-database mutation locally and journals it
+// (prot mutations are order-sensitive). A mutation the database rejects is
+// never journalled.
 func (s *Server) applyProt(m prot.Mutation) error {
-	st := s.cfg.Store
-	if st == nil {
+	return s.commit(func() (*volume.Volume, error) {
 		if err := s.cfg.DB.Apply(m); err != nil {
-			return fmt.Errorf("%w: %v", proto.ErrBadRequest, err)
+			return nil, fmt.Errorf("%w: %v", proto.ErrBadRequest, err)
 		}
-		return nil
-	}
-	s.applyMu.Lock()
-	err := s.cfg.DB.Apply(m)
-	var werr error
-	if err == nil {
-		werr = st.PutProt(m)
-	}
-	s.applyMu.Unlock()
-	if err != nil {
-		return fmt.Errorf("%w: %v", proto.ErrBadRequest, err)
-	}
-	if werr == nil {
-		werr = st.Sync()
-	}
-	if werr != nil {
-		return storeErr(werr)
-	}
-	return nil
+		return nil, nil
+	}, func(st store.Store) error { return st.PutProt(m) })
 }
 
 // RecoverStore loads the store's surviving state into the server: the
@@ -247,15 +202,15 @@ func (s *Server) RecoverStore() (*store.Report, error) {
 }
 
 // CheckpointStore writes a full snapshot of server state to the store and
-// truncates its log. Mutations are quiesced (applyMu) for the duration, so
-// the snapshot is a consistent cut.
+// truncates its log. It holds the gate's write side for the duration, so the
+// snapshot is a consistent cut.
 func (s *Server) CheckpointStore() error {
 	st := s.cfg.Store
 	if st == nil {
 		return nil
 	}
-	s.applyMu.Lock()
-	defer s.applyMu.Unlock()
+	s.gate.Lock()
+	defer s.gate.Unlock()
 	cp := store.Checkpoint{
 		Prot: s.cfg.DB.Snapshot(),
 		Loc:  s.cfg.Loc.Entries(),

@@ -152,7 +152,7 @@ func TestStorePersistAcrossServerRestart(t *testing.T) {
 }
 
 // hookStore wraps a store so a test can interleave work at the exact point
-// attachVolume calls Sync — outside applyMu, where the periodic checkpointer
+// attachVolume calls Sync — outside the gate, where the periodic checkpointer
 // can preempt a volume create.
 type hookStore struct {
 	store.Store

@@ -43,7 +43,13 @@ const bulkBack rpc.Op = 0x7f01
 
 func newRealCell(t *testing.T, mode Mode, users ...string) *realCell {
 	t.Helper()
-	srv, _, err := vice.Boot(vice.Config{Name: "server0", Mode: mode, ProtAuthority: true}, "secret")
+	return bootRealCell(t, vice.Config{Name: "server0", Mode: mode, ProtAuthority: true}, users...)
+}
+
+// bootRealCell is newRealCell for a caller with a Config of its own (a store).
+func bootRealCell(t *testing.T, cfg vice.Config, users ...string) *realCell {
+	t.Helper()
+	srv, _, err := vice.Boot(cfg, "secret")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -223,7 +223,7 @@ func recvTypeName(pass *check.Pass, fd *ast.FuncDecl) string {
 
 // contractWords in a mutex's own comment count as a stated contract for
 // mutexes that serialize actions rather than guard fields (Peer.wmu,
-// Server.applyMu).
+// vice's Server.gate).
 var contractWords = regexp.MustCompile(`\b(serializes|guards|guarded)\b`)
 
 // checkMutexContracts reads the same lock inventory lockcheck and lockorder

@@ -11,7 +11,7 @@
 //
 //	A -> B: some path acquires B while holding A,
 //
-// either directly (s.mu.Lock() under applyMu) or interprocedurally, through
+// either directly (s.mu.Lock() under the gate) or interprocedurally, through
 // any chain of same-package calls (Reset holds the table lock and calls
 // promisedCount, which takes the shard lock). Any cycle in the graph is a
 // potential deadlock — two processes entering the cycle at different points
@@ -26,11 +26,13 @@
 // default, an RPC Call/CallBack, a Store.Commit/Checkpoint, an fsync
 // (Sync), a durable replace (WriteFileAtomic), or socket frame I/O
 // (wire.WriteFrame/ReadFrame/ReadFrameLimit, a SealFrame method streaming a
-// sealed frame into a writer, net.Conn reads and writes) — stalls every
-// other path through that lock for an unbounded time, and under the WAL's
-// group-commit protocol can deadlock outright. Genuinely intended waits
-// (the WAL append that must stay inside applyMu so log order matches apply
-// order) carry
+// sealed frame into a writer, net.Conn reads and writes), or one of the
+// simulation kernel's parks (Proc.Sleep/Yield, Future.Wait, Resource.Use,
+// Mailbox.Get: a simulated process that parks under a lock hangs the kernel,
+// not one caller) — stalls every other path through that lock for an
+// unbounded time, and under the WAL's group-commit protocol can deadlock
+// outright. Genuinely intended waits (the WAL append that must stay inside
+// vice's gate so log order matches apply order) carry
 //
 //	//itcvet:allowblocking <why>
 //
@@ -497,6 +499,12 @@ func (a *analysis) blockingCall(e *ast.CallExpr) (string, bool) {
 		// sync.Cond is exempt: Wait releases the paired mutex by contract.
 		if recvTN != nil && recvTN.Pkg() != nil && recvTN.Pkg().Path() == "sync" {
 			return "", false
+		}
+		if recvTN != nil && recvTN.Pkg() != nil && recvTN.Pkg().Name() == "sim" {
+			switch park := recvTN.Name() + "." + name; park {
+			case "Proc.Sleep", "Proc.Yield", "Future.Wait", "Resource.Use", "Mailbox.Get":
+				return "simulated park (" + park + ")", true
+			}
 		}
 		switch name {
 		case "Call", "CallBack":

@@ -4,7 +4,10 @@
 // bodies, select arms, unlocked paths).
 package lo
 
-import "sync"
+import (
+	"sim"
+	"sync"
+)
 
 type A struct {
 	mu sync.Mutex // guarded by mu
@@ -189,5 +192,14 @@ func rangeTarget(a *A, ch chan int, xs []int) {
 func sendAllowedByCategory(a *A, ch chan int) {
 	a.mu.Lock()
 	ch <- 1 //itcvet:allow lockorder -- fixture: capacity-1 channel, as above
+	a.mu.Unlock()
+}
+
+// A simulated process that parks under a lock hangs the kernel, not one
+// caller: the simulator's parks block like a real wait.
+func simPark(a *A, p *sim.Proc, f *sim.Future[int]) {
+	a.mu.Lock()
+	p.Sleep(1)    // want `simulated park \(Proc\.Sleep\) while A\.mu is held`
+	_ = f.Wait(p) // want `simulated park \(Future\.Wait\) while A\.mu is held`
 	a.mu.Unlock()
 }
