@@ -105,6 +105,8 @@ type Server struct {
 	mu       sync.RWMutex
 	handlers map[Op]HandlerFunc // guarded by mu
 	fallback HandlerFunc        // guarded by mu
+	tracer   *trace.Tracer      // guarded by mu
+	metrics  *trace.Registry    // guarded by mu
 }
 
 // NewServer returns a server with no handlers.
@@ -124,6 +126,17 @@ func (s *Server) HandleFallback(fn HandlerFunc) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.fallback = fn
+}
+
+// Observe names the tracer and the registry that every Peer built on this
+// server from now on starts out with, as if by SetTracer and SetMetrics
+// before its read loop began: AcceptPeer starts that loop itself, so a peer
+// configured only afterwards serves its first call or two unobserved. Either
+// may be nil.
+func (s *Server) Observe(t *trace.Tracer, reg *trace.Registry) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.tracer, s.metrics = t, reg
 }
 
 // CodeUnknownOp is the response code for calls nobody handles.

@@ -35,6 +35,7 @@ type Peer struct {
 
 	// Atomic because AcceptPeer starts the read loop itself: the first call
 	// may already be in serve when the caller gets the peer to configure.
+	// Both start out as the server's (Server.Observe).
 	tracer  atomic.Pointer[trace.Tracer]   // optional wall-clock tracer for served calls
 	metrics atomic.Pointer[trace.Registry] // optional registry for served-call latency
 }
@@ -42,13 +43,13 @@ type Peer struct {
 // SetTracer installs a tracer recording a span per call this peer serves.
 // Real clients do not propagate trace context, so each served call begins a
 // new root (see Tracer.StartRemote). Calls served before it is installed go
-// untraced.
+// untraced (or to the tracer Server.Observe named).
 func (p *Peer) SetTracer(t *trace.Tracer) { p.tracer.Store(t) }
 
 // SetMetrics installs a registry observing the wall-clock service time of
 // every call this peer serves into the canonical rpc.serve.latency
-// histogram. Calls served before it is installed go unobserved; a nil
-// registry is inert.
+// histogram. Calls served before it is installed go unobserved (or to the
+// registry Server.Observe named); a nil registry is inert.
 func (p *Peer) SetMetrics(reg *trace.Registry) { p.metrics.Store(reg) }
 
 // maxHandshakeFrame caps the four handshake messages (each well under
@@ -122,7 +123,7 @@ func AcceptPeer(conn io.ReadWriteCloser, keys secure.KeyLookup, server *Server) 
 }
 
 func newPeer(conn io.ReadWriteCloser, box *secure.Box, user, name string, server *Server) *Peer {
-	return &Peer{
+	p := &Peer{
 		conn:    conn,
 		box:     box,
 		user:    user,
@@ -131,6 +132,13 @@ func newPeer(conn io.ReadWriteCloser, box *secure.Box, user, name string, server
 		pending: make(map[uint32]chan outcome),
 		done:    make(chan struct{}),
 	}
+	if server != nil {
+		server.mu.RLock()
+		p.tracer.Store(server.tracer)
+		p.metrics.Store(server.metrics)
+		server.mu.RUnlock()
+	}
+	return p
 }
 
 // User returns the authenticated identity of the connection: on an accepted

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"itcfs/internal/trace"
 )
 
 // pipePair connects a dialed and an accepted peer over an in-memory duplex
@@ -43,6 +45,23 @@ func TestPeerCallRoundTrip(t *testing.T) {
 	}
 	if string(resp.Body) != "over tcp" || string(resp.Bulk) != "bulk" {
 		t.Fatalf("resp = %+v", resp)
+	}
+}
+
+// TestPeerFirstCallObserved: AcceptPeer starts the read loop before its
+// caller has the peer to configure, so observers installed on the peer
+// afterwards can miss the first call. Named on the server beforehand, they
+// miss none.
+func TestPeerFirstCallObserved(t *testing.T) {
+	reg := trace.NewRegistry()
+	srv := echoServer()
+	srv.Observe(nil, reg)
+	dialed, _ := pipePair(t, nil, srv)
+	if _, err := dialed.Call(nil, Request{Op: opEcho}); err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Histogram(trace.MetricRPCServeLatency).Count(); n != 1 {
+		t.Fatalf("%s counted %d calls after the first, want 1", trace.MetricRPCServeLatency, n)
 	}
 }
 

@@ -37,7 +37,7 @@ func (c hookConn) Call(p *sim.Proc, req rpc.Request) (rpc.Response, error) {
 // newHookedVenus builds a Venus like testCell.newVenus, but with every
 // connection wrapped in a hookConn sharing one hook function.
 func newHookedVenus(c *testCell, home, user string, hook *func(rpc.Request, rpc.Response)) *Venus {
-	local := unixfs.New(func() int64 { c.clock++; return c.clock })
+	local := unixfs.New(c.tick)
 	cfg := Config{
 		Mode:       c.mode,
 		Machine:    "ws-hooked-" + user,

@@ -1,0 +1,130 @@
+package venus
+
+import (
+	"fmt"
+	"sync"
+	"testing"
+
+	"itcfs/internal/vice"
+)
+
+// Venus under concurrent callers: a real workstation's processes each call
+// into one Venus from a goroutine of their own, where the simulator's run one
+// at a time. Both tests drive the direct wsConn (no transport, no park), so
+// the only interleavings are Venus's own.
+
+// TestConcurrentOpensUnderEviction holds Venus to its rule that an entry
+// leaves a hold of v.mu pinned or not at all: with a cache that fits two of
+// eight files, every open races some other goroutine's install and the
+// eviction it runs. Chosen under one hold and pinned under a later one, an
+// entry loses its cache file in between and the read fails on a file that
+// exists.
+func TestConcurrentOpensUnderEviction(t *testing.T) {
+	const (
+		files   = 8
+		size    = 1000
+		workers = 4
+	)
+	rounds := 20000
+	if testing.Short() {
+		rounds = 2000
+	}
+	c := newTestCell(t, vice.Revised, "s0")
+	c.mkVolume("u", "/u", "satya", 0)
+	v := c.newVenus("s0", "satya", func(cfg *Config) { cfg.MaxBytes = 2500 })
+	paths := make([]string, files)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/u/f%d", i)
+		writeFile(t, v, paths[i], string(pattern(size, byte(i))))
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			buf := make([]byte, size+1)
+			for i := 0; i < rounds; i++ {
+				path := paths[(i*7+w*3)%files]
+				h, err := v.Open(nil, path, FlagRead)
+				if err != nil {
+					t.Errorf("worker %d round %d: open %s: %v", w, i, path, err)
+					return
+				}
+				n, err := h.ReadAt(buf, 0)
+				_ = h.Close(nil)
+				if err != nil || n != size {
+					t.Errorf("worker %d round %d: read %s: %d bytes, %v", w, i, path, n, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if v.Stats().Evictions == 0 {
+		t.Fatal("no eviction: the race was never set up")
+	}
+}
+
+// TestConcurrentHandlesRaceFree is for the race detector: readers, Stats and
+// one overwriting writer share files in a roomy cache, so nothing is evicted
+// and every report is of an entry field read off the lock.
+func TestConcurrentHandlesRaceFree(t *testing.T) {
+	const files = 4
+	rounds := 2000
+	if testing.Short() {
+		rounds = 200
+	}
+	c := newTestCell(t, vice.Revised, "s0")
+	c.mkVolume("u", "/u", "satya", 0)
+	v := c.newVenus("s0", "satya", nil)
+	paths := make([]string, files)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/u/f%d", i)
+		writeFile(t, v, paths[i], "v0")
+	}
+	var wg sync.WaitGroup
+	run := func(name string, step func(i int, path string) error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if err := step(i, paths[i%files]); err != nil {
+					t.Errorf("%s round %d: %v", name, i, err)
+					return
+				}
+			}
+		}()
+	}
+	read := func(_ int, path string) error {
+		h, err := v.Open(nil, path, FlagRead)
+		if err != nil {
+			return err
+		}
+		defer h.Close(nil)
+		if _, err := h.Seek(0, 2); err != nil {
+			return err
+		}
+		if st := h.Status(); st.FID.IsZero() {
+			return fmt.Errorf("%s: open handle has no FID", path)
+		}
+		_, err = h.ReadAt(make([]byte, 8), 0)
+		return err
+	}
+	run("reader A", read)
+	run("reader B", read)
+	run("writer", func(i int, path string) error {
+		h, err := v.Open(nil, path, FlagWrite|FlagTrunc)
+		if err != nil {
+			return err
+		}
+		if _, err := h.Write([]byte(fmt.Sprintf("v%d", i))); err != nil {
+			return err
+		}
+		return h.Close(nil)
+	})
+	run("stat", func(_ int, path string) error {
+		_, err := v.Stat(nil, path)
+		return err
+	})
+	wg.Wait()
+}

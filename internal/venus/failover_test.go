@@ -80,7 +80,7 @@ func (d *downConn) Call(p *sim.Proc, req rpc.Request) (rpc.Response, error) {
 // newFailoverVenus is newVenus with a crash switch: servers in down refuse
 // dials and fail established connections with ErrUnreachable.
 func newFailoverVenus(c *testCell, home, user string, down map[string]bool) *Venus {
-	local := unixfs.New(func() int64 { c.clock++; return c.clock })
+	local := unixfs.New(c.tick)
 	var v *Venus
 	back := &wsBack{}
 	cfg := Config{

@@ -54,19 +54,27 @@ func (v *Venus) conn(p *sim.Proc, server string) (Conn, error) {
 func (v *Venus) locate(p *sim.Proc, path string) (proto.CustodianReply, error) {
 	path = unixfs.Clean(path)
 	v.mu.Lock()
-	probe := path
-	for {
+	cr, ok := v.locateLocked(path)
+	v.mu.Unlock()
+	if ok {
+		return cr, nil
+	}
+	return v.askCustodian(p, path)
+}
+
+// locateLocked finds the cached location hint for the deepest prefix of the
+// clean path that has one.
+//
+//itcvet:holds mu
+func (v *Venus) locateLocked(path string) (proto.CustodianReply, bool) {
+	for probe := path; ; probe = unixfs.Dir(probe) {
 		if cr, ok := v.pathLoc[probe]; ok {
-			v.mu.Unlock()
-			return cr, nil
+			return cr, true
 		}
 		if probe == "/" {
-			break
+			return proto.CustodianReply{}, false
 		}
-		probe = unixfs.Dir(probe)
 	}
-	v.mu.Unlock()
-	return v.askCustodian(p, path)
 }
 
 // askCustodian asks the home cluster server which volume covers path and who
@@ -342,164 +350,205 @@ func (v *Venus) dropConn(server string, c Conn) {
 // (§5.3). Directories are fetched (and cached, with callback promises)
 // like any other file.
 func (v *Venus) Resolve(p *sim.Proc, path string) (proto.FID, error) {
-	return v.resolve(p, path, true, 0)
+	fid, _, err := v.walk(p, path, true, false)
+	return fid, err
 }
 
-func (v *Venus) resolve(p *sim.Proc, path string, followLast bool, depth int) (proto.FID, error) {
-	if depth > 16 {
-		return proto.FID{}, fmt.Errorf("%w: %s", proto.ErrLoop, path)
-	}
+// maxLinkDepth bounds the symbolic links one walk may expand.
+const maxLinkDepth = 16
+
+// walk is the pathname walk, and for an open the whole cache hit: one hold
+// of v.mu from the location hint, through every directory on the way, to the
+// file — given up only round the RPC that fetches whatever the cache turns
+// out to lack (a location, a directory, a symbolic link's status), and taken
+// again to carry on from there. The path is walked in place: a component is
+// a slice of it, the hint for each level a prefix of it.
+//
+// With open set the walk is an open's lookup: the hold that starts it counts
+// the open (and runs the revalidation sweep a dropped connection left
+// pending), and the hold that reaches the file serves the cached copy if it
+// can be served as it stands — the hit counted, the entry moved to the LRU
+// front after the directories that led to it and returned pinned. A nil
+// entry and no error leave the FID to be revalidated or fetched. (One
+// function with a flag, not a walk and a lookup round it: a hold cannot be
+// carried into or out of a function that may reach an RPC — itcvet reads a
+// callee as blocking whatever it holds at the time.)
+func (v *Venus) walk(p *sim.Proc, path string, followLast, open bool) (proto.FID, *entry, error) {
 	path = unixfs.Clean(path)
-	cr, err := v.locate(p, path)
-	if err != nil {
-		return proto.FID{}, err
-	}
-	cur := proto.FID{Volume: cr.Volume, Vnode: 1, Uniq: 1} // volume root
-	prefix := cr.Prefix
-	components := splitComponents(path, prefix)
-	// walked is the portion of path resolved so far — path is clean and the
-	// components are subslices of it, so the hint for each level is a prefix
-	// of path itself, sliced out by offset with no joining or allocation.
-	end := 0
-	if prefix != "/" {
-		end = len(prefix)
-	}
-	for i, comp := range components {
-		walked := prefix
-		if end > 0 {
-			walked = path[:end]
-		}
-		entries, err := v.dirEntries(p, cur, walked)
-		if err != nil {
-			return proto.FID{}, err
-		}
-		var found *proto.DirEntry
-		for j := range entries {
-			if entries[j].Name == comp {
-				found = &entries[j]
-				break
-			}
-		}
-		if found == nil {
-			return proto.FID{}, fmt.Errorf("%w: %s", proto.ErrNoEnt, path)
-		}
-		last := i == len(components)-1
-		if found.Type == proto.TypeSymlink && (!last || followLast) {
-			st, err := v.statFID(p, found.FID, path)
-			if err != nil {
-				return proto.FID{}, err
-			}
-			target := st.Target
-			if len(target) == 0 || target[0] != '/' {
-				target = unixfs.Join(walked, target)
-			}
-			rest := joinComponents(components[i+1:])
-			return v.resolve(p, unixfs.Join(target, rest), followLast, depth+1)
-		}
-		cur = found.FID
-		end += 1 + len(comp)
-	}
-	return cur, nil
-}
-
-// splitComponents splits the part of a clean path below prefix into its
-// name components. The components are subslices of path, so splitting
-// allocates only the component slice itself.
-func splitComponents(path, prefix string) []string {
-	rest := path
-	if prefix != "/" {
-		rest = path[len(prefix):]
-	}
-	n := 0
-	for i := 0; i < len(rest); i++ {
-		if rest[i] != '/' && (i == 0 || rest[i-1] == '/') {
-			n++
-		}
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]string, 0, n)
-	for i := 0; i < len(rest); {
-		for i < len(rest) && rest[i] == '/' {
-			i++
-		}
-		start := i
-		for i < len(rest) && rest[i] != '/' {
-			i++
-		}
-		if i > start {
-			out = append(out, rest[start:i])
-		}
-	}
-	return out
-}
-
-func joinComponents(parts []string) string {
-	out := ""
-	for _, p := range parts {
-		out += "/" + p
-	}
-	return out
-}
-
-// dirEntries returns a directory's listing, through the cache. Directory
-// files participate in caching and callbacks exactly like plain files; the
-// decoded listing is additionally memoized on the entry (resolution reads it
-// per path component, and re-decoding the directory file each time dominated
-// the client's allocation profile). Callers must not modify the result.
-func (v *Venus) dirEntries(p *sim.Proc, dir proto.FID, path string) ([]proto.DirEntry, error) {
 	v.mu.Lock()
-	e := v.byFID[dir]
-	fresh := e != nil && v.freshLocked(e, v.now(p))
-	if fresh && e.cacheFile != "" && e.dirEnts != nil {
-		v.touch(e)
-		ents := e.dirEnts
-		v.mu.Unlock()
-		return ents, nil
-	}
-	v.mu.Unlock()
-	if e != nil && e.cacheFile != "" && fresh {
-		data, err := v.cfg.Local.Lend(e.cacheFile)
-		if err == nil {
-			ents, derr := proto.DecodeDirEntries(data)
-			if derr != nil {
-				return nil, derr
-			}
-			v.mu.Lock()
-			v.touch(e)
-			e.dirEnts = ents
+	defer v.mu.Unlock()
+	if open {
+		v.stats.Opens++
+		if v.sweepPending {
+			// A connection died since the last open: the server may have
+			// restarted and wiped its callback table, so no promise can be
+			// trusted. Revalidate the whole cache in bulk before serving; a
+			// failed sweep just leaves entries to the per-open paths.
+			v.sweepPending = false
 			v.mu.Unlock()
-			return ents, nil
+			_, _, _ = v.Revalidate(p, true)
+			v.mu.Lock()
 		}
 	}
+levels:
+	for depth := 0; depth <= maxLinkDepth; depth++ {
+		cr, ok := v.locateLocked(path)
+		if !ok {
+			v.mu.Unlock()
+			var err error
+			cr, err = v.askCustodian(p, path)
+			v.mu.Lock()
+			if err != nil {
+				return proto.FID{}, nil, err
+			}
+		}
+		cur := proto.FID{Volume: cr.Volume, Vnode: 1, Uniq: 1} // volume root
+		// path[:end] is the part walked so far (nothing yet of a volume
+		// mounted at the root), and the location hint for the next level.
+		end := 0
+		if cr.Prefix != "/" {
+			end = len(cr.Prefix)
+		}
+		for end < len(path) && path != "/" {
+			walked := cr.Prefix
+			if end > 0 {
+				walked = path[:end]
+			}
+			entries, ok, err := v.listingLocked(cur, v.now(p))
+			if err == nil && !ok {
+				v.mu.Unlock()
+				entries, err = v.fetchDir(p, cur, walked)
+				v.mu.Lock()
+			}
+			if err != nil {
+				return proto.FID{}, nil, err
+			}
+			stop := end + 1
+			for stop < len(path) && path[stop] != '/' {
+				stop++
+			}
+			var found *proto.DirEntry
+			for j := range entries {
+				if entries[j].Name == path[end+1:stop] {
+					found = &entries[j]
+					break
+				}
+			}
+			if found == nil {
+				return proto.FID{}, nil, fmt.Errorf("%w: %s", proto.ErrNoEnt, path)
+			}
+			if found.Type == proto.TypeSymlink && (stop < len(path) || followLast) {
+				st, ok := v.statusLocked(found.FID, v.now(p))
+				if !ok {
+					v.mu.Unlock()
+					st, err = v.fetchStatus(p, proto.Ref{FID: found.FID}, path)
+					v.mu.Lock()
+					if err != nil {
+						return proto.FID{}, nil, err
+					}
+				}
+				target := st.Target
+				if len(target) == 0 || target[0] != '/' {
+					target = unixfs.Join(walked, target)
+				}
+				path = unixfs.Join(target, path[stop:])
+				continue levels
+			}
+			cur, end = found.FID, stop
+		}
+		if !open {
+			return cur, nil, nil
+		}
+		e := v.byFID[cur]
+		if e == nil || e.cacheFile == "" || !(e.dirty || v.freshLocked(e, v.now(p))) {
+			return cur, nil, nil
+		}
+		v.stats.Hits++
+		return cur, v.pinLocked(e), nil
+	}
+	return proto.FID{}, nil, fmt.Errorf("%w: %s", proto.ErrLoop, path)
+}
+
+// listingLocked returns dir's listing if the cache holds it under a live
+// promise, moving it to the LRU front; ok false means it must be fetched.
+// The decoded listing is memoized on the entry: the walk reads it per path
+// component, and re-decoding the directory file each time dominated the
+// client's allocation profile. Callers must not modify the result.
+//
+//itcvet:holds mu
+func (v *Venus) listingLocked(dir proto.FID, now sim.Time) (entries []proto.DirEntry, ok bool, err error) {
+	e := v.byFID[dir]
+	if e == nil || e.cacheFile == "" || !v.freshLocked(e, now) {
+		return nil, false, nil
+	}
+	if entries, err = v.decodeDirLocked(e); err != nil {
+		return nil, false, err
+	}
+	v.touch(e)
+	return entries, true, nil
+}
+
+// decodeDirLocked returns the listing in e's cache file, decoding it once.
+//
+//itcvet:holds mu
+func (v *Venus) decodeDirLocked(e *entry) ([]proto.DirEntry, error) {
+	if e.dirEnts == nil {
+		data, err := v.cfg.Local.Lend(e.cacheFile)
+		if err != nil {
+			return nil, err
+		}
+		if e.dirEnts, err = proto.DecodeDirEntries(data); err != nil {
+			return nil, err
+		}
+	}
+	return e.dirEnts, nil
+}
+
+// fetchDir fetches a directory's listing from its custodian into the cache.
+// Directory files participate in caching and callbacks exactly like plain
+// files.
+func (v *Venus) fetchDir(p *sim.Proc, dir proto.FID, path string) ([]proto.DirEntry, error) {
 	e, err := v.fetchEntry(p, proto.Ref{FID: dir}, path, 0)
 	if err != nil {
 		return nil, err
 	}
-	data, err := v.cfg.Local.Lend(e.cacheFile)
-	if err != nil {
-		return nil, err
-	}
-	ents, err := proto.DecodeDirEntries(data)
-	if err != nil {
-		return nil, err
-	}
 	v.mu.Lock()
-	e.dirEnts = ents
-	v.mu.Unlock()
-	return ents, nil
+	defer v.mu.Unlock()
+	e.open--
+	return v.decodeDirLocked(e)
 }
 
-// statFID fetches status by FID (symlink targets during resolution).
+// dirEntries returns a directory's listing, through the cache. Callers must
+// not modify the result.
+func (v *Venus) dirEntries(p *sim.Proc, dir proto.FID, path string) ([]proto.DirEntry, error) {
+	v.mu.Lock()
+	entries, ok, err := v.listingLocked(dir, v.now(p))
+	v.mu.Unlock()
+	if ok || err != nil {
+		return entries, err
+	}
+	return v.fetchDir(p, dir, path)
+}
+
+// statusLocked returns fid's status if the cache holds it under a live
+// promise.
+//
+//itcvet:holds mu
+func (v *Venus) statusLocked(fid proto.FID, now sim.Time) (proto.Status, bool) {
+	if e := v.byFID[fid]; e != nil && v.freshLocked(e, now) {
+		return e.status, true
+	}
+	return proto.Status{}, false
+}
+
+// statFID returns status by FID, from the cache where it can.
 func (v *Venus) statFID(p *sim.Proc, fid proto.FID, pathHint string) (proto.Status, error) {
 	v.mu.Lock()
-	if e := v.byFID[fid]; e != nil && v.freshLocked(e, v.now(p)) {
-		st := e.status
-		v.mu.Unlock()
+	st, ok := v.statusLocked(fid, v.now(p))
+	v.mu.Unlock()
+	if ok {
 		return st, nil
 	}
-	v.mu.Unlock()
 	return v.fetchStatus(p, proto.Ref{FID: fid}, pathHint)
 }
 
@@ -557,6 +606,7 @@ func (v *Venus) ReadDir(p *sim.Proc, path string) ([]proto.DirEntry, error) {
 		return nil, err
 	}
 	data, err := v.cfg.Local.Lend(e.cacheFile)
+	v.unpin(e)
 	if err != nil {
 		return nil, err
 	}
@@ -564,8 +614,9 @@ func (v *Venus) ReadDir(p *sim.Proc, path string) ([]proto.DirEntry, error) {
 }
 
 // dirPatch edits a cached directory listing after a successful mutation.
-// It receives the decoded entries and the RPC reply (whose body carries the
-// new object's status for create-like ops) and returns the updated listing.
+// It receives the decoded entries — a copy of its own, to edit as it likes —
+// and the RPC reply (whose body carries the new object's status for
+// create-like ops) and returns the updated listing.
 type dirPatch func(entries []proto.DirEntry, resp rpc.Response) []proto.DirEntry
 
 // dirCall performs a directory-mutating op. In revised mode the cached
@@ -623,40 +674,33 @@ func mutationAlreadyDone(op uint16, code uint16) bool {
 }
 
 // patchDir applies a patch to the cached listing of dir, reporting whether
-// it succeeded (false falls back to dropping the cache).
+// it succeeded (false falls back to dropping the cache). The patch edits a
+// copy of the memoized listing — a caller of dirEntries may still be reading
+// the old one — which is then encoded once into the cache file; the file is
+// decoded only when there is no memo.
 func (v *Venus) patchDir(dir proto.FID, patch dirPatch, resp rpc.Response) bool {
 	if dir.IsZero() {
 		return false
 	}
-	// A break from the serving goroutine writes the entry's fields under mu.
 	v.mu.Lock()
-	e, file := v.byFID[dir], ""
-	if e != nil && e.valid {
-		file = e.cacheFile
-	}
-	v.mu.Unlock()
-	if file == "" {
+	defer v.mu.Unlock()
+	e := v.byFID[dir]
+	if e == nil || !e.valid || e.cacheFile == "" {
 		return false
 	}
-	data, err := v.cfg.Local.Lend(file)
+	entries, err := v.decodeDirLocked(e)
 	if err != nil {
 		return false
 	}
-	entries, err := proto.DecodeDirEntries(data)
-	if err != nil {
-		return false
-	}
-	patched := patch(entries, resp)
+	patched := patch(append([]proto.DirEntry(nil), entries...), resp)
 	updated := proto.EncodeDirEntries(patched) // a fresh slice nothing else holds
-	if err := v.cfg.Local.Adopt(file, updated, 0o600, "venus"); err != nil {
+	if err := v.cfg.Local.Adopt(e.cacheFile, updated, 0o600, "venus"); err != nil {
 		return false
 	}
-	v.mu.Lock()
 	v.bytes += int64(len(updated)) - e.status.Size
 	e.status.Size = int64(len(updated))
 	e.dirEnts = patched // memoized listing follows the patched file
 	v.evictLocked()     // the listing may have grown past the cache limit
-	v.mu.Unlock()
 	return true
 }
 
@@ -759,9 +803,9 @@ func (v *Venus) Rename(p *sim.Proc, from, to string) error {
 			if fromName == toName {
 				return entries // identity rename: the server no-opped too
 			}
-			// Build a fresh slice: compacting in place would alias the
-			// moved entry with entries being shifted over it.
-			out := make([]proto.DirEntry, 0, len(entries))
+			// Compacted in place (entries is the patch's own copy); the
+			// moved entry goes last, as the server's listing has it.
+			out := entries[:0]
 			var moved proto.DirEntry
 			found := false
 			for _, e := range entries {

@@ -73,11 +73,10 @@ func (v *Venus) Revalidate(p *sim.Proc, force bool) (checked, stale int, err err
 			err = lerr
 			continue
 		}
-		servers := v.serverOrder(cr, true)
-		server := servers[0]
+		server := v.serverFor(cr, true)
 		if _, ok := byServer[server]; !ok {
 			order = append(order, server)
-			fallbacks[server] = servers
+			fallbacks[server] = v.serverOrder(cr, true)
 		}
 		byServer[server] = append(byServer[server], c)
 	}

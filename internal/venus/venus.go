@@ -20,6 +20,7 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -291,8 +292,11 @@ const (
 // Handle is an open Vice file: reads and writes go to the cached copy; the
 // store happens at Close (§3.2).
 type Handle struct {
-	v      *Venus
-	e      *entry
+	v *Venus
+	e *entry // pinned (open > 0) from the hold that chose it until Close
+	// file is e.cacheFile, copied at open: a pinned entry keeps its cache
+	// file, so reads and writes need neither the entry nor the lock.
+	file   string
 	flags  OpenFlag
 	offset int64
 	closed bool
@@ -301,6 +305,34 @@ type Handle struct {
 // Open opens the Vice file at path (a path inside the shared space, e.g.
 // "/usr/satya/paper.mss").
 func (v *Venus) Open(p *sim.Proc, path string, flags OpenFlag) (*Handle, error) {
+	h, err := v.open(p, path, flags)
+	if err != nil {
+		return nil, err
+	}
+	return &h, nil
+}
+
+// ReadFile returns the whole of the Vice file at path: an open, one read of
+// the cached copy and a close, counted, traced and ordered in the LRU as
+// exactly that. The handle never leaves this frame and the buffer is sized
+// by the cache file itself (a second handle may hold it dirty, so the
+// status's size is not the copy's), which leaves the bytes handed back as
+// the only garbage of a cached read.
+func (v *Venus) ReadFile(p *sim.Proc, path string) ([]byte, error) {
+	h, err := v.open(p, path, FlagRead)
+	if err != nil {
+		return nil, err
+	}
+	data, err := v.cfg.Local.ReadFile(h.file)
+	// A read handle's close fails only if it stores what another handle
+	// wrote, and that handle's own close reports it.
+	_ = h.Close(p)
+	return data, err
+}
+
+// open is Open with the handle returned by value, so a caller that closes it
+// before returning keeps it on its stack.
+func (v *Venus) open(p *sim.Proc, path string, flags OpenFlag) (Handle, error) {
 	path = unixfs.Clean(path)
 	// Opens are the hot path: when observability is off entirely, skip even
 	// the stats snapshots the hit/miss accounting needs.
@@ -324,19 +356,13 @@ func (v *Venus) Open(p *sim.Proc, path string, flags OpenFlag) (*Handle, error) 
 	}
 	e, err := v.lookupEntry(p, path, flags)
 	if err != nil {
-		return nil, err
+		return Handle{}, err
 	}
-	v.mu.Lock()
-	e.open++
-	v.touch(e)
-	v.mu.Unlock()
-	h := &Handle{v: v, e: e, flags: flags}
+	h := Handle{v: v, e: e, file: e.cacheFile, flags: flags}
 	if flags&FlagTrunc != 0 {
-		if err := v.cfg.Local.Truncate(e.cacheFile, 0); err != nil {
-			v.mu.Lock()
-			e.open--
-			v.mu.Unlock()
-			return nil, err
+		if err := v.cfg.Local.Truncate(h.file, 0); err != nil {
+			v.unpin(e)
+			return Handle{}, err
 		}
 		v.mu.Lock()
 		e.dirty = true
@@ -348,12 +374,63 @@ func (v *Venus) Open(p *sim.Proc, path string, flags OpenFlag) (*Handle, error) 
 }
 
 // lookupEntry finds or creates the cache entry for path, fetching data from
-// Vice as needed. This is where the two validation disciplines differ.
+// Vice as needed, and returns it pinned: chosen, moved to the LRU front and
+// counted open in one hold of v.mu, so no install running beside this open
+// can evict it before the handle exists. An error returns nothing pinned.
+// This is where the two validation disciplines differ.
 func (v *Venus) lookupEntry(p *sim.Proc, path string, flags OpenFlag) (*entry, error) {
 	if v.cfg.Mode == vice.Prototype {
 		return v.lookupPrototype(p, path, flags)
 	}
 	return v.lookupRevised(p, path, flags)
+}
+
+// pinLocked counts one more open handle on e and moves it to the LRU front.
+//
+//itcvet:holds mu
+func (v *Venus) pinLocked(e *entry) *entry {
+	e.open++
+	v.touch(e)
+	return e
+}
+
+// unpin gives back a pin that no handle's Close will.
+func (v *Venus) unpin(e *entry) {
+	v.mu.Lock()
+	e.open--
+	v.mu.Unlock()
+}
+
+// checkOnOpen asks the custodian whether the cached copy e, at version, is
+// still current, and if so serves it: a hit, pinned. A copy that is not
+// current is marked stale, and one evicted while the custodian was being
+// asked is no copy at all; both send the caller on to fetch (served false,
+// no error). An unreachable custodian serves it degraded where that is
+// allowed.
+func (v *Venus) checkOnOpen(p *sim.Proc, e *entry, ref proto.Ref, version uint64, flags OpenFlag) (served bool, err error) {
+	now := v.now(p)
+	ok, _, err := v.testValid(p, ref, version)
+	if err != nil {
+		if isTransportErr(err) && v.degraded(e, flags) {
+			return true, nil
+		}
+		return false, err
+	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if !ok {
+		e.valid = false
+		return false, nil
+	}
+	if e.lruEl == nil {
+		return false, nil
+	}
+	// Still current; a revised server re-promised in the same call (its
+	// callback table is rebuilt even if it restarted meanwhile).
+	e.fetchedAt = now
+	v.stats.Hits++
+	v.pinLocked(e)
+	return true, nil
 }
 
 // lookupPrototype implements check-on-open: a cached copy is revalidated
@@ -362,32 +439,24 @@ func (v *Venus) lookupPrototype(p *sim.Proc, path string, flags OpenFlag) (*entr
 	v.mu.Lock()
 	v.stats.Opens++
 	e := v.byPath[path]
+	if e == nil || e.cacheFile == "" {
+		v.mu.Unlock()
+		return v.fetchEntry(p, proto.Ref{Path: path}, path, flags)
+	}
+	if e.dirty {
+		// Locally modified and not yet stored: our copy is the newest.
+		v.stats.Hits++
+		v.pinLocked(e)
+		v.mu.Unlock()
+		return e, nil
+	}
+	version := e.status.Version
 	v.mu.Unlock()
-	if e != nil && e.cacheFile != "" {
-		if e.dirty {
-			// Locally modified and not yet stored: our copy is the newest.
-			v.mu.Lock()
-			v.stats.Hits++
-			v.mu.Unlock()
-			return e, nil
-		}
-		ok, version, err := v.testValid(p, proto.Ref{Path: path}, e.status.Version)
-		if err != nil {
-			if isTransportErr(err) {
-				if de, served := v.degraded(e, flags); served {
-					return de, nil
-				}
-			}
-			return nil, err
-		}
-		if ok {
-			v.mu.Lock()
-			v.stats.Hits++
-			v.mu.Unlock()
-			return e, nil
-		}
-		_ = version
-		v.invalidate(e)
+	switch served, err := v.checkOnOpen(p, e, proto.Ref{Path: path}, version, flags); {
+	case err != nil:
+		return nil, err
+	case served:
+		return e, nil
 	}
 	return v.fetchEntry(p, proto.Ref{Path: path}, path, flags)
 }
@@ -409,26 +478,30 @@ func isRedialable(err error) bool {
 
 // degraded serves a cached copy read-only while its custodian is
 // unreachable (§2.2: network or server failures cause at worst a temporary,
-// partial loss of service — not an error on data we already hold). Only
-// copies not known stale qualify, and write-intent opens still fail: the
-// write-on-close store would be lost.
-func (v *Venus) degraded(e *entry, flags OpenFlag) (*entry, bool) {
-	if e == nil || e.cacheFile == "" || !e.valid {
-		return nil, false
-	}
-	if flags&(FlagWrite|FlagTrunc|FlagCreate) != 0 {
-		return nil, false
+// partial loss of service — not an error on data we already hold), reporting
+// whether it did; if so e is pinned. Only copies still cached and not known
+// stale qualify, and write-intent opens still fail: the write-on-close store
+// would be lost.
+func (v *Venus) degraded(e *entry, flags OpenFlag) bool {
+	if e == nil || flags&(FlagWrite|FlagTrunc|FlagCreate) != 0 {
+		return false
 	}
 	v.mu.Lock()
+	if e.lruEl == nil || e.cacheFile == "" || !e.valid {
+		v.mu.Unlock()
+		return false
+	}
 	v.stats.DegradedReads++
 	first := !v.degradedMode
 	v.degradedMode = true
+	v.pinLocked(e)
+	path := e.path
 	v.mu.Unlock()
 	if first && v.cfg.Flight != nil {
 		v.cfg.Flight.Log(trace.EventVenusDegradedEnter, v.cfg.Machine,
-			"custodian unreachable; serving cached copies read-only (first: "+e.path+")")
+			"custodian unreachable; serving cached copies read-only (first: "+path+")")
 	}
-	return e, true
+	return true
 }
 
 // noteSweep records a completed revalidation sweep in the flight recorder
@@ -475,21 +548,12 @@ func (v *Venus) freshLocked(e *entry, now sim.Time) bool {
 }
 
 // lookupRevised trusts callbacks: a valid cached copy needs no server
-// traffic at all.
+// traffic at all, and walk serves it in the hold that found it.
 func (v *Venus) lookupRevised(p *sim.Proc, path string, flags OpenFlag) (*entry, error) {
-	v.mu.Lock()
-	v.stats.Opens++
-	sweep := v.sweepPending
-	v.sweepPending = false
-	v.mu.Unlock()
-	if sweep {
-		// A connection died since the last open: the server may have
-		// restarted and wiped its callback table, so no promise can be
-		// trusted. Revalidate the whole cache in bulk before serving; a
-		// failed sweep just leaves entries to the per-open paths below.
-		_, _, _ = v.Revalidate(p, true)
+	fid, e, err := v.walk(p, path, true, true)
+	if e != nil {
+		return e, nil
 	}
-	fid, err := v.Resolve(p, path)
 	if err != nil {
 		if proto.ErrToCode(err) == proto.CodeNoEnt && flags&FlagCreate != 0 {
 			return v.createFile(p, path)
@@ -499,60 +563,35 @@ func (v *Venus) lookupRevised(p *sim.Proc, path string, flags OpenFlag) (*entry,
 			// missing) and the server is gone; fall back to the last cached
 			// copy of the file itself, if we hold one.
 			v.mu.Lock()
-			e := v.byPath[path]
+			e = v.byPath[path]
 			v.mu.Unlock()
-			if de, served := v.degraded(e, flags); served {
-				return de, nil
+			if v.degraded(e, flags) {
+				return e, nil
 			}
 		}
 		return nil, err
 	}
+	// The walk found the file but no copy to serve as it stands.
 	v.mu.Lock()
-	e := v.byFID[fid]
-	now := v.now(p)
-	hit := false
-	var expired *entry
-	if e != nil && e.cacheFile != "" {
-		if e.dirty || v.freshLocked(e, now) {
-			hit = true
-		} else if e.valid {
-			expired = e // promise outlived its TTL: revalidate, don't refetch
-		}
-	}
-	if hit {
-		v.stats.Hits++
+	e = v.byFID[fid]
+	// A promise that merely outlived its TTL: revalidate, don't refetch.
+	expired := e != nil && e.cacheFile != "" && e.valid && !e.dirty
+	var version uint64
+	if expired {
+		version = e.status.Version
 	}
 	v.mu.Unlock()
-	if hit {
-		return e, nil
-	}
-	if expired != nil {
-		ok, _, verr := v.testValid(p, proto.Ref{FID: fid}, expired.status.Version)
-		switch {
-		case verr != nil:
-			if isTransportErr(verr) {
-				if de, served := v.degraded(expired, flags); served {
-					return de, nil
-				}
-			}
-			return nil, verr
-		case ok:
-			// Still current; the server re-promised in the same call (its
-			// callback table is rebuilt even if it restarted meanwhile).
-			v.mu.Lock()
-			expired.fetchedAt = now
-			v.stats.Hits++
-			v.mu.Unlock()
-			return expired, nil
-		default:
-			v.invalidate(expired)
+	if expired {
+		switch served, err := v.checkOnOpen(p, e, proto.Ref{FID: fid}, version, flags); {
+		case err != nil:
+			return nil, err
+		case served:
+			return e, nil
 		}
 	}
 	fe, ferr := v.fetchEntry(p, proto.Ref{FID: fid}, path, flags)
-	if ferr != nil && isTransportErr(ferr) {
-		if de, served := v.degraded(e, flags); served {
-			return de, nil
-		}
+	if ferr != nil && isTransportErr(ferr) && v.degraded(e, flags) {
+		return e, nil
 	}
 	return fe, ferr
 }
@@ -577,7 +616,8 @@ func (v *Venus) testValid(p *sim.Proc, ref proto.Ref, version uint64) (bool, uin
 	return tv.Valid, tv.Version, nil
 }
 
-// fetchEntry fetches the whole file from its custodian into the cache.
+// fetchEntry fetches the whole file from its custodian into the cache and
+// returns its entry pinned.
 func (v *Venus) fetchEntry(p *sim.Proc, ref proto.Ref, path string, flags OpenFlag) (*entry, error) {
 	sp := v.cfg.Tracer.Begin(p, trace.SpanVenusFetch, v.cfg.Machine)
 	sp.SetStr("path", path)
@@ -622,7 +662,8 @@ func (v *Venus) fetchEntry(p *sim.Proc, ref proto.Ref, path string, flags OpenFl
 	return e, nil
 }
 
-// createFile creates a new empty file at path on the custodian.
+// createFile creates a new empty file at path on the custodian and returns
+// its entry pinned.
 func (v *Venus) createFile(p *sim.Proc, path string) (*entry, error) {
 	dir, name := unixfs.Dir(path), unixfs.Base(path)
 	dirRef, err := v.refFor(p, dir)
@@ -659,10 +700,12 @@ func (v *Venus) createFile(p *sim.Proc, path string) (*entry, error) {
 	return v.installEntry(path, st, nil, v.now(p))
 }
 
-// installEntry writes fetched data into the local cache and indexes it. The
-// caller gives data up (it is a reply's Bulk): from wire.KeepField's size on,
-// the buffer the transfer landed in becomes the cache file's contents;
-// smaller files are copied out of their frame.
+// installEntry writes fetched data into the local cache, indexes it and
+// returns the entry pinned — before the eviction its own arrival sets off,
+// and every caller reads the cache file next. The caller gives data up (it is
+// a reply's Bulk): from wire.KeepField's size on, the buffer the transfer
+// landed in becomes the cache file's contents; smaller files are copied out
+// of their frame.
 func (v *Venus) installEntry(path string, st proto.Status, data []byte, now sim.Time) (*entry, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -671,11 +714,13 @@ func (v *Venus) installEntry(path string, st proto.Status, data []byte, now sim.
 		e = v.byPath[path]
 	}
 	if e == nil {
+		e = &entry{}
+	}
+	if e.cacheFile == "" {
+		// Named once: an entry keeps its cache file for as long as it lives.
+		var id [20]byte
 		v.nextID++
-		e = &entry{cacheFile: fmt.Sprintf("%s/c%d", v.cfg.CacheDir, v.nextID)}
-	} else if e.cacheFile == "" {
-		v.nextID++
-		e.cacheFile = fmt.Sprintf("%s/c%d", v.cfg.CacheDir, v.nextID)
+		e.cacheFile = v.cfg.CacheDir + "/c" + string(strconv.AppendInt(id[:0], v.nextID, 10))
 	} else {
 		v.bytes -= e.status.Size
 	}
@@ -697,7 +742,7 @@ func (v *Venus) installEntry(path string, st proto.Status, data []byte, now sim.
 	e.fetchedAt = now
 	v.bytes += st.Size
 	v.index(e)
-	v.touch(e)
+	v.pinLocked(e)
 	v.evictLocked()
 	return e, nil
 }
@@ -767,13 +812,6 @@ func (v *Venus) removeLocked(e *entry) {
 		v.bytes -= e.status.Size
 		_ = v.cfg.Local.Remove(e.cacheFile)
 	}
-}
-
-// invalidate marks a cached copy unusable without touching its data file.
-func (v *Venus) invalidate(e *entry) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	e.valid = false
 }
 
 // dropDir removes a cached directory listing after a local mutation makes
@@ -847,7 +885,7 @@ func (h *Handle) ReadAt(buf []byte, off int64) (int, error) {
 	if h.closed {
 		return 0, fmt.Errorf("%w: handle closed", proto.ErrBadRequest)
 	}
-	return h.v.cfg.Local.ReadAt(h.e.cacheFile, buf, off)
+	return h.v.cfg.Local.ReadAt(h.file, buf, off)
 }
 
 // Write writes to the cached copy at the handle's offset. Vice is not
@@ -866,7 +904,7 @@ func (h *Handle) WriteAt(buf []byte, off int64) (int, error) {
 	if h.flags&FlagWrite == 0 {
 		return 0, fmt.Errorf("%w: handle not open for writing", proto.ErrAccess)
 	}
-	n, err := h.v.cfg.Local.WriteAt(h.e.cacheFile, buf, off)
+	n, err := h.v.cfg.Local.WriteAt(h.file, buf, off)
 	if err == nil {
 		h.v.mu.Lock()
 		h.e.dirty = true
@@ -885,7 +923,7 @@ func (h *Handle) Seek(off int64, whence int) (int64, error) {
 	case 1:
 		h.offset += off
 	case 2:
-		st, err := h.v.cfg.Local.Stat(h.e.cacheFile)
+		st, err := h.v.cfg.Local.Stat(h.file)
 		if err != nil {
 			return 0, err
 		}
@@ -897,7 +935,11 @@ func (h *Handle) Seek(off int64, whence int) (int64, error) {
 }
 
 // Status returns the Vice status of the open file (as of open/last store).
-func (h *Handle) Status() proto.Status { return h.e.status }
+func (h *Handle) Status() proto.Status {
+	h.v.mu.Lock()
+	defer h.v.mu.Unlock()
+	return h.e.status
+}
 
 // Close releases the handle. If the cached copy was modified, it is
 // transmitted to the custodian now — write-on-close, which keeps crash
@@ -907,63 +949,61 @@ func (h *Handle) Close(p *sim.Proc) error {
 		return nil
 	}
 	h.closed = true
-	v := h.v
-	defer func() {
-		v.mu.Lock()
-		h.e.open--
-		v.mu.Unlock()
-	}()
+	v, e := h.v, h.e
 	v.mu.Lock()
-	dirty := h.e.dirty
-	v.mu.Unlock()
-	if !dirty {
+	if !e.dirty {
+		e.open--
+		v.mu.Unlock()
 		return nil
 	}
-	if err := v.storeEntry(p, h.e); err != nil {
+	v.mu.Unlock()
+	err := v.storeEntry(p, e)
+	v.mu.Lock()
+	if err != nil {
 		// The store failed and the caller is told so. Drop the modified
 		// copy: left dirty it would be served by every later open and
 		// silently stored by a later close — a write the application saw
 		// fail must never resurrect.
-		v.mu.Lock()
-		h.e.dirty = false
-		h.e.valid = false
-		v.mu.Unlock()
-		return err
+		e.dirty = false
+		e.valid = false
 	}
-	return nil
+	e.open--
+	v.mu.Unlock()
+	return err
 }
 
-// storeEntry transmits the cached copy back to the custodian.
+// storeEntry transmits the cached copy back to the custodian. The caller
+// holds e pinned.
 func (v *Venus) storeEntry(p *sim.Proc, e *entry) error {
-	sp := v.cfg.Tracer.Begin(p, trace.SpanVenusStore, v.cfg.Machine)
-	sp.SetStr("path", e.path)
-	started := v.now(p)
-	defer func() {
-		sp.End()
-		v.mStoreLat.Observe(v.now(p).Sub(started))
-	}()
 	// Lent, not copied: a write through another handle while the store is in
 	// flight replaces the cache file's contents and leaves these bytes alone.
 	// Such a write is not in the bytes being stored, so the entry must stay
 	// dirty for that handle's close: the write count is sampled before the
 	// loan and compared when the reply arrives.
 	v.mu.Lock()
-	writes := e.writes
+	path, fid, writes := e.path, e.fid, e.writes
 	v.mu.Unlock()
+	sp := v.cfg.Tracer.Begin(p, trace.SpanVenusStore, v.cfg.Machine)
+	sp.SetStr("path", path)
+	started := v.now(p)
+	defer func() {
+		sp.End()
+		v.mStoreLat.Observe(v.now(p).Sub(started))
+	}()
 	data, err := v.cfg.Local.Lend(e.cacheFile)
 	if err != nil {
 		return err
 	}
-	ref := proto.Ref{Path: e.path}
+	ref := proto.Ref{Path: path}
 	if v.cfg.Mode == vice.Revised {
-		ref = proto.Ref{FID: e.fid}
+		ref = proto.Ref{FID: fid}
 	}
 	v.mu.Lock()
 	v.stats.Stores++
 	v.stats.BytesStored += int64(len(data))
 	gen := v.breakGen
 	v.mu.Unlock()
-	resp, err := v.callRef(p, ref, e.path, rpc.Request{
+	resp, err := v.callRef(p, ref, path, rpc.Request{
 		Op:   rpc.Op(proto.OpStore),
 		Body: proto.Marshal(proto.StoreArgs{Ref: ref}),
 		Bulk: data,

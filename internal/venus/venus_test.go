@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"itcfs/internal/prot"
@@ -24,14 +25,18 @@ type testCell struct {
 	mode    vice.Mode
 	servers map[string]*vice.Server
 	nextVol uint32
-	clock   int64
+	clock   atomic.Int64
 }
+
+// tick is the cell's clock: every reading is later than the last, from
+// whichever goroutine it is taken.
+func (c *testCell) tick() int64 { return c.clock.Add(1) }
 
 func newTestCell(t *testing.T, mode vice.Mode, names ...string) *testCell {
 	t.Helper()
 	c := &testCell{t: t, mode: mode, servers: make(map[string]*vice.Server), nextVol: 1}
 	alloc := func() uint32 { c.nextVol++; return c.nextVol }
-	clk := func() int64 { c.clock++; return c.clock }
+	clk := c.tick
 
 	base := prot.NewDB()
 	for _, m := range []prot.Mutation{
@@ -112,7 +117,7 @@ func (b *wsBack) BackUser() string { return b.v.User() }
 
 // newVenus builds a Venus homed on the named server.
 func (c *testCell) newVenus(home string, user string, tweak func(*Config)) *Venus {
-	local := unixfs.New(func() int64 { c.clock++; return c.clock })
+	local := unixfs.New(c.tick)
 	cfg := Config{
 		Mode:       c.mode,
 		Machine:    "ws-" + user,

@@ -104,12 +104,16 @@ func Boot(cfg Config, operatorPassword string) (*Server, *store.Report, error) {
 // client held only while connected, its advisory locks and its callback
 // promises. It returns the authenticated user, or the error that refused the
 // handshake, after which c is closed. tracer, which may be nil, records a
-// span per served call.
+// span per served call; it is the server's one tracer, the same on every
+// connection.
 //
 // Simulated connections do not come through here: rpc.Endpoint serves them,
 // and a simulated connection that dies leaves its locks and promises to the
 // next Crash, which the simulator's goldens pin.
 func (s *Server) ServeConn(c io.ReadWriteCloser, tracer *trace.Tracer) (user string, err error) {
+	// Named before the handshake: the peer's read loop starts inside
+	// AcceptPeer, and its first call is observed like the rest.
+	s.disp.Observe(tracer, s.cfg.Metrics)
 	start := time.Now() //itcvet:allow wallclock -- real handshake cost, outside the simulator
 	peer, err := rpc.AcceptPeer(c, s.cfg.DB.LookupKey, s.disp)
 	if err != nil {
@@ -117,8 +121,6 @@ func (s *Server) ServeConn(c io.ReadWriteCloser, tracer *trace.Tracer) (user str
 		return "", err
 	}
 	s.cfg.Metrics.Histogram(trace.MetricRPCAcceptLatency).Observe(time.Since(start)) //itcvet:allow wallclock -- real handshake cost, outside the simulator
-	peer.SetTracer(tracer)
-	peer.SetMetrics(s.cfg.Metrics)
 	<-peer.Done()
 	s.locks.ReleaseAllFor(peer.User())
 	s.callbacks.Drop(peer)

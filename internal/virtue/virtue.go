@@ -264,38 +264,17 @@ func (f *File) Close(p *sim.Proc) error {
 	return nil
 }
 
-// ReadFile reads an entire file.
+// ReadFile reads an entire file. A shared file is Venus's to read: the same
+// open, read and close as through a File, without the two handles.
 func (fs *FS) ReadFile(p *sim.Proc, path string) ([]byte, error) {
-	f, err := fs.Open(p, path, venus.FlagRead)
+	tgt, err := fs.resolve(path, true)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close(p)
-	// Size the buffer from the open handle's (cached) status and read the
-	// data straight into it — no scratch buffer, no second copy. The spare
-	// byte lets the final read report EOF without an extra growth step.
-	var size int64
-	if f.vh != nil {
-		size = f.vh.Status().Size
-	} else if st, serr := fs.local.Stat(f.lpath); serr == nil {
-		size = st.Size
+	if tgt.shared {
+		return fs.venus.ReadFile(p, tgt.path)
 	}
-	out := make([]byte, 0, size+1)
-	off := int64(0)
-	for {
-		if len(out) == cap(out) {
-			out = append(out, 0)[:len(out)]
-		}
-		n, err := f.ReadAt(out[len(out):cap(out)], off)
-		if err != nil {
-			return nil, err
-		}
-		if n == 0 {
-			return out, nil
-		}
-		out = out[:len(out)+n]
-		off += int64(n)
-	}
+	return fs.local.ReadFile(tgt.path)
 }
 
 // WriteFile writes an entire file, creating or truncating it.
