@@ -23,6 +23,11 @@ rm -f itcvet
 # the copy embedded in DESIGN.md section 7 — is checked by tools/itcvet's
 # TestDeterminism in the test passes below.
 
+# The ledgers a CHANGES.md entry quotes — code lines per package, exported
+# names, options, locks and edges — printed so a PR's table is this output at
+# the parent beside this output at the change.
+go run ./tools/ledger
+
 # Known-vulnerability scan: advisory only (the tool and its vuln DB need
 # network access, which CI containers may not have).
 if command -v govulncheck >/dev/null 2>&1; then

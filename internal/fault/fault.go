@@ -58,9 +58,6 @@ func New(cfg Config) *Injector {
 // perturb the schedule generated inside them.
 func (i *Injector) SetActive(active bool) { i.active = active }
 
-// Active reports whether the injector is currently injecting faults.
-func (i *Injector) Active() bool { return i.active }
-
 // Decide implements netsim.FaultInjector.
 func (i *Injector) Decide(now sim.Time, src, dst netsim.NodeID, size int) netsim.FaultAction {
 	if !i.active {

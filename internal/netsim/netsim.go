@@ -403,9 +403,6 @@ func (n *Network) SetNodeDown(id NodeID, down bool) {
 	}
 }
 
-// NodeDown reports whether the node is powered off.
-func (n *Network) NodeDown(id NodeID) bool { return n.nodeDown[id] }
-
 // Offered returns the number of frames presented to Send (fault duplicates
 // count as extra offered frames, so conservation holds: Offered ==
 // Delivered + Drops + FaultDrops + DownDrops once the network drains).

@@ -603,9 +603,6 @@ func (c *SimConn) retryPause(p *sim.Proc, what string, n, a int) {
 // User returns the identity the connection authenticated as.
 func (c *SimConn) User() string { return c.user }
 
-// Remote returns the node at the far end.
-func (c *SimConn) Remote() netsim.NodeID { return c.remote }
-
 // Call performs one RPC and waits (in virtual time) for the reply. Under a
 // retry policy, unanswered attempts are retransmitted with exponential
 // backoff and jitter; every attempt reuses the same sequence number, so the

@@ -831,19 +831,9 @@ func (v *Venus) HandleCallbackBreak(_ rpc.Ctx, req rpc.Request) rpc.Response {
 	if err != nil {
 		return rpc.Response{Code: proto.CodeBadRequest}
 	}
-	v.mBreaks.Inc()
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.stats.CallbackBreaks++
-	v.breakGen++
-	if e := v.byFID[args.FID]; e != nil {
-		e.valid = false
-	}
-	if args.Path != "" {
-		if e := v.byPath[unixfs.Clean(args.Path)]; e != nil {
-			e.valid = false
-		}
-	}
+	v.invalidateLocked(args)
 	return rpc.Response{}
 }
 
@@ -855,12 +845,22 @@ func (v *Venus) HandleBulkBreak(_ rpc.Ctx, req rpc.Request) rpc.Response {
 	if err != nil {
 		return rpc.Response{Code: proto.CodeBadRequest}
 	}
-	v.mBreaks.Add(int64(len(args.Items)))
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.stats.CallbackBreaks += int64(len(args.Items))
+	v.invalidateLocked(args.Items...)
+	return rpc.Response{}
+}
+
+// invalidateLocked is what one callback RPC does to the cache, however many
+// breaks it carries: each names a copy by FID and, when the server knew one,
+// by path.
+//
+//itcvet:holds mu
+func (v *Venus) invalidateLocked(items ...proto.CallbackBreakArgs) {
+	v.mBreaks.Add(int64(len(items)))
+	v.stats.CallbackBreaks += int64(len(items))
 	v.breakGen++
-	for _, it := range args.Items {
+	for _, it := range items {
 		if e := v.byFID[it.FID]; e != nil {
 			e.valid = false
 		}
@@ -870,7 +870,6 @@ func (v *Venus) HandleBulkBreak(_ rpc.Ctx, req rpc.Request) rpc.Response {
 			}
 		}
 	}
-	return rpc.Response{}
 }
 
 // Read reads from the cached copy at the handle's offset.

@@ -111,7 +111,7 @@ func (s *Server) handleVolCreate(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if err := s.installLoc(ctx.Proc, []proto.LocEntry{le}, nil); err != nil {
 		return respErr(err)
 	}
-	s.callbacks.Break(ctx.Proc, pdir, parentPath, nil)
+	s.callbacks.Break(ctx.Proc, nil, BreakTarget{FID: pdir, Path: parentPath})
 	return s.volStatus(vol)
 }
 
@@ -179,7 +179,7 @@ func (s *Server) handleVolClone(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 		if err := s.installLoc(ctx.Proc, []proto.LocEntry{le}, nil); err != nil {
 			return respErr(err)
 		}
-		s.callbacks.Break(ctx.Proc, pdir, parentPath, nil)
+		s.callbacks.Break(ctx.Proc, nil, BreakTarget{FID: pdir, Path: parentPath})
 	}
 
 	// Push the image to each replica, after the location entry naming the

@@ -18,51 +18,40 @@ import (
 // of server calls that were cache-validity checks (§5.2) disappear, at the
 // cost of server state and an invalidation message on each update (§3.2).
 //
-// Promises are sharded by volume so concurrent workers touching different
-// volumes do not contend on one lock, and the break path coalesces all
-// pending invalidations for one workstation into a single BulkBreak RPC:
-// with a thousand clients a hot-file update costs one RPC per interested
-// client, and overlapping updates share those RPCs instead of each paying
-// full fan-out.
+// It is one table under one lock, held only to read or change the table and
+// never across a delivery. The break path coalesces all pending
+// invalidations for one workstation into a single BulkBreak RPC: with a
+// thousand clients a hot-file update costs one RPC per interested client,
+// and overlapping updates share those RPCs instead of each paying full
+// fan-out.
 //
 // The table is also where "does this cell run callbacks?" is decided, once:
-// a prototype-mode server's table is off, and on a table that is off Promise,
-// Break and BreakBatch do nothing and the counters stay zero. Handlers call
-// them unconditionally.
+// a prototype-mode server's table is off, and on a table that is off Promise
+// and Break do nothing and the counters stay zero. Handlers call them
+// unconditionally.
 type CallbackTable struct {
-	on bool // fixed before the table is shared (vice.New)
+	// Settings, fixed before the table is shared (newCallbackTable).
+	on        bool
+	unbatched bool            // one RPC per broken promise, sequential (ablation)
+	window    time.Duration   // flusher linger before each drain
+	metrics   *trace.Registry // break counts, fan-out and batch sizes; may be nil
+	flight    *trace.Recorder // break-storm events; may be nil
+	server    string          // owning server, for event attribution
 
 	mu sync.Mutex
-	// shards holds per-volume promise state; entries are created on first
-	// promise and survive until Reset. Keyed by FID.Volume.
-	// guarded by mu
-	shards map[uint32]*cbShard
-	// queues holds, per workstation connection, the breaks accepted but not
-	// yet delivered. A queue exists exactly while its flusher process runs.
-	// guarded by mu
-	queues    map[rpc.Backchannel]*clientQueue
-	breaks    int64           // guarded by mu
-	breakRPCs int64           // guarded by mu
-	unbatched bool            // guarded by mu
-	window    time.Duration   // guarded by mu — flusher linger before each drain
-	metrics   *trace.Registry // guarded by mu
-	flight    *trace.Recorder // guarded by mu — break-storm events
-	server    string          // guarded by mu — owning server, for event attribution
-	// promisedBase carries cumulative promise counts across Reset, which
-	// discards the shards (and their live counters) wholesale.
-	promisedBase int64 // guarded by mu
-}
-
-// cbShard is one volume's slice of the promise table. Shards have their own
-// locks; the table lock is only used to find a shard (and for the delivery
-// queues), never wrapped around long work.
-type cbShard struct {
-	mu sync.Mutex
-	// -> registration order
+	// promises maps a file to its holders and when each registered. Order is
+	// only ever compared inside one file's set.
 	// guarded by mu
 	promises map[proto.FID]map[rpc.Backchannel]int64
 	regSeq   int64 // guarded by mu
-	promised int64 // guarded by mu
+	// queues holds, per workstation connection, the breaks accepted but not
+	// yet delivered. A queue exists exactly while its flusher process runs.
+	// guarded by mu
+	queues map[rpc.Backchannel]*clientQueue
+	// Cumulative counters; Reset leaves them alone.
+	promised  int64 // guarded by mu
+	breaks    int64 // guarded by mu
+	breakRPCs int64 // guarded by mu
 }
 
 // breakItem is one pending invalidation plus the future its originating
@@ -95,26 +84,30 @@ type BreakTarget struct {
 // fewer RPCs — E14 sweeps that trade-off — without weakening visibility.
 const DefaultBreakWindow = 10 * time.Millisecond
 
-// NewCallbackTable returns an empty table, switched on.
-func NewCallbackTable() *CallbackTable {
-	return &CallbackTable{
-		on:     true,
-		shards: make(map[uint32]*cbShard),
-		queues: make(map[rpc.Backchannel]*clientQueue),
-		window: DefaultBreakWindow,
-	}
-}
+// stormFanout is the fan-out at which a single break counts as a storm and
+// earns a flight-recorder event: one update invalidating this many
+// workstations is the load pattern §3.2 warns callbacks add per mutation.
+const stormFanout = 8
 
-// shard returns the shard owning fid's volume, creating it on first use.
-func (t *CallbackTable) shard(vol uint32) *cbShard {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	s := t.shards[vol]
-	if s == nil {
-		s = &cbShard{promises: make(map[proto.FID]map[rpc.Backchannel]int64)}
-		t.shards[vol] = s
+// newCallbackTable returns the empty table of a server configured by cfg —
+// the one place a cell decides whether it runs callbacks (Mode) and how its
+// breaks are delivered (UnbatchedBreaks, BreakWindow; Metrics, Flight and
+// Name say where they are counted).
+func newCallbackTable(cfg Config) *CallbackTable {
+	window := cfg.BreakWindow
+	if window <= 0 {
+		window = DefaultBreakWindow
 	}
-	return s
+	return &CallbackTable{
+		on:        cfg.Mode == Revised,
+		unbatched: cfg.UnbatchedBreaks,
+		window:    window,
+		metrics:   cfg.Metrics,
+		flight:    cfg.Flight,
+		server:    cfg.Name,
+		promises:  make(map[proto.FID]map[rpc.Backchannel]int64),
+		queues:    make(map[rpc.Backchannel]*clientQueue),
+	}
 }
 
 // Promise records that the connection holds a valid copy of fid. Promises
@@ -124,18 +117,17 @@ func (t *CallbackTable) Promise(fid proto.FID, back rpc.Backchannel) {
 	if !t.on || back == nil {
 		return
 	}
-	s := t.shard(fid.Volume)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	set := s.promises[fid]
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	set := t.promises[fid]
 	if set == nil {
 		set = make(map[rpc.Backchannel]int64)
-		s.promises[fid] = set
+		t.promises[fid] = set
 	}
 	if _, ok := set[back]; !ok {
-		s.regSeq++
-		set[back] = s.regSeq
-		s.promised++
+		t.regSeq++
+		set[back] = t.regSeq
+		t.promised++
 	}
 }
 
@@ -147,29 +139,17 @@ func (t *CallbackTable) Promise(fid proto.FID, back rpc.Backchannel) {
 func (t *CallbackTable) Reset() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, s := range t.shards {
-		t.promisedBase += s.promisedCount()
-	}
-	t.shards = make(map[uint32]*cbShard)
+	t.promises = make(map[proto.FID]map[rpc.Backchannel]int64)
 }
 
 // Drop forgets all promises for one connection (teardown) without breaking.
 func (t *CallbackTable) Drop(back rpc.Backchannel) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, s := range t.shards {
-		s.dropConn(back)
-	}
-}
-
-// dropConn removes every promise held by back from the shard.
-func (s *cbShard) dropConn(back rpc.Backchannel) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for fid, set := range s.promises {
+	for fid, set := range t.promises {
 		delete(set, back)
 		if len(set) == 0 {
-			delete(s.promises, fid)
+			delete(t.promises, fid)
 		}
 	}
 }
@@ -178,10 +158,9 @@ func (s *cbShard) dropConn(back rpc.Backchannel) {
 // excluding skip (the connection performing the update — its own cache
 // entry is being replaced by the store itself).
 func (t *CallbackTable) take(fid proto.FID, skip rpc.Backchannel) []rpc.Backchannel {
-	s := t.shard(fid.Volume)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	set := s.promises[fid]
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	set := t.promises[fid]
 	if len(set) == 0 {
 		return nil
 	}
@@ -202,76 +181,24 @@ func (t *CallbackTable) take(fid proto.FID, skip rpc.Backchannel) []rpc.Backchan
 	for _, r := range regs {
 		out = append(out, r.back)
 	}
-	if skip != nil {
-		if _, ok := set[skip]; ok {
-			// The updater keeps its promise: its cache copy is the new version.
-			return out
-		}
-	}
+	// What is left, if anything, is the updater's own promise, which it
+	// keeps: its cache copy is the new version.
 	if len(set) == 0 {
-		delete(s.promises, fid)
+		delete(t.promises, fid)
 	}
 	return out
 }
 
-// SetMetrics attaches a metrics registry recording break counts and the
-// fan-out distribution of each break. Nil detaches.
-func (t *CallbackTable) SetMetrics(r *trace.Registry) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.metrics = r
-}
-
-// stormFanout is the fan-out at which a single break counts as a storm and
-// earns a flight-recorder event: one update invalidating this many
-// workstations is the load pattern §3.2 warns callbacks add per mutation.
-const stormFanout = 8
-
-// SetFlight attaches a flight recorder (and the owning server's name, for
-// attribution) that receives an event whenever one break fans out to
-// stormFanout or more workstations. Nil detaches.
-func (t *CallbackTable) SetFlight(fl *trace.Recorder, server string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.flight = fl
-	t.server = server
-}
-
-// SetUnbatched forces the legacy one-RPC-per-promise break path (the
-// pre-batching design, kept for ablation experiments).
-func (t *CallbackTable) SetUnbatched(v bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.unbatched = v
-}
-
-// SetWindow sets the coalescing window (d <= 0 restores the default). The
-// window bounds how long a broken promise waits for companions, and hence
-// how much extra latency an update accepts in exchange for fewer RPCs.
-func (t *CallbackTable) SetWindow(d time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if d <= 0 {
-		d = DefaultBreakWindow
-	}
-	t.window = d
-}
-
-// Break notifies every workstation holding a promise on fid, except the
-// updater's own connection, that its copy is invalid. It must be called
-// without server locks held: callback calls park the worker process.
-func (t *CallbackTable) Break(p *sim.Proc, fid proto.FID, path string, skip rpc.Backchannel) {
-	t.BreakBatch(p, []BreakTarget{{FID: fid, Path: path}}, skip)
-}
-
-// BreakBatch breaks promises on several files from one update (a rename
-// touches two directories; a remove touches the directory and the victim).
-// All invalidations are delivered before BreakBatch returns, but deliveries
-// to one workstation coalesce with any other breaks pending for it — its
-// own or a concurrent update's — into a single BulkBreak RPC, and
-// deliveries to distinct workstations proceed in parallel flusher
-// processes. Must be called without server locks held.
-func (t *CallbackTable) BreakBatch(p *sim.Proc, targets []BreakTarget, skip rpc.Backchannel) {
+// Break notifies every workstation holding a promise on a target, except
+// the updater's own connection (skip), that its copy is invalid; one update
+// may name several files (a rename touches two directories; a remove touches
+// the directory and the victim). All invalidations are delivered before
+// Break returns, but deliveries to one workstation coalesce with any other
+// breaks pending for it — its own or a concurrent update's — into a single
+// BulkBreak RPC, and deliveries to distinct workstations proceed in parallel
+// flusher processes. It must be called without server locks held: callback
+// calls park the worker process.
+func (t *CallbackTable) Break(p *sim.Proc, skip rpc.Backchannel, targets ...BreakTarget) {
 	if !t.on {
 		return
 	}
@@ -280,22 +207,16 @@ func (t *CallbackTable) BreakBatch(p *sim.Proc, targets []BreakTarget, skip rpc.
 		args proto.CallbackBreakArgs
 	}
 	var deliveries []delivery
-	t.mu.Lock()
-	m := t.metrics
-	fl := t.flight
-	server := t.server
-	unbatched := t.unbatched
-	t.mu.Unlock()
 	for _, tg := range targets {
 		backs := t.take(tg.FID, skip)
-		if m != nil {
+		if t.metrics != nil {
 			// Fan-out: how many workstations one update invalidates — the
 			// server-load term callbacks add per mutation (§3.2).
-			m.Counter(trace.MetricViceCallbackBreaks).Add(int64(len(backs)))
-			m.Histogram(trace.MetricViceCallbackFanout).ObserveN(int64(len(backs)))
+			t.metrics.Counter(trace.MetricViceCallbackBreaks).Add(int64(len(backs)))
+			t.metrics.Histogram(trace.MetricViceCallbackFanout).ObserveN(int64(len(backs)))
 		}
-		if fl != nil && len(backs) >= stormFanout {
-			fl.Log(trace.EventViceCallbackStorm, server,
+		if t.flight != nil && len(backs) >= stormFanout {
+			t.flight.Log(trace.EventViceCallbackStorm, t.server,
 				fmt.Sprintf("break of %s fans out to %d workstations", tg.Path, len(backs)))
 		}
 		for _, back := range backs {
@@ -310,12 +231,12 @@ func (t *CallbackTable) BreakBatch(p *sim.Proc, targets []BreakTarget, skip rpc.
 		return
 	}
 
-	if unbatched || p == nil {
+	if t.unbatched || p == nil {
 		// Legacy path: one RPC per broken promise, strictly sequential.
 		// Real transports (p == nil) also take it — coalescing needs the
 		// simulation kernel's futures.
 		for _, dv := range deliveries {
-			t.countRPC(m, 1)
+			t.countRPC(1)
 			t.revoke(p, dv.back, dv.args)
 		}
 		return
@@ -358,13 +279,13 @@ func (t *CallbackTable) revoke(p *sim.Proc, back rpc.Backchannel, args proto.Cal
 
 // countRPC bumps the delivered-RPC counters for one break RPC carrying n
 // invalidations.
-func (t *CallbackTable) countRPC(m *trace.Registry, n int) {
+func (t *CallbackTable) countRPC(n int) {
 	t.mu.Lock()
 	t.breakRPCs++
 	t.mu.Unlock()
-	if m != nil {
-		m.Counter(trace.MetricViceCallbackBreakRPCs).Add(1)
-		m.Histogram(trace.MetricViceCallbackBatch).ObserveN(int64(n))
+	if t.metrics != nil {
+		t.metrics.Counter(trace.MetricViceCallbackBreakRPCs).Add(1)
+		t.metrics.Histogram(trace.MetricViceCallbackBatch).ObserveN(int64(n))
 	}
 }
 
@@ -380,15 +301,13 @@ func (t *CallbackTable) flush(fp *sim.Proc, back rpc.Backchannel) {
 			t.mu.Unlock()
 			return
 		}
-		window := t.window
 		t.mu.Unlock()
 		// Linger briefly: breaks from updates completing in this window
 		// ride the same RPC instead of their own.
-		fp.Sleep(window)
+		fp.Sleep(t.window)
 		t.mu.Lock()
 		items := q.pending
 		q.pending = nil
-		m := t.metrics
 		t.mu.Unlock()
 		for len(items) > 0 {
 			chunk := items
@@ -411,7 +330,7 @@ func (t *CallbackTable) flush(fp *sim.Proc, back rpc.Backchannel) {
 				}
 				req = rpc.Request{Op: rpc.Op(proto.OpBulkBreak), Body: proto.Marshal(args)}
 			}
-			t.countRPC(m, len(chunk))
+			t.countRPC(len(chunk))
 			// A dead workstation just times out; the promise is already gone.
 			_, _ = back.CallBack(fp, req)
 			for _, it := range chunk {
@@ -425,18 +344,7 @@ func (t *CallbackTable) flush(fp *sim.Proc, back rpc.Backchannel) {
 func (t *CallbackTable) Stats() (promised, breaks int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	promised = t.promisedBase
-	for _, s := range t.shards {
-		promised += s.promisedCount()
-	}
-	return promised, t.breaks
-}
-
-// promisedCount reports the shard's cumulative promises granted.
-func (s *cbShard) promisedCount() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.promised
+	return t.promised, t.breaks
 }
 
 // BreakRPCs reports cumulative callback RPCs sent (each may carry many
@@ -453,18 +361,7 @@ func (t *CallbackTable) Outstanding() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	n := 0
-	for _, s := range t.shards {
-		n += s.outstanding()
-	}
-	return n
-}
-
-// outstanding reports the shard's live promise count.
-func (s *cbShard) outstanding() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, set := range s.promises {
+	for _, set := range t.promises {
 		n += len(set)
 	}
 	return n

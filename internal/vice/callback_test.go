@@ -1,6 +1,8 @@
 package vice
 
 import (
+	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -9,10 +11,10 @@ import (
 	"itcfs/internal/sim"
 )
 
-// Unit coverage for the sharded, coalescing CallbackTable: registration
-// order, the updater's kept promise, per-volume sharding, coalesced and
-// chunked delivery, the unbatched ablation path, and counter carry across
-// Reset.
+// Unit coverage for the coalescing CallbackTable: registration order, the
+// updater's kept promise, promises in several volumes, coalesced and chunked
+// delivery, the unbatched ablation path, counter carry across Reset, and the
+// whole table under goroutines.
 
 // cbRecBack is a Backchannel that logs every callback RPC it receives.
 type cbRecBack struct {
@@ -39,7 +41,7 @@ func (b *cbRecBack) requests() []rpc.Request {
 func cbFID(vol, vn uint32) proto.FID { return proto.FID{Volume: vol, Vnode: vn, Uniq: 1} }
 
 func TestCallbackTakeOrderAndSkipKeepsPromise(t *testing.T) {
-	tb := NewCallbackTable()
+	tb := newCallbackTable(Config{Mode: Revised})
 	a := &cbRecBack{name: "a"}
 	b := &cbRecBack{name: "b"}
 	c := &cbRecBack{name: "c"}
@@ -63,19 +65,40 @@ func TestCallbackTakeOrderAndSkipKeepsPromise(t *testing.T) {
 	if n := tb.Outstanding(); n != 0 {
 		t.Fatalf("%d promises outstanding after both takes, want 0", n)
 	}
+
+	// Holders registered alternately on files of two volumes: each file's
+	// break still fires in that file's registration order, whatever was
+	// registered on the other file in between.
+	backs := []*cbRecBack{a, b, c, {name: "d"}}
+	f2, f3 := cbFID(2, 5), cbFID(3, 5)
+	for i := range backs {
+		tb.Promise(f2, backs[i])
+		tb.Promise(f3, backs[len(backs)-1-i])
+	}
+	for _, tc := range []struct {
+		fid  proto.FID
+		want []*cbRecBack
+	}{
+		{f2, []*cbRecBack{a, b, c, backs[3]}},
+		{f3, []*cbRecBack{backs[3], c, b, a}},
+	} {
+		got := tb.take(tc.fid, nil)
+		if len(got) != len(tc.want) {
+			t.Fatalf("take(%v) returned %d backchannels, want %d", tc.fid, len(got), len(tc.want))
+		}
+		for i, w := range tc.want {
+			if got[i] != rpc.Backchannel(w) {
+				t.Fatalf("take(%v)[%d] = %s, want %s", tc.fid, i, got[i].BackUser(), w.name)
+			}
+		}
+	}
 }
 
 func TestCallbackShardingAndDrop(t *testing.T) {
-	tb := NewCallbackTable()
+	tb := newCallbackTable(Config{Mode: Revised})
 	w := &cbRecBack{name: "w"}
 	tb.Promise(cbFID(1, 1), w)
 	tb.Promise(cbFID(2, 1), w)
-	tb.mu.Lock()
-	shards := len(tb.shards)
-	tb.mu.Unlock()
-	if shards != 2 {
-		t.Fatalf("promises in 2 volumes built %d shards, want 2", shards)
-	}
 	if n := tb.Outstanding(); n != 2 {
 		t.Fatalf("Outstanding = %d, want 2", n)
 	}
@@ -86,15 +109,15 @@ func TestCallbackShardingAndDrop(t *testing.T) {
 }
 
 func TestCallbackCoalescesConcurrentBreaks(t *testing.T) {
-	tb := NewCallbackTable()
+	tb := newCallbackTable(Config{Mode: Revised})
 	w := &cbRecBack{name: "w"}
 	fid1, fid2 := cbFID(2, 1), cbFID(3, 7)
 	tb.Promise(fid1, w)
 	tb.Promise(fid2, w)
 
 	k := sim.NewKernel()
-	k.Spawn("upd1", func(p *sim.Proc) { tb.Break(p, fid1, "/f1", nil) })
-	k.Spawn("upd2", func(p *sim.Proc) { tb.Break(p, fid2, "/f2", nil) })
+	k.Spawn("upd1", func(p *sim.Proc) { tb.Break(p, nil, BreakTarget{FID: fid1, Path: "/f1"}) })
+	k.Spawn("upd2", func(p *sim.Proc) { tb.Break(p, nil, BreakTarget{FID: fid2, Path: "/f2"}) })
 	k.Run()
 
 	reqs := w.requests()
@@ -120,13 +143,13 @@ func TestCallbackCoalescesConcurrentBreaks(t *testing.T) {
 }
 
 func TestCallbackSingleBreakUsesLegacyMessage(t *testing.T) {
-	tb := NewCallbackTable()
+	tb := newCallbackTable(Config{Mode: Revised})
 	w := &cbRecBack{name: "w"}
 	fid := cbFID(2, 1)
 	tb.Promise(fid, w)
 
 	k := sim.NewKernel()
-	k.Spawn("upd", func(p *sim.Proc) { tb.Break(p, fid, "/f", nil) })
+	k.Spawn("upd", func(p *sim.Proc) { tb.Break(p, nil, BreakTarget{FID: fid, Path: "/f"}) })
 	k.Run()
 
 	reqs := w.requests()
@@ -144,8 +167,7 @@ func TestCallbackSingleBreakUsesLegacyMessage(t *testing.T) {
 }
 
 func TestCallbackUnbatchedPathSendsOneRPCPerPromise(t *testing.T) {
-	tb := NewCallbackTable()
-	tb.SetUnbatched(true)
+	tb := newCallbackTable(Config{Mode: Revised, UnbatchedBreaks: true})
 	w := &cbRecBack{name: "w"}
 	fid1, fid2 := cbFID(2, 1), cbFID(2, 2)
 	tb.Promise(fid1, w)
@@ -153,7 +175,7 @@ func TestCallbackUnbatchedPathSendsOneRPCPerPromise(t *testing.T) {
 
 	k := sim.NewKernel()
 	k.Spawn("upd", func(p *sim.Proc) {
-		tb.BreakBatch(p, []BreakTarget{{FID: fid1, Path: "/f1"}, {FID: fid2, Path: "/f2"}}, nil)
+		tb.Break(p, nil, BreakTarget{FID: fid1, Path: "/f1"}, BreakTarget{FID: fid2, Path: "/f2"})
 	})
 	k.Run()
 
@@ -172,7 +194,7 @@ func TestCallbackUnbatchedPathSendsOneRPCPerPromise(t *testing.T) {
 }
 
 func TestCallbackBulkDeliveryChunksAtMaxItems(t *testing.T) {
-	tb := NewCallbackTable()
+	tb := newCallbackTable(Config{Mode: Revised})
 	w := &cbRecBack{name: "w"}
 	n := proto.MaxBulkItems + 5
 	targets := make([]BreakTarget, n)
@@ -183,7 +205,7 @@ func TestCallbackBulkDeliveryChunksAtMaxItems(t *testing.T) {
 	}
 
 	k := sim.NewKernel()
-	k.Spawn("upd", func(p *sim.Proc) { tb.BreakBatch(p, targets, nil) })
+	k.Spawn("upd", func(p *sim.Proc) { tb.Break(p, nil, targets...) })
 	k.Run()
 
 	reqs := w.requests()
@@ -210,7 +232,7 @@ func TestCallbackBulkDeliveryChunksAtMaxItems(t *testing.T) {
 }
 
 func TestCallbackResetCarriesCumulativeCounters(t *testing.T) {
-	tb := NewCallbackTable()
+	tb := newCallbackTable(Config{Mode: Revised})
 	w := &cbRecBack{name: "w"}
 	for i := 0; i < 3; i++ {
 		tb.Promise(cbFID(2, uint32(i+1)), w)
@@ -230,4 +252,146 @@ func TestCallbackResetCarriesCumulativeCounters(t *testing.T) {
 	if n := tb.Outstanding(); n != 2 {
 		t.Fatalf("Outstanding = %d, want 2", n)
 	}
+}
+
+// TestCallbackTableConcurrent is the table in the daemon's regime: goroutines,
+// not simulator processes (p == nil, so every delivery is a synchronous
+// unbatched RPC made by the Break that took the promise). Workers promise,
+// break, drop and read counters over files of three volumes, and one of them
+// resets the table under the others; run it under -race. Every back
+// channel is promised each file at most once and only by the worker that owns
+// it, so a promise granted to it has exactly one fate — broken (a request it
+// recorded), reset away, dropped, or still outstanding — and the fates must
+// add up.
+func TestCallbackTableConcurrent(t *testing.T) {
+	const workers, rounds, opsPerRound = 6, 30, 80
+	tb := newCallbackTable(Config{Mode: Revised})
+	var fids []proto.FID
+	for vol := uint32(1); vol <= 3; vol++ {
+		for vn := uint32(1); vn <= 16; vn++ {
+			fids = append(fids, cbFID(vol, vn))
+		}
+	}
+
+	type owned struct {
+		back    *cbRecBack
+		granted int
+		dropped bool
+	}
+	backs := make([][]*owned, workers)
+	var discarded []map[proto.FID]map[rpc.Backchannel]int64 // worker 0's
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w) + 1))
+			for r := 0; r < rounds; r++ {
+				o := &owned{back: &cbRecBack{name: fmt.Sprintf("w%d.%d", w, r)}}
+				backs[w] = append(backs[w], o)
+				fresh := rng.Perm(len(fids)) // files o.back has not been promised yet
+				for i := 0; i < opsPerRound; i++ {
+					switch op := rng.Intn(10); {
+					case op < 5 && len(fresh) > 0:
+						tb.Promise(fids[fresh[0]], o.back)
+						fresh = fresh[1:]
+						o.granted++
+					case op < 8:
+						// A target's Path names the updater, so a back channel
+						// can tell a break that should have skipped it.
+						var skip rpc.Backchannel
+						path := ""
+						if rng.Intn(2) == 0 {
+							skip, path = o.back, o.back.name
+						}
+						targets := make([]BreakTarget, 1+rng.Intn(3))
+						for j := range targets {
+							targets[j] = BreakTarget{FID: fids[rng.Intn(len(fids))], Path: path}
+						}
+						tb.Break(nil, skip, targets...)
+					case op == 8 && w == 0:
+						// Reset replaces the promise map and only this worker
+						// calls it, so the map seen just before the call is the
+						// one it discards: once Reset returns nothing touches
+						// that map, and it says what was reset away.
+						tb.mu.Lock()
+						old := tb.promises
+						tb.mu.Unlock()
+						tb.Reset()
+						discarded = append(discarded, old)
+					default:
+						tb.Stats()
+						tb.Outstanding()
+						tb.BreakRPCs()
+					}
+				}
+				if o.dropped = rng.Intn(2) == 0; o.dropped {
+					tb.Drop(o.back)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	resetAway := make(map[rpc.Backchannel]int)
+	outstanding := make(map[rpc.Backchannel]int)
+	for _, m := range discarded {
+		for _, set := range m {
+			for back := range set {
+				resetAway[back]++
+			}
+		}
+	}
+	tb.mu.Lock()
+	for _, set := range tb.promises {
+		for back := range set {
+			outstanding[back]++
+		}
+	}
+	tb.mu.Unlock()
+
+	var granted, broken, dropped, reset, left int64
+	for _, mine := range backs {
+		for _, o := range mine {
+			seen := make(map[proto.FID]bool)
+			for _, req := range o.back.requests() {
+				args, err := proto.Unmarshal(req.Body, proto.DecodeCallbackBreakArgs)
+				if err != nil || req.Op != rpc.Op(proto.OpCallbackBreak) {
+					t.Fatalf("%s received op %d (decode: %v), want a lone CallbackBreak", o.back.name, req.Op, err)
+				}
+				if args.Path == o.back.name {
+					t.Fatalf("%s was the updater of %v and lost its promise to its own break", o.back.name, args.FID)
+				}
+				if seen[args.FID] {
+					t.Fatalf("%s was promised %v once and told twice that it broke", o.back.name, args.FID)
+				}
+				seen[args.FID] = true
+			}
+			unaccounted := o.granted - len(seen) - resetAway[o.back] - outstanding[o.back]
+			switch {
+			case o.dropped && outstanding[o.back] != 0:
+				t.Fatalf("%s holds %d promises after Drop", o.back.name, outstanding[o.back])
+			case o.dropped && unaccounted < 0, !o.dropped && unaccounted != 0:
+				t.Fatalf("%s (dropped=%v): %d granted, %d broken, %d reset away, %d outstanding",
+					o.back.name, o.dropped, o.granted, len(seen), resetAway[o.back], outstanding[o.back])
+			}
+			granted += int64(o.granted)
+			broken += int64(len(seen))
+			dropped += int64(unaccounted) // nothing but Drop is left to explain it
+			reset += int64(resetAway[o.back])
+			left += int64(outstanding[o.back])
+		}
+	}
+	promised, breaks := tb.Stats()
+	if promised != granted || breaks != broken || tb.BreakRPCs() != broken || int64(tb.Outstanding()) != left {
+		t.Fatalf("table counts %d promised, %d breaks, %d break RPCs, %d outstanding; the back channels saw %d, %d, %d, %d",
+			promised, breaks, tb.BreakRPCs(), tb.Outstanding(), granted, broken, broken, left)
+	}
+	if promised != breaks+dropped+reset+left {
+		t.Fatalf("%d promised != %d broken + %d dropped + %d reset away + %d outstanding", promised, breaks, dropped, reset, left)
+	}
+	if breaks == 0 || dropped == 0 || reset == 0 {
+		t.Fatalf("mix too thin to mean anything: %d broken, %d dropped, %d reset away", breaks, dropped, reset)
+	}
+	t.Logf("%d promised = %d broken + %d dropped + %d reset away + %d outstanding", promised, breaks, dropped, reset, left)
 }

@@ -169,7 +169,7 @@ func (s *Server) handleStore(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	s.mu.Lock()
 	s.storeBytes += int64(len(req.Bulk))
 	s.mu.Unlock()
-	s.callbacks.Break(ctx.Proc, st.FID, args.Ref.Path, ctx.Back)
+	s.callbacks.Break(ctx.Proc, ctx.Back, BreakTarget{FID: st.FID, Path: args.Ref.Path})
 	s.promiseIfStands(ctx, st.Status, args.Ref.Path)
 	return respStatus(st.Status)
 }
@@ -255,7 +255,7 @@ func (s *Server) handleSetStatus(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if err != nil {
 		return respErr(err)
 	}
-	s.callbacks.Break(ctx.Proc, st.FID, args.Ref.Path, ctx.Back)
+	s.callbacks.Break(ctx.Proc, ctx.Back, BreakTarget{FID: st.FID, Path: args.Ref.Path})
 	return respStatus(st.Status)
 }
 
@@ -344,7 +344,7 @@ func (s *Server) mutateDir(ctx rpc.Ctx, ref proto.Ref, need prot.Right, op func(
 		return v, st.of(op(v, dir))
 	}, nil)
 	if err == nil {
-		s.callbacks.Break(ctx.Proc, dir, ref.Path, ctx.Back)
+		s.callbacks.Break(ctx.Proc, ctx.Back, BreakTarget{FID: dir, Path: ref.Path})
 	}
 	return st.Status, err
 }
@@ -412,7 +412,7 @@ func (s *Server) removeCommon(ctx rpc.Ctx, req rpc.Request, isDir bool) rpc.Resp
 	if err != nil {
 		return respErr(err)
 	}
-	s.callbacks.BreakBatch(ctx.Proc, targets, ctx.Back)
+	s.callbacks.Break(ctx.Proc, ctx.Back, targets...)
 	return rpc.Response{}
 }
 
@@ -443,7 +443,7 @@ func (s *Server) handleRename(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if err != nil {
 		return respErr(err)
 	}
-	s.callbacks.BreakBatch(ctx.Proc, targets, ctx.Back)
+	s.callbacks.Break(ctx.Proc, ctx.Back, targets...)
 	return rpc.Response{}
 }
 

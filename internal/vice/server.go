@@ -153,7 +153,7 @@ func New(cfg Config) *Server {
 		vols:       make(map[uint32]*volume.Volume),
 		peers:      make(map[string]rpc.Conn),
 		locks:      NewLockTable(),
-		callbacks:  NewCallbackTable(),
+		callbacks:  newCallbackTable(cfg),
 		disp:       rpc.NewServer(),
 		volAccess:  make(map[uint32]map[string]int64),
 		volOps:     make(map[uint32]*trace.Counter),
@@ -161,13 +161,6 @@ func New(cfg Config) *Server {
 		pendingVol: make(map[*sim.Proc]uint32),
 	}
 	s.release = replica.NewController(cfg.Name, cfg.Metrics, cfg.Flight)
-	// The one place a cell decides whether it runs callbacks: handlers call
-	// the table unconditionally and a prototype-mode table ignores them.
-	s.callbacks.on = cfg.Mode == Revised
-	s.callbacks.SetMetrics(cfg.Metrics)
-	s.callbacks.SetFlight(cfg.Flight, cfg.Name)
-	s.callbacks.SetUnbatched(cfg.UnbatchedBreaks)
-	s.callbacks.SetWindow(cfg.BreakWindow)
 	s.registerHandlers()
 	return s
 }

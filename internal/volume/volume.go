@@ -124,9 +124,6 @@ func (v *Volume) Root() proto.FID {
 	return v.vnodes[RootVnode].Status.FID
 }
 
-// RootACL returns the root directory's access list.
-func (v *Volume) RootACL() prot.ACL { return v.vnodes[RootVnode].ACL }
-
 // checkWritable gates every mutation.
 func (v *Volume) checkWritable() error {
 	if !v.online {

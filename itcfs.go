@@ -432,20 +432,6 @@ func (c *Cell) AddUser(name, password string) {
 	}
 }
 
-// AddGroup registers a group and its members on every replica.
-func (c *Cell) AddGroup(name string, members ...string) {
-	for _, s := range c.Servers {
-		if err := s.Vice.DB().Apply(prot.Mutation{Kind: prot.MutAddGroup, Name: name}); err != nil {
-			panic(fmt.Sprintf("itcfs: AddGroup(%s): %v", name, err))
-		}
-		for _, mem := range members {
-			if err := s.Vice.DB().Apply(prot.Mutation{Kind: prot.MutAddMember, Name: name, Member: mem}); err != nil {
-				panic(fmt.Sprintf("itcfs: AddGroup(%s)+=%s: %v", name, mem, err))
-			}
-		}
-	}
-}
-
 // Workstations returns every workstation added so far.
 func (c *Cell) Workstations() []*Workstation { return c.workst }
 

@@ -3,7 +3,7 @@
 //
 // The analyzer treats every sync.Mutex / sync.RWMutex field of a struct
 // declared in the package as a lock node, identified by type and field name
-// (Server.mu, cbShard.mu) — all instances of a type share one node, which
+// (Server.mu, LockTable.mu) — all instances of a type share one node, which
 // is exactly the granularity a lock-ordering discipline is stated at. For
 // every function it follows package locks' Walker — the one lockcheck uses,
 // seeded from the same //itcvet:holds entry states — for which locks are
