@@ -45,6 +45,12 @@ fi
 go test -race ./...
 go test ./...
 
+# The real transport lends every frame under the hand-over size from a pool
+# and takes it back: a reply read after its buffer was lent again would be
+# another call's bytes. Such a race shows rarely, so the test that crosses
+# every tier under concurrent calls and callbacks runs twenty times more.
+go test -race -count=20 -run='^TestPeerLentBuffersUnderLoad$' ./internal/rpc
+
 # The benchmark is its own module (bench/go.mod), so ./... above does not
 # reach it; its tests check BENCHMARK.json against bench/spec.go and drive
 # every workload at small size through the real transport.

@@ -18,11 +18,21 @@ func (c scriptConn) Write(p []byte) (int, error) { return len(p), nil }
 func (c scriptConn) Close() error                { return nil }
 
 // fuzzHeapSlack absorbs what the rest of the process (the fuzz worker's own
-// plumbing, the peer's fixed state) allocates while one input is judged.
+// plumbing, the peer's fixed state, a pooled receive buffer) allocates while
+// one input is judged.
 const fuzzHeapSlack = 1 << 20
 
+// What each input byte of mode 3 plays back at the reader.
+const (
+	playNext      = iota // the far side's next call
+	playReplay           // the last record played, again
+	playReflected        // a call sealed by the reader's own Box
+	playOtherBox         // a call from a second Box under the session key
+	playKinds
+)
+
 // FuzzPeerFrames throws arbitrary bytes at the read side of the daemon's
-// connection, in the three positions an attacker can stand in:
+// connection, in the four positions an attacker can stand in:
 //
 //	0: before authentication, at AcceptPeer itself. The handshake must fail
 //	   having allocated no more than the input and the 4 KiB frame cap allow.
@@ -33,6 +43,14 @@ const fuzzHeapSlack = 1 << 20
 //	2: with the session key (a hostile but authenticated client): the input
 //	   is sealed properly, so it reaches the kind switch and the packet
 //	   decoders, which must reject or serve it without panicking.
+//	3: the network attacker again, playing the session's own records back
+//	   at it: they verify, because both directions share the session key.
+//	   Each input byte picks the next record the reader hears (playNext and
+//	   the rest). The reader must serve exactly the far side's calls up to
+//	   the first record that is not the far side's next — a replay, a
+//	   reflection of its own, a second sealer — and close there, so no call
+//	   is executed twice. Before the receive sequence was checked, a
+//	   replayed call was served again.
 func FuzzPeerFrames(f *testing.F) {
 	session := secure.DeriveKey("fuzz", "session")
 	hugeHeader := make([]byte, wire.FrameHeaderSize)
@@ -41,8 +59,7 @@ func FuzzPeerFrames(f *testing.F) {
 	wire.WriteFrame(&hello, secure.NewClientHandshake("satya", userKey).Hello())
 	validCall := append([]byte{kindCall}, encodeCall(7, wire.TraceHeader{}, Request{Op: opEcho, Body: []byte("b"), Bulk: []byte("bulk")})...)
 	validReply := append([]byte{kindReply}, encodeReply(7, 0, Response{Body: []byte("b")})...)
-	// A well-formed frame from some other session: replaying one of this
-	// session's own frames is not forgery, and it would be served.
+	// A well-formed frame from some other session.
 	var sealedCall bytes.Buffer
 	secure.NewBox(secure.DeriveKey("fuzz", "another session")).SealFrame(&sealedCall, validCall, nil)
 	for mode := uint8(0); mode < 3; mode++ {
@@ -50,20 +67,31 @@ func FuzzPeerFrames(f *testing.F) {
 			f.Add(mode, seed)
 		}
 	}
+	for _, seed := range [][]byte{
+		{playNext, playReplay},              // a captured call sent again
+		{playReflected},                     // the reader's own call, reflected back at it
+		{playNext, playNext, playReflected}, // the same, mid-session
+		{playOtherBox, playNext},            // the first sealer fixes the far side
+		{playNext, playNext, playNext},
+	} {
+		f.Add(uint8(3), seed)
+	}
 
 	f.Fuzz(func(t *testing.T, mode uint8, data []byte) {
 		var served atomic.Int32
 		srv := NewServer()
 		srv.HandleFallback(func(Ctx, Request) Response { served.Add(1); return Response{} })
-		// Runs the read side of an authenticated connection over input until
-		// the input ends, which must leave the peer closed.
-		readAll := func(input []byte) {
-			p := newPeer(scriptConn{bytes.NewReader(input)}, secure.NewBox(session), "satya", "satya", srv)
+		// Runs the read side of an authenticated connection, holding box,
+		// over input until the input ends, which must leave the peer closed;
+		// then waits for every call it dispatched to have been served.
+		readAll := func(box *secure.Box, input []byte) {
+			p := newPeer(scriptConn{bytes.NewReader(input)}, box, "satya", "satya", srv)
 			p.readLoop()
 			<-p.Done()
+			p.routines.Wait()
 		}
 		var grew, ceiling uint64
-		switch mode % 3 {
+		switch mode % 4 {
 		case 0:
 			ceiling = uint64(len(data))
 			grew = allocatedBytes(func() {
@@ -74,7 +102,7 @@ func FuzzPeerFrames(f *testing.F) {
 			})
 		case 1:
 			ceiling = uint64(len(data)) + wire.MaxField
-			grew = allocatedBytes(func() { readAll(data) })
+			grew = allocatedBytes(func() { readAll(secure.NewBox(session), data) })
 			if served.Load() != 0 {
 				t.Fatal("bytes sealed without the session key reached a handler")
 			}
@@ -84,10 +112,53 @@ func FuzzPeerFrames(f *testing.F) {
 				t.Fatal(err)
 			}
 			ceiling = uint64(frame.Len())
-			grew = allocatedBytes(func() { readAll(frame.Bytes()) })
+			grew = allocatedBytes(func() { readAll(secure.NewBox(session), frame.Bytes()) })
+		case 3:
+			reader := secure.NewBox(session)
+			boxes := [...]*secure.Box{playNext: secure.NewBox(session), playReflected: reader, playOtherBox: secure.NewBox(session)}
+			var far, lastBox *secure.Box
+			var last []byte
+			want, open := int32(0), true
+			var stream bytes.Buffer
+			for _, b := range data[:min(len(data), 16)] {
+				kind := b % playKinds
+				box, rec := lastBox, last
+				if kind == playReplay {
+					if last == nil {
+						continue
+					}
+				} else {
+					box = boxes[kind]
+					var frame bytes.Buffer
+					if err := box.SealFrame(&frame, validCall, nil); err != nil {
+						t.Fatal(err)
+					}
+					rec = frame.Bytes()
+				}
+				stream.Write(rec)
+				// The reader's sequence, modelled: every record a Box seals
+				// is played at once, so a fresh one is its Box's next; the
+				// first fresh record not from the reader's own Box fixes the
+				// far side, and the first record that breaks the sequence
+				// closes the connection.
+				switch {
+				case !open:
+				case kind != playReplay && box != reader && (far == nil || box == far):
+					far = box
+					want++
+				default:
+					open = false
+				}
+				lastBox, last = box, rec
+			}
+			ceiling = uint64(stream.Len())
+			grew = allocatedBytes(func() { readAll(reader, stream.Bytes()) })
+			if got := served.Load(); got != want {
+				t.Fatalf("input %v: %d calls served, want %d", data, got, want)
+			}
 		}
 		if grew > ceiling+fuzzHeapSlack {
-			t.Fatalf("mode %d: %d input bytes cost %d bytes of allocation, ceiling %d", mode%3, len(data), grew, ceiling+fuzzHeapSlack)
+			t.Fatalf("mode %d: %d input bytes cost %d bytes of allocation, ceiling %d", mode%4, len(data), grew, ceiling+fuzzHeapSlack)
 		}
 	})
 }

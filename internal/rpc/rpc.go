@@ -2,8 +2,9 @@
 // of Section 3.5.3: mutual client/server authentication and end-to-end
 // encryption are integrated into the RPC layer, whole-file transfer is a
 // side effect of a call (the Bulk payload), and a server is a single process
-// with lightweight threads of control per call (goroutines here, one per
-// in-flight call).
+// with lightweight threads of control that serve call after call: on a Peer,
+// a pool of worker goroutines, each parked between calls and handed the next
+// one, as the paper's LWPs are — not a goroutine created per call.
 //
 // Two interchangeable transports carry the same sealed bytes:
 //
@@ -49,10 +50,25 @@ type Response struct {
 	Code uint16
 	Body []byte
 	Bulk []byte
+
+	frame *frame // the pooled buffer Body and Bulk lie in, lent until Release
 }
 
 // OK reports whether the response carries a success code.
 func (r Response) OK() bool { return r.Code == 0 }
+
+// Release gives the buffer a received response's Body and Bulk lie in back
+// to the transport, which wipes it and reads a later frame into it: neither
+// may be read afterwards, so copy out whatever outlives the call first. Only
+// a Peer's replies shorter than wire.KeepField's size are lent this way; on
+// every other response (the simulator's, a hand-over-sized one, one already
+// released) Release does nothing. Releasing is optional — a response never
+// released is simply collected — but a lent buffer costs a whole pool tier,
+// not the reply's size. Release one copy of a response, not two.
+func (r *Response) Release() {
+	r.frame.release()
+	r.frame = nil
+}
 
 // WireSize returns the approximate on-wire byte count of a request,
 // including per-packet protocol overhead. The simulator charges network
@@ -96,7 +112,9 @@ type Ctx struct {
 	Span *trace.Span
 }
 
-// HandlerFunc serves one call.
+// HandlerFunc serves one call. req.Body and req.Bulk are lent to it until it
+// returns, and its reply may alias them: whatever it keeps longer it copies,
+// unless wire.KeepField says the field may be kept as it is.
 type HandlerFunc func(ctx Ctx, req Request) Response
 
 // Server dispatches incoming calls by opcode. It is safe for concurrent use
@@ -203,8 +221,9 @@ func sealCall(box *secure.Box, seq uint32, tc wire.TraceHeader, req Request) []b
 // decodeCall decodes a call packet. The returned request's Body and Bulk
 // alias plain, which the caller must treat as surrendered: every transport
 // hands decodeCall a buffer nothing else refers to (Box.Open's output in the
-// simulator; on a Peer the frame just read, opened in place), so aliasing
-// saves two copies per call without sharing hazards.
+// simulator; on a Peer the frame just read, opened in place, and lent to the
+// call until its reply is sealed), so aliasing saves two copies per call
+// without sharing hazards.
 func decodeCall(plain []byte) (seq uint32, tc wire.TraceHeader, req Request, err error) {
 	var d wire.Decoder
 	d.Reset(plain)
@@ -244,7 +263,7 @@ func sealReply(box *secure.Box, seq uint32, svc time.Duration, resp Response) []
 }
 
 // decodeReply decodes a reply packet. Body and Bulk alias plain (see
-// decodeCall).
+// decodeCall; on a Peer the caller holds the frame until Response.Release).
 func decodeReply(plain []byte) (seq uint32, svc time.Duration, resp Response, err error) {
 	var d wire.Decoder
 	d.Reset(plain)

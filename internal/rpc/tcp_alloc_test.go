@@ -49,12 +49,16 @@ func TestPeerBulkTransferAllocs(t *testing.T) {
 }
 
 // nullCallAllocs is the object count of one 128-byte call and its reply
-// through a Peer pair, both sides included: the two received frames and the
-// goroutine that serves the call. The parent commit measured 11 with this
-// same test; sealing and opening a small record without a cipher stream
-// object removed four, reading frame headers into pooled scratch two, and
-// reusing the caller's outcome channel two (the channel and its buffer).
-const nullCallAllocs = 3
+// through a Peer pair, both sides included, the reply released. The parent
+// commit measured 3 with this same test, the reply unreleased (11 before
+// that): the two received frames, which the decoded Body aliases, and the
+// goroutine that served the call. Both frames are now read into pooled
+// buffers and given back — the call's by the worker once the reply is
+// sealed, the reply's by Release — and the call is served by a parked worker
+// instead of a goroutine of its own. Earlier, sealing and opening a small
+// record without a cipher stream object removed four, reading frame headers
+// into pooled scratch two, and reusing the caller's outcome channel two.
+const nullCallAllocs = 0
 
 func TestPeerNullCallAllocs(t *testing.T) {
 	if raceEnabled {
@@ -63,12 +67,48 @@ func TestPeerNullCallAllocs(t *testing.T) {
 	dialed, _ := pipePair(t, nil, echoServer())
 	body := make([]byte, 128)
 	got := testing.AllocsPerRun(200, func() {
-		if _, err := dialed.Call(nil, Request{Op: opEcho, Body: body}); err != nil {
+		resp, err := dialed.Call(nil, Request{Op: opEcho, Body: body})
+		if err != nil {
 			t.Fatal(err)
 		}
+		resp.Release()
 	})
 	if got > nullCallAllocs {
 		t.Fatalf("128 B null call allocates %.1f objects, pinned at %d", got, nullCallAllocs)
 	}
 	t.Logf("128 B null call: %.1f allocs", got)
+}
+
+// TestPeerPooledEchoAllocs is the gate for the pooled tiers: a 64 KiB echo —
+// a call and a reply each in the 72 KiB tier, the reply released — costs
+// both sides together at most a tenth of the payload per round trip. At the
+// parent commit each direction allocated its whole frame.
+func TestPeerPooledEchoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	const size = 64 << 10
+	dialed, _ := pipePair(t, nil, echoServer())
+	bulk := bytes.Repeat([]byte("itc-vice"), size/8)
+	call := func() {
+		resp, err := dialed.Call(nil, Request{Op: opEcho, Bulk: bulk})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(resp.Bulk, bulk) {
+			t.Fatal("echo returned different bytes")
+		}
+		resp.Release()
+	}
+	call() // warm the pools
+	const runs = 50
+	perCall := float64(allocatedBytes(func() {
+		for i := 0; i < runs; i++ {
+			call()
+		}
+	})) / runs
+	if limit := 0.1 * size; perCall > limit {
+		t.Fatalf("64 KiB echo allocated %.0f bytes per round trip, want <= %.0f (0.1 x payload)", perCall, limit)
+	}
+	t.Logf("64 KiB echo: %.0f bytes per round trip", perCall)
 }

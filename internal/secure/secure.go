@@ -97,7 +97,7 @@ const (
 var ErrBadSeal = errors.New("secure: record failed authentication")
 
 // Box seals and opens records under one key. A Box is safe for concurrent
-// use.
+// use, except InSequence, which belongs to the one reader of a session.
 //
 // Nonces are structured rather than random, saving a system-entropy read per
 // record: 8 random bytes fixed at Box creation (so two Boxes sealing under
@@ -113,6 +113,12 @@ type Box struct {
 	noncePrefix [8]byte
 	nonceCtr    atomic.Uint64
 	states      sync.Pool // *recordState
+
+	// The far side's records as InSequence has admitted them: the nonce
+	// prefix of the first and the counter of the last (0 before the first).
+	// Only the session's one reader touches them.
+	farPrefix [8]byte
+	farCtr    uint32
 }
 
 // recordState is the pooled working state of one record being sealed or
@@ -349,4 +355,37 @@ func (b *Box) OpenInPlace(sealed []byte) ([]byte, error) {
 	}
 	st.ctrStream(nonce, len(ct)).XORKeyStream(ct, ct)
 	return ct, nil
+}
+
+// InSequence reports whether sealed, a record that has just authenticated
+// under b's key (OpenInPlace leaves its nonce as it was), is the next record
+// the far side of b's session sent. Both directions share the session key, so
+// the tag cannot tell a fresh record from one of the far side's replayed or
+// one of this side's reflected back; the nonce can. The far side's first
+// record fixes its 8-byte prefix, which must differ from b's own, and every
+// later record must carry that prefix and exactly the next counter. A false
+// answer changes nothing; the caller drops the connection, as for a bad tag.
+//
+// It keeps the far side's place in b, so the session's one reader calls it,
+// once per record, in the order the records arrive. The simulator's Open,
+// which its fault plane and reply cache feed duplicates on purpose, does not.
+func (b *Box) InSequence(sealed []byte) bool {
+	if len(sealed) < nonceSize {
+		return false
+	}
+	prefix := [8]byte(sealed[:8])
+	ctr := binary.BigEndian.Uint32(sealed[8:12])
+	if binary.BigEndian.Uint32(sealed[12:16]) != 0 {
+		return false
+	}
+	if b.farCtr == 0 {
+		if prefix == b.noncePrefix || ctr == 0 {
+			return false
+		}
+		b.farPrefix = prefix
+	} else if prefix != b.farPrefix || ctr != b.farCtr+1 {
+		return false
+	}
+	b.farCtr = ctr
+	return true
 }

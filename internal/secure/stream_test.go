@@ -187,6 +187,42 @@ func TestNonceExhaustion(t *testing.T) {
 	box.Seal([]byte("x"))
 }
 
+// TestInSequence walks one reader through a session's records: the far
+// side's, in order, pass; a replay, a gap, a reflection of the reader's own
+// and a record from a second sealer under the key each fail and leave the
+// reader where it was, so the far side's true next record still passes.
+func TestInSequence(t *testing.T) {
+	k := DeriveKey("sequence", "test")
+	reader, far, other := NewBox(k), NewBox(k), NewBox(k)
+	seal := func(b *Box) []byte { return b.Seal([]byte("record")) }
+	first := seal(reader) // the reader's own, reflected before anything else came
+	if reader.InSequence(first) {
+		t.Fatal("a reflected record opened the far side's sequence")
+	}
+	r1, r2 := seal(far), seal(far)
+	if !reader.InSequence(r1) {
+		t.Fatal("the far side's first record was refused")
+	}
+	skipped := seal(far)
+	for name, rec := range map[string][]byte{
+		"replay":     r1,
+		"gap":        seal(far),
+		"reflection": seal(reader),
+		"second box": seal(other),
+		"short":      r2[:nonceSize-1],
+	} {
+		if reader.InSequence(rec) {
+			t.Fatalf("%s: accepted", name)
+		}
+	}
+	if !reader.InSequence(r2) {
+		t.Fatal("the far side's next record was refused after the rejections")
+	}
+	if !reader.InSequence(skipped) {
+		t.Fatal("the record after that was refused")
+	}
+}
+
 func BenchmarkSealFrame4M(b *testing.B) {
 	box := NewBox(DeriveKey("u", "p"))
 	bulk := pattern(4 << 20)

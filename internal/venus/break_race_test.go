@@ -20,7 +20,9 @@ import (
 
 // hookConn wraps a Conn and runs a hook between receiving each successful
 // response and handing it back to Venus — the window where a break can race
-// the install.
+// the install. A hook may keep what it is shown, so Venus gets the response
+// rebuilt from its fields: its Release does nothing, and a frame the real
+// transport lent is left to the collector instead of being wiped and reused.
 type hookConn struct {
 	inner Conn
 	hook  func(req rpc.Request, resp rpc.Response)
@@ -30,6 +32,7 @@ func (c hookConn) Call(p *sim.Proc, req rpc.Request) (rpc.Response, error) {
 	resp, err := c.inner.Call(p, req)
 	if err == nil && c.hook != nil {
 		c.hook(req, resp)
+		resp = rpc.Response{Code: resp.Code, Body: resp.Body, Bulk: resp.Bulk}
 	}
 	return resp, err
 }

@@ -94,6 +94,7 @@ func (v *Venus) askCustodian(p *sim.Proc, path string) (proto.CustodianReply, er
 	if err != nil {
 		return proto.CustodianReply{}, err
 	}
+	defer resp.Release()
 	if !resp.OK() {
 		return proto.CustodianReply{}, proto.CodeToErr(resp.Code, string(resp.Body))
 	}
@@ -213,7 +214,8 @@ func (v *Venus) callRef(p *sim.Proc, ref proto.Ref, pathHint string, req rpc.Req
 // call is the simple-call path, the one home of three steps every plain
 // operation takes: count the RPC (under the counter its op belongs to), route
 // it by ref, and turn a reply the server refused into its proto error — the
-// reply comes back too, for callers that read its code.
+// reply comes back too, for callers that read its code, and the caller
+// releases it whatever the error.
 func (v *Venus) call(p *sim.Proc, ref proto.Ref, pathHint string, op uint16, body []byte) (rpc.Response, error) {
 	v.mu.Lock()
 	switch op {
@@ -319,6 +321,7 @@ func (v *Venus) callAt(p *sim.Proc, path string, cr proto.CustodianReply, req rp
 		if hinted == "" || hinted == server {
 			return resp, nil
 		}
+		resp.Release()
 		if redirects++; redirects >= maxRedirects {
 			return rpc.Response{}, fmt.Errorf("%w: too many custodian redirects for %s", proto.ErrInternal, path)
 		}
@@ -555,6 +558,7 @@ func (v *Venus) statFID(p *sim.Proc, fid proto.FID, pathHint string) (proto.Stat
 // fetchStatus asks the custodian for ref's status.
 func (v *Venus) fetchStatus(p *sim.Proc, ref proto.Ref, pathHint string) (proto.Status, error) {
 	resp, err := v.call(p, ref, pathHint, proto.OpFetchStatus, proto.Marshal(proto.StatusArgs{Ref: ref}))
+	defer resp.Release()
 	if err != nil {
 		return proto.Status{}, err
 	}
@@ -625,12 +629,13 @@ type dirPatch func(entries []proto.DirEntry, resp rpc.Response) []proto.DirEntry
 // whole-file transfer per mutation. The prototype cannot patch (its
 // validation compares versions with the custodian, which incremented), so
 // there the stale listing is dropped.
-func (v *Venus) dirCall(p *sim.Proc, dir string, op uint16, body []byte, patch dirPatch) (rpc.Response, error) {
+func (v *Venus) dirCall(p *sim.Proc, dir string, op uint16, body []byte, patch dirPatch) error {
 	ref, err := v.refFor(p, dir)
 	if err != nil {
-		return rpc.Response{}, err
+		return err
 	}
 	resp, err := v.call(p, ref, dir, op, body)
+	defer resp.Release()
 	if err != nil {
 		// With ReconnectRetries enabled a call may be re-issued on a fresh
 		// connection, outside the transport's at-most-once window, after an
@@ -642,12 +647,12 @@ func (v *Venus) dirCall(p *sim.Proc, dir string, op uint16, body []byte, patch d
 		// through to the drop-and-refetch path below. (A call that got no
 		// reply at all carries code 0 and is never "already done".)
 		if v.cfg.ReconnectRetries == 0 || !mutationAlreadyDone(op, resp.Code) {
-			return resp, err
+			return err
 		}
 		patch = nil
 	}
 	if v.cfg.Mode == vice.Revised && patch != nil && v.patchDir(ref.FID, patch, resp) {
-		return resp, nil
+		return nil
 	}
 	v.dropDir(dir)
 	if ref.ByFID() {
@@ -657,7 +662,7 @@ func (v *Venus) dirCall(p *sim.Proc, dir string, op uint16, body []byte, patch d
 		}
 		v.mu.Unlock()
 	}
-	return resp, nil
+	return nil
 }
 
 // mutationAlreadyDone reports whether a failed directory mutation left the
@@ -740,10 +745,9 @@ func (v *Venus) Mkdir(p *sim.Proc, path string, mode uint16) error {
 	if err != nil {
 		return err
 	}
-	_, err = v.dirCall(p, dir, proto.OpMakeDir,
+	return v.dirCall(p, dir, proto.OpMakeDir,
 		proto.Marshal(proto.NameArgs{Dir: ref, Name: name, Mode: mode}),
 		patchAdd(name, proto.TypeDir))
-	return err
 }
 
 // Remove unlinks a file or symlink.
@@ -754,7 +758,7 @@ func (v *Venus) Remove(p *sim.Proc, path string) error {
 	if err != nil {
 		return err
 	}
-	if _, err := v.dirCall(p, dir, proto.OpRemove,
+	if err := v.dirCall(p, dir, proto.OpRemove,
 		proto.Marshal(proto.NameArgs{Dir: ref, Name: name}), patchDel(name)); err != nil {
 		return err
 	}
@@ -774,7 +778,7 @@ func (v *Venus) RemoveDir(p *sim.Proc, path string) error {
 	if err != nil {
 		return err
 	}
-	if _, err := v.dirCall(p, dir, proto.OpRemoveDir,
+	if err := v.dirCall(p, dir, proto.OpRemoveDir,
 		proto.Marshal(proto.NameArgs{Dir: ref, Name: name}), patchDel(name)); err != nil {
 		return err
 	}
@@ -827,7 +831,7 @@ func (v *Venus) Rename(p *sim.Proc, from, to string) error {
 	} else {
 		patch = patchDel(fromName)
 	}
-	_, err = v.dirCall(p, fromDir, proto.OpRename, proto.Marshal(proto.RenameArgs{
+	err = v.dirCall(p, fromDir, proto.OpRename, proto.Marshal(proto.RenameArgs{
 		FromDir: fromRef, FromName: fromName, ToDir: toRef, ToName: toName,
 	}), patch)
 	if err != nil {
@@ -861,10 +865,9 @@ func (v *Venus) Symlink(p *sim.Proc, target, path string) error {
 	if err != nil {
 		return err
 	}
-	_, err = v.dirCall(p, dir, proto.OpSymlink,
+	return v.dirCall(p, dir, proto.OpSymlink,
 		proto.Marshal(proto.SymlinkArgs{Dir: ref, Name: name, Target: target}),
 		patchAdd(name, proto.TypeSymlink))
-	return err
 }
 
 // Link creates a hard link within one volume.
@@ -878,7 +881,7 @@ func (v *Venus) Link(p *sim.Proc, oldPath, newPath string) error {
 	if err != nil {
 		return err
 	}
-	_, err = v.dirCall(p, dir, proto.OpLink,
+	return v.dirCall(p, dir, proto.OpLink,
 		proto.Marshal(proto.LinkArgs{Dir: dirRef, Name: name, Target: oldRef}),
 		func(entries []proto.DirEntry, _ rpc.Response) []proto.DirEntry {
 			if !oldRef.ByFID() {
@@ -886,7 +889,6 @@ func (v *Venus) Link(p *sim.Proc, oldPath, newPath string) error {
 			}
 			return append(entries, proto.DirEntry{Name: name, FID: oldRef.FID, Type: proto.TypeFile})
 		})
-	return err
 }
 
 // SetMode changes per-file protection bits.
@@ -897,6 +899,7 @@ func (v *Venus) SetMode(p *sim.Proc, path string, mode uint16) error {
 	}
 	resp, err := v.call(p, ref, path, proto.OpSetStatus,
 		proto.Marshal(proto.SetStatusArgs{Ref: ref, SetMode: true, Mode: mode}))
+	defer resp.Release()
 	if err != nil {
 		return err
 	}
@@ -921,10 +924,11 @@ func (v *Venus) GetACL(p *sim.Proc, dir string) ([]byte, error) {
 		return nil, err
 	}
 	resp, err := v.call(p, ref, dir, proto.OpGetACL, proto.Marshal(proto.ACLArgs{Dir: ref}))
+	defer resp.Release()
 	if err != nil {
 		return nil, err
 	}
-	return resp.Body, nil
+	return append([]byte(nil), resp.Body...), nil
 }
 
 // SetACL replaces the access list of a directory.
@@ -933,7 +937,8 @@ func (v *Venus) SetACL(p *sim.Proc, dir string, acl []byte) error {
 	if err != nil {
 		return err
 	}
-	_, err = v.call(p, ref, dir, proto.OpSetACL, proto.Marshal(proto.ACLArgs{Dir: ref, ACL: acl}))
+	resp, err := v.call(p, ref, dir, proto.OpSetACL, proto.Marshal(proto.ACLArgs{Dir: ref, ACL: acl}))
+	resp.Release()
 	return err
 }
 
@@ -943,7 +948,8 @@ func (v *Venus) Lock(p *sim.Proc, path string, exclusive bool) error {
 	if err != nil {
 		return err
 	}
-	_, err = v.call(p, ref, path, proto.OpSetLock, proto.Marshal(proto.LockArgs{Ref: ref, Exclusive: exclusive}))
+	resp, err := v.call(p, ref, path, proto.OpSetLock, proto.Marshal(proto.LockArgs{Ref: ref, Exclusive: exclusive}))
+	resp.Release()
 	return err
 }
 
@@ -953,6 +959,7 @@ func (v *Venus) Unlock(p *sim.Proc, path string) error {
 	if err != nil {
 		return err
 	}
-	_, err = v.call(p, ref, path, proto.OpReleaseLock, proto.Marshal(proto.LockArgs{Ref: ref}))
+	resp, err := v.call(p, ref, path, proto.OpReleaseLock, proto.Marshal(proto.LockArgs{Ref: ref}))
+	resp.Release()
 	return err
 }

@@ -225,10 +225,14 @@ func (v *Venus) bulkTestValid(p *sim.Proc, servers []string, args proto.BulkTest
 			}
 			return proto.BulkTestValidReply{}, err
 		}
-		if !resp.OK() {
-			return proto.BulkTestValidReply{}, proto.CodeToErr(resp.Code, string(resp.Body))
+		var reply proto.BulkTestValidReply
+		if resp.OK() {
+			reply, err = proto.Unmarshal(resp.Body, proto.DecodeBulkTestValidReply)
+		} else {
+			err = proto.CodeToErr(resp.Code, string(resp.Body))
 		}
-		return proto.Unmarshal(resp.Body, proto.DecodeBulkTestValidReply)
+		resp.Release()
+		return reply, err
 	}
 }
 

@@ -606,6 +606,7 @@ func (v *Venus) testValid(p *sim.Proc, ref proto.Ref, version uint64) (bool, uin
 	// fingerprint goldens pin every hop.
 	resp, err := v.call(p, proto.Ref{Path: ref.Path}, ref.Path, proto.OpTestValid,
 		proto.Marshal(proto.TestValidArgs{Ref: ref, Version: version}))
+	defer resp.Release()
 	if err != nil {
 		return false, 0, err
 	}
@@ -632,6 +633,12 @@ func (v *Venus) fetchEntry(p *sim.Proc, ref proto.Ref, path string, flags OpenFl
 	})
 	if err != nil {
 		return nil, err
+	}
+	if v.cfg.Blocks == nil {
+		// A dedup index keeps the fetched bytes by reference, so such a
+		// reply is never released; Blocks is a simulator setting, where
+		// releasing does nothing anyway.
+		defer resp.Release()
 	}
 	if resp.Code == proto.CodeNoEnt && flags&FlagCreate != 0 {
 		return v.createFile(p, path)
@@ -677,6 +684,7 @@ func (v *Venus) createFile(p *sim.Proc, path string) (*entry, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer resp.Release()
 	if resp.Code == proto.CodeExist {
 		// The file appeared between our lookup and the create — either a
 		// concurrent creator won, or our own earlier attempt executed but
@@ -705,7 +713,7 @@ func (v *Venus) createFile(p *sim.Proc, path string) (*entry, error) {
 // and every caller reads the cache file next. The caller gives data up (it is
 // a reply's Bulk): from wire.KeepField's size on, the buffer the transfer
 // landed in becomes the cache file's contents; smaller files are copied out
-// of their frame.
+// of their frame, which the caller then releases.
 func (v *Venus) installEntry(path string, st proto.Status, data []byte, now sim.Time) (*entry, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -1010,6 +1018,7 @@ func (v *Venus) storeEntry(p *sim.Proc, e *entry) error {
 	if err != nil {
 		return err
 	}
+	defer resp.Release()
 	if !resp.OK() {
 		return proto.CodeToErr(resp.Code, string(resp.Body))
 	}

@@ -274,7 +274,8 @@ func (t *CallbackTable) revoke(p *sim.Proc, back rpc.Backchannel, args proto.Cal
 	if !t.on || back == nil {
 		return
 	}
-	_, _ = back.CallBack(p, rpc.Request{Op: rpc.Op(proto.OpCallbackBreak), Body: proto.Marshal(args)})
+	resp, _ := back.CallBack(p, rpc.Request{Op: rpc.Op(proto.OpCallbackBreak), Body: proto.Marshal(args)})
+	resp.Release()
 }
 
 // countRPC bumps the delivered-RPC counters for one break RPC carrying n
@@ -332,7 +333,8 @@ func (t *CallbackTable) flush(fp *sim.Proc, back rpc.Backchannel) {
 			}
 			t.countRPC(len(chunk))
 			// A dead workstation just times out; the promise is already gone.
-			_, _ = back.CallBack(fp, req)
+			resp, _ := back.CallBack(fp, req)
+			resp.Release()
 			for _, it := range chunk {
 				it.done.Set(struct{}{})
 			}
