@@ -18,6 +18,9 @@ go build ./...
 # analyzers are held to their own rules. A finding fails CI.
 go build -o itcvet ./tools/itcvet
 go vet -vettool="$(pwd)/itcvet" ./...
+# The benchmark is its own module (bench/go.mod), which ./... does not reach.
+# It compiles against the Peer API, so it is vetted the same two ways.
+(cd bench && go vet ./... && go vet -vettool="$(pwd)/../itcvet" ./...)
 rm -f itcvet
 # The lock-order graph — byte-identical across runs, acyclic, and equal to
 # the copy embedded in DESIGN.md section 7 — is checked by tools/itcvet's
@@ -47,9 +50,12 @@ go test ./...
 
 # The real transport lends every frame under the hand-over size from a pool
 # and takes it back: a reply read after its buffer was lent again would be
-# another call's bytes. Such a race shows rarely, so the test that crosses
-# every tier under concurrent calls and callbacks runs twenty times more.
-go test -race -count=20 -run='^TestPeerLentBuffersUnderLoad$' ./internal/rpc
+# another call's bytes. Its calls wait on pooled slots, each a channel and a
+# deadline timer, which a reply racing its deadline could leave holding a
+# stale outcome or a stale fire. Such races show rarely, so the test that
+# crosses every tier under concurrent calls and callbacks, and the two that
+# put calls' deadlines against their replies, run twenty times more.
+go test -race -count=20 -run='^(TestPeerLentBuffersUnderLoad|TestPeerReusedChannelsCarryNoStaleOutcome|TestSimCallbackIsImpatientCallIsNot)$' ./internal/rpc
 
 # The benchmark is its own module (bench/go.mod), so ./... above does not
 # reach it; its tests check BENCHMARK.json against bench/spec.go and drive

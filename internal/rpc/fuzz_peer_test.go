@@ -85,7 +85,7 @@ func FuzzPeerFrames(f *testing.F) {
 		// over input until the input ends, which must leave the peer closed;
 		// then waits for every call it dispatched to have been served.
 		readAll := func(box *secure.Box, input []byte) {
-			p := newPeer(scriptConn{bytes.NewReader(input)}, box, "satya", "satya", srv)
+			p := newPeer(scriptConn{bytes.NewReader(input)}, box, "satya", "satya", srv, true)
 			p.readLoop()
 			<-p.Done()
 			p.routines.Wait()

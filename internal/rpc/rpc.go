@@ -6,15 +6,23 @@
 // a pool of worker goroutines, each parked between calls and handed the next
 // one, as the paper's LWPs are — not a goroutine created per call.
 //
-// Two interchangeable transports carry the same sealed bytes:
+// What a call means is written once, in the call core (call.go): the call
+// table, a deadline per attempt (60 s unless an EndpointConfig says
+// otherwise), the callback policy (a server breaking a promise makes one
+// attempt under a quarter of the deadline), the trace header taken from the
+// caller's rpc.call span, and the serve path into Server.Dispatch. Two
+// interchangeable carriers run it over the same sealed bytes:
 //
 //   - Endpoint (sim.go) runs over the simulated campus network in virtual
-//     time, charging server CPU and disk per call through a CostModel. The
+//     time, charging server CPU and disk per call through a CostModel. Its
+//     network loses and duplicates frames, so its calls retry under a
+//     RetryPolicy and its servers keep an at-most-once reply cache. The
 //     evaluation harness uses it.
 //   - Peer (tcp.go) runs over any io.ReadWriteCloser, typically a TCP
-//     connection. cmd/itcfsd and cmd/itcfs use it.
+//     connection, whose stream neither loses nor duplicates a frame: one
+//     attempt per call, no reply cache. cmd/itcfsd and cmd/itcfs use it.
 //
-// Both transports are full duplex: either side may register a Server and
+// Both carriers are full duplex: either side may register a Server and
 // receive calls, which is how Vice breaks callbacks to Venus.
 package rpc
 
@@ -147,10 +155,11 @@ func (s *Server) HandleFallback(fn HandlerFunc) {
 }
 
 // Observe names the tracer and the registry that every Peer built on this
-// server from now on starts out with, as if by SetTracer and SetMetrics
-// before its read loop began: AcceptPeer starts that loop itself, so a peer
-// configured only afterwards serves its first call or two unobserved. Either
-// may be nil.
+// server from now on reports its calls and serves to, from its first: the
+// tracer records them and puts the rpc.call span's context in each call's
+// header. AcceptPeer starts serving before it returns, so a peer configured
+// only afterwards (SetMetrics) serves its first call or two unobserved.
+// Either may be nil.
 func (s *Server) Observe(t *trace.Tracer, reg *trace.Registry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -187,11 +196,35 @@ const (
 	kindClose     = 7
 )
 
+// dialHandshake runs the dialing side of the four-message handshake as
+// user and returns the session's box. step sends one message of the given
+// kind (kindHello, then kindProof) and returns the far side's answer.
+func dialHandshake(user string, key secure.Key, step func(kind uint8, msg []byte) ([]byte, error)) (*secure.Box, error) {
+	hs := secure.NewClientHandshake(user, key)
+	challenge, err := step(kindHello, hs.Hello())
+	if err != nil {
+		return nil, err
+	}
+	proof, err := hs.Proof(challenge)
+	if err != nil {
+		return nil, err
+	}
+	final, err := step(kindProof, proof)
+	if err != nil {
+		return nil, err
+	}
+	session, err := hs.Session(final)
+	if err != nil {
+		return nil, err
+	}
+	return secure.NewBox(session), nil
+}
+
 // A call or reply packet is a small head followed by the raw Bulk bytes. The
 // head encoders below are the one definition of that layout: the simulated
-// transport appends Bulk and seals the whole (sealCall, sealReply), the real
-// one hands head and Bulk separately to secure.Box.SealFrame (Peer.send),
-// and the bytes sealed are the same either way.
+// transport appends Bulk and seals the whole (sealPacket), the real one hands
+// head and Bulk separately to secure.Box.SealFrame (Peer.send), and the bytes
+// sealed are the same either way.
 
 // encodeCallHead appends a call packet up to and including Bulk's length
 // prefix: seq, trace context, op, body. The trace header is always present —
@@ -205,14 +238,13 @@ func encodeCallHead(e *wire.Encoder, seq uint32, tc wire.TraceHeader, req Reques
 	e.U32(uint32(len(req.Bulk)))
 }
 
-// sealCall encodes and seals a call packet in one step: the plaintext lives
-// only in a pooled scratch buffer, never in a fresh allocation of its own.
-// With bulk transfers riding in call bodies that intermediate copy was a
-// measurable slice of the simulator's allocation volume.
-func sealCall(box *secure.Box, seq uint32, tc wire.TraceHeader, req Request) []byte {
-	e := wire.GetEncoder()
-	encodeCallHead(e, seq, tc, req)
-	e.Raw(req.Bulk)
+// sealPacket seals the packet whose head e holds, followed by bulk, as one
+// record, and returns e to its pool: the plaintext lives only in that pooled
+// scratch buffer, never in a fresh allocation of its own. With whole files
+// riding in Bulk, that intermediate copy was a measurable slice of the
+// simulator's allocation volume.
+func sealPacket(box *secure.Box, e *wire.Encoder, bulk []byte) []byte {
+	e.Raw(bulk)
 	sealed := box.Seal(e.Buf())
 	wire.PutEncoder(e)
 	return sealed
@@ -249,17 +281,6 @@ func encodeReplyHead(e *wire.Encoder, seq uint32, svc time.Duration, resp Respon
 	e.U16(resp.Code)
 	e.Bytes(resp.Body)
 	e.U32(uint32(len(resp.Bulk)))
-}
-
-// sealReply is the reply-side sealCall. Fetch replies carry whole files in
-// Bulk, so the skipped plaintext copy is the file.
-func sealReply(box *secure.Box, seq uint32, svc time.Duration, resp Response) []byte {
-	e := wire.GetEncoder()
-	encodeReplyHead(e, seq, svc, resp)
-	e.Raw(resp.Bulk)
-	sealed := box.Seal(e.Buf())
-	wire.PutEncoder(e)
-	return sealed
 }
 
 // decodeReply decodes a reply packet. Body and Bulk alias plain (see

@@ -10,6 +10,7 @@ import (
 	"itcfs/internal/secure"
 	"itcfs/internal/sim"
 	"itcfs/internal/trace"
+	"itcfs/internal/wire"
 )
 
 // pkt is the unit carried through the simulated network. Data is real
@@ -114,7 +115,8 @@ type EndpointConfig struct {
 	Meters Meters
 	// AuthCost is charged per handshake message served.
 	AuthCost Cost
-	// CallTimeout bounds Dial and Call waits; 0 means 60 simulated seconds.
+	// CallTimeout bounds Dial and Call waits; 0 means 60 simulated seconds,
+	// the deadline every Peer has.
 	CallTimeout time.Duration
 	// Retry enables bounded retransmission with exponential backoff and
 	// jitter; the zero value keeps the original single-attempt behavior.
@@ -160,20 +162,17 @@ type Endpoint struct {
 	// this endpoint (server endpoints only). Nil without a registry.
 	mInflight *trace.Gauge
 
-	// Cached handles for the per-call metrics. Registry lookups hash the
-	// metric name under a mutex; resolving once at construction keeps the
-	// call hot path free of them. All are nil (and their methods no-ops)
-	// without a registry. The cell-wide counters every endpoint shares by
-	// name are striped: mShard (this endpoint's node-name hash) pins each
-	// machine's increments to one shard, so 30k clients retrying at once
-	// don't serialize on a single cache line.
-	mShard    uint64
-	mRetries  *trace.StripedCounter
-	mTimeouts *trace.StripedCounter
-	mReplays  *trace.StripedCounter
-	mDupSup   *trace.StripedCounter
-	mServeLat *trace.Histogram
-	mCallLat  *trace.Histogram
+	// The instruments every connection of this endpoint reports through,
+	// and the simulator's own: handles resolved once at construction, all
+	// nil (and their methods no-ops) without a registry. The cell-wide
+	// counters every endpoint shares by name are striped: obs.shard (this
+	// endpoint's node-name hash) pins each machine's increments to one
+	// shard, so 30k clients retrying at once don't serialize on a single
+	// cache line.
+	obs      observers
+	mRetries *trace.StripedCounter
+	mReplays *trace.StripedCounter
+	mDupSup  *trace.StripedCounter
 }
 
 type inKey struct {
@@ -181,45 +180,32 @@ type inKey struct {
 	conn uint64
 }
 
-type callKey struct {
-	conn uint64
-	seq  uint32
-}
-
-type outcome struct {
-	resp Response
-	err  error
-	svc  time.Duration // server-reported service time, echoed in the reply
-	pkt  *pkt          // the reply packet, carrying its network delays
-}
-
 // SimConn is one end of an authenticated connection: the end that dialed
 // (kept in Endpoint.outbound under id) or the end that accepted (kept in
-// Endpoint.inbound under {remote, id}). Both ends place calls, match replies
-// and dedupe inbound calls the same way; they differ in how the handshake
-// gets them a box and in how patiently they call (see CallBack).
+// Endpoint.inbound under {remote, id}). Both ends are carriers of the call
+// core (call.go) and dedupe inbound calls the same way; they differ in how
+// the handshake gets them a box and in how patiently they call (CallBack).
+// A future is a pending call's slot.
 type SimConn struct {
-	ep      *Endpoint
-	remote  netsim.NodeID
-	id      uint64 // the dialer's connection number, as carried in every packet
-	user    string // the identity the dialer authenticated as
-	box     *secure.Box
-	nextSeq uint32
-	pending map[uint32]*sim.Future[outcome]
-	serve   *replyCache // dedupes inbound calls
-	closed  bool
+	core[*sim.Future[outcome]]
+
+	ep     *Endpoint
+	remote netsim.NodeID
+	id     uint64 // the dialer's connection number, as carried in every packet
+	user   string // the identity the dialer authenticated as
+	box    *secure.Box
+	cache  *replyCache // dedupes inbound calls
 
 	hsReply *sim.Future[[]byte] // dialing end: in-flight handshake step
 
-	accepted bool                    // accepting end
-	hs       *secure.ServerHandshake // accepting end: handshake in progress
-	hsFinal  []byte                  // accepting end: final handshake message, resent on duplicate proofs
+	hs      *secure.ServerHandshake // accepting end: handshake in progress
+	hsFinal []byte                  // accepting end: final handshake message, resent on duplicate proofs
 }
 
 // NewEndpoint attaches an endpoint to node and registers its receive sink.
 func NewEndpoint(net *netsim.Network, node *netsim.Node, cfg EndpointConfig) *Endpoint {
 	if cfg.CallTimeout == 0 {
-		cfg.CallTimeout = 60 * time.Second
+		cfg.CallTimeout = defaultCallTimeout
 	}
 	if cfg.Retry.Attempts < 1 {
 		cfg.Retry.Attempts = 1
@@ -240,13 +226,10 @@ func NewEndpoint(net *netsim.Network, node *netsim.Node, cfg EndpointConfig) *En
 		// registry with idle series.
 		ep.mInflight = cfg.Metrics.Gauge(trace.RPCInflightGauge(node.Name))
 	}
-	ep.mShard = trace.ShardKey(node.Name)
+	ep.obs = newObservers(cfg.Tracer, cfg.Metrics, node.Name)
 	ep.mRetries = cfg.Metrics.Striped(trace.MetricRPCRetries)
-	ep.mTimeouts = cfg.Metrics.Striped(trace.MetricRPCCallTimeouts)
 	ep.mReplays = cfg.Metrics.Striped(trace.MetricRPCReplyCacheReplays)
 	ep.mDupSup = cfg.Metrics.Striped(trace.MetricRPCDupSuppressed)
-	ep.mServeLat = cfg.Metrics.Histogram(trace.MetricRPCServeLatency)
-	ep.mCallLat = cfg.Metrics.Histogram(trace.MetricRPCCallLatency)
 	node.SetSink(ep.deliver)
 	return ep
 }
@@ -430,7 +413,7 @@ func (ep *Endpoint) handleCall(pk *pkt) {
 			return // unknown or unauthenticated connection
 		}
 	}
-	box, serve := c.box, c.serve
+	box, cache := c.box, c.cache
 	user := "" // a call arriving on a connection we dialed is the server's, not a user's
 	if c.accepted {
 		user = c.user
@@ -451,60 +434,55 @@ func (ep *Endpoint) handleCall(pk *pkt) {
 	// the original is still executing (its reply will cover both frames).
 	// The cached sealed reply carries the original execution's service
 	// time, so replays attribute latency truthfully.
-	if sealed, ok := serve.done[seq]; ok {
+	if sealed, ok := cache.done[seq]; ok {
 		ep.dupSuppressed++
-		ep.mReplays.Inc(ep.mShard)
+		ep.mReplays.Inc(ep.obs.shard)
 		ep.send(pk.From, &pkt{Conn: pk.Conn, Kind: kindReply, Data: sealed})
 		return
 	}
-	if serve.inflight[seq] {
+	if cache.inflight[seq] {
 		ep.dupSuppressed++
-		ep.mDupSup.Inc(ep.mShard)
+		ep.mDupSup.Inc(ep.obs.shard)
 		return
 	}
-	serve.inflight[seq] = true
+	cache.inflight[seq] = true
 	ep.callCounts[req.Op]++
 	ep.callsTotal++
 	ep.mInflight.Add(1)
 	ep.k.Spawn(workerName(req.Op), func(p *sim.Proc) {
 		defer ep.mInflight.Add(-1)
-		started := p.Now()
-		sp := ep.cfg.Tracer.BeginRemote(p, tc, trace.SpanRPCServe, ep.node.Name)
-		sp.SetInt(trace.AttrOp, int64(req.Op))
-		ctx := Ctx{User: user, Peer: ep.net.Node(pk.From).Name, Back: c, Proc: p, Span: sp}
-		resp := ep.cfg.Server.Dispatch(ctx, req)
-		if ep.cfg.Model != nil {
-			ep.cfg.Meters.charge(p, ep.cfg.Model(ctx, req, resp))
-		}
+		ctx := Ctx{User: user, Peer: ep.net.Node(pk.From).Name, Back: c, Proc: p}
 		// Service time spans dispatch plus cost charges: the whole interval
 		// this server held the call, which the reply echoes to the client.
-		svc := p.Now().Sub(started)
+		resp, svc := c.serve(p, ep.cfg.Server, ctx, tc, req, ep.charge)
 		if ep.cfg.Observe != nil {
 			ep.cfg.Observe(ctx, req, resp, svc)
 		}
-		ep.mServeLat.Observe(svc)
-		sp.End()
-		sealed := sealReply(box, seq, svc, resp)
-		serve.finish(seq, sealed)
+		e := wire.GetEncoder()
+		encodeReplyHead(e, seq, svc, resp)
+		sealed := sealPacket(box, e, resp.Bulk)
+		cache.finish(seq, sealed)
 		ep.send(pk.From, &pkt{Conn: pk.Conn, Kind: kindReply, Data: sealed})
 	})
 }
 
-// handleReply resolves the pending future for a reply to a call this
-// endpoint originated — on an outbound connection, or a callback on an
-// inbound one.
+// charge bills a served call to the endpoint's meters under its cost model.
+func (ep *Endpoint) charge(ctx Ctx, req Request, resp Response) {
+	if ep.cfg.Model != nil {
+		ep.cfg.Meters.charge(ctx.Proc, ep.cfg.Model(ctx, req, resp))
+	}
+}
+
+// handleReply hands a reply to the call this endpoint originated that is
+// waiting for it — on an outbound connection, or a callback on an inbound one.
 func (ep *Endpoint) handleReply(pk *pkt) {
 	c := ep.outbound[pk.Conn]
 	if c == nil || c.remote != pk.From {
 		c = ep.inbound[inKey{pk.From, pk.Conn}]
 	}
-	if c != nil && c.box != nil {
-		c.resolve(pk)
+	if c == nil || c.box == nil {
+		return
 	}
-}
-
-// resolve hands a reply packet to the call waiting for it.
-func (c *SimConn) resolve(pk *pkt) {
 	plain, err := c.box.Open(pk.Data)
 	if err != nil {
 		return
@@ -513,22 +491,27 @@ func (c *SimConn) resolve(pk *pkt) {
 	if err != nil {
 		return
 	}
-	if f := c.pending[seq]; f != nil {
-		delete(c.pending, seq)
+	if f, ok := c.take(seq); ok {
 		f.TrySet(outcome{resp: resp, svc: svc, pkt: pk})
 	}
 }
 
 // newConn returns the state both ends of a connection start from.
 func (ep *Endpoint) newConn(remote netsim.NodeID, id uint64, user string) *SimConn {
-	return &SimConn{
-		ep:      ep,
-		remote:  remote,
-		id:      id,
-		user:    user,
-		pending: make(map[uint32]*sim.Future[outcome]),
-		serve:   newReplyCache(),
+	c := &SimConn{
+		core: core[*sim.Future[outcome]]{
+			pending:  make(map[uint32]*sim.Future[outcome]),
+			attempts: ep.cfg.Retry.Attempts,
+			timeout:  ep.cfg.CallTimeout,
+		},
+		ep:     ep,
+		remote: remote,
+		id:     id,
+		user:   user,
+		cache:  newReplyCache(),
 	}
+	c.obs.Store(&ep.obs)
+	return c
 }
 
 // Dial establishes an authenticated connection to the endpoint on the
@@ -538,29 +521,12 @@ func (ep *Endpoint) Dial(p *sim.Proc, remote netsim.NodeID, user string, key sec
 	ep.nextConn++
 	c := ep.newConn(remote, ep.nextConn, user)
 	ep.outbound[c.id] = c
-	hs := secure.NewClientHandshake(user, key)
-
-	challenge, err := c.handshakeStep(p, kindHello, hs.Hello())
+	box, err := dialHandshake(user, key, func(kind uint8, msg []byte) ([]byte, error) { return c.handshakeStep(p, kind, msg) })
 	if err != nil {
 		delete(ep.outbound, c.id)
 		return nil, err
 	}
-	proof, err := hs.Proof(challenge)
-	if err != nil {
-		delete(ep.outbound, c.id)
-		return nil, err
-	}
-	final, err := c.handshakeStep(p, kindProof, proof)
-	if err != nil {
-		delete(ep.outbound, c.id)
-		return nil, err
-	}
-	session, err := hs.Session(final)
-	if err != nil {
-		delete(ep.outbound, c.id)
-		return nil, err
-	}
-	c.box = secure.NewBox(session)
+	c.box = box
 	return c, nil
 }
 
@@ -588,11 +554,15 @@ func (c *SimConn) handshakeStep(p *sim.Proc, kind uint8, data []byte) ([]byte, e
 	return nil, fmt.Errorf("%w: handshake timeout to node %d", ErrUnreachable, c.remote)
 }
 
+// pause precedes attempt a (a >= 1) of a call of op: it implements carrier
+// with retryPause.
+func (c *SimConn) pause(p *sim.Proc, op Op, a int) { c.retryPause(p, "op", int(op), a) }
+
 // retryPause counts and logs the retransmission that attempt a (a >= 1) is,
 // then sleeps its backoff. what and n name the thing retried.
 func (c *SimConn) retryPause(p *sim.Proc, what string, n, a int) {
 	c.ep.retries++
-	c.ep.mRetries.Inc(c.ep.mShard)
+	c.ep.mRetries.Inc(c.ep.obs.shard)
 	if fl := c.ep.cfg.Flight; fl != nil {
 		fl.Log(trace.EventRPCRetry, c.ep.node.Name,
 			fmt.Sprintf("%s %d attempt %d to node %d", what, n, a+1, c.remote))
@@ -609,73 +579,56 @@ func (c *SimConn) User() string { return c.user }
 // server's at-most-once cache executes the operation exactly once no matter
 // how often frames are lost or duplicated in flight.
 func (c *SimConn) Call(p *sim.Proc, req Request) (Response, error) {
-	return c.call(p, req, c.ep.cfg.Retry.Attempts, c.ep.cfg.CallTimeout, false)
+	return c.call(c, p, req, false)
 }
 
-// call is the one call routine: attempts tries of timeout each, all under one
-// sequence number. callback only words the timeout error.
-func (c *SimConn) call(p *sim.Proc, req Request, attempts int, timeout time.Duration, callback bool) (Response, error) {
-	if c.closed || c.box == nil {
-		return Response{}, ErrClosed
-	}
-	// A callback rides the worker's ambient serve span, so the break appears
-	// in the same distributed trace as the mutation that caused it.
-	sp := c.ep.cfg.Tracer.Begin(p, trace.SpanRPCCall, c.ep.node.Name)
-	sp.SetInt(trace.AttrOp, int64(req.Op))
-	started := p.Now()
-	c.nextSeq++
-	seq := c.nextSeq
-	tc := sp.Context()
-	var lastErr error
-	for a := 0; a < attempts; a++ {
-		if a > 0 {
-			c.retryPause(p, "op", int(req.Op), a)
-			if c.closed {
-				sp.End()
-				return Response{}, lastErr
-			}
-		}
-		f := sim.NewFuture[outcome](c.ep.k)
-		c.pending[seq] = f
-		// Re-encoding on retry is cheaper than keeping the plaintext alive
-		// across the call; each attempt seals fresh (new nonce) regardless.
-		reqPkt := &pkt{Conn: c.id, Kind: kindCall, Data: sealCall(c.box, seq, tc, req)}
-		c.ep.send(c.remote, reqPkt)
-		c.ep.k.After(timeout, func() {
-			if f.Done() {
-				return // answered; don't build the timeout error
-			}
-			if callback {
-				f.Set(outcome{err: fmt.Errorf("%w: callback op %d", ErrTimeout, req.Op)})
-			} else {
-				f.Set(outcome{err: fmt.Errorf("%w: op %d to node %d", ErrTimeout, req.Op, c.remote)})
-			}
-			if c.pending[seq] == f {
-				delete(c.pending, seq)
-			}
-		})
-		out := f.Wait(p)
-		if out.err == nil {
-			c.ep.finishCall(sp, p, started, reqPkt, out)
-			return out.resp, nil
-		}
-		c.ep.mTimeouts.Inc(c.ep.mShard)
-		lastErr = out.err
-	}
-	sp.End()
-	return Response{}, lastErr
+// CallBack places a call in the direction a callback travels: on the
+// accepting end, the server breaking a promise, as impatiently as the call
+// core's policy says; on the dialing end, an ordinary call — the client
+// reaches the server the same way in both roles. It implements Backchannel.
+func (c *SimConn) CallBack(p *sim.Proc, req Request) (Response, error) {
+	return c.call(c, p, req, c.accepted)
 }
 
-// finishCall stamps network and server accounting on a completed call span
-// and records client-observed latency. Attribution reads the delays netsim
-// accumulated on the request packet of the answered attempt and on the reply
-// packet, plus the service time the server echoed in the reply. On a
-// fault-free network every call is one attempt and the components sum
-// exactly to the span's duration; under retries the reply may answer an
-// earlier attempt, so attribution is approximate.
-func (ep *Endpoint) finishCall(sp *trace.Span, p *sim.Proc, started sim.Time, reqPkt *pkt, out outcome) {
+// exchange sends one attempt of a call and parks p until its reply or its
+// deadline, a timer event, resolves the attempt's future. It implements
+// carrier.
+func (c *SimConn) exchange(p *sim.Proc, sp *trace.Span, seq uint32, tc wire.TraceHeader, req Request, d time.Duration, callback bool) outcome {
+	f := sim.NewFuture[outcome](c.ep.k)
+	c.put(seq, f)
+	// Re-encoding on retry is cheaper than keeping the plaintext alive
+	// across the call; each attempt seals fresh (new nonce) regardless.
+	e := wire.GetEncoder()
+	encodeCallHead(e, seq, tc, req)
+	reqPkt := &pkt{Conn: c.id, Kind: kindCall, Data: sealPacket(c.box, e, req.Bulk)}
+	c.ep.send(c.remote, reqPkt)
+	c.ep.k.After(d, func() {
+		if f.Done() {
+			return // answered; don't build the timeout error
+		}
+		if callback {
+			f.Set(outcome{err: fmt.Errorf("%w: callback op %d", ErrTimeout, req.Op)})
+		} else {
+			f.Set(outcome{err: fmt.Errorf("%w: op %d to node %d", ErrTimeout, req.Op, c.remote)})
+		}
+		c.take(seq)
+	})
+	out := f.Wait(p)
+	if out.err == nil {
+		attribute(sp, reqPkt, out.pkt)
+	}
+	return out
+}
+
+// attribute stamps the network's share of a completed call on its span: the
+// delays netsim accumulated on the request packet of the answered attempt and
+// on the reply packet. With the service time the server echoed, which the
+// call core stamps next, on a fault-free network every call is one attempt
+// and the components sum exactly to the span's duration; under retries the
+// reply may answer an earlier attempt, so attribution is approximate.
+func attribute(sp *trace.Span, reqPkt, rp *pkt) {
 	q, s, pr := reqPkt.queueDelay, reqPkt.serialDelay, reqPkt.propDelay
-	if rp := out.pkt; rp != nil {
+	if rp != nil {
 		q += rp.queueDelay
 		s += rp.serialDelay
 		pr += rp.propDelay
@@ -683,32 +636,17 @@ func (ep *Endpoint) finishCall(sp *trace.Span, p *sim.Proc, started sim.Time, re
 	sp.SetInt(trace.AttrNetQueueNs, int64(q))
 	sp.SetInt(trace.AttrNetSerialNs, int64(s))
 	sp.SetInt(trace.AttrNetPropNs, int64(pr))
-	sp.SetInt(trace.AttrServerNs, int64(out.svc))
-	sp.End()
-	ep.mCallLat.Observe(p.Now().Sub(started))
 }
 
-// Close tears down the connection; the server forgets its state.
-func (c *SimConn) Close() {
-	if c.closed {
-		return
+// Close tears down the connection; the server forgets its state. The
+// simulated network drops the replies of a closed connection, so calls still
+// pending on it run to their deadlines, as they always have.
+func (c *SimConn) Close() error {
+	if _, first := c.shut(); first {
+		c.ep.send(c.remote, &pkt{Conn: c.id, Kind: kindClose})
+		delete(c.ep.outbound, c.id)
 	}
-	c.closed = true
-	c.ep.send(c.remote, &pkt{Conn: c.id, Kind: kindClose})
-	delete(c.ep.outbound, c.id)
-}
-
-// CallBack places a call in the direction a callback travels. On the
-// accepting end that is the server breaking a promise: one attempt, and a
-// quarter of the call timeout, because a dead cache holder must not stall a
-// mutation for the caller's full call deadline. On the dialing end it is an
-// ordinary call — the client reaches the server the same way in both roles.
-// It implements Backchannel.
-func (c *SimConn) CallBack(p *sim.Proc, req Request) (Response, error) {
-	if !c.accepted {
-		return c.Call(p, req)
-	}
-	return c.call(p, req, 1, c.ep.cfg.CallTimeout/4, true)
+	return nil
 }
 
 // BackUser returns the identity the connection authenticated as.

@@ -3,6 +3,7 @@ package rpc
 import (
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -10,13 +11,23 @@ import (
 	"itcfs/internal/sim"
 )
 
-// TestSimCallbackIsImpatientCallIsNot pins how one endpoint calls in its two
-// directions, now that both run the same routine: a callback on an accepted
-// connection to a dead workstation is attempted once and gives up after a
-// quarter of the call timeout (a dead cache holder must not stall a mutation),
-// while an ordinary call on a connection the same endpoint dialed retries
-// under its RetryPolicy for the full timeout each time.
+// TestSimCallbackIsImpatientCallIsNot pins how one end calls in its two
+// directions, now that both carriers run the call core's one routine: a
+// callback on an accepted connection to a hung workstation is attempted once
+// and gives up after a quarter of the call timeout (a dead cache holder must
+// not stall a mutation), while an ordinary call on a connection the same
+// side dialed waits the full timeout for each attempt — in the simulator,
+// every attempt its RetryPolicy allows; on a Peer, its one. At the parent
+// commit both of the Peer's calls waited for ever.
 func TestSimCallbackIsImpatientCallIsNot(t *testing.T) {
+	t.Run("sim", testSimCallbackIsImpatient)
+	t.Run("peer", testPeerCallbackIsImpatient)
+}
+
+// testSimCallbackIsImpatient: in virtual time, with both far ends crashed,
+// the server's CallBack costs a quarter of its 8 s timeout and its Call three
+// attempts of the whole timeout with their backoffs.
+func testSimCallbackIsImpatient(t *testing.T) {
 	k := sim.NewKernel()
 	net := netsim.New(k, netsim.ITCDefaults())
 	cl := net.AddCluster("c0")
@@ -77,5 +88,42 @@ func TestSimCallbackIsImpatientCallIsNot(t *testing.T) {
 	// Three attempts of the full timeout, with backoffs of 1 s and 2 s between.
 	if want := 3*timeout + 3*time.Second; callTook != want || callRetries != 2 {
 		t.Errorf("call took %v with %d retries, want %v and 2", callTook, callRetries, want)
+	}
+}
+
+// testPeerCallbackIsImpatient: over real sockets, with both far sides'
+// handlers hung, the accepted end's CallBack costs one attempt and a quarter
+// of the deadline and the dialed end's Call the whole deadline.
+func testPeerCallbackIsImpatient(t *testing.T) {
+	const timeout = 600 * time.Millisecond
+	hung := make(chan struct{})
+	var arrived [2]atomic.Int32
+	hang := func(side int) *Server {
+		s := NewServer()
+		s.HandleFallback(func(Ctx, Request) Response { arrived[side].Add(1); <-hung; return Response{} })
+		return s
+	}
+	dialed, accepted := tcpPair(t, hang(0), hang(1))
+	t.Cleanup(func() { close(hung) })
+	dialed.timeout, accepted.timeout = timeout, timeout
+
+	start := clock(nil)
+	_, cbErr := accepted.CallBack(nil, Request{Op: opPoke})
+	cbTook := clock(nil).Sub(start)
+	start = clock(nil)
+	_, callErr := dialed.Call(nil, Request{Op: opEcho})
+	callTook := clock(nil).Sub(start)
+
+	if !errors.Is(cbErr, ErrTimeout) || !strings.Contains(cbErr.Error(), "callback op 3") {
+		t.Errorf("callback err = %v, want a callback timeout", cbErr)
+	}
+	if cbTook < timeout/4 || cbTook >= timeout/2 || arrived[0].Load() != 1 {
+		t.Errorf("callback took %v in %d attempts, want one of %v", cbTook, arrived[0].Load(), timeout/4)
+	}
+	if !errors.Is(callErr, ErrTimeout) || !strings.Contains(callErr.Error(), "op 1 to server") {
+		t.Errorf("call err = %v, want a call timeout", callErr)
+	}
+	if callTook < timeout || callTook >= 2*timeout || arrived[1].Load() != 1 {
+		t.Errorf("call took %v in %d attempts, want one of %v", callTook, arrived[1].Load(), timeout)
 	}
 }

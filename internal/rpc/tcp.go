@@ -3,7 +3,6 @@ package rpc
 import (
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,51 +14,42 @@ import (
 )
 
 // Peer is an authenticated, encrypted, full-duplex RPC connection over a
-// real byte stream (typically TCP). Both sides may place calls; both sides
-// may serve them. It carries exactly the bytes the simulated transport
+// real byte stream (typically TCP): the call core's second carrier (call.go),
+// whose pending calls wait on pooled slots. Both sides may place calls; both
+// sides may serve them. It carries exactly the bytes the simulated transport
 // models, so cmd/itcfsd is the same Vice the simulator evaluates.
 type Peer struct {
+	core[*slot]
+
 	conn   io.ReadWriteCloser
 	box    *secure.Box
 	user   string
 	name   string
 	server *Server
 
-	wmu sync.Mutex // serializes frame writes: held while a frame is sealed onto conn
-
-	mu      sync.Mutex
-	nextSeq uint32                  // guarded by mu
-	pending map[uint32]chan outcome // guarded by mu
-	closed  bool                    // guarded by mu
-	done    chan struct{}           // created at construction; closed (once) under mu, readable always
+	wmu  sync.Mutex    // serializes frame writes: held while a frame is sealed onto conn
+	done chan struct{} // closed by the first Close
 
 	hdr  [wire.FrameHeaderSize]byte // the read loop's own: the length prefix of the frame it reads
 	work chan job                   // a call on its way to a parked worker; unbuffered (see dispatch)
 	// routines counts the read loop and the workers, each of which exits
-	// once done is closed; spawned counts the workers ever started. Only
-	// tests read them: that Close left no worker behind, that every served
-	// call's frame is back in the pool, how large the pool grew.
+	// once done is closed; spawned counts the workers ever started; orphans
+	// counts the replies that found their caller gone. Only tests read them:
+	// that Close left no worker behind, that every served call's frame is
+	// back in the pool, how large the pool grew, that a late reply was
+	// released.
 	routines sync.WaitGroup
 	spawned  atomic.Int32
-
-	// Atomic because AcceptPeer starts the read loop itself: the first call
-	// may already be in serve when the caller gets the peer to configure.
-	// Both start out as the server's (Server.Observe).
-	tracer  atomic.Pointer[trace.Tracer]   // optional wall-clock tracer for served calls
-	metrics atomic.Pointer[trace.Registry] // optional registry for served-call latency
+	orphans  atomic.Int64
 }
 
-// SetTracer installs a tracer recording a span per call this peer serves.
-// Real clients do not propagate trace context, so each served call begins a
-// new root (see Tracer.StartRemote). Calls served before it is installed go
-// untraced (or to the tracer Server.Observe named).
-func (p *Peer) SetTracer(t *trace.Tracer) { p.tracer.Store(t) }
-
-// SetMetrics installs a registry observing the wall-clock service time of
-// every call this peer serves into the canonical rpc.serve.latency
-// histogram. Calls served before it is installed go unobserved (or to the
-// registry Server.Observe named); a nil registry is inert.
-func (p *Peer) SetMetrics(reg *trace.Registry) { p.metrics.Store(reg) }
+// SetMetrics installs a registry that this peer's calls and serves report
+// to from now on (rpc.call.latency, rpc.call.timeouts, rpc.serve.latency) in
+// place of the one Server.Observe named; a nil registry is inert.
+func (p *Peer) SetMetrics(reg *trace.Registry) {
+	o := newObservers(p.obs.Load().tracer, reg, p.name)
+	p.obs.Store(&o)
+}
 
 // maxHandshakeFrame caps the four handshake messages (each well under
 // 1 KiB: a user name plus a sealed nonce or key). Until they verify, the far
@@ -71,30 +61,11 @@ const maxHandshakeFrame = 4 << 10
 // returns a connected peer. server, which may be nil, handles calls the far
 // side places on this connection (callbacks).
 func DialPeer(conn io.ReadWriteCloser, user string, key secure.Key, server *Server) (*Peer, error) {
-	hs := secure.NewClientHandshake(user, key)
-	if err := wire.WriteFrame(conn, hs.Hello()); err != nil {
-		return nil, fmt.Errorf("rpc: handshake: %w", err)
-	}
-	challenge, err := wire.ReadFrameLimit(conn, maxHandshakeFrame)
-	if err != nil {
-		return nil, fmt.Errorf("rpc: handshake: %w", err)
-	}
-	proof, err := hs.Proof(challenge)
+	box, err := dialHandshake(user, key, func(_ uint8, msg []byte) ([]byte, error) { return frameStep(conn, msg) })
 	if err != nil {
 		return nil, err
 	}
-	if err := wire.WriteFrame(conn, proof); err != nil {
-		return nil, fmt.Errorf("rpc: handshake: %w", err)
-	}
-	final, err := wire.ReadFrameLimit(conn, maxHandshakeFrame)
-	if err != nil {
-		return nil, fmt.Errorf("rpc: handshake: %w", err)
-	}
-	session, err := hs.Session(final)
-	if err != nil {
-		return nil, err
-	}
-	p := newPeer(conn, secure.NewBox(session), user, "server", server)
+	p := newPeer(conn, box, user, "server", server, false)
 	p.start()
 	return p, nil
 }
@@ -104,20 +75,17 @@ func DialPeer(conn io.ReadWriteCloser, user string, key secure.Key, server *Serv
 // handles the client's calls.
 func AcceptPeer(conn io.ReadWriteCloser, keys secure.KeyLookup, server *Server) (*Peer, error) {
 	hs := secure.NewServerHandshake(keys)
-	hello, err := wire.ReadFrameLimit(conn, maxHandshakeFrame)
+	hello, err := frameStep(conn, nil)
 	if err != nil {
-		return nil, fmt.Errorf("rpc: handshake: %w", err)
+		return nil, err
 	}
 	challenge, err := hs.Challenge(hello)
 	if err != nil {
 		return nil, err
 	}
-	if err := wire.WriteFrame(conn, challenge); err != nil {
-		return nil, fmt.Errorf("rpc: handshake: %w", err)
-	}
-	proof, err := wire.ReadFrameLimit(conn, maxHandshakeFrame)
+	proof, err := frameStep(conn, challenge)
 	if err != nil {
-		return nil, fmt.Errorf("rpc: handshake: %w", err)
+		return nil, err
 	}
 	final, session, err := hs.Complete(proof)
 	if err != nil {
@@ -126,28 +94,57 @@ func AcceptPeer(conn io.ReadWriteCloser, keys secure.KeyLookup, server *Server) 
 	if err := wire.WriteFrame(conn, final); err != nil {
 		return nil, fmt.Errorf("rpc: handshake: %w", err)
 	}
-	p := newPeer(conn, secure.NewBox(session), hs.User(), hs.User(), server)
+	p := newPeer(conn, secure.NewBox(session), hs.User(), hs.User(), server, true)
 	p.start()
 	return p, nil
 }
 
-func newPeer(conn io.ReadWriteCloser, box *secure.Box, user, name string, server *Server) *Peer {
+// frameStep is one step of a handshake on a stream: it sends msg, if there
+// is one, and reads the far side's next message.
+func frameStep(conn io.ReadWriter, msg []byte) ([]byte, error) {
+	if msg != nil {
+		if err := wire.WriteFrame(conn, msg); err != nil {
+			return nil, fmt.Errorf("rpc: handshake: %w", err)
+		}
+	}
+	in, err := wire.ReadFrameLimit(conn, maxHandshakeFrame)
+	if err != nil {
+		return nil, fmt.Errorf("rpc: handshake: %w", err)
+	}
+	return in, nil
+}
+
+// noServer serves a peer built without a server: every call it is sent
+// gets CodeUnknownOp.
+var noServer = NewServer()
+
+// newPeer returns a peer that starts out observed as server says
+// (Server.Observe) and calls as the call core's policy says: one attempt per
+// call, under defaultCallTimeout; impatiently back, if accepted.
+func newPeer(conn io.ReadWriteCloser, box *secure.Box, user, name string, server *Server, accepted bool) *Peer {
+	if server == nil {
+		server = noServer
+	}
 	p := &Peer{
-		conn:    conn,
-		box:     box,
-		user:    user,
-		name:    name,
-		server:  server,
-		pending: make(map[uint32]chan outcome),
-		done:    make(chan struct{}),
-		work:    make(chan job),
+		core: core[*slot]{
+			pending:  make(map[uint32]*slot),
+			accepted: accepted,
+			attempts: 1,
+			timeout:  defaultCallTimeout,
+		},
+		conn:   conn,
+		box:    box,
+		user:   user,
+		name:   name,
+		server: server,
+		done:   make(chan struct{}),
+		work:   make(chan job),
 	}
-	if server != nil {
-		server.mu.RLock()
-		p.tracer.Store(server.tracer)
-		p.metrics.Store(server.metrics)
-		server.mu.RUnlock()
-	}
+	server.mu.RLock()
+	t, reg := server.tracer, server.metrics
+	server.mu.RUnlock()
+	o := newObservers(t, reg, name)
+	p.obs.Store(&o)
 	return p
 }
 
@@ -164,75 +161,112 @@ func (p *Peer) start() {
 	}()
 }
 
-// Call performs one RPC and blocks until the reply arrives or the
-// connection dies. The proc argument exists for signature compatibility
-// with the simulated transport and is ignored. The reply's Body and Bulk may
-// lie in a buffer lent until resp.Release (see Response.Release).
+// Call performs one RPC and waits for its reply until the call's deadline —
+// 60 s, the simulator's default — when it fails with ErrTimeout and its
+// entry is reclaimed, or until the connection dies (ErrClosed). It makes one
+// attempt: a stream neither loses nor duplicates a frame, and a duplicate
+// would close the connection (secure.Box.InSequence), so a retransmission
+// could never be told from a replay. The proc argument exists for signature
+// compatibility with the simulated transport and is ignored. The reply's
+// Body and Bulk may lie in a buffer lent until resp.Release (see
+// Response.Release).
 func (p *Peer) Call(_ *sim.Proc, req Request) (Response, error) {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return Response{}, ErrClosed
-	}
-	p.nextSeq++
-	seq := p.nextSeq
-	ch := outcomes.Get().(chan outcome)
-	p.pending[seq] = ch
-	p.mu.Unlock()
-
-	// Real clients do not trace; the header rides zeroed.
-	e := wire.GetEncoder()
-	e.U8(kindCall)
-	encodeCallHead(e, seq, wire.TraceHeader{}, req)
-	if err := p.send(e, req.Bulk); err != nil {
-		return Response{}, err
-	}
-	select {
-	case out := <-ch:
-		// The channel's one send has been received and whoever sent it
-		// unlinked it from pending first: nothing can reach it again.
-		outcomes.Put(ch)
-		return out.resp, out.err
-	case <-p.done:
-		// Close's ErrClosed may be in ch or still on its way: not reusable.
-		return Response{}, ErrClosed
-	}
+	return p.call(p, nil, req, false)
 }
 
-// outcomes recycles the one-shot channels calls wait on. A pending channel
-// receives exactly one send — the reply from readLoop, or ErrClosed from
-// Close, each after removing it from pending under mu — so it is empty and
-// unreferenced, and may serve another call, only once that send has been
-// received. Call returns it on that branch and no other: a channel abandoned
-// with its send undelivered would hand a later call a stale outcome.
-var outcomes = sync.Pool{New: func() any { return make(chan outcome, 1) }}
-
-// CallBack implements Backchannel.
-func (p *Peer) CallBack(proc *sim.Proc, req Request) (Response, error) { return p.Call(proc, req) }
+// CallBack implements Backchannel: on the accepted end, a callback under
+// the call core's policy — one attempt, a quarter of the deadline — so a
+// workstation that never answers costs a breaking server 15 s, not 60.
+func (p *Peer) CallBack(_ *sim.Proc, req Request) (Response, error) {
+	return p.call(p, nil, req, p.accepted)
+}
 
 // BackUser implements Backchannel.
 func (p *Peer) BackUser() string { return p.user }
 
-// Close tears the connection down and fails all in-flight calls.
+// pause implements carrier. A Peer makes one attempt per call, so it is
+// never asked to.
+func (*Peer) pause(*sim.Proc, Op, int) {}
+
+// exchange sends one call and waits, on a slot drawn from the pool, for the
+// reply, the deadline or Close, whichever comes first. It implements carrier.
+// A slot goes back to the pool only when its channel and its timer are both
+// empty and nothing can send to either: after its outcome (timer stopped and
+// drained), or after an expiry that took the slot from the table before a
+// reply could. One abandoned with a send possibly still to come — Close's
+// ErrClosed, after a failed send or on the done branch — is left to the
+// collector, or a later call would draw another's outcome.
+func (p *Peer) exchange(_ *sim.Proc, _ *trace.Span, seq uint32, tc wire.TraceHeader, req Request, d time.Duration, callback bool) outcome {
+	s := slots.Get().(*slot)
+	p.put(seq, s)
+	e := wire.GetEncoder()
+	e.U8(kindCall)
+	encodeCallHead(e, seq, tc, req)
+	if err := p.send(e, req.Bulk); err != nil {
+		return outcome{err: err} // the peer is closed, and s abandoned
+	}
+	s.timer.Reset(d)
+	select {
+	case out := <-s.ch:
+		s.disarm()
+		slots.Put(s)
+		return out
+	case <-s.timer.C:
+		if _, ok := p.take(seq); !ok {
+			// The reply, or Close, took s first: its one outcome is on its
+			// way, and a reply that beat the deadline to the table counts.
+			out := <-s.ch
+			slots.Put(s)
+			return out
+		}
+		slots.Put(s)
+		if callback {
+			return outcome{err: fmt.Errorf("%w: callback op %d", ErrTimeout, req.Op)}
+		}
+		return outcome{err: fmt.Errorf("%w: op %d to %s", ErrTimeout, req.Op, p.name)}
+	case <-p.done:
+		s.timer.Stop()
+		return outcome{err: ErrClosed}
+	}
+}
+
+// slot is where a Peer's pending call waits: the channel its one outcome is
+// sent on, and the timer of its deadline, stopped while the slot is pooled.
+// See exchange for which slots may go back.
+type slot struct {
+	ch    chan outcome // cap 1: the sender never waits
+	timer *time.Timer
+}
+
+var slots = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour) //itcvet:allow wallclock -- a Peer's deadline is wall time
+	t.Stop()
+	return &slot{ch: make(chan outcome, 1), timer: t}
+}}
+
+// disarm stops the deadline of a slot whose outcome came first. go.mod's
+// "go 1.22" selects the timer semantics in which a timer that fired has put
+// its value in C, or is about to; exchange received it only on the expiry
+// branch, which did not run. So a Stop that comes too late is followed by
+// draining C, or the slot's next call would find the value there and expire
+// at once.
+func (s *slot) disarm() {
+	if !s.timer.Stop() {
+		<-s.timer.C
+	}
+}
+
+// Close tears the connection down and fails every call in flight, in
+// sequence order, with ErrClosed.
 func (p *Peer) Close() error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
+	waiting, first := p.shut()
+	if !first {
 		return nil
 	}
-	p.closed = true
 	close(p.done)
-	seqs := make([]uint32, 0, len(p.pending))
-	for seq := range p.pending {
-		seqs = append(seqs, seq)
+	for _, s := range waiting {
+		s.ch <- outcome{err: ErrClosed} // its one send: shut unlinked it
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	for _, seq := range seqs {
-		//itcvet:allowblocking pending channels are buffered (cap 1) and receive exactly one send, so this never parks
-		p.pending[seq] <- outcome{err: ErrClosed}
-		delete(p.pending, seq)
-	}
-	p.mu.Unlock()
 	return p.conn.Close()
 }
 
@@ -326,14 +360,11 @@ func (p *Peer) deliver(sealed []byte, fr *frame) bool {
 			return false
 		}
 		resp.frame = fr
-		p.mu.Lock()
-		ch := p.pending[seq]
-		delete(p.pending, seq)
-		p.mu.Unlock()
-		if ch == nil {
-			resp.Release() // its caller is gone
+		if s, ok := p.take(seq); ok {
+			s.ch <- outcome{resp: resp, svc: svc}
 		} else {
-			ch <- outcome{resp: resp, svc: svc}
+			p.orphans.Add(1)
+			resp.Release() // its caller is gone: its deadline passed, or Close
 		}
 	default:
 		return false
@@ -373,7 +404,7 @@ func (p *Peer) dispatch(j job) {
 func (p *Peer) worker(j job) {
 	defer p.routines.Done()
 	for {
-		p.serve(j)
+		p.handle(j)
 		select {
 		case j = <-p.work:
 		case <-p.done:
@@ -382,28 +413,16 @@ func (p *Peer) worker(j job) {
 	}
 }
 
-// serve runs one call, seals its reply and gives the call's frame back —
-// only then, because the reply may alias the request.
-func (p *Peer) serve(j job) {
-	started := time.Now() //itcvet:allow wallclock -- real transport: service time here IS wall time
-	sp := p.tracer.Load().StartRemote(j.tc, trace.SpanRPCServe, p.name)
-	sp.SetInt(trace.AttrOp, int64(j.req.Op))
-	var resp Response
-	if p.server == nil {
-		resp = Response{Code: CodeUnknownOp, Body: []byte("no server on this peer")}
-	} else {
-		resp = p.server.Dispatch(Ctx{User: p.user, Peer: p.name, Back: p, Span: sp}, j.req)
-	}
-	sp.End()
-	// Wall-clock service time stands in for the simulator's virtual measure.
-	elapsed := time.Since(started) //itcvet:allow wallclock -- real transport: service time here IS wall time
-	p.metrics.Load().Histogram(trace.MetricRPCServeLatency).Observe(elapsed)
-	// resp.Bulk is read while it streams out, after the handler has returned:
-	// a fetch reply's Bulk is the volume's own slice, safe because volume
-	// replaces file contents and never mutates them in place.
+// handle serves one call through the call core, seals its reply and gives
+// the call's frame back — only then, because the reply may alias the
+// request. resp.Bulk is read while it streams out, after the handler has
+// returned: a fetch reply's Bulk is the volume's own slice, safe because
+// volume replaces file contents and never mutates them in place.
+func (p *Peer) handle(j job) {
+	resp, svc := p.serve(nil, p.server, Ctx{User: p.user, Peer: p.name, Back: p}, j.tc, j.req, nil)
 	e := wire.GetEncoder()
 	e.U8(kindReply)
-	encodeReplyHead(e, j.seq, elapsed, resp)
+	encodeReplyHead(e, j.seq, svc, resp)
 	_ = p.send(e, resp.Bulk) // a failed send has closed the peer; nobody to tell
 	j.frame.release()
 }

@@ -43,7 +43,7 @@ func servingPeer(t *testing.T, session secure.Key) (far net.Conn, p *Peer, serve
 		return Response{}
 	})
 	far, near := net.Pipe()
-	p = newPeer(near, secure.NewBox(session), "satya", "satya", srv)
+	p = newPeer(near, secure.NewBox(session), "satya", "satya", srv, true)
 	go p.readLoop()
 	t.Cleanup(func() { p.Close(); far.Close() })
 	return far, p, served
@@ -195,7 +195,7 @@ func TestPeerNonceExhaustionClosesPeer(t *testing.T) {
 
 // TestAcceptPeerConfigureRace is the -race regression for configuring an
 // accepted peer: AcceptPeer starts serving before it returns, so SetMetrics
-// and SetTracer necessarily run beside the first calls.
+// necessarily runs beside the first calls.
 func TestAcceptPeerConfigureRace(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		cc, sc := net.Pipe()
@@ -217,7 +217,6 @@ func TestAcceptPeerConfigureRace(t *testing.T) {
 			t.Fatal(err)
 		}
 		accepted.SetMetrics(trace.NewRegistry())
-		accepted.SetTracer(nil)
 		if err := <-fired; err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package venus
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"time"
 
@@ -343,8 +344,8 @@ func (v *Venus) dropConn(server string, c Conn) {
 	// promise (§3.3 recovery, batched).
 	v.sweepPending = true
 	v.mu.Unlock()
-	if cl, ok := c.(interface{ Close() }); ok {
-		cl.Close()
+	if cl, ok := c.(io.Closer); ok {
+		cl.Close() // both carriers: a Peer's read loop and workers end here
 	}
 }
 
