@@ -56,6 +56,12 @@ go test ./...
 # crosses every tier under concurrent calls and callbacks, and the two that
 # put calls' deadlines against their replies, run twenty times more.
 go test -race -count=20 -run='^(TestPeerLentBuffersUnderLoad|TestPeerReusedChannelsCarryNoStaleOutcome|TestSimCallbackIsImpatientCallIsNot)$' ./internal/rpc
+# A real workstation drops a connection that ends, from the watch Venus
+# keeps on it, while a call that failed on the same connection may be
+# dropping it too; either may come first, and it must count once. The two
+# tests that end a station's connection under it run ten times more.
+go test -race -count=10 -run='^TestRealCellStationOutlivesItsConnection$' .
+go test -race -count=10 -run='^TestShellOutlivesADroppedConnection$' ./cmd/itcfs
 
 # The benchmark is its own module (bench/go.mod), so ./... above does not
 # reach it; its tests check BENCHMARK.json against bench/spec.go and drive

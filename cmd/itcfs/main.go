@@ -6,11 +6,12 @@
 //
 // Type "help" at the prompt for commands.
 //
-// What is left in this file is the flags, two dials and the command table.
-// The workstation is virtue.NewWorkstation over the first connection; the
-// operator's commands (adduser, volstat, salvage) are itcfs.Admin over the
-// second — the same two pieces a simulated cell's workstations and
-// Cell.Admin are made of.
+// What is left in this file is the flags, the dial and the command table.
+// The workstation is virtue.NewWorkstation reaching the server through
+// venus.PeerConnector, which dials a fresh connection whenever Venus needs
+// one; the operator's commands (adduser, volstat, salvage) are itcfs.Admin
+// over one connection of its own — the same two pieces a simulated cell's
+// workstations and Cell.Admin are made of.
 package main
 
 import (
@@ -28,7 +29,6 @@ import (
 	"itcfs/internal/proto"
 	"itcfs/internal/rpc"
 	"itcfs/internal/secure"
-	"itcfs/internal/sim"
 	"itcfs/internal/unixfs"
 	"itcfs/internal/venus"
 	"itcfs/internal/vice"
@@ -61,49 +61,46 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		mode = vice.Prototype
 	}
 
+	// Every connection the shell opens, closed when it exits.
+	var streams []net.Conn
+	defer func() {
+		for _, nc := range streams {
+			nc.Close()
+		}
+	}()
+	dial := func(server string) (io.ReadWriteCloser, error) {
+		if server != *serverName {
+			return nil, fmt.Errorf("unknown server %q (single-server client)", server)
+		}
+		nc, err := net.Dial("tcp", *addr)
+		if err == nil {
+			streams = append(streams, nc)
+		}
+		return nc, err
+	}
 	key := secure.DeriveKey(*user, *password)
-	dial := func(callbacks *rpc.Server) (*rpc.Peer, error) {
-		conn, err := net.Dial("tcp", *addr)
-		if err != nil {
-			return nil, err
-		}
-		peer, err := rpc.DialPeer(conn, *user, key, callbacks)
-		if err != nil {
-			conn.Close()
-			return nil, fmt.Errorf("authentication failed: %w", err)
-		}
-		return peer, nil
-	}
-	// The callback service: the server breaks our cached copies through it.
-	cbServer := rpc.NewServer()
-	peer, err := dial(cbServer)
-	if err != nil {
-		fmt.Fprintf(stderr, "itcfs: %v\n", err)
-		return 1
-	}
-	defer peer.Close()
 	// The operator's console is a connection of its own, as in the simulator:
 	// what it changes reaches this workstation's cache the way anyone's
-	// change does, as a callback break.
-	console, err := dial(nil)
+	// change does, as a callback break. It is dialed now, so that a bad
+	// password fails before the prompt, and it is never redialed.
+	console, err := venus.PeerConnector(dial, *user, key, nil)(nil, *serverName)
 	if err != nil {
 		fmt.Fprintf(stderr, "itcfs: %v\n", err)
 		return 1
 	}
-	defer console.Close()
 
+	// The callback service: the server breaks our cached copies through it.
+	cbServer := rpc.NewServer()
 	local := unixfs.New(nil)
 	fs := virtue.NewWorkstation(venus.Config{
 		Mode:       mode,
 		Machine:    "itcfs-cli",
 		Local:      local,
 		HomeServer: *serverName,
-		Connect: func(_ *sim.Proc, server string) (venus.Conn, error) {
-			if server != *serverName {
-				return nil, fmt.Errorf("unknown server %q (single-server client)", server)
-			}
-			return peer, nil
-		},
+		// Venus dials on first use and again after the server drops the
+		// connection; a command that meets the drop redials once.
+		Connect:          venus.PeerConnector(dial, *user, key, cbServer),
+		ReconnectRetries: 1,
 	}, cbServer)
 	fs.Venus().Login(*user)
 	local.MkdirAll("/tmp", 0o777, *user)

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -10,41 +11,64 @@ import (
 	"sync"
 	"testing"
 
+	"itcfs/internal/leakcheck"
 	"itcfs/internal/vice"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
+// TestMain fails the package if any test leaves a goroutine running: the
+// test server, a connection it serves, or one the shell did not close on its
+// way out.
+func TestMain(m *testing.M) { leakcheck.Main(m) }
+
 // serve stands up what itcfsd serves, from the pieces itcfsd is made of, on a
-// loopback listener, and returns its address.
-func serve(t *testing.T) string {
+// loopback listener, and returns its address and a function that closes,
+// from the server's end, every connection accepted so far.
+func serve(t *testing.T) (addr string, hangUp func()) {
 	t.Helper()
 	srv, _, err := vice.Boot(vice.Config{Name: "server0", Mode: vice.Revised, ProtAuthority: true}, "secret")
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	nl, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	wg.Add(1)
+	l := &listener{Listener: nl}
+	served := make(chan struct{})
 	go func() {
-		defer wg.Done()
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				srv.ServeConn(conn, nil)
-			}()
-		}
+		srv.Serve(l, nil, nil)
+		close(served)
 	}()
-	t.Cleanup(func() { l.Close(); wg.Wait() })
-	return l.Addr().String()
+	t.Cleanup(func() { l.Close(); <-served })
+	return l.Addr().String(), l.hangUp
+}
+
+// listener keeps the connections it accepts, so a test can hang them up.
+type listener struct {
+	net.Listener
+	mu    sync.Mutex
+	conns []net.Conn
+}
+
+func (l *listener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.mu.Lock()
+		l.conns = append(l.conns, c)
+		l.mu.Unlock()
+	}
+	return c, err
+}
+
+func (l *listener) hangUp() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, c := range l.conns {
+		c.Close()
+	}
+	l.conns = nil
 }
 
 // session runs one shell, start to end-of-input, against addr.
@@ -105,7 +129,7 @@ stats
 // of the new users logs in and meets what the operator left, including the
 // refusals. Run with -update to re-record after an intended change.
 func TestScriptedSession(t *testing.T) {
-	addr := serve(t)
+	addr, _ := serve(t)
 	got := session(t, addr, "operator", "secret", operatorScript) +
 		session(t, addr, "satya", "pw", satyaScript)
 	path := filepath.Join("testdata", "session.golden")
@@ -134,11 +158,94 @@ func TestBadInvocation(t *testing.T) {
 	if code := run([]string{"-user", "operator"}, strings.NewReader(""), &out, &errb); code != 2 {
 		t.Errorf("missing password: exit %d, want 2", code)
 	}
-	addr := serve(t)
+	addr, _ := serve(t)
 	errb.Reset()
 	code := run([]string{"-addr", addr, "-user", "operator", "-password", "wrong"},
 		strings.NewReader("ls\n"), &out, &errb)
 	if code != 1 || !strings.Contains(errb.String(), "authentication failed") {
 		t.Errorf("wrong password: exit %d, stderr %q", code, errb.String())
 	}
+	if strings.Contains(out.String(), "itcfs> ") {
+		t.Errorf("wrong password: the shell prompted: %q", out.String())
+	}
+}
+
+// TestShellOutlivesADroppedConnection: the server hangs up on the shell
+// between two commands, and every later workstation command still works.
+// Venus notices the end and redials on its next call, and a command that
+// meets the end in a call redials once. Before, the shell held one
+// connection for its life, and every later command failed with "rpc:
+// connection closed".
+func TestShellOutlivesADroppedConnection(t *testing.T) {
+	addr, hangUp := serve(t)
+	stdin, script := io.Pipe()
+	stdout := &promptWriter{prompt: make(chan struct{}, 1)}
+	var stderr bytes.Buffer
+	code := make(chan int)
+	go func() {
+		code <- run([]string{"-addr", addr, "-user", "operator", "-password", "secret"}, stdin, stdout, &stderr)
+	}()
+	await := func() {
+		select {
+		case <-stdout.prompt:
+		case c := <-code:
+			t.Fatalf("the shell exited early (%d), stderr %q; its output:\n%s", c, stderr.String(), stdout.String())
+		}
+	}
+	do := func(line string) {
+		io.WriteString(script, line+"\n")
+		await()
+	}
+	await()
+	do("write /vice/f before")
+	do("cat /vice/f")
+	hangUp()
+	mark := len(stdout.String())
+	for _, line := range []string{
+		"ls /vice",
+		"cat /vice/f",
+		"write /vice/f after",
+		"cat /vice/f",
+		"stat /vice/f",
+		"mkdir /vice/d",
+		"ls /vice",
+	} {
+		do(line)
+	}
+	script.Close()
+	if c := <-code; c != 0 || stderr.Len() != 0 {
+		t.Fatalf("exit %d, stderr %q", c, stderr.String())
+	}
+	after := stdout.String()[mark:]
+	if strings.Contains(after, "error:") {
+		t.Fatalf("a command failed after the server hung up:\n%s", after)
+	}
+	for _, want := range []string{"before\n", "after\n", "f: 6 bytes", "d/\n"} {
+		if !strings.Contains(after, want) {
+			t.Errorf("no %q in what the shell printed after the server hung up:\n%s", want, after)
+		}
+	}
+}
+
+// promptWriter is the shell's stdout, signalling each prompt it prints.
+type promptWriter struct {
+	mu     sync.Mutex
+	buf    bytes.Buffer
+	prompt chan struct{}
+}
+
+func (w *promptWriter) Write(b []byte) (int, error) {
+	w.mu.Lock()
+	n, err := w.buf.Write(b)
+	w.mu.Unlock()
+	if string(b) == "itcfs> " {
+		w.prompt <- struct{}{}
+	}
+	return n, err
+}
+
+func (w *promptWriter) String() string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.buf.String()
 }

@@ -25,9 +25,10 @@
 // and /debug/pprof/ (live CPU and heap profiling via net/http/pprof).
 //
 // What is left in this file is the deployment: flags, the store, signals,
-// checkpoint pacing, the debug endpoint and the accept loop. The server is
-// stood up by vice.Boot and each connection lives and dies in
-// (*vice.Server).ServeConn, which tests drive in-process.
+// checkpoint pacing, the debug endpoint and the log line for each connection's
+// end. The server is stood up by vice.Boot and serves its listener with
+// (*vice.Server).Serve, in which each connection lives and dies in ServeConn;
+// tests drive both in-process.
 package main
 
 import (
@@ -269,19 +270,14 @@ func run(args []string) int {
 		}
 	}
 	log.Printf("itcfsd: %s (%s mode) serving Vice on %s", *name, mode, l.Addr())
-	for {
-		conn, err := l.Accept()
+	err = srv.Serve(l, tracer, func(addr net.Addr, user string, err error) {
 		if err != nil {
-			log.Printf("itcfsd: accept: %v", err)
-			shutdown(1)
+			log.Printf("itcfsd: %s: handshake rejected: %v", addr, err)
+			return
 		}
-		go func(c net.Conn) {
-			user, err := srv.ServeConn(c, tracer)
-			if err != nil {
-				log.Printf("itcfsd: %s: handshake rejected: %v", c.RemoteAddr(), err)
-				return
-			}
-			log.Printf("itcfsd: %s (%q) disconnected", c.RemoteAddr(), user)
-		}(conn)
-	}
+		log.Printf("itcfsd: %s (%q) disconnected", addr, user)
+	})
+	log.Printf("itcfsd: accept: %v", err)
+	shutdown(1)
+	return 1
 }

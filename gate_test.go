@@ -134,7 +134,7 @@ func runGate(t *testing.T, mode Mode, dir string, d time.Duration) {
 	// at a record boundary on a copy, and in the middle of a record where it
 	// lies.
 	for _, st := range stations {
-		st.peer.Close()
+		st.hangUp()
 	}
 	ws.Close()
 	log.mu.Lock()

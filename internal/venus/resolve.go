@@ -28,7 +28,11 @@ const maxRedirects = 4
 // transport's own timeout scale.
 const failoverBackoff = 5 * time.Millisecond
 
-// conn returns (dialing if necessary) a connection to server.
+// conn returns (dialing if necessary) a connection to server. A connection
+// that can report its own end (a Peer's Done; a simulated one cannot) is
+// watched, and dropped when it ends while still the current one: a server
+// that hung up has dropped the promises made on it, so no cached copy may be
+// trusted until the sweep dropConn schedules.
 func (v *Venus) conn(p *sim.Proc, server string) (Conn, error) {
 	v.mu.Lock()
 	c := v.conns[server]
@@ -47,6 +51,12 @@ func (v *Venus) conn(p *sim.Proc, server string) (Conn, error) {
 	v.mu.Lock()
 	v.conns[server] = c
 	v.mu.Unlock()
+	if d, ok := c.(interface{ Done() <-chan struct{} }); ok {
+		go func() {
+			<-d.Done()
+			v.dropConn(server, c)
+		}()
+	}
 	return c, nil
 }
 
@@ -331,18 +341,20 @@ func (v *Venus) callAt(p *sim.Proc, path string, cr proto.CustodianReply, req rp
 	}
 }
 
-// dropConn discards a dead connection so the next call redials. The value
-// is compared first: a concurrent caller may already have replaced it.
+// dropConn discards a dead connection so the next call redials. Only the
+// drop that finds c still current counts it and schedules the sweep: a
+// concurrent caller may already have replaced it, or a failed call and the
+// watcher conn started may both drop it.
 func (v *Venus) dropConn(server string, c Conn) {
 	v.mu.Lock()
 	if v.conns[server] == c {
 		delete(v.conns, server)
+		v.stats.Reconnects++
+		// The other end may be a restarted server with an empty callback
+		// table: schedule a bulk revalidation sweep before the next open
+		// trusts a promise (§3.3 recovery, batched).
+		v.sweepPending = true
 	}
-	v.stats.Reconnects++
-	// The other end may be a restarted server with an empty callback table:
-	// schedule a bulk revalidation sweep before the next open trusts a
-	// promise (§3.3 recovery, batched).
-	v.sweepPending = true
 	v.mu.Unlock()
 	if cl, ok := c.(io.Closer); ok {
 		cl.Close() // both carriers: a Peer's read loop and workers end here

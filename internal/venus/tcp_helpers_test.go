@@ -1,6 +1,7 @@
 package venus
 
 import (
+	"io"
 	"net"
 	"testing"
 
@@ -8,13 +9,12 @@ import (
 	"itcfs/internal/proto"
 	"itcfs/internal/rpc"
 	"itcfs/internal/secure"
-	"itcfs/internal/sim"
 	"itcfs/internal/unixfs"
 	"itcfs/internal/vice"
 )
 
-// A real server — vice.Boot behind ServeConn on a loopback listener — for
-// this directory's TCP tests. Those that must reach inside Venus
+// A real server — vice.Boot serving a loopback listener — for this
+// directory's TCP tests. Those that must reach inside Venus
 // (ownership_test.go) cannot import virtue, which imports venus, so they wire
 // a bare Venus to it with tcpVenus; the tests of the assembled workstation
 // (tcp_integration_test.go, package venus_test) take its address.
@@ -44,15 +44,7 @@ func newTCPCell(t *testing.T, mode vice.Mode) *tcpCell {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go srv.ServeConn(conn, nil)
-		}
-	}()
+	go srv.Serve(l, nil, nil)
 	t.Cleanup(func() { l.Close() })
 	return &tcpCell{addr: l.Addr().String()}
 }
@@ -60,6 +52,18 @@ func newTCPCell(t *testing.T, mode vice.Mode) *tcpCell {
 // TCPServer starts such a server for the external test package and returns
 // its address; the operator's password is "pw".
 func TCPServer(t *testing.T, mode vice.Mode) string { return newTCPCell(t, mode).addr }
+
+// TCPDial returns a dial function for PeerConnector that reaches addr over
+// loopback TCP; the test's cleanup closes every connection it opened.
+func TCPDial(t *testing.T, addr string) func(string) (io.ReadWriteCloser, error) {
+	return func(string) (io.ReadWriteCloser, error) {
+		nc, err := net.Dial("tcp", addr)
+		if err == nil {
+			t.Cleanup(func() { nc.Close() })
+		}
+		return nc, err
+	}
+}
 
 // tcpVenus is a Venus connected over TCP.
 func (c *tcpCell) tcpVenus(t *testing.T, mode vice.Mode, user, password string) *Venus {
@@ -70,19 +74,7 @@ func (c *tcpCell) tcpVenus(t *testing.T, mode vice.Mode, user, password string) 
 		Machine:    "tcp-ws-" + user,
 		Local:      unixfs.New(nil),
 		HomeServer: "tcp0",
-		Connect: func(_ *sim.Proc, server string) (Conn, error) {
-			nc, err := net.Dial("tcp", c.addr)
-			if err != nil {
-				return nil, err
-			}
-			peer, err := rpc.DialPeer(nc, user, secure.DeriveKey(user, password), cbServer)
-			if err != nil {
-				nc.Close()
-				return nil, err
-			}
-			t.Cleanup(func() { peer.Close() })
-			return peer, nil
-		},
+		Connect:    PeerConnector(TCPDial(t, c.addr), user, secure.DeriveKey(user, password), cbServer),
 	})
 	cbServer.Handle(rpc.Op(proto.OpCallbackBreak), v.HandleCallbackBreak)
 	cbServer.Handle(rpc.Op(proto.OpBulkBreak), v.HandleBulkBreak)

@@ -1,12 +1,10 @@
 package venus_test
 
 import (
-	"net"
 	"testing"
 
 	"itcfs/internal/rpc"
 	"itcfs/internal/secure"
-	"itcfs/internal/sim"
 	"itcfs/internal/unixfs"
 	"itcfs/internal/venus"
 	"itcfs/internal/vice"
@@ -16,9 +14,10 @@ import (
 // Venus over the real TCP transport: the same cache-manager logic the
 // simulator evaluates, talking to the same Vice server code, through
 // authenticated encrypted rpc.Peer connections — the server booted and
-// served (tcp_helpers_test.go), and the workstations assembled, by the calls
-// cmd/itcfsd and cmd/itcfs make. (The root package's real-cell tests cover
-// what a connection's end releases and the batched break.)
+// served (tcp_helpers_test.go), and the workstations assembled and
+// connected, by the calls cmd/itcfsd and cmd/itcfs make. (The root package's
+// real-cell tests cover what a connection's end releases and the batched
+// break.)
 
 // tcpWorkstation is a full workstation logged in as the operator — the one
 // account a fresh cell has, and one that may write anywhere.
@@ -30,19 +29,7 @@ func tcpWorkstation(t *testing.T, addr string, mode vice.Mode, password string) 
 		Machine:    "tcp-ws",
 		Local:      unixfs.New(nil),
 		HomeServer: "tcp0",
-		Connect: func(_ *sim.Proc, server string) (venus.Conn, error) {
-			nc, err := net.Dial("tcp", addr)
-			if err != nil {
-				return nil, err
-			}
-			peer, err := rpc.DialPeer(nc, "operator", secure.DeriveKey("operator", password), callbacks)
-			if err != nil {
-				nc.Close()
-				return nil, err
-			}
-			t.Cleanup(func() { peer.Close() })
-			return peer, nil
-		},
+		Connect:    venus.PeerConnector(venus.TCPDial(t, addr), "operator", secure.DeriveKey("operator", password), callbacks),
 	}, callbacks)
 	fs.Venus().Login("operator")
 	return fs

@@ -20,6 +20,7 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
+	"io"
 	"strconv"
 	"sync"
 	"time"
@@ -45,8 +46,29 @@ import (
 // own.
 type Conn = rpc.Conn
 
-// Connector dials the named server, authenticating as the current user.
+// Connector dials the named server, authenticating as the current user. Each
+// call must dial a fresh connection: Venus closes a connection it drops, and
+// calls again for the next one.
 type Connector func(p *sim.Proc, server string) (Conn, error)
+
+// PeerConnector is the Connector of a workstation on the real transport: each
+// call opens a stream to the server with dial, authenticates over it as user
+// with key, and returns a new rpc.Peer on which the server's callback breaks
+// reach callbacks. A stream whose handshake fails is closed.
+func PeerConnector(dial func(server string) (io.ReadWriteCloser, error), user string, key secure.Key, callbacks *rpc.Server) Connector {
+	return func(_ *sim.Proc, server string) (Conn, error) {
+		stream, err := dial(server)
+		if err != nil {
+			return nil, err
+		}
+		peer, err := rpc.DialPeer(stream, user, key, callbacks)
+		if err != nil {
+			stream.Close()
+			return nil, fmt.Errorf("authentication failed: %w", err)
+		}
+		return peer, nil
+	}
+}
 
 // Stats counts Venus activity; the evaluation harness reads these for the
 // cache-hit-ratio and call-mix experiments.
@@ -66,7 +88,7 @@ type Stats struct {
 	BytesFetched    int64
 	BytesStored     int64
 	DegradedReads   int64 // reads served from cache while the server was unreachable
-	Reconnects      int64 // dead connections dropped for redial after transport failure
+	Reconnects      int64 // dead connections dropped for redial: a transport failure, or an end the connection reported
 	Failovers       int64 // calls moved to a fallback replica after a server stayed unreachable
 }
 
@@ -83,7 +105,6 @@ type Config struct {
 	Mode       vice.Mode
 	Machine    string // workstation name, for diagnostics
 	Local      *unixfs.FS
-	CacheDir   string // directory in Local holding cached copies
 	MaxFiles   int    // prototype cache limit (entry count)
 	MaxBytes   int64  // revised cache limit (bytes)
 	HomeServer string // this cluster's server, asked first for locations
@@ -195,18 +216,18 @@ type Venus struct {
 	mStoreLat  *trace.Histogram
 }
 
+// cacheDir is the directory in Config.Local holding the cached copies.
+const cacheDir = "/cache"
+
 // New creates a Venus. Call Login before any file operation.
 func New(cfg Config) *Venus {
-	if cfg.CacheDir == "" {
-		cfg.CacheDir = "/cache"
-	}
 	if cfg.MaxFiles == 0 {
 		cfg.MaxFiles = 200 // the prototype's count limit
 	}
 	if cfg.MaxBytes == 0 {
 		cfg.MaxBytes = 20 << 20 // a 1980s workstation disk partition
 	}
-	_ = cfg.Local.MkdirAll(cfg.CacheDir, 0o700, "venus")
+	_ = cfg.Local.MkdirAll(cacheDir, 0o700, "venus")
 	return &Venus{
 		cfg:        cfg,
 		conns:      make(map[string]Conn),
@@ -728,7 +749,7 @@ func (v *Venus) installEntry(path string, st proto.Status, data []byte, now sim.
 		// Named once: an entry keeps its cache file for as long as it lives.
 		var id [20]byte
 		v.nextID++
-		e.cacheFile = v.cfg.CacheDir + "/c" + string(strconv.AppendInt(id[:0], v.nextID, 10))
+		e.cacheFile = cacheDir + "/c" + string(strconv.AppendInt(id[:0], v.nextID, 10))
 	} else {
 		v.bytes -= e.status.Size
 	}

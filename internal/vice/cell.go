@@ -4,11 +4,12 @@ package vice
 // simulated or real, written once. The simulator (itcfs.NewCell) uses
 // BootstrapDB and BootstrapRoot round its own replicated databases and serves
 // through rpc.Endpoint; the daemon (cmd/itcfsd) and every test that wants a
-// real server use Boot and ServeConn.
+// real server use Boot and Serve, which runs ServeConn per connection.
 
 import (
 	"fmt"
 	"io"
+	"net"
 	"sync/atomic"
 	"time"
 
@@ -125,4 +126,24 @@ func (s *Server) ServeConn(c io.ReadWriteCloser, tracer *trace.Tracer) (user str
 	s.locks.ReleaseAllFor(peer.User())
 	s.callbacks.Drop(peer)
 	return peer.User(), nil
+}
+
+// Serve accepts connections on l until it is closed, serving each through
+// ServeConn on a goroutine of its own, and returns Accept's error. ended,
+// which may be nil, is told each connection's remote address and what
+// ServeConn returned for it. Connections still open when Serve returns are
+// served to their end.
+func (s *Server) Serve(l net.Listener, tracer *trace.Tracer, ended func(addr net.Addr, user string, err error)) error {
+	for {
+		c, err := l.Accept()
+		if err != nil {
+			return err
+		}
+		go func() {
+			user, err := s.ServeConn(c, tracer)
+			if ended != nil {
+				ended(c.RemoteAddr(), user, err)
+			}
+		}()
+	}
 }

@@ -3,13 +3,13 @@ package virtue
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"testing"
 
 	"itcfs/internal/rpc"
 	"itcfs/internal/secure"
-	"itcfs/internal/sim"
 	"itcfs/internal/store"
 	"itcfs/internal/store/walstore"
 	"itcfs/internal/unixfs"
@@ -35,44 +35,40 @@ var missAllocs = map[string]float64{
 	"Remove":              8,
 }
 
-// missConnect returns a Connector that gives each dial a Peer over its own
-// in-memory pipe to srv, and a function that closes every such Peer and
-// waits until the server has dropped what it held for it.
-func missConnect(t *testing.T, srv *vice.Server, user string, callbacks *rpc.Server) (venus.Connector, func()) {
-	var peers []*rpc.Peer
+// missDial returns a dial function for venus.PeerConnector that gives each
+// connection its own in-memory pipe to srv, served by ServeConn on the far
+// end, and a function that closes every such pipe and waits until the
+// server has dropped what it held for it.
+func missDial(t *testing.T, srv *vice.Server) (func(string) (io.ReadWriteCloser, error), func()) {
+	var pipes []net.Conn
 	var served []chan struct{}
-	connect := func(_ *sim.Proc, server string) (venus.Conn, error) {
+	dial := func(string) (io.ReadWriteCloser, error) {
 		cc, sc := net.Pipe()
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
 			srv.ServeConn(sc, nil)
 		}()
-		peer, err := rpc.DialPeer(cc, user, secure.DeriveKey(user, "pw"), callbacks)
-		if err != nil {
-			cc.Close()
-			<-done
-			return nil, err
-		}
-		peers, served = append(peers, peer), append(served, done)
-		return peer, nil
+		pipes, served = append(pipes, cc), append(served, done)
+		return cc, nil
 	}
 	hangUp := func() {
-		for i, p := range peers {
-			p.Close()
+		for i, cc := range pipes {
+			cc.Close()
 			<-served[i]
 		}
-		peers, served = nil, nil
+		pipes, served = nil, nil
 	}
 	t.Cleanup(hangUp)
-	return connect, hangUp
+	return dial, hangUp
 }
 
 func missWorkstation(t *testing.T, srv *vice.Server) (*FS, func()) {
 	callbacks := rpc.NewServer()
-	connect, hangUp := missConnect(t, srv, "operator", callbacks)
+	dial, hangUp := missDial(t, srv)
 	fs := NewWorkstation(venus.Config{
-		Mode: vice.Revised, Machine: "ws", Local: unixfs.New(nil), HomeServer: "s0", Connect: connect,
+		Mode: vice.Revised, Machine: "ws", Local: unixfs.New(nil), HomeServer: "s0",
+		Connect: venus.PeerConnector(dial, "operator", secure.DeriveKey("operator", "pw"), callbacks),
 	}, callbacks)
 	fs.Venus().Login("operator")
 	return fs, hangUp

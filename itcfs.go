@@ -81,16 +81,10 @@ const (
 // CellConfig sizes a cell.
 type CellConfig struct {
 	Mode     Mode
-	Clusters int // one cluster server per cluster
-	// Workstations initially added per cluster (more can be added later).
-	WorkstationsPerCluster int
-	Net                    netsim.Config // zero value = ITCDefaults
-	Costs                  *CostConfig   // nil = DefaultCosts
-	// CacheFiles / CacheBytes override Venus cache limits (0 = defaults).
-	CacheFiles int
+	Clusters int         // one cluster server per cluster, on netsim.ITCDefaults
+	Costs    *CostConfig // nil = DefaultCosts
+	// CacheBytes overrides the revised Venus cache limit (0 = the default).
 	CacheBytes int64
-	// OperatorPassword sets the bootstrap operations account ("operator").
-	OperatorPassword string
 
 	// Fault-tolerance knobs. Zero values preserve the default behaviour
 	// (long timeouts, no retries, callbacks trusted forever).
@@ -177,9 +171,12 @@ type Workstation struct {
 	Venus    *venus.Venus
 	FS       *virtue.FS
 
-	cell *Cell
-	key  secure.Key
+	key secure.Key
 }
+
+// operatorPassword is the password of a cell's bootstrap operations account,
+// "operator".
+const operatorPassword = "operator-password"
 
 // Cell is a complete ITC file system installation.
 type Cell struct {
@@ -200,12 +197,12 @@ type Cell struct {
 	// before the first call).
 	Sampler *trace.Sampler
 
-	cfg       CellConfig
-	costs     CostConfig
-	nextVol   uint32
-	serverKey secure.Key
-	wsCount   int
-	workst    []*Workstation
+	cfg         CellConfig
+	costs       CostConfig
+	callTimeout time.Duration // of every endpoint's calls
+	nextVol     uint32
+	serverKey   secure.Key
+	workst      []*Workstation
 }
 
 // NewCell builds and bootstraps a cell: clusters, servers, replicated
@@ -216,24 +213,26 @@ func NewCell(cfg CellConfig) *Cell {
 	if cfg.Clusters <= 0 {
 		cfg.Clusters = 1
 	}
-	if cfg.Net.ClusterBandwidth == 0 {
-		cfg.Net = netsim.ITCDefaults()
-	}
-	if cfg.OperatorPassword == "" {
-		cfg.OperatorPassword = "operator-password"
-	}
 	costs := DefaultCosts()
 	if cfg.Costs != nil {
 		costs = *cfg.Costs
 	}
+	// Whole-file operations on multi-megabyte files legitimately take
+	// minutes at 1985 speeds (§2.2 bounds the design to files of a few
+	// MB); the default timeout must outlast them.
+	callTimeout := 15 * time.Minute
+	if cfg.CallTimeout != 0 {
+		callTimeout = cfg.CallTimeout
+	}
 	k := sim.NewKernel()
 	c := &Cell{
-		Kernel:  k,
-		Net:     netsim.New(k, cfg.Net),
-		Mode:    cfg.Mode,
-		cfg:     cfg,
-		costs:   costs,
-		nextVol: 1,
+		Kernel:      k,
+		Net:         netsim.New(k, netsim.ITCDefaults()),
+		Mode:        cfg.Mode,
+		cfg:         cfg,
+		costs:       costs,
+		callTimeout: callTimeout,
+		nextVol:     1,
 	}
 	if cfg.Trace {
 		c.Tracer = trace.New(func() sim.Time { return k.Now() })
@@ -260,18 +259,10 @@ func NewCell(cfg CellConfig) *Cell {
 	base := prot.NewDB()
 	err = base.Apply(prot.Mutation{Kind: prot.MutAddUser, Name: vice.ServerUser, Key: serverKey})
 	if err == nil {
-		err = vice.BootstrapDB(base, cfg.OperatorPassword)
+		err = vice.BootstrapDB(base, operatorPassword)
 	}
 	if err != nil {
 		panic(fmt.Sprintf("itcfs: bootstrap: %v", err))
-	}
-
-	// Whole-file operations on multi-megabyte files legitimately take
-	// minutes at 1985 speeds (§2.2 bounds the design to files of a few
-	// MB); the default timeout must outlast them.
-	callTimeout := 15 * time.Minute
-	if cfg.CallTimeout != 0 {
-		callTimeout = cfg.CallTimeout
 	}
 
 	clock := func() int64 { return int64(k.Now()) }
@@ -285,6 +276,10 @@ func NewCell(cfg CellConfig) *Cell {
 		if err := db.LoadSnapshot(base.Snapshot()); err != nil {
 			panic(err)
 		}
+		var st store.Store
+		if cfg.Store != nil {
+			st = cfg.Store(i)
+		}
 		vs := vice.New(vice.Config{
 			Name:            fmt.Sprintf("server%d", i),
 			Mode:            cfg.Mode,
@@ -297,7 +292,7 @@ func NewCell(cfg CellConfig) *Cell {
 			Flight:          c.Flight,
 			UnbatchedBreaks: cfg.UnbatchedBreaks,
 			BreakWindow:     cfg.BreakWindow,
-			Store:           storeFor(cfg.Store, i),
+			Store:           st,
 			Blocks:          cfg.Blocks,
 		})
 		ep := rpc.NewEndpoint(c.Net, node, rpc.EndpointConfig{
@@ -343,21 +338,7 @@ func NewCell(cfg CellConfig) *Cell {
 			}
 		}
 	})
-
-	for i := 0; i < cfg.Clusters; i++ {
-		for w := 0; w < cfg.WorkstationsPerCluster; w++ {
-			c.AddWorkstation(i, fmt.Sprintf("ws%d-%d", i, w))
-		}
-	}
 	return c
-}
-
-// storeFor indirects through the optional per-server store factory.
-func storeFor(f func(int) store.Store, i int) store.Store {
-	if f == nil {
-		return nil
-	}
-	return f(i)
 }
 
 func (c *Cell) allocVol() uint32 {
@@ -441,17 +422,13 @@ func (c *Cell) AddWorkstation(cluster int, name string) *Workstation {
 	node := c.Net.AddNode(name, cl)
 	local := unixfs.New(func() int64 { return int64(c.Kernel.Now()) })
 
-	ws := &Workstation{Name: name, Node: node, Cluster: cl, Local: local, cell: c}
+	ws := &Workstation{Name: name, Node: node, Cluster: cl, Local: local}
 
 	// The workstation's callback service.
-	callTimeout := 15 * time.Minute
-	if c.cfg.CallTimeout != 0 {
-		callTimeout = c.cfg.CallTimeout
-	}
 	cbServer := rpc.NewServer()
 	ws.Endpoint = rpc.NewEndpoint(c.Net, node, rpc.EndpointConfig{
 		Server:      cbServer,
-		CallTimeout: callTimeout,
+		CallTimeout: c.callTimeout,
 		Retry:       c.cfg.Retry,
 		Tracer:      c.Tracer,
 		Metrics:     c.cfg.Metrics,
@@ -464,7 +441,6 @@ func (c *Cell) AddWorkstation(cluster int, name string) *Workstation {
 		Machine:          name,
 		Local:            local,
 		HomeServer:       home.Vice.Name(),
-		MaxFiles:         c.cfg.CacheFiles,
 		MaxBytes:         c.cfg.CacheBytes,
 		CallbackTTL:      c.cfg.CallbackTTL,
 		ReconnectRetries: c.cfg.ReconnectRetries,
@@ -564,7 +540,7 @@ func (c *Cell) Admin(p *sim.Proc, server int) (*Admin, error) {
 	// operations console lives in the machine room.
 	s := c.Servers[server]
 	conn, err := s.Endpoint.Dial(p, s.Node.ID, "operator",
-		secure.DeriveKey("operator", c.cfg.OperatorPassword))
+		secure.DeriveKey("operator", operatorPassword))
 	if err != nil {
 		return nil, err
 	}

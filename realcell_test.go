@@ -1,14 +1,16 @@
 package itcfs
 
 import (
+	"io"
 	"net"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
 	"itcfs/internal/proto"
 	"itcfs/internal/rpc"
 	"itcfs/internal/secure"
-	"itcfs/internal/sim"
 	"itcfs/internal/unixfs"
 	"itcfs/internal/venus"
 	"itcfs/internal/vice"
@@ -16,10 +18,11 @@ import (
 )
 
 // A real cell, from the pieces the daemon and the shell are made of: a
-// server from vice.Boot, each connection served by ServeConn, workstations
-// from virtue.NewWorkstation, the operator's console an Admin over an
-// rpc.Peer. These tests hold what used to live only in cmd/itcfsd's and
-// cmd/itcfs's main functions: what the end of a connection releases, and
+// server from vice.Boot serving a loopback listener with Serve, workstations
+// from virtue.NewWorkstation reaching it through venus.PeerConnector, the
+// operator's console an Admin over one connection from the same connector.
+// These tests hold what used to live only in cmd/itcfsd's and cmd/itcfs's
+// main functions: what the end of a connection releases, on both ends, and
 // that a workstation answers both kinds of callback break.
 
 type realCell struct {
@@ -30,10 +33,13 @@ type realCell struct {
 	ended chan string
 }
 
-// realStation is one workstation of a real cell and the connection under it.
+// realStation is one workstation of a real cell.
 type realStation struct {
 	*virtue.FS
-	peer *rpc.Peer
+	// connect reaches the server as the workstation does, its callback
+	// service included; hangUp closes every connection it has dialed.
+	connect venus.Connector
+	hangUp  func()
 }
 
 // bulkBack is an op outside Vice's range that the test server answers by
@@ -66,24 +72,20 @@ func bootRealCell(t *testing.T, cfg vice.Config, users ...string) *realCell {
 	}
 	c := &realCell{srv: srv, addr: l.Addr().String(), ended: make(chan string)}
 	stop := make(chan struct{})
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				user, _ := srv.ServeConn(conn, nil)
-				select {
-				case c.ended <- user:
-				case <-stop:
-				}
-			}()
+	go srv.Serve(l, nil, func(_ net.Addr, user string, _ error) {
+		select {
+		case c.ended <- user:
+		case <-stop:
 		}
-	}()
+	})
 	t.Cleanup(func() { l.Close(); close(stop) })
 
-	console := NewAdmin(c.dial(t, "operator", "secret", nil), "server0")
+	dial, _ := c.dialer(t)
+	conn, err := venus.PeerConnector(dial, "operator", secure.DeriveKey("operator", "secret"), nil)(nil, "server0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	console := NewAdmin(conn, "server0")
 	for _, user := range users {
 		if err := console.NewUser(nil, user, "pw", 0); err != nil {
 			t.Fatalf("new user %s: %v", user, err)
@@ -92,34 +94,47 @@ func bootRealCell(t *testing.T, cfg vice.Config, users ...string) *realCell {
 	return c
 }
 
-func (c *realCell) dial(t *testing.T, user, password string, callbacks *rpc.Server) *rpc.Peer {
-	t.Helper()
-	nc, err := net.Dial("tcp", c.addr)
-	if err != nil {
-		t.Fatal(err)
+// dialer returns a dial function for venus.PeerConnector that opens a
+// loopback connection to the cell, and a function that closes every
+// connection it has opened, which the test's cleanup also calls.
+func (c *realCell) dialer(t *testing.T) (dial func(string) (io.ReadWriteCloser, error), hangUp func()) {
+	var mu sync.Mutex
+	var conns []net.Conn
+	dial = func(string) (io.ReadWriteCloser, error) {
+		nc, err := net.Dial("tcp", c.addr)
+		if err == nil {
+			mu.Lock()
+			conns = append(conns, nc)
+			mu.Unlock()
+		}
+		return nc, err
 	}
-	peer, err := rpc.DialPeer(nc, user, secure.DeriveKey(user, password), callbacks)
-	if err != nil {
-		nc.Close()
-		t.Fatalf("dial as %s: %v", user, err)
+	hangUp = func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, nc := range conns {
+			nc.Close()
+		}
+		conns = nil
 	}
-	t.Cleanup(func() { peer.Close() })
-	return peer
+	t.Cleanup(hangUp)
+	return dial, hangUp
 }
 
 func (c *realCell) station(t *testing.T, mode Mode, user string) realStation {
 	t.Helper()
 	callbacks := rpc.NewServer()
-	peer := c.dial(t, user, "pw", callbacks)
+	dial, hangUp := c.dialer(t)
+	connect := venus.PeerConnector(dial, user, secure.DeriveKey(user, "pw"), callbacks)
 	fs := virtue.NewWorkstation(venus.Config{
 		Mode:       mode,
 		Machine:    "ws-" + user,
 		Local:      unixfs.New(nil),
 		HomeServer: "server0",
-		Connect:    func(*sim.Proc, string) (venus.Conn, error) { return peer, nil },
+		Connect:    connect,
 	}, callbacks)
 	fs.Venus().Login(user)
-	return realStation{FS: fs, peer: peer}
+	return realStation{FS: fs, connect: connect, hangUp: hangUp}
 }
 
 func (ws realStation) write(t *testing.T, path, contents string) {
@@ -136,6 +151,25 @@ func (ws realStation) read(t *testing.T, path string) string {
 		t.Fatalf("read %s: %v", path, err)
 	}
 	return string(data)
+}
+
+// patience bounds a wait on a real socket closing; a test that reaches it
+// fails.
+func patience() <-chan time.Time {
+	return time.After(10 * time.Second) //itcvet:allow wallclock -- bounds a wait on a real socket closing
+}
+
+// awaitEnd waits until the server has finished with a connection of user's.
+func (c *realCell) awaitEnd(t *testing.T, user string) {
+	t.Helper()
+	select {
+	case got := <-c.ended:
+		if got != user {
+			t.Fatalf("connection of %q ended, want %s's", got, user)
+		}
+	case <-patience():
+		t.Fatal("the server never finished with the closed connection")
+	}
 }
 
 // An update on one connection reaches a cached copy held over another: by a
@@ -163,8 +197,9 @@ func TestRealCellSharingAcrossConnections(t *testing.T) {
 
 // A workstation answers the batched break as well as the single one. Vice
 // sends real transports one break per call today, so the server end is made
-// to place the batch; a workstation that registered only OpCallbackBreak, as
-// cmd/itcfs once did, refuses it and keeps serving the stale copies.
+// to place the batch, on a second connection with the workstation's callback
+// service; a workstation that registered only OpCallbackBreak, as cmd/itcfs
+// once did, refuses it and keeps serving the stale copies.
 func TestRealCellBulkBreak(t *testing.T) {
 	c := newRealCell(t, Revised, "satya")
 	ws := c.station(t, Revised, "satya")
@@ -179,7 +214,11 @@ func TestRealCellBulkBreak(t *testing.T) {
 		batch.Items = append(batch.Items, proto.CallbackBreakArgs{FID: fid, Path: path})
 	}
 	before := ws.Venus().Stats()
-	resp, err := ws.peer.Call(nil, rpc.Request{Op: bulkBack, Body: proto.Marshal(batch)})
+	conn, err := ws.connect(nil, "server0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := conn.Call(nil, rpc.Request{Op: bulkBack, Body: proto.Marshal(batch)})
 	if err != nil || !resp.OK() {
 		t.Fatalf("the workstation refused a bulk break: code %d %q, %v", resp.Code, resp.Body, err)
 	}
@@ -216,20 +255,51 @@ func TestRealCellDisconnectReleases(t *testing.T) {
 			if n := c.srv.Callbacks().Outstanding(); (mode == Revised) != (n > 0) {
 				t.Fatalf("%d promises outstanding in %s mode before the disconnect", n, mode)
 			}
-			ws.peer.Close()
-			select {
-			case user := <-c.ended:
-				if user != "satya" {
-					t.Fatalf("connection of %q ended, want satya's", user)
-				}
-			case <-time.After(10 * time.Second): //itcvet:allow wallclock -- bounds a wait on a real socket closing
-				t.Fatal("the server never finished with the closed connection")
-			}
+			ws.hangUp()
+			c.awaitEnd(t, "satya")
 			if readers, writer := c.srv.Locks().Held(fid); readers != 0 || writer != "" {
 				t.Errorf("after the disconnect: %d readers, writer %q", readers, writer)
 			}
 			if n := c.srv.Callbacks().Outstanding(); n != 0 {
 				t.Errorf("after the disconnect: %d promises outstanding", n)
+			}
+		})
+	}
+}
+
+// The other end of a connection's end: the workstation whose connection
+// ended no longer trusts the promises the server dropped with it (§3.3). It
+// redials and revalidates, and so reads a store another station made in
+// the meantime. Before Venus watched its connections it never noticed the
+// end: the revised mode served the stale copy from its cache without a call,
+// and the prototype, whose check-on-open failed on the closed connection,
+// served it as a degraded read.
+func TestRealCellStationOutlivesItsConnection(t *testing.T) {
+	for _, mode := range []Mode{Prototype, Revised} {
+		t.Run(mode.String(), func(t *testing.T) {
+			c := newRealCell(t, mode, "satya", "howard")
+			a, b := c.station(t, mode, "howard"), c.station(t, mode, "satya")
+			b.write(t, "/vice/usr/satya/f", "v1")
+			if got := a.read(t, "/vice/usr/satya/f"); got != "v1" {
+				t.Fatalf("first read %q", got)
+			}
+			a.hangUp()
+			c.awaitEnd(t, "howard")
+			// The station learns of the end on a goroutine of its own.
+			for timeout := patience(); a.Venus().Stats().Reconnects == 0; {
+				select {
+				case <-timeout:
+					t.Fatal("the station never dropped the connection that ended")
+				default:
+					runtime.Gosched()
+				}
+			}
+			b.write(t, "/vice/usr/satya/f", "v2")
+			if got := a.read(t, "/vice/usr/satya/f"); got != "v2" {
+				t.Errorf("after its connection ended the station reads %q, the server has v2", got)
+			}
+			if n := a.Venus().Stats().Reconnects; n != 1 {
+				t.Errorf("%d reconnects counted for one ended connection", n)
 			}
 		})
 	}
