@@ -62,6 +62,9 @@ go test -race -count=20 -run='^(TestPeerLentBuffersUnderLoad|TestPeerReusedChann
 # tests that end a station's connection under it run ten times more.
 go test -race -count=10 -run='^TestRealCellStationOutlivesItsConnection$' .
 go test -race -count=10 -run='^TestShellOutlivesADroppedConnection$' ./cmd/itcfs
+# A cache install takes over the cache file of the entry it evicts, while
+# other goroutines' opens race for that same victim; ten more runs.
+go test -race -count=10 -run='^TestConcurrentOpensUnderEviction$' ./internal/venus
 
 # The benchmark is its own module (bench/go.mod), so ./... above does not
 # reach it; its tests check BENCHMARK.json against bench/spec.go and drive

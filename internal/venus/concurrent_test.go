@@ -1,6 +1,7 @@
 package venus
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -18,7 +19,11 @@ import (
 // eight files, every open races some other goroutine's install and the
 // eviction it runs. Chosen under one hold and pinned under a later one, an
 // entry loses its cache file in between and the read fails on a file that
-// exists.
+// exists. The files are all one size, so each install takes over its
+// victim's cache file and buffer: a read is checked byte for byte, since a
+// file that answers for its old owner still reads the right length. In
+// prototype mode every hit is revalidated, and the open holds its entry
+// unpinned across that RPC.
 func TestConcurrentOpensUnderEviction(t *testing.T) {
 	const (
 		files   = 8
@@ -29,39 +34,47 @@ func TestConcurrentOpensUnderEviction(t *testing.T) {
 	if testing.Short() {
 		rounds = 2000
 	}
-	c := newTestCell(t, vice.Revised, "s0")
-	c.mkVolume("u", "/u", "satya", 0)
-	v := c.newVenus("s0", "satya", func(cfg *Config) { cfg.MaxBytes = 2500 })
-	paths := make([]string, files)
-	for i := range paths {
-		paths[i] = fmt.Sprintf("/u/f%d", i)
-		writeFile(t, v, paths[i], string(pattern(size, byte(i))))
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			buf := make([]byte, size+1)
-			for i := 0; i < rounds; i++ {
-				path := paths[(i*7+w*3)%files]
-				h, err := v.Open(nil, path, FlagRead)
-				if err != nil {
-					t.Errorf("worker %d round %d: open %s: %v", w, i, path, err)
-					return
-				}
-				n, err := h.ReadAt(buf, 0)
-				_ = h.Close(nil)
-				if err != nil || n != size {
-					t.Errorf("worker %d round %d: read %s: %d bytes, %v", w, i, path, n, err)
-					return
-				}
+	for _, mode := range []vice.Mode{vice.Prototype, vice.Revised} {
+		t.Run(mode.String(), func(t *testing.T) {
+			c := newTestCell(t, mode, "s0")
+			c.mkVolume("u", "/u", "satya", 0)
+			v := c.newVenus("s0", "satya", func(cfg *Config) { cfg.MaxFiles, cfg.MaxBytes = 2, 2500 })
+			paths := make([]string, files)
+			for i := range paths {
+				paths[i] = fmt.Sprintf("/u/f%d", i)
+				writeFile(t, v, paths[i], string(pattern(size, byte(i))))
 			}
-		}(w)
-	}
-	wg.Wait()
-	if v.Stats().Evictions == 0 {
-		t.Fatal("no eviction: the race was never set up")
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					buf := make([]byte, size+1)
+					for i := 0; i < rounds; i++ {
+						f := (i*7 + w*3) % files
+						h, err := v.Open(nil, paths[f], FlagRead)
+						if err != nil {
+							t.Errorf("worker %d round %d: open %s: %v", w, i, paths[f], err)
+							return
+						}
+						n, err := h.ReadAt(buf, 0)
+						_ = h.Close(nil)
+						if err != nil || n != size {
+							t.Errorf("worker %d round %d: read %s: %d bytes, %v", w, i, paths[f], n, err)
+							return
+						}
+						if !bytes.Equal(buf[:n], pattern(size, byte(f))) {
+							t.Errorf("worker %d round %d: read %s: another file's bytes", w, i, paths[f])
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			if v.Stats().Evictions == 0 {
+				t.Fatal("no eviction: the race was never set up")
+			}
+		})
 	}
 }
 

@@ -921,12 +921,23 @@ func (v *Venus) SetMode(p *sim.Proc, path string, mode uint16) error {
 		return err
 	}
 	v.mu.Lock()
-	if e := v.byFID[st.FID]; e != nil {
-		e.status = st
-	} else if e := v.byPath[unixfs.Clean(path)]; e != nil {
-		e.status = st
+	defer v.mu.Unlock()
+	e := v.byFID[st.FID]
+	if e == nil {
+		e = v.byPath[unixfs.Clean(path)]
 	}
-	v.mu.Unlock()
+	switch {
+	case e == nil:
+	case e.status.FID == st.FID && st.Version == e.status.Version+1:
+		// The chmod was the only change: the cached bytes are still current.
+		v.bytes += st.Size - e.status.Size
+		e.status = st
+	default:
+		// Another workstation stored in between. The copy keeps the status
+		// of the bytes it holds, which no longer validates: the next open
+		// fetches.
+		e.valid = false
+	}
 	return nil
 }
 

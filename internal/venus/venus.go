@@ -351,6 +351,21 @@ func (v *Venus) ReadFile(p *sim.Proc, path string) ([]byte, error) {
 	return data, err
 }
 
+// WriteFile replaces the whole of the Vice file at path with data, creating
+// it if need be: ReadFile's twin — an open for writing, one write at offset 0
+// and the close that stores it, with the handle on this frame.
+func (v *Venus) WriteFile(p *sim.Proc, path string, data []byte) error {
+	h, err := v.open(p, path, FlagWrite|FlagCreate|FlagTrunc)
+	if err != nil {
+		return err
+	}
+	if _, err := h.WriteAt(data, 0); err != nil {
+		_ = h.Close(p)
+		return err
+	}
+	return h.Close(p)
+}
+
 // open is Open with the handle returned by value, so a caller that closes it
 // before returning keeps it on its stack.
 func (v *Venus) open(p *sim.Proc, path string, flags OpenFlag) (Handle, error) {
@@ -735,6 +750,14 @@ func (v *Venus) createFile(p *sim.Proc, path string) (*entry, error) {
 // a reply's Bulk): from wire.KeepField's size on, the buffer the transfer
 // landed in becomes the cache file's contents; smaller files are copied out
 // of their frame, which the caller then releases.
+//
+// A new entry takes over the cache file of the entry its arrival evicts
+// first, when that victim is no larger: the copy lands in the victim's
+// buffer, which would otherwise be garbage a moment later. The victim leaves in this hold, as evictLocked would have removed
+// it, and only its file and buffer move: its *entry is never reused, because
+// checkOnOpen and degraded hold one unpinned across an RPC and tell an
+// evicted entry by its lruEl alone. A larger victim is removed as before; its
+// buffer would outlive it in a smaller file.
 func (v *Venus) installEntry(path string, st proto.Status, data []byte, now sim.Time) (*entry, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -745,13 +768,18 @@ func (v *Venus) installEntry(path string, st proto.Status, data []byte, now sim.
 	if e == nil {
 		e = &entry{}
 	}
-	if e.cacheFile == "" {
-		// Named once: an entry keeps its cache file for as long as it lives.
-		var id [20]byte
-		v.nextID++
-		e.cacheFile = cacheDir + "/c" + string(strconv.AppendInt(id[:0], v.nextID, 10))
-	} else {
-		v.bytes -= e.status.Size
+	// Named once: an entry keeps its cache file for as long as it lives. Every
+	// indexed entry has one, so an entry without one is new: one more file.
+	file := e.cacheFile
+	var donor *entry
+	if file == "" {
+		if d := v.victimLocked(1, st.Size); d != nil && d.status.Size <= st.Size {
+			donor, file = d, d.cacheFile
+		} else {
+			var id [20]byte
+			v.nextID++
+			file = cacheDir + "/c" + string(strconv.AppendInt(id[:0], v.nextID, 10))
+		}
 	}
 	write := v.cfg.Local.WriteFile
 	if ix := v.cfg.Blocks; ix != nil {
@@ -759,8 +787,13 @@ func (v *Venus) installEntry(path string, st proto.Status, data []byte, now sim.
 	} else if wire.KeepField(data) {
 		write = v.cfg.Local.Adopt
 	}
-	if err := write(e.cacheFile, data, 0o600, "venus"); err != nil {
+	if err := write(file, data, 0o600, "venus"); err != nil {
 		return nil, err
+	}
+	if e.cacheFile != "" {
+		v.bytes -= e.status.Size
+	} else {
+		e.cacheFile = file // never rewritten: handles read it off the lock
 	}
 	e.path = path
 	e.fid = st.FID
@@ -772,6 +805,11 @@ func (v *Venus) installEntry(path string, st proto.Status, data []byte, now sim.
 	v.bytes += st.Size
 	v.index(e)
 	v.pinLocked(e)
+	if donor != nil {
+		v.unindexLocked(donor)
+		donor.cacheFile = ""
+		v.stats.Evictions++
+	}
 	v.evictLocked()
 	return e, nil
 }
@@ -800,33 +838,54 @@ func (v *Venus) touch(e *entry) {
 	}
 }
 
-// evictLocked enforces the cache limit: entry count in prototype mode,
-// bytes in revised mode (§5.3). Dirty or open entries are never evicted.
+// evictLocked enforces the cache limit, least recently used first.
 //
 //itcvet:holds mu
 func (v *Venus) evictLocked() {
-	over := func() bool {
-		if v.cfg.Mode == vice.Prototype {
-			return v.lru.Len() > v.cfg.MaxFiles
-		}
-		return v.bytes > v.cfg.MaxBytes
+	for e := v.victimLocked(0, 0); e != nil; e = v.victimLocked(0, 0) {
+		v.removeLocked(e)
+		v.stats.Evictions++
 	}
-	el := v.lru.Back()
-	for over() && el != nil {
-		prev := el.Prev()
-		e := el.Value.(*entry)
-		if e.open == 0 && !e.dirty {
-			v.removeLocked(e)
-			v.stats.Evictions++
+}
+
+// victimLocked returns the entry eviction takes next if the cache, holding
+// files and bytes more than it does, is over its limit — entry count in
+// prototype mode, bytes in revised mode (§5.3): the LRU-back-most entry
+// neither open nor dirty. Nil when the cache is within its limit or nothing
+// may be evicted.
+//
+//itcvet:holds mu
+func (v *Venus) victimLocked(files int, bytes int64) *entry {
+	if v.cfg.Mode == vice.Prototype {
+		if v.lru.Len()+files <= v.cfg.MaxFiles {
+			return nil
 		}
-		el = prev
+	} else if v.bytes+bytes <= v.cfg.MaxBytes {
+		return nil
 	}
+	for el := v.lru.Back(); el != nil; el = el.Prev() {
+		if e := el.Value.(*entry); e.open == 0 && !e.dirty {
+			return e
+		}
+	}
+	return nil
 }
 
 // removeLocked drops an entry entirely. Caller holds v.mu.
 //
 //itcvet:holds mu
 func (v *Venus) removeLocked(e *entry) {
+	v.unindexLocked(e)
+	if e.cacheFile != "" {
+		_ = v.cfg.Local.Remove(e.cacheFile)
+	}
+}
+
+// unindexLocked takes e off the LRU list, out of both indexes and out of the
+// byte count, and leaves its cache file where it is.
+//
+//itcvet:holds mu
+func (v *Venus) unindexLocked(e *entry) {
 	if e.lruEl != nil {
 		v.lru.Remove(e.lruEl)
 		e.lruEl = nil
@@ -839,7 +898,6 @@ func (v *Venus) removeLocked(e *entry) {
 	}
 	if e.cacheFile != "" {
 		v.bytes -= e.status.Size
-		_ = v.cfg.Local.Remove(e.cacheFile)
 	}
 }
 
@@ -945,6 +1003,10 @@ func (h *Handle) WriteAt(buf []byte, off int64) (int, error) {
 
 // Seek positions the handle (whence 0=set, 1=cur, 2=end).
 func (h *Handle) Seek(off int64, whence int) (int64, error) {
+	if h.closed {
+		// Unpinned, the cache file may be another entry's by now.
+		return 0, fmt.Errorf("%w: handle closed", proto.ErrBadRequest)
+	}
 	switch whence {
 	case 0:
 		h.offset = off

@@ -383,6 +383,74 @@ func TestStatModes(t *testing.T) {
 	}
 }
 
+// cachedFileBytes sums the sizes of v's cache files, for comparison with the
+// byte count CacheUsage reports.
+func cachedFileBytes(t *testing.T, v *Venus) int64 {
+	t.Helper()
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	var sum int64
+	for el := v.lru.Front(); el != nil; el = el.Next() {
+		if file := el.Value.(*entry).cacheFile; file != "" {
+			st, err := v.cfg.Local.Stat(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum += st.Size
+		}
+	}
+	return sum
+}
+
+// TestSetModeOnAStaleCopy: a chmod's reply is the file's status as the
+// custodian holds it. When another workstation has stored since this one
+// cached the file, that status describes bytes this cache does not hold:
+// adopting it let check-on-open validate the stale copy, and put the byte
+// count out of step with the cache files.
+func TestSetModeOnAStaleCopy(t *testing.T) {
+	for _, mode := range []vice.Mode{vice.Prototype, vice.Revised} {
+		t.Run(mode.String(), func(t *testing.T) {
+			c := newTestCell(t, mode, "s0")
+			c.mkVolume("proj", "/proj", "satya", 0)
+			op := c.newVenus("s0", "operator", nil)
+			acl := prot.NewACL()
+			acl.Grant("satya", prot.RightsAll)
+			acl.Grant("howard", prot.RightsAll)
+			if err := op.SetACL(nil, "/proj", proto.ACLEncode(acl)); err != nil {
+				t.Fatal(err)
+			}
+			a := c.newVenus("s0", "satya", nil)
+			b := c.newVenus("s0", "howard", nil)
+			writeFile(t, a, "/proj/f", "v1")
+			if got := readFile(t, a, "/proj/f"); got != "v1" {
+				t.Fatalf("a reads %q", got)
+			}
+			writeFile(t, b, "/proj/f", "version-two")
+			if err := a.SetMode(nil, "/proj/f", 0o600); err != nil {
+				t.Fatal(err)
+			}
+			if _, bytes := a.CacheUsage(); bytes != cachedFileBytes(t, a) {
+				t.Fatalf("after chmod the cache counts %d bytes, its files hold %d", bytes, cachedFileBytes(t, a))
+			}
+			if got := readFile(t, a, "/proj/f"); got != "version-two" {
+				t.Fatalf("after chmod a reads %q, want the other workstation's store", got)
+			}
+			if _, bytes := a.CacheUsage(); bytes != cachedFileBytes(t, a) {
+				t.Fatalf("after the read the cache counts %d bytes, its files hold %d", bytes, cachedFileBytes(t, a))
+			}
+			// With no store in between the chmod's status is adopted: the
+			// next open is a hit.
+			if err := a.SetMode(nil, "/proj/f", 0o644); err != nil {
+				t.Fatal(err)
+			}
+			fetches := a.Stats().Fetches
+			if got := readFile(t, a, "/proj/f"); got != "version-two" || a.Stats().Fetches != fetches {
+				t.Fatalf("after a lone chmod a reads %q with %d fetches", got, a.Stats().Fetches-fetches)
+			}
+		})
+	}
+}
+
 func TestReadDirAndMkdirRemove(t *testing.T) {
 	for _, mode := range []vice.Mode{vice.Prototype, vice.Revised} {
 		t.Run(mode.String(), func(t *testing.T) {

@@ -26,13 +26,25 @@ import (
 // two received frames, read into pooled buffers and given back, and the
 // goroutine started to serve the call, now a parked worker. A reply Venus
 // leaves unreleased shows up here as two more: the pooled buffer it kept and
-// the frame that lent it, both made afresh for the next reply.
+// the frame that lent it, both made afresh for the next reply. WriteFile
+// stored with 14 until Venus kept both its handles on the stack.
+//
+// A cold read into a full cache evicts a file of its own size, whose name
+// and buffer the arrival takes over: the bytes it allocates are the copy
+// ReadFile returns and little else. Creating a cache file of its own and
+// copying into a new buffer, as before, cost 17 objects and 133 KB.
 var missAllocs = map[string]float64{
-	"cold ReadFile 4 KiB": 18,
-	"Stat (status RPC)":   7,
-	"WriteFile (store)":   14,
-	"Mkdir":               16,
-	"Remove":              8,
+	"cold ReadFile 4 KiB":              18,
+	"Stat (status RPC)":                7,
+	"WriteFile (store)":                12,
+	"Mkdir":                            16,
+	"Remove":                           8,
+	"cold ReadFile 64 KiB, full cache": 14,
+}
+
+// missBytes pins bytes allocated per run where the payload dominates them.
+var missBytes = map[string]uint64{
+	"cold ReadFile 64 KiB, full cache": 64<<10 + 4<<10,
 }
 
 // missDial returns a dial function for venus.PeerConnector that gives each
@@ -63,11 +75,13 @@ func missDial(t *testing.T, srv *vice.Server) (func(string) (io.ReadWriteCloser,
 	return dial, hangUp
 }
 
-func missWorkstation(t *testing.T, srv *vice.Server) (*FS, func()) {
+// missWorkstation connects a workstation to srv whose cache holds maxBytes
+// (0: Venus's default).
+func missWorkstation(t *testing.T, srv *vice.Server, maxBytes int64) (*FS, func()) {
 	callbacks := rpc.NewServer()
 	dial, hangUp := missDial(t, srv)
 	fs := NewWorkstation(venus.Config{
-		Mode: vice.Revised, Machine: "ws", Local: unixfs.New(nil), HomeServer: "s0",
+		Mode: vice.Revised, Machine: "ws", Local: unixfs.New(nil), HomeServer: "s0", MaxBytes: maxBytes,
 		Connect: venus.PeerConnector(dial, "operator", secure.DeriveKey("operator", "pw"), callbacks),
 	}, callbacks)
 	fs.Venus().Login("operator")
@@ -89,13 +103,18 @@ func TestMissPathAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const runs = 20 // AllocsPerRun makes one more call than it counts
+	const (
+		runs  = 20 // AllocsPerRun makes one more call than it counts
+		large = 64 << 10
+		full  = 4 // large files the second workstation's cache holds
+	)
 	name := func(kind string, i int) string { return fmt.Sprintf("/vice/m/%s%03d", kind, i) }
 	contents := bytes.Repeat([]byte("itc-miss"), 4096/8)
+	largeContents := bytes.Repeat([]byte("itc-miss"), large/8)
 
-	// Another workstation writes the files and hangs up, so the one measured
-	// finds them cold and its stores break nobody's promise.
-	setup, hangUp := missWorkstation(t, srv)
+	// Another workstation writes the files and hangs up, so the ones measured
+	// find them cold and their stores break nobody's promise.
+	setup, hangUp := missWorkstation(t, srv, 0)
 	if err := setup.Mkdir(nil, "/vice/m", 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -106,9 +125,14 @@ func TestMissPathAllocs(t *testing.T) {
 			}
 		}
 	}
+	for i := 0; i <= runs+full; i++ {
+		if err := setup.WriteFile(nil, name("l", i), largeContents); err != nil {
+			t.Fatal(err)
+		}
+	}
 	hangUp()
 
-	fs, _ := missWorkstation(t, srv)
+	fs, _ := missWorkstation(t, srv, 0)
 	if _, err := fs.ReadDir(nil, "/vice/m"); err != nil {
 		t.Fatal(err)
 	}
@@ -116,17 +140,28 @@ func TestMissPathAllocs(t *testing.T) {
 		// A collection inside the batch would empty pools that later refill
 		// at a cost of their own; start each batch just after one.
 		runtime.GC()
+		var before, after runtime.MemStats
 		i := 0
 		got := testing.AllocsPerRun(runs, func() {
 			if err := op(i); err != nil {
 				t.Fatalf("%s %d: %v", what, i, err)
 			}
+			if i == 0 {
+				// Bytes are counted from where AllocsPerRun counts objects:
+				// after its first call, which refills the pools.
+				runtime.ReadMemStats(&before)
+			}
 			i++
 		})
+		runtime.ReadMemStats(&after)
 		if want := missAllocs[what]; got > want {
 			t.Errorf("%s allocates %.1f objects, pinned at %.0f", what, got, want)
 		}
-		t.Logf("%s: %.1f objects", what, got)
+		perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+		if want, ok := missBytes[what]; ok && perRun > want {
+			t.Errorf("%s allocates %d bytes, pinned at %d", what, perRun, want)
+		}
+		t.Logf("%s: %.1f objects, %d bytes", what, got, perRun)
 	}
 	before := fs.Venus().Stats()
 	measure("cold ReadFile 4 KiB", func(i int) error {
@@ -153,5 +188,30 @@ func TestMissPathAllocs(t *testing.T) {
 	}
 	if n := after.Stores - before.Stores; n != runs+1 {
 		t.Errorf("%d stores, want %d", n, runs+1)
+	}
+
+	// A workstation whose cache holds full large files and the two listings
+	// that lead to them: once it is warm, every read evicts the least
+	// recently read file.
+	small, _ := missWorkstation(t, srv, full*large+8<<10)
+	for i := 0; i < full; i++ {
+		if _, err := small.ReadFile(nil, name("l", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before = small.Venus().Stats()
+	measure("cold ReadFile 64 KiB, full cache", func(i int) error {
+		got, err := small.ReadFile(nil, name("l", full+i))
+		if err == nil && !bytes.Equal(got, largeContents) {
+			err = fmt.Errorf("read back %d bytes that differ", len(got))
+		}
+		return err
+	})
+	after = small.Venus().Stats()
+	if n := after.Fetches - before.Fetches; n != runs+1 {
+		t.Errorf("%d fetches into the full cache, want %d", n, runs+1)
+	}
+	if n := after.Evictions - before.Evictions; n != runs+1 {
+		t.Errorf("%d evictions, want one per read, %d", n, runs+1)
 	}
 }

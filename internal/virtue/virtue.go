@@ -171,7 +171,11 @@ func (fs *FS) Open(p *sim.Proc, path string, flags venus.OpenFlag) (*File, error
 		}
 		return &File{fs: fs, vh: vh, flags: flags}, nil
 	}
-	lp := tgt.path
+	return fs.openLocal(path, tgt.path, flags)
+}
+
+// openLocal opens lp, what path resolved to in the local name space.
+func (fs *FS) openLocal(path, lp string, flags venus.OpenFlag) (*File, error) {
 	exists := fs.local.Exists(lp)
 	switch {
 	case !exists && flags&venus.FlagCreate != 0:
@@ -277,9 +281,17 @@ func (fs *FS) ReadFile(p *sim.Proc, path string) ([]byte, error) {
 	return fs.local.ReadFile(tgt.path)
 }
 
-// WriteFile writes an entire file, creating or truncating it.
+// WriteFile writes an entire file, creating or truncating it. A shared file
+// is Venus's to write, as ReadFile's is to read.
 func (fs *FS) WriteFile(p *sim.Proc, path string, data []byte) error {
-	f, err := fs.Open(p, path, venus.FlagWrite|venus.FlagCreate|venus.FlagTrunc)
+	tgt, err := fs.resolve(path, true)
+	if err != nil {
+		return err
+	}
+	if tgt.shared {
+		return fs.venus.WriteFile(p, tgt.path, data)
+	}
+	f, err := fs.openLocal(path, tgt.path, venus.FlagWrite|venus.FlagCreate|venus.FlagTrunc)
 	if err != nil {
 		return err
 	}
