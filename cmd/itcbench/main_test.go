@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 
 	"itcfs/internal/harness"
@@ -47,8 +49,33 @@ func TestQuickSuiteGolden(t *testing.T) {
 		t.Fatalf("read golden (run with -update to record): %v", err)
 	}
 	if got != string(want) {
-		t.Errorf("itcbench -quick diverged from %s\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
+		t.Errorf("itcbench -quick diverged from %s:\n%s", path, lineDiff(got, string(want)))
 	}
+}
+
+// lineDiff says where got parts from want: how many lines differ and the
+// first few of them with their line numbers, rather than both documents in
+// full.
+func lineDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	at := func(lines []string, i int) string {
+		if i < len(lines) {
+			return lines[i]
+		}
+		return "(past the end)"
+	}
+	var b strings.Builder
+	differ := 0
+	for i := 0; i < max(len(g), len(w)); i++ {
+		if at(g, i) == at(w, i) {
+			continue
+		}
+		if differ++; differ <= 5 {
+			fmt.Fprintf(&b, "line %d:\n  got:  %s\n  want: %s\n", i+1, at(g, i), at(w, i))
+		}
+	}
+	fmt.Fprintf(&b, "differing lines: %d", differ)
+	return b.String()
 }
 
 // TestE15ExportsDeterministic drives the telemetry exports through the real

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"io"
 	"net"
 	"os"
@@ -148,8 +149,33 @@ func TestScriptedSession(t *testing.T) {
 		t.Fatalf("read golden (run with -update to record): %v", err)
 	}
 	if got != string(want) {
-		t.Errorf("the scripted session diverged from %s\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
+		t.Errorf("the scripted session diverged from %s:\n%s", path, lineDiff(got, string(want)))
 	}
+}
+
+// lineDiff says where got parts from want: how many lines differ and the
+// first few of them with their line numbers, rather than both documents in
+// full.
+func lineDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	at := func(lines []string, i int) string {
+		if i < len(lines) {
+			return lines[i]
+		}
+		return "(past the end)"
+	}
+	var b strings.Builder
+	differ := 0
+	for i := 0; i < max(len(g), len(w)); i++ {
+		if at(g, i) == at(w, i) {
+			continue
+		}
+		if differ++; differ <= 5 {
+			fmt.Fprintf(&b, "line %d:\n  got:  %s\n  want: %s\n", i+1, at(g, i), at(w, i))
+		}
+	}
+	fmt.Fprintf(&b, "differing lines: %d", differ)
+	return b.String()
 }
 
 // TestBadInvocation covers the exits before a connection exists.

@@ -505,3 +505,71 @@ func TestTimeoutVsUnreachable(t *testing.T) {
 		t.Fatalf("dial after restart: %v", err)
 	}
 }
+
+// A station whose home server restarted redials it for the next location
+// lookup instead of asking again on the connection that died with the
+// server: a simulated connection reports no end of its own, so only the
+// failed call can drop it. The station is in cluster 1 (home server1), its
+// user's volume on server0; after server1 restarts it stats a volume it has
+// not located yet, custodied by server1. The revised walk asks the home
+// server where that volume is; without a redial every such lookup times out
+// and nothing is ever counted in Reconnects. (The prototype reaches server1
+// through server0's wrong-server redirect instead.) With the redial at most
+// the first attempt fails, and none does when ReconnectRetries allows the
+// redial inside the call.
+func TestLocationLookupSurvivesHomeRestart(t *testing.T) {
+	for _, mode := range []Mode{Prototype, Revised} {
+		for _, retries := range []int{0, 1} {
+			t.Run(fmt.Sprintf("%v/retries=%d", mode, retries), func(t *testing.T) {
+				cell := NewCell(CellConfig{Mode: mode, Clusters: 2,
+					CallTimeout: 10 * time.Second, ReconnectRetries: retries})
+				if err := cell.Do(func(p *sim.Proc) error {
+					admin, err := cell.Admin(p, 0)
+					if err != nil {
+						return err
+					}
+					if err := admin.NewUser(p, "satya", "pw", 0); err != nil {
+						return err
+					}
+					_, err = admin.NewUserAt(p, "howard", "pw", 0, "server1")
+					return err
+				}); err != nil {
+					t.Fatal(err)
+				}
+				ws := cell.AddWorkstation(1, "ws")
+				if err := cell.Do(func(p *sim.Proc) error {
+					if err := ws.Login(p, "satya", "pw"); err != nil {
+						return err
+					}
+					return ws.FS.WriteFile(p, "/vice/usr/satya/f", []byte("mine"))
+				}); err != nil {
+					t.Fatal(err)
+				}
+
+				cell.CrashServer(1)
+				cell.RestartServer(1)
+				cell.RunFor(time.Minute)
+				timeouts := 0
+				var err error
+				for i := 0; i < 3; i++ {
+					err = cell.Do(func(p *sim.Proc) error {
+						_, err := ws.FS.Stat(p, "/vice/usr/howard")
+						return err
+					})
+					if errors.Is(err, rpc.ErrTimeout) {
+						timeouts++
+					}
+				}
+				if err != nil {
+					t.Fatalf("last stat: %v", err)
+				}
+				if limit := 1 - retries; timeouts > limit {
+					t.Errorf("%d of 3 stats timed out, want at most %d", timeouts, limit)
+				}
+				if got := ws.Venus.Stats().Reconnects; got != 1 {
+					t.Errorf("Reconnects = %d, want 1", got)
+				}
+			})
+		}
+	}
+}

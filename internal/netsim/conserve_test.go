@@ -26,10 +26,10 @@ func TestQuickFrameConservation(t *testing.T) {
 		received := make([]int, len(nodes))
 		wrongDest := false
 		for _, nd := range nodes {
-			nd := nd
+			nd, rx := nd, inbox(k, nd)
 			k.Spawn("rx", func(p *sim.Proc) {
 				for {
-					msg := nd.Recv(p)
+					msg := rx.Get(p)
 					if msg.To != nd.ID {
 						wrongDest = true
 					}
@@ -87,9 +87,10 @@ func TestQuickLinkAccounting(t *testing.T) {
 		cl := n.AddCluster("A")
 		a := n.AddNode("a", cl)
 		b := n.AddNode("b", cl)
+		rx := inbox(k, b)
 		k.Spawn("rx", func(p *sim.Proc) {
 			for {
-				b.Recv(p)
+				rx.Get(p)
 			}
 		})
 		var want int64

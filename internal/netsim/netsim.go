@@ -190,19 +190,18 @@ type Node struct {
 	ID      NodeID
 	Name    string
 	Cluster *Cluster
-	Inbox   *sim.Mailbox[Message]
-	// sink, when set, receives delivered messages in kernel event context
-	// instead of the Inbox. See SetSink.
+	// sink receives delivered messages in kernel event context. See SetSink.
 	sink func(Message)
 }
 
-// SetSink routes this node's deliveries to fn instead of the Inbox mailbox.
-// fn runs in kernel event context — one scheduling hop after final
-// propagation, exactly where the mailbox wake-up would have run — so it must
-// not park; anything that blocks must be handed to a spawned process. A
-// receive loop that only demultiplexes (the RPC endpoint's dispatcher) saves
-// a full park/resume round trip per frame this way, which at tens of
-// thousands of clients is a measurable slice of wall-clock time.
+// SetSink routes this node's deliveries to fn, the one way a frame reaches
+// its addressee; a node without a sink discards what arrives. fn runs in
+// kernel event context — one scheduling hop after final propagation, exactly
+// where a receiver woken by the frame would resume — so it must not park;
+// anything that blocks must be handed to a spawned process. A receive loop
+// that only demultiplexes (the RPC endpoint's dispatcher) saves a full
+// park/resume round trip per frame this way, which at tens of thousands of
+// clients is a measurable slice of wall-clock time.
 func (n *Node) SetSink(fn func(Message)) { n.sink = fn }
 
 // FaultAction tells the network what to do with one frame. The zero value
@@ -266,7 +265,7 @@ const (
 	stageTxBackbone                // on the backbone
 	stageHopDst                    // reached the destination bridge: transmit on its LAN
 	stageTxDst                     // on the destination LAN
-	stageDeliver                   // final propagation done: deliver to the inbox
+	stageDeliver                   // final propagation done: count the delivery
 	stageSinkDeliver               // sink hand-off: run the destination's sink
 )
 
@@ -323,12 +322,7 @@ func (n *Network) AddCluster(name string) *Cluster {
 
 // AddNode attaches a new node to a cluster LAN and returns it.
 func (n *Network) AddNode(name string, c *Cluster) *Node {
-	node := &Node{
-		ID:      NodeID(len(n.nodes)),
-		Name:    name,
-		Cluster: c,
-		Inbox:   sim.NewMailbox[Message](n.k),
-	}
+	node := &Node{ID: NodeID(len(n.nodes)), Name: name, Cluster: c}
 	n.nodes = append(n.nodes, node)
 	return node
 }
@@ -408,7 +402,7 @@ func (n *Network) SetNodeDown(id NodeID, down bool) {
 // Delivered + Drops + FaultDrops + DownDrops once the network drains).
 func (n *Network) Offered() int64 { return n.offered }
 
-// Delivered returns the number of frames placed in a destination inbox.
+// Delivered returns the number of frames that reached a live destination.
 func (n *Network) Delivered() int64 { return n.delivered }
 
 // FaultDrops returns frames lost to the fault injector.
@@ -427,7 +421,7 @@ func (n *Network) FaultDelays() int64 { return n.faultDelays }
 func (n *Network) DownDrops() int64 { return n.downDrops }
 
 // Send routes a frame from src to dst. Delivery is asynchronous: the payload
-// appears in the destination node's Inbox after the frame traverses every
+// reaches the destination node's sink after the frame traverses every
 // segment on the path. Send never blocks the caller. An installed fault
 // injector may drop, duplicate, delay or corrupt the frame first, and frames
 // touching a powered-off node are lost.
@@ -565,23 +559,18 @@ func (f *frame) Fire() {
 			return
 		}
 		n.delivered++
-		nd := n.nodes[f.msg.To]
-		if nd.sink != nil {
-			// Mirror the mailbox wake-up: run the sink one same-instant
-			// scheduling hop later, exactly where a receiver parked on the
-			// inbox would have resumed. Without the hop, the sink would run
-			// ahead of events already queued at this instant.
-			f.stage = stageSinkDeliver
-			n.k.AtFire(n.k.Now(), f)
-			return
-		}
-		nd.Inbox.Put(f.msg)
-		n.release(f)
+		// Run the sink one same-instant scheduling hop later, exactly where
+		// a receiver woken by the frame would resume. Without the hop, the
+		// sink would run ahead of events already queued at this instant.
+		f.stage = stageSinkDeliver
+		n.k.AtFire(n.k.Now(), f)
 	case stageSinkDeliver:
 		sink := n.nodes[f.msg.To].sink
 		msg := f.msg
 		n.release(f)
-		sink(msg)
+		if sink != nil {
+			sink(msg)
+		}
 	}
 }
 
@@ -601,6 +590,3 @@ func (f *frame) txDone() {
 		n.k.AfterFire(n.cfg.Propagation+n.cfg.BridgeDelay, f)
 	}
 }
-
-// Recv blocks the calling process until a frame arrives at the node.
-func (nd *Node) Recv(p *sim.Proc) Message { return nd.Inbox.Get(p) }

@@ -18,6 +18,14 @@ func testConfig() Config {
 	}
 }
 
+// inbox installs on nd a sink that feeds a test-local mailbox, so a test
+// receives through the one delivery path the network has.
+func inbox(k *sim.Kernel, nd *Node) *sim.Mailbox[Message] {
+	mb := sim.NewMailbox[Message](k)
+	nd.SetSink(mb.Put)
+	return mb
+}
+
 // build makes two clusters with two nodes each: a0, a1 on cluster A and
 // b0 on cluster B.
 func build(t *testing.T) (*sim.Kernel, *Network, *Node, *Node, *Node) {
@@ -36,8 +44,9 @@ func TestIntraClusterDelivery(t *testing.T) {
 	k, n, a0, a1, _ := build(t)
 	var at sim.Time
 	var got Message
+	rx := inbox(k, a1)
 	k.Spawn("rx", func(p *sim.Proc) {
-		got = a1.Recv(p)
+		got = rx.Get(p)
 		at = p.Now()
 	})
 	// 12500 bytes at 10 Mbit/s = 10ms serialization, +1ms propagation.
@@ -58,8 +67,9 @@ func TestIntraClusterDelivery(t *testing.T) {
 func TestCrossClusterDelivery(t *testing.T) {
 	k, n, a0, _, b0 := build(t)
 	var at sim.Time
+	rx := inbox(k, b0)
 	k.Spawn("rx", func(p *sim.Proc) {
-		b0.Recv(p)
+		rx.Get(p)
 		at = p.Now()
 	})
 	// 12500 bytes: 10ms on LAN A + 1ms prop + 2ms bridge + 10ms backbone
@@ -81,8 +91,9 @@ func TestCrossClusterDelivery(t *testing.T) {
 func TestLoopbackDelivery(t *testing.T) {
 	k, n, a0, _, _ := build(t)
 	var at sim.Time
+	rx := inbox(k, a0)
 	k.Spawn("rx", func(p *sim.Proc) {
-		a0.Recv(p)
+		rx.Get(p)
 		at = p.Now()
 	})
 	n.Send(a0.ID, a0.ID, 1000, nil)
@@ -98,9 +109,10 @@ func TestLoopbackDelivery(t *testing.T) {
 func TestLANContentionSerializes(t *testing.T) {
 	k, n, a0, a1, _ := build(t)
 	var arrivals []sim.Time
+	rx := inbox(k, a1)
 	k.Spawn("rx", func(p *sim.Proc) {
 		for i := 0; i < 2; i++ {
-			a1.Recv(p)
+			rx.Get(p)
 			arrivals = append(arrivals, p.Now())
 		}
 	})
@@ -122,7 +134,8 @@ func TestLANContentionSerializes(t *testing.T) {
 
 func TestLinkUtilizationAndBytes(t *testing.T) {
 	k, n, a0, a1, _ := build(t)
-	k.Spawn("rx", func(p *sim.Proc) { a1.Recv(p) })
+	rx := inbox(k, a1)
+	k.Spawn("rx", func(p *sim.Proc) { rx.Get(p) })
 	n.Send(a0.ID, a1.ID, 12500, nil)
 	k.Run() // ends at 11ms
 	lan := a0.Cluster.LAN
@@ -143,7 +156,8 @@ func TestFrameOverheadCharged(t *testing.T) {
 	c := n.AddCluster("A")
 	a := n.AddNode("a", c)
 	b := n.AddNode("b", c)
-	k.Spawn("rx", func(p *sim.Proc) { b.Recv(p) })
+	rx := inbox(k, b)
+	k.Spawn("rx", func(p *sim.Proc) { rx.Get(p) })
 	n.Send(a.ID, b.ID, 1000, nil)
 	k.Run()
 	if got := c.LAN.Bytes(); got != 1064 {
@@ -154,12 +168,13 @@ func TestFrameOverheadCharged(t *testing.T) {
 func TestPartitionDropsCrossClusterOnly(t *testing.T) {
 	k, n, a0, a1, b0 := build(t)
 	var intra, inter int
+	rxA, rxB := inbox(k, a1), inbox(k, b0)
 	k.Spawn("rxA", func(p *sim.Proc) {
-		a1.Recv(p)
+		rxA.Get(p)
 		intra++
 	})
 	k.Spawn("rxB", func(p *sim.Proc) {
-		b0.Recv(p)
+		rxB.Get(p)
 		inter++
 	})
 	n.Partition(b0.Cluster)
@@ -196,9 +211,9 @@ func TestManyNodesManyClusters(t *testing.T) {
 	}
 	received := 0
 	for _, nd := range nodes {
-		nd := nd
+		rx := inbox(k, nd)
 		k.Spawn("rx", func(p *sim.Proc) {
-			nd.Recv(p)
+			rx.Get(p)
 			received++
 		})
 	}

@@ -7,11 +7,13 @@ package venus
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"itcfs/internal/proto"
 	"itcfs/internal/rpc"
 	"itcfs/internal/sim"
+	"itcfs/internal/trace"
 	"itcfs/internal/unixfs"
 	"itcfs/internal/vice"
 )
@@ -79,7 +81,7 @@ func (d *downConn) Call(p *sim.Proc, req rpc.Request) (rpc.Response, error) {
 
 // newFailoverVenus is newVenus with a crash switch: servers in down refuse
 // dials and fail established connections with ErrUnreachable.
-func newFailoverVenus(c *testCell, home, user string, down map[string]bool) *Venus {
+func newFailoverVenus(c *testCell, home, user string, down map[string]bool, tweak func(*Config)) *Venus {
 	local := unixfs.New(c.tick)
 	var v *Venus
 	back := &wsBack{}
@@ -88,6 +90,9 @@ func newFailoverVenus(c *testCell, home, user string, down map[string]bool) *Ven
 		Machine:    "ws-" + user,
 		Local:      local,
 		HomeServer: home,
+	}
+	if tweak != nil {
+		tweak(&cfg)
 	}
 	cfg.Connect = func(_ *sim.Proc, server string) (Conn, error) {
 		if down[server] {
@@ -125,7 +130,7 @@ func TestReadFailoverToReplica(t *testing.T) {
 	}
 
 	down := map[string]bool{}
-	v := newFailoverVenus(c, "s0", "satya", down)
+	v := newFailoverVenus(c, "s0", "satya", down, nil)
 	// Warm the location cache while the custodian is alive.
 	if got := readFile(t, v, "/bin-ro/ls"); got != "ls binary" {
 		t.Fatalf("pre-crash read: %q", got)
@@ -147,7 +152,7 @@ func TestMutationDoesNotFailOver(t *testing.T) {
 	c := newTestCell(t, vice.Revised, "s0", "s1")
 	c.mkVolume("u", "/u", "satya", 0)
 	down := map[string]bool{}
-	v := newFailoverVenus(c, "s0", "satya", down)
+	v := newFailoverVenus(c, "s0", "satya", down, nil)
 	writeFile(t, v, "/u/f", "before")
 	down["s0"] = true
 	f, err := v.Open(nil, "/u/f", FlagWrite)
@@ -157,5 +162,54 @@ func TestMutationDoesNotFailOver(t *testing.T) {
 		if werr == nil && cerr == nil {
 			t.Fatal("write succeeded with the only custodian down")
 		}
+	}
+}
+
+// TestSweepFailoverIsAnOrdinaryFailover takes down the first two servers in
+// a released volume's pinned order and forces a sweep: the bulk validation
+// reaches the third, and each hop is counted in Failovers and logged as a
+// venus.failover flight event, as for any other read that fails over.
+func TestSweepFailoverIsAnOrdinaryFailover(t *testing.T) {
+	c := newTestCell(t, vice.Revised, "s0", "s1", "s2")
+	vid := c.mkVolume("bin", "/bin", "operator", 0)
+	op := c.newVenus("s0", "operator", nil)
+	writeFile(t, op, "/bin/ls", "ls binary")
+	writeFile(t, op, "/bin/cat", "cat binary")
+	resp := c.servers["s0"].Dispatcher().Dispatch(rpc.Ctx{User: "operator"}, rpc.Request{
+		Op: rpc.Op(proto.OpVolClone),
+		Body: proto.Marshal(proto.VolCloneArgs{
+			Volume: vid, Path: "/bin-ro", Replicas: []string{"s2", "s1"},
+		}),
+	})
+	if !resp.OK() {
+		t.Fatalf("clone: %v", proto.CodeToErr(resp.Code, string(resp.Body)))
+	}
+
+	// Homed on replica s1, the station's order for the release is s1 (home),
+	// s0 (custodian), s2; the root volume's entries form a group of their
+	// own on s0.
+	down := map[string]bool{}
+	flight := trace.NewRecorder(0, func() sim.Time { return 0 })
+	v := newFailoverVenus(c, "s1", "satya", down, func(cfg *Config) { cfg.Flight = flight })
+	readFile(t, v, "/bin-ro/ls")
+	readFile(t, v, "/bin-ro/cat")
+
+	down["s1"], down["s0"] = true, true
+	before := v.Stats().Failovers
+	checked, stale, _ := v.Revalidate(nil, true) // the root group's s0 stays unreachable
+	if checked != 3 || stale != 0 {
+		t.Errorf("sweep checked %d (stale %d), want the release's listing and two files current", checked, stale)
+	}
+	if got := v.Stats().Failovers - before; got != 2 {
+		t.Errorf("Failovers grew by %d, want 2", got)
+	}
+	var hops []string
+	for _, e := range flight.Events() {
+		if e.Kind == trace.EventVenusFailover {
+			hops = append(hops, e.Detail)
+		}
+	}
+	if len(hops) != 2 || !strings.HasSuffix(hops[0], "trying replica s0") || !strings.HasSuffix(hops[1], "trying replica s2") {
+		t.Errorf("failover events %q, want s1 -> s0 -> s2", hops)
 	}
 }

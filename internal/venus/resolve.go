@@ -89,16 +89,14 @@ func (v *Venus) locateLocked(path string) (proto.CustodianReply, bool) {
 }
 
 // askCustodian asks the home cluster server which volume covers path and who
-// holds it, and caches the answer under both of its keys.
+// holds it, and caches the answer under both of its keys. The question goes
+// through callAt like any other call, so a home server that restarted is
+// redialed rather than asked again on the connection that died with it.
 func (v *Venus) askCustodian(p *sim.Proc, path string) (proto.CustodianReply, error) {
 	v.mu.Lock()
 	v.stats.OtherRPCs++
 	v.mu.Unlock()
-	c, err := v.conn(p, v.cfg.HomeServer)
-	if err != nil {
-		return proto.CustodianReply{}, err
-	}
-	resp, err := c.Call(p, rpc.Request{
+	resp, err := v.callAt(p, path, proto.CustodianReply{Custodian: v.cfg.HomeServer}, rpc.Request{
 		Op:   rpc.Op(proto.OpGetCustodian),
 		Body: proto.Marshal(proto.CustodianArgs{Path: path}),
 	})
@@ -183,15 +181,6 @@ func readOp(op rpc.Op) bool {
 	return false
 }
 
-// callPath routes a request by pathname, following wrong-server hints.
-func (v *Venus) callPath(p *sim.Proc, path string, req rpc.Request) (rpc.Response, error) {
-	cr, err := v.locate(p, path)
-	if err != nil {
-		return rpc.Response{}, err
-	}
-	return v.callAt(p, path, cr, req)
-}
-
 // locateVolume finds the location entry for a specific volume. Unlike
 // locate, a cached path prefix is not good enough: a mount-point crossing
 // means the path cache's entry names the wrong (parent) volume, so on a
@@ -209,13 +198,17 @@ func (v *Venus) locateVolume(p *sim.Proc, vol uint32, pathHint string) (proto.Cu
 	return v.askCustodian(p, pathHint)
 }
 
-// callRef routes by FID when the reference has one, else by path. pathHint
-// is used for location lookups of FID refs whose volume is unknown.
+// callRef routes by FID when the reference has one, else by path, following
+// wrong-server hints. pathHint is used for location lookups of FID refs
+// whose volume is unknown.
 func (v *Venus) callRef(p *sim.Proc, ref proto.Ref, pathHint string, req rpc.Request) (rpc.Response, error) {
-	if !ref.ByFID() {
-		return v.callPath(p, ref.Path, req)
+	var cr proto.CustodianReply
+	var err error
+	if ref.ByFID() {
+		cr, err = v.locateVolume(p, ref.FID.Volume, pathHint)
+	} else {
+		cr, err = v.locate(p, ref.Path)
 	}
-	cr, err := v.locateVolume(p, ref.FID.Volume, pathHint)
 	if err != nil {
 		return rpc.Response{}, err
 	}
@@ -245,12 +238,15 @@ func (v *Venus) call(p *sim.Proc, ref proto.Ref, pathHint string, op uint16, bod
 	return resp, err
 }
 
-// callAt performs the call against the first reachable server in cr's
-// serverOrder for req, retrying at the hinted custodian on CodeWrongServer
-// (stale hints are corrected, not fatal). Under ReconnectRetries, a transport
-// failure drops the dead connection, redials and re-issues the call — this is
-// how Venus survives a server that crashed and restarted, losing every
-// connection it had accepted. When the current server stays unreachable after
+// callAt is Venus's one route to a server: every call, location lookups and
+// revalidation sweeps included, is made here and nowhere else. It performs
+// the call against the first reachable server in cr's serverOrder for req,
+// retrying at the hinted custodian on CodeWrongServer (stale hints are
+// corrected, not fatal). A transport failure drops the dead connection (a
+// simulated one reports no end of its own, so nothing else would), and under
+// ReconnectRetries redials and re-issues the call — this is how Venus
+// survives a server that crashed and restarted, losing every connection it
+// had accepted. When the current server stays unreachable after
 // its redial budget, the call fails over to the next server in the fallback
 // order (read-only replicas of the same volume), with a short doubling
 // backoff between hops — a crashed custodian blacks nothing out as long as
@@ -641,12 +637,9 @@ type dirPatch func(entries []proto.DirEntry, resp rpc.Response) []proto.DirEntry
 // callback, and refetching a directory it just changed would waste a
 // whole-file transfer per mutation. The prototype cannot patch (its
 // validation compares versions with the custodian, which incremented), so
-// there the stale listing is dropped.
-func (v *Venus) dirCall(p *sim.Proc, dir string, op uint16, body []byte, patch dirPatch) error {
-	ref, err := v.refFor(p, dir)
-	if err != nil {
-		return err
-	}
+// there the stale listing is dropped. ref is dir's, as the caller resolved
+// it for the request body.
+func (v *Venus) dirCall(p *sim.Proc, dir string, ref proto.Ref, op uint16, body []byte, patch dirPatch) error {
 	resp, err := v.call(p, ref, dir, op, body)
 	defer resp.Release()
 	if err != nil {
@@ -758,7 +751,7 @@ func (v *Venus) Mkdir(p *sim.Proc, path string, mode uint16) error {
 	if err != nil {
 		return err
 	}
-	return v.dirCall(p, dir, proto.OpMakeDir,
+	return v.dirCall(p, dir, ref, proto.OpMakeDir,
 		proto.Marshal(proto.NameArgs{Dir: ref, Name: name, Mode: mode}),
 		patchAdd(name, proto.TypeDir))
 }
@@ -771,7 +764,7 @@ func (v *Venus) Remove(p *sim.Proc, path string) error {
 	if err != nil {
 		return err
 	}
-	if err := v.dirCall(p, dir, proto.OpRemove,
+	if err := v.dirCall(p, dir, ref, proto.OpRemove,
 		proto.Marshal(proto.NameArgs{Dir: ref, Name: name}), patchDel(name)); err != nil {
 		return err
 	}
@@ -791,7 +784,7 @@ func (v *Venus) RemoveDir(p *sim.Proc, path string) error {
 	if err != nil {
 		return err
 	}
-	if err := v.dirCall(p, dir, proto.OpRemoveDir,
+	if err := v.dirCall(p, dir, ref, proto.OpRemoveDir,
 		proto.Marshal(proto.NameArgs{Dir: ref, Name: name}), patchDel(name)); err != nil {
 		return err
 	}
@@ -844,7 +837,7 @@ func (v *Venus) Rename(p *sim.Proc, from, to string) error {
 	} else {
 		patch = patchDel(fromName)
 	}
-	err = v.dirCall(p, fromDir, proto.OpRename, proto.Marshal(proto.RenameArgs{
+	err = v.dirCall(p, fromDir, fromRef, proto.OpRename, proto.Marshal(proto.RenameArgs{
 		FromDir: fromRef, FromName: fromName, ToDir: toRef, ToName: toName,
 	}), patch)
 	if err != nil {
@@ -878,7 +871,7 @@ func (v *Venus) Symlink(p *sim.Proc, target, path string) error {
 	if err != nil {
 		return err
 	}
-	return v.dirCall(p, dir, proto.OpSymlink,
+	return v.dirCall(p, dir, ref, proto.OpSymlink,
 		proto.Marshal(proto.SymlinkArgs{Dir: ref, Name: name, Target: target}),
 		patchAdd(name, proto.TypeSymlink))
 }
@@ -894,7 +887,7 @@ func (v *Venus) Link(p *sim.Proc, oldPath, newPath string) error {
 	if err != nil {
 		return err
 	}
-	return v.dirCall(p, dir, proto.OpLink,
+	return v.dirCall(p, dir, dirRef, proto.OpLink,
 		proto.Marshal(proto.LinkArgs{Dir: dirRef, Name: name, Target: oldRef}),
 		func(entries []proto.DirEntry, _ rpc.Response) []proto.DirEntry {
 			if !oldRef.ByFID() {

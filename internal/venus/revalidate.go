@@ -59,13 +59,14 @@ func (v *Venus) Revalidate(p *sim.Proc, force bool) (checked, stale int, err err
 
 	// Group by preferred server, keeping servers in the order their first
 	// entry appears in the FID-sorted candidate list — deterministic. Each
-	// group remembers its full fallback order: entries on a replicated
-	// read-only volume may be validated against any replica (replicas of a
-	// release are immutable and share the clone's versions), so when the
-	// preferred server is unreachable the sweep fails over instead of
-	// leaving the whole group unrefreshed.
+	// group remembers the location entry of its first member, whose replica
+	// order callAt fails over down: entries on a replicated read-only volume
+	// may be validated against any replica (replicas of a release are
+	// immutable and share the clone's versions), so when the preferred server
+	// is unreachable the sweep fails over instead of leaving the whole group
+	// unrefreshed.
 	byServer := make(map[string][]revalCandidate)
-	fallbacks := make(map[string][]string)
+	locs := make(map[string]proto.CustodianReply)
 	var order []string
 	for _, c := range cands {
 		cr, lerr := v.locateVolume(p, c.fid.Volume, c.path)
@@ -76,7 +77,7 @@ func (v *Venus) Revalidate(p *sim.Proc, force bool) (checked, stale int, err err
 		server := v.serverFor(cr, true)
 		if _, ok := byServer[server]; !ok {
 			order = append(order, server)
-			fallbacks[server] = v.serverOrder(cr, true)
+			locs[server] = cr
 		}
 		byServer[server] = append(byServer[server], c)
 	}
@@ -96,7 +97,7 @@ func (v *Venus) Revalidate(p *sim.Proc, force bool) (checked, stale int, err err
 				chunk = chunk[:batch]
 			}
 			items = items[len(chunk):]
-			n, st, cerr := v.revalidateChunk(p, fallbacks[server], chunk)
+			n, st, cerr := v.revalidateChunk(p, locs[server], chunk)
 			checked += n
 			stale += st
 			if cerr != nil {
@@ -109,10 +110,10 @@ func (v *Venus) Revalidate(p *sim.Proc, force bool) (checked, stale int, err err
 }
 
 // revalidateChunk checks one custodian's batch against the first reachable
-// server in servers. A single-entry chunk uses the legacy TestValid call —
-// so RevalidateBatch=1 reproduces the unbatched protocol exactly, which is
-// what E14's ablation side measures.
-func (v *Venus) revalidateChunk(p *sim.Proc, servers []string, chunk []revalCandidate) (checked, stale int, err error) {
+// server in cr's replica order. A single-entry chunk uses the legacy
+// TestValid call — so RevalidateBatch=1 reproduces the unbatched protocol
+// exactly, which is what E14's ablation side measures.
+func (v *Venus) revalidateChunk(p *sim.Proc, cr proto.CustodianReply, chunk []revalCandidate) (checked, stale int, err error) {
 	v.mu.Lock()
 	v.stats.Revalidated += int64(len(chunk))
 	v.mu.Unlock()
@@ -129,7 +130,7 @@ func (v *Venus) revalidateChunk(p *sim.Proc, servers []string, chunk []revalCand
 	for _, c := range chunk {
 		args.Items = append(args.Items, proto.TestValidArgs{Ref: proto.Ref{FID: c.fid}, Version: c.version})
 	}
-	reply, err := v.bulkTestValid(p, servers, args)
+	reply, err := v.bulkTestValid(p, cr, args)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -162,78 +163,31 @@ func (v *Venus) applyRevalidation(p *sim.Proc, chunk []revalCandidate, verdicts 
 	return stale
 }
 
-// bulkTestValid performs one BulkTestValid RPC against the first reachable
-// server in servers, redialing a dead connection like callAt does and
-// failing over down the replica order when a server stays unreachable. It
-// deliberately skips wrong-server redirect handling: a custodian that no
-// longer hosts an item answers Valid=false for it, and the next open's
-// fetch chases the move. A read-only replica never breaks callbacks — its
-// volumes are immutable — so a Valid answer from any replica is as good as
-// the custodian's.
-func (v *Venus) bulkTestValid(p *sim.Proc, servers []string, args proto.BulkTestValidArgs) (proto.BulkTestValidReply, error) {
+// bulkTestValid performs one BulkTestValid RPC through callAt, which walks
+// cr's read-only server order: a dead connection is redialed and an
+// unreachable server failed over exactly as for any other read. The redirect
+// never fires: a custodian that no longer hosts an item answers Valid=false
+// for it, and the next open's fetch chases the move. A read-only replica
+// never breaks callbacks — its volumes are immutable — so a Valid answer from
+// any replica is as good as the custodian's.
+func (v *Venus) bulkTestValid(p *sim.Proc, cr proto.CustodianReply, args proto.BulkTestValidArgs) (proto.BulkTestValidReply, error) {
 	sp := v.cfg.Tracer.Begin(p, trace.SpanVenusValidateBulk, v.cfg.Machine)
 	defer sp.End()
 	v.mu.Lock()
 	v.stats.BulkValidations++
 	v.mu.Unlock()
-	req := rpc.Request{
+	resp, err := v.callAt(p, cr.Prefix, cr, rpc.Request{
 		Op:   rpc.Op(proto.OpBulkTestValid),
 		Body: proto.Marshal(args),
+	})
+	if err != nil {
+		return proto.BulkTestValidReply{}, err
 	}
-	redials, si := 0, 0
-	server := servers[si]
-	failNext := func() bool {
-		if si+1 >= len(servers) {
-			return false
-		}
-		if p != nil {
-			p.Sleep(failoverBackoff << uint(si))
-		}
-		si++
-		server = servers[si]
-		redials = 0
-		v.mu.Lock()
-		v.stats.Failovers++
-		v.mu.Unlock()
-		v.mFailover.Inc()
-		return true
+	defer resp.Release()
+	if !resp.OK() {
+		return proto.BulkTestValidReply{}, proto.CodeToErr(resp.Code, string(resp.Body))
 	}
-	for {
-		c, err := v.conn(p, server)
-		if err != nil {
-			if isRedialable(err) && redials < v.cfg.ReconnectRetries {
-				redials++
-				continue
-			}
-			if isTransportErr(err) && failNext() {
-				continue
-			}
-			return proto.BulkTestValidReply{}, err
-		}
-		resp, err := c.Call(p, req)
-		if err != nil {
-			if isTransportErr(err) && redials < v.cfg.ReconnectRetries {
-				v.dropConn(server, c)
-				redials++
-				continue
-			}
-			if isTransportErr(err) {
-				v.dropConn(server, c)
-				if failNext() {
-					continue
-				}
-			}
-			return proto.BulkTestValidReply{}, err
-		}
-		var reply proto.BulkTestValidReply
-		if resp.OK() {
-			reply, err = proto.Unmarshal(resp.Body, proto.DecodeBulkTestValidReply)
-		} else {
-			err = proto.CodeToErr(resp.Code, string(resp.Body))
-		}
-		resp.Release()
-		return reply, err
-	}
+	return proto.Unmarshal(resp.Body, proto.DecodeBulkTestValidReply)
 }
 
 // fidLess orders FIDs by (volume, vnode, uniquifier).

@@ -159,7 +159,7 @@ func (c *testCell) mkVolume(name, path, owner string, quota int64) uint32 {
 		}
 	}
 	build(dir)
-	resp, err := op.callPath(nil, dir, rpc.Request{
+	resp, err := op.callRef(nil, proto.Ref{Path: dir}, dir, rpc.Request{
 		Op:   rpc.Op(proto.OpVolCreate),
 		Body: proto.Marshal(proto.VolCreateArgs{Name: name, Path: path, Quota: quota, Owner: owner}),
 	})
@@ -569,7 +569,7 @@ func TestRedirectAfterVolumeMove(t *testing.T) {
 	writeFile(t, v, "/usr/satya/f", "before move")
 	// Move the volume to s1 behind Venus's back.
 	op := c.newVenus("s0", "operator", nil)
-	resp, err := op.callPath(nil, "/", rpc.Request{
+	resp, err := op.callRef(nil, proto.Ref{Path: "/"}, "/", rpc.Request{
 		Op:   rpc.Op(proto.OpVolMove),
 		Body: proto.Marshal(proto.VolMoveArgs{Volume: vid, Target: "s1"}),
 	})

@@ -41,6 +41,24 @@ func serverOnly(h rpc.HandlerFunc) rpc.HandlerFunc {
 	}
 }
 
+// callPeer is Vice's one route to another server: it calls the peer named
+// name, turns a refusal into its proto error and releases the reply. The
+// caller must not hold s.mu (peer calls park).
+func (s *Server) callPeer(p *sim.Proc, name string, req rpc.Request) error {
+	s.mu.Lock()
+	peer, ok := s.peers[name]
+	s.mu.Unlock()
+	if !ok {
+		return fmt.Errorf("%w: unknown server %s", proto.ErrBadRequest, name)
+	}
+	resp, err := peer.Call(p, req)
+	if err == nil && !resp.OK() {
+		err = proto.CodeToErr(resp.Code, string(resp.Body))
+	}
+	resp.Release()
+	return err
+}
+
 // broadcast sends a request to every peer server, returning the first
 // error. The caller must not hold s.mu (peer calls park).
 func (s *Server) broadcast(p *sim.Proc, req rpc.Request) error {
@@ -49,19 +67,11 @@ func (s *Server) broadcast(p *sim.Proc, req rpc.Request) error {
 	for name := range s.peers {
 		names = append(names, name)
 	}
-	sort.Strings(names)
-	peers := make([]rpc.Conn, len(names))
-	for i, name := range names {
-		peers[i] = s.peers[name]
-	}
 	s.mu.Unlock()
-	for i, c := range peers {
-		resp, err := c.Call(p, req)
-		if err != nil {
-			return fmt.Errorf("vice: broadcast to %s: %w", names[i], err)
-		}
-		if !resp.OK() {
-			return fmt.Errorf("vice: broadcast to %s: %w", names[i], proto.CodeToErr(resp.Code, string(resp.Body)))
+	sort.Strings(names)
+	for _, name := range names {
+		if err := s.callPeer(p, name, req); err != nil {
+			return fmt.Errorf("vice: broadcast to %s: %w", name, err)
 		}
 	}
 	return nil
@@ -277,7 +287,7 @@ func (s *Server) handleVolMove(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 		return respErr(err)
 	}
 	s.mu.Lock()
-	peer, havePeer := s.peers[args.Target]
+	_, havePeer := s.peers[args.Target] // refused before the volume goes offline
 	s.mu.Unlock()
 	if !havePeer {
 		return respErr(fmt.Errorf("%w: unknown server %s", proto.ErrBadRequest, args.Target))
@@ -293,16 +303,12 @@ func (s *Server) handleVolMove(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	s.gate.RLock()
 	image := v.Serialize()
 	s.gate.RUnlock()
-	resp, err := peer.Call(ctx.Proc, rpc.Request{
+	if err := s.callPeer(ctx.Proc, args.Target, rpc.Request{
 		Op:   rpc.Op(proto.OpVolInstall),
 		Body: proto.Marshal(proto.VolInstallArgs{Volume: v.ID(), Name: v.Name(), ReadOnly: v.ReadOnly()}),
 		Bulk: image,
-	})
-	if err != nil || !resp.OK() {
+	}); err != nil {
 		_ = s.mutate(v, func() error { v.SetOnline(true); return nil }) // move failed; restore service
-		if err == nil {
-			err = proto.CodeToErr(resp.Code, string(resp.Body))
-		}
 		return respErr(err)
 	}
 	if err := s.detachVolume(args.Volume); err != nil {

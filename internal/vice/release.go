@@ -34,24 +34,7 @@ func (s *Server) pushRelease(p *sim.Proc, vol *volume.Volume) func(server string
 	s.gate.RUnlock()
 	body := proto.Marshal(proto.VolInstallArgs{Volume: vol.ID(), Name: vol.Name(), ReadOnly: true})
 	return func(server string) error {
-		s.mu.Lock()
-		peer, ok := s.peers[server]
-		s.mu.Unlock()
-		if !ok {
-			return fmt.Errorf("%w: unknown replica server %s", proto.ErrBadRequest, server)
-		}
-		resp, err := peer.Call(p, rpc.Request{
-			Op:   rpc.Op(proto.OpVolInstall),
-			Body: body,
-			Bulk: image,
-		})
-		if err != nil {
-			return err
-		}
-		if !resp.OK() {
-			return proto.CodeToErr(resp.Code, string(resp.Body))
-		}
-		return nil
+		return s.callPeer(p, server, rpc.Request{Op: rpc.Op(proto.OpVolInstall), Body: body, Bulk: image})
 	}
 }
 
