@@ -65,6 +65,10 @@ go test -race -count=10 -run='^TestShellOutlivesADroppedConnection$' ./cmd/itcfs
 # A cache install takes over the cache file of the entry it evicts, while
 # other goroutines' opens race for that same victim; ten more runs.
 go test -race -count=10 -run='^TestConcurrentOpensUnderEviction$' ./internal/venus
+# From the hand-over size on, a cold ReadFile returns the reply's frame while
+# the cache's copy lands in a victim's buffer; ten more runs of the twin that
+# checks no reader's result is ever a buffer the cache reuses.
+go test -race -count=10 -run='^TestConcurrentReadFilesUnderEviction$' ./internal/venus
 
 # The benchmark is its own module (bench/go.mod), so ./... above does not
 # reach it; its tests check BENCHMARK.json against bench/spec.go and drive

@@ -2,7 +2,9 @@ package venus
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 
 	"itcfs/internal/proto"
@@ -12,8 +14,9 @@ import (
 )
 
 // Bulk data changes hands instead of being copied: a large fetch reply
-// becomes the cache file, and a store lends the cache file to the RPC. These
-// tests pin what that must not break, and what it is for.
+// becomes the cache file, or what a cold ReadFile returns, and a store lends
+// the cache file to the RPC. These tests pin what that must not break, and
+// what it is for.
 
 // beforeConn runs a hook on each request before forwarding it — the window in
 // which a store's Bulk has left Venus but not yet reached the server.
@@ -263,5 +266,164 @@ func TestFetchHandOverIsChosenBySize(t *testing.T) {
 		if err := rh.Close(nil); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// keptSize is the file size of the whole-file read tests: past the hand-over
+// size, so a cold ReadFile returns the frame its reply arrived in.
+const keptSize = 1 << 20
+
+// twoFileCache stands up a real server in mode holding files files of
+// keptSize bytes, /f<i> carrying pattern i, and a reader on a Peer of its own
+// whose cache holds two of them (and, in revised mode, the root listing). A
+// non-nil hook sees every reply the reader receives.
+func twoFileCache(t *testing.T, mode vice.Mode, files int, hook func(rpc.Request, rpc.Response)) (*Venus, []string) {
+	t.Helper()
+	c := newTCPCell(t, mode)
+	writer := c.tcpVenus(t, mode, "satya", "pw")
+	paths := make([]string, files)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/f%d", i)
+		if err := writer.WriteFile(nil, paths[i], pattern(keptSize, byte(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reader := c.tcpVenus(t, mode, "howard", "pw")
+	reader.cfg.MaxFiles, reader.cfg.MaxBytes = 2, 2*keptSize+keptSize/2
+	if hook != nil {
+		dial := reader.cfg.Connect
+		reader.cfg.Connect = func(p *sim.Proc, server string) (Conn, error) {
+			conn, err := dial(p, server)
+			if err != nil {
+				return nil, err
+			}
+			return hookConn{inner: conn, hook: hook}, nil
+		}
+	}
+	return reader, paths
+}
+
+// TestColdReadFileIsTheCallersAlone: a cold ReadFile of a hand-over-sized
+// file returns the frame its reply arrived in, and the cache keeps a copy,
+// which in a full cache lands in the buffer of the file the arrival evicts.
+// Neither may ever be the other. Whatever the caller does to its result,
+// later reads return the server's bytes; whatever the cache does — an
+// eviction that hands a buffer on, a local write — every result a caller
+// holds stays bit-identical.
+func TestColdReadFileIsTheCallersAlone(t *testing.T) {
+	for _, mode := range []vice.Mode{vice.Prototype, vice.Revised} {
+		t.Run(mode.String(), func(t *testing.T) {
+			var bulk []byte // the last fetch reply's Bulk, as the transport delivered it
+			v, paths := twoFileCache(t, mode, 4, func(req rpc.Request, resp rpc.Response) {
+				if req.Op == rpc.Op(proto.OpFetch) {
+					bulk = resp.Bulk
+				}
+			})
+			held := make([][]byte, len(paths)) // each file's ReadFile result, kept
+			want := make([][]byte, len(paths)) // what each must still hold
+			check := func(when string) {
+				t.Helper()
+				for i := range held {
+					if held[i] != nil && !bytes.Equal(held[i], want[i]) {
+						t.Fatalf("%s: the result of reading %s changed under its caller", when, paths[i])
+					}
+				}
+			}
+			read := func(i int, cold bool) []byte {
+				t.Helper()
+				before := v.Stats()
+				got, err := v.ReadFile(nil, paths[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if missed := v.Stats().Misses > before.Misses; missed != cold {
+					t.Fatalf("read of %s missed = %v, want %v", paths[i], missed, cold)
+				}
+				if cold && &got[0] != &bulk[0] {
+					t.Fatalf("cold read of %s: the result is not the reply's Bulk", paths[i])
+				}
+				return got
+			}
+
+			// Cold reads through a cache of two: from the third on, each
+			// evicts the file read two before it and copies into its buffer.
+			for i := range paths {
+				held[i], want[i] = read(i, true), pattern(keptSize, byte(i))
+				check("after reading " + paths[i])
+			}
+			if n := v.Stats().Evictions; n < int64(len(paths)-2) {
+				t.Fatalf("%d evictions: the cache was never full", n)
+			}
+
+			// The caller scribbles over its result: the cache's copy is its own.
+			last := len(paths) - 1
+			for j := range held[last] {
+				held[last][j] = 0xEE
+			}
+			want[last] = bytes.Clone(held[last])
+			if got := read(last, false); !bytes.Equal(got, pattern(keptSize, byte(last))) {
+				t.Fatal("a warm read after the caller scribbled over the cold result returned the scribble")
+			}
+			check("after a warm read")
+
+			// A local write edits the cache file, never a result handed out.
+			for _, i := range []int{last - 1, last} {
+				next := pattern(keptSize, byte(0x80+i))
+				if err := v.WriteFile(nil, paths[i], next); err != nil {
+					t.Fatal(err)
+				}
+				check("after writing " + paths[i])
+				if got := read(i, false); !bytes.Equal(got, next) {
+					t.Fatalf("%s does not read back what was written", paths[i])
+				}
+			}
+		})
+	}
+}
+
+// TestConcurrentReadFilesUnderEviction is TestConcurrentOpensUnderEviction at
+// the hand-over size, through ReadFile on a real Peer: four goroutines read
+// four files through a cache of two, so most reads are cold and each copy
+// lands in a buffer the eviction beside it frees. Every result is checked
+// against its pattern and then overwritten, so a result that shared its
+// array with the cache, or with another reader's, shows up as another
+// read's wrong bytes (or, under -race, as a race).
+func TestConcurrentReadFilesUnderEviction(t *testing.T) {
+	const (
+		files   = 4
+		workers = 4
+	)
+	rounds := 12
+	if testing.Short() {
+		rounds = 3
+	}
+	for _, mode := range []vice.Mode{vice.Prototype, vice.Revised} {
+		t.Run(mode.String(), func(t *testing.T) {
+			v, paths := twoFileCache(t, mode, files, nil)
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < rounds; i++ {
+						f := (i + w) % files
+						got, err := v.ReadFile(nil, paths[f])
+						if err != nil {
+							t.Errorf("worker %d round %d: read %s: %v", w, i, paths[f], err)
+							return
+						}
+						if !bytes.Equal(got, pattern(keptSize, byte(f))) {
+							t.Errorf("worker %d round %d: read %s: %d bytes, not its own", w, i, paths[f], len(got))
+							return
+						}
+						clear(got)
+					}
+				}(w)
+			}
+			wg.Wait()
+			if st := v.Stats(); st.Evictions == 0 || st.Misses <= int64(files) {
+				t.Fatalf("%d evictions, %d misses: the race was never set up", st.Evictions, st.Misses)
+			}
+		})
 	}
 }

@@ -520,7 +520,7 @@ func (v *Venus) decodeDirLocked(e *entry) ([]proto.DirEntry, error) {
 // Directory files participate in caching and callbacks exactly like plain
 // files.
 func (v *Venus) fetchDir(p *sim.Proc, dir proto.FID, path string) ([]proto.DirEntry, error) {
-	e, err := v.fetchEntry(p, proto.Ref{FID: dir}, path, 0)
+	e, err := v.fetchEntry(p, proto.Ref{FID: dir}, path, 0, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -614,7 +614,7 @@ func (v *Venus) ReadDir(p *sim.Proc, path string) ([]proto.DirEntry, error) {
 	}
 	// Prototype: fetch the directory like a file, through the cache with
 	// check-on-open validation.
-	e, err := v.lookupPrototype(p, path, 0)
+	e, err := v.lookupPrototype(p, path, 0, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -41,7 +41,8 @@ import (
 // Bulk changes hands with the call. A request's Bulk is only read, and only
 // until Call returns. A response's Bulk belongs to the caller outright —
 // nothing else may refer to its array afterwards — because Venus keeps a
-// large one as the cache file's contents and later writes edit it in place.
+// large one as the cache file's contents, where later writes edit it in
+// place, or hands it to a whole-file reader (ReadFile).
 // Both transports satisfy this: each reply is decoded out of a buffer of its
 // own.
 type Conn = rpc.Conn
@@ -326,7 +327,7 @@ type Handle struct {
 // Open opens the Vice file at path (a path inside the shared space, e.g.
 // "/usr/satya/paper.mss").
 func (v *Venus) Open(p *sim.Proc, path string, flags OpenFlag) (*Handle, error) {
-	h, err := v.open(p, path, flags)
+	h, err := v.open(p, path, flags, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -339,12 +340,23 @@ func (v *Venus) Open(p *sim.Proc, path string, flags OpenFlag) (*Handle, error) 
 // by the cache file itself (a second handle may hold it dirty, so the
 // status's size is not the copy's), which leaves the bytes handed back as
 // the only garbage of a cached read.
+//
+// An open that misses on a file from wire.KeepField's size on, with no
+// Config.Blocks, reads nothing back: the caller gets the reply's Bulk itself,
+// a buffer no pool reuses, and the cache keeps a copy (installEntry). So a cold read allocates the
+// file once, in the frame it arrived in. The bytes are the version fetched:
+// the read takes effect at the install, and a write that another handle on
+// this Venus makes after it is not in them, as with any read ordered before
+// that write.
 func (v *Venus) ReadFile(p *sim.Proc, path string) ([]byte, error) {
-	h, err := v.open(p, path, FlagRead)
+	var data []byte
+	h, err := v.open(p, path, FlagRead, &data)
 	if err != nil {
 		return nil, err
 	}
-	data, err := v.cfg.Local.ReadFile(h.file)
+	if data == nil {
+		data, err = v.cfg.Local.ReadFile(h.file)
+	}
 	// A read handle's close fails only if it stores what another handle
 	// wrote, and that handle's own close reports it.
 	_ = h.Close(p)
@@ -355,7 +367,7 @@ func (v *Venus) ReadFile(p *sim.Proc, path string) ([]byte, error) {
 // it if need be: ReadFile's twin — an open for writing, one write at offset 0
 // and the close that stores it, with the handle on this frame.
 func (v *Venus) WriteFile(p *sim.Proc, path string, data []byte) error {
-	h, err := v.open(p, path, FlagWrite|FlagCreate|FlagTrunc)
+	h, err := v.open(p, path, FlagWrite|FlagCreate|FlagTrunc, nil)
 	if err != nil {
 		return err
 	}
@@ -367,8 +379,9 @@ func (v *Venus) WriteFile(p *sim.Proc, path string, data []byte) error {
 }
 
 // open is Open with the handle returned by value, so a caller that closes it
-// before returning keeps it on its stack.
-func (v *Venus) open(p *sim.Proc, path string, flags OpenFlag) (Handle, error) {
+// before returning keeps it on its stack. A non-nil whole is ReadFile's:
+// where the open fetches, it may receive the fetched bytes (installEntry).
+func (v *Venus) open(p *sim.Proc, path string, flags OpenFlag, whole *[]byte) (Handle, error) {
 	path = unixfs.Clean(path)
 	// Opens are the hot path: when observability is off entirely, skip even
 	// the stats snapshots the hit/miss accounting needs.
@@ -390,7 +403,7 @@ func (v *Venus) open(p *sim.Proc, path string, flags OpenFlag) (Handle, error) {
 			v.mOpenLat.Observe(v.now(p).Sub(started))
 		}()
 	}
-	e, err := v.lookupEntry(p, path, flags)
+	e, err := v.lookupEntry(p, path, flags, whole)
 	if err != nil {
 		return Handle{}, err
 	}
@@ -413,12 +426,13 @@ func (v *Venus) open(p *sim.Proc, path string, flags OpenFlag) (Handle, error) {
 // Vice as needed, and returns it pinned: chosen, moved to the LRU front and
 // counted open in one hold of v.mu, so no install running beside this open
 // can evict it before the handle exists. An error returns nothing pinned.
-// This is where the two validation disciplines differ.
-func (v *Venus) lookupEntry(p *sim.Proc, path string, flags OpenFlag) (*entry, error) {
+// This is where the two validation disciplines differ. whole is open's, passed
+// on to the fetch.
+func (v *Venus) lookupEntry(p *sim.Proc, path string, flags OpenFlag, whole *[]byte) (*entry, error) {
 	if v.cfg.Mode == vice.Prototype {
-		return v.lookupPrototype(p, path, flags)
+		return v.lookupPrototype(p, path, flags, whole)
 	}
-	return v.lookupRevised(p, path, flags)
+	return v.lookupRevised(p, path, flags, whole)
 }
 
 // pinLocked counts one more open handle on e and moves it to the LRU front.
@@ -471,13 +485,13 @@ func (v *Venus) checkOnOpen(p *sim.Proc, e *entry, ref proto.Ref, version uint64
 
 // lookupPrototype implements check-on-open: a cached copy is revalidated
 // with the custodian on every open.
-func (v *Venus) lookupPrototype(p *sim.Proc, path string, flags OpenFlag) (*entry, error) {
+func (v *Venus) lookupPrototype(p *sim.Proc, path string, flags OpenFlag, whole *[]byte) (*entry, error) {
 	v.mu.Lock()
 	v.stats.Opens++
 	e := v.byPath[path]
 	if e == nil || e.cacheFile == "" {
 		v.mu.Unlock()
-		return v.fetchEntry(p, proto.Ref{Path: path}, path, flags)
+		return v.fetchEntry(p, proto.Ref{Path: path}, path, flags, whole)
 	}
 	if e.dirty {
 		// Locally modified and not yet stored: our copy is the newest.
@@ -494,7 +508,7 @@ func (v *Venus) lookupPrototype(p *sim.Proc, path string, flags OpenFlag) (*entr
 	case served:
 		return e, nil
 	}
-	return v.fetchEntry(p, proto.Ref{Path: path}, path, flags)
+	return v.fetchEntry(p, proto.Ref{Path: path}, path, flags, whole)
 }
 
 // isTransportErr reports a transport-level failure — no response at all —
@@ -585,7 +599,7 @@ func (v *Venus) freshLocked(e *entry, now sim.Time) bool {
 
 // lookupRevised trusts callbacks: a valid cached copy needs no server
 // traffic at all, and walk serves it in the hold that found it.
-func (v *Venus) lookupRevised(p *sim.Proc, path string, flags OpenFlag) (*entry, error) {
+func (v *Venus) lookupRevised(p *sim.Proc, path string, flags OpenFlag, whole *[]byte) (*entry, error) {
 	fid, e, err := v.walk(p, path, true, true)
 	if e != nil {
 		return e, nil
@@ -625,7 +639,7 @@ func (v *Venus) lookupRevised(p *sim.Proc, path string, flags OpenFlag) (*entry,
 			return e, nil
 		}
 	}
-	fe, ferr := v.fetchEntry(p, proto.Ref{FID: fid}, path, flags)
+	fe, ferr := v.fetchEntry(p, proto.Ref{FID: fid}, path, flags, whole)
 	if ferr != nil && isTransportErr(ferr) && v.degraded(e, flags) {
 		return e, nil
 	}
@@ -654,8 +668,8 @@ func (v *Venus) testValid(p *sim.Proc, ref proto.Ref, version uint64) (bool, uin
 }
 
 // fetchEntry fetches the whole file from its custodian into the cache and
-// returns its entry pinned.
-func (v *Venus) fetchEntry(p *sim.Proc, ref proto.Ref, path string, flags OpenFlag) (*entry, error) {
+// returns its entry pinned. whole is open's, passed on to the install.
+func (v *Venus) fetchEntry(p *sim.Proc, ref proto.Ref, path string, flags OpenFlag, whole *[]byte) (*entry, error) {
 	sp := v.cfg.Tracer.Begin(p, trace.SpanVenusFetch, v.cfg.Machine)
 	sp.SetStr("path", path)
 	defer sp.End()
@@ -690,7 +704,7 @@ func (v *Venus) fetchEntry(p *sim.Proc, ref proto.Ref, path string, flags OpenFl
 	v.stats.Misses++
 	v.stats.BytesFetched += int64(len(resp.Bulk))
 	v.mu.Unlock()
-	e, err := v.installEntry(path, st, resp.Bulk, v.now(p))
+	e, err := v.installEntry(path, st, resp.Bulk, v.now(p), whole)
 	if err != nil {
 		return nil, err
 	}
@@ -727,7 +741,7 @@ func (v *Venus) createFile(p *sim.Proc, path string) (*entry, error) {
 		// its reply was lost and a reconnect re-issued it. FlagCreate has
 		// no exclusive semantics, so open the existing file.
 		v.dropDir(dir)
-		return v.fetchEntry(p, proto.Ref{Path: path}, path, 0)
+		return v.fetchEntry(p, proto.Ref{Path: path}, path, 0, nil)
 	}
 	if !resp.OK() {
 		return nil, proto.CodeToErr(resp.Code, string(resp.Body))
@@ -741,24 +755,27 @@ func (v *Venus) createFile(p *sim.Proc, path string) (*entry, error) {
 	if v.cfg.Mode != vice.Revised || !v.patchDir(dirRef.FID, patchAdd(name, proto.TypeFile), resp) {
 		v.dropDir(dir)
 	}
-	return v.installEntry(path, st, nil, v.now(p))
+	return v.installEntry(path, st, nil, v.now(p), nil)
 }
 
 // installEntry writes fetched data into the local cache, indexes it and
 // returns the entry pinned — before the eviction its own arrival sets off,
 // and every caller reads the cache file next. The caller gives data up (it is
 // a reply's Bulk): from wire.KeepField's size on, the buffer the transfer
-// landed in becomes the cache file's contents; smaller files are copied out
-// of their frame, which the caller then releases.
+// landed in becomes the cache file's contents, unless a whole-file reader
+// takes it — a non-nil whole is ReadFile's, which then gets data itself while
+// the cache file gets a copy. Smaller files are copied out of their frame,
+// which the caller then releases, and whole is left alone.
 //
 // A new entry takes over the cache file of the entry its arrival evicts
 // first, when that victim is no larger: the copy lands in the victim's
-// buffer, which would otherwise be garbage a moment later. The victim leaves in this hold, as evictLocked would have removed
-// it, and only its file and buffer move: its *entry is never reused, because
-// checkOnOpen and degraded hold one unpinned across an RPC and tell an
-// evicted entry by its lruEl alone. A larger victim is removed as before; its
-// buffer would outlive it in a smaller file.
-func (v *Venus) installEntry(path string, st proto.Status, data []byte, now sim.Time) (*entry, error) {
+// buffer, which would otherwise be garbage a moment later. The victim leaves
+// in this hold, as evictLocked would have removed it, and only its file and
+// buffer move: its *entry is never reused, because checkOnOpen and degraded
+// hold one unpinned across an RPC and tell an evicted entry by its lruEl
+// alone. A larger victim is removed as before; its buffer would outlive it in
+// a smaller file.
+func (v *Venus) installEntry(path string, st proto.Status, data []byte, now sim.Time, whole *[]byte) (*entry, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	e := v.byFID[st.FID]
@@ -785,7 +802,11 @@ func (v *Venus) installEntry(path string, st proto.Status, data []byte, now sim.
 	if ix := v.cfg.Blocks; ix != nil {
 		data = ix.Intern(data) // now shared cell-wide: the cache file needs a copy
 	} else if wire.KeepField(data) {
-		write = v.cfg.Local.Adopt
+		if whole != nil {
+			*whole = data // the reader's alone from here: the cache file needs a copy
+		} else {
+			write = v.cfg.Local.Adopt
+		}
 	}
 	if err := write(file, data, 0o600, "venus"); err != nil {
 		return nil, err

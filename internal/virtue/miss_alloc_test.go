@@ -32,7 +32,11 @@ import (
 // A cold read into a full cache evicts a file of its own size, whose name
 // and buffer the arrival takes over: the bytes it allocates are the copy
 // ReadFile returns and little else. Creating a cache file of its own and
-// copying into a new buffer, as before, cost 17 objects and 133 KB.
+// copying into a new buffer, as before, cost 17 objects and 133 KB. From the
+// hand-over size on, what ReadFile returns is the frame the reply arrived in,
+// and the cache's copy lands in the evicted file's buffer: one payload per
+// read. Adopting the frame as the cache file and copying it out for the
+// reader, as before, cost two.
 var missAllocs = map[string]float64{
 	"cold ReadFile 4 KiB":              18,
 	"Stat (status RPC)":                7,
@@ -40,11 +44,13 @@ var missAllocs = map[string]float64{
 	"Mkdir":                            16,
 	"Remove":                           8,
 	"cold ReadFile 64 KiB, full cache": 14,
+	"cold ReadFile 1 MiB, full cache":  14,
 }
 
 // missBytes pins bytes allocated per run where the payload dominates them.
 var missBytes = map[string]uint64{
 	"cold ReadFile 64 KiB, full cache": 64<<10 + 4<<10,
+	"cold ReadFile 1 MiB, full cache":  1<<20 + 64<<10,
 }
 
 // missDial returns a dial function for venus.PeerConnector that gives each
@@ -106,11 +112,13 @@ func TestMissPathAllocs(t *testing.T) {
 	const (
 		runs  = 20 // AllocsPerRun makes one more call than it counts
 		large = 64 << 10
-		full  = 4 // large files the second workstation's cache holds
+		huge  = 1 << 20 // past the hand-over size
+		full  = 4       // files a full-cache workstation's cache holds
 	)
 	name := func(kind string, i int) string { return fmt.Sprintf("/vice/m/%s%03d", kind, i) }
 	contents := bytes.Repeat([]byte("itc-miss"), 4096/8)
 	largeContents := bytes.Repeat([]byte("itc-miss"), large/8)
+	hugeContents := bytes.Repeat([]byte("itc-miss"), huge/8)
 
 	// Another workstation writes the files and hangs up, so the ones measured
 	// find them cold and their stores break nobody's promise.
@@ -127,6 +135,9 @@ func TestMissPathAllocs(t *testing.T) {
 	}
 	for i := 0; i <= runs+full; i++ {
 		if err := setup.WriteFile(nil, name("l", i), largeContents); err != nil {
+			t.Fatal(err)
+		}
+		if err := setup.WriteFile(nil, name("h", i), hugeContents); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -190,28 +201,32 @@ func TestMissPathAllocs(t *testing.T) {
 		t.Errorf("%d stores, want %d", n, runs+1)
 	}
 
-	// A workstation whose cache holds full large files and the two listings
-	// that lead to them: once it is warm, every read evicts the least
-	// recently read file.
-	small, _ := missWorkstation(t, srv, full*large+8<<10)
-	for i := 0; i < full; i++ {
-		if _, err := small.ReadFile(nil, name("l", i)); err != nil {
-			t.Fatal(err)
+	// A workstation whose cache holds full files of one size and the two
+	// listings that lead to them: once it is warm, every read evicts the
+	// least recently read file.
+	coldFull := func(what, kind string, contents []byte) {
+		ws, _ := missWorkstation(t, srv, full*int64(len(contents))+8<<10)
+		for i := 0; i < full; i++ {
+			if _, err := ws.ReadFile(nil, name(kind, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := ws.Venus().Stats()
+		measure(what, func(i int) error {
+			got, err := ws.ReadFile(nil, name(kind, full+i))
+			if err == nil && !bytes.Equal(got, contents) {
+				err = fmt.Errorf("read back %d bytes that differ", len(got))
+			}
+			return err
+		})
+		after := ws.Venus().Stats()
+		if n := after.Fetches - before.Fetches; n != runs+1 {
+			t.Errorf("%s: %d fetches into the full cache, want %d", what, n, runs+1)
+		}
+		if n := after.Evictions - before.Evictions; n != runs+1 {
+			t.Errorf("%s: %d evictions, want one per read, %d", what, n, runs+1)
 		}
 	}
-	before = small.Venus().Stats()
-	measure("cold ReadFile 64 KiB, full cache", func(i int) error {
-		got, err := small.ReadFile(nil, name("l", full+i))
-		if err == nil && !bytes.Equal(got, largeContents) {
-			err = fmt.Errorf("read back %d bytes that differ", len(got))
-		}
-		return err
-	})
-	after = small.Venus().Stats()
-	if n := after.Fetches - before.Fetches; n != runs+1 {
-		t.Errorf("%d fetches into the full cache, want %d", n, runs+1)
-	}
-	if n := after.Evictions - before.Evictions; n != runs+1 {
-		t.Errorf("%d evictions, want one per read, %d", n, runs+1)
-	}
+	coldFull("cold ReadFile 64 KiB, full cache", "l", largeContents)
+	coldFull("cold ReadFile 1 MiB, full cache", "h", hugeContents)
 }
