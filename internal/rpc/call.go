@@ -142,7 +142,7 @@ func (k *core[S]) call(c carrier, p *sim.Proc, req Request, callback bool) (Resp
 	o := k.obs.Load()
 	sp := o.tracer.Begin(p, trace.SpanRPCCall, o.node)
 	sp.SetInt(trace.AttrOp, int64(req.Op))
-	started := clock(p)
+	started := Clock(p)
 	tc := sp.Context()
 	var err error
 	for a := 0; a < attempts; a++ {
@@ -156,13 +156,13 @@ func (k *core[S]) call(c carrier, p *sim.Proc, req Request, callback bool) (Resp
 		if err = out.err; err == nil {
 			sp.SetInt(trace.AttrServerNs, int64(out.svc))
 			sp.End()
-			o.callLat.Observe(clock(p).Sub(started))
+			o.callLat.Observe(Clock(p).Sub(started))
 			return out.resp, nil
 		}
 		if !errors.Is(err, ErrTimeout) {
 			break
 		}
-		o.timeouts.Inc(o.shard)
+		o.timeouts.Inc()
 	}
 	sp.End()
 	return Response{}, err
@@ -174,7 +174,7 @@ func (k *core[S]) call(c carrier, p *sim.Proc, req Request, callback bool) (Resp
 // simulator's cost model; nil on a Peer).
 func (k *core[S]) serve(p *sim.Proc, srv *Server, ctx Ctx, tc wire.TraceHeader, req Request, charge func(Ctx, Request, Response)) (Response, time.Duration) {
 	o := k.obs.Load()
-	started := clock(p)
+	started := Clock(p)
 	var sp *trace.Span
 	if p != nil {
 		sp = o.tracer.BeginRemote(p, tc, trace.SpanRPCServe, o.node)
@@ -189,7 +189,7 @@ func (k *core[S]) serve(p *sim.Proc, srv *Server, ctx Ctx, tc wire.TraceHeader, 
 	if charge != nil {
 		charge(ctx, req, resp)
 	}
-	svc := clock(p).Sub(started)
+	svc := Clock(p).Sub(started)
 	o.serveLat.Observe(svc)
 	sp.End()
 	return resp, svc
@@ -201,8 +201,7 @@ func (k *core[S]) serve(p *sim.Proc, srv *Server, ctx Ctx, tc wire.TraceHeader, 
 type observers struct {
 	tracer   *trace.Tracer
 	node     string // the machine spans are recorded on
-	shard    uint64 // node's stripe of the cell-wide counters
-	timeouts *trace.StripedCounter
+	timeouts *trace.Counter
 	callLat  *trace.Histogram
 	serveLat *trace.Histogram
 }
@@ -211,20 +210,21 @@ func newObservers(t *trace.Tracer, reg *trace.Registry, node string) observers {
 	return observers{
 		tracer:   t,
 		node:     node,
-		shard:    trace.ShardKey(node),
-		timeouts: reg.Striped(trace.MetricRPCCallTimeouts),
+		timeouts: reg.Counter(trace.MetricRPCCallTimeouts),
 		callLat:  reg.Histogram(trace.MetricRPCCallLatency),
 		serveLat: reg.Histogram(trace.MetricRPCServeLatency),
 	}
 }
 
 // epoch is where a real transport's clock starts.
-var epoch = time.Now() //itcvet:allow wallclock -- the real transport's clock is the wall's (see clock)
+var epoch = time.Now() //itcvet:allow wallclock -- the real transport's clock is the wall's (see Clock)
 
-// clock reads the time calls and serves are measured in: p's virtual time in
-// the simulator; on a real transport, which has no simulated process, the
-// wall's (monotonic) time.
-func clock(p *sim.Proc) sim.Time {
+// Clock reads the time a caller of p is measured in: p's virtual time in the
+// simulator; on a real transport, which has no simulated process, the wall's
+// (monotonic) time. Calls and serves are timed by it, and so is anything a
+// client keeps or measures in the same regime (Venus's promise ages and
+// latencies).
+func Clock(p *sim.Proc) sim.Time {
 	if p != nil {
 		return p.Now()
 	}

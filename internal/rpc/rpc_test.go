@@ -8,6 +8,7 @@ import (
 	"itcfs/internal/netsim"
 	"itcfs/internal/secure"
 	"itcfs/internal/sim"
+	"itcfs/internal/trace"
 )
 
 const (
@@ -297,6 +298,66 @@ func TestSimPartitionTimesOut(t *testing.T) {
 	}
 	if errs[1] != nil {
 		t.Errorf("post-heal call err = %v, want nil", errs[1])
+	}
+}
+
+// TestSimCountersReachTheSnapshot drives one call through every path the
+// cell-wide RPC counters count — a timed-out attempt, a retransmission, a
+// duplicate that arrives while the original executes and one answered from
+// the reply cache — and checks that a snapshot of the registry both endpoints
+// share reports each under its name with what the endpoints counted.
+func TestSimCountersReachTheSnapshot(t *testing.T) {
+	k := sim.NewKernel()
+	net := netsim.New(k, netsim.ITCDefaults())
+	cl := net.AddCluster("c0")
+	reg := trace.NewRegistry()
+	logic := NewServer()
+	logic.Handle(opStat, func(ctx Ctx, _ Request) Response {
+		ctx.Proc.Sleep(4 * time.Second)
+		return Response{Body: []byte("slow")}
+	})
+	srv := NewEndpoint(net, net.AddNode("server", cl), EndpointConfig{Keys: keys, Server: logic, Metrics: reg})
+	client := NewEndpoint(net, net.AddNode("client", cl), EndpointConfig{
+		CallTimeout: time.Second, Metrics: reg,
+		Retry: RetryPolicy{Attempts: 3, Backoff: time.Second},
+	})
+
+	var resp Response
+	var callErr error
+	k.Spawn("test", func(p *sim.Proc) {
+		conn, err := client.Dial(p, srv.Node().ID, "satya", userKey)
+		if err != nil {
+			callErr = err
+			return
+		}
+		// Attempt 1 times out at 1 s; attempt 2, sent at 2 s, finds the call
+		// executing and times out at 3 s; the reply, sent at 4 s, lands in the
+		// 2 s backoff and is dropped; attempt 3, sent at 5 s, is answered from
+		// the reply cache.
+		resp, callErr = conn.Call(p, Request{Op: opStat})
+	})
+	k.Run()
+	if callErr != nil || string(resp.Body) != "slow" {
+		t.Fatalf("call = %q, %v; want the slow reply", resp.Body, callErr)
+	}
+
+	got := map[string]int64{}
+	for _, c := range reg.Snapshot().Counters {
+		got[c.Name] = c.Value
+	}
+	want := map[string]int64{
+		trace.MetricRPCCallTimeouts:      2,
+		trace.MetricRPCRetries:           client.Retries(),
+		trace.MetricRPCDupSuppressed:     1,
+		trace.MetricRPCReplyCacheReplays: 1,
+	}
+	for name, n := range want {
+		if got[name] != n {
+			t.Errorf("snapshot %s = %d, want %d", name, got[name], n)
+		}
+	}
+	if client.Retries() != 2 || srv.DupSuppressed() != 2 || srv.CallsTotal() != 1 {
+		t.Errorf("retries/dups/served = %d/%d/%d, want 2/2/1", client.Retries(), srv.DupSuppressed(), srv.CallsTotal())
 	}
 }
 

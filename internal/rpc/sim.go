@@ -164,15 +164,11 @@ type Endpoint struct {
 
 	// The instruments every connection of this endpoint reports through,
 	// and the simulator's own: handles resolved once at construction, all
-	// nil (and their methods no-ops) without a registry. The cell-wide
-	// counters every endpoint shares by name are striped: obs.shard (this
-	// endpoint's node-name hash) pins each machine's increments to one
-	// shard, so 30k clients retrying at once don't serialize on a single
-	// cache line.
+	// nil (and their methods no-ops) without a registry.
 	obs      observers
-	mRetries *trace.StripedCounter
-	mReplays *trace.StripedCounter
-	mDupSup  *trace.StripedCounter
+	mRetries *trace.Counter
+	mReplays *trace.Counter
+	mDupSup  *trace.Counter
 }
 
 type inKey struct {
@@ -227,9 +223,9 @@ func NewEndpoint(net *netsim.Network, node *netsim.Node, cfg EndpointConfig) *En
 		ep.mInflight = cfg.Metrics.Gauge(trace.RPCInflightGauge(node.Name))
 	}
 	ep.obs = newObservers(cfg.Tracer, cfg.Metrics, node.Name)
-	ep.mRetries = cfg.Metrics.Striped(trace.MetricRPCRetries)
-	ep.mReplays = cfg.Metrics.Striped(trace.MetricRPCReplyCacheReplays)
-	ep.mDupSup = cfg.Metrics.Striped(trace.MetricRPCDupSuppressed)
+	ep.mRetries = cfg.Metrics.Counter(trace.MetricRPCRetries)
+	ep.mReplays = cfg.Metrics.Counter(trace.MetricRPCReplyCacheReplays)
+	ep.mDupSup = cfg.Metrics.Counter(trace.MetricRPCDupSuppressed)
 	node.SetSink(ep.deliver)
 	return ep
 }
@@ -436,13 +432,13 @@ func (ep *Endpoint) handleCall(pk *pkt) {
 	// time, so replays attribute latency truthfully.
 	if sealed, ok := cache.done[seq]; ok {
 		ep.dupSuppressed++
-		ep.mReplays.Inc(ep.obs.shard)
+		ep.mReplays.Inc()
 		ep.send(pk.From, &pkt{Conn: pk.Conn, Kind: kindReply, Data: sealed})
 		return
 	}
 	if cache.inflight[seq] {
 		ep.dupSuppressed++
-		ep.mDupSup.Inc(ep.obs.shard)
+		ep.mDupSup.Inc()
 		return
 	}
 	cache.inflight[seq] = true
@@ -562,7 +558,7 @@ func (c *SimConn) pause(p *sim.Proc, op Op, a int) { c.retryPause(p, "op", int(o
 // then sleeps its backoff. what and n name the thing retried.
 func (c *SimConn) retryPause(p *sim.Proc, what string, n, a int) {
 	c.ep.retries++
-	c.ep.mRetries.Inc(c.ep.obs.shard)
+	c.ep.mRetries.Inc()
 	if fl := c.ep.cfg.Flight; fl != nil {
 		fl.Log(trace.EventRPCRetry, c.ep.node.Name,
 			fmt.Sprintf("%s %d attempt %d to node %d", what, n, a+1, c.remote))

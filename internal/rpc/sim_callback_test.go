@@ -107,12 +107,12 @@ func testPeerCallbackIsImpatient(t *testing.T) {
 	t.Cleanup(func() { close(hung) })
 	dialed.timeout, accepted.timeout = timeout, timeout
 
-	start := clock(nil)
+	start := Clock(nil)
 	_, cbErr := accepted.CallBack(nil, Request{Op: opPoke})
-	cbTook := clock(nil).Sub(start)
-	start = clock(nil)
+	cbTook := Clock(nil).Sub(start)
+	start = Clock(nil)
 	_, callErr := dialed.Call(nil, Request{Op: opEcho})
-	callTook := clock(nil).Sub(start)
+	callTook := Clock(nil).Sub(start)
 
 	if !errors.Is(cbErr, ErrTimeout) || !strings.Contains(cbErr.Error(), "callback op 3") {
 		t.Errorf("callback err = %v, want a callback timeout", cbErr)

@@ -156,11 +156,11 @@ func TestPeerReusedChannelsCarryNoStaleOutcome(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < calls; i++ {
 					want := uint64(seed)<<32 | uint64(g)<<16 | uint64(i)
-					start := clock(nil)
+					start := Clock(nil)
 					resp, err := dialed.Call(nil, Request{Op: opEcho, Body: binary.BigEndian.AppendUint64(nil, want)})
 					switch {
 					case err != nil:
-						if !failed(want, err, clock(nil).Sub(start)) {
+						if !failed(want, err, Clock(nil).Sub(start)) {
 							t.Errorf("seed %d caller %d call %d: %v", seed, g, i, err)
 							return
 						}
@@ -424,9 +424,9 @@ func TestPeerStalledServerCostsOneTimeout(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			start := clock(nil)
+			start := Clock(nil)
 			_, err := dialed.Call(nil, Request{Op: opStat})
-			took := clock(nil).Sub(start)
+			took := Clock(nil).Sub(start)
 			if !errors.Is(err, ErrTimeout) || !errors.Is(err, ErrUnreachable) {
 				t.Errorf("caller %d: err = %v, want ErrTimeout", g, err)
 			} else if took < d || took >= 2*d {
@@ -454,7 +454,7 @@ func TestPeerStalledServerCostsOneTimeout(t *testing.T) {
 // span's child. At the parent commit the header went zeroed and the server
 // started a root of its own.
 func TestPeerCarriesTheCallersTraceHeader(t *testing.T) {
-	wall := func() sim.Time { return clock(nil) }
+	wall := func() sim.Time { return Clock(nil) }
 	clientTr, serverTr := trace.New(wall), trace.New(wall)
 	// A root the server started by itself would now be trace 2, never the
 	// client's trace 1 by coincidence.

@@ -157,44 +157,6 @@ func TestCollapseRingWraparound(t *testing.T) {
 	}
 }
 
-// TestStripedCounterFoldsIntoSnapshots: striped totals appear in Snapshot and
-// WriteText next to plain counters, under one sorted namespace.
-func TestStripedCounterFoldsIntoSnapshots(t *testing.T) {
-	reg := NewRegistry()
-	sc := reg.Striped(MetricRPCRetries)
-	for i := 0; i < 100; i++ {
-		sc.Inc(uint64(i)) // spread over every shard
-	}
-	sc.Add(ShardKey("ws7"), 5)
-	reg.Counter("venus.cache.hits").Add(3)
-	if sc.Value() != 105 {
-		t.Fatalf("striped value = %d, want 105", sc.Value())
-	}
-	if again := reg.Striped(MetricRPCRetries); again != sc {
-		t.Fatalf("Striped did not return the same instrument")
-	}
-	snap := reg.Snapshot()
-	found := false
-	for _, c := range snap.Counters {
-		if c.Name == MetricRPCRetries {
-			found = true
-			if c.Value != 105 {
-				t.Errorf("snapshot value = %d, want 105", c.Value)
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("striped counter missing from snapshot: %+v", snap.Counters)
-	}
-	// Nil striped counters are inert like the other instruments.
-	var nilReg *Registry
-	nilReg.Striped("x").Inc(1)
-	nilReg.Striped("x").Add(2, 3)
-	if nilReg.Striped("x").Value() != 0 {
-		t.Fatalf("nil striped counter has a value")
-	}
-}
-
 // TestSamplerExemplarsAndHooks: exemplars harvest on the cadence into bounded
 // per-class rings, Record feeds derived series, and OnSample hooks run after
 // each round.

@@ -1,88 +1,72 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 	"time"
-
-	"itcfs/internal/sim"
 )
 
-// jsonStr renders s as a JSON string literal.
-func jsonStr(s string) string {
-	b, _ := json.Marshal(s)
-	return string(b)
-}
-
-// usec renders a virtual time offset or duration in microseconds with fixed
-// three-decimal precision, the unit Chrome trace events use. Fixed formatting
-// keeps exports byte-identical across runs.
-func usec(ns int64) string { return fmt.Sprintf("%d.%03d", ns/1000, ns%1000) }
+// usec converts a virtual time offset or duration to microseconds, the unit
+// Chrome trace events use. The quotient is exact to the nanosecond below
+// 2^53 ns (about 104 days of virtual time).
+func usec(ns int64) float64 { return float64(ns) / 1e3 }
 
 // ExportChrome writes the tracer's finished spans as Chrome trace-event JSON
 // ("traceEvents" array of complete "X" events), loadable in Perfetto or
 // chrome://tracing. Machines become processes (pid, named via process_name
 // metadata), traces become threads (tid), and attributes become args. The
 // output is deterministic: spans are emitted in (start, span ID) order, pids
-// in first-appearance order, and attributes in the order they were set.
+// in first-appearance order, and args in sorted key order; an attribute set
+// twice keeps its last value.
 func (t *Tracer) ExportChrome(w io.Writer) error {
+	// A process_name metadata event has no ts or dur, so it has a type of
+	// its own.
+	type meta struct {
+		Ph   string            `json:"ph"`
+		Pid  int               `json:"pid"`
+		Name string            `json:"name"`
+		Args map[string]string `json:"args"`
+	}
+	type event struct {
+		Ph   string         `json:"ph"`
+		Name string         `json:"name"`
+		Cat  string         `json:"cat"`
+		Pid  int            `json:"pid"`
+		Tid  uint64         `json:"tid"`
+		Ts   float64        `json:"ts"`
+		Dur  float64        `json:"dur"`
+		Args map[string]any `json:"args"`
+	}
 	spans := t.Spans()
 	pids := make(map[string]int)
-	var order []string
+	events := []any{}
 	for _, s := range spans {
 		if _, ok := pids[s.node]; !ok {
 			pids[s.node] = len(pids)
-			order = append(order, s.node)
-		}
-	}
-	if _, err := io.WriteString(w, "{\"traceEvents\":[\n"); err != nil {
-		return err
-	}
-	first := true
-	emit := func(line string) error {
-		if !first {
-			if _, err := io.WriteString(w, ",\n"); err != nil {
-				return err
-			}
-		}
-		first = false
-		_, err := io.WriteString(w, line)
-		return err
-	}
-	for _, node := range order {
-		line := fmt.Sprintf(`{"ph":"M","pid":%d,"name":"process_name","args":{"name":%s}}`,
-			pids[node], jsonStr(node))
-		if err := emit(line); err != nil {
-			return err
+			events = append(events, meta{Ph: "M", Pid: pids[s.node], Name: "process_name",
+				Args: map[string]string{"name": s.node}})
 		}
 	}
 	for _, s := range spans {
-		cat := s.name
-		for i := 0; i < len(cat); i++ {
-			if cat[i] == '.' {
-				cat = cat[:i]
-				break
-			}
-		}
-		line := fmt.Sprintf(`{"ph":"X","name":%s,"cat":%s,"pid":%d,"tid":%d,"ts":%s,"dur":%s,"args":{"span":%d,"parent":%d`,
-			jsonStr(s.name), jsonStr(cat), pids[s.node], s.ctx.Trace,
-			usec(int64(sim.Duration(s.start))), usec(int64(s.Duration())),
-			s.ctx.Span, s.parent)
+		cat, _, _ := strings.Cut(s.name, ".")
+		args := map[string]any{"span": s.ctx.Span, "parent": s.parent}
 		for _, a := range s.attrs {
 			if a.IsStr {
-				line += fmt.Sprintf(",%s:%s", jsonStr(a.Key), jsonStr(a.Str))
+				args[a.Key] = a.Str
 			} else {
-				line += fmt.Sprintf(",%s:%d", jsonStr(a.Key), a.Int)
+				args[a.Key] = a.Int
 			}
 		}
-		line += "}}"
-		if err := emit(line); err != nil {
-			return err
-		}
+		events = append(events, event{
+			Ph: "X", Name: s.name, Cat: cat, Pid: pids[s.node], Tid: s.ctx.Trace,
+			Ts: usec(int64(s.start)), Dur: usec(int64(s.Duration())),
+			Args: args,
+		})
 	}
-	_, err := io.WriteString(w, "\n]}\n")
-	return err
+	return writeJSON(w, struct {
+		TraceEvents []any `json:"traceEvents"`
+	}{events})
 }
 
 // WriteReport writes a human-readable tree of the tracer's finished spans,

@@ -1,17 +1,17 @@
 package trace
 
 import (
-	"fmt"
+	"encoding/json"
 	"io"
 	"sort"
 	"time"
 )
 
 // Machine-readable registry export. WriteJSON is the JSON twin of WriteText:
-// every instrument in sorted name order, every field in a fixed order, and
-// histogram buckets encoded as ascending [index, count] pairs — so two runs
-// that observed the same values produce byte-identical documents. The
-// itcbench series export and the itcfsd debug endpoint both serve it.
+// the encoder writes every instrument in sorted name order and every field in
+// a fixed order, and histogram buckets are ascending [index, count] pairs —
+// so two runs that observed the same values produce byte-identical documents.
+// The itcbench series export and the itcfsd debug endpoint both serve it.
 
 // NamedValue is one counter or gauge reading in a Snapshot.
 type NamedValue struct {
@@ -95,11 +95,8 @@ func (r *Registry) Snapshot() Snapshot {
 		h    *Histogram
 	}
 	r.mu.Lock()
-	counters := make([]NamedValue, 0, len(r.counters)+len(r.striped))
+	counters := make([]NamedValue, 0, len(r.counters))
 	for n, c := range r.counters {
-		counters = append(counters, NamedValue{Name: n, Value: c.Value()})
-	}
-	for n, c := range r.striped {
 		counters = append(counters, NamedValue{Name: n, Value: c.Value()})
 	}
 	gauges := make([]NamedValue, 0, len(r.gauges))
@@ -144,70 +141,56 @@ func (h *Histogram) snapshot(name string) HistSnapshot {
 	}
 }
 
-// WriteJSON writes the registry as a deterministic JSON document: sections
-// in fixed order, names sorted, histogram buckets as ascending
-// [index, count] pairs with zero buckets omitted. A nil registry writes an
-// empty document.
-func (r *Registry) WriteJSON(w io.Writer) error {
+// writeJSON writes v as one compact JSON document and a newline. Every
+// document the package exports goes through it, so each is exactly what
+// encoding/json writes: map keys sorted, struct fields in declaration order.
+func writeJSON(w io.Writer, v any) error { return json.NewEncoder(w).Encode(v) }
+
+// WriteJSON writes the registry as a deterministic JSON document: the
+// counters, gauges and histograms sections, each an object keyed by
+// instrument name, with histogram buckets as ascending [index, count] pairs
+// and zero buckets omitted. A nil registry writes an empty document.
+func (r *Registry) WriteJSON(w io.Writer) error { return writeJSON(w, r.jsonDoc()) }
+
+// jsonDoc returns the document WriteJSON writes, which Sampler.WriteJSON
+// also carries as its "registry" member.
+func (r *Registry) jsonDoc() any {
+	type hist struct {
+		Count   int64      `json:"count"`
+		SumNS   int64      `json:"sum_ns"`
+		MinNS   int64      `json:"min_ns"`
+		MaxNS   int64      `json:"max_ns"`
+		P50NS   int64      `json:"p50_ns"`
+		P90NS   int64      `json:"p90_ns"`
+		P99NS   int64      `json:"p99_ns"`
+		Buckets [][2]int64 `json:"buckets"`
+	}
+	byName := func(vs []NamedValue) map[string]int64 {
+		m := make(map[string]int64, len(vs))
+		for _, v := range vs {
+			m[v.Name] = v.Value
+		}
+		return m
+	}
 	s := r.Snapshot()
-	if _, err := io.WriteString(w, "{\n \"counters\": {"); err != nil {
-		return err
-	}
-	for i, c := range s.Counters {
-		comma := ","
-		if i == 0 {
-			comma = ""
-		}
-		if _, err := fmt.Fprintf(w, "%s\n  %s: %d", comma, jsonStr(c.Name), c.Value); err != nil {
-			return err
-		}
-	}
-	if _, err := io.WriteString(w, "\n },\n \"gauges\": {"); err != nil {
-		return err
-	}
-	for i, g := range s.Gauges {
-		comma := ","
-		if i == 0 {
-			comma = ""
-		}
-		if _, err := fmt.Fprintf(w, "%s\n  %s: %d", comma, jsonStr(g.Name), g.Value); err != nil {
-			return err
-		}
-	}
-	if _, err := io.WriteString(w, "\n },\n \"histograms\": {"); err != nil {
-		return err
-	}
+	doc := struct {
+		Counters   map[string]int64 `json:"counters"`
+		Gauges     map[string]int64 `json:"gauges"`
+		Histograms map[string]hist  `json:"histograms"`
+	}{byName(s.Counters), byName(s.Gauges), make(map[string]hist, len(s.Hists))}
 	for i := range s.Hists {
 		h := &s.Hists[i]
-		comma := ","
-		if i == 0 {
-			comma = ""
-		}
-		if _, err := fmt.Fprintf(w,
-			"%s\n  %s: {\"count\": %d, \"sum_ns\": %d, \"min_ns\": %d, \"max_ns\": %d, "+
-				"\"p50_ns\": %d, \"p90_ns\": %d, \"p99_ns\": %d, \"buckets\": [",
-			comma, jsonStr(h.Name), h.Count, int64(h.Sum), int64(h.Min), int64(h.Max),
-			int64(h.quantile(0.50)), int64(h.quantile(0.90)), int64(h.quantile(0.99))); err != nil {
-			return err
-		}
-		first := true
+		buckets := [][2]int64{}
 		for b, n := range h.Buckets {
-			if n == 0 {
-				continue
-			}
-			sep := ", "
-			if first {
-				sep = ""
-				first = false
-			}
-			if _, err := fmt.Fprintf(w, "%s[%d, %d]", sep, b, n); err != nil {
-				return err
+			if n != 0 {
+				buckets = append(buckets, [2]int64{int64(b), n})
 			}
 		}
-		if _, err := io.WriteString(w, "]}"); err != nil {
-			return err
+		doc.Histograms[h.Name] = hist{
+			Count: h.Count, SumNS: int64(h.Sum), MinNS: int64(h.Min), MaxNS: int64(h.Max),
+			P50NS: int64(h.quantile(0.50)), P90NS: int64(h.quantile(0.90)), P99NS: int64(h.quantile(0.99)),
+			Buckets: buckets,
 		}
 	}
-	_, err := io.WriteString(w, "\n }\n}\n")
-	return err
+	return doc
 }

@@ -15,17 +15,15 @@ import (
 // on configuration.
 type Registry struct {
 	mu       sync.Mutex
-	counters map[string]*Counter        // guarded by mu
-	striped  map[string]*StripedCounter // guarded by mu
-	gauges   map[string]*Gauge          // guarded by mu
-	hists    map[string]*Histogram      // guarded by mu
+	counters map[string]*Counter   // guarded by mu
+	gauges   map[string]*Gauge     // guarded by mu
+	hists    map[string]*Histogram // guarded by mu
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
-		striped:  make(map[string]*StripedCounter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 	}
@@ -42,24 +40,6 @@ func (r *Registry) Counter(name string) *Counter {
 	if c == nil {
 		c = &Counter{}
 		r.counters[name] = c
-	}
-	return c
-}
-
-// Striped returns the named striped counter, creating it on first use.
-// Striped and plain counters share one namespace — snapshots and exports fold
-// a striped counter's total under its name next to the plain ones — so a name
-// must be registered as one kind or the other, never both.
-func (r *Registry) Striped(name string) *StripedCounter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c := r.striped[name]
-	if c == nil {
-		c = &StripedCounter{}
-		r.striped[name] = c
 	}
 	return c
 }
@@ -126,59 +106,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// stripedShards is the shard count of a StripedCounter — enough to spread a
-// cell-wide hot counter (every client's RPC retries land on one name) across
-// cores without bloating reads, which sum a fixed eight cells.
-const stripedShards = 8
-
-// StripedCounter is a monotonically increasing count spread over
-// cache-line-padded shards. Writers pick a shard from any stable per-writer
-// key (a node-name hash); readers sum. Same nil-receiver contract as Counter.
-type StripedCounter struct {
-	shards [stripedShards]struct {
-		v atomic.Int64
-		_ [56]byte // pad to a 64-byte cache line to stop false sharing
-	}
-}
-
-// Inc adds one on the shard selected by key.
-func (c *StripedCounter) Inc(key uint64) { c.Add(key, 1) }
-
-// Add adds n on the shard selected by key. No-op on a nil counter.
-func (c *StripedCounter) Add(key uint64, n int64) {
-	if c == nil {
-		return
-	}
-	c.shards[key%stripedShards].v.Add(n)
-}
-
-// Value sums the shards; 0 on a nil counter.
-func (c *StripedCounter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	var total int64
-	for i := range c.shards {
-		total += c.shards[i].v.Load()
-	}
-	return total
-}
-
-// ShardKey hashes an arbitrary string (typically a node name) to a stable
-// shard-selection key, so each machine's increments stay on one shard.
-func ShardKey(s string) uint64 {
-	const (
-		fnvOffset = 14695981039346656037
-		fnvPrime  = 1099511628211
-	)
-	h := uint64(fnvOffset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime
-	}
-	return h
 }
 
 // Gauge is a value that goes up and down.

@@ -520,70 +520,44 @@ func (s *Sampler) WriteCSV(w io.Writer) error {
 }
 
 // WriteJSON writes the full telemetry state as one deterministic JSON
-// document: the sampling cadence, every series (sorted, as [at_ns, value]
-// pairs), and — when a registry is attached — its final snapshot via
-// Registry.WriteJSON, so consumers get cumulative totals next to windows.
+// document: the sampling cadence, every series (keyed by name, as
+// [at_ns, value] pairs), the retained exemplars per class, and the
+// registry's final state as Registry.WriteJSON writes it (empty without a
+// registry), so consumers get cumulative totals next to windows.
 func (s *Sampler) WriteJSON(w io.Writer) error {
 	if s == nil {
 		return nil
 	}
-	if _, err := fmt.Fprintf(w, "{\n\"every_ns\": %d,\n\"series\": {", int64(s.every)); err != nil {
-		return err
+	type exemplar struct {
+		Trace uint64 `json:"trace"`
+		Span  uint64 `json:"span"`
+		DurNS int64  `json:"dur_ns"`
+		AtNS  int64  `json:"at_ns"`
 	}
-	for i, name := range s.SeriesNames() {
-		comma := ","
-		if i == 0 {
-			comma = ""
+	doc := struct {
+		EveryNS   int64                 `json:"every_ns"`
+		Series    map[string][][2]int64 `json:"series"`
+		Exemplars map[string][]exemplar `json:"exemplars"`
+		Registry  any                   `json:"registry"`
+	}{EveryNS: int64(s.every), Series: make(map[string][][2]int64), Exemplars: make(map[string][]exemplar)}
+	for _, name := range s.SeriesNames() {
+		pts := s.Points(name)
+		pairs := make([][2]int64, 0, len(pts))
+		for _, p := range pts {
+			pairs = append(pairs, [2]int64{int64(p.At), p.V})
 		}
-		if _, err := fmt.Fprintf(w, "%s\n %s: [", comma, jsonStr(name)); err != nil {
-			return err
-		}
-		for j, p := range s.Points(name) {
-			sep := ", "
-			if j == 0 {
-				sep = ""
-			}
-			if _, err := fmt.Fprintf(w, "%s[%d, %d]", sep, int64(p.At), p.V); err != nil {
-				return err
-			}
-		}
-		if _, err := io.WriteString(w, "]"); err != nil {
-			return err
-		}
+		doc.Series[name] = pairs
 	}
-	if _, err := io.WriteString(w, "\n},\n\"exemplars\": {"); err != nil {
-		return err
-	}
-	for i, class := range s.ExemplarClasses() {
-		comma := ","
-		if i == 0 {
-			comma = ""
+	for _, class := range s.ExemplarClasses() {
+		exs := s.Exemplars(class)
+		out := make([]exemplar, 0, len(exs))
+		for _, e := range exs {
+			out = append(out, exemplar{Trace: e.Trace, Span: e.Span, DurNS: int64(e.Dur), AtNS: int64(e.At)})
 		}
-		if _, err := fmt.Fprintf(w, "%s\n %s: [", comma, jsonStr(class)); err != nil {
-			return err
-		}
-		for j, e := range s.Exemplars(class) {
-			sep := ", "
-			if j == 0 {
-				sep = ""
-			}
-			if _, err := fmt.Fprintf(w, "%s{\"trace\": %d, \"span\": %d, \"dur_ns\": %d, \"at_ns\": %d}",
-				sep, e.Trace, e.Span, int64(e.Dur), int64(e.At)); err != nil {
-				return err
-			}
-		}
-		if _, err := io.WriteString(w, "]"); err != nil {
-			return err
-		}
+		doc.Exemplars[class] = out
 	}
-	if _, err := io.WriteString(w, "\n},\n\"registry\": "); err != nil {
-		return err
-	}
-	if err := s.reg.WriteJSON(w); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, "}\n")
-	return err
+	doc.Registry = s.reg.jsonDoc()
+	return writeJSON(w, doc)
 }
 
 // sparkLevels maps a window value to a glyph; ASCII so the dashboard renders

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 	"time"
 
@@ -167,7 +168,11 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
+// TestExportChromeIsValidJSONAndDeterministic also pins each field of a
+// span's event, so the microsecond conversion (a fractional one included)
+// and the event shapes hold whatever writes them.
 func TestExportChromeIsValidJSONAndDeterministic(t *testing.T) {
+	var rootCtx, callCtx SpanContext
 	run := func() []byte {
 		clk := &fakeClock{}
 		tr := New(clk.now)
@@ -178,8 +183,9 @@ func TestExportChromeIsValidJSONAndDeterministic(t *testing.T) {
 			clk.advance(time.Millisecond)
 			call := tr.Begin(p, "rpc.call", "ws0")
 			call.SetInt(AttrServerNs, 5)
+			rootCtx, callCtx = root.Context(), call.Context()
 			serve := tr.BeginRemote(nil, call.Context(), "rpc.serve", "srv")
-			clk.advance(time.Millisecond)
+			clk.advance(time.Millisecond + 1500*time.Nanosecond)
 			serve.End()
 			call.End()
 			root.End()
@@ -196,7 +202,13 @@ func TestExportChromeIsValidJSONAndDeterministic(t *testing.T) {
 		t.Fatalf("identical runs exported different traces:\n%s\n---\n%s", a, b)
 	}
 	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
+		TraceEvents []struct {
+			Ph, Name, Cat string
+			Tid           uint64
+			Ts            *float64
+			Dur           float64
+			Args          map[string]any
+		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(a, &doc); err != nil {
 		t.Fatalf("export is not valid JSON: %v\n%s", err, a)
@@ -204,6 +216,36 @@ func TestExportChromeIsValidJSONAndDeterministic(t *testing.T) {
 	// 2 process_name metadata events + 3 spans.
 	if len(doc.TraceEvents) != 5 {
 		t.Fatalf("got %d events, want 5:\n%s", len(doc.TraceEvents), a)
+	}
+	sawCall := false
+	for _, e := range doc.TraceEvents {
+		switch e.Name {
+		case "process_name":
+			if e.Ph != "M" || e.Ts != nil {
+				t.Errorf("metadata event has ph %q (want M) or a ts (want none)", e.Ph)
+			}
+		case "rpc.call":
+			sawCall = true
+			if e.Ph != "X" || e.Cat != "rpc" || e.Tid != callCtx.Trace {
+				t.Errorf("rpc.call ph/cat/tid = %q/%q/%d, want X/rpc/%d", e.Ph, e.Cat, e.Tid, callCtx.Trace)
+			}
+			if e.Ts == nil {
+				t.Errorf("rpc.call has no ts")
+			} else if *e.Ts != 1000 || e.Dur != 1001.5 {
+				t.Errorf("rpc.call ts/dur = %v/%v µs, want 1000/1001.5", *e.Ts, e.Dur)
+			}
+			want := map[string]any{
+				"span":       float64(callCtx.Span),
+				"parent":     float64(rootCtx.Span),
+				AttrServerNs: float64(5),
+			}
+			if !reflect.DeepEqual(e.Args, want) {
+				t.Errorf("rpc.call args = %v, want %v", e.Args, want)
+			}
+		}
+	}
+	if !sawCall {
+		t.Fatalf("no rpc.call event:\n%s", a)
 	}
 }
 

@@ -426,7 +426,7 @@ levels:
 			if end > 0 {
 				walked = path[:end]
 			}
-			entries, ok, err := v.listingLocked(cur, v.now(p))
+			entries, ok, err := v.listingLocked(cur, p)
 			if err == nil && !ok {
 				v.mu.Unlock()
 				entries, err = v.fetchDir(p, cur, walked)
@@ -450,7 +450,7 @@ levels:
 				return proto.FID{}, nil, fmt.Errorf("%w: %s", proto.ErrNoEnt, path)
 			}
 			if found.Type == proto.TypeSymlink && (stop < len(path) || followLast) {
-				st, ok := v.statusLocked(found.FID, v.now(p))
+				st, ok := v.statusLocked(found.FID, p)
 				if !ok {
 					v.mu.Unlock()
 					st, err = v.fetchStatus(p, proto.Ref{FID: found.FID}, path)
@@ -472,7 +472,7 @@ levels:
 			return cur, nil, nil
 		}
 		e := v.byFID[cur]
-		if e == nil || e.cacheFile == "" || !(e.dirty || v.freshLocked(e, v.now(p))) {
+		if e == nil || e.cacheFile == "" || !(e.dirty || v.freshLocked(e, p)) {
 			return cur, nil, nil
 		}
 		v.stats.Hits++
@@ -488,9 +488,9 @@ levels:
 // client's allocation profile. Callers must not modify the result.
 //
 //itcvet:holds mu
-func (v *Venus) listingLocked(dir proto.FID, now sim.Time) (entries []proto.DirEntry, ok bool, err error) {
+func (v *Venus) listingLocked(dir proto.FID, p *sim.Proc) (entries []proto.DirEntry, ok bool, err error) {
 	e := v.byFID[dir]
-	if e == nil || e.cacheFile == "" || !v.freshLocked(e, now) {
+	if e == nil || e.cacheFile == "" || !v.freshLocked(e, p) {
 		return nil, false, nil
 	}
 	if entries, err = v.decodeDirLocked(e); err != nil {
@@ -534,7 +534,7 @@ func (v *Venus) fetchDir(p *sim.Proc, dir proto.FID, path string) ([]proto.DirEn
 // not modify the result.
 func (v *Venus) dirEntries(p *sim.Proc, dir proto.FID, path string) ([]proto.DirEntry, error) {
 	v.mu.Lock()
-	entries, ok, err := v.listingLocked(dir, v.now(p))
+	entries, ok, err := v.listingLocked(dir, p)
 	v.mu.Unlock()
 	if ok || err != nil {
 		return entries, err
@@ -546,8 +546,8 @@ func (v *Venus) dirEntries(p *sim.Proc, dir proto.FID, path string) ([]proto.Dir
 // promise.
 //
 //itcvet:holds mu
-func (v *Venus) statusLocked(fid proto.FID, now sim.Time) (proto.Status, bool) {
-	if e := v.byFID[fid]; e != nil && v.freshLocked(e, now) {
+func (v *Venus) statusLocked(fid proto.FID, p *sim.Proc) (proto.Status, bool) {
+	if e := v.byFID[fid]; e != nil && v.freshLocked(e, p) {
 		return e.status, true
 	}
 	return proto.Status{}, false
@@ -556,7 +556,7 @@ func (v *Venus) statusLocked(fid proto.FID, now sim.Time) (proto.Status, bool) {
 // statFID returns status by FID, from the cache where it can.
 func (v *Venus) statFID(p *sim.Proc, fid proto.FID, pathHint string) (proto.Status, error) {
 	v.mu.Lock()
-	st, ok := v.statusLocked(fid, v.now(p))
+	st, ok := v.statusLocked(fid, p)
 	v.mu.Unlock()
 	if ok {
 		return st, nil

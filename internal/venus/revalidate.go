@@ -39,14 +39,13 @@ type revalCandidate struct {
 func (v *Venus) Revalidate(p *sim.Proc, force bool) (checked, stale int, err error) {
 	sp := v.cfg.Tracer.Begin(p, trace.SpanVenusRevalidate, v.cfg.Machine)
 	defer sp.End()
-	now := v.now(p)
 	v.mu.Lock()
 	cands := make([]revalCandidate, 0, len(v.byFID))
 	for fid, e := range v.byFID {
 		if e.cacheFile == "" || e.dirty || !e.valid {
 			continue
 		}
-		if !force && v.freshLocked(e, now) {
+		if !force && v.freshLocked(e, p) {
 			continue
 		}
 		cands = append(cands, revalCandidate{fid: fid, version: e.status.Version, path: e.path})
@@ -145,7 +144,7 @@ func (v *Venus) revalidateChunk(p *sim.Proc, cr proto.CustodianReply, chunk []re
 // callback that raced the RPC) is left alone: the verdict describes a copy
 // we no longer hold.
 func (v *Venus) applyRevalidation(p *sim.Proc, chunk []revalCandidate, verdicts []proto.TestValidReply) (stale int) {
-	now := v.now(p)
+	now := rpc.Clock(p)
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	for i, c := range chunk {

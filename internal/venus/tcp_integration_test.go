@@ -1,10 +1,13 @@
 package venus_test
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"itcfs/internal/rpc"
 	"itcfs/internal/secure"
+	"itcfs/internal/trace"
 	"itcfs/internal/unixfs"
 	"itcfs/internal/venus"
 	"itcfs/internal/vice"
@@ -94,5 +97,46 @@ func TestVenusOverTCPWrongPassword(t *testing.T) {
 	fs := tcpWorkstation(t, venus.TCPServer(t, vice.Revised), vice.Revised, "wrong")
 	if _, err := fs.Stat(nil, "/vice"); err == nil {
 		t.Fatal("operations succeeded with a wrong password")
+	}
+}
+
+// TestVenusOverTCPClockRuns: a real workstation keeps time by the clock its
+// calls are timed by, so over a Peer a callback promise ages past
+// CallbackTTL and an open's latency is measured. A revised reader with a
+// 1 ms TTL must revalidate a read made 5 ms after its first, and its
+// open-latency histogram must have seen a positive time. A Venus that reads
+// 0 for now outside the simulator fails both: the second read is a hit with
+// no TestValid, and every open latency is 0.
+func TestVenusOverTCPClockRuns(t *testing.T) {
+	addr := venus.TCPServer(t, vice.Revised)
+	write(t, tcpWorkstation(t, addr, vice.Revised, "pw"), "/vice/f", "promised")
+	reg := trace.NewRegistry()
+	callbacks := rpc.NewServer()
+	reader := virtue.NewWorkstation(venus.Config{
+		Mode:        vice.Revised,
+		Machine:     "tcp-ws-ttl",
+		Local:       unixfs.New(nil),
+		HomeServer:  "tcp0",
+		Connect:     venus.PeerConnector(venus.TCPDial(t, addr), "operator", secure.DeriveKey("operator", "pw"), callbacks),
+		CallbackTTL: time.Millisecond,
+		Metrics:     reg,
+	}, callbacks)
+	reader.Venus().Login("operator")
+
+	read(t, reader, "/vice/f")
+	before := reader.Venus().Stats().Validations
+	// Outwait the TTL on the clock Venus keeps, which is also the one under
+	// test.
+	for start := rpc.Clock(nil); rpc.Clock(nil).Sub(start) < 5*time.Millisecond; {
+		runtime.Gosched()
+	}
+	if got := read(t, reader, "/vice/f"); got != "promised" {
+		t.Fatalf("second read %q", got)
+	}
+	if n := reader.Venus().Stats().Validations - before; n != 1 {
+		t.Errorf("second read made %d TestValid calls, want 1: its promise had outlived the 1 ms TTL", n)
+	}
+	if max := reg.Histogram(trace.MetricVenusOpenLatency).State("").Max; max <= 0 {
+		t.Errorf("open latency max = %v, want > 0", max)
 	}
 }

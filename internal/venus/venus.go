@@ -388,7 +388,7 @@ func (v *Venus) open(p *sim.Proc, path string, flags OpenFlag, whole *[]byte) (H
 	if v.cfg.Tracer != nil || v.cfg.Metrics != nil {
 		sp := v.cfg.Tracer.Begin(p, trace.SpanVenusOpen, v.cfg.Machine)
 		sp.SetStr("path", path)
-		started := v.now(p)
+		started := rpc.Clock(p)
 		v.mu.Lock()
 		beforeHits, beforeMisses := v.stats.Hits, v.stats.Misses
 		v.mu.Unlock()
@@ -400,7 +400,7 @@ func (v *Venus) open(p *sim.Proc, path string, flags OpenFlag, whole *[]byte) (H
 			v.mCacheHits.Add(hits)
 			v.mCacheMiss.Add(misses)
 			sp.End()
-			v.mOpenLat.Observe(v.now(p).Sub(started))
+			v.mOpenLat.Observe(rpc.Clock(p).Sub(started))
 		}()
 	}
 	e, err := v.lookupEntry(p, path, flags, whole)
@@ -458,7 +458,7 @@ func (v *Venus) unpin(e *entry) {
 // no error). An unreachable custodian serves it degraded where that is
 // allowed.
 func (v *Venus) checkOnOpen(p *sim.Proc, e *entry, ref proto.Ref, version uint64, flags OpenFlag) (served bool, err error) {
-	now := v.now(p)
+	now := rpc.Clock(p)
 	ok, _, err := v.testValid(p, ref, version)
 	if err != nil {
 		if isTransportErr(err) && v.degraded(e, flags) {
@@ -575,26 +575,18 @@ func (v *Venus) noteSweep(force bool, checked, stale int, err error) {
 	}
 }
 
-// now returns the virtual time, or zero when Venus runs outside the
-// simulator (real transports pass a nil proc).
-func (v *Venus) now(p *sim.Proc) sim.Time {
-	if p == nil {
-		return 0
-	}
-	return p.Now()
-}
-
 // freshLocked reports whether a revised-mode entry may be served with no
 // server traffic: its promise must be intact and, under a CallbackTTL,
-// recent enough. Caller holds v.mu.
-func (v *Venus) freshLocked(e *entry, now sim.Time) bool {
+// recent enough by p's clock — which is read only then, so a warm walk
+// without a TTL reads none. Caller holds v.mu.
+func (v *Venus) freshLocked(e *entry, p *sim.Proc) bool {
 	if !e.valid {
 		return false
 	}
 	if v.cfg.CallbackTTL <= 0 {
 		return true
 	}
-	return now.Sub(e.fetchedAt) <= v.cfg.CallbackTTL
+	return rpc.Clock(p).Sub(e.fetchedAt) <= v.cfg.CallbackTTL
 }
 
 // lookupRevised trusts callbacks: a valid cached copy needs no server
@@ -704,7 +696,7 @@ func (v *Venus) fetchEntry(p *sim.Proc, ref proto.Ref, path string, flags OpenFl
 	v.stats.Misses++
 	v.stats.BytesFetched += int64(len(resp.Bulk))
 	v.mu.Unlock()
-	e, err := v.installEntry(path, st, resp.Bulk, v.now(p), whole)
+	e, err := v.installEntry(path, st, resp.Bulk, rpc.Clock(p), whole)
 	if err != nil {
 		return nil, err
 	}
@@ -755,7 +747,7 @@ func (v *Venus) createFile(p *sim.Proc, path string) (*entry, error) {
 	if v.cfg.Mode != vice.Revised || !v.patchDir(dirRef.FID, patchAdd(name, proto.TypeFile), resp) {
 		v.dropDir(dir)
 	}
-	return v.installEntry(path, st, nil, v.now(p), nil)
+	return v.installEntry(path, st, nil, rpc.Clock(p), nil)
 }
 
 // installEntry writes fetched data into the local cache, indexes it and
@@ -1096,10 +1088,10 @@ func (v *Venus) storeEntry(p *sim.Proc, e *entry) error {
 	v.mu.Unlock()
 	sp := v.cfg.Tracer.Begin(p, trace.SpanVenusStore, v.cfg.Machine)
 	sp.SetStr("path", path)
-	started := v.now(p)
+	started := rpc.Clock(p)
 	defer func() {
 		sp.End()
-		v.mStoreLat.Observe(v.now(p).Sub(started))
+		v.mStoreLat.Observe(rpc.Clock(p).Sub(started))
 	}()
 	data, err := v.cfg.Local.Lend(e.cacheFile)
 	if err != nil {
@@ -1138,7 +1130,7 @@ func (v *Venus) storeEntry(p *sim.Proc, e *entry) error {
 	// Valid only if no break raced the store: a concurrent writer may have
 	// superseded our version while the reply was in flight.
 	e.valid = v.breakGen == gen
-	e.fetchedAt = v.now(p)
+	e.fetchedAt = rpc.Clock(p)
 	v.index(e)
 	v.evictLocked() // the stored file may have grown past the cache limit
 	v.mu.Unlock()

@@ -28,7 +28,7 @@
 //
 //  4. Every metric and flight-event name is canonical. Outside
 //     internal/trace (where the tables live), the first argument to
-//     Registry.Counter/Gauge/Histogram/FindHistogram/Striped and
+//     Registry.Counter/Gauge/Histogram/FindHistogram and
 //     Recorder.Log must not be a raw string literal: a name minted at the
 //     call site is invisible to the canonical tables in names.go, so
 //     dashboards, the SLO layer and the conformance tests silently stop
@@ -262,7 +262,7 @@ func fieldComments(fld *ast.Field) string {
 // nameMethods maps the observability entry points whose first argument
 // names a metric instrument or a flight-event kind.
 var nameMethods = map[string]map[string]bool{
-	"Registry": {"Counter": true, "Gauge": true, "Histogram": true, "FindHistogram": true, "Striped": true},
+	"Registry": {"Counter": true, "Gauge": true, "Histogram": true, "FindHistogram": true},
 	"Recorder": {"Log": true},
 }
 

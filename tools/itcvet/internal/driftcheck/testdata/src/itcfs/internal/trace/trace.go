@@ -5,7 +5,6 @@ package trace
 
 const (
 	MetricVenusCacheHits = "venus.cache.hits"
-	MetricRPCRetries     = "rpc.retries"
 	EventRPCRetry        = "rpc.retry"
 )
 
@@ -19,7 +18,6 @@ func (r *Registry) Counter(name string) *Counter         { return nil }
 func (r *Registry) Gauge(name string) *Gauge             { return nil }
 func (r *Registry) Histogram(name string) *Histogram     { return nil }
 func (r *Registry) FindHistogram(name string) *Histogram { return nil }
-func (r *Registry) Striped(name string) *StripedCounter  { return nil }
 
 type Counter struct{}
 
@@ -32,10 +30,6 @@ func (g *Gauge) Add(d int64) {}
 type Histogram struct{}
 
 func (h *Histogram) Observe(d int64) {}
-
-type StripedCounter struct{}
-
-func (s *StripedCounter) Inc(key uint64) {}
 
 type Recorder struct{}
 

@@ -8,7 +8,6 @@ import "itcfs/internal/trace"
 func instrument(reg *trace.Registry, rec *trace.Recorder, link string, vol uint32) {
 	// Canonical constants and composed names pass.
 	reg.Counter(trace.MetricVenusCacheHits).Inc()
-	reg.Striped(trace.MetricRPCRetries).Inc(7)
 	reg.Counter(trace.VolOpsMetric(vol)).Inc()
 	reg.Gauge("net." + link + ".queue").Add(1)
 	rec.Log(trace.EventRPCRetry, "ws0", "call 12 attempt 2")
@@ -17,7 +16,6 @@ func instrument(reg *trace.Registry, rec *trace.Recorder, link string, vol uint3
 	reg.Counter("venus.cache.hits").Inc()         // want `Registry\.Counter name "venus\.cache\.hits" is a raw string literal`
 	reg.Histogram("mystery.latency")              // want `Registry\.Histogram name "mystery\.latency" is a raw string literal`
 	reg.FindHistogram("mystery.latency")          // want `Registry\.FindHistogram name "mystery\.latency" is a raw string literal`
-	reg.Striped("rogue.counter")                  // want `Registry\.Striped name "rogue\.counter" is a raw string literal`
 	rec.Log("rogue.event", "ws0", "never tabled") // want `Recorder\.Log name "rogue\.event" is a raw string literal`
 
 	// The standard escape hatch is honored, with an auditable reason.
