@@ -13,8 +13,9 @@
 //   - exported: exported names of the tree's non-main packages — functions,
 //     methods (of unexported types too), types, constants, variables and
 //     struct fields;
-//   - options: the independently settable values — fields of the four
-//     configuration structs and flags of the three commands;
+//   - options: the independently settable values — fields of the five
+//     configuration structs (the cost table among them) and flags of the
+//     three commands;
 //   - locks: the header of `itcvet -lockgraph ./...`, read from DESIGN.md
 //     §7's block, which tools/itcvet's TestDeterminism holds equal to it.
 //
@@ -47,6 +48,7 @@ func main() {
 // configs are the structs whose fields are options, by directory.
 var configs = []struct{ dir, pkg, typ string }{
 	{".", "itcfs", "CellConfig"},
+	{".", "itcfs", "CostConfig"}, // every field settable through CellConfig.Costs
 	{"internal/rpc", "rpc", "EndpointConfig"},
 	{"internal/venus", "venus", "Config"},
 	{"internal/vice", "vice", "Config"},
@@ -145,7 +147,7 @@ func ledger(root string, files []string, w io.Writer) error {
 		fmt.Fprintf(w, "lines file %-40s %d\n", filepath.ToSlash(name), codeLines(src))
 	}
 	exported.print(w, "exported", "funcs, methods, types, consts, vars, struct fields of the tree's non-main packages")
-	options.print(w, "options", "fields of the four Config structs and flags of the three commands")
+	options.print(w, "options", "fields of the five Config structs and flags of the three commands")
 	header, err := lockgraphHeader(filepath.Join(root, "DESIGN.md"))
 	if err != nil {
 		return err
