@@ -4,7 +4,7 @@ import "strconv"
 
 // Canonical observability names. Every metric a layer registers and every
 // flight-recorder event kind it logs is named here, in one table, so
-// exporters, dashboards, the Sampler's collapse rules, the SLO layer and the
+// exporters, dashboards, the Sampler's probes, the SLO layer and the
 // docs all reference the same strings — and itcvet's driftcheck flags any
 // instrument or event named from a string literal outside this package,
 // which is how emitted names and their consumers were kept from drifting
