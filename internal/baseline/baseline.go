@@ -16,7 +16,6 @@ package baseline
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"itcfs/internal/proto"
 	"itcfs/internal/rpc"
@@ -380,18 +379,6 @@ func (c *Client) WriteFile(p *sim.Proc, path string, data []byte) error {
 	return f.Close(p)
 }
 
-// Costs builds the server cost model for the page protocol, using the same
-// per-call and per-byte charges as the Vice model so the comparison is
-// fair: the difference measured in E8 is protocol structure, not hardware.
-func Costs(baseCPU, perKBCPU, diskOp, perKBDisk time.Duration) rpc.CostModel {
-	return func(_ rpc.Ctx, req rpc.Request, resp rpc.Response) rpc.Cost {
-		cost := rpc.Cost{CPU: baseCPU}
-		kb := time.Duration((len(req.Bulk) + len(resp.Bulk) + 1023) / 1024)
-		cost.CPU += kb * perKBCPU
-		switch req.Op {
-		case opRead, opWrite:
-			cost.Disk = diskOp + kb*perKBDisk
-		}
-		return cost
-	}
-}
+// PageIO reports whether op moves a page, and so reaches the server's disk:
+// a read or a write. Open, stat and close do not.
+func PageIO(op rpc.Op) bool { return op == opRead || op == opWrite }

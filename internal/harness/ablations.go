@@ -217,18 +217,10 @@ func E8WholeFileVsPaged(cfg E8Config) (*Report, error) {
 	cn := net.AddNode("client", cl)
 	psrv := baseline.NewServer(unixfs.New(nil))
 	key := secure.DeriveKey("u", "pw")
-	costs := itcfs.DefaultCosts()
-	cpu := sim.NewResource(k, "pg-cpu")
-	disk := sim.NewResource(k, "pg-disk")
-	// The page server pays the same per-call fixed cost a light Vice call
-	// does (dispatch, process switch, request handling) and the same
-	// per-byte costs, so the comparison isolates protocol structure.
-	pageOpCPU := costs.BaseCPU + costs.ProcessSwitch + costs.ValidCPU
 	rpc.NewEndpoint(net, sn, rpc.EndpointConfig{
 		Keys:   func(user string) (secure.Key, bool) { return key, user == "u" },
 		Server: psrv.Dispatcher(),
-		Meters: rpc.Meters{CPU: cpu, Disk: disk},
-		Model:  baseline.Costs(pageOpCPU, costs.PerKBCPU, costs.FetchDisk, costs.PerKBDisk),
+		Bill:   itcfs.DefaultCosts().PageBill(sim.NewResource(k, "pg-cpu"), sim.NewResource(k, "pg-disk")),
 	})
 	cep := rpc.NewEndpoint(net, cn, rpc.EndpointConfig{})
 	if err := psrv.FS().WriteFile("/seq", seq, 0o644, ""); err != nil {

@@ -6,6 +6,7 @@ import (
 
 	"itcfs"
 	"itcfs/internal/sim"
+	"itcfs/internal/trace"
 	"itcfs/internal/workload"
 )
 
@@ -96,12 +97,8 @@ func E2Utilization(cfg E2Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	gauges := make([]*sim.Gauge, len(lc.cell.Servers))
 	err = lc.drive(cfg.Load, cfg.Warm, cfg.Measure, func() {
-		horizon := lc.cell.Now().Add(cfg.Measure)
-		for i, s := range lc.cell.Servers {
-			gauges[i] = sim.NewGauge(lc.cell.Kernel, s.CPU, cfg.PeakWindow, horizon)
-		}
+		lc.cell.StartSampling(cfg.PeakWindow, cfg.Measure)
 	})
 	if err != nil {
 		return nil, err
@@ -111,9 +108,12 @@ func E2Utilization(cfg E2Config) (*Report, error) {
 		"CPU ≈40% avg on busiest servers (peaks to 98%), disk ≈14%; CPU is the bottleneck",
 		"server", "CPU avg", "CPU peak (5 min)", "disk avg")
 	var maxCPU, maxDisk, maxPeak float64
-	for i, s := range lc.cell.Servers {
+	for _, s := range lc.cell.Servers {
 		cpu, disk := lc.windowUtil(s)
-		peak := gauges[i].Peak()
+		var peak float64
+		for _, pt := range lc.cell.Sampler.Points(trace.ServerCPUSeries(s.Vice.Name())) {
+			peak = max(peak, float64(pt.V)/float64(cfg.PeakWindow))
+		}
 		r.addRow(s.Vice.Name(), pct(cpu), pct(peak), pct(disk))
 		if cpu > maxCPU {
 			maxCPU = cpu

@@ -170,9 +170,9 @@ func (k *core[S]) call(c carrier, p *sim.Proc, req Request, callback bool) (Resp
 
 // serve runs one received call to its reply: an rpc.serve span continuing
 // the caller's trace, srv's handler, and the service time the reply echoes —
-// from the start through charge, the carrier's bill for the call (the
-// simulator's cost model; nil on a Peer).
-func (k *core[S]) serve(p *sim.Proc, srv *Server, ctx Ctx, tc wire.TraceHeader, req Request, charge func(Ctx, Request, Response)) (Response, time.Duration) {
+// from the start through bill's charge for the call (a simulated server's;
+// nil on a Peer).
+func (k *core[S]) serve(p *sim.Proc, srv *Server, ctx Ctx, tc wire.TraceHeader, req Request, bill Bill) (Response, time.Duration) {
 	o := k.obs.Load()
 	started := Clock(p)
 	var sp *trace.Span
@@ -186,8 +186,8 @@ func (k *core[S]) serve(p *sim.Proc, srv *Server, ctx Ctx, tc wire.TraceHeader, 
 	sp.SetInt(trace.AttrOp, int64(req.Op))
 	ctx.Span = sp
 	resp := srv.Dispatch(ctx, req)
-	if charge != nil {
-		charge(ctx, req, resp)
+	if bill != nil {
+		bill.Call(ctx, req, resp)
 	}
 	svc := Clock(p).Sub(started)
 	o.serveLat.Observe(svc)

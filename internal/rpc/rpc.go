@@ -14,7 +14,8 @@
 // interchangeable carriers run it over the same sealed bytes:
 //
 //   - Endpoint (sim.go) runs over the simulated campus network in virtual
-//     time, charging server CPU and disk per call through a CostModel. Its
+//     time, handing each call and handshake message served to its Bill,
+//     which the cell prices and charges to the server's CPU and disk. Its
 //     network loses and duplicates frames, so its calls retry under a
 //     RetryPolicy and its servers keep an at-most-once reply cache. The
 //     evaluation harness uses it.
@@ -43,7 +44,7 @@ type Op uint16
 
 // Request is one remote procedure call. Body carries the marshalled
 // arguments; Bulk carries a whole-file side effect, kept separate so
-// transports and the cost model can account data bytes apart from protocol
+// transports and a server's Bill can account data bytes apart from protocol
 // bytes (the paper's protocol-overhead argument for whole-file transfer).
 type Request struct {
 	Op   Op

@@ -130,6 +130,22 @@ func TestSimUnknownUserNeverConnects(t *testing.T) {
 	}
 }
 
+// flatBill holds the server's CPU, and its disk if it has one, for the same
+// time on every call served; handshakes are free.
+type flatBill struct {
+	cpu, disk         *sim.Resource
+	cpuTime, diskTime time.Duration
+}
+
+func (b flatBill) Call(ctx Ctx, _ Request, _ Response) {
+	b.cpu.Use(ctx.Proc, b.cpuTime)
+	if b.disk != nil {
+		b.disk.Use(ctx.Proc, b.diskTime)
+	}
+}
+
+func (flatBill) Handshake(*sim.Proc) {}
+
 func TestSimCostModelChargesCPU(t *testing.T) {
 	k := sim.NewKernel()
 	net := netsim.New(k, netsim.ITCDefaults())
@@ -141,10 +157,7 @@ func TestSimCostModelChargesCPU(t *testing.T) {
 	srv := NewEndpoint(net, sn, EndpointConfig{
 		Keys:   keys,
 		Server: echoServer(),
-		Meters: Meters{CPU: cpu, Disk: disk},
-		Model: func(_ Ctx, _ Request, _ Response) Cost {
-			return Cost{CPU: 20 * time.Millisecond, Disk: 5 * time.Millisecond}
-		},
+		Bill:   flatBill{cpu: cpu, disk: disk, cpuTime: 20 * time.Millisecond, diskTime: 5 * time.Millisecond},
 	})
 	client := NewEndpoint(net, cn, EndpointConfig{})
 	k.Spawn("test", func(p *sim.Proc) {
@@ -177,10 +190,7 @@ func TestSimConcurrentClientsQueueOnCPU(t *testing.T) {
 	srv := NewEndpoint(net, sn, EndpointConfig{
 		Keys:   keys,
 		Server: echoServer(),
-		Meters: Meters{CPU: cpu},
-		Model: func(_ Ctx, _ Request, _ Response) Cost {
-			return Cost{CPU: 50 * time.Millisecond}
-		},
+		Bill:   flatBill{cpu: cpu, cpuTime: 50 * time.Millisecond},
 	})
 	finish := make([]sim.Time, 0, 3)
 	for i := 0; i < 3; i++ {

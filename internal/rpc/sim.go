@@ -109,12 +109,9 @@ type EndpointConfig struct {
 	Keys secure.KeyLookup
 	// Server handles inbound calls; nil endpoints refuse them.
 	Server *Server
-	// Model computes per-call resource charges (may be nil).
-	Model CostModel
-	// Meters are the devices charges apply to (fields may be nil).
-	Meters Meters
-	// AuthCost is charged per handshake message served.
-	AuthCost Cost
+	// Bill charges each call and handshake message served to the server's
+	// simulated devices; nil charges nothing.
+	Bill Bill
 	// CallTimeout bounds Dial and Call waits; 0 means 60 simulated seconds,
 	// the deadline every Peer has.
 	CallTimeout time.Duration
@@ -130,9 +127,19 @@ type EndpointConfig struct {
 	// retransmissions) for the flight recorder. Nil disables.
 	Flight *trace.Recorder
 	// Observe, when set, is invoked after every served call with the
-	// measured virtual service time (dispatch plus cost-model charges).
+	// measured virtual service time (dispatch plus the Bill's charges).
 	// The Vice server uses it to feed per-volume latency histograms.
 	Observe func(ctx Ctx, req Request, resp Response, svc time.Duration)
+}
+
+// Bill is what serving costs a simulated server. Call runs on ctx.Proc after
+// the handler, so reply sizes are known; Handshake runs on p once per
+// handshake message served. Either may hold p on the server's devices, and
+// the reply waits for it: the server CPU bottleneck of §5.2 emerges from that
+// queueing. The prices themselves are the cell's (itcfs.CostConfig).
+type Bill interface {
+	Call(ctx Ctx, req Request, resp Response)
+	Handshake(p *sim.Proc)
 }
 
 // Endpoint binds RPC to one node of the simulated network. It serves
@@ -349,14 +356,16 @@ func workerName(op Op) string {
 }
 
 // handleHandshake serves handshake messages 1 and 3 in a worker process,
-// charging the configured authentication cost.
+// billing each to the server.
 func (ep *Endpoint) handleHandshake(pk *pkt) {
 	if ep.cfg.Keys == nil {
 		return // not accepting connections; silence, like a dark host
 	}
 	key := inKey{pk.From, pk.Conn}
 	ep.k.Spawn("rpc-auth", func(p *sim.Proc) {
-		ep.cfg.Meters.charge(p, ep.cfg.AuthCost)
+		if ep.cfg.Bill != nil {
+			ep.cfg.Bill.Handshake(p)
+		}
 		switch pk.Kind {
 		case kindHello:
 			if ic := ep.inbound[key]; ic != nil && ic.box != nil {
@@ -448,9 +457,9 @@ func (ep *Endpoint) handleCall(pk *pkt) {
 	ep.k.Spawn(workerName(req.Op), func(p *sim.Proc) {
 		defer ep.mInflight.Add(-1)
 		ctx := Ctx{User: user, Peer: ep.net.Node(pk.From).Name, Back: c, Proc: p}
-		// Service time spans dispatch plus cost charges: the whole interval
+		// Service time spans dispatch plus the bill: the whole interval
 		// this server held the call, which the reply echoes to the client.
-		resp, svc := c.serve(p, ep.cfg.Server, ctx, tc, req, ep.charge)
+		resp, svc := c.serve(p, ep.cfg.Server, ctx, tc, req, ep.cfg.Bill)
 		if ep.cfg.Observe != nil {
 			ep.cfg.Observe(ctx, req, resp, svc)
 		}
@@ -460,13 +469,6 @@ func (ep *Endpoint) handleCall(pk *pkt) {
 		cache.finish(seq, sealed)
 		ep.send(pk.From, &pkt{Conn: pk.Conn, Kind: kindReply, Data: sealed})
 	})
-}
-
-// charge bills a served call to the endpoint's meters under its cost model.
-func (ep *Endpoint) charge(ctx Ctx, req Request, resp Response) {
-	if ep.cfg.Model != nil {
-		ep.cfg.Meters.charge(ctx.Proc, ep.cfg.Model(ctx, req, resp))
-	}
 }
 
 // handleReply hands a reply to the call this endpoint originated that is

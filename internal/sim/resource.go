@@ -124,59 +124,3 @@ func (r *Resource) Utilization(since Time) float64 {
 	}
 	return float64(r.BusyTime()) / float64(elapsed)
 }
-
-// Gauge samples a Resource's busy time over fixed windows so short-term
-// peaks (the paper's "sometimes peaking at 98% server CPU utilization") can
-// be reported alongside long-run averages.
-type Gauge struct {
-	res     *Resource
-	window  Duration
-	samples []float64
-	lastBT  Duration
-}
-
-// NewGauge starts sampling res every window of virtual time until the
-// horizon. A bounded horizon keeps the event queue finite, so Kernel.Run
-// still terminates when real work drains.
-func NewGauge(k *Kernel, res *Resource, window Duration, until Time) *Gauge {
-	g := &Gauge{res: res, window: window, lastBT: res.BusyTime()}
-	var tick func()
-	tick = func() {
-		bt := res.BusyTime()
-		g.samples = append(g.samples, float64(bt-g.lastBT)/float64(window))
-		g.lastBT = bt
-		if k.Now().Add(window) <= until {
-			k.After(window, tick)
-		}
-	}
-	if k.Now().Add(window) <= until {
-		k.After(window, tick)
-	}
-	return g
-}
-
-// Samples returns the per-window utilization series.
-func (g *Gauge) Samples() []float64 { return g.samples }
-
-// Peak returns the maximum per-window utilization observed (0 if no samples).
-func (g *Gauge) Peak() float64 {
-	var max float64
-	for _, s := range g.samples {
-		if s > max {
-			max = s
-		}
-	}
-	return max
-}
-
-// Mean returns the average per-window utilization (0 if no samples).
-func (g *Gauge) Mean() float64 {
-	if len(g.samples) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, s := range g.samples {
-		sum += s
-	}
-	return sum / float64(len(g.samples))
-}

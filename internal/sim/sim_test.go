@@ -248,25 +248,6 @@ func TestResourceUtilization(t *testing.T) {
 	}
 }
 
-func TestGaugePeakAndMean(t *testing.T) {
-	k := NewKernel()
-	r := NewResource(k, "cpu")
-	g := NewGauge(k, r, 10*ms, Time(30*ms))
-	k.Spawn("bursty", func(p *Proc) {
-		r.Use(p, 10*ms)  // window 1: 100% busy
-		p.Sleep(10 * ms) // window 2: idle
-		r.Use(p, 5*ms)   // window 3: 50% busy
-		p.Sleep(5 * ms)
-	})
-	k.RunUntil(Time(30 * ms))
-	if p := g.Peak(); p < 0.99 {
-		t.Errorf("Peak = %v, want ~1.0", p)
-	}
-	if m := g.Mean(); m < 0.49 || m > 0.51 {
-		t.Errorf("Mean = %v, want 0.5", m)
-	}
-}
-
 func TestRunUntilStopsClock(t *testing.T) {
 	k := NewKernel()
 	fired := false
