@@ -11,6 +11,7 @@ import (
 	"itcfs/internal/proto"
 	"itcfs/internal/rpc"
 	"itcfs/internal/sim"
+	"itcfs/internal/trace"
 )
 
 // provision builds a cell with one user volume and a logged-in workstation.
@@ -389,5 +390,41 @@ func TestCallMixHistogramAvailable(t *testing.T) {
 	counts := cell.Servers[0].Endpoint.CallCounts()
 	if counts[rpc.Op(proto.OpTestValid)] == 0 {
 		t.Fatalf("no validations in histogram: %v", counts)
+	}
+}
+
+// TestStartSamplingKeepsEveryWindowToTheHorizon: StartSampling sizes each
+// ring to the windows in its horizon, so a run with more of them than
+// trace.DefaultSeriesCap still keeps the first, and a server's CPU windows
+// add up to all the busy time it accrued — the property E2's peak relies on.
+func TestStartSamplingKeepsEveryWindowToTheHorizon(t *testing.T) {
+	cell, ws := provision(t, Revised, 1)
+	const every, windows = time.Second, trace.DefaultSeriesCap + 120
+	srv := cell.Servers[0]
+	start, busy0 := cell.Now(), srv.CPU.BusyTime()
+	s := cell.StartSampling(every, windows*every)
+	cell.Kernel.Spawn("load", func(p *sim.Proc) {
+		for i := 0; i < 3; i++ {
+			p.Sleep(time.Duration(windows/4) * every)
+			if err := ws.FS.WriteFile(p, "/vice/usr/satya/s", []byte("sampled")); err != nil {
+				t.Errorf("write: %v", err)
+			}
+		}
+	})
+	cell.RunFor(windows * every)
+
+	pts := s.Points(trace.ServerCPUSeries(srv.Vice.Name()))
+	if len(pts) != windows {
+		t.Fatalf("CPU series holds %d windows, want %d", len(pts), windows)
+	}
+	var sum time.Duration
+	for _, pt := range pts {
+		sum += time.Duration(pt.V)
+	}
+	if first := start.Add(every); pts[0].At != first {
+		t.Errorf("oldest window ends at %v, want %v", pts[0].At, first)
+	}
+	if accrued := srv.CPU.BusyTime() - busy0; sum != accrued || sum == 0 {
+		t.Errorf("CPU windows add up to %v, the server accrued %v", sum, accrued)
 	}
 }
