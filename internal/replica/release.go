@@ -1,10 +1,8 @@
 // Package replica is the read-only volume replication plane (§3.2, §5.3):
 // system software is released as a read-only clone propagated to a set of
 // replica servers, so a crashed custodian blacks nothing out for readers.
-// The package has two halves: the release Controller here, which drives and
-// tracks the propagation of a clone image to its replica set, and the
-// content-addressed block Index (index.go), which stores the identical file
-// contents of clones, releases and replicas once.
+// Its Controller drives and tracks the propagation of a clone image to its
+// replica set; each replica holds its own copy of the image.
 //
 // The controller is deliberately transport-free: the server owns the peer
 // connections and hands Propagate a push function, so the same state

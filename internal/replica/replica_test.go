@@ -1,9 +1,7 @@
 package replica
 
 import (
-	"bytes"
 	"errors"
-	"fmt"
 	"reflect"
 	"testing"
 )
@@ -92,69 +90,5 @@ func TestPropagateUnknownVolume(t *testing.T) {
 	c := NewController("s0", nil, nil)
 	if err := c.Propagate(9, func(string) error { return nil }); err == nil {
 		t.Fatal("expected error for unknown release")
-	}
-}
-
-func TestIndexSharesIdenticalContent(t *testing.T) {
-	ix := NewIndex(nil)
-	a := []byte("the system binary")
-	b := append([]byte(nil), a...) // same content, distinct backing array
-
-	ca := ix.Intern(a)
-	cb := ix.Intern(b)
-	if !bytes.Equal(ca, cb) {
-		t.Fatal("interned slices differ in content")
-	}
-	if &ca[0] != &cb[0] {
-		t.Fatal("identical content not shared")
-	}
-	logical, physical, blocks := ix.Stats()
-	if logical != 2*uint64(len(a)) || physical != uint64(len(a)) || blocks != 1 {
-		t.Fatalf("stats = %d/%d/%d", logical, physical, blocks)
-	}
-	if r := ix.Ratio(); r != 2.0 {
-		t.Fatalf("ratio = %v", r)
-	}
-
-	// Distinct content stays distinct.
-	other := ix.Intern([]byte("something else"))
-	if bytes.Equal(other, ca) {
-		t.Fatal("distinct content collided")
-	}
-	if _, _, blocks := ix.Stats(); blocks != 2 {
-		t.Fatalf("blocks = %d", blocks)
-	}
-}
-
-func TestIndexNilAndEmpty(t *testing.T) {
-	var nilIx *Index
-	if got := nilIx.Intern([]byte("x")); string(got) != "x" {
-		t.Fatalf("nil index Intern = %q", got)
-	}
-	if r := nilIx.Ratio(); r != 1.0 {
-		t.Fatalf("nil ratio = %v", r)
-	}
-	ix := NewIndex(nil)
-	if got := ix.Intern(nil); got != nil {
-		t.Fatalf("Intern(nil) = %v", got)
-	}
-	if got := ix.Intern([]byte{}); len(got) != 0 {
-		t.Fatalf("Intern(empty) = %v", got)
-	}
-	if r := ix.Ratio(); r != 1.0 {
-		t.Fatalf("empty ratio = %v", r)
-	}
-}
-
-func TestIndexManyBlocksRatio(t *testing.T) {
-	ix := NewIndex(nil)
-	// Ten distinct blocks, each interned three times.
-	for round := 0; round < 3; round++ {
-		for i := 0; i < 10; i++ {
-			ix.Intern([]byte(fmt.Sprintf("block-%d-payload-payload", i)))
-		}
-	}
-	if r := ix.Ratio(); r != 3.0 {
-		t.Fatalf("ratio = %v, want 3.0", r)
 	}
 }

@@ -46,12 +46,6 @@ const (
 	MetricFlightDropped = "trace.flight.dropped"
 )
 
-// Gauges.
-const (
-	MetricReplicaDedupLogicalBytes  = "replica.dedup.logical_bytes"
-	MetricReplicaDedupPhysicalBytes = "replica.dedup.physical_bytes"
-)
-
 // Histograms.
 const (
 	MetricVenusOpenLatency  = "venus.open.latency"

@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"itcfs/internal/proto"
-	"itcfs/internal/replica"
 	"itcfs/internal/rpc"
 	"itcfs/internal/secure"
 	"itcfs/internal/sim"
@@ -137,13 +136,6 @@ type Config struct {
 	// Flight, when set, receives operational events — degraded-mode entry
 	// and exit, revalidation sweeps — for the flight recorder. Nil disables.
 	Flight *trace.Recorder
-	// Blocks, when set, interns every fetched file's content into a
-	// content-addressed index before it is written to the cache, so
-	// identical blocks fetched by the workstations sharing the index (the
-	// common case for system binaries served from replicated read-only
-	// volumes) are held once and the dedup ratio is measurable. Nil
-	// disables.
-	Blocks *replica.Index
 }
 
 // entry is one cached whole file (or directory listing, or status-only
@@ -341,10 +333,10 @@ func (v *Venus) Open(p *sim.Proc, path string, flags OpenFlag) (*Handle, error) 
 // status's size is not the copy's), which leaves the bytes handed back as
 // the only garbage of a cached read.
 //
-// An open that misses on a file from wire.KeepField's size on, with no
-// Config.Blocks, reads nothing back: the caller gets the reply's Bulk itself,
-// a buffer no pool reuses, and the cache keeps a copy (installEntry). So a cold read allocates the
-// file once, in the frame it arrived in. The bytes are the version fetched:
+// An open that misses on a file from wire.KeepField's size on reads nothing
+// back: the caller gets the reply's Bulk itself, a buffer no pool reuses, and
+// the cache keeps a copy (installEntry). So a cold read allocates the file
+// once, in the frame it arrived in. The bytes are the version fetched:
 // the read takes effect at the install, and a write that another handle on
 // this Venus makes after it is not in them, as with any read ordered before
 // that write.
@@ -676,12 +668,7 @@ func (v *Venus) fetchEntry(p *sim.Proc, ref proto.Ref, path string, flags OpenFl
 	if err != nil {
 		return nil, err
 	}
-	if v.cfg.Blocks == nil {
-		// A dedup index keeps the fetched bytes by reference, so such a
-		// reply is never released; Blocks is a simulator setting, where
-		// releasing does nothing anyway.
-		defer resp.Release()
-	}
+	defer resp.Release()
 	if resp.Code == proto.CodeNoEnt && flags&FlagCreate != 0 {
 		return v.createFile(p, path)
 	}
@@ -791,9 +778,7 @@ func (v *Venus) installEntry(path string, st proto.Status, data []byte, now sim.
 		}
 	}
 	write := v.cfg.Local.WriteFile
-	if ix := v.cfg.Blocks; ix != nil {
-		data = ix.Intern(data) // now shared cell-wide: the cache file needs a copy
-	} else if wire.KeepField(data) {
+	if wire.KeepField(data) {
 		if whole != nil {
 			*whole = data // the reader's alone from here: the cache file needs a copy
 		} else {

@@ -152,9 +152,6 @@ func (s *Server) handleVolClone(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	s.gate.RLock()
 	clone := src.Clone(id, src.Name()+".readonly")
 	s.gate.RUnlock()
-	if ix := s.cfg.Blocks; ix != nil {
-		clone.InternData(ix.Intern) // before other connections can fetch from it
-	}
 	if err := s.attachVolume(clone); err != nil {
 		return respErr(err)
 	}
@@ -424,9 +421,6 @@ func (s *Server) handleVolInstall(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	vol, err := volume.Deserialize(req.Bulk, s.cfg.Clock)
 	if err != nil {
 		return respErr(fmt.Errorf("%w: %v", proto.ErrBadRequest, err))
-	}
-	if ix := s.cfg.Blocks; ix != nil {
-		vol.InternData(ix.Intern)
 	}
 	vol.SetOnline(true)
 	if err := s.attachVolume(vol); err != nil {

@@ -2,11 +2,10 @@ package vice
 
 // Release-controller behavior at the server level: idempotent installs,
 // resuming an interrupted release (both in-memory and across a real WAL
-// crash/recover cycle), the replace-mount race against an in-flight fetch,
-// and content dedup across clone + replica.
+// crash/recover cycle), and the replace-mount race against an in-flight
+// fetch.
 
 import (
-	"fmt"
 	"testing"
 
 	"itcfs/internal/prot"
@@ -281,26 +280,5 @@ func TestVolCloneReplaceMountDuringFetch(t *testing.T) {
 	}
 	if st2.FID.Volume == st.FID.Volume {
 		t.Fatal("path lookup still resolves into the old clone volume")
-	}
-}
-
-// TestReleaseDedupSharesBlocks: a replicated release stores each distinct
-// block once in the cell's content index — the clone interns the originals,
-// the replica's deserialized copies intern to the same blocks.
-func TestReleaseDedupSharesBlocks(t *testing.T) {
-	c := newCell(t, Prototype, 2)
-	vid := c.mkVolume(t, "sys.bin", "/bin", "operator", 0)
-	for i := 0; i < 4; i++ {
-		c.store(t, "operator", fmt.Sprintf("/bin/tool%d", i),
-			[]byte(fmt.Sprintf("binary payload for tool %d", i)))
-	}
-	mustOK(t, c.call("operator", 0, proto.OpVolClone,
-		proto.Marshal(proto.VolCloneArgs{Volume: vid, Path: "/bin-ro", Replicas: []string{"server1"}}), nil))
-	logical, physical, blocks := c.blocks.Stats()
-	if blocks == 0 || physical == 0 {
-		t.Fatalf("index empty: %d/%d/%d", logical, physical, blocks)
-	}
-	if r := c.blocks.Ratio(); r < 1.5 {
-		t.Fatalf("dedup ratio = %.2f (logical %d, physical %d), want >= 1.5", r, logical, physical)
 	}
 }

@@ -80,12 +80,6 @@ type Config struct {
 	// surviving state back after a restart. Nil keeps volumes volatile (the
 	// simulator's default).
 	Store store.Store
-	// Blocks, when set, is the content-addressed block index: volume images
-	// arriving by clone, install or recovery have their file content
-	// interned so identical blocks across clones, releases and replicas are
-	// stored once. Share one index across a cell's servers to measure
-	// cell-wide dedup. Nil disables interning.
-	Blocks *replica.Index
 }
 
 // Server is one Vice cluster server.

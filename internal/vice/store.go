@@ -172,11 +172,6 @@ func (s *Server) RecoverStore() (*store.Report, error) {
 	for _, v := range rec.Volumes {
 		v.SetClock(s.cfg.Clock)
 		v.EnableDirtyTracking()
-		if ix := s.cfg.Blocks; ix != nil {
-			// Recovery materialized each volume's content from the journal;
-			// re-intern it so replicas and clones share blocks again.
-			v.InternData(ix.Intern)
-		}
 		s.vols[v.ID()] = v
 	}
 	s.mu.Unlock()

@@ -7,7 +7,6 @@ import (
 
 	"itcfs/internal/prot"
 	"itcfs/internal/proto"
-	"itcfs/internal/replica"
 	"itcfs/internal/rpc"
 	"itcfs/internal/secure"
 	"itcfs/internal/sim"
@@ -23,18 +22,15 @@ func (c directCaller) Call(p *sim.Proc, req rpc.Request) (rpc.Response, error) {
 }
 
 // cell is a small test cell: servers with replicated databases, a root
-// volume on servers[0], all peers wired. Every server shares one
-// content-addressed block index, as a production cell measuring dedup
-// would, so the whole suite exercises interning.
+// volume on servers[0], all peers wired.
 type cell struct {
 	servers []*Server
-	blocks  *replica.Index
 	nextVol uint32
 }
 
 func newCell(t testing.TB, mode Mode, n int) *cell {
 	t.Helper()
-	c := &cell{nextVol: 1, blocks: replica.NewIndex(nil)}
+	c := &cell{nextVol: 1}
 	alloc := func() uint32 { c.nextVol++; return c.nextVol }
 	var clock int64
 	clk := func() int64 { clock++; return clock }
@@ -67,7 +63,6 @@ func newCell(t testing.TB, mode Mode, n int) *cell {
 			Clock:         clk,
 			ProtAuthority: i == 0,
 			AllocVolID:    alloc,
-			Blocks:        c.blocks,
 		})
 		c.servers = append(c.servers, s)
 	}

@@ -260,20 +260,6 @@ func (v *Volume) DataOf(id uint32) ([]byte, bool) {
 	return vn.Data, true
 }
 
-// InternData replaces each vnode's file content with intern(content): the
-// hook a content-addressed block index uses to store identical blocks once
-// across clones, releases and replica installs. intern must return a slice
-// with equal content. Safe because installed content slices are never
-// edited in place — WriteData replaces the slice wholesale.
-func (v *Volume) InternData(intern func([]byte) []byte) {
-	for _, id := range v.VnodeIDs() {
-		vn := v.vnodes[id]
-		if len(vn.Data) > 0 {
-			vn.Data = intern(vn.Data)
-		}
-	}
-}
-
 // DropVnode removes a vnode during recovery replay.
 func (v *Volume) DropVnode(id uint32) {
 	delete(v.vnodes, id)
