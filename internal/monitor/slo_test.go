@@ -27,7 +27,7 @@ func newSLOHarness(t *testing.T, cfg SLOConfig) *sloHarness {
 	now := func() sim.Time { return h.clock }
 	h.tr = trace.New(now)
 	h.flight = trace.NewRecorder(64, now)
-	h.sampler = trace.NewSampler(h.reg, time.Second, 0)
+	h.sampler = trace.NewSampler(h.reg, time.Second)
 	h.sampler.AttachExemplars(h.tr.TakeExemplars)
 	h.mon = AttachSLO(h.sampler, h.reg, h.tr, h.flight, cfg)
 	if h.mon == nil {
@@ -168,7 +168,7 @@ func TestSLODisabledAndNilSafety(t *testing.T) {
 	if m := AttachSLO(nil, trace.NewRegistry(), nil, nil, SLOConfig{}); m != nil {
 		t.Error("AttachSLO with nil sampler returned a monitor")
 	}
-	if m := AttachSLO(trace.NewSampler(nil, time.Second, 0), nil, nil, nil, SLOConfig{}); m != nil {
+	if m := AttachSLO(trace.NewSampler(nil, time.Second), nil, nil, nil, SLOConfig{}); m != nil {
 		t.Error("AttachSLO with nil registry returned a monitor")
 	}
 	var m *SLOMonitor

@@ -72,7 +72,7 @@ func TestSampledOutPathAllocFree(t *testing.T) {
 // process at a time), but itcfsd shares a registry across real goroutines.
 func TestRegistryConcurrentStress(t *testing.T) {
 	reg := NewRegistry()
-	sampler := NewSampler(reg, time.Second, 8)
+	sampler := NewSampler(reg, time.Second)
 	rec := NewRecorder(64, func() sim.Time { return 0 })
 	const workers = 8
 	const iters = 400

@@ -11,8 +11,8 @@ import (
 )
 
 // Time-series telemetry. A Sampler is a virtual-time process that snapshots
-// every registry instrument on a fixed cadence and folds each into a bounded
-// ring of per-window points: counters become per-window deltas (rates),
+// every registry instrument on a fixed cadence and appends each to a series
+// of per-window points: counters become per-window deltas (rates),
 // gauges become values-at-sample, and histograms become per-window count and
 // p50/p90/p99 series computed by diffing bucket snapshots. External probes
 // (server CPU busy time, link busy time, RPC queue depth) plug into the same
@@ -20,9 +20,8 @@ import (
 // E2's peaks and E15's overload detector alike. Sampling only reads state,
 // so a run with sampling off is byte-identical — in every workload-visible
 // outcome — to one with sampling on, and identical seeds yield identical
-// series. A ring grows as points arrive up to its capacity, which
-// Cell.StartSampling sets to the windows in its horizon, so a
-// horizon-bounded run keeps every window.
+// series. A series keeps every point it is given; Start stops ticking at its
+// horizon, which bounds how many that is.
 //
 // AttachExemplars harvests each window's worst sampled spans per class, so
 // the series plane carries trace IDs that explain its own tails; OnSample
@@ -33,44 +32,6 @@ type Point struct {
 	At sim.Time
 	V  int64
 }
-
-// Series is a bounded ring of points for one metric. Rings belong to a
-// Sampler, which serializes all access under its own lock.
-type Series struct {
-	name  string
-	pts   []Point // ring storage, len == capacity once full
-	head  int     // index of the oldest point when the ring is full
-	total uint64  // points ever appended, including overwritten ones
-}
-
-// DefaultSeriesCap bounds each series when the Sampler is created with a
-// non-positive capacity: at a 30-second cadence it holds a 4-hour window.
-const DefaultSeriesCap = 480
-
-// Name returns the series name.
-func (s *Series) Name() string { return s.name }
-
-// append adds one point, overwriting the oldest once the ring is full.
-func (s *Series) append(capacity int, p Point) {
-	if len(s.pts) < capacity {
-		s.pts = append(s.pts, p)
-	} else {
-		s.pts[s.head] = p
-		s.head = (s.head + 1) % len(s.pts)
-	}
-	s.total++
-}
-
-// points returns the ring's contents in chronological order.
-func (s *Series) points() []Point {
-	out := make([]Point, 0, len(s.pts))
-	out = append(out, s.pts[s.head:]...)
-	out = append(out, s.pts[:s.head]...)
-	return out
-}
-
-// Dropped returns how many points the ring has overwritten.
-func (s *Series) Dropped() uint64 { return s.total - uint64(len(s.pts)) }
 
 // exemplarCap bounds the per-class exemplar ring: enough recent windows to
 // attribute a burn-rate episode without retaining the whole run.
@@ -89,13 +50,12 @@ type probe struct {
 // kernel (or call Sample directly from tests). A nil *Sampler is valid and
 // disables sampling: every method is a no-op.
 type Sampler struct {
-	// reg, every and cap are set at construction, immutable afterwards.
+	// reg and every are set at construction, immutable afterwards.
 	reg   *Registry
 	every time.Duration
-	cap   int
 
 	mu     sync.Mutex
-	series map[string]*Series // guarded by mu
+	series map[string][]Point // guarded by mu — each in time order
 	probes []*probe           // guarded by mu
 	lastC  map[string]int64   // guarded by mu — previous counter readings
 	// previous histogram snapshots, for bucket diffs
@@ -109,20 +69,15 @@ type Sampler struct {
 }
 
 // NewSampler creates a sampler over reg (which may be nil: probes still
-// sample). every is the cadence; capacity bounds each series' ring
-// (non-positive = DefaultSeriesCap).
-func NewSampler(reg *Registry, every time.Duration, capacity int) *Sampler {
+// sample). every is the cadence.
+func NewSampler(reg *Registry, every time.Duration) *Sampler {
 	if every <= 0 {
 		every = 30 * time.Second
-	}
-	if capacity <= 0 {
-		capacity = DefaultSeriesCap
 	}
 	return &Sampler{
 		reg:    reg,
 		every:  every,
-		cap:    capacity,
-		series: make(map[string]*Series),
+		series: make(map[string][]Point),
 		lastC:  make(map[string]int64),
 		lastH:  make(map[string]HistSnapshot),
 	}
@@ -336,12 +291,7 @@ func (s *Sampler) appendHistLocked(name string, now sim.Time, diff *[histBuckets
 
 //itcvet:holds mu
 func (s *Sampler) appendLocked(name string, p Point) {
-	sr := s.series[name]
-	if sr == nil {
-		sr = &Series{name: name}
-		s.series[name] = sr
-	}
-	sr.append(s.cap, p)
+	s.series[name] = append(s.series[name], p)
 }
 
 // Samples returns how many sampling rounds have completed.
@@ -362,11 +312,7 @@ func (s *Sampler) Points(name string) []Point {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sr := s.series[name]
-	if sr == nil {
-		return nil
-	}
-	return sr.points()
+	return append([]Point(nil), s.series[name]...)
 }
 
 // SeriesNames returns every series name, sorted.

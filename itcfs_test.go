@@ -393,13 +393,12 @@ func TestCallMixHistogramAvailable(t *testing.T) {
 	}
 }
 
-// TestStartSamplingKeepsEveryWindowToTheHorizon: StartSampling sizes each
-// ring to the windows in its horizon, so a run with more of them than
-// trace.DefaultSeriesCap still keeps the first, and a server's CPU windows
-// add up to all the busy time it accrued — the property E2's peak relies on.
+// TestStartSamplingKeepsEveryWindowToTheHorizon: a run of 600 windows keeps
+// the first, and a server's CPU windows add up to all the busy time it
+// accrued — the property E2's peak relies on.
 func TestStartSamplingKeepsEveryWindowToTheHorizon(t *testing.T) {
 	cell, ws := provision(t, Revised, 1)
-	const every, windows = time.Second, trace.DefaultSeriesCap + 120
+	const every, windows = time.Second, 600
 	srv := cell.Servers[0]
 	start, busy0 := cell.Now(), srv.CPU.BusyTime()
 	s := cell.StartSampling(every, windows*every)
