@@ -10,11 +10,9 @@ import (
 // Deterministic head-based sampling. The decision to trace is made once, at
 // the root of each operation, from nothing but (class, per-class arrival
 // index, seed) — so two same-seed runs keep exactly the same operations, and
-// a kept operation is always complete across machines. Three refinements
-// over the flat every-nth policy the plane launched with:
+// a kept operation is always complete across machines. Two refinements over
+// the flat every-nth policy the plane launched with:
 //
-//   - Per-class rates. One-in-1024 is right for 30k clients' opens and wrong
-//     for the dozen volume moves a day an operator wants every one of.
 //   - Seeded phase offsets. Flat modulo keeps root 0, n, 2n, ... of every
 //     class — always the cold-start operations. The seed rotates each
 //     class's phase so repeated runs under different seeds cover different
@@ -35,9 +33,10 @@ import (
 // path; such spans have no children.
 const AttrSlowKept = "slow_kept"
 
-// ClassPolicy is the sampling policy for one root span class.
+// ClassPolicy is the sampling policy every root span class follows, each
+// class counting its own roots.
 type ClassPolicy struct {
-	// Rate keeps one of every Rate roots of the class (<= 1 keeps all).
+	// Rate keeps one of every Rate roots of a class (<= 1 keeps all).
 	Rate int
 	// SlowKeep, when positive, records a synthetic span for any sampled-out
 	// root whose closed latency is at least this long.
@@ -49,17 +48,13 @@ type SamplePolicy struct {
 	// Seed rotates each class's keep phase (see seededOffset). Zero keeps
 	// phase 0 for every class — a flat every-nth-root rate.
 	Seed int64
-	// Default applies to classes without an explicit entry in Classes.
+	// Default applies to every class.
 	Default ClassPolicy
-	// Classes overrides the default per root span class.
-	Classes map[string]ClassPolicy
 }
 
-// classState is the per-class sampling counter; rate, slow and offset are
-// fixed at first use, n counts root arrivals.
+// classState is the per-class sampling counter; offset is fixed at first
+// use, n counts root arrivals.
 type classState struct {
-	rate   int
-	slow   time.Duration
 	offset uint64
 	n      uint64
 }
@@ -77,10 +72,6 @@ func (t *Tracer) SetPolicy(p SamplePolicy) {
 		t.def.Rate = 1
 	}
 	t.seed = p.Seed
-	t.overrides = make(map[string]ClassPolicy, len(p.Classes))
-	for k, v := range p.Classes {
-		t.overrides[k] = v
-	}
 	t.classes = make(map[string]*classState)
 	t.mu.Unlock()
 }
@@ -91,15 +82,7 @@ func (t *Tracer) SetPolicy(p SamplePolicy) {
 func (t *Tracer) classLocked(name string) *classState {
 	cs := t.classes[name]
 	if cs == nil {
-		pol, ok := t.overrides[name]
-		if !ok {
-			pol = t.def
-		}
-		if pol.Rate < 1 {
-			pol.Rate = 1
-		}
-		cs = &classState{rate: pol.Rate, slow: pol.SlowKeep,
-			offset: seededOffset(t.seed, name, pol.Rate)}
+		cs = &classState{offset: seededOffset(t.seed, name, t.def.Rate)}
 		t.classes[name] = cs
 	}
 	return cs
