@@ -180,8 +180,6 @@ func E15HotVolume(cfg E15Config) (*E15Result, error) {
 	meanB1, peakB1 := utilStats(s1, aEnd, bEnd)
 	meanC0, peakC0 := utilStats(s0, moveEnd, cEnd)
 	meanC1, peakC1 := utilStats(s1, moveEnd, cEnd)
-	postMove0 := adv.MeanUtilSince(sampler, s0, moveEnd)
-	postMove1 := adv.MeanUtilSince(sampler, s1, moveEnd)
 
 	r := newReport("E15", "Time-series telemetry: detect and relieve a saturated server",
 		"server CPU \"sometimes peaking at 98% utilization\" (§5.2); volume moves rebalance load (§3.6)",
@@ -195,7 +193,6 @@ func E15HotVolume(cfg E15Config) (*E15Result, error) {
 	r.row("windows over threshold", count("overload_windows", hv.Windows), text("—"))
 	r.row("hottest volume", entry{fmt.Sprintf("vol %d (%d sampled ops)", hv.Volume, hv.VolumeOps), "hot_volume", float64(hv.Volume)}, text("—"))
 	r.addRow("applied move", fmt.Sprintf("vol %d → %s", hv.Volume, hv.To), "—")
-	r.row("post-move advisor check", share("", postMove0), share("", postMove1))
 	r.row("flight events recorded", count("flight_events", cell.Flight.Total()), text("—"))
 
 	r.Metrics["detector_fired"] = 1

@@ -177,25 +177,3 @@ func sumWindow(pts []trace.Point, from, to sim.Time) int64 {
 	}
 	return sum
 }
-
-// MeanUtilSince reports a server's mean sampled CPU utilization over the
-// windows ending after since — the balance check an operator runs after
-// applying a recommended move.
-func (a *Advisor) MeanUtilSince(s *trace.Sampler, server string, since sim.Time) float64 {
-	if s == nil || s.Every() <= 0 {
-		return 0
-	}
-	pts := s.Points(trace.ServerCPUSeries(server))
-	var sum float64
-	n := 0
-	for _, p := range pts {
-		if p.At > since {
-			sum += float64(p.V) / float64(s.Every())
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
