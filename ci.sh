@@ -99,9 +99,10 @@ rm -rf "$tmpdir"
 go test -run=NONE -bench='^Benchmark(ParkResume|MailboxSendRecv|ScheduleDrain)$' -benchtime=100x ./internal/sim
 # The same for the two measurements size bounds rest on: the small-record CTR
 # crossover (secure.smallRecord) and pooled against fresh record buffers
-# (wire.maxPooled, walstore.pooledRecord).
+# (wire.maxPooled, walstore.pooledRecord); and for a checkpoint built from
+# live volumes against one built from their images.
 go test -run=NONE -bench='^BenchmarkCTR' -benchtime=100x ./internal/secure
-go test -run=NONE -bench='^BenchmarkCommit' -benchtime=100x ./internal/store/walstore
+go test -run=NONE -bench='^Benchmark(Commit|Checkpoint)' -benchtime=100x ./internal/store/walstore
 
 # Short fuzz passes over the attacker-facing decoders and the path walker.
 go test -run=NONE -fuzz='^FuzzDecodeCall$' -fuzztime=10s ./internal/rpc
@@ -114,3 +115,4 @@ go test -run=NONE -fuzz='^FuzzDecodeBulkTestValid$' -fuzztime=10s ./internal/wir
 go test -run=NONE -fuzz='^FuzzDecodeBulkBreak$' -fuzztime=10s ./internal/wire
 go test -run=NONE -fuzz='^FuzzWALReplay$' -fuzztime=10s ./internal/store/walstore
 go test -run=NONE -fuzz='^FuzzReadRecord$' -fuzztime=10s ./internal/store/walstore
+go test -run=NONE -fuzz='^FuzzDecodeCheckpoint$' -fuzztime=10s ./internal/store/walstore

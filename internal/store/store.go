@@ -155,19 +155,16 @@ type LocOp struct {
 	Remove  []string
 }
 
-// VolumeImage is one volume's full Serialize image, used in checkpoints and
-// volume creation/installation records.
-type VolumeImage struct {
-	ID    uint32
-	Image []byte
-}
-
 // Checkpoint is a full snapshot of server state: after it is durable the
 // engine may discard all earlier history.
+//
+// Volumes are the server's live volumes, not copies: the engine encodes each
+// one straight into the snapshot it writes, so the caller keeps them from
+// changing until Store.Checkpoint returns (Vice holds its gate's write side).
 type Checkpoint struct {
 	Prot    []byte           // prot.DB.Snapshot image
 	Loc     []proto.LocEntry // complete location database, sorted by prefix
-	Volumes []VolumeImage    // every volume, ascending by ID
+	Volumes []*volume.Volume // every volume, ascending by ID
 }
 
 // VolumeReport describes one volume's recovery outcome.

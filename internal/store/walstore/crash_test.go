@@ -82,9 +82,7 @@ func crashWorkload(seed int64, fsys store.FS) (states [][]byte, acked, attempted
 	for i, op := range ops {
 		attempted++
 		if op == nil { // checkpoint: state is unchanged by it
-			err = s.Checkpoint(store.Checkpoint{
-				Volumes: []store.VolumeImage{{ID: 3, Image: v.Serialize()}},
-			})
+			err = s.Checkpoint(store.Checkpoint{Volumes: []*volume.Volume{v}})
 			states = append(states, states[len(states)-1])
 		} else if i == 0 {
 			err = op()

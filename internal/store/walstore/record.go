@@ -8,6 +8,7 @@ import (
 
 	"itcfs/internal/proto"
 	"itcfs/internal/store"
+	"itcfs/internal/volume"
 	"itcfs/internal/wire"
 )
 
@@ -148,9 +149,11 @@ const ckptPrefix = len(ckptMagic) + 8
 // buildCheckpoint builds the checkpoint file as newRecord/finishRecord build
 // a log record: the prefix is reserved, the payload is encoded after it — the
 // buffer grown once, to exactly what the volume images need, when their sizes
-// are known — and magic, length and CRC are stamped in place.
+// are measured, and each live volume encoded in place after its id and
+// length — and magic, length and CRC are stamped in place. A volume's file
+// contents are thus copied once, into the file's buffer.
 //
-// It refuses, before that growth, a snapshot decodeCheckpoint would reject: a
+// It refuses, before that growth, a snapshot readCheckpoint would reject: a
 // checkpoint is written in order to truncate the log, so one that cannot be
 // read back loses everything.
 func buildCheckpoint(seq uint64, cp store.Checkpoint) ([]byte, error) {
@@ -164,18 +167,25 @@ func buildCheckpoint(seq uint64, cp store.Checkpoint) ([]byte, error) {
 		le.Encode(&e)
 	}
 	e.ListLen(len(cp.Volumes))
+	sizes := make([]int, len(cp.Volumes))
 	images := 0
-	for _, vi := range cp.Volumes {
-		images += 8 + len(vi.Image)
+	for i, v := range cp.Volumes {
+		sizes[i] = v.ImageSize()
+		images += 8 + sizes[i]
 	}
 	if size := e.Len() - ckptPrefix + images; size > maxRecord || len(cp.Prot) > wire.MaxField {
 		return nil, fmt.Errorf("walstore: checkpoint payload of %d bytes (protection database %d) is more than recovery reads back (%d, %d)",
 			size, len(cp.Prot), maxRecord, wire.MaxField)
 	}
 	e.Grow(images)
-	for _, vi := range cp.Volumes {
-		e.U32(vi.ID)
-		e.Bytes(vi.Image)
+	for i, v := range cp.Volumes {
+		e.U32(v.ID())
+		e.U32(uint32(sizes[i]))
+		if n := v.EncodeImage(&e); n != sizes[i] {
+			// The caller let the volume change under the snapshot; its length
+			// prefix would misframe everything after it.
+			return nil, fmt.Errorf("walstore: checkpoint: volume %d encoded %d bytes, measured %d", v.ID(), n, sizes[i])
+		}
 	}
 	out := e.Buf()
 	payload := out[ckptPrefix:]
@@ -185,20 +195,24 @@ func buildCheckpoint(seq uint64, cp store.Checkpoint) ([]byte, error) {
 	return out, nil
 }
 
-// decodeCheckpoint parses a checkpoint file. Any malformation is an error;
-// the caller treats a bad checkpoint as absent (and says so in the report).
-func decodeCheckpoint(buf []byte) (seq uint64, cp store.Checkpoint, err error) {
+// readCheckpoint parses a checkpoint file. Any malformation of the file is
+// an error; the caller treats a bad checkpoint as absent (and says so in the
+// report). A volume whose image alone will not decode is left out, with a
+// note saying so. Each volume is decoded where its image lies in buf, so its
+// file contents are copied once, by volume.Deserialize; nothing returned
+// aliases buf.
+func readCheckpoint(buf []byte) (seq uint64, cp store.Checkpoint, notes []string, err error) {
 	if len(buf) < ckptPrefix || string(buf[:len(ckptMagic)]) != ckptMagic {
-		return 0, cp, fmt.Errorf("walstore: checkpoint: bad magic")
+		return 0, cp, nil, fmt.Errorf("walstore: checkpoint: bad magic")
 	}
 	n := binary.LittleEndian.Uint32(buf[len(ckptMagic):])
 	crc := binary.LittleEndian.Uint32(buf[len(ckptMagic)+4:])
 	payload := buf[ckptPrefix:]
 	if uint32(len(payload)) != n || n > maxRecord {
-		return 0, cp, fmt.Errorf("walstore: checkpoint: bad length")
+		return 0, cp, nil, fmt.Errorf("walstore: checkpoint: bad length")
 	}
 	if crc32.Checksum(payload, castagnoli) != crc {
-		return 0, cp, fmt.Errorf("walstore: checkpoint: bad checksum")
+		return 0, cp, nil, fmt.Errorf("walstore: checkpoint: bad checksum")
 	}
 	d := wire.NewDecoder(payload)
 	seq = d.U64()
@@ -212,14 +226,25 @@ func decodeCheckpoint(buf []byte) (seq uint64, cp store.Checkpoint, err error) {
 	}
 	nv := d.ListLen(5)
 	for i := 0; i < nv && d.Err() == nil; i++ {
-		vi := store.VolumeImage{ID: d.U32()}
+		id := d.U32()
 		// An image is bounded by the checkpoint's own format (the payload
 		// length checked above), not by what one network message may carry.
-		vi.Image = append([]byte(nil), d.BytesLimit(maxRecord)...)
-		cp.Volumes = append(cp.Volumes, vi)
+		image := d.BytesLimit(maxRecord)
+		if d.Err() != nil {
+			break
+		}
+		v, err := volume.Deserialize(image, nil)
+		if err == nil && v.ID() != id {
+			err = fmt.Errorf("image declares id %d", v.ID())
+		}
+		if err != nil {
+			notes = append(notes, fmt.Sprintf("checkpoint volume %d unreadable, dropped: %v", id, err))
+			continue
+		}
+		cp.Volumes = append(cp.Volumes, v)
 	}
 	if err := d.Close(); err != nil {
-		return 0, store.Checkpoint{}, fmt.Errorf("walstore: checkpoint: %w", err)
+		return 0, store.Checkpoint{}, nil, fmt.Errorf("walstore: checkpoint: %w", err)
 	}
-	return seq, cp, nil
+	return seq, cp, notes, nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"itcfs/internal/store"
+	"itcfs/internal/volume"
 	"itcfs/internal/wire"
 )
 
@@ -16,7 +17,7 @@ import (
 // an fsync) is smaller still.
 func BenchmarkCommit(b *testing.B) {
 	build := func(e *wire.Encoder, c store.Commit) {
-		e.Grow(recPrefix + 64 + 8 + len(c.Meta[0].Meta) + 8 + len(c.Data[0].Data))
+		e.Grow(recPrefix + commitFixed + 8 + len(c.Meta[0].Meta) + 8 + len(c.Data[0].Data))
 		var blank [recPrefix]byte
 		e.Raw(blank[:])
 		c.Encode(e)
@@ -41,6 +42,33 @@ func BenchmarkCommit(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var e wire.Encoder
 				build(&e, c)
+			}
+		})
+	}
+}
+
+// BenchmarkCheckpoint is what building a checkpoint file costs, by the
+// volume's file contents: "live" encodes the volume straight into the file,
+// as buildCheckpoint does; "images" serializes it to an image first and
+// copies that in, as referenceCheckpoint, the builder before, did. The file
+// is not written.
+func BenchmarkCheckpoint(b *testing.B) {
+	for _, size := range []int{64 << 10, 1 << 20, 16 << 20} {
+		vols := []*volume.Volume{filesVol(b, 3, 4, make([]byte, size/4))}
+		b.Run(fmt.Sprintf("live/%d", size), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(size))
+			for i := 0; i < b.N; i++ {
+				if _, err := buildCheckpoint(1, store.Checkpoint{Volumes: vols}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("images/%d", size), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(size))
+			for i := 0; i < b.N; i++ {
+				referenceCheckpoint(1, nil, nil, vols)
 			}
 		})
 	}

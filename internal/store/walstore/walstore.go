@@ -90,23 +90,19 @@ func (s *Store) recover() error {
 	// say loudly that history may be gone.
 	vols := map[uint32]*volume.Volume{}
 	if buf, err := s.fsys.ReadFile(ckptName); err == nil {
-		seq, cp, err := decodeCheckpoint(buf)
+		seq, cp, notes, err := readCheckpoint(buf)
 		if err != nil {
 			rep.Notes = append(rep.Notes, fmt.Sprintf("checkpoint unreadable, ignored: %v", err))
 		} else {
 			s.ckptSeq = seq
 			rep.CheckpointSeq = seq
+			rep.Notes = append(rep.Notes, notes...)
 			rec.ProtSnapshot = cp.Prot
 			if len(cp.Loc) > 0 {
 				rec.LocOps = append(rec.LocOps, store.LocOp{Entries: cp.Loc})
 			}
-			for _, vi := range cp.Volumes {
-				v, err := volume.Deserialize(vi.Image, nil)
-				if err != nil {
-					rep.Notes = append(rep.Notes, fmt.Sprintf("checkpoint volume %d unreadable, dropped: %v", vi.ID, err))
-					continue
-				}
-				vols[vi.ID] = v
+			for _, v := range cp.Volumes {
+				vols[v.ID()] = v
 			}
 		}
 	}
@@ -308,11 +304,9 @@ func (s *Store) writeMagic() error {
 // stated per record — and returns e to its pool, which File.Append's
 // contract (it keeps nothing of its argument) makes safe.
 //
-// A record recovery would not read back (readRecord takes a payload over
-// maxRecord for a torn tail, and drops it and everything after it) is refused
-// here, before it is appended and without latching the store, as Checkpoint
-// refuses an unreadable snapshot: the caller's operation fails, the log and
-// every other volume are untouched.
+// A record recovery would not read back is refused here (see checkSize),
+// before it is appended; BeginVolume and Commit, which know their record's
+// size before they build it, refuse it before that.
 func (s *Store) append(kind uint8, e *wire.Encoder) error {
 	defer wire.PutEncoder(e)
 	rec := e.Buf()
@@ -321,9 +315,8 @@ func (s *Store) append(kind uint8, e *wire.Encoder) error {
 	if s.err != nil {
 		return s.err
 	}
-	if payload := len(rec) - 8; payload > maxRecord {
-		return fmt.Errorf("walstore: %s record of %d bytes is more than recovery reads back (%d)",
-			kindName(kind), payload, maxRecord)
+	if err := checkSize(kind, len(rec)-recPrefix); err != nil {
+		return err
 	}
 	finishRecord(rec, s.seq+1, kind)
 	if err := s.log.Append(rec); err != nil {
@@ -335,9 +328,26 @@ func (s *Store) append(kind uint8, e *wire.Encoder) error {
 	return nil
 }
 
+// checkSize refuses a record of kind whose body is bodySize bytes if
+// recovery would not read it back: readRecord takes a payload over maxRecord
+// for a torn tail, and drops it and everything after it. The refusal does not
+// latch the store, as Checkpoint's of an unreadable snapshot does not: the
+// caller's operation fails, the log and every other volume are untouched.
+func checkSize(kind uint8, bodySize int) error {
+	if payload := recPrefix - 8 + bodySize; payload > maxRecord {
+		return fmt.Errorf("walstore: %s record of %d bytes is more than recovery reads back (%d)",
+			kindName(kind), payload, maxRecord)
+	}
+	return nil
+}
+
 // BeginVolume records a volume's existence with its full initial image.
 func (s *Store) BeginVolume(id uint32, image []byte) error {
-	e := newRecord(8 + len(image))
+	size := 8 + len(image)
+	if err := checkSize(kindBegin, size); err != nil {
+		return err
+	}
+	e := newRecord(size)
 	e.U32(id)
 	e.Bytes(image)
 	return s.append(kindBegin, e)
@@ -350,18 +360,28 @@ func (s *Store) DropVolume(id uint32) error {
 	return s.append(kindDrop, e)
 }
 
+// commitFixed is the length of a store.Commit encoding apart from its lists'
+// elements: the volume, its header and the three list lengths.
+var commitFixed = func() int {
+	var e wire.Encoder
+	store.Commit{}.Encode(&e)
+	return e.Len()
+}()
+
 // Commit records the durable effect of one logical operation. It is done
 // with c's slices when it returns: they are copied into the record here.
 func (s *Store) Commit(c store.Commit) error {
-	// Sized so the record, file contents included, is allocated at most
-	// once: a generous bound on the fixed fields plus every variable-length
-	// one.
-	size := 64 + 4*len(c.Deletes)
+	// Sized exactly, so the record, file contents included, is allocated at
+	// most once, and one recovery would not read back is refused unbuilt.
+	size := commitFixed + 4*len(c.Deletes)
 	for _, m := range c.Meta {
 		size += 8 + len(m.Meta)
 	}
 	for _, d := range c.Data {
 		size += 8 + len(d.Data)
+	}
+	if err := checkSize(kindCommit, size); err != nil {
+		return err
 	}
 	e := newRecord(size)
 	c.Encode(e)

@@ -11,7 +11,7 @@ import (
 	"itcfs/internal/volume"
 )
 
-func newVol(t *testing.T, id uint32) *volume.Volume {
+func newVol(t testing.TB, id uint32) *volume.Volume {
 	t.Helper()
 	var tick int64
 	acl := prot.NewACL()
@@ -36,9 +36,8 @@ func open(t *testing.T, fsys store.FS) (*Store, *store.Recovery) {
 }
 
 // workload journals a volume, two file operations, a location entry and a
-// protection mutation, syncing after each, and returns the volume's final
-// image.
-func workload(t *testing.T, s *Store) []byte {
+// protection mutation, syncing after each, and returns the volume.
+func workload(t *testing.T, s *Store) *volume.Volume {
 	t.Helper()
 	v := newVol(t, 3)
 	must := func(err error) {
@@ -63,7 +62,7 @@ func workload(t *testing.T, s *Store) []byte {
 	must(s.PutLoc([]proto.LocEntry{{Prefix: "/", Volume: 3, Custodian: "s0"}}, nil))
 	must(s.PutProt(prot.Mutation{Kind: prot.MutAddUser, Name: "bovik"}))
 	must(s.Sync())
-	return v.Serialize()
+	return v
 }
 
 func TestWALPersistAcrossReopen(t *testing.T) {
@@ -72,7 +71,7 @@ func TestWALPersistAcrossReopen(t *testing.T) {
 	if rec1.Report.Replayed != 0 || len(rec1.Volumes) != 0 {
 		t.Fatalf("fresh store not empty: %+v", rec1.Report)
 	}
-	want := workload(t, s1)
+	want := workload(t, s1).Serialize()
 
 	_, rec2 := open(t, fsys)
 	if len(rec2.Volumes) != 1 {
@@ -95,11 +94,12 @@ func TestWALPersistAcrossReopen(t *testing.T) {
 func TestWALCheckpointCompacts(t *testing.T) {
 	fsys := store.NewMemFS()
 	s1, _ := open(t, fsys)
-	img := workload(t, s1)
+	v := workload(t, s1)
+	img := v.Serialize()
 	cp := store.Checkpoint{
 		Prot:    []byte("prot-snapshot"),
 		Loc:     []proto.LocEntry{{Prefix: "/", Volume: 3, Custodian: "s0"}},
-		Volumes: []store.VolumeImage{{ID: 3, Image: img}},
+		Volumes: []*volume.Volume{v},
 	}
 	if err := s1.Checkpoint(cp); err != nil {
 		t.Fatal(err)
@@ -146,7 +146,7 @@ func TestWALRecoverOnce(t *testing.T) {
 func TestWALTornTailDiscardedAndTruncated(t *testing.T) {
 	fsys := store.NewMemFS()
 	s1, _ := open(t, fsys)
-	want := workload(t, s1)
+	want := workload(t, s1).Serialize()
 
 	// A torn final record: the header promises more bytes than exist.
 	wal, _ := fsys.Bytes(walName)
@@ -195,7 +195,7 @@ func TestWALCorruptCheckpointIgnoredWithNote(t *testing.T) {
 func TestWALSemanticSkipKeepsLaterRecords(t *testing.T) {
 	fsys := store.NewMemFS()
 	s1, _ := open(t, fsys)
-	want := workload(t, s1)
+	want := workload(t, s1).Serialize()
 	must := func(err error) {
 		t.Helper()
 		if err != nil {

@@ -198,7 +198,8 @@ func (s *Server) RecoverStore() (*store.Report, error) {
 
 // CheckpointStore writes a full snapshot of server state to the store and
 // truncates its log. It holds the gate's write side for the duration, so the
-// snapshot is a consistent cut.
+// snapshot is a consistent cut: the store encodes the live volumes, which no
+// mutation or read can reach until it returns.
 func (s *Server) CheckpointStore() error {
 	st := s.cfg.Store
 	if st == nil {
@@ -217,7 +218,7 @@ func (s *Server) CheckpointStore() error {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
-		cp.Volumes = append(cp.Volumes, store.VolumeImage{ID: id, Image: s.vols[id].Serialize()})
+		cp.Volumes = append(cp.Volumes, s.vols[id])
 	}
 	s.mu.Unlock()
 	//itcvet:allowblocking checkpoint quiesces mutations by design so the snapshot is a consistent cut

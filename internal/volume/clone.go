@@ -49,26 +49,36 @@ func (v *Volume) Clone(newID uint32, newName string) *Volume {
 }
 
 // Serialize encodes the entire volume for transfer to another server
-// (volume moves and read-only replication) or into a checkpoint. The image
-// is allocated once, at exactly its size: the metadata is encoded first on
-// its own into a pooled scratch buffer to measure it, so the file contents —
-// nearly all of a large image — are copied exactly once.
+// (volume moves and read-only replication). The image is allocated once, at
+// exactly its size, so the file contents — nearly all of a large image — are
+// copied exactly once.
 func (v *Volume) Serialize() []byte {
-	ids := v.VnodeIDs()
-	scratch := wire.GetEncoder()
-	size := v.encodeImage(scratch, ids, false)
-	wire.PutEncoder(scratch)
 	var e wire.Encoder
-	e.Grow(size)
-	v.encodeImage(&e, ids, true)
+	e.Grow(v.ImageSize())
+	v.EncodeImage(&e)
 	return e.Buf()
 }
 
-// encodeImage encodes the volume image into e, which must be empty, and
-// returns the image's full length. Without withData each file's contents are
-// left out after their length prefix (and still counted): the sizing pass of
-// Serialize.
-func (v *Volume) encodeImage(e *wire.Encoder, ids []uint32, withData bool) int {
+// ImageSize returns the length of the volume's Serialize image. It encodes
+// the metadata alone into a pooled scratch buffer and counts the file
+// contents without copying them.
+func (v *Volume) ImageSize() int {
+	scratch := wire.GetEncoder()
+	defer wire.PutEncoder(scratch)
+	return v.encodeImage(scratch, false)
+}
+
+// EncodeImage appends the volume's Serialize image to e and returns its
+// length, ImageSize's unless the volume changed in between: a checkpoint
+// encodes each volume straight into the file it writes.
+func (v *Volume) EncodeImage(e *wire.Encoder) int { return v.encodeImage(e, true) }
+
+// encodeImage appends the volume image to e and returns the image's full
+// length. Without withData each file's contents are left out after their
+// length prefix (and still counted): the sizing pass of ImageSize.
+func (v *Volume) encodeImage(e *wire.Encoder, withData bool) int {
+	start := e.Len()
+	ids := v.VnodeIDs()
 	skipped := 0
 	var names []string // encodeEntries' scratch, shared by every vnode
 	e.U32(v.id)
@@ -92,7 +102,7 @@ func (v *Volume) encodeImage(e *wire.Encoder, ids []uint32, withData bool) int {
 		vn.ACL.Encode(e)
 		names = encodeEntries(e, vn.Entries, names)
 	}
-	return e.Len() + skipped
+	return e.Len() - start + skipped
 }
 
 // Deserialize reconstructs a volume from Serialize output.
