@@ -1,5 +1,5 @@
 // Package leakcheck is a TestMain-level goroutine-leak guard for packages
-// whose tests start servers, caches and release controllers: anything that
+// whose tests start servers and caches: anything that
 // outlives its Close is a leak, and a leaked goroutine in one test poisons
 // the timing of every later one.
 //

@@ -155,9 +155,6 @@ func (s *Server) handleVolClone(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if err := s.attachVolume(clone); err != nil {
 		return respErr(err)
 	}
-	if len(args.Replicas) > 0 {
-		s.release.Begin(id, clone.Name(), args.Path, args.Replicas)
-	}
 
 	if args.Path != "" {
 		parentPath, leaf := dirOfPath(args.Path)
@@ -189,15 +186,14 @@ func (s *Server) handleVolClone(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 		s.callbacks.Break(ctx.Proc, nil, BreakTarget{FID: pdir, Path: parentPath})
 	}
 
-	// Push the image to each replica, after the location entry naming the
-	// replica set is journalled and broadcast: a crash mid-propagation
-	// leaves a durable record of which release was in flight, and
-	// ResumeReleases finishes the missing installs after recovery. Until a
-	// replica confirms, clients asking it for the volume are redirected to
-	// the custodian (WrongServer), so the window is visible only as an
-	// extra hop.
+	// Ship the image to each replica, after the location entry naming the
+	// replica set is journalled and broadcast: that entry is the durable
+	// record of the release, and ResumeReleases ships it again after a crash
+	// mid-release. Until a replica has the image, clients asking it for the
+	// volume are redirected to the custodian (WrongServer), so the window is
+	// visible only as an extra hop.
 	if len(args.Replicas) > 0 {
-		if err := s.release.Propagate(id, s.pushRelease(ctx.Proc, clone)); err != nil {
+		if err := s.release(ctx.Proc, clone, args.Replicas); err != nil {
 			return respErr(err)
 		}
 	}
@@ -297,14 +293,7 @@ func (s *Server) handleVolMove(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if err := s.mutate(v, func() error { v.SetOnline(false); return nil }); err != nil { // unavailable during the change
 		return respErr(err)
 	}
-	s.gate.RLock()
-	image := v.Serialize()
-	s.gate.RUnlock()
-	if err := s.callPeer(ctx.Proc, args.Target, rpc.Request{
-		Op:   rpc.Op(proto.OpVolInstall),
-		Body: proto.Marshal(proto.VolInstallArgs{Volume: v.ID(), Name: v.Name(), ReadOnly: v.ReadOnly()}),
-		Bulk: image,
-	}); err != nil {
+	if err := s.callPeer(ctx.Proc, args.Target, s.installRequest(v)); err != nil {
 		_ = s.mutate(v, func() error { v.SetOnline(true); return nil }) // move failed; restore service
 		return respErr(err)
 	}

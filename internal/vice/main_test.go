@@ -7,5 +7,5 @@ import (
 )
 
 // TestMain fails the package if any test leaves a goroutine running —
-// a server or release controller that outlives its Close.
+// a server that outlives its Close.
 func TestMain(m *testing.M) { leakcheck.Main(m) }

@@ -1,11 +1,15 @@
 package vice
 
-// Release-controller behavior at the server level: idempotent installs,
-// resuming an interrupted release (both in-memory and across a real WAL
-// crash/recover cycle), and the replace-mount race against an in-flight
-// fetch.
+// Releases and moves at the server level: a release ships its clone to the
+// replicas in the order given and stops at the first failure; its location
+// entry is all a resume needs, in memory or across a real WAL crash/recover
+// cycle; installs are idempotent; a move and a release ship a volume in the
+// same request; and the replace-mount race against an in-flight fetch.
 
 import (
+	"bytes"
+	"reflect"
+	"strings"
 	"testing"
 
 	"itcfs/internal/prot"
@@ -18,19 +22,40 @@ import (
 	"itcfs/internal/volume"
 )
 
-// dropInstalls wraps a peer connection, failing OpVolInstall calls while
-// tripped — a replica that is up (location broadcasts reach it) but whose
-// bulk-transfer path is down, the classic mid-release failure.
-type dropInstalls struct {
-	inner   rpc.Conn
-	tripped *bool
+// installTap stands between one server and its peers. It notes, in order,
+// the peer each OpVolInstall goes to and the request, and fails the installs
+// to a peer in down — a replica that is up (location broadcasts reach it)
+// but whose bulk-transfer path is down, the classic mid-release failure.
+type installTap struct {
+	sent []string
+	reqs []rpc.Request
+	down map[string]bool
 }
 
-func (d dropInstalls) Call(p *sim.Proc, req rpc.Request) (rpc.Response, error) {
-	if *d.tripped && req.Op == rpc.Op(proto.OpVolInstall) {
-		return rpc.Response{}, rpc.ErrUnreachable
+// newTap puts a tap between s and each of peers.
+func newTap(s *Server, down map[string]bool, peers ...*Server) *installTap {
+	tap := &installTap{down: down}
+	for _, peer := range peers {
+		s.AddPeer(peer.Name(), tappedConn{tap: tap, peer: peer.Name(), inner: directCaller{peer}})
 	}
-	return d.inner.Call(p, req)
+	return tap
+}
+
+type tappedConn struct {
+	tap   *installTap
+	peer  string
+	inner rpc.Conn
+}
+
+func (c tappedConn) Call(p *sim.Proc, req rpc.Request) (rpc.Response, error) {
+	if req.Op == rpc.Op(proto.OpVolInstall) {
+		c.tap.sent = append(c.tap.sent, c.peer)
+		c.tap.reqs = append(c.tap.reqs, req)
+		if c.tap.down[c.peer] {
+			return rpc.Response{}, rpc.ErrUnreachable
+		}
+	}
+	return c.inner.Call(p, req)
 }
 
 // replicaHasListing fails the test unless srv serves the clone volume's
@@ -64,61 +89,73 @@ func TestVolInstallIdempotent(t *testing.T) {
 	c := newCell(t, Prototype, 2)
 	vid := c.mkVolume(t, "sys.bin", "/bin", "operator", 0)
 	c.store(t, "operator", "/bin/ls", []byte("ls-bin"))
-	resp := mustOK(t, c.call("operator", 0, proto.OpVolClone,
-		proto.Marshal(proto.VolCloneArgs{Volume: vid, Path: "/bin-ro", Replicas: []string{"server1"}}), nil))
-	vs, err := proto.Unmarshal(resp.Body, proto.DecodeVolStatusReply)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clone, ok := c.servers[0].Volume(vs.Volume)
+	cid := cloneOnto(t, c, vid, "server1")
+	clone, ok := c.servers[0].Volume(cid)
 	if !ok {
 		t.Fatal("clone missing on custodian")
 	}
 	// Deliver the same image to server1 twice more, as server-to-server
 	// traffic. Both must succeed and the replica must keep serving.
 	for i := 0; i < 2; i++ {
-		resp := c.servers[1].Dispatcher().Dispatch(rpc.Ctx{User: ServerUser}, rpc.Request{
-			Op:   rpc.Op(proto.OpVolInstall),
-			Body: proto.Marshal(proto.VolInstallArgs{Volume: vs.Volume, Name: clone.Name(), ReadOnly: true}),
-			Bulk: clone.Serialize(),
-		})
+		resp := c.servers[1].Dispatcher().Dispatch(rpc.Ctx{User: ServerUser}, c.servers[0].installRequest(clone))
 		if !resp.OK() {
 			t.Fatalf("re-install %d: code %d: %s", i, resp.Code, resp.Body)
 		}
 	}
-	replicaHasListing(t, c.servers[1], vs.Volume, "ls")
+	replicaHasListing(t, c.servers[1], cid, "ls")
 }
 
-// TestReleaseResumesAfterFailedPush: a release whose replica push fails
-// leaves a durable location entry and a pending replica; once the replica
-// is reachable again, ResumeReleases finishes exactly the missing install.
+// TestReleaseShipsToReplicasInOrder: a release installs its clone on each
+// replica once, in the order the operator listed them.
+func TestReleaseShipsToReplicasInOrder(t *testing.T) {
+	c := newCell(t, Prototype, 4)
+	vid := c.mkVolume(t, "sys.bin", "/bin", "operator", 0)
+	c.store(t, "operator", "/bin/ls", []byte("ls-bin"))
+	tap := newTap(c.servers[0], nil, c.servers[1:]...)
+	order := []string{"server3", "server1", "server2"}
+	cid := cloneOnto(t, c, vid, order...)
+	if !reflect.DeepEqual(tap.sent, order) {
+		t.Fatalf("installs went to %v, want %v", tap.sent, order)
+	}
+	for _, srv := range c.servers[1:] {
+		replicaHasListing(t, srv, cid, "ls")
+	}
+}
+
+// TestReleaseResumesAfterFailedPush: a release stops at the first replica
+// whose install fails, leaving a durable location entry that names the
+// whole replica set; once that replica is reachable again, ResumeReleases
+// ships the clone to the whole set again, and the replicas that already hold
+// it acknowledge without work.
 func TestReleaseResumesAfterFailedPush(t *testing.T) {
-	c := newCell(t, Prototype, 2)
+	c := newCell(t, Prototype, 4)
 	vid := c.mkVolume(t, "sys.bin", "/bin", "operator", 0)
 	c.store(t, "operator", "/bin/ls", []byte("ls-bin"))
 
-	tripped := true
-	c.servers[0].AddPeer("server1", dropInstalls{inner: directCaller{c.servers[1]}, tripped: &tripped})
-	resp := c.call("operator", 0, proto.OpVolClone,
-		proto.Marshal(proto.VolCloneArgs{Volume: vid, Path: "/bin-ro", Replicas: []string{"server1"}}), nil)
-	if resp.OK() {
-		t.Fatal("clone succeeded with the replica's install path down")
+	tap := newTap(c.servers[0], map[string]bool{"server2": true}, c.servers[1:]...)
+	resp := c.call("operator", 0, proto.OpVolClone, proto.Marshal(proto.VolCloneArgs{
+		Volume: vid, Path: "/bin-ro", Replicas: []string{"server1", "server2", "server3"}}), nil)
+	if resp.OK() || !strings.Contains(string(resp.Body), "server2") {
+		t.Fatalf("clone with server2's install path down: code %d: %s", resp.Code, resp.Body)
+	}
+	if want := []string{"server1", "server2"}; !reflect.DeepEqual(tap.sent, want) {
+		t.Fatalf("installs went to %v, want %v", tap.sent, want)
 	}
 
 	// The location entry (and its replica set) was installed before the
-	// push, so the in-flight release is discoverable.
+	// first install, so the release is discoverable.
 	le, ok := c.servers[0].Loc().Resolve("/bin-ro")
-	if !ok || len(le.Replicas) != 1 || le.Replicas[0] != "server1" {
+	if !ok || !reflect.DeepEqual(le.Replicas, []string{"server1", "server2", "server3"}) {
 		t.Fatalf("loc entry = %+v, %v", le, ok)
 	}
-	if p := c.servers[0].Releases(); len(p) != 1 || len(p[0].Pending) != 1 {
-		t.Fatalf("releases = %+v", p)
-	}
-	if _, ok := c.servers[1].Volume(le.Volume); ok {
-		t.Fatal("replica has the volume despite the failed push")
+	for i, want := range []bool{true, false, false} {
+		if _, ok := c.servers[i+1].Volume(le.Volume); ok != want {
+			t.Fatalf("server%d holds the volume: %v, want %v", i+1, ok, want)
+		}
 	}
 
-	tripped = false
+	delete(tap.down, "server2")
+	tap.sent = nil
 	resumed, err := c.servers[0].ResumeReleases(nil)
 	if err != nil {
 		t.Fatalf("ResumeReleases: %v", err)
@@ -126,15 +163,117 @@ func TestReleaseResumesAfterFailedPush(t *testing.T) {
 	if len(resumed) != 1 || resumed[0] != le.Volume {
 		t.Fatalf("resumed = %v, want [%d]", resumed, le.Volume)
 	}
-	if p := c.servers[0].Releases(); len(p) != 1 || len(p[0].Pending) != 0 {
-		t.Fatalf("releases after resume = %+v", p)
+	if want := []string{"server1", "server2", "server3"}; !reflect.DeepEqual(tap.sent, want) {
+		t.Fatalf("resume installed on %v, want %v", tap.sent, want)
 	}
-	replicaHasListing(t, c.servers[1], le.Volume, "ls")
+	for _, srv := range c.servers[1:] {
+		replicaHasListing(t, srv, le.Volume, "ls")
+	}
 
-	// Resuming again re-pushes to the full set; the idempotent receiver
-	// makes that a no-op rather than a failure.
+	// Resuming again ships to the full set once more; the idempotent
+	// receiver makes that a no-op rather than a failure.
 	if _, err := c.servers[0].ResumeReleases(nil); err != nil {
 		t.Fatalf("second ResumeReleases: %v", err)
+	}
+}
+
+// TestResumeReleasesShipsOnlyThisServersReleases: a location entry is a
+// release of this server only when this server is its custodian, it names
+// replicas, and the volume here is read-only.
+func TestResumeReleasesShipsOnlyThisServersReleases(t *testing.T) {
+	c := newCell(t, Prototype, 3)
+	vid := c.mkVolume(t, "sys.bin", "/bin", "operator", 0)
+	c.store(t, "operator", "/bin/ls", []byte("ls-bin"))
+	cid := cloneOnto(t, c, vid, "server1")
+	tap := newTap(c.servers[0], nil, c.servers[1:]...)
+	if err := c.servers[0].InstallLoc([]proto.LocEntry{
+		{Prefix: "/bin", Volume: vid, Custodian: "server0", Replicas: []string{"server2"}},      // read-write here
+		{Prefix: "/elsewhere", Volume: 70, Custodian: "server1", Replicas: []string{"server2"}}, // server1's release
+		{Prefix: "/missing", Volume: 71, Custodian: "server0", Replicas: []string{"server2"}},   // no such volume here
+		{Prefix: "/unreplicated", Volume: cid, Custodian: "server0"},                            // no replicas
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := c.servers[0].ResumeReleases(nil)
+	if err != nil {
+		t.Fatalf("ResumeReleases: %v", err)
+	}
+	if !reflect.DeepEqual(resumed, []uint32{cid}) || !reflect.DeepEqual(tap.sent, []string{"server1"}) {
+		t.Fatalf("resumed %v onto %v, want [%d] onto [server1]", resumed, tap.sent, cid)
+	}
+}
+
+// TestInstallRequestCarriesTheVolume: a move and a release ship a volume in
+// one request — its ID, name and read-only flag, and an image that decodes
+// to the volume's contents.
+func TestInstallRequestCarriesTheVolume(t *testing.T) {
+	c := newCell(t, Prototype, 3)
+	uid := c.mkVolume(t, "u", "/u", "satya", 0)
+	c.store(t, "satya", "/u/f", []byte("user data"))
+	bid := c.mkVolume(t, "sys.bin", "/bin", "operator", 0)
+	c.store(t, "operator", "/bin/ls", []byte("ls-bin"))
+	tap := newTap(c.servers[0], nil, c.servers[1:]...)
+
+	mustOK(t, c.call("operator", 0, proto.OpVolMove,
+		proto.Marshal(proto.VolMoveArgs{Volume: uid, Target: "server1"}), nil))
+	cid := cloneOnto(t, c, bid, "server2")
+
+	want := []struct {
+		args proto.VolInstallArgs
+		file string
+		data string
+	}{
+		{proto.VolInstallArgs{Volume: uid, Name: "u"}, "f", "user data"},
+		{proto.VolInstallArgs{Volume: cid, Name: "sys.bin.readonly", ReadOnly: true}, "ls", "ls-bin"},
+	}
+	if !reflect.DeepEqual(tap.sent, []string{"server1", "server2"}) {
+		t.Fatalf("installs went to %v", tap.sent)
+	}
+	for i, w := range want {
+		req := tap.reqs[i]
+		args, err := proto.Unmarshal(req.Body, proto.DecodeVolInstallArgs)
+		if err != nil || args != w.args {
+			t.Fatalf("install %d args = %+v, %v; want %+v", i, args, err, w.args)
+		}
+		v, err := volume.Deserialize(req.Bulk, nil)
+		if err != nil {
+			t.Fatalf("install %d image: %v", i, err)
+		}
+		de, err := v.Lookup(v.Root(), w.file)
+		if err != nil {
+			t.Fatalf("install %d: %s: %v", i, w.file, err)
+		}
+		if data, _ := v.DataOf(de.FID.Vnode); v.ID() != w.args.Volume || v.ReadOnly() != w.args.ReadOnly || !bytes.Equal(data, []byte(w.data)) {
+			t.Fatalf("install %d image holds volume %d (read-only %v) with %s = %q", i, v.ID(), v.ReadOnly(), w.file, data)
+		}
+	}
+}
+
+// TestVolMoveFailedInstallRestoresService: a move whose install fails leaves
+// the volume where it was, online, and the location database unchanged.
+func TestVolMoveFailedInstallRestoresService(t *testing.T) {
+	c := newCell(t, Prototype, 2)
+	vid := c.mkVolume(t, "u", "/u", "satya", 0)
+	c.store(t, "satya", "/u/f", []byte("data"))
+	newTap(c.servers[0], map[string]bool{"server1": true}, c.servers[1])
+	if resp := c.call("operator", 0, proto.OpVolMove,
+		proto.Marshal(proto.VolMoveArgs{Volume: vid, Target: "server1"}), nil); resp.OK() {
+		t.Fatal("move succeeded with the target's install path down")
+	}
+	v, ok := c.servers[0].Volume(vid)
+	if !ok || !v.Online() {
+		t.Fatalf("source volume present %v, online %v", ok, ok && v.Online())
+	}
+	if _, ok := c.servers[1].Volume(vid); ok {
+		t.Fatal("target holds the volume")
+	}
+	for _, s := range c.servers {
+		if le, ok := s.Loc().Resolve("/u/f"); !ok || le.Custodian != "server0" {
+			t.Fatalf("%s loc = %+v", s.Name(), le)
+		}
+	}
+	if got, _ := c.fetch(t, "satya", "/u/f"); string(got) != "data" {
+		t.Fatalf("after the failed move: %q", got)
 	}
 }
 
@@ -184,8 +323,7 @@ func TestReleaseResumesAfterCrashRecovery(t *testing.T) {
 	}
 	s1 := New(Config{Name: "server1", Mode: Prototype, DB: replicaDB, Loc: NewLocDB(),
 		Clock: clk, AllocVolID: alloc})
-	tripped := true
-	s0.AddPeer("server1", dropInstalls{inner: directCaller{s1}, tripped: &tripped})
+	newTap(s0, map[string]bool{"server1": true}, s1)
 	s1.AddPeer("server0", directCaller{s0})
 
 	rootACL := prot.NewACL()
@@ -231,7 +369,6 @@ func TestReleaseResumesAfterCrashRecovery(t *testing.T) {
 	if _, err := s0b.RecoverStore(); err != nil {
 		t.Fatal(err)
 	}
-	tripped = false
 	s0b.AddPeer("server1", directCaller{s1})
 
 	le, ok := s0b.Loc().Resolve("/bin-ro")

@@ -9,7 +9,6 @@ import (
 
 	"itcfs/internal/prot"
 	"itcfs/internal/proto"
-	"itcfs/internal/replica"
 	"itcfs/internal/rpc"
 	"itcfs/internal/sim"
 	"itcfs/internal/store"
@@ -103,7 +102,6 @@ type Server struct {
 	locks     *LockTable
 	callbacks *CallbackTable
 	disp      *rpc.Server
-	release   *replica.Controller
 	restarts  int64 // guarded by mu
 
 	// Traffic counters for the evaluation harness.
@@ -154,7 +152,6 @@ func New(cfg Config) *Server {
 		volLat:     make(map[uint32]*trace.Histogram),
 		pendingVol: make(map[*sim.Proc]uint32),
 	}
-	s.release = replica.NewController(cfg.Name, cfg.Metrics, cfg.Flight)
 	s.registerHandlers()
 	return s
 }
