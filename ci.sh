@@ -41,7 +41,8 @@ fi
 
 # Every Go test in the module, under the race detector and plain: the
 # zero-alloc, real-transport and hand-over gates, the WAL crash matrix, the
-# E12–E17 determinism suites, the golden of `itcbench -quick`, and the schema
+# E12–E17 determinism suites, the golden of `itcbench -quick`, the five
+# Examples' outputs (example_test.go: the paper's user stories), and the schema
 # of the committed BENCH_scale.json/BENCH_obs.json against the result types
 # that emit them (TestCommittedBenchFilesMatchTheirTypes) are all ordinary
 # tests.

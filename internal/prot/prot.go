@@ -100,12 +100,11 @@ const AnyUser = "System:AnyUser"
 
 // Errors surfaced by database mutation.
 var (
-	ErrNoSuchUser   = errors.New("prot: no such user")
-	ErrNoSuchGroup  = errors.New("prot: no such group")
-	ErrExists       = errors.New("prot: name already exists")
-	ErrInUse        = errors.New("prot: group still has members or uses")
-	ErrBadName      = errors.New("prot: invalid name")
-	ErrNotAuthority = errors.New("prot: this replica is not the protection server")
+	ErrNoSuchUser  = errors.New("prot: no such user")
+	ErrNoSuchGroup = errors.New("prot: no such group")
+	ErrExists      = errors.New("prot: name already exists")
+	ErrInUse       = errors.New("prot: group still has members or uses")
+	ErrBadName     = errors.New("prot: invalid name")
 )
 
 // ACL is an access list: positive entries grant, negative entries revoke.

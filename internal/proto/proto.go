@@ -14,6 +14,7 @@ package proto
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"itcfs/internal/prot"
 	"itcfs/internal/wire"
@@ -303,7 +304,9 @@ var errToCode = func() map[error]uint16 {
 }()
 
 // CodeToErr converts a service code to its sentinel error (nil for CodeOK).
-// The detail string, if any, is attached via wrapping.
+// The detail string, if any, is attached via wrapping. A server sends its
+// error's whole text as the detail, which starts with the sentinel's own
+// text; that copy is dropped, so the sentinel is printed once.
 func CodeToErr(code uint16, detail string) error {
 	if code == CodeOK {
 		return nil
@@ -311,6 +314,9 @@ func CodeToErr(code uint16, detail string) error {
 	base, ok := codeToErr[code]
 	if !ok {
 		base = ErrInternal
+	}
+	if rest, ok := strings.CutPrefix(detail, base.Error()); ok && (rest == "" || strings.HasPrefix(rest, ": ")) {
+		detail = strings.TrimPrefix(rest, ": ")
 	}
 	if detail == "" {
 		return base

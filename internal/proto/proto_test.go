@@ -124,6 +124,28 @@ func TestErrorCodeMapping(t *testing.T) {
 	}
 }
 
+// A refused operation's detail is the server's error text, which already
+// starts with the sentinel's: the error prints the sentinel once, and
+// errors.Is still finds it. A detail of its own is kept after the sentinel.
+func TestCodeToErrPrintsTheSentinelOnce(t *testing.T) {
+	for code, sentinel := range codeToErr {
+		err := CodeToErr(code, sentinel.Error())
+		if !errors.Is(err, sentinel) || err.Error() != sentinel.Error() {
+			t.Errorf("CodeToErr(%d, %q) = %q", code, sentinel.Error(), err)
+		}
+	}
+	for detail, want := range map[string]string{
+		"vice: file is locked: write-locked by satya": "vice: file is locked: write-locked by satya",
+		"write-locked by satya":                       "vice: file is locked: write-locked by satya",
+		"vice: file is lockedown":                     "vice: file is locked: vice: file is lockedown",
+	} {
+		err := CodeToErr(CodeLocked, detail)
+		if !errors.Is(err, ErrLocked) || err.Error() != want {
+			t.Errorf("CodeToErr(CodeLocked, %q) = %q, want %q", detail, err, want)
+		}
+	}
+}
+
 func TestWrongServerCarriesCustodian(t *testing.T) {
 	err := &WrongServer{Custodian: "server3"}
 	if !errors.Is(err, ErrWrongServer) {

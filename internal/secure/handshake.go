@@ -168,7 +168,3 @@ func (s *ServerHandshake) Complete(proof []byte) ([]byte, Key, error) {
 	}
 	return s.box.Seal(session[:]), session, nil
 }
-
-// HandshakeMessages is the number of messages exchanged before the session
-// key is established; transports use it to size cost accounting.
-const HandshakeMessages = 4

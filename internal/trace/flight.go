@@ -84,16 +84,6 @@ func (r *Recorder) Log(kind, node, detail string) {
 	}
 }
 
-// Dropped returns how many events the ring has evicted.
-func (r *Recorder) Dropped() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seq - uint64(len(r.events))
-}
-
 // Events returns the retained events in arrival order.
 func (r *Recorder) Events() []Event {
 	if r == nil {

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -239,15 +240,17 @@ func New(cfg Config) *Venus {
 }
 
 // Login sets the workstation's user. Existing connections (authenticated
-// as the previous user) are discarded. When the user actually changes —
-// someone else sits down at a public workstation — every clean cached entry
-// is invalidated: the data stays on the local disk (nothing can hide it
-// from the machine's owner), but Venus will revalidate or refetch before
-// serving it, so the custodian's access lists are enforced for the new
-// identity. A same-user re-login keeps the warm cache.
+// as the previous user) are dropped, and those that can be closed are
+// closed, in server-name order; the promises made on a closed connection go
+// with it, so closing any schedules a revalidation sweep as dropConn does.
+// When the user actually changes — someone else sits down at a public
+// workstation — every clean cached entry is invalidated: the data stays on
+// the local disk (nothing can hide it from the machine's owner), but Venus
+// will revalidate or refetch before serving it, so the custodian's access
+// lists are enforced for the new identity. A same-user re-login keeps the
+// warm cache.
 func (v *Venus) Login(user string) {
 	v.mu.Lock()
-	defer v.mu.Unlock()
 	if user != v.user && v.user != "" {
 		for _, e := range v.byFID {
 			if !e.dirty {
@@ -261,7 +264,25 @@ func (v *Venus) Login(user string) {
 		}
 	}
 	v.user = user
+	servers := make([]string, 0, len(v.conns))
+	for server := range v.conns {
+		servers = append(servers, server)
+	}
+	// A simulated connection's Close sends a frame: a fixed order keeps runs
+	// identical.
+	sort.Strings(servers)
+	var closers []io.Closer
+	for _, server := range servers {
+		if cl, ok := v.conns[server].(io.Closer); ok {
+			closers = append(closers, cl)
+		}
+	}
 	v.conns = make(map[string]Conn)
+	v.sweepPending = v.sweepPending || len(closers) > 0
+	v.mu.Unlock()
+	for _, cl := range closers {
+		cl.Close()
+	}
 }
 
 // User returns the current user.

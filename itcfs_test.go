@@ -1,13 +1,11 @@
 package itcfs
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"testing"
 	"time"
 
-	"itcfs/internal/prot"
 	"itcfs/internal/proto"
 	"itcfs/internal/rpc"
 	"itcfs/internal/sim"
@@ -60,18 +58,6 @@ func TestEndToEndWriteRead(t *testing.T) {
 	}
 }
 
-func TestLoginWrongPasswordFails(t *testing.T) {
-	cell, _ := provision(t, Prototype, 1)
-	ws2 := cell.AddWorkstation(0, "ws2")
-	var err error
-	cell.Run(func(p *sim.Proc) {
-		err = ws2.Login(p, "satya", "wrong-password")
-	})
-	if err == nil {
-		t.Fatal("login with wrong password succeeded")
-	}
-}
-
 func TestVirtualTimeAdvancesWithWork(t *testing.T) {
 	cell, ws := provision(t, Prototype, 1)
 	start := cell.Now()
@@ -104,31 +90,6 @@ func TestServerResourcesAccumulate(t *testing.T) {
 	}
 	if cell.Servers[0].Disk.BusyTime() == 0 {
 		t.Fatal("server disk never used")
-	}
-}
-
-func TestLocalFilesBypassVice(t *testing.T) {
-	cell, ws := provision(t, Prototype, 1)
-	served := cell.Servers[0].Endpoint.CallsTotal()
-	cell.Run(func(p *sim.Proc) {
-		if err := ws.FS.WriteFile(p, "/tmp/scratch", []byte("local only")); err != nil {
-			// /tmp must exist first on this station.
-			if err2 := ws.FS.Mkdir(p, "/tmp", 0o777); err2 != nil {
-				t.Errorf("mkdir /tmp: %v", err2)
-				return
-			}
-			if err := ws.FS.WriteFile(p, "/tmp/scratch", []byte("local only")); err != nil {
-				t.Errorf("write: %v", err)
-				return
-			}
-		}
-		got, err := ws.FS.ReadFile(p, "/tmp/scratch")
-		if err != nil || string(got) != "local only" {
-			t.Errorf("read: %q %v", got, err)
-		}
-	})
-	if got := cell.Servers[0].Endpoint.CallsTotal(); got != served {
-		t.Fatalf("local file I/O generated %d server calls", got-served)
 	}
 }
 
@@ -227,35 +188,6 @@ func TestUserMobilityScenario(t *testing.T) {
 	}
 }
 
-func TestCacheHitsAvoidDataTraffic(t *testing.T) {
-	cell, ws := provision(t, Revised, 1)
-	cell.Run(func(p *sim.Proc) {
-		if err := ws.FS.WriteFile(p, "/vice/usr/satya/f", bytes.Repeat([]byte("x"), 10000)); err != nil {
-			t.Errorf("write: %v", err)
-			return
-		}
-		if _, err := ws.FS.ReadFile(p, "/vice/usr/satya/f"); err != nil {
-			t.Errorf("warm read: %v", err)
-		}
-	})
-	ws.Venus.ResetStats()
-	before := cell.Servers[0].Endpoint.CallsTotal()
-	cell.Run(func(p *sim.Proc) {
-		for i := 0; i < 10; i++ {
-			if _, err := ws.FS.ReadFile(p, "/vice/usr/satya/f"); err != nil {
-				t.Errorf("read %d: %v", i, err)
-			}
-		}
-	})
-	st := ws.Venus.Stats()
-	if st.Hits != 10 || st.Fetches != 0 {
-		t.Fatalf("stats = %+v, want 10 pure hits", st)
-	}
-	if got := cell.Servers[0].Endpoint.CallsTotal(); got != before {
-		t.Fatalf("%d server calls for fully cached reads in revised mode", got-before)
-	}
-}
-
 func TestQuotaSurfacesToApplication(t *testing.T) {
 	cell := NewCell(CellConfig{Mode: Prototype, Clusters: 1})
 	cell.Run(func(p *sim.Proc) {
@@ -276,107 +208,6 @@ func TestQuotaSurfacesToApplication(t *testing.T) {
 	if !errors.Is(err, ErrQuota) {
 		t.Fatalf("err = %v, want ErrQuota", err)
 	}
-}
-
-func TestReadOnlyReplicaServedFromOwnCluster(t *testing.T) {
-	cell := NewCell(CellConfig{Mode: Revised, Clusters: 2})
-	cell.Run(func(p *sim.Proc) {
-		admin, err := cell.Admin(p, 0)
-		if err != nil {
-			t.Errorf("admin: %v", err)
-			return
-		}
-		if err := admin.MkdirAll(p, "/unix"); err != nil {
-			t.Errorf("mkdir: %v", err)
-			return
-		}
-		vid, err := admin.CreateVolume(p, "sys.bin", "/unix/bin", "operator", 0)
-		if err != nil {
-			t.Errorf("create: %v", err)
-			return
-		}
-		op := cell.AddWorkstation(0, "op-ws")
-		if err := op.Login(p, "operator", "operator-password"); err != nil {
-			t.Errorf("login: %v", err)
-			return
-		}
-		if err := op.FS.WriteFile(p, "/vice/unix/bin/emacs", bytes.Repeat([]byte("e"), 50000)); err != nil {
-			t.Errorf("install: %v", err)
-			return
-		}
-		if _, err := admin.CloneVolume(p, vid, "/unix/bin-ro", "server1"); err != nil {
-			t.Errorf("clone: %v", err)
-			return
-		}
-		if err := admin.NewUser(p, "student", "pw", 0); err != nil {
-			t.Errorf("user: %v", err)
-		}
-	})
-
-	// A student in cluster 1 fetches the binary from the replica on its
-	// own cluster server: no backbone crossing for the data.
-	ws := cell.AddWorkstation(1, "dorm-ws")
-	cell.Run(func(p *sim.Proc) {
-		if err := ws.Login(p, "student", "pw"); err != nil {
-			t.Errorf("login: %v", err)
-		}
-	})
-	frames := cell.Net.CrossClusterFrames()
-	var got []byte
-	cell.Run(func(p *sim.Proc) {
-		var err error
-		got, err = ws.FS.ReadFile(p, "/vice/unix/bin-ro/emacs")
-		if err != nil {
-			t.Errorf("read: %v", err)
-		}
-	})
-	if len(got) != 50000 {
-		t.Fatalf("replica served %d bytes", len(got))
-	}
-	if crossed := cell.Net.CrossClusterFrames() - frames; crossed > 4 {
-		// Location lookup may cross once; the 50 KB of data must not.
-		t.Fatalf("replica read crossed the backbone %d times", crossed)
-	}
-}
-
-func TestNegativeRightsRevokeInstantly(t *testing.T) {
-	cell, ws := provision(t, Prototype, 1)
-	mallory := cell.AddWorkstation(0, "mallory-ws")
-	cell.Run(func(p *sim.Proc) {
-		admin, _ := cell.Admin(p, 0)
-		if err := admin.NewUser(p, "mallory", "pw", 0); err != nil {
-			t.Errorf("user: %v", err)
-			return
-		}
-		if err := mallory.Login(p, "mallory", "pw"); err != nil {
-			t.Errorf("login: %v", err)
-			return
-		}
-		if err := ws.FS.WriteFile(p, "/vice/usr/satya/doc", []byte("shared")); err != nil {
-			t.Errorf("write: %v", err)
-			return
-		}
-		// Initially readable (AnyUser lr on home volumes).
-		if _, err := mallory.FS.ReadFile(p, "/vice/usr/satya/doc"); err != nil {
-			t.Errorf("initial read: %v", err)
-			return
-		}
-		// satya adds a negative entry for mallory: instant revocation.
-		acl := prot.NewACL()
-		acl.Grant("satya", prot.RightsAll)
-		acl.Grant(prot.AnyUser, prot.RightLookup|prot.RightRead)
-		acl.Deny("mallory", prot.RightsAll)
-		if err := ws.Venus.SetACL(p, "/usr/satya", proto.ACLEncode(acl)); err != nil {
-			t.Errorf("setacl: %v", err)
-			return
-		}
-		if _, err := mallory.FS.ReadFile(p, "/vice/usr/satya/doc2x"); !errors.Is(err, ErrNoEnt) && !errors.Is(err, ErrAccess) {
-			t.Errorf("probe: %v", err)
-		}
-		if _, err := mallory.FS.Open(p, "/vice/usr/satya/doc", FlagRead); !errors.Is(err, ErrAccess) {
-			t.Errorf("read after deny: %v, want ErrAccess", err)
-		}
-	})
 }
 
 func TestCallMixHistogramAvailable(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 	"itcfs/internal/proto"
 	"itcfs/internal/rpc"
 	"itcfs/internal/secure"
+	"itcfs/internal/sim"
 	"itcfs/internal/unixfs"
 	"itcfs/internal/venus"
 	"itcfs/internal/vice"
@@ -265,6 +266,53 @@ func TestRealCellDisconnectReleases(t *testing.T) {
 			}
 		})
 	}
+}
+
+// A station's connections belong to the user logged in there, and another
+// login closes them: the old Peer ends and the server's ServeConn for it
+// returns at once, where before both lived until the process exited. The
+// promises made on a closed connection are not trusted again, so after a
+// same-user re-login the station reads a store made meanwhile elsewhere.
+func TestRealCellLoginClosesTheLastUsersConnections(t *testing.T) {
+	c := newRealCell(t, Revised, "satya")
+	other := c.station(t, Revised, "satya")
+	callbacks := rpc.NewServer()
+	dial, _ := c.dialer(t)
+	connect := venus.PeerConnector(dial, "satya", secure.DeriveKey("satya", "pw"), callbacks)
+	var peer *rpc.Peer
+	ws := realStation{FS: virtue.NewWorkstation(venus.Config{
+		Mode:       Revised,
+		Machine:    "ws-public",
+		Local:      unixfs.New(nil),
+		HomeServer: "server0",
+		Connect: func(p *sim.Proc, server string) (venus.Conn, error) {
+			conn, err := connect(p, server)
+			if err == nil {
+				peer = conn.(*rpc.Peer)
+			}
+			return conn, err
+		},
+	}, callbacks)}
+	login := func(user string) {
+		t.Helper()
+		last := peer
+		ws.Venus().Login(user)
+		c.awaitEnd(t, "satya")
+		select {
+		case <-last.Done():
+		case <-patience():
+			t.Fatal("the last user's Peer is still open")
+		}
+	}
+	ws.Venus().Login("satya")
+	ws.write(t, "/vice/usr/satya/f", "v1")
+	ws.read(t, "/vice/usr/satya/f")
+	login("satya")
+	other.write(t, "/vice/usr/satya/f", "v2")
+	if got := ws.read(t, "/vice/usr/satya/f"); got != "v2" {
+		t.Errorf("after a re-login the station reads %q, the server has v2", got)
+	}
+	login("howard")
 }
 
 // The other end of a connection's end: the workstation whose connection

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -18,9 +20,42 @@ func TestLedgerIsByteIdenticalAcrossRuns(t *testing.T) {
 	if !bytes.Equal(first.Bytes(), second.Bytes()) {
 		t.Fatalf("two runs differ:\n%s\n---\n%s", first.Bytes(), second.Bytes())
 	}
-	for _, want := range []string{"lines tree ", "lines tools ", "lines file tools/ledger/main.go", "exported ", "options   vice.Config", "options   cmd/itcfsd flags", "locks "} {
+	for _, want := range []string{"lines tree ", "lines tools ", "\ntests ", "lines file tools/ledger/main.go", "exported ", "options   vice.Config", "options   cmd/itcfsd flags", "locks "} {
 		if !strings.Contains(first.String(), want) {
 			t.Errorf("no %q line in:\n%s", want, first.String())
+		}
+	}
+}
+
+// The tests line counts the tree's _test.go files by lines tree's rule,
+// leaving out bench/, tools/ and testdata as lines tree does.
+func TestTestsLineCountsTheTreesTestFiles(t *testing.T) {
+	root := t.TempDir()
+	for name, src := range map[string]string{
+		"go.mod":                 "module m\n",
+		"DESIGN.md":              "<!-- lockgraph:begin -->\n# itcvet lock-order graph: 0 locks, 0 edges\n",
+		"a.go":                   "package a\n",
+		"a_test.go":              "package a\n\n// A comment.\nfunc f() {}\n",
+		"sub/b_test.go":          "package b\n",
+		"sub/testdata/c_test.go": "package c\n",
+		"bench/d_test.go":        "package d\n",
+		"tools/e/e_test.go":      "package e\n",
+	} {
+		path := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var out bytes.Buffer
+	if err := ledger(root, nil, &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"lines tree 1  #", "\ntests 3  #"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("no %q in:\n%s", want, out.String())
 		}
 	}
 }

@@ -10,6 +10,8 @@
 //     package, for the tree (bench/ and tools/ left out) and for tools/
 //     (analyzer fixtures under testdata left out of both), then for each
 //     file named on the command line;
+//   - tests: the same count over the tree's _test.go files, so code moved
+//     from the tree into a test file shows;
 //   - exported: exported names of the tree's non-main packages — functions,
 //     methods (of unexported types too), types, constants, variables and
 //     struct fields;
@@ -90,6 +92,7 @@ func ledger(root string, files []string, w io.Writer) error {
 		return fmt.Errorf("run from the module root: %w", err)
 	}
 	var tree, tools, exported, options tally
+	tests := 0
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -102,16 +105,25 @@ func ledger(root string, files []string, w io.Writer) error {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") {
+		if !strings.HasSuffix(rel, ".go") {
+			return nil
+		}
+		dir := filepath.ToSlash(filepath.Dir(rel))
+		inTools := dir == "tools" || strings.HasPrefix(dir, "tools/")
+		test := strings.HasSuffix(rel, "_test.go")
+		if inTools && test {
 			return nil
 		}
 		src, err := os.ReadFile(path)
 		if err != nil {
 			return err
 		}
-		dir := filepath.ToSlash(filepath.Dir(rel))
-		if dir == "tools" || strings.HasPrefix(dir, "tools/") {
+		switch {
+		case inTools:
 			tools.add(dir, codeLines(src))
+			return nil
+		case test:
+			tests += codeLines(src)
 			return nil
 		}
 		tree.add(dir, codeLines(src))
@@ -139,6 +151,7 @@ func ledger(root string, files []string, w io.Writer) error {
 	}
 	tree.print(w, "lines tree", "non-test, non-blank, non-comment; bench/ and tools/ excluded")
 	tools.print(w, "lines tools", "the same count over tools/, fixtures excluded")
+	fmt.Fprintf(w, "tests %d  # the lines tree count over the tree's _test.go files\n", tests)
 	for _, name := range files {
 		src, err := os.ReadFile(filepath.Join(root, name))
 		if err != nil {
