@@ -62,6 +62,11 @@ go test -race -count=20 -run='^(TestPeerLentBuffersUnderLoad|TestPeerReusedChann
 # dropping it too; either may come first, and it must count once. The two
 # tests that end a station's connection under it run ten times more.
 go test -race -count=10 -run='^TestRealCellStationOutlivesItsConnection$' .
+# A real server worker serves call after call on one process without a
+# kernel, whose ambient span each call's rpc.serve is until its reply: a span
+# left installed there would show as a wrong parent. The two tests that check
+# a real trace's links run ten times more.
+go test -race -count=10 -run='^(TestRealCellTraceLinksTheClientsCall|TestRealCellTraceLinksTheBreakToTheStore)$' .
 go test -race -count=10 -run='^TestShellOutlivesADroppedConnection$' ./cmd/itcfs
 # A cache install takes over the cache file of the entry it evicts, while
 # other goroutines' opens race for that same victim; ten more runs.

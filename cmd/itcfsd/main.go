@@ -44,6 +44,7 @@ import (
 	"syscall"
 	"time"
 
+	"itcfs/internal/rpc"
 	"itcfs/internal/sim"
 	"itcfs/internal/store"
 	"itcfs/internal/store/walstore"
@@ -81,7 +82,7 @@ func run(args []string) int {
 	opPassword := fs.String("operator-password", "", "password for the bootstrap operator account (required)")
 	dataDir := fs.String("data-dir", "", "durable volume storage directory (empty = in-memory only)")
 	ckptInterval := fs.Duration("checkpoint-interval", time.Minute, "how often to checkpoint and compact the log (with -data-dir; 0 = only on clean shutdown)")
-	traceFlag := fs.Bool("trace", false, "record a span per served call (wall-clock timestamps)")
+	traceFlag := fs.Bool("trace", false, "record a span per served call and per callback break it makes (wall-clock timestamps)")
 	traceOut := fs.String("trace-out", "itcfsd-trace.json", "Chrome trace written on shutdown (with -trace)")
 	debugAddr := fs.String("debug-addr", "", "serve the read-only debug endpoint on this address (empty = off)")
 	flightEvents := fs.Int("flight-events", 1024, "operational events retained in the flight recorder")
@@ -99,11 +100,10 @@ func run(args []string) int {
 	}
 
 	// The real daemon serves real clients: file timestamps are wall time,
-	// and the flight recorder stamps events with a monotonic offset from
-	// process start.
-	start := time.Now()                                              //itcvet:allow wallclock -- real deployment epoch, outside the simulator
-	clock := func() int64 { return time.Now().UnixNano() }           //itcvet:allow wallclock -- real deployment clock, outside the simulator
-	uptime := func() sim.Time { return sim.Time(time.Since(start)) } //itcvet:allow wallclock -- flight/trace timestamps measure real elapsed time
+	// and the flight recorder and the tracer stamp events with the clock its
+	// calls are timed by, rpc.Clock's monotonic one.
+	clock := func() int64 { return time.Now().UnixNano() } //itcvet:allow wallclock -- real deployment clock, outside the simulator
+	uptime := func() sim.Time { return rpc.Clock(nil) }
 	metrics := trace.NewRegistry()
 	flight := trace.NewRecorder(*flightEvents, uptime)
 
@@ -142,7 +142,9 @@ func run(args []string) int {
 	locdb := srv.Loc()
 
 	// A wall-clock tracer: real transports have no virtual time, so spans
-	// carry the same monotonic offset the flight recorder uses.
+	// carry the same monotonic offset the flight recorder uses. It records
+	// an rpc.serve per served call and, under it, an rpc.call per callback
+	// break the call makes.
 	var tracer *trace.Tracer
 	if *traceFlag {
 		tracer = trace.New(uptime)

@@ -168,21 +168,14 @@ func (k *core[S]) call(c carrier, p *sim.Proc, req Request, callback bool) (Resp
 	return Response{}, err
 }
 
-// serve runs one received call to its reply: an rpc.serve span continuing
-// the caller's trace, srv's handler, and the service time the reply echoes —
-// from the start through bill's charge for the call (a simulated server's;
-// nil on a Peer).
+// serve runs one received call to its reply on p: an rpc.serve span
+// continuing the caller's trace as p's ambient span, srv's handler, and the
+// service time the reply echoes — from the start through bill's charge for
+// the call (a simulated server's; nil on a Peer).
 func (k *core[S]) serve(p *sim.Proc, srv *Server, ctx Ctx, tc wire.TraceHeader, req Request, bill Bill) (Response, time.Duration) {
 	o := k.obs.Load()
 	started := Clock(p)
-	var sp *trace.Span
-	if p != nil {
-		sp = o.tracer.BeginRemote(p, tc, trace.SpanRPCServe, o.node)
-	} else {
-		// A real client that does not trace sends a zero header: its call
-		// starts a root here rather than going unrecorded.
-		sp = o.tracer.StartRemote(tc, trace.SpanRPCServe, o.node)
-	}
+	sp := o.tracer.BeginRemote(p, tc, trace.SpanRPCServe, o.node)
 	sp.SetInt(trace.AttrOp, int64(req.Op))
 	ctx.Span = sp
 	resp := srv.Dispatch(ctx, req)
@@ -200,7 +193,7 @@ func (k *core[S]) serve(p *sim.Proc, srv *Server, ctx Ctx, tc wire.TraceHeader, 
 // metric up by name. Any may be nil, and then records nothing.
 type observers struct {
 	tracer   *trace.Tracer
-	node     string // the machine spans are recorded on
+	node     string // the machine spans are recorded on: this end's own
 	timeouts *trace.Counter
 	callLat  *trace.Histogram
 	serveLat *trace.Histogram
@@ -220,13 +213,13 @@ func newObservers(t *trace.Tracer, reg *trace.Registry, node string) observers {
 var epoch = time.Now() //itcvet:allow wallclock -- the real transport's clock is the wall's (see Clock)
 
 // Clock reads the time a caller of p is measured in: p's virtual time in the
-// simulator; on a real transport, which has no simulated process, the wall's
-// (monotonic) time. Calls and serves are timed by it, and so is anything a
-// client keeps or measures in the same regime (Venus's promise ages and
-// latencies).
+// simulator; for a process without a kernel (or none), a real transport's,
+// the wall's (monotonic) time. Calls and serves are timed by it, and so is
+// anything a client keeps or measures in the same regime (Venus's promise
+// ages and latencies).
 func Clock(p *sim.Proc) sim.Time {
-	if p != nil {
-		return p.Now()
+	if k := p.Kernel(); k != nil {
+		return k.Now()
 	}
 	return sim.Time(time.Since(epoch)) //itcvet:allow wallclock -- a real transport's calls take wall time
 }

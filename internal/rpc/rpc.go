@@ -25,6 +25,15 @@
 //
 // Both carriers are full duplex: either side may register a Server and
 // receive calls, which is how Vice breaks callbacks to Venus.
+//
+// Both take the caller's *sim.Proc, whose ambient span the call's rpc.call
+// span nests under, and serve each call on a process whose ambient span is
+// the call's rpc.serve. In the simulator these are simulated processes. On a
+// Peer a real caller may pass a process without a kernel (the zero
+// sim.Proc, one per goroutine), and each worker serves on one of its own, so
+// a real trace links from the client's operation through the server's
+// callback breaks. A nil process is no process: the call's spans are linked
+// by the header alone.
 package rpc
 
 import (
@@ -112,9 +121,12 @@ type Ctx struct {
 	// same connection (callback breaking). Nil when the transport or
 	// direction does not support it.
 	Back Backchannel
-	// Proc is the simulated worker process serving the call, for handlers
-	// that must block (callbacks, forwarded calls). Nil on real transports,
-	// whose handlers run on ordinary goroutines and may just block.
+	// Proc is the worker process serving the call, whose ambient span is
+	// the call's rpc.serve: pass it on to every call the handler places
+	// (callback breaks, forwarded calls) and they nest under that span. In
+	// the simulator it is a simulated process, which those calls park; on a
+	// Peer it is the worker goroutine's process without a kernel, reused for
+	// every call that worker serves, and the handler may simply block.
 	Proc *sim.Proc
 	// Span is the server-side trace span of this call, nil or suppressed
 	// when the call is untraced. Handlers may annotate it.
@@ -132,6 +144,7 @@ type Server struct {
 	mu       sync.RWMutex
 	handlers map[Op]HandlerFunc // guarded by mu
 	fallback HandlerFunc        // guarded by mu
+	node     string             // guarded by mu
 	tracer   *trace.Tracer      // guarded by mu
 	metrics  *trace.Registry    // guarded by mu
 }
@@ -155,16 +168,16 @@ func (s *Server) HandleFallback(fn HandlerFunc) {
 	s.fallback = fn
 }
 
-// Observe names the tracer and the registry that every Peer built on this
-// server from now on reports its calls and serves to, from its first: the
-// tracer records them and puts the rpc.call span's context in each call's
-// header. AcceptPeer starts serving before it returns, so a peer configured
-// only afterwards (SetMetrics) serves its first call or two unobserved.
-// Either may be nil.
-func (s *Server) Observe(t *trace.Tracer, reg *trace.Registry) {
+// Observe names the local machine, the tracer and the registry that every
+// Peer built on this server from now on reports its calls and serves to,
+// from its first: the tracer records them as spans on node and puts the
+// rpc.call span's context in each call's header. AcceptPeer starts serving
+// before it returns, so a peer configured only afterwards (SetMetrics) serves
+// its first call or two unobserved. The tracer and the registry may be nil.
+func (s *Server) Observe(node string, t *trace.Tracer, reg *trace.Registry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.tracer, s.metrics = t, reg
+	s.node, s.tracer, s.metrics = node, t, reg
 }
 
 // CodeUnknownOp is the response code for calls nobody handles.

@@ -89,15 +89,16 @@ func (rc *replyCache) finish(seq uint32, sealed []byte) {
 
 // Conn is an authenticated connection calls are placed on — the one interface
 // both transports present (SimConn, Peer) and every caller above them takes.
-// The proc argument is the calling simulated process; real transports accept
-// nil. Who owns Bulk across a call is set out at venus.Conn.
+// The proc argument is the calling process, whose ambient span the call's
+// span nests under: a simulated one here, one without a kernel (or nil) on a
+// Peer. Who owns Bulk across a call is set out at venus.Conn.
 type Conn interface {
 	Call(p *sim.Proc, req Request) (Response, error)
 }
 
 // Backchannel lets a server place calls back to a connected client (the
 // callback path of the revised design). The proc argument is the calling
-// simulated process; real transports accept nil.
+// process, as Conn's is.
 type Backchannel interface {
 	CallBack(p *sim.Proc, req Request) (Response, error)
 	BackUser() string

@@ -47,7 +47,8 @@ type Peer struct {
 // to from now on (rpc.call.latency, rpc.call.timeouts, rpc.serve.latency) in
 // place of the one Server.Observe named; a nil registry is inert.
 func (p *Peer) SetMetrics(reg *trace.Registry) {
-	o := newObservers(p.obs.Load().tracer, reg, p.name)
+	old := p.obs.Load()
+	o := newObservers(old.tracer, reg, old.node)
 	p.obs.Store(&o)
 }
 
@@ -141,9 +142,9 @@ func newPeer(conn io.ReadWriteCloser, box *secure.Box, user, name string, server
 		work:   make(chan job),
 	}
 	server.mu.RLock()
-	t, reg := server.tracer, server.metrics
+	node, t, reg := server.node, server.tracer, server.metrics
 	server.mu.RUnlock()
-	o := newObservers(t, reg, name)
+	o := newObservers(t, reg, node)
 	p.obs.Store(&o)
 	return p
 }
@@ -166,19 +167,21 @@ func (p *Peer) start() {
 // entry is reclaimed, or until the connection dies (ErrClosed). It makes one
 // attempt: a stream neither loses nor duplicates a frame, and a duplicate
 // would close the connection (secure.Box.InSequence), so a retransmission
-// could never be told from a replay. The proc argument exists for signature
-// compatibility with the simulated transport and is ignored. The reply's
-// Body and Bulk may lie in a buffer lent until resp.Release (see
+// could never be told from a replay. The call's rpc.call span nests under
+// caller's ambient span: caller is the calling goroutine's own process
+// without a kernel, a handler's Ctx.Proc, or nil for none. The reply's Body
+// and Bulk may lie in a buffer lent until resp.Release (see
 // Response.Release).
-func (p *Peer) Call(_ *sim.Proc, req Request) (Response, error) {
-	return p.call(p, nil, req, false)
+func (p *Peer) Call(caller *sim.Proc, req Request) (Response, error) {
+	return p.call(p, caller, req, false)
 }
 
 // CallBack implements Backchannel: on the accepted end, a callback under
 // the call core's policy — one attempt, a quarter of the deadline — so a
-// workstation that never answers costs a breaking server 15 s, not 60.
-func (p *Peer) CallBack(_ *sim.Proc, req Request) (Response, error) {
-	return p.call(p, nil, req, p.accepted)
+// workstation that never answers costs a breaking server 15 s, not 60. Its
+// span nests under caller's, as Call's does.
+func (p *Peer) CallBack(caller *sim.Proc, req Request) (Response, error) {
+	return p.call(p, caller, req, p.accepted)
 }
 
 // BackUser implements Backchannel.
@@ -400,11 +403,15 @@ func (p *Peer) dispatch(j job) {
 }
 
 // worker serves j and then each call handed to it, parked in between, until
-// the peer closes: one of the server's lightweight threads of control.
+// the peer closes: one of the server's lightweight threads of control. It
+// owns one process without a kernel for its whole life and serves every
+// call on it; each call's rpc.serve span is the process's ambient span only
+// until the call's reply is made.
 func (p *Peer) worker(j job) {
 	defer p.routines.Done()
+	var proc sim.Proc
 	for {
-		p.handle(j)
+		p.handle(&proc, j)
 		select {
 		case j = <-p.work:
 		case <-p.done:
@@ -413,13 +420,13 @@ func (p *Peer) worker(j job) {
 	}
 }
 
-// handle serves one call through the call core, seals its reply and gives
-// the call's frame back — only then, because the reply may alias the
+// handle serves one call on proc through the call core, seals its reply and
+// gives the call's frame back — only then, because the reply may alias the
 // request. resp.Bulk is read while it streams out, after the handler has
 // returned: a fetch reply's Bulk is the volume's own slice, safe because
 // volume replaces file contents and never mutates them in place.
-func (p *Peer) handle(j job) {
-	resp, svc := p.serve(nil, p.server, Ctx{User: p.user, Peer: p.name, Back: p}, j.tc, j.req, nil)
+func (p *Peer) handle(proc *sim.Proc, j job) {
+	resp, svc := p.serve(proc, p.server, Ctx{User: p.user, Peer: p.name, Back: p, Proc: proc}, j.tc, j.req, nil)
 	e := wire.GetEncoder()
 	e.U8(kindReply)
 	encodeReplyHead(e, j.seq, svc, resp)

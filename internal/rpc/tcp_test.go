@@ -85,7 +85,7 @@ func TestPeerCallRoundTrip(t *testing.T) {
 func TestPeerFirstCallObserved(t *testing.T) {
 	reg := trace.NewRegistry()
 	srv := echoServer()
-	srv.Observe(nil, reg)
+	srv.Observe("server", nil, reg)
 	dialed, _ := pipePair(t, nil, srv)
 	if _, err := dialed.Call(nil, Request{Op: opEcho}); err != nil {
 		t.Fatal(err)
@@ -460,8 +460,8 @@ func TestPeerCarriesTheCallersTraceHeader(t *testing.T) {
 	// client's trace 1 by coincidence.
 	serverTr.Begin(nil, "boot", "server").End()
 	clientSrv, serverSrv := NewServer(), echoServer()
-	clientSrv.Observe(clientTr, nil)
-	serverSrv.Observe(serverTr, nil)
+	clientSrv.Observe("ws", clientTr, nil)
+	serverSrv.Observe("server", serverTr, nil)
 	dialed, _ := tcpPair(t, clientSrv, serverSrv)
 	resp, err := dialed.Call(nil, Request{Op: opEcho, Body: []byte("traced")})
 	if err != nil {
@@ -484,5 +484,10 @@ func TestPeerCarriesTheCallersTraceHeader(t *testing.T) {
 	if serve.Context().Trace != call.Context().Trace || serve.Parent() != call.Context().Span {
 		t.Fatalf("rpc.serve is in trace %d under span %d; want trace %d under the rpc.call span %d",
 			serve.Context().Trace, serve.Parent(), call.Context().Trace, call.Context().Span)
+	}
+	// Each end records its spans on the machine its Server.Observe named,
+	// its own, not the far side's.
+	if call.Node() != "ws" || serve.Node() != "server" {
+		t.Errorf("rpc.call recorded on %q and rpc.serve on %q; want ws and server", call.Node(), serve.Node())
 	}
 }

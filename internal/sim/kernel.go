@@ -92,7 +92,6 @@ type Kernel struct {
 	parked  chan struct{} // signalled by a proc when it parks or exits
 	stopped bool
 	nprocs  int // live (spawned, not yet exited) processes
-	current *Proc
 }
 
 // maxFreeBuckets bounds the recycled-slice pool; beyond it, drained bucket
@@ -287,26 +286,37 @@ func (k *Kernel) Procs() int { return k.nprocs }
 
 // Proc is a simulated process: a goroutine scheduled by the kernel. All Proc
 // methods must be called from the process's own goroutine.
+//
+// The zero Proc is a process without a kernel: a real caller's or a real
+// server worker's, on an ordinary goroutine that owns it. Its Trace slot
+// works, so spans nest under it as under a simulated process; it has no
+// clock (Kernel returns nil), and Sleep, Yield and every park on it panic.
 type Proc struct {
 	k      *Kernel
 	name   string
 	resume chan struct{}
 	fn     func(p *Proc) // body, until the process starts
-	exited bool
 
 	// Trace is proc-local storage for the ambient trace span of whatever
 	// operation the process is currently executing (see internal/trace).
 	// The kernel itself never reads or writes it. It is safe without
-	// locking because only the owning process touches it, and processes
-	// run one at a time.
+	// locking because only the owning process touches it: simulated
+	// processes run one at a time, and a process without a kernel belongs
+	// to one goroutine.
 	Trace any
 }
 
 // Name returns the name given at Spawn.
 func (p *Proc) Name() string { return p.name }
 
-// Kernel returns the owning kernel.
-func (p *Proc) Kernel() *Kernel { return p.k }
+// Kernel returns the owning kernel: nil for a nil Proc and for the zero one,
+// which have no virtual clock.
+func (p *Proc) Kernel() *Kernel {
+	if p == nil {
+		return nil
+	}
+	return p.k
+}
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
@@ -332,7 +342,6 @@ func (p *Proc) run() {
 	fn := p.fn
 	p.fn = nil
 	fn(p)
-	p.exited = true
 	p.k.nprocs--
 	p.k.parked <- struct{}{}
 }
@@ -340,18 +349,24 @@ func (p *Proc) run() {
 // dispatch hands the CPU to p and waits for it to park or exit. Must be
 // called from kernel context.
 func (k *Kernel) dispatch(p *Proc) {
-	prev := k.current
-	k.current = p
 	p.resume <- struct{}{}
 	<-k.parked
-	k.current = prev
 }
 
 // park suspends the calling process and returns control to the kernel. The
 // process resumes when some event calls k.dispatch(p).
 func (p *Proc) park() {
+	p.mustHaveKernel()
 	p.k.parked <- struct{}{}
 	<-p.resume
+}
+
+// mustHaveKernel panics on a process without a kernel, which has nothing to
+// park on.
+func (p *Proc) mustHaveKernel() {
+	if p.k == nil {
+		panic("sim: a process without a kernel cannot sleep or park")
+	}
 }
 
 // Sleep suspends the process for virtual duration d.
@@ -359,6 +374,7 @@ func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		panic("sim: negative sleep")
 	}
+	p.mustHaveKernel()
 	p.k.wakeAt(p.k.now.Add(d), p)
 	p.park()
 }

@@ -316,3 +316,30 @@ func TestDeterministicReplay(t *testing.T) {
 		}
 	}
 }
+
+// The zero Proc is a process without a kernel: it has no clock, and it
+// refuses to sleep, yield or park rather than deadlock a real goroutine.
+func TestZeroProcHasNoKernel(t *testing.T) {
+	var nilProc *Proc
+	if nilProc.Kernel() != nil {
+		t.Error("a nil Proc has a kernel")
+	}
+	var p Proc
+	if p.Kernel() != nil {
+		t.Error("the zero Proc has a kernel")
+	}
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s on the zero Proc did not panic", name)
+			}
+		}()
+		f()
+	}
+	mustPanic("Sleep", func() { p.Sleep(ms) })
+	mustPanic("Yield", p.Yield)
+	k := NewKernel()
+	mustPanic("Mailbox.Get", func() { NewMailbox[int](k).Get(&p) })
+	mustPanic("Future.Wait", func() { NewFuture[int](k).Wait(&p) })
+}

@@ -191,34 +191,27 @@ func (t *Tracer) Begin(p *sim.Proc, name, node string) *Span {
 }
 
 // BeginRemote starts the server-side span of a call that arrived with the
-// given propagation context. A zero context means the caller was untraced or
-// sampled out, so the server span is suppressed too — on the simulated
-// network every endpoint shares one tracer, and a traced caller always sends
-// a non-zero context.
+// given propagation context, as p's ambient span until End. A zero context
+// means what p's kind of process says. Under a simulated process (one with a
+// kernel) the caller was sampled out, so the server span is suppressed too:
+// every simulated endpoint shares one tracer, and a traced caller always
+// sends a non-zero context. Under any other process, the call came over a
+// real transport from a client that does not trace, and the span starts a
+// root rather than going unrecorded.
 func (t *Tracer) BeginRemote(p *sim.Proc, ctx SpanContext, name, node string) *Span {
 	if t == nil {
 		return nil
 	}
 	if ctx == (SpanContext{}) {
+		if p.Kernel() == nil {
+			return t.Begin(p, name, node)
+		}
 		return t.getSuppressed().install(p)
 	}
 	t.mu.Lock()
 	s := t.startLocked(name, node, ctx.Trace, ctx.Span)
 	t.mu.Unlock()
 	return s.install(p)
-}
-
-// StartRemote begins a server span for a call arriving over a real
-// transport, where a zero context means the client simply does not trace:
-// it starts a new root instead of suppressing. Used by the TCP daemon.
-func (t *Tracer) StartRemote(ctx SpanContext, name, node string) *Span {
-	if t == nil {
-		return nil
-	}
-	if ctx == (SpanContext{}) {
-		return t.Begin(nil, name, node)
-	}
-	return t.BeginRemote(nil, ctx, name, node)
 }
 
 // startLocked allocates and registers a recording span. Caller holds t.mu.

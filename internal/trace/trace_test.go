@@ -117,20 +117,33 @@ func TestRemotePropagation(t *testing.T) {
 		serve.End()
 		call.End()
 
-		// Zero context means untraced caller: suppressed on the sim side...
-		sup := tr.BeginRemote(nil, SpanContext{}, "rpc.serve", "srv")
+		// Zero context means an untraced caller: suppressed under a
+		// simulated process, where the caller was sampled out...
+		sup := tr.BeginRemote(p, SpanContext{}, "rpc.serve", "srv")
 		if sup == nil || sup.Context() != (SpanContext{}) {
-			t.Errorf("zero-context BeginRemote should be suppressed, got %+v", sup.Context())
+			t.Errorf("zero-context BeginRemote under a simulated process should be suppressed, got %+v", sup.Context())
+		}
+		if Current(p) != sup {
+			t.Errorf("the suppressed server span is not p's ambient span")
 		}
 		sup.End()
-		// ...but a fresh root on a real transport.
-		rem := tr.StartRemote(SpanContext{}, "rpc.serve", "srv")
-		if rem.Context() == (SpanContext{}) {
-			t.Errorf("StartRemote with zero context should start a root")
-		}
-		rem.End()
 	})
 	k.Run()
+
+	// ...but a root under a process without a kernel, a real server worker,
+	// whose caller does not trace. It is ambient there until End.
+	var worker sim.Proc
+	rem := tr.BeginRemote(&worker, SpanContext{}, "rpc.serve", "srv")
+	if rem.Context() == (SpanContext{}) || rem.Parent() != 0 {
+		t.Errorf("zero-context BeginRemote under a zero process: context %+v, parent %d; want a root", rem.Context(), rem.Parent())
+	}
+	if Current(&worker) != rem {
+		t.Errorf("the server span is not the worker's ambient span")
+	}
+	rem.End()
+	if Current(&worker) != nil {
+		t.Errorf("the worker's ambient span outlived End")
+	}
 }
 
 func TestHistogramQuantiles(t *testing.T) {

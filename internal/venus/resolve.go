@@ -268,7 +268,7 @@ func (v *Venus) callAt(p *sim.Proc, path string, cr proto.CustodianReply, req rp
 		if si+1 >= len(servers) {
 			return false
 		}
-		if p != nil {
+		if p.Kernel() != nil {
 			p.Sleep(failoverBackoff << uint(si))
 		}
 		si++

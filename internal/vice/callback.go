@@ -196,8 +196,9 @@ func (t *CallbackTable) take(fid proto.FID, skip rpc.Backchannel) []rpc.Backchan
 // Break returns, but deliveries to one workstation coalesce with any other
 // breaks pending for it — its own or a concurrent update's — into a single
 // BulkBreak RPC, and deliveries to distinct workstations proceed in parallel
-// flusher processes. It must be called without server locks held: callback
-// calls park the worker process.
+// flusher processes. Under a process without a kernel (a real worker) the
+// deliveries are one call each, in turn, nested under p's span. It must be
+// called without server locks held: callback calls park the worker process.
 func (t *CallbackTable) Break(p *sim.Proc, skip rpc.Backchannel, targets ...BreakTarget) {
 	if !t.on {
 		return
@@ -231,10 +232,11 @@ func (t *CallbackTable) Break(p *sim.Proc, skip rpc.Backchannel, targets ...Brea
 		return
 	}
 
-	if t.unbatched || p == nil {
+	k := p.Kernel()
+	if t.unbatched || k == nil {
 		// Legacy path: one RPC per broken promise, strictly sequential.
-		// Real transports (p == nil) also take it — coalescing needs the
-		// simulation kernel's futures.
+		// Real transports (a process without a kernel) also take it —
+		// coalescing needs the simulation kernel's futures.
 		for _, dv := range deliveries {
 			t.countRPC(1)
 			t.revoke(p, dv.back, dv.args)
@@ -242,7 +244,6 @@ func (t *CallbackTable) Break(p *sim.Proc, skip rpc.Backchannel, targets ...Brea
 		return
 	}
 
-	k := p.Kernel()
 	waits := make([]*sim.Future[struct{}], 0, len(deliveries))
 	t.mu.Lock()
 	for _, dv := range deliveries {

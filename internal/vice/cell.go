@@ -114,7 +114,7 @@ func Boot(cfg Config, operatorPassword string) (*Server, *store.Report, error) {
 func (s *Server) ServeConn(c io.ReadWriteCloser, tracer *trace.Tracer) (user string, err error) {
 	// Named before the handshake: the peer's read loop starts inside
 	// AcceptPeer, and its first call is observed like the rest.
-	s.disp.Observe(tracer, s.cfg.Metrics)
+	s.disp.Observe(s.cfg.Name, tracer, s.cfg.Metrics)
 	start := time.Now() //itcvet:allow wallclock -- real handshake cost, outside the simulator
 	peer, err := rpc.AcceptPeer(c, s.cfg.DB.LookupKey, s.disp)
 	if err != nil {

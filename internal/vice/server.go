@@ -121,7 +121,7 @@ type Server struct {
 	// guarded by mu
 	volOps map[uint32]*trace.Counter
 	volLat map[uint32]*trace.Histogram
-	// pendingVol remembers, per serving worker process, which volume the
+	// pendingVol remembers, per simulated worker process, which volume the
 	// in-flight call touched, so ObserveCall can attribute the call's
 	// service time to that volume's latency histogram.
 	// guarded by mu
@@ -239,7 +239,9 @@ func (s *Server) noteAccess(ctx rpc.Ctx, vol uint32) {
 			s.volOps[vol] = c
 		}
 		c.Inc()
-		if ctx.Proc != nil {
+		// Simulated workers only: a real worker's process outlives its call,
+		// and ObserveCall, which would delete its entry, never runs for it.
+		if ctx.Proc.Kernel() != nil {
 			s.pendingVol[ctx.Proc] = vol
 		}
 	}
@@ -249,7 +251,7 @@ func (s *Server) noteAccess(ctx rpc.Ctx, vol uint32) {
 // measured service time against the volume the call touched (if any). svc is
 // virtual time, so the resulting histograms are seed-deterministic.
 func (s *Server) ObserveCall(ctx rpc.Ctx, req rpc.Request, resp rpc.Response, svc time.Duration) {
-	if s.cfg.Metrics == nil || ctx.Proc == nil {
+	if s.cfg.Metrics == nil || ctx.Proc.Kernel() == nil {
 		return
 	}
 	s.mu.Lock()

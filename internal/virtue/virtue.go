@@ -68,9 +68,11 @@ func New(local *unixfs.FS, v *venus.Venus) *FS {
 // cfg.Local reaching servers through cfg.Connect, both of its callback-break
 // handlers registered on callbacks — the service the caller has given, or
 // will give, every connection cfg.Connect opens, simulated or real — and the
-// view over the two.
+// view over the two. The real connections built on callbacks report their
+// calls and serves as cfg.Machine's, to cfg.Tracer and cfg.Metrics.
 func NewWorkstation(cfg venus.Config, callbacks *rpc.Server) *FS {
 	v := venus.New(cfg)
+	callbacks.Observe(cfg.Machine, cfg.Tracer, cfg.Metrics)
 	callbacks.Handle(rpc.Op(proto.OpCallbackBreak), v.HandleCallbackBreak)
 	callbacks.Handle(rpc.Op(proto.OpBulkBreak), v.HandleBulkBreak)
 	return New(cfg.Local, v)

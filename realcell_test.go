@@ -12,6 +12,7 @@ import (
 	"itcfs/internal/rpc"
 	"itcfs/internal/secure"
 	"itcfs/internal/sim"
+	"itcfs/internal/trace"
 	"itcfs/internal/unixfs"
 	"itcfs/internal/venus"
 	"itcfs/internal/vice"
@@ -29,6 +30,9 @@ import (
 type realCell struct {
 	srv  *vice.Server
 	addr string
+	// tracer, which may be nil, is the one the server and every station
+	// record spans to.
+	tracer *trace.Tracer
 	// ended receives the user of each connection once ServeConn is done
 	// with it, cleanup included.
 	ended chan string
@@ -50,11 +54,12 @@ const bulkBack rpc.Op = 0x7f01
 
 func newRealCell(t *testing.T, mode Mode, users ...string) *realCell {
 	t.Helper()
-	return bootRealCell(t, vice.Config{Name: "server0", Mode: mode, ProtAuthority: true}, users...)
+	return bootRealCell(t, vice.Config{Name: "server0", Mode: mode, ProtAuthority: true}, nil, users...)
 }
 
-// bootRealCell is newRealCell for a caller with a Config of its own (a store).
-func bootRealCell(t *testing.T, cfg vice.Config, users ...string) *realCell {
+// bootRealCell is newRealCell for a caller with a Config of its own (a store)
+// or a tracer, which may be nil.
+func bootRealCell(t *testing.T, cfg vice.Config, tracer *trace.Tracer, users ...string) *realCell {
 	t.Helper()
 	srv, _, err := vice.Boot(cfg, "secret")
 	if err != nil {
@@ -71,9 +76,9 @@ func bootRealCell(t *testing.T, cfg vice.Config, users ...string) *realCell {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &realCell{srv: srv, addr: l.Addr().String(), ended: make(chan string)}
+	c := &realCell{srv: srv, addr: l.Addr().String(), tracer: tracer, ended: make(chan string)}
 	stop := make(chan struct{})
-	go srv.Serve(l, nil, func(_ net.Addr, user string, _ error) {
+	go srv.Serve(l, tracer, func(_ net.Addr, user string, _ error) {
 		select {
 		case c.ended <- user:
 		case <-stop:
@@ -133,6 +138,7 @@ func (c *realCell) station(t *testing.T, mode Mode, user string) realStation {
 		Local:      unixfs.New(nil),
 		HomeServer: "server0",
 		Connect:    connect,
+		Tracer:     c.tracer,
 	}, callbacks)
 	fs.Venus().Login(user)
 	return realStation{FS: fs, connect: connect, hangUp: hangUp}
@@ -350,5 +356,130 @@ func TestRealCellStationOutlivesItsConnection(t *testing.T) {
 				t.Errorf("%d reconnects counted for one ended connection", n)
 			}
 		})
+	}
+}
+
+// tracedRealCell is a real cell whose server and stations record to one
+// wall-clock tracer, returned with it.
+func tracedRealCell(t *testing.T, mode Mode, users ...string) (*realCell, *trace.Tracer) {
+	t.Helper()
+	tr := trace.New(func() sim.Time { return rpc.Clock(nil) })
+	return bootRealCell(t, vice.Config{Name: "server0", Mode: mode, ProtAuthority: true}, tr, users...), tr
+}
+
+// servedOp returns the one span named name whose op attribute is op.
+func servedOp(t *testing.T, spans []*trace.Span, name string, op rpc.Op) *trace.Span {
+	t.Helper()
+	var found []*trace.Span
+	for _, s := range spans {
+		if s.Name() == name && s.IntAttr(trace.AttrOp) == int64(op) {
+			found = append(found, s)
+		}
+	}
+	if len(found) != 1 {
+		t.Fatalf("%d %s spans of op %d, want 1", len(found), name, op)
+	}
+	return found[0]
+}
+
+// childOf fails unless child is parent's child in parent's trace.
+func childOf(t *testing.T, child, parent *trace.Span) {
+	t.Helper()
+	if child.Context().Trace != parent.Context().Trace || child.Parent() != parent.Context().Span {
+		t.Errorf("%s on %s is in trace %d under span %d; want trace %d under %s on %s (span %d)",
+			child.Name(), child.Node(), child.Context().Trace, child.Parent(),
+			parent.Context().Trace, parent.Name(), parent.Node(), parent.Context().Span)
+	}
+}
+
+// A real caller that passes a process without a kernel gets one trace for
+// one operation, across the wire: a cold ReadFile is one venus.open root, and
+// each fetch it makes is a venus.fetch within it, under that the fetch's
+// rpc.call on the workstation and under that the server's rpc.serve. Each
+// span is recorded on its own machine. Before a real caller could carry a
+// span, every rpc.call was a root and a workstation's peers recorded nothing.
+func TestRealCellTraceLinksTheClientsCall(t *testing.T) {
+	for _, mode := range []Mode{Prototype, Revised} {
+		t.Run(mode.String(), func(t *testing.T) {
+			c, tr := tracedRealCell(t, mode, "satya")
+			c.station(t, mode, "satya").write(t, "/vice/usr/satya/f", "v1")
+			reader := c.station(t, mode, "satya")
+			tr.Reset()
+			var proc sim.Proc
+			if data, err := reader.ReadFile(&proc, "/vice/usr/satya/f"); err != nil || string(data) != "v1" {
+				t.Fatalf("cold read: %q, %v", data, err)
+			}
+			spans := tr.Spans()
+			byID := make(map[uint64]*trace.Span, len(spans))
+			var roots []*trace.Span
+			for _, s := range spans {
+				byID[s.Context().Span] = s
+				if s.Parent() == 0 {
+					roots = append(roots, s)
+				}
+			}
+			if len(roots) != 1 || roots[0].Name() != trace.SpanVenusOpen {
+				t.Fatalf("%d roots among %d spans, want one venus.open", len(roots), len(spans))
+			}
+			open := roots[0]
+			fetches := 0
+			for _, s := range spans {
+				if s.Context().Trace != open.Context().Trace {
+					t.Errorf("%s on %s is outside the read's trace", s.Name(), s.Node())
+				}
+				parent := byID[s.Parent()]
+				switch {
+				case s == open:
+				case parent == nil:
+					t.Errorf("%s on %s has parent %d, not a span of the read", s.Name(), s.Node(), s.Parent())
+				case s.Name() == trace.SpanRPCServe:
+					if parent.Name() != trace.SpanRPCCall || s.Node() != "server0" || parent.Node() != "ws-satya" {
+						t.Errorf("rpc.serve on %s is under %s on %s; want under rpc.call on ws-satya, served on server0",
+							s.Node(), parent.Name(), parent.Node())
+					}
+				case s.Name() == trace.SpanRPCCall && s.IntAttr(trace.AttrOp) == int64(proto.OpFetch):
+					fetches++
+					if parent.Name() != trace.SpanVenusFetch {
+						t.Errorf("a fetch's rpc.call is under %s, want venus.fetch", parent.Name())
+					}
+					for a := parent; a != open; a = byID[a.Parent()] {
+						if a == nil || a.Node() != "ws-satya" {
+							t.Fatalf("a fetch's venus.fetch does not lie within the read's venus.open on ws-satya")
+						}
+					}
+				}
+			}
+			if fetches == 0 {
+				t.Fatal("the cold read traced no fetch")
+			}
+		})
+	}
+}
+
+// A handler's calls nest under the call it serves: the callback break a
+// store over a Peer makes is an rpc.call child of the store's rpc.serve,
+// recorded on the server, and the breaking station's rpc.serve is its child
+// in turn. A worker serves call after call on one process, so a span left
+// ambient on it would show here as a wrong parent. Before real workers had a
+// process, the break's rpc.call was a root.
+func TestRealCellTraceLinksTheBreakToTheStore(t *testing.T) {
+	c, tr := tracedRealCell(t, Revised, "satya", "howard")
+	writer, reader := c.station(t, Revised, "satya"), c.station(t, Revised, "howard")
+	writer.write(t, "/vice/usr/satya/f", "v1")
+	reader.read(t, "/vice/usr/satya/f")
+	tr.Reset()
+	writer.write(t, "/vice/usr/satya/f", "v2")
+	spans := tr.Spans()
+	store := servedOp(t, spans, trace.SpanRPCServe, rpc.Op(proto.OpStore))
+	brk := servedOp(t, spans, trace.SpanRPCCall, rpc.Op(proto.OpCallbackBreak))
+	broken := servedOp(t, spans, trace.SpanRPCServe, rpc.Op(proto.OpCallbackBreak))
+	childOf(t, brk, store)
+	childOf(t, broken, brk)
+	if store.Node() != "server0" || brk.Node() != "server0" || broken.Node() != "ws-howard" {
+		t.Errorf("store served on %q, break called on %q and served on %q; want server0, server0, ws-howard",
+			store.Node(), brk.Node(), broken.Node())
+	}
+	if got := reader.read(t, "/vice/usr/satya/f"); got != "v2" {
+		t.Errorf("after the break the reader reads %q", got)
 	}
 }
