@@ -75,6 +75,15 @@ go test -race -count=10 -run='^TestConcurrentOpensUnderEviction$' ./internal/ven
 # the cache's copy lands in a victim's buffer; ten more runs of the twin that
 # checks no reader's result is ever a buffer the cache reuses.
 go test -race -count=10 -run='^TestConcurrentReadFilesUnderEviction$' ./internal/venus
+# A store lends the cache file's own bytes to its call and ends the loan when
+# Call returns; a write then edits them in place, so a loan ended too early,
+# or a return that ends another borrower's loan, shows as bytes changing
+# under a reader. The tests that write beside loans, and the one that holds
+# both transports to reading a request's Bulk only until Call returns, run
+# ten times more.
+go test -race -count=10 -run='^(TestWriteDuringStoreLeavesLentBytesAlone|TestConcurrentHandlesRaceFree)$' ./internal/venus
+go test -race -count=10 -run='^TestOwnershipModel$' ./internal/unixfs
+go test -race -count=10 -run='^TestRequestBulkIsReadOnlyUntilCallReturns$' ./internal/rpc
 
 # The benchmark is its own module (bench/go.mod), so ./... above does not
 # reach it; its tests check BENCHMARK.json against bench/spec.go and drive

@@ -22,6 +22,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"unsafe"
 )
 
 // Errors mirror the Unix errno values the paper's interfaces surface.
@@ -90,11 +91,11 @@ type inode struct {
 	mode  uint16
 	nlink int
 	data  []byte
-	// lent records that data has been handed out by Lend: a borrower may
-	// still be reading those bytes, so from then on they are replaced, never
-	// written in place. It is cleared when data becomes a slice nobody else
-	// holds. Like every inode field it is guarded by FS.mu.
-	lent    bool
+	// loans counts the Lends of data not yet returned: while it is above
+	// zero a borrower may still be reading those bytes, so they are replaced,
+	// never written in place. It is reset when data becomes a slice nobody
+	// else holds. Like every inode field it is guarded by FS.mu.
+	loans   int
 	entries map[string]Ino
 	target  string
 	mtime   int64
@@ -482,14 +483,14 @@ func (fs *FS) install(path string, data []byte, owned bool, mode uint16, owner s
 	}
 	switch {
 	case owned:
-	case node.lent:
+	case node.loans > 0:
 		data = append([]byte(nil), data...)
 	default:
 		data = append(node.data[:0], data...)
 	}
 	fs.used += int64(len(data)) - int64(len(node.data))
 	node.data = data
-	node.lent = false
+	node.loans = 0
 	node.mtime = fs.clock()
 	node.version++
 	return nil
@@ -510,11 +511,13 @@ func (fs *FS) ReadFile(path string) ([]byte, error) {
 }
 
 // Lend is ReadFile without the copy: it returns the file's contents
-// themselves, for reading only. The slice stays bit-identical for as long as
-// the caller holds it, whatever happens to the file meanwhile: contents that
-// have been lent are replaced by later writes, never written in place. So a
-// caller may hand it to an RPC in flight or decode out of it with no lock
-// held; the price is one copy of the file on the first write that follows.
+// themselves, for reading only, on loan until the caller gives them back with
+// Return. Until then the slice stays bit-identical whatever happens to the
+// file: contents with a loan outstanding are replaced by later writes, never
+// written in place. So a caller may hand it to an RPC in flight or decode out
+// of it with no lock held; the price is one copy of the file on the first
+// write while any loan of those contents is outstanding. Loans of the same
+// contents nest: each Lend is ended by its own Return.
 func (fs *FS) Lend(path string) ([]byte, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -525,8 +528,25 @@ func (fs *FS) Lend(path string) ([]byte, error) {
 	if n.typ == TypeDir {
 		return nil, fmt.Errorf("%w: %s", ErrIsDir, path)
 	}
-	n.lent = true
+	n.loans++
 	return n.data[:len(n.data):len(n.data)], nil
+}
+
+// Return ends one loan of the file at path: data is what Lend returned, and
+// the caller reads it no more. Once every loan of the contents has ended,
+// writes edit them in place again. A return whose data is no longer the
+// file's contents — replaced, or the path renamed, removed or naming another
+// file since — ends nothing: the contents lent are no longer the file's, and
+// no write reaches them. Each Lend is returned at most once; a second return
+// would end another borrower's loan.
+func (fs *FS) Return(path string, data []byte) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	n, err := fs.lookup(path, true)
+	if err != nil || n.loans == 0 || unsafe.SliceData(n.data) != unsafe.SliceData(data) {
+		return
+	}
+	n.loans--
 }
 
 // ReadAt copies file bytes at offset into buf, returning the count. Reads at
@@ -575,18 +595,17 @@ func (fs *FS) WriteAt(path string, buf []byte, off int64) (int, error) {
 
 // resize makes n.data size bytes long — at least its present length — and
 // safe to write in place, keeping the bytes it has and zero-filling those it
-// gains. Spare capacity is used where there is some; contents a borrower may
-// hold (Lend) are copied to a buffer of their own first, even at an unchanged
-// size.
+// gains. Spare capacity is used where there is some; contents on loan (Lend)
+// are copied to a buffer of their own first, even at an unchanged size.
 //
 //itcvet:holds mu
 func (fs *FS) resize(n *inode, size int64) {
 	old := int64(len(n.data))
-	if n.lent || size > int64(cap(n.data)) {
+	if n.loans > 0 || size > int64(cap(n.data)) {
 		grown := make([]byte, size)
 		copy(grown, n.data)
 		n.data = grown
-		n.lent = false
+		n.loans = 0
 	} else {
 		n.data = n.data[:size]
 		if size > old {
@@ -611,7 +630,7 @@ func (fs *FS) Truncate(path string, size int64) error {
 		return ErrInvalid
 	}
 	if old := int64(len(n.data)); size <= old {
-		// Discarding writes no byte, so it is safe on lent contents too.
+		// Discarding writes no byte, so it is safe on contents on loan too.
 		n.data = n.data[:size]
 		fs.used += size - old
 	} else {

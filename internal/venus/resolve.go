@@ -509,7 +509,9 @@ func (v *Venus) decodeDirLocked(e *entry) ([]proto.DirEntry, error) {
 		if err != nil {
 			return nil, err
 		}
-		if e.dirEnts, err = proto.DecodeDirEntries(data); err != nil {
+		e.dirEnts, err = proto.DecodeDirEntries(data)
+		v.cfg.Local.Return(e.cacheFile, data)
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -618,11 +620,13 @@ func (v *Venus) ReadDir(p *sim.Proc, path string) ([]proto.DirEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	data, err := v.cfg.Local.Lend(e.cacheFile)
+	file := e.cacheFile
+	data, err := v.cfg.Local.Lend(file)
 	v.unpin(e)
 	if err != nil {
 		return nil, err
 	}
+	defer v.cfg.Local.Return(file, data)
 	return proto.DecodeDirEntries(data)
 }
 

@@ -39,7 +39,11 @@ import (
 // Conn abstracts an authenticated connection to one server.
 //
 // Bulk changes hands with the call. A request's Bulk is only read, and only
-// until Call returns. A response's Bulk belongs to the caller outright —
+// until Call returns, however it returns — a reply, an error reply, the
+// deadline, the connection closing — so a store lends the cache file's own
+// bytes for the call and ends the loan when Call returns
+// (rpc.TestRequestBulkIsReadOnlyUntilCallReturns holds both transports to
+// this). A response's Bulk belongs to the caller outright —
 // nothing else may refer to its array afterwards — because Venus keeps a
 // large one as the cache file's contents, where later writes edit it in
 // place, or hands it to a whole-file reader (ReadFile).
@@ -1084,11 +1088,13 @@ func (h *Handle) Close(p *sim.Proc) error {
 // storeEntry transmits the cached copy back to the custodian. The caller
 // holds e pinned.
 func (v *Venus) storeEntry(p *sim.Proc, e *entry) error {
-	// Lent, not copied: a write through another handle while the store is in
-	// flight replaces the cache file's contents and leaves these bytes alone.
-	// Such a write is not in the bytes being stored, so the entry must stay
-	// dirty for that handle's close: the write count is sampled before the
-	// loan and compared when the reply arrives.
+	// Lent, not copied, for as long as the call lasts: a write through
+	// another handle while the store is in flight replaces the cache file's
+	// contents and leaves these bytes alone. Such a write is not in the bytes
+	// being stored, so the entry must stay dirty for that handle's close: the
+	// write count is sampled before the loan and compared when the reply
+	// arrives. Conn reads a request's Bulk only until Call returns, so the
+	// loan ends there, and later writes edit the cache file in place again.
 	v.mu.Lock()
 	path, fid, writes := e.path, e.fid, e.writes
 	v.mu.Unlock()
@@ -1117,6 +1123,7 @@ func (v *Venus) storeEntry(p *sim.Proc, e *entry) error {
 		Body: proto.Marshal(proto.StoreArgs{Ref: ref}),
 		Bulk: data,
 	})
+	v.cfg.Local.Return(e.cacheFile, data)
 	if err != nil {
 		return err
 	}
