@@ -78,12 +78,17 @@ go test -race -count=10 -run='^TestConcurrentReadFilesUnderEviction$' ./internal
 # A store lends the cache file's own bytes to its call and ends the loan when
 # Call returns; a write then edits them in place, so a loan ended too early,
 # or a return that ends another borrower's loan, shows as bytes changing
-# under a reader. The tests that write beside loans, and the one that holds
-# both transports to reading a request's Bulk only until Call returns, run
-# ten times more.
+# under a reader. The tests that write beside loans run ten times more.
 go test -race -count=10 -run='^(TestWriteDuringStoreLeavesLentBytesAlone|TestConcurrentHandlesRaceFree)$' ./internal/venus
 go test -race -count=10 -run='^TestOwnershipModel$' ./internal/unixfs
-go test -race -count=10 -run='^TestRequestBulkIsReadOnlyUntilCallReturns$' ./internal/rpc
+# A call's message bodies are lent too: a request's Body, from a pooled
+# encoder, until Call returns, and a Reply's Body to the carrier until it has
+# sealed the reply. A buffer given back early shows as another call's bytes,
+# and only when two calls meet in it. The carrier tests, the contract test
+# above among them, and the test whose concurrent opens each count their own
+# cache hit run ten times more.
+go test -race -count=10 -run='^(TestRequestBulkIsReadOnlyUntilCallReturns|TestPeerReplyBodiesUnderLoad|TestSimReplayCarriesTheOriginalReply)$' ./internal/rpc
+go test -race -count=10 -run='^TestCacheCountersUnderConcurrentOpens$' ./internal/venus
 
 # The benchmark is its own module (bench/go.mod), so ./... above does not
 # reach it; its tests check BENCHMARK.json against bench/spec.go and drive

@@ -24,8 +24,8 @@ func Unmarshal[T any](body []byte, decode func(*wire.Decoder) T) (T, error) {
 	return v, nil
 }
 
-// Marshal encodes any message.
-func Marshal(m wire.Message) []byte { return wire.Marshal(m) }
+// Marshal encodes any message into a fresh byte slice.
+func Marshal[M wire.Message](m M) []byte { return wire.Marshal(m) }
 
 // FetchArgs requests a whole file (data returned as the bulk side effect)
 // along with its status. In revised mode a successful fetch also records a

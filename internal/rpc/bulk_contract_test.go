@@ -13,15 +13,17 @@ import (
 	"itcfs/internal/wire"
 )
 
-// A request's Bulk is only read, and only until Call returns (venus.Conn):
-// Venus lends a cache file's own bytes to a store for exactly that long and
-// then writes them in place again. TestRequestBulkIsReadOnlyUntilCallReturns
-// holds both carriers to it. After Call returns, the caller scribbles over
-// the Bulk it sent; the server must keep what it received, and no later call
-// may carry the scribble — whichever way Call returned: a reply, an error
-// reply, the deadline, or the connection closing under it. The last two
-// leave the handler running with its copy of the request; it keeps that copy
-// only after the scribble.
+// A request's Body and Bulk are only read, and only until Call returns
+// (rpc.Request, venus.Conn): Venus lends a cache file's own bytes to a store
+// for exactly that long and then writes them in place again, and encodes
+// every Body into a pooled encoder that it reuses once Call has returned.
+// TestRequestBulkIsReadOnlyUntilCallReturns holds both carriers to it. After
+// Call returns, the caller scribbles over the Body and the Bulk it sent; the
+// server must keep what it received under the name the Body carried, and no
+// later call may carry the scribble — whichever way Call returned: a reply,
+// an error reply, the deadline, or the connection closing under it. The last
+// two leave the handler running with its copy of the request; it keeps that
+// copy only after the scribble.
 
 const (
 	opKeep  Op = 10 // keep Bulk under the name in Body
@@ -29,6 +31,12 @@ const (
 )
 
 var scribble = []byte("SCRIBBLE")
+
+// The names a keep is made under, each at least as long as the scribble.
+const (
+	keptName    = "kept-file"
+	refusedName = "refused-file" // kept, then answered with an error reply
+)
 
 // contractSizes are the Bulk sizes sent: one a Peer receives into a pooled
 // frame, and one it hands over, which the handler keeps as it is.
@@ -70,7 +78,7 @@ func (k *keeper) server() *Server {
 			k.kept[string(req.Body)] = bulk
 			k.mu.Unlock()
 			k.done <- struct{}{}
-			if string(req.Body) == "refused" {
+			if string(req.Body) == refusedName {
 				return Response{Code: 1, Body: []byte("refused after keeping")}
 			}
 			return Response{}
@@ -111,16 +119,18 @@ func (k *keeper) check(t *testing.T, p *sim.Proc, conn Conn, name string, want [
 }
 
 // sendAndScribble places the keep call, checks how it returned, and
-// scribbles over its Bulk. It returns the name kept under and what was sent.
+// scribbles over its Body and its Bulk. It returns the name kept under and
+// what was sent.
 func sendAndScribble(t *testing.T, p *sim.Proc, conn Conn, how string, size int) (name string, sent []byte) {
 	t.Helper()
 	bulk := seeded(int64(size), size)
 	sent = bytes.Clone(bulk)
-	name = "f"
+	name = keptName
 	if how == "error" {
-		name = "refused"
+		name = refusedName
 	}
-	resp, err := conn.Call(p, Request{Op: opKeep, Body: []byte(name), Bulk: bulk})
+	body := []byte(name)
+	resp, err := conn.Call(p, Request{Op: opKeep, Body: body, Bulk: bulk})
 	switch how {
 	case "ok":
 		if err != nil || !resp.OK() {
@@ -141,8 +151,10 @@ func sendAndScribble(t *testing.T, p *sim.Proc, conn Conn, how string, size int)
 		}
 	}
 	resp.Release()
-	for i := range bulk {
-		bulk[i] = scribble[i%len(scribble)]
+	for _, b := range [][]byte{body, bulk} {
+		for i := range b {
+			b[i] = scribble[i%len(scribble)]
+		}
 	}
 	return name, sent
 }

@@ -55,6 +55,9 @@ type Op uint16
 // arguments; Bulk carries a whole-file side effect, kept separate so
 // transports and a server's Bill can account data bytes apart from protocol
 // bytes (the paper's protocol-overhead argument for whole-file transfer).
+// Both are lent to Call: only read, and only until it returns, however it
+// returns (TestRequestBulkIsReadOnlyUntilCallReturns), so a caller may encode
+// Body into a pooled buffer and reuse it then.
 type Request struct {
 	Op   Op
 	Body []byte
@@ -69,23 +72,39 @@ type Response struct {
 	Body []byte
 	Bulk []byte
 
-	frame *frame // the pooled buffer Body and Bulk lie in, lent until Release
+	frame *frame        // the pooled buffer a received Body and Bulk lie in, lent until Release
+	enc   *wire.Encoder // the pooled encoder a Reply's Body lies in, lent until Release
+}
+
+// Reply returns a successful response whose Body is m, encoded into a pooled
+// encoder that is lent to the carrier: it seals the reply and then gives the
+// encoder back with Release. A reply that never reaches a carrier (a
+// handler called directly) is simply collected.
+func Reply[M wire.Message](m M) Response {
+	e := wire.MarshalPooled(m)
+	return Response{Body: e.Buf(), enc: e}
 }
 
 // OK reports whether the response carries a success code.
 func (r Response) OK() bool { return r.Code == 0 }
 
-// Release gives the buffer a received response's Body and Bulk lie in back
-// to the transport, which wipes it and reads a later frame into it: neither
-// may be read afterwards, so copy out whatever outlives the call first. Only
-// a Peer's replies shorter than wire.KeepField's size are lent this way; on
-// every other response (the simulator's, a hand-over-sized one, one already
-// released) Release does nothing. Releasing is optional — a response never
-// released is simply collected — but a lent buffer costs a whole pool tier,
-// not the reply's size. Release one copy of a response, not two.
+// Release gives back the pooled buffer a response's Body lies in, if it lies
+// in one: a received frame, which the transport wipes and reads a later frame
+// into, or a Reply's encoder, which encodes a later message. Neither Body nor
+// Bulk may be read afterwards, so copy out whatever outlives the call first.
+// Only a Peer's replies shorter than wire.KeepField's size are received into
+// lent frames; on every other received response (the simulator's, a
+// hand-over-sized one, one already released) Release does nothing. A caller
+// need not release — a response never released is simply collected — but a
+// lent frame costs a whole pool tier, not the reply's size. The carriers
+// release each reply they serve once it is sealed. Release one copy of a
+// response, not two.
 func (r *Response) Release() {
 	r.frame.release()
-	r.frame = nil
+	if r.enc != nil {
+		wire.PutEncoder(r.enc)
+	}
+	r.frame, r.enc = nil, nil
 }
 
 // WireSize returns the approximate on-wire byte count of a request,
@@ -236,9 +255,10 @@ func dialHandshake(user string, key secure.Key, step func(kind uint8, msg []byte
 
 // A call or reply packet is a small head followed by the raw Bulk bytes. The
 // head encoders below are the one definition of that layout: the simulated
-// transport appends Bulk and seals the whole (sealPacket), the real one hands
-// head and Bulk separately to secure.Box.SealFrame (Peer.send), and the bytes
-// sealed are the same either way.
+// transport hands head and Bulk to secure.Box.Seal as two parts (sealPacket),
+// the real one to secure.Box.SealFrame (Peer.send), and the bytes sealed are
+// the same either way. Encoding a head copies Body into it, so a carrier
+// reads a request's Body, or a reply's, only while it encodes the head.
 
 // encodeCallHead appends a call packet up to and including Bulk's length
 // prefix: seq, trace context, op, body. The trace header is always present —
@@ -253,13 +273,12 @@ func encodeCallHead(e *wire.Encoder, seq uint32, tc wire.TraceHeader, req Reques
 }
 
 // sealPacket seals the packet whose head e holds, followed by bulk, as one
-// record, and returns e to its pool: the plaintext lives only in that pooled
-// scratch buffer, never in a fresh allocation of its own. With whole files
-// riding in Bulk, that intermediate copy was a measurable slice of the
-// simulator's allocation volume.
+// record, and returns e to its pool. Head and bulk are sealed in turn and
+// never joined: the plaintext lives only in the pooled head encoder and the
+// caller's bulk, never in a fresh allocation of its own, and appending bulk to
+// the head would grow a pooled encoder by a whole file.
 func sealPacket(box *secure.Box, e *wire.Encoder, bulk []byte) []byte {
-	e.Raw(bulk)
-	sealed := box.Seal(e.Buf())
+	sealed := box.Seal(e.Buf(), bulk)
 	wire.PutEncoder(e)
 	return sealed
 }

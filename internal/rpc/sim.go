@@ -467,6 +467,7 @@ func (ep *Endpoint) handleCall(pk *pkt) {
 		e := wire.GetEncoder()
 		encodeReplyHead(e, seq, svc, resp)
 		sealed := sealPacket(box, e, resp.Bulk)
+		resp.Release() // the reply cache keeps the sealed copy
 		cache.finish(seq, sealed)
 		ep.send(pk.From, &pkt{Conn: pk.Conn, Kind: kindReply, Data: sealed})
 	})

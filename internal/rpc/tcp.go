@@ -421,16 +421,18 @@ func (p *Peer) worker(j job) {
 }
 
 // handle serves one call on proc through the call core, seals its reply and
-// gives the call's frame back — only then, because the reply may alias the
-// request. resp.Bulk is read while it streams out, after the handler has
-// returned: a fetch reply's Bulk is the volume's own slice, safe because
-// volume replaces file contents and never mutates them in place.
+// gives back the reply's pooled buffer and the call's frame — only then,
+// because the reply may alias the request. resp.Bulk is read while it streams
+// out, after the handler has returned: a fetch reply's Bulk is the volume's
+// own slice, safe because volume replaces file contents and never mutates
+// them in place.
 func (p *Peer) handle(proc *sim.Proc, j job) {
 	resp, svc := p.serve(proc, p.server, Ctx{User: p.user, Peer: p.name, Back: p, Proc: proc}, j.tc, j.req, nil)
 	e := wire.GetEncoder()
 	e.U8(kindReply)
 	encodeReplyHead(e, j.seq, svc, resp)
 	_ = p.send(e, resp.Bulk) // a failed send has closed the peer; nobody to tell
+	resp.Release()
 	j.frame.release()
 }
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
+
+	"itcfs/internal/wire"
 )
 
 // allocatedBytes runs fn and returns how many bytes the whole process
@@ -77,6 +79,57 @@ func TestPeerNullCallAllocs(t *testing.T) {
 		t.Fatalf("128 B null call allocates %.1f objects, pinned at %d", got, nullCallAllocs)
 	}
 	t.Logf("128 B null call: %.1f allocs", got)
+}
+
+// statusReply is shaped like a file's status (proto.Status): fixed-width
+// fields and an owner's name, 47 bytes encoded.
+type statusReply struct {
+	vol, vnode, uniq     uint32
+	size, version, mtime int64
+	mode                 uint16
+	owner                string
+}
+
+func (s statusReply) Encode(e *wire.Encoder) {
+	e.U32(s.vol)
+	e.U32(s.vnode)
+	e.U32(s.uniq)
+	e.I64(s.size)
+	e.I64(s.version)
+	e.I64(s.mtime)
+	e.U16(s.mode)
+	e.String(s.owner)
+}
+
+// replyAllocs is the object count of a status call and its Reply through a
+// Peer pair, both sides included, the reply released: the fixed cost of the
+// small call that dominates a server's load (§5.2). Marshalling the reply
+// into a fresh slice, as handlers did before Reply, cost two objects: the
+// status boxed into a wire.Message and the copy out of the encoder. A carrier
+// that did not give a Reply's encoder back would cost the encoder and its
+// buffer on every call.
+const replyAllocs = 0
+
+func TestPeerReplyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	srv := NewServer()
+	st := statusReply{vol: 2, vnode: 7, uniq: 1, size: 4096, version: 3, mtime: 1e9, mode: 0o644, owner: "satya"}
+	srv.Handle(opStat, func(Ctx, Request) Response { return Reply(st) })
+	dialed, _ := pipePair(t, nil, srv)
+	args := make([]byte, 16) // a FID-sized argument
+	got := testing.AllocsPerRun(200, func() {
+		resp, err := dialed.Call(nil, Request{Op: opStat, Body: args})
+		if err != nil || len(resp.Body) != 47 {
+			t.Fatalf("status call: %d B, %v", len(resp.Body), err)
+		}
+		resp.Release()
+	})
+	if got > replyAllocs {
+		t.Fatalf("status call answered with a Reply allocates %.1f objects, pinned at %d", got, replyAllocs)
+	}
+	t.Logf("status call answered with a Reply: %.1f allocs", got)
 }
 
 // TestPeerPooledEchoAllocs is the gate for the pooled tiers: a 64 KiB echo —

@@ -227,20 +227,30 @@ func (b *Box) nextNonce(nonce []byte) error {
 	return nil
 }
 
-// Seal encrypts and authenticates plain, returning nonce||ct||tag. It panics
-// when the nonce counter is exhausted: its callers are the simulator, whose
+// Seal encrypts and authenticates the plaintext made of parts in turn,
+// returning nonce||ct||tag: one record under one CTR stream, the same bytes
+// as sealing the parts joined, which are never joined. It panics when the
+// nonce counter is exhausted: its callers are the simulator, whose
 // connections never approach 2^32 records, and the four-message handshake.
 // The real transport seals with SealFrame, which reports exhaustion as an
 // error instead.
-func (b *Box) Seal(plain []byte) []byte {
-	out := make([]byte, nonceSize+len(plain), nonceSize+len(plain)+tagSize)
+func (b *Box) Seal(parts ...[]byte) []byte {
+	n := 0
+	for _, part := range parts {
+		n += len(part)
+	}
+	out := make([]byte, nonceSize+n, nonceSize+n+tagSize)
 	nonce := out[:nonceSize]
 	if err := b.nextNonce(nonce); err != nil {
 		panic(err.Error())
 	}
 	st := b.states.Get().(*recordState)
 	defer b.states.Put(st)
-	st.ctrStream(nonce, len(plain)).XORKeyStream(out[nonceSize:], plain)
+	stream, ct := st.ctrStream(nonce, n), out[nonceSize:]
+	for _, part := range parts {
+		stream.XORKeyStream(ct[:len(part)], part)
+		ct = ct[len(part):]
+	}
 	return st.tag(out, out)
 }
 

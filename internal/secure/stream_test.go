@@ -86,6 +86,33 @@ func TestSealFrameMatchesSeal(t *testing.T) {
 	}
 }
 
+// TestSealPartsMatchesSealJoined pins what the simulator's packets are
+// sealed as: a record sealed from parts is bytes.Equal to the record of the
+// parts joined under the same nonce, for sizes on each side of the
+// small-record and AES-block edges and for every way of cutting the
+// plaintext into two or three parts.
+func TestSealPartsMatchesSealJoined(t *testing.T) {
+	for _, size := range []int{0, 1, 15, 16, 17, smallRecord - 1, smallRecord, smallRecord + 1, 1000, sealChunk + 3} {
+		payload := pattern(size)
+		for _, cut := range []int{0, 1, 7, 16, size / 3, size - 1, size} {
+			if cut < 0 || cut > size {
+				continue
+			}
+			mid := cut + (size-cut)/2
+			ref, parted := twinBoxes()
+			want := ref.Seal(payload)
+			if got := parted.Seal(payload[:cut], payload[cut:]); !bytes.Equal(got, want) {
+				t.Fatalf("size %d cut %d: two parts seal differently from one", size, cut)
+			}
+			ref, parted = twinBoxes()
+			want = ref.Seal(payload)
+			if got := parted.Seal(payload[:cut], payload[cut:mid], payload[mid:]); !bytes.Equal(got, want) {
+				t.Fatalf("size %d cuts %d, %d: three parts seal differently from one", size, cut, mid)
+			}
+		}
+	}
+}
+
 // TestOpenInPlaceRejectsBeforeDecrypting flips one bit in the nonce, in every
 // chunk of the ciphertext and in the tag, and truncates the record: each must
 // fail, and the buffer must come back exactly as it went in — verification

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"itcfs/internal/trace"
 	"itcfs/internal/vice"
 )
 
@@ -75,6 +76,69 @@ func TestConcurrentOpensUnderEviction(t *testing.T) {
 				t.Fatal("no eviction: the race was never set up")
 			}
 		})
+	}
+}
+
+// TestCacheCountersUnderConcurrentOpens: the registry's cache hit and miss
+// counters agree with Stats however many goroutines open at once. Each open
+// counts its own outcome where Stats counts it; one that counted what it saw
+// Stats grow from its start to its end would count other goroutines' opens as
+// well. Warm opens all hit; in a cache that holds two of the files they miss
+// too (and in revised mode so do the directory fetches their walks make).
+func TestCacheCountersUnderConcurrentOpens(t *testing.T) {
+	const (
+		files   = 8
+		size    = 1000
+		workers = 8
+	)
+	rounds := 2000
+	if testing.Short() {
+		rounds = 200
+	}
+	for _, mode := range []vice.Mode{vice.Prototype, vice.Revised} {
+		for _, cached := range []int{files, 2} {
+			t.Run(fmt.Sprintf("%s/cache%d", mode, cached), func(t *testing.T) {
+				c := newTestCell(t, mode, "s0")
+				c.mkVolume("u", "/u", "satya", 0)
+				reg := trace.NewRegistry()
+				v := c.newVenus("s0", "satya", func(cfg *Config) {
+					cfg.Metrics, cfg.MaxFiles, cfg.MaxBytes = reg, cached, int64(cached*size+size/2)
+				})
+				paths := make([]string, files)
+				for i := range paths {
+					paths[i] = fmt.Sprintf("/u/f%d", i)
+					writeFile(t, v, paths[i], string(pattern(size, byte(i))))
+				}
+				before := v.Stats()
+				var wg sync.WaitGroup
+				for w := 0; w < workers; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						for i := 0; i < rounds; i++ {
+							h, err := v.Open(nil, paths[(i+w)%files], FlagRead)
+							if err != nil {
+								t.Errorf("worker %d round %d: %v", w, i, err)
+								return
+							}
+							_ = h.Close(nil)
+						}
+					}(w)
+				}
+				wg.Wait()
+				st := v.Stats()
+				hits, misses := reg.Counter(trace.MetricVenusCacheHits).Value(), reg.Counter(trace.MetricVenusCacheMisses).Value()
+				if hits != st.Hits || misses != st.Misses {
+					t.Fatalf("counters say %d hits, %d misses; Stats says %d, %d", hits, misses, st.Hits, st.Misses)
+				}
+				switch hits, misses := st.Hits-before.Hits, st.Misses-before.Misses; {
+				case cached == files && (hits != workers*int64(rounds) || misses != 0):
+					t.Fatalf("%d warm opens made %d hits and %d misses", workers*rounds, hits, misses)
+				case cached < files && misses == 0:
+					t.Fatal("no open missed: the small cache held every file")
+				}
+			})
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"itcfs/internal/trace"
 	"itcfs/internal/unixfs"
 	"itcfs/internal/vice"
+	"itcfs/internal/wire"
 )
 
 // Routing: Venus caches custodianship information and uses it as hints
@@ -96,10 +97,8 @@ func (v *Venus) askCustodian(p *sim.Proc, path string) (proto.CustodianReply, er
 	v.mu.Lock()
 	v.stats.OtherRPCs++
 	v.mu.Unlock()
-	resp, err := v.callAt(p, path, proto.CustodianReply{Custodian: v.cfg.HomeServer}, rpc.Request{
-		Op:   rpc.Op(proto.OpGetCustodian),
-		Body: proto.Marshal(proto.CustodianArgs{Path: path}),
-	})
+	resp, err := v.callAt(p, path, proto.CustodianReply{Custodian: v.cfg.HomeServer},
+		newRequest(proto.OpGetCustodian, proto.CustodianArgs{Path: path}))
 	if err != nil {
 		return proto.CustodianReply{}, err
 	}
@@ -198,10 +197,28 @@ func (v *Venus) locateVolume(p *sim.Proc, vol uint32, pathHint string) (proto.Cu
 	return v.askCustodian(p, pathHint)
 }
 
+// A request is a call Venus places: an rpc.Request whose Body lies in a
+// pooled encoder. The Body is lent to the call — every attempt, redial and
+// redirect callAt makes of it — and callAt gives the encoder back when it
+// returns, because a Conn reads a request only until Call returns
+// (rpc.TestRequestBulkIsReadOnlyUntilCallReturns). A request that never
+// reaches callAt (its volume could not be located) is simply collected.
+type request struct {
+	rpc.Request
+	args *wire.Encoder // where Body lies
+}
+
+// newRequest is a call of op whose arguments are m: the one place Venus
+// encodes a request's Body.
+func newRequest[M wire.Message](op uint16, m M) request {
+	e := wire.MarshalPooled(m)
+	return request{Request: rpc.Request{Op: rpc.Op(op), Body: e.Buf()}, args: e}
+}
+
 // callRef routes by FID when the reference has one, else by path, following
 // wrong-server hints. pathHint is used for location lookups of FID refs
 // whose volume is unknown.
-func (v *Venus) callRef(p *sim.Proc, ref proto.Ref, pathHint string, req rpc.Request) (rpc.Response, error) {
+func (v *Venus) callRef(p *sim.Proc, ref proto.Ref, pathHint string, req request) (rpc.Response, error) {
 	var cr proto.CustodianReply
 	var err error
 	if ref.ByFID() {
@@ -220,9 +237,9 @@ func (v *Venus) callRef(p *sim.Proc, ref proto.Ref, pathHint string, req rpc.Req
 // it by ref, and turn a reply the server refused into its proto error — the
 // reply comes back too, for callers that read its code, and the caller
 // releases it whatever the error.
-func (v *Venus) call(p *sim.Proc, ref proto.Ref, pathHint string, op uint16, body []byte) (rpc.Response, error) {
+func (v *Venus) call(p *sim.Proc, ref proto.Ref, pathHint string, req request) (rpc.Response, error) {
 	v.mu.Lock()
-	switch op {
+	switch uint16(req.Op) {
 	case proto.OpTestValid:
 		v.stats.Validations++
 	case proto.OpFetchStatus:
@@ -231,7 +248,7 @@ func (v *Venus) call(p *sim.Proc, ref proto.Ref, pathHint string, op uint16, bod
 		v.stats.OtherRPCs++
 	}
 	v.mu.Unlock()
-	resp, err := v.callRef(p, ref, pathHint, rpc.Request{Op: rpc.Op(op), Body: body})
+	resp, err := v.callRef(p, ref, pathHint, req)
 	if err == nil && !resp.OK() {
 		err = proto.CodeToErr(resp.Code, string(resp.Body))
 	}
@@ -250,8 +267,9 @@ func (v *Venus) call(p *sim.Proc, ref proto.Ref, pathHint string, op uint16, bod
 // its redial budget, the call fails over to the next server in the fallback
 // order (read-only replicas of the same volume), with a short doubling
 // backoff between hops — a crashed custodian blacks nothing out as long as
-// one replica survives.
-func (v *Venus) callAt(p *sim.Proc, path string, cr proto.CustodianReply, req rpc.Request) (rpc.Response, error) {
+// one replica survives. It gives req's encoder back when it returns.
+func (v *Venus) callAt(p *sim.Proc, path string, cr proto.CustodianReply, req request) (rpc.Response, error) {
+	defer wire.PutEncoder(req.args)
 	redials, redirects := 0, 0
 	// The fallback order is built by the first failover: nearly every call
 	// is answered by the head of it.
@@ -296,7 +314,7 @@ func (v *Venus) callAt(p *sim.Proc, path string, cr proto.CustodianReply, req rp
 			}
 			return rpc.Response{}, err
 		}
-		resp, err := c.Call(p, req)
+		resp, err := c.Call(p, req.Request)
 		if err != nil {
 			if isTransportErr(err) && redials < v.cfg.ReconnectRetries {
 				// The connection is dead; a fresh one is outside the
@@ -475,8 +493,7 @@ levels:
 		if e == nil || e.cacheFile == "" || !(e.dirty || v.freshLocked(e, p)) {
 			return cur, nil, nil
 		}
-		v.stats.Hits++
-		return cur, v.pinLocked(e), nil
+		return cur, v.hitLocked(e), nil
 	}
 	return proto.FID{}, nil, fmt.Errorf("%w: %s", proto.ErrLoop, path)
 }
@@ -568,7 +585,7 @@ func (v *Venus) statFID(p *sim.Proc, fid proto.FID, pathHint string) (proto.Stat
 
 // fetchStatus asks the custodian for ref's status.
 func (v *Venus) fetchStatus(p *sim.Proc, ref proto.Ref, pathHint string) (proto.Status, error) {
-	resp, err := v.call(p, ref, pathHint, proto.OpFetchStatus, proto.Marshal(proto.StatusArgs{Ref: ref}))
+	resp, err := v.call(p, ref, pathHint, newRequest(proto.OpFetchStatus, proto.StatusArgs{Ref: ref}))
 	defer resp.Release()
 	if err != nil {
 		return proto.Status{}, err
@@ -616,7 +633,7 @@ func (v *Venus) ReadDir(p *sim.Proc, path string) ([]proto.DirEntry, error) {
 	}
 	// Prototype: fetch the directory like a file, through the cache with
 	// check-on-open validation.
-	e, err := v.lookupPrototype(p, path, 0, nil)
+	e, _, err := v.lookupPrototype(p, path, 0, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -643,8 +660,9 @@ type dirPatch func(entries []proto.DirEntry, resp rpc.Response) []proto.DirEntry
 // validation compares versions with the custodian, which incremented), so
 // there the stale listing is dropped. ref is dir's, as the caller resolved
 // it for the request body.
-func (v *Venus) dirCall(p *sim.Proc, dir string, ref proto.Ref, op uint16, body []byte, patch dirPatch) error {
-	resp, err := v.call(p, ref, dir, op, body)
+func (v *Venus) dirCall(p *sim.Proc, dir string, ref proto.Ref, req request, patch dirPatch) error {
+	op := uint16(req.Op)
+	resp, err := v.call(p, ref, dir, req)
 	defer resp.Release()
 	if err != nil {
 		// With ReconnectRetries enabled a call may be re-issued on a fresh
@@ -755,8 +773,8 @@ func (v *Venus) Mkdir(p *sim.Proc, path string, mode uint16) error {
 	if err != nil {
 		return err
 	}
-	return v.dirCall(p, dir, ref, proto.OpMakeDir,
-		proto.Marshal(proto.NameArgs{Dir: ref, Name: name, Mode: mode}),
+	return v.dirCall(p, dir, ref,
+		newRequest(proto.OpMakeDir, proto.NameArgs{Dir: ref, Name: name, Mode: mode}),
 		patchAdd(name, proto.TypeDir))
 }
 
@@ -768,8 +786,8 @@ func (v *Venus) Remove(p *sim.Proc, path string) error {
 	if err != nil {
 		return err
 	}
-	if err := v.dirCall(p, dir, ref, proto.OpRemove,
-		proto.Marshal(proto.NameArgs{Dir: ref, Name: name}), patchDel(name)); err != nil {
+	if err := v.dirCall(p, dir, ref,
+		newRequest(proto.OpRemove, proto.NameArgs{Dir: ref, Name: name}), patchDel(name)); err != nil {
 		return err
 	}
 	v.mu.Lock()
@@ -788,8 +806,8 @@ func (v *Venus) RemoveDir(p *sim.Proc, path string) error {
 	if err != nil {
 		return err
 	}
-	if err := v.dirCall(p, dir, ref, proto.OpRemoveDir,
-		proto.Marshal(proto.NameArgs{Dir: ref, Name: name}), patchDel(name)); err != nil {
+	if err := v.dirCall(p, dir, ref,
+		newRequest(proto.OpRemoveDir, proto.NameArgs{Dir: ref, Name: name}), patchDel(name)); err != nil {
 		return err
 	}
 	v.dropDir(path)
@@ -841,7 +859,7 @@ func (v *Venus) Rename(p *sim.Proc, from, to string) error {
 	} else {
 		patch = patchDel(fromName)
 	}
-	err = v.dirCall(p, fromDir, fromRef, proto.OpRename, proto.Marshal(proto.RenameArgs{
+	err = v.dirCall(p, fromDir, fromRef, newRequest(proto.OpRename, proto.RenameArgs{
 		FromDir: fromRef, FromName: fromName, ToDir: toRef, ToName: toName,
 	}), patch)
 	if err != nil {
@@ -875,8 +893,8 @@ func (v *Venus) Symlink(p *sim.Proc, target, path string) error {
 	if err != nil {
 		return err
 	}
-	return v.dirCall(p, dir, ref, proto.OpSymlink,
-		proto.Marshal(proto.SymlinkArgs{Dir: ref, Name: name, Target: target}),
+	return v.dirCall(p, dir, ref,
+		newRequest(proto.OpSymlink, proto.SymlinkArgs{Dir: ref, Name: name, Target: target}),
 		patchAdd(name, proto.TypeSymlink))
 }
 
@@ -891,8 +909,8 @@ func (v *Venus) Link(p *sim.Proc, oldPath, newPath string) error {
 	if err != nil {
 		return err
 	}
-	return v.dirCall(p, dir, dirRef, proto.OpLink,
-		proto.Marshal(proto.LinkArgs{Dir: dirRef, Name: name, Target: oldRef}),
+	return v.dirCall(p, dir, dirRef,
+		newRequest(proto.OpLink, proto.LinkArgs{Dir: dirRef, Name: name, Target: oldRef}),
 		func(entries []proto.DirEntry, _ rpc.Response) []proto.DirEntry {
 			if !oldRef.ByFID() {
 				return entries
@@ -907,8 +925,8 @@ func (v *Venus) SetMode(p *sim.Proc, path string, mode uint16) error {
 	if err != nil {
 		return err
 	}
-	resp, err := v.call(p, ref, path, proto.OpSetStatus,
-		proto.Marshal(proto.SetStatusArgs{Ref: ref, SetMode: true, Mode: mode}))
+	resp, err := v.call(p, ref, path,
+		newRequest(proto.OpSetStatus, proto.SetStatusArgs{Ref: ref, SetMode: true, Mode: mode}))
 	defer resp.Release()
 	if err != nil {
 		return err
@@ -944,7 +962,7 @@ func (v *Venus) GetACL(p *sim.Proc, dir string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp, err := v.call(p, ref, dir, proto.OpGetACL, proto.Marshal(proto.ACLArgs{Dir: ref}))
+	resp, err := v.call(p, ref, dir, newRequest(proto.OpGetACL, proto.ACLArgs{Dir: ref}))
 	defer resp.Release()
 	if err != nil {
 		return nil, err
@@ -958,7 +976,7 @@ func (v *Venus) SetACL(p *sim.Proc, dir string, acl []byte) error {
 	if err != nil {
 		return err
 	}
-	resp, err := v.call(p, ref, dir, proto.OpSetACL, proto.Marshal(proto.ACLArgs{Dir: ref, ACL: acl}))
+	resp, err := v.call(p, ref, dir, newRequest(proto.OpSetACL, proto.ACLArgs{Dir: ref, ACL: acl}))
 	resp.Release()
 	return err
 }
@@ -969,7 +987,7 @@ func (v *Venus) Lock(p *sim.Proc, path string, exclusive bool) error {
 	if err != nil {
 		return err
 	}
-	resp, err := v.call(p, ref, path, proto.OpSetLock, proto.Marshal(proto.LockArgs{Ref: ref, Exclusive: exclusive}))
+	resp, err := v.call(p, ref, path, newRequest(proto.OpSetLock, proto.LockArgs{Ref: ref, Exclusive: exclusive}))
 	resp.Release()
 	return err
 }
@@ -980,7 +998,7 @@ func (v *Venus) Unlock(p *sim.Proc, path string) error {
 	if err != nil {
 		return err
 	}
-	resp, err := v.call(p, ref, path, proto.OpReleaseLock, proto.Marshal(proto.LockArgs{Ref: ref}))
+	resp, err := v.call(p, ref, path, newRequest(proto.OpReleaseLock, proto.LockArgs{Ref: ref}))
 	resp.Release()
 	return err
 }

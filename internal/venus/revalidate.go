@@ -175,10 +175,7 @@ func (v *Venus) bulkTestValid(p *sim.Proc, cr proto.CustodianReply, args proto.B
 	v.mu.Lock()
 	v.stats.BulkValidations++
 	v.mu.Unlock()
-	resp, err := v.callAt(p, cr.Prefix, cr, rpc.Request{
-		Op:   rpc.Op(proto.OpBulkTestValid),
-		Body: proto.Marshal(args),
-	})
+	resp, err := v.callAt(p, cr.Prefix, cr, newRequest(proto.OpBulkTestValid, args))
 	if err != nil {
 		return proto.BulkTestValidReply{}, err
 	}

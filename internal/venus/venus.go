@@ -400,27 +400,24 @@ func (v *Venus) WriteFile(p *sim.Proc, path string, data []byte) error {
 // where the open fetches, it may receive the fetched bytes (installEntry).
 func (v *Venus) open(p *sim.Proc, path string, flags OpenFlag, whole *[]byte) (Handle, error) {
 	path = unixfs.Clean(path)
+	var hit bool // this open's own outcome, for its span
 	// Opens are the hot path: when observability is off entirely, skip even
-	// the stats snapshots the hit/miss accounting needs.
+	// the span and the clock reads.
 	if v.cfg.Tracer != nil || v.cfg.Metrics != nil {
 		sp := v.cfg.Tracer.Begin(p, trace.SpanVenusOpen, v.cfg.Machine)
 		sp.SetStr("path", path)
 		started := rpc.Clock(p)
-		v.mu.Lock()
-		beforeHits, beforeMisses := v.stats.Hits, v.stats.Misses
-		v.mu.Unlock()
 		defer func() {
-			v.mu.Lock()
-			hits, misses := v.stats.Hits-beforeHits, v.stats.Misses-beforeMisses
-			v.mu.Unlock()
-			sp.SetInt("hit", hits)
-			v.mCacheHits.Add(hits)
-			v.mCacheMiss.Add(misses)
+			if hit {
+				sp.SetInt("hit", 1)
+			} else {
+				sp.SetInt("hit", 0)
+			}
 			sp.End()
 			v.mOpenLat.Observe(rpc.Clock(p).Sub(started))
 		}()
 	}
-	e, err := v.lookupEntry(p, path, flags, whole)
+	e, hit, err := v.lookupEntry(p, path, flags, whole)
 	if err != nil {
 		return Handle{}, err
 	}
@@ -442,10 +439,11 @@ func (v *Venus) open(p *sim.Proc, path string, flags OpenFlag, whole *[]byte) (H
 // lookupEntry finds or creates the cache entry for path, fetching data from
 // Vice as needed, and returns it pinned: chosen, moved to the LRU front and
 // counted open in one hold of v.mu, so no install running beside this open
-// can evict it before the handle exists. An error returns nothing pinned.
-// This is where the two validation disciplines differ. whole is open's, passed
-// on to the fetch.
-func (v *Venus) lookupEntry(p *sim.Proc, path string, flags OpenFlag, whole *[]byte) (*entry, error) {
+// can evict it before the handle exists. hit reports that the cached copy
+// was served, counted in Stats.Hits. An error returns nothing pinned. This is
+// where the two validation disciplines differ. whole is open's, passed on to
+// the fetch.
+func (v *Venus) lookupEntry(p *sim.Proc, path string, flags OpenFlag, whole *[]byte) (e *entry, hit bool, err error) {
 	if v.cfg.Mode == vice.Prototype {
 		return v.lookupPrototype(p, path, flags, whole)
 	}
@@ -472,60 +470,70 @@ func (v *Venus) unpin(e *entry) {
 // still current, and if so serves it: a hit, pinned. A copy that is not
 // current is marked stale, and one evicted while the custodian was being
 // asked is no copy at all; both send the caller on to fetch (served false,
-// no error). An unreachable custodian serves it degraded where that is
-// allowed.
-func (v *Venus) checkOnOpen(p *sim.Proc, e *entry, ref proto.Ref, version uint64, flags OpenFlag) (served bool, err error) {
+// no error). An unreachable custodian serves it degraded, no hit, where that
+// is allowed.
+func (v *Venus) checkOnOpen(p *sim.Proc, e *entry, ref proto.Ref, version uint64, flags OpenFlag) (served, hit bool, err error) {
 	now := rpc.Clock(p)
 	ok, _, err := v.testValid(p, ref, version)
 	if err != nil {
 		if isTransportErr(err) && v.degraded(e, flags) {
-			return true, nil
+			return true, false, nil
 		}
-		return false, err
+		return false, false, err
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if !ok {
 		e.valid = false
-		return false, nil
+		return false, false, nil
 	}
 	if e.lruEl == nil {
-		return false, nil
+		return false, false, nil
 	}
 	// Still current; a revised server re-promised in the same call (its
 	// callback table is rebuilt even if it restarted meanwhile).
 	e.fetchedAt = now
-	v.stats.Hits++
-	v.pinLocked(e)
-	return true, nil
+	v.hitLocked(e)
+	return true, true, nil
 }
+
+// hitLocked counts an open served from the cached copy e, which it pins.
+//
+//itcvet:holds mu
+func (v *Venus) hitLocked(e *entry) *entry {
+	v.stats.Hits++
+	v.mCacheHits.Inc()
+	return v.pinLocked(e)
+}
+
+// missed is the outcome of an open that had to fetch or create its file.
+func missed(e *entry, err error) (*entry, bool, error) { return e, false, err }
 
 // lookupPrototype implements check-on-open: a cached copy is revalidated
 // with the custodian on every open.
-func (v *Venus) lookupPrototype(p *sim.Proc, path string, flags OpenFlag, whole *[]byte) (*entry, error) {
+func (v *Venus) lookupPrototype(p *sim.Proc, path string, flags OpenFlag, whole *[]byte) (*entry, bool, error) {
 	v.mu.Lock()
 	v.stats.Opens++
 	e := v.byPath[path]
 	if e == nil || e.cacheFile == "" {
 		v.mu.Unlock()
-		return v.fetchEntry(p, proto.Ref{Path: path}, path, flags, whole)
+		return missed(v.fetchEntry(p, proto.Ref{Path: path}, path, flags, whole))
 	}
 	if e.dirty {
 		// Locally modified and not yet stored: our copy is the newest.
-		v.stats.Hits++
-		v.pinLocked(e)
+		v.hitLocked(e)
 		v.mu.Unlock()
-		return e, nil
+		return e, true, nil
 	}
 	version := e.status.Version
 	v.mu.Unlock()
-	switch served, err := v.checkOnOpen(p, e, proto.Ref{Path: path}, version, flags); {
+	switch served, hit, err := v.checkOnOpen(p, e, proto.Ref{Path: path}, version, flags); {
 	case err != nil:
-		return nil, err
+		return nil, false, err
 	case served:
-		return e, nil
+		return e, hit, nil
 	}
-	return v.fetchEntry(p, proto.Ref{Path: path}, path, flags, whole)
+	return missed(v.fetchEntry(p, proto.Ref{Path: path}, path, flags, whole))
 }
 
 // isTransportErr reports a transport-level failure — no response at all —
@@ -608,14 +616,14 @@ func (v *Venus) freshLocked(e *entry, p *sim.Proc) bool {
 
 // lookupRevised trusts callbacks: a valid cached copy needs no server
 // traffic at all, and walk serves it in the hold that found it.
-func (v *Venus) lookupRevised(p *sim.Proc, path string, flags OpenFlag, whole *[]byte) (*entry, error) {
+func (v *Venus) lookupRevised(p *sim.Proc, path string, flags OpenFlag, whole *[]byte) (*entry, bool, error) {
 	fid, e, err := v.walk(p, path, true, true)
 	if e != nil {
-		return e, nil
+		return e, true, nil
 	}
 	if err != nil {
 		if proto.ErrToCode(err) == proto.CodeNoEnt && flags&FlagCreate != 0 {
-			return v.createFile(p, path)
+			return missed(v.createFile(p, path))
 		}
 		if isTransportErr(err) {
 			// Resolution needed the server (cached directories expired or
@@ -625,10 +633,10 @@ func (v *Venus) lookupRevised(p *sim.Proc, path string, flags OpenFlag, whole *[
 			e = v.byPath[path]
 			v.mu.Unlock()
 			if v.degraded(e, flags) {
-				return e, nil
+				return e, false, nil
 			}
 		}
-		return nil, err
+		return nil, false, err
 	}
 	// The walk found the file but no copy to serve as it stands.
 	v.mu.Lock()
@@ -641,18 +649,18 @@ func (v *Venus) lookupRevised(p *sim.Proc, path string, flags OpenFlag, whole *[
 	}
 	v.mu.Unlock()
 	if expired {
-		switch served, err := v.checkOnOpen(p, e, proto.Ref{FID: fid}, version, flags); {
+		switch served, hit, err := v.checkOnOpen(p, e, proto.Ref{FID: fid}, version, flags); {
 		case err != nil:
-			return nil, err
+			return nil, false, err
 		case served:
-			return e, nil
+			return e, hit, nil
 		}
 	}
 	fe, ferr := v.fetchEntry(p, proto.Ref{FID: fid}, path, flags, whole)
 	if ferr != nil && isTransportErr(ferr) && v.degraded(e, flags) {
-		return e, nil
+		return e, false, nil
 	}
-	return fe, ferr
+	return fe, false, ferr
 }
 
 // testValid asks the custodian whether a cached version is current.
@@ -663,8 +671,8 @@ func (v *Venus) testValid(p *sim.Proc, ref proto.Ref, version uint64) (bool, uin
 	// empty and locates the root volume's custodian, whose wrong-server hint
 	// corrects the rest): how validations have always travelled, and the
 	// fingerprint goldens pin every hop.
-	resp, err := v.call(p, proto.Ref{Path: ref.Path}, ref.Path, proto.OpTestValid,
-		proto.Marshal(proto.TestValidArgs{Ref: ref, Version: version}))
+	resp, err := v.call(p, proto.Ref{Path: ref.Path}, ref.Path,
+		newRequest(proto.OpTestValid, proto.TestValidArgs{Ref: ref, Version: version}))
 	defer resp.Release()
 	if err != nil {
 		return false, 0, err
@@ -686,10 +694,7 @@ func (v *Venus) fetchEntry(p *sim.Proc, ref proto.Ref, path string, flags OpenFl
 	v.stats.Fetches++
 	gen := v.breakGen
 	v.mu.Unlock()
-	resp, err := v.callRef(p, ref, path, rpc.Request{
-		Op:   rpc.Op(proto.OpFetch),
-		Body: proto.Marshal(proto.FetchArgs{Ref: ref}),
-	})
+	resp, err := v.callRef(p, ref, path, newRequest(proto.OpFetch, proto.FetchArgs{Ref: ref}))
 	if err != nil {
 		return nil, err
 	}
@@ -708,6 +713,7 @@ func (v *Venus) fetchEntry(p *sim.Proc, ref proto.Ref, path string, flags OpenFl
 	v.stats.Misses++
 	v.stats.BytesFetched += int64(len(resp.Bulk))
 	v.mu.Unlock()
+	v.mCacheMiss.Inc()
 	e, err := v.installEntry(path, st, resp.Bulk, rpc.Clock(p), whole)
 	if err != nil {
 		return nil, err
@@ -731,10 +737,8 @@ func (v *Venus) createFile(p *sim.Proc, path string) (*entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp, err := v.callRef(p, dirRef, dir, rpc.Request{
-		Op:   rpc.Op(proto.OpCreate),
-		Body: proto.Marshal(proto.NameArgs{Dir: dirRef, Name: name, Mode: 0o644}),
-	})
+	resp, err := v.callRef(p, dirRef, dir,
+		newRequest(proto.OpCreate, proto.NameArgs{Dir: dirRef, Name: name, Mode: 0o644}))
 	if err != nil {
 		return nil, err
 	}
@@ -1118,11 +1122,9 @@ func (v *Venus) storeEntry(p *sim.Proc, e *entry) error {
 	v.stats.BytesStored += int64(len(data))
 	gen := v.breakGen
 	v.mu.Unlock()
-	resp, err := v.callRef(p, ref, path, rpc.Request{
-		Op:   rpc.Op(proto.OpStore),
-		Body: proto.Marshal(proto.StoreArgs{Ref: ref}),
-		Bulk: data,
-	})
+	req := newRequest(proto.OpStore, proto.StoreArgs{Ref: ref})
+	req.Bulk = data
+	resp, err := v.callRef(p, ref, path, req)
 	v.cfg.Local.Return(e.cacheFile, data)
 	if err != nil {
 		return err

@@ -159,10 +159,8 @@ func (c *testCell) mkVolume(name, path, owner string, quota int64) uint32 {
 		}
 	}
 	build(dir)
-	resp, err := op.callRef(nil, proto.Ref{Path: dir}, dir, rpc.Request{
-		Op:   rpc.Op(proto.OpVolCreate),
-		Body: proto.Marshal(proto.VolCreateArgs{Name: name, Path: path, Quota: quota, Owner: owner}),
-	})
+	resp, err := op.callRef(nil, proto.Ref{Path: dir}, dir,
+		newRequest(proto.OpVolCreate, proto.VolCreateArgs{Name: name, Path: path, Quota: quota, Owner: owner}))
 	if err != nil || !resp.OK() {
 		c.t.Fatalf("VolCreate %s: %v %d %s", path, err, resp.Code, resp.Body)
 	}
@@ -569,10 +567,8 @@ func TestRedirectAfterVolumeMove(t *testing.T) {
 	writeFile(t, v, "/usr/satya/f", "before move")
 	// Move the volume to s1 behind Venus's back.
 	op := c.newVenus("s0", "operator", nil)
-	resp, err := op.callRef(nil, proto.Ref{Path: "/"}, "/", rpc.Request{
-		Op:   rpc.Op(proto.OpVolMove),
-		Body: proto.Marshal(proto.VolMoveArgs{Volume: vid, Target: "s1"}),
-	})
+	resp, err := op.callRef(nil, proto.Ref{Path: "/"}, "/",
+		newRequest(proto.OpVolMove, proto.VolMoveArgs{Volume: vid, Target: "s1"}))
 	if err != nil || !resp.OK() {
 		t.Fatalf("move: %v %d %s", err, resp.Code, resp.Body)
 	}

@@ -204,7 +204,7 @@ func (s *Server) handleVolClone(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 func (s *Server) volStatus(v *volume.Volume) rpc.Response {
 	s.gate.RLock()
 	defer s.gate.RUnlock()
-	return rpc.Response{Body: proto.Marshal(proto.VolStatusReply{
+	return rpc.Reply(proto.VolStatusReply{
 		Volume:   v.ID(),
 		Name:     v.Name(),
 		Quota:    v.Quota(),
@@ -212,7 +212,7 @@ func (s *Server) volStatus(v *volume.Volume) rpc.Response {
 		Online:   v.Online(),
 		ReadOnly: v.ReadOnly(),
 		Server:   s.cfg.Name,
-	})}
+	})
 }
 
 // resolvePathLocked is resolvePath for a caller between holds (volume
@@ -350,7 +350,7 @@ func (s *Server) handleVolSalvage(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 			fmt.Sprintf("volume %d: %d volumes scanned, %d orphans removed, %d dangling entries, %d links fixed",
 				args.Volume, len(reports), sum.Orphans, sum.Dangling, sum.Links))
 	}
-	return rpc.Response{Body: proto.Marshal(sum)}
+	return rpc.Reply(sum)
 }
 
 // handleProtMutate is the protection server (§3.4): it validates the

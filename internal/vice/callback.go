@@ -1,8 +1,9 @@
 package vice
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"itcfs/internal/rpc"
 	"itcfs/internal/sim"
 	"itcfs/internal/trace"
+	"itcfs/internal/wire"
 )
 
 // CallbackTable records callback promises: when a workstation fetches a
@@ -154,39 +156,40 @@ func (t *CallbackTable) Drop(back rpc.Backchannel) {
 	}
 }
 
-// take removes and returns the backchannels holding promises on fid,
-// excluding skip (the connection performing the update — its own cache
-// entry is being replaced by the store itself).
-func (t *CallbackTable) take(fid proto.FID, skip rpc.Backchannel) []rpc.Backchannel {
+// delivery is one broken promise on its way to the workstation holding it.
+type delivery struct {
+	back rpc.Backchannel
+	seq  int64 // when back's promise was registered
+	args proto.CallbackBreakArgs
+}
+
+// take removes the promises on tg's file, excluding skip's (the connection
+// performing the update — its own cache entry is being replaced by the store
+// itself), and appends a delivery for each to ds in registration order.
+func (t *CallbackTable) take(ds []delivery, tg BreakTarget, skip rpc.Backchannel) []delivery {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	set := t.promises[fid]
+	set := t.promises[tg.FID]
 	if len(set) == 0 {
-		return nil
+		return ds
 	}
-	type reg struct {
-		back rpc.Backchannel
-		seq  int64
-	}
-	var regs []reg
+	// taken starts as ds's spare capacity, so the append that ends take moves
+	// nothing unless taken outgrew it.
+	taken := ds[len(ds):]
 	for back, seq := range set {
 		if back == skip {
 			continue
 		}
-		regs = append(regs, reg{back, seq})
+		taken = append(taken, delivery{back, seq, proto.CallbackBreakArgs{FID: tg.FID, Path: tg.Path}})
 		delete(set, back)
 	}
-	sort.Slice(regs, func(i, j int) bool { return regs[i].seq < regs[j].seq })
-	out := make([]rpc.Backchannel, 0, len(regs))
-	for _, r := range regs {
-		out = append(out, r.back)
-	}
+	slices.SortFunc(taken, func(a, b delivery) int { return cmp.Compare(a.seq, b.seq) })
 	// What is left, if anything, is the updater's own promise, which it
 	// keeps: its cache copy is the new version.
 	if len(set) == 0 {
-		delete(t.promises, fid)
+		delete(t.promises, tg.FID)
 	}
-	return out
+	return append(ds, taken...)
 }
 
 // Break notifies every workstation holding a promise on a target, except
@@ -203,26 +206,21 @@ func (t *CallbackTable) Break(p *sim.Proc, skip rpc.Backchannel, targets ...Brea
 	if !t.on {
 		return
 	}
-	type delivery struct {
-		back rpc.Backchannel
-		args proto.CallbackBreakArgs
-	}
-	var deliveries []delivery
+	// Room for the usual few holders, which then cost no allocation.
+	deliveries := make([]delivery, 0, 4)
 	for _, tg := range targets {
-		backs := t.take(tg.FID, skip)
+		n := len(deliveries)
+		deliveries = t.take(deliveries, tg, skip)
+		n = len(deliveries) - n
 		if t.metrics != nil {
 			// Fan-out: how many workstations one update invalidates — the
 			// server-load term callbacks add per mutation (§3.2).
-			t.metrics.Counter(trace.MetricViceCallbackBreaks).Add(int64(len(backs)))
-			t.metrics.Histogram(trace.MetricViceCallbackFanout).ObserveN(int64(len(backs)))
+			t.metrics.Counter(trace.MetricViceCallbackBreaks).Add(int64(n))
+			t.metrics.Histogram(trace.MetricViceCallbackFanout).ObserveN(int64(n))
 		}
-		if t.flight != nil && len(backs) >= stormFanout {
+		if t.flight != nil && n >= stormFanout {
 			t.flight.Log(trace.EventViceCallbackStorm, t.server,
-				fmt.Sprintf("break of %s fans out to %d workstations", tg.Path, len(backs)))
-		}
-		for _, back := range backs {
-			deliveries = append(deliveries,
-				delivery{back, proto.CallbackBreakArgs{FID: tg.FID, Path: tg.Path}})
+				fmt.Sprintf("break of %s fans out to %d workstations", tg.Path, n))
 		}
 	}
 	t.mu.Lock()
@@ -275,7 +273,17 @@ func (t *CallbackTable) revoke(p *sim.Proc, back rpc.Backchannel, args proto.Cal
 	if !t.on || back == nil {
 		return
 	}
-	resp, _ := back.CallBack(p, rpc.Request{Op: rpc.Op(proto.OpCallbackBreak), Body: proto.Marshal(args)})
+	breakCall(p, back, proto.OpCallbackBreak, args)
+}
+
+// breakCall places one break call of op, whose arguments are m, to back. The
+// Body is encoded into a pooled encoder lent to the call until CallBack
+// returns (rpc.Request). A dead workstation just times out; the promise is
+// already gone.
+func breakCall[M wire.Message](p *sim.Proc, back rpc.Backchannel, op uint16, m M) {
+	e := wire.MarshalPooled(m)
+	resp, _ := back.CallBack(p, rpc.Request{Op: rpc.Op(op), Body: e.Buf()})
+	wire.PutEncoder(e)
 	resp.Release()
 }
 
@@ -317,25 +325,18 @@ func (t *CallbackTable) flush(fp *sim.Proc, back rpc.Backchannel) {
 				chunk = chunk[:proto.MaxBulkItems]
 			}
 			items = items[len(chunk):]
-			var req rpc.Request
+			t.countRPC(len(chunk))
 			if len(chunk) == 1 {
 				// A lone break uses the original message so single-update
 				// traffic is byte-identical to the unbatched protocol.
-				req = rpc.Request{
-					Op:   rpc.Op(proto.OpCallbackBreak),
-					Body: proto.Marshal(chunk[0].args),
-				}
+				breakCall(fp, back, proto.OpCallbackBreak, chunk[0].args)
 			} else {
 				args := proto.BulkBreakArgs{Items: make([]proto.CallbackBreakArgs, 0, len(chunk))}
 				for _, it := range chunk {
 					args.Items = append(args.Items, it.args)
 				}
-				req = rpc.Request{Op: rpc.Op(proto.OpBulkBreak), Body: proto.Marshal(args)}
+				breakCall(fp, back, proto.OpBulkBreak, args)
 			}
-			t.countRPC(len(chunk))
-			// A dead workstation just times out; the promise is already gone.
-			resp, _ := back.CallBack(fp, req)
-			resp.Release()
 			for _, it := range chunk {
 				it.done.Set(struct{}{})
 			}

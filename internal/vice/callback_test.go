@@ -1,6 +1,7 @@
 package vice
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -23,9 +24,12 @@ type cbRecBack struct {
 	reqs []rpc.Request // guarded by mu
 }
 
+// CallBack keeps a copy of req: a request is lent to the call only until it
+// returns, and the table encodes its next break into the same pooled buffer.
 func (b *cbRecBack) CallBack(_ *sim.Proc, req rpc.Request) (rpc.Response, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	req.Body = bytes.Clone(req.Body)
 	b.reqs = append(b.reqs, req)
 	return rpc.Response{}, nil
 }
@@ -40,6 +44,15 @@ func (b *cbRecBack) requests() []rpc.Request {
 
 func cbFID(vol, vn uint32) proto.FID { return proto.FID{Volume: vol, Vnode: vn, Uniq: 1} }
 
+// takeBacks is take of fid's promises into an empty slice, as the holders.
+func takeBacks(tb *CallbackTable, fid proto.FID, skip rpc.Backchannel) []rpc.Backchannel {
+	var backs []rpc.Backchannel
+	for _, d := range tb.take(nil, BreakTarget{FID: fid}, skip) {
+		backs = append(backs, d.back)
+	}
+	return backs
+}
+
 func TestCallbackTakeOrderAndSkipKeepsPromise(t *testing.T) {
 	tb := newCallbackTable(Config{Mode: Revised})
 	a := &cbRecBack{name: "a"}
@@ -50,7 +63,7 @@ func TestCallbackTakeOrderAndSkipKeepsPromise(t *testing.T) {
 	tb.Promise(fid, b)
 	tb.Promise(fid, c)
 
-	got := tb.take(fid, b)
+	got := takeBacks(tb, fid, b)
 	if len(got) != 2 || got[0] != rpc.Backchannel(a) || got[1] != rpc.Backchannel(c) {
 		t.Fatalf("take returned %d backchannels, want [a c] in registration order", len(got))
 	}
@@ -58,7 +71,7 @@ func TestCallbackTakeOrderAndSkipKeepsPromise(t *testing.T) {
 	if n := tb.Outstanding(); n != 1 {
 		t.Fatalf("after skip-take, %d promises outstanding, want 1 (the updater's)", n)
 	}
-	got = tb.take(fid, nil)
+	got = takeBacks(tb, fid, nil)
 	if len(got) != 1 || got[0] != rpc.Backchannel(b) {
 		t.Fatalf("second take should return just b, got %d entries", len(got))
 	}
@@ -75,21 +88,23 @@ func TestCallbackTakeOrderAndSkipKeepsPromise(t *testing.T) {
 		tb.Promise(f2, backs[i])
 		tb.Promise(f3, backs[len(backs)-1-i])
 	}
-	for _, tc := range []struct {
-		fid  proto.FID
-		want []*cbRecBack
-	}{
-		{f2, []*cbRecBack{a, b, c, backs[3]}},
-		{f3, []*cbRecBack{backs[3], c, b, a}},
-	} {
-		got := tb.take(tc.fid, nil)
-		if len(got) != len(tc.want) {
-			t.Fatalf("take(%v) returned %d backchannels, want %d", tc.fid, len(got), len(tc.want))
+	// Both files' deliveries go into one slice, as one update's do: each
+	// file's run is in its own registration order, after the runs before it,
+	// and the run that outgrows the slice's capacity keeps the earlier one.
+	ds := make([]delivery, 0, 2)
+	ds = tb.take(ds, BreakTarget{FID: f2, Path: "f2"}, nil)
+	ds = tb.take(ds, BreakTarget{FID: f3, Path: "f3"}, nil)
+	want := []*cbRecBack{a, b, c, backs[3], backs[3], c, b, a}
+	if len(ds) != len(want) {
+		t.Fatalf("two takes returned %d deliveries, want %d", len(ds), len(want))
+	}
+	for i, w := range want {
+		fid, path := f2, "f2"
+		if i >= 4 {
+			fid, path = f3, "f3"
 		}
-		for i, w := range tc.want {
-			if got[i] != rpc.Backchannel(w) {
-				t.Fatalf("take(%v)[%d] = %s, want %s", tc.fid, i, got[i].BackUser(), w.name)
-			}
+		if ds[i].back != rpc.Backchannel(w) || ds[i].args != (proto.CallbackBreakArgs{FID: fid, Path: path}) {
+			t.Fatalf("delivery %d = %s %v, want %s %s", i, ds[i].back.BackUser(), ds[i].args, w.name, path)
 		}
 	}
 }

@@ -135,7 +135,9 @@ func (s *Server) handleFetch(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 		// promise is made under the hold that read the version it covers.
 		s.callbacks.Promise(fid, ctx.Back)
 	}
-	return rpc.Response{Body: proto.Marshal(vn.Status), Bulk: data}
+	resp := rpc.Reply(vn.Status)
+	resp.Bulk = data
+	return resp
 }
 
 // handleStore accepts a whole-file store on close. It breaks callbacks to
@@ -270,7 +272,7 @@ func (s *Server) handleTestValid(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if err != nil {
 		return respErr(err)
 	}
-	return rpc.Response{Body: proto.Marshal(reply)}
+	return rpc.Reply(reply)
 }
 
 // handleBulkTestValid validates a batch of cached copies in one round trip:
@@ -293,7 +295,7 @@ func (s *Server) handleBulkTestValid(ctx rpc.Ctx, req rpc.Request) rpc.Response 
 		one, _ := s.testValid(ctx, it) // a failure is the zero reply: Valid=false
 		reply.Items = append(reply.Items, one)
 	}
-	return rpc.Response{Body: proto.Marshal(reply)}
+	return rpc.Reply(reply)
 }
 
 // testValid validates one cached copy, for the single call and for each item
@@ -564,7 +566,7 @@ func (s *Server) handleGetCustodian(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 	if !ok {
 		return respErr(fmt.Errorf("%w: no volume covers %s", proto.ErrNoEnt, args.Path))
 	}
-	return rpc.Response{Body: proto.Marshal(le)}
+	return rpc.Reply(le)
 }
 
 // dirOfPath returns the parent path and leaf name for mount placement.

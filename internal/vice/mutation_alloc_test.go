@@ -16,13 +16,16 @@ var raceEnabled bool
 
 // mutationAllocs is the server's objects for three mutations — a create, a
 // 2 KiB store and a remove in a 64-entry directory, each dispatched,
-// authorized, applied, journalled by walstore on MemFS, synced and answered:
-// 6.3 a mutation. The parent commit measured 82 (27.3 a mutation) with this
-// same test: draining the dirty sets into fresh maps and slices, encoding the
-// directory (all 65 names collected and sorted) into an encoder of its own
-// and copying it out, and building the record in a fresh buffer made up the
-// difference.
-const mutationAllocs = 19
+// authorized, applied, journalled by walstore on MemFS, synced and answered,
+// the reply released as a carrier releases it: 4.7 a mutation. An earlier
+// commit measured 82 (27.3 a mutation) with this same test: draining the
+// dirty sets into fresh maps and slices, encoding the directory (all 65 names
+// collected and sorted) into an encoder of its own and copying it out, and
+// building the record in a fresh buffer made up the difference. It then
+// measured 18 while each reply's status was boxed into a wire.Message and
+// copied out of the encoder it was marshalled in (two objects for the create
+// and two for the store; the remove replies with no body).
+const mutationAllocs = 14
 
 func TestMutationAllocs(t *testing.T) {
 	if raceEnabled {

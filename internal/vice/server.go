@@ -483,5 +483,5 @@ func respErr(err error) rpc.Response {
 }
 
 func respStatus(st proto.Status) rpc.Response {
-	return rpc.Response{Body: proto.Marshal(st)}
+	return rpc.Reply(st)
 }

@@ -85,7 +85,11 @@ func (d *durableServer) call(t *testing.T, user string, op uint16, body, bulk []
 	if !resp.OK() {
 		t.Fatalf("op %d failed: code %d: %s", op, resp.Code, resp.Body)
 	}
-	return resp.Bulk
+	// Released as a carrier releases a reply once it is sealed. A handler's
+	// Bulk lies in no pooled buffer, so it outlives the release.
+	kept := resp.Bulk
+	resp.Release()
+	return kept
 }
 
 // TestStorePersistAcrossServerRestart is the vice-level crash test: run a

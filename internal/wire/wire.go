@@ -272,10 +272,14 @@ type Message interface {
 	Encode(e *Encoder)
 }
 
-// encoders pools Marshal scratch buffers. Messages are encoded by appending
+// encoders pools encoding buffers. Messages are encoded by appending
 // piecewise, so a fresh Encoder pays a chain of growth reallocations per
-// message; reusing warmed buffers leaves exactly one exact-size allocation
-// per Marshal (the returned copy).
+// message. A warmed one costs nothing: a call's head and a journal record are
+// encoded into one and copied out at once (sealed, written), and a call's
+// Body, from MarshalPooled, lies in one for as long as the call is in flight
+// — a request's until Call returns, a reply's until its carrier has sealed
+// it. Only Marshal, for a caller that keeps the bytes, pays one exact-size
+// allocation (the returned copy).
 var encoders = sync.Pool{New: func() any { return new(Encoder) }}
 
 // GetEncoder returns an empty Encoder from an internal pool. Hand it back
@@ -329,14 +333,24 @@ func PutDecoder(d *Decoder) {
 	decoders.Put(d)
 }
 
-// Marshal encodes m into a fresh byte slice.
-func Marshal(m Message) []byte {
-	e := GetEncoder()
-	m.Encode(e)
+// Marshal encodes m into a fresh byte slice. It and MarshalPooled are
+// generic over the message type so that a message passed by value is encoded
+// where it lies, not boxed into a Message first.
+func Marshal[M Message](m M) []byte {
+	e := MarshalPooled(m)
 	out := make([]byte, len(e.buf))
 	copy(out, e.buf)
 	PutEncoder(e)
 	return out
+}
+
+// MarshalPooled encodes m into an Encoder from the pool and returns it, for a
+// caller that reads the bytes (Buf) only for a while and then hands the
+// encoder back with PutEncoder: Marshal without the copy.
+func MarshalPooled[M Message](m M) *Encoder {
+	e := GetEncoder()
+	m.Encode(e)
+	return e
 }
 
 // Frame I/O: a frame is a u32 length followed by that many payload bytes.
