@@ -48,17 +48,14 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	user := flags.String("user", "", "user name (required)")
 	password := flags.String("password", "", "password (required)")
 	serverName := flags.String("server", "server0", "server name (must match itcfsd -name)")
-	modeFlag := flags.String("mode", "revised", "client mode: prototype or revised")
+	var mode vice.Mode
+	flags.TextVar(&mode, "mode", vice.Revised, "client mode: prototype or revised")
 	if err := flags.Parse(args); err != nil {
 		return 2
 	}
 	if *user == "" || *password == "" {
 		fmt.Fprintln(stderr, "itcfs: -user and -password are required")
 		return 2
-	}
-	mode := vice.Revised
-	if *modeFlag == "prototype" {
-		mode = vice.Prototype
 	}
 
 	// Every connection the shell opens, closed when it exits.

@@ -184,6 +184,14 @@ func TestBadInvocation(t *testing.T) {
 	if code := run([]string{"-user", "operator"}, strings.NewReader(""), &out, &errb); code != 2 {
 		t.Errorf("missing password: exit %d, want 2", code)
 	}
+	// A mode is named exactly, or the shell would run the other design.
+	for _, mode := range []string{"Prototype", "bogus"} {
+		errb.Reset()
+		code := run([]string{"-user", "operator", "-password", "secret", "-mode", mode}, strings.NewReader(""), &out, &errb)
+		if code != 2 || !strings.Contains(errb.String(), "unknown mode") {
+			t.Errorf("-mode %s: exit %d, stderr %q; want 2 and unknown mode", mode, code, errb.String())
+		}
+	}
 	addr, _ := serve(t)
 	errb.Reset()
 	code := run([]string{"-addr", addr, "-user", "operator", "-password", "wrong"},

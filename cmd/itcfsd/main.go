@@ -78,7 +78,8 @@ func run(args []string) int {
 	fs := flag.NewFlagSet("itcfsd", flag.ExitOnError)
 	addr := fs.String("addr", ":7001", "listen address")
 	name := fs.String("name", "server0", "server name (custodian identity)")
-	modeFlag := fs.String("mode", "revised", "implementation mode: prototype or revised")
+	var mode vice.Mode
+	fs.TextVar(&mode, "mode", vice.Revised, "implementation mode: prototype or revised")
 	opPassword := fs.String("operator-password", "", "password for the bootstrap operator account (required)")
 	dataDir := fs.String("data-dir", "", "durable volume storage directory (empty = in-memory only)")
 	ckptInterval := fs.Duration("checkpoint-interval", time.Minute, "how often to checkpoint and compact the log (with -data-dir; 0 = only on clean shutdown)")
@@ -93,10 +94,6 @@ func run(args []string) int {
 	if *opPassword == "" {
 		fmt.Fprintln(os.Stderr, "itcfsd: -operator-password is required")
 		return 2
-	}
-	mode := vice.Revised
-	if *modeFlag == "prototype" {
-		mode = vice.Prototype
 	}
 
 	// The real daemon serves real clients: file timestamps are wall time,

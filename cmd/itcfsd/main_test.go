@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -25,6 +26,21 @@ func TestItcfsdHelperProcess(t *testing.T) {
 		t.Skip("helper process entry point")
 	}
 	os.Exit(run(strings.Split(os.Getenv("ITCFSD_ARGS"), "\x1f")))
+}
+
+// TestItcfsdRefusesUnknownMode: a mode is named exactly, or the daemon would
+// serve the other design. (No -operator-password: a daemon that took the
+// mode would still exit, on that.)
+func TestItcfsdRefusesUnknownMode(t *testing.T) {
+	for _, mode := range []string{"Prototype", "bogus"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestItcfsdHelperProcess$")
+		cmd.Env = append(os.Environ(), "ITCFSD_HELPER=1", "ITCFSD_ARGS=-mode\x1f"+mode)
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "unknown mode") {
+			t.Errorf("-mode %s: %v, output %q; want exit 2 and unknown mode", mode, err, out)
+		}
+	}
 }
 
 // daemon is one re-exec'd itcfsd under test.

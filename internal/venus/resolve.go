@@ -11,7 +11,6 @@ import (
 	"itcfs/internal/sim"
 	"itcfs/internal/trace"
 	"itcfs/internal/unixfs"
-	"itcfs/internal/vice"
 	"itcfs/internal/wire"
 )
 
@@ -447,7 +446,7 @@ levels:
 			entries, ok, err := v.listingLocked(cur, p)
 			if err == nil && !ok {
 				v.mu.Unlock()
-				entries, err = v.fetchDir(p, cur, walked)
+				entries, err = v.fetchDir(p, proto.Ref{FID: cur}, walked)
 				v.mu.Lock()
 			}
 			if err != nil {
@@ -538,8 +537,8 @@ func (v *Venus) decodeDirLocked(e *entry) ([]proto.DirEntry, error) {
 // fetchDir fetches a directory's listing from its custodian into the cache.
 // Directory files participate in caching and callbacks exactly like plain
 // files.
-func (v *Venus) fetchDir(p *sim.Proc, dir proto.FID, path string) ([]proto.DirEntry, error) {
-	e, err := v.fetchEntry(p, proto.Ref{FID: dir}, path, 0, nil)
+func (v *Venus) fetchDir(p *sim.Proc, dir proto.Ref, path string) ([]proto.DirEntry, error) {
+	e, err := v.fetchEntry(p, dir, path, 0, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -558,7 +557,7 @@ func (v *Venus) dirEntries(p *sim.Proc, dir proto.FID, path string) ([]proto.Dir
 	if ok || err != nil {
 		return entries, err
 	}
-	return v.fetchDir(p, dir, path)
+	return v.fetchDir(p, proto.Ref{FID: dir}, path)
 }
 
 // statusLocked returns fid's status if the cache holds it under a live
@@ -572,15 +571,16 @@ func (v *Venus) statusLocked(fid proto.FID, p *sim.Proc) (proto.Status, bool) {
 	return proto.Status{}, false
 }
 
-// statFID returns status by FID, from the cache where it can.
-func (v *Venus) statFID(p *sim.Proc, fid proto.FID, pathHint string) (proto.Status, error) {
+// statRef returns ref's status, from the cache where it can: a path ref
+// carries the zero FID, which no entry is indexed under, so it always asks.
+func (v *Venus) statRef(p *sim.Proc, ref proto.Ref, pathHint string) (proto.Status, error) {
 	v.mu.Lock()
-	st, ok := v.statusLocked(fid, p)
+	st, ok := v.statusLocked(ref.FID, p)
 	v.mu.Unlock()
 	if ok {
 		return st, nil
 	}
-	return v.fetchStatus(p, proto.Ref{FID: fid}, pathHint)
+	return v.fetchStatus(p, ref, pathHint)
 }
 
 // fetchStatus asks the custodian for ref's status.
@@ -593,58 +593,22 @@ func (v *Venus) fetchStatus(p *sim.Proc, ref proto.Ref, pathHint string) (proto.
 	return proto.Unmarshal(resp.Body, proto.DecodeStatus)
 }
 
-// refFor builds the Ref for path in the current mode.
-func (v *Venus) refFor(p *sim.Proc, path string) (proto.Ref, error) {
-	if v.cfg.Mode == vice.Prototype {
-		return proto.Ref{Path: unixfs.Clean(path)}, nil
-	}
-	fid, err := v.Resolve(p, path)
-	if err != nil {
-		return proto.Ref{}, err
-	}
-	return proto.Ref{FID: fid}, nil
-}
-
 // Stat returns the Vice status of path. The prototype always asks the
 // custodian — status caching was ineffective in it, which is why
 // "GetFileStat" contributed 27% of all server calls (§5.2). The revised
 // implementation answers from valid cached status under callback.
 func (v *Venus) Stat(p *sim.Proc, path string) (proto.Status, error) {
 	path = unixfs.Clean(path)
-	if v.cfg.Mode == vice.Prototype {
-		return v.fetchStatus(p, proto.Ref{Path: path}, path)
-	}
-	fid, err := v.Resolve(p, path)
+	ref, err := v.disc.ref(p, path)
 	if err != nil {
 		return proto.Status{}, err
 	}
-	return v.statFID(p, fid, path)
+	return v.statRef(p, ref, path)
 }
 
-// ReadDir lists a Vice directory.
+// ReadDir lists a Vice directory. Callers must not modify the result.
 func (v *Venus) ReadDir(p *sim.Proc, path string) ([]proto.DirEntry, error) {
-	path = unixfs.Clean(path)
-	if v.cfg.Mode == vice.Revised {
-		fid, err := v.Resolve(p, path)
-		if err != nil {
-			return nil, err
-		}
-		return v.dirEntries(p, fid, path)
-	}
-	// Prototype: fetch the directory like a file, through the cache with
-	// check-on-open validation.
-	e, _, err := v.lookupPrototype(p, path, 0, nil)
-	if err != nil {
-		return nil, err
-	}
-	file := e.cacheFile
-	data, err := v.cfg.Local.Lend(file)
-	v.unpin(e)
-	if err != nil {
-		return nil, err
-	}
-	defer v.cfg.Local.Return(file, data)
-	return proto.DecodeDirEntries(data)
+	return v.disc.readDir(p, unixfs.Clean(path))
 }
 
 // dirPatch edits a cached directory listing after a successful mutation.
@@ -658,8 +622,9 @@ type dirPatch func(entries []proto.DirEntry, resp rpc.Response) []proto.DirEntry
 // callback, and refetching a directory it just changed would waste a
 // whole-file transfer per mutation. The prototype cannot patch (its
 // validation compares versions with the custodian, which incremented), so
-// there the stale listing is dropped. ref is dir's, as the caller resolved
-// it for the request body.
+// there the stale listing is dropped: its path ref carries the zero FID,
+// which patchDir refuses. ref is dir's, as the caller resolved it for the
+// request body.
 func (v *Venus) dirCall(p *sim.Proc, dir string, ref proto.Ref, req request, patch dirPatch) error {
 	op := uint16(req.Op)
 	resp, err := v.call(p, ref, dir, req)
@@ -679,7 +644,7 @@ func (v *Venus) dirCall(p *sim.Proc, dir string, ref proto.Ref, req request, pat
 		}
 		patch = nil
 	}
-	if v.cfg.Mode == vice.Revised && patch != nil && v.patchDir(ref.FID, patch, resp) {
+	if patch != nil && v.patchDir(ref.FID, patch, resp) {
 		return nil
 	}
 	v.dropDir(dir)
@@ -769,7 +734,7 @@ func (v *Venus) Mkdir(p *sim.Proc, path string, mode uint16) error {
 		// name Vice would take: answer what mkdir of an existing directory does.
 		return fmt.Errorf("%w: %s", proto.ErrExist, path)
 	}
-	ref, err := v.refFor(p, dir)
+	ref, err := v.disc.ref(p, dir)
 	if err != nil {
 		return err
 	}
@@ -782,7 +747,7 @@ func (v *Venus) Mkdir(p *sim.Proc, path string, mode uint16) error {
 func (v *Venus) Remove(p *sim.Proc, path string) error {
 	path = unixfs.Clean(path)
 	dir, name := unixfs.Dir(path), unixfs.Base(path)
-	ref, err := v.refFor(p, dir)
+	ref, err := v.disc.ref(p, dir)
 	if err != nil {
 		return err
 	}
@@ -802,7 +767,7 @@ func (v *Venus) Remove(p *sim.Proc, path string) error {
 func (v *Venus) RemoveDir(p *sim.Proc, path string) error {
 	path = unixfs.Clean(path)
 	dir, name := unixfs.Dir(path), unixfs.Base(path)
-	ref, err := v.refFor(p, dir)
+	ref, err := v.disc.ref(p, dir)
 	if err != nil {
 		return err
 	}
@@ -819,11 +784,11 @@ func (v *Venus) Rename(p *sim.Proc, from, to string) error {
 	from, to = unixfs.Clean(from), unixfs.Clean(to)
 	fromDir, fromName := unixfs.Dir(from), unixfs.Base(from)
 	toDir, toName := unixfs.Dir(to), unixfs.Base(to)
-	fromRef, err := v.refFor(p, fromDir)
+	fromRef, err := v.disc.ref(p, fromDir)
 	if err != nil {
 		return err
 	}
-	toRef, err := v.refFor(p, toDir)
+	toRef, err := v.disc.ref(p, toDir)
 	if err != nil {
 		return err
 	}
@@ -889,7 +854,7 @@ func (v *Venus) Rename(p *sim.Proc, from, to string) error {
 // Symlink creates a symbolic link in the shared space.
 func (v *Venus) Symlink(p *sim.Proc, target, path string) error {
 	dir, name := unixfs.Dir(path), unixfs.Base(path)
-	ref, err := v.refFor(p, dir)
+	ref, err := v.disc.ref(p, dir)
 	if err != nil {
 		return err
 	}
@@ -901,11 +866,11 @@ func (v *Venus) Symlink(p *sim.Proc, target, path string) error {
 // Link creates a hard link within one volume.
 func (v *Venus) Link(p *sim.Proc, oldPath, newPath string) error {
 	dir, name := unixfs.Dir(newPath), unixfs.Base(newPath)
-	dirRef, err := v.refFor(p, dir)
+	dirRef, err := v.disc.ref(p, dir)
 	if err != nil {
 		return err
 	}
-	oldRef, err := v.refFor(p, oldPath)
+	oldRef, err := v.disc.ref(p, oldPath)
 	if err != nil {
 		return err
 	}
@@ -921,7 +886,7 @@ func (v *Venus) Link(p *sim.Proc, oldPath, newPath string) error {
 
 // SetMode changes per-file protection bits.
 func (v *Venus) SetMode(p *sim.Proc, path string, mode uint16) error {
-	ref, err := v.refFor(p, path)
+	ref, err := v.disc.ref(p, path)
 	if err != nil {
 		return err
 	}
@@ -958,7 +923,7 @@ func (v *Venus) SetMode(p *sim.Proc, path string, mode uint16) error {
 
 // GetACL fetches the access list of a directory.
 func (v *Venus) GetACL(p *sim.Proc, dir string) ([]byte, error) {
-	ref, err := v.refFor(p, dir)
+	ref, err := v.disc.ref(p, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -972,7 +937,7 @@ func (v *Venus) GetACL(p *sim.Proc, dir string) ([]byte, error) {
 
 // SetACL replaces the access list of a directory.
 func (v *Venus) SetACL(p *sim.Proc, dir string, acl []byte) error {
-	ref, err := v.refFor(p, dir)
+	ref, err := v.disc.ref(p, dir)
 	if err != nil {
 		return err
 	}
@@ -983,7 +948,7 @@ func (v *Venus) SetACL(p *sim.Proc, dir string, acl []byte) error {
 
 // Lock acquires an advisory lock.
 func (v *Venus) Lock(p *sim.Proc, path string, exclusive bool) error {
-	ref, err := v.refFor(p, path)
+	ref, err := v.disc.ref(p, path)
 	if err != nil {
 		return err
 	}
@@ -994,7 +959,7 @@ func (v *Venus) Lock(p *sim.Proc, path string, exclusive bool) error {
 
 // Unlock releases an advisory lock.
 func (v *Venus) Unlock(p *sim.Proc, path string) error {
-	ref, err := v.refFor(p, path)
+	ref, err := v.disc.ref(p, path)
 	if err != nil {
 		return err
 	}

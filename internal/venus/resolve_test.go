@@ -54,7 +54,7 @@ func (v *Venus) resolveBySplit(p *sim.Proc, path string, followLast bool, depth 
 		}
 		last := i == len(components)-1
 		if found.Type == proto.TypeSymlink && (!last || followLast) {
-			st, err := v.statFID(p, found.FID, path)
+			st, err := v.statRef(p, proto.Ref{FID: found.FID}, path)
 			if err != nil {
 				return proto.FID{}, err
 			}

@@ -5,7 +5,9 @@
 // copies through handles Venus hands out, and Venus contacts custodians
 // only on opens, closes and directory operations.
 //
-// Venus supports both of the paper's implementations:
+// Venus supports both of the paper's implementations, and New chooses one
+// from Config.Mode, once: its discipline (discipline.go) answers every
+// question on which the two differ.
 //
 //   - Prototype mode: whole pathnames go to the server, every open
 //     revalidates the cached copy (check-on-open), and the cache holds at
@@ -166,7 +168,8 @@ type entry struct {
 
 // Venus is one workstation's cache manager.
 type Venus struct {
-	cfg Config
+	cfg  Config
+	disc discipline // the one reader of cfg.Mode
 
 	mu     sync.Mutex
 	user   string               // guarded by mu
@@ -226,7 +229,7 @@ func New(cfg Config) *Venus {
 		cfg.MaxBytes = 20 << 20 // a 1980s workstation disk partition
 	}
 	_ = cfg.Local.MkdirAll(cacheDir, 0o700, "venus")
-	return &Venus{
+	v := &Venus{
 		cfg:        cfg,
 		conns:      make(map[string]Conn),
 		byPath:     make(map[string]*entry),
@@ -241,6 +244,11 @@ func New(cfg Config) *Venus {
 		mOpenLat:   cfg.Metrics.Histogram(trace.MetricVenusOpenLatency),
 		mStoreLat:  cfg.Metrics.Histogram(trace.MetricVenusStoreLatency),
 	}
+	v.disc = revised{v}
+	if cfg.Mode == vice.Prototype {
+		v.disc = prototype{v}
+	}
+	return v
 }
 
 // Login sets the workstation's user. Existing connections (authenticated
@@ -417,7 +425,13 @@ func (v *Venus) open(p *sim.Proc, path string, flags OpenFlag, whole *[]byte) (H
 			v.mOpenLat.Observe(rpc.Clock(p).Sub(started))
 		}()
 	}
-	e, hit, err := v.lookupEntry(p, path, flags, whole)
+	e, hit, ref, stale, err := v.disc.lookup(p, path, flags)
+	if err == nil && e == nil {
+		e, err = v.fetchEntry(p, ref, path, flags, whole)
+		if err != nil && isTransportErr(err) && v.degraded(stale, flags) {
+			e, err = stale, nil
+		}
+	}
 	if err != nil {
 		return Handle{}, err
 	}
@@ -434,20 +448,6 @@ func (v *Venus) open(p *sim.Proc, path string, flags OpenFlag, whole *[]byte) (H
 		v.mu.Unlock()
 	}
 	return h, nil
-}
-
-// lookupEntry finds or creates the cache entry for path, fetching data from
-// Vice as needed, and returns it pinned: chosen, moved to the LRU front and
-// counted open in one hold of v.mu, so no install running beside this open
-// can evict it before the handle exists. hit reports that the cached copy
-// was served, counted in Stats.Hits. An error returns nothing pinned. This is
-// where the two validation disciplines differ. whole is open's, passed on to
-// the fetch.
-func (v *Venus) lookupEntry(p *sim.Proc, path string, flags OpenFlag, whole *[]byte) (e *entry, hit bool, err error) {
-	if v.cfg.Mode == vice.Prototype {
-		return v.lookupPrototype(p, path, flags, whole)
-	}
-	return v.lookupRevised(p, path, flags, whole)
 }
 
 // pinLocked counts one more open handle on e and moves it to the LRU front.
@@ -469,32 +469,31 @@ func (v *Venus) unpin(e *entry) {
 // checkOnOpen asks the custodian whether the cached copy e, at version, is
 // still current, and if so serves it: a hit, pinned. A copy that is not
 // current is marked stale, and one evicted while the custodian was being
-// asked is no copy at all; both send the caller on to fetch (served false,
-// no error). An unreachable custodian serves it degraded, no hit, where that
+// asked is no copy at all; both send the caller on to fetch (no entry, no
+// error). An unreachable custodian serves it degraded, no hit, where that
 // is allowed.
-func (v *Venus) checkOnOpen(p *sim.Proc, e *entry, ref proto.Ref, version uint64, flags OpenFlag) (served, hit bool, err error) {
+func (v *Venus) checkOnOpen(p *sim.Proc, e *entry, ref proto.Ref, version uint64, flags OpenFlag) (served *entry, hit bool, err error) {
 	now := rpc.Clock(p)
 	ok, _, err := v.testValid(p, ref, version)
 	if err != nil {
 		if isTransportErr(err) && v.degraded(e, flags) {
-			return true, false, nil
+			return e, false, nil
 		}
-		return false, false, err
+		return nil, false, err
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if !ok {
 		e.valid = false
-		return false, false, nil
+		return nil, false, nil
 	}
 	if e.lruEl == nil {
-		return false, false, nil
+		return nil, false, nil
 	}
 	// Still current; a revised server re-promised in the same call (its
 	// callback table is rebuilt even if it restarted meanwhile).
 	e.fetchedAt = now
-	v.hitLocked(e)
-	return true, true, nil
+	return v.hitLocked(e), true, nil
 }
 
 // hitLocked counts an open served from the cached copy e, which it pins.
@@ -504,36 +503,6 @@ func (v *Venus) hitLocked(e *entry) *entry {
 	v.stats.Hits++
 	v.mCacheHits.Inc()
 	return v.pinLocked(e)
-}
-
-// missed is the outcome of an open that had to fetch or create its file.
-func missed(e *entry, err error) (*entry, bool, error) { return e, false, err }
-
-// lookupPrototype implements check-on-open: a cached copy is revalidated
-// with the custodian on every open.
-func (v *Venus) lookupPrototype(p *sim.Proc, path string, flags OpenFlag, whole *[]byte) (*entry, bool, error) {
-	v.mu.Lock()
-	v.stats.Opens++
-	e := v.byPath[path]
-	if e == nil || e.cacheFile == "" {
-		v.mu.Unlock()
-		return missed(v.fetchEntry(p, proto.Ref{Path: path}, path, flags, whole))
-	}
-	if e.dirty {
-		// Locally modified and not yet stored: our copy is the newest.
-		v.hitLocked(e)
-		v.mu.Unlock()
-		return e, true, nil
-	}
-	version := e.status.Version
-	v.mu.Unlock()
-	switch served, hit, err := v.checkOnOpen(p, e, proto.Ref{Path: path}, version, flags); {
-	case err != nil:
-		return nil, false, err
-	case served:
-		return e, hit, nil
-	}
-	return missed(v.fetchEntry(p, proto.Ref{Path: path}, path, flags, whole))
 }
 
 // isTransportErr reports a transport-level failure — no response at all —
@@ -614,55 +583,6 @@ func (v *Venus) freshLocked(e *entry, p *sim.Proc) bool {
 	return rpc.Clock(p).Sub(e.fetchedAt) <= v.cfg.CallbackTTL
 }
 
-// lookupRevised trusts callbacks: a valid cached copy needs no server
-// traffic at all, and walk serves it in the hold that found it.
-func (v *Venus) lookupRevised(p *sim.Proc, path string, flags OpenFlag, whole *[]byte) (*entry, bool, error) {
-	fid, e, err := v.walk(p, path, true, true)
-	if e != nil {
-		return e, true, nil
-	}
-	if err != nil {
-		if proto.ErrToCode(err) == proto.CodeNoEnt && flags&FlagCreate != 0 {
-			return missed(v.createFile(p, path))
-		}
-		if isTransportErr(err) {
-			// Resolution needed the server (cached directories expired or
-			// missing) and the server is gone; fall back to the last cached
-			// copy of the file itself, if we hold one.
-			v.mu.Lock()
-			e = v.byPath[path]
-			v.mu.Unlock()
-			if v.degraded(e, flags) {
-				return e, false, nil
-			}
-		}
-		return nil, false, err
-	}
-	// The walk found the file but no copy to serve as it stands.
-	v.mu.Lock()
-	e = v.byFID[fid]
-	// A promise that merely outlived its TTL: revalidate, don't refetch.
-	expired := e != nil && e.cacheFile != "" && e.valid && !e.dirty
-	var version uint64
-	if expired {
-		version = e.status.Version
-	}
-	v.mu.Unlock()
-	if expired {
-		switch served, hit, err := v.checkOnOpen(p, e, proto.Ref{FID: fid}, version, flags); {
-		case err != nil:
-			return nil, false, err
-		case served:
-			return e, hit, nil
-		}
-	}
-	fe, ferr := v.fetchEntry(p, proto.Ref{FID: fid}, path, flags, whole)
-	if ferr != nil && isTransportErr(ferr) && v.degraded(e, flags) {
-		return e, false, nil
-	}
-	return fe, false, ferr
-}
-
 // testValid asks the custodian whether a cached version is current.
 func (v *Venus) testValid(p *sim.Proc, ref proto.Ref, version uint64) (bool, uint64, error) {
 	sp := v.cfg.Tracer.Begin(p, trace.SpanVenusValidate, v.cfg.Machine)
@@ -733,7 +653,7 @@ func (v *Venus) fetchEntry(p *sim.Proc, ref proto.Ref, path string, flags OpenFl
 // its entry pinned.
 func (v *Venus) createFile(p *sim.Proc, path string) (*entry, error) {
 	dir, name := unixfs.Dir(path), unixfs.Base(path)
-	dirRef, err := v.refFor(p, dir)
+	dirRef, err := v.disc.ref(p, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -759,8 +679,8 @@ func (v *Venus) createFile(p *sim.Proc, path string) (*entry, error) {
 		return nil, err
 	}
 	// Keep the cached directory listing usable: patch the new entry in
-	// (revised mode), else drop the now-stale copy.
-	if v.cfg.Mode != vice.Revised || !v.patchDir(dirRef.FID, patchAdd(name, proto.TypeFile), resp) {
+	// (a FID ref's listing), else drop the now-stale copy.
+	if !v.patchDir(dirRef.FID, patchAdd(name, proto.TypeFile), resp) {
 		v.dropDir(dir)
 	}
 	return v.installEntry(path, st, nil, rpc.Clock(p), nil)
@@ -883,11 +803,7 @@ func (v *Venus) evictLocked() {
 //
 //itcvet:holds mu
 func (v *Venus) victimLocked(files int, bytes int64) *entry {
-	if v.cfg.Mode == vice.Prototype {
-		if v.lru.Len()+files <= v.cfg.MaxFiles {
-			return nil
-		}
-	} else if v.bytes+bytes <= v.cfg.MaxBytes {
+	if !v.disc.full(v.lru.Len()+files, v.bytes+bytes) {
 		return nil
 	}
 	for el := v.lru.Back(); el != nil; el = el.Prev() {
@@ -1113,10 +1029,7 @@ func (v *Venus) storeEntry(p *sim.Proc, e *entry) error {
 	if err != nil {
 		return err
 	}
-	ref := proto.Ref{Path: path}
-	if v.cfg.Mode == vice.Revised {
-		ref = proto.Ref{FID: fid}
-	}
+	ref := v.disc.name(path, fid)
 	v.mu.Lock()
 	v.stats.Stores++
 	v.stats.BytesStored += int64(len(data))

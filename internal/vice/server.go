@@ -38,6 +38,23 @@ func (m Mode) String() string {
 	return "revised"
 }
 
+// MarshalText returns the mode's name, as String does.
+func (m Mode) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
+
+// UnmarshalText sets the mode MarshalText names text, and refuses any other
+// text: a mistyped mode must not run the other design.
+func (m *Mode) UnmarshalText(text []byte) error {
+	switch string(text) {
+	case "prototype":
+		*m = Prototype
+	case "revised":
+		*m = Revised
+	default:
+		return fmt.Errorf("unknown mode %q: want prototype or revised", text)
+	}
+	return nil
+}
+
 // ServerUser is the identity servers use with each other. It is inside the
 // boundary of trustworthiness: requests authenticated as ServerUser bypass
 // access lists.

@@ -751,3 +751,31 @@ func TestUnlockWithoutHold(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
+
+// TestModeTextRoundTrip: each mode's text reads back as the mode, and any
+// other text, a name in another case included, is refused and leaves the
+// mode alone.
+func TestModeTextRoundTrip(t *testing.T) {
+	for _, m := range []Mode{Prototype, Revised} {
+		text, err := m.MarshalText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(text) != m.String() {
+			t.Errorf("%v marshals as %q", m, text)
+		}
+		got := Revised
+		if m == Revised {
+			got = Prototype
+		}
+		if err := got.UnmarshalText(text); err != nil || got != m {
+			t.Errorf("%q unmarshals as %v, %v; want %v", text, got, err, m)
+		}
+	}
+	for _, text := range []string{"Prototype", "REVISED", "bogus", ""} {
+		got := Revised
+		if err := got.UnmarshalText([]byte(text)); err == nil || got != Revised {
+			t.Errorf("%q unmarshals as %v, %v; want an error", text, got, err)
+		}
+	}
+}
