@@ -75,6 +75,11 @@ go test -race -count=10 -run='^TestConcurrentOpensUnderEviction$' ./internal/ven
 # the cache's copy lands in a victim's buffer; ten more runs of the twin that
 # checks no reader's result is ever a buffer the cache reuses.
 go test -race -count=10 -run='^TestConcurrentReadFilesUnderEviction$' ./internal/venus
+# Each direction of a sealed channel runs one CTR keystream, every record
+# starting at the block after the last: a record that took a block twice
+# would reuse keystream under the session key. The reference test and the
+# one that seals from many goroutines on one Box run ten times more.
+go test -race -count=10 -run='^(TestRecordsMatchAFreshStream|TestConcurrentSealsTakeDisjointBlocks)$' ./internal/secure
 # A store lends the cache file's own bytes to its call and ends the loan when
 # Call returns; a write then edits them in place, so a loan ended too early,
 # or a return that ends another borrower's loan, shows as bytes changing
@@ -117,11 +122,10 @@ rm -rf "$tmpdir"
 # mailbox and timetable benches building and running. The zero-alloc gates
 # (TestMailboxPutGetZeroAlloc and friends) run in `go test ./...` above.
 go test -run=NONE -bench='^Benchmark(ParkResume|MailboxSendRecv|ScheduleDrain)$' -benchtime=100x ./internal/sim
-# The same for the two measurements size bounds rest on: the small-record CTR
-# crossover (secure.smallRecord) and pooled against fresh record buffers
-# (wire.maxPooled, walstore.pooledRecord); and for a checkpoint built from
-# live volumes against one built from their images.
-go test -run=NONE -bench='^BenchmarkCTR' -benchtime=100x ./internal/secure
+# The same for a sealed record's round trip, the measurement pooled against
+# fresh record buffers rests on (wire.maxPooled, walstore.pooledRecord), and a
+# checkpoint built from live volumes against one built from their images.
+go test -run=NONE -bench='^BenchmarkSealOpen' -benchtime=100x ./internal/secure
 go test -run=NONE -bench='^Benchmark(Commit|Checkpoint)' -benchtime=100x ./internal/store/walstore
 
 # Short fuzz passes over the attacker-facing decoders and the path walker.

@@ -27,7 +27,6 @@ type Peer struct {
 	name   string
 	server *Server
 
-	wmu  sync.Mutex    // serializes frame writes: held while a frame is sealed onto conn
 	done chan struct{} // closed by the first Close
 
 	hdr  [wire.FrameHeaderSize]byte // the read loop's own: the length prefix of the frame it reads
@@ -166,7 +165,7 @@ func (p *Peer) start() {
 // 60 s, the simulator's default — when it fails with ErrTimeout and its
 // entry is reclaimed, or until the connection dies (ErrClosed). It makes one
 // attempt: a stream neither loses nor duplicates a frame, and a duplicate
-// would close the connection (secure.Box.InSequence), so a retransmission
+// would close the connection (secure.Box.OpenNext), so a retransmission
 // could never be told from a replay. The call's rpc.call span nests under
 // caller's ambient span: caller is the calling goroutine's own process
 // without a kernel, a handler's Ctx.Proc, or nil for none. The reply's Body
@@ -279,14 +278,12 @@ func (p *Peer) Done() <-chan struct{} { return p.done }
 // send seals one packet — the head in e, then bulk — onto the connection as
 // one frame and returns e to its pool. The bulk bytes go from the caller's
 // slice through the sealer's chunk buffer to the socket and are never copied
-// whole. A failure (a short or refused write, nonce exhaustion) can leave
-// part of a frame on the wire, so it closes the peer: in-flight calls fail
-// with ErrClosed and the owner redials, which also renews the session key.
+// whole; the Box's send side keeps concurrent senders' frames apart. A
+// failure (a short or refused write, nonce exhaustion) can leave part of a
+// frame on the wire, so it closes the peer: in-flight calls fail with
+// ErrClosed and the owner redials, which also renews the session key.
 func (p *Peer) send(e *wire.Encoder, bulk []byte) error {
-	p.wmu.Lock()
-	//itcvet:allowblocking wmu exists to serialize frame writes; writers expect to pace each other on socket I/O, now chunk by chunk as the frame is sealed
 	err := p.box.SealFrame(p.conn, e.Buf(), bulk)
-	p.wmu.Unlock()
 	wire.PutEncoder(e)
 	if err != nil {
 		p.Close()
@@ -341,12 +338,13 @@ func (p *Peer) readFrame() (sealed []byte, fr *frame, err error) {
 // leaving fr to its caller, for a frame that must end the connection, per
 // mutual suspicion: one that fails its tag, one that is not the far side's
 // next record (replayed, or reflected back from this side), or one that does
-// not decode. The frame is opened where it lies, after the tag verifies and
-// never before, and the decoded Body and Bulk alias it: the one file-sized
-// allocation of a transfer, and none at all below the hand-over size.
+// not decode. The frame is opened where it lies, after the tag and the
+// sequence check pass and never before, and the decoded Body and Bulk alias
+// it: the one file-sized allocation of a transfer, and none at all below the
+// hand-over size.
 func (p *Peer) deliver(sealed []byte, fr *frame) bool {
-	plain, err := p.box.OpenInPlace(sealed)
-	if err != nil || len(plain) == 0 || !p.box.InSequence(sealed) {
+	plain, err := p.box.OpenNext(sealed)
+	if err != nil || len(plain) == 0 {
 		return false
 	}
 	kind, rest := plain[0], plain[1:]

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"reflect"
 	"sync"
@@ -168,26 +169,45 @@ func TestPeerFailedWriteClosesPeer(t *testing.T) {
 	}
 }
 
-// presetNonceCounter moves box's record counter, which secure deliberately
-// gives no setter for, by reaching the unexported field through reflection.
-// A renamed field fails loudly here.
-func presetNonceCounter(box *secure.Box, v uint64) {
-	f := reflect.ValueOf(box).Elem().FieldByName("nonceCtr")
-	(*atomic.Uint64)(unsafe.Pointer(f.UnsafeAddr())).Store(v)
+// boxField reaches the unexported field of box along path, which secure
+// deliberately gives no setter for, through reflection. A renamed field
+// fails loudly here.
+func boxField(box *secure.Box, path ...string) reflect.Value {
+	f := reflect.ValueOf(box).Elem()
+	for _, name := range path {
+		if f = f.FieldByName(name); !f.IsValid() {
+			panic("secure.Box has no field " + name)
+		}
+	}
+	return reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
 }
 
-// TestPeerNonceExhaustionClosesPeer: when the session's 32-bit record
-// counter is spent the daemon must not die (Box.Seal would panic) and must
-// not reuse a nonce: the peer closes, callers see ErrClosed — which Venus
-// treats as "reconnect", and a new connection has a new session key.
+// presetNonceCounter moves a session's block counter to v at both ends: the
+// block sender's next record starts at, and receiver's expectation of it, as
+// if every record before had arrived.
+func presetNonceCounter(sender, receiver *secure.Box, v uint64) {
+	boxField(sender, "send", "next").SetUint(v)
+	boxField(receiver, "recv", "next").SetUint(v)
+	boxField(receiver, "recv", "far").Set(boxField(sender, "noncePrefix"))
+}
+
+// TestPeerNonceExhaustionClosesPeer: when the session's 64-bit block counter
+// is spent the daemon must not die (Box.Seal would panic) and must not reuse
+// a keystream: the peer closes, callers see ErrClosed — which Venus treats
+// as "reconnect", and a new connection has a new session key.
 func TestPeerNonceExhaustionClosesPeer(t *testing.T) {
 	dialed, accepted := pipePair(t, nil, echoServer())
-	presetNonceCounter(dialed.box, 1<<32-2)
-	if _, err := dialed.Call(nil, Request{Op: opEcho, Body: []byte("last record")}); err != nil {
-		t.Fatalf("record 2^32-1: %v", err)
+	last := Request{Op: opEcho, Body: []byte("last record")}
+	if _, err := dialed.Call(nil, last); err != nil {
+		t.Fatal(err)
+	}
+	blocks := boxField(dialed.box, "send", "next").Uint() // what one such call's record takes
+	presetNonceCounter(dialed.box, accepted.box, math.MaxUint64-blocks)
+	if _, err := dialed.Call(nil, last); err != nil {
+		t.Fatalf("the last record: %v", err)
 	}
 	if _, err := dialed.Call(nil, Request{Op: opEcho}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("call past the last nonce: err = %v, want ErrClosed", err)
+		t.Fatalf("call past the last block: err = %v, want ErrClosed", err)
 	}
 	<-dialed.Done()
 	<-accepted.Done() // its peer hung up

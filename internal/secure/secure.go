@@ -9,7 +9,9 @@
 // AES-256-CTR and authenticated with HMAC-SHA256 (encrypt-then-MAC). The
 // semantics — mutual suspicion, per-session keys limiting exposure of the
 // long-term authentication key, an untrusted network — are exactly the
-// paper's.
+// paper's. Each direction of a Box runs one CTR keystream for all its
+// records, each record starting at the block after the last one's, so a
+// record costs no cipher object; its nonce names the block it starts at.
 package secure
 
 import (
@@ -24,8 +26,8 @@ import (
 	"fmt"
 	"hash"
 	"io"
+	"math"
 	"sync"
-	"sync/atomic"
 
 	"itcfs/internal/wire"
 )
@@ -85,6 +87,8 @@ func subkey(k Key, purpose string) []byte {
 }
 
 // Sealed-record layout: nonce (16) || ciphertext (len(plain)) || tag (32).
+// The nonce is the counter block the record's keystream starts at: the
+// sealing Box's 8-byte prefix, then a 64-bit big-endian block counter.
 const (
 	nonceSize = aes.BlockSize
 	tagSize   = sha256.Size
@@ -97,44 +101,49 @@ const (
 var ErrBadSeal = errors.New("secure: record failed authentication")
 
 // Box seals and opens records under one key. A Box is safe for concurrent
-// use, except InSequence, which belongs to the one reader of a session.
+// use.
 //
 // Nonces are structured rather than random, saving a system-entropy read per
 // record: 8 random bytes fixed at Box creation (so two Boxes sealing under
-// the same key cannot collide), a 32-bit record counter, and 4 zero bytes
-// left for CTR's own block counter — records up to 2^32 AES blocks (64 GiB)
-// cannot run into the next record's keystream. Per-record working state is
-// pooled and reset rather than re-keyed per record — at tens of thousands of
-// simulated clients, per-message hmac.New was the single largest allocation
-// site in the whole system.
+// the same key cannot collide) and a block counter. Each direction keeps one
+// CTR stream and one HMAC for the Box's life. A record of n bytes takes
+// n/16+1 counter blocks — the unused tail of its last block is thrown away —
+// and the next record starts at the block after, where the stream already
+// stands, so no keystream byte is ever used twice and no record builds a
+// cipher object. Only a record the receiving stream does not stand at (the
+// simulator's duplicates, replays and reorderings) re-seats it with one
+// cipher.NewCTR; a keystream depends on nothing but its counter block.
 type Box struct {
 	block       cipher.Block
-	macKey      []byte
 	noncePrefix [8]byte
-	nonceCtr    atomic.Uint64
-	states      sync.Pool // *recordState
-
-	// The far side's records as InSequence has admitted them: the nonce
-	// prefix of the first and the counter of the last (0 before the first).
-	// Only the session's one reader touches them.
-	farPrefix [8]byte
-	farCtr    uint32
+	send, recv  direction
 }
 
-// recordState is the pooled working state of one record being sealed or
-// opened: an HMAC-SHA256 keyed by macKey, the scratch verify computes the
-// expected tag into, and the counter and keystream blocks of a small
-// record's CTR. All three are here because a local array would escape
-// through the hash.Hash or cipher.Block interface and cost an allocation
-// per record.
-type recordState struct {
-	h   hash.Hash
+// direction is one direction of a Box's records: what Seal and SealFrame
+// run on send, what Open and OpenNext run on recv.
+type direction struct {
+	mu sync.Mutex // guards the rest, and serializes records: one at a time is sealed and, by SealFrame, written
+
+	mac hash.Hash // HMAC-SHA256 under the Box's MAC subkey
 	sum [tagSize]byte
 
-	block cipher.Block
-	ctr   [aes.BlockSize]byte // next counter block
-	ks    [aes.BlockSize]byte // keystream block in use
-	used  int                 // bytes of ks already consumed
+	// stream stands at the counter block pos (nil before the first record)
+	// between records. pos moves on only when a record is finished, so one
+	// abandoned part-way leaves it at that record's first block, which no
+	// later record starts at: the next one re-seats.
+	stream cipher.Stream
+	pos    [nonceSize]byte
+
+	// tail is where the unused end of a record's last block is thrown away.
+	// It is here because a local array would escape through cipher.Stream
+	// and cost an allocation per record.
+	tail [aes.BlockSize]byte
+
+	// next is, on send, the block the next record starts at; on recv, the
+	// block the far side's next record must start at, with far its prefix
+	// (fixed by its first record, while next is 0).
+	next uint64
+	far  [8]byte
 }
 
 // NewBox returns a Box keyed by k.
@@ -143,115 +152,93 @@ func NewBox(k Key) *Box {
 	if err != nil {
 		panic(err) // key length is fixed; cannot happen
 	}
-	b := &Box{block: block, macKey: subkey(k, "mac")}
+	b := &Box{block: block}
 	if _, err := rand.Read(b.noncePrefix[:]); err != nil {
 		panic(fmt.Sprintf("secure: nonce prefix: %v", err))
 	}
-	b.states.New = func() any { return &recordState{h: hmac.New(sha256.New, b.macKey), block: b.block} }
+	macKey := subkey(k, "mac")
+	b.send.mac = hmac.New(sha256.New, macKey)
+	b.recv.mac = hmac.New(sha256.New, macKey)
 	return b
 }
 
-// smallRecord is the largest record whose CTR keystream is produced one AES
-// block at a time in the pooled state instead of by a cipher.NewCTR stream.
-// The stdlib stream runs eight blocks per assembly dispatch but is a 512-byte
-// allocation per record; stepping the counter costs one cipher.Block.Encrypt
-// interface call per 16 bytes and allocates nothing. The crossover, measured
-// by BenchmarkCTR on the two-vCPU sandbox this was written on (ns per record,
-// median of three):
-//
-//	bytes      64   128   256   512
-//	blockwise  97   187   362   747
-//	stdlib    319   304   346   433   (plus one 512 B object)
-//
-// Most calls and replies without bulk data, and every callback break, are
-// under 256 bytes. The two produce the same bytes at every length
-// (TestSmallCTRMatchesStdlib).
-const smallRecord = 256
+// recordBlocks is how many counter blocks a record of n bytes takes: at
+// least one, so no two records of a Box share a nonce.
+func recordBlocks(n int) uint64 { return uint64(n)/aes.BlockSize + 1 }
 
-// ctrStream returns the CTR keystream for a record of n bytes under nonce: st
-// itself, stepping the counter block, when the record is small, and the
-// stdlib's stream otherwise.
-func (st *recordState) ctrStream(nonce []byte, n int) cipher.Stream {
-	if n > smallRecord {
-		return cipher.NewCTR(st.block, nonce)
-	}
-	copy(st.ctr[:], nonce)
-	st.used = len(st.ks)
-	return st
-}
-
-// XORKeyStream implements cipher.Stream exactly as cipher.NewCTR's does:
-// the 16-byte counter block starts at the nonce and is incremented as one
-// big-endian integer for each block of keystream.
-func (st *recordState) XORKeyStream(dst, src []byte) {
-	for len(src) > 0 {
-		if st.used == len(st.ks) {
-			st.block.Encrypt(st.ks[:], st.ctr[:])
-			for i := len(st.ctr) - 1; i >= 0; i-- {
-				st.ctr[i]++
-				if st.ctr[i] != 0 {
-					break
-				}
-			}
-			st.used = 0
-		}
-		n := subtle.XORBytes(dst, src, st.ks[st.used:])
-		st.used += n
-		dst, src = dst[n:], src[n:]
+// seat makes d.stream stand at the counter block nonce names: where the
+// last record left it, or a stream built there.
+func (d *direction) seat(block cipher.Block, nonce []byte) {
+	if d.stream == nil || d.pos != [nonceSize]byte(nonce) {
+		d.stream = cipher.NewCTR(block, nonce)
+		d.pos = [nonceSize]byte(nonce)
 	}
 }
 
-// tag appends HMAC(macKey, body) to out.
-func (st *recordState) tag(body, out []byte) []byte {
-	st.h.Reset()
-	st.h.Write(body)
-	return st.h.Sum(out)
+// finish ends a record of n bytes started at pos: it throws away the rest
+// of the record's last block, so the stream stands at the next record's
+// first.
+func (d *direction) finish(n int) {
+	pad := aes.BlockSize - n%aes.BlockSize
+	d.stream.XORKeyStream(d.tail[:pad], d.tail[:pad])
+	binary.BigEndian.PutUint64(d.pos[8:], binary.BigEndian.Uint64(d.pos[8:])+recordBlocks(n))
 }
 
-// ErrNonceExhausted is returned by SealFrame when the Box has sealed 2^32-1
-// records: one more would repeat a nonce under the same key. The connection
-// must be torn down and re-established, which yields a fresh session key.
+// tag appends body's HMAC to out.
+func (d *direction) tag(body, out []byte) []byte {
+	d.mac.Reset()
+	d.mac.Write(body)
+	return d.mac.Sum(out)
+}
+
+// ErrNonceExhausted is returned by SealFrame when a record's blocks would
+// run the Box's 64-bit block counter past its end, into a keystream another
+// prefix may own. The connection must be torn down and re-established,
+// which yields a fresh session key.
 var ErrNonceExhausted = errors.New("secure: nonce counter exhausted")
 
-// nextNonce writes the next record's nonce into nonce[:nonceSize], taking
-// exactly one counter step whether or not anything is later written with it,
-// so an abandoned record's nonce is never handed out again.
-func (b *Box) nextNonce(nonce []byte) error {
-	ctr := b.nonceCtr.Add(1)
-	if ctr>>32 != 0 {
+// nextNonce writes the nonce of the next record, of n bytes, into
+// nonce[:nonceSize] and seats the send stream there. The record's blocks are
+// taken whether or not anything is later written with them, so an abandoned
+// record's keystream is never handed out again. The caller holds b.send.mu.
+func (b *Box) nextNonce(nonce []byte, n int) error {
+	d, nonce := &b.send, nonce[:nonceSize]
+	blocks := recordBlocks(n)
+	if blocks > math.MaxUint64-d.next {
 		return ErrNonceExhausted
 	}
 	copy(nonce, b.noncePrefix[:])
-	binary.BigEndian.PutUint32(nonce[8:12], uint32(ctr))
-	binary.BigEndian.PutUint32(nonce[12:16], 0)
+	binary.BigEndian.PutUint64(nonce[8:], d.next)
+	d.next += blocks
+	d.seat(b.block, nonce)
 	return nil
 }
 
 // Seal encrypts and authenticates the plaintext made of parts in turn,
-// returning nonce||ct||tag: one record under one CTR stream, the same bytes
-// as sealing the parts joined, which are never joined. It panics when the
-// nonce counter is exhausted: its callers are the simulator, whose
-// connections never approach 2^32 records, and the four-message handshake.
-// The real transport seals with SealFrame, which reports exhaustion as an
-// error instead.
+// returning nonce||ct||tag: one record, the same bytes as sealing the parts
+// joined, which are never joined. It panics when the block counter is
+// exhausted: its callers are the simulator, whose connections never approach
+// 2^64 blocks, and the four-message handshake. The real transport seals with
+// SealFrame, which reports exhaustion as an error instead.
 func (b *Box) Seal(parts ...[]byte) []byte {
 	n := 0
 	for _, part := range parts {
 		n += len(part)
 	}
 	out := make([]byte, nonceSize+n, nonceSize+n+tagSize)
-	nonce := out[:nonceSize]
-	if err := b.nextNonce(nonce); err != nil {
+	d := &b.send
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := b.nextNonce(out, n); err != nil {
 		panic(err.Error())
 	}
-	st := b.states.Get().(*recordState)
-	defer b.states.Put(st)
-	stream, ct := st.ctrStream(nonce, n), out[nonceSize:]
+	ct := out[nonceSize:]
 	for _, part := range parts {
-		stream.XORKeyStream(ct[:len(part)], part)
+		d.stream.XORKeyStream(ct[:len(part)], part)
 		ct = ct[len(part):]
 	}
-	return st.tag(out, out)
+	d.finish(n)
+	return d.tag(out, out)
 }
 
 // sealChunk is SealFrame's working-buffer size: large enough that a 4 MiB
@@ -270,132 +257,119 @@ var sealBufs = sync.Pool{New: func() any { return new([sealChunk]byte) }}
 // frame: the bytes are exactly those of wire.WriteFrame(w, b.Seal(head||bulk))
 // under the same nonce — length prefix, nonce, ciphertext, tag — but the
 // plaintext is never joined and the record never exists whole. It is
-// encrypted chunk by chunk through a pooled buffer under one nonce, one CTR
-// stream and one HMAC (encrypt-then-MAC over nonce||ct, as Seal), and each
-// chunk goes to w as soon as it is full. The pooled buffer only ever holds
-// ciphertext.
+// encrypted chunk by chunk through a pooled buffer (encrypt-then-MAC over
+// nonce||ct, as Seal), and each chunk goes to w as soon as it is full. The
+// pooled buffer only ever holds ciphertext.
 //
-// An error means w may have received part of a frame: the caller must
-// abandon the stream. head and bulk are only read.
+// The Box's send side is held for the whole frame, so concurrent senders on
+// one connection pace each other on w's writes and their frames never
+// interleave. An error means w may have received part of a frame: the caller
+// must abandon the stream. head and bulk are only read.
 func (b *Box) SealFrame(w io.Writer, head, bulk []byte) error {
 	bp := sealBufs.Get().(*[sealChunk]byte)
 	defer sealBufs.Put(bp)
 	buf := bp[:]
-	wire.PutFrameHeader(buf, len(head)+len(bulk)+Overhead)
-	nonce := buf[wire.FrameHeaderSize : wire.FrameHeaderSize+nonceSize]
-	if err := b.nextNonce(nonce); err != nil {
+	n := len(head) + len(bulk)
+	wire.PutFrameHeader(buf, n+Overhead)
+	d := &b.send
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := b.nextNonce(buf[wire.FrameHeaderSize:], n); err != nil {
 		return err
 	}
-	st := b.states.Get().(*recordState)
-	defer b.states.Put(st)
-	stream := st.ctrStream(nonce, len(head)+len(bulk))
-	m := st.h
+	m := d.mac
 	m.Reset()
 
-	// buf[:fill] is output not yet written; buf[macFrom:fill] of it is not
-	// yet MACed (the length prefix never is).
+	// Each pass fills buf with ciphertext, MACs what it added and writes it:
+	// a full chunk, or the last one with the tag after it. buf[:fill] is
+	// output not yet written; buf[macFrom:fill] of it is not yet MACed (the
+	// length prefix never is).
 	macFrom, fill := wire.FrameHeaderSize, wire.FrameHeaderSize+nonceSize
-	for _, src := range [2][]byte{head, bulk} {
-		for len(src) > 0 {
-			if fill == len(buf) {
-				m.Write(buf[macFrom:])
-				if _, err := w.Write(buf); err != nil {
-					return err
-				}
-				macFrom, fill = 0, 0
-			}
-			n := min(len(src), len(buf)-fill)
-			stream.XORKeyStream(buf[fill:fill+n], src[:n])
-			fill += n
-			src = src[n:]
+	src := [2][]byte{head, bulk}
+	for {
+		for i := range src {
+			k := min(len(src[i]), len(buf)-fill)
+			d.stream.XORKeyStream(buf[fill:fill+k], src[i][:k])
+			fill += k
+			src[i] = src[i][k:]
 		}
-	}
-	m.Write(buf[macFrom:fill])
-	if len(buf)-fill < tagSize {
-		if _, err := w.Write(buf[:fill]); err != nil {
+		m.Write(buf[macFrom:fill])
+		out := buf[:fill]
+		last := len(src[0])+len(src[1]) == 0 && len(buf)-fill >= tagSize
+		if last {
+			d.finish(n)
+			out = m.Sum(out)
+		}
+		//itcvet:allowblocking the send side serializes frames: a connection's senders pace each other on its writes, chunk by chunk as each frame is sealed
+		if _, err := w.Write(out); err != nil || last {
 			return err
 		}
-		fill = 0
+		macFrom, fill = 0, 0
 	}
-	_, err := w.Write(m.Sum(buf[:fill]))
-	return err
 }
 
 // verify authenticates a record produced by Seal or SealFrame in constant
 // time and returns its nonce and ciphertext, both aliasing sealed.
-func (st *recordState) verify(sealed []byte) (nonce, ct []byte, err error) {
+func (d *direction) verify(sealed []byte) (nonce, ct []byte, err error) {
 	if len(sealed) < Overhead {
 		return nil, nil, ErrBadSeal
 	}
 	body := sealed[:len(sealed)-tagSize]
 	tag := sealed[len(sealed)-tagSize:]
-	if subtle.ConstantTimeCompare(st.tag(body, st.sum[:0]), tag) != 1 {
+	if subtle.ConstantTimeCompare(d.tag(body, d.sum[:0]), tag) != 1 {
 		return nil, nil, ErrBadSeal
 	}
 	return body[:nonceSize], body[nonceSize:], nil
 }
 
 // Open authenticates and decrypts a record into a fresh buffer, leaving
-// sealed untouched. The simulator needs exactly that: its at-most-once reply
-// cache and the fault plane's duplicate delivery hand the same sealed slice
-// to Open more than once.
+// sealed untouched, whatever records came before it. The simulator needs
+// exactly that: its at-most-once reply cache and the fault plane's duplicate
+// delivery hand the same sealed slice to Open more than once, and its
+// network may reorder.
 func (b *Box) Open(sealed []byte) ([]byte, error) {
-	st := b.states.Get().(*recordState)
-	defer b.states.Put(st)
-	nonce, ct, err := st.verify(sealed)
+	d := &b.recv
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	nonce, ct, err := d.verify(sealed)
 	if err != nil {
 		return nil, err
 	}
 	plain := make([]byte, len(ct))
-	st.ctrStream(nonce, len(ct)).XORKeyStream(plain, ct)
+	d.seat(b.block, nonce)
+	d.stream.XORKeyStream(plain, ct)
+	d.finish(len(ct))
 	return plain, nil
 }
 
-// OpenInPlace authenticates sealed and only then decrypts it where it lies,
-// returning the plaintext as a sub-slice of sealed. On error not one byte of
-// sealed has been changed, so a forged record is never turned into
-// attacker-chosen plaintext. The caller must own sealed and must not open it
-// again: after success it no longer verifies.
-func (b *Box) OpenInPlace(sealed []byte) ([]byte, error) {
-	st := b.states.Get().(*recordState)
-	defer b.states.Put(st)
-	nonce, ct, err := st.verify(sealed)
+// OpenNext opens the far side's next record where it lies, returning the
+// plaintext as a sub-slice of sealed; it is the one reader of a session,
+// which calls it once per record in the order the records arrive. It
+// decrypts only after two checks pass. The tag must verify. And the record
+// must be the far side's next: both directions share the session key, so the
+// tag cannot tell a fresh record from one of the far side's replayed or one
+// of this side's reflected back, but the nonce can. The far side's first
+// record fixes its prefix, which must differ from b's own, and must start at
+// block 0; every later record must carry that prefix and start at exactly
+// the block after the last. A refused record gets ErrBadSeal and leaves
+// sealed and b as they were; the caller drops the connection. After success
+// sealed no longer verifies, so the caller must own it and not open it again.
+func (b *Box) OpenNext(sealed []byte) ([]byte, error) {
+	d := &b.recv
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	nonce, ct, err := d.verify(sealed)
 	if err != nil {
 		return nil, err
 	}
-	st.ctrStream(nonce, len(ct)).XORKeyStream(ct, ct)
+	prefix, at := [8]byte(nonce), binary.BigEndian.Uint64(nonce[8:])
+	first := d.next == 0
+	if at != d.next || first && prefix == b.noncePrefix || !first && prefix != d.far {
+		return nil, ErrBadSeal
+	}
+	d.far, d.next = prefix, at+recordBlocks(len(ct))
+	d.seat(b.block, nonce)
+	d.stream.XORKeyStream(ct, ct)
+	d.finish(len(ct))
 	return ct, nil
-}
-
-// InSequence reports whether sealed, a record that has just authenticated
-// under b's key (OpenInPlace leaves its nonce as it was), is the next record
-// the far side of b's session sent. Both directions share the session key, so
-// the tag cannot tell a fresh record from one of the far side's replayed or
-// one of this side's reflected back; the nonce can. The far side's first
-// record fixes its 8-byte prefix, which must differ from b's own, and every
-// later record must carry that prefix and exactly the next counter. A false
-// answer changes nothing; the caller drops the connection, as for a bad tag.
-//
-// It keeps the far side's place in b, so the session's one reader calls it,
-// once per record, in the order the records arrive. The simulator's Open,
-// which its fault plane and reply cache feed duplicates on purpose, does not.
-func (b *Box) InSequence(sealed []byte) bool {
-	if len(sealed) < nonceSize {
-		return false
-	}
-	prefix := [8]byte(sealed[:8])
-	ctr := binary.BigEndian.Uint32(sealed[8:12])
-	if binary.BigEndian.Uint32(sealed[12:16]) != 0 {
-		return false
-	}
-	if b.farCtr == 0 {
-		if prefix == b.noncePrefix || ctr == 0 {
-			return false
-		}
-		b.farPrefix = prefix
-	} else if prefix != b.farPrefix || ctr != b.farCtr+1 {
-		return false
-	}
-	b.farCtr = ctr
-	return true
 }

@@ -2,9 +2,9 @@ package secure
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"itcfs/internal/wire"
@@ -70,17 +70,19 @@ func TestSealFrameMatchesSeal(t *testing.T) {
 			if size <= fitsChunk && got.writes != 1 {
 				t.Fatalf("size %d split %d: frame fits the chunk but took %d writes", size, split, got.writes)
 			}
-			// And the receiver's half: the frame opens in place to the payload.
+			// And the receiver's half: the frame opens in place to the
+			// payload, on a Box of its own (the sealers' prefix is its far
+			// side's).
 			frame, err := wire.ReadFrame(&got.Buffer)
 			if err != nil {
 				t.Fatal(err)
 			}
-			plain, err := ref.OpenInPlace(frame)
+			plain, err := NewBox(DeriveKey("stream", "test")).OpenNext(frame)
 			if err != nil || !bytes.Equal(plain, payload) {
-				t.Fatalf("size %d split %d: OpenInPlace = %v, payload equal %v", size, split, err, bytes.Equal(plain, payload))
+				t.Fatalf("size %d split %d: OpenNext = %v, payload equal %v", size, split, err, bytes.Equal(plain, payload))
 			}
 			if size > 0 && &plain[0] != &frame[nonceSize] {
-				t.Fatalf("size %d: OpenInPlace copied", size)
+				t.Fatalf("size %d: OpenNext copied", size)
 			}
 		}
 	}
@@ -88,11 +90,10 @@ func TestSealFrameMatchesSeal(t *testing.T) {
 
 // TestSealPartsMatchesSealJoined pins what the simulator's packets are
 // sealed as: a record sealed from parts is bytes.Equal to the record of the
-// parts joined under the same nonce, for sizes on each side of the
-// small-record and AES-block edges and for every way of cutting the
-// plaintext into two or three parts.
+// parts joined under the same nonce, for sizes on each side of the AES
+// block and for every way of cutting the plaintext into two or three parts.
 func TestSealPartsMatchesSealJoined(t *testing.T) {
-	for _, size := range []int{0, 1, 15, 16, 17, smallRecord - 1, smallRecord, smallRecord + 1, 1000, sealChunk + 3} {
+	for _, size := range []int{0, 1, 15, 16, 17, 255, 256, 257, 1000, sealChunk + 3} {
 		payload := pattern(size)
 		for _, cut := range []int{0, 1, 7, 16, size / 3, size - 1, size} {
 			if cut < 0 || cut > size {
@@ -113,12 +114,13 @@ func TestSealPartsMatchesSealJoined(t *testing.T) {
 	}
 }
 
-// TestOpenInPlaceRejectsBeforeDecrypting flips one bit in the nonce, in every
+// TestOpenNextRejectsBeforeDecrypting flips one bit in the nonce, in every
 // chunk of the ciphertext and in the tag, and truncates the record: each must
 // fail, and the buffer must come back exactly as it went in — verification
 // precedes decryption, so a forgery is never turned into plaintext.
-func TestOpenInPlaceRejectsBeforeDecrypting(t *testing.T) {
-	box := NewBox(DeriveKey("u", "p"))
+func TestOpenNextRejectsBeforeDecrypting(t *testing.T) {
+	k := DeriveKey("u", "p")
+	box, reader := NewBox(k), NewBox(k)
 	plain := pattern(3*sealChunk + 7)
 	sealed := box.Seal(plain)
 	cases := map[string]func([]byte) []byte{
@@ -134,14 +136,14 @@ func TestOpenInPlaceRejectsBeforeDecrypting(t *testing.T) {
 	for name, tamper := range cases {
 		bad := tamper(append([]byte(nil), sealed...))
 		handed := append([]byte(nil), bad...)
-		if _, err := box.OpenInPlace(handed); err != ErrBadSeal {
+		if _, err := reader.OpenNext(handed); err != ErrBadSeal {
 			t.Fatalf("%s: err = %v, want ErrBadSeal", name, err)
 		}
 		if !bytes.Equal(handed, bad) {
-			t.Fatalf("%s: OpenInPlace wrote to a record that failed authentication", name)
+			t.Fatalf("%s: OpenNext wrote to a record that failed authentication", name)
 		}
 	}
-	if got, err := box.OpenInPlace(sealed); err != nil || !bytes.Equal(got, plain) {
+	if got, err := reader.OpenNext(sealed); err != nil || !bytes.Equal(got, plain) {
 		t.Fatalf("untampered record: %v", err)
 	}
 }
@@ -165,36 +167,42 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 }
 
 // TestSealFrameWriteFailure: a Write that fails mid-stream surfaces as
-// SealFrame's error, and the nonce of the abandoned record is spent — the
-// next record takes the next counter value, never the same one.
+// SealFrame's error, and the blocks of the abandoned record are spent — the
+// next record starts past every abandoned one's blocks, never inside them,
+// and its keystream is still the one its nonce names.
 func TestSealFrameWriteFailure(t *testing.T) {
-	box := NewBox(DeriveKey("u", "p"))
+	k := DeriveKey("u", "p")
+	box := NewBox(k)
 	payload := pattern(3 * sealChunk)
-	for _, limit := range []int{0, 10, sealChunk, 2*sealChunk + 100, len(payload) + wire.FrameHeaderSize + Overhead - 1} {
+	limits := []int{0, 10, sealChunk, 2*sealChunk + 100, len(payload) + wire.FrameHeaderSize + Overhead - 1}
+	for _, limit := range limits {
 		w := &failingWriter{limit: limit}
 		if err := box.SealFrame(w, nil, payload); !errors.Is(err, errWriterDead) {
 			t.Fatalf("limit %d: err = %v, want the writer's error", limit, err)
 		}
 	}
-	// Five records were abandoned; the sixth must carry counter 6.
 	var ok bytes.Buffer
 	if err := box.SealFrame(&ok, nil, []byte("next")); err != nil {
 		t.Fatal(err)
 	}
-	nonce := ok.Bytes()[wire.FrameHeaderSize:][:nonceSize]
-	if ctr := binary.BigEndian.Uint32(nonce[8:12]); ctr != 6 {
-		t.Fatalf("record after five failed ones carries counter %d, want 6", ctr)
+	_, start, plain := freshOpen(t, k, ok.Bytes()[wire.FrameHeaderSize:])
+	if want := uint64(len(limits)) * recordBlocks(len(payload)); start != want {
+		t.Fatalf("record after %d failed ones starts at block %d, want %d", len(limits), start, want)
+	}
+	if string(plain) != "next" {
+		t.Fatalf("record after the failed ones decrypts to %q under its nonce", plain)
 	}
 }
 
-// TestNonceExhaustion: SealFrame reports the spent counter as an error and
-// writes nothing; Seal, the simulator's path, still panics.
+// TestNonceExhaustion: a record whose blocks would run the 64-bit counter
+// past its end is refused — SealFrame reports it as an error and writes
+// nothing; Seal, the simulator's path, still panics.
 func TestNonceExhaustion(t *testing.T) {
 	box := NewBox(DeriveKey("u", "p"))
-	box.nonceCtr.Store(1<<32 - 2)
+	box.send.next = math.MaxUint64 - recordBlocks(len("last"))
 	var w countingWriter
 	if err := box.SealFrame(&w, []byte("last"), nil); err != nil {
-		t.Fatalf("record 2^32-1: %v", err)
+		t.Fatalf("the last record: %v", err)
 	}
 	w.Reset()
 	w.writes = 0
@@ -211,23 +219,34 @@ func TestNonceExhaustion(t *testing.T) {
 			t.Fatal("Seal on an exhausted Box did not panic")
 		}
 	}()
-	box.Seal([]byte("x"))
+	box.Seal()
 }
 
-// TestInSequence walks one reader through a session's records: the far
-// side's, in order, pass; a replay, a gap, a reflection of the reader's own
-// and a record from a second sealer under the key each fail and leave the
-// reader where it was, so the far side's true next record still passes.
-func TestInSequence(t *testing.T) {
+// TestOpenNextKeepsTheSequence walks one reader through a session's records:
+// the far side's, in order, pass; a replay, a gap, a reflection of the
+// reader's own, a record from a second sealer under the key and a short one
+// each fail, leave their bytes as they were and leave the reader where it
+// was, so the far side's true next record still passes.
+func TestOpenNextKeepsTheSequence(t *testing.T) {
 	k := DeriveKey("sequence", "test")
 	reader, far, other := NewBox(k), NewBox(k), NewBox(k)
 	seal := func(b *Box) []byte { return b.Seal([]byte("record")) }
+	// open hands the reader a copy of rec, and checks a refused one is
+	// left as it was.
+	open := func(rec []byte) bool {
+		work := append([]byte(nil), rec...)
+		plain, err := reader.OpenNext(work)
+		if err != nil && !bytes.Equal(work, rec) {
+			t.Fatalf("a refused record's bytes were changed")
+		}
+		return err == nil && string(plain) == "record"
+	}
 	first := seal(reader) // the reader's own, reflected before anything else came
-	if reader.InSequence(first) {
+	if open(first) {
 		t.Fatal("a reflected record opened the far side's sequence")
 	}
 	r1, r2 := seal(far), seal(far)
-	if !reader.InSequence(r1) {
+	if !open(r1) {
 		t.Fatal("the far side's first record was refused")
 	}
 	skipped := seal(far)
@@ -238,14 +257,14 @@ func TestInSequence(t *testing.T) {
 		"second box": seal(other),
 		"short":      r2[:nonceSize-1],
 	} {
-		if reader.InSequence(rec) {
+		if open(rec) {
 			t.Fatalf("%s: accepted", name)
 		}
 	}
-	if !reader.InSequence(r2) {
+	if !open(r2) {
 		t.Fatal("the far side's next record was refused after the rejections")
 	}
-	if !reader.InSequence(skipped) {
+	if !open(skipped) {
 		t.Fatal("the record after that was refused")
 	}
 }

@@ -222,8 +222,8 @@ func recvTypeName(pass *check.Pass, fd *ast.FuncDecl) string {
 // --- invariant 3: mutex contracts -------------------------------------
 
 // contractWords in a mutex's own comment count as a stated contract for
-// mutexes that serialize actions rather than guard fields (Peer.wmu,
-// vice's Server.gate).
+// mutexes that serialize actions rather than guard fields (secure's
+// direction.mu, vice's Server.gate).
 var contractWords = regexp.MustCompile(`\b(serializes|guards|guarded)\b`)
 
 // checkMutexContracts reads the same lock inventory lockcheck and lockorder

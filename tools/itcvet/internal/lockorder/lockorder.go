@@ -26,7 +26,8 @@
 // default, an RPC Call/CallBack, a Store.Commit/Checkpoint, an fsync
 // (Sync), a durable replace (WriteFileAtomic), or socket frame I/O
 // (wire.WriteFrame/ReadFrame/ReadFrameLimit, a SealFrame method streaming a
-// sealed frame into a writer, net.Conn reads and writes), or one of the
+// sealed frame into a writer, net.Conn reads and writes, and reads and writes
+// through an io interface, which may be a socket's), or one of the
 // simulation kernel's parks (Proc.Sleep/Yield, Future.Wait, Resource.Use,
 // Mailbox.Get: a simulated process that parks under a lock hangs the kernel,
 // not one caller) — stalls every other path through that lock for an
@@ -522,6 +523,9 @@ func (a *analysis) blockingCall(e *ast.CallExpr) (string, bool) {
 		case "Read", "Write":
 			if recvTN != nil && recvTN.Pkg() != nil && recvTN.Pkg().Path() == "net" {
 				return "net.Conn " + name, true
+			}
+			if recvTN != nil && recvTN.Pkg() != nil && recvTN.Pkg().Path() == "io" {
+				return "stream I/O (io." + recvTN.Name() + "." + name + ")", true
 			}
 		}
 	}

@@ -5,6 +5,7 @@
 package lo
 
 import (
+	"io"
 	"sim"
 	"sync"
 )
@@ -87,6 +88,15 @@ func rpc(a *A, p *Peer) {
 func sealFrame(a *A, b *Box) {
 	a.mu.Lock()
 	_ = b.SealFrame(nil, nil, nil) // want `socket frame I/O \(SealFrame\) while A\.mu is held`
+	a.mu.Unlock()
+}
+
+// A write into an io.Writer may be a socket's: SealFrame's own writes, under
+// the Box's send side, are these.
+func stream(a *A, w io.Writer, r io.Reader) {
+	a.mu.Lock()
+	_, _ = w.Write(nil) // want `stream I/O \(io\.Writer\.Write\) while A\.mu is held`
+	_, _ = r.Read(nil)  // want `stream I/O \(io\.Reader\.Read\) while A\.mu is held`
 	a.mu.Unlock()
 }
 
