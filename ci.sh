@@ -7,6 +7,8 @@ cd "$(dirname "$0")"
 
 go vet ./...
 go build ./...
+# Every Go file in the tree is gofmt-formatted, testdata fixtures included.
+test -z "$(gofmt -l .)"
 
 # Project-specific static analysis (tools/itcvet), a hard gate ahead of the
 # race pass: wall-clock bans in deterministic code, unseeded global rand,
@@ -40,7 +42,9 @@ else
 fi
 
 # Every Go test in the module, under the race detector and plain: the
-# zero-alloc, real-transport and hand-over gates, the WAL crash matrix, the
+# real path's cost table (internal/virtue's TestRealPathBudget, which skips
+# under -race), the transport's and simulator's zero-alloc gates, the
+# real-transport and hand-over tests, the WAL crash matrix, the
 # E12–E17 determinism suites, the golden of `itcbench -quick`, the five
 # Examples' outputs (example_test.go: the paper's user stories), and the schema
 # of the committed BENCH_scale.json/BENCH_obs.json against the result types
@@ -94,6 +98,13 @@ go test -race -count=10 -run='^TestOwnershipModel$' ./internal/unixfs
 # cache hit run ten times more.
 go test -race -count=10 -run='^(TestRequestBulkIsReadOnlyUntilCallReturns|TestPeerReplyBodiesUnderLoad|TestSimReplayCarriesTheOriginalReply)$' ./internal/rpc
 go test -race -count=10 -run='^TestCacheCountersUnderConcurrentOpens$' ./internal/venus
+
+# The real path's cost table pins every cell of every row; a pin that holds
+# only on some runs is a pin to fix, so it runs five times more. The leak
+# guard's own test must see the leak it plants on every run: ten more under
+# the race detector.
+go test -count=5 -run '^TestRealPathBudget$' ./internal/virtue
+go test -race -count=10 ./internal/leakcheck
 
 # The benchmark is its own module (bench/go.mod), so ./... above does not
 # reach it; its tests check BENCHMARK.json against bench/spec.go and drive

@@ -18,7 +18,7 @@ func TestCheckPassesWhenSettled(t *testing.T) {
 // TestCheckFlagsLeak: a goroutine parked past the settling window fails the
 // check and its stack appears in the dump.
 func TestCheckFlagsLeak(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := settledCount()
 	stop := make(chan struct{})
 	started := make(chan struct{})
 	go func() {
@@ -26,7 +26,15 @@ func TestCheckFlagsLeak(t *testing.T) {
 		<-stop
 	}()
 	<-started
-	defer close(stop)
+	defer func() {
+		close(stop)
+		// Return only once the goroutine has exited: one still exiting would
+		// count in the next run's baseline, and that run's leak would go
+		// unseen.
+		if check(io.Discard, base) != 0 {
+			t.Error("the parked goroutine did not exit")
+		}
+	}()
 	var dump strings.Builder
 	if got := check(&dump, base); got == 0 {
 		t.Fatal("check missed a parked goroutine")
@@ -34,6 +42,21 @@ func TestCheckFlagsLeak(t *testing.T) {
 	if !strings.Contains(dump.String(), "TestCheckFlagsLeak") {
 		t.Fatalf("stack dump does not name the leaking test:\n%s", dump.String())
 	}
+}
+
+// settledCount is the goroutine count once any goroutine that was on its way
+// out has gone: an earlier test's goroutine can still be exiting as this one
+// starts — the testing package's own, after it has reported — and a
+// baseline that counted it would hide the leak the test checks for. Such a
+// goroutine can sit runnable on an idle processor; a collection restarts
+// the world with a thread for every processor that has work.
+func settledCount() int {
+	n := runtime.NumGoroutine()
+	for range 3 {
+		runtime.GC()
+		n = min(n, runtime.NumGoroutine())
+	}
+	return n
 }
 
 // TestFuzzingDetection: the check stands down for fuzz invocations, whose

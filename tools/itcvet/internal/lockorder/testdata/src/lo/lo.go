@@ -143,7 +143,7 @@ func stale(a *A) {
 func bare(a *A, ch chan int) {
 	a.mu.Lock()
 	/* want `malformed itcvet:allowblocking annotation` */ //itcvet:allowblocking
-	ch <- 1 // want `channel send while A\.mu is held`
+	ch <- 1                                                // want `channel send while A\.mu is held`
 	a.mu.Unlock()
 }
 
