@@ -139,12 +139,14 @@ go test -run=NONE -bench='^Benchmark(ParkResume|MailboxSendRecv|ScheduleDrain)$'
 go test -run=NONE -bench='^BenchmarkSealOpen' -benchtime=100x ./internal/secure
 go test -run=NONE -bench='^Benchmark(Commit|Checkpoint)' -benchtime=100x ./internal/store/walstore
 
-# Short fuzz passes over the attacker-facing decoders and the path walker.
+# Short fuzz passes over the attacker-facing decoders, the path walker and
+# the page protocol's handlers.
 go test -run=NONE -fuzz='^FuzzDecodeCall$' -fuzztime=10s ./internal/rpc
 go test -run=NONE -fuzz='^FuzzDecodeReply$' -fuzztime=10s ./internal/rpc
 go test -run=NONE -fuzz='^FuzzPeerFrames$' -fuzztime=10s ./internal/rpc
 go test -run=NONE -fuzz='^FuzzResolvePath$' -fuzztime=10s ./internal/vice
 go test -run=NONE -fuzz='^FuzzDispatch$' -fuzztime=10s ./internal/vice
+go test -run=NONE -fuzz='^FuzzPageServer$' -fuzztime=10s ./internal/baseline
 go test -run=NONE -fuzz='^FuzzLocEntry$' -fuzztime=10s ./internal/proto
 go test -run=NONE -fuzz='^FuzzDecodeBulkTestValid$' -fuzztime=10s ./internal/wire
 go test -run=NONE -fuzz='^FuzzDecodeBulkBreak$' -fuzztime=10s ./internal/wire

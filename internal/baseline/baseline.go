@@ -165,7 +165,9 @@ func (s *Server) handleWrite(_ rpc.Ctx, req rpc.Request) rpc.Response {
 	d := wire.NewDecoder(req.Body)
 	fd := d.U64()
 	off := d.I64()
-	if d.Close() != nil || len(req.Bulk) > pageSize {
+	// No file is larger than wire.MaxField, the one field a store carries it
+	// in, so a page ending past that is refused before the file grows to it.
+	if d.Close() != nil || len(req.Bulk) > pageSize || off < 0 || off > wire.MaxField-int64(len(req.Bulk)) {
 		return rpc.Response{Code: proto.CodeBadRequest}
 	}
 	f, ok := s.file(fd)

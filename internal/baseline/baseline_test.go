@@ -3,6 +3,7 @@ package baseline
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"itcfs/internal/secure"
 	"itcfs/internal/sim"
 	"itcfs/internal/unixfs"
+	"itcfs/internal/wire"
 )
 
 // directConn dispatches straight into the server for logic tests.
@@ -93,6 +95,31 @@ func TestStaleFDRejected(t *testing.T) {
 	buf := make([]byte, 1)
 	if _, err := f.ReadAt(nil, buf, 0); !errors.Is(err, proto.ErrStale) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestFarPageWriteIsRefused: a page write at a negative offset, or one
+// ending past the largest file a store can carry (wire.MaxField), is a bad
+// request. The file is left as it was and the server goes on serving.
+func TestFarPageWriteIsRefused(t *testing.T) {
+	_, c := newPair(t)
+	if err := c.WriteFile(nil, "/f", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	f, err := c.Open(nil, "/f", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, off := range []int64{1 << 40, wire.MaxField, -1, math.MaxInt64} {
+		if _, err := f.WriteAt(nil, []byte("y"), off); !errors.Is(err, proto.ErrBadRequest) {
+			t.Errorf("page write at %d: %v", off, err)
+		}
+	}
+	if err := f.Close(nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := c.ReadFile(nil, "/f"); err != nil || string(got) != "x" {
+		t.Fatalf("after the refused writes: %q, %v", got, err)
 	}
 }
 

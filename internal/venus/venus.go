@@ -336,17 +336,47 @@ const (
 	FlagTrunc                       // truncate on open
 )
 
-// Handle is an open Vice file: reads and writes go to the cached copy; the
-// store happens at Close (§3.2).
+// Handle is an open file of the workstation, one offset on one file of a
+// unixfs. For a Vice file (Open) that file is the cached copy: reads and
+// writes go to it and the store happens at Close (§3.2). For a local file
+// (OpenLocal) it is the file itself, and there is no Venus and no entry.
 type Handle struct {
+	// v and e are nil for a local file. e is pinned (open > 0) from the
+	// hold that chose it until Close.
 	v *Venus
-	e *entry // pinned (open > 0) from the hold that chose it until Close
-	// file is e.cacheFile, copied at open: a pinned entry keeps its cache
-	// file, so reads and writes need neither the entry nor the lock.
+	e *entry
+	// fs and file name the open file. For a Vice file they are Config.Local
+	// and e.cacheFile, copied at open: a pinned entry keeps its cache file,
+	// so reads and writes need neither the entry nor the lock.
+	fs     *unixfs.FS
 	file   string
 	flags  OpenFlag
 	offset int64
 	closed bool
+}
+
+// errClosed is what every read, write and seek on a closed handle returns,
+// in either name space.
+var errClosed = fmt.Errorf("%w: handle closed", proto.ErrBadRequest)
+
+// OpenLocal opens the file at path in fs, a workstation's local name space,
+// creating it for owner if flags ask and it is absent. Reads and writes go
+// to the file itself; Close stores nothing.
+func OpenLocal(fs *unixfs.FS, path string, flags OpenFlag, owner string) (*Handle, error) {
+	exists := fs.Exists(path)
+	switch {
+	case !exists && flags&FlagCreate != 0:
+		if err := fs.WriteFile(path, nil, 0o644, owner); err != nil {
+			return nil, err
+		}
+	case !exists:
+		return nil, fmt.Errorf("%w: %s", unixfs.ErrNotExist, path)
+	case flags&FlagTrunc != 0:
+		if err := fs.Truncate(path, 0); err != nil {
+			return nil, err
+		}
+	}
+	return &Handle{fs: fs, file: path, flags: flags}, nil
 }
 
 // Open opens the Vice file at path (a path inside the shared space, e.g.
@@ -435,7 +465,7 @@ func (v *Venus) open(p *sim.Proc, path string, flags OpenFlag, whole *[]byte) (H
 	if err != nil {
 		return Handle{}, err
 	}
-	h := Handle{v: v, e: e, file: e.cacheFile, flags: flags}
+	h := Handle{v: v, e: e, fs: v.cfg.Local, file: e.cacheFile, flags: flags}
 	if flags&FlagTrunc != 0 {
 		if err := v.cfg.Local.Truncate(h.file, 0); err != nil {
 			v.unpin(e)
@@ -902,39 +932,39 @@ func (v *Venus) invalidateLocked(items ...proto.CallbackBreakArgs) {
 	}
 }
 
-// Read reads from the cached copy at the handle's offset.
+// Read reads from the file at the handle's offset and advances it.
 func (h *Handle) Read(buf []byte) (int, error) {
 	n, err := h.ReadAt(buf, h.offset)
 	h.offset += int64(n)
 	return n, err
 }
 
-// ReadAt reads from the cached copy at an absolute offset.
+// ReadAt reads from the file at an absolute offset.
 func (h *Handle) ReadAt(buf []byte, off int64) (int, error) {
 	if h.closed {
-		return 0, fmt.Errorf("%w: handle closed", proto.ErrBadRequest)
+		return 0, errClosed
 	}
-	return h.v.cfg.Local.ReadAt(h.file, buf, off)
+	return h.fs.ReadAt(h.file, buf, off)
 }
 
-// Write writes to the cached copy at the handle's offset. Vice is not
-// contacted until Close.
+// Write writes to the file at the handle's offset and advances it. Vice is
+// not contacted until Close.
 func (h *Handle) Write(buf []byte) (int, error) {
 	n, err := h.WriteAt(buf, h.offset)
 	h.offset += int64(n)
 	return n, err
 }
 
-// WriteAt writes to the cached copy at an absolute offset.
+// WriteAt writes to the file at an absolute offset.
 func (h *Handle) WriteAt(buf []byte, off int64) (int, error) {
 	if h.closed {
-		return 0, fmt.Errorf("%w: handle closed", proto.ErrBadRequest)
+		return 0, errClosed
 	}
 	if h.flags&FlagWrite == 0 {
 		return 0, fmt.Errorf("%w: handle not open for writing", proto.ErrAccess)
 	}
-	n, err := h.v.cfg.Local.WriteAt(h.file, buf, off)
-	if err == nil {
+	n, err := h.fs.WriteAt(h.file, buf, off)
+	if err == nil && h.e != nil {
 		h.v.mu.Lock()
 		h.e.dirty = true
 		h.e.writes++
@@ -944,45 +974,57 @@ func (h *Handle) WriteAt(buf []byte, off int64) (int, error) {
 	return n, err
 }
 
-// Seek positions the handle (whence 0=set, 1=cur, 2=end).
+// Seek positions the handle (whence 0=set, 1=cur, 2=end). A position before
+// the start of the file fails, as lseek's does, and leaves the offset alone.
 func (h *Handle) Seek(off int64, whence int) (int64, error) {
 	if h.closed {
 		// Unpinned, the cache file may be another entry's by now.
-		return 0, fmt.Errorf("%w: handle closed", proto.ErrBadRequest)
+		return 0, errClosed
 	}
 	switch whence {
 	case 0:
-		h.offset = off
 	case 1:
-		h.offset += off
+		off += h.offset
 	case 2:
-		st, err := h.v.cfg.Local.Stat(h.file)
+		st, err := h.fs.Stat(h.file)
 		if err != nil {
 			return 0, err
 		}
-		h.offset = st.Size + off
+		off += st.Size
 	default:
 		return 0, fmt.Errorf("%w: whence %d", proto.ErrBadRequest, whence)
 	}
-	return h.offset, nil
+	if off < 0 {
+		return 0, fmt.Errorf("%w: seek to %d", proto.ErrBadRequest, off)
+	}
+	h.offset = off
+	return off, nil
 }
 
-// Status returns the Vice status of the open file (as of open/last store).
+// Status returns the Vice status of the open file (as of open/last store);
+// a local file has none, and its handle returns the zero Status.
 func (h *Handle) Status() proto.Status {
+	if h.e == nil {
+		return proto.Status{}
+	}
 	h.v.mu.Lock()
 	defer h.v.mu.Unlock()
 	return h.e.status
 }
 
-// Close releases the handle. If the cached copy was modified, it is
-// transmitted to the custodian now — write-on-close, which keeps crash
-// recovery simple and approximates timesharing visibility (§3.2).
+// Close releases the handle; closing it again does nothing. If a Vice
+// file's cached copy was modified, it is transmitted to the custodian now —
+// write-on-close, which keeps crash recovery simple and approximates
+// timesharing visibility (§3.2).
 func (h *Handle) Close(p *sim.Proc) error {
 	if h.closed {
 		return nil
 	}
 	h.closed = true
 	v, e := h.v, h.e
+	if v == nil {
+		return nil
+	}
 	v.mu.Lock()
 	if !e.dirty {
 		e.open--

@@ -8,7 +8,9 @@
 // on a Vax resolves to "/vice/unix/vax/bin".
 //
 // Application programs see one hierarchical file system; whether a file is
-// local or shared changes performance, never semantics (§3.2).
+// local or shared changes performance, never semantics (§3.2). An open file
+// in either space is one venus.Handle with one offset: over Venus's cached
+// copy for a shared file, over the file itself for a local one.
 package virtue
 
 import (
@@ -150,128 +152,22 @@ func (fs *FS) underMount(path string) (string, bool) {
 	return "", false
 }
 
-// File is an open file in either name space.
-type File struct {
-	fs     *FS
-	vh     *venus.Handle // shared files
-	lpath  string        // local files
-	flags  venus.OpenFlag
-	offset int64
-	closed bool
-}
-
-// Open opens path with the given flags.
-func (fs *FS) Open(p *sim.Proc, path string, flags venus.OpenFlag) (*File, error) {
+// Open opens path with the given flags. A shared file is Venus's open
+// handle on its cached copy; a local file's handle is the same type over the
+// local file system, with no Venus behind it.
+func (fs *FS) Open(p *sim.Proc, path string, flags venus.OpenFlag) (*venus.Handle, error) {
 	tgt, err := fs.resolve(path, true)
 	if err != nil {
 		return nil, err
 	}
 	if tgt.shared {
-		vh, err := fs.venus.Open(p, tgt.path, flags)
-		if err != nil {
-			return nil, err
-		}
-		return &File{fs: fs, vh: vh, flags: flags}, nil
+		return fs.venus.Open(p, tgt.path, flags)
 	}
-	return fs.openLocal(path, tgt.path, flags)
-}
-
-// openLocal opens lp, what path resolved to in the local name space.
-func (fs *FS) openLocal(path, lp string, flags venus.OpenFlag) (*File, error) {
-	exists := fs.local.Exists(lp)
-	switch {
-	case !exists && flags&venus.FlagCreate != 0:
-		if err := fs.local.WriteFile(lp, nil, 0o644, fs.venus.User()); err != nil {
-			return nil, err
-		}
-	case !exists:
-		return nil, fmt.Errorf("%w: %s", unixfs.ErrNotExist, path)
-	case flags&venus.FlagTrunc != 0:
-		if err := fs.local.Truncate(lp, 0); err != nil {
-			return nil, err
-		}
-	}
-	return &File{fs: fs, lpath: lp, flags: flags}, nil
-}
-
-// Read reads at the file offset.
-func (f *File) Read(buf []byte) (int, error) {
-	n, err := f.ReadAt(buf, f.offset)
-	f.offset += int64(n)
-	return n, err
-}
-
-// ReadAt reads at an absolute offset.
-func (f *File) ReadAt(buf []byte, off int64) (int, error) {
-	if f.closed {
-		return 0, fmt.Errorf("%w: closed file", unixfs.ErrInvalid)
-	}
-	if f.vh != nil {
-		return f.vh.ReadAt(buf, off)
-	}
-	return f.fs.local.ReadAt(f.lpath, buf, off)
-}
-
-// Write writes at the file offset.
-func (f *File) Write(buf []byte) (int, error) {
-	n, err := f.WriteAt(buf, f.offset)
-	f.offset += int64(n)
-	return n, err
-}
-
-// WriteAt writes at an absolute offset.
-func (f *File) WriteAt(buf []byte, off int64) (int, error) {
-	if f.closed {
-		return 0, fmt.Errorf("%w: closed file", unixfs.ErrInvalid)
-	}
-	if f.vh != nil {
-		return f.vh.WriteAt(buf, off)
-	}
-	if f.flags&venus.FlagWrite == 0 {
-		return 0, fmt.Errorf("%w: not open for writing", proto.ErrAccess)
-	}
-	return f.fs.local.WriteAt(f.lpath, buf, off)
-}
-
-// Seek positions the file offset.
-func (f *File) Seek(off int64, whence int) (int64, error) {
-	if f.vh != nil {
-		pos, err := f.vh.Seek(off, whence)
-		f.offset = pos
-		return pos, err
-	}
-	switch whence {
-	case 0:
-		f.offset = off
-	case 1:
-		f.offset += off
-	case 2:
-		st, err := f.fs.local.Stat(f.lpath)
-		if err != nil {
-			return 0, err
-		}
-		f.offset = st.Size + off
-	default:
-		return 0, unixfs.ErrInvalid
-	}
-	return f.offset, nil
-}
-
-// Close closes the file. For a modified shared file this is the moment the
-// whole file travels to its custodian.
-func (f *File) Close(p *sim.Proc) error {
-	if f.closed {
-		return nil
-	}
-	f.closed = true
-	if f.vh != nil {
-		return f.vh.Close(p)
-	}
-	return nil
+	return venus.OpenLocal(fs.local, tgt.path, flags, fs.venus.User())
 }
 
 // ReadFile reads an entire file. A shared file is Venus's to read: the same
-// open, read and close as through a File, without the two handles.
+// open, read and close as through Open, with the handle on Venus's frame.
 func (fs *FS) ReadFile(p *sim.Proc, path string) ([]byte, error) {
 	tgt, err := fs.resolve(path, true)
 	if err != nil {
@@ -283,8 +179,9 @@ func (fs *FS) ReadFile(p *sim.Proc, path string) ([]byte, error) {
 	return fs.local.ReadFile(tgt.path)
 }
 
-// WriteFile writes an entire file, creating or truncating it. A shared file
-// is Venus's to write, as ReadFile's is to read.
+// WriteFile writes an entire file, creating or replacing it. A shared file
+// is Venus's to write, as ReadFile's is to read; a local one is one
+// unixfs.WriteFile.
 func (fs *FS) WriteFile(p *sim.Proc, path string, data []byte) error {
 	tgt, err := fs.resolve(path, true)
 	if err != nil {
@@ -293,15 +190,7 @@ func (fs *FS) WriteFile(p *sim.Proc, path string, data []byte) error {
 	if tgt.shared {
 		return fs.venus.WriteFile(p, tgt.path, data)
 	}
-	f, err := fs.openLocal(path, tgt.path, venus.FlagWrite|venus.FlagCreate|venus.FlagTrunc)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close(p)
-		return err
-	}
-	return f.Close(p)
+	return fs.local.WriteFile(tgt.path, data, 0o644, fs.venus.User())
 }
 
 // Stat describes path.

@@ -216,25 +216,81 @@ func TestMissingFileErrors(t *testing.T) {
 	}
 }
 
+// TestSequentialIOAndSeek: an open file has one offset, in either name space
+// and either mode. Read and Write advance it; Seek sets it from the start, the
+// offset (counting the reads before it) or the end; a seek before the start
+// fails and leaves it alone; and a closed handle refuses every read, write and
+// seek with one error.
 func TestSequentialIOAndSeek(t *testing.T) {
-	fs, _ := rig(t, vice.Prototype)
-	fs.WriteFile(nil, "/vice/f", []byte("abcdefgh"))
-	f, err := fs.Open(nil, "/vice/f", FlagRead)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close(nil)
-	buf := make([]byte, 3)
-	n, _ := f.Read(buf)
-	if string(buf[:n]) != "abc" {
-		t.Fatalf("read 1: %q", buf[:n])
-	}
-	if _, err := f.Seek(2, 0); err != nil {
-		t.Fatal(err)
-	}
-	n, _ = f.Read(buf)
-	if string(buf[:n]) != "cde" {
-		t.Fatalf("read after seek: %q", buf[:n])
+	for _, mode := range []vice.Mode{vice.Prototype, vice.Revised} {
+		for _, path := range []string{"/vice/f", "/tmp/f"} {
+			t.Run(mode.String()+path, func(t *testing.T) {
+				fs, _ := rig(t, mode)
+				if err := fs.Local().MkdirAll("/tmp", 0o777, "root"); err != nil {
+					t.Fatal(err)
+				}
+				if err := fs.WriteFile(nil, path, []byte("abcdefgh")); err != nil {
+					t.Fatal(err)
+				}
+				f, err := fs.Open(nil, path, FlagRead|FlagWrite)
+				if err != nil {
+					t.Fatal(err)
+				}
+				buf := make([]byte, 3)
+				read := func(want string) {
+					t.Helper()
+					if n, err := f.Read(buf); err != nil || string(buf[:n]) != want {
+						t.Fatalf("read %q, %v; want %q", buf[:n], err, want)
+					}
+				}
+				seek := func(off int64, whence int, want int64) {
+					t.Helper()
+					if pos, err := f.Seek(off, whence); err != nil || pos != want {
+						t.Fatalf("Seek(%d, %d) = %d, %v; want %d", off, whence, pos, err, want)
+					}
+				}
+				read("abc")
+				seek(1, 1, 4)
+				read("efg")
+				seek(2, 0, 2)
+				read("cde")
+				seek(0, 2, 8)
+				if n, err := f.Write([]byte("ij")); err != nil || n != 2 {
+					t.Fatalf("write: %d, %v", n, err)
+				}
+				seek(0, 1, 10)
+				seek(-1, 2, 9)
+				read("j")
+				if _, err := f.Seek(-11, 1); !errors.Is(err, proto.ErrBadRequest) {
+					t.Fatalf("seek before the start: %v", err)
+				}
+				seek(0, 1, 10)
+
+				st := f.Status()
+				if shared := path == "/vice/f"; shared && st.Size != 8 {
+					t.Fatalf("status of the shared file as opened: size %d", st.Size)
+				} else if !shared && st != (proto.Status{}) {
+					t.Fatalf("status of a local file: %+v, want the zero Status", st)
+				}
+				if err := f.Close(nil); err != nil {
+					t.Fatal(err)
+				}
+				if got, err := fs.ReadFile(nil, path); err != nil || string(got) != "abcdefghij" {
+					t.Fatalf("after close: %q, %v", got, err)
+				}
+				for name, op := range map[string]func() error{
+					"Read":    func() error { _, err := f.Read(buf); return err },
+					"ReadAt":  func() error { _, err := f.ReadAt(buf, 0); return err },
+					"Write":   func() error { _, err := f.Write(buf); return err },
+					"WriteAt": func() error { _, err := f.WriteAt(buf, 0); return err },
+					"Seek":    func() error { _, err := f.Seek(0, 0); return err },
+				} {
+					if err := op(); !errors.Is(err, proto.ErrBadRequest) {
+						t.Errorf("%s on a closed handle: %v", name, err)
+					}
+				}
+			})
+		}
 	}
 }
 
