@@ -148,6 +148,7 @@ go test -run=NONE -fuzz='^FuzzResolvePath$' -fuzztime=10s ./internal/vice
 go test -run=NONE -fuzz='^FuzzDispatch$' -fuzztime=10s ./internal/vice
 go test -run=NONE -fuzz='^FuzzPageServer$' -fuzztime=10s ./internal/baseline
 go test -run=NONE -fuzz='^FuzzLocEntry$' -fuzztime=10s ./internal/proto
+go test -run=NONE -fuzz='^FuzzDirEntries$' -fuzztime=10s ./internal/proto
 go test -run=NONE -fuzz='^FuzzDecodeBulkTestValid$' -fuzztime=10s ./internal/wire
 go test -run=NONE -fuzz='^FuzzDecodeBulkBreak$' -fuzztime=10s ./internal/wire
 go test -run=NONE -fuzz='^FuzzWALReplay$' -fuzztime=10s ./internal/store/walstore

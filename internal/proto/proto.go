@@ -188,53 +188,6 @@ func DecodeStatus(d *wire.Decoder) Status {
 	}
 }
 
-// DirEntry is one entry in a Vice directory. Directories are fetched as
-// ordinary files whose contents are an encoded list of these; the revised
-// Venus walks them client-side.
-type DirEntry struct {
-	Name string
-	FID  FID
-	Type FileType
-}
-
-// EncodeDirEntries marshals a directory listing into file contents.
-func EncodeDirEntries(entries []DirEntry) []byte {
-	e := wire.GetEncoder()
-	e.U32(uint32(len(entries)))
-	for _, de := range entries {
-		e.String(de.Name)
-		de.FID.Encode(e)
-		e.U8(uint8(de.Type))
-	}
-	out := append([]byte(nil), e.Buf()...)
-	wire.PutEncoder(e)
-	return out
-}
-
-// DecodeDirEntries unmarshals directory file contents.
-func DecodeDirEntries(data []byte) ([]DirEntry, error) {
-	d := wire.NewDecoder(data)
-	n := d.U32()
-	// Cap the preallocation: n is untrusted and a corrupt count must not
-	// exhaust memory before the per-entry decode detects truncation.
-	capHint := n
-	if capHint > 4096 {
-		capHint = 4096
-	}
-	entries := make([]DirEntry, 0, capHint)
-	for i := uint32(0); i < n && d.Err() == nil; i++ {
-		entries = append(entries, DirEntry{
-			Name: d.String(),
-			FID:  DecodeFID(d),
-			Type: FileType(d.U8()),
-		})
-	}
-	if err := d.Close(); err != nil {
-		return nil, fmt.Errorf("proto: corrupt directory: %w", err)
-	}
-	return entries, nil
-}
-
 // Service-level error codes carried in rpc.Response.Code.
 const (
 	CodeOK          uint16 = 0

@@ -1,7 +1,10 @@
 package proto
 
 import (
+	"bytes"
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -65,30 +68,102 @@ func TestStatusRoundTrip(t *testing.T) {
 
 func TestDirEntriesRoundTrip(t *testing.T) {
 	entries := []DirEntry{
+		{Name: "bin", FID: FID{1, 7, 2}, Type: TypeSymlink},
 		{Name: "paper.mss", FID: FID{1, 5, 1}, Type: TypeFile},
 		{Name: "src", FID: FID{1, 6, 1}, Type: TypeDir},
-		{Name: "bin", FID: FID{1, 7, 2}, Type: TypeSymlink},
 	}
-	data := EncodeDirEntries(entries)
-	got, err := DecodeDirEntries(data)
+	data := DirListing(entries)
+	if int64(len(data)) != DirSize(entries) {
+		t.Fatalf("listing is %d bytes, DirSize says %d", len(data), DirSize(entries))
+	}
+	got, err := Unmarshal(data, DecodeDirEntries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(entries) {
-		t.Fatalf("len = %d", len(got))
+	if !slices.Equal(got, entries) {
+		t.Fatalf("round trip: %+v != %+v", got, entries)
 	}
-	for i := range entries {
-		if got[i] != entries[i] {
-			t.Fatalf("entry %d: %+v != %+v", i, got[i], entries[i])
-		}
-	}
-	if _, err := DecodeDirEntries([]byte("junk")); err == nil {
+	if _, err := Unmarshal([]byte("junk"), DecodeDirEntries); err == nil {
 		t.Fatal("garbage directory accepted")
 	}
-	empty, err := DecodeDirEntries(EncodeDirEntries(nil))
+	empty, err := Unmarshal(DirListing(nil), DecodeDirEntries)
 	if err != nil || len(empty) != 0 {
 		t.Fatal("empty listing round trip failed")
 	}
+	// A table out of name order, or with a name twice, is refused.
+	for _, bad := range [][]DirEntry{
+		{entries[1], entries[0]},
+		{entries[0], entries[0]},
+	} {
+		if _, err := Unmarshal(DirListing(bad), DecodeDirEntries); err == nil {
+			t.Fatalf("unsorted table %+v accepted", bad)
+		}
+	}
+}
+
+func TestDirEntryEdits(t *testing.T) {
+	var dir []DirEntry
+	for _, name := range []string{"m", "b", "x", "a", "m"} {
+		dir = InsertDirEntry(dir, DirEntry{Name: name, FID: FID{1, uint32(len(name)), 1}})
+	}
+	dir = InsertDirEntry(dir, DirEntry{Name: "b", FID: FID{1, 9, 9}}) // replaces
+	if got := names(dir); got != "a b m x" {
+		t.Fatalf("after inserts: %s", got)
+	}
+	if de, ok := LookupDirEntry(dir, "b"); !ok || de.FID != (FID{1, 9, 9}) {
+		t.Fatalf("Lookup(b) = %+v, %v", de, ok)
+	}
+	if _, ok := LookupDirEntry(dir, "c"); ok {
+		t.Fatal("Lookup found a missing name")
+	}
+	dir = RemoveDirEntry(RemoveDirEntry(dir, "m"), "nope")
+	if got := names(dir); got != "a b x" {
+		t.Fatalf("after removes: %s", got)
+	}
+}
+
+func names(dir []DirEntry) string {
+	var out []string
+	for _, de := range dir {
+		out = append(out, de.Name)
+	}
+	return strings.Join(out, " ")
+}
+
+// FuzzDirEntries checks the entry-table decoder on arbitrary bytes: it never
+// panics, it accepts exactly the tables whose names strictly ascend, and
+// what it accepts encodes back to the same bytes.
+func FuzzDirEntries(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(DirListing(nil))
+	f.Add(DirListing([]DirEntry{{Name: "a", FID: FID{1, 2, 3}, Type: TypeFile}, {Name: "b"}}))
+	f.Add(DirListing([]DirEntry{{Name: "b"}, {Name: "a"}}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := Unmarshal(data, DecodeDirEntries)
+		if err != nil {
+			// Refused: either not a table at all, or one out of order.
+			d := wire.NewDecoder(data)
+			n := d.ListLen(1)
+			var seen []string
+			for i := 0; i < n && d.Err() == nil; i++ {
+				seen = append(seen, d.String())
+				DecodeFID(d)
+				d.U8()
+			}
+			if d.Close() == nil && slices.IsSorted(seen) && len(slices.Compact(seen)) == n {
+				t.Fatalf("well-formed ascending table refused: %v", err)
+			}
+			return
+		}
+		for i := 1; i < len(got); i++ {
+			if got[i-1].Name >= got[i].Name {
+				t.Fatalf("accepted a table out of order: %+v", got)
+			}
+		}
+		if !bytes.Equal(DirListing(got), data) || DirSize(got) != int64(len(data)) {
+			t.Fatal("accepted table does not re-encode to its bytes")
+		}
+	})
 }
 
 func TestErrorCodeMapping(t *testing.T) {
@@ -266,9 +341,12 @@ func TestUnmarshalRejectsTrailingGarbage(t *testing.T) {
 	}
 }
 
-// Property: directory listings of arbitrary names round-trip.
+// Property: directory listings of arbitrary names round-trip once sorted and
+// made unique, and are refused when two of them are swapped.
 func TestQuickDirEntries(t *testing.T) {
 	f := func(names []string, vols []uint32) bool {
+		slices.Sort(names)
+		names = slices.Compact(names)
 		var entries []DirEntry
 		for i, n := range names {
 			var v uint32
@@ -277,16 +355,16 @@ func TestQuickDirEntries(t *testing.T) {
 			}
 			entries = append(entries, DirEntry{Name: n, FID: FID{Volume: v, Vnode: uint32(i)}, Type: TypeFile})
 		}
-		got, err := DecodeDirEntries(EncodeDirEntries(entries))
-		if err != nil || len(got) != len(entries) {
+		got, err := Unmarshal(DirListing(entries), DecodeDirEntries)
+		if err != nil || !slices.Equal(got, entries) {
 			return false
 		}
-		for i := range entries {
-			if got[i] != entries[i] {
-				return false
-			}
+		if len(entries) < 2 {
+			return true
 		}
-		return true
+		entries[0], entries[1] = entries[1], entries[0]
+		_, err = Unmarshal(DirListing(entries), DecodeDirEntries)
+		return err != nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

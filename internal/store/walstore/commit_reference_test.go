@@ -56,14 +56,10 @@ func referenceEncodeVnodeMeta(v *volume.Volume, id uint32) ([]byte, bool) {
 			e.U8(uint8(side[n]))
 		}
 	}
-	names := make([]string, 0, len(vn.Entries))
-	for n := range vn.Entries {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	e.U32(uint32(len(names)))
-	for _, n := range names {
-		de := vn.Entries[n]
+	entries := append([]proto.DirEntry(nil), vn.Entries...)
+	sort.Slice(entries, func(i, j int) bool { return entries[i].Name < entries[j].Name })
+	e.U32(uint32(len(entries)))
+	for _, de := range entries {
 		e.String(de.Name)
 		de.FID.Encode(&e)
 		e.U8(uint8(de.Type))

@@ -456,14 +456,8 @@ levels:
 			for stop < len(path) && path[stop] != '/' {
 				stop++
 			}
-			var found *proto.DirEntry
-			for j := range entries {
-				if entries[j].Name == path[end+1:stop] {
-					found = &entries[j]
-					break
-				}
-			}
-			if found == nil {
+			found, ok := proto.LookupDirEntry(entries, path[end+1:stop])
+			if !ok {
 				return proto.FID{}, nil, fmt.Errorf("%w: %s", proto.ErrNoEnt, path)
 			}
 			if found.Type == proto.TypeSymlink && (stop < len(path) || followLast) {
@@ -525,7 +519,7 @@ func (v *Venus) decodeDirLocked(e *entry) ([]proto.DirEntry, error) {
 		if err != nil {
 			return nil, err
 		}
-		e.dirEnts, err = proto.DecodeDirEntries(data)
+		e.dirEnts, err = proto.Unmarshal(data, proto.DecodeDirEntries)
 		v.cfg.Local.Return(e.cacheFile, data)
 		if err != nil {
 			return nil, err
@@ -691,7 +685,7 @@ func (v *Venus) patchDir(dir proto.FID, patch dirPatch, resp rpc.Response) bool 
 		return false
 	}
 	patched := patch(append([]proto.DirEntry(nil), entries...), resp)
-	updated := proto.EncodeDirEntries(patched) // a fresh slice nothing else holds
+	updated := proto.DirListing(patched) // a fresh slice nothing else holds
 	if err := v.cfg.Local.Adopt(e.cacheFile, updated, 0o600, "venus"); err != nil {
 		return false
 	}
@@ -702,27 +696,21 @@ func (v *Venus) patchDir(dir proto.FID, patch dirPatch, resp rpc.Response) bool 
 	return true
 }
 
-// patchAdd appends an entry whose FID comes from the reply status.
+// patchAdd inserts an entry whose FID comes from the reply status.
 func patchAdd(name string, typ proto.FileType) dirPatch {
 	return func(entries []proto.DirEntry, resp rpc.Response) []proto.DirEntry {
 		st, err := proto.Unmarshal(resp.Body, proto.DecodeStatus)
 		if err != nil {
 			return entries
 		}
-		return append(entries, proto.DirEntry{Name: name, FID: st.FID, Type: typ})
+		return proto.InsertDirEntry(entries, proto.DirEntry{Name: name, FID: st.FID, Type: typ})
 	}
 }
 
 // patchDel removes an entry by name.
 func patchDel(name string) dirPatch {
 	return func(entries []proto.DirEntry, _ rpc.Response) []proto.DirEntry {
-		out := entries[:0]
-		for _, e := range entries {
-			if e.Name != name {
-				out = append(out, e)
-			}
-		}
-		return out
+		return proto.RemoveDirEntry(entries, name)
 	}
 }
 
@@ -797,29 +785,12 @@ func (v *Venus) Rename(p *sim.Proc, from, to string) error {
 	var patch dirPatch
 	if fromDir == toDir {
 		patch = func(entries []proto.DirEntry, _ rpc.Response) []proto.DirEntry {
-			if fromName == toName {
-				return entries // identity rename: the server no-opped too
+			moved, ok := proto.LookupDirEntry(entries, fromName)
+			if !ok {
+				return entries
 			}
-			// Compacted in place (entries is the patch's own copy); the
-			// moved entry goes last, as the server's listing has it.
-			out := entries[:0]
-			var moved proto.DirEntry
-			found := false
-			for _, e := range entries {
-				switch e.Name {
-				case toName: // replaced by the rename
-				case fromName:
-					moved = e
-					found = true
-				default:
-					out = append(out, e)
-				}
-			}
-			if found {
-				moved.Name = toName
-				out = append(out, moved)
-			}
-			return out
+			moved.Name = toName // replaces an entry of that name
+			return proto.InsertDirEntry(proto.RemoveDirEntry(entries, fromName), moved)
 		}
 	} else {
 		patch = patchDel(fromName)
@@ -880,7 +851,7 @@ func (v *Venus) Link(p *sim.Proc, oldPath, newPath string) error {
 			if !oldRef.ByFID() {
 				return entries
 			}
-			return append(entries, proto.DirEntry{Name: name, FID: oldRef.FID, Type: proto.TypeFile})
+			return proto.InsertDirEntry(entries, proto.DirEntry{Name: name, FID: oldRef.FID, Type: proto.TypeFile})
 		})
 }
 

@@ -46,7 +46,7 @@ func TestHostileNamesRefused(t *testing.T) {
 					wantCode(t, c.call("satya", 0, op.op, op.body, nil), proto.CodeBadRequest)
 					after, st := c.fetch(t, "satya", "/u")
 					if !bytes.Equal(after, before) || st.Version != dirStatus.Version {
-						got, _ := proto.DecodeDirEntries(after)
+						got, _ := proto.Unmarshal(after, proto.DecodeDirEntries)
 						t.Fatalf("refused %s left the directory changed: version %d -> %d, now %+v",
 							op.what, dirStatus.Version, st.Version, got)
 					}

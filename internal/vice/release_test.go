@@ -71,7 +71,7 @@ func replicaHasListing(t *testing.T, srv *Server, vol uint32, names ...string) {
 	if !resp.OK() {
 		t.Fatalf("fetch from replica: code %d: %s", resp.Code, resp.Body)
 	}
-	entries, err := proto.DecodeDirEntries(resp.Bulk)
+	entries, err := proto.Unmarshal(resp.Bulk, proto.DecodeDirEntries)
 	if err != nil || len(entries) != len(names) {
 		t.Fatalf("replica listing: %+v %v, want %v", entries, err, names)
 	}

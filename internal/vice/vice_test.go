@@ -246,7 +246,7 @@ func TestMkVolumeMountsInParent(t *testing.T) {
 	// The mount point appears as a directory entry of /usr whose FID lives
 	// in the new volume.
 	data, _ := c.fetch(t, "satya", "/usr")
-	entries, err := proto.DecodeDirEntries(data)
+	entries, err := proto.Unmarshal(data, proto.DecodeDirEntries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,7 +499,7 @@ func TestVolCloneReplicatesToPeers(t *testing.T) {
 	}
 	resp = mustOK(t, c.call("satya", 1, proto.OpFetch,
 		proto.Marshal(proto.FetchArgs{Ref: proto.Ref{FID: proto.FID{Volume: vs.Volume, Vnode: volume.RootVnode, Uniq: 1}}}), nil))
-	entries, err := proto.DecodeDirEntries(resp.Bulk)
+	entries, err := proto.Unmarshal(resp.Bulk, proto.DecodeDirEntries)
 	if err != nil || len(entries) != 1 || entries[0].Name != "ls" {
 		t.Fatalf("replica listing: %+v %v", entries, err)
 	}

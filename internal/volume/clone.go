@@ -2,6 +2,7 @@ package volume
 
 import (
 	"fmt"
+	"slices"
 
 	"itcfs/internal/prot"
 	"itcfs/internal/proto"
@@ -36,11 +37,12 @@ func (v *Volume) Clone(newID uint32, newName string) *Volume {
 			Parent: vn.Parent,
 		}
 		cp.Status.FID.Volume = newID
-		if vn.Entries != nil {
-			cp.Entries = make(map[string]proto.DirEntry, len(vn.Entries))
-			for name, de := range vn.Entries {
-				de.FID.Volume = newID
-				cp.Entries[name] = de
+		if len(vn.Entries) > 0 {
+			cp.Entries = slices.Clone(vn.Entries)
+			for i := range cp.Entries {
+				if cp.Entries[i].FID.Volume == v.id { // a mount point keeps its target
+					cp.Entries[i].FID.Volume = newID
+				}
 			}
 		}
 		c.vnodes[id] = cp
@@ -80,7 +82,6 @@ func (v *Volume) encodeImage(e *wire.Encoder, withData bool) int {
 	start := e.Len()
 	ids := v.VnodeIDs()
 	skipped := 0
-	var names []string // encodeEntries' scratch, shared by every vnode
 	e.U32(v.id)
 	e.String(v.name)
 	e.Bool(v.readOnly)
@@ -100,7 +101,7 @@ func (v *Volume) encodeImage(e *wire.Encoder, withData bool) int {
 			skipped += len(vn.Data)
 		}
 		vn.ACL.Encode(e)
-		names = encodeEntries(e, vn.Entries, names)
+		proto.EncodeDirEntries(e, vn.Entries)
 	}
 	return e.Len() - start + skipped
 }
@@ -128,14 +129,7 @@ func Deserialize(image []byte, clock Clock) (*Volume, error) {
 		vn := &Vnode{Parent: d.U32(), Status: proto.DecodeStatus(d)}
 		vn.Data = append([]byte(nil), d.Bytes()...)
 		vn.ACL = prot.DecodeACL(d)
-		ne := d.U32()
-		if ne > 0 || vn.Status.Type == proto.TypeDir {
-			vn.Entries = make(map[string]proto.DirEntry)
-		}
-		for j := uint32(0); j < ne && d.Err() == nil; j++ {
-			de := proto.DirEntry{Name: d.String(), FID: proto.DecodeFID(d), Type: proto.FileType(d.U8())}
-			vn.Entries[de.Name] = de
-		}
+		vn.Entries = proto.DecodeDirEntries(d)
 		if vn.Status.Type == proto.TypeFile {
 			v.used += int64(len(vn.Data))
 		}
@@ -177,23 +171,27 @@ func (v *Volume) Salvage() SalvageReport {
 		if vn == nil || vn.Status.Type != proto.TypeDir {
 			return
 		}
-		for name, de := range vn.Entries {
-			if de.FID.Volume != v.id {
-				continue // a mount point into another volume
+		kept := vn.Entries[:0] // compacted in place
+		for _, de := range vn.Entries {
+			if de.FID.Volume == v.id { // not a mount point into another volume
+				child, ok := v.vnodes[de.FID.Vnode]
+				if !ok || child.Status.FID != de.FID {
+					rep.DanglingEntries++
+					continue
+				}
+				links[de.FID.Vnode]++
+				if de.Type == proto.TypeDir {
+					walk(de.FID.Vnode)
+				} else {
+					reachable[de.FID.Vnode] = true
+				}
 			}
-			child, ok := v.vnodes[de.FID.Vnode]
-			if !ok || child.Status.FID != de.FID {
-				delete(vn.Entries, name)
-				v.markMeta(id)
-				rep.DanglingEntries++
-				continue
-			}
-			links[de.FID.Vnode]++
-			if de.Type == proto.TypeDir {
-				walk(de.FID.Vnode)
-			} else {
-				reachable[de.FID.Vnode] = true
-			}
+			kept = append(kept, de)
+		}
+		if len(kept) < len(vn.Entries) {
+			vn.Entries = kept
+			vn.Status.Size = proto.DirSize(kept)
+			v.markMeta(id)
 		}
 	}
 	walk(RootVnode)
@@ -249,7 +247,7 @@ func (v *Volume) CorruptForTest() {
 	}}
 	// A dangling entry and a wrong link count in the root.
 	root := v.vnodes[RootVnode]
-	root.Entries["ghost"] = proto.DirEntry{Name: "ghost", FID: proto.FID{Volume: v.id, Vnode: 8888, Uniq: 1}}
+	root.Entries = proto.InsertDirEntry(root.Entries, proto.DirEntry{Name: "ghost", FID: proto.FID{Volume: v.id, Vnode: 8888, Uniq: 1}})
 	root.Status.Links = 99
 	// A wrong byte total.
 	v.used += 12345

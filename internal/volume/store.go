@@ -92,15 +92,14 @@ const (
 // what it changed without allocating. Everything TakeDirty and
 // EncodeVnodeMeta return is a slice of it, valid until the next TakeDirty.
 // The arena holds the metadata of the vnodes one operation dirtied — the
-// volume already holds the same directories as maps, several times the
-// size — so it is not bounded separately.
+// volume already holds the same directories — so it is not bounded
+// separately.
 type journal struct {
 	dirty map[uint32]uint8
 	dead  map[uint32]bool
 
 	meta, data, gone []uint32     // TakeDirty's three results
 	arena            wire.Encoder // the metadata records since TakeDirty, back to back
-	names            []string     // one directory's entry names, for sorting
 }
 
 // EnableDirtyTracking turns on mutation tracking for this volume. A server
@@ -181,30 +180,11 @@ func (v *Volume) EncodeVnodeMeta(id uint32) ([]byte, bool) {
 	e.U32(vn.Parent)
 	vn.Status.Encode(e)
 	vn.ACL.Encode(e)
-	j.names = encodeEntries(e, vn.Entries, j.names)
+	proto.EncodeDirEntries(e, vn.Entries)
 	// Capacity capped at the record: an append by its holder cannot run into
 	// the next record. (The arena growing under a later record leaves this
 	// one where it was, in the buffer it was written to.)
 	return e.Buf()[start:e.Len():e.Len()], true
-}
-
-// encodeEntries appends a directory's entry table, sorted by name, to e. It
-// collects the names in scratch and returns it, grown if it had to be, for
-// the next call.
-func encodeEntries(e *wire.Encoder, entries map[string]proto.DirEntry, scratch []string) []string {
-	names := scratch[:0]
-	for n := range entries {
-		names = append(names, n)
-	}
-	slices.Sort(names)
-	e.U32(uint32(len(names)))
-	for _, n := range names {
-		de := entries[n]
-		e.String(de.Name)
-		de.FID.Encode(e)
-		e.U8(uint8(de.Type))
-	}
-	return names
 }
 
 // RestoreVnodeMeta installs a vnode's metadata during recovery, creating the
@@ -214,15 +194,7 @@ func (v *Volume) RestoreVnodeMeta(id uint32, rec []byte) error {
 	parent := d.U32()
 	st := proto.DecodeStatus(d)
 	acl := prot.DecodeACL(d)
-	n := d.ListLen(1)
-	var entries map[string]proto.DirEntry
-	if n > 0 || st.Type == proto.TypeDir {
-		entries = make(map[string]proto.DirEntry, n)
-	}
-	for i := 0; i < n && d.Err() == nil; i++ {
-		de := proto.DirEntry{Name: d.String(), FID: proto.DecodeFID(d), Type: proto.FileType(d.U8())}
-		entries[de.Name] = de
-	}
+	entries := proto.DecodeDirEntries(d)
 	if err := d.Close(); err != nil {
 		return fmt.Errorf("volume: corrupt vnode %d metadata: %w", id, err)
 	}

@@ -18,7 +18,6 @@ package volume
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"itcfs/internal/prot"
@@ -35,9 +34,9 @@ type Clock func() int64
 // Vnode is one file, directory or symlink within a volume.
 type Vnode struct {
 	Status  proto.Status
-	Data    []byte                    // file contents; shared with clones (copy-on-write)
-	Entries map[string]proto.DirEntry // directories only
-	ACL     prot.ACL                  // directories only
+	Data    []byte           // file contents; shared with clones (copy-on-write)
+	Entries []proto.DirEntry // directories only, in proto's name order
+	ACL     prot.ACL         // directories only
 	// Parent is the vnode number of the containing directory; protection on
 	// plain files is the directory's access list (§3.4). For files with
 	// several hard links it is the directory of the first link, as in AFS.
@@ -87,9 +86,9 @@ func New(id uint32, name string, acl prot.ACL, quota int64, owner string, clock 
 			Owner: owner,
 			Links: 2,
 			Mtime: clock(),
+			Size:  proto.DirSize(nil),
 		},
-		Entries: make(map[string]proto.DirEntry),
-		ACL:     acl.Clone(),
+		ACL: acl.Clone(),
 	}
 	return v
 }
@@ -168,38 +167,11 @@ func (v *Volume) Lookup(dir proto.FID, name string) (proto.DirEntry, error) {
 	if dn.Status.Type != proto.TypeDir {
 		return proto.DirEntry{}, proto.ErrNotDir
 	}
-	de, ok := dn.Entries[name]
+	de, ok := proto.LookupDirEntry(dn.Entries, name)
 	if !ok {
 		return proto.DirEntry{}, fmt.Errorf("%w: %s", proto.ErrNoEnt, name)
 	}
 	return de, nil
-}
-
-// List returns the directory's entries sorted by name.
-func (v *Volume) List(dir proto.FID) ([]proto.DirEntry, error) {
-	dn, err := v.Get(dir)
-	if err != nil {
-		return nil, err
-	}
-	if dn.Status.Type != proto.TypeDir {
-		return nil, proto.ErrNotDir
-	}
-	out := make([]proto.DirEntry, 0, len(dn.Entries))
-	for _, de := range dn.Entries {
-		out = append(out, de)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out, nil
-}
-
-// DirData materializes a directory's contents as the encoded listing that
-// crosses the Vice-Virtue interface.
-func (v *Volume) DirData(dir proto.FID) ([]byte, error) {
-	entries, err := v.List(dir)
-	if err != nil {
-		return nil, err
-	}
-	return proto.EncodeDirEntries(entries), nil
 }
 
 // newVnode allocates a vnode of the given type.
@@ -218,8 +190,8 @@ func (v *Volume) newVnode(typ proto.FileType, mode uint16, owner string) *Vnode 
 		},
 	}
 	if typ == proto.TypeDir {
-		vn.Entries = make(map[string]proto.DirEntry)
 		vn.Status.Links = 2
+		vn.Status.Size = proto.DirSize(nil)
 	}
 	v.vnodes[id] = vn
 	v.markMeta(id)
@@ -229,7 +201,7 @@ func (v *Volume) newVnode(typ proto.FileType, mode uint16, owner string) *Vnode 
 func (v *Volume) touchDir(dn *Vnode) {
 	dn.Status.Mtime = v.clock()
 	dn.Status.Version++
-	dn.Status.Size = int64(len(dn.Entries))
+	dn.Status.Size = proto.DirSize(dn.Entries)
 	v.markMeta(dn.Status.FID.Vnode)
 }
 
@@ -241,7 +213,7 @@ func (v *Volume) Create(dir proto.FID, name string, mode uint16, owner string) (
 	}
 	vn := v.newVnode(proto.TypeFile, mode, owner)
 	vn.Parent = dir.Vnode
-	dn.Entries[name] = proto.DirEntry{Name: name, FID: vn.Status.FID, Type: proto.TypeFile}
+	dn.Entries = proto.InsertDirEntry(dn.Entries, proto.DirEntry{Name: name, FID: vn.Status.FID, Type: proto.TypeFile})
 	v.touchDir(dn)
 	return vn, nil
 }
@@ -256,7 +228,7 @@ func (v *Volume) MakeDir(dir proto.FID, name string, mode uint16, owner string) 
 	vn := v.newVnode(proto.TypeDir, mode, owner)
 	vn.Parent = dir.Vnode
 	vn.ACL = dn.ACL.Clone()
-	dn.Entries[name] = proto.DirEntry{Name: name, FID: vn.Status.FID, Type: proto.TypeDir}
+	dn.Entries = proto.InsertDirEntry(dn.Entries, proto.DirEntry{Name: name, FID: vn.Status.FID, Type: proto.TypeDir})
 	dn.Status.Links++
 	v.touchDir(dn)
 	return vn, nil
@@ -272,7 +244,7 @@ func (v *Volume) Symlink(dir proto.FID, name, target string) (*Vnode, error) {
 	vn.Parent = dir.Vnode
 	vn.Status.Target = target
 	vn.Status.Size = int64(len(target))
-	dn.Entries[name] = proto.DirEntry{Name: name, FID: vn.Status.FID, Type: proto.TypeSymlink}
+	dn.Entries = proto.InsertDirEntry(dn.Entries, proto.DirEntry{Name: name, FID: vn.Status.FID, Type: proto.TypeSymlink})
 	v.touchDir(dn)
 	return vn, nil
 }
@@ -290,7 +262,7 @@ func (v *Volume) Link(dir proto.FID, name string, target proto.FID) error {
 	if tn.Status.Type == proto.TypeDir {
 		return proto.ErrIsDir
 	}
-	dn.Entries[name] = proto.DirEntry{Name: name, FID: tn.Status.FID, Type: tn.Status.Type}
+	dn.Entries = proto.InsertDirEntry(dn.Entries, proto.DirEntry{Name: name, FID: tn.Status.FID, Type: tn.Status.Type})
 	tn.Status.Links++
 	v.markMeta(tn.Status.FID.Vnode)
 	v.touchDir(dn)
@@ -322,7 +294,7 @@ func (v *Volume) dirForNewName(dir proto.FID, name string) (*Vnode, error) {
 	if err := validName(name); err != nil {
 		return nil, err
 	}
-	if _, exists := dn.Entries[name]; exists {
+	if _, exists := proto.LookupDirEntry(dn.Entries, name); exists {
 		return nil, fmt.Errorf("%w: %s", proto.ErrExist, name)
 	}
 	return dn, nil
@@ -384,8 +356,7 @@ func (v *Volume) ReadData(fid proto.FID) ([]byte, *Vnode, error) {
 		return nil, nil, err
 	}
 	if vn.Status.Type == proto.TypeDir {
-		data, err := v.DirData(fid)
-		return data, vn, err
+		return proto.DirListing(vn.Entries), vn, nil
 	}
 	return vn.Data, vn, nil
 }
@@ -396,7 +367,7 @@ func (v *Volume) Remove(dir proto.FID, name string) error {
 	if err != nil {
 		return err
 	}
-	de, ok := dn.Entries[name]
+	de, ok := proto.LookupDirEntry(dn.Entries, name)
 	if !ok {
 		return fmt.Errorf("%w: %s", proto.ErrNoEnt, name)
 	}
@@ -416,7 +387,7 @@ func (v *Volume) Remove(dir proto.FID, name string) error {
 			v.markMeta(de.FID.Vnode)
 		}
 	}
-	delete(dn.Entries, name)
+	dn.Entries = proto.RemoveDirEntry(dn.Entries, name)
 	v.touchDir(dn)
 	return nil
 }
@@ -427,7 +398,7 @@ func (v *Volume) RemoveDir(dir proto.FID, name string) error {
 	if err != nil {
 		return err
 	}
-	de, ok := dn.Entries[name]
+	de, ok := proto.LookupDirEntry(dn.Entries, name)
 	if !ok {
 		return fmt.Errorf("%w: %s", proto.ErrNoEnt, name)
 	}
@@ -443,7 +414,7 @@ func (v *Volume) RemoveDir(dir proto.FID, name string) error {
 	}
 	delete(v.vnodes, de.FID.Vnode)
 	v.markDead(de.FID.Vnode)
-	delete(dn.Entries, name)
+	dn.Entries = proto.RemoveDirEntry(dn.Entries, name)
 	dn.Status.Links--
 	v.touchDir(dn)
 	return nil
@@ -461,7 +432,7 @@ func (v *Volume) Rename(fromDir proto.FID, fromName string, toDir proto.FID, toN
 	if err != nil {
 		return err
 	}
-	de, ok := fdn.Entries[fromName]
+	de, ok := proto.LookupDirEntry(fdn.Entries, fromName)
 	if !ok {
 		return fmt.Errorf("%w: %s", proto.ErrNoEnt, fromName)
 	}
@@ -471,7 +442,7 @@ func (v *Volume) Rename(fromDir proto.FID, fromName string, toDir proto.FID, toN
 	if de.Type == proto.TypeDir && v.isAncestor(de.FID, toDir) {
 		return fmt.Errorf("%w: cannot move a directory under itself", proto.ErrBadRequest)
 	}
-	if old, exists := tdn.Entries[toName]; exists {
+	if old, exists := proto.LookupDirEntry(tdn.Entries, toName); exists {
 		if old.FID == de.FID {
 			return nil
 		}
@@ -495,9 +466,9 @@ func (v *Volume) Rename(fromDir proto.FID, fromName string, toDir proto.FID, toN
 			}
 		}
 	}
-	delete(fdn.Entries, fromName)
+	fdn.Entries = proto.RemoveDirEntry(fdn.Entries, fromName)
 	de.Name = toName
-	tdn.Entries[toName] = de
+	tdn.Entries = proto.InsertDirEntry(tdn.Entries, de)
 	if moved, err := v.Get(de.FID); err == nil && moved.Parent == fromDir.Vnode {
 		moved.Parent = toDir.Vnode
 		v.markMeta(de.FID.Vnode)
@@ -585,7 +556,7 @@ func (v *Volume) Mount(dir proto.FID, name string, target proto.FID) error {
 	if target.Volume == v.id {
 		return fmt.Errorf("%w: mount target in same volume", proto.ErrBadRequest)
 	}
-	dn.Entries[name] = proto.DirEntry{Name: name, FID: target, Type: proto.TypeDir}
+	dn.Entries = proto.InsertDirEntry(dn.Entries, proto.DirEntry{Name: name, FID: target, Type: proto.TypeDir})
 	v.touchDir(dn)
 	return nil
 }
@@ -596,14 +567,14 @@ func (v *Volume) Unmount(dir proto.FID, name string) error {
 	if err != nil {
 		return err
 	}
-	de, ok := dn.Entries[name]
+	de, ok := proto.LookupDirEntry(dn.Entries, name)
 	if !ok {
 		return fmt.Errorf("%w: %s", proto.ErrNoEnt, name)
 	}
 	if de.FID.Volume == v.id {
 		return fmt.Errorf("%w: %s is not a mount point", proto.ErrBadRequest, name)
 	}
-	delete(dn.Entries, name)
+	dn.Entries = proto.RemoveDirEntry(dn.Entries, name)
 	v.touchDir(dn)
 	return nil
 }

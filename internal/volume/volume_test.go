@@ -79,12 +79,12 @@ func TestLookupAndList(t *testing.T) {
 	mkFile(t, v, v.Root(), "a", "")
 	sub := mkDir(t, v, v.Root(), "src")
 	mkFile(t, v, sub, "main.c", "")
-	entries, err := v.List(v.Root())
+	rn, err := v.Get(v.Root())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 3 || entries[0].Name != "a" || entries[2].Name != "src" {
-		t.Fatalf("entries = %+v", entries)
+	if entries := rn.Entries; len(entries) != 3 || entries[0].Name != "a" || entries[2].Name != "src" {
+		t.Fatalf("entries = %+v", rn.Entries)
 	}
 	de, err := v.Lookup(v.Root(), "src")
 	if err != nil || de.Type != proto.TypeDir {
@@ -98,13 +98,16 @@ func TestLookupAndList(t *testing.T) {
 func TestDirDataDecodes(t *testing.T) {
 	v := newVol()
 	mkFile(t, v, v.Root(), "x", "")
-	data, err := v.DirData(v.Root())
+	data, rn, err := v.ReadData(v.Root())
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, err := proto.DecodeDirEntries(data)
+	entries, err := proto.Unmarshal(data, proto.DecodeDirEntries)
 	if err != nil || len(entries) != 1 || entries[0].Name != "x" {
 		t.Fatalf("decoded = %+v, %v", entries, err)
+	}
+	if rn.Status.Size != int64(len(data)) {
+		t.Fatalf("Size = %d, listing is %d bytes", rn.Status.Size, len(data))
 	}
 }
 
@@ -334,6 +337,27 @@ func TestCloneSharesDataSlices(t *testing.T) {
 	}
 }
 
+// TestCloneKeepsMountPoints: a clone's own entries move to its volume ID, and
+// a mount point still names the volume it mounts, not the clone's root.
+func TestCloneKeepsMountPoints(t *testing.T) {
+	var tick int64
+	v := New(7, "proj", prot.NewACL(), 0, "satya", func() int64 { tick++; return tick })
+	sub := mkDir(t, v, v.Root(), "src")
+	if err := v.Mount(v.Root(), "m", proto.FID{Volume: 9, Vnode: RootVnode, Uniq: 1}); err != nil {
+		t.Fatal(err)
+	}
+	clone := v.Clone(8, "proj.readonly")
+	if de, err := clone.Lookup(clone.Root(), "m"); err != nil || de.FID != (proto.FID{Volume: 9, Vnode: RootVnode, Uniq: 1}) {
+		t.Fatalf("clone's mount point = %+v, %v; want volume 9's root", de, err)
+	}
+	if de, err := clone.Lookup(clone.Root(), "src"); err != nil || de.FID != (proto.FID{Volume: 8, Vnode: sub.Vnode, Uniq: sub.Uniq}) {
+		t.Fatalf("clone's src = %+v, %v; want it in volume 8", de, err)
+	}
+	if rep := clone.Salvage(); rep != (SalvageReport{}) {
+		t.Fatalf("salvage of the clone repaired: %+v", rep)
+	}
+}
+
 func TestSerializeDeserializeRoundTrip(t *testing.T) {
 	v := newVol()
 	sub := mkDir(t, v, v.Root(), "src")
@@ -392,6 +416,9 @@ func TestSalvageRepairsCorruption(t *testing.T) {
 	if v.VnodeCount() != countBefore {
 		t.Errorf("VnodeCount = %d, want %d", v.VnodeCount(), countBefore)
 	}
+	if root, _ := v.Get(v.Root()); root.Status.Size != proto.DirSize(root.Entries) {
+		t.Errorf("root Size = %d after dropping the dangling entry, its listing is %d bytes", root.Status.Size, proto.DirSize(root.Entries))
+	}
 	// A second salvage finds nothing.
 	rep = v.Salvage()
 	if rep != (SalvageReport{}) {
@@ -441,8 +468,8 @@ func TestQuickUsedConsistent(t *testing.T) {
 			}
 		}
 		var sum int64
-		entries, _ := v.List(v.Root())
-		for _, de := range entries {
+		rn, _ := v.Get(v.Root())
+		for _, de := range rn.Entries {
 			vn, err := v.Get(de.FID)
 			if err == nil && vn.Status.Type == proto.TypeFile {
 				sum += vn.Status.Size
@@ -512,8 +539,8 @@ func TestNewNameMustBeAName(t *testing.T) {
 			}
 		}
 	}
-	if ents, _ := v.List(root); len(ents) != 1 || before.Status.Version != version {
-		t.Fatalf("refusals changed the directory: version %d -> %d, entries %+v", version, before.Status.Version, ents)
+	if len(before.Entries) != 1 || before.Status.Version != version {
+		t.Fatalf("refusals changed the directory: version %d -> %d, entries %+v", version, before.Status.Version, before.Entries)
 	}
 	// Names with a dot in them, or made of dots, are still names.
 	for i, e := range enter {

@@ -132,6 +132,15 @@ func (d *Decoder) Reset(buf []byte) { *d = Decoder{buf: buf} }
 // Err returns the first decoding error, or nil.
 func (d *Decoder) Err() error { return d.err }
 
+// Fail makes err the decoder's error unless it has one already: a codec
+// above this package refuses a well-formed but invalid value this way, and
+// its caller's one Close reports it.
+func (d *Decoder) Fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+}
+
 // Remaining returns the number of unconsumed bytes.
 func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
 
