@@ -151,6 +151,7 @@ go test -run=NONE -fuzz='^FuzzLocEntry$' -fuzztime=10s ./internal/proto
 go test -run=NONE -fuzz='^FuzzDirEntries$' -fuzztime=10s ./internal/proto
 go test -run=NONE -fuzz='^FuzzDecodeBulkTestValid$' -fuzztime=10s ./internal/wire
 go test -run=NONE -fuzz='^FuzzDecodeBulkBreak$' -fuzztime=10s ./internal/wire
+go test -run=NONE -fuzz='^FuzzDecodeCommit$' -fuzztime=10s ./internal/store
 go test -run=NONE -fuzz='^FuzzWALReplay$' -fuzztime=10s ./internal/store/walstore
 go test -run=NONE -fuzz='^FuzzReadRecord$' -fuzztime=10s ./internal/store/walstore
 go test -run=NONE -fuzz='^FuzzDecodeCheckpoint$' -fuzztime=10s ./internal/store/walstore

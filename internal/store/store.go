@@ -4,9 +4,10 @@
 // The interface is a narrow waist: internal/vice mutates its in-memory
 // volumes exactly as before, then hands the store one Commit describing what
 // changed — the volume header plus the metadata records and file contents of
-// the touched vnodes, split into separate fields so an engine can route
-// small metadata records and large data blobs differently (the classic
-// metadata/blocks layering of log-structured file stores). There is one
+// the touched vnodes and the edits to the touched directories, split into
+// separate fields so an engine can route small metadata records and large
+// data blobs differently (the classic metadata/blocks layering of
+// log-structured file stores). There is one
 // engine, walstore: it appends each commit to a checksummed write-ahead log
 // with group-commit fsync and periodic checkpoints, and recovers by replay.
 // It runs on an FS — the daemon's real directory (DirFS), or MemFS when the
@@ -33,29 +34,21 @@ import (
 	"itcfs/internal/wire"
 )
 
-// VnodeMeta is one vnode's metadata record (volume.EncodeVnodeMeta form).
-type VnodeMeta struct {
-	Vnode uint32
-	Meta  []byte
-}
-
-// VnodeData is one vnode's file content.
-type VnodeData struct {
-	Vnode uint32
-	Data  []byte
-}
-
 // Commit describes the durable effect of one logical operation on one
-// volume: the post-state of every vnode the operation touched, plus the
-// volume header. Applying a commit to the volume's prior state must be
-// idempotent — recovery may replay a commit whose effects already partially
-// survive.
+// volume: the post-state of every vnode the operation touched, apart from
+// directory entries, and for every directory it changed the entries under
+// the names it entered or removed (volume.DirEdit), plus the volume header.
+// A directory's whole entry table is written only with a whole volume
+// (Store.BeginVolume, Store.Checkpoint), so a commit is the size of what
+// changed. Applying a commit to the volume's prior state must be idempotent
+// — recovery may replay a commit whose effects already partially survive.
 type Commit struct {
 	Vol     uint32
 	Hdr     volume.Header
-	Deletes []uint32    // vnodes removed, ascending
-	Meta    []VnodeMeta // metadata records changed, ascending by vnode
-	Data    []VnodeData // file contents changed, ascending by vnode
+	Deletes []uint32           // vnodes removed, ascending
+	Meta    []volume.VnodeMeta // metadata records changed, ascending by vnode
+	Data    []volume.VnodeData // file contents changed, ascending by vnode
+	Dirs    []volume.DirEdit   // directory edits, ascending by vnode
 }
 
 // Encode marshals the commit.
@@ -76,9 +69,46 @@ func (c Commit) Encode(e *wire.Encoder) {
 		e.U32(d.Vnode)
 		e.Bytes(d.Data)
 	}
+	e.ListLen(len(c.Dirs))
+	for _, ed := range c.Dirs {
+		e.U32(ed.Vnode)
+		proto.EncodeDirEntries(e, ed.Insert)
+		e.ListLen(len(ed.Remove))
+		for _, name := range ed.Remove {
+			e.String(name)
+		}
+	}
 }
 
+// EncodedSize is the length of the commit's Encode form.
+func (c Commit) EncodedSize() int {
+	n := 4 + headerSize + 4*4 + 4*len(c.Deletes) // the volume, its header, four list lengths
+	for _, m := range c.Meta {
+		n += 8 + len(m.Meta)
+	}
+	for _, d := range c.Data {
+		n += 8 + len(d.Data)
+	}
+	for _, ed := range c.Dirs {
+		n += 4 + int(proto.DirSize(ed.Insert)) + 4
+		for _, name := range ed.Remove {
+			n += 4 + len(name)
+		}
+	}
+	return n
+}
+
+// headerSize is the length of a volume.Header's encoding.
+var headerSize = len(wire.Marshal(volume.Header{}))
+
 // DecodeCommit unmarshals a commit. Byte fields alias the decoder's buffer.
+// Counts are untrusted (wire.Decoder.ListLen), and an edit's inserts out of
+// name order fail d.
+//
+// A commit that ends after its contents, with no list of directory edits,
+// is one the first form of the log wrote: its metadata records end in their
+// vnodes' whole entry tables instead (see volume.RestoreVnodeMeta), so it
+// replays as written.
 func DecodeCommit(d *wire.Decoder) Commit {
 	c := Commit{Vol: d.U32(), Hdr: volume.DecodeHeader(d)}
 	n := d.ListLen(4)
@@ -87,11 +117,24 @@ func DecodeCommit(d *wire.Decoder) Commit {
 	}
 	n = d.ListLen(8)
 	for i := 0; i < n && d.Err() == nil; i++ {
-		c.Meta = append(c.Meta, VnodeMeta{Vnode: d.U32(), Meta: d.Bytes()})
+		c.Meta = append(c.Meta, volume.VnodeMeta{Vnode: d.U32(), Meta: d.Bytes()})
 	}
 	n = d.ListLen(8)
 	for i := 0; i < n && d.Err() == nil; i++ {
-		c.Data = append(c.Data, VnodeData{Vnode: d.U32(), Data: d.Bytes()})
+		c.Data = append(c.Data, volume.VnodeData{Vnode: d.U32(), Data: d.Bytes()})
+	}
+	if d.Err() != nil || d.Remaining() == 0 {
+		return c
+	}
+	n = d.ListLen(12)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		ed := volume.DirEdit{Vnode: d.U32(), Insert: proto.DecodeDirEntries(d)}
+		m := d.ListLen(4)
+		ed.Remove = make([]string, 0, m)
+		for j := 0; j < m && d.Err() == nil; j++ {
+			ed.Remove = append(ed.Remove, d.String())
+		}
+		c.Dirs = append(c.Dirs, ed)
 	}
 	return c
 }
@@ -99,34 +142,21 @@ func DecodeCommit(d *wire.Decoder) Commit {
 // CommitOf drains v's dirty sets into a commit record. The volume must have
 // dirty tracking enabled.
 //
-// The commit borrows from v: Deletes and every Meta[i].Meta are slices of
-// the volume's journal scratch (volume.TakeDirty), valid until the next
+// The commit borrows from v: its lists and every Meta[i].Meta are the
+// volume's journal scratch (volume.TakeDirty), valid until the next
 // CommitOf(v) overwrites them; Data slices are the volume's own contents
 // (WriteData replaces slices, so they are stable). A caller therefore hands
 // the commit to Store.Commit, or encodes it, before v is next drained —
 // vice.mutate does both steps inside one hold of its apply lock — and a
 // Store is done with a commit's slices when its Commit returns.
 func CommitOf(v *volume.Volume) Commit {
-	meta, data, dead := v.TakeDirty()
-	c := Commit{
-		Vol: v.ID(), Hdr: v.Header(), Deletes: dead,
-		Meta: make([]VnodeMeta, 0, len(meta)), // sized: an empty one costs nothing
-		Data: make([]VnodeData, 0, len(data)),
-	}
-	for _, id := range meta {
-		if rec, ok := v.EncodeVnodeMeta(id); ok {
-			c.Meta = append(c.Meta, VnodeMeta{Vnode: id, Meta: rec})
-		}
-	}
-	for _, id := range data {
-		if b, ok := v.DataOf(id); ok {
-			c.Data = append(c.Data, VnodeData{Vnode: id, Data: b})
-		}
-	}
-	return c
+	meta, data, dirs, dead := v.TakeDirty()
+	return Commit{Vol: v.ID(), Hdr: v.Header(), Deletes: dead, Meta: meta, Data: data, Dirs: dirs}
 }
 
-// ApplyCommit replays a commit onto v (recovery and shadow maintenance).
+// ApplyCommit replays a commit onto v (recovery and shadow maintenance):
+// deletions, metadata, contents, then directory edits, which may name a
+// directory the commit's metadata created.
 func ApplyCommit(v *volume.Volume, c Commit) error {
 	if c.Vol != v.ID() {
 		return fmt.Errorf("store: commit for volume %d applied to %d", c.Vol, v.ID())
@@ -141,6 +171,11 @@ func ApplyCommit(v *volume.Volume, c Commit) error {
 	}
 	for _, d := range c.Data {
 		if err := v.RestoreData(d.Vnode, d.Data); err != nil {
+			return err
+		}
+	}
+	for _, ed := range c.Dirs {
+		if err := v.RestoreDirEdit(ed); err != nil {
 			return err
 		}
 	}

@@ -28,8 +28,12 @@ func TestCommitRoundTrip(t *testing.T) {
 		Vol:     7,
 		Hdr:     volume.Header{Next: 9, Uniq: 12, Used: 345, Quota: 1 << 20, Online: true},
 		Deletes: []uint32{3, 5},
-		Meta:    []VnodeMeta{{Vnode: 2, Meta: []byte("meta-bytes")}},
-		Data:    []VnodeData{{Vnode: 2, Data: []byte("contents")}, {Vnode: 4, Data: nil}},
+		Meta:    []volume.VnodeMeta{{Vnode: 2, Meta: []byte("meta-bytes")}},
+		Data:    []volume.VnodeData{{Vnode: 2, Data: []byte("contents")}, {Vnode: 4, Data: nil}},
+		Dirs: []volume.DirEdit{
+			{Vnode: 1, Insert: []proto.DirEntry{{Name: "a", FID: proto.FID{Volume: 7, Vnode: 2, Uniq: 3}, Type: proto.TypeFile}}, Remove: []string{"b", "c"}},
+			{Vnode: 6, Insert: []proto.DirEntry{}, Remove: []string{"d"}},
+		},
 	}
 	var e wire.Encoder
 	c.Encode(&e)
@@ -41,9 +45,32 @@ func TestCommitRoundTrip(t *testing.T) {
 	if got.Vol != c.Vol || got.Hdr != c.Hdr ||
 		!reflect.DeepEqual(got.Deletes, c.Deletes) ||
 		!reflect.DeepEqual(got.Meta, c.Meta) ||
+		!reflect.DeepEqual(got.Dirs, c.Dirs) ||
 		got.Data[0].Vnode != 2 || string(got.Data[0].Data) != "contents" ||
 		got.Data[1].Vnode != 4 || len(got.Data[1].Data) != 0 {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, c)
+	}
+}
+
+// TestDecodeCommitOfTheFirstForm: a commit that ends after its contents, as
+// the first form of the log wrote them, decodes with no edits; one whose
+// edit list is cut short fails.
+func TestDecodeCommitOfTheFirstForm(t *testing.T) {
+	c := Commit{Vol: 7, Meta: []volume.VnodeMeta{{Vnode: 2, Meta: []byte("m")}},
+		Dirs: []volume.DirEdit{{Vnode: 1, Remove: []string{"x"}}}}
+	full := wire.Marshal(c)
+	if len(full) != c.EncodedSize() {
+		t.Fatalf("the commit encodes to %d bytes, and EncodedSize says %d", len(full), c.EncodedSize())
+	}
+	first := wire.Marshal(Commit{Vol: 7, Meta: c.Meta})
+	first = first[:len(first)-4] // no edit list
+	d := wire.NewDecoder(first)
+	if got := DecodeCommit(d); d.Close() != nil || got.Dirs != nil || len(got.Meta) != 1 {
+		t.Fatalf("the first form decoded to %+v, %v", got, d.Err())
+	}
+	d = wire.NewDecoder(full[:len(full)-1])
+	if DecodeCommit(d); d.Close() == nil {
+		t.Fatal("a commit cut inside its edits decoded")
 	}
 }
 
@@ -66,6 +93,10 @@ func TestApplyCommitReplaysMutations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	twice, err := volume.Deserialize(v.Serialize(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	step := func(name string, fn func() error) {
 		t.Helper()
@@ -76,8 +107,11 @@ func TestApplyCommitReplaysMutations(t *testing.T) {
 		if c.Vol != v.ID() {
 			t.Fatalf("%s: commit for volume %d", name, c.Vol)
 		}
-		if err := ApplyCommit(shadow, c); err != nil {
-			t.Fatalf("%s: replay: %v", name, err)
+		// Replay is idempotent: the second shadow takes every commit twice.
+		for _, sh := range []*volume.Volume{shadow, twice, twice} {
+			if err := ApplyCommit(sh, c); err != nil {
+				t.Fatalf("%s: replay: %v", name, err)
+			}
 		}
 	}
 
@@ -119,8 +153,10 @@ func TestApplyCommitReplaysMutations(t *testing.T) {
 		return v.RemoveDir(root, "drafts")
 	})
 
-	if got, want := shadow.Serialize(), v.Serialize(); !bytes.Equal(got, want) {
-		t.Fatalf("shadow diverged after replay:\n got %d bytes\nwant %d bytes", len(got), len(want))
+	for _, sh := range []*volume.Volume{shadow, twice} {
+		if got, want := sh.Serialize(), v.Serialize(); !bytes.Equal(got, want) {
+			t.Fatalf("shadow diverged after replay:\n got %d bytes\nwant %d bytes", len(got), len(want))
+		}
 	}
 }
 
@@ -336,5 +372,31 @@ func TestAppendDoesNotRetainItsArgument(t *testing.T) {
 			t.Fatalf("%s: file holds %q after its appended buffer was overwritten, want %q", name, got, want)
 		}
 		f.Close()
+	}
+}
+
+// TestApplyCommitReplaysSalvage: what salvage repairs in a journalled
+// volume — a dangling entry dropped from its directory, an orphan removed, a
+// link count and the byte total set right — is one commit, and replaying it
+// onto a copy taken before the repair makes the copy the repaired volume.
+func TestApplyCommitReplaysSalvage(t *testing.T) {
+	v := newVol(t)
+	if _, err := v.Create(v.Root(), "kept", 0o644, "satya"); err != nil {
+		t.Fatal(err)
+	}
+	v.CorruptForTest()
+	CommitOf(v)
+	shadow, err := volume.Deserialize(v.Serialize(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := v.Salvage(); rep.DanglingEntries != 1 || rep.OrphansRemoved != 1 {
+		t.Fatalf("salvage repaired %+v", rep)
+	}
+	if err := ApplyCommit(shadow, CommitOf(v)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(shadow.Serialize(), v.Serialize()) {
+		t.Fatal("the replayed repair differs from the salvaged volume")
 	}
 }

@@ -335,7 +335,7 @@ func TestAppendRefusesUnreadableRecord(t *testing.T) {
 	chunk := make([]byte, 60<<20)
 	over := store.Commit{Vol: 3}
 	for vn := uint32(10); vn < 15; vn++ {
-		over.Data = append(over.Data, store.VnodeData{Vnode: vn, Data: chunk})
+		over.Data = append(over.Data, volume.VnodeData{Vnode: vn, Data: chunk})
 	}
 	var err error
 	if n := allocated(func() { err = s.Commit(over) }); n >= 1<<20 {

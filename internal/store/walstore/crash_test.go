@@ -77,6 +77,13 @@ func crashWorkload(seed int64, fsys store.FS) (states [][]byte, acked, attempted
 		nil, // checkpoint, handled below
 		func() error { _, err := v.WriteData(f2, content(220)); return err },
 		func() error { return v.Remove(dir, "f1r") },
+		// A directory edit of every shape: one name in and one out in one
+		// edit (a rename over a name), and a directory removed with its
+		// last name.
+		func() error { _, err := v.Symlink(dir, "s", "/f2"); return err },
+		func() error { return v.Rename(dir, "s", dir, "f2") },
+		func() error { return v.Remove(dir, "f2") },
+		func() error { return v.RemoveDir(v.Root(), "d") },
 	}
 
 	for i, op := range ops {
@@ -130,7 +137,9 @@ func recoveredImage(t *testing.T, fsys store.FS) []byte {
 
 // TestWALCrashProperty is the crash-injection suite: for three seeds it
 // enumerates every durability event the workload generates, crashes on each,
-// reopens what stable storage holds, and checks the recovered volume.
+// reopens what stable storage holds, and checks the recovered volume. The
+// workload's commits carry directory edits of every shape, before and after
+// its checkpoint.
 //
 // Strict discipline (unsynced bytes wholly lost): recovery yields exactly
 // the acknowledged-operation prefix — no acked op lost, no unacked op

@@ -38,6 +38,9 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(ckpt, append(append([]byte(walMagic), rec...), rec...))
 	// Truncated tail.
 	f.Add([]byte(nil), append([]byte(walMagic), rec[:len(rec)-3]...))
+	// A commit of the first form, then one of this form.
+	first, _ := hex.DecodeString(goldenFirstFormHex)
+	f.Add(ckpt, append(append([]byte(walMagic), first...), frameRecord(10, kindCommit, rec[recPrefix:])...))
 
 	f.Fuzz(func(t *testing.T, ckpt, log []byte) {
 		run := func() (string, [][]byte) {

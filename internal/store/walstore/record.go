@@ -31,9 +31,27 @@ import (
 //
 //	kindBegin:  u32 volume | bytes image       full volume.Serialize image
 //	kindDrop:   u32 volume
-//	kindCommit: store.Commit encoding
+//	kindCommit: store.Commit encoding          see below
 //	kindLoc:    proto.LocInstallArgs encoding
 //	kindProt:   prot.Mutation encoding
+//
+// commit (store.Commit):
+//
+//	u32 volume | header                        volume.Header
+//	u32 n | u32 vnode*                         deleted
+//	u32 n | (u32 vnode | bytes meta)*          u32 parent | status | ACL
+//	u32 n | (u32 vnode | bytes data)*          file contents
+//	u32 n | (u32 vnode | entries | u32 m | bytes name*)*
+//	                                           directory edits: the entries
+//	                                           now under the names touched,
+//	                                           then the names now unused
+//
+// A commit carries no directory's whole entry table; only kindBegin and the
+// checkpoint do. The first form of this log wrote commits that end after
+// their contents, with no edit list, and whose meta records each go on to
+// the vnode's whole entry table (proto.EncodeDirEntries); replay reads such
+// a commit as written (store.DecodeCommit, volume.RestoreVnodeMeta), so a
+// log may hold both forms.
 //
 // checkpoint:
 //

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"itcfs/internal/store"
+	"itcfs/internal/volume"
 )
 
 // TestCommitBuildsRecordInOneBuffer gates the record path: a commit carrying
@@ -18,8 +19,8 @@ func TestCommitBuildsRecordInOneBuffer(t *testing.T) {
 	const size = 1 << 20
 	c := store.Commit{
 		Vol:  7,
-		Meta: []store.VnodeMeta{{Vnode: 2, Meta: make([]byte, 60)}},
-		Data: []store.VnodeData{{Vnode: 2, Data: make([]byte, size)}},
+		Meta: []volume.VnodeMeta{{Vnode: 2, Meta: make([]byte, 60)}},
+		Data: []volume.VnodeData{{Vnode: 2, Data: make([]byte, size)}},
 	}
 	commit := func() {
 		if err := s.Commit(c); err != nil {

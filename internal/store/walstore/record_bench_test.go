@@ -17,7 +17,7 @@ import (
 // an fsync) is smaller still.
 func BenchmarkCommit(b *testing.B) {
 	build := func(e *wire.Encoder, c store.Commit) {
-		e.Grow(recPrefix + commitFixed + 8 + len(c.Meta[0].Meta) + 8 + len(c.Data[0].Data))
+		e.Grow(recPrefix + c.EncodedSize())
 		var blank [recPrefix]byte
 		e.Raw(blank[:])
 		c.Encode(e)
@@ -26,8 +26,8 @@ func BenchmarkCommit(b *testing.B) {
 	for _, size := range []int{256, 4 << 10, 16 << 10, 64 << 10, 256 << 10} {
 		c := store.Commit{
 			Vol:  7,
-			Meta: []store.VnodeMeta{{Vnode: 2, Meta: make([]byte, 60)}},
-			Data: []store.VnodeData{{Vnode: 2, Data: make([]byte, size)}},
+			Meta: []volume.VnodeMeta{{Vnode: 2, Meta: make([]byte, 60)}},
+			Data: []volume.VnodeData{{Vnode: 2, Data: make([]byte, size)}},
 		}
 		b.Run(fmt.Sprintf("reused/%d", size), func(b *testing.B) {
 			var e wire.Encoder

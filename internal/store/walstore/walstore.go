@@ -360,26 +360,12 @@ func (s *Store) DropVolume(id uint32) error {
 	return s.append(kindDrop, e)
 }
 
-// commitFixed is the length of a store.Commit encoding apart from its lists'
-// elements: the volume, its header and the three list lengths.
-var commitFixed = func() int {
-	var e wire.Encoder
-	store.Commit{}.Encode(&e)
-	return e.Len()
-}()
-
 // Commit records the durable effect of one logical operation. It is done
 // with c's slices when it returns: they are copied into the record here.
 func (s *Store) Commit(c store.Commit) error {
 	// Sized exactly, so the record, file contents included, is allocated at
 	// most once, and one recovery would not read back is refused unbuilt.
-	size := commitFixed + 4*len(c.Deletes)
-	for _, m := range c.Meta {
-		size += 8 + len(m.Meta)
-	}
-	for _, d := range c.Data {
-		size += 8 + len(d.Data)
-	}
+	size := c.EncodedSize()
 	if err := checkSize(kindCommit, size); err != nil {
 		return err
 	}

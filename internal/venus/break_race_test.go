@@ -134,21 +134,13 @@ func TestBreakDuringInFlightFetchNotClobbered(t *testing.T) {
 // patchDir once read the entry's cacheFile and valid after dropping v.mu,
 // which HandleCallbackBreak writes under it; the race detector is the
 // assertion. The break is timed, not signalled, into the patch (stalled in
-// the cache's clock, which Adopt reads): any signal from the patching
-// goroutine would order its reads before the break's write and hide the race.
+// the edit of the memoized listing, which patchDir makes under v.mu): any
+// signal from the patching goroutine would order its reads before the
+// break's write and hide the race.
 func TestBreakWhileDirCallPatchesListing(t *testing.T) {
 	c := newTestCell(t, vice.Revised, "s0")
 	c.mkVolume("u", "/u", "satya", 0)
-	stall := false
-	v := c.newVenus("s0", "satya", func(cfg *Config) {
-		cfg.Local = unixfs.New(func() int64 {
-			if stall {
-				stall = false
-				time.Sleep(100 * time.Millisecond) //itcvet:allow wallclock -- holds the patch open while the break lands on a real goroutine
-			}
-			return 0
-		})
-	})
+	v := c.newVenus("s0", "satya", nil)
 	if _, err := v.ReadDir(nil, "/u"); err != nil {
 		t.Fatal(err)
 	}
@@ -156,18 +148,28 @@ func TestBreakWhileDirCallPatchesListing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	stalled := false
+	stalling := func(entries []proto.DirEntry, resp rpc.Response) []proto.DirEntry {
+		stalled = true
+		time.Sleep(100 * time.Millisecond) //itcvet:allow wallclock -- holds the patch open while the break lands on a real goroutine
+		return patchAdd("d", proto.TypeDir)(entries, resp)
+	}
 	broke := make(chan struct{})
 	go func() {
 		defer close(broke)
 		time.Sleep(10 * time.Millisecond) //itcvet:allow wallclock -- lands inside the stalled patch
 		v.HandleCallbackBreak(rpc.Ctx{}, rpc.Request{Body: proto.Marshal(proto.CallbackBreakArgs{FID: dir})})
 	}()
-	stall = true
-	if err := v.Mkdir(nil, "/u/d", 0o755); err != nil {
+	ref := proto.Ref{FID: dir}
+	if err := v.dirCall(nil, "/u", ref, newRequest(proto.OpMakeDir, proto.NameArgs{Dir: ref, Name: "d", Mode: 0o755}), stalling); err != nil {
 		t.Fatal(err)
 	}
 	<-broke
-	if stall {
+	v.mu.Lock()
+	e := v.byFID[dir]
+	patched := e != nil && len(e.dirEnts) == 1 && e.dirEnts[0].Name == "d"
+	v.mu.Unlock()
+	if !stalled || !patched {
 		t.Fatal("the listing was never patched; the race was not exercised")
 	}
 	// The break outlives the patch: the next listing comes from the custodian.

@@ -67,16 +67,13 @@ func (d prototype) lookup(p *sim.Proc, path string, flags OpenFlag) (*entry, boo
 // check-on-open validation.
 func (d prototype) readDir(p *sim.Proc, path string) ([]proto.DirEntry, error) {
 	e, _, ref, _, err := d.lookup(p, path, 0)
-	switch {
-	case err != nil:
-		return nil, err
-	case e == nil:
-		return d.v.fetchDir(p, ref, path)
+	if err == nil && e == nil {
+		e, err = d.v.fetchEntry(p, ref, path, 0, nil)
 	}
-	d.v.mu.Lock()
-	defer d.v.mu.Unlock()
-	e.open--
-	return d.v.decodeDirLocked(e)
+	if err != nil {
+		return nil, err
+	}
+	return d.v.listing(e)
 }
 
 func (d prototype) full(files int, _ int64) bool { return files > d.v.cfg.MaxFiles }
@@ -97,7 +94,7 @@ func (revised) name(_ string, fid proto.FID) proto.Ref { return proto.Ref{FID: f
 // all, and walk serves it in the hold that found it.
 func (d revised) lookup(p *sim.Proc, path string, flags OpenFlag) (*entry, bool, proto.Ref, *entry, error) {
 	v := d.v
-	fid, e, err := v.walk(p, path, true, true)
+	fid, e, missing, err := v.walk(p, path, true, true)
 	ref := proto.Ref{FID: fid}
 	if e != nil {
 		return e, true, ref, nil, nil
@@ -118,7 +115,7 @@ func (d revised) lookup(p *sim.Proc, path string, flags OpenFlag) (*entry, bool,
 				return e, false, ref, nil, nil
 			}
 		}
-		return nil, false, ref, nil, err
+		return nil, false, ref, nil, walkErr(err, missing)
 	}
 	// The walk found the file but no copy to serve as it stands.
 	v.mu.Lock()

@@ -3,6 +3,7 @@ package venus
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"time"
 
@@ -379,8 +380,19 @@ func (v *Venus) dropConn(server string, c Conn) {
 // (§5.3). Directories are fetched (and cached, with callback promises)
 // like any other file.
 func (v *Venus) Resolve(p *sim.Proc, path string) (proto.FID, error) {
-	fid, _, err := v.walk(p, path, true, false)
-	return fid, err
+	fid, _, missing, err := v.walk(p, path, true, false)
+	return fid, walkErr(err, missing)
+}
+
+// walkErr is the error a walk's caller returns from Venus: the walk reports a
+// name it did not find as bare proto.ErrNoEnt, with missing the path as far
+// as it walked, and the path joins the error only here — a create, which
+// goes on to make the name, never builds the text.
+func walkErr(err error, missing string) error {
+	if missing != "" {
+		return fmt.Errorf("%w: %s", proto.ErrNoEnt, missing)
+	}
+	return err
 }
 
 // maxLinkDepth bounds the symbolic links one walk may expand.
@@ -402,7 +414,10 @@ const maxLinkDepth = 16
 // function with a flag, not a walk and a lookup round it: a hold cannot be
 // carried into or out of a function that may reach an RPC — itcvet reads a
 // callee as blocking whatever it holds at the time.)
-func (v *Venus) walk(p *sim.Proc, path string, followLast, open bool) (proto.FID, *entry, error) {
+//
+// A name the walk does not find is proto.ErrNoEnt itself, with missing the
+// path walked (see walkErr); missing is empty for every other outcome.
+func (v *Venus) walk(p *sim.Proc, path string, followLast, open bool) (_ proto.FID, _ *entry, missing string, _ error) {
 	path = unixfs.Clean(path)
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -428,7 +443,7 @@ levels:
 			cr, err = v.askCustodian(p, path)
 			v.mu.Lock()
 			if err != nil {
-				return proto.FID{}, nil, err
+				return proto.FID{}, nil, "", err
 			}
 		}
 		cur := proto.FID{Volume: cr.Volume, Vnode: 1, Uniq: 1} // volume root
@@ -446,11 +461,18 @@ levels:
 			entries, ok, err := v.listingLocked(cur, p)
 			if err == nil && !ok {
 				v.mu.Unlock()
-				entries, err = v.fetchDir(p, proto.Ref{FID: cur}, walked)
+				var e *entry
+				e, err = v.fetchEntry(p, proto.Ref{FID: cur}, walked, 0, nil)
 				v.mu.Lock()
+				if err == nil {
+					// Pinned, so still cached: its listing is read in
+					// this hold, as a patch would edit it.
+					e.open--
+					entries, err = v.decodeDirLocked(e)
+				}
 			}
 			if err != nil {
-				return proto.FID{}, nil, err
+				return proto.FID{}, nil, "", err
 			}
 			stop := end + 1
 			for stop < len(path) && path[stop] != '/' {
@@ -458,7 +480,7 @@ levels:
 			}
 			found, ok := proto.LookupDirEntry(entries, path[end+1:stop])
 			if !ok {
-				return proto.FID{}, nil, fmt.Errorf("%w: %s", proto.ErrNoEnt, path)
+				return proto.FID{}, nil, path, proto.ErrNoEnt
 			}
 			if found.Type == proto.TypeSymlink && (stop < len(path) || followLast) {
 				st, ok := v.statusLocked(found.FID, p)
@@ -467,7 +489,7 @@ levels:
 					st, err = v.fetchStatus(p, proto.Ref{FID: found.FID}, path)
 					v.mu.Lock()
 					if err != nil {
-						return proto.FID{}, nil, err
+						return proto.FID{}, nil, "", err
 					}
 				}
 				target := st.Target
@@ -480,15 +502,15 @@ levels:
 			cur, end = found.FID, stop
 		}
 		if !open {
-			return cur, nil, nil
+			return cur, nil, "", nil
 		}
 		e := v.byFID[cur]
 		if e == nil || e.cacheFile == "" || !(e.dirty || v.freshLocked(e, p)) {
-			return cur, nil, nil
+			return cur, nil, "", nil
 		}
-		return cur, v.hitLocked(e), nil
+		return cur, v.hitLocked(e), "", nil
 	}
-	return proto.FID{}, nil, fmt.Errorf("%w: %s", proto.ErrLoop, path)
+	return proto.FID{}, nil, "", fmt.Errorf("%w: %s", proto.ErrLoop, path)
 }
 
 // listingLocked returns dir's listing if the cache holds it under a live
@@ -528,30 +550,31 @@ func (v *Venus) decodeDirLocked(e *entry) ([]proto.DirEntry, error) {
 	return e.dirEnts, nil
 }
 
-// fetchDir fetches a directory's listing from its custodian into the cache.
-// Directory files participate in caching and callbacks exactly like plain
-// files.
-func (v *Venus) fetchDir(p *sim.Proc, dir proto.Ref, path string) ([]proto.DirEntry, error) {
-	e, err := v.fetchEntry(p, dir, path, 0, nil)
-	if err != nil {
-		return nil, err
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	e.open--
-	return v.decodeDirLocked(e)
-}
-
-// dirEntries returns a directory's listing, through the cache. Callers must
-// not modify the result.
+// dirEntries returns a copy of a directory's listing, through the cache.
 func (v *Venus) dirEntries(p *sim.Proc, dir proto.FID, path string) ([]proto.DirEntry, error) {
 	v.mu.Lock()
 	entries, ok, err := v.listingLocked(dir, p)
+	entries = slices.Clone(entries)
 	v.mu.Unlock()
 	if ok || err != nil {
 		return entries, err
 	}
-	return v.fetchDir(p, proto.Ref{FID: dir}, path)
+	e, err := v.fetchEntry(p, proto.Ref{FID: dir}, path, 0, nil)
+	if err != nil {
+		return nil, err
+	}
+	return v.listing(e)
+}
+
+// listing unpins e, a directory's entry as an open's lookup or fetchEntry
+// returned it, and returns a copy of its listing: the memo is edited in
+// place under v.mu, and the copy is the caller's.
+func (v *Venus) listing(e *entry) ([]proto.DirEntry, error) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	e.open--
+	entries, err := v.decodeDirLocked(e)
+	return slices.Clone(entries), err
 }
 
 // statusLocked returns fid's status if the cache holds it under a live
@@ -600,15 +623,15 @@ func (v *Venus) Stat(p *sim.Proc, path string) (proto.Status, error) {
 	return v.statRef(p, ref, path)
 }
 
-// ReadDir lists a Vice directory. Callers must not modify the result.
+// ReadDir lists a Vice directory, in a slice of the caller's own.
 func (v *Venus) ReadDir(p *sim.Proc, path string) ([]proto.DirEntry, error) {
 	return v.disc.readDir(p, unixfs.Clean(path))
 }
 
 // dirPatch edits a cached directory listing after a successful mutation.
-// It receives the decoded entries — a copy of its own, to edit as it likes —
-// and the RPC reply (whose body carries the new object's status for
-// create-like ops) and returns the updated listing.
+// It receives the memoized entries, to edit in place under v.mu with proto's
+// insert and remove, and the RPC reply (whose body carries the new object's
+// status for create-like ops), and returns the updated listing.
 type dirPatch func(entries []proto.DirEntry, resp rpc.Response) []proto.DirEntry
 
 // dirCall performs a directory-mutating op. In revised mode the cached
@@ -666,10 +689,10 @@ func mutationAlreadyDone(op uint16, code uint16) bool {
 }
 
 // patchDir applies a patch to the cached listing of dir, reporting whether
-// it succeeded (false falls back to dropping the cache). The patch edits a
-// copy of the memoized listing — a caller of dirEntries may still be reading
-// the old one — which is then encoded once into the cache file; the file is
-// decoded only when there is no memo.
+// it succeeded (false falls back to dropping the cache). The patch edits the
+// memoized listing in place, which nothing outside v.mu holds; the file is
+// decoded only when there is no memo, and written back only when a handle
+// reads it (pinLocked).
 func (v *Venus) patchDir(dir proto.FID, patch dirPatch, resp rpc.Response) bool {
 	if dir.IsZero() {
 		return false
@@ -684,15 +707,12 @@ func (v *Venus) patchDir(dir proto.FID, patch dirPatch, resp rpc.Response) bool 
 	if err != nil {
 		return false
 	}
-	patched := patch(append([]proto.DirEntry(nil), entries...), resp)
-	updated := proto.DirListing(patched) // a fresh slice nothing else holds
-	if err := v.cfg.Local.Adopt(e.cacheFile, updated, 0o600, "venus"); err != nil {
-		return false
-	}
-	v.bytes += int64(len(updated)) - e.status.Size
-	e.status.Size = int64(len(updated))
-	e.dirEnts = patched // memoized listing follows the patched file
-	v.evictLocked()     // the listing may have grown past the cache limit
+	e.dirEnts = patch(entries, resp)
+	e.unsaved = true
+	size := proto.DirSize(e.dirEnts)
+	v.bytes += size - e.status.Size
+	e.status.Size = size
+	v.evictLocked() // the listing may have grown past the cache limit
 	return true
 }
 

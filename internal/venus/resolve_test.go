@@ -160,7 +160,8 @@ func TestResolveInPlaceMatchesSplit(t *testing.T) {
 		for _, followLast := range []bool{true, false} {
 			want, wantErr := v.resolveBySplit(nil, path, followLast, 0)
 			for name, venus := range map[string]*Venus{"warm": v, "cold": cold} {
-				got, e, gotErr := venus.walk(nil, path, followLast, false)
+				got, e, missing, gotErr := venus.walk(nil, path, followLast, false)
+				gotErr = walkErr(gotErr, missing)
 				if e != nil {
 					t.Fatalf("%s walk(%q) without open returned an entry", name, path)
 				}

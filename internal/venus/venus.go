@@ -154,10 +154,14 @@ type entry struct {
 	cacheFile string // local file holding the data ("" = status-only)
 	// dirEnts memoizes the decoded listing of a cached directory file. It is
 	// dropped whenever cacheFile is rewritten (install, local write) and
-	// replaced in place by patchDir; resolution walks read it on every path
+	// edited in place by patchDir; resolution walks read it on every path
 	// component, so re-decoding per walk would dominate the client's
-	// allocation profile. Callers must not modify the returned slice.
-	dirEnts   []proto.DirEntry
+	// allocation profile. It never leaves v.mu: ReadDir hands out a copy.
+	dirEnts []proto.DirEntry
+	// unsaved: dirEnts holds patches cacheFile lacks. The listing is written
+	// back when a handle is about to read the file (pinLocked); an eviction
+	// just drops it.
+	unsaved   bool
 	valid     bool     // revised: callback promise still held
 	dirty     bool     // modified locally, not yet stored
 	writes    int64    // local modifications so far; a store clears dirty only if none raced it
@@ -475,15 +479,29 @@ func (v *Venus) open(p *sim.Proc, path string, flags OpenFlag, whole *[]byte) (H
 		e.dirty = true
 		e.writes++
 		e.dirEnts = nil
+		e.unsaved = false
 		v.mu.Unlock()
 	}
 	return h, nil
 }
 
 // pinLocked counts one more open handle on e and moves it to the LRU front.
+// A directory's patched listing is written back first, so the handle reads
+// what a walk would. Should that fail, the copy is marked stale, as a break
+// would: this handle reads the listing last written, and the next open
+// fetches.
 //
 //itcvet:holds mu
 func (v *Venus) pinLocked(e *entry) *entry {
+	if e.unsaved {
+		enc := wire.GetEncoder()
+		proto.EncodeDirEntries(enc, e.dirEnts)
+		if v.cfg.Local.WriteFile(e.cacheFile, enc.Buf(), 0o600, "venus") != nil {
+			e.valid = false
+		}
+		wire.PutEncoder(enc)
+		e.unsaved = false
+	}
 	e.open++
 	v.touch(e)
 	return e
@@ -776,6 +794,7 @@ func (v *Venus) installEntry(path string, st proto.Status, data []byte, now sim.
 	e.fid = st.FID
 	e.status = st
 	e.dirEnts = nil
+	e.unsaved = false
 	e.valid = true
 	e.dirty = false
 	e.fetchedAt = now
@@ -969,6 +988,7 @@ func (h *Handle) WriteAt(buf []byte, off int64) (int, error) {
 		h.e.dirty = true
 		h.e.writes++
 		h.e.dirEnts = nil
+		h.e.unsaved = false
 		h.v.mu.Unlock()
 	}
 	return n, err

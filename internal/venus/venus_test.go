@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -381,8 +382,7 @@ func TestStatModes(t *testing.T) {
 	}
 }
 
-// cachedFileBytes sums the sizes of v's cache files, for comparison with the
-// byte count CacheUsage reports.
+// cachedFileBytes sums the sizes of v's cache files.
 func cachedFileBytes(t *testing.T, v *Venus) int64 {
 	t.Helper()
 	v.mu.Lock()
@@ -398,6 +398,56 @@ func cachedFileBytes(t *testing.T, v *Venus) int64 {
 		}
 	}
 	return sum
+}
+
+// checkCacheBytes holds the byte count CacheUsage reports to what the cache
+// holds: for a directory whose listing is memoized, the memo's size
+// (proto.DirSize), which a patch edits ahead of the cache file; for any
+// other entry, its cache file. Then each of dirs is opened and read whole:
+// an open reads the listing as patched, the one ReadDir returns, and once
+// every listing is written back the count is the cache files' bytes.
+func checkCacheBytes(t *testing.T, v *Venus, when string, dirs ...string) {
+	t.Helper()
+	v.mu.Lock()
+	var held int64
+	for el := v.lru.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*entry)
+		switch {
+		case e.dirEnts != nil:
+			held += proto.DirSize(e.dirEnts)
+		case e.cacheFile != "":
+			st, err := v.cfg.Local.Stat(e.cacheFile)
+			if err != nil {
+				v.mu.Unlock()
+				t.Fatal(err)
+			}
+			held += st.Size
+		}
+	}
+	v.mu.Unlock()
+	if _, bytes := v.CacheUsage(); bytes != held {
+		t.Fatalf("%s the cache counts %d bytes, and holds %d", when, bytes, held)
+	}
+	for _, dir := range dirs {
+		data, err := v.ReadFile(nil, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		read, err := proto.Unmarshal(data, proto.DecodeDirEntries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		listed, err := v.ReadDir(nil, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(read, listed) {
+			t.Fatalf("%s an open of %s reads %+v, ReadDir lists %+v", when, dir, read, listed)
+		}
+	}
+	if _, bytes := v.CacheUsage(); len(dirs) > 0 && bytes != cachedFileBytes(t, v) {
+		t.Fatalf("%s, once its directories were read, the cache counts %d bytes, its files hold %d", when, bytes, cachedFileBytes(t, v))
+	}
 }
 
 // TestSetModeOnAStaleCopy: a chmod's reply is the file's status as the
@@ -427,15 +477,11 @@ func TestSetModeOnAStaleCopy(t *testing.T) {
 			if err := a.SetMode(nil, "/proj/f", 0o600); err != nil {
 				t.Fatal(err)
 			}
-			if _, bytes := a.CacheUsage(); bytes != cachedFileBytes(t, a) {
-				t.Fatalf("after chmod the cache counts %d bytes, its files hold %d", bytes, cachedFileBytes(t, a))
-			}
+			checkCacheBytes(t, a, "after chmod")
 			if got := readFile(t, a, "/proj/f"); got != "version-two" {
 				t.Fatalf("after chmod a reads %q, want the other workstation's store", got)
 			}
-			if _, bytes := a.CacheUsage(); bytes != cachedFileBytes(t, a) {
-				t.Fatalf("after the read the cache counts %d bytes, its files hold %d", bytes, cachedFileBytes(t, a))
-			}
+			checkCacheBytes(t, a, "after the read", "/proj")
 			// With no store in between the chmod's status is adopted: the
 			// next open is a hit.
 			if err := a.SetMode(nil, "/proj/f", 0o644); err != nil {

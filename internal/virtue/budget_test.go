@@ -42,9 +42,10 @@ const budgetGolden = "testdata/real_path_budget.golden"
 // 16-byte block an earlier one opened (the profile records the block, once).
 // The counts follow: rpcs are calls either way across every pipe, callbacks
 // the breaks the row's workstations received, wire_bytes what crossed every
-// pipe both ways, and appends and fsyncs what walstore did to its file
-// system. A count must equal its pin; any other cell must not exceed it.
-var budgetCounts = []string{"rpcs", "callbacks", "wire_bytes", "appends", "fsyncs"}
+// pipe both ways, appends and fsyncs what walstore did to its file system,
+// and log_bytes what those appends added to its log. A count must equal its
+// pin; any other cell must not exceed it.
+var budgetCounts = []string{"rpcs", "callbacks", "wire_bytes", "appends", "fsyncs", "log_bytes"}
 
 // pinOf is what -update writes for a measured cell: objects and layer
 // columns round up to the next 0.1, bytes to the next 64 B, and the counts
@@ -177,7 +178,7 @@ func writeBudget(path string, tab budgetTable) error {
 	b.WriteString(`# The real path's budget: what one operation costs through virtue.FS, Venus,
 # a Peer pair over net.Pipe and vice.Boot on walstore over a MemFS, both
 # sides of every connection counted. TestRealPathBudget fails a count
-# (rpcs … fsyncs) measured off its pin and any other cell measured above it;
+# (rpcs … log_bytes) measured off its pin and any other cell measured above it;
 # it logs one measured below. A row's measured layer cells and unattributed
 # add up to its objects; each pin is rounded up on its own (see pinOf).
 # After an intended change:
@@ -199,7 +200,7 @@ func writeBudget(path string, tab budgetTable) error {
 // budgetCell is the stack the table measures: one server, vice.Boot on
 // walstore over a MemFS, and workstations each dialled over a net.Pipe of
 // its own to ServeConn, in revised mode. It counts the frames and bytes that
-// cross the pipes and the appends and syncs walstore makes.
+// cross the pipes and the appends, their bytes and the syncs walstore makes.
 type budgetCell struct {
 	t        *testing.T
 	srv      *vice.Server
@@ -208,11 +209,12 @@ type budgetCell struct {
 	frames   atomic.Int64
 	wire     atomic.Int64
 	appends  atomic.Int64
+	logBytes atomic.Int64
 	fsyncs   atomic.Int64
 }
 
-// countingFS is the MemFS walstore opens, counting the appends and syncs on
-// every file it opens.
+// countingFS is the MemFS walstore opens, counting the appends, their bytes
+// and the syncs on every file it opens.
 type countingFS struct {
 	store.FS
 	c *budgetCell
@@ -233,6 +235,7 @@ type countingFile struct {
 
 func (f countingFile) Append(b []byte) error {
 	f.c.appends.Add(1)
+	f.c.logBytes.Add(int64(len(b)))
 	return f.File.Append(b)
 }
 
@@ -379,6 +382,22 @@ func (c *budgetCell) files(kind string, n, size int) ([]string, []byte) {
 	return names, contents
 }
 
+// fill adds n empty files to /vice/m, made by a workstation that then hangs
+// up, so that a row's directory is large.
+func (c *budgetCell) fill(n int) {
+	setup, hangUp := c.station(0)
+	for _, name := range budgetNames("o", n) {
+		f, err := setup.Open(nil, name, FlagWrite|FlagCreate)
+		if err == nil {
+			err = f.Close(nil)
+		}
+		if err != nil {
+			c.t.Fatal(err)
+		}
+	}
+	hangUp()
+}
+
 // read has ws read every name, checking its contents.
 func (c *budgetCell) read(ws *FS, names []string, contents []byte) {
 	for _, name := range names {
@@ -479,7 +498,7 @@ func (c *budgetCell) window(t *testing.T, run budgetRun, first, last int, layers
 	before := layerObjects(layers)
 	ws0 := run.ws.Venus().Stats()
 	frames0, callbacks0 := c.frames.Load(), c.callbacks()
-	wire0, appends0, fsyncs0 := c.wire.Load(), c.appends.Load(), c.fsyncs.Load()
+	wire0, appends0, fsyncs0, log0 := c.wire.Load(), c.appends.Load(), c.fsyncs.Load(), c.logBytes.Load()
 	var m0, m1 runtime.MemStats
 	settle()
 	runtime.ReadMemStats(&m0)
@@ -498,6 +517,7 @@ func (c *budgetCell) window(t *testing.T, run budgetRun, first, last int, layers
 		"wire_bytes": c.wire.Load() - wire0,
 		"appends":    c.appends.Load() - appends0,
 		"fsyncs":     c.fsyncs.Load() - fsyncs0,
+		"log_bytes":  c.logBytes.Load() - log0,
 	}}
 	tot.ws = venusCounts(ws0, run.ws.Venus().Stats(), func(a, b int64) int64 { return b - a })
 	runtime.GC()
@@ -659,10 +679,12 @@ func TestRealPathBudget(t *testing.T) {
 	}
 	// oneCall: each op is one call on a name ws has a listing for and, with
 	// preload, has read, and adds want to ws's counters. Files of kind "f"
-	// exist beforehand, one per op; to, if set, names what the op creates.
-	oneCall := func(preload bool, want venus.Stats, op func(ws *FS, name, to string) error) func(c *budgetCell, runs int) budgetRun {
+	// exist beforehand, one per op, and others empty files besides; to, if
+	// set, names what the op creates.
+	oneCall := func(preload bool, others int, want venus.Stats, op func(ws *FS, name, to string) error) func(c *budgetCell, runs int) budgetRun {
 		return func(c *budgetCell, runs int) budgetRun {
 			names, contents := c.files("f", budgetOps(runs), 4*kib)
+			c.fill(others)
 			targets := budgetNames("t", budgetOps(runs))
 			ws, _ := c.station(0)
 			if preload {
@@ -694,6 +716,15 @@ func TestRealPathBudget(t *testing.T) {
 		}
 	}
 
+	create := func(ws *FS, _, to string) error {
+		f, err := ws.Open(nil, to, FlagWrite|FlagCreate)
+		if err != nil {
+			return err
+		}
+		return f.Close(nil)
+	}
+	remove := func(ws *FS, name, _ string) error { return ws.Remove(nil, name) }
+
 	rows := []struct {
 		name    string
 		runs    int
@@ -719,15 +750,15 @@ func TestRealPathBudget(t *testing.T) {
 			}
 			return f.Close(nil)
 		})},
-		{"Stat (status RPC)", 400, oneCall(false, venus.Stats{StatRPCs: 1}, func(ws *FS, name, _ string) error {
+		{"Stat (status RPC)", 400, oneCall(false, 0, venus.Stats{StatRPCs: 1}, func(ws *FS, name, _ string) error {
 			_, err := ws.Stat(nil, name)
 			return err
 		})},
-		{"WriteFile (store)", 400, oneCall(true, stored, func(ws *FS, name, _ string) error {
+		{"WriteFile (store)", 400, oneCall(true, 0, stored, func(ws *FS, name, _ string) error {
 			return ws.WriteFile(nil, name, contents4K)
 		})},
 		{"WriteFile over a just-stored 4 KiB file", 400, func(c *budgetCell, runs int) budgetRun {
-			run := oneCall(true, stored, func(ws *FS, name, _ string) error { return ws.WriteFile(nil, name, contents4K) })(c, runs)
+			run := oneCall(true, 0, stored, func(ws *FS, name, _ string) error { return ws.WriteFile(nil, name, contents4K) })(c, runs)
 			for i := range budgetOps(runs) {
 				if err := run.op(i); err != nil {
 					c.t.Fatal(err)
@@ -736,16 +767,12 @@ func TestRealPathBudget(t *testing.T) {
 			return run
 		}},
 		// Venus counts a create's open but not its call (ROADMAP item 19).
-		{"Create", 400, oneCall(false, venus.Stats{Opens: 1}, func(ws *FS, _, to string) error {
-			f, err := ws.Open(nil, to, FlagWrite|FlagCreate)
-			if err != nil {
-				return err
-			}
-			return f.Close(nil)
-		})},
-		{"Mkdir", 400, oneCall(false, venus.Stats{OtherRPCs: 1}, func(ws *FS, _, to string) error { return ws.Mkdir(nil, to, 0o755) })},
-		{"Remove", 400, oneCall(false, venus.Stats{OtherRPCs: 1}, func(ws *FS, name, _ string) error { return ws.Remove(nil, name) })},
-		{"Rename within one directory", 400, oneCall(false, venus.Stats{OtherRPCs: 1}, func(ws *FS, name, to string) error { return ws.Rename(nil, name, to) })},
+		{"Create", 400, oneCall(false, 0, venus.Stats{Opens: 1}, create)},
+		{"Create in a 4 000-entry directory", 400, oneCall(false, 4000, venus.Stats{Opens: 1}, create)},
+		{"Mkdir", 400, oneCall(false, 0, venus.Stats{OtherRPCs: 1}, func(ws *FS, _, to string) error { return ws.Mkdir(nil, to, 0o755) })},
+		{"Remove", 400, oneCall(false, 0, venus.Stats{OtherRPCs: 1}, remove)},
+		{"Remove in a 4 000-entry directory", 400, oneCall(false, 4000, venus.Stats{OtherRPCs: 1}, remove)},
+		{"Rename within one directory", 400, oneCall(false, 0, venus.Stats{OtherRPCs: 1}, func(ws *FS, name, to string) error { return ws.Rename(nil, name, to) })},
 		{"WriteFile breaking 1 holder's promise", 400, breaking(1)},
 		{"WriteFile breaking 4 holders' promises", 400, breaking(4)},
 	}

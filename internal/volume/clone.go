@@ -177,6 +177,7 @@ func (v *Volume) Salvage() SalvageReport {
 				child, ok := v.vnodes[de.FID.Vnode]
 				if !ok || child.Status.FID != de.FID {
 					rep.DanglingEntries++
+					v.markName(vn, de.Name)
 					continue
 				}
 				links[de.FID.Vnode]++

@@ -6,22 +6,27 @@ package volume
 //
 //   - Header captures the volume's mutable scalar state (allocation
 //     counters, byte accounting, availability), persisted with every commit.
-//   - EncodeVnodeMeta / RestoreVnodeMeta round-trip one vnode's metadata —
-//     status record, parent pointer, access list, directory entries — WITHOUT
-//     its file content. Content travels separately (DataOf / RestoreData),
-//     mirroring the metadata/blocks split of log-structured file stores.
-//   - Dirty tracking records which vnodes each mutation touched, so a store
-//     can journal exactly the changed records. Tracking is off by default
-//     (the deterministic simulator keeps volumes volatile and pays nothing);
-//     a server with a store enables it per volume.
+//   - Dirty tracking records which vnodes and which directory names each
+//     mutation touched, so a store can journal exactly the changes. Tracking
+//     is off by default (the deterministic simulator keeps volumes volatile
+//     and pays nothing); a server with a store enables it per volume.
+//   - TakeDirty drains the tracking into three kinds of record: a vnode's
+//     metadata — status record, parent pointer, access list — without its
+//     file content or its directory entries; its content (VnodeData),
+//     mirroring the metadata/blocks split of log-structured file stores; and
+//     a directory's edit (DirEdit), the entries under the names it touched,
+//     so a change to a directory costs what changed and not the directory.
+//     RestoreVnodeMeta, RestoreData and RestoreDirEdit replay them.
 //
 // Restore* methods are for recovery and shadow replay only: they bypass
 // quota, writability and clock logic, reproduce state byte-for-byte, and
 // never mark anything dirty themselves.
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
+	"strings"
 
 	"itcfs/internal/prot"
 	"itcfs/internal/proto"
@@ -87,19 +92,56 @@ const (
 	dirtyData                   // file content changed
 )
 
+// VnodeMeta is one vnode's metadata record: its parent, status and access
+// list, without its file content or directory entries.
+type VnodeMeta struct {
+	Vnode uint32
+	Meta  []byte
+}
+
+// VnodeData is one vnode's file content.
+type VnodeData struct {
+	Vnode uint32
+	Data  []byte
+}
+
+// DirEdit is what a directory's entries became under the names a mutation
+// entered or removed: the entries now standing under some of them, and the
+// other names, which now name nothing. Replaying it is idempotent (an insert
+// replaces an entry of its name, and removing an absent name is no edit), and
+// it is the same size whatever the directory holds.
+type DirEdit struct {
+	Vnode  uint32
+	Insert []proto.DirEntry // in name order
+	Remove []string         // in name order
+}
+
 // journal is a journalled volume's dirty sets, and the memory its commit
 // path uses again from one commit to the next: a small mutation journals
-// what it changed without allocating. Everything TakeDirty and
-// EncodeVnodeMeta return is a slice of it, valid until the next TakeDirty.
-// The arena holds the metadata of the vnodes one operation dirtied — the
-// volume already holds the same directories — so it is not bounded
-// separately.
+// what it changed without allocating. Everything TakeDirty returns is a
+// slice of it, valid until the next TakeDirty. The arena holds the metadata
+// of the vnodes one operation dirtied, and the edit lists the names it
+// touched — the volume already holds the same directories — so neither is
+// bounded separately.
 type journal struct {
 	dirty map[uint32]uint8
 	dead  map[uint32]bool
+	named []dirName // every (directory, name) entered or removed, in order
 
-	meta, data, gone []uint32     // TakeDirty's three results
-	arena            wire.Encoder // the metadata records since TakeDirty, back to back
+	ids   []uint32 // the dirty vnodes, sorted
+	meta  []VnodeMeta
+	data  []VnodeData
+	dirs  []DirEdit
+	ins   []proto.DirEntry // the edits' inserts, back to back
+	rem   []string         // the edits' removals, back to back
+	gone  []uint32
+	arena wire.Encoder // the metadata records since TakeDirty, back to back
+}
+
+// dirName is a name a mutation entered in or removed from a directory.
+type dirName struct {
+	dir  uint32
+	name string
 }
 
 // EnableDirtyTracking turns on mutation tracking for this volume. A server
@@ -133,68 +175,126 @@ func (v *Volume) markDead(id uint32) {
 	}
 }
 
-// TakeDirty drains the dirty sets, returning the touched vnode numbers in
-// ascending order: vnodes whose metadata changed, vnodes whose content
-// changed, and vnodes deleted since the last drain. Vnode numbers are never
-// reused, so a number cannot appear as both changed and deleted.
+// markName notes that name was entered in or removed from the directory dn.
+func (v *Volume) markName(dn *Vnode, name string) {
+	if j := v.journal; j != nil {
+		j.named = append(j.named, dirName{dn.Status.FID.Vnode, name})
+	}
+}
+
+// TakeDirty drains the dirty sets into what a commit carries, each list in
+// ascending vnode order: the metadata record of every live vnode whose
+// metadata changed, the content of every one whose content changed, an edit
+// per directory whose entries changed, and the vnodes deleted. Vnode numbers
+// are never reused, so a number cannot appear as both changed and deleted.
 //
-// The three slices, and every record EncodeVnodeMeta has returned, belong to
-// the volume and are valid until the next TakeDirty, which reuses them.
-func (v *Volume) TakeDirty() (meta, data, dead []uint32) {
+// Everything returned belongs to the volume and is valid until the next
+// TakeDirty, which reuses it. That drain first clears what the last one
+// returned, so no file a commit carried stays reachable from the journal.
+func (v *Volume) TakeDirty() (meta []VnodeMeta, data []VnodeData, dirs []DirEdit, dead []uint32) {
 	j := v.journal
 	if j == nil {
-		return nil, nil, nil
+		return nil, nil, nil, nil
 	}
-	j.meta, j.data, j.gone = j.meta[:0], j.data[:0], j.gone[:0]
-	j.arena.Reset()
-	for id, bits := range j.dirty {
-		j.meta = append(j.meta, id)
-		if bits&dirtyData != 0 {
-			j.data = append(j.data, id)
-		}
+	j.ids, j.gone = j.ids[:0], j.gone[:0]
+	for id := range j.dirty {
+		j.ids = append(j.ids, id)
 	}
 	for id := range j.dead {
 		j.gone = append(j.gone, id)
 	}
-	slices.Sort(j.meta)
-	slices.Sort(j.data)
+	slices.Sort(j.ids)
 	slices.Sort(j.gone)
+	clear(j.meta)
+	clear(j.data)
+	j.meta, j.data = j.meta[:0], j.data[:0]
+	j.arena.Reset()
+	for _, id := range j.ids {
+		vn, ok := v.vnodes[id]
+		if !ok {
+			continue
+		}
+		j.meta = append(j.meta, VnodeMeta{Vnode: id, Meta: v.encodeVnodeMeta(vn)})
+		if j.dirty[id]&dirtyData != 0 {
+			j.data = append(j.data, VnodeData{Vnode: id, Data: vn.Data})
+		}
+	}
+	v.drainNames(j)
 	clear(j.dirty)
 	clear(j.dead)
-	return j.meta, j.data, j.gone
+	return j.meta, j.data, j.dirs, j.gone
 }
 
-// EncodeVnodeMeta encodes one vnode's metadata — parent, status, ACL and
-// directory entries, but not file content — for the journal. The second
-// return is false when the vnode no longer exists. The volume must have
-// dirty tracking enabled: the record is appended to the journal's arena and
-// returned as a slice of it (see TakeDirty for how long it is valid).
-func (v *Volume) EncodeVnodeMeta(id uint32) ([]byte, bool) {
-	vn, ok := v.vnodes[id]
-	if !ok {
-		return nil, false
+// drainNames turns the names mutations touched into one edit per live
+// directory: each name is looked up where the directory now stands, an
+// insert if it is there and a removal if not. A directory deleted since has
+// no edit; its vnode is among the dead.
+func (v *Volume) drainNames(j *journal) {
+	slices.SortFunc(j.named, func(a, b dirName) int {
+		return cmp.Or(cmp.Compare(a.dir, b.dir), strings.Compare(a.name, b.name))
+	})
+	named := slices.Compact(j.named)
+	clear(j.dirs)
+	clear(j.ins)
+	clear(j.rem)
+	j.dirs, j.ins, j.rem = j.dirs[:0], j.ins[:0], j.rem[:0]
+	for len(named) > 0 {
+		dir := named[0].dir
+		n := 1
+		for n < len(named) && named[n].dir == dir {
+			n++
+		}
+		if dn, ok := v.vnodes[dir]; ok && dn.Status.Type == proto.TypeDir {
+			ins, rem := len(j.ins), len(j.rem)
+			for _, dnm := range named[:n] {
+				if de, ok := proto.LookupDirEntry(dn.Entries, dnm.name); ok {
+					j.ins = append(j.ins, de)
+				} else {
+					j.rem = append(j.rem, dnm.name)
+				}
+			}
+			// Capacity capped at the edit's own: an append by its holder
+			// cannot run into the next directory's.
+			j.dirs = append(j.dirs, DirEdit{Vnode: dir,
+				Insert: j.ins[ins:len(j.ins):len(j.ins)], Remove: j.rem[rem:len(j.rem):len(j.rem)]})
+		}
+		named = named[n:]
 	}
-	j := v.journal
-	e := &j.arena
+	clear(j.named)
+	j.named = j.named[:0]
+}
+
+// encodeVnodeMeta encodes vn's metadata — parent, status and ACL, but not
+// file content or directory entries — for the journal. The record is
+// appended to the journal's arena and returned as a slice of it (see
+// TakeDirty for how long it is valid).
+func (v *Volume) encodeVnodeMeta(vn *Vnode) []byte {
+	e := &v.journal.arena
 	start := e.Len()
 	e.U32(vn.Parent)
 	vn.Status.Encode(e)
 	vn.ACL.Encode(e)
-	proto.EncodeDirEntries(e, vn.Entries)
 	// Capacity capped at the record: an append by its holder cannot run into
 	// the next record. (The arena growing under a later record leaves this
 	// one where it was, in the buffer it was written to.)
-	return e.Buf()[start:e.Len():e.Len()], true
+	return e.Buf()[start:e.Len():e.Len()]
 }
 
 // RestoreVnodeMeta installs a vnode's metadata during recovery, creating the
-// vnode if needed and preserving any file content already restored.
+// vnode if needed and keeping any file content and directory entries already
+// restored: a directory's entries change by RestoreDirEdit. A record that
+// goes on past its access list is one the first form of the journal wrote,
+// ending in the directory's whole entry table, which replaces the entries.
 func (v *Volume) RestoreVnodeMeta(id uint32, rec []byte) error {
 	d := wire.NewDecoder(rec)
 	parent := d.U32()
 	st := proto.DecodeStatus(d)
 	acl := prot.DecodeACL(d)
-	entries := proto.DecodeDirEntries(d)
+	table := d.Remaining() > 0
+	var entries []proto.DirEntry
+	if table {
+		entries = proto.DecodeDirEntries(d)
+	}
 	if err := d.Close(); err != nil {
 		return fmt.Errorf("volume: corrupt vnode %d metadata: %w", id, err)
 	}
@@ -206,7 +306,25 @@ func (v *Volume) RestoreVnodeMeta(id uint32, rec []byte) error {
 	vn.Parent = parent
 	vn.Status = st
 	vn.ACL = acl
-	vn.Entries = entries
+	if table {
+		vn.Entries = entries
+	}
+	return nil
+}
+
+// RestoreDirEdit replays a directory edit during recovery: its removals,
+// then its inserts.
+func (v *Volume) RestoreDirEdit(ed DirEdit) error {
+	dn, ok := v.vnodes[ed.Vnode]
+	if !ok || dn.Status.Type != proto.TypeDir {
+		return fmt.Errorf("volume: entries for vnode %d, which is no directory", ed.Vnode)
+	}
+	for _, name := range ed.Remove {
+		dn.Entries = proto.RemoveDirEntry(dn.Entries, name)
+	}
+	for _, de := range ed.Insert {
+		dn.Entries = proto.InsertDirEntry(dn.Entries, de)
+	}
 	return nil
 }
 
@@ -221,7 +339,7 @@ func (v *Volume) RestoreData(id uint32, data []byte) error {
 	return nil
 }
 
-// DataOf returns a vnode's file content for the journal. The slice is shared
+// DataOf returns a vnode's file content. The slice is shared
 // (WriteData replaces slices rather than mutating them), so callers may hold
 // it across the commit without copying.
 func (v *Volume) DataOf(id uint32) ([]byte, bool) {

@@ -198,6 +198,20 @@ func (v *Volume) newVnode(typ proto.FileType, mode uint16, owner string) *Vnode 
 	return vn
 }
 
+// enter puts de in the directory dn, replacing an entry of the same name,
+// and journals the name.
+func (v *Volume) enter(dn *Vnode, de proto.DirEntry) {
+	dn.Entries = proto.InsertDirEntry(dn.Entries, de)
+	v.markName(dn, de.Name)
+}
+
+// unlink removes name from the directory dn, if it is there, and journals
+// the name.
+func (v *Volume) unlink(dn *Vnode, name string) {
+	dn.Entries = proto.RemoveDirEntry(dn.Entries, name)
+	v.markName(dn, name)
+}
+
 func (v *Volume) touchDir(dn *Vnode) {
 	dn.Status.Mtime = v.clock()
 	dn.Status.Version++
@@ -213,7 +227,7 @@ func (v *Volume) Create(dir proto.FID, name string, mode uint16, owner string) (
 	}
 	vn := v.newVnode(proto.TypeFile, mode, owner)
 	vn.Parent = dir.Vnode
-	dn.Entries = proto.InsertDirEntry(dn.Entries, proto.DirEntry{Name: name, FID: vn.Status.FID, Type: proto.TypeFile})
+	v.enter(dn, proto.DirEntry{Name: name, FID: vn.Status.FID, Type: proto.TypeFile})
 	v.touchDir(dn)
 	return vn, nil
 }
@@ -228,7 +242,7 @@ func (v *Volume) MakeDir(dir proto.FID, name string, mode uint16, owner string) 
 	vn := v.newVnode(proto.TypeDir, mode, owner)
 	vn.Parent = dir.Vnode
 	vn.ACL = dn.ACL.Clone()
-	dn.Entries = proto.InsertDirEntry(dn.Entries, proto.DirEntry{Name: name, FID: vn.Status.FID, Type: proto.TypeDir})
+	v.enter(dn, proto.DirEntry{Name: name, FID: vn.Status.FID, Type: proto.TypeDir})
 	dn.Status.Links++
 	v.touchDir(dn)
 	return vn, nil
@@ -244,7 +258,7 @@ func (v *Volume) Symlink(dir proto.FID, name, target string) (*Vnode, error) {
 	vn.Parent = dir.Vnode
 	vn.Status.Target = target
 	vn.Status.Size = int64(len(target))
-	dn.Entries = proto.InsertDirEntry(dn.Entries, proto.DirEntry{Name: name, FID: vn.Status.FID, Type: proto.TypeSymlink})
+	v.enter(dn, proto.DirEntry{Name: name, FID: vn.Status.FID, Type: proto.TypeSymlink})
 	v.touchDir(dn)
 	return vn, nil
 }
@@ -262,7 +276,7 @@ func (v *Volume) Link(dir proto.FID, name string, target proto.FID) error {
 	if tn.Status.Type == proto.TypeDir {
 		return proto.ErrIsDir
 	}
-	dn.Entries = proto.InsertDirEntry(dn.Entries, proto.DirEntry{Name: name, FID: tn.Status.FID, Type: tn.Status.Type})
+	v.enter(dn, proto.DirEntry{Name: name, FID: tn.Status.FID, Type: tn.Status.Type})
 	tn.Status.Links++
 	v.markMeta(tn.Status.FID.Vnode)
 	v.touchDir(dn)
@@ -387,7 +401,7 @@ func (v *Volume) Remove(dir proto.FID, name string) error {
 			v.markMeta(de.FID.Vnode)
 		}
 	}
-	dn.Entries = proto.RemoveDirEntry(dn.Entries, name)
+	v.unlink(dn, name)
 	v.touchDir(dn)
 	return nil
 }
@@ -414,7 +428,7 @@ func (v *Volume) RemoveDir(dir proto.FID, name string) error {
 	}
 	delete(v.vnodes, de.FID.Vnode)
 	v.markDead(de.FID.Vnode)
-	dn.Entries = proto.RemoveDirEntry(dn.Entries, name)
+	v.unlink(dn, name)
 	dn.Status.Links--
 	v.touchDir(dn)
 	return nil
@@ -466,9 +480,9 @@ func (v *Volume) Rename(fromDir proto.FID, fromName string, toDir proto.FID, toN
 			}
 		}
 	}
-	fdn.Entries = proto.RemoveDirEntry(fdn.Entries, fromName)
+	v.unlink(fdn, fromName)
 	de.Name = toName
-	tdn.Entries = proto.InsertDirEntry(tdn.Entries, de)
+	v.enter(tdn, de)
 	if moved, err := v.Get(de.FID); err == nil && moved.Parent == fromDir.Vnode {
 		moved.Parent = toDir.Vnode
 		v.markMeta(de.FID.Vnode)
@@ -556,7 +570,7 @@ func (v *Volume) Mount(dir proto.FID, name string, target proto.FID) error {
 	if target.Volume == v.id {
 		return fmt.Errorf("%w: mount target in same volume", proto.ErrBadRequest)
 	}
-	dn.Entries = proto.InsertDirEntry(dn.Entries, proto.DirEntry{Name: name, FID: target, Type: proto.TypeDir})
+	v.enter(dn, proto.DirEntry{Name: name, FID: target, Type: proto.TypeDir})
 	v.touchDir(dn)
 	return nil
 }
@@ -574,7 +588,7 @@ func (v *Volume) Unmount(dir proto.FID, name string) error {
 	if de.FID.Volume == v.id {
 		return fmt.Errorf("%w: %s is not a mount point", proto.ErrBadRequest, name)
 	}
-	dn.Entries = proto.RemoveDirEntry(dn.Entries, name)
+	v.unlink(dn, name)
 	v.touchDir(dn)
 	return nil
 }
