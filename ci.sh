@@ -154,4 +154,3 @@ go test -run=NONE -fuzz='^FuzzDecodeBulkBreak$' -fuzztime=10s ./internal/wire
 go test -run=NONE -fuzz='^FuzzDecodeCommit$' -fuzztime=10s ./internal/store
 go test -run=NONE -fuzz='^FuzzWALReplay$' -fuzztime=10s ./internal/store/walstore
 go test -run=NONE -fuzz='^FuzzReadRecord$' -fuzztime=10s ./internal/store/walstore
-go test -run=NONE -fuzz='^FuzzDecodeCheckpoint$' -fuzztime=10s ./internal/store/walstore

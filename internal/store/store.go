@@ -25,6 +25,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -104,11 +105,6 @@ var headerSize = len(wire.Marshal(volume.Header{}))
 // DecodeCommit unmarshals a commit. Byte fields alias the decoder's buffer.
 // Counts are untrusted (wire.Decoder.ListLen), and an edit's inserts out of
 // name order fail d.
-//
-// A commit that ends after its contents, with no list of directory edits,
-// is one the first form of the log wrote: its metadata records end in their
-// vnodes' whole entry tables instead (see volume.RestoreVnodeMeta), so it
-// replays as written.
 func DecodeCommit(d *wire.Decoder) Commit {
 	c := Commit{Vol: d.U32(), Hdr: volume.DecodeHeader(d)}
 	n := d.ListLen(4)
@@ -122,9 +118,6 @@ func DecodeCommit(d *wire.Decoder) Commit {
 	n = d.ListLen(8)
 	for i := 0; i < n && d.Err() == nil; i++ {
 		c.Data = append(c.Data, volume.VnodeData{Vnode: d.U32(), Data: d.Bytes()})
-	}
-	if d.Err() != nil || d.Remaining() == 0 {
-		return c
 	}
 	n = d.ListLen(12)
 	for i := 0; i < n && d.Err() == nil; i++ {
@@ -182,6 +175,11 @@ func ApplyCommit(v *volume.Volume, c Commit) error {
 	v.RestoreHeader(c.Hdr)
 	return nil
 }
+
+// ErrTooLarge is wrapped by a Store's refusal of a record or checkpoint that
+// recovery would not read back. Such a refusal writes nothing and leaves the
+// store usable, where a failed write or sync latches it.
+var ErrTooLarge = errors.New("store: too large to recover")
 
 // LocOp is one location-database change: entries installed and prefixes
 // removed, in the order the server applied them.

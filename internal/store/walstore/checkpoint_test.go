@@ -2,6 +2,8 @@ package walstore
 
 import (
 	"bytes"
+	"errors"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -124,43 +126,42 @@ func TestRecoveryDropsUnreadableVolumes(t *testing.T) {
 	other := filesVol(t, 5, 1, []byte("vice"))
 	want := good.Serialize()
 
-	var e wire.Encoder
-	e.U64(1)
-	e.Bytes(nil)
-	e.ListLen(0)
-	e.ListLen(3)
-	e.U32(3)
-	e.Bytes(want)
-	e.U32(4)
-	e.Bytes(want[:len(want)/2])
-	e.U32(6)
-	e.Bytes(other.Serialize())
-	fsys := store.NewMemFS()
-	fsys.SetFile(ckptName, frameCheckpoint(e.Buf()))
+	file := []byte(walMagic)
+	file = append(file, frameRecord(1, kindLoc, wire.Marshal(proto.LocInstallArgs{}))...)
+	for _, vol := range []struct {
+		id    uint32
+		image []byte
+	}{{3, want}, {4, want[:len(want)/2]}, {6, other.Serialize()}} {
+		var body wire.Encoder
+		body.U32(vol.id)
+		body.Bytes(vol.image)
+		file = append(file, frameRecord(1, kindBegin, body.Buf())...)
+	}
+	file = append(file, frameRecord(1, kindProtSnapshot, nil)...)
 
-	s, rec := open(t, fsys)
-	defer s.Close()
+	rec := recoverCheckpoint(t, file)
 	if len(rec.Volumes) != 1 || !bytes.Equal(rec.Volumes[0].Serialize(), want) {
 		t.Fatalf("recovered %d volumes, notes %q", len(rec.Volumes), rec.Report.Notes)
 	}
 	var dropped []string
 	for _, n := range rec.Report.Notes {
-		if strings.Contains(n, "unreadable, dropped") {
+		if strings.HasPrefix(n, "checkpoint begin record unusable, dropped: ") {
 			dropped = append(dropped, n)
 		}
 	}
-	if len(dropped) != 2 || !strings.HasPrefix(dropped[0], "checkpoint volume 4 ") ||
-		!strings.HasPrefix(dropped[1], "checkpoint volume 6 ") {
+	if len(dropped) != 2 || !strings.Contains(dropped[0], ": volume 4 image ") ||
+		!strings.Contains(dropped[1], ": volume 6 image ") {
 		t.Fatalf("want notes dropping volumes 4 and 6, got %q", rec.Report.Notes)
 	}
 }
 
 // TestCheckpointBytesMatchImages compares the file buildCheckpoint encodes
-// from live volumes with the one referenceCheckpoint builds from their
-// Serialize images: byte for byte, over volumes that hold nothing, a tree of
-// directories with access lists, a symlink, a hard link, empty files, files
-// on both sides of pooledRecord, and a read-only clone sharing its parent's
-// contents. Decoding the file gives back volumes with the same images.
+// from live volumes with the one referenceCheckpoint builds through the log's
+// append path from their Serialize images: byte for byte, over volumes that
+// hold nothing, a tree of directories with access lists, a symlink, a hard
+// link, empty files, files on both sides of pooledRecord, and a read-only
+// clone sharing its parent's contents. Recovering the file gives back the
+// seqno, the volumes' images and both databases.
 func TestCheckpointBytesMatchImages(t *testing.T) {
 	empty := newVol(t, 3)
 
@@ -210,16 +211,19 @@ func TestCheckpointBytesMatchImages(t *testing.T) {
 
 	got := encodeCheckpoint(42, store.Checkpoint{Prot: protImage, Loc: loc, Volumes: vols})
 	if want := referenceCheckpoint(42, protImage, loc, vols); !bytes.Equal(got, want) {
-		t.Fatalf("checkpoint of live volumes (%d bytes) differs from the one built of their images (%d bytes)", len(got), len(want))
+		t.Fatalf("checkpoint of live volumes (%d bytes) differs from the log's records of their images (%d bytes)", len(got), len(want))
 	}
-	seq, cp, err := decodeCheckpoint(got)
-	if err != nil || seq != 42 || len(cp.Volumes) != len(vols) {
-		t.Fatalf("decode: seq %d, %d volumes, err %v", seq, len(cp.Volumes), err)
+	rec := recoverCheckpoint(t, got)
+	if rec.Report.CheckpointSeq != 42 || len(rec.Volumes) != len(vols) || len(rec.Report.Notes) != 0 {
+		t.Fatalf("recovered seq %d, %d volumes, notes %q", rec.Report.CheckpointSeq, len(rec.Volumes), rec.Report.Notes)
 	}
-	for i, dv := range cp.Volumes {
+	for i, dv := range rec.Volumes {
 		if !bytes.Equal(dv.Serialize(), vols[i].Serialize()) {
 			t.Fatalf("volume %d does not survive the checkpoint", vols[i].ID())
 		}
+	}
+	if !bytes.Equal(rec.ProtSnapshot, protImage) || len(rec.LocOps) != 1 || !reflect.DeepEqual(rec.LocOps[0].Entries, loc) {
+		t.Fatalf("recovered protection %q, location changes %+v", rec.ProtSnapshot, rec.LocOps)
 	}
 }
 
@@ -269,10 +273,12 @@ func TestLargeImageRoundTrips(t *testing.T) {
 	check("begin record", []*volume.Volume{vols[3]}, nil)
 }
 
-// TestCheckpointRefusesUnreadableSnapshot hands Checkpoint more than recovery
-// would read back. It must fail before anything is written, and before the
-// snapshot's buffer is grown: the previous checkpoint and the log stay byte
-// for byte as they were, and the store goes on taking commits.
+// TestCheckpointRefusesUnreadableSnapshot hands Checkpoint a volume whose
+// record recovery would not read back. It must fail before anything is
+// written, and before the snapshot's buffer is grown: the previous checkpoint
+// and the log stay byte for byte as they were, and the store goes on taking
+// commits. The bound is the log's, per record: five volumes that together
+// hold as much, each under it, checkpoint and recover.
 func TestCheckpointRefusesUnreadableSnapshot(t *testing.T) {
 	fsys := store.NewMemFS()
 	s, _ := open(t, fsys)
@@ -289,19 +295,16 @@ func TestCheckpointRefusesUnreadableSnapshot(t *testing.T) {
 	ckptBefore, _ := fsys.Bytes(ckptName)
 	logBefore, _ := fsys.Bytes(walName)
 
-	// Five volumes each holding one 60 MiB buffer: over maxRecord in total,
-	// each under it.
+	// One volume holding five views of one 60 MiB buffer: its record is over
+	// maxRecord, each file under wire.MaxField.
 	chunk := make([]byte, 60<<20)
-	var over store.Checkpoint
-	for id := uint32(10); id < 15; id++ {
-		over.Volumes = append(over.Volumes, filesVol(t, id, 1, chunk))
-	}
+	over := store.Checkpoint{Volumes: []*volume.Volume{v, filesVol(t, 10, 5, chunk)}}
 	var err error
 	if n := allocated(func() { err = s.Checkpoint(over) }); n >= 1<<20 {
 		t.Fatalf("refusing the snapshot allocated %d bytes, want < 1 MiB", n)
 	}
-	if err == nil {
-		t.Fatal("a snapshot recovery cannot read back was accepted")
+	if !errors.Is(err, store.ErrTooLarge) {
+		t.Fatalf("a snapshot recovery cannot read back: err %v, want store.ErrTooLarge", err)
 	}
 	if got, _ := fsys.Bytes(ckptName); !bytes.Equal(got, ckptBefore) {
 		t.Fatal("refused checkpoint changed the checkpoint file")
@@ -315,6 +318,29 @@ func TestCheckpointRefusesUnreadableSnapshot(t *testing.T) {
 	_, rec := open(t, fsys)
 	if len(rec.Volumes) != 1 || rec.Report.Replayed != 2 {
 		t.Fatalf("after refusal recovered %d volumes, replayed %d", len(rec.Volumes), rec.Report.Replayed)
+	}
+
+	if testing.Short() || raceEnabled {
+		t.Skip("the rest holds about 1 GiB")
+	}
+	var five store.Checkpoint
+	for id := uint32(10); id < 15; id++ {
+		five.Volumes = append(five.Volumes, filesVol(t, id, 1, chunk))
+	}
+	disk := store.DirFS(t.TempDir()) // the file's bytes stay out of the heap
+	s, _ = open(t, disk)
+	if err := s.Checkpoint(five); err != nil {
+		t.Fatalf("five volumes of 60 MiB: %v", err)
+	}
+	s.Close()
+	_, rec = open(t, disk)
+	if len(rec.Volumes) != 5 || len(rec.Report.Notes) != 0 {
+		t.Fatalf("recovered %d of 5 volumes, notes %q", len(rec.Volumes), rec.Report.Notes)
+	}
+	for _, rv := range rec.Volumes {
+		if got, _ := rv.DataOf(volume.RootVnode + 1); !bytes.Equal(got, chunk) {
+			t.Fatalf("volume %d's file came back as %d bytes that differ", rv.ID(), len(got))
+		}
 	}
 }
 
@@ -341,8 +367,8 @@ func TestAppendRefusesUnreadableRecord(t *testing.T) {
 	if n := allocated(func() { err = s.Commit(over) }); n >= 1<<20 {
 		t.Fatalf("refusing the record allocated %d bytes, want < 1 MiB", n)
 	}
-	if err == nil {
-		t.Fatal("a record recovery cannot read back was appended")
+	if !errors.Is(err, store.ErrTooLarge) {
+		t.Fatalf("a record recovery cannot read back: err %v, want store.ErrTooLarge", err)
 	}
 	if got, _ := fsys.Bytes(walName); !bytes.Equal(got, logBefore) {
 		t.Fatal("refused record changed the log")

@@ -12,12 +12,12 @@ import (
 	"itcfs/internal/volume"
 )
 
-// crashWorkload drives one store through a fixed operation sequence with
-// seeded file contents, syncing after every operation, stopping at the first
-// error. states[k] is the volume image after k acknowledged operations
-// (states[0] = nil: no volume yet). It returns how many operations were
-// fully acknowledged (synced) and how many were at least attempted — the
-// recoverable range under a crash.
+// crashWorkload drives one store through a fixed operation sequence on two
+// volumes with seeded file contents, syncing after every operation, stopping
+// at the first error. states[k] is the image of every volume after k
+// acknowledged operations (states[0] = nil: no volume yet). It returns how
+// many operations were fully acknowledged (synced) and how many were at
+// least attempted — the recoverable range under a crash.
 func crashWorkload(seed int64, fsys store.FS) (states [][]byte, acked, attempted int, err error) {
 	states = [][]byte{nil} // a crash during Open itself leaves no acked state
 	s, err := Open(fsys)
@@ -31,9 +31,14 @@ func crashWorkload(seed int64, fsys store.FS) (states [][]byte, acked, attempted
 	var tick int64
 	acl := prot.NewACL()
 	acl.Grant("satya", prot.RightsAll)
-	v := volume.New(3, "vol", acl, 0, "satya", func() int64 { tick++; return tick })
-	v.EnableDirtyTracking()
-	v.TakeDirty()
+	newVolume := func(id uint32) *volume.Volume {
+		v := volume.New(id, "vol", acl, 0, "satya", func() int64 { tick++; return tick })
+		v.EnableDirtyTracking()
+		v.TakeDirty()
+		return v
+	}
+	v, w := newVolume(3), newVolume(4)
+	var live []*volume.Volume // the volumes begun so far, ascending by ID
 
 	// Seeded contents: sizes and bytes differ per seed, the op sequence
 	// does not (so every seed exposes the same class of crash points).
@@ -47,60 +52,78 @@ func crashWorkload(seed int64, fsys store.FS) (states [][]byte, acked, attempted
 		return b
 	}
 
-	var f1, f2, dir proto.FID
-	ops := []func() error{
-		func() error { return s.BeginVolume(3, v.Serialize()) },
-		func() error {
+	// Each op changes one volume and returns it for its commit, or journals
+	// itself and returns nil.
+	begin := func(v *volume.Volume) func() (*volume.Volume, error) {
+		return func() (*volume.Volume, error) {
+			live = append(live, v)
+			return nil, s.BeginVolume(v.ID(), v.Serialize())
+		}
+	}
+	var f1, f2, g, dir proto.FID
+	ops := []func() (*volume.Volume, error){
+		begin(v),
+		func() (*volume.Volume, error) {
 			vn, err := v.Create(v.Root(), "f1", 0o644, "satya")
 			if err == nil {
 				f1 = vn.Status.FID
 			}
-			return err
+			return v, err
 		},
-		func() error { _, err := v.WriteData(f1, content(100+int(seed%7)*13)); return err },
-		func() error {
+		func() (*volume.Volume, error) { _, err := v.WriteData(f1, content(100+int(seed%7)*13)); return v, err },
+		begin(w),
+		func() (*volume.Volume, error) {
+			vn, err := w.Create(w.Root(), "g", 0o644, "satya")
+			if err == nil {
+				g = vn.Status.FID
+			}
+			return w, err
+		},
+		func() (*volume.Volume, error) {
 			vn, err := v.MakeDir(v.Root(), "d", 0o755, "satya")
 			if err == nil {
 				dir = vn.Status.FID
 			}
-			return err
+			return v, err
 		},
-		func() error {
+		func() (*volume.Volume, error) {
 			vn, err := v.Create(dir, "f2", 0o644, "satya")
 			if err == nil {
 				f2 = vn.Status.FID
 			}
-			return err
+			return v, err
 		},
-		func() error { _, err := v.WriteData(f2, content(40)); return err },
-		func() error { return v.Rename(v.Root(), "f1", dir, "f1r") },
+		func() (*volume.Volume, error) { _, err := v.WriteData(f2, content(40)); return v, err },
+		func() (*volume.Volume, error) { _, err := w.WriteData(g, content(60)); return w, err },
+		func() (*volume.Volume, error) { return v, v.Rename(v.Root(), "f1", dir, "f1r") },
 		nil, // checkpoint, handled below
-		func() error { _, err := v.WriteData(f2, content(220)); return err },
-		func() error { return v.Remove(dir, "f1r") },
+		func() (*volume.Volume, error) { _, err := v.WriteData(f2, content(220)); return v, err },
+		func() (*volume.Volume, error) { return w, w.Rename(w.Root(), "g", w.Root(), "h") },
+		func() (*volume.Volume, error) { return v, v.Remove(dir, "f1r") },
 		// A directory edit of every shape: one name in and one out in one
 		// edit (a rename over a name), and a directory removed with its
 		// last name.
-		func() error { _, err := v.Symlink(dir, "s", "/f2"); return err },
-		func() error { return v.Rename(dir, "s", dir, "f2") },
-		func() error { return v.Remove(dir, "f2") },
-		func() error { return v.RemoveDir(v.Root(), "d") },
+		func() (*volume.Volume, error) { _, err := v.Symlink(dir, "s", "/f2"); return v, err },
+		func() (*volume.Volume, error) { return v, v.Rename(dir, "s", dir, "f2") },
+		func() (*volume.Volume, error) { return v, v.Remove(dir, "f2") },
+		func() (*volume.Volume, error) { return v, v.RemoveDir(v.Root(), "d") },
 	}
 
 	for i, op := range ops {
 		attempted++
 		if op == nil { // checkpoint: state is unchanged by it
-			err = s.Checkpoint(store.Checkpoint{Volumes: []*volume.Volume{v}})
-			states = append(states, states[len(states)-1])
-		} else if i == 0 {
-			err = op()
-			states = append(states, v.Serialize())
+			err = s.Checkpoint(store.Checkpoint{Volumes: live})
 		} else {
-			if err = op(); err != nil {
-				return states, acked, attempted, fmt.Errorf("op %d (in-memory): %w", i, err)
+			var changed *volume.Volume
+			changed, err = op()
+			if changed != nil {
+				if err != nil {
+					return states, acked, attempted, fmt.Errorf("op %d (in-memory): %w", i, err)
+				}
+				err = s.Commit(store.CommitOf(changed))
 			}
-			err = s.Commit(store.CommitOf(v))
-			states = append(states, v.Serialize())
 		}
+		states = append(states, imageOf(live))
 		if err != nil {
 			return states, acked, attempted, err
 		}
@@ -112,8 +135,17 @@ func crashWorkload(seed int64, fsys store.FS) (states [][]byte, acked, attempted
 	return states, acked, attempted, nil
 }
 
-// recoveredImage reopens the survivors and returns the recovered volume's
-// image (nil if no volume survived).
+// imageOf is the images of vols, one after another (nil for none).
+func imageOf(vols []*volume.Volume) []byte {
+	var img []byte
+	for _, v := range vols {
+		img = append(img, v.Serialize()...)
+	}
+	return img
+}
+
+// recoveredImage reopens the survivors and returns the recovered volumes'
+// images, as imageOf gives them.
 func recoveredImage(t *testing.T, fsys store.FS) []byte {
 	t.Helper()
 	s, err := Open(fsys)
@@ -124,22 +156,14 @@ func recoveredImage(t *testing.T, fsys store.FS) []byte {
 	if err != nil {
 		t.Fatalf("recover after crash: %v", err)
 	}
-	switch len(rec.Volumes) {
-	case 0:
-		return nil
-	case 1:
-		return rec.Volumes[0].Serialize()
-	default:
-		t.Fatalf("recovered %d volumes, want ≤1", len(rec.Volumes))
-		return nil
-	}
+	return imageOf(rec.Volumes)
 }
 
 // TestWALCrashProperty is the crash-injection suite: for three seeds it
 // enumerates every durability event the workload generates, crashes on each,
-// reopens what stable storage holds, and checks the recovered volume. The
+// reopens what stable storage holds, and checks the recovered volumes. The
 // workload's commits carry directory edits of every shape, before and after
-// its checkpoint.
+// its checkpoint of two volumes.
 //
 // Strict discipline (unsynced bytes wholly lost): recovery yields exactly
 // the acknowledged-operation prefix — no acked op lost, no unacked op

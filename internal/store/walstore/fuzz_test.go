@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"itcfs/internal/proto"
@@ -14,9 +16,14 @@ import (
 
 // FuzzWALReplay feeds arbitrary bytes as the checkpoint and log files.
 // Recovery must never panic, must be deterministic (two opens of identical
-// bytes yield byte-identical reports and volume images), and must never
+// bytes yield byte-identical reports and volume images), must never
 // resurrect data past the first invalid record — replayed sequence numbers
-// are strictly contiguous, so nothing after a gap or tear can surface.
+// are strictly contiguous, so nothing after a gap or tear can surface — and
+// must allocate no more than a fixed multiple of its input: a count read
+// from a file sizes nothing. Whatever it recovers is a fixed point: the
+// recovered volumes, checkpointed and reopened, come back with the same
+// images. A file in an earlier build's format is the one input Open fails
+// on, and it leaves both files as they were.
 func FuzzWALReplay(f *testing.F) {
 	// Seed with real on-disk states so the fuzzer starts from valid framing.
 	fsys := store.NewMemFS()
@@ -38,64 +45,7 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(ckpt, append(append([]byte(walMagic), rec...), rec...))
 	// Truncated tail.
 	f.Add([]byte(nil), append([]byte(walMagic), rec[:len(rec)-3]...))
-	// A commit of the first form, then one of this form.
-	first, _ := hex.DecodeString(goldenFirstFormHex)
-	f.Add(ckpt, append(append([]byte(walMagic), first...), frameRecord(10, kindCommit, rec[recPrefix:])...))
-
-	f.Fuzz(func(t *testing.T, ckpt, log []byte) {
-		run := func() (string, [][]byte) {
-			fsys := store.NewMemFS()
-			if len(ckpt) > 0 {
-				fsys.SetFile(ckptName, append([]byte(nil), ckpt...))
-			}
-			fsys.SetFile(walName, append([]byte(nil), log...))
-			s, err := Open(fsys)
-			if err != nil {
-				// Only environment failures may surface here; corrupt input
-				// must degrade to a note or a discard, not an open error.
-				t.Fatalf("Open: %v", err)
-			}
-			rec, err := s.Recover()
-			if err != nil {
-				t.Fatalf("Recover: %v", err)
-			}
-			var imgs [][]byte
-			for _, v := range rec.Volumes {
-				imgs = append(imgs, v.Serialize())
-			}
-			// Replay must respect seq contiguity: count can't exceed what a
-			// gap-free log could hold.
-			if rec.Report.Replayed < 0 || rec.Report.DiscardedBytes < 0 {
-				t.Fatalf("negative accounting: %+v", rec.Report)
-			}
-			return rec.Report.String(), imgs
-		}
-		repA, imgsA := run()
-		repB, imgsB := run()
-		if repA != repB {
-			t.Fatalf("nondeterministic recovery:\n--- a\n%s--- b\n%s", repA, repB)
-		}
-		if len(imgsA) != len(imgsB) {
-			t.Fatalf("volume counts differ: %d vs %d", len(imgsA), len(imgsB))
-		}
-		for i := range imgsA {
-			if !bytes.Equal(imgsA[i], imgsB[i]) {
-				t.Fatalf("volume %d image differs between runs", i)
-			}
-		}
-	})
-}
-
-// FuzzDecodeCheckpoint feeds arbitrary bytes to the checkpoint decoder as a
-// payload, framed with a valid magic, length and CRC so that they reach the
-// volume decoder rather than die at the checksum (FuzzWALReplay covers the
-// framing). Decoding must never panic and must allocate no more than a fixed
-// multiple of its input: a count read from the file sizes nothing. Whatever
-// decodes is a fixed point: the checkpoint built from it decodes, volume for
-// volume, to a state that builds the same bytes again. The seeds are
-// checkpoints of real volumes, and each decodes to volumes with the
-// originals' images.
-func FuzzDecodeCheckpoint(f *testing.F) {
+	// Checkpoints of real volumes, and a log that goes on from one.
 	v := filesVol(f, 5, 3, []byte("venice precedes vice"))
 	if _, err := v.MakeDir(v.Root(), "d", 0o755, "satya"); err != nil {
 		f.Fatal(err)
@@ -104,39 +54,87 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		f.Fatal(err)
 	}
 	loc := []proto.LocEntry{{Prefix: "/", Volume: 3, Custodian: "s0"}}
-	for _, vols := range [][]*volume.Volume{nil, {newVol(f, 3)}, {newVol(f, 3), v, v.Clone(9, "ro")}} {
-		file := encodeCheckpoint(7, store.Checkpoint{Prot: []byte("p"), Loc: loc, Volumes: vols})
-		_, cp, err := decodeCheckpoint(file)
-		if err != nil || len(cp.Volumes) != len(vols) {
-			f.Fatalf("seed of %d volumes decodes to %d: %v", len(vols), len(cp.Volumes), err)
+	for _, vols := range [][]*volume.Volume{{newVol(f, 3)}, {newVol(f, 3), v, v.Clone(9, "ro")}} {
+		f.Add(encodeCheckpoint(8, store.Checkpoint{Prot: []byte("p"), Loc: loc, Volumes: vols}), append([]byte(walMagic), rec...))
+	}
+	// Files in the formats earlier builds wrote.
+	f.Add([]byte("ITCCKP01 and then some"), append([]byte(walMagic), rec...))
+	f.Add([]byte(nil), append([]byte("ITCWAL01"), rec...))
+
+	f.Fuzz(func(t *testing.T, ckpt, log []byte) {
+		disk := func() *store.MemFS {
+			fsys := store.NewMemFS()
+			if len(ckpt) > 0 {
+				fsys.SetFile(ckptName, append([]byte(nil), ckpt...))
+			}
+			fsys.SetFile(walName, append([]byte(nil), log...))
+			return fsys
 		}
-		for i, dv := range cp.Volumes {
-			if !bytes.Equal(dv.Serialize(), vols[i].Serialize()) {
-				f.Fatalf("seed volume %d does not round-trip", vols[i].ID())
+		for _, magic := range oldFormats {
+			if bytes.HasPrefix(ckpt, []byte(magic)) || bytes.HasPrefix(log, []byte(magic)) {
+				fsys := disk()
+				if _, err := Open(fsys); err == nil || !strings.Contains(err.Error(), magic) {
+					t.Fatalf("a file in the %s format opened: %v", magic, err)
+				}
+				if got, _ := fsys.Bytes(ckptName); len(ckpt) > 0 && !bytes.Equal(got, ckpt) {
+					t.Fatal("refusing an old format changed the checkpoint")
+				}
+				if got, _ := fsys.Bytes(walName); !bytes.Equal(got, log) {
+					t.Fatal("refusing an old format changed the log")
+				}
+				return
 			}
 		}
-		f.Add(file[ckptPrefix:])
-	}
+		images := func(vols []*volume.Volume) [][]byte {
+			var imgs [][]byte
+			for _, v := range vols {
+				imgs = append(imgs, v.Serialize())
+			}
+			return imgs
+		}
+		run := func() (*store.MemFS, *Store, *store.Recovery) {
+			fsys := disk()
+			var s *Store
+			var rec *store.Recovery
+			var err error
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if s, err = Open(fsys); err == nil {
+				rec, err = s.Recover()
+			}
+			runtime.ReadMemStats(&after)
+			n := after.TotalAlloc - before.TotalAlloc
+			if err != nil {
+				// Only environment failures may surface here; corrupt input
+				// must degrade to a note or a discard, not an open error.
+				t.Fatalf("Open: %v", err)
+			}
+			if ceiling := 64*uint64(len(ckpt)+len(log)) + 64<<10; n > ceiling {
+				t.Fatalf("recovering %d bytes allocated %d, more than %d", len(ckpt)+len(log), n, ceiling)
+			}
+			if rec.Report.Replayed < 0 || rec.Report.DiscardedBytes < 0 {
+				t.Fatalf("negative accounting: %+v", rec.Report)
+			}
+			return fsys, s, rec
+		}
+		_, _, recA := run()
+		fsys, s, recB := run()
+		if a, b := recA.Report.String(), recB.Report.String(); a != b {
+			t.Fatalf("nondeterministic recovery:\n--- a\n%s--- b\n%s", a, b)
+		}
+		imgs := images(recA.Volumes)
+		if !reflect.DeepEqual(imgs, images(recB.Volumes)) {
+			t.Fatal("volume images differ between runs")
+		}
 
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		file := frameCheckpoint(payload)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		seq, cp, _, err := readCheckpoint(file)
-		runtime.ReadMemStats(&after)
-		if n, ceiling := after.TotalAlloc-before.TotalAlloc, 64*uint64(len(file))+64<<10; n > ceiling {
-			t.Fatalf("decoding %d bytes allocated %d, more than %d", len(file), n, ceiling)
+		if err := s.Checkpoint(store.Checkpoint{Prot: recB.ProtSnapshot, Volumes: recB.Volumes}); err != nil {
+			t.Fatalf("checkpoint of what recovered: %v", err)
 		}
-		if err != nil {
-			return
-		}
-		again := encodeCheckpoint(seq, cp)
-		seq2, cp2, err := decodeCheckpoint(again)
-		if err != nil || seq2 != seq || len(cp2.Volumes) != len(cp.Volumes) {
-			t.Fatalf("re-encoded checkpoint decodes to seq %d, %d of %d volumes: %v", seq2, len(cp2.Volumes), len(cp.Volumes), err)
-		}
-		if !bytes.Equal(encodeCheckpoint(seq2, cp2), again) {
-			t.Fatal("decoded checkpoint is not a fixed point of encoding")
+		s.Close()
+		s, again := open(t, fsys)
+		s.Close()
+		if !reflect.DeepEqual(images(again.Volumes), imgs) || !bytes.Equal(again.ProtSnapshot, recB.ProtSnapshot) {
+			t.Fatalf("what recovered does not survive a checkpoint: notes %q", again.Report.Notes)
 		}
 	})
 }

@@ -11,17 +11,15 @@ import (
 	"itcfs/internal/wire"
 )
 
-// These goldens pin the on-disk encoding. A mismatch means the WAL format
-// changed. A change that the records earlier builds wrote still replay
-// under, read as they were meant, may keep the magic: the commit's list of
-// directory edits was appended so, and the first form's record stays pinned
-// below, decoding as it always did. Any other change bumps the magic
-// (ITCWAL01 → ITCWAL02) with the hex here; never let the format drift
-// silently under an unchanged magic.
+// These goldens pin the on-disk encoding. A mismatch means the format
+// changed. A change under which every record earlier builds wrote still
+// replays, read as it was meant, may keep the magic. Any other change bumps
+// it (ITCWAL02 → ITCWAL03), adds the old magic to oldFormats and re-records
+// the hex here; never let the format drift silently under an unchanged
+// magic.
 
 const (
-	goldenMagicWAL  = "ITCWAL01"
-	goldenMagicCkpt = "ITCCKP01"
+	goldenMagic = "ITCWAL02"
 
 	// frameRecord(9, kindCommit, commit{Vol 7, Hdr{2,3,4,5,online},
 	// Deletes[1], Meta[{2,"m"}], Data[{2,"d"}], Dirs[{1, Insert[{"n",
@@ -29,12 +27,8 @@ const (
 	goldenRecordHex = "6f000000c9f08635090000000000000003070000000200000003000000040000000000000005000000000000000101000000010000000100000002000000010000006d" +
 		"01000000020000000100000064010000000100000001000000010000006e0700000002000000030000000001000000010000006f"
 
-	// The same commit as the first form of the log wrote it: no edit list.
-	goldenFirstFormHex = "48000000107f830709000000000000000307000000020000000300000004000000000000000500000000000000010100000001000000010000000200000001000000" +
-		"6d01000000020000000100000064"
-
 	// encodeCheckpoint(4, {Prot "p", Loc [{"/", 1, "s0"}], no volumes})
-	goldenCkptHex = "495443434b50303128000000f40ee37b0400000000000000010000007001000000010000002f010000000200000073300000000000000000"
+	goldenCkptHex = "49544357414c3032240000009b301fc904000000000000000401000000010000002f0100000002000000733000000000000000000a000000d380e7d804000000000000000670"
 )
 
 func goldenCommit() store.Commit {
@@ -51,8 +45,8 @@ func goldenCommit() store.Commit {
 }
 
 func TestGoldenMagics(t *testing.T) {
-	if walMagic != goldenMagicWAL || ckptMagic != goldenMagicCkpt {
-		t.Fatalf("magic drifted: wal=%q ckpt=%q", walMagic, ckptMagic)
+	if walMagic != goldenMagic || !reflect.DeepEqual(oldFormats, []string{"ITCWAL01", "ITCCKP01"}) {
+		t.Fatalf("magic drifted: %q, refusing %q", walMagic, oldFormats)
 	}
 }
 
@@ -64,29 +58,21 @@ func TestGoldenRecordEncoding(t *testing.T) {
 		t.Fatalf("record encoding drifted:\n got %s\nwant %s", got, goldenRecordHex)
 	}
 
-	// The golden bytes must also decode back to the same record, and the
-	// first form's to the same record without its edits.
-	for _, golden := range []string{goldenRecordHex, goldenFirstFormHex} {
-		rec, _ := hex.DecodeString(golden)
-		seq, kind, body, next, err := readRecord(rec, 0)
-		if err != nil {
-			t.Fatalf("readRecord(golden): %v", err)
-		}
-		if seq != 9 || kind != kindCommit || next != len(rec) {
-			t.Fatalf("readRecord(golden) = seq %d kind %d next %d", seq, kind, next)
-		}
-		d := wire.NewDecoder(body)
-		c := store.DecodeCommit(d)
-		if err := d.Close(); err != nil {
-			t.Fatal(err)
-		}
-		want := goldenCommit()
-		if golden == goldenFirstFormHex {
-			want.Dirs = nil
-		}
-		if !reflect.DeepEqual(c, want) {
-			t.Fatalf("golden decode = %+v", c)
-		}
+	// The golden bytes must also decode back to the same record.
+	seq, kind, body, next, err := readRecord(rec, 0)
+	if err != nil {
+		t.Fatalf("readRecord(golden): %v", err)
+	}
+	if seq != 9 || kind != kindCommit || next != len(rec) {
+		t.Fatalf("readRecord(golden) = seq %d kind %d next %d", seq, kind, next)
+	}
+	d := wire.NewDecoder(body)
+	c := store.DecodeCommit(d)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(c, goldenCommit()) {
+		t.Fatalf("golden decode = %+v", c)
 	}
 }
 
@@ -99,12 +85,11 @@ func TestGoldenCheckpointEncoding(t *testing.T) {
 	if got := hex.EncodeToString(buf); got != goldenCkptHex {
 		t.Fatalf("checkpoint encoding drifted:\n got %s\nwant %s", got, goldenCkptHex)
 	}
-	seq, dec, err := decodeCheckpoint(buf)
-	if err != nil {
-		t.Fatalf("decodeCheckpoint(golden): %v", err)
-	}
-	if seq != 4 || string(dec.Prot) != "p" || len(dec.Loc) != 1 || dec.Loc[0].Prefix != "/" {
-		t.Fatalf("golden checkpoint decode = seq %d %+v", seq, dec)
+	rec := recoverCheckpoint(t, buf)
+	if rec.Report.CheckpointSeq != 4 || string(rec.ProtSnapshot) != "p" || len(rec.LocOps) != 1 ||
+		!reflect.DeepEqual(rec.LocOps[0].Entries, cp.Loc) || len(rec.Report.Notes) != 0 {
+		t.Fatalf("golden checkpoint recovers to seq %d, protection %q, location changes %+v, notes %q",
+			rec.Report.CheckpointSeq, rec.ProtSnapshot, rec.LocOps, rec.Report.Notes)
 	}
 }
 

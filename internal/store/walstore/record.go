@@ -8,15 +8,15 @@ import (
 
 	"itcfs/internal/proto"
 	"itcfs/internal/store"
-	"itcfs/internal/volume"
 	"itcfs/internal/wire"
 )
 
-// On-disk format.
+// On-disk format. wal.log and checkpoint are both logs: one magic, one
+// record framing, one reader (readRecord) and one applier (applyRecord).
 //
-// wal.log:
+// file:
 //
-//	"ITCWAL01"                                 8-byte magic
+//	"ITCWAL02"                                 8-byte magic
 //	record*                                    until EOF
 //
 // record:
@@ -25,15 +25,16 @@ import (
 //
 // payload:
 //
-//	u64 seq | u8 kind | body                   seq strictly increases by 1
+//	u64 seq | u8 kind | body
 //
 // bodies:
 //
-//	kindBegin:  u32 volume | bytes image       full volume.Serialize image
-//	kindDrop:   u32 volume
-//	kindCommit: store.Commit encoding          see below
-//	kindLoc:    proto.LocInstallArgs encoding
-//	kindProt:   prot.Mutation encoding
+//	kindBegin:        u32 volume | bytes image full volume.Serialize image
+//	kindDrop:         u32 volume
+//	kindCommit:       store.Commit encoding    see below
+//	kindLoc:          proto.LocInstallArgs encoding
+//	kindProt:         prot.Mutation encoding
+//	kindProtSnapshot: image                    prot.DB.Snapshot, the rest of the payload
 //
 // commit (store.Commit):
 //
@@ -46,31 +47,31 @@ import (
 //	                                           now under the names touched,
 //	                                           then the names now unused
 //
-// A commit carries no directory's whole entry table; only kindBegin and the
-// checkpoint do. The first form of this log wrote commits that end after
-// their contents, with no edit list, and whose meta records each go on to
-// the vnode's whole entry table (proto.EncodeDirEntries); replay reads such
-// a commit as written (store.DecodeCommit, volume.RestoreVnodeMeta), so a
-// log may hold both forms.
+// A commit carries no directory's whole entry table; only kindBegin does.
 //
-// checkpoint:
+// In wal.log, seq strictly increases by 1 from record to record. The first
+// invalid record ends the log: everything after it is a torn tail and is
+// truncated away.
 //
-//	"ITCCKP01" | u32 len | u32 crc | payload
+// checkpoint: the records that rebuild the state at log seqno S, every one
+// stamped S:
 //
-// checkpoint payload:
+//	kindLoc                                    the whole location database
+//	kindBegin*                                 every volume, ascending by ID
+//	kindProtSnapshot                           the protection database; it
+//	                                           ends the checkpoint
 //
-//	u64 seq                                    log seqno the snapshot covers
-//	bytes prot                                 prot.DB.Snapshot image
-//	u32 nloc | LocEntry*                       complete location database
-//	u32 nvol | (u32 volume | bytes image)*     every volume
+// A checkpoint is used whole or not at all: a record that does not read
+// back, a stamp other than the first record's, or a file that does not end
+// at its protection snapshot makes recovery ignore it, with a note.
 //
 // All integers little-endian (the wire package's convention). A record is
-// valid only if its full len bytes are present and the CRC matches; the
-// first invalid record ends the log — everything after it is a torn tail
-// and is discarded. Golden tests in golden_test.go pin these bytes.
+// valid only if its full len bytes are present and the CRC matches. Earlier
+// builds wrote ITCWAL01 logs, whose commits could lack the edit list, and
+// ITCCKP01 checkpoints, one framed blob each; Open refuses both
+// (oldFormats). Golden tests in golden_test.go pin these bytes.
 const (
-	walMagic  = "ITCWAL01"
-	ckptMagic = "ITCCKP01"
+	walMagic = "ITCWAL02"
 
 	walName  = "wal.log"
 	ckptName = "checkpoint"
@@ -79,13 +80,18 @@ const (
 	maxRecord = 1 << 28
 )
 
+// oldFormats are the magics of the files earlier builds wrote. Open refuses a
+// file that starts with one rather than take it for damage and discard it.
+var oldFormats = []string{"ITCWAL01", "ITCCKP01"}
+
 // Record kinds.
 const (
-	kindBegin  uint8 = 1
-	kindDrop   uint8 = 2
-	kindCommit uint8 = 3
-	kindLoc    uint8 = 4
-	kindProt   uint8 = 5
+	kindBegin        uint8 = 1
+	kindDrop         uint8 = 2
+	kindCommit       uint8 = 3
+	kindLoc          uint8 = 4
+	kindProt         uint8 = 5
+	kindProtSnapshot uint8 = 6
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -121,14 +127,22 @@ func newRecord(bodySize int) *wire.Encoder {
 		e = new(wire.Encoder)
 	}
 	e.Grow(recPrefix + bodySize)
-	var blank [recPrefix]byte
-	e.Raw(blank[:])
+	reserveRecord(e)
 	return e
 }
 
-// finishRecord completes rec, a newRecord buffer with its body encoded, in
-// place: it stamps seq and kind ahead of the body, then writes the header
-// over the finished payload.
+// reserveRecord appends a record's blank prefix to e and returns where the
+// record starts, for finishRecord to stamp once its body follows.
+func reserveRecord(e *wire.Encoder) int {
+	start := e.Len()
+	var blank [recPrefix]byte
+	e.Raw(blank[:])
+	return start
+}
+
+// finishRecord completes rec, a record from its reserved prefix to the end
+// of its encoded body, in place: it stamps seq and kind ahead of the body,
+// then writes the header over the finished payload.
 func finishRecord(rec []byte, seq uint64, kind uint8) {
 	payload := rec[8:]
 	binary.LittleEndian.PutUint64(payload, seq)
@@ -160,109 +174,53 @@ func readRecord(buf []byte, off int) (seq uint64, kind uint8, body []byte, next 
 	return binary.LittleEndian.Uint64(payload), payload[8], payload[9:], end, nil
 }
 
-// ckptPrefix is the bytes of a checkpoint file ahead of its payload: the
-// magic and the len/crc header.
-const ckptPrefix = len(ckptMagic) + 8
-
-// buildCheckpoint builds the checkpoint file as newRecord/finishRecord build
-// a log record: the prefix is reserved, the payload is encoded after it — the
-// buffer grown once, to exactly what the volume images need, when their sizes
-// are measured, and each live volume encoded in place after its id and
-// length — and magic, length and CRC are stamped in place. A volume's file
-// contents are thus copied once, into the file's buffer.
+// buildCheckpoint builds the checkpoint file of seq: the log's magic, then
+// the records of cp (see the format above), each framed as a log record and
+// stamped seq in place. The buffer is grown once, to exactly what the volume
+// images and the protection database need, when their sizes are measured,
+// and each live volume is encoded in place after its record's prefix, id and
+// length. A volume's file contents are thus copied once, into the file's
+// buffer.
 //
-// It refuses, before that growth, a snapshot readCheckpoint would reject: a
-// checkpoint is written in order to truncate the log, so one that cannot be
-// read back loses everything.
+// Every record is held to the log's own limit (checkSize) before that
+// growth: a checkpoint is written in order to truncate the log, so one that
+// cannot be read back loses everything.
 func buildCheckpoint(seq uint64, cp store.Checkpoint) ([]byte, error) {
 	var e wire.Encoder
-	var blank [ckptPrefix]byte
-	e.Raw(blank[:])
-	e.U64(seq)
-	e.Bytes(cp.Prot)
-	e.ListLen(len(cp.Loc))
-	for _, le := range cp.Loc {
-		le.Encode(&e)
+	e.Raw([]byte(walMagic))
+	start := reserveRecord(&e)
+	proto.LocInstallArgs{Entries: cp.Loc}.Encode(&e)
+	if err := checkSize(kindLoc, e.Len()-start-recPrefix); err != nil {
+		return nil, err
 	}
-	e.ListLen(len(cp.Volumes))
+	finishRecord(e.Buf()[start:], seq, kindLoc)
+
+	if err := checkSize(kindProtSnapshot, len(cp.Prot)); err != nil {
+		return nil, err
+	}
+	rest := recPrefix + len(cp.Prot)
 	sizes := make([]int, len(cp.Volumes))
-	images := 0
 	for i, v := range cp.Volumes {
 		sizes[i] = v.ImageSize()
-		images += 8 + sizes[i]
+		if err := checkSize(kindBegin, 8+sizes[i]); err != nil {
+			return nil, fmt.Errorf("%w (volume %d)", err, v.ID())
+		}
+		rest += recPrefix + 8 + sizes[i]
 	}
-	if size := e.Len() - ckptPrefix + images; size > maxRecord || len(cp.Prot) > wire.MaxField {
-		return nil, fmt.Errorf("walstore: checkpoint payload of %d bytes (protection database %d) is more than recovery reads back (%d, %d)",
-			size, len(cp.Prot), maxRecord, wire.MaxField)
-	}
-	e.Grow(images)
+	e.Grow(rest)
 	for i, v := range cp.Volumes {
+		start := reserveRecord(&e)
 		e.U32(v.ID())
 		e.U32(uint32(sizes[i]))
 		if n := v.EncodeImage(&e); n != sizes[i] {
 			// The caller let the volume change under the snapshot; its length
-			// prefix would misframe everything after it.
+			// prefix would misframe the record.
 			return nil, fmt.Errorf("walstore: checkpoint: volume %d encoded %d bytes, measured %d", v.ID(), n, sizes[i])
 		}
+		finishRecord(e.Buf()[start:], seq, kindBegin)
 	}
-	out := e.Buf()
-	payload := out[ckptPrefix:]
-	copy(out, ckptMagic)
-	binary.LittleEndian.PutUint32(out[len(ckptMagic):], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[len(ckptMagic)+4:], crc32.Checksum(payload, castagnoli))
-	return out, nil
-}
-
-// readCheckpoint parses a checkpoint file. Any malformation of the file is
-// an error; the caller treats a bad checkpoint as absent (and says so in the
-// report). A volume whose image alone will not decode is left out, with a
-// note saying so. Each volume is decoded where its image lies in buf, so its
-// file contents are copied once, by volume.Deserialize; nothing returned
-// aliases buf.
-func readCheckpoint(buf []byte) (seq uint64, cp store.Checkpoint, notes []string, err error) {
-	if len(buf) < ckptPrefix || string(buf[:len(ckptMagic)]) != ckptMagic {
-		return 0, cp, nil, fmt.Errorf("walstore: checkpoint: bad magic")
-	}
-	n := binary.LittleEndian.Uint32(buf[len(ckptMagic):])
-	crc := binary.LittleEndian.Uint32(buf[len(ckptMagic)+4:])
-	payload := buf[ckptPrefix:]
-	if uint32(len(payload)) != n || n > maxRecord {
-		return 0, cp, nil, fmt.Errorf("walstore: checkpoint: bad length")
-	}
-	if crc32.Checksum(payload, castagnoli) != crc {
-		return 0, cp, nil, fmt.Errorf("walstore: checkpoint: bad checksum")
-	}
-	d := wire.NewDecoder(payload)
-	seq = d.U64()
-	cp.Prot = append([]byte(nil), d.Bytes()...)
-	if len(cp.Prot) == 0 {
-		cp.Prot = nil
-	}
-	nl := d.ListLen(1)
-	for i := 0; i < nl && d.Err() == nil; i++ {
-		cp.Loc = append(cp.Loc, proto.DecodeLocEntry(d))
-	}
-	nv := d.ListLen(5)
-	for i := 0; i < nv && d.Err() == nil; i++ {
-		id := d.U32()
-		// An image is bounded by the checkpoint's own format (the payload
-		// length checked above), not by what one network message may carry.
-		image := d.BytesLimit(maxRecord)
-		if d.Err() != nil {
-			break
-		}
-		v, err := volume.Deserialize(image, nil)
-		if err == nil && v.ID() != id {
-			err = fmt.Errorf("image declares id %d", v.ID())
-		}
-		if err != nil {
-			notes = append(notes, fmt.Sprintf("checkpoint volume %d unreadable, dropped: %v", id, err))
-			continue
-		}
-		cp.Volumes = append(cp.Volumes, v)
-	}
-	if err := d.Close(); err != nil {
-		return 0, store.Checkpoint{}, nil, fmt.Errorf("walstore: checkpoint: %w", err)
-	}
-	return seq, cp, notes, nil
+	start = reserveRecord(&e)
+	e.Raw(cp.Prot)
+	finishRecord(e.Buf()[start:], seq, kindProtSnapshot)
+	return e.Buf(), nil
 }

@@ -50,8 +50,8 @@ func BenchmarkCommit(b *testing.B) {
 // BenchmarkCheckpoint is what building a checkpoint file costs, by the
 // volume's file contents: "live" encodes the volume straight into the file,
 // as buildCheckpoint does; "images" serializes it to an image first and
-// copies that in, as referenceCheckpoint, the builder before, did. The file
-// is not written.
+// appends that to a log in memory, as referenceCheckpoint does. The file is
+// not written.
 func BenchmarkCheckpoint(b *testing.B) {
 	for _, size := range []int{64 << 10, 1 << 20, 16 << 20} {
 		vols := []*volume.Volume{filesVol(b, 3, 4, make([]byte, size/4))}

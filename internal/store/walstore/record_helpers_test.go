@@ -1,15 +1,11 @@
 package walstore
 
 import (
-	"encoding/binary"
-	"errors"
-	"hash/crc32"
-	"strings"
+	"testing"
 
 	"itcfs/internal/proto"
 	"itcfs/internal/store"
 	"itcfs/internal/volume"
-	"itcfs/internal/wire"
 )
 
 // frameRecord builds a complete record around an already-encoded body, the
@@ -32,51 +28,46 @@ func encodeCheckpoint(seq uint64, cp store.Checkpoint) []byte {
 	return buf
 }
 
-// decodeCheckpoint is readCheckpoint for files whose volumes all decode: a
-// volume dropped with a note is an error here. The goldens pin the production
-// decoder through it.
-func decodeCheckpoint(buf []byte) (uint64, store.Checkpoint, error) {
-	seq, cp, notes, err := readCheckpoint(buf)
-	if err == nil && len(notes) > 0 {
-		err = errors.New(strings.Join(notes, "; "))
-	}
-	return seq, cp, err
+// recoverCheckpoint opens a store whose only file is the checkpoint file and
+// returns what recovery made of it.
+func recoverCheckpoint(t *testing.T, file []byte) *store.Recovery {
+	t.Helper()
+	fsys := store.NewMemFS()
+	fsys.SetFile(ckptName, file)
+	s, rec := open(t, fsys)
+	s.Close()
+	return rec
 }
 
-// frameCheckpoint puts a valid magic, length and CRC in front of payload, so
-// that a test's payload reaches the volume decoder rather than die at the
-// checksum.
-func frameCheckpoint(payload []byte) []byte {
-	file := make([]byte, ckptPrefix, ckptPrefix+len(payload))
-	copy(file, ckptMagic)
-	binary.LittleEndian.PutUint32(file[len(ckptMagic):], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(file[len(ckptMagic)+4:], crc32.Checksum(payload, castagnoli))
-	return append(file, payload...)
-}
-
-// referenceCheckpoint is the checkpoint file as it was built before the
-// store encoded live volumes, kept as the reference buildCheckpoint is
-// compared with byte for byte (as referenceCommitOf is for commits): every
-// volume serialized to an image of its own, then each image copied into the
-// file after its id.
+// referenceCheckpoint is the checkpoint file as the log's own append path
+// writes its records, the reference buildCheckpoint is compared with byte for
+// byte (as referenceJournal is for commits): a fresh log takes the location
+// database, a BeginVolume of each volume's Serialize image and the
+// protection snapshot, and its records are then stamped seq, as every record
+// of a checkpoint is.
 func referenceCheckpoint(seq uint64, prot []byte, loc []proto.LocEntry, vols []*volume.Volume) []byte {
-	var e wire.Encoder
-	e.Raw(make([]byte, ckptPrefix))
-	e.U64(seq)
-	e.Bytes(prot)
-	e.ListLen(len(loc))
-	for _, le := range loc {
-		le.Encode(&e)
+	must := func(err error) {
+		if err != nil {
+			panic(err)
+		}
 	}
-	e.ListLen(len(vols))
+	fsys := store.NewMemFS()
+	s, err := Open(fsys)
+	must(err)
+	must(s.PutLoc(loc, nil))
 	for _, v := range vols {
-		e.U32(v.ID())
-		e.Bytes(v.Serialize())
+		must(s.BeginVolume(v.ID(), v.Serialize()))
 	}
-	out := e.Buf()
-	payload := out[ckptPrefix:]
-	copy(out, ckptMagic)
-	binary.LittleEndian.PutUint32(out[len(ckptMagic):], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[len(ckptMagic)+4:], crc32.Checksum(payload, castagnoli))
-	return out
+	e := newRecord(len(prot))
+	e.Raw(prot)
+	must(s.append(kindProtSnapshot, e))
+	log, _ := fsys.Bytes(walName)
+	file := []byte(walMagic)
+	for off := len(walMagic); off < len(log); {
+		_, kind, body, next, err := readRecord(log, off)
+		must(err)
+		file = append(file, frameRecord(seq, kind, body)...)
+		off = next
+	}
+	return file
 }

@@ -8,43 +8,13 @@ import (
 	"itcfs/internal/proto"
 	"itcfs/internal/store"
 	"itcfs/internal/volume"
-	"itcfs/internal/wire"
 )
-
-// firstFormCommit encodes c as the first form of the log recorded it: each
-// metadata record goes on to its vnode's whole entry table, and there is no
-// list of directory edits. v is the volume c was drained from, as it stands.
-func firstFormCommit(v *volume.Volume, c store.Commit) []byte {
-	var e wire.Encoder
-	e.U32(c.Vol)
-	c.Hdr.Encode(&e)
-	e.ListLen(len(c.Deletes))
-	for _, id := range c.Deletes {
-		e.U32(id)
-	}
-	e.ListLen(len(c.Meta))
-	for _, m := range c.Meta {
-		var rec wire.Encoder
-		rec.Raw(m.Meta)
-		proto.EncodeDirEntries(&rec, findVnode(v, v.Root(), m.Vnode).Entries)
-		e.U32(m.Vnode)
-		e.Bytes(rec.Buf())
-	}
-	e.ListLen(len(c.Data))
-	for _, d := range c.Data {
-		e.U32(d.Vnode)
-		e.Bytes(d.Data)
-	}
-	return e.Buf()
-}
 
 // TestReplayOfMixedRecordsEqualsTheLiveVolumes journals seeded random
 // histories of two volumes through one log that holds every kind of record:
 // volume beginnings and a drop, location and protection changes, a
-// checkpoint part way, and commits in both forms — this one's, which carry
-// each directory's edit, and the first form's, which carry whole entry
-// tables, taking turns at random as a log an upgraded server kept writing
-// would. Recovery must rebuild each volume byte for byte as it lives.
+// checkpoint part way, and commits that carry each directory's edit.
+// Recovery must rebuild each volume byte for byte as it lives.
 func TestReplayOfMixedRecordsEqualsTheLiveVolumes(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		tw := newTwins(t, seed) // vols[0] is journalled; vols[1] only follows
@@ -60,19 +30,10 @@ func TestReplayOfMixedRecordsEqualsTheLiveVolumes(t *testing.T) {
 		must(s.BeginVolume(3, tw.vols[0].Serialize()))
 		must(s.BeginVolume(5, other.Serialize()))
 		must(s.BeginVolume(6, newVol(t, 6).Serialize()))
-		firstForm := 0
 		for i := 0; i < 300; i++ {
 			tw.step()
 			tw.vols[1].TakeDirty()
-			c := store.CommitOf(tw.vols[0])
-			if tw.rng.Intn(3) == 0 {
-				firstForm++
-				e := newRecord(0)
-				e.Raw(firstFormCommit(tw.vols[0], c))
-				must(s.append(kindCommit, e))
-			} else {
-				must(s.Commit(c))
-			}
+			must(s.Commit(store.CommitOf(tw.vols[0])))
 			switch i {
 			case 40, 200:
 				must(s.PutLoc([]proto.LocEntry{{Prefix: "/u", Volume: 3, Custodian: "s0"}}, nil))
@@ -92,9 +53,11 @@ func TestReplayOfMixedRecordsEqualsTheLiveVolumes(t *testing.T) {
 		must(s.Sync())
 		s.Close()
 		_, rec := open(t, fsys)
-		if firstForm == 0 || len(rec.ProtMutations) != 1 || len(rec.LocOps) != 1 {
-			t.Fatalf("seed %d: %d first-form commits; %d protection and %d location changes past the checkpoint",
-				seed, firstForm, len(rec.ProtMutations), len(rec.LocOps))
+		// The checkpoint's whole location database (empty), then the change
+		// after it.
+		if len(rec.ProtMutations) != 1 || len(rec.LocOps) != 2 || len(rec.LocOps[0].Entries) != 0 {
+			t.Fatalf("seed %d: %d protection and %d location changes past the checkpoint",
+				seed, len(rec.ProtMutations), len(rec.LocOps))
 		}
 		if rec.Report.DiscardedRecords != 0 || len(rec.Report.Notes) != 0 {
 			t.Fatalf("seed %d: recovery report: %v", seed, rec.Report.Lines())

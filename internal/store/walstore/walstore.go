@@ -5,8 +5,9 @@
 // to wal.log (see record.go for the format). Sync fsyncs the log —
 // concurrent committers coalesce onto a single fsync (group commit) — and
 // only then may the server acknowledge the operations. Checkpoint writes a
-// full snapshot to a separate file with an atomic rename and truncates the
-// log, bounding both recovery time and disk use.
+// full snapshot, as the records of a log of its own, to a separate file with
+// an atomic rename and truncates the log, bounding both recovery time and
+// disk use.
 //
 // Open is recovery: load the checkpoint if one is intact, replay log
 // records past its sequence number, stop at the first torn or corrupt
@@ -23,6 +24,7 @@
 package walstore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -78,55 +80,55 @@ func Open(fsys store.FS) (*Store, error) {
 // recover rebuilds state from the checkpoint and log, truncating any torn
 // tail, and leaves the result in s.recovered. It runs once from Open, before
 // the store is shared; it takes mu anyway so the seqno fields have one
-// locking story.
+// locking story. A file an earlier build wrote fails it, before anything is
+// changed on disk.
 func (s *Store) recover() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rec := &store.Recovery{}
-	rep := &rec.Report
+	vols := map[uint32]*volume.Volume{}
 
 	// Checkpoint: a damaged one is treated as absent — the log still holds
 	// every record it would have covered only if compaction never ran, so
 	// say loudly that history may be gone.
-	vols := map[uint32]*volume.Volume{}
 	if buf, err := s.fsys.ReadFile(ckptName); err == nil {
-		seq, cp, notes, err := readCheckpoint(buf)
+		if err := refuseOldFormat(ckptName, buf); err != nil {
+			return err
+		}
+		seq, err := loadCheckpoint(buf, vols, rec)
 		if err != nil {
-			rep.Notes = append(rep.Notes, fmt.Sprintf("checkpoint unreadable, ignored: %v", err))
+			rec, vols = &store.Recovery{}, map[uint32]*volume.Volume{}
+			rec.Report.Notes = append(rec.Report.Notes, fmt.Sprintf("checkpoint unreadable, ignored: %v", err))
 		} else {
 			s.ckptSeq = seq
-			rep.CheckpointSeq = seq
-			rep.Notes = append(rep.Notes, notes...)
-			rec.ProtSnapshot = cp.Prot
-			if len(cp.Loc) > 0 {
-				rec.LocOps = append(rec.LocOps, store.LocOp{Entries: cp.Loc})
-			}
-			for _, v := range cp.Volumes {
-				vols[v.ID()] = v
-			}
+			rec.Report.CheckpointSeq = seq
 		}
 	}
+	rep := &rec.Report
 
 	// Log: replay valid records past the checkpoint; the first invalid one
 	// ends the log and the tail it starts is truncated away.
 	buf, err := s.fsys.ReadFile(walName)
+	if err != nil {
+		buf = nil // no log yet
+	}
+	if err := refuseOldFormat(walName, buf); err != nil {
+		return err
+	}
 	switch {
-	case err == nil && len(buf) >= len(walMagic) && string(buf[:len(walMagic)]) == walMagic:
+	case bytes.HasPrefix(buf, []byte(walMagic)):
 		s.replay(buf, vols, rec)
-	case err == nil && len(buf) > 0:
+	case len(buf) > 0:
 		rep.Notes = append(rep.Notes, "log header unreadable, log discarded")
 		rep.DiscardedBytes += int64(len(buf))
 		if err := s.fsys.Remove(walName); err != nil {
 			return fmt.Errorf("walstore: reset log: %w", err)
 		}
-		//itcvet:allowblocking recovery runs once at startup under mu; no other holder exists yet
-		if err := s.writeMagic(); err != nil {
-			return err
-		}
+		fallthrough
 	default:
 		//itcvet:allowblocking recovery runs once at startup under mu; no other holder exists yet
-		if err := s.writeMagic(); err != nil {
-			return err
+		if err := s.fsys.WriteFileAtomic(walName, []byte(walMagic)); err != nil {
+			return fmt.Errorf("walstore: init log: %w", err)
 		}
 	}
 	if s.seq < s.ckptSeq {
@@ -210,6 +212,54 @@ func (s *Store) replay(buf []byte, vols map[uint32]*volume.Volume, rec *store.Re
 	}
 }
 
+// loadCheckpoint applies the checkpoint in buf to vols and rec, which are
+// empty, and returns the seqno S it covers. A volume whose image alone will
+// not decode is left out, with a note. Any other fault — a record that does
+// not read back or whose body does not decode, a stamp other than S, a file
+// that does not end at its protection snapshot — is an error, and the
+// caller discards what was applied: a checkpoint is used whole or not at all.
+func loadCheckpoint(buf []byte, vols map[uint32]*volume.Volume, rec *store.Recovery) (uint64, error) {
+	if !bytes.HasPrefix(buf, []byte(walMagic)) {
+		return 0, errors.New("bad magic")
+	}
+	var stamp uint64
+	for off := len(walMagic); off < len(buf); {
+		seq, kind, body, next, err := readRecord(buf, off)
+		if err != nil {
+			return 0, fmt.Errorf("record at byte %d: %w", off, err)
+		}
+		if off == len(walMagic) {
+			stamp = seq
+		} else if seq != stamp {
+			return 0, fmt.Errorf("record at byte %d stamped %d, the first %d", off, seq, stamp)
+		}
+		if err := applyRecord(kind, body, vols, rec); errors.Is(err, errRecordCorrupt) {
+			return 0, fmt.Errorf("%s record at byte %d: %w", kindName(kind), off, err)
+		} else if err != nil {
+			rec.Report.Notes = append(rec.Report.Notes, fmt.Sprintf("checkpoint %s record unusable, dropped: %v", kindName(kind), err))
+		}
+		if kind == kindProtSnapshot {
+			if next != len(buf) {
+				return 0, fmt.Errorf("%d bytes after the protection snapshot", len(buf)-next)
+			}
+			return stamp, nil
+		}
+		off = next
+	}
+	return 0, errors.New("no protection snapshot: the file is cut short")
+}
+
+// refuseOldFormat fails when buf, the contents of the file name, starts with
+// the magic of a format an earlier build wrote.
+func refuseOldFormat(name string, buf []byte) error {
+	for _, magic := range oldFormats {
+		if bytes.HasPrefix(buf, []byte(magic)) {
+			return fmt.Errorf("walstore: %s is in the %s format, which this build does not read; it is left as it is", name, magic)
+		}
+	}
+	return nil
+}
+
 // errRecordCorrupt marks a CRC-valid record whose body nonetheless fails to
 // decode: format-level corruption, so replay must not trust the log past it.
 // Any other applyRecord error is a semantic rejection of just that record.
@@ -227,6 +277,8 @@ func kindName(kind uint8) string {
 		return "loc"
 	case kindProt:
 		return "prot"
+	case kindProtSnapshot:
+		return "prot snapshot"
 	}
 	return fmt.Sprintf("kind %d", kind)
 }
@@ -248,7 +300,7 @@ func applyRecord(kind uint8, body []byte, vols map[uint32]*volume.Volume, rec *s
 			return fmt.Errorf("volume %d image unreadable: %v", id, err)
 		}
 		if v.ID() != id {
-			return fmt.Errorf("volume image declares id %d, record says %d", v.ID(), id)
+			return fmt.Errorf("volume %d image declares id %d", id, v.ID())
 		}
 		vols[id] = v
 	case kindDrop:
@@ -285,15 +337,13 @@ func applyRecord(kind uint8, body []byte, vols map[uint32]*volume.Volume, rec *s
 			return errRecordCorrupt
 		}
 		rec.ProtMutations = append(rec.ProtMutations, m)
+	case kindProtSnapshot:
+		// The whole database, so every mutation before it is in it. An empty
+		// image is none (nil).
+		rec.ProtSnapshot = append([]byte(nil), body...)
+		rec.ProtMutations = nil
 	default:
 		return fmt.Errorf("unknown record kind %d: %w", kind, errRecordCorrupt)
-	}
-	return nil
-}
-
-func (s *Store) writeMagic() error {
-	if err := s.fsys.WriteFileAtomic(walName, []byte(walMagic)); err != nil {
-		return fmt.Errorf("walstore: init log: %w", err)
 	}
 	return nil
 }
@@ -330,13 +380,13 @@ func (s *Store) append(kind uint8, e *wire.Encoder) error {
 
 // checkSize refuses a record of kind whose body is bodySize bytes if
 // recovery would not read it back: readRecord takes a payload over maxRecord
-// for a torn tail, and drops it and everything after it. The refusal does not
-// latch the store, as Checkpoint's of an unreadable snapshot does not: the
-// caller's operation fails, the log and every other volume are untouched.
+// for a torn tail, and drops it and everything after it. The refusal wraps
+// store.ErrTooLarge and does not latch the store: the caller's operation
+// fails, the log and every other volume are untouched.
 func checkSize(kind uint8, bodySize int) error {
 	if payload := recPrefix - 8 + bodySize; payload > maxRecord {
-		return fmt.Errorf("walstore: %s record of %d bytes is more than recovery reads back (%d)",
-			kindName(kind), payload, maxRecord)
+		return fmt.Errorf("walstore: %s record of %d bytes is more than recovery reads back (%d): %w",
+			kindName(kind), payload, maxRecord, store.ErrTooLarge)
 	}
 	return nil
 }
@@ -441,9 +491,9 @@ func (s *Store) Recover() (*store.Recovery, error) {
 // the snapshot file (atomic rename), then truncate the log. A crash between
 // the two is safe — replay skips records at or below the checkpoint seqno.
 //
-// A snapshot too large for recovery to read back is refused with nothing
-// written: the old checkpoint and the log stay as they are, the log keeps
-// growing, and the store stays usable.
+// A snapshot with a record too large for recovery to read back is refused
+// with nothing written (checkSize): the old checkpoint and the log stay as
+// they are, the log keeps growing, and the store stays usable.
 func (s *Store) Checkpoint(cp store.Checkpoint) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

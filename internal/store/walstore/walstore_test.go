@@ -173,18 +173,85 @@ func TestWALTornTailDiscardedAndTruncated(t *testing.T) {
 }
 
 func TestWALCorruptCheckpointIgnoredWithNote(t *testing.T) {
-	fsys := store.NewMemFS()
-	s1, _ := open(t, fsys)
-	workload(t, s1)
-	fsys.SetFile(ckptName, []byte("ITCCKP01 but not really"))
+	for _, garbage := range []string{"not a checkpoint at all", walMagic + " but not really"} {
+		fsys := store.NewMemFS()
+		s1, _ := open(t, fsys)
+		workload(t, s1)
+		fsys.SetFile(ckptName, []byte(garbage))
 
-	_, rec := open(t, fsys)
-	if len(rec.Report.Notes) == 0 {
-		t.Fatalf("no note about the corrupt checkpoint: %+v", rec.Report)
+		_, rec := open(t, fsys)
+		if len(rec.Report.Notes) != 1 || !strings.HasPrefix(rec.Report.Notes[0], "checkpoint unreadable, ignored: ") {
+			t.Fatalf("%q: want one note about the corrupt checkpoint: %+v", garbage, rec.Report)
+		}
+		// The log alone still reconstructs everything.
+		if len(rec.Volumes) != 1 || rec.Report.Replayed != 5 {
+			t.Fatalf("%q: recovery without checkpoint: %+v", garbage, rec.Report)
+		}
 	}
-	// The log alone still reconstructs everything.
-	if len(rec.Volumes) != 1 || rec.Report.Replayed != 5 {
-		t.Fatalf("recovery without checkpoint: %+v", rec.Report)
+}
+
+// TestCheckpointWithABadCRCIsIgnoredWhole flips each bit of a checkpoint's
+// records in turn, one flip per open. However far into the file the flip
+// is, recovery uses none of it: no volume, neither database and no seqno
+// come from the checkpoint, and a note says it was ignored.
+func TestCheckpointWithABadCRCIsIgnoredWhole(t *testing.T) {
+	fsys := store.NewMemFS()
+	s, _ := open(t, fsys)
+	v := workload(t, s)
+	cp := store.Checkpoint{
+		Prot:    []byte("prot-snapshot"),
+		Loc:     []proto.LocEntry{{Prefix: "/", Volume: 3, Custodian: "s0"}},
+		Volumes: []*volume.Volume{v, newVol(t, 4)},
+	}
+	if err := s.Checkpoint(cp); err != nil {
+		t.Fatal(err)
+	}
+	file, _ := fsys.Bytes(ckptName)
+	if rec := recoverCheckpoint(t, file); len(rec.Volumes) != 2 || rec.Report.CheckpointSeq == 0 {
+		t.Fatalf("the intact checkpoint recovered %d volumes at seq %d", len(rec.Volumes), rec.Report.CheckpointSeq)
+	}
+	for bit := 8 * len(walMagic); bit < 8*len(file); bit++ {
+		bad := append([]byte(nil), file...)
+		bad[bit/8] ^= 1 << (bit % 8)
+		rec := recoverCheckpoint(t, bad)
+		if len(rec.Volumes) != 0 || rec.ProtSnapshot != nil || len(rec.LocOps) != 0 || rec.Report.CheckpointSeq != 0 ||
+			len(rec.Report.Notes) != 1 || !strings.HasPrefix(rec.Report.Notes[0], "checkpoint unreadable, ignored: ") {
+			t.Fatalf("bit %d flipped: recovered %d volumes, protection %q, %d location changes, seq %d, notes %q",
+				bit, len(rec.Volumes), rec.ProtSnapshot, len(rec.LocOps), rec.Report.CheckpointSeq, rec.Report.Notes)
+		}
+	}
+}
+
+// TestOpenRefusesOldFormats: a log or a checkpoint an earlier build wrote is
+// neither read nor taken for damage. Open fails with an error that names the
+// format, and both files stay as they were.
+func TestOpenRefusesOldFormats(t *testing.T) {
+	fsys := store.NewMemFS()
+	s, _ := open(t, fsys)
+	workload(t, s)
+	log, _ := fsys.Bytes(walName)
+	if err := s.Checkpoint(store.Checkpoint{}); err != nil {
+		t.Fatal(err)
+	}
+	ckpt, _ := fsys.Bytes(ckptName)
+	for _, tc := range []struct{ name, magic string }{{walName, "ITCWAL01"}, {ckptName, "ITCCKP01"}} {
+		fsys := store.NewMemFS()
+		fsys.SetFile(walName, log)
+		fsys.SetFile(ckptName, ckpt)
+		old, _ := fsys.Bytes(tc.name)
+		old = append([]byte(tc.magic), old[len(walMagic):]...)
+		fsys.SetFile(tc.name, old)
+		want := map[string][]byte{walName: log, ckptName: ckpt, tc.name: old}
+
+		_, err := Open(fsys)
+		if err == nil || !strings.Contains(err.Error(), tc.name) || !strings.Contains(err.Error(), tc.magic) {
+			t.Fatalf("%s in the %s format: Open returned %v", tc.name, tc.magic, err)
+		}
+		for name, b := range want {
+			if got, _ := fsys.Bytes(name); !bytes.Equal(got, b) {
+				t.Fatalf("refusing %s in the %s format changed %s", tc.name, tc.magic, name)
+			}
+		}
 	}
 }
 

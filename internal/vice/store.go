@@ -13,6 +13,7 @@ package vice
 // cut. The gate is acquired before s.mu, never while holding it.
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -141,8 +142,9 @@ func (s *Server) applyProt(m prot.Mutation) error {
 // salvaged by the engine, here fitted with the server's clock and dirty
 // tracking). The recovery report goes to the flight recorder as
 // vice.salvage events and to the metrics registry, and the store is
-// checkpointed immediately so the replayed log is compacted away. Call once,
-// before serving.
+// checkpointed immediately so the replayed log is compacted away; a
+// checkpoint the store refuses as too large is a note in the report, not an
+// error. Call once, before serving.
 func (s *Server) RecoverStore() (*store.Report, error) {
 	st := s.cfg.Store
 	if st == nil {
@@ -175,6 +177,13 @@ func (s *Server) RecoverStore() (*store.Report, error) {
 		s.vols[v.ID()] = v
 	}
 	s.mu.Unlock()
+	// A compaction the store refuses changed nothing: the log it would have
+	// replaced still holds every record, so the server serves, and says so.
+	err = s.CheckpointStore()
+	if errors.Is(err, store.ErrTooLarge) {
+		rep.Notes = append(rep.Notes, fmt.Sprintf("log not compacted: %v", err))
+		err = nil
+	}
 	if fl := s.cfg.Flight; fl != nil {
 		for _, line := range rep.Lines() {
 			fl.Log(trace.EventViceSalvage, s.cfg.Name, line)
@@ -190,10 +199,7 @@ func (s *Server) RecoverStore() (*store.Report, error) {
 			m.Counter(trace.MetricViceSalvageLinksFixed).Add(int64(vr.Salvage.LinksFixed))
 		}
 	}
-	if err := s.CheckpointStore(); err != nil {
-		return rep, err
-	}
-	return rep, nil
+	return rep, err
 }
 
 // CheckpointStore writes a full snapshot of server state to the store and

@@ -282,19 +282,12 @@ func (v *Volume) encodeVnodeMeta(vn *Vnode) []byte {
 
 // RestoreVnodeMeta installs a vnode's metadata during recovery, creating the
 // vnode if needed and keeping any file content and directory entries already
-// restored: a directory's entries change by RestoreDirEdit. A record that
-// goes on past its access list is one the first form of the journal wrote,
-// ending in the directory's whole entry table, which replaces the entries.
+// restored: a directory's entries change by RestoreDirEdit.
 func (v *Volume) RestoreVnodeMeta(id uint32, rec []byte) error {
 	d := wire.NewDecoder(rec)
 	parent := d.U32()
 	st := proto.DecodeStatus(d)
 	acl := prot.DecodeACL(d)
-	table := d.Remaining() > 0
-	var entries []proto.DirEntry
-	if table {
-		entries = proto.DecodeDirEntries(d)
-	}
 	if err := d.Close(); err != nil {
 		return fmt.Errorf("volume: corrupt vnode %d metadata: %w", id, err)
 	}
@@ -306,9 +299,6 @@ func (v *Volume) RestoreVnodeMeta(id uint32, rec []byte) error {
 	vn.Parent = parent
 	vn.Status = st
 	vn.ACL = acl
-	if table {
-		vn.Entries = entries
-	}
 	return nil
 }
 
