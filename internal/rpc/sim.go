@@ -439,11 +439,12 @@ func (ep *Endpoint) handleCall(pk *pkt) {
 	// again. Answer finished calls from the reply cache; stay silent while
 	// the original is still executing (its reply will cover both frames).
 	// The cached sealed reply carries the original execution's service
-	// time, so replays attribute latency truthfully.
+	// time, so replays attribute latency truthfully. Each send is a copy:
+	// the network's corruption fault damages a packet's bytes in place.
 	if sealed, ok := cache.done[seq]; ok {
 		ep.dupSuppressed++
 		ep.mReplays.Inc()
-		ep.send(pk.From, &pkt{Conn: pk.Conn, Kind: kindReply, Data: sealed})
+		ep.send(pk.From, &pkt{Conn: pk.Conn, Kind: kindReply, Data: append([]byte(nil), sealed...)})
 		return
 	}
 	if cache.inflight[seq] {
@@ -469,7 +470,7 @@ func (ep *Endpoint) handleCall(pk *pkt) {
 		sealed := sealPacket(box, e, resp.Bulk)
 		resp.Release() // the reply cache keeps the sealed copy
 		cache.finish(seq, sealed)
-		ep.send(pk.From, &pkt{Conn: pk.Conn, Kind: kindReply, Data: sealed})
+		ep.send(pk.From, &pkt{Conn: pk.Conn, Kind: kindReply, Data: append([]byte(nil), sealed...)})
 	})
 }
 
