@@ -45,7 +45,9 @@ fi
 # real path's cost table (internal/virtue's TestRealPathBudget, which skips
 # under -race), the transport's and simulator's zero-alloc gates, the
 # real-transport and hand-over tests, the WAL crash matrix, the
-# E12–E17 determinism suites, the golden of `itcbench -quick`, the five
+# E12–E17 determinism suites (E12's chaos invariants hold in both modes
+# under twenty seeds' fault schedules: TestChaosInvariantsAcrossSeeds,
+# internal/fault), the golden of `itcbench -quick`, the five
 # Examples' outputs (example_test.go: the paper's user stories), and the schema
 # of the committed BENCH_scale.json/BENCH_obs.json against the result types
 # that emit them (TestCommittedBenchFilesMatchTheirTypes) are all ordinary

@@ -304,3 +304,15 @@ func TestChaosSeedChangesSchedule(t *testing.T) {
 		t.Error("different seeds produced identical fault schedules")
 	}
 }
+
+// TestChaosInvariantsAcrossSeeds holds both modes to every invariant above
+// under twenty more fault schedules than seed 1985's: other frames dropped,
+// duplicated, corrupted and delayed, at other moments of the copy, scan and
+// compile phases and of the two outages.
+func TestChaosInvariantsAcrossSeeds(t *testing.T) {
+	for _, mode := range []itcfs.Mode{itcfs.Prototype, itcfs.Revised} {
+		for seed := int64(1); seed <= 20; seed++ {
+			t.Run(fmt.Sprintf("%v/seed=%d", mode, seed), func(t *testing.T) { runChaos(t, mode, seed) })
+		}
+	}
+}

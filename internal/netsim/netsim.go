@@ -228,6 +228,17 @@ type Corruptible interface {
 	WirePayload() []byte
 }
 
+// Duplicable payloads give the fault plane's duplicate a payload of its own.
+// A receiver that writes to what it receives (the RPC layer opens a sealed
+// packet where it lies) would otherwise leave its twin as the bytes it wrote,
+// and a payload that accounts its delays (DelaySink) would add up both
+// frames'. Duplicate is called when the duplicate is routed, after any
+// corruption, so both frames carry the same bytes. Other payloads are routed
+// twice as they are.
+type Duplicable interface {
+	Duplicate() interface{}
+}
+
 // DelaySink payloads account the network delays they experience in flight,
 // split into queueing (waiting for a busy medium), serialization (clocking
 // onto it) and propagation (signal travel plus bridge store-and-forward).
@@ -456,6 +467,9 @@ func (n *Network) Send(src, dst NodeID, size int, payload interface{}) {
 	if act.Duplicate {
 		n.offered++
 		n.faultDups++
+		if d, ok := payload.(Duplicable); ok {
+			payload = d.Duplicate()
+		}
 		n.route(src, dst, size, payload)
 	}
 }

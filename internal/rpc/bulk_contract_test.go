@@ -10,7 +10,6 @@ import (
 
 	"itcfs/internal/netsim"
 	"itcfs/internal/sim"
-	"itcfs/internal/wire"
 )
 
 // A request's Body and Bulk are only read, and only until Call returns
@@ -39,22 +38,24 @@ const (
 )
 
 // contractSizes are the Bulk sizes sent: one a Peer receives into a pooled
-// frame, and one it hands over, which the handler keeps as it is.
+// frame, and one it hands over, which the handler keeps as it is. A SimConn
+// hands both over.
 var contractSizes = []int{4 << 10, 300 << 10}
 
 // keeper is a server that keeps what each opKeep call brings, as Vice keeps
-// a store's Bulk: a copy under wire.KeepField's size, the received slice
-// itself from it on.
+// a store's Bulk: the received slice itself when the carrier handed it over
+// (Request.Owned), a copy otherwise.
 type keeper struct {
 	mu        sync.Mutex
 	kept      map[string][]byte
-	scribbled int           // requests whose Body or Bulk carried the scribble
-	hold      func(ctx Ctx) // runs before a keep when set
-	done      chan struct{} // a token per keep
+	owned     map[string]bool // whether the keep under a name was handed over
+	scribbled int             // requests whose Body or Bulk carried the scribble
+	hold      func(ctx Ctx)   // runs before a keep when set
+	done      chan struct{}   // a token per keep
 }
 
 func newKeeper() *keeper {
-	return &keeper{kept: map[string][]byte{}, done: make(chan struct{}, 4)}
+	return &keeper{kept: map[string][]byte{}, owned: map[string]bool{}, done: make(chan struct{}, 4)}
 }
 
 func (k *keeper) server() *Server {
@@ -71,11 +72,12 @@ func (k *keeper) server() *Server {
 				k.hold(ctx)
 			}
 			bulk := req.Bulk
-			if !wire.KeepField(bulk) {
+			if !req.Owned {
 				bulk = bytes.Clone(bulk)
 			}
 			k.mu.Lock()
 			k.kept[string(req.Body)] = bulk
+			k.owned[string(req.Body)] = req.Owned
 			k.mu.Unlock()
 			k.done <- struct{}{}
 			if string(req.Body) == refusedName {
@@ -93,14 +95,18 @@ func (k *keeper) server() *Server {
 }
 
 // check asserts that what the server kept under name, and what a fetch of
-// it over conn returns, is want, and that no request carried the scribble.
-func (k *keeper) check(t *testing.T, p *sim.Proc, conn Conn, name string, want []byte) {
+// it over conn returns, is want, that the carrier handed the keep over or
+// lent it as owned says, and that no request carried the scribble.
+func (k *keeper) check(t *testing.T, p *sim.Proc, conn Conn, name string, want []byte, owned bool) {
 	t.Helper()
 	k.mu.Lock()
-	kept, scribbled := k.kept[name], k.scribbled
+	kept, scribbled, gotOwned := k.kept[name], k.scribbled, k.owned[name]
 	k.mu.Unlock()
 	if !bytes.Equal(kept, want) {
 		t.Errorf("the server kept %d bytes that differ from the %d sent", len(kept), len(want))
+	}
+	if gotOwned != owned {
+		t.Errorf("a %d-byte keep arrived owned = %v, want %v", len(want), gotOwned, owned)
 	}
 	resp, err := conn.Call(p, Request{Op: opFetch, Body: []byte(name)})
 	if err != nil {
@@ -202,7 +208,7 @@ func simContract(t *testing.T, how string, size int) {
 				return
 			}
 		}
-		k.check(t, p, conn, name, want)
+		k.check(t, p, conn, name, want, true)
 	})
 	kern.Run()
 }
@@ -235,5 +241,5 @@ func peerContract(t *testing.T, how string, size int) {
 	case "closed":
 		dialed, _ = pipePair(t, nil, srv)
 	}
-	k.check(t, nil, dialed, name, want)
+	k.check(t, nil, dialed, name, want, size >= handOver)
 }

@@ -62,6 +62,16 @@ type Request struct {
 	Op   Op
 	Body []byte
 	Bulk []byte
+
+	// Owned is set on a received request whose carrier handed its buffer
+	// over with it: Body and Bulk lie in bytes nothing else refers to or will
+	// write, which the handler may keep as they are. A SimConn hands over
+	// every call it receives, a Peer each one it read into a buffer of its
+	// own (from the hand-over size on). A call a Peer lent a pooled frame
+	// to is not owned, nor is a request its caller dispatches directly
+	// unless the caller gives its buffers up with it; a handler copies out
+	// whatever it keeps of a request not owned. Call ignores it.
+	Owned bool
 }
 
 // Response is the result of a call. Code 0 is success; other codes are
@@ -71,6 +81,13 @@ type Response struct {
 	Code uint16
 	Body []byte
 	Bulk []byte
+
+	// Owned is set on a received reply whose carrier handed its buffer
+	// over with it, as Request.Owned is on a call: the caller may keep Body
+	// and Bulk as they are, past Release. Every reply a SimConn receives is
+	// owned, and each a Peer read into a buffer of its own; a reply a Peer
+	// lent a pooled frame to is not, nor is a handler's own Response.
+	Owned bool
 
 	frame *frame        // the pooled buffer a received Body and Bulk lie in, lent until Release
 	enc   *wire.Encoder // the pooled encoder a Reply's Body lies in, lent until Release
@@ -91,10 +108,12 @@ func (r Response) OK() bool { return r.Code == 0 }
 // Release gives back the pooled buffer a response's Body lies in, if it lies
 // in one: a received frame, which the transport wipes and reads a later frame
 // into, or a Reply's encoder, which encodes a later message. Neither Body nor
-// Bulk may be read afterwards, so copy out whatever outlives the call first.
-// Only a Peer's replies shorter than wire.KeepField's size are received into
-// lent frames; on every other received response (the simulator's, a
-// hand-over-sized one, one already released) Release does nothing. A caller
+// Bulk may be read afterwards, so copy out whatever outlives the call first,
+// unless the response is Owned: then nothing is given back, and both are the
+// caller's to keep. The received responses that lie in lent frames are a
+// Peer's that are not owned; on every other received response (the
+// simulator's, a Peer's owned one, one already released) Release does
+// nothing. A caller
 // need not release — a response never released is simply collected — but a
 // lent frame costs a whole pool tier, not the reply's size. The carriers
 // release each reply they serve once it is sealed. Release one copy of a
@@ -153,8 +172,15 @@ type Ctx struct {
 }
 
 // HandlerFunc serves one call. req.Body and req.Bulk are lent to it until it
-// returns, and its reply may alias them: whatever it keeps longer it copies,
-// unless wire.KeepField says the field may be kept as it is.
+// returns, unless req.Owned says they were handed over, and then it may keep
+// either as it is; whatever else it keeps longer it copies. Its reply may
+// alias them. The reply's Body is read until the carrier has sealed it; its
+// Bulk is read after the handler has returned — while a Peer streams it out,
+// and for as long as the simulator's reply cache keeps it to replay — so
+// nothing may write to a reply's Bulk once the handler has returned. Each
+// Bulk the tree's handlers reply with is one nothing writes again: a fetch's
+// is the volume's own contents, which are replaced and never mutated, and the
+// rest (a protection snapshot, a page read) are built for the reply.
 type HandlerFunc func(ctx Ctx, req Request) Response
 
 // Server dispatches incoming calls by opcode. It is safe for concurrent use
@@ -285,10 +311,11 @@ func sealPacket(box *secure.Box, e *wire.Encoder, bulk []byte) []byte {
 
 // decodeCall decodes a call packet. The returned request's Body and Bulk
 // alias plain, which the caller must treat as surrendered: every transport
-// hands decodeCall a buffer nothing else refers to (Box.Open's output in the
-// simulator; on a Peer the frame just read, opened in place, and lent to the
-// call until its reply is sealed), so aliasing saves two copies per call
-// without sharing hazards.
+// hands decodeCall a buffer nothing else refers to (the packet in the
+// simulator, the frame just read on a Peer, each opened in place), so
+// aliasing saves two copies per call without sharing hazards. The carrier
+// then marks whether the buffer is handed over with the request or only lent
+// to it (Request.Owned).
 func decodeCall(plain []byte) (seq uint32, tc wire.TraceHeader, req Request, err error) {
 	var d wire.Decoder
 	d.Reset(plain)

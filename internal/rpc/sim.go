@@ -15,7 +15,9 @@ import (
 
 // pkt is the unit carried through the simulated network. Data is real
 // encrypted bytes — the simulation does not fake the cryptography, only the
-// passage of time.
+// passage of time — and belongs to the packet's receiver alone, which opens
+// it where it lies and hands what it decodes over (Request.Owned,
+// Response.Owned).
 type pkt struct {
 	Conn uint64
 	Kind uint8
@@ -25,9 +27,7 @@ type pkt struct {
 	// Network-delay accounting, stamped by netsim (the DelaySink interface)
 	// as the frame traverses links. The RPC client reads the request and
 	// reply packets' delays to attribute call latency between queueing,
-	// serialization and propagation. A frame duplicated by the fault plane
-	// shares the pkt and accumulates twice; the fault-free runs the
-	// critical-path analyzer measures are unaffected.
+	// serialization and propagation.
 	queueDelay  time.Duration
 	serialDelay time.Duration
 	propDelay   time.Duration
@@ -40,6 +40,13 @@ func (p *pkt) AddNetDelay(queue, serial, prop time.Duration) {
 	p.queueDelay += queue
 	p.serialDelay += serial
 	p.propDelay += prop
+}
+
+// Duplicate implements netsim.Duplicable: the fault plane's duplicate of a
+// packet carries bytes of its own, which its receiver opens in place as the
+// original's receiver does, and accounts its own delays.
+func (p *pkt) Duplicate() interface{} {
+	return &pkt{Conn: p.Conn, Kind: p.Kind, Data: append([]byte(nil), p.Data...), From: p.From}
 }
 
 // WirePayload exposes the packet's bytes to the netsim corruption fault.
@@ -62,25 +69,36 @@ type RetryPolicy struct {
 // replyCache gives a connection at-most-once call semantics: the fault plane
 // can duplicate frames and clients retransmit on timeout, so the receiver
 // must recognize a sequence number it has already executed and resend the
-// saved reply instead of running the operation again.
+// saved reply instead of running the operation again. It keeps each reply
+// unsealed and seals every replay afresh: no packet it sends is one it
+// holds, which the receiver opens in place and the corruption fault damages,
+// and it holds no sealed second copy of each file a server sent.
 type replyCache struct {
 	inflight map[uint32]bool
-	done     map[uint32][]byte // seq -> sealed reply packet
+	done     map[uint32]reply
 	order    []uint32
+}
+
+// reply is a served call's reply as the reply cache keeps it: a copy of its
+// encoded head (seq, service time, code, Body: small), and its Bulk by
+// reference, which no one writes once its handler has returned (HandlerFunc).
+type reply struct {
+	head []byte
+	bulk []byte
 }
 
 const replyCacheSize = 512
 
 func newReplyCache() *replyCache {
-	return &replyCache{inflight: make(map[uint32]bool), done: make(map[uint32][]byte)}
+	return &replyCache{inflight: make(map[uint32]bool), done: make(map[uint32]reply)}
 }
 
-func (rc *replyCache) finish(seq uint32, sealed []byte) {
+func (rc *replyCache) finish(seq uint32, r reply) {
 	delete(rc.inflight, seq)
 	if _, ok := rc.done[seq]; !ok {
 		rc.order = append(rc.order, seq)
 	}
-	rc.done[seq] = sealed
+	rc.done[seq] = r
 	for len(rc.order) > replyCacheSize {
 		delete(rc.done, rc.order[0])
 		rc.order = rc.order[1:]
@@ -411,7 +429,9 @@ func (ep *Endpoint) handleHandshake(pk *pkt) {
 
 // handleCall decrypts, dispatches and answers one inbound call in a worker
 // process. Calls arrive on inbound connections (a client calling the
-// server) or on outbound ones (the server breaking a callback to us).
+// server) or on outbound ones (the server breaking a callback to us). The
+// packet is opened where it lies and handed over to the handler with the
+// request that aliases it.
 func (ep *Endpoint) handleCall(pk *pkt) {
 	c := ep.inbound[inKey{pk.From, pk.Conn}]
 	if c == nil || c.box == nil {
@@ -432,19 +452,19 @@ func (ep *Endpoint) handleCall(pk *pkt) {
 	if err != nil {
 		return
 	}
+	req.Owned = true
 	if ep.cfg.Server == nil {
 		return
 	}
 	// At-most-once: a retransmitted or duplicated call must not execute
 	// again. Answer finished calls from the reply cache; stay silent while
 	// the original is still executing (its reply will cover both frames).
-	// The cached sealed reply carries the original execution's service
-	// time, so replays attribute latency truthfully. Each send is a copy:
-	// the network's corruption fault damages a packet's bytes in place.
-	if sealed, ok := cache.done[seq]; ok {
+	// The cached reply's head carries the original execution's service
+	// time, so replays attribute latency truthfully.
+	if r, ok := cache.done[seq]; ok {
 		ep.dupSuppressed++
 		ep.mReplays.Inc()
-		ep.send(pk.From, &pkt{Conn: pk.Conn, Kind: kindReply, Data: append([]byte(nil), sealed...)})
+		ep.send(pk.From, &pkt{Conn: pk.Conn, Kind: kindReply, Data: box.Seal(r.head, r.bulk)})
 		return
 	}
 	if cache.inflight[seq] {
@@ -467,15 +487,16 @@ func (ep *Endpoint) handleCall(pk *pkt) {
 		}
 		e := wire.GetEncoder()
 		encodeReplyHead(e, seq, svc, resp)
+		cache.finish(seq, reply{head: append([]byte(nil), e.Buf()...), bulk: resp.Bulk})
 		sealed := sealPacket(box, e, resp.Bulk)
-		resp.Release() // the reply cache keeps the sealed copy
-		cache.finish(seq, sealed)
-		ep.send(pk.From, &pkt{Conn: pk.Conn, Kind: kindReply, Data: append([]byte(nil), sealed...)})
+		resp.Release() // the reply cache keeps a copy of the head, Body and all
+		ep.send(pk.From, &pkt{Conn: pk.Conn, Kind: kindReply, Data: sealed})
 	})
 }
 
 // handleReply hands a reply to the call this endpoint originated that is
-// waiting for it — on an outbound connection, or a callback on an inbound one.
+// waiting for it — on an outbound connection, or a callback on an inbound one
+// — opened where it lies and handed over with it.
 func (ep *Endpoint) handleReply(pk *pkt) {
 	c := ep.outbound[pk.Conn]
 	if c == nil || c.remote != pk.From {
@@ -492,6 +513,7 @@ func (ep *Endpoint) handleReply(pk *pkt) {
 	if err != nil {
 		return
 	}
+	resp.Owned = true
 	if f, ok := c.take(seq); ok {
 		f.TrySet(outcome{resp: resp, svc: svc, pkt: pk})
 	}

@@ -310,7 +310,7 @@ func (p *Peer) readLoop() {
 // readFrame reads the next frame off the connection. One shorter than the
 // hand-over size lands in a buffer lent from the pool, returned as fr to go
 // wherever the frame does; a larger one gets a buffer of its own (fr nil),
-// which its receiver may keep.
+// which deliver hands over.
 func (p *Peer) readFrame() (sealed []byte, fr *frame, err error) {
 	if _, err := io.ReadFull(p.conn, p.hdr[:]); err != nil {
 		return nil, nil, err
@@ -354,13 +354,14 @@ func (p *Peer) deliver(sealed []byte, fr *frame) bool {
 		if err != nil {
 			return false
 		}
+		req.Owned = fr == nil
 		p.dispatch(job{seq: seq, tc: tc, req: req, frame: fr})
 	case kindReply:
 		seq, svc, resp, err := decodeReply(rest)
 		if err != nil {
 			return false
 		}
-		resp.frame = fr
+		resp.frame, resp.Owned = fr, fr == nil
 		if s, ok := p.take(seq); ok {
 			s.ch <- outcome{resp: resp, svc: svc}
 		} else {
@@ -434,13 +435,19 @@ func (p *Peer) handle(proc *sim.Proc, j job) {
 	j.frame.release()
 }
 
-// handOver is wire.KeepField's size (TestHandOverIsKeepFieldSize pins the
-// two together). A frame shorter than it holds no field its receiver may keep
-// — every field of it is copied out if kept at all — so it is read into a
-// pooled buffer, lent to the one call or reply it carries and taken back when
-// that is done: by the worker once the reply is sealed, by the caller with
-// Response.Release. From handOver on, a frame gets a buffer of its own that
-// its receiver may keep.
+// handOver is the frame size from which a Peer hands a frame over to its
+// receiver. A shorter frame is read into a pooled buffer, lent to the one call
+// or reply it carries and taken back when that is done — by the worker once
+// the reply is sealed, by the caller with Response.Release — so every field
+// of it is copied out if kept at all. From handOver on, a frame gets a buffer
+// of its own, and the call or reply it carries is Owned: its receiver may
+// keep a field as it is. Keeping a slice of a frame pins the whole frame —
+// head, seal overhead and the allocator's rounding of the buffer up to whole
+// 8 KiB pages — for as long as the field is held. From 256 KiB that excess is
+// at most about 3 % of the field and a file-sized copy is saved; below it the
+// copy is cheap and the excess is not (a 100 B file would pin a 250 B frame;
+// a 64 KiB one spills into a ninth page, which measured as +10 % resident
+// memory on the benchmark's mixed_rw_2c).
 const handOver = 256 << 10
 
 // frameTiers are the pooled buffer sizes; a frame takes the smallest that

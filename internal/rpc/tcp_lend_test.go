@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"itcfs/internal/sim"
-	"itcfs/internal/wire"
 )
 
 // seeded returns n bytes drawn from seed: a payload no other call shares.
@@ -39,12 +38,10 @@ var lendSizes = []int{
 	200 << 10, handOver - 200, handOver, 300 << 10,
 }
 
-// TestHandOverIsKeepFieldSize: the pool lends exactly the frames in which no
-// field is one wire.KeepField lets its receiver keep.
-func TestHandOverIsKeepFieldSize(t *testing.T) {
-	if wire.KeepField(make([]byte, handOver-1)) || !wire.KeepField(make([]byte, handOver)) {
-		t.Fatalf("handOver = %d is not wire.KeepField's size", handOver)
-	}
+// TestPeerHandsOverExactlyTheUnpooledFrames: the pool lends every frame
+// shorter than the hand-over size, and a Peer marks Owned exactly the calls
+// and replies whose frame it did not lend, on both sides of the connection.
+func TestPeerHandsOverExactlyTheUnpooledFrames(t *testing.T) {
 	if top := frameTiers[len(frameTiers)-1]; top != handOver {
 		t.Fatalf("the largest tier is %d bytes, want handOver (%d)", top, handOver)
 	}
@@ -56,6 +53,29 @@ func TestHandOverIsKeepFieldSize(t *testing.T) {
 		t.Fatal("a frame just under the hand-over size was not lent")
 	}
 	fr.release()
+
+	var called atomic.Bool // the last call's Owned, as its handler saw it
+	srv := NewServer()
+	srv.Handle(opEcho, func(_ Ctx, req Request) Response {
+		called.Store(req.Owned)
+		return Response{Body: req.Body, Bulk: req.Bulk}
+	})
+	dialed, _ := pipePair(t, nil, srv)
+	for _, n := range lendSizes {
+		// Every size in lendSizes is at least 200 B from the edge, more
+		// than a head and a seal add: a frame is handed over when its
+		// Bulk is.
+		want := n >= handOver
+		resp, err := dialed.Call(nil, Request{Op: opEcho, Bulk: seeded(int64(n), n)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Owned != want || (resp.frame == nil) != want || called.Load() != want {
+			t.Errorf("%d B: reply owned %v (frame lent %v), call owned %v; want %v",
+				n, resp.Owned, resp.frame != nil, called.Load(), want)
+		}
+		resp.Release()
+	}
 }
 
 // TestPeerLentBuffersUnderLoad is the reuse-race gate (ci.sh runs it with

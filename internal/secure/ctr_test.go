@@ -123,9 +123,13 @@ func TestRecordsMatchAFreshStream(t *testing.T) {
 	order := append(rand.New(rand.NewSource(1)).Perm(len(records)), rand.New(rand.NewSource(2)).Perm(len(records))...)
 	opener := NewBox(k)
 	for _, i := range order {
-		got, err := opener.Open(records[i])
+		work := append([]byte(nil), records[i]...) // each delivery its own bytes, as the simulator's
+		got, err := opener.Open(work)
 		if err != nil || !bytes.Equal(got, plains[i]) {
 			t.Fatalf("record %d out of order: Open = %v, plaintext equal %v", i, err, bytes.Equal(got, plains[i]))
+		}
+		if len(got) > 0 && &got[0] != &work[nonceSize] {
+			t.Fatalf("record %d: Open copied", i)
 		}
 	}
 }
@@ -180,7 +184,8 @@ func TestConcurrentSealsTakeDisjointBlocks(t *testing.T) {
 
 // TestSealOpenSmallAllocs gates what a record costs at every size, 0 B to
 // 4 MiB: SealFrame and the in-order OpenNext allocate nothing — no stream
-// object, no tag scratch — and Seal the record it returns.
+// object, no tag scratch — and Seal the record it returns, which Open, in
+// order, opens where it lies for nothing more.
 func TestSealOpenSmallAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -207,6 +212,15 @@ func TestSealOpenSmallAllocs(t *testing.T) {
 		}
 		if got := testing.AllocsPerRun(runs, func() { sink = sealer.Seal(plain) }); got != 1 {
 			t.Errorf("Seal of %d B allocates %.1f objects, want the returned record alone", n, got)
+		}
+		opener := NewBox(k)
+		if got := testing.AllocsPerRun(runs, func() {
+			var err error
+			if sink, err = opener.Open(sealer.Seal(plain)); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 1 {
+			t.Errorf("Seal and Open of %d B allocate %.1f objects, want the sealed record alone", n, got)
 		}
 	}
 }

@@ -113,6 +113,7 @@ var ErrBadSeal = errors.New("secure: record failed authentication")
 // cipher object. Only a record the receiving stream does not stand at (the
 // simulator's duplicates, replays and reorderings) re-seats it with one
 // cipher.NewCTR; a keystream depends on nothing but its counter block.
+// Both readers, Open and OpenNext, decrypt a record where it lies.
 type Box struct {
 	block       cipher.Block
 	noncePrefix [8]byte
@@ -322,11 +323,15 @@ func (d *direction) verify(sealed []byte) (nonce, ct []byte, err error) {
 	return body[:nonceSize], body[nonceSize:], nil
 }
 
-// Open authenticates and decrypts a record into a fresh buffer, leaving
-// sealed untouched, whatever records came before it. The simulator needs
-// exactly that: its at-most-once reply cache and the fault plane's duplicate
-// delivery hand the same sealed slice to Open more than once, and its
-// network may reorder.
+// Open authenticates a record and decrypts it where it lies, returning the
+// plaintext as a sub-slice of sealed, whatever records came before it: a
+// record the receive stream does not stand at (a duplicate's twin went
+// first, a replay, a reordering) re-seats it with one cipher.NewCTR. After
+// success sealed no longer verifies, so the caller must own it and open it
+// once. Every caller does: each simulated packet carries bytes of its own,
+// a fault-plane duplicate included (netsim.Duplicable), the reply cache
+// seals each replay afresh, and a handshake message is opened once by the
+// one side it is addressed to. A refused record is left as it was.
 func (b *Box) Open(sealed []byte) ([]byte, error) {
 	d := &b.recv
 	d.mu.Lock()
@@ -335,11 +340,10 @@ func (b *Box) Open(sealed []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	plain := make([]byte, len(ct))
 	d.seat(b.block, nonce)
-	d.stream.XORKeyStream(plain, ct)
+	d.stream.XORKeyStream(ct, ct)
 	d.finish(len(ct))
-	return plain, nil
+	return ct, nil
 }
 
 // OpenNext opens the far side's next record where it lies, returning the

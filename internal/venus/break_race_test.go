@@ -32,7 +32,7 @@ func (c hookConn) Call(p *sim.Proc, req rpc.Request) (rpc.Response, error) {
 	resp, err := c.inner.Call(p, req)
 	if err == nil && c.hook != nil {
 		c.hook(req, resp)
-		resp = rpc.Response{Code: resp.Code, Body: resp.Body, Bulk: resp.Bulk}
+		resp = rpc.Response{Code: resp.Code, Body: resp.Body, Bulk: resp.Bulk, Owned: resp.Owned}
 	}
 	return resp, err
 }

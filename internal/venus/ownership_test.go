@@ -208,17 +208,19 @@ func TestFetchKeepsTheReceiveBuffer(t *testing.T) {
 	}
 }
 
-// TestFetchHandOverIsChosenBySize checks the rule on both sides: the cache
-// file of a large fetch is the reply's Bulk itself, while a small file is
+// TestFetchHandOverIsChosenByOwnership checks the rule on both sides: the
+// cache file of a fetch whose reply a Peer handed over (a large one) is the
+// reply's Bulk itself, while a small file's reply is lent and the file is
 // copied out of its frame, which would otherwise stay pinned — head, tag and
 // page rounding — for as long as the file is cached.
-func TestFetchHandOverIsChosenBySize(t *testing.T) {
+func TestFetchHandOverIsChosenByOwnership(t *testing.T) {
 	c := newTCPCell(t, vice.Revised)
 	writer := c.tcpVenus(t, vice.Revised, "satya", "pw")
 	var bulk []byte // the last fetch reply's Bulk, as the transport delivered it
+	var owned bool  // and whether it handed it over
 	hook := func(req rpc.Request, resp rpc.Response) {
 		if req.Op == rpc.Op(proto.OpFetch) {
-			bulk = resp.Bulk
+			bulk, owned = resp.Bulk, resp.Owned
 		}
 	}
 	reader := c.tcpVenus(t, vice.Revised, "howard", "pw")
@@ -260,8 +262,8 @@ func TestFetchHandOverIsChosenBySize(t *testing.T) {
 		if len(bulk) != tc.size || !bytes.Equal(cached, bulk) {
 			t.Fatalf("%s: cached %d bytes, reply carried %d", tc.path, len(cached), len(bulk))
 		}
-		if kept := &cached[0] == &bulk[0]; kept != tc.kept {
-			t.Fatalf("%s (%d bytes): cache file shares the receive buffer = %v, want %v", tc.path, tc.size, kept, tc.kept)
+		if kept := &cached[0] == &bulk[0]; kept != tc.kept || owned != tc.kept {
+			t.Fatalf("%s (%d bytes): cache file shares the receive buffer = %v, reply owned = %v, want %v", tc.path, tc.size, kept, owned, tc.kept)
 		}
 		if err := rh.Close(nil); err != nil {
 			t.Fatal(err)

@@ -45,12 +45,12 @@ import (
 // deadline, the connection closing — so a store lends the cache file's own
 // bytes for the call and ends the loan when Call returns
 // (rpc.TestRequestBulkIsReadOnlyUntilCallReturns holds both transports to
-// this). A response's Bulk belongs to the caller outright —
-// nothing else may refer to its array afterwards — because Venus keeps a
-// large one as the cache file's contents, where later writes edit it in
-// place, or hands it to a whole-file reader (ReadFile).
-// Both transports satisfy this: each reply is decoded out of a buffer of its
-// own.
+// this). A response's Bulk belongs to the caller outright when the response
+// is Owned — nothing else refers to its array or will write it — and Venus
+// keeps it as the cache file's contents, where later writes edit it in
+// place, or hands it to a whole-file reader (ReadFile). One that is not
+// owned (a Peer's reply in a lent frame, a test's direct dispatch) is
+// copied out before the response is released.
 type Conn = rpc.Conn
 
 // Connector dials the named server, authenticating as the current user. Each
@@ -400,10 +400,11 @@ func (v *Venus) Open(p *sim.Proc, path string, flags OpenFlag) (*Handle, error) 
 // status's size is not the copy's), which leaves the bytes handed back as
 // the only garbage of a cached read.
 //
-// An open that misses on a file from wire.KeepField's size on reads nothing
-// back: the caller gets the reply's Bulk itself, a buffer no pool reuses, and
-// the cache keeps a copy (installEntry). So a cold read allocates the file
-// once, in the frame it arrived in. The bytes are the version fetched:
+// An open that misses on a file whose reply its carrier handed over
+// (rpc.Response.Owned) reads nothing back: the caller gets the reply's Bulk
+// itself, a buffer no pool reuses, and the cache keeps a copy
+// (installEntry). So a cold read allocates the file once, in the frame it
+// arrived in. The bytes are the version fetched:
 // the read takes effect at the install, and a write that another handle on
 // this Venus makes after it is not in them, as with any read ordered before
 // that write.
@@ -682,7 +683,7 @@ func (v *Venus) fetchEntry(p *sim.Proc, ref proto.Ref, path string, flags OpenFl
 	v.stats.BytesFetched += int64(len(resp.Bulk))
 	v.mu.Unlock()
 	v.mCacheMiss.Inc()
-	e, err := v.installEntry(path, st, resp.Bulk, rpc.Clock(p), whole)
+	e, err := v.installEntry(path, st, resp.Bulk, resp.Owned, rpc.Clock(p), whole)
 	if err != nil {
 		return nil, err
 	}
@@ -731,17 +732,17 @@ func (v *Venus) createFile(p *sim.Proc, path string) (*entry, error) {
 	if !v.patchDir(dirRef.FID, patchAdd(name, proto.TypeFile), resp) {
 		v.dropDir(dir)
 	}
-	return v.installEntry(path, st, nil, rpc.Clock(p), nil)
+	return v.installEntry(path, st, nil, false, rpc.Clock(p), nil)
 }
 
 // installEntry writes fetched data into the local cache, indexes it and
 // returns the entry pinned — before the eviction its own arrival sets off,
-// and every caller reads the cache file next. The caller gives data up (it is
-// a reply's Bulk): from wire.KeepField's size on, the buffer the transfer
-// landed in becomes the cache file's contents, unless a whole-file reader
-// takes it — a non-nil whole is ReadFile's, which then gets data itself while
-// the cache file gets a copy. Smaller files are copied out of their frame,
-// which the caller then releases, and whole is left alone.
+// and every caller reads the cache file next. data is a reply's Bulk, and
+// owned is the reply's Owned: when its carrier handed the buffer the transfer
+// landed in over, that buffer becomes the cache file's contents, unless a
+// whole-file reader takes it — a non-nil whole is ReadFile's, which then gets
+// data itself while the cache file gets a copy. A lent Bulk is copied out of
+// its frame, which the caller then releases, and whole is left alone.
 //
 // A new entry takes over the cache file of the entry its arrival evicts
 // first, when that victim is no larger: the copy lands in the victim's
@@ -751,7 +752,7 @@ func (v *Venus) createFile(p *sim.Proc, path string) (*entry, error) {
 // hold one unpinned across an RPC and tell an evicted entry by its lruEl
 // alone. A larger victim is removed as before; its buffer would outlive it in
 // a smaller file.
-func (v *Venus) installEntry(path string, st proto.Status, data []byte, now sim.Time, whole *[]byte) (*entry, error) {
+func (v *Venus) installEntry(path string, st proto.Status, data []byte, owned bool, now sim.Time, whole *[]byte) (*entry, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	e := v.byFID[st.FID]
@@ -775,7 +776,7 @@ func (v *Venus) installEntry(path string, st proto.Status, data []byte, now sim.
 		}
 	}
 	write := v.cfg.Local.WriteFile
-	if wire.KeepField(data) {
+	if owned {
 		if whole != nil {
 			*whole = data // the reader's alone from here: the cache file needs a copy
 		} else {

@@ -163,7 +163,10 @@ func (s *Server) handleStore(ctx rpc.Ctx, req rpc.Request) rpc.Response {
 			// be overwritten even by holders of directory write rights.
 			return nil, fmt.Errorf("%w: file mode %04o forbids writing", proto.ErrAccess, vn.Status.Mode)
 		}
-		return v, st.of(v.WriteData(fid, req.Bulk))
+		if req.Owned {
+			return v, st.of(v.WriteData(fid, req.Bulk))
+		}
+		return v, st.of(v.WriteCopy(fid, req.Bulk))
 	}, nil)
 	if err != nil {
 		return respErr(err)

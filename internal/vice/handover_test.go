@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"itcfs/internal/proto"
+	"itcfs/internal/rpc"
 	"itcfs/internal/store"
 	"itcfs/internal/store/walstore"
 )
@@ -26,10 +27,15 @@ func fill(n int, seed byte) []byte {
 // and stores the file again: the clone shares the first store's slice, so it
 // survives only if the second store replaced the vnode's contents instead of
 // writing into them. It also checks which slice the volume ends up holding:
-// the request's own buffer from the hand-over size on, a right-sized copy
-// below it (a small file must not pin the frame it arrived in).
+// the request's own buffer when its carrier handed it over (rpc.Request.Owned),
+// whatever its size, and a right-sized copy of a lent one (a small file must
+// not pin the frame it arrived in).
 func TestStoreCloneStoreLeavesCloneUntouched(t *testing.T) {
-	for _, size := range []int{100, 64 << 10, 256 << 10} {
+	for _, tc := range []struct {
+		size  int
+		owned bool
+	}{{100, false}, {64 << 10, false}, {256 << 10, false}, {100, true}, {256 << 10, true}} {
+		size := tc.size
 		c := newCell(t, Revised, 1)
 		vid := c.mkVolume(t, "u", "/u", "satya", 0)
 		v1, v2 := fill(size, 1), fill(size, 2)
@@ -38,7 +44,14 @@ func TestStoreCloneStoreLeavesCloneUntouched(t *testing.T) {
 		c.store(t, "satya", "/u/f", v1)
 		mustOK(t, c.call("operator", 0, proto.OpVolClone,
 			proto.Marshal(proto.VolCloneArgs{Volume: vid, Path: "/u-v1"}), nil))
-		st := c.store(t, "satya", "/u/f", v2)
+		resp := mustOK(t, c.servers[0].Dispatcher().Dispatch(rpc.Ctx{User: "satya"}, rpc.Request{
+			Op:   rpc.Op(proto.OpStore),
+			Body: proto.Marshal(proto.StoreArgs{Ref: pathRef("/u/f")}), Bulk: v2, Owned: tc.owned,
+		}))
+		st, err := proto.Unmarshal(resp.Body, proto.DecodeStatus)
+		if err != nil {
+			t.Fatal(err)
+		}
 
 		if got, _ := c.fetch(t, "satya", "/u-v1/f"); !bytes.Equal(got, want1) {
 			t.Fatalf("size %d: the clone's bytes changed under a store to its parent", size)
@@ -48,11 +61,10 @@ func TestStoreCloneStoreLeavesCloneUntouched(t *testing.T) {
 		}
 		rw, _ := c.servers[0].Volume(vid)
 		held, _ := rw.DataOf(st.FID.Vnode)
-		kept := &held[0] == &v2[0]
-		if want := size >= 256<<10; kept != want {
-			t.Fatalf("size %d: volume holds the request's buffer = %v, want %v", size, kept, want)
+		if kept := &held[0] == &v2[0]; kept != tc.owned {
+			t.Fatalf("size %d, owned %v: volume holds the request's buffer = %v", size, tc.owned, kept)
 		}
-		if !kept && cap(held) > size+size/8+16 {
+		if !tc.owned && cap(held) > size+size/8+16 {
 			t.Fatalf("size %d: the volume's copy has capacity %d", size, cap(held))
 		}
 	}

@@ -81,8 +81,10 @@ func newDurableServer(t *testing.T, st store.Store) *durableServer {
 
 func (d *durableServer) call(t *testing.T, user string, op uint16, body, bulk []byte) []byte {
 	t.Helper()
+	// Every caller gives body and bulk up, as a carrier hands a received
+	// frame over: a store keeps its Bulk as it stands.
 	resp := d.srv.Dispatcher().Dispatch(rpc.Ctx{User: user},
-		rpc.Request{Op: rpc.Op(op), Body: body, Bulk: bulk})
+		rpc.Request{Op: rpc.Op(op), Body: body, Bulk: bulk, Owned: true})
 	if !resp.OK() {
 		t.Fatalf("op %d failed: code %d: %s", op, resp.Code, resp.Body)
 	}
@@ -366,8 +368,9 @@ func TestSyncFailureLatchesAcrossMutatePaths(t *testing.T) {
 }
 
 // bigFiles returns n different files of 60 MiB. They are views of one
-// buffer, which a server keeps as it stands (wire.KeepField), so the test
-// holds about one file's worth of memory for all of them.
+// buffer, which a server keeps as it stands (durableServer.call hands each
+// store's Bulk over), so the test holds about one file's worth of memory for
+// all of them.
 func bigFiles(n int) [][]byte {
 	const size = 60 << 20
 	buf := make([]byte, size+n*4096)

@@ -22,7 +22,6 @@ import (
 
 	"itcfs/internal/prot"
 	"itcfs/internal/proto"
-	"itcfs/internal/wire"
 )
 
 // RootVnode is the vnode number of every volume's root directory.
@@ -331,10 +330,10 @@ func (v *Volume) mutableDir(dir proto.FID) (*Vnode, error) {
 // WriteData replaces a file's contents — the server half of a whole-file
 // store. The data version advances, which is what invalidates caches.
 //
-// The caller gives data up: from wire.KeepField's size on, the slice itself
-// becomes the vnode's contents (a store hands over req.Bulk, the buffer the
-// transfer was received into), so nothing may write to it afterwards. Below
-// that size the bytes are copied and the caller's buffer is not retained.
+// The caller gives data up: the slice itself becomes the vnode's contents,
+// so nothing may write to it afterwards. A store whose request its carrier
+// handed over (rpc.Request.Owned) gives up the buffer the transfer was
+// received into; one whose request was only lent calls WriteCopy.
 func (v *Volume) WriteData(fid proto.FID, data []byte) (*Vnode, error) {
 	if err := v.checkWritable(); err != nil {
 		return nil, err
@@ -350,9 +349,6 @@ func (v *Volume) WriteData(fid proto.FID, data []byte) (*Vnode, error) {
 		return nil, err
 	}
 	// Replace, never mutate: clones share the old slice (copy-on-write).
-	if !wire.KeepField(data) {
-		data = append([]byte(nil), data...)
-	}
 	vn.Data = data
 	v.used += int64(len(data)) - vn.Status.Size
 	vn.Status.Size = int64(len(data))
@@ -360,6 +356,12 @@ func (v *Volume) WriteData(fid proto.FID, data []byte) (*Vnode, error) {
 	vn.Status.Mtime = v.clock()
 	v.markData(fid.Vnode)
 	return vn, nil
+}
+
+// WriteCopy is WriteData for a caller that keeps its buffer: the vnode gets
+// a copy of data.
+func (v *Volume) WriteCopy(fid proto.FID, data []byte) (*Vnode, error) {
+	return v.WriteData(fid, append([]byte(nil), data...))
 }
 
 // ReadData returns a file's contents. Directories yield their encoded

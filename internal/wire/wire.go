@@ -26,24 +26,6 @@ var ErrTooLong = errors.New("wire: declared length too long")
 // MaxField caps any single variable-length field.
 const MaxField = 64 << 20
 
-// keepField is the size from which a field decoded out of a received frame
-// is worth keeping by reference. Decoder.Bytes returns slices of the frame's
-// buffer, so keeping one pins the whole frame — head, seal overhead and the
-// allocator's rounding of the buffer up to whole 8 KiB pages — for as long as
-// the field is held. From 256 KiB that excess is at most about 3 % of the
-// field and a file-sized copy is saved; below it the copy is cheap and the
-// excess is not (a 100 B file would pin a 250 B frame; a 64 KiB one spills
-// into a ninth page, which measured as +10 % resident memory on the
-// benchmark's mixed_rw_2c).
-const keepField = 256 << 10
-
-// KeepField reports whether field, a slice of a received frame that its
-// receiver owns, should be kept as it is rather than copied out and the frame
-// dropped. Every layer that retains bulk data past the call that delivered it
-// (volume.WriteData, Venus's cache install) decides with this one rule, from
-// the field's size alone.
-func KeepField(field []byte) bool { return len(field) >= keepField }
-
 // Encoder accumulates a binary message. The zero value is ready to use.
 type Encoder struct {
 	buf []byte
