@@ -106,6 +106,17 @@ go test -race -count=10 -run='^TestCacheCountersUnderConcurrentOpens$' ./interna
 # guard's own test must see the leak it plants on every run: ten more under
 # the race detector.
 go test -count=5 -run '^TestRealPathBudget$' ./internal/virtue
+# Nor may its pins hold only on an idle machine: 2 x nproc copies of the
+# table run at once, and every copy must pass.
+tmpdir="$(mktemp -d)"
+go test -c -o "$tmpdir/virtue.test" ./internal/virtue
+pids=""
+for i in $(seq $((2 * $(nproc)))); do
+	(cd internal/virtue && "$tmpdir/virtue.test" -test.run '^TestRealPathBudget$' -test.count=1 >"$tmpdir/budget.$i.log" 2>&1 || { cat "$tmpdir/budget.$i.log"; exit 1; }) &
+	pids="$pids $!"
+done
+for p in $pids; do wait "$p"; done
+rm -rf "$tmpdir"
 go test -race -count=10 ./internal/leakcheck
 
 # The benchmark is its own module (bench/go.mod), so ./... above does not

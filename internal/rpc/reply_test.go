@@ -161,15 +161,25 @@ func TestSimReplayCarriesTheOriginalReply(t *testing.T) {
 // simReplyAllocs is the object count of a status call and its Reply over a
 // SimConn in one kernel run, both ends and the kernel's own work included:
 // the packets, the sealed records (each opened where it lies), the reply
-// cache's copy of the reply's head, the futures and the worker process. The
-// gate is on what the server's Reply costs: a carrier that did not give its
-// encoder back measured 22.
-const simReplyAllocs = 17
+// cache's copy of the reply's head, and a caller and a worker process each
+// started afresh, since a run ends the processes it leaves idle. The gate is
+// on what the server's Reply costs: a carrier that did not give its encoder
+// back measured 19.
+const simReplyAllocs = 14
 
-func TestSimReplyAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items at random under the race detector")
-	}
+// simSteadyCallAllocs is the object count of the same call in the steady
+// state of a long run, where the worker is an idle process reused and the
+// call's attempt a pooled one: the two packets, the two sealed records and
+// the reply cache's copy of the head, and nothing else. A carrier that
+// started a new worker for each call and gave each attempt a future and a
+// deadline closure of its own measured 13; one that does not give its
+// encoder back measures 10.
+const simSteadyCallAllocs = 5
+
+// statusRig dials a SimConn to a server that answers opStat with a Reply of
+// a status record, and returns it with a call that checks the reply.
+func statusRig(t *testing.T) (*rig, func(p *sim.Proc)) {
+	t.Helper()
 	srv := NewServer()
 	st := statusReply{vol: 2, vnode: 7, uniq: 1, size: 4096, version: 3, mtime: 1e9, mode: 0o644, owner: "satya"}
 	srv.Handle(opStat, func(Ctx, Request) Response { return Reply(st) })
@@ -186,13 +196,20 @@ func TestSimReplyAllocs(t *testing.T) {
 		t.FailNow()
 	}
 	args := make([]byte, 16) // a FID-sized argument
-	call := func(p *sim.Proc) {
+	return r, func(p *sim.Proc) {
 		resp, err := conn.Call(p, Request{Op: opStat, Body: args})
 		if err != nil || len(resp.Body) != 47 {
 			t.Errorf("status call: %d B, %v", len(resp.Body), err)
 		}
 		resp.Release()
 	}
+}
+
+func TestSimReplyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	r, call := statusRig(t)
 	got := testing.AllocsPerRun(200, func() {
 		r.k.Spawn("call", call)
 		r.k.Run()
@@ -201,4 +218,29 @@ func TestSimReplyAllocs(t *testing.T) {
 		t.Fatalf("simulated status call answered with a Reply allocates %.1f objects, pinned at %d", got, simReplyAllocs)
 	}
 	t.Logf("simulated status call answered with a Reply: %.1f allocs", got)
+}
+
+// TestSimSteadyCallAllocs counts a status call placed again and again by one
+// process inside one kernel run. The warm-up outlasts the calls' deadline,
+// so every attempt the measured calls take is one a fired deadline gave
+// back, and every worker is a process that finished an earlier call.
+func TestSimSteadyCallAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	const runs = 200
+	r, call := statusRig(t)
+	got := -1.0
+	r.k.Spawn("calls", func(p *sim.Proc) {
+		for range runs + 50 {
+			call(p)
+		}
+		p.Sleep(defaultCallTimeout)
+		got = testing.AllocsPerRun(runs, func() { call(p) })
+	})
+	r.k.Run()
+	if got > simSteadyCallAllocs || got < 0 {
+		t.Fatalf("a steady simulated status call allocates %.1f objects, pinned at %d", got, simSteadyCallAllocs)
+	}
+	t.Logf("a steady simulated status call: %.1f allocs", got)
 }

@@ -188,6 +188,13 @@ type Endpoint struct {
 	// this endpoint (server endpoints only). Nil without a registry.
 	mInflight *trace.Gauge
 
+	// calls holds received calls until the workers spawned for them start;
+	// work, the body every worker runs, is built once. free pools the
+	// attempts of the calls this endpoint places.
+	calls *sim.Mailbox[received]
+	work  func(p *sim.Proc)
+	free  []*attempt
+
 	// The instruments every connection of this endpoint reports through,
 	// and the simulator's own: handles resolved once at construction, all
 	// nil (and their methods no-ops) without a registry.
@@ -207,9 +214,9 @@ type inKey struct {
 // Endpoint.inbound under {remote, id}). Both ends are carriers of the call
 // core (call.go) and dedupe inbound calls the same way; they differ in how
 // the handshake gets them a box and in how patiently they call (CallBack).
-// A future is a pending call's slot.
+// An attempt is a pending call's slot.
 type SimConn struct {
-	core[*sim.Future[outcome]]
+	core[*attempt]
 
 	ep     *Endpoint
 	remote netsim.NodeID
@@ -241,7 +248,9 @@ func NewEndpoint(net *netsim.Network, node *netsim.Node, cfg EndpointConfig) *En
 		inbound:    make(map[inKey]*SimConn),
 		callCounts: make(map[Op]int64),
 		rng:        rand.New(rand.NewSource(cfg.Retry.Seed ^ int64(node.ID)*0x5851f42d4c957f2d)),
+		calls:      sim.NewMailbox[received](net.Kernel()),
 	}
+	ep.work = ep.serveNext
 	if cfg.Metrics != nil && cfg.Keys != nil {
 		// Only authenticating (server) endpoints gauge their worker queue:
 		// a thousand workstations' callback endpoints would pollute the
@@ -440,10 +449,6 @@ func (ep *Endpoint) handleCall(pk *pkt) {
 		}
 	}
 	box, cache := c.box, c.cache
-	user := "" // a call arriving on a connection we dialed is the server's, not a user's
-	if c.accepted {
-		user = c.user
-	}
 	plain, err := box.Open(pk.Data)
 	if err != nil {
 		return // tampered or replayed under the wrong key
@@ -476,22 +481,44 @@ func (ep *Endpoint) handleCall(pk *pkt) {
 	ep.callCounts[req.Op]++
 	ep.callsTotal++
 	ep.mInflight.Add(1)
-	ep.k.Spawn(workerName(req.Op), func(p *sim.Proc) {
-		defer ep.mInflight.Add(-1)
-		ctx := Ctx{User: user, Peer: ep.net.Node(pk.From).Name, Back: c, Proc: p}
-		// Service time spans dispatch plus the bill: the whole interval
-		// this server held the call, which the reply echoes to the client.
-		resp, svc := c.serve(p, ep.cfg.Server, ctx, tc, req, ep.cfg.Bill)
-		if ep.cfg.Observe != nil {
-			ep.cfg.Observe(ctx, req, resp, svc)
-		}
-		e := wire.GetEncoder()
-		encodeReplyHead(e, seq, svc, resp)
-		cache.finish(seq, reply{head: append([]byte(nil), e.Buf()...), bulk: resp.Bulk})
-		sealed := sealPacket(box, e, resp.Bulk)
-		resp.Release() // the reply cache keeps a copy of the head, Body and all
-		ep.send(pk.From, &pkt{Conn: pk.Conn, Kind: kindReply, Data: sealed})
-	})
+	ep.calls.Put(received{c: c, seq: seq, tc: tc, req: req})
+	ep.k.Spawn(workerName(req.Op), ep.work)
+}
+
+// received is a call waiting for its worker.
+type received struct {
+	c   *SimConn
+	seq uint32
+	tc  wire.TraceHeader
+	req Request
+}
+
+// serveNext is every worker's body: it serves the oldest received call to
+// its reply. handleCall queues each call and spawns its worker at the same
+// instant, and processes spawned at one instant start in spawn order, so the
+// k-th worker to start takes the k-th call, as Peer.dispatch hands each call
+// to the next worker, and no worker needs a closure of its own.
+func (ep *Endpoint) serveNext(p *sim.Proc) {
+	rc, _ := ep.calls.TryGet()
+	c, seq, req := rc.c, rc.seq, rc.req
+	user := "" // a call arriving on a connection we dialed is the server's, not a user's
+	if c.accepted {
+		user = c.user
+	}
+	ctx := Ctx{User: user, Peer: ep.net.Node(c.remote).Name, Back: c, Proc: p}
+	// Service time spans dispatch plus the bill: the whole interval this
+	// server held the call, which the reply echoes to the client.
+	resp, svc := c.serve(p, ep.cfg.Server, ctx, rc.tc, req, ep.cfg.Bill)
+	if ep.cfg.Observe != nil {
+		ep.cfg.Observe(ctx, req, resp, svc)
+	}
+	e := wire.GetEncoder()
+	encodeReplyHead(e, seq, svc, resp)
+	c.cache.finish(seq, reply{head: append([]byte(nil), e.Buf()...), bulk: resp.Bulk})
+	sealed := sealPacket(c.box, e, resp.Bulk)
+	resp.Release() // the reply cache keeps a copy of the head, Body and all
+	ep.send(c.remote, &pkt{Conn: c.id, Kind: kindReply, Data: sealed})
+	ep.mInflight.Add(-1)
 }
 
 // handleReply hands a reply to the call this endpoint originated that is
@@ -514,16 +541,16 @@ func (ep *Endpoint) handleReply(pk *pkt) {
 		return
 	}
 	resp.Owned = true
-	if f, ok := c.take(seq); ok {
-		f.TrySet(outcome{resp: resp, svc: svc, pkt: pk})
+	if a, ok := c.take(seq); ok {
+		a.f.TrySet(outcome{resp: resp, svc: svc, pkt: pk})
 	}
 }
 
 // newConn returns the state both ends of a connection start from.
 func (ep *Endpoint) newConn(remote netsim.NodeID, id uint64, user string) *SimConn {
 	c := &SimConn{
-		core: core[*sim.Future[outcome]]{
-			pending:  make(map[uint32]*sim.Future[outcome]),
+		core: core[*attempt]{
+			pending:  make(map[uint32]*attempt),
 			attempts: ep.cfg.Retry.Attempts,
 			timeout:  ep.cfg.CallTimeout,
 		},
@@ -614,33 +641,87 @@ func (c *SimConn) CallBack(p *sim.Proc, req Request) (Response, error) {
 }
 
 // exchange sends one attempt of a call and parks p until its reply or its
-// deadline, a timer event, resolves the attempt's future. It implements
-// carrier.
+// deadline resolves the attempt. It implements carrier.
 func (c *SimConn) exchange(p *sim.Proc, sp *trace.Span, seq uint32, tc wire.TraceHeader, req Request, d time.Duration, callback bool) outcome {
-	f := sim.NewFuture[outcome](c.ep.k)
-	c.put(seq, f)
+	a := c.ep.attemptFor(c, seq, req.Op, callback)
+	c.put(seq, a)
 	// Re-encoding on retry is cheaper than keeping the plaintext alive
 	// across the call; each attempt seals fresh (new nonce) regardless.
 	e := wire.GetEncoder()
 	encodeCallHead(e, seq, tc, req)
 	reqPkt := &pkt{Conn: c.id, Kind: kindCall, Data: sealPacket(c.box, e, req.Bulk)}
 	c.ep.send(c.remote, reqPkt)
-	c.ep.k.After(d, func() {
-		if f.Done() {
-			return // answered; don't build the timeout error
-		}
-		if callback {
-			f.Set(outcome{err: fmt.Errorf("%w: callback op %d", ErrTimeout, req.Op)})
-		} else {
-			f.Set(outcome{err: fmt.Errorf("%w: op %d to node %d", ErrTimeout, req.Op, c.remote)})
-		}
-		c.take(seq)
-	})
-	out := f.Wait(p)
+	c.ep.k.AfterFire(d, a)
+	out := a.f.Wait(p)
+	a.waiting = false
+	a.recycle()
 	if out.err == nil {
 		attribute(sp, reqPkt, out.pkt)
 	}
 	return out
+}
+
+// attempt is one attempt of a call placed on a SimConn: the slot the core's
+// table holds under the call's sequence number, which the reply resolves,
+// and the event the attempt's deadline fires. An endpoint pools its
+// attempts. One goes back only when its caller has read the outcome and its
+// deadline has fired, the last two things that can reach it: by then its
+// sequence number has left the table, so no stale reply finds it, and no
+// event of its own is pending.
+type attempt struct {
+	c        *SimConn
+	seq      uint32
+	op       Op
+	callback bool
+	f        sim.Future[outcome]
+	waiting  bool // the caller has not read the outcome
+	armed    bool // the deadline has not fired
+}
+
+// attemptFor takes an attempt from the pool for seq's call of op on c.
+func (ep *Endpoint) attemptFor(c *SimConn, seq uint32, op Op, callback bool) *attempt {
+	var a *attempt
+	if n := len(ep.free); n > 0 {
+		a = ep.free[n-1]
+		ep.free[n-1] = nil
+		ep.free = ep.free[:n-1]
+	} else {
+		a = new(attempt)
+	}
+	*a = attempt{c: c, seq: seq, op: op, callback: callback, waiting: true, armed: true}
+	a.f.Reset(ep.k)
+	return a
+}
+
+// Fire is the attempt's deadline: it times out the attempt unless its reply
+// came first. It implements sim.Firer.
+func (a *attempt) Fire() {
+	a.armed = false
+	if a.waiting && !a.f.Done() {
+		if a.callback {
+			a.f.Set(outcome{err: fmt.Errorf("%w: callback op %d", ErrTimeout, a.op)})
+		} else {
+			a.f.Set(outcome{err: fmt.Errorf("%w: op %d to node %d", ErrTimeout, a.op, a.c.remote)})
+		}
+		a.c.take(a.seq)
+	}
+	a.recycle()
+}
+
+// recycle drops the outcome once the caller has read it, so a reply's
+// buffers are not kept until the deadline, and returns the attempt to its
+// endpoint's pool once the deadline has fired too.
+func (a *attempt) recycle() {
+	if a.waiting {
+		return
+	}
+	if a.armed {
+		a.f.Reset(a.c.ep.k)
+		return
+	}
+	ep := a.c.ep
+	*a = attempt{}
+	ep.free = append(ep.free, a)
 }
 
 // attribute stamps the network's share of a completed call on its span: the

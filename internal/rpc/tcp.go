@@ -30,7 +30,12 @@ type Peer struct {
 	done chan struct{} // closed by the first Close
 
 	hdr  [wire.FrameHeaderSize]byte // the read loop's own: the length prefix of the frame it reads
-	work chan job                   // a call on its way to a parked worker; unbuffered (see dispatch)
+	work chan job                   // a call on its way to an idle worker; unbuffered (see dispatch)
+	// idle counts the workers done with their last call, parked or with
+	// nothing left to do before they park; only a worker adds to it and only
+	// dispatch, on the read loop, takes from it (see dispatch).
+	idle atomic.Int32
+
 	// routines counts the read loop and the workers, each of which exits
 	// once done is closed; spawned counts the workers ever started; orphans
 	// counts the replies that found their caller gone. Only tests read them:
@@ -155,11 +160,27 @@ func (p *Peer) User() string { return p.user }
 // start runs the read loop, counted in routines as every worker it starts is.
 func (p *Peer) start() {
 	p.routines.Add(1)
+	busy.Add(1)
 	go func() {
 		defer p.routines.Done()
+		defer busy.Add(-1)
 		p.readLoop()
 	}()
 }
+
+// busy counts, over every Peer in the process, the read loops that are not
+// waiting for the start of their next frame and the workers that have a
+// call in hand, whether serving it or on the way to. A worker is counted
+// from dispatch, before the call leaves the read loop, until it parks again.
+var busy atomic.Int64
+
+// PeersIdle reports whether every Peer in the process is idle: each read
+// loop waiting for its next frame, each worker done with its last call.
+// It is a hook for tests that read process-wide counters after a call, whose
+// served side may still be releasing the call's buffers when its caller has
+// the reply: waiting for PeersIdle puts that tail before the read. Nothing
+// else should consult it.
+func PeersIdle() bool { return busy.Load() == 0 }
 
 // Call performs one RPC and waits for its reply until the call's deadline —
 // 60 s, the simulator's default — when it fails with ErrTimeout and its
@@ -296,7 +317,9 @@ func (p *Peer) send(e *wire.Encoder, bulk []byte) error {
 func (p *Peer) readLoop() {
 	defer p.Close()
 	for {
+		busy.Add(-1)
 		sealed, fr, err := p.readFrame()
+		busy.Add(1)
 		if err != nil {
 			return
 		}
@@ -383,22 +406,30 @@ type job struct {
 	frame *frame
 }
 
-// dispatch hands j to a parked worker, or starts a worker for it when none is
-// parked. It never waits, and there is no queue: the replies that busy
-// workers are waiting for — a handler breaking a callback over this same
-// connection — arrive on the read loop that calls it, so a read loop that
-// waited for a free worker could wait for ever. The pool is therefore as
-// large as the most calls ever served at once on this connection; a bound,
-// and backpressure on the socket, belong here and need their own argument
-// against that deadlock.
+// dispatch hands j to an idle worker, or starts a worker for it when none is
+// idle. It never waits for a busy worker, and there is no queue: the replies
+// that busy workers are waiting for — a handler breaking a callback over
+// this same connection — arrive on the read loop that calls it, so a read
+// loop that waited for a free worker could wait for ever. It waits only for
+// an idle worker that has not yet parked, which has nothing left to do
+// first. So a call that arrives while the last call's worker is giving its
+// buffers back, as a caller with its reply in hand can make happen, goes to
+// that worker and not to a new one. The pool is as large as the most calls
+// ever served at once on this connection; a bound, and backpressure on the
+// socket, belong here and need their own argument against that deadlock.
 func (p *Peer) dispatch(j job) {
-	select {
-	case p.work <- j:
-	default:
-		p.spawned.Add(1)
-		p.routines.Add(1)
-		go p.worker(j)
+	busy.Add(1)
+	if p.idle.Load() > 0 { // only the read loop takes from idle: it cannot fall to 0 meanwhile
+		p.idle.Add(-1)
+		select {
+		case p.work <- j:
+			return
+		case <-p.done: // the idle workers are exiting: serve j as before
+		}
 	}
+	p.spawned.Add(1)
+	p.routines.Add(1)
+	go p.worker(j)
 }
 
 // worker serves j and then each call handed to it, parked in between, until
@@ -411,6 +442,8 @@ func (p *Peer) worker(j job) {
 	var proc sim.Proc
 	for {
 		p.handle(&proc, j)
+		p.idle.Add(1)
+		busy.Add(-1)
 		select {
 		case j = <-p.work:
 		case <-p.done:

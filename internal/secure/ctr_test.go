@@ -37,12 +37,12 @@ type blockRange struct{ start, blocks uint64 }
 func freshOpen(t *testing.T, k Key, sealed []byte) ([8]byte, uint64, []byte) {
 	t.Helper()
 	body, tag := sealed[:len(sealed)-tagSize], sealed[len(sealed)-tagSize:]
-	m := hmac.New(sha256.New, subkey(k, "mac"))
+	m := hmac.New(sha256.New, refSubkey(k, "mac"))
 	m.Write(body)
 	if !hmac.Equal(m.Sum(nil), tag) {
 		t.Fatalf("a %d-byte record's tag is not HMAC(nonce||ct)", len(sealed))
 	}
-	block, err := aes.NewCipher(subkey(k, "encrypt"))
+	block, err := aes.NewCipher(refSubkey(k, "encrypt"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,6 +50,14 @@ func freshOpen(t *testing.T, k Key, sealed []byte) ([8]byte, uint64, []byte) {
 	plain := make([]byte, len(ct))
 	cipher.NewCTR(block, nonce).XORKeyStream(plain, ct)
 	return [8]byte(nonce), binary.BigEndian.Uint64(nonce[8:]), plain
+}
+
+// refSubkey is the reference for a Box's subkeys: HMAC-SHA256 of purpose
+// under k.
+func refSubkey(k Key, purpose string) []byte {
+	m := hmac.New(sha256.New, k[:])
+	m.Write([]byte(purpose))
+	return m.Sum(nil)
 }
 
 // checkDisjoint fails unless no two ranges share a block.
@@ -249,5 +257,23 @@ func BenchmarkSealOpen(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// newBoxAllocs is what NewBox costs, which every dial and every accept pays:
+// the Box, the AES cipher, the send and receive HMACs, and the one HMAC and
+// key array both subkeys are derived through. An HMAC built per subkey
+// measured 28.
+const newBoxAllocs = 20
+
+func TestNewBoxAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	k := DeriveKey("u", "p")
+	if got := testing.AllocsPerRun(50, func() { NewBox(k) }); got > newBoxAllocs {
+		t.Fatalf("NewBox allocates %.0f objects, pinned at %d", got, newBoxAllocs)
+	} else {
+		t.Logf("NewBox: %.0f objects", got)
 	}
 }

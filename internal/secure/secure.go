@@ -79,11 +79,26 @@ func NewSessionKey() (Key, error) {
 	return k, nil
 }
 
-// subkey derives a purpose-specific key from k.
-func subkey(k Key, purpose string) []byte {
-	m := hmac.New(sha256.New, k[:])
-	m.Write([]byte(purpose))
-	return m.Sum(nil)
+// Purposes a Box's subkeys are derived for.
+var (
+	purposeEncrypt = []byte("encrypt")
+	purposeMAC     = []byte("mac")
+)
+
+// subkeys derives a Box's cipher and MAC keys from k, each the HMAC-SHA256
+// of its purpose under k. Every dial and every accept builds a Box, so one
+// HMAC derives both, into one array: k, then the cipher key, then the MAC
+// key. (A copy of k outside it would be a heap object of its own.)
+func subkeys(k Key) *[3 * KeySize]byte {
+	keys := new([3 * KeySize]byte)
+	copy(keys[:], k[:])
+	m := hmac.New(sha256.New, keys[:KeySize])
+	m.Write(purposeEncrypt)
+	m.Sum(keys[:KeySize])
+	m.Reset()
+	m.Write(purposeMAC)
+	m.Sum(keys[:2*KeySize])
+	return keys
 }
 
 // Sealed-record layout: nonce (16) || ciphertext (len(plain)) || tag (32).
@@ -149,7 +164,8 @@ type direction struct {
 
 // NewBox returns a Box keyed by k.
 func NewBox(k Key) *Box {
-	block, err := aes.NewCipher(subkey(k, "encrypt"))
+	keys := subkeys(k)
+	block, err := aes.NewCipher(keys[KeySize : 2*KeySize])
 	if err != nil {
 		panic(err) // key length is fixed; cannot happen
 	}
@@ -157,9 +173,8 @@ func NewBox(k Key) *Box {
 	if _, err := rand.Read(b.noncePrefix[:]); err != nil {
 		panic(fmt.Sprintf("secure: nonce prefix: %v", err))
 	}
-	macKey := subkey(k, "mac")
-	b.send.mac = hmac.New(sha256.New, macKey)
-	b.recv.mac = hmac.New(sha256.New, macKey)
+	b.send.mac = hmac.New(sha256.New, keys[2*KeySize:])
+	b.recv.mac = hmac.New(sha256.New, keys[2*KeySize:])
 	return b
 }
 

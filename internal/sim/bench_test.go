@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
+	"time"
 )
 
 // countFirer is a pre-allocated event body; Fire just counts.
@@ -170,4 +172,100 @@ func TestProcExitStress(t *testing.T) {
 	if n := k.Procs(); n != 0 {
 		t.Fatalf("%d processes still live after Run; want 0", n)
 	}
+}
+
+// TestSpawnReusesAnIdleProcess pins the worker pattern's steady state: a
+// process spawned after another has finished runs on the finished one's Proc
+// and goroutine, and the Spawn allocates nothing.
+func TestSpawnReusesAnIdleProcess(t *testing.T) {
+	const runs = 100
+	k := NewKernel()
+	served := 0
+	body := func(*Proc) { served++ }
+	var first, last *Proc
+	allocs := -1.0
+	k.Spawn("spawner", func(p *Proc) {
+		first = k.Spawn("worker", body)
+		p.Sleep(1)
+		allocs = testing.AllocsPerRun(runs, func() {
+			last = k.Spawn("worker", body)
+			p.Sleep(1)
+		})
+	})
+	k.Run()
+	if allocs != 0 {
+		t.Fatalf("a Spawn that reuses an idle process allocates %v; want 0", allocs)
+	}
+	if last != first {
+		t.Fatal("the last worker ran on a new process, not the idle one")
+	}
+	if served != runs+2 {
+		t.Fatalf("workers ran %d times; want %d", served, runs+2)
+	}
+}
+
+// TestNoIdleProcessOutlivesItsRun: processes that finish wait on the idle
+// list while the run lasts, uncounted by Procs, and Run and RunUntil end
+// them on every way out, Stop and the horizon included, with events and a
+// parked process left for a later run.
+func TestNoIdleProcessOutlivesItsRun(t *testing.T) {
+	const workers = 8
+	for _, tc := range []struct {
+		name string
+		run  func(k *Kernel)
+	}{
+		{"Run", func(k *Kernel) { k.Run() }},
+		{"RunUntil", func(k *Kernel) { k.RunUntil(Time(time.Second)) }},
+		{"Stop", func(k *Kernel) {
+			k.After(time.Second, k.Stop)
+			k.Run()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := settledGoroutines(0) // an earlier test's may still be ending
+			k := NewKernel()
+			for i := range workers {
+				k.Spawn("worker", func(p *Proc) { p.Sleep(Duration(i)) })
+			}
+			idle, live := 0, 0
+			k.After(time.Millisecond, func() { idle, live = len(k.idle), k.Procs() })
+			if tc.name != "Run" {
+				// Still queued when the run returns: a parked process and
+				// an event past the horizon or the stop.
+				k.Spawn("sleeper", func(p *Proc) { p.Sleep(time.Hour) })
+			}
+			tc.run(k)
+			if idle != workers || (tc.name == "Run" && live != 0) {
+				t.Fatalf("mid-run: %d idle, %d live; want %d idle, none live but the sleeper", idle, live, workers)
+			}
+			if len(k.idle) != 0 {
+				t.Fatalf("%d idle processes kept past the run", len(k.idle))
+			}
+			want := base
+			if tc.name != "Run" {
+				want++ // the sleeper, parked
+			}
+			if n := settledGoroutines(want); n > want {
+				t.Fatalf("%d goroutines after the run; want %d", n, want)
+			}
+			if tc.name != "Run" {
+				k.Run()
+				if n := settledGoroutines(base); n > base || k.Procs() != 0 {
+					t.Fatalf("after draining: %d goroutines, %d live; want %d, 0", n, k.Procs(), base)
+				}
+			}
+		})
+	}
+}
+
+// settledGoroutines yields until at most want goroutines are live, or long
+// enough that one that has not ended will not, and returns the count: a
+// retired process's goroutine ends when it is next scheduled.
+func settledGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 10000 && n > want; i++ {
+		runtime.Gosched()
+		n = runtime.NumGoroutine()
+	}
+	return n
 }

@@ -30,6 +30,11 @@
 //     *Proc itself rather than a closure; pooled consumer objects (netsim
 //     frames, resource grants) schedule themselves via the Firer interface.
 //     Only ad-hoc At/After callbacks pay for a closure.
+//   - A process that finishes keeps its goroutine and its Proc on an idle
+//     list, and the next Spawn takes one from there instead of starting a
+//     goroutine: a population of short-lived processes (a server's per-call
+//     workers) costs what its peak concurrency costs, once. Idle processes
+//     end when Run or RunUntil returns, so no goroutine outlives its run.
 package sim
 
 import (
@@ -89,9 +94,10 @@ type Kernel struct {
 	buckets map[Time][]event
 	free    [][]event
 
-	parked  chan struct{} // signalled by a proc when it parks or exits
+	parked  chan struct{} // signalled by a proc when it parks or finishes
 	stopped bool
-	nprocs  int // live (spawned, not yet exited) processes
+	nprocs  int     // live (spawned, not yet finished) processes
+	idle    []*Proc // finished processes, their goroutines waiting for a body
 }
 
 // maxFreeBuckets bounds the recycled-slice pool; beyond it, drained bucket
@@ -232,9 +238,21 @@ func (k *Kernel) advance() {
 // remain queued; Run may be called again to continue.
 func (k *Kernel) Stop() { k.stopped = true }
 
+// retire ends the goroutines of the idle processes. Run and RunUntil call it
+// on their way out, so a run leaves no goroutine behind but the parked
+// processes' that a later run resumes.
+func (k *Kernel) retire() {
+	for i, p := range k.idle {
+		close(p.resume)
+		k.idle[i] = nil
+	}
+	k.idle = k.idle[:0]
+}
+
 // Run fires events in time order until the queue is empty or Stop is called.
 // It returns the virtual time at which it stopped.
 func (k *Kernel) Run() Time {
+	defer k.retire()
 	k.stopped = false
 	for !k.stopped {
 		if k.cursor < len(k.curr) {
@@ -257,6 +275,7 @@ func (k *Kernel) Run() Time {
 // the queue empties, or Stop is called. The clock is left at t if the run
 // reached it.
 func (k *Kernel) RunUntil(t Time) Time {
+	defer k.retire()
 	k.stopped = false
 	for !k.stopped && k.now <= t {
 		if k.cursor < len(k.curr) {
@@ -327,26 +346,45 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	return k.SpawnAt(k.now, name, fn)
 }
 
-// SpawnAt creates a process running fn, starting at virtual time t.
+// SpawnAt creates a process running fn, starting at virtual time t. A
+// finished process on the idle list is reused, goroutine and all, and its
+// start is a wake-up where a new process's start would go: which one runs fn
+// changes no event's order. The returned Proc is fn's until fn returns.
 func (k *Kernel) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, resume: make(chan struct{}), fn: fn}
 	k.nprocs++
+	if n := len(k.idle); n > 0 {
+		p := k.idle[n-1]
+		k.idle[n-1] = nil
+		k.idle = k.idle[:n-1]
+		p.name, p.fn = name, fn
+		k.schedule(t, event{p: p})
+		return p
+	}
+	p := &Proc{k: k, name: name, resume: make(chan struct{}), fn: fn}
 	k.schedule(t, event{ps: p})
 	return p
 }
 
-// run is the body of a process goroutine: wait for the first dispatch, run
-// the spawned function, then exit, returning control to the kernel.
+// run is the body of a process goroutine: wait for a dispatch, run the
+// spawned function, then join the idle list and return control to the
+// kernel, until retire closes the resume channel of an idle process.
 func (p *Proc) run() {
-	<-p.resume
-	fn := p.fn
-	p.fn = nil
-	fn(p)
-	p.k.nprocs--
-	p.k.parked <- struct{}{}
+	k := p.k
+	for {
+		if _, ok := <-p.resume; !ok {
+			return
+		}
+		fn := p.fn
+		p.fn = nil
+		fn(p)
+		p.Trace = nil
+		k.nprocs--
+		k.idle = append(k.idle, p)
+		k.parked <- struct{}{}
+	}
 }
 
-// dispatch hands the CPU to p and waits for it to park or exit. Must be
+// dispatch hands the CPU to p and waits for it to park or finish. Must be
 // called from kernel context.
 func (k *Kernel) dispatch(p *Proc) {
 	p.resume <- struct{}{}

@@ -91,6 +91,11 @@ func NewFuture[T any](k *Kernel) *Future[T] {
 	return &Future[T]{k: k}
 }
 
+// Reset makes f an unresolved future on kernel k, as NewFuture makes one,
+// dropping its value: a holder that keeps its future by value and is itself
+// pooled reuses it in place. No process may be waiting on f.
+func (f *Future[T]) Reset(k *Kernel) { *f = Future[T]{k: k} }
+
 // Done reports whether the future has been resolved.
 func (f *Future[T]) Done() bool { return f.done }
 

@@ -17,6 +17,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"itcfs/internal/rpc"
 	"itcfs/internal/secure"
@@ -427,9 +428,22 @@ type budgetRun struct {
 	calls, breaks float64
 }
 
-// budgetOps is how many operations a row of runs prepares: a warm-up, a
-// window of one and a window of runs+1.
-func budgetOps(runs int) int { return runs + 3 }
+// budgetOps is how many operations a row of runs prepares: a window of one
+// and a window of runs+1, each after its primers.
+func budgetOps(runs int) int { return runs + 2 + 2*budgetPrimers }
+
+// budgetPrimers is how many unmeasured operations run before each window,
+// followed by a collection. A pool's item outlives a collection only if it
+// was drawn since the one before, so a window can draw on no more of a
+// pool's items than the operations since the last collection had out at
+// once. How many a call has out at once depends on the order its goroutines
+// run in: a server worker the scheduler preempts while its caller is still
+// in its seal lets the caller give its seal buffer back before the worker
+// takes one, and the call needs one 32 KiB buffer, not two. Behind the one
+// operation of the first window, such a call left the second window to pay
+// for the buffer, 82 B a row of 400. Behind three operations, the window
+// draws on the most any of them had out.
+const budgetPrimers = 3
 
 // layerObjects returns the objects the heap profile has recorded, by the
 // tree package each was allocated in: the package of the record's innermost
@@ -491,23 +505,30 @@ type budgetTotals struct {
 	ws    venus.Stats
 }
 
-// window runs op(first) … op(last), then collects, which publishes their
+// window runs the budgetPrimers operations before op(first) and collects,
+// then measures op(first) … op(last) and collects, which publishes their
 // heap-profile records. The caller has turned the collector off.
 func (c *budgetCell) window(t *testing.T, run budgetRun, first, last int, layers map[uintptr]string) budgetTotals {
 	t.Helper()
+	for i := first - budgetPrimers; i < first; i++ {
+		if err := run.op(i); err != nil {
+			t.Fatalf("primer op %d: %v", i, err)
+		}
+	}
+	settle(t)
+	runtime.GC()
 	before := layerObjects(layers)
 	ws0 := run.ws.Venus().Stats()
 	frames0, callbacks0 := c.frames.Load(), c.callbacks()
 	wire0, appends0, fsyncs0, log0 := c.wire.Load(), c.appends.Load(), c.fsyncs.Load(), c.logBytes.Load()
 	var m0, m1 runtime.MemStats
-	settle()
 	runtime.ReadMemStats(&m0)
 	for i := first; i <= last; i++ {
 		if err := run.op(i); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
+		settle(t)
 	}
-	settle()
 	runtime.ReadMemStats(&m1)
 	tot := budgetTotals{cells: map[string]int64{
 		"objects":    int64(m1.Mallocs - m0.Mallocs),
@@ -529,15 +550,30 @@ func (c *budgetCell) window(t *testing.T, run budgetRun, first, last int, layers
 	return tot
 }
 
-// settle lets the goroutines an operation woke finish what they do after
-// its caller has its answer — a server worker releasing the call's buffers,
-// say — so that none of it lands on the far side of a window's edge. On one
-// P, a yield runs everything runnable first.
-func settle() {
-	for range 10 {
+// settle waits, yielding the one P, until every Peer is idle
+// (rpc.PeersIdle): each worker done with its call and each read loop waiting
+// for its next frame. A window settles before its first operation and after
+// each, so what an operation's goroutines do after its caller has its answer
+// — a server worker giving the call's buffers back, say — lands inside the
+// window and before the next operation, however long the machine's load
+// keeps them from running. A count of yields does not wait for a goroutine
+// the scheduler has preempted: on a loaded machine the next call then found
+// that worker busy and its buffers lent, and the row paid for a second
+// worker and its buffers.
+func settle(t *testing.T) {
+	t.Helper()
+	deadline := rpc.Clock(nil).Add(settleLimit)
+	for !rpc.PeersIdle() {
+		if rpc.Clock(nil) > deadline {
+			t.Fatalf("the peers are still busy after %v", settleLimit)
+		}
 		runtime.Gosched()
 	}
 }
+
+// settleLimit bounds settle's wait: far beyond any served call's tail, it
+// only ends a test that would otherwise hang.
+const settleLimit = time.Minute
 
 // callbacks sums the breaks every station of the cell has received.
 func (c *budgetCell) callbacks() (n int64) {
@@ -566,23 +602,19 @@ func venusCounts(a, b venus.Stats, f func(a, b int64) int64) venus.Stats {
 // its items one collection longer in a victim cache, but its first Put
 // after one builds it a fresh local array and ring. The profile needs a
 // collection before and after each window, so each window's first operation
-// pays that, and pays it alike: the warm-up runs after a collection, the
-// collection after it leaves its items in the victim caches, and so does
-// the collection after the window of one. The collector is off throughout,
-// so a collection runs only where measure calls one: none inside a window,
-// where it would cost an amount that follows the heap, not the operation,
-// and never two back to back, which would empty the victim caches too.
+// pays that, and pays it alike: each window's primers run after a
+// collection, and the collection after them leaves their items in the
+// victim caches. The collector is off throughout, so a collection runs only
+// where window or measure calls one: none inside a window, where it would
+// cost an amount that follows the heap, not the operation, and never two
+// back to back, which would empty the victim caches too.
 func (c *budgetCell) measure(t *testing.T, runs int, run budgetRun, layers map[uintptr]string) map[string]float64 {
 	t.Helper()
 	c.roomForLog(16 << 20)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	runtime.GC()
-	if err := run.op(0); err != nil {
-		t.Fatalf("warm-up: %v", err)
-	}
-	runtime.GC()
-	one := c.window(t, run, 1, 1, layers)
-	many := c.window(t, run, 2, runs+2, layers)
+	one := c.window(t, run, budgetPrimers, budgetPrimers, layers)
+	many := c.window(t, run, 2*budgetPrimers+1, 2*budgetPrimers+1+runs, layers)
 	cells := map[string]float64{}
 	for col, n := range many.cells {
 		cells[col] = float64(n-one.cells[col]) / float64(runs)
