@@ -28,7 +28,7 @@ func TestMain(m *testing.M) { leakcheck.Main(m) }
 // from the server's end, every connection accepted so far.
 func serve(t *testing.T) (addr string, hangUp func()) {
 	t.Helper()
-	srv, _, err := vice.Boot(vice.Config{Name: "server0", Mode: vice.Revised, ProtAuthority: true}, "secret")
+	srv, _, err := vice.Boot(vice.Config{Name: "server0", Mode: vice.Revised}, "secret")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -119,13 +119,12 @@ func run(args []string) int {
 	}
 
 	srv, rep, err := vice.Boot(vice.Config{
-		Name:          *name,
-		Mode:          mode,
-		Clock:         clock,
-		ProtAuthority: true,
-		Metrics:       metrics,
-		Flight:        flight,
-		Store:         st,
+		Name:    *name,
+		Mode:    mode,
+		Clock:   clock,
+		Metrics: metrics,
+		Flight:  flight,
+		Store:   st,
 	}, *opPassword)
 	if err != nil {
 		log.Printf("itcfsd: %v", err)

@@ -54,7 +54,7 @@ func TestGate(t *testing.T) {
 }
 
 func runGate(t *testing.T, mode Mode, dir string, d time.Duration) {
-	cfg := vice.Config{Name: "server0", Mode: mode, ProtAuthority: true}
+	cfg := vice.Config{Name: "server0", Mode: mode}
 	var log *logFS
 	var ws *walstore.Store
 	if dir != "" {
@@ -173,7 +173,7 @@ func gateRecover(t *testing.T, mode Mode, dir string, size, durable int64, stati
 		t.Fatal(err)
 	}
 	defer ws.Close()
-	srv, rep, err := vice.Boot(vice.Config{Name: "server0", Mode: mode, ProtAuthority: true, Store: ws}, "secret")
+	srv, rep, err := vice.Boot(vice.Config{Name: "server0", Mode: mode, Store: ws}, "secret")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package rpc
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"itcfs/internal/netsim"
@@ -369,20 +368,6 @@ func (ep *Endpoint) deliver(msg netsim.Message) {
 	}
 }
 
-// workerNames caches per-op worker process names: a server spawns one worker
-// per inbound call, and formatting the name fresh each time was a measurable
-// allocation site at tens of thousands of clients.
-var workerNames sync.Map // Op -> string
-
-func workerName(op Op) string {
-	if n, ok := workerNames.Load(op); ok {
-		return n.(string)
-	}
-	n := fmt.Sprintf("rpc-worker-op%d", op)
-	workerNames.Store(op, n)
-	return n
-}
-
 // handleHandshake serves handshake messages 1 and 3 in a worker process,
 // billing each to the server.
 func (ep *Endpoint) handleHandshake(pk *pkt) {
@@ -482,7 +467,7 @@ func (ep *Endpoint) handleCall(pk *pkt) {
 	ep.callsTotal++
 	ep.mInflight.Add(1)
 	ep.calls.Put(received{c: c, seq: seq, tc: tc, req: req})
-	ep.k.Spawn(workerName(req.Op), ep.work)
+	ep.k.Spawn("rpc-worker", ep.work)
 }
 
 // received is a call waiting for its worker.

@@ -57,7 +57,8 @@ func readAll(t *testing.T, v *Venus, path string, size int) []byte {
 
 // TestWriteDuringStoreLeavesLentBytesAlone writes through a second handle
 // while the store of the same entry is parked in Call. The store sends the
-// cache file's own bytes, lent; the write must replace them, not edit them,
+// cache file's own bytes, lent, and the writer's connection passes them to
+// the server as they lie; the write must replace them, not edit them,
 // so the server receives the file as it was when the store began, and the
 // entry stays dirty so that the second handle's close stores the write — and
 // a write after a store has returned must not reach what the server holds
@@ -77,7 +78,9 @@ func TestWriteDuringStoreLeavesLentBytesAlone(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return beforeConn{inner: conn, before: func(req rpc.Request) {
+			lent := conn.(wsConn)
+			lent.lend = true
+			return beforeConn{inner: lent, before: func(req rpc.Request) {
 				if req.Op == rpc.Op(proto.OpStore) && inStore != nil {
 					hook := inStore
 					inStore = nil

@@ -15,7 +15,6 @@ import (
 	"itcfs/internal/sim"
 	"itcfs/internal/unixfs"
 	"itcfs/internal/vice"
-	"itcfs/internal/volume"
 )
 
 // testCell is an in-process cell: vice servers plus helper wiring that lets
@@ -25,7 +24,6 @@ type testCell struct {
 	t       *testing.T
 	mode    vice.Mode
 	servers map[string]*vice.Server
-	nextVol uint32
 	clock   atomic.Int64
 }
 
@@ -33,53 +31,31 @@ type testCell struct {
 // whichever goroutine it is taken.
 func (c *testCell) tick() int64 { return c.clock.Add(1) }
 
+// newTestCell boots a server per name, the root volume on the first.
 func newTestCell(t *testing.T, mode vice.Mode, names ...string) *testCell {
 	t.Helper()
-	c := &testCell{t: t, mode: mode, servers: make(map[string]*vice.Server), nextVol: 1}
-	alloc := func() uint32 { c.nextVol++; return c.nextVol }
-	clk := c.tick
-
+	c := &testCell{t: t, mode: mode, servers: make(map[string]*vice.Server)}
 	base := prot.NewDB()
-	for _, m := range []prot.Mutation{
-		{Kind: prot.MutAddUser, Name: "satya", Key: secure.DeriveKey("satya", "pw")},
-		{Kind: prot.MutAddUser, Name: "howard", Key: secure.DeriveKey("howard", "pw")},
-		{Kind: prot.MutAddUser, Name: "operator", Key: secure.DeriveKey("operator", "pw")},
-		{Kind: prot.MutAddGroup, Name: vice.AdminGroup, Owner: "operator"},
-		{Kind: prot.MutAddMember, Name: vice.AdminGroup, Member: "operator"},
-	} {
-		if err := base.Apply(m); err != nil {
+	for _, user := range []string{"satya", "howard"} {
+		if err := base.Apply(prot.Mutation{Kind: prot.MutAddUser, Name: user, Key: secure.DeriveKey(user, "pw")}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	first := true
-	for _, name := range names {
-		db := prot.NewDB()
-		if err := db.LoadSnapshot(base.Snapshot()); err != nil {
-			t.Fatal(err)
-		}
-		s := vice.New(vice.Config{
-			Name: name, Mode: mode, DB: db, Loc: vice.NewLocDB(),
-			Clock: clk, ProtAuthority: first, AllocVolID: alloc,
-		})
-		c.servers[name] = s
-		first = false
+	cfgs := make([]vice.Config, len(names))
+	for i, name := range names {
+		cfgs[i] = vice.Config{Name: name, Mode: mode, Clock: c.tick}
 	}
-	for a, sa := range c.servers {
-		for b, sb := range c.servers {
-			if a != b {
-				sa.AddPeer(b, peerCaller{sb})
+	srvs, _, err := vice.BootCell(cfgs, base, "pw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sa := range srvs {
+		c.servers[sa.Name()] = sa
+		for _, sb := range srvs {
+			if sa != sb {
+				sa.AddPeer(sb.Name(), peerCaller{sb})
 			}
 		}
-	}
-	// Root volume on the first name given.
-	rootACL := prot.NewACL()
-	rootACL.Grant(prot.AnyUser, prot.RightLookup|prot.RightRead)
-	rootACL.Grant(vice.AdminGroup, prot.RightsAll)
-	root := volume.New(1, "root", rootACL, 0, "operator", clk)
-	c.servers[names[0]].AddVolume(root)
-	le := proto.LocEntry{Prefix: "/", Volume: 1, Custodian: names[0]}
-	for _, s := range c.servers {
-		s.Loc().Install([]proto.LocEntry{le}, nil)
 	}
 	return c
 }
@@ -92,19 +68,26 @@ func (pc peerCaller) Call(p *sim.Proc, req rpc.Request) (rpc.Response, error) {
 }
 
 // wsConn is a workstation's connection to one server, carrying the
-// workstation's callback channel.
+// workstation's callback channel. It dispatches each call straight into the
+// server and, as the simulated carrier does, hands the request to the server
+// and the reply to Venus in copies of their own, marked Owned, which each
+// keeps as it is handed. A lending connection passes both as they lie
+// instead, not Owned, as a Peer passes a frame it lends.
 type wsConn struct {
 	srv  *vice.Server
 	user func() string
 	back rpc.Backchannel
+	lend bool
 }
 
 func (c wsConn) Call(p *sim.Proc, req rpc.Request) (rpc.Response, error) {
-	// As a transport does, deliver Bulk in a buffer of the receiver's own in
-	// both directions: server and Venus each keep what they are handed.
-	req.Bulk = bytes.Clone(req.Bulk)
+	if !c.lend {
+		req.Body, req.Bulk, req.Owned = bytes.Clone(req.Body), bytes.Clone(req.Bulk), true
+	}
 	resp := c.srv.Dispatcher().Dispatch(rpc.Ctx{User: c.user(), Back: c.back, Proc: p}, req)
-	resp.Bulk = bytes.Clone(resp.Bulk)
+	if !c.lend {
+		resp.Body, resp.Bulk, resp.Owned = bytes.Clone(resp.Body), bytes.Clone(resp.Bulk), true
+	}
 	return resp, nil
 }
 

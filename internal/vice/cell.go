@@ -1,10 +1,13 @@
 package vice
 
-// Standing a server up and serving a connection: the steps every cell takes,
-// simulated or real, written once. The simulator (itcfs.NewCell) uses
-// BootstrapDB and BootstrapRoot round its own replicated databases and serves
-// through rpc.Endpoint; the daemon (cmd/itcfsd) and every test that wants a
-// real server use Boot and Serve, which runs ServeConn per connection.
+// Standing a cell up and serving a connection: the steps every cell takes,
+// simulated or real, written once. BootCell boots the servers of a cell —
+// their replicated databases, their stores, the volume-ID counter they share
+// and, on first boot, the root volume; the simulator (itcfs.NewCell) calls it
+// and serves through rpc.Endpoint, and the daemon (cmd/itcfsd) and every test
+// that wants a real server call Boot, a BootCell of one, and Serve, which runs
+// ServeConn per connection. Peers are wired by the caller: each transport has
+// its own.
 
 import (
 	"fmt"
@@ -25,78 +28,96 @@ import (
 // operator is the bootstrap operations account.
 const operator = "operator"
 
-// BootstrapDB gives db its operations staff: the operator account, keyed by
-// password, and AdminGroup, owned by the operator and containing it. The
-// simulator's database versions and snapshot bytes count these mutations in
-// this order.
-func BootstrapDB(db *prot.DB, password string) error {
+// BootCell brings up the servers of a cell, one per Config, and returns them
+// with what each one's store kept from an earlier life (a nil report for a
+// server without a store). Every server holds a replica of base — nil is an
+// empty database — after the operations staff are added to it: the operator
+// account, keyed by operatorPassword, then AdminGroup, owned by the operator
+// and containing it; the simulator's database versions and snapshot bytes
+// count these mutations in this order. A Config's DB is replaced by its
+// replica. The first server is the protection authority. A nil AllocVolID is
+// filled in with one counter the cell's servers share, which resumes past
+// every volume a store kept and every ID a location database names. When
+// nothing was recovered anywhere, the first server creates the root volume —
+// volume 1, which anyone may look up and read and the staff administer — and
+// every server without a "/" row journals one.
+func BootCell(cfgs []Config, base *prot.DB, operatorPassword string) ([]*Server, []*store.Report, error) {
+	reps := make([]*store.Report, len(cfgs))
+	if base == nil {
+		base = prot.NewDB()
+	}
 	for _, m := range []prot.Mutation{
-		{Kind: prot.MutAddUser, Name: operator, Key: secure.DeriveKey(operator, password)},
+		{Kind: prot.MutAddUser, Name: operator, Key: secure.DeriveKey(operator, operatorPassword)},
 		{Kind: prot.MutAddGroup, Name: AdminGroup, Owner: operator},
 		{Kind: prot.MutAddMember, Name: AdminGroup, Member: operator},
 	} {
-		if err := db.Apply(m); err != nil {
-			return fmt.Errorf("vice: bootstrap: %w", err)
+		if err := base.Apply(m); err != nil {
+			return nil, reps, fmt.Errorf("vice: bootstrap: %w", err)
 		}
-	}
-	return nil
-}
-
-// BootstrapRoot creates the root volume on s — volume 1, which anyone may
-// look up and read and the operations staff administer — and returns its
-// location row, for the caller to install in every replica of the location
-// database.
-func (s *Server) BootstrapRoot() (proto.LocEntry, error) {
-	acl := prot.NewACL()
-	acl.Grant(prot.AnyUser, prot.RightLookup|prot.RightRead)
-	acl.Grant(AdminGroup, prot.RightsAll)
-	if err := s.AddVolume(volume.New(1, "root", acl, 0, operator, s.cfg.Clock)); err != nil {
-		return proto.LocEntry{}, fmt.Errorf("vice: bootstrap root volume: %w", err)
-	}
-	return proto.LocEntry{Prefix: "/", Volume: 1, Custodian: s.cfg.Name}, nil
-}
-
-// Boot brings up the server of a one-server cell: the operations staff in
-// cfg.DB, the server, whatever cfg.Store kept from an earlier life (the
-// report is nil without a store) and, on first boot, the root volume. A nil
-// cfg.AllocVolID is filled in — such a cell has nobody to agree volume IDs
-// with — and resumes past every ID recovered.
-func Boot(cfg Config, operatorPassword string) (*Server, *store.Report, error) {
-	if cfg.DB == nil {
-		cfg.DB = prot.NewDB()
-	}
-	if err := BootstrapDB(cfg.DB, operatorPassword); err != nil {
-		return nil, nil, err
 	}
 	var lastVol atomic.Uint32
-	lastVol.Store(1) // the root volume
-	if cfg.AllocVolID == nil {
-		cfg.AllocVolID = func() uint32 { return lastVol.Add(1) }
-	}
-	s := New(cfg)
-	rep, err := s.RecoverStore()
-	if err != nil {
-		return nil, rep, fmt.Errorf("vice: recover store: %w", err)
-	}
-	// Volumes still held here, and every ID the location database references:
-	// a volume moved to a peer before the restart is no longer local, but
-	// re-issuing its ID would collide in the location database.
-	for _, id := range s.VolumeIDs() {
-		lastVol.Store(max(id, lastVol.Load()))
-	}
-	for _, e := range s.cfg.Loc.Entries() {
-		lastVol.Store(max(e.Volume, lastVol.Load()))
-	}
-	if _, ok := s.Volume(1); !ok {
-		le, err := s.BootstrapRoot()
-		if err == nil {
-			err = s.InstallLoc([]proto.LocEntry{le}, nil)
+	alloc := func() uint32 { return lastVol.Add(1) }
+	srvs := make([]*Server, len(cfgs))
+	for i, cfg := range cfgs {
+		cfg.DB = prot.NewDB()
+		if err := cfg.DB.LoadSnapshot(base.Snapshot()); err != nil {
+			return nil, reps, fmt.Errorf("vice: bootstrap %s: %w", cfg.Name, err)
 		}
+		cfg.ProtAuthority = i == 0
+		if cfg.AllocVolID == nil {
+			cfg.AllocVolID = alloc
+		}
+		srvs[i] = New(cfg)
+		rep, err := srvs[i].RecoverStore()
+		reps[i] = rep
 		if err != nil {
-			return nil, rep, err
+			return nil, reps, fmt.Errorf("vice: recover store of %s: %w", cfg.Name, err)
 		}
 	}
-	return s, rep, nil
+	// Volumes still held, and every ID a location database references: a
+	// volume moved away before the restart is no longer held anywhere it was,
+	// but re-issuing its ID would collide in the location database.
+	var last uint32
+	for _, s := range srvs {
+		for _, id := range s.VolumeIDs() {
+			last = max(last, id)
+		}
+		for _, e := range s.cfg.Loc.Entries() {
+			last = max(last, e.Volume)
+		}
+	}
+	if last == 0 {
+		last = 1
+		acl := prot.NewACL()
+		acl.Grant(prot.AnyUser, prot.RightLookup|prot.RightRead)
+		acl.Grant(AdminGroup, prot.RightsAll)
+		if err := srvs[0].AddVolume(volume.New(1, "root", acl, 0, operator, srvs[0].cfg.Clock)); err != nil {
+			return nil, reps, fmt.Errorf("vice: bootstrap root volume: %w", err)
+		}
+	}
+	// Every server lacks the "/" row on first boot, and one whose first boot
+	// crashed between journalling the root volume and the row lacks it after.
+	row := []proto.LocEntry{{Prefix: "/", Volume: 1, Custodian: srvs[0].cfg.Name}}
+	for _, s := range srvs {
+		if _, ok := s.cfg.Loc.Resolve("/"); ok {
+			continue
+		}
+		if err := s.InstallLoc(row, nil); err != nil {
+			return nil, reps, fmt.Errorf("vice: bootstrap %s: %w", s.cfg.Name, err)
+		}
+	}
+	lastVol.Store(last)
+	return srvs, reps, nil
+}
+
+// Boot brings up the server of a one-server cell, a BootCell of one whose
+// base database is cfg.DB.
+func Boot(cfg Config, operatorPassword string) (*Server, *store.Report, error) {
+	srvs, reps, err := BootCell([]Config{cfg}, cfg.DB, operatorPassword)
+	if err != nil {
+		return nil, reps[0], err
+	}
+	return srvs[0], reps[0], nil
 }
 
 // ServeConn serves one client connection for its whole life: the

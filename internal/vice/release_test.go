@@ -12,10 +12,8 @@ import (
 	"strings"
 	"testing"
 
-	"itcfs/internal/prot"
 	"itcfs/internal/proto"
 	"itcfs/internal/rpc"
-	"itcfs/internal/secure"
 	"itcfs/internal/sim"
 	"itcfs/internal/store"
 	"itcfs/internal/store/walstore"
@@ -282,30 +280,10 @@ func TestVolMoveFailedInstallRestoresService(t *testing.T) {
 // replica receives the image, and a recovered server finishes the release
 // from its WAL-recovered state alone.
 func TestReleaseResumesAfterCrashRecovery(t *testing.T) {
-	db := prot.NewDB()
-	for _, m := range []prot.Mutation{
-		{Kind: prot.MutAddUser, Name: "satya", Key: secure.DeriveKey("satya", "pw")},
-		{Kind: prot.MutAddUser, Name: "operator", Key: secure.DeriveKey("operator", "pw")},
-		{Kind: prot.MutAddGroup, Name: AdminGroup, Owner: "operator"},
-		{Kind: prot.MutAddMember, Name: AdminGroup, Member: "operator"},
-	} {
-		if err := db.Apply(m); err != nil {
-			t.Fatal(err)
-		}
-	}
 	var clock int64
 	clk := func() int64 { clock++; return clock }
-	nextVol := uint32(1)
-	alloc := func() uint32 { nextVol++; return nextVol }
 	custodianCfg := func(st store.Store) Config {
-		dbCopy := prot.NewDB()
-		if err := dbCopy.LoadSnapshot(db.Snapshot()); err != nil {
-			t.Fatal(err)
-		}
-		return Config{
-			Name: "server0", Mode: Prototype, DB: dbCopy, Loc: NewLocDB(),
-			Clock: clk, ProtAuthority: true, AllocVolID: alloc, Store: st,
-		}
+		return Config{Name: "server0", Mode: Prototype, Clock: clk, Store: st}
 	}
 
 	fsys := store.NewMemFS()
@@ -313,28 +291,14 @@ func TestReleaseResumesAfterCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s0 := New(custodianCfg(ws))
-	if _, err := s0.RecoverStore(); err != nil {
+	srvs, _, err := BootCell([]Config{custodianCfg(ws), {Name: "server1", Mode: Prototype, Clock: clk}}, usersDB(t, "satya"), "pw")
+	if err != nil {
 		t.Fatal(err)
 	}
-	replicaDB := prot.NewDB()
-	if err := replicaDB.LoadSnapshot(db.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	s1 := New(Config{Name: "server1", Mode: Prototype, DB: replicaDB, Loc: NewLocDB(),
-		Clock: clk, AllocVolID: alloc})
+	s0, s1 := srvs[0], srvs[1]
 	newTap(s0, map[string]bool{"server1": true}, s1)
 	s1.AddPeer("server0", directCaller{s0})
 
-	rootACL := prot.NewACL()
-	rootACL.Grant(prot.AnyUser, prot.RightLookup|prot.RightRead)
-	rootACL.Grant(AdminGroup, prot.RightsAll)
-	if err := s0.AddVolume(volume.New(1, "root", rootACL, 0, "operator", clk)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s0.InstallLoc([]proto.LocEntry{{Prefix: "/", Volume: 1, Custodian: "server0"}}, nil); err != nil {
-		t.Fatal(err)
-	}
 	dispatch := func(user string, op uint16, body, bulk []byte) rpc.Response {
 		return s0.Dispatcher().Dispatch(rpc.Ctx{User: user},
 			rpc.Request{Op: rpc.Op(op), Body: body, Bulk: bulk})
@@ -365,10 +329,11 @@ func TestReleaseResumesAfterCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s0b := New(custodianCfg(ws2))
-	if _, err := s0b.RecoverStore(); err != nil {
+	srvs, _, err = BootCell([]Config{custodianCfg(ws2)}, usersDB(t, "satya"), "pw")
+	if err != nil {
 		t.Fatal(err)
 	}
+	s0b := srvs[0]
 	s0b.AddPeer("server1", directCaller{s1})
 
 	le, ok := s0b.Loc().Resolve("/bin-ro")

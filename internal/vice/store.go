@@ -140,11 +140,11 @@ func (s *Server) applyProt(m prot.Mutation) error {
 // RecoverStore loads the store's surviving state into the server: the
 // protection database, the location database, and every volume (already
 // salvaged by the engine, here fitted with the server's clock and dirty
-// tracking). The recovery report goes to the flight recorder as
-// vice.salvage events and to the metrics registry, and the store is
-// checkpointed immediately so the replayed log is compacted away; a
-// checkpoint the store refuses as too large is a note in the report, not an
-// error. Call once, before serving.
+// tracking). The store is checkpointed immediately so the replayed log is
+// compacted away; a checkpoint the store refuses as too large is a note in the
+// report, not an error. Unless the store was empty, the recovery report goes
+// to the flight recorder as vice.salvage events and to the metrics registry.
+// Call once, before serving.
 func (s *Server) RecoverStore() (*store.Report, error) {
 	st := s.cfg.Store
 	if st == nil {
@@ -183,6 +183,11 @@ func (s *Server) RecoverStore() (*store.Report, error) {
 	if errors.Is(err, store.ErrTooLarge) {
 		rep.Notes = append(rep.Notes, fmt.Sprintf("log not compacted: %v", err))
 		err = nil
+	}
+	// A store that held no checkpoint, no record and no torn tail has nothing
+	// to report: a first boot leaves no trace beyond its checkpoint.
+	if rec.ProtSnapshot == nil && rep.LastSeq == 0 && rep.DiscardedBytes == 0 && len(rep.Notes) == 0 {
+		return rep, err
 	}
 	if fl := s.cfg.Flight; fl != nil {
 		for _, line := range rep.Lines() {

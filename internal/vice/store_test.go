@@ -11,7 +11,6 @@ import (
 	"itcfs/internal/prot"
 	"itcfs/internal/proto"
 	"itcfs/internal/rpc"
-	"itcfs/internal/secure"
 	"itcfs/internal/sim"
 	"itcfs/internal/store"
 	"itcfs/internal/store/walstore"
@@ -19,8 +18,8 @@ import (
 	"itcfs/internal/volume"
 )
 
-// durableServer is one server with a store attached, the shape itcfsd runs:
-// recover first, bootstrap the root volume only when nothing was recovered.
+// durableServer is one server with a store attached, booted as itcfsd boots
+// one.
 type durableServer struct {
 	srv     *Server
 	flight  *trace.Recorder
@@ -30,52 +29,25 @@ type durableServer struct {
 
 func newDurableServer(t *testing.T, st store.Store) *durableServer {
 	t.Helper()
-	db := prot.NewDB()
-	for _, m := range []prot.Mutation{
-		{Kind: prot.MutAddUser, Name: "satya", Key: secure.DeriveKey("satya", "pw")},
-		{Kind: prot.MutAddUser, Name: "operator", Key: secure.DeriveKey("operator", "pw")},
-		{Kind: prot.MutAddGroup, Name: AdminGroup, Owner: "operator"},
-		{Kind: prot.MutAddMember, Name: AdminGroup, Member: "operator"},
-	} {
-		if err := db.Apply(m); err != nil {
-			t.Fatal(err)
-		}
-	}
 	var clock int64
 	var vclock sim.Time
 	d := &durableServer{
 		metrics: trace.NewRegistry(),
 		flight:  trace.NewRecorder(256, func() sim.Time { vclock++; return vclock }),
 	}
-	d.srv = New(Config{
-		Name:          "server0",
-		Mode:          Revised,
-		DB:            db,
-		Loc:           NewLocDB(),
-		Clock:         func() int64 { clock++; return clock },
-		ProtAuthority: true,
-		AllocVolID:    func() uint32 { return 99 },
-		Metrics:       d.metrics,
-		Flight:        d.flight,
-		Store:         st,
-	})
-	rep, err := d.srv.RecoverStore()
+	srv, rep, err := Boot(Config{
+		Name:    "server0",
+		Mode:    Revised,
+		DB:      usersDB(t, "satya"),
+		Clock:   func() int64 { clock++; return clock },
+		Metrics: d.metrics,
+		Flight:  d.flight,
+		Store:   st,
+	}, "pw")
 	if err != nil {
-		t.Fatalf("RecoverStore: %v", err)
+		t.Fatal(err)
 	}
-	d.report = rep
-	if _, ok := d.srv.Volume(1); !ok {
-		rootACL := prot.NewACL()
-		rootACL.Grant(prot.AnyUser, prot.RightLookup|prot.RightRead)
-		rootACL.Grant(AdminGroup, prot.RightsAll)
-		root := volume.New(1, "root", rootACL, 0, "operator", func() int64 { clock++; return clock })
-		if err := d.srv.AddVolume(root); err != nil {
-			t.Fatalf("AddVolume: %v", err)
-		}
-		if err := d.srv.InstallLoc([]proto.LocEntry{{Prefix: "/", Volume: 1, Custodian: "server0"}}, nil); err != nil {
-			t.Fatalf("InstallLoc: %v", err)
-		}
-	}
+	d.srv, d.report = srv, rep
 	return d
 }
 

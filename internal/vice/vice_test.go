@@ -3,6 +3,7 @@ package vice
 import (
 	"errors"
 	"fmt"
+	"path"
 	"testing"
 
 	"itcfs/internal/prot"
@@ -21,70 +22,51 @@ func (c directCaller) Call(p *sim.Proc, req rpc.Request) (rpc.Response, error) {
 	return c.srv.Dispatcher().Dispatch(rpc.Ctx{User: ServerUser, Proc: p}, req), nil
 }
 
-// cell is a small test cell: servers with replicated databases, a root
-// volume on servers[0], all peers wired.
+// cell is a small test cell, booted by BootCell with every peer wired
+// in-process.
 type cell struct {
 	servers []*Server
-	nextVol uint32
 }
 
 func newCell(t testing.TB, mode Mode, n int) *cell {
 	t.Helper()
-	c := &cell{nextVol: 1}
-	alloc := func() uint32 { c.nextVol++; return c.nextVol }
 	var clock int64
 	clk := func() int64 { clock++; return clock }
-
-	db := prot.NewDB()
-	for _, m := range []prot.Mutation{
-		{Kind: prot.MutAddUser, Name: "satya", Key: secure.DeriveKey("satya", "pw")},
-		{Kind: prot.MutAddUser, Name: "howard", Key: secure.DeriveKey("howard", "pw")},
-		{Kind: prot.MutAddUser, Name: "mallory", Key: secure.DeriveKey("mallory", "pw")},
-		{Kind: prot.MutAddUser, Name: "operator", Key: secure.DeriveKey("operator", "pw")},
-		{Kind: prot.MutAddGroup, Name: AdminGroup, Owner: "operator"},
-		{Kind: prot.MutAddMember, Name: AdminGroup, Member: "operator"},
-	} {
-		if err := db.Apply(m); err != nil {
-			t.Fatal(err)
-		}
+	cfgs := make([]Config, n)
+	for i := range cfgs {
+		cfgs[i] = Config{Name: fmt.Sprintf("server%d", i), Mode: mode, Clock: clk}
 	}
+	return bootCell(t, cfgs)
+}
 
-	for i := 0; i < n; i++ {
-		// Each server holds its own replica of the protection database.
-		dbCopy := prot.NewDB()
-		if err := dbCopy.LoadSnapshot(db.Snapshot()); err != nil {
-			t.Fatal(err)
-		}
-		s := New(Config{
-			Name:          fmt.Sprintf("server%d", i),
-			Mode:          mode,
-			DB:            dbCopy,
-			Loc:           NewLocDB(),
-			Clock:         clk,
-			ProtAuthority: i == 0,
-			AllocVolID:    alloc,
-		})
-		c.servers = append(c.servers, s)
+// bootCell boots a server per Config, with the users satya, howard and
+// mallory, and wires each to every other in-process.
+func bootCell(t testing.TB, cfgs []Config) *cell {
+	t.Helper()
+	srvs, _, err := BootCell(cfgs, usersDB(t, "satya", "howard", "mallory"), "pw")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, s := range c.servers {
-		for j, other := range c.servers {
-			if i != j {
+	for _, s := range srvs {
+		for _, other := range srvs {
+			if s != other {
 				s.AddPeer(other.Name(), directCaller{other})
 			}
 		}
 	}
+	return &cell{servers: srvs}
+}
 
-	// Root volume on server0, mounted at "/".
-	rootACL := prot.NewACL()
-	rootACL.Grant(prot.AnyUser, prot.RightLookup|prot.RightRead)
-	rootACL.Grant(AdminGroup, prot.RightsAll)
-	root := volume.New(1, "root", rootACL, 0, "operator", clk)
-	c.servers[0].AddVolume(root)
-	le := proto.LocEntry{Prefix: "/", Volume: 1, Custodian: c.servers[0].Name()}
-	for _, s := range c.servers {
-		s.Loc().Install([]proto.LocEntry{le}, nil)
+// usersDB is a protection database holding users, each with password "pw".
+func usersDB(t testing.TB, users ...string) *prot.DB {
+	t.Helper()
+	db := prot.NewDB()
+	for _, u := range users {
+		if err := db.Apply(prot.Mutation{Kind: prot.MutAddUser, Name: u, Key: secure.DeriveKey(u, "pw")}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return c
+	return db
 }
 
 func (c *cell) call(user string, srv int, op uint16, body, bulk []byte) rpc.Response {
@@ -110,55 +92,28 @@ func wantCode(t *testing.T, resp rpc.Response, code uint16) {
 	}
 }
 
-// mkdirAll creates every ancestor of path in the shared space as operator.
-func (c *cell) mkdirAll(t testing.TB, path string) {
+// mkdirAll creates dir and every ancestor of it in the shared space as
+// operator.
+func (c *cell) mkdirAll(t testing.TB, dir string) {
 	t.Helper()
-	parts := []string{}
-	for _, p := range splitPath(path) {
-		parts = append(parts, p)
-		dir := "/" + joinPath(parts[:len(parts)-1])
-		resp := c.call("operator", 0, proto.OpMakeDir,
-			proto.Marshal(proto.NameArgs{Dir: pathRef(dir), Name: p, Mode: 0o755}), nil)
-		if !resp.OK() && resp.Code != proto.CodeExist {
-			t.Fatalf("MakeDir %s/%s: code %d: %s", dir, p, resp.Code, resp.Body)
-		}
+	if dir == "/" {
+		return
 	}
-}
-
-func splitPath(p string) []string {
-	var out []string
-	cur := ""
-	for i := 1; i <= len(p); i++ {
-		if i == len(p) || p[i] == '/' {
-			if cur != "" {
-				out = append(out, cur)
-			}
-			cur = ""
-		} else {
-			cur += string(p[i])
-		}
+	c.mkdirAll(t, path.Dir(dir))
+	resp := c.call("operator", 0, proto.OpMakeDir,
+		proto.Marshal(proto.NameArgs{Dir: pathRef(path.Dir(dir)), Name: path.Base(dir), Mode: 0o755}), nil)
+	if !resp.OK() && resp.Code != proto.CodeExist {
+		t.Fatalf("MakeDir %s: code %d: %s", dir, resp.Code, resp.Body)
 	}
-	return out
-}
-
-func joinPath(parts []string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += "/"
-		}
-		out += p
-	}
-	return out
 }
 
 // mkVolume creates a user volume mounted at path via the admin op,
 // creating missing ancestor directories first.
-func (c *cell) mkVolume(t testing.TB, name, path, owner string, quota int64) uint32 {
+func (c *cell) mkVolume(t testing.TB, name, at, owner string, quota int64) uint32 {
 	t.Helper()
-	c.mkdirAll(t, dirOf(path))
+	c.mkdirAll(t, path.Dir(at))
 	resp := c.call("operator", 0, proto.OpVolCreate,
-		proto.Marshal(proto.VolCreateArgs{Name: name, Path: path, Quota: quota, Owner: owner}), nil)
+		proto.Marshal(proto.VolCreateArgs{Name: name, Path: at, Quota: quota, Owner: owner}), nil)
 	if !resp.OK() {
 		t.Fatalf("VolCreate: code %d: %s", resp.Code, resp.Body)
 	}
@@ -171,16 +126,16 @@ func (c *cell) mkVolume(t testing.TB, name, path, owner string, quota int64) uin
 
 func pathRef(p string) proto.Ref { return proto.Ref{Path: p} }
 
-func (c *cell) store(t testing.TB, user, path string, data []byte) proto.Status {
+func (c *cell) store(t testing.TB, user, file string, data []byte) proto.Status {
 	t.Helper()
 	// Create if missing, then store.
 	resp := c.call(user, 0, proto.OpCreate,
-		proto.Marshal(proto.NameArgs{Dir: pathRef(dirOf(path)), Name: baseOf(path), Mode: 0o644}), nil)
+		proto.Marshal(proto.NameArgs{Dir: pathRef(path.Dir(file)), Name: path.Base(file), Mode: 0o644}), nil)
 	if !resp.OK() && resp.Code != proto.CodeExist {
-		t.Fatalf("Create %s: code %d: %s", path, resp.Code, resp.Body)
+		t.Fatalf("Create %s: code %d: %s", file, resp.Code, resp.Body)
 	}
 	resp = mustOK(t, c.call(user, 0, proto.OpStore,
-		proto.Marshal(proto.StoreArgs{Ref: pathRef(path)}), data))
+		proto.Marshal(proto.StoreArgs{Ref: pathRef(file)}), data))
 	st, err := proto.Unmarshal(resp.Body, proto.DecodeStatus)
 	if err != nil {
 		t.Fatal(err)
@@ -197,27 +152,6 @@ func (c *cell) fetch(t *testing.T, user, path string) ([]byte, proto.Status) {
 		t.Fatal(err)
 	}
 	return resp.Bulk, st
-}
-
-func dirOf(p string) string {
-	for i := len(p) - 1; i >= 0; i-- {
-		if p[i] == '/' {
-			if i == 0 {
-				return "/"
-			}
-			return p[:i]
-		}
-	}
-	return "/"
-}
-
-func baseOf(p string) string {
-	for i := len(p) - 1; i >= 0; i-- {
-		if p[i] == '/' {
-			return p[i+1:]
-		}
-	}
-	return p
 }
 
 func TestStoreAndFetchByPath(t *testing.T) {

@@ -14,7 +14,6 @@ import (
 	"itcfs/internal/unixfs"
 	"itcfs/internal/venus"
 	"itcfs/internal/vice"
-	"itcfs/internal/volume"
 )
 
 // rig builds a single-server cell and a workstation FS wired directly to it
@@ -24,29 +23,19 @@ func rig(t *testing.T, mode vice.Mode) (*FS, *vice.Server) {
 	var clock int64
 	clk := func() int64 { clock++; return clock }
 	db := prot.NewDB()
-	for _, m := range []prot.Mutation{
-		{Kind: prot.MutAddUser, Name: "satya", Key: secure.DeriveKey("satya", "pw")},
-		{Kind: prot.MutAddUser, Name: "operator", Key: secure.DeriveKey("operator", "pw")},
-		{Kind: prot.MutAddGroup, Name: vice.AdminGroup},
-		{Kind: prot.MutAddMember, Name: vice.AdminGroup, Member: "operator"},
-	} {
-		if err := db.Apply(m); err != nil {
-			t.Fatal(err)
-		}
+	if err := db.Apply(prot.Mutation{Kind: prot.MutAddUser, Name: "satya", Key: secure.DeriveKey("satya", "pw")}); err != nil {
+		t.Fatal(err)
 	}
-	nextVol := uint32(1)
-	srv := vice.New(vice.Config{
-		Name: "s0", Mode: mode, DB: db, Clock: clk,
-		ProtAuthority: true,
-		AllocVolID:    func() uint32 { nextVol++; return nextVol },
-	})
-	acl := prot.NewACL()
-	acl.Grant(prot.AnyUser, prot.RightLookup|prot.RightRead)
+	srv, _, err := vice.Boot(vice.Config{Name: "s0", Mode: mode, DB: db, Clock: clk}, "pw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, _ := srv.Volume(1)
+	acl, _ := root.GetACL(root.Root())
 	acl.Grant("satya", prot.RightsAll)
-	acl.Grant(vice.AdminGroup, prot.RightsAll)
-	root := volume.New(1, "root", acl, 0, "operator", clk)
-	srv.AddVolume(root)
-	srv.Loc().Install([]proto.LocEntry{{Prefix: "/", Volume: 1, Custodian: "s0"}}, nil)
+	if err := root.SetACL(root.Root(), acl); err != nil {
+		t.Fatal(err)
+	}
 
 	local := unixfs.New(clk)
 	var v *venus.Venus
@@ -60,17 +49,20 @@ func rig(t *testing.T, mode vice.Mode) (*FS, *vice.Server) {
 	return New(local, v), srv
 }
 
+// directConn is the workstation's connection to the server, without a
+// network. It dispatches each call straight into the server and, as the
+// simulated carrier does, hands the request to the server and the reply to
+// Venus in copies of their own, marked Owned, which each keeps as it is
+// handed.
 type directConn struct {
 	srv  *vice.Server
 	user func() string
 }
 
 func (c directConn) Call(p *sim.Proc, req rpc.Request) (rpc.Response, error) {
-	// As a transport does, deliver Bulk in a buffer of the receiver's own in
-	// both directions: server and Venus each keep what they are handed.
-	req.Bulk = bytes.Clone(req.Bulk)
+	req.Body, req.Bulk, req.Owned = bytes.Clone(req.Body), bytes.Clone(req.Bulk), true
 	resp := c.srv.Dispatcher().Dispatch(rpc.Ctx{User: c.user(), Proc: p}, req)
-	resp.Bulk = bytes.Clone(resp.Bulk)
+	resp.Body, resp.Bulk, resp.Owned = bytes.Clone(resp.Body), bytes.Clone(resp.Bulk), true
 	return resp, nil
 }
 

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"itcfs/internal/prot"
-	"itcfs/internal/proto"
 	"itcfs/internal/rpc"
 	"itcfs/internal/secure"
 	"itcfs/internal/sim"
@@ -16,7 +15,6 @@ import (
 	"itcfs/internal/venus"
 	"itcfs/internal/vice"
 	"itcfs/internal/virtue"
-	"itcfs/internal/volume"
 )
 
 // rig is a minimal direct-dispatch workstation (no simulated network), so
@@ -27,24 +25,19 @@ func rig(t *testing.T) *virtue.FS {
 	var clock int64
 	clk := func() int64 { clock++; return clock }
 	db := prot.NewDB()
-	for _, m := range []prot.Mutation{
-		{Kind: prot.MutAddUser, Name: "u1", Key: secure.DeriveKey("u1", "pw")},
-		{Kind: prot.MutAddGroup, Name: vice.AdminGroup},
-	} {
-		if err := db.Apply(m); err != nil {
-			t.Fatal(err)
-		}
+	if err := db.Apply(prot.Mutation{Kind: prot.MutAddUser, Name: "u1", Key: secure.DeriveKey("u1", "pw")}); err != nil {
+		t.Fatal(err)
 	}
-	next := uint32(1)
-	srv := vice.New(vice.Config{
-		Name: "s0", Mode: vice.Prototype, DB: db, Clock: clk,
-		AllocVolID: func() uint32 { next++; return next },
-	})
+	srv, _, err := vice.Boot(vice.Config{Name: "s0", Mode: vice.Prototype, DB: db, Clock: clk}, "pw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, _ := srv.Volume(1)
 	acl := prot.NewACL()
 	acl.Grant(prot.AnyUser, prot.RightsAll)
-	root := volume.New(1, "root", acl, 0, "u1", clk)
-	srv.AddVolume(root)
-	srv.Loc().Install([]proto.LocEntry{{Prefix: "/", Volume: 1, Custodian: "s0"}}, nil)
+	if err := root.SetACL(root.Root(), acl); err != nil {
+		t.Fatal(err)
+	}
 
 	local := unixfs.New(clk)
 	var v *venus.Venus
@@ -58,17 +51,20 @@ func rig(t *testing.T) *virtue.FS {
 	return virtue.New(local, v)
 }
 
+// directConn is the workstation's connection to the server, without a
+// network. It dispatches each call straight into the server and, as the
+// simulated carrier does, hands the request to the server and the reply to
+// Venus in copies of their own, marked Owned, which each keeps as it is
+// handed.
 type directConn struct {
 	srv  *vice.Server
 	user func() string
 }
 
 func (c directConn) Call(p *sim.Proc, req rpc.Request) (rpc.Response, error) {
-	// As a transport does, deliver Bulk in a buffer of the receiver's own in
-	// both directions: server and Venus each keep what they are handed.
-	req.Bulk = bytes.Clone(req.Bulk)
+	req.Body, req.Bulk, req.Owned = bytes.Clone(req.Body), bytes.Clone(req.Bulk), true
 	resp := c.srv.Dispatcher().Dispatch(rpc.Ctx{User: c.user(), Proc: p}, req)
-	resp.Bulk = bytes.Clone(resp.Bulk)
+	resp.Body, resp.Bulk, resp.Owned = bytes.Clone(resp.Body), bytes.Clone(resp.Bulk), true
 	return resp, nil
 }
 

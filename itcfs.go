@@ -138,8 +138,9 @@ type CellConfig struct {
 	// server index; return nil for volatile). The default — nil everywhere —
 	// keeps volumes in memory, exactly the pre-durability behaviour; attach
 	// a walstore, on store.NewMemFS() to journal without touching disk or on
-	// a directory for real files. The simulator's determinism is unaffected
-	// either way (see TestStoreDeterminism).
+	// a directory for real files. Each server recovers what its store holds
+	// as it boots, as itcfsd's does. The simulator's determinism is
+	// unaffected either way (see TestStoreDeterminism).
 	Store func(server int) store.Store
 }
 
@@ -192,7 +193,6 @@ type Cell struct {
 	cfg         CellConfig
 	costs       CostConfig
 	callTimeout time.Duration // of every endpoint's calls
-	nextVol     uint32
 	serverKey   secure.Key
 	workst      []*Workstation
 }
@@ -224,7 +224,6 @@ func NewCell(cfg CellConfig) *Cell {
 		cfg:         cfg,
 		costs:       costs,
 		callTimeout: callTimeout,
-		nextVol:     1,
 	}
 	if cfg.Trace {
 		c.Tracer = trace.New(func() sim.Time { return k.Now() })
@@ -246,48 +245,40 @@ func NewCell(cfg CellConfig) *Cell {
 	}
 	c.serverKey = serverKey
 
-	// Bootstrap protection database, replicated to every server: the server
-	// identity first, then the operations staff.
+	// The servers, booted as every cell is: the server identity goes into
+	// the protection database first, ahead of the operations staff.
 	base := prot.NewDB()
-	err = base.Apply(prot.Mutation{Kind: prot.MutAddUser, Name: vice.ServerUser, Key: serverKey})
-	if err == nil {
-		err = vice.BootstrapDB(base, operatorPassword)
-	}
-	if err != nil {
+	if err := base.Apply(prot.Mutation{Kind: prot.MutAddUser, Name: vice.ServerUser, Key: serverKey}); err != nil {
 		panic(fmt.Sprintf("itcfs: bootstrap: %v", err))
 	}
-
 	clock := func() int64 { return int64(k.Now()) }
-	for i := 0; i < cfg.Clusters; i++ {
-		cl := c.Net.AddCluster(fmt.Sprintf("cluster%d", i))
-		c.Clusters = append(c.Clusters, cl)
-		node := c.Net.AddNode(fmt.Sprintf("server%d", i), cl)
-		cpu := sim.NewResource(k, fmt.Sprintf("server%d-cpu", i))
-		disk := sim.NewResource(k, fmt.Sprintf("server%d-disk", i))
-		db := prot.NewDB()
-		if err := db.LoadSnapshot(base.Snapshot()); err != nil {
-			panic(err)
-		}
-		var st store.Store
-		if cfg.Store != nil {
-			st = cfg.Store(i)
-		}
-		vs := vice.New(vice.Config{
+	cfgs := make([]vice.Config, cfg.Clusters)
+	for i := range cfgs {
+		cfgs[i] = vice.Config{
 			Name:            fmt.Sprintf("server%d", i),
 			Mode:            cfg.Mode,
-			DB:              db,
-			Loc:             vice.NewLocDB(),
 			Clock:           clock,
-			ProtAuthority:   i == 0,
-			AllocVolID:      c.allocVol,
 			Metrics:         cfg.Metrics,
 			Flight:          c.Flight,
 			UnbatchedBreaks: cfg.UnbatchedBreaks,
 			BreakWindow:     cfg.BreakWindow,
-			Store:           st,
-		})
+		}
+		if cfg.Store != nil {
+			cfgs[i].Store = cfg.Store(i)
+		}
+	}
+	vss, _, err := vice.BootCell(cfgs, base, operatorPassword)
+	if err != nil {
+		panic(fmt.Sprintf("itcfs: bootstrap: %v", err))
+	}
+	for i, vs := range vss {
+		cl := c.Net.AddCluster(fmt.Sprintf("cluster%d", i))
+		c.Clusters = append(c.Clusters, cl)
+		node := c.Net.AddNode(vs.Name(), cl)
+		cpu := sim.NewResource(k, fmt.Sprintf("server%d-cpu", i))
+		disk := sim.NewResource(k, fmt.Sprintf("server%d-disk", i))
 		ep := rpc.NewEndpoint(c.Net, node, rpc.EndpointConfig{
-			Keys:        db.LookupKey,
+			Keys:        vs.DB().LookupKey,
 			Server:      vs.Dispatcher(),
 			Bill:        costs.Bill(cfg.Mode, cpu, disk),
 			CallTimeout: callTimeout,
@@ -300,15 +291,6 @@ func NewCell(cfg CellConfig) *Cell {
 		c.Servers = append(c.Servers, &Server{
 			Vice: vs, Endpoint: ep, Node: node, Cluster: cl, CPU: cpu, Disk: disk,
 		})
-	}
-
-	// Root volume on server0, location known everywhere.
-	le, err := c.Servers[0].Vice.BootstrapRoot()
-	if err != nil {
-		panic(err)
-	}
-	for _, s := range c.Servers {
-		s.Vice.Loc().Install([]proto.LocEntry{le}, nil)
 	}
 
 	// Wire servers to each other over the network, authenticated as the
@@ -328,11 +310,6 @@ func NewCell(cfg CellConfig) *Cell {
 		}
 	})
 	return c
-}
-
-func (c *Cell) allocVol() uint32 {
-	c.nextVol++
-	return c.nextVol
 }
 
 // Run spawns fn as a simulated process and drives the kernel until all

@@ -54,7 +54,7 @@ const bulkBack rpc.Op = 0x7f01
 
 func newRealCell(t *testing.T, mode Mode, users ...string) *realCell {
 	t.Helper()
-	return bootRealCell(t, vice.Config{Name: "server0", Mode: mode, ProtAuthority: true}, nil, users...)
+	return bootRealCell(t, vice.Config{Name: "server0", Mode: mode}, nil, users...)
 }
 
 // bootRealCell is newRealCell for a caller with a Config of its own (a store)
@@ -364,7 +364,7 @@ func TestRealCellStationOutlivesItsConnection(t *testing.T) {
 func tracedRealCell(t *testing.T, mode Mode, users ...string) (*realCell, *trace.Tracer) {
 	t.Helper()
 	tr := trace.New(func() sim.Time { return rpc.Clock(nil) })
-	return bootRealCell(t, vice.Config{Name: "server0", Mode: mode, ProtAuthority: true}, tr, users...), tr
+	return bootRealCell(t, vice.Config{Name: "server0", Mode: mode}, tr, users...), tr
 }
 
 // servedOp returns the one span named name whose op attribute is op.

@@ -3,12 +3,14 @@ package itcfs
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"itcfs/internal/sim"
 	"itcfs/internal/store"
 	"itcfs/internal/store/walstore"
+	"itcfs/internal/vice"
 )
 
 // storeScenario drives a fixed workload — user provisioning, writes across
@@ -100,7 +102,7 @@ func TestStoreDeterminism(t *testing.T) {
 
 	// Durability cross-check: what a restart would recover from each server's
 	// log — a second store opened on the same files — is exactly what the
-	// live server holds.
+	// live server holds, its volumes and its location rows.
 	for i, s := range cell.Servers {
 		restarted, err := walstore.Open(disks[i])
 		if err != nil {
@@ -109,6 +111,13 @@ func TestStoreDeterminism(t *testing.T) {
 		rec, err := restarted.Recover()
 		if err != nil {
 			t.Fatalf("server %d: recover: %v", i, err)
+		}
+		loc := vice.NewLocDB()
+		for _, op := range rec.LocOps {
+			loc.Install(op.Entries, op.Remove)
+		}
+		if got, want := loc.Entries(), s.Vice.Loc().Entries(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("server %d: store has location rows %v, server has %v", i, got, want)
 		}
 		ids := s.Vice.VolumeIDs()
 		if len(rec.Volumes) != len(ids) {
