@@ -100,6 +100,12 @@ go test -race -count=10 -run='^TestOwnershipModel$' ./internal/unixfs
 # cache hit run ten times more.
 go test -race -count=10 -run='^(TestRequestBulkIsReadOnlyUntilCallReturns|TestPeerReplyBodiesUnderLoad|TestSimReplayCarriesTheOriginalReply)$' ./internal/rpc
 go test -race -count=10 -run='^TestCacheCountersUnderConcurrentOpens$' ./internal/venus
+# walstore builds every record in the store's one buffer, under its mutex,
+# and a checkpoint drops that buffer between commits: a record encoded
+# outside the mutex would be built over another goroutine's, and only when
+# two commits meet in it. The test that commits from four goroutines around
+# a checkpoint runs ten times more.
+go test -race -count=10 -run='^TestConcurrentCommitsShareTheRecordBuffer$' ./internal/store/walstore
 
 # The real path's cost table pins every cell of every row; a pin that holds
 # only on some runs is a pin to fix, so it runs five times more. The leak
@@ -146,9 +152,9 @@ rm -rf "$tmpdir"
 # mailbox and timetable benches building and running. The zero-alloc gates
 # (TestMailboxPutGetZeroAlloc and friends) run in `go test ./...` above.
 go test -run=NONE -bench='^Benchmark(ParkResume|MailboxSendRecv|ScheduleDrain)$' -benchtime=100x ./internal/sim
-# The same for a sealed record's round trip, the measurement pooled against
-# fresh record buffers rests on (wire.maxPooled, walstore.pooledRecord), and a
-# checkpoint built from live volumes against one built from their images.
+# The same for a sealed record's round trip, a walstore commit by the size
+# of its file, and a checkpoint built from live volumes against one built
+# from their images.
 go test -run=NONE -bench='^BenchmarkSealOpen' -benchtime=100x ./internal/secure
 go test -run=NONE -bench='^Benchmark(Commit|Checkpoint)' -benchtime=100x ./internal/store/walstore
 

@@ -70,9 +70,28 @@ func (m *MemFS) Truncate(name string, size int64) error {
 		return fmt.Errorf("memfs: %s: %w", name, os.ErrNotExist)
 	}
 	if size < int64(len(b)) {
-		m.files[name] = b[:size]
+		b = b[:size]
+		// A slice keeps its whole array. Under half of it in use, copy what
+		// is left, so a truncated log gives its memory back as a file on
+		// disk gives back its blocks.
+		if size < int64(cap(b))/2 {
+			b = append([]byte(nil), b...)
+		}
+		m.files[name] = b
 	}
 	return nil
+}
+
+// Grow gives name room for n more bytes, creating it empty if absent, so
+// that appends of up to that many allocate nothing, as appending to a file
+// on disk allocates nothing. A test that counts allocations uses it to keep
+// the slice's growth out of them.
+func (m *MemFS) Grow(name string, n int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if b := m.files[name]; cap(b)-len(b) < n {
+		m.files[name] = append(make([]byte, 0, len(b)+n), b...)
+	}
 }
 
 // Remove deletes name; absent files are not an error.

@@ -318,6 +318,48 @@ func TestMemFSAtomicWriteAndTruncate(t *testing.T) {
 	}
 }
 
+// TestMemFSTruncateGivesMemoryBack: a log cut back to its magic, as a
+// checkpoint cuts it, keeps nothing of the array its appends grew, while a
+// cut that keeps most of a file keeps its array. Grow gives room that the
+// next appends use without allocating.
+func TestMemFSTruncateGivesMemoryBack(t *testing.T) {
+	m := NewMemFS()
+	f, err := m.Open("log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := func() int {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return cap(m.files["log"])
+	}
+	chunk := make([]byte, 256<<10)
+	for range 16 { // 4 MiB
+		if err := f.Append(chunk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Truncate("log", 3<<20); err != nil {
+		t.Fatal(err)
+	}
+	if got := held(); got < 4<<20 {
+		t.Fatalf("a cut to 3 of 4 MiB left a %d-byte array, want the file's own", got)
+	}
+	if err := m.Truncate("log", 8); err != nil {
+		t.Fatal(err)
+	}
+	if got := held(); got > 64 {
+		t.Fatalf("a log cut to its 8-byte magic holds a %d-byte array", got)
+	}
+	m.Grow("log", 1<<20)
+	if n := testing.AllocsPerRun(4, func() { f.Append(chunk[:1024]) }); n != 0 {
+		t.Fatalf("an append into room Grow gave allocated %v objects", n)
+	}
+	if b, _ := m.ReadFile("log"); len(b) != 8+5*1024 {
+		t.Fatalf("log holds %d bytes, want %d", len(b), 8+5*1024)
+	}
+}
+
 // TestAppendDoesNotRetainItsArgument holds every FS to File.Append's
 // contract: walstore builds the next record in the buffer it just appended,
 // so a file that kept the slice (or wrote through it) would journal garbage.

@@ -159,8 +159,10 @@ func TestRecoveryDropsUnreadableVolumes(t *testing.T) {
 // from live volumes with the one referenceCheckpoint builds through the log's
 // append path from their Serialize images: byte for byte, over volumes that
 // hold nothing, a tree of directories with access lists, a symlink, a hard
-// link, empty files, files on both sides of pooledRecord, and a read-only
-// clone sharing its parent's contents. Recovering the file gives back the
+// link, empty files, files a byte either side of 64 KiB and one of 192 KiB,
+// and a read-only clone sharing its parent's contents; the reference builds
+// every record in the store's one buffer, the small protection snapshot in
+// what the volumes' images grew it to. Recovering the file gives back the
 // seqno, the volumes' images and both databases.
 func TestCheckpointBytesMatchImages(t *testing.T) {
 	empty := newVol(t, 3)
@@ -194,9 +196,9 @@ func TestCheckpointBytesMatchImages(t *testing.T) {
 	file(v.Root(), "empty", 0)
 	file(src.Status.FID, "also-empty", 0)
 	file(src.Status.FID, "small", 100)
-	file(lib.Status.FID, "under", pooledRecord-1)
-	big := file(lib.Status.FID, "over", pooledRecord+1)
-	file(v.Root(), "large", 3*pooledRecord)
+	file(lib.Status.FID, "under", 64<<10-1)
+	big := file(lib.Status.FID, "over", 64<<10+1)
+	file(v.Root(), "large", 192<<10)
 	_, err = v.Symlink(v.Root(), "ln", "src/lib/over")
 	must(err)
 	must(v.Link(src.Status.FID, "hard", big))

@@ -102,37 +102,10 @@ var errTorn = errors.New("walstore: torn or corrupt record")
 // and the seq/kind stamp.
 const recPrefix = 8 + 9
 
-// pooledRecord is the record size from which newRecord does not borrow from
-// the encoder pool. It repeats wire.maxPooled, the bound wire.PutEncoder
-// enforces (see there for the measurement that set it): a buffer grown to
-// this size would not be taken back, and growing a warm pooled encoder only
-// to have it dropped would cost the next small message its buffer. Were the
-// two to differ nothing breaks — a record between them is built in a pooled
-// encoder that is then dropped, or in a fresh one that is then pooled.
-const pooledRecord = 64 << 10
-
-// newRecord returns an encoder holding a record whose prefix is reserved but
-// blank, with room for bodySize more bytes. The caller encodes the body
-// straight after it and Store.append fills the prefix in, appends the record
-// and releases the encoder, so a record is built in the one buffer that is
-// appended to the log, not encoded, stamped and framed through three. A
-// small record is built in a pooled buffer, the memory the last one used; a
-// record that may carry a whole file costs its one sized allocation, which
-// no pool keeps afterwards.
-func newRecord(bodySize int) *wire.Encoder {
-	var e *wire.Encoder
-	if recPrefix+bodySize < pooledRecord {
-		e = wire.GetEncoder()
-	} else {
-		e = new(wire.Encoder)
-	}
-	e.Grow(recPrefix + bodySize)
-	reserveRecord(e)
-	return e
-}
-
 // reserveRecord appends a record's blank prefix to e and returns where the
-// record starts, for finishRecord to stamp once its body follows.
+// record starts, for finishRecord to stamp once its body follows. A record
+// is built where it is written from: a log record in the store's record
+// buffer (put), a checkpoint's in the checkpoint file's.
 func reserveRecord(e *wire.Encoder) int {
 	start := e.Len()
 	var blank [recPrefix]byte

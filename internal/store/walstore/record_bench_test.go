@@ -6,42 +6,53 @@ import (
 
 	"itcfs/internal/store"
 	"itcfs/internal/volume"
-	"itcfs/internal/wire"
 )
 
-// BenchmarkCommit is the measurement behind pooledRecord and wire.maxPooled:
-// what building a commit's record costs in a buffer that is reused against
-// one allocated for it, by record size. The record is built exactly as
-// Commit builds it — sized, encoded, stamped, checksummed — and not
-// appended, so the share an allocation has of a real commit (a write, then
-// an fsync) is smaller still.
+// BenchmarkCommit is what Store.Commit costs, by the size of the file the
+// commit carries: the record built, stamped and appended to the log, on a
+// MemFS and without an fsync. Appending to a file on disk allocates nothing,
+// so the log is given room: it holds 16 records before the timer starts,
+// has room for 8 more, and is cut back to the 16, outside the timer, when
+// they fill it. A MemFS file cut to half its array or more keeps the array,
+// so every commit appends into the same memory, and what the benchmark
+// allocates is the store's own.
 func BenchmarkCommit(b *testing.B) {
-	build := func(e *wire.Encoder, c store.Commit) {
-		e.Grow(recPrefix + c.EncodedSize())
-		var blank [recPrefix]byte
-		e.Raw(blank[:])
-		c.Encode(e)
-		finishRecord(e.Buf(), 1, kindCommit)
-	}
-	for _, size := range []int{256, 4 << 10, 16 << 10, 64 << 10, 256 << 10} {
+	for _, size := range []int{256, 4 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20} {
 		c := store.Commit{
 			Vol:  7,
 			Meta: []volume.VnodeMeta{{Vnode: 2, Meta: make([]byte, 60)}},
 			Data: []volume.VnodeData{{Vnode: 2, Data: make([]byte, size)}},
 		}
-		b.Run(fmt.Sprintf("reused/%d", size), func(b *testing.B) {
-			var e wire.Encoder
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				e.Reset()
-				build(&e, c)
+		b.Run(fmt.Sprint(size), func(b *testing.B) {
+			fsys := store.NewMemFS()
+			s, err := Open(fsys)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-		b.Run(fmt.Sprintf("fresh/%d", size), func(b *testing.B) {
+			defer s.Close()
+			commit := func() {
+				if err := s.Commit(c); err != nil {
+					b.Fatal(err)
+				}
+			}
+			const kept, room = 16, 8
+			for range kept {
+				commit()
+			}
+			record := recPrefix + c.EncodedSize()
+			fsys.Grow(walName, room*record)
 			b.ReportAllocs()
+			b.SetBytes(int64(size))
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				var e wire.Encoder
-				build(&e, c)
+				if i > 0 && i%room == 0 {
+					b.StopTimer()
+					if err := fsys.Truncate(walName, int64(len(walMagic)+kept*record)); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				commit()
 			}
 		})
 	}

@@ -6,17 +6,24 @@ import (
 	"itcfs/internal/proto"
 	"itcfs/internal/store"
 	"itcfs/internal/volume"
+	"itcfs/internal/wire"
 )
 
 // frameRecord builds a complete record around an already-encoded body, the
-// way the store's mutators do around the body they encode in place: the
-// goldens pin the production prefix code through it.
+// way put does around the body it encodes in place: the goldens pin the
+// production prefix code through it.
 func frameRecord(seq uint64, kind uint8, body []byte) []byte {
-	e := newRecord(len(body))
+	var e wire.Encoder
+	reserveRecord(&e)
 	e.Raw(body)
 	finishRecord(e.Buf(), seq, kind)
 	return e.Buf()
 }
+
+// rawBody is a record body already encoded.
+type rawBody []byte
+
+func (b rawBody) Encode(e *wire.Encoder) { e.Raw(b) }
 
 // encodeCheckpoint is buildCheckpoint for snapshots known to be within the
 // limits, so the goldens pin the production encoder through it.
@@ -58,9 +65,7 @@ func referenceCheckpoint(seq uint64, prot []byte, loc []proto.LocEntry, vols []*
 	for _, v := range vols {
 		must(s.BeginVolume(v.ID(), v.Serialize()))
 	}
-	e := newRecord(len(prot))
-	e.Raw(prot)
-	must(s.append(kindProtSnapshot, e))
+	must(put(s, kindProtSnapshot, len(prot), rawBody(prot)))
 	log, _ := fsys.Bytes(walName)
 	file := []byte(walMagic)
 	for off := len(walMagic); off < len(log); {

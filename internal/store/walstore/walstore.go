@@ -2,7 +2,11 @@
 // group-commit fsync and periodic checkpoint/compaction.
 //
 // Every store operation appends one checksummed, sequence-numbered record
-// to wal.log (see record.go for the format). Sync fsyncs the log —
+// to wal.log (see record.go for the format), built under the store's mutex
+// in the one buffer the store keeps for its records: a file's contents are
+// copied once, into memory an earlier record grew. Checkpoint and Close give
+// that buffer back, so a store holds at most its largest record since its
+// last checkpoint. Sync fsyncs the log —
 // concurrent committers coalesce onto a single fsync (group commit) — and
 // only then may the server acknowledge the operations. Checkpoint writes a
 // full snapshot, as the records of a log of its own, to a separate file with
@@ -56,6 +60,8 @@ type Store struct {
 	ckptSeq uint64 // sequence number the checkpoint file covers
 	// guarded by mu
 	err error // first write/sync failure; latched, store is dead after
+	// guarded by mu
+	rec wire.Encoder // every log record is built here (put); Checkpoint and Close drop it
 
 	recovered *store.Recovery // built once at Open, handed over by Recover
 }
@@ -348,23 +354,38 @@ func applyRecord(kind uint8, body []byte, vols map[uint32]*volume.Volume, rec *s
 	return nil
 }
 
-// append completes the record in e (a newRecord encoder, body encoded) with
-// the next seqno, appends it to the log in one Append — a record is never
-// split: each Append is one crash point, and recovery's torn-tail rule is
-// stated per record — and returns e to its pool, which File.Append's
-// contract (it keeps nothing of its argument) makes safe.
+// put appends one record of kind whose body is m, which encodes in bodySize
+// bytes (0: not known ahead), with the next seqno, in one Append — a record
+// is never split: each Append is one crash point, and recovery's torn-tail
+// rule is stated per record.
 //
-// A record recovery would not read back is refused here (see checkSize),
-// before it is appended; BeginVolume and Commit, which know their record's
-// size before they build it, refuse it before that.
-func (s *Store) append(kind uint8, e *wire.Encoder) error {
-	defer wire.PutEncoder(e)
-	rec := e.Buf()
+// Every record is built under mu in s.rec, the store's one record buffer:
+// emptied, grown to the record's size, the body encoded after a reserved
+// prefix and the prefix stamped in place, so a record's bytes, a file's
+// contents included, are copied once, into memory an earlier record
+// already grew. File.Append's contract (it keeps nothing of its argument)
+// lets the next record overwrite it. The buffer keeps the capacity of the
+// largest record since the last Checkpoint, which drops it, as Close does.
+// It is generic over the body, as wire.Marshal is, so that a commit is
+// encoded where it lies, not boxed.
+//
+// A record recovery would not read back is refused (see checkSize): before
+// it is built when bodySize says so, else before it is appended.
+func put[M wire.Message](s *Store, kind uint8, bodySize int, m M) error {
+	if err := checkSize(kind, bodySize); err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.err != nil {
 		return s.err
 	}
+	e := &s.rec
+	e.Reset()
+	e.Grow(recPrefix + bodySize)
+	reserveRecord(e)
+	m.Encode(e)
+	rec := e.Buf()
 	if err := checkSize(kind, len(rec)-recPrefix); err != nil {
 		return err
 	}
@@ -393,50 +414,45 @@ func checkSize(kind uint8, bodySize int) error {
 
 // BeginVolume records a volume's existence with its full initial image.
 func (s *Store) BeginVolume(id uint32, image []byte) error {
-	size := 8 + len(image)
-	if err := checkSize(kindBegin, size); err != nil {
-		return err
-	}
-	e := newRecord(size)
-	e.U32(id)
-	e.Bytes(image)
-	return s.append(kindBegin, e)
+	return put(s, kindBegin, 8+len(image), beginBody{id, image})
 }
 
 // DropVolume forgets a volume.
 func (s *Store) DropVolume(id uint32) error {
-	e := newRecord(4)
-	e.U32(id)
-	return s.append(kindDrop, e)
+	return put(s, kindDrop, 4, dropBody(id))
 }
 
 // Commit records the durable effect of one logical operation. It is done
 // with c's slices when it returns: they are copied into the record here.
 func (s *Store) Commit(c store.Commit) error {
-	// Sized exactly, so the record, file contents included, is allocated at
-	// most once, and one recovery would not read back is refused unbuilt.
-	size := c.EncodedSize()
-	if err := checkSize(kindCommit, size); err != nil {
-		return err
-	}
-	e := newRecord(size)
-	c.Encode(e)
-	return s.append(kindCommit, e)
+	return put(s, kindCommit, c.EncodedSize(), c)
 }
 
 // PutLoc records a location-database change.
 func (s *Store) PutLoc(entries []proto.LocEntry, remove []string) error {
-	e := newRecord(0)
-	proto.LocInstallArgs{Entries: entries, Remove: remove}.Encode(e)
-	return s.append(kindLoc, e)
+	return put(s, kindLoc, 0, proto.LocInstallArgs{Entries: entries, Remove: remove})
 }
 
 // PutProt records a protection-database mutation.
 func (s *Store) PutProt(m prot.Mutation) error {
-	e := newRecord(0)
-	m.Encode(e)
-	return s.append(kindProt, e)
+	return put(s, kindProt, 0, m)
 }
+
+// beginBody is a kindBegin record's body: the volume's id and image.
+type beginBody struct {
+	id    uint32
+	image []byte
+}
+
+func (b beginBody) Encode(e *wire.Encoder) {
+	e.U32(b.id)
+	e.Bytes(b.image)
+}
+
+// dropBody is a kindDrop record's body: the volume's id.
+type dropBody uint32
+
+func (id dropBody) Encode(e *wire.Encoder) { e.U32(uint32(id)) }
 
 // Sync makes every appended record durable before returning. Concurrent
 // callers coalesce: whoever finds no fsync in flight issues one, everyone
@@ -517,6 +533,10 @@ func (s *Store) Checkpoint(cp store.Checkpoint) error {
 	}
 	s.ckptSeq = s.seq
 	s.synced = s.seq
+	// The snapshot was just built in a buffer of its own; the next record
+	// grows the record buffer afresh, so a store holds no more than its
+	// largest record since its last checkpoint.
+	s.rec = wire.Encoder{}
 	return nil
 }
 
@@ -532,6 +552,7 @@ func (s *Store) Close() error {
 	}
 	err := s.log.Close()
 	s.log = nil
+	s.rec = wire.Encoder{}
 	if s.err == nil {
 		s.err = errors.New("walstore: closed")
 	}

@@ -70,11 +70,13 @@ func TestStoreCloneStoreLeavesCloneUntouched(t *testing.T) {
 	}
 }
 
-// TestHandleStoreAllocatesOnlyTheRecord is the server half of the hand-over
-// gate: a 4 MiB store on a walstore-backed server allocates, beyond the
-// request buffer it is handed, the WAL record and nothing else of that size.
-// Copying Bulk into the volume first, as before, costs a second payload.
-func TestHandleStoreAllocatesOnlyTheRecord(t *testing.T) {
+// TestHandleStoreAllocatesNothingFileSized is the server half of the
+// hand-over gate: a warm 4 MiB store on a walstore-backed server allocates,
+// beyond the request buffer it is handed, nothing of the file's size. The
+// volume keeps the request's buffer and walstore builds the record in the
+// buffer its last record grew. Copying Bulk into the volume first, as
+// before, costs a payload, and so does a record in a buffer of its own.
+func TestHandleStoreAllocatesNothingFileSized(t *testing.T) {
 	const size = 4 << 20
 	ws, err := walstore.Open(store.DirFS(t.TempDir()))
 	if err != nil {
@@ -98,8 +100,8 @@ func TestHandleStoreAllocatesOnlyTheRecord(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	per := float64(after.TotalAlloc-before.TotalAlloc) / runs
-	if limit := 1.1 * size; per > limit {
-		t.Fatalf("a 4 MiB store allocated %.0f bytes beyond its request, want <= %.0f (the WAL record)", per, limit)
+	if limit := float64(64 << 10); per > limit {
+		t.Fatalf("a warm 4 MiB store allocated %.0f bytes beyond its request, want under %.0f", per, limit)
 	}
 	if got := d.call(t, "operator", proto.OpFetch,
 		proto.Marshal(proto.FetchArgs{Ref: pathRef("/f")}), nil); !bytes.Equal(got, bufs[runs-1]) {

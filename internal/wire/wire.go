@@ -265,11 +265,11 @@ type Message interface {
 
 // encoders pools encoding buffers. Messages are encoded by appending
 // piecewise, so a fresh Encoder pays a chain of growth reallocations per
-// message. A warmed one costs nothing: a call's head and a journal record are
-// encoded into one and copied out at once (sealed, written), and a call's
-// Body, from MarshalPooled, lies in one for as long as the call is in flight
-// — a request's until Call returns, a reply's until its carrier has sealed
-// it. Only Marshal, for a caller that keeps the bytes, pays one exact-size
+// message. A warmed one costs nothing: a call's head is encoded into one and
+// copied out at once (sealed, written), and a call's Body, from
+// MarshalPooled, lies in one for as long as the call is in flight — a
+// request's until Call returns, a reply's until its carrier has sealed it.
+// Only Marshal, for a caller that keeps the bytes, pays one exact-size
 // allocation (the returned copy).
 var encoders = sync.Pool{New: func() any { return new(Encoder) }}
 
@@ -282,19 +282,18 @@ func GetEncoder() *Encoder {
 }
 
 // maxPooled is the largest buffer PutEncoder keeps. The pool serves call
-// heads of a few dozen bytes and journal records of a few kilobytes, and what
+// heads of a few dozen bytes and message bodies of a few kilobytes, and what
 // one message grew an encoder to is what every later holder of it pins: a
-// directory listing of a megabyte, or a record carrying a whole file, must
-// not stay parked behind a 60-byte call. The bound is a memory bound, not a
-// speed crossover — walstore's BenchmarkCommit has a reused buffer building a
-// record about five times faster than a fresh one at every size (4 KiB: 0.25
-// against 2.6 us; 64 KiB: 4.4 against 23 us) — set by the smallest resident
-// set the benchmark measures: 13.4 MiB (shared_churn), gated at 20 %. The
-// pool holds as many encoders as were ever in use at once, a handful on each
-// side of a connection; eight of them at 64 KiB are 4 % of that set, at
-// 256 KiB they would be 15 %. Every record the small-file workloads journal
-// (2.0 KB a mutation on andrew_small, 2.2 on shared_churn, 4.2 on mixed_rw_2c)
-// is far below it.
+// directory listing of a megabyte must not stay parked behind a 60-byte
+// call. The bound is a memory bound, not a speed crossover — a reused buffer
+// built a walstore record about five times faster than a fresh one at every
+// size measured (4 KiB: 0.25 against 2.6 us; 64 KiB: 4.4 against 23 us) —
+// set by the smallest resident set the benchmark measures: 13.4 MiB
+// (shared_churn), gated at 20 %. The pool holds as many encoders as were
+// ever in use at once, a handful on each side of a connection; eight of
+// them at 64 KiB are 4 % of that set, at 256 KiB they would be 15 %. A
+// journal record does not come from the pool: walstore builds every record
+// in one buffer of its own, which a checkpoint gives back.
 const maxPooled = 64 << 10
 
 // PutEncoder returns e to the pool, unless a large message has grown it
