@@ -107,6 +107,14 @@ go test -race -count=10 -run='^TestCacheCountersUnderConcurrentOpens$' ./interna
 # a checkpoint runs ten times more.
 go test -race -count=10 -run='^TestConcurrentCommitsShareTheRecordBuffer$' ./internal/store/walstore
 
+# A simulated process is a coroutine: the kernel and the process hand over
+# through the runtime's coroutine switch, which is what orders their memory,
+# and a finished process waits on the idle list until a Spawn or the end of
+# the run. The tests that start, reuse and end processes, and those that
+# check a process's panic, Goexit or stray park reaches Run's caller, run ten
+# times more.
+go test -race -count=10 -run='^(TestNoIdleProcessOutlivesItsRun|TestSpawnReusesAnIdleProcess|TestProcessPanicReachesRun|TestProcessGoexitReachesRun|TestParkingAProcessTheKernelDidNotDispatchPanics)$' ./internal/sim
+
 # The real path's cost table pins every cell of every row; a pin that holds
 # only on some runs is a pin to fix, so it runs five times more. The leak
 # guard's own test must see the leak it plants on every run: ten more under
@@ -148,10 +156,12 @@ go run ./cmd/itcbench -run E17 -clients 10000 -obs-out "$tmpdir/obs.json" >/dev/
 test -s "$tmpdir/obs.json"
 rm -rf "$tmpdir"
 
-# Sim-kernel micro-benchmarks, one short pass each: keeps the park/resume,
-# mailbox and timetable benches building and running. The zero-alloc gates
-# (TestMailboxPutGetZeroAlloc and friends) run in `go test ./...` above.
-go test -run=NONE -bench='^Benchmark(ParkResume|MailboxSendRecv|ScheduleDrain)$' -benchtime=100x ./internal/sim
+# Sim-kernel micro-benchmarks, one iteration each, since `go test ./...`
+# runs no benchmark: keeps every benchmark of the kernel's layer (park/resume,
+# mailbox, timetable, and any added later) building and running. The
+# zero-alloc gates (TestMailboxPutGetZeroAlloc and friends) run in
+# `go test ./...` above.
+go test -run='^$' -bench=. -benchtime=1x ./internal/sim
 # The same for a sealed record's round trip, a walstore commit by the size
 # of its file, and a checkpoint built from live volumes against one built
 # from their images.

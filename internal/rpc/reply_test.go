@@ -160,12 +160,13 @@ func TestSimReplayCarriesTheOriginalReply(t *testing.T) {
 
 // simReplyAllocs is the object count of a status call and its Reply over a
 // SimConn in one kernel run, both ends and the kernel's own work included:
-// the packets, the sealed records (each opened where it lies), the reply
-// cache's copy of the reply's head, and a caller and a worker process each
-// started afresh, since a run ends the processes it leaves idle. The gate is
+// the call's own 8 (the packets, the sealed records, each opened where it
+// lies, and the reply cache's copy of the reply's head), and 2 × 13 for a
+// caller and a worker process each started afresh, since a run ends the
+// processes it leaves idle (sim.TestSpawnAllocs pins one start). The gate is
 // on what the server's Reply costs: a carrier that did not give its encoder
-// back measured 19.
-const simReplyAllocs = 14
+// back measures 5 more.
+const simReplyAllocs = 34
 
 // simSteadyCallAllocs is the object count of the same call in the steady
 // state of a long run, where the worker is an idle process reused and the

@@ -204,6 +204,30 @@ func TestSpawnReusesAnIdleProcess(t *testing.T) {
 	}
 }
 
+// spawnAllocs is what starting a process afresh costs: its Proc, and its
+// coroutine (the variables iter.Pull's closures share, the closures, the
+// runtime's coroutine and the method value it runs). The coroutine's
+// goroutine is one that an earlier stop ended, so it costs no object.
+const spawnAllocs = 13
+
+// TestSpawnAllocs pins a fresh start. Each Spawn here lands in a recycled
+// bucket, and each Run retires the process it leaves idle, so every Spawn
+// starts a new process and nothing else allocates.
+func TestSpawnAllocs(t *testing.T) {
+	k := NewKernel()
+	body := func(*Proc) {}
+	got := testing.AllocsPerRun(100, func() {
+		k.SpawnAt(k.Now().Add(1), "worker", body)
+		k.Run()
+	})
+	if got > spawnAllocs {
+		t.Fatalf("a fresh Spawn and its run allocate %v, pinned at %d", got, spawnAllocs)
+	}
+	if k.Procs() != 0 || len(k.idle) != 0 {
+		t.Fatalf("%d live, %d idle after the runs; want none", k.Procs(), len(k.idle))
+	}
+}
+
 // TestNoIdleProcessOutlivesItsRun: processes that finish wait on the idle
 // list while the run lasts, uncounted by Procs, and Run and RunUntil end
 // them on every way out, Stop and the horizon included, with events and a

@@ -1,12 +1,16 @@
+//go:build go1.23
+
 // Package sim provides a deterministic, process-oriented discrete-event
 // simulation kernel.
 //
 // A Kernel advances a virtual clock over a timetable of events. Processes
-// are ordinary goroutines that run one at a time under kernel control: a
+// are coroutines (iter.Pull) that run one at a time under kernel control: a
 // process runs until it parks (Sleep, mailbox receive, resource acquisition,
-// future wait), at which point control returns to the kernel, which fires the
-// next event. Events at equal times fire in scheduling order, so every run of
-// a simulation is exactly reproducible.
+// future wait), at which point it yields to the kernel, which fires the next
+// event. Events at equal times fire in scheduling order, so every run of a
+// simulation is exactly reproducible. A switch between the kernel and a
+// process is the runtime's coroutine switch on one thread, not a hand-off
+// through the Go scheduler: nothing wakes a second thread for it.
 //
 // The one-runnable-at-a-time discipline means simulation state shared
 // between processes needs no locking, provided a process never parks in the
@@ -14,6 +18,29 @@
 // (for example the Vice server logic, which serves real TCP clients too)
 // keeps its ordinary mutexes; the rule there is only that a lock is never
 // held across a park point.
+//
+// # What a process must not do
+//
+// A process runs on a goroutine of its own, but only while the kernel waits
+// for it, and nothing else in the simulation runs until it parks. So:
+//
+//   - It must not block on a real channel, or hold a mutex, across a park.
+//     Whatever it waits for cannot come from another process, which runs
+//     only after this one parks, and a mutex it holds stops the next process
+//     that asks for it: either way the run hangs (the runtime reports a
+//     deadlock if no goroutine outside the simulation is left to run).
+//   - It parks only itself, from its own body. Sleep, Yield, Mailbox.Get,
+//     Future.Wait or Resource.Use on a process the kernel is not running at
+//     that moment (from an At or After callback, or from another process's
+//     body) panics with a "sim:" message.
+//   - It must not park from a goroutine it started. That is not detected:
+//     the switch appears to work, but the goroutine then stands in for the
+//     process while the process's own code runs beside it, outside the
+//     one-at-a-time rule, and its state races.
+//
+// A panic in a process body reaches the caller of Kernel.Run or RunUntil,
+// on that caller's goroutine, and so does a runtime.Goexit: a test's
+// t.FailNow inside a process ends the test where it runs its kernel.
 //
 // # Scheduling internals
 //
@@ -30,15 +57,16 @@
 //     *Proc itself rather than a closure; pooled consumer objects (netsim
 //     frames, resource grants) schedule themselves via the Firer interface.
 //     Only ad-hoc At/After callbacks pay for a closure.
-//   - A process that finishes keeps its goroutine and its Proc on an idle
+//   - A process that finishes keeps its coroutine and its Proc on an idle
 //     list, and the next Spawn takes one from there instead of starting a
-//     goroutine: a population of short-lived processes (a server's per-call
+//     coroutine: a population of short-lived processes (a server's per-call
 //     workers) costs what its peak concurrency costs, once. Idle processes
 //     end when Run or RunUntil returns, so no goroutine outlives its run.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"time"
 )
 
@@ -94,10 +122,10 @@ type Kernel struct {
 	buckets map[Time][]event
 	free    [][]event
 
-	parked  chan struct{} // signalled by a proc when it parks or finishes
+	running *Proc // the process the kernel dispatched, until it parks
 	stopped bool
 	nprocs  int     // live (spawned, not yet finished) processes
-	idle    []*Proc // finished processes, their goroutines waiting for a body
+	idle    []*Proc // finished processes, their coroutines waiting for a body
 }
 
 // maxFreeBuckets bounds the recycled-slice pool; beyond it, drained bucket
@@ -107,10 +135,7 @@ const maxFreeBuckets = 64
 
 // NewKernel returns a kernel with an empty event queue and the clock at zero.
 func NewKernel() *Kernel {
-	return &Kernel{
-		parked:  make(chan struct{}),
-		buckets: make(map[Time][]event),
-	}
+	return &Kernel{buckets: make(map[Time][]event)}
 }
 
 // Now returns the current virtual time.
@@ -205,7 +230,7 @@ func (k *Kernel) fire(e event) {
 	case e.p != nil:
 		k.dispatch(e.p)
 	case e.ps != nil:
-		go e.ps.run()
+		e.ps.next, e.ps.stop = iter.Pull(e.ps.run)
 		k.dispatch(e.ps)
 	case e.fr != nil:
 		e.fr.Fire()
@@ -238,12 +263,13 @@ func (k *Kernel) advance() {
 // remain queued; Run may be called again to continue.
 func (k *Kernel) Stop() { k.stopped = true }
 
-// retire ends the goroutines of the idle processes. Run and RunUntil call it
-// on their way out, so a run leaves no goroutine behind but the parked
-// processes' that a later run resumes.
+// retire ends the coroutines of the idle processes. Run and RunUntil call it
+// on their way out, a panic's included, so a run leaves no goroutine behind
+// but the parked processes' that a later run resumes.
 func (k *Kernel) retire() {
+	k.running = nil
 	for i, p := range k.idle {
-		close(p.resume)
+		p.stop()
 		k.idle[i] = nil
 	}
 	k.idle = k.idle[:0]
@@ -303,18 +329,23 @@ func (k *Kernel) Idle() bool { return k.cursor >= len(k.curr) && len(k.times) ==
 // Procs returns the number of live processes.
 func (k *Kernel) Procs() int { return k.nprocs }
 
-// Proc is a simulated process: a goroutine scheduled by the kernel. All Proc
-// methods must be called from the process's own goroutine.
+// Proc is a simulated process: a coroutine scheduled by the kernel. All Proc
+// methods must be called from the process's own body.
 //
 // The zero Proc is a process without a kernel: a real caller's or a real
 // server worker's, on an ordinary goroutine that owns it. Its Trace slot
 // works, so spans nest under it as under a simulated process; it has no
 // clock (Kernel returns nil), and Sleep, Yield and every park on it panic.
 type Proc struct {
-	k      *Kernel
-	name   string
-	resume chan struct{}
-	fn     func(p *Proc) // body, until the process starts
+	k    *Kernel
+	name string
+	fn   func(p *Proc) // body, until the process starts
+
+	// The process's coroutine: next resumes it from the kernel, yield
+	// parks it back, stop ends it while it is idle.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
 
 	// Trace is proc-local storage for the ambient trace span of whatever
 	// operation the process is currently executing (see internal/trace).
@@ -347,7 +378,7 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 }
 
 // SpawnAt creates a process running fn, starting at virtual time t. A
-// finished process on the idle list is reused, goroutine and all, and its
+// finished process on the idle list is reused, coroutine and all, and its
 // start is a wake-up where a new process's start would go: which one runs fn
 // changes no event's order. The returned Proc is fn's until fn returns.
 func (k *Kernel) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
@@ -360,50 +391,55 @@ func (k *Kernel) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 		k.schedule(t, event{p: p})
 		return p
 	}
-	p := &Proc{k: k, name: name, resume: make(chan struct{}), fn: fn}
+	p := &Proc{k: k, name: name, fn: fn}
 	k.schedule(t, event{ps: p})
 	return p
 }
 
-// run is the body of a process goroutine: wait for a dispatch, run the
-// spawned function, then join the idle list and return control to the
-// kernel, until retire closes the resume channel of an idle process.
-func (p *Proc) run() {
+// run is the body of a process coroutine: run the spawned function, then
+// join the idle list and yield to the kernel, until retire stops an idle
+// process.
+func (p *Proc) run(yield func(struct{}) bool) {
+	p.yield = yield
 	k := p.k
 	for {
-		if _, ok := <-p.resume; !ok {
-			return
-		}
 		fn := p.fn
 		p.fn = nil
 		fn(p)
 		p.Trace = nil
 		k.nprocs--
 		k.idle = append(k.idle, p)
-		k.parked <- struct{}{}
+		if !yield(struct{}{}) {
+			return
+		}
 	}
 }
 
-// dispatch hands the CPU to p and waits for it to park or finish. Must be
+// dispatch switches to p and returns when it parks or finishes. Must be
 // called from kernel context.
 func (k *Kernel) dispatch(p *Proc) {
-	p.resume <- struct{}{}
-	<-k.parked
+	k.running = p
+	p.next()
+	k.running = nil
 }
 
 // park suspends the calling process and returns control to the kernel. The
 // process resumes when some event calls k.dispatch(p).
 func (p *Proc) park() {
-	p.mustHaveKernel()
-	p.k.parked <- struct{}{}
-	<-p.resume
+	p.mustBeRunning()
+	p.yield(struct{}{})
 }
 
-// mustHaveKernel panics on a process without a kernel, which has nothing to
-// park on.
-func (p *Proc) mustHaveKernel() {
+// mustBeRunning panics unless p is the process its kernel dispatched: a
+// process without a kernel has nothing to park on, and parking any other
+// (from an event callback, say) would switch away from code the kernel
+// never switched to.
+func (p *Proc) mustBeRunning() {
 	if p.k == nil {
 		panic("sim: a process without a kernel cannot sleep or park")
+	}
+	if p.k.running != p {
+		panic("sim: process " + p.name + " parked while the kernel was not running it")
 	}
 }
 
@@ -412,9 +448,9 @@ func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		panic("sim: negative sleep")
 	}
-	p.mustHaveKernel()
+	p.mustBeRunning() // before the wake-up is queued
 	p.k.wakeAt(p.k.now.Add(d), p)
-	p.park()
+	p.yield(struct{}{})
 }
 
 // Yield reschedules the process after all currently-queued events at the

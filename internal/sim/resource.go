@@ -90,7 +90,7 @@ func (r *Resource) Fire() {
 			r.qhead = 0
 		}
 		// Wake the next holder first so its service begins at this
-		// instant; it calls start from its own goroutine via Use.
+		// instant; it calls start from its own body via Use.
 		r.k.dispatch(next.p)
 	}
 	r.k.dispatch(done)

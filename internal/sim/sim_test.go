@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -342,4 +344,102 @@ func TestZeroProcHasNoKernel(t *testing.T) {
 	k := NewKernel()
 	mustPanic("Mailbox.Get", func() { NewMailbox[int](k).Get(&p) })
 	mustPanic("Future.Wait", func() { NewFuture[int](k).Wait(&p) })
+}
+
+// runRecovering runs k and returns what panicked out of Run, if anything.
+func runRecovering(k *Kernel) (v any) {
+	defer func() { v = recover() }()
+	k.Run()
+	return nil
+}
+
+// A panic in a process body reaches Run's caller, not the process's own
+// goroutine (which would end the binary), and Run still retires the idle
+// processes on its way out.
+func TestProcessPanicReachesRun(t *testing.T) {
+	base := settledGoroutines(0)
+	k := NewKernel()
+	k.Spawn("done", func(*Proc) {})
+	k.Spawn("bad", func(p *Proc) {
+		p.Sleep(ms)
+		panic("boom")
+	})
+	if v := runRecovering(k); v != "boom" {
+		t.Fatalf("Run panicked with %v; want boom", v)
+	}
+	if len(k.idle) != 0 {
+		t.Fatalf("%d idle processes kept past the panic", len(k.idle))
+	}
+	if n := settledGoroutines(base); n > base {
+		t.Fatalf("%d goroutines after the panic; want %d", n, base)
+	}
+}
+
+// A runtime.Goexit in a process body (t.FailNow in a test) ends the
+// goroutine that called Run, running its deferred calls, as it would have
+// ended the process's own; Run retires the idle processes on the way.
+func TestProcessGoexitReachesRun(t *testing.T) {
+	base := settledGoroutines(0)
+	k := NewKernel()
+	k.Spawn("done", func(*Proc) {})
+	k.Spawn("quits", func(p *Proc) {
+		p.Sleep(ms)
+		runtime.Goexit()
+	})
+	returned, deferred := false, false
+	ended := make(chan struct{})
+	go func() {
+		defer close(ended)
+		defer func() { deferred = recover() == nil }()
+		k.Run()
+		returned = true
+	}()
+	<-ended
+	if returned || !deferred {
+		t.Fatalf("Run returned %v, its caller's deferred calls ran %v; want false, true", returned, deferred)
+	}
+	if len(k.idle) != 0 {
+		t.Fatalf("%d idle processes kept past the Goexit", len(k.idle))
+	}
+	if n := settledGoroutines(base); n > base {
+		t.Fatalf("%d goroutines after the Goexit; want %d", n, base)
+	}
+}
+
+// Parking a process the kernel is not running panics with a "sim:" message
+// instead of switching away from code the kernel never switched to: from an
+// event callback, or from another process's body. A later Run resumes the
+// process that was parked all along.
+func TestParkingAProcessTheKernelDidNotDispatchPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		park func(k *Kernel, q *Proc)
+	}{
+		{"Sleep from a callback", func(k *Kernel, q *Proc) {
+			k.After(ms, func() { q.Sleep(ms) })
+		}},
+		{"Get from a callback", func(k *Kernel, q *Proc) {
+			k.After(ms, func() { NewMailbox[int](k).Get(q) })
+		}},
+		{"Sleep from another process", func(k *Kernel, q *Proc) {
+			k.SpawnAt(Time(ms), "other", func(*Proc) { q.Sleep(ms) })
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := NewKernel()
+			woke := false
+			q := k.Spawn("q", func(p *Proc) {
+				p.Sleep(time.Hour)
+				woke = true
+			})
+			tc.park(k, q)
+			v := runRecovering(k)
+			if msg, _ := v.(string); !strings.HasPrefix(msg, "sim: ") {
+				t.Fatalf("Run panicked with %v; want a sim: message", v)
+			}
+			if k.Run(); !woke || k.Now() != Time(time.Hour) {
+				t.Fatalf("q woke %v at %v; want true at 1h", woke, k.Now())
+			}
+		})
+	}
 }
