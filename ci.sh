@@ -92,6 +92,13 @@ go test -race -count=10 -run='^(TestRecordsMatchAFreshStream|TestConcurrentSeals
 # under a reader. The tests that write beside loans run ten times more.
 go test -race -count=10 -run='^(TestWriteDuringStoreLeavesLentBytesAlone|TestConcurrentHandlesRaceFree)$' ./internal/venus
 go test -race -count=10 -run='^TestOwnershipModel$' ./internal/unixfs
+# A simulated cell's workstations keep their files' bytes once, in one
+# content table; shared bytes are never written in place, and each file
+# holds one reference to them until its data stops naming them. Two file
+# systems on one table, on two goroutines, install, write and remove the
+# same contents at once; a write to shared bytes shows as a race with the
+# other's reads, and a reference miscounted as a table not empty at the end.
+go test -race -count=5 -run='^TestSharedOwnershipModel$' ./internal/unixfs
 # A call's message bodies are lent too: a request's Body, from a pooled
 # encoder, until Call returns, and a Reply's Body to the carrier until it has
 # sealed the reply. A buffer given back early shows as another call's bytes,

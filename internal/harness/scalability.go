@@ -54,6 +54,7 @@ type e14Side struct {
 	revalRPCs  int64         // revalidation round trips (TestValid + BulkTestValid)
 	revalItems int64         // cached entries revalidated by sweeps
 	elapsed    time.Duration // virtual time the client phase took
+	cache      cacheBytes    // what the caches hold at the end
 }
 
 // E14Scalability runs the sweep and reports unbatched vs. batched columns
@@ -218,7 +219,7 @@ func e14Run(cfg E14Config, n int, batched bool) (e14Side, error) {
 		return e14Side{}, err
 	}
 
-	side := e14Side{elapsed: elapsed}
+	side := e14Side{elapsed: elapsed, cache: cacheBytesOf(cell)}
 	if side.elapsed > 0 {
 		side.util = float64(srv.CPU.BusyTime()-cpu0) / float64(side.elapsed)
 	}

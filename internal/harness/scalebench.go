@@ -1,10 +1,14 @@
 package harness
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"runtime"
+	"sort"
+	"strconv"
 	"time"
 
 	"itcfs"
@@ -76,6 +80,45 @@ type ScalePoint struct {
 	Clients     int     `json:"clients"`
 	ClientHours float64 `json:"client_hours"`
 	RealCost
+	// CacheBytesHeld is what the workstations' caches hold at the end of the
+	// run, each counting its files in full (the sum of their UsedBytes);
+	// CacheBytesDistinct is what the cell's content table keeps for them,
+	// each distinct content once. Both are deterministic.
+	CacheBytesHeld     int64 `json:"cache_bytes_held,omitempty"`
+	CacheBytesDistinct int64 `json:"cache_bytes_distinct,omitempty"`
+	// PeakRSSMB is the process's peak resident set (VmHWM) read after the
+	// point, in MiB; 0 where the system does not report it.
+	PeakRSSMB float64 `json:"peak_rss_mb,omitempty"`
+}
+
+// cacheBytes is a cell's cache footprint: see ScalePoint.
+type cacheBytes struct{ held, distinct int64 }
+
+func cacheBytesOf(cell *itcfs.Cell) cacheBytes {
+	c := cacheBytes{distinct: cell.Contents.Bytes()}
+	for _, ws := range cell.Workstations() {
+		c.held += ws.Local.UsedBytes()
+	}
+	return c
+}
+
+// peakRSSMB reads the process's peak resident set from /proc/self/status,
+// in MiB, or 0 where it cannot.
+func peakRSSMB() float64 {
+	status, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return 0
+	}
+	for _, line := range bytes.Split(status, []byte("\n")) {
+		if rest, ok := bytes.CutPrefix(line, []byte("VmHWM:")); ok {
+			kib, err := strconv.ParseFloat(string(bytes.TrimSuffix(bytes.TrimSpace(rest), []byte(" kB"))), 64)
+			if err != nil {
+				return 0
+			}
+			return round3(kib / 1024)
+		}
+	}
+	return 0
 }
 
 // ScaleImprovement compares the reference point against the pre-refactor
@@ -157,18 +200,26 @@ func RunScaleBench(cfg ScaleBenchConfig) (*ScaleBench, error) {
 		// At or below 1000 clients, the exact single-cluster e14Run the
 		// pre-refactor baseline was measured with, so the improvement ratio
 		// compares identical workloads; above that, the sharded variant.
+		var cache cacheBytes
 		cost, elapsed, err := measureCost(n, cfg.Reps, func() (time.Duration, error) {
 			if n <= 1000 {
 				side, err := e14Run(e14, n, true)
+				cache = side.cache
 				return side.elapsed, err
 			}
-			_, elapsed, err := scaleRun(e14, n, nil)
+			cell, elapsed, err := scaleRun(e14, n, nil)
+			if err == nil {
+				cache = cacheBytesOf(cell)
+			}
 			return elapsed, err
 		})
 		if err != nil {
 			return nil, fmt.Errorf("scale bench at %d clients: %w", n, err)
 		}
-		sb.Points = append(sb.Points, ScalePoint{Clients: n, ClientHours: round3(clientHours(n, elapsed)), RealCost: cost})
+		sb.Points = append(sb.Points, ScalePoint{
+			Clients: n, ClientHours: round3(clientHours(n, elapsed)), RealCost: cost,
+			CacheBytesHeld: cache.held, CacheBytesDistinct: cache.distinct, PeakRSSMB: peakRSSMB(),
+		})
 	}
 	ref := sb.Points[0]
 	sb.Improvement = &ScaleImprovement{
@@ -178,6 +229,11 @@ func RunScaleBench(cfg ScaleBenchConfig) (*ScaleBench, error) {
 	}
 	sb.Note = fmt.Sprintf("at %d clients, against the pre-refactor baseline: allocations per client-hour %.1fx fewer, wall time per client-hour %.1fx less",
 		ref.Clients, sb.Improvement.Allocs, sb.Improvement.Wall)
+	order := "ran in ascending client order, so each is that point's own peak"
+	if !sort.IntsAreSorted(cfg.Clients) {
+		order = "did not run in ascending client order, so a reading may be an earlier, larger point's peak"
+	}
+	sb.Note += "; peak_rss_mb is the process's high-water mark read after each point, and the points " + order
 	return sb, nil
 }
 
@@ -262,18 +318,23 @@ func (sb *ScaleBench) Report() *Report {
 	r := newReport("SCALE", "sim-kernel cost per simulated client-hour (batched E14)",
 		"the revised design exists to serve many more clients per server; the simulator "+
 			"itself must scale to drive that population",
-		"clients", "client-hours", "wall s", "wall s/ch", "allocs/ch")
-	point := func(label string, p ScalePoint, wallKey, allocsKey string) {
-		r.row(label, float("", "%.1f", p.ClientHours), float("", "%.2f", p.WallSeconds),
-			float(wallKey, "%.6f", p.WallPerClientHour), float(allocsKey, "%.0f", p.AllocsPerClientHour))
-	}
-	point(fmt.Sprintf("%d (pre-refactor)", sb.Baseline.Clients), sb.Baseline, "", "")
+		"clients", "client-hours", "wall s", "wall s/ch", "allocs/ch", "cache MB held", "distinct", "peak RSS MB")
+	const mb = 1 << 20
+	r.row(fmt.Sprintf("%d (pre-refactor)", sb.Baseline.Clients), float("", "%.1f", sb.Baseline.ClientHours),
+		float("", "%.2f", sb.Baseline.WallSeconds), float("", "%.6f", sb.Baseline.WallPerClientHour),
+		float("", "%.0f", sb.Baseline.AllocsPerClientHour), text(""), text(""), text(""))
 	for _, p := range sb.Points {
-		point(fmt.Sprint(p.Clients), p, fmt.Sprintf("wall_per_ch_%d", p.Clients), fmt.Sprintf("allocs_per_ch_%d", p.Clients))
+		key := func(name string) string { return fmt.Sprintf("%s_%d", name, p.Clients) }
+		r.row(fmt.Sprint(p.Clients), float("", "%.1f", p.ClientHours), float("", "%.2f", p.WallSeconds),
+			float(key("wall_per_ch"), "%.6f", p.WallPerClientHour), float(key("allocs_per_ch"), "%.0f", p.AllocsPerClientHour),
+			float(key("cache_mb_held"), "%.1f", float64(p.CacheBytesHeld)/mb),
+			float(key("cache_mb_distinct"), "%.1f", float64(p.CacheBytesDistinct)/mb),
+			float(key("peak_rss_mb"), "%.0f", p.PeakRSSMB))
 	}
 	if imp := sb.Improvement; imp != nil {
 		r.row(fmt.Sprintf("improvement @%d", imp.ReferenceClients), text(""), text(""),
-			float("improvement_wall", "%.1fx", imp.Wall), float("improvement_allocs", "%.1fx", imp.Allocs))
+			float("improvement_wall", "%.1fx", imp.Wall), float("improvement_allocs", "%.1fx", imp.Allocs),
+			text(""), text(""), text(""))
 	}
 	return r
 }

@@ -160,10 +160,15 @@ func (k *Kernel) wakeAt(t Time, p *Proc) { k.schedule(t, event{p: p}) }
 
 // schedule enqueues e at instant t, preserving the invariant that events at
 // one instant fire in scheduling order: the current instant's events append
-// to the live run queue, future instants append to their bucket.
+// to the live run queue, future instants append to their bucket. A run
+// queue with nothing left to fire starts again at its front, so a chain of
+// same-instant wake-ups reuses its slots instead of growing the queue.
 func (k *Kernel) schedule(t Time, e event) {
 	if t <= k.now {
 		if t == k.now {
+			if k.cursor == len(k.curr) {
+				k.curr, k.cursor = k.curr[:0], 0
+			}
 			k.curr = append(k.curr, e)
 			return
 		}

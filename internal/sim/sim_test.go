@@ -48,6 +48,41 @@ func TestSameTimeEventsFireInScheduleOrder(t *testing.T) {
 	}
 }
 
+// TestSameInstantChainKeepsRunQueueSmall drives 100 000 request/reply round
+// trips between two processes, all at t = 0, so every wake-up lands in the
+// current instant's run queue. The queue never holds more than a couple of
+// pending events, and its capacity must stay that small: fired slots are
+// reused, not left behind the cursor until the instant drains.
+func TestSameInstantChainKeepsRunQueueSmall(t *testing.T) {
+	const rounds = 100_000
+	k := NewKernel()
+	req := NewMailbox[int](k)
+	rep := NewMailbox[int](k)
+	k.Spawn("echo", func(p *Proc) {
+		for v := req.Get(p); v >= 0; v = req.Get(p) {
+			rep.Put(v)
+		}
+	})
+	maxCap := 0
+	k.Spawn("driver", func(p *Proc) {
+		for i := 0; i < rounds; i++ {
+			req.Put(i)
+			if got := rep.Get(p); got != i {
+				t.Errorf("round %d: reply %d", i, got)
+				return
+			}
+			maxCap = max(maxCap, cap(k.curr))
+		}
+		req.Put(-1)
+	})
+	if end := k.Run(); end != 0 {
+		t.Fatalf("run ended at %v; want every round trip at 0", end)
+	}
+	if maxCap > 8 {
+		t.Fatalf("run queue capacity reached %d over %d same-instant round trips; want at most 8", maxCap, rounds)
+	}
+}
+
 func TestSchedulingInPastPanics(t *testing.T) {
 	k := NewKernel()
 	k.After(10*ms, func() {

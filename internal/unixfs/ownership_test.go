@@ -34,15 +34,17 @@ type loan struct {
 // value already there.
 func TestOwnershipModel(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
-		runOwnershipModel(t, seed, 3000)
+		runOwnershipModel(t, seed, 3000, New(nil))
 	}
 }
 
-func runOwnershipModel(t *testing.T, seed int64, steps int) {
+// modelNames are the paths runOwnershipModel works on.
+var modelNames = []string{"/a", "/b", "/c", "/d", "/e"}
+
+func runOwnershipModel(t *testing.T, seed int64, steps int, fs *FS) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	fs := New(nil)
-	names := []string{"/a", "/b", "/c", "/d", "/e"}
+	names := modelNames
 	model := map[string]*modelFile{}
 
 	var (

@@ -11,6 +11,15 @@
 // local disk belongs entirely to the workstation's owner. Timestamps come
 // from an injectable clock so simulated runs are deterministic.
 //
+// A file's bytes are in one of three states. They are the file's own,
+// written in place by WriteAt and an in-capacity WriteFile; lent (Lend),
+// which a borrower may still be reading; or shared, kept once in a Contents
+// table for every FS built on it (NewShared), as the simulator's many
+// workstations are. Lent and shared bytes are never written in place: the
+// first write after a Lend, or to a shared file, gives the file a copy of its
+// own. Sharing is invisible to readers and to UsedBytes, which counts each
+// file's bytes whether or not another file holds the same ones.
+//
 // All methods are safe for concurrent use. No method ever blocks on anything
 // but the internal lock, so callers inside the simulator never park while a
 // lock is held.
@@ -89,13 +98,19 @@ type inode struct {
 	ino   Ino
 	typ   FileType
 	mode  uint16
-	nlink int
+	nlink int32 // packs beside typ and mode, so an inode with shared fits 112 bytes
 	data  []byte
 	// loans counts the Lends of data not yet returned: while it is above
 	// zero a borrower may still be reading those bytes, so they are replaced,
 	// never written in place. It is reset when data becomes a slice nobody
 	// else holds. Like every inode field it is guarded by FS.mu.
-	loans   int
+	loans int
+	// shared is the Contents entry data lies in (all of it, or a prefix
+	// after a Truncate), or nil when data is the file's own. Other FSs may
+	// read those bytes at any time, so, as with a loan, they are replaced,
+	// never written in place; the inode holds one reference to the entry
+	// until data stops naming it.
+	shared  *content
 	entries map[string]Ino
 	target  string
 	mtime   int64
@@ -113,6 +128,9 @@ type FS struct {
 	next   Ino            // guarded by mu
 	root   Ino            // set at construction, immutable afterwards
 	clock  Clock          // set at construction, immutable afterwards
+	// contents, when non-nil, is the table this FS shares its files'
+	// bytes through (NewShared); set at construction, immutable afterwards
+	contents *Contents
 	// total regular-file bytes, for disk accounting
 	// guarded by mu
 	used int64
@@ -120,11 +138,17 @@ type FS struct {
 
 // New returns an empty file system containing only a root directory. A nil
 // clock yields all-zero timestamps.
-func New(clock Clock) *FS {
+func New(clock Clock) *FS { return NewShared(clock, nil) }
+
+// NewShared is New for an FS that keeps its files' bytes in contents, shared
+// with every other FS built on the same table: bytes that several files
+// hold, here or there, are kept once. What each FS reads and UsedBytes are
+// as they would be on its own. A nil contents is New.
+func NewShared(clock Clock, contents *Contents) *FS {
 	if clock == nil {
 		clock = func() int64 { return 0 }
 	}
-	fs := &FS{inodes: make(map[Ino]*inode), next: 1, clock: clock}
+	fs := &FS{inodes: make(map[Ino]*inode), next: 1, clock: clock, contents: contents}
 	root := &inode{ino: 1, typ: TypeDir, mode: 0o755, nlink: 2, entries: make(map[string]Ino)}
 	fs.inodes[1] = root
 	fs.root = 1
@@ -384,7 +408,7 @@ func (fs *FS) statOf(n *inode) Stat {
 		Ino:     n.ino,
 		Type:    n.typ,
 		Mode:    n.mode,
-		Nlink:   n.nlink,
+		Nlink:   int(n.nlink),
 		Mtime:   n.mtime,
 		Version: n.version,
 		Owner:   n.owner,
@@ -464,6 +488,8 @@ func (fs *FS) Adopt(path string, data []byte, mode uint16, owner string) error {
 // install creates or replaces the regular file at path. When owned, data
 // becomes the contents as it is; otherwise it is copied first — into the
 // file's present buffer where that is large enough and no borrower holds it.
+// On an FS with a Contents table, bytes the table already holds are shared
+// instead, and neither copied nor kept.
 func (fs *FS) install(path string, data []byte, owned bool, mode uint16, owner string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -481,7 +507,15 @@ func (fs *FS) install(path string, data []byte, owned bool, mode uint16, owner s
 	} else if node.typ == TypeSymlink {
 		return fmt.Errorf("%w: unresolved symlink %s", ErrInvalid, path)
 	}
+	var shared *content
 	switch {
+	case fs.contents != nil:
+		var spare []byte
+		if node.shared == nil && node.loans == 0 {
+			spare = node.data[:0]
+		}
+		shared, data = fs.contents.intern(data, owned, spare)
+		fs.contents.release(node.shared)
 	case owned:
 	case node.loans > 0:
 		data = append([]byte(nil), data...)
@@ -490,6 +524,7 @@ func (fs *FS) install(path string, data []byte, owned bool, mode uint16, owner s
 	}
 	fs.used += int64(len(data)) - int64(len(node.data))
 	node.data = data
+	node.shared = shared
 	node.loans = 0
 	node.mtime = fs.clock()
 	node.version++
@@ -596,15 +631,18 @@ func (fs *FS) WriteAt(path string, buf []byte, off int64) (int, error) {
 // resize makes n.data size bytes long — at least its present length — and
 // safe to write in place, keeping the bytes it has and zero-filling those it
 // gains. Spare capacity is used where there is some; contents on loan (Lend)
-// are copied to a buffer of their own first, even at an unchanged size.
+// or shared through a Contents table are copied to a buffer of their own
+// first, even at an unchanged size.
 //
 //itcvet:holds mu
 func (fs *FS) resize(n *inode, size int64) {
 	old := int64(len(n.data))
-	if n.loans > 0 || size > int64(cap(n.data)) {
+	if n.shared != nil || n.loans > 0 || size > int64(cap(n.data)) {
 		grown := make([]byte, size)
 		copy(grown, n.data)
+		fs.contents.release(n.shared)
 		n.data = grown
+		n.shared = nil
 		n.loans = 0
 	} else {
 		n.data = n.data[:size]
@@ -630,7 +668,8 @@ func (fs *FS) Truncate(path string, size int64) error {
 		return ErrInvalid
 	}
 	if old := int64(len(n.data)); size <= old {
-		// Discarding writes no byte, so it is safe on contents on loan too.
+		// Discarding writes no byte, so it is safe on contents on loan or
+		// shared too; a shared file's shorter data still names its entry.
 		n.data = n.data[:size]
 		fs.used += size - old
 	} else {
@@ -764,11 +803,20 @@ func (fs *FS) unlink(parent *inode, name string, node *inode) {
 	parent.mtime = fs.clock()
 	node.nlink--
 	if node.nlink <= 0 {
-		if node.typ == TypeRegular {
-			fs.used -= int64(len(node.data))
-		}
-		delete(fs.inodes, node.ino)
+		fs.free(node)
 	}
+}
+
+// free deletes a node whose last link has gone, with its share of the disk
+// and of the Contents table.
+//
+//itcvet:holds mu
+func (fs *FS) free(node *inode) {
+	if node.typ == TypeRegular {
+		fs.used -= int64(len(node.data))
+		fs.contents.release(node.shared)
+	}
+	delete(fs.inodes, node.ino)
 }
 
 // RemoveDir removes the empty directory at path.
@@ -823,8 +871,10 @@ func (fs *FS) RemoveAll(path string) error {
 	return nil
 }
 
-// removeTree frees node and, for directories, everything beneath it.
-// Caller holds the write lock.
+// removeTree drops one link to node and, for directories, everything
+// beneath it. A file or symlink is freed with its last link, so one also
+// linked from outside the tree survives under that name. Caller holds the
+// write lock.
 //
 //itcvet:holds mu
 func (fs *FS) removeTree(node *inode) {
@@ -834,12 +884,13 @@ func (fs *FS) removeTree(node *inode) {
 				fs.removeTree(child)
 			}
 		}
+		node.nlink = 0
+	} else {
+		node.nlink--
 	}
-	node.nlink = 0
-	if node.typ == TypeRegular {
-		fs.used -= int64(len(node.data))
+	if node.nlink <= 0 {
+		fs.free(node)
 	}
-	delete(fs.inodes, node.ino)
 }
 
 // Rename moves oldpath to newpath, replacing a non-directory target. It

@@ -199,6 +199,43 @@ func TestRemoveAll(t *testing.T) {
 	}
 }
 
+// TestRemoveAllKeepsALinkOutsideTheTree removes a tree holding one link of
+// a file, and a file alone, whose other link lies outside the tree: the
+// outside name must still read the file, and count toward UsedBytes.
+func TestRemoveAllKeepsALinkOutsideTheTree(t *testing.T) {
+	fs := newFS()
+	fs.MkdirAll("/a/b", 0o755, "")
+	fs.WriteFile("/a/b/f", []byte("linked"), 0o644, "")
+	fs.WriteFile("/g", []byte("alone"), 0o644, "")
+	if err := fs.Link("/a/b/f", "/keep"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Link("/g", "/a/g"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.RemoveAll("/a"); err != nil {
+		t.Fatal(err)
+	}
+	for path, want := range map[string]string{"/keep": "linked", "/g": "alone"} {
+		got, err := fs.ReadFile(path)
+		if err != nil || string(got) != want {
+			t.Fatalf("%s after removing the tree holding its other link: %q, %v; want %q", path, got, err, want)
+		}
+		if st, _ := fs.Stat(path); st.Nlink != 1 {
+			t.Fatalf("%s: Nlink = %d, want 1", path, st.Nlink)
+		}
+	}
+	if got := fs.UsedBytes(); got != int64(len("linked")+len("alone")) {
+		t.Fatalf("UsedBytes = %d", got)
+	}
+	if err := fs.RemoveAll("/keep"); err != nil {
+		t.Fatal(err)
+	}
+	if fs.Exists("/keep") {
+		t.Fatal("/keep survived RemoveAll")
+	}
+}
+
 func TestRenameFile(t *testing.T) {
 	fs := newFS()
 	fs.WriteFile("/old", []byte("data"), 0o644, "")

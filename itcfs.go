@@ -189,6 +189,10 @@ type Cell struct {
 	// Sampler is the time-series sampler installed by StartSampling (nil
 	// before the first call).
 	Sampler *trace.Sampler
+	// Contents is the table every workstation's local file system keeps
+	// its files' bytes in: a file that many workstations cache is held
+	// once. Each workstation's cache still counts it in full.
+	Contents *unixfs.Contents
 
 	cfg         CellConfig
 	costs       CostConfig
@@ -221,6 +225,7 @@ func NewCell(cfg CellConfig) *Cell {
 		Kernel:      k,
 		Net:         netsim.New(k, netsim.ITCDefaults()),
 		Mode:        cfg.Mode,
+		Contents:    unixfs.NewContents(),
 		cfg:         cfg,
 		costs:       costs,
 		callTimeout: callTimeout,
@@ -381,7 +386,7 @@ func (c *Cell) Workstations() []*Workstation { return c.workst }
 func (c *Cell) AddWorkstation(cluster int, name string) *Workstation {
 	cl := c.Clusters[cluster]
 	node := c.Net.AddNode(name, cl)
-	local := unixfs.New(func() int64 { return int64(c.Kernel.Now()) })
+	local := unixfs.NewShared(func() int64 { return int64(c.Kernel.Now()) }, c.Contents)
 
 	ws := &Workstation{Name: name, Node: node, Cluster: cl, Local: local}
 

@@ -1,6 +1,7 @@
 package itcfs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -182,6 +183,84 @@ func TestUserMobilityScenario(t *testing.T) {
 				got, err = office.FS.ReadFile(p, "/vice/usr/satya/paper.mss")
 				if err != nil || string(got) != "draft-2" {
 					t.Errorf("office re-read: %q %v", got, err)
+				}
+			})
+		})
+	}
+}
+
+// TestWorkstationsShareCachedBytes has two workstations fetch one Vice file
+// into their caches: the cell's content table keeps its bytes once, while
+// each cache counts them in full. Then one workstation writes its cached
+// copy in place through an open handle, and the other, reading its own
+// copy before the store, still gets the original bytes.
+func TestWorkstationsShareCachedBytes(t *testing.T) {
+	for _, mode := range []Mode{Prototype, Revised} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cell, writer := provision(t, mode, 1)
+			a, b := cell.AddWorkstation(0, "ws-a"), cell.AddWorkstation(0, "ws-b")
+			const path = "/vice/usr/satya/shared"
+			orig := []byte(fmt.Sprintf("%4096s", "bytes every workstation caches"))
+			patch := []byte("PATCHED")
+			read := func(p *sim.Proc, ws *Workstation) []byte {
+				got, err := ws.FS.ReadFile(p, path)
+				if err != nil {
+					t.Errorf("%s read: %v", ws.Name, err)
+				}
+				return got
+			}
+			cell.Run(func(p *sim.Proc) {
+				if err := writer.FS.WriteFile(p, path, orig); err != nil {
+					t.Errorf("write: %v", err)
+					return
+				}
+				for _, ws := range []*Workstation{a, b} {
+					if err := ws.Login(p, "satya", "pw"); err != nil {
+						t.Errorf("%s login: %v", ws.Name, err)
+						return
+					}
+				}
+				read(p, a)
+				entries, held, used := cell.Contents.Len(), cell.Contents.Bytes(), b.Local.UsedBytes()
+				if held < int64(len(orig)) {
+					t.Errorf("the table holds %d B after a's fetch of a %d B file", held, len(orig))
+				}
+				if got := read(p, b); !bytes.Equal(got, orig) {
+					t.Errorf("b reads %q", got)
+					return
+				}
+				if cell.Contents.Len() != entries || cell.Contents.Bytes() != held {
+					t.Errorf("b's fetch of what a holds grew the table from %d entries, %d B to %d, %d B",
+						entries, held, cell.Contents.Len(), cell.Contents.Bytes())
+				}
+				if grew := b.Local.UsedBytes() - used; grew < int64(len(orig)) {
+					t.Errorf("b's cache grew %d B for a %d B file; each cache counts its files in full", grew, len(orig))
+				}
+
+				h, err := a.FS.Open(p, path, FlagRead|FlagWrite)
+				if err != nil {
+					t.Errorf("open for write: %v", err)
+					return
+				}
+				if _, err := h.WriteAt(patch, 0); err != nil {
+					t.Errorf("write in place: %v", err)
+				}
+				buf := make([]byte, len(patch))
+				if _, err := h.ReadAt(buf, 0); err != nil || !bytes.Equal(buf, patch) {
+					t.Errorf("a's handle reads %q, %v after writing %q", buf, err, patch)
+				}
+				if got := read(p, b); !bytes.Equal(got, orig) {
+					t.Errorf("a's write in place reached b's cached copy: b reads %q...", got[:len(patch)])
+				}
+				if cell.Contents.Len() != entries {
+					t.Errorf("a's write left %d table entries; want %d, b still holding the original", cell.Contents.Len(), entries)
+				}
+				if err := h.Close(p); err != nil {
+					t.Errorf("close: %v", err)
+				}
+				want := append(append([]byte(nil), patch...), orig[len(patch):]...)
+				if got := read(p, b); !bytes.Equal(got, want) {
+					t.Errorf("after a's store, b reads %q...; want %q...", got[:len(patch)], want[:len(patch)])
 				}
 			})
 		})
