@@ -74,6 +74,13 @@ go test -race -count=10 -run='^TestRealCellStationOutlivesItsConnection$' .
 # a real trace's links run ten times more.
 go test -race -count=10 -run='^(TestRealCellTraceLinksTheClientsCall|TestRealCellTraceLinksTheBreakToTheStore)$' .
 go test -race -count=10 -run='^TestShellOutlivesADroppedConnection$' ./cmd/itcfs
+# Every served call is observed on both carriers: a Vice server notes the
+# volume a call touched under the worker's process in one map, and the call's
+# observation takes the entry out. On real Peers the workers write that map
+# from concurrent goroutines, and an entry lost or left behind shows only when
+# calls interleave. The test whose eight connections call on two volumes at
+# once runs ten times more.
+go test -race -count=10 -run='^TestConcurrentServedCallsObserveTheirVolume$' ./internal/vice
 # A cache install takes over the cache file of the entry it evicts, while
 # other goroutines' opens race for that same victim; ten more runs.
 go test -race -count=10 -run='^TestConcurrentOpensUnderEviction$' ./internal/venus

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -16,6 +17,7 @@ import (
 	"itcfs/internal/proto"
 	"itcfs/internal/rpc"
 	"itcfs/internal/secure"
+	"itcfs/internal/trace"
 	"itcfs/internal/vice"
 )
 
@@ -315,8 +317,20 @@ func TestItcfsdDebugProfilingAndLatency(t *testing.T) {
 	}
 	d := startDaemon(t, "")
 	peer := d.dial(t)
-	mustOK(t, call(t, peer, proto.OpVolCreate,
+	created := mustOK(t, call(t, peer, proto.OpVolCreate,
 		proto.Marshal(proto.VolCreateArgs{Name: "proj", Path: "/proj", Owner: "operator"}), nil))
+	vs, err := proto.Unmarshal(created.Body, proto.DecodeVolStatusReply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A store and a fetch under /proj: two counted calls on its volume, each
+	// observed with its wall-clock service time.
+	mustOK(t, call(t, peer, proto.OpCreate,
+		proto.Marshal(proto.NameArgs{Dir: ref("/proj"), Name: "f", Mode: 0o644}), nil))
+	mustOK(t, call(t, peer, proto.OpStore,
+		proto.Marshal(proto.StoreArgs{Ref: ref("/proj/f")}), []byte("contents")))
+	mustOK(t, call(t, peer, proto.OpFetch,
+		proto.Marshal(proto.FetchArgs{Ref: ref("/proj/f")}), nil))
 
 	httpResp, err := http.Get("http://" + d.debug + "/debug/pprof/")
 	if err != nil {
@@ -349,5 +363,17 @@ func TestItcfsdDebugProfilingAndLatency(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics lacks the %s histogram:\n%.600s", want, body)
 		}
+	}
+	var doc struct {
+		Histograms map[string]struct {
+			Count int64 `json:"count"`
+		} `json:"histograms"`
+	}
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatalf("/metrics: %v", err)
+	}
+	name := trace.VolLatencyMetric(vs.Volume)
+	if h, ok := doc.Histograms[name]; !ok || h.Count < 2 {
+		t.Errorf("/metrics: %s = %+v (present %v), want a count of at least 2 after a store and a fetch", name, h, ok)
 	}
 }

@@ -171,20 +171,24 @@ func (k *core[S]) call(c carrier, p *sim.Proc, req Request, callback bool) (Resp
 // serve runs one received call to its reply on p: an rpc.serve span
 // continuing the caller's trace as p's ambient span, srv's handler, and the
 // service time the reply echoes — from the start through bill's charge for
-// the call (a simulated server's; nil on a Peer).
+// the call (a simulated server's; nil on a Peer). Last, srv's OnServed hook,
+// if any, sees the call with that service time.
 func (k *core[S]) serve(p *sim.Proc, srv *Server, ctx Ctx, tc wire.TraceHeader, req Request, bill Bill) (Response, time.Duration) {
 	o := k.obs.Load()
 	started := Clock(p)
 	sp := o.tracer.BeginRemote(p, tc, trace.SpanRPCServe, o.node)
 	sp.SetInt(trace.AttrOp, int64(req.Op))
 	ctx.Span = sp
-	resp := srv.Dispatch(ctx, req)
+	resp, served := srv.dispatch(ctx, req)
 	if bill != nil {
 		bill.Call(ctx, req, resp)
 	}
 	svc := Clock(p).Sub(started)
 	o.serveLat.Observe(svc)
 	sp.End()
+	if served != nil {
+		served(ctx, req, resp, svc)
+	}
 	return resp, svc
 }
 
@@ -209,6 +213,11 @@ func newObservers(t *trace.Tracer, reg *trace.Registry, node string) observers {
 	}
 }
 
+// The time seam: Clock and Sleep are the one place a process's regime is
+// asked about in this package. A simulated process (one with a kernel) keeps
+// virtual time; a process without a kernel (or none) is a real caller's or a
+// Peer worker's, and keeps the wall's.
+
 // epoch is where a real transport's clock starts.
 var epoch = time.Now() //itcvet:allow wallclock -- the real transport's clock is the wall's (see Clock)
 
@@ -222,4 +231,15 @@ func Clock(p *sim.Proc) sim.Time {
 		return k.Now()
 	}
 	return sim.Time(time.Since(epoch)) //itcvet:allow wallclock -- a real transport's calls take wall time
+}
+
+// Sleep waits d in the time Clock reads for p: a simulated process sleeps d
+// of virtual time (p.Sleep, so from p's own body); a process without a
+// kernel (or none) blocks its goroutine for d of wall time.
+func Sleep(p *sim.Proc, d time.Duration) {
+	if k := p.Kernel(); k != nil {
+		p.Sleep(d)
+		return
+	}
+	time.Sleep(d) //itcvet:allow wallclock -- a real process waits in wall time
 }

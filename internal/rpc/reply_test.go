@@ -96,7 +96,9 @@ func TestSimReplayCarriesTheOriginalReply(t *testing.T) {
 	logic := NewServer()
 	logic.Handle(opStat, func(ctx Ctx, _ Request) Response {
 		ctx.Proc.Sleep(4 * time.Second)
-		return Reply(blob(first))
+		resp := Reply(blob(first))
+		firstBody = resp.Body
+		return resp
 	})
 	logic.Handle(opEcho, func(Ctx, Request) Response { return Reply(blob(second)) })
 	k := sim.NewKernel()
@@ -105,11 +107,6 @@ func TestSimReplayCarriesTheOriginalReply(t *testing.T) {
 	reg := trace.NewRegistry()
 	srv := NewEndpoint(net, net.AddNode("server", cl), EndpointConfig{
 		Keys: keys, Server: logic, Metrics: reg,
-		Observe: func(_ Ctx, req Request, resp Response, _ time.Duration) {
-			if req.Op == opStat {
-				firstBody = resp.Body
-			}
-		},
 	})
 	client := NewEndpoint(net, net.AddNode("client", cl), EndpointConfig{
 		CallTimeout: time.Second,

@@ -10,7 +10,8 @@
 // table, a deadline per attempt (60 s unless an EndpointConfig says
 // otherwise), the callback policy (a server breaking a promise makes one
 // attempt under a quarter of the deadline), the trace header taken from the
-// caller's rpc.call span, and the serve path into Server.Dispatch. Two
+// caller's rpc.call span, and the serve path into Server.Dispatch and then
+// the Server's OnServed observer, with the call's service time. Two
 // interchangeable carriers run it over the same sealed bytes:
 //
 //   - Endpoint (sim.go) runs over the simulated campus network in virtual
@@ -189,10 +190,14 @@ type Server struct {
 	mu       sync.RWMutex
 	handlers map[Op]HandlerFunc // guarded by mu
 	fallback HandlerFunc        // guarded by mu
+	served   servedFunc         // guarded by mu
 	node     string             // guarded by mu
 	tracer   *trace.Tracer      // guarded by mu
 	metrics  *trace.Registry    // guarded by mu
 }
+
+// servedFunc is what OnServed registers.
+type servedFunc = func(ctx Ctx, req Request, resp Response, svc time.Duration)
 
 // NewServer returns a server with no handlers.
 func NewServer() *Server {
@@ -213,6 +218,19 @@ func (s *Server) HandleFallback(fn HandlerFunc) {
 	s.fallback = fn
 }
 
+// OnServed registers fn to observe every call served through s from now on,
+// on either carrier, replacing any previous observer. fn runs after the
+// call's handler and Bill, on the worker's process (ctx.Proc), before the
+// reply is sent, so it must not block; resp is lent to it until it returns.
+// svc is the service time the reply echoes, read by Clock: virtual time in
+// the simulator, wall time on a Peer. A call dispatched directly (Dispatch)
+// is not observed: it has no service time.
+func (s *Server) OnServed(fn func(ctx Ctx, req Request, resp Response, svc time.Duration)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.served = fn
+}
+
 // Observe names the local machine, the tracer and the registry that every
 // Peer built on this server from now on reports its calls and serves to,
 // from its first: the tracer records them as spans on node and puts the
@@ -230,16 +248,24 @@ const CodeUnknownOp = 0xFFFF
 
 // Dispatch routes one call. A missing handler yields CodeUnknownOp.
 func (s *Server) Dispatch(ctx Ctx, req Request) Response {
+	resp, _ := s.dispatch(ctx, req)
+	return resp
+}
+
+// dispatch is Dispatch for a carrier's serve path, which also gets the
+// OnServed observer, read under the same lock as the handler.
+func (s *Server) dispatch(ctx Ctx, req Request) (Response, servedFunc) {
 	s.mu.RLock()
 	fn, ok := s.handlers[req.Op]
 	if !ok {
 		fn = s.fallback
 	}
+	served := s.served
 	s.mu.RUnlock()
 	if fn == nil {
-		return Response{Code: CodeUnknownOp, Body: []byte(fmt.Sprintf("unknown op %d", req.Op))}
+		return Response{Code: CodeUnknownOp, Body: []byte(fmt.Sprintf("unknown op %d", req.Op))}, served
 	}
-	return fn(ctx, req)
+	return fn(ctx, req), served
 }
 
 // Packet kinds on the wire. Handshake packets are cleartext (their contents

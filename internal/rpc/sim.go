@@ -144,10 +144,6 @@ type EndpointConfig struct {
 	// Flight, when set, receives operational events (call and handshake
 	// retransmissions) for the flight recorder. Nil disables.
 	Flight *trace.Recorder
-	// Observe, when set, is invoked after every served call with the
-	// measured virtual service time (dispatch plus the Bill's charges).
-	// The Vice server uses it to feed per-volume latency histograms.
-	Observe func(ctx Ctx, req Request, resp Response, svc time.Duration)
 }
 
 // Bill is what serving costs a simulated server. Call runs on ctx.Proc after
@@ -494,9 +490,6 @@ func (ep *Endpoint) serveNext(p *sim.Proc) {
 	// Service time spans dispatch plus the bill: the whole interval this
 	// server held the call, which the reply echoes to the client.
 	resp, svc := c.serve(p, ep.cfg.Server, ctx, rc.tc, req, ep.cfg.Bill)
-	if ep.cfg.Observe != nil {
-		ep.cfg.Observe(ctx, req, resp, svc)
-	}
 	e := wire.GetEncoder()
 	encodeReplyHead(e, seq, svc, resp)
 	c.cache.finish(seq, reply{head: append([]byte(nil), e.Buf()...), bulk: resp.Bulk})

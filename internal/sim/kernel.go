@@ -340,7 +340,9 @@ func (k *Kernel) Procs() int { return k.nprocs }
 // The zero Proc is a process without a kernel: a real caller's or a real
 // server worker's, on an ordinary goroutine that owns it. Its Trace slot
 // works, so spans nest under it as under a simulated process; it has no
-// clock (Kernel returns nil), and Sleep, Yield and every park on it panic.
+// virtual clock (Kernel returns nil), and Sleep, Yield and every park on it
+// panic. Code that runs in both regimes reads its time and waits through
+// rpc.Clock and rpc.Sleep, which take wall time for such a process.
 type Proc struct {
 	k    *Kernel
 	name string

@@ -192,17 +192,19 @@ func (t *Tracer) Begin(p *sim.Proc, name, node string) *Span {
 
 // BeginRemote starts the server-side span of a call that arrived with the
 // given propagation context, as p's ambient span until End. A zero context
-// means what p's kind of process says. Under a simulated process (one with a
-// kernel) the caller was sampled out, so the server span is suppressed too:
-// every simulated endpoint shares one tracer, and a traced caller always
-// sends a non-zero context. Under any other process, the call came over a
-// real transport from a client that does not trace, and the span starts a
-// root rather than going unrecorded.
+// means what p's kind of process says: a root span on a real server, none in
+// the simulator.
 func (t *Tracer) BeginRemote(p *sim.Proc, ctx SpanContext, name, node string) *Span {
 	if t == nil {
 		return nil
 	}
 	if ctx == (SpanContext{}) {
+		// A process without a kernel serves a call that came over a real
+		// transport from a client that does not trace: the span starts a
+		// root rather than going unrecorded. Under a simulated process the
+		// caller was sampled out, so the server span is suppressed too:
+		// every simulated endpoint shares one tracer, and a traced caller
+		// always sends a non-zero context.
 		if p.Kernel() == nil {
 			return t.Begin(p, name, node)
 		}

@@ -196,12 +196,19 @@ func TestSweepFailoverIsAnOrdinaryFailover(t *testing.T) {
 
 	down["s1"], down["s0"] = true, true
 	before := v.Stats().Failovers
+	started := rpc.Clock(nil)
 	checked, stale, _ := v.Revalidate(nil, true) // the root group's s0 stays unreachable
 	if checked != 3 || stale != 0 {
 		t.Errorf("sweep checked %d (stale %d), want the release's listing and two files current", checked, stale)
 	}
 	if got := v.Stats().Failovers - before; got != 2 {
 		t.Errorf("Failovers grew by %d, want 2", got)
+	}
+	// A station without a kernel backs off between hops as a simulated one
+	// does, in wall time: failoverBackoff before the first, twice it before
+	// the second.
+	if got, want := rpc.Clock(nil).Sub(started), 3*failoverBackoff; got < want {
+		t.Errorf("the sweep's two failovers took %v, want at least %v of backoff", got, want)
 	}
 	var hops []string
 	for _, e := range flight.Events() {

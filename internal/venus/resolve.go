@@ -24,7 +24,8 @@ import (
 const maxRedirects = 4
 
 // failoverBackoff is the pause before trying the next replica after a
-// server in the fallback order proved unreachable, doubling per hop. It
+// server in the fallback order proved unreachable, doubling per hop: virtual
+// time on a simulated station, wall time on a real one (rpc.Sleep). It
 // spaces the retries of a workstation storm out without approaching the
 // transport's own timeout scale.
 const failoverBackoff = 5 * time.Millisecond
@@ -286,9 +287,7 @@ func (v *Venus) callAt(p *sim.Proc, path string, cr proto.CustodianReply, req re
 		if si+1 >= len(servers) {
 			return false
 		}
-		if p.Kernel() != nil {
-			p.Sleep(failoverBackoff << uint(si))
-		}
+		rpc.Sleep(p, failoverBackoff<<uint(si))
 		si++
 		v.mu.Lock()
 		v.stats.Failovers++

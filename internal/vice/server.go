@@ -138,9 +138,10 @@ type Server struct {
 	// guarded by mu
 	volOps map[uint32]*trace.Counter
 	volLat map[uint32]*trace.Histogram
-	// pendingVol remembers, per simulated worker process, which volume the
-	// in-flight call touched, so ObserveCall can attribute the call's
-	// service time to that volume's latency histogram.
+	// pendingVol remembers, per worker process (a simulated one, or a Peer
+	// worker's own process without a kernel), which volume its in-flight
+	// call touched, so observeCall can attribute the call's service time to
+	// that volume's latency histogram and delete the entry.
 	// guarded by mu
 	pendingVol map[*sim.Proc]uint32
 }
@@ -170,6 +171,7 @@ func New(cfg Config) *Server {
 		pendingVol: make(map[*sim.Proc]uint32),
 	}
 	s.registerHandlers()
+	s.disp.OnServed(s.observeCall)
 	return s
 }
 
@@ -234,7 +236,7 @@ func (s *Server) TrafficStats() (fetchBytes, storeBytes, walked int64) {
 }
 
 // noteAccess records one hot-path operation on vol by the calling peer node,
-// and marks the serving process so ObserveCall can attribute the call's
+// and marks the serving process so observeCall can attribute the call's
 // service time to the volume.
 func (s *Server) noteAccess(ctx rpc.Ctx, vol uint32) {
 	s.mu.Lock()
@@ -256,19 +258,17 @@ func (s *Server) noteAccess(ctx rpc.Ctx, vol uint32) {
 			s.volOps[vol] = c
 		}
 		c.Inc()
-		// Simulated workers only: a real worker's process outlives its call,
-		// and ObserveCall, which would delete its entry, never runs for it.
-		if ctx.Proc.Kernel() != nil {
-			s.pendingVol[ctx.Proc] = vol
-		}
+		s.pendingVol[ctx.Proc] = vol
 	}
 }
 
-// ObserveCall is the rpc Observe hook: after each served call it records the
-// measured service time against the volume the call touched (if any). svc is
-// virtual time, so the resulting histograms are seed-deterministic.
-func (s *Server) ObserveCall(ctx rpc.Ctx, req rpc.Request, resp rpc.Response, svc time.Duration) {
-	if s.cfg.Metrics == nil || ctx.Proc.Kernel() == nil {
+// observeCall is the dispatcher's OnServed hook: after each call served on
+// either carrier it records the measured service time against the volume the
+// call touched (if any), and deletes the worker's pendingVol entry. In the
+// simulator svc is virtual time, so the histograms are seed-deterministic; on
+// a Peer it is wall time.
+func (s *Server) observeCall(ctx rpc.Ctx, req rpc.Request, resp rpc.Response, svc time.Duration) {
+	if s.cfg.Metrics == nil {
 		return
 	}
 	s.mu.Lock()

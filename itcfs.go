@@ -291,7 +291,6 @@ func NewCell(cfg CellConfig) *Cell {
 			Tracer:      c.Tracer,
 			Metrics:     cfg.Metrics,
 			Flight:      c.Flight,
-			Observe:     vs.ObserveCall,
 		})
 		c.Servers = append(c.Servers, &Server{
 			Vice: vs, Endpoint: ep, Node: node, Cluster: cl, CPU: cpu, Disk: disk,
