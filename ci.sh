@@ -29,8 +29,10 @@ rm -f itcvet
 # TestDeterminism in the test passes below.
 
 # The ledgers a CHANGES.md entry quotes — code lines per package, exported
-# names, options, locks and edges — printed so a PR's table is this output at
-# the parent beside this output at the change.
+# names, the exported functions and methods only tests call (test-only,
+# each pinned with its reason by tools/ledger's TestTestOnlyNamesArePinned),
+# options, locks and edges — printed so a PR's table is this output at the
+# parent beside this output at the change.
 go run ./tools/ledger
 
 # Known-vulnerability scan: advisory only (the tool and its vuln DB need

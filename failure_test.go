@@ -326,7 +326,7 @@ func TestPartitionedClientServesCachedCopy(t *testing.T) {
 			}
 
 			cell.Net.Partition(cell.Clusters[1])
-			cell.RunFor(2 * time.Minute) // outlive the revised client's callback TTL
+			cell.Kernel.RunUntil(cell.Now().Add(2 * time.Minute)) // outlive the revised client's callback TTL
 			var got []byte
 			var werr error
 			cell.Run(func(p *sim.Proc) {
@@ -424,7 +424,7 @@ func TestFailedWriteDoesNotResurrect(t *testing.T) {
 	}
 
 	cell.RestartServer(0)
-	cell.RunFor(10 * time.Second)
+	cell.Kernel.RunUntil(cell.Now().Add(10 * time.Second))
 	var got []byte
 	cell.Run(func(p *sim.Proc) { got, err = ws.FS.ReadFile(p, path) })
 	if err != nil {
@@ -548,7 +548,7 @@ func TestLocationLookupSurvivesHomeRestart(t *testing.T) {
 
 				cell.CrashServer(1)
 				cell.RestartServer(1)
-				cell.RunFor(time.Minute)
+				cell.Kernel.RunUntil(cell.Now().Add(time.Minute))
 				timeouts := 0
 				var err error
 				for i := 0; i < 3; i++ {

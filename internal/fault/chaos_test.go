@@ -166,9 +166,9 @@ func runChaos(t *testing.T, mode itcfs.Mode, seed int64) (schedule, invariants s
 		t.Fatalf("probe read: %v", err)
 	}
 	cell.CrashServer(0)
-	cell.RunFor(5 * time.Second)
+	cell.Kernel.RunUntil(cell.Now().Add(5 * time.Second))
 	cell.RestartServer(0)
-	cell.RunFor(5 * time.Second)
+	cell.Kernel.RunUntil(cell.Now().Add(5 * time.Second))
 	updated := []byte("updated after the callback table died")
 	cell.Run(func(p *sim.Proc) {
 		err = ws1.FS.WriteFile(p, probe, updated)
@@ -176,7 +176,7 @@ func runChaos(t *testing.T, mode itcfs.Mode, seed int64) (schedule, invariants s
 	if err != nil {
 		t.Fatalf("update after restart: %v", err)
 	}
-	cell.RunFor(3 * time.Minute) // outlive CallbackTTL
+	cell.Kernel.RunUntil(cell.Now().Add(3 * time.Minute)) // outlive CallbackTTL
 	var got []byte
 	cell.Run(func(p *sim.Proc) {
 		got, err = ws2.FS.ReadFile(p, probe)
@@ -226,10 +226,9 @@ func runChaos(t *testing.T, mode itcfs.Mode, seed int64) (schedule, invariants s
 	}
 
 	// Invariant: the run actually exercised the fault modes it claims.
-	drops, dups, corrupts, delays, decided := inj.Counts()
-	if drops == 0 || dups == 0 || corrupts == 0 || delays == 0 {
-		t.Fatalf("fault modes missed: drops=%d dups=%d corrupts=%d delays=%d (examined %d)",
-			drops, dups, corrupts, delays, decided)
+	if net.FaultDrops() == 0 || net.FaultDups() == 0 || net.FaultCorrupts() == 0 || net.FaultDelays() == 0 {
+		t.Fatalf("fault modes missed: drops=%d dups=%d corrupts=%d delays=%d",
+			net.FaultDrops(), net.FaultDups(), net.FaultCorrupts(), net.FaultDelays())
 	}
 	if cell.Servers[0].Vice.Restarts() < 3 {
 		t.Fatalf("server restarts = %d, want >= 3", cell.Servers[0].Vice.Restarts())

@@ -105,12 +105,6 @@ func (i *Injector) Corrupt(wire []byte) {
 	}
 }
 
-// Counts returns how many frames were dropped, duplicated, corrupted and
-// delayed, plus the number of frames examined.
-func (i *Injector) Counts() (drops, dups, corrupts, delays, decided int64) {
-	return i.drops, i.dups, i.corrupts, i.delays, i.decided
-}
-
 // Report returns the full fault schedule, one line per injected fault, plus
 // a summary. Two runs with the same seed and workload produce identical
 // reports; the chaos harness asserts exactly that.

@@ -138,11 +138,10 @@ func E7PathnameAblation(cfg E7Config) (*Report, error) {
 
 // E8Config sizes the transfer-granularity ablation.
 type E8Config struct {
-	FileKB     int // size of the sequentially-read file
-	Rereads    int // how many times the same file is re-read
-	BigMB      int // size of the partially-read file
-	PartialB   int // bytes read out of the big file
-	PageServer rpc.Conn
+	FileKB   int // size of the sequentially-read file
+	Rereads  int // how many times the same file is re-read
+	BigMB    int // size of the partially-read file
+	PartialB int // bytes read out of the big file
 }
 
 // DefaultE8 returns the standard configuration.

@@ -10,10 +10,9 @@ import (
 	"itcfs/internal/workload"
 )
 
-// textRun executes a small traced Andrew benchmark and returns the human
-// text exports: the span report and the final metrics snapshot. These are
-// the surfaces EXPERIMENTS.md results are read from, so they — not just the
-// Chrome JSON — must be replay-stable.
+// textRun executes a small traced Andrew benchmark and returns its exports:
+// the Chrome trace of every span and the final metrics snapshot. Both must
+// be replay-stable.
 func textRun(t *testing.T, seed int64) (report, metrics []byte) {
 	t.Helper()
 	cell := itcfs.NewCell(itcfs.CellConfig{
@@ -47,7 +46,9 @@ func textRun(t *testing.T, seed int64) (report, metrics []byte) {
 		t.Fatal(err)
 	}
 	var rep, met bytes.Buffer
-	cell.Tracer.WriteReport(&rep)
+	if err := cell.Tracer.ExportChrome(&rep); err != nil {
+		t.Fatal(err)
+	}
 	cell.Metrics.WriteText(&met)
 	return rep.Bytes(), met.Bytes()
 }
@@ -91,7 +92,7 @@ func TestE14Determinism(t *testing.T) {
 
 // TestTextExportDeterminism is the regression test the itcvet analyzers
 // exist to defend: two in-process runs with the same seed must produce
-// byte-identical text trace reports and metrics snapshots. Any wall-clock
+// byte-identical Chrome traces and metrics snapshots. Any wall-clock
 // leak, unseeded random draw, or map-iteration-ordered export shows up here
 // as a diff.
 func TestTextExportDeterminism(t *testing.T) {

@@ -243,11 +243,10 @@ func E4AndrewBenchmark(cfg E4Config) (*Report, error) {
 
 // E5Config sizes the scalability sweep.
 type E5Config struct {
-	Mode    itcfs.Mode
-	Andrew  workload.AndrewConfig
-	Drive   workload.Config
-	LoadWS  []int // concurrent load workstations per sweep point
-	PerLoad time.Duration
+	Mode   itcfs.Mode
+	Andrew workload.AndrewConfig
+	Drive  workload.Config
+	LoadWS []int // concurrent load workstations per sweep point
 }
 
 // DefaultE5 sweeps the client/server ratio through the paper's operating

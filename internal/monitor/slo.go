@@ -211,19 +211,6 @@ func (m *SLOMonitor) logBreach(st *sloState, wn, wbad, milli int64) string {
 	return hot
 }
 
-// Burn returns the class's burn rate as of the last sampling round.
-func (m *SLOMonitor) Burn(class string) float64 {
-	if m == nil {
-		return 0
-	}
-	for _, st := range m.classes {
-		if st.obj.Class == class {
-			return st.burn
-		}
-	}
-	return 0
-}
-
 // WorstBurn returns the objective burning fastest as of the last round (ties
 // keep objective order); ok is false with no objectives evaluated yet.
 func (m *SLOMonitor) WorstBurn() (class string, burn float64, ok bool) {

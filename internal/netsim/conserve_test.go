@@ -47,8 +47,8 @@ func TestQuickFrameConservation(t *testing.T) {
 		for i := 0; i < total; i++ {
 			src := nodes[r.Intn(len(nodes))]
 			dst := nodes[r.Intn(len(nodes))]
-			srcCut := n.Partitioned(src.Cluster)
-			dstCut := n.Partitioned(dst.Cluster)
+			srcCut := n.partitioned[src.Cluster.ID]
+			dstCut := n.partitioned[dst.Cluster.ID]
 			crossing := src.Cluster != dst.Cluster
 			if crossing && (srcCut || dstCut) {
 				dropsExpected++

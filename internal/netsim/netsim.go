@@ -73,8 +73,7 @@ type Link struct {
 	queue     []*frame // head-indexed ring of waiting frames
 	qhead     int
 
-	frames int64
-	bytes  int64
+	bytes int64
 
 	// Optional per-link instruments, installed by Network.SetMetrics.
 	mFrames *trace.Counter
@@ -92,9 +91,6 @@ func newLink(k *sim.Kernel, name string, bandwidth int64) *Link {
 
 // Name returns the link's name.
 func (l *Link) Name() string { return l.name }
-
-// Frames returns the number of frames transmitted or in transmission.
-func (l *Link) Frames() int64 { return l.frames }
 
 // Bytes returns the total bytes (including frame overhead) carried.
 func (l *Link) Bytes() int64 { return l.bytes }
@@ -144,7 +140,6 @@ func (l *Link) begin(f *frame, queued time.Duration) {
 	l.busy = true
 	l.busySince = l.k.Now()
 	l.cur = f
-	l.frames++
 	l.bytes += int64(f.wire)
 	l.mFrames.Inc()
 	l.mBytes.Add(int64(f.wire))
@@ -357,9 +352,6 @@ func (n *Network) Partition(c *Cluster) { n.partitioned[c.ID] = true }
 
 // Heal reattaches a partitioned cluster.
 func (n *Network) Heal(c *Cluster) { delete(n.partitioned, c.ID) }
-
-// Partitioned reports whether the cluster's bridge is detached.
-func (n *Network) Partitioned(c *Cluster) bool { return n.partitioned[c.ID] }
 
 // SetFaultInjector installs (or, with nil, removes) the fault plane. Every
 // subsequent frame is offered to the injector before routing.

@@ -83,8 +83,8 @@ func TestCrossClusterDelivery(t *testing.T) {
 	if n.CrossClusterFrames() != 1 {
 		t.Errorf("CrossClusterFrames = %d, want 1", n.CrossClusterFrames())
 	}
-	if n.Backbone.Frames() != 1 {
-		t.Errorf("backbone frames = %d, want 1", n.Backbone.Frames())
+	if got := n.Backbone.Bytes(); got != 12500 {
+		t.Errorf("backbone carried %d bytes, want 12500", got)
 	}
 }
 
@@ -101,8 +101,8 @@ func TestLoopbackDelivery(t *testing.T) {
 	if at != sim.Time(100*time.Microsecond) {
 		t.Fatalf("loopback at %v, want 100µs", at)
 	}
-	if got := a0.Cluster.LAN.Frames(); got != 0 {
-		t.Errorf("loopback used the LAN: %d frames", got)
+	if got := a0.Cluster.LAN.Bytes(); got != 0 {
+		t.Errorf("loopback used the LAN: %d bytes", got)
 	}
 }
 

@@ -257,14 +257,6 @@ func (db *DB) LookupKey(user string) (secure.Key, bool) {
 	return u.Key, true
 }
 
-// HasUser reports whether user exists.
-func (db *DB) HasUser(user string) bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	_, ok := db.users[user]
-	return ok
-}
-
 // Users returns all user names, sorted.
 func (db *DB) Users() []string {
 	db.mu.RLock()

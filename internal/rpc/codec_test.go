@@ -90,11 +90,3 @@ func TestTraceHeaderAlwaysOnWire(t *testing.T) {
 		t.Fatalf("traced call is %d bytes, untraced %d", len(traced), len(untraced))
 	}
 }
-
-func TestWireSizeAccountsPayloads(t *testing.T) {
-	small := Request{Op: 1}.WireSize()
-	big := Request{Op: 1, Bulk: make([]byte, 10_000)}.WireSize()
-	if big-small != 10_000 {
-		t.Fatalf("WireSize delta = %d, want 10000", big-small)
-	}
-}

@@ -127,14 +127,6 @@ func (r *Response) Release() {
 	r.frame, r.enc = nil, nil
 }
 
-// WireSize returns the approximate on-wire byte count of a request,
-// including per-packet protocol overhead. The simulator charges network
-// links with it.
-func (r Request) WireSize() int { return packetOverhead + len(r.Body) + len(r.Bulk) }
-
-// WireSize returns the approximate on-wire byte count of a response.
-func (r Response) WireSize() int { return packetOverhead + len(r.Body) + len(r.Bulk) }
-
 // packetOverhead approximates header plus seal overhead per packet.
 const packetOverhead = 96
 

@@ -156,7 +156,7 @@ func TestProcExitStress(t *testing.T) {
 		k.SpawnAt(Time(i%17), "stress", func(p *Proc) {
 			p.Sleep(Duration(i % 5))
 			m.Put(i)
-			p.Yield()
+			p.Sleep(0)
 		})
 	}
 	k.Spawn("drain", func(p *Proc) {
@@ -169,7 +169,7 @@ func TestProcExitStress(t *testing.T) {
 	if got != procs {
 		t.Fatalf("drained %d messages; want %d", got, procs)
 	}
-	if n := k.Procs(); n != 0 {
+	if n := k.nprocs; n != 0 {
 		t.Fatalf("%d processes still live after Run; want 0", n)
 	}
 }
@@ -223,8 +223,8 @@ func TestSpawnAllocs(t *testing.T) {
 	if got > spawnAllocs {
 		t.Fatalf("a fresh Spawn and its run allocate %v, pinned at %d", got, spawnAllocs)
 	}
-	if k.Procs() != 0 || len(k.idle) != 0 {
-		t.Fatalf("%d live, %d idle after the runs; want none", k.Procs(), len(k.idle))
+	if k.nprocs != 0 || len(k.idle) != 0 {
+		t.Fatalf("%d live, %d idle after the runs; want none", k.nprocs, len(k.idle))
 	}
 }
 
@@ -252,7 +252,7 @@ func TestNoIdleProcessOutlivesItsRun(t *testing.T) {
 				k.Spawn("worker", func(p *Proc) { p.Sleep(Duration(i)) })
 			}
 			idle, live := 0, 0
-			k.After(time.Millisecond, func() { idle, live = len(k.idle), k.Procs() })
+			k.After(time.Millisecond, func() { idle, live = len(k.idle), k.nprocs })
 			if tc.name != "Run" {
 				// Still queued when the run returns: a parked process and
 				// an event past the horizon or the stop.
@@ -274,8 +274,8 @@ func TestNoIdleProcessOutlivesItsRun(t *testing.T) {
 			}
 			if tc.name != "Run" {
 				k.Run()
-				if n := settledGoroutines(base); n > base || k.Procs() != 0 {
-					t.Fatalf("after draining: %d goroutines, %d live; want %d, 0", n, k.Procs(), base)
+				if n := settledGoroutines(base); n > base || k.nprocs != 0 {
+					t.Fatalf("after draining: %d goroutines, %d live; want %d, 0", n, k.nprocs, base)
 				}
 			}
 		})

@@ -78,14 +78,14 @@ func TestConformanceNestedSameInstantChain(t *testing.T) {
 	}
 }
 
-// TestConformanceSleepZeroYields: Sleep(0) (Yield) reschedules the process
+// TestConformanceSleepZeroYields: Sleep(0) reschedules the process
 // after all events already queued at the present instant.
 func TestConformanceSleepZeroYields(t *testing.T) {
 	k := NewKernel()
 	var order []string
 	k.Spawn("yielder", func(p *Proc) {
 		order = append(order, "before-yield")
-		p.Yield()
+		p.Sleep(0)
 		order = append(order, "after-yield")
 	})
 	k.Spawn("other", func(p *Proc) {
@@ -247,15 +247,15 @@ func TestConformanceStopWhileParked(t *testing.T) {
 	if len(woke) != 0 {
 		t.Fatalf("woke %d times under Stop, want 0", len(woke))
 	}
-	if k.Procs() != 1 {
-		t.Fatalf("Procs = %d while parked, want 1", k.Procs())
+	if k.nprocs != 1 {
+		t.Fatalf("%d live processes while parked, want 1", k.nprocs)
 	}
 	k.Run()
 	if fmt.Sprint(woke) != fmt.Sprint([]Time{Time(10 * ms), Time(20 * ms)}) {
 		t.Fatalf("woke = %v, want [10ms 20ms]", woke)
 	}
-	if k.Procs() != 0 {
-		t.Fatalf("Procs = %d after drain, want 0", k.Procs())
+	if k.nprocs != 0 {
+		t.Fatalf("%d live processes after drain, want 0", k.nprocs)
 	}
 }
 
@@ -298,9 +298,6 @@ func TestConformanceRunUntilBoundaryInclusive(t *testing.T) {
 	}
 	if end != Time(5*ms) {
 		t.Fatalf("clock = %v, want 5ms", end)
-	}
-	if k.Idle() {
-		t.Fatal("Idle with a pending event past the horizon")
 	}
 	k.Run()
 	if fmt.Sprint(fired) != "[at5 past]" {

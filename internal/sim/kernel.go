@@ -29,7 +29,7 @@
 //     only after this one parks, and a mutex it holds stops the next process
 //     that asks for it: either way the run hangs (the runtime reports a
 //     deadlock if no goroutine outside the simulation is left to run).
-//   - It parks only itself, from its own body. Sleep, Yield, Mailbox.Get,
+//   - It parks only itself, from its own body. Sleep, Mailbox.Get,
 //     Future.Wait or Resource.Use on a process the kernel is not running at
 //     that moment (from an At or After callback, or from another process's
 //     body) panics with a "sim:" message.
@@ -328,19 +328,13 @@ func (k *Kernel) RunUntil(t Time) Time {
 	return k.now
 }
 
-// Idle reports whether no events are pending.
-func (k *Kernel) Idle() bool { return k.cursor >= len(k.curr) && len(k.times) == 0 }
-
-// Procs returns the number of live processes.
-func (k *Kernel) Procs() int { return k.nprocs }
-
 // Proc is a simulated process: a coroutine scheduled by the kernel. All Proc
 // methods must be called from the process's own body.
 //
 // The zero Proc is a process without a kernel: a real caller's or a real
 // server worker's, on an ordinary goroutine that owns it. Its Trace slot
 // works, so spans nest under it as under a simulated process; it has no
-// virtual clock (Kernel returns nil), and Sleep, Yield and every park on it
+// virtual clock (Kernel returns nil), and Sleep and every park on it
 // panic. Code that runs in both regimes reads its time and waits through
 // rpc.Clock and rpc.Sleep, which take wall time for such a process.
 type Proc struct {
@@ -450,7 +444,8 @@ func (p *Proc) mustBeRunning() {
 	}
 }
 
-// Sleep suspends the process for virtual duration d.
+// Sleep suspends the process for virtual duration d. Sleep(0) yields: the
+// process resumes after every event already queued at the present instant.
 func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		panic("sim: negative sleep")
@@ -459,7 +454,3 @@ func (p *Proc) Sleep(d Duration) {
 	p.k.wakeAt(p.k.now.Add(d), p)
 	p.yield(struct{}{})
 }
-
-// Yield reschedules the process after all currently-queued events at the
-// present instant.
-func (p *Proc) Yield() { p.Sleep(0) }

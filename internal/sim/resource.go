@@ -17,7 +17,6 @@ type Resource struct {
 	busyTime  Duration // cumulative time spent busy
 	busySince Time     // valid when busy
 	uses      int64
-	queuedMax int
 }
 
 // grant is one process's claim on the resource. Grants are values, queued in
@@ -53,9 +52,6 @@ func (r *Resource) Use(p *Proc, d Duration) {
 			r.qhead = 0
 		}
 		r.queue = append(r.queue, grant{p: p, hold: d})
-		if n := len(r.queue) - r.qhead; n > r.queuedMax {
-			r.queuedMax = n
-		}
 		p.park() // woken by release when it is our turn
 	}
 	r.start(grant{p: p, hold: d})
@@ -111,9 +107,6 @@ func (r *Resource) Uses() int64 { return r.uses }
 
 // QueueLen returns the number of processes currently waiting.
 func (r *Resource) QueueLen() int { return len(r.queue) - r.qhead }
-
-// MaxQueueLen returns the high-water mark of the wait queue.
-func (r *Resource) MaxQueueLen() int { return r.queuedMax }
 
 // Utilization returns BusyTime divided by the elapsed interval since a
 // reference time (typically the start of an observation window).

@@ -115,8 +115,8 @@ func TestProcSleep(t *testing.T) {
 			t.Errorf("wake %d at %v, want %v", i, wake[i], want[i])
 		}
 	}
-	if k.Procs() != 0 {
-		t.Errorf("Procs = %d after run, want 0", k.Procs())
+	if k.nprocs != 0 {
+		t.Errorf("%d live processes after run, want 0", k.nprocs)
 	}
 }
 
@@ -267,9 +267,6 @@ func TestResourceSerializes(t *testing.T) {
 	if r.Uses() != 3 {
 		t.Errorf("Uses = %d, want 3", r.Uses())
 	}
-	if r.MaxQueueLen() != 2 {
-		t.Errorf("MaxQueueLen = %d, want 2", r.MaxQueueLen())
-	}
 }
 
 func TestResourceUtilization(t *testing.T) {
@@ -375,7 +372,6 @@ func TestZeroProcHasNoKernel(t *testing.T) {
 		f()
 	}
 	mustPanic("Sleep", func() { p.Sleep(ms) })
-	mustPanic("Yield", p.Yield)
 	k := NewKernel()
 	mustPanic("Mailbox.Get", func() { NewMailbox[int](k).Get(&p) })
 	mustPanic("Future.Wait", func() { NewFuture[int](k).Wait(&p) })

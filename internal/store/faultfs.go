@@ -67,22 +67,6 @@ func (f *FaultFS) Events() int {
 	return f.event
 }
 
-// CrashNow fails every subsequent operation immediately, independent of the
-// configured crash point — the disk dying mid-run rather than at a chosen
-// event.
-func (f *FaultFS) CrashNow() {
-	f.mu.Lock()
-	f.crashed = true
-	f.mu.Unlock()
-}
-
-// Crashed reports whether the injected crash has fired.
-func (f *FaultFS) Crashed() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.crashed
-}
-
 // step counts one durability event and reports whether this is the crash.
 // Callers hold f.mu.
 //

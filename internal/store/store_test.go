@@ -209,9 +209,6 @@ func TestFaultFSNoCrashMatchesMemFS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Crashed() {
-		t.Fatal("crashed with crashAt=0")
-	}
 	if f.Events() == 0 {
 		t.Fatal("no durability events counted")
 	}
@@ -237,9 +234,6 @@ func TestFaultFSDeterministicPerSeed(t *testing.T) {
 			_, err := faultWorkload(f)
 			if !errors.Is(err, ErrCrashed) {
 				t.Fatalf("crashAt=%d: err = %v", crashAt, err)
-			}
-			if !f.Crashed() {
-				t.Fatalf("crashAt=%d: Crashed() = false", crashAt)
 			}
 			img, rerr := f.Survivors().ReadFile("wal")
 			if rerr != nil {

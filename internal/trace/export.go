@@ -1,10 +1,8 @@
 package trace
 
 import (
-	"fmt"
 	"io"
 	"strings"
-	"time"
 )
 
 // usec converts a virtual time offset or duration to microseconds, the unit
@@ -67,43 +65,4 @@ func (t *Tracer) ExportChrome(w io.Writer) error {
 	return writeJSON(w, struct {
 		TraceEvents []any `json:"traceEvents"`
 	}{events})
-}
-
-// WriteReport writes a human-readable tree of the tracer's finished spans,
-// one trace at a time, children indented under parents in start order.
-func (t *Tracer) WriteReport(w io.Writer) {
-	spans := t.Spans()
-	children := make(map[uint64][]*Span) // parent span ID -> children (span IDs are globally unique)
-	byID := make(map[uint64]*Span)
-	for _, s := range spans {
-		byID[s.ctx.Span] = s
-	}
-	var roots []*Span
-	for _, s := range spans {
-		if s.parent != 0 && byID[s.parent] != nil {
-			children[s.parent] = append(children[s.parent], s)
-		} else {
-			roots = append(roots, s)
-		}
-	}
-	var dump func(s *Span, depth int)
-	dump = func(s *Span, depth int) {
-		fmt.Fprintf(w, "%*s%-20s %-12s at=%-12v dur=%v", depth*2, "", s.name, s.node,
-			time.Duration(s.start), s.Duration())
-		for _, a := range s.attrs {
-			if a.IsStr {
-				fmt.Fprintf(w, " %s=%s", a.Key, a.Str)
-			} else {
-				fmt.Fprintf(w, " %s=%d", a.Key, a.Int)
-			}
-		}
-		fmt.Fprintln(w)
-		for _, c := range children[s.ctx.Span] {
-			dump(c, depth+1)
-		}
-	}
-	for _, r := range roots {
-		fmt.Fprintf(w, "trace %d:\n", r.ctx.Trace)
-		dump(r, 1)
-	}
 }

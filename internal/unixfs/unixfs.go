@@ -1009,18 +1009,6 @@ func (fs *FS) Chmod(path string, mode uint16) error {
 	return nil
 }
 
-// Chown replaces the owner on path.
-func (fs *FS) Chown(path, owner string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	n, err := fs.lookup(path, true)
-	if err != nil {
-		return err
-	}
-	n.owner = owner
-	return nil
-}
-
 // Walk visits every path under root in depth-first name order, calling fn
 // with the path and stat of each inode (including root itself). If fn
 // returns an error the walk stops and returns it.
@@ -1045,18 +1033,6 @@ func (fs *FS) Walk(root string, fn func(path string, st Stat) error) error {
 		}
 	}
 	return nil
-}
-
-// TreeSize returns the total regular-file bytes under root.
-func (fs *FS) TreeSize(root string) (int64, error) {
-	var total int64
-	err := fs.Walk(root, func(_ string, st Stat) error {
-		if st.Type == TypeRegular {
-			total += st.Size
-		}
-		return nil
-	})
-	return total, err
 }
 
 // CopyTree deep-copies the subtree at src (in this FS) to dst in the

@@ -444,13 +444,12 @@ func TestUsedBytesAccounting(t *testing.T) {
 	}
 }
 
-func TestChmodChown(t *testing.T) {
+func TestChmod(t *testing.T) {
 	fs := newFS()
 	fs.WriteFile("/f", nil, 0o644, "satya")
 	fs.Chmod("/f", 0o600)
-	fs.Chown("/f", "howard")
 	st, _ := fs.Stat("/f")
-	if st.Mode != 0o600 || st.Owner != "howard" {
+	if st.Mode != 0o600 || st.Owner != "satya" {
 		t.Fatalf("stat = %+v", st)
 	}
 }

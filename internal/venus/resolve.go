@@ -318,7 +318,9 @@ func (v *Venus) callAt(p *sim.Proc, path string, cr proto.CustodianReply, req re
 			if isTransportErr(err) && redials < v.cfg.ReconnectRetries {
 				// The connection is dead; a fresh one is outside the
 				// transport's at-most-once window, so the re-issued request
-				// may execute twice — mutating callers tolerate that.
+				// may execute twice: the call is at-least-once. A re-issued
+				// Remove can delete a file another station created in the
+				// meantime (ROADMAP item 16).
 				v.dropConn(server, c)
 				redials++
 				continue
@@ -648,13 +650,16 @@ func (v *Venus) dirCall(p *sim.Proc, dir string, ref proto.Ref, req request, pat
 	if err != nil {
 		// With ReconnectRetries enabled a call may be re-issued on a fresh
 		// connection, outside the transport's at-most-once window, after an
-		// earlier attempt already executed (its reply died with the server).
-		// A mutation that reports "already done" — Exist on an add, NoEnt on
-		// a delete — is then indistinguishable from that re-execution, so
-		// treat it as success with at-least-once semantics. The cached
-		// listing cannot be patched (the reply carries no status), so fall
-		// through to the drop-and-refetch path below. (A call that got no
-		// reply at all carries code 0 and is never "already done".)
+		// earlier attempt already executed (its reply died with the server):
+		// the mutation is at-least-once, and a re-issued Remove can delete a
+		// file another station created in the meantime (ROADMAP item 16). A
+		// mutation that reports "already done" — Exist on an add, NoEnt on a
+		// delete — is taken for such a re-execution and counted a success,
+		// which also hides a genuine Exist from a concurrent creator. The
+		// cached listing cannot be patched (the reply carries no status), so
+		// fall through to the drop-and-refetch path below.
+		// (A call that got no reply at all carries code 0 and is never
+		// "already done".)
 		if v.cfg.ReconnectRetries == 0 || !mutationAlreadyDone(op, resp.Code) {
 			return err
 		}

@@ -126,8 +126,13 @@ type Config struct {
 	// ReconnectRetries lets Venus redial a server and re-issue a call after
 	// a transport failure (server crash or long outage); 0 fails fast. A
 	// re-issued call is a new connection, outside the transport's
-	// at-most-once window, so mutating callers tolerate re-execution (see
-	// createFile's handling of ErrExist).
+	// at-most-once window, so with retries a mutation is at-least-once: it
+	// may execute twice. A re-issued Remove deletes a file that another
+	// station created under the name in the meantime, and a re-executed
+	// Store or Rename goes unnoticed (ROADMAP item 16). dirCall takes Exist
+	// on a re-issued add and NoEnt on a re-issued delete for the first
+	// attempt's success, which also hides a genuine Exist from a concurrent
+	// creator.
 	ReconnectRetries int
 	// RevalidateBatch caps how many cached entries one BulkTestValid RPC
 	// revalidates during a sweep (reconnection or TTL). 0 uses

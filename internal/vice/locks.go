@@ -105,14 +105,3 @@ func (t *LockTable) ReleaseAllFor(user string) {
 		}
 	}
 }
-
-// Held reports the lock state of fid: number of readers and the writer.
-func (t *LockTable) Held(fid proto.FID) (readers int, writer string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := t.locks[fid]
-	if st == nil {
-		return 0, ""
-	}
-	return len(st.readers), st.writer
-}

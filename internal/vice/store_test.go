@@ -105,7 +105,7 @@ func TestStorePersistAcrossServerRestart(t *testing.T) {
 	if string(got) != "durable bytes" {
 		t.Fatalf("fetched %q", got)
 	}
-	if !d2.srv.cfg.DB.HasUser("bovik") {
+	if _, ok := d2.srv.cfg.DB.LookupKey("bovik"); !ok {
 		t.Fatal("protection mutation lost")
 	}
 	if _, ok := d2.srv.Loc().Resolve("/d/f"); !ok {
@@ -196,20 +196,25 @@ func TestAttachVolumeVsCheckpoint(t *testing.T) {
 // storage holds serves only the acknowledged history — the failed write
 // never becomes durable.
 func TestStoreFailureSurfacesAndUnackedWriteStaysVolatile(t *testing.T) {
-	f := store.NewFaultFS(1, 0)
-	f.Strict = true
-	ws, err := walstore.Open(f)
-	if err != nil {
-		t.Fatal(err)
+	// The acknowledged history, on a disk that dies at crashAt.
+	acked := func(crashAt int) (*store.FaultFS, *durableServer) {
+		f := store.NewFaultFS(1, crashAt)
+		f.Strict = true
+		ws, err := walstore.Open(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := newDurableServer(t, ws)
+		d.call(t, "operator", proto.OpCreate,
+			proto.Marshal(proto.NameArgs{Dir: pathRef("/"), Name: "f", Mode: 0o644}), nil)
+		d.call(t, "operator", proto.OpStore,
+			proto.Marshal(proto.StoreArgs{Ref: pathRef("/f")}), []byte("before"))
+		return f, d
 	}
-	d := newDurableServer(t, ws)
-	d.call(t, "operator", proto.OpCreate,
-		proto.Marshal(proto.NameArgs{Dir: pathRef("/"), Name: "f", Mode: 0o644}), nil)
-	d.call(t, "operator", proto.OpStore,
-		proto.Marshal(proto.StoreArgs{Ref: pathRef("/f")}), []byte("before"))
-
-	// Kill the disk out from under the store.
-	f.CrashNow()
+	// Count the durability events that history takes, then replay it on a
+	// disk that dies at the next one: the next mutation's.
+	counted, _ := acked(0)
+	f, d := acked(counted.Events() + 1)
 
 	resp := d.srv.Dispatcher().Dispatch(rpc.Ctx{User: "operator"},
 		rpc.Request{Op: rpc.Op(proto.OpStore),

@@ -489,7 +489,7 @@ func TestProtMutateRequiresAuthority(t *testing.T) {
 	wantCode(t, resp, proto.CodeNotAllowed)
 	// server0 is.
 	mustOK(t, c.call("operator", 0, proto.OpProtMutate, proto.Marshal(m), nil))
-	if !c.servers[0].DB().HasUser("newbie") {
+	if _, ok := c.servers[0].DB().LookupKey("newbie"); !ok {
 		t.Fatal("user not added")
 	}
 }

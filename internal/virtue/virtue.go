@@ -341,21 +341,3 @@ func (fs *FS) Chmod(p *sim.Proc, path string, mode uint16) error {
 	}
 	return fs.local.Chmod(tgt.path, mode)
 }
-
-// SetupStandardLinks builds the Figure 3-2 layout: local /tmp, and /bin and
-// /lib as symbolic links into the architecture-specific shared binaries.
-func (fs *FS) SetupStandardLinks(arch string) error {
-	if err := fs.local.MkdirAll("/tmp", 0o777, "root"); err != nil {
-		return err
-	}
-	for _, dir := range []string{"bin", "lib"} {
-		link := "/" + dir
-		if fs.local.Exists(link) {
-			continue
-		}
-		if err := fs.local.Symlink(fmt.Sprintf("%s/unix/%s/%s", fs.mount, arch, dir), link); err != nil {
-			return err
-		}
-	}
-	return nil
-}

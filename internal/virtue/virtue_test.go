@@ -127,7 +127,7 @@ func TestSymlinkFromLocalIntoVice(t *testing.T) {
 			if err := fs.WriteFile(nil, "/vice/unix/sun/bin/cc", []byte("compiler")); err != nil {
 				t.Fatal(err)
 			}
-			if err := fs.SetupStandardLinks("sun"); err != nil {
+			if err := fs.Symlink(nil, "/vice/unix/sun/bin", "/bin"); err != nil {
 				t.Fatal(err)
 			}
 			got, err := fs.ReadFile(nil, "/bin/cc")

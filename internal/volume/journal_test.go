@@ -221,7 +221,7 @@ func TestJournalIsNotShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.TrackingDirty() || d.TrackingDirty() {
+	if c.journal != nil || d.journal != nil {
 		t.Fatal("a copy of a journalled volume came with its journal")
 	}
 	if meta, data, dirs, dead := c.TakeDirty(); meta != nil || data != nil || dirs != nil || dead != nil {

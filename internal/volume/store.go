@@ -153,9 +153,6 @@ func (v *Volume) EnableDirtyTracking() {
 	}
 }
 
-// TrackingDirty reports whether mutation tracking is enabled.
-func (v *Volume) TrackingDirty() bool { return v.journal != nil }
-
 func (v *Volume) markMeta(id uint32) {
 	if j := v.journal; j != nil {
 		j.dirty[id] |= dirtyMeta

@@ -331,11 +331,6 @@ func (c *Cell) Do(fn func(p *sim.Proc) error) (err error) {
 	return err
 }
 
-// RunFor drives the kernel for a span of virtual time.
-func (c *Cell) RunFor(d time.Duration) {
-	c.Kernel.RunUntil(c.Kernel.Now().Add(d))
-}
-
 // Now returns the cell's virtual time.
 func (c *Cell) Now() sim.Time { return c.Kernel.Now() }
 

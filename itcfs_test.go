@@ -113,7 +113,7 @@ func TestSymbolicLinkIntoVice(t *testing.T) {
 			return
 		}
 		// The workstation's /bin is a symlink into /vice (Figure 3-2).
-		if err := ws.FS.SetupStandardLinks("sun"); err != nil {
+		if err := ws.FS.Symlink(p, "/vice/unix/sun/bin", "/bin"); err != nil {
 			t.Errorf("links: %v", err)
 			return
 		}
@@ -320,7 +320,7 @@ func TestStartSamplingKeepsEveryWindowToTheHorizon(t *testing.T) {
 			}
 		}
 	})
-	cell.RunFor(windows * every)
+	cell.Kernel.RunUntil(cell.Now().Add(windows * every))
 
 	pts := s.Points(trace.ServerCPUSeries(srv.Vice.Name()))
 	if len(pts) != windows {

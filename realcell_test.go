@@ -1,6 +1,7 @@
 package itcfs
 
 import (
+	"errors"
 	"io"
 	"net"
 	"runtime"
@@ -256,16 +257,18 @@ func TestRealCellDisconnectReleases(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, writer := c.srv.Locks().Held(fid); writer != "satya" {
-				t.Fatalf("lock held by %q before the disconnect", writer)
+			// Another user's exclusive lock is refused while satya holds
+			// one, and granted once nobody holds any.
+			if err := c.srv.Locks().Lock(fid, "probe", true); !errors.Is(err, proto.ErrLocked) {
+				t.Fatalf("before the disconnect, another user's lock: %v; want refused", err)
 			}
 			if n := c.srv.Callbacks().Outstanding(); (mode == Revised) != (n > 0) {
 				t.Fatalf("%d promises outstanding in %s mode before the disconnect", n, mode)
 			}
 			ws.hangUp()
 			c.awaitEnd(t, "satya")
-			if readers, writer := c.srv.Locks().Held(fid); readers != 0 || writer != "" {
-				t.Errorf("after the disconnect: %d readers, writer %q", readers, writer)
+			if err := c.srv.Locks().Lock(fid, "probe", true); err != nil {
+				t.Errorf("after the disconnect, another user's lock: %v", err)
 			}
 			if n := c.srv.Callbacks().Outstanding(); n != 0 {
 				t.Errorf("after the disconnect: %d promises outstanding", n)

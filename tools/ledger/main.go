@@ -15,6 +15,11 @@
 //   - exported: exported names of the tree's non-main packages — functions,
 //     methods (of unexported types too), types, constants, variables and
 //     struct fields;
+//   - test-only: the exported functions and methods of those packages whose
+//     name no non-test file of the tree or of bench/ mentions outside its
+//     own declaration, so that only tests call them (a name, not a type,
+//     is matched: a method whose name another type's caller uses counts as
+//     called);
 //   - options: the independently settable values — fields of the five
 //     configuration structs (the cost table among them) and flags of the
 //     three commands;
@@ -92,6 +97,7 @@ func ledger(root string, files []string, w io.Writer) error {
 		return fmt.Errorf("run from the module root: %w", err)
 	}
 	var tree, tools, exported, options tally
+	var calls callers
 	tests := 0
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -100,7 +106,7 @@ func ledger(root string, files []string, w io.Writer) error {
 		rel, _ := filepath.Rel(root, path)
 		rel = filepath.ToSlash(rel)
 		if d.IsDir() {
-			if rel == "bench" || d.Name() == "testdata" || (rel != "." && strings.HasPrefix(d.Name(), ".")) {
+			if d.Name() == "testdata" || (rel != "." && strings.HasPrefix(d.Name(), ".")) {
 				return filepath.SkipDir
 			}
 			return nil
@@ -110,8 +116,9 @@ func ledger(root string, files []string, w io.Writer) error {
 		}
 		dir := filepath.ToSlash(filepath.Dir(rel))
 		inTools := dir == "tools" || strings.HasPrefix(dir, "tools/")
+		inBench := dir == "bench" || strings.HasPrefix(dir, "bench/")
 		test := strings.HasSuffix(rel, "_test.go")
-		if inTools && test {
+		if (inTools || inBench) && test {
 			return nil
 		}
 		src, err := os.ReadFile(path)
@@ -119,6 +126,13 @@ func ledger(root string, files []string, w io.Writer) error {
 			return err
 		}
 		switch {
+		case inBench:
+			f, err := parseSource(src)
+			if err != nil {
+				return fmt.Errorf("%s: %w", rel, err)
+			}
+			calls.refer(f)
+			return nil
 		case inTools:
 			tools.add(dir, codeLines(src))
 			return nil
@@ -133,7 +147,9 @@ func ledger(root string, files []string, w io.Writer) error {
 		}
 		if f.Name.Name != "main" {
 			exported.add(dir, exportedNames(f))
+			calls.declare(f)
 		}
+		calls.refer(f)
 		for _, c := range configs {
 			if c.dir == dir {
 				options.add(c.pkg+"."+c.typ, structFields(f, c.typ))
@@ -160,6 +176,11 @@ func ledger(root string, files []string, w io.Writer) error {
 		fmt.Fprintf(w, "lines file %-40s %d\n", filepath.ToSlash(name), codeLines(src))
 	}
 	exported.print(w, "exported", "funcs, methods, types, consts, vars, struct fields of the tree's non-main packages")
+	testOnly := calls.uncalled()
+	fmt.Fprintf(w, "test-only %d  # exported funcs and methods no non-test file of the tree or bench/ names\n", len(testOnly))
+	for _, name := range testOnly {
+		fmt.Fprintf(w, "test-only   %s\n", name)
+	}
 	options.print(w, "options", "fields of the five Config structs and flags of the three commands")
 	header, err := lockgraphHeader(filepath.Join(root, "DESIGN.md"))
 	if err != nil {
@@ -235,6 +256,81 @@ func exportedNames(f *ast.File) int {
 		}
 	}
 	return n
+}
+
+// callers matches the exported functions and methods of non-main packages
+// against the names that non-test code mentions.
+type callers struct {
+	decls map[string][]string // name → its declarations, as pkg.Recv.Name
+	refs  map[string]bool     // names mentioned outside their declarations
+}
+
+// declare records f's exported functions and methods.
+func (c *callers) declare(f *ast.File) {
+	if c.decls == nil {
+		c.decls = make(map[string][]string)
+	}
+	for _, decl := range f.Decls {
+		fd, ok := decl.(*ast.FuncDecl)
+		if !ok || !fd.Name.IsExported() {
+			continue
+		}
+		full := f.Name.Name + "." + fd.Name.Name
+		if fd.Recv != nil && len(fd.Recv.List) == 1 {
+			full = f.Name.Name + "." + receiverType(fd.Recv.List[0].Type) + "." + fd.Name.Name
+		}
+		c.decls[fd.Name.Name] = append(c.decls[fd.Name.Name], full)
+	}
+}
+
+// refer records every identifier f mentions, apart from the names its
+// function declarations declare.
+func (c *callers) refer(f *ast.File) {
+	if c.refs == nil {
+		c.refs = make(map[string]bool)
+	}
+	own := make(map[*ast.Ident]bool)
+	ast.Inspect(f, func(node ast.Node) bool {
+		switch n := node.(type) {
+		case *ast.FuncDecl:
+			own[n.Name] = true
+		case *ast.Ident:
+			if !own[n] {
+				c.refs[n.Name] = true
+			}
+		}
+		return true
+	})
+}
+
+// uncalled returns, sorted, the declarations whose name nothing mentions.
+func (c *callers) uncalled() []string {
+	var out []string
+	for name, full := range c.decls {
+		if !c.refs[name] {
+			out = append(out, full...)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// receiverType names a method's receiver type: T for T, *T, T[P] or *T[P].
+func receiverType(x ast.Expr) string {
+	for {
+		switch t := x.(type) {
+		case *ast.StarExpr:
+			x = t.X
+		case *ast.IndexExpr:
+			x = t.X
+		case *ast.IndexListExpr:
+			x = t.X
+		case *ast.Ident:
+			return t.Name
+		default:
+			return "?"
+		}
+	}
 }
 
 // structFields counts the named fields of the struct type typ, if f
