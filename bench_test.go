@@ -125,7 +125,7 @@ func BenchmarkE6ValidationAblation(b *testing.B) {
 // pathname traversal comparison.
 func BenchmarkE7PathnameAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := harness.E7PathnameAblation(harness.DefaultE7())
+		r, err := harness.E7PathnameAblation()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func BenchmarkE7PathnameAblation(b *testing.B) {
 // reads of huge files).
 func BenchmarkE8WholeFileVsPaged(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := harness.E8WholeFileVsPaged(harness.DefaultE8())
+		r, err := harness.E8WholeFileVsPaged()
 		if err != nil {
 			b.Fatal(err)
 		}

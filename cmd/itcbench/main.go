@@ -190,10 +190,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return harness.E6ValidationAblation(cfg)
 		}},
 		{"E7", func() (*harness.Report, error) {
-			return harness.E7PathnameAblation(harness.DefaultE7())
+			return harness.E7PathnameAblation()
 		}},
 		{"E8", func() (*harness.Report, error) {
-			return harness.E8WholeFileVsPaged(harness.DefaultE8())
+			return harness.E8WholeFileVsPaged()
 		}},
 		{"E9", func() (*harness.Report, error) {
 			cfg := harness.DefaultE9()

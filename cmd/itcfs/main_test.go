@@ -39,7 +39,7 @@ func serve(t *testing.T) (addr string, hangUp func()) {
 	l := &listener{Listener: nl}
 	served := make(chan struct{})
 	go func() {
-		srv.Serve(l, nil, nil)
+		srv.Serve(l, nil)
 		close(served)
 	}()
 	t.Cleanup(func() { l.Close(); <-served })

@@ -103,6 +103,14 @@ func run(args []string) int {
 	uptime := func() sim.Time { return rpc.Clock(nil) }
 	metrics := trace.NewRegistry()
 	flight := trace.NewRecorder(*flightEvents, uptime)
+	// A wall-clock tracer: real transports have no virtual time, so spans
+	// carry the same monotonic offset the flight recorder uses. It records
+	// an rpc.serve per served call and, under it, an rpc.call per callback
+	// break the call makes.
+	var tracer *trace.Tracer
+	if *traceFlag {
+		tracer = trace.New(uptime)
+	}
 
 	var st store.Store
 	if *dataDir != "" {
@@ -122,6 +130,7 @@ func run(args []string) int {
 		Name:    *name,
 		Mode:    mode,
 		Clock:   clock,
+		Tracer:  tracer,
 		Metrics: metrics,
 		Flight:  flight,
 		Store:   st,
@@ -136,15 +145,6 @@ func run(args []string) int {
 		}
 	}
 	locdb := srv.Loc()
-
-	// A wall-clock tracer: real transports have no virtual time, so spans
-	// carry the same monotonic offset the flight recorder uses. It records
-	// an rpc.serve per served call and, under it, an rpc.call per callback
-	// break the call makes.
-	var tracer *trace.Tracer
-	if *traceFlag {
-		tracer = trace.New(uptime)
-	}
 
 	// snapshot is the one dump path every exit and the debug endpoint share:
 	// the metrics report, the location database and the flight-recorder ring.
@@ -268,7 +268,7 @@ func run(args []string) int {
 		}
 	}
 	log.Printf("itcfsd: %s (%s mode) serving Vice on %s", *name, mode, l.Addr())
-	err = srv.Serve(l, tracer, func(addr net.Addr, user string, err error) {
+	err = srv.Serve(l, func(addr net.Addr, user string, err error) {
 		if err != nil {
 			log.Printf("itcfsd: %s: handshake rejected: %v", addr, err)
 			return

@@ -65,7 +65,7 @@ func runGate(t *testing.T, mode Mode, dir string, d time.Duration) {
 		}
 		cfg.Store = ws
 	}
-	c := bootRealCell(t, cfg, nil, "satya")
+	c := bootRealCell(t, cfg, "satya")
 	stations := make([]*gateStation, gateStations)
 	for i := range stations {
 		stations[i] = &gateStation{realStation: c.station(t, mode, "satya"), id: i, r: rand.New(rand.NewSource(int64(1985 + i))), log: log}

@@ -63,23 +63,19 @@ func E6ValidationAblation(cfg E6Config) (*Report, error) {
 	return r, nil
 }
 
-// E7Config sizes the pathname-traversal ablation.
-type E7Config struct {
-	Users   int
-	Depth   int // directory depth of the accessed files
-	OpsEach int
-}
-
-// DefaultE7 returns the standard configuration.
-func DefaultE7() E7Config {
-	return E7Config{Users: 10, Depth: 6, OpsEach: 150}
-}
+// E7's size: e7Users stations each stat one file e7OpsEach times, at
+// e7Depth directories below the user's home.
+const (
+	e7Users   = 10
+	e7Depth   = 6
+	e7OpsEach = 150
+)
 
 // E7PathnameAblation measures server-side pathname traversal (prototype)
 // against client-side traversal with FIDs (revised): "the offloading of
 // pathname traversal from servers to clients will reduce the utilization of
 // the server CPU and hence improve the scalability of our design" (§5.3).
-func E7PathnameAblation(cfg E7Config) (*Report, error) {
+func E7PathnameAblation() (*Report, error) {
 	r := newReport("E7", "Server-side vs client-side pathname traversal",
 		"moving traversal to workstations cuts server CPU per operation (§5.3)",
 		"metric", "prototype (server walks)", "revised (FIDs)")
@@ -93,7 +89,7 @@ func E7PathnameAblation(cfg E7Config) (*Report, error) {
 		// Build a deep directory chain and a file at the bottom.
 		dir := "/vice/usr/deep"
 		_, err := station(cell, 0, "setup", "deep", func(p *sim.Proc, ws *itcfs.Workstation) error {
-			for d := 0; d < cfg.Depth; d++ {
+			for d := 0; d < e7Depth; d++ {
 				dir = fmt.Sprintf("%s/d%d", dir, d)
 				if err := ws.FS.Mkdir(p, dir, 0o755); err != nil {
 					return err
@@ -108,9 +104,9 @@ func E7PathnameAblation(cfg E7Config) (*Report, error) {
 		cpu0 := srv.CPU.BusyTime()
 		_, _, walked0 := srv.Vice.TrafficStats()
 		calls0 := srv.Endpoint.CallsTotal()
-		for u := 0; u < cfg.Users; u++ {
+		for u := 0; u < e7Users; u++ {
 			_, err := station(cell, 0, fmt.Sprintf("deep-ws%d", u), "deep", func(p *sim.Proc, ws *itcfs.Workstation) error {
-				for op := 0; op < cfg.OpsEach; op++ {
+				for op := 0; op < e7OpsEach; op++ {
 					if _, err := ws.FS.Stat(p, dir+"/leaf"); err != nil {
 						return err
 					}
@@ -125,7 +121,7 @@ func E7PathnameAblation(cfg E7Config) (*Report, error) {
 		walked[i] = walked1 - walked0
 		calls[i] = srv.Endpoint.CallsTotal() - calls0
 		cpu[i] = srv.CPU.BusyTime() - cpu0
-		perOpCPU[i] = cpu[i] / time.Duration(cfg.Users*cfg.OpsEach)
+		perOpCPU[i] = cpu[i] / time.Duration(e7Users*e7OpsEach)
 	}
 	r.row("components walked on server", count("walked_proto", walked[0]), count("walked_revised", walked[1]))
 	r.row("server CPU total", millis("", cpu[0]), millis("", cpu[1]))
@@ -136,32 +132,27 @@ func E7PathnameAblation(cfg E7Config) (*Report, error) {
 	return r, nil
 }
 
-// E8Config sizes the transfer-granularity ablation.
-type E8Config struct {
-	FileKB   int // size of the sequentially-read file
-	Rereads  int // how many times the same file is re-read
-	BigMB    int // size of the partially-read file
-	PartialB int // bytes read out of the big file
-}
-
-// DefaultE8 returns the standard configuration.
-func DefaultE8() E8Config {
-	return E8Config{FileKB: 128, Rereads: 5, BigMB: 4, PartialB: 256}
-}
+// E8's size.
+const (
+	e8FileKB   = 128 // size of the sequentially-read file
+	e8Rereads  = 5   // how many times the same file is re-read
+	e8BigMB    = 4   // size of the partially-read file
+	e8PartialB = 256 // bytes read out of the big file
+)
 
 // E8WholeFileVsPaged compares whole-file transfer with caching against
 // page-at-a-time remote access: "the total network protocol overhead in
 // transmitting a file is lower when it is sent en masse" and custodians are
 // contacted only on opens and closes (§3.2). The partial-access row shows
 // the honest flip side that bounds the design to files of a few megabytes.
-func E8WholeFileVsPaged(cfg E8Config) (*Report, error) {
+func E8WholeFileVsPaged() (*Report, error) {
 	// Whole-file side: a standard cell.
 	cell := itcfs.NewCell(itcfs.CellConfig{Mode: itcfs.Revised, Clusters: 1})
 	if err := provision(cell, "u"); err != nil {
 		return nil, err
 	}
-	seq := make([]byte, cfg.FileKB<<10)
-	big := make([]byte, cfg.BigMB<<20)
+	seq := make([]byte, e8FileKB<<10)
+	big := make([]byte, e8BigMB<<20)
 	_, err := station(cell, 0, "ws", "u", func(p *sim.Proc, ws *itcfs.Workstation) error {
 		if err := ws.FS.WriteFile(p, "/vice/usr/u/seq", seq); err != nil {
 			return err
@@ -183,19 +174,19 @@ func E8WholeFileVsPaged(cfg E8Config) (*Report, error) {
 		wholeSeqBytes = cell.Clusters[0].LAN.Bytes() - lan0
 		wholeSeq = p.Now().Sub(t0)
 		t0 = p.Now()
-		for i := 0; i < cfg.Rereads; i++ {
+		for i := 0; i < e8Rereads; i++ {
 			if _, err := cold.FS.ReadFile(p, "/vice/usr/u/seq"); err != nil {
 				return err
 			}
 		}
-		wholeRe = p.Now().Sub(t0) / time.Duration(cfg.Rereads)
+		wholeRe = p.Now().Sub(t0) / time.Duration(e8Rereads)
 		// Partial access: whole-file caching must fetch all of it.
 		t0 = p.Now()
 		f, err := cold.FS.Open(p, "/vice/usr/u/big", itcfs.FlagRead)
 		if err != nil {
 			return err
 		}
-		buf := make([]byte, cfg.PartialB)
+		buf := make([]byte, e8PartialB)
 		if _, err := f.ReadAt(buf, 1<<20); err != nil {
 			return err
 		}
@@ -246,19 +237,19 @@ func E8WholeFileVsPaged(cfg E8Config) (*Report, error) {
 		pageSeqBytes = cl.LAN.Bytes() - lan0
 		pageSeq = p.Now().Sub(t0)
 		t0 = p.Now()
-		for i := 0; i < cfg.Rereads; i++ {
+		for i := 0; i < e8Rereads; i++ {
 			if _, pageErr = c.ReadFile(p, "/seq"); pageErr != nil {
 				return
 			}
 		}
-		pageRe = p.Now().Sub(t0) / time.Duration(cfg.Rereads)
+		pageRe = p.Now().Sub(t0) / time.Duration(e8Rereads)
 		t0 = p.Now()
 		f, oerr := c.Open(p, "/big", false)
 		if oerr != nil {
 			pageErr = oerr
 			return
 		}
-		buf := make([]byte, cfg.PartialB)
+		buf := make([]byte, e8PartialB)
 		if _, pageErr = f.ReadAt(p, buf, 1<<20); pageErr != nil {
 			return
 		}
@@ -274,10 +265,10 @@ func E8WholeFileVsPaged(cfg E8Config) (*Report, error) {
 	r := newReport("E8", "Whole-file transfer + caching vs page-at-a-time access",
 		"whole-file wins on protocol overhead and repeat access; paging only wins partial reads of huge files (§2.2, §3.2)",
 		"scenario", "whole-file", "page-at-a-time")
-	r.row(fmt.Sprintf("first sequential read (%d KB)", cfg.FileKB),
+	r.row(fmt.Sprintf("first sequential read (%d KB)", e8FileKB),
 		millis("whole_seq_ms", wholeSeq), millis("page_seq_ms", pageSeq))
 	r.row("re-read (cached)", millis("whole_reread_ms", wholeRe), millis("page_reread_ms", pageRe))
-	r.row(fmt.Sprintf("read %d B of a %d MB file (cold)", cfg.PartialB, cfg.BigMB),
+	r.row(fmt.Sprintf("read %d B of a %d MB file (cold)", e8PartialB, e8BigMB),
 		millis("whole_partial_ms", wholePartial), millis("page_partial_ms", pagePartial))
 	r.row("network bytes, first read", count("", wholeSeqBytes), count("", pageSeqBytes))
 	r.row("server calls (whole run)", count("", wsCalls), text(fmt.Sprintf("%d page reads", pgReads)))

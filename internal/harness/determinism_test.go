@@ -17,7 +17,7 @@ func textRun(t *testing.T, seed int64) (report, metrics []byte) {
 	t.Helper()
 	cell := itcfs.NewCell(itcfs.CellConfig{
 		Mode:    itcfs.Revised,
-		Trace:   true,
+		Trace:   &trace.SamplePolicy{},
 		Metrics: trace.NewRegistry(),
 	})
 	andrew := smallAndrew(seed)

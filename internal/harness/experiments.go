@@ -66,11 +66,13 @@ func E1CallMix(cfg E1Config) (*Report, error) {
 
 // E2Config sizes the utilization experiment.
 type E2Config struct {
-	Load       LoadConfig
-	Warm       time.Duration
-	Measure    time.Duration
-	PeakWindow time.Duration
+	Load    LoadConfig
+	Warm    time.Duration
+	Measure time.Duration
 }
+
+// e2PeakWindow is the window E2's short-term CPU peaks are measured over.
+const e2PeakWindow = 5 * time.Minute
 
 // DefaultE2 approximates the paper's deployment: 6 cluster servers with 20
 // workstations each (120 total), measured over a working day. The measure
@@ -82,10 +84,9 @@ func DefaultE2() E2Config {
 	load.UsersPer = 20
 	load.ReplicateSys = true
 	return E2Config{
-		Load:       load,
-		Warm:       20 * time.Minute,
-		Measure:    time.Hour,
-		PeakWindow: 5 * time.Minute,
+		Load:    load,
+		Warm:    20 * time.Minute,
+		Measure: time.Hour,
 	}
 }
 
@@ -98,7 +99,7 @@ func E2Utilization(cfg E2Config) (*Report, error) {
 		return nil, err
 	}
 	err = lc.drive(cfg.Load, cfg.Warm, cfg.Measure, func() {
-		lc.cell.StartSampling(cfg.PeakWindow, cfg.Measure)
+		lc.cell.StartSampling(e2PeakWindow, cfg.Measure)
 	})
 	if err != nil {
 		return nil, err
@@ -112,7 +113,7 @@ func E2Utilization(cfg E2Config) (*Report, error) {
 		cpu, disk := lc.windowUtil(s)
 		var peak float64
 		for _, pt := range lc.cell.Sampler.Points(trace.ServerCPUSeries(s.Vice.Name())) {
-			peak = max(peak, float64(pt.V)/float64(cfg.PeakWindow))
+			peak = max(peak, float64(pt.V)/float64(e2PeakWindow))
 		}
 		r.addRow(s.Vice.Name(), pct(cpu), pct(peak), pct(disk))
 		if cpu > maxCPU {
@@ -169,15 +170,15 @@ func E3HitRatio(cfg E3Config) (*Report, error) {
 	return r, nil
 }
 
-// E4Config sizes the five-phase benchmark comparison.
+// E4Config sizes the five-phase benchmark comparison, which runs the
+// calibrated benchmark (workload.DefaultAndrew).
 type E4Config struct {
-	Mode   itcfs.Mode
-	Andrew workload.AndrewConfig
+	Mode itcfs.Mode
 }
 
 // DefaultE4 returns the calibrated configuration.
 func DefaultE4() E4Config {
-	return E4Config{Mode: itcfs.Prototype, Andrew: workload.DefaultAndrew()}
+	return E4Config{Mode: itcfs.Prototype}
 }
 
 // E4AndrewBenchmark reproduces the controlled experiment of §5.2: the
@@ -185,6 +186,7 @@ func DefaultE4() E4Config {
 // files local, and about 80% longer when every file comes from an unloaded
 // Vice server.
 func E4AndrewBenchmark(cfg E4Config) (*Report, error) {
+	andrew := workload.DefaultAndrew()
 	cell := itcfs.NewCell(itcfs.CellConfig{Mode: cfg.Mode, Clusters: 1})
 	err := provision(cell, "bench")
 	if err != nil {
@@ -193,22 +195,22 @@ func E4AndrewBenchmark(cfg E4Config) (*Report, error) {
 	var local, remote, warm workload.PhaseTimes
 	// Local run: source and target both on the workstation's own disk.
 	_, err = station(cell, 0, "bench-local", "bench", func(p *sim.Proc, ws *itcfs.Workstation) (err error) {
-		if _, err = workload.GenerateTree(p, ws.FS, "/src", cfg.Andrew); err != nil {
+		if _, err = workload.GenerateTree(p, ws.FS, "/src", andrew); err != nil {
 			return err
 		}
-		local, err = workload.RunAndrew(p, ws.FS, "/src", "/dst", cfg.Andrew)
+		local, err = workload.RunAndrew(p, ws.FS, "/src", "/dst", andrew)
 		return err
 	})
 	if err != nil {
 		return nil, fmt.Errorf("local run: %w", err)
 	}
-	if _, err := andrewTree(cell, "bench-setup", cfg.Andrew); err != nil {
+	if _, err := andrewTree(cell, "bench-setup", andrew); err != nil {
 		return nil, fmt.Errorf("remote tree: %w", err)
 	}
 	// Remote run: a fresh workstation; every file comes from the unloaded
 	// server.
 	remoteWS, err := station(cell, 0, "bench-remote", "bench", func(p *sim.Proc, ws *itcfs.Workstation) (err error) {
-		remote, err = workload.RunAndrew(p, ws.FS, andrewSrc, "/vice/usr/bench/dst", cfg.Andrew)
+		remote, err = workload.RunAndrew(p, ws.FS, andrewSrc, "/vice/usr/bench/dst", andrew)
 		return err
 	})
 	if err != nil {
@@ -218,7 +220,7 @@ func E4AndrewBenchmark(cfg E4Config) (*Report, error) {
 	// with the source tree already cached. In revised mode callbacks make
 	// the cached reads free; the prototype still validates each one.
 	err = cell.Do(func(p *sim.Proc) (err error) {
-		warm, err = workload.RunAndrew(p, remoteWS.FS, andrewSrc, "/vice/usr/bench/dst2", cfg.Andrew)
+		warm, err = workload.RunAndrew(p, remoteWS.FS, andrewSrc, "/vice/usr/bench/dst2", andrew)
 		return err
 	})
 	if err != nil {
@@ -241,9 +243,8 @@ func E4AndrewBenchmark(cfg E4Config) (*Report, error) {
 	return r, nil
 }
 
-// E5Config sizes the scalability sweep.
+// E5Config sizes the scalability sweep, which runs the prototype.
 type E5Config struct {
-	Mode   itcfs.Mode
 	Andrew workload.AndrewConfig
 	Drive  workload.Config
 	LoadWS []int // concurrent load workstations per sweep point
@@ -255,7 +256,6 @@ func DefaultE5() E5Config {
 	drive := workload.DefaultConfig(0)
 	drive.Think = 4 * time.Second // "intense file system activity"
 	return E5Config{
-		Mode:   itcfs.Prototype,
 		Andrew: workload.DefaultAndrew(),
 		Drive:  drive,
 		LoadWS: []int{0, 5, 10, 20, 40},
@@ -297,7 +297,7 @@ func e5Point(cfg E5Config, n int) (time.Duration, float64, error) {
 // e5Cell builds one sweep point's cell: n load users at their stations, and
 // the benchmark's source tree installed from the station that will run it.
 func e5Cell(cfg E5Config, n int) (*loadedCell, *itcfs.Workstation, error) {
-	lc, err := buildLoadedCell(LoadConfig{Mode: cfg.Mode, Clusters: 1, UsersPer: n, Seed: 7, Drive: cfg.Drive})
+	lc, err := buildLoadedCell(LoadConfig{Mode: itcfs.Prototype, Clusters: 1, UsersPer: n, Seed: 7, Drive: cfg.Drive})
 	if err != nil {
 		return nil, nil, err
 	}

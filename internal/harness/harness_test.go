@@ -145,7 +145,7 @@ func TestE6ValidationAblationShape(t *testing.T) {
 }
 
 func TestE7PathnameAblationShape(t *testing.T) {
-	r, err := E7PathnameAblation(DefaultE7())
+	r, err := E7PathnameAblation()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestE7PathnameAblationShape(t *testing.T) {
 }
 
 func TestE8WholeFileVsPagedShape(t *testing.T) {
-	r, err := E8WholeFileVsPaged(DefaultE8())
+	r, err := E8WholeFileVsPaged()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"itcfs"
-	"itcfs/internal/monitor"
 	"itcfs/internal/sim"
 	"itcfs/internal/trace"
 )
@@ -17,33 +16,36 @@ import (
 type HotCellConfig struct {
 	Seed int64
 	// Cadence is the telemetry sampling window; Phase is how long each load
-	// phase runs. The detector needs Detect.MinWindows full windows of
-	// overload inside the hot phase, so Phase should be several times Cadence.
+	// phase runs. The overload detector needs three full windows of overload
+	// inside the hot phase, so Phase should be several times Cadence.
 	Cadence time.Duration
 	Phase   time.Duration
-	// HotReaders and WarmReaders are cluster-1 stations hammering the two
-	// public volumes hosted (initially) on server0; LightPerCluster stations
+}
+
+// The hot cell's stations and files. The sizes offer roughly 110% of one
+// server's CPU in the hot phase (hot + warm + background).
+const (
+	// hotReaders and warmReaders are cluster-1 stations hammering the two
+	// public volumes hosted (initially) on server0; lightPerCluster stations
 	// per cluster read their own local home volumes throughout.
-	HotReaders      int
-	WarmReaders     int
-	LightPerCluster int
-	Files           int // files per volume, read round-robin
-	FileBytes       int
+	hotReaders      = 6
+	warmReaders     = 4
+	lightPerCluster = 2
+	hotFiles        = 6 // files per volume, read round-robin
+	hotFileBytes    = 8 << 10
 	// Per-group think times between reads; the hot group's shorter think is
 	// what pushes server0 over its CPU ceiling in the hot phase.
-	HotThink   time.Duration
-	WarmThink  time.Duration
-	LightThink time.Duration
-	Detect     monitor.OverloadConfig
-	// FlightEvents bounds the cell's flight-recorder ring.
-	FlightEvents int
-}
+	hotThink   = 1700 * time.Millisecond
+	warmThink  = 1250 * time.Millisecond
+	lightThink = 1200 * time.Millisecond
+	// hotFlightEvents bounds the cell's flight-recorder ring.
+	hotFlightEvents = 512
+)
 
 // hotCell is the provisioned cell: every station logged in, every volume
 // populated, and a start stagger drawn for every station.
 type hotCell struct {
 	cell   *itcfs.Cell
-	cfg    HotCellConfig
 	hotVol uint32 // pub-hot's volume
 	// The shared-volume readers all sit in cluster 1 — their load crosses the
 	// backbone to server0, the misplacement a volume move repairs. bg[c][i]
@@ -66,13 +68,12 @@ func newHotCell(cfg HotCellConfig, policy *trace.SamplePolicy) (*hotCell, error)
 		Mode:         itcfs.Prototype,
 		Clusters:     2,
 		Metrics:      trace.NewRegistry(),
-		FlightEvents: cfg.FlightEvents,
-		Trace:        policy != nil,
-		TracePolicy:  policy,
+		FlightEvents: hotFlightEvents,
+		Trace:        policy,
 	})
-	h := &hotCell{cell: cell, cfg: cfg, stagger: make(map[*itcfs.Workstation]time.Duration)}
+	h := &hotCell{cell: cell, stagger: make(map[*itcfs.Workstation]time.Duration)}
 	for c := range h.lightUsers {
-		for i := 0; i < cfg.LightPerCluster; i++ {
+		for i := 0; i < lightPerCluster; i++ {
 			h.lightUsers[c] = append(h.lightUsers[c], fmt.Sprintf("bg%d-%d", c, i))
 		}
 	}
@@ -110,14 +111,14 @@ func newHotCell(cfg HotCellConfig, policy *trace.SamplePolicy) (*hotCell, error)
 		}
 		return group, nil
 	}
-	if h.hot, err = addGroup(cfg.HotReaders, 1, "hot-ws", "pub-hot"); err != nil {
+	if h.hot, err = addGroup(hotReaders, 1, "hot-ws", "pub-hot"); err != nil {
 		return nil, err
 	}
-	if h.warm, err = addGroup(cfg.WarmReaders, 1, "warm-ws", "pub-warm"); err != nil {
+	if h.warm, err = addGroup(warmReaders, 1, "warm-ws", "pub-warm"); err != nil {
 		return nil, err
 	}
 	for c := range h.bg {
-		if h.bg[c], err = addGroup(cfg.LightPerCluster, c, fmt.Sprintf("bg%d-ws", c), ""); err != nil {
+		if h.bg[c], err = addGroup(lightPerCluster, c, fmt.Sprintf("bg%d-ws", c), ""); err != nil {
 			return nil, err
 		}
 	}
@@ -125,8 +126,8 @@ func newHotCell(cfg HotCellConfig, policy *trace.SamplePolicy) (*hotCell, error)
 	// Populate every volume from one logged-in station each.
 	populate := func(ws *itcfs.Workstation, owner string) error {
 		return cell.Do(func(p *sim.Proc) error {
-			for f := 0; f < cfg.Files; f++ {
-				body := make([]byte, cfg.FileBytes)
+			for f := 0; f < hotFiles; f++ {
+				body := make([]byte, hotFileBytes)
 				for b := range body {
 					body[b] = byte(f)
 				}
@@ -159,10 +160,10 @@ func newHotCell(cfg HotCellConfig, policy *trace.SamplePolicy) (*hotCell, error)
 			h.stagger[ws] = time.Duration(rng.Int63n(int64(think)))
 		}
 	}
-	draw(h.hot, cfg.HotThink)
-	draw(h.warm, cfg.WarmThink)
+	draw(h.hot, hotThink)
+	draw(h.warm, warmThink)
 	for c := range h.bg {
-		draw(h.bg[c], cfg.LightThink)
+		draw(h.bg[c], lightThink)
 	}
 	return h, nil
 }
@@ -173,7 +174,7 @@ func (h *hotCell) reader(ws *itcfs.Workstation, owner string, think time.Duratio
 	h.cell.Kernel.Spawn("read-"+ws.Name, func(p *sim.Proc) {
 		p.Sleep(h.stagger[ws])
 		for f := 0; p.Now() < until; f++ {
-			if _, err := ws.FS.ReadFile(p, fmt.Sprintf("/vice/usr/%s/f%d", owner, f%h.cfg.Files)); err != nil {
+			if _, err := ws.FS.ReadFile(p, fmt.Sprintf("/vice/usr/%s/f%d", owner, f%hotFiles)); err != nil {
 				if h.loadErr == nil {
 					h.loadErr = fmt.Errorf("reader %s: %w", ws.Name, err)
 				}
@@ -187,10 +188,10 @@ func (h *hotCell) reader(ws *itcfs.Workstation, owner string, think time.Duratio
 // spawnShared starts the cluster-1 readers of the two public volumes.
 func (h *hotCell) spawnShared(until sim.Time) {
 	for _, ws := range h.hot {
-		h.reader(ws, "pub-hot", h.cfg.HotThink, until)
+		h.reader(ws, "pub-hot", hotThink, until)
 	}
 	for _, ws := range h.warm {
-		h.reader(ws, "pub-warm", h.cfg.WarmThink, until)
+		h.reader(ws, "pub-warm", warmThink, until)
 	}
 }
 
@@ -198,7 +199,7 @@ func (h *hotCell) spawnShared(until sim.Time) {
 func (h *hotCell) spawnBackground(until sim.Time) {
 	for c := range h.bg {
 		for i, ws := range h.bg[c] {
-			h.reader(ws, h.lightUsers[c][i], h.cfg.LightThink, until)
+			h.reader(ws, h.lightUsers[c][i], lightThink, until)
 		}
 	}
 }

@@ -32,50 +32,46 @@ import (
 type E17Config struct {
 	Clients []int // client counts for the ablation sweep
 	Reps    int   // wall-clock repetitions per leg, best-of (0 = 1)
-	// Rate and SlowKeep shape the sampled leg's policy: keep one root in
-	// Rate per op class, plus every root slower than SlowKeep.
-	Rate     int
-	SlowKeep time.Duration
-	Seed     int64 // sampling seed (rotates per-class keep phases)
-	Breach   E17BreachConfig
+	// Rate shapes the sampled leg's policy: keep one root in Rate per op
+	// class, plus every root slower than e17SlowKeep.
+	Rate int
 }
 
-// E17BreachConfig sizes the seeded hot-volume breach leg — an E15-shaped
-// two-cluster cell (a calm phase, then a hot one) driven into saturation with
-// the SLO layer attached.
-type E17BreachConfig struct {
-	HotCellConfig
-	// Objective/Target/Window/BreachBurn configure the venus.open SLO.
-	Objective  time.Duration
-	Target     float64
-	Window     int
-	BreachBurn float64
-	// SampleRate/SlowKeep shape the breach cell's trace policy — sampled, so
-	// the breach attribution exercises the exemplar path, not full retention.
-	SampleRate int
-	SlowKeep   time.Duration
-}
-
-// DefaultE17 returns the standard configuration: the tentpole's 10k/30k
-// ablation at rate-1024 sampling, and the E15-quick-shaped breach cell.
-func DefaultE17() E17Config {
+// e17BreachCell sizes the seeded hot-volume breach leg: an E15-quick-shaped
+// two-cluster cell (a calm phase, then a hot one) driven into saturation
+// with the SLO layer attached.
+func e17BreachCell() HotCellConfig {
 	hot := DefaultE15().HotCellConfig
 	hot.Cadence = 15 * time.Second
 	hot.Phase = 150 * time.Second
+	return hot
+}
+
+// The rest of the sampled leg's policy.
+const (
+	e17SlowKeep = 5 * time.Minute
+	e17Seed     = 17 // sampling seed (rotates per-class keep phases)
+)
+
+// The breach leg's venus.open SLO, and its cell's trace policy — sampled,
+// so the breach attribution exercises the exemplar path, not full
+// retention.
+const (
+	e17Objective  = 250 * time.Millisecond
+	e17Target     = 0.95
+	e17Window     = 4
+	e17BreachBurn = 2.0
+
+	e17BreachRate     = 4
+	e17BreachSlowKeep = 2 * time.Second
+)
+
+// DefaultE17 returns the standard configuration: the 10k/30k ablation at
+// rate-1024 sampling.
+func DefaultE17() E17Config {
 	return E17Config{
-		Clients:  []int{10000, 30000},
-		Rate:     1024,
-		SlowKeep: 5 * time.Minute,
-		Seed:     17,
-		Breach: E17BreachConfig{
-			HotCellConfig: hot,
-			Objective:     250 * time.Millisecond,
-			Target:        0.95,
-			Window:        4,
-			BreachBurn:    2.0,
-			SampleRate:    4,
-			SlowKeep:      2 * time.Second,
-		},
+		Clients: []int{10000, 30000},
+		Rate:    1024,
 	}
 }
 
@@ -156,7 +152,7 @@ func RunObsBench(cfg E17Config) (*ObsBench, error) {
 		Workload: "E14 batched quick mix, tracing ablated off/sampled/full; " +
 			"E15-shaped hot-volume cell for the SLO breach leg",
 		SampleRate: cfg.Rate,
-		SlowKeepMs: int64(cfg.SlowKeep / time.Millisecond),
+		SlowKeepMs: int64(e17SlowKeep / time.Millisecond),
 		Note: "sampled = seeded per-class rate with slow always-keep; legs are " +
 			"inert: identical virtual timelines and byte-identical registries",
 	}
@@ -194,7 +190,7 @@ func RunObsBench(cfg E17Config) (*ObsBench, error) {
 		pt.FullAllocsPerCHOver = round3(full.AllocsPerClientHour - off.AllocsPerClientHour)
 		ob.Points = append(ob.Points, pt)
 	}
-	br, err := e17Breach(cfg.Breach)
+	br, err := e17Breach(e17BreachCell())
 	if err != nil {
 		return nil, err
 	}
@@ -209,13 +205,12 @@ func measureObsLeg(e14 E14Config, n int, mode string, cfg E17Config) (ObsLeg, st
 	mut := func(cc *itcfs.CellConfig) {
 		switch mode {
 		case "sampled":
-			cc.Trace = true
-			cc.TracePolicy = &trace.SamplePolicy{
-				Seed:    cfg.Seed,
-				Default: trace.ClassPolicy{Rate: cfg.Rate, SlowKeep: cfg.SlowKeep},
+			cc.Trace = &trace.SamplePolicy{
+				Seed:    e17Seed,
+				Default: trace.ClassPolicy{Rate: cfg.Rate, SlowKeep: e17SlowKeep},
 			}
 		case "full":
-			cc.Trace = true // no policy = keep every root
+			cc.Trace = &trace.SamplePolicy{} // keep every root
 		}
 	}
 	var cell *itcfs.Cell
@@ -240,10 +235,10 @@ func measureObsLeg(e14 E14Config, n int, mode string, cfg E17Config) (ObsLeg, st
 // past its CPU ceiling. The SLO monitor rides the sampling cadence; the leg
 // requires at least one slo.breach whose exemplar critical path names the
 // saturated server.
-func e17Breach(cfg E17BreachConfig) (*ObsBreach, error) {
-	h, err := newHotCell(cfg.HotCellConfig, &trace.SamplePolicy{
+func e17Breach(cfg HotCellConfig) (*ObsBreach, error) {
+	h, err := newHotCell(cfg, &trace.SamplePolicy{
 		Seed:    cfg.Seed,
-		Default: trace.ClassPolicy{Rate: cfg.SampleRate, SlowKeep: cfg.SlowKeep},
+		Default: trace.ClassPolicy{Rate: e17BreachRate, SlowKeep: e17BreachSlowKeep},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("E17 breach %w", err)
@@ -259,11 +254,11 @@ func e17Breach(cfg E17BreachConfig) (*ObsBreach, error) {
 	mon := monitor.AttachSLO(sampler, cell.Metrics, cell.Tracer, cell.Flight, monitor.SLOConfig{
 		Objectives: []monitor.SLOObjective{{
 			Class:   trace.SpanVenusOpen,
-			Latency: cfg.Objective,
-			Target:  cfg.Target,
+			Latency: e17Objective,
+			Target:  e17Target,
 		}},
-		Window:     cfg.Window,
-		BreachBurn: cfg.BreachBurn,
+		Window:     e17Window,
+		BreachBurn: e17BreachBurn,
 	})
 	if mon == nil {
 		return nil, fmt.Errorf("E17 breach: AttachSLO returned nil")
@@ -289,9 +284,9 @@ func e17Breach(cfg E17BreachConfig) (*ObsBreach, error) {
 
 	// The overload detector reads the same telemetry; with UseSLO it cites
 	// the burn rate in its finding.
-	adv := monitor.New(cell, monitor.DefaultConfig())
+	adv := monitor.New(cell)
 	adv.UseSLO(mon)
-	findings := adv.DetectOverload(sampler, cfg.Detect)
+	findings := adv.DetectOverload(sampler)
 
 	// Phase C: hot load gone — the episode should close.
 	if err := h.runUntil(bEnd.Add(cfg.Phase)); err != nil {

@@ -111,7 +111,7 @@ func TestE17SamplingInert(t *testing.T) {
 // string and number to match byte-for-byte — the flight event detail embeds
 // trace IDs and durations, all of which must be seed-stable.
 func TestE17BreachDeterminism(t *testing.T) {
-	cfg := DefaultE17().Breach
+	cfg := e17BreachCell()
 	a, err := e17Breach(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -77,7 +77,7 @@ func E11Rebalance(cfg E11Config) (*Report, error) {
 		return total / time.Duration(len(stations)), cell.Net.CrossClusterFrames() - frames0, nil
 	}
 
-	adv := monitor.New(cell, monitor.DefaultConfig())
+	adv := monitor.New(cell)
 	adv.Reset()
 	beforeTime, beforeFrames, err := burst()
 	if err != nil {

@@ -14,39 +14,41 @@ import (
 
 // E16Config sizes the replication-availability experiment.
 type E16Config struct {
-	Seed int64
-	// Clusters is the number of cluster servers; server0 is the custodian
-	// of the system-binary volume and the server that dies mid-run.
-	Clusters int
-	// ReadersPerCluster stations per cluster read the released binaries in
-	// a round-robin loop. Cluster-0 readers prefer the (doomed) custodian
-	// and must fail over; other clusters' readers prefer their own local
-	// replica and should never notice the crash.
-	ReadersPerCluster int
-	SysFiles          int           // released system binaries
-	Think             time.Duration // reader pause between binary reads
-	// CacheBytes keeps the Venus caches small enough that the binaries
-	// cycle out: post-crash reads are real fetches, not cache hits, or the
-	// unreplicated leg would ride out the crash on cached copies.
-	CacheBytes int64
-	// AndrewStart delays the Andrew run so its Copy phase — the window
-	// where it reads every released source file — brackets the kill.
-	AndrewStart time.Duration
-	KillAfter   time.Duration // custodian crash, from load start
-	Window      time.Duration // reader loop duration
-	// Fault-tolerance knobs passed to the cell (failure is detected by
-	// timeout, so the timeout must be short relative to Window).
-	CallTimeout      time.Duration
-	ReconnectRetries int
-	Andrew           workload.AndrewConfig
-	FlightEvents     int
+	Seed     int64
+	SysFiles int           // released system binaries
+	Window   time.Duration // reader loop duration
 }
 
-// DefaultE16 returns the standard configuration: three cluster servers, the
-// binaries released to the two non-custodians, and the custodian killed
-// while readers in every cluster and an Andrew run are consuming the
-// released tree.
-func DefaultE16() E16Config {
+// E16's cell and load.
+const (
+	// e16Clusters is the number of cluster servers; server0 is the
+	// custodian of the system-binary volume and the server that dies
+	// mid-run.
+	e16Clusters = 3
+	// e16ReadersPerCluster stations per cluster read the released binaries
+	// in a round-robin loop. Cluster-0 readers prefer the (doomed) custodian
+	// and must fail over; other clusters' readers prefer their own local
+	// replica and should never notice the crash.
+	e16ReadersPerCluster = 2
+	e16Think             = 2 * time.Second // reader pause between binary reads
+	// e16CacheBytes keeps the Venus caches small enough that the binaries
+	// cycle out: post-crash reads are real fetches, not cache hits, or the
+	// unreplicated leg would ride out the crash on cached copies.
+	e16CacheBytes = 96 << 10
+	// e16AndrewStart delays the Andrew run so its Copy phase — the window
+	// where it reads every released source file — brackets the kill.
+	e16AndrewStart = 30 * time.Second
+	e16KillAfter   = 45 * time.Second // custodian crash, from load start
+	// Fault-tolerance knobs passed to the cell (failure is detected by
+	// timeout, so the timeout must be short relative to Window).
+	e16CallTimeout      = 10 * time.Second
+	e16ReconnectRetries = 1
+	e16FlightEvents     = 512
+)
+
+// e16Andrew is the Andrew run whose source tree lives in the released
+// volume.
+func e16Andrew() workload.AndrewConfig {
 	andrew := workload.DefaultAndrew()
 	andrew.Files = 24
 	andrew.Dirs = 3
@@ -54,20 +56,18 @@ func DefaultE16() E16Config {
 	// A fast compiler: E16 measures availability, not benchmark time.
 	andrew.CompilePerKB = 200 * time.Millisecond
 	andrew.CompilePerFile = 250 * time.Millisecond
+	return andrew
+}
+
+// DefaultE16 returns the standard configuration: three cluster servers, the
+// binaries released to the two non-custodians, and the custodian killed
+// while readers in every cluster and an Andrew run are consuming the
+// released tree.
+func DefaultE16() E16Config {
 	return E16Config{
-		Seed:              1,
-		Clusters:          3,
-		ReadersPerCluster: 2,
-		SysFiles:          24,
-		Think:             2 * time.Second,
-		CacheBytes:        96 << 10,
-		AndrewStart:       30 * time.Second,
-		KillAfter:         45 * time.Second,
-		Window:            6 * time.Minute,
-		CallTimeout:       10 * time.Second,
-		ReconnectRetries:  1,
-		Andrew:            andrew,
-		FlightEvents:      512,
+		Seed:     1,
+		SysFiles: 24,
+		Window:   6 * time.Minute,
 	}
 }
 
@@ -106,9 +106,7 @@ type e16Leg struct {
 // while the unreplicated leg shows the outage, and every replica must hold
 // its clone's image byte for byte.
 func E16Replication(cfg E16Config) (*E16Result, error) {
-	if cfg.Clusters < 2 {
-		return nil, fmt.Errorf("E16: need at least 2 clusters, got %d", cfg.Clusters)
-	}
+
 	rep, err := e16RunLeg(cfg, true)
 	if err != nil {
 		return nil, fmt.Errorf("E16 replicated leg: %w", err)
@@ -129,7 +127,7 @@ func E16Replication(cfg E16Config) (*E16Result, error) {
 	if unrep.failed == 0 {
 		return nil, fmt.Errorf("E16: unreplicated leg had no failed reads; the crash did not bite")
 	}
-	if want := cfg.Clusters - 1; rep.replicasEqual != want {
+	if want := e16Clusters - 1; rep.replicasEqual != want {
 		return nil, fmt.Errorf("E16: compared %d replicas with their clone, want %d", rep.replicasEqual, want)
 	}
 	andrewCell := func(key string, l *e16Leg) entry {
@@ -165,12 +163,12 @@ func e16RunLeg(cfg E16Config, replicate bool) (*e16Leg, error) {
 	metrics := trace.NewRegistry()
 	cell := itcfs.NewCell(itcfs.CellConfig{
 		Mode:             itcfs.Revised,
-		Clusters:         cfg.Clusters,
-		CacheBytes:       cfg.CacheBytes,
-		CallTimeout:      cfg.CallTimeout,
-		ReconnectRetries: cfg.ReconnectRetries,
+		Clusters:         e16Clusters,
+		CacheBytes:       e16CacheBytes,
+		CallTimeout:      e16CallTimeout,
+		ReconnectRetries: e16ReconnectRetries,
 		Metrics:          metrics,
-		FlightEvents:     cfg.FlightEvents,
+		FlightEvents:     e16FlightEvents,
 	})
 	leg := &e16Leg{cell: cell}
 
@@ -194,7 +192,7 @@ func e16RunLeg(cfg E16Config, replicate bool) (*e16Leg, error) {
 		if err := workload.PopulateSystem(p, ws.FS, drive, r); err != nil {
 			return err
 		}
-		_, err := workload.GenerateTree(p, ws.FS, srcRW, cfg.Andrew)
+		_, err := workload.GenerateTree(p, ws.FS, srcRW, e16Andrew())
 		return err
 	})
 	if err != nil {
@@ -228,8 +226,8 @@ func e16RunLeg(cfg E16Config, replicate bool) (*e16Leg, error) {
 		local bool // homed on a server that carries a replica
 	}
 	var readers []reader
-	for c := 0; c < cfg.Clusters; c++ {
-		for i := 0; i < cfg.ReadersPerCluster; i++ {
+	for c := 0; c < e16Clusters; c++ {
+		for i := 0; i < e16ReadersPerCluster; i++ {
 			ws, err := station(cell, c, fmt.Sprintf("read%d-%d", c, i), "operator", nil)
 			if err != nil {
 				return nil, err
@@ -261,7 +259,7 @@ func e16RunLeg(cfg E16Config, replicate bool) (*e16Leg, error) {
 	start := cell.Now()
 	until := start.Add(cfg.Window)
 	for _, st := range readers {
-		stagger := time.Duration(rng.Int63n(int64(cfg.Think)))
+		stagger := time.Duration(rng.Int63n(int64(e16Think)))
 		cell.Kernel.Spawn("read-"+st.ws.Name, func(p *sim.Proc) {
 			p.Sleep(stagger)
 			for f := 0; p.Now() < until; f++ {
@@ -276,18 +274,18 @@ func e16RunLeg(cfg E16Config, replicate bool) (*e16Leg, error) {
 						leg.localFailed++
 					}
 				}
-				p.Sleep(cfg.Think)
+				p.Sleep(e16Think)
 			}
 		})
 	}
 	cell.Kernel.Spawn("andrew", func(p *sim.Proc) {
-		p.Sleep(cfg.AndrewStart)
-		pt, aerr := workload.RunAndrew(p, andrewWS.FS, "/vice"+roRoot+"/src", "/vice/usr/andrew/build", cfg.Andrew)
+		p.Sleep(e16AndrewStart)
+		pt, aerr := workload.RunAndrew(p, andrewWS.FS, "/vice"+roRoot+"/src", "/vice/usr/andrew/build", e16Andrew())
 		leg.andrewErr = aerr
 		leg.andrewTotal = pt.Total()
 	})
 	cell.Kernel.Spawn("kill-custodian", func(p *sim.Proc) {
-		p.Sleep(cfg.KillAfter)
+		p.Sleep(e16KillAfter)
 		cell.CrashServer(0)
 	})
 	cell.Kernel.Run()

@@ -74,10 +74,10 @@ func TestE16Claims(t *testing.T) {
 	if m["failovers_replicated"] == 0 {
 		t.Error("no failovers on the replicated leg: cluster-0 readers never exercised the fallback path")
 	}
-	if got, want := m["release_installs"], float64(cfg.Clusters-1); got != want {
+	if got, want := m["release_installs"], float64(e16Clusters-1); got != want {
 		t.Errorf("release installs = %v, want %v (one per replica)", got, want)
 	}
-	if got, want := m["replicas_equal"], float64(cfg.Clusters-1); got != want {
+	if got, want := m["replicas_equal"], float64(e16Clusters-1); got != want {
 		t.Errorf("replicas equal to their clone = %v, want %v (every replica)", got, want)
 	}
 	if m["andrew_ok_replicated"] != 1 {

@@ -27,10 +27,13 @@ type E14Config struct {
 	Clients []int // client counts to sweep (e.g. 100, 300, 1000)
 	Seed    int64
 	Scale   workload.ScaleConfig // per-client mix (Seed field is overridden)
-	// CallbackTTL bounds promise trust so the periodic sweeps have entries
-	// to revalidate.
-	CallbackTTL time.Duration
 }
+
+// e14CallbackTTL bounds promise trust so the periodic sweeps have entries to
+// revalidate. It is above the sweep cadence (a sweep every ten ops of a mean
+// 20-minute think), so the forced sweeps refresh promises before they lapse
+// and opens almost never pay a one-off validation.
+const e14CallbackTTL = 4 * time.Hour
 
 // DefaultE14 returns the standard configuration.
 func DefaultE14() E14Config {
@@ -38,10 +41,6 @@ func DefaultE14() E14Config {
 		Clients: []int{100, 300, 1000},
 		Seed:    14,
 		Scale:   workload.DefaultScale(14),
-		// Above the sweep cadence (SweepEvery ops of mean Think), so the
-		// forced sweeps refresh promises before they lapse and opens almost
-		// never pay a one-off validation.
-		CallbackTTL: 4 * time.Hour,
 	}
 }
 
@@ -121,11 +120,11 @@ type scaleShard struct {
 }
 
 // scaleCellConfig is the cell a scale run builds, on the batched protocol.
-func scaleCellConfig(cfg E14Config, clusters int) itcfs.CellConfig {
+func scaleCellConfig(clusters int) itcfs.CellConfig {
 	return itcfs.CellConfig{
 		Mode:        itcfs.Revised,
 		Clusters:    clusters,
-		CallbackTTL: cfg.CallbackTTL,
+		CallbackTTL: e14CallbackTTL,
 		Metrics:     trace.NewRegistry(),
 		Retry:       e14Retry(),
 		// Let a busy server linger a few seconds before each BulkBreak
@@ -196,7 +195,7 @@ func runScaleClients(cell *itcfs.Cell, shards []scaleShard, n, width int, ramp t
 // e14Run measures one point: n clients against one cluster server, batched
 // or legacy protocol.
 func e14Run(cfg E14Config, n int, batched bool) (e14Side, error) {
-	cc := scaleCellConfig(cfg, 1)
+	cc := scaleCellConfig(1)
 	if !batched {
 		cc.UnbatchedBreaks = true
 		cc.RevalidateBatch = 1

@@ -268,7 +268,7 @@ const scaleArrivalSpacing = 3600 * time.Millisecond
 // cell and the virtual time the client phase took.
 func scaleRun(cfg E14Config, n int, mut func(*itcfs.CellConfig)) (*itcfs.Cell, time.Duration, error) {
 	clusters := (n + scaleClusterSize - 1) / scaleClusterSize
-	cc := scaleCellConfig(cfg, clusters)
+	cc := scaleCellConfig(clusters)
 	if mut != nil {
 		mut(&cc)
 	}

@@ -25,19 +25,9 @@ type E15Config struct {
 func DefaultE15() E15Config {
 	return E15Config{
 		HotCellConfig: HotCellConfig{
-			Seed:            1,
-			Cadence:         30 * time.Second,
-			Phase:           10 * time.Minute,
-			HotReaders:      6,
-			WarmReaders:     4,
-			LightPerCluster: 2,
-			Files:           6,
-			FileBytes:       8 << 10,
-			HotThink:        1700 * time.Millisecond,
-			WarmThink:       1250 * time.Millisecond,
-			LightThink:      1200 * time.Millisecond,
-			Detect:          monitor.DefaultOverloadConfig(),
-			FlightEvents:    512,
+			Seed:    1,
+			Cadence: 30 * time.Second,
+			Phase:   10 * time.Minute,
 		},
 		MoveGrace: time.Minute,
 	}
@@ -97,8 +87,8 @@ func E15HotVolume(cfg E15Config) (*E15Result, error) {
 	}
 
 	// The detector reads the sampled series as they stand at the end of B.
-	adv := monitor.New(cell, monitor.DefaultConfig())
-	findings := adv.DetectOverload(sampler, cfg.Detect)
+	adv := monitor.New(cell)
+	findings := adv.DetectOverload(sampler)
 	if len(findings) == 0 {
 		return nil, fmt.Errorf("E15: overload detector found nothing at end of phase B")
 	}

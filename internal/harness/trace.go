@@ -14,8 +14,6 @@ import (
 // E13Config sizes the traced latency-breakdown experiment.
 type E13Config struct {
 	Andrew workload.AndrewConfig
-	// Sample keeps every nth traced operation (0 or 1 = all).
-	Sample int
 }
 
 // DefaultE13 traces the full Andrew benchmark.
@@ -94,11 +92,10 @@ func ExportTracedAndrew(mode itcfs.Mode, cfg E13Config, w io.Writer) error {
 // remotely and returns the tracer holding the measured window's spans.
 func tracedAndrew(mode itcfs.Mode, cfg E13Config) (*trace.Tracer, error) {
 	cell := itcfs.NewCell(itcfs.CellConfig{
-		Mode:        mode,
-		Clusters:    1,
-		Trace:       true,
-		TracePolicy: &trace.SamplePolicy{Default: trace.ClassPolicy{Rate: cfg.Sample}},
-		Metrics:     trace.NewRegistry(),
+		Mode:     mode,
+		Clusters: 1,
+		Trace:    &trace.SamplePolicy{}, // every operation
+		Metrics:  trace.NewRegistry(),
 	})
 	if err := provision(cell, "bench"); err != nil {
 		return nil, err

@@ -55,7 +55,7 @@ func tracedRun(t *testing.T, seed int64) []byte {
 	t.Helper()
 	cell := itcfs.NewCell(itcfs.CellConfig{
 		Mode:    itcfs.Revised,
-		Trace:   true,
+		Trace:   &trace.SamplePolicy{},
 		Metrics: trace.NewRegistry(),
 	})
 	andrew := smallAndrew(seed)

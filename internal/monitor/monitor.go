@@ -34,32 +34,26 @@ type Recommendation struct {
 	Reason string
 }
 
-// Config tunes the advisor.
-type Config struct {
-	// MinOps ignores volumes with fewer observed operations: reassignment
+// The advisor's thresholds, conservative ones.
+const (
+	// minOps ignores volumes with fewer observed operations: reassignment
 	// is expensive and must not chase noise (§3.1: such changes are rare
 	// and human-initiated).
-	MinOps int64
-	// MinRemoteShare is the fraction of a volume's traffic that must come
+	minOps = 50
+	// minRemoteShare is the fraction of a volume's traffic that must come
 	// from one foreign cluster before a move is recommended.
-	MinRemoteShare float64
-}
-
-// DefaultConfig returns conservative thresholds.
-func DefaultConfig() Config {
-	return Config{MinOps: 50, MinRemoteShare: 0.6}
-}
+	minRemoteShare = 0.6
+)
 
 // Advisor analyzes a cell's access patterns.
 type Advisor struct {
-	cfg  Config
 	cell *itcfs.Cell
 	slo  *SLOMonitor // optional — lets overload findings cite burn rates
 }
 
 // New creates an advisor over a cell.
-func New(cell *itcfs.Cell, cfg Config) *Advisor {
-	return &Advisor{cfg: cfg, cell: cell}
+func New(cell *itcfs.Cell) *Advisor {
+	return &Advisor{cell: cell}
 }
 
 // UseSLO gives the advisor an SLO monitor to consult: subsequent
@@ -123,7 +117,7 @@ func (a *Advisor) Collect() []VolumeTraffic {
 func (a *Advisor) Recommend() []Recommendation {
 	var recs []Recommendation
 	for _, vt := range a.Collect() {
-		if vt.Total < a.cfg.MinOps {
+		if vt.Total < minOps {
 			continue
 		}
 		custodianCluster := a.clusterOfServer(vt.Custodian)
@@ -138,7 +132,7 @@ func (a *Advisor) Recommend() []Recommendation {
 			continue
 		}
 		share := float64(bestOps) / float64(vt.Total)
-		if share < a.cfg.MinRemoteShare {
+		if share < minRemoteShare {
 			continue
 		}
 		to := a.serverOfCluster(bestCluster)

@@ -65,7 +65,7 @@ func drive(t *testing.T, cell *itcfs.Cell, ws *itcfs.Workstation, ops int) {
 
 func TestAdvisorDetectsMisplacedVolume(t *testing.T) {
 	cell, ws, vid := buildMisplaced(t, nil)
-	adv := New(cell, DefaultConfig())
+	adv := New(cell)
 	adv.Reset()
 	drive(t, cell, ws, 80)
 
@@ -89,7 +89,7 @@ func TestAdvisorDetectsMisplacedVolume(t *testing.T) {
 
 func TestAppliedRecommendationLocalizesTraffic(t *testing.T) {
 	cell, ws, vid := buildMisplaced(t, nil)
-	adv := New(cell, DefaultConfig())
+	adv := New(cell)
 	adv.Reset()
 	drive(t, cell, ws, 80)
 	recs := adv.Recommend()
@@ -137,7 +137,7 @@ func TestAppliedRecommendationLocalizesTraffic(t *testing.T) {
 
 func TestAdvisorIgnoresQuietAndLocalVolumes(t *testing.T) {
 	cell, ws, _ := buildMisplaced(t, nil)
-	adv := New(cell, DefaultConfig())
+	adv := New(cell)
 	adv.Reset()
 	// Too few operations to justify a move.
 	drive(t, cell, ws, 3)
@@ -203,7 +203,7 @@ func TestAdvisorIgnoresQuietAndLocalVolumes(t *testing.T) {
 
 func TestAdvisorCitesObservedLatency(t *testing.T) {
 	cell, ws, vid := buildMisplaced(t, trace.NewRegistry())
-	adv := New(cell, DefaultConfig())
+	adv := New(cell)
 	adv.Reset()
 	drive(t, cell, ws, 80)
 

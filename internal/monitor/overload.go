@@ -17,22 +17,17 @@ import (
 // its onset, and per-volume call-rate series attribute the load to the
 // hottest volume, yielding a concrete move recommendation.
 
-// OverloadConfig tunes the detector.
-type OverloadConfig struct {
-	// UtilThreshold is the per-window CPU utilization (0..1) a server must
+// The detector's thresholds match the paper's saturation observations
+// ("sometimes peaking at 98% server CPU utilization"): sustained operation
+// above 80% over three windows.
+const (
+	// utilThreshold is the per-window CPU utilization (0..1) a server must
 	// exceed to count as overloaded in that window.
-	UtilThreshold float64
-	// MinWindows is how many consecutive windows must exceed the threshold
+	utilThreshold = 0.80
+	// minWindows is how many consecutive windows must exceed the threshold
 	// before the detector fires — debounce against one-window spikes.
-	MinWindows int
-}
-
-// DefaultOverloadConfig returns thresholds matching the paper's saturation
-// observations ("sometimes peaking at 98% server CPU utilization"): sustained
-// operation above 80% over three windows.
-func DefaultOverloadConfig() OverloadConfig {
-	return OverloadConfig{UtilThreshold: 0.80, MinWindows: 3}
-}
+	minWindows = 3
+)
 
 // HotVolume is one detector finding: a server in sustained overload, the
 // volume driving it, and the recommended destination.
@@ -61,22 +56,16 @@ type HotVolume struct {
 // the hottest volume on the affected server. Results are ordered by server
 // creation order; everything is computed from deterministic series, so the
 // findings replay byte-identically under one seed.
-func (a *Advisor) DetectOverload(s *trace.Sampler, cfg OverloadConfig) []HotVolume {
+func (a *Advisor) DetectOverload(s *trace.Sampler) []HotVolume {
 	if s == nil || s.Every() <= 0 {
 		return nil
-	}
-	if cfg.UtilThreshold <= 0 {
-		cfg = DefaultOverloadConfig()
-	}
-	if cfg.MinWindows < 1 {
-		cfg.MinWindows = 1
 	}
 	window := float64(s.Every())
 	var out []HotVolume
 	for _, srv := range a.cell.Servers {
 		name := srv.Vice.Name()
 		pts := s.Points(trace.ServerCPUSeries(name))
-		run := overloadRun(pts, window, cfg)
+		run := overloadRun(pts, window)
 		if run < 0 {
 			continue
 		}
@@ -95,7 +84,7 @@ func (a *Advisor) DetectOverload(s *trace.Sampler, cfg OverloadConfig) []HotVolu
 		hv.To = a.coolestOther(s, name, from, to, window)
 		hv.Reason = fmt.Sprintf(
 			"CPU above %.0f%% for %d consecutive windows since %v (peak %.0f%%, mean %.0f%%); volume %d served %d ops in the interval",
-			100*cfg.UtilThreshold, hv.Windows, hv.Onset, 100*hv.PeakUtil, 100*hv.MeanUtil,
+			100*utilThreshold, hv.Windows, hv.Onset, 100*hv.PeakUtil, 100*hv.MeanUtil,
 			hv.Volume, hv.VolumeOps)
 		if class, burn, ok := a.slo.WorstBurn(); ok && burn > 0 {
 			hv.Reason += fmt.Sprintf("; slo burn %s=%.1fx", class, burn)
@@ -106,16 +95,16 @@ func (a *Advisor) DetectOverload(s *trace.Sampler, cfg OverloadConfig) []HotVolu
 }
 
 // overloadRun returns the index of the first window opening a run of at
-// least cfg.MinWindows consecutive over-threshold windows that extends to
+// least minWindows consecutive over-threshold windows that extends to
 // the end of the series, or -1. Requiring the run to still be live at the
 // end keeps the detector from re-reporting overloads that already subsided.
-func overloadRun(pts []trace.Point, window float64, cfg OverloadConfig) int {
-	if len(pts) < cfg.MinWindows {
+func overloadRun(pts []trace.Point, window float64) int {
+	if len(pts) < minWindows {
 		return -1
 	}
 	start := -1
 	for i, p := range pts {
-		if float64(p.V)/window > cfg.UtilThreshold {
+		if float64(p.V)/window > utilThreshold {
 			if start < 0 {
 				start = i
 			}
@@ -123,7 +112,7 @@ func overloadRun(pts []trace.Point, window float64, cfg OverloadConfig) int {
 			start = -1
 		}
 	}
-	if start < 0 || len(pts)-start < cfg.MinWindows {
+	if start < 0 || len(pts)-start < minWindows {
 		return -1
 	}
 	return start

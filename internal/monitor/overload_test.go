@@ -27,7 +27,7 @@ const rigCadence = 30 * time.Second
 func newOverloadRig(t *testing.T) *overloadRig {
 	t.Helper()
 	cell := itcfs.NewCell(itcfs.CellConfig{Clusters: 2})
-	rig := &overloadRig{cell: cell, adv: New(cell, DefaultConfig()), ops: map[uint32]*int64{}}
+	rig := &overloadRig{cell: cell, adv: New(cell), ops: map[uint32]*int64{}}
 	var err error
 	cell.Run(func(p *sim.Proc) {
 		admin, aerr := cell.Admin(p, 0)
@@ -79,7 +79,7 @@ func TestDetectOverloadSustained(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		rig.window(0.95, 0.15, 200, 40)
 	}
-	findings := rig.adv.DetectOverload(rig.s, DefaultOverloadConfig())
+	findings := rig.adv.DetectOverload(rig.s)
 	if len(findings) != 1 {
 		t.Fatalf("findings = %+v, want exactly one", findings)
 	}
@@ -120,12 +120,12 @@ func TestDetectOverloadSubsided(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		rig.window(0.40, 0.10, 10, 10)
 	}
-	if findings := rig.adv.DetectOverload(rig.s, DefaultOverloadConfig()); len(findings) != 0 {
+	if findings := rig.adv.DetectOverload(rig.s); len(findings) != 0 {
 		t.Errorf("subsided overload still reported: %+v", findings)
 	}
 }
 
-// TestDetectOverloadDebounce: fewer than MinWindows hot windows is a spike,
+// TestDetectOverloadDebounce: fewer than minWindows hot windows is a spike,
 // not an overload.
 func TestDetectOverloadDebounce(t *testing.T) {
 	rig := newOverloadRig(t)
@@ -134,12 +134,12 @@ func TestDetectOverloadDebounce(t *testing.T) {
 	}
 	rig.window(0.95, 0.10, 100, 10)
 	rig.window(0.95, 0.10, 100, 10)
-	if findings := rig.adv.DetectOverload(rig.s, DefaultOverloadConfig()); len(findings) != 0 {
-		t.Errorf("two-window spike reported with MinWindows=3: %+v", findings)
+	if findings := rig.adv.DetectOverload(rig.s); len(findings) != 0 {
+		t.Errorf("two-window spike reported with minWindows=3: %+v", findings)
 	}
 	// One more hot window crosses the debounce threshold.
 	rig.window(0.95, 0.10, 100, 10)
-	if findings := rig.adv.DetectOverload(rig.s, DefaultOverloadConfig()); len(findings) != 1 {
+	if findings := rig.adv.DetectOverload(rig.s); len(findings) != 1 {
 		t.Errorf("three-window overload not reported: %+v", findings)
 	}
 }
@@ -151,7 +151,7 @@ func TestDetectOverloadTieBreak(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		rig.window(0.95, 0.10, 50, 50)
 	}
-	findings := rig.adv.DetectOverload(rig.s, DefaultOverloadConfig())
+	findings := rig.adv.DetectOverload(rig.s)
 	if len(findings) != 1 {
 		t.Fatalf("findings = %+v", findings)
 	}
@@ -167,8 +167,8 @@ func TestDetectOverloadTieBreak(t *testing.T) {
 // TestDetectOverloadNilSampler: detection without telemetry yields nothing.
 func TestDetectOverloadNilSampler(t *testing.T) {
 	cell := itcfs.NewCell(itcfs.CellConfig{Clusters: 1})
-	adv := New(cell, DefaultConfig())
-	if findings := adv.DetectOverload(nil, DefaultOverloadConfig()); findings != nil {
+	adv := New(cell)
+	if findings := adv.DetectOverload(nil); findings != nil {
 		t.Errorf("nil sampler produced findings: %+v", findings)
 	}
 }

@@ -257,18 +257,6 @@ func (db *DB) LookupKey(user string) (secure.Key, bool) {
 	return u.Key, true
 }
 
-// Users returns all user names, sorted.
-func (db *DB) Users() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]string, 0, len(db.users))
-	for n := range db.users {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Groups returns all group names, sorted.
 func (db *DB) Groups() []string {
 	db.mu.RLock()

@@ -1,6 +1,7 @@
 package prot
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -271,8 +272,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if replica.Version() != db.Version() {
 		t.Fatalf("version %d != %d", replica.Version(), db.Version())
 	}
-	if fmt.Sprint(replica.Users()) != fmt.Sprint(db.Users()) {
-		t.Fatalf("users differ: %v vs %v", replica.Users(), db.Users())
+	if !bytes.Equal(replica.Snapshot(), db.Snapshot()) {
+		t.Fatal("the replica's snapshot differs from the one it loaded")
 	}
 	if fmt.Sprint(replica.CPS("satya")) != fmt.Sprint(db.CPS("satya")) {
 		t.Fatal("CPS differs on replica")

@@ -105,9 +105,8 @@ func TestSimReplayCarriesTheOriginalReply(t *testing.T) {
 	net := netsim.New(k, netsim.ITCDefaults())
 	cl := net.AddCluster("c0")
 	reg := trace.NewRegistry()
-	srv := NewEndpoint(net, net.AddNode("server", cl), EndpointConfig{
-		Keys: keys, Server: logic, Metrics: reg,
-	})
+	logic.Observe("server", nil, reg, nil)
+	srv := NewEndpoint(net, net.AddNode("server", cl), EndpointConfig{Keys: keys, Server: logic})
 	client := NewEndpoint(net, net.AddNode("client", cl), EndpointConfig{
 		CallTimeout: time.Second,
 		Retry:       RetryPolicy{Attempts: 3, Backoff: time.Second},

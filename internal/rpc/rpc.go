@@ -27,6 +27,14 @@
 // Both carriers are full duplex: either side may register a Server and
 // receive calls, which is how Vice breaks callbacks to Venus.
 //
+// A machine's instruments — its name, tracer, metric registry and flight
+// recorder — are named once, on the Server its connections serve through
+// (Server.Observe), and both carriers take them from there: an Endpoint from
+// its EndpointConfig's Server, a Peer from the Server it is built on. Each
+// resolves them into its call core's observers once, so both record the same
+// spans and the same rpc.call.latency, rpc.call.timeouts and
+// rpc.serve.latency.
+//
 // Both take the caller's *sim.Proc, whose ambient span the call's rpc.call
 // span nests under, and serve each call on a process whose ambient span is
 // the call's rpc.serve. In the simulator these are simulated processes. On a
@@ -183,9 +191,16 @@ type Server struct {
 	handlers map[Op]HandlerFunc // guarded by mu
 	fallback HandlerFunc        // guarded by mu
 	served   servedFunc         // guarded by mu
-	node     string             // guarded by mu
-	tracer   *trace.Tracer      // guarded by mu
-	metrics  *trace.Registry    // guarded by mu
+	observed instruments        // guarded by mu
+}
+
+// instruments are what Observe names: the machine a Server serves on and
+// what its calls and serves report to.
+type instruments struct {
+	node    string
+	tracer  *trace.Tracer
+	metrics *trace.Registry
+	flight  *trace.Recorder
 }
 
 // servedFunc is what OnServed registers.
@@ -223,16 +238,27 @@ func (s *Server) OnServed(fn func(ctx Ctx, req Request, resp Response, svc time.
 	s.served = fn
 }
 
-// Observe names the local machine, the tracer and the registry that every
-// Peer built on this server from now on reports its calls and serves to,
-// from its first: the tracer records them as spans on node and puts the
-// rpc.call span's context in each call's header. AcceptPeer starts serving
-// before it returns, so a peer configured only afterwards (SetMetrics) serves
-// its first call or two unobserved. The tracer and the registry may be nil.
-func (s *Server) Observe(node string, t *trace.Tracer, reg *trace.Registry) {
+// Observe names the machine s serves on and its instruments, once for both
+// carriers: every Endpoint built with s as its Server, and every Peer built
+// on s, from now on reports its calls and serves as node's — the tracer
+// records them as spans on node and puts the rpc.call span's context in each
+// call's header, the registry counts and times them, and the flight
+// recorder (which only the simulator's retransmissions write to) logs their
+// operational events. Each connection end reads them once, when it is built:
+// an Endpoint at NewEndpoint, a Peer before AcceptPeer or DialPeer returns,
+// so its first call is observed like the rest. Any of t, reg and fl may be
+// nil.
+func (s *Server) Observe(node string, t *trace.Tracer, reg *trace.Registry, fl *trace.Recorder) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.node, s.tracer, s.metrics = node, t, reg
+	s.observed = instruments{node: node, tracer: t, metrics: reg, flight: fl}
+}
+
+// instruments returns what Observe last named.
+func (s *Server) instruments() instruments {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.observed
 }
 
 // CodeUnknownOp is the response code for calls nobody handles.

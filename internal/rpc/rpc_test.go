@@ -326,9 +326,12 @@ func TestSimCountersReachTheSnapshot(t *testing.T) {
 		ctx.Proc.Sleep(4 * time.Second)
 		return Response{Body: []byte("slow")}
 	})
-	srv := NewEndpoint(net, net.AddNode("server", cl), EndpointConfig{Keys: keys, Server: logic, Metrics: reg})
+	logic.Observe("server", nil, reg, nil)
+	srv := NewEndpoint(net, net.AddNode("server", cl), EndpointConfig{Keys: keys, Server: logic})
+	back := NewServer()
+	back.Observe("client", nil, reg, nil)
 	client := NewEndpoint(net, net.AddNode("client", cl), EndpointConfig{
-		CallTimeout: time.Second, Metrics: reg,
+		Server: back, CallTimeout: time.Second,
 		Retry: RetryPolicy{Attempts: 3, Backoff: time.Second},
 	})
 

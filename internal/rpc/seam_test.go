@@ -7,6 +7,7 @@ import (
 
 	"itcfs/internal/netsim"
 	"itcfs/internal/sim"
+	"itcfs/internal/trace"
 )
 
 // TestSleepWaitsInTheProcessesTime: the seam's wait is the time Clock reads.
@@ -95,5 +96,71 @@ func TestOnServedObservesBothCarriers(t *testing.T) {
 	defer mu.Unlock()
 	if len(got) != 3 || got[1].op != opStat || got[2].op != opStat {
 		t.Fatalf("observed %+v, want the simulated call and the two Peer calls", got)
+	}
+}
+
+// TestBothCarriersReportToTheObservedRegistry: a machine's instruments are
+// named once, on its rpc.Server, and both carriers take them from there. One
+// call over a SimConn and one over a Peer, each between a station and a
+// server whose Servers are observed with registries of their own: on either
+// carrier the station's registry times the call and keeps its timeout count,
+// and the server's times the serve.
+func TestBothCarriersReportToTheObservedRegistry(t *testing.T) {
+	type machines struct{ ws, srv *trace.Registry }
+	observed := func() (m machines, ws, srv *Server) {
+		m = machines{trace.NewRegistry(), trace.NewRegistry()}
+		ws, srv = NewServer(), echoServer()
+		ws.Observe("ws", nil, m.ws, nil)
+		srv.Observe("server", nil, m.srv, nil)
+		return m, ws, srv
+	}
+
+	sim1, wsServer, srvServer := observed()
+	k := sim.NewKernel()
+	net := netsim.New(k, netsim.ITCDefaults())
+	cl := net.AddCluster("c0")
+	srv := NewEndpoint(net, net.AddNode("server", cl), EndpointConfig{Keys: keys, Server: srvServer})
+	client := NewEndpoint(net, net.AddNode("ws", cl), EndpointConfig{Server: wsServer})
+	k.Spawn("caller", func(p *sim.Proc) {
+		conn, err := client.Dial(p, srv.Node().ID, "satya", userKey)
+		if err != nil {
+			t.Errorf("dial: %v", err)
+			return
+		}
+		if _, err := conn.Call(p, Request{Op: opEcho}); err != nil {
+			t.Errorf("simulated call: %v", err)
+		}
+	})
+	k.Run()
+
+	peer, wsServer, srvServer := observed()
+	dialed, _ := pipePair(t, wsServer, srvServer)
+	if _, err := dialed.Call(nil, Request{Op: opEcho}); err != nil {
+		t.Fatalf("Peer call: %v", err)
+	}
+
+	for _, c := range []struct {
+		carrier string
+		m       machines
+	}{{"SimConn", sim1}, {"Peer", peer}} {
+		for _, r := range []struct {
+			machine       string
+			reg           *trace.Registry
+			calls, serves int64
+		}{{"station", c.m.ws, 1, 0}, {"server", c.m.srv, 0, 1}} {
+			if h := r.reg.FindHistogram(trace.MetricRPCCallLatency); h == nil || h.Count() != r.calls {
+				t.Errorf("%s: the %s's %s holds %v, want %d calls", c.carrier, r.machine, trace.MetricRPCCallLatency, h, r.calls)
+			}
+			if h := r.reg.FindHistogram(trace.MetricRPCServeLatency); h == nil || h.Count() != r.serves {
+				t.Errorf("%s: the %s's %s holds %v, want %d serves", c.carrier, r.machine, trace.MetricRPCServeLatency, h, r.serves)
+			}
+			timeouts := false
+			for _, v := range r.reg.Snapshot().Counters {
+				timeouts = timeouts || v.Name == trace.MetricRPCCallTimeouts && v.Value == 0
+			}
+			if !timeouts {
+				t.Errorf("%s: the %s's registry keeps no %s at 0", c.carrier, r.machine, trace.MetricRPCCallTimeouts)
+			}
+		}
 	}
 }

@@ -125,7 +125,11 @@ type Backchannel interface {
 type EndpointConfig struct {
 	// Keys authenticates inbound connections; nil endpoints refuse them.
 	Keys secure.KeyLookup
-	// Server handles inbound calls; nil endpoints refuse them.
+	// Server handles inbound calls; nil endpoints refuse them. What it was
+	// observed with (Server.Observe) before NewEndpoint is what this
+	// endpoint's calls, serves and retransmissions report to: spans, RPC
+	// counters and latency histograms, and flight events. An endpoint without
+	// one records nothing.
 	Server *Server
 	// Bill charges each call and handshake message served to the server's
 	// simulated devices; nil charges nothing.
@@ -136,14 +140,6 @@ type EndpointConfig struct {
 	// Retry enables bounded retransmission with exponential backoff and
 	// jitter; the zero value keeps the original single-attempt behavior.
 	Retry RetryPolicy
-	// Tracer records distributed spans for calls through this endpoint.
-	// Nil disables tracing at near-zero cost (one nil check per call).
-	Tracer *trace.Tracer
-	// Metrics receives RPC counters and latency histograms. Nil disables.
-	Metrics *trace.Registry
-	// Flight, when set, receives operational events (call and handshake
-	// retransmissions) for the flight recorder. Nil disables.
-	Flight *trace.Recorder
 }
 
 // Bill is what serving costs a simulated server. Call runs on ctx.Proc after
@@ -191,9 +187,11 @@ type Endpoint struct {
 	free  []*attempt
 
 	// The instruments every connection of this endpoint reports through,
-	// and the simulator's own: handles resolved once at construction, all
-	// nil (and their methods no-ops) without a registry.
+	// and the simulator's own: handles resolved once at construction from
+	// what the Server was observed with, all nil (and their methods no-ops)
+	// without a registry or a recorder.
 	obs      observers
+	flight   *trace.Recorder
 	mRetries *trace.Counter
 	mReplays *trace.Counter
 	mDupSup  *trace.Counter
@@ -246,16 +244,22 @@ func NewEndpoint(net *netsim.Network, node *netsim.Node, cfg EndpointConfig) *En
 		calls:      sim.NewMailbox[received](net.Kernel()),
 	}
 	ep.work = ep.serveNext
-	if cfg.Metrics != nil && cfg.Keys != nil {
+	var in instruments
+	if cfg.Server != nil {
+		in = cfg.Server.instruments()
+	}
+	reg := in.metrics
+	if reg != nil && cfg.Keys != nil {
 		// Only authenticating (server) endpoints gauge their worker queue:
 		// a thousand workstations' callback endpoints would pollute the
 		// registry with idle series.
-		ep.mInflight = cfg.Metrics.Gauge(trace.RPCInflightGauge(node.Name))
+		ep.mInflight = reg.Gauge(trace.RPCInflightGauge(node.Name))
 	}
-	ep.obs = newObservers(cfg.Tracer, cfg.Metrics, node.Name)
-	ep.mRetries = cfg.Metrics.Counter(trace.MetricRPCRetries)
-	ep.mReplays = cfg.Metrics.Counter(trace.MetricRPCReplyCacheReplays)
-	ep.mDupSup = cfg.Metrics.Counter(trace.MetricRPCDupSuppressed)
+	ep.obs = newObservers(in.tracer, reg, in.node)
+	ep.flight = in.flight
+	ep.mRetries = reg.Counter(trace.MetricRPCRetries)
+	ep.mReplays = reg.Counter(trace.MetricRPCReplyCacheReplays)
+	ep.mDupSup = reg.Counter(trace.MetricRPCDupSuppressed)
 	node.SetSink(ep.deliver)
 	return ep
 }
@@ -591,7 +595,7 @@ func (c *SimConn) pause(p *sim.Proc, op Op, a int) { c.retryPause(p, "op", int(o
 func (c *SimConn) retryPause(p *sim.Proc, what string, n, a int) {
 	c.ep.retries++
 	c.ep.mRetries.Inc()
-	if fl := c.ep.cfg.Flight; fl != nil {
+	if fl := c.ep.flight; fl != nil {
 		fl.Log(trace.EventRPCRetry, c.ep.node.Name,
 			fmt.Sprintf("%s %d attempt %d to node %d", what, n, a+1, c.remote))
 	}

@@ -145,10 +145,8 @@ func newPeer(conn io.ReadWriteCloser, box *secure.Box, user, name string, server
 		done:   make(chan struct{}),
 		work:   make(chan job),
 	}
-	server.mu.RLock()
-	node, t, reg := server.node, server.tracer, server.metrics
-	server.mu.RUnlock()
-	o := newObservers(t, reg, node)
+	in := server.instruments()
+	o := newObservers(in.tracer, in.metrics, in.node)
 	p.obs.Store(&o)
 	return p
 }

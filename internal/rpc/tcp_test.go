@@ -85,7 +85,7 @@ func TestPeerCallRoundTrip(t *testing.T) {
 func TestPeerFirstCallObserved(t *testing.T) {
 	reg := trace.NewRegistry()
 	srv := echoServer()
-	srv.Observe("server", nil, reg)
+	srv.Observe("server", nil, reg, nil)
 	dialed, _ := pipePair(t, nil, srv)
 	if _, err := dialed.Call(nil, Request{Op: opEcho}); err != nil {
 		t.Fatal(err)
@@ -460,8 +460,8 @@ func TestPeerCarriesTheCallersTraceHeader(t *testing.T) {
 	// client's trace 1 by coincidence.
 	serverTr.Begin(nil, "boot", "server").End()
 	clientSrv, serverSrv := NewServer(), echoServer()
-	clientSrv.Observe("ws", clientTr, nil)
-	serverSrv.Observe("server", serverTr, nil)
+	clientSrv.Observe("ws", clientTr, nil, nil)
+	serverSrv.Observe("server", serverTr, nil, nil)
 	dialed, _ := tcpPair(t, clientSrv, serverSrv)
 	resp, err := dialed.Call(nil, Request{Op: opEcho, Body: []byte("traced")})
 	if err != nil {

@@ -44,7 +44,7 @@ func newTCPCell(t *testing.T, mode vice.Mode) *tcpCell {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go srv.Serve(l, nil, nil)
+	go srv.Serve(l, nil)
 	t.Cleanup(func() { l.Close() })
 	return &tcpCell{addr: l.Addr().String()}
 }

@@ -139,15 +139,17 @@ type Config struct {
 	// DefaultRevalidateBatch; 1 degenerates to one legacy TestValid RPC per
 	// entry — the unbatched protocol, kept for ablation experiments.
 	RevalidateBatch int
-	// Tracer records spans for opens, closes, validations, fetches and
-	// stores; nil disables tracing at near-zero cost.
-	Tracer *trace.Tracer
-	// Metrics receives cache hit/miss counters and per-operation latency
-	// histograms; nil disables.
+	// Tracer, Metrics and Flight are the workstation's instruments, which
+	// virtue.NewWorkstation also names on its callback service
+	// (rpc.Server.Observe), so its connections report there too. The
+	// tracer records spans for opens, closes, validations, fetches and
+	// stores; nil disables tracing at near-zero cost. The registry receives
+	// cache hit/miss counters and per-operation latency histograms; nil
+	// disables. The flight recorder, when set, receives operational events
+	// — degraded-mode entry and exit, revalidation sweeps; nil disables.
+	Tracer  *trace.Tracer
 	Metrics *trace.Registry
-	// Flight, when set, receives operational events — degraded-mode entry
-	// and exit, revalidation sweeps — for the flight recorder. Nil disables.
-	Flight *trace.Recorder
+	Flight  *trace.Recorder
 }
 
 // entry is one cached whole file (or directory listing, or status-only

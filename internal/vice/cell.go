@@ -125,17 +125,13 @@ func Boot(cfg Config, operatorPassword string) (*Server, *store.Report, error) {
 // calls, and — once the connection has ended — the release of what the
 // client held only while connected, its advisory locks and its callback
 // promises. It returns the authenticated user, or the error that refused the
-// handshake, after which c is closed. tracer, which may be nil, records a
-// span per served call; it is the server's one tracer, the same on every
-// connection.
+// handshake, after which c is closed. The connection reports to the
+// instruments New named on the Dispatcher, from its first call.
 //
 // Simulated connections do not come through here: rpc.Endpoint serves them,
 // and a simulated connection that dies leaves its locks and promises to the
 // next Crash, which the simulator's goldens pin.
-func (s *Server) ServeConn(c io.ReadWriteCloser, tracer *trace.Tracer) (user string, err error) {
-	// Named before the handshake: the peer's read loop starts inside
-	// AcceptPeer, and its first call is observed like the rest.
-	s.disp.Observe(s.cfg.Name, tracer, s.cfg.Metrics)
+func (s *Server) ServeConn(c io.ReadWriteCloser) (user string, err error) {
 	start := time.Now() //itcvet:allow wallclock -- real handshake cost, outside the simulator
 	peer, err := rpc.AcceptPeer(c, s.cfg.DB.LookupKey, s.disp)
 	if err != nil {
@@ -154,14 +150,14 @@ func (s *Server) ServeConn(c io.ReadWriteCloser, tracer *trace.Tracer) (user str
 // which may be nil, is told each connection's remote address and what
 // ServeConn returned for it. Connections still open when Serve returns are
 // served to their end.
-func (s *Server) Serve(l net.Listener, tracer *trace.Tracer, ended func(addr net.Addr, user string, err error)) error {
+func (s *Server) Serve(l net.Listener, ended func(addr net.Addr, user string, err error)) error {
 	for {
 		c, err := l.Accept()
 		if err != nil {
 			return err
 		}
 		go func() {
-			user, err := s.ServeConn(c, tracer)
+			user, err := s.ServeConn(c)
 			if ended != nil {
 				ended(c.RemoteAddr(), user, err)
 			}

@@ -40,7 +40,7 @@ func servePipes(t testing.TB, metrics *trace.Registry, n int) (*Server, []*rpc.P
 		served.Add(1)
 		go func() {
 			defer served.Done()
-			_, _ = srv.ServeConn(sc, nil)
+			_, _ = srv.ServeConn(sc)
 		}()
 		if peers[i], err = rpc.DialPeer(cc, "operator", secure.DeriveKey("operator", "pw"), rpc.NewServer()); err != nil {
 			cc.Close()

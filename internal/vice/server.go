@@ -76,13 +76,17 @@ type Config struct {
 	ProtAuthority bool
 	// AllocVolID issues cell-wide unique volume IDs.
 	AllocVolID func() uint32
-	// Metrics, when set, receives server-side counters and per-volume
-	// service-time histograms (lock conflicts, callback fan-out,
-	// vice.vol.<id>.latency, vice.vol.<id>.ops). Nil disables all of it.
+	// Tracer, Metrics and Flight are the server's instruments, which New
+	// names on its Dispatcher (rpc.Server.Observe) for both carriers, so each
+	// connection served through it reports there. The tracer records a span
+	// per served call. The registry receives the RPC layer's counters and
+	// latency histograms and the server's own (lock conflicts, callback
+	// fan-out, vice.vol.<id>.latency, vice.vol.<id>.ops). The flight recorder
+	// receives operational events: salvages, callback break storms and the
+	// simulator's retransmissions. Each may be nil, and then records nothing.
+	Tracer  *trace.Tracer
 	Metrics *trace.Registry
-	// Flight, when set, receives operational events — salvages and callback
-	// break storms — for the flight recorder. Nil disables.
-	Flight *trace.Recorder
+	Flight  *trace.Recorder
 	// UnbatchedBreaks forces one callback RPC per broken promise (the
 	// pre-batching break path) for ablation experiments such as E14.
 	UnbatchedBreaks bool
@@ -127,27 +131,36 @@ type Server struct {
 	// pathname components walked server-side (prototype cost)
 	// guarded by mu
 	walkComponents int64
-	// volAccess counts hot-path operations per volume per requesting node,
-	// the raw data for the monitoring tools of §3.6 (recognizing long-term
-	// access patterns and recommending custodian reassignment).
+	// volStats holds one record per volume a hot-path call has touched.
 	// guarded by mu
-	volAccess map[uint32]map[string]int64
-	// volOps and volLat cache the per-volume metric handles: both are
-	// touched on every served hot-path call, and resolving the Sprintf'd
-	// name through the registry each time is measurable at scale.
-	// guarded by mu
-	volOps map[uint32]*trace.Counter
-	volLat map[uint32]*trace.Histogram
+	volStats map[uint32]*volStat
 	// pendingVol remembers, per worker process (a simulated one, or a Peer
-	// worker's own process without a kernel), which volume its in-flight
-	// call touched, so observeCall can attribute the call's service time to
-	// that volume's latency histogram and delete the entry.
+	// worker's own process without a kernel), the record of the volume its
+	// in-flight call touched, so observeCall can attribute the call's service
+	// time to that volume's latency histogram and delete the entry.
 	// guarded by mu
-	pendingVol map[*sim.Proc]uint32
+	pendingVol map[*sim.Proc]*volStat
 }
 
-// New creates a server. Register its Dispatcher with an rpc transport to
-// serve clients.
+// volStat is what a server records of the calls served from one volume.
+// Its fields are guarded by Server.mu.
+type volStat struct {
+	vol uint32
+	// access counts hot-path operations per requesting node since the last
+	// ResetAccessStats, the raw data for the monitoring tools of §3.6
+	// (recognizing long-term access patterns and recommending custodian
+	// reassignment); nil when there were none.
+	access map[string]int64
+	// ops and lat are the volume's metric handles, resolved once: both are
+	// touched on every served hot-path call, and resolving the Sprintf'd
+	// name through the registry each time is measurable at scale. lat is
+	// resolved at the first call observed; both are nil without a registry.
+	ops *trace.Counter
+	lat *trace.Histogram
+}
+
+// New creates a server, its Dispatcher observed with cfg's instruments.
+// Register the Dispatcher with an rpc transport to serve clients.
 func New(cfg Config) *Server {
 	if cfg.Clock == nil {
 		cfg.Clock = func() int64 { return 0 }
@@ -165,12 +178,11 @@ func New(cfg Config) *Server {
 		locks:      NewLockTable(),
 		callbacks:  newCallbackTable(cfg),
 		disp:       rpc.NewServer(),
-		volAccess:  make(map[uint32]map[string]int64),
-		volOps:     make(map[uint32]*trace.Counter),
-		volLat:     make(map[uint32]*trace.Histogram),
-		pendingVol: make(map[*sim.Proc]uint32),
+		volStats:   make(map[uint32]*volStat),
+		pendingVol: make(map[*sim.Proc]*volStat),
 	}
 	s.registerHandlers()
+	s.disp.Observe(cfg.Name, cfg.Tracer, cfg.Metrics, cfg.Flight)
 	s.disp.OnServed(s.observeCall)
 	return s
 }
@@ -241,24 +253,25 @@ func (s *Server) TrafficStats() (fetchBytes, storeBytes, walked int64) {
 func (s *Server) noteAccess(ctx rpc.Ctx, vol uint32) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m := s.volAccess[vol]
-	if m == nil {
-		m = make(map[string]int64)
-		s.volAccess[vol] = m
-	}
-	m[ctx.Peer]++
-	if s.cfg.Metrics != nil {
-		// Per-volume call-mix counter: sampled into per-window rates, it is
-		// how the overload detector attributes a hot server's load to the
-		// volume driving it. (Registry locks nest under s.mu here; the
-		// registry never calls back into vice.)
-		c := s.volOps[vol]
-		if c == nil {
-			c = s.cfg.Metrics.Counter(trace.VolOpsMetric(vol))
-			s.volOps[vol] = c
+	st := s.volStats[vol]
+	if st == nil {
+		st = &volStat{vol: vol}
+		if s.cfg.Metrics != nil {
+			// Per-volume call-mix counter: sampled into per-window rates, it
+			// is how the overload detector attributes a hot server's load to
+			// the volume driving it. (Registry locks nest under s.mu here;
+			// the registry never calls back into vice.)
+			st.ops = s.cfg.Metrics.Counter(trace.VolOpsMetric(vol))
 		}
-		c.Inc()
-		s.pendingVol[ctx.Proc] = vol
+		s.volStats[vol] = st
+	}
+	if st.access == nil {
+		st.access = make(map[string]int64)
+	}
+	st.access[ctx.Peer]++
+	if s.cfg.Metrics != nil {
+		st.ops.Inc()
+		s.pendingVol[ctx.Proc] = st
 	}
 }
 
@@ -272,15 +285,14 @@ func (s *Server) observeCall(ctx rpc.Ctx, req rpc.Request, resp rpc.Response, sv
 		return
 	}
 	s.mu.Lock()
-	vol, ok := s.pendingVol[ctx.Proc]
+	st, ok := s.pendingVol[ctx.Proc]
 	var h *trace.Histogram
 	if ok {
 		delete(s.pendingVol, ctx.Proc)
-		h = s.volLat[vol]
-		if h == nil {
-			h = s.cfg.Metrics.Histogram(trace.VolLatencyMetric(vol))
-			s.volLat[vol] = h
+		if st.lat == nil {
+			st.lat = s.cfg.Metrics.Histogram(trace.VolLatencyMetric(st.vol))
 		}
+		h = st.lat
 	}
 	s.mu.Unlock()
 	if ok {
@@ -292,10 +304,13 @@ func (s *Server) observeCall(ctx rpc.Ctx, req rpc.Request, resp rpc.Response, sv
 func (s *Server) AccessStats() map[uint32]map[string]int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[uint32]map[string]int64, len(s.volAccess))
-	for vol, m := range s.volAccess {
-		cp := make(map[string]int64, len(m))
-		for peer, n := range m {
+	out := make(map[uint32]map[string]int64)
+	for vol, st := range s.volStats {
+		if st.access == nil {
+			continue
+		}
+		cp := make(map[string]int64, len(st.access))
+		for peer, n := range st.access {
 			cp[peer] = n
 		}
 		out[vol] = cp
@@ -308,7 +323,9 @@ func (s *Server) AccessStats() map[uint32]map[string]int64 {
 func (s *Server) ResetAccessStats() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.volAccess = make(map[uint32]map[string]int64)
+	for _, st := range s.volStats {
+		st.access = nil
+	}
 }
 
 // Crash models a server process dying: all volatile state — callback

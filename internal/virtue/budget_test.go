@@ -319,7 +319,7 @@ func (c *budgetCell) station(maxBytes int64) (*FS, func()) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			c.srv.ServeConn(sc, nil)
+			c.srv.ServeConn(sc)
 		}()
 		pipes, served = append(pipes, cc), append(served, done)
 		return &countingConn{Conn: cc, c: c}, nil

@@ -70,11 +70,12 @@ func New(local *unixfs.FS, v *venus.Venus) *FS {
 // cfg.Local reaching servers through cfg.Connect, both of its callback-break
 // handlers registered on callbacks — the service the caller has given, or
 // will give, every connection cfg.Connect opens, simulated or real — and the
-// view over the two. The real connections built on callbacks report their
-// calls and serves as cfg.Machine's, to cfg.Tracer and cfg.Metrics.
+// view over the two. Every connection built on callbacks, simulated or
+// real, reports its calls and serves as cfg.Machine's, to cfg.Tracer,
+// cfg.Metrics and cfg.Flight; a simulated one must be built after this.
 func NewWorkstation(cfg venus.Config, callbacks *rpc.Server) *FS {
 	v := venus.New(cfg)
-	callbacks.Observe(cfg.Machine, cfg.Tracer, cfg.Metrics)
+	callbacks.Observe(cfg.Machine, cfg.Tracer, cfg.Metrics, cfg.Flight)
 	callbacks.Handle(rpc.Op(proto.OpCallbackBreak), v.HandleCallbackBreak)
 	callbacks.Handle(rpc.Op(proto.OpBulkBreak), v.HandleBulkBreak)
 	return New(cfg.Local, v)

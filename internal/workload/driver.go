@@ -35,33 +35,31 @@ const (
 	opKinds
 )
 
-// Mix sets the relative weight of each operation. Zero-value weights drop
+// mix sets the relative weight of each operation. Zero-value weights drop
 // the operation.
-type Mix struct {
-	ReadUser, WriteUser, StatUser, ListDir, ReadSys, StatSys, Temp int
+type mix struct {
+	readUser, writeUser, statUser, listDir, readSys, statSys, temp int
 }
 
-// DefaultMix approximates the measured usage profile behind §5.2's call
+// userMix approximates the measured usage profile behind §5.2's call
 // histogram: opens dominate and are mostly reads, status inquiries are
 // frequent (directory browsing), writes are rare.
-func DefaultMix() Mix {
-	return Mix{
-		ReadUser:  38,
-		WriteUser: 3,
-		StatUser:  20,
-		ListDir:   6,
-		ReadSys:   24,
-		StatSys:   6,
-		Temp:      3,
-	}
+var userMix = mix{
+	readUser:  38,
+	writeUser: 3,
+	statUser:  20,
+	listDir:   6,
+	readSys:   24,
+	statSys:   6,
+	temp:      3,
 }
 
-func (m Mix) weights() [opKinds]int {
-	return [opKinds]int{m.ReadUser, m.WriteUser, m.StatUser, m.ListDir, m.ReadSys, m.StatSys, m.Temp}
+func (m mix) weights() [opKinds]int {
+	return [opKinds]int{m.readUser, m.writeUser, m.statUser, m.listDir, m.readSys, m.statSys, m.temp}
 }
 
 // pick selects an operation according to the weights.
-func (m Mix) pick(r *rand.Rand) OpKind {
+func (m mix) pick(r *rand.Rand) OpKind {
 	w := m.weights()
 	total := 0
 	for _, v := range w {
@@ -83,38 +81,38 @@ func (m Mix) pick(r *rand.Rand) OpKind {
 // Config shapes a user's synthetic activity.
 type Config struct {
 	Seed      int64
-	Mix       Mix
 	UserFiles int    // files in the user's home volume
 	SysFiles  int    // shared system binaries
 	SysRoot   string // Vice directory of system binaries (e.g. "/unix/bin")
-	// Zipf skew: higher = more concentrated working set. s>1 required.
-	Zipf float64
-	// MeanKB controls the file size distribution (paper: >99% of files are
-	// small; sizes here are a few KB with a long tail).
-	MeanKB int
 	// Think is the mean pause between operations (exponential).
 	Think time.Duration
 	// Bursts: with probability 1/BurstEvery per step, the user fires
-	// BurstOps operations back to back (a compile, a directory sweep) —
+	// burstOps operations back to back (a compile, a directory sweep) —
 	// the "intense file system activity by a few users" that produced the
 	// paper's short-term 98% CPU peaks (§5.2). Zero disables bursts.
 	BurstEvery int
-	BurstOps   int
 }
+
+// The shape every user's activity shares.
+const (
+	// userZipf is the popularity skew: higher = more concentrated working
+	// set. s>1 required.
+	userZipf = 1.4
+	// userMeanKB controls the file size distribution (paper: >99% of files
+	// are small; sizes here are a few KB with a long tail).
+	userMeanKB = 4
+	burstOps   = 120
+)
 
 // DefaultConfig returns the standard driver shape.
 func DefaultConfig(seed int64) Config {
 	return Config{
 		Seed:       seed,
-		Mix:        DefaultMix(),
 		UserFiles:  150,
 		SysFiles:   60,
 		SysRoot:    "/unix/bin",
-		Zipf:       1.4,
-		MeanKB:     4,
 		Think:      14 * time.Second,
 		BurstEvery: 350,
-		BurstOps:   120,
 	}
 }
 
@@ -137,8 +135,8 @@ func NewUser(name, home string, cfg Config) *User {
 		Home: home,
 		cfg:  cfg,
 		r:    r,
-		uz:   rand.NewZipf(r, cfg.Zipf, 1, uint64(cfg.UserFiles-1)),
-		sz:   rand.NewZipf(r, cfg.Zipf, 1, uint64(cfg.SysFiles-1)),
+		uz:   rand.NewZipf(r, userZipf, 1, uint64(cfg.UserFiles-1)),
+		sz:   rand.NewZipf(r, userZipf, 1, uint64(cfg.SysFiles-1)),
 	}
 }
 
@@ -148,8 +146,7 @@ func (u *User) Ops() int64 { return u.ops }
 // FileSize draws a file size: mostly a few KB, occasionally much larger
 // (the long tail of the 1981 file-size study the paper cites [12]).
 func (u *User) FileSize() int {
-	kb := u.cfg.MeanKB
-	base := u.r.Intn(2*kb*1024) + 256
+	base := u.r.Intn(2*userMeanKB*1024) + 256
 	if u.r.Intn(100) < 2 {
 		base *= 20 // the rare big file
 	}
@@ -193,7 +190,7 @@ func (u *User) Step(p *sim.Proc, fs *virtue.FS) error {
 		p.Sleep(pause)
 	}
 	if u.cfg.BurstEvery > 0 && u.r.Intn(u.cfg.BurstEvery) == 0 {
-		for i := 0; i < u.cfg.BurstOps; i++ {
+		for i := 0; i < burstOps; i++ {
 			if err := u.one(p, fs); err != nil {
 				return err
 			}
@@ -206,7 +203,7 @@ func (u *User) Step(p *sim.Proc, fs *virtue.FS) error {
 // one performs a single operation with no pause.
 func (u *User) one(p *sim.Proc, fs *virtue.FS) error {
 	u.ops++
-	switch u.cfg.Mix.pick(u.r) {
+	switch userMix.pick(u.r) {
 	case OpReadUser:
 		return u.readFile(p, fs, "/vice"+u.userFile(int(u.uz.Uint64())))
 	case OpWriteUser:

@@ -21,21 +21,25 @@ import (
 
 // ScaleConfig shapes one client of the scalability mix.
 type ScaleConfig struct {
-	Seed        int64
-	Root        string        // Vice directory holding the shared pool
-	SharedFiles int           // files in the pool
-	Zipf        float64       // popularity skew (s > 1)
-	Writers     int           // the first k clients are publishers (0 = none)
-	BurstEvery  int           // a publisher installs a burst every k main ops
-	BurstFiles  int           // files rewritten per install burst
-	MeanKB      int           // mean rewrite size (exponential)
-	Stagger     time.Duration // clients start uniformly inside this ramp
-	Browse      int           // pool files each client reads once at start
-	BrowseThink time.Duration // mean pause between browse reads
-	Think       time.Duration // mean pause between main ops (exponential)
-	Ops         int           // main operations per client
-	SweepEvery  int           // ops between TTL revalidation sweeps (0 = never)
+	Seed    int64
+	Root    string        // Vice directory holding the shared pool
+	Stagger time.Duration // clients start uniformly inside this ramp
+	Browse  int           // pool files each client reads once at start
+	Ops     int           // main operations per client
 }
+
+// The pool and the parts of the mix every scale client shares.
+const (
+	sharedFiles = 120              // files in the pool
+	scaleZipf   = 1.5              // popularity skew (s > 1)
+	writers     = 1                // the first k clients are publishers
+	burstEvery  = 10               // a publisher installs a burst every k main ops
+	burstFiles  = 30               // files rewritten per install burst
+	scaleMeanKB = 4                // mean rewrite size (exponential)
+	browseThink = 2 * time.Minute  // mean pause between browse reads
+	scaleThink  = 20 * time.Minute // mean pause between main ops (exponential)
+	sweepEvery  = 10               // ops between TTL revalidation sweeps
+)
 
 // DefaultScale returns the standard E14 client configuration: a large
 // read-mostly population against a shared pool. Each client browses the
@@ -49,20 +53,11 @@ type ScaleConfig struct {
 // worries about.
 func DefaultScale(seed int64) ScaleConfig {
 	return ScaleConfig{
-		Seed:        seed,
-		Root:        "/vice/usr/load/shared",
-		SharedFiles: 120,
-		Zipf:        1.5,
-		Writers:     1,
-		BurstEvery:  10,
-		BurstFiles:  30,
-		MeanKB:      4,
-		Stagger:     10 * time.Hour,
-		Browse:      12,
-		BrowseThink: 2 * time.Minute,
-		Think:       20 * time.Minute,
-		Ops:         30,
-		SweepEvery:  10,
+		Seed:    seed,
+		Root:    "/vice/usr/load/shared",
+		Stagger: 10 * time.Hour,
+		Browse:  12,
+		Ops:     30,
 	}
 }
 
@@ -102,8 +97,8 @@ func PopulateShared(p *sim.Proc, fs *virtue.FS, cfg ScaleConfig, r *rand.Rand) e
 	if err := fs.Mkdir(p, cfg.Root, 0o755); err != nil {
 		return fmt.Errorf("populate %s: %w", cfg.Root, err)
 	}
-	for i := 0; i < cfg.SharedFiles; i++ {
-		n := 1 + int(r.ExpFloat64()*float64(cfg.MeanKB)*1024)
+	for i := 0; i < sharedFiles; i++ {
+		n := 1 + int(r.ExpFloat64()*float64(scaleMeanKB)*1024)
 		if err := fs.WriteFile(p, SharedFile(cfg.Root, i), randBytes(r, n)); err != nil {
 			return err
 		}
@@ -129,9 +124,9 @@ func NewScaleUser(index int, cfg ScaleConfig) *ScaleUser {
 	return &ScaleUser{
 		cfg:    cfg,
 		r:      r,
-		zipf:   rand.NewZipf(r, cfg.Zipf, 1, uint64(cfg.SharedFiles-1)),
-		names:  sharedNameTable(cfg.Root, cfg.SharedFiles),
-		writer: index < cfg.Writers,
+		zipf:   rand.NewZipf(r, scaleZipf, 1, sharedFiles-1),
+		names:  sharedNameTable(cfg.Root, sharedFiles),
+		writer: index < writers,
 	}
 }
 
@@ -144,10 +139,8 @@ func (u *ScaleUser) Run(p *sim.Proc, fs *virtue.FS, v *venus.Venus) error {
 	if u.cfg.Stagger > 0 {
 		p.Sleep(time.Duration(u.r.Int63n(int64(u.cfg.Stagger))))
 	}
-	for i := 0; i < u.cfg.Browse && i < u.cfg.SharedFiles; i++ {
-		if u.cfg.BrowseThink > 0 {
-			p.Sleep(time.Duration(u.r.ExpFloat64() * float64(u.cfg.BrowseThink)))
-		}
+	for i := 0; i < u.cfg.Browse && i < sharedFiles; i++ {
+		p.Sleep(time.Duration(u.r.ExpFloat64() * float64(browseThink)))
 		if _, err := fs.ReadFile(p, u.names[i]); err != nil {
 			return fmt.Errorf("scale browse %d: %w", i, err)
 		}
@@ -166,11 +159,9 @@ func (u *ScaleUser) Run(p *sim.Proc, fs *virtue.FS, v *venus.Venus) error {
 // install a burst of updated files (each store breaks callbacks to every
 // client caching that file, so a burst is a callback storm).
 func (u *ScaleUser) Step(p *sim.Proc, fs *virtue.FS, v *venus.Venus, i int) error {
-	if u.cfg.Think > 0 {
-		p.Sleep(time.Duration(u.r.ExpFloat64() * float64(u.cfg.Think)))
-	}
+	p.Sleep(time.Duration(u.r.ExpFloat64() * float64(scaleThink)))
 	var err error
-	if u.writer && u.cfg.BurstEvery > 0 && i%u.cfg.BurstEvery == 0 {
+	if u.writer && i%burstEvery == 0 {
 		// A release lands at the head of the pool — the same region every
 		// client browsed and the popularity curve concentrates on, so the
 		// storm hits nearly every cache.
@@ -186,12 +177,12 @@ func (u *ScaleUser) Step(p *sim.Proc, fs *virtue.FS, v *venus.Venus, i int) erro
 }
 
 // maybeSweep counts the operation and runs a TTL revalidation sweep every
-// SweepEvery ops — the batched replacement for the per-open check-on-open
+// sweepEvery ops — the batched replacement for the per-open check-on-open
 // traffic the prototype suffered, and what keeps a long-idle cache's
 // promises alive.
 func (u *ScaleUser) maybeSweep(p *sim.Proc, v *venus.Venus) {
 	u.ops++
-	if u.cfg.SweepEvery > 0 && u.ops%int64(u.cfg.SweepEvery) == 0 {
+	if u.ops%sweepEvery == 0 {
 		// Force: refresh every promise before its TTL lapses, so opens never
 		// stall on a one-off validation. Best effort: a sweep that races a
 		// crash just leaves entries to the per-open validation paths.
@@ -199,23 +190,19 @@ func (u *ScaleUser) maybeSweep(p *sim.Proc, v *venus.Venus) {
 	}
 }
 
-// installBurst rewrites BurstFiles consecutive pool files concurrently, the
+// installBurst rewrites burstFiles consecutive pool files concurrently, the
 // way Venus flushes a batch of closed files when a publisher installs a new
 // release. The stores overlap at the server, so the callback storms they
 // trigger overlap too — the case the coalescing break path exists for.
 func (u *ScaleUser) installBurst(p *sim.Proc, fs *virtue.FS, first int) error {
-	burst := u.cfg.BurstFiles
-	if burst < 1 {
-		burst = 1
-	}
 	k := p.Kernel()
-	done := make([]*sim.Future[error], burst)
-	for j := 0; j < burst; j++ {
+	done := make([]*sim.Future[error], burstFiles)
+	for j := 0; j < burstFiles; j++ {
 		// Draw sizes and payloads on the client proc so the rand stream is
 		// consumed in a fixed order regardless of store completion order.
-		n := 1 + int(u.r.ExpFloat64()*float64(u.cfg.MeanKB)*1024)
+		n := 1 + int(u.r.ExpFloat64()*float64(scaleMeanKB)*1024)
 		data := randBytes(u.r, n)
-		path := u.names[(first+j)%u.cfg.SharedFiles]
+		path := u.names[(first+j)%sharedFiles]
 		f := sim.NewFuture[error](k)
 		done[j] = f
 		k.Spawn("install", func(wp *sim.Proc) {

@@ -138,13 +138,13 @@ func TestDriverDeterministic(t *testing.T) {
 
 func TestMixWeightsRespected(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	m := Mix{ReadUser: 1} // only reads
+	m := mix{readUser: 1} // only reads
 	for i := 0; i < 50; i++ {
 		if k := m.pick(r); k != OpReadUser {
 			t.Fatalf("pick = %v with read-only mix", k)
 		}
 	}
-	m = Mix{Temp: 5}
+	m = mix{temp: 5}
 	for i := 0; i < 50; i++ {
 		if k := m.pick(r); k != OpTempFile {
 			t.Fatalf("pick = %v with temp-only mix", k)

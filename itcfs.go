@@ -115,16 +115,14 @@ type CellConfig struct {
 
 	// Observability. Both default off, costing nothing on the hot paths.
 	//
-	// Trace records causally linked spans across Venus, the RPC transport,
-	// the network and Vice, in virtual time: identical seeds yield
+	// Trace, when set, records causally linked spans across Venus, the RPC
+	// transport, the network and Vice, in virtual time, under this
+	// deterministic sampling policy: a keep-one-in-n rate with a seeded phase
+	// per op class and a slow always-keep threshold (see trace.SamplePolicy).
+	// Sampling decides per operation, so a kept operation is always complete;
+	// the zero policy keeps every operation. Identical seeds yield
 	// byte-identical exported traces. Read them from Cell.Tracer.
-	Trace bool
-	// TracePolicy, when set, is the deterministic sampling policy: a
-	// keep-one-in-n rate with a seeded phase per op class and a slow
-	// always-keep threshold (see trace.SamplePolicy). Sampling decides per operation, so
-	// a kept operation is always complete. Nil keeps every operation; ignored
-	// unless Trace is set.
-	TracePolicy *trace.SamplePolicy
+	Trace *trace.SamplePolicy
 	// Metrics, when set, receives counters and histograms from every layer
 	// (cache hits, RPC latency, link utilization, per-volume service time).
 	Metrics *trace.Registry
@@ -230,11 +228,9 @@ func NewCell(cfg CellConfig) *Cell {
 		costs:       costs,
 		callTimeout: callTimeout,
 	}
-	if cfg.Trace {
+	if cfg.Trace != nil {
 		c.Tracer = trace.New(func() sim.Time { return k.Now() })
-		if cfg.TracePolicy != nil {
-			c.Tracer.SetPolicy(*cfg.TracePolicy)
-		}
+		c.Tracer.SetPolicy(*cfg.Trace)
 	}
 	c.Metrics = cfg.Metrics
 	if c.Metrics != nil {
@@ -263,6 +259,7 @@ func NewCell(cfg CellConfig) *Cell {
 			Name:            fmt.Sprintf("server%d", i),
 			Mode:            cfg.Mode,
 			Clock:           clock,
+			Tracer:          c.Tracer,
 			Metrics:         cfg.Metrics,
 			Flight:          c.Flight,
 			UnbatchedBreaks: cfg.UnbatchedBreaks,
@@ -288,9 +285,6 @@ func NewCell(cfg CellConfig) *Cell {
 			Bill:        costs.Bill(cfg.Mode, cpu, disk),
 			CallTimeout: callTimeout,
 			Retry:       cfg.Retry,
-			Tracer:      c.Tracer,
-			Metrics:     cfg.Metrics,
-			Flight:      c.Flight,
 		})
 		c.Servers = append(c.Servers, &Server{
 			Vice: vs, Endpoint: ep, Node: node, Cluster: cl, CPU: cpu, Disk: disk,
@@ -384,17 +378,9 @@ func (c *Cell) AddWorkstation(cluster int, name string) *Workstation {
 
 	ws := &Workstation{Name: name, Node: node, Cluster: cl, Local: local}
 
-	// The workstation's callback service.
+	// The workstation's callback service, observed by NewWorkstation before
+	// the endpoint serving it takes its instruments.
 	cbServer := rpc.NewServer()
-	ws.Endpoint = rpc.NewEndpoint(c.Net, node, rpc.EndpointConfig{
-		Server:      cbServer,
-		CallTimeout: c.callTimeout,
-		Retry:       c.cfg.Retry,
-		Tracer:      c.Tracer,
-		Metrics:     c.cfg.Metrics,
-		Flight:      c.Flight,
-	})
-
 	home := c.Servers[cluster]
 	ws.FS = virtue.NewWorkstation(venus.Config{
 		Mode:             c.Mode,
@@ -416,6 +402,11 @@ func (c *Cell) AddWorkstation(cluster int, name string) *Workstation {
 			return ws.Endpoint.Dial(p, srv.Node.ID, ws.Venus.User(), ws.key)
 		},
 	}, cbServer)
+	ws.Endpoint = rpc.NewEndpoint(c.Net, node, rpc.EndpointConfig{
+		Server:      cbServer,
+		CallTimeout: c.callTimeout,
+		Retry:       c.cfg.Retry,
+	})
 	ws.Venus = ws.FS.Venus()
 	c.workst = append(c.workst, ws)
 	return ws

@@ -55,12 +55,12 @@ const bulkBack rpc.Op = 0x7f01
 
 func newRealCell(t *testing.T, mode Mode, users ...string) *realCell {
 	t.Helper()
-	return bootRealCell(t, vice.Config{Name: "server0", Mode: mode}, nil, users...)
+	return bootRealCell(t, vice.Config{Name: "server0", Mode: mode}, users...)
 }
 
-// bootRealCell is newRealCell for a caller with a Config of its own (a store)
-// or a tracer, which may be nil.
-func bootRealCell(t *testing.T, cfg vice.Config, tracer *trace.Tracer, users ...string) *realCell {
+// bootRealCell is newRealCell for a caller with a Config of its own: a store,
+// or a tracer, which the cell's stations share.
+func bootRealCell(t *testing.T, cfg vice.Config, users ...string) *realCell {
 	t.Helper()
 	srv, _, err := vice.Boot(cfg, "secret")
 	if err != nil {
@@ -77,9 +77,9 @@ func bootRealCell(t *testing.T, cfg vice.Config, tracer *trace.Tracer, users ...
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &realCell{srv: srv, addr: l.Addr().String(), tracer: tracer, ended: make(chan string)}
+	c := &realCell{srv: srv, addr: l.Addr().String(), tracer: cfg.Tracer, ended: make(chan string)}
 	stop := make(chan struct{})
-	go srv.Serve(l, tracer, func(_ net.Addr, user string, _ error) {
+	go srv.Serve(l, func(_ net.Addr, user string, _ error) {
 		select {
 		case c.ended <- user:
 		case <-stop:
@@ -367,7 +367,7 @@ func TestRealCellStationOutlivesItsConnection(t *testing.T) {
 func tracedRealCell(t *testing.T, mode Mode, users ...string) (*realCell, *trace.Tracer) {
 	t.Helper()
 	tr := trace.New(func() sim.Time { return rpc.Clock(nil) })
-	return bootRealCell(t, vice.Config{Name: "server0", Mode: mode}, tr, users...), tr
+	return bootRealCell(t, vice.Config{Name: "server0", Mode: mode, Tracer: tr}, users...), tr
 }
 
 // servedOp returns the one span named name whose op attribute is op.

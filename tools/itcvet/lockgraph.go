@@ -71,9 +71,11 @@ func lockgraphMain(patterns []string) int {
 	}
 	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
 
+	// An edge is printed with the call that witnesses it, not its line: the
+	// graph pins which lock is taken under which, and an edit that only
+	// moves the call leaves it unchanged.
 	type edge struct {
 		from, to qualified
-		pos      string // module-relative file:line
 		via      string
 	}
 	var nodes []qualified
@@ -119,7 +121,6 @@ func lockgraphMain(patterns []string) int {
 			edges = append(edges, edge{
 				from: qualified{rel, e.From},
 				to:   qualified{rel, e.To},
-				pos:  relPos(modDir, e.Pos),
 				via:  e.Via,
 			})
 		}
@@ -148,7 +149,7 @@ func lockgraphMain(patterns []string) int {
 		fmt.Printf("lock %s\n", n)
 	}
 	for _, e := range edges {
-		fmt.Printf("edge %s -> %s  at %s (%s)\n", e.from, e.to, e.pos, e.via)
+		fmt.Printf("edge %s -> %s  (%s)\n", e.from, e.to, e.via)
 	}
 	if cyclic {
 		os.Stdout.Write(out.Bytes())

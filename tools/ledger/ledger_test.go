@@ -135,6 +135,50 @@ func TestTestOnlyScan(t *testing.T) {
 	}
 }
 
+// The options scan counts the exported fields of every exported struct
+// type of a non-main package of the tree whose name ends in Config or
+// Policy, one line per type, and the flags of the three commands; not a
+// main package's, a test's, bench/'s, tools/' or a fixture's.
+func TestOptionsScan(t *testing.T) {
+	root := t.TempDir()
+	for name, src := range map[string]string{
+		"go.mod":    "module m\n",
+		"DESIGN.md": "<!-- lockgraph:begin -->\n# itcvet lock-order graph: 0 locks, 0 edges\n",
+		"a/a.go": "package a\n\ntype Config struct {\n\tA, B int\n\tc    int\n}\n\n" +
+			"type (\n\tRetryPolicy struct{ N int }\n\tEmptyConfig struct{}\n)\n\n" +
+			"type hiddenConfig struct{ X int }\ntype ModeConfig int\ntype Settings struct{ Y int }\n\n" +
+			"func f() { type LocalConfig struct{ Z int } }\n",
+		"a/b.go":                "package a\n\ntype BConfig struct{ P, Q, R int }\n",
+		"a/a_test.go":           "package a\n\ntype TestConfig struct{ T int }\n",
+		"cmd/itcfs/main.go":     "package main\n\nimport \"flag\"\n\ntype MainConfig struct{ M int }\n\nvar v = flag.Bool(\"v\", false, \"\")\n",
+		"cmd/other/main.go":     "package main\n\nimport \"flag\"\n\nvar w = flag.Bool(\"w\", false, \"\")\n",
+		"bench/c.go":            "package c\n\ntype BenchConfig struct{ B int }\n",
+		"tools/d/d.go":          "package d\n\ntype ToolConfig struct{ D int }\n",
+		"a/testdata/fixture.go": "package x\n\ntype FixtureConfig struct{ F int }\n",
+	} {
+		path := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var out bytes.Buffer
+	if err := ledger(root, nil, &out); err != nil {
+		t.Fatal(err)
+	}
+	want := "options 7  # exported fields of the exported *Config and *Policy structs, and flags of the three commands\n" +
+		"options   a.BConfig                                3\n" +
+		"options   a.Config                                 2\n" +
+		"options   a.EmptyConfig                            0\n" +
+		"options   a.RetryPolicy                            1\n" +
+		"options   cmd/itcfs flags                          1\n"
+	if !strings.Contains(out.String(), want) {
+		t.Errorf("want\n%sin:\n%s", want, out.String())
+	}
+}
+
 func TestCodeLines(t *testing.T) {
 	src := "// Package p.\npackage p\n\n/* a block\n   comment */\nvar s = `raw\n\nstring` // trailing\n\t// indented comment\nfunc f() {\n}\n"
 	// package p; var s = `raw; string`; func f() {; }
@@ -172,8 +216,8 @@ func run(args []string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := structFields(f, "Config"); got != 3 {
-		t.Errorf("structFields(Config) = %d, want 3", got)
+	if got := optionStructs(f)["Config"]; got != 2 {
+		t.Errorf("optionStructs[Config] = %d, want 2 (A, B)", got)
 	}
 	if got := flagDefinitions(f); got != 2 {
 		t.Errorf("flagDefinitions = %d, want 2 (-n, -s)", got)

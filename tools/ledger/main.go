@@ -20,9 +20,10 @@
 //     own declaration, so that only tests call them (a name, not a type,
 //     is matched: a method whose name another type's caller uses counts as
 //     called);
-//   - options: the independently settable values — fields of the five
-//     configuration structs (the cost table among them) and flags of the
-//     three commands;
+//   - options: the independently settable values — the exported fields of
+//     every exported struct type of the tree's non-main packages whose name
+//     ends in Config or Policy (the cost table among them), one line per
+//     type, and the flags of the three commands;
 //   - locks: the header of `itcvet -lockgraph ./...`, read from DESIGN.md
 //     §7's block, which tools/itcvet's TestDeterminism holds equal to it.
 //
@@ -50,15 +51,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ledger:", err)
 		os.Exit(1)
 	}
-}
-
-// configs are the structs whose fields are options, by directory.
-var configs = []struct{ dir, pkg, typ string }{
-	{".", "itcfs", "CellConfig"},
-	{".", "itcfs", "CostConfig"}, // every field settable through CellConfig.Costs
-	{"internal/rpc", "rpc", "EndpointConfig"},
-	{"internal/venus", "venus", "Config"},
-	{"internal/vice", "vice", "Config"},
 }
 
 // commands are the directories whose flags are options.
@@ -148,13 +140,11 @@ func ledger(root string, files []string, w io.Writer) error {
 		if f.Name.Name != "main" {
 			exported.add(dir, exportedNames(f))
 			calls.declare(f)
-		}
-		calls.refer(f)
-		for _, c := range configs {
-			if c.dir == dir {
-				options.add(c.pkg+"."+c.typ, structFields(f, c.typ))
+			for typ, n := range optionStructs(f) {
+				options.add(f.Name.Name+"."+typ, n)
 			}
 		}
+		calls.refer(f)
 		for _, c := range commands {
 			if c == dir {
 				options.add(c+" flags", flagDefinitions(f))
@@ -181,7 +171,7 @@ func ledger(root string, files []string, w io.Writer) error {
 	for _, name := range testOnly {
 		fmt.Fprintf(w, "test-only   %s\n", name)
 	}
-	options.print(w, "options", "fields of the five Config structs and flags of the three commands")
+	options.print(w, "options", "exported fields of the exported *Config and *Policy structs, and flags of the three commands")
 	header, err := lockgraphHeader(filepath.Join(root, "DESIGN.md"))
 	if err != nil {
 		return err
@@ -333,21 +323,34 @@ func receiverType(x ast.Expr) string {
 	}
 }
 
-// structFields counts the named fields of the struct type typ, if f
-// declares it.
-func structFields(f *ast.File, typ string) int {
-	n := 0
-	ast.Inspect(f, func(node ast.Node) bool {
-		if s, ok := node.(*ast.TypeSpec); ok && s.Name.Name == typ {
-			if st, ok := s.Type.(*ast.StructType); ok {
-				for _, field := range st.Fields.List {
-					n += len(field.Names)
+// optionStructs maps each exported struct type f declares at package level
+// whose name ends in Config or Policy to its number of exported fields.
+func optionStructs(f *ast.File) map[string]int {
+	out := make(map[string]int)
+	for _, decl := range f.Decls {
+		d, ok := decl.(*ast.GenDecl)
+		if !ok || d.Tok != token.TYPE {
+			continue
+		}
+		for _, spec := range d.Specs {
+			s := spec.(*ast.TypeSpec)
+			st, ok := s.Type.(*ast.StructType)
+			name := s.Name.Name
+			if !ok || !s.Name.IsExported() || !strings.HasSuffix(name, "Config") && !strings.HasSuffix(name, "Policy") {
+				continue
+			}
+			n := 0
+			for _, field := range st.Fields.List {
+				for _, id := range field.Names {
+					if id.IsExported() {
+						n++
+					}
 				}
 			}
+			out[name] = n
 		}
-		return true
-	})
-	return n
+	}
+	return out
 }
 
 // flagDefs maps each flag-defining method of package flag and of
