@@ -90,11 +90,11 @@ go test -race -count=10 -run='^TestConcurrentOpensUnderEviction$' ./internal/ven
 # the cache's copy lands in a victim's buffer; ten more runs of the twin that
 # checks no reader's result is ever a buffer the cache reuses.
 go test -race -count=10 -run='^TestConcurrentReadFilesUnderEviction$' ./internal/venus
-# Each direction of a sealed channel runs one CTR keystream, every record
-# starting at the block after the last: a record that took a block twice
-# would reuse keystream under the session key. The reference test and the
-# one that seals from many goroutines on one Box run ten times more.
-go test -race -count=10 -run='^(TestRecordsMatchAFreshStream|TestConcurrentSealsTakeDisjointBlocks)$' ./internal/secure
+# A session Box seals every record under a nonce of its own, its end's role
+# and a count taken under the send lock: two records under one count would
+# reuse a GCM nonce under the session key. The reference test and the one
+# that seals from many goroutines on one Box run ten times more.
+go test -race -count=10 -run='^(TestRecordsMatchAReferenceAEAD|TestConcurrentSealsTakeDisjointNonces)$' ./internal/secure
 # A store lends the cache file's own bytes to its call and ends the loan when
 # Call returns; a write then edits them in place, so a loan ended too early,
 # or a return that ends another borrower's loan, shows as bytes changing
@@ -189,6 +189,7 @@ go test -run=NONE -bench='^Benchmark(Commit|Checkpoint)' -benchtime=100x ./inter
 go test -run=NONE -fuzz='^FuzzDecodeCall$' -fuzztime=10s ./internal/rpc
 go test -run=NONE -fuzz='^FuzzDecodeReply$' -fuzztime=10s ./internal/rpc
 go test -run=NONE -fuzz='^FuzzPeerFrames$' -fuzztime=10s ./internal/rpc
+go test -run=NONE -fuzz='^FuzzOpen$' -fuzztime=10s ./internal/secure
 go test -run=NONE -fuzz='^FuzzResolvePath$' -fuzztime=10s ./internal/vice
 go test -run=NONE -fuzz='^FuzzDispatch$' -fuzztime=10s ./internal/vice
 go test -run=NONE -fuzz='^FuzzPageServer$' -fuzztime=10s ./internal/baseline

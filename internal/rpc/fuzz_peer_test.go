@@ -27,7 +27,7 @@ const (
 	playNext      = iota // the far side's next call
 	playReplay           // the last record played, again
 	playReflected        // a call sealed by the reader's own Box
-	playOtherBox         // a call from a second Box under the session key
+	playOtherBox         // a call from the dialing end of another session
 	playKinds
 )
 
@@ -48,8 +48,8 @@ const (
 //	   Each input byte picks the next record the reader hears (playNext and
 //	   the rest). The reader must serve exactly the far side's calls up to
 //	   the first record that is not the far side's next — a replay, a
-//	   reflection of its own, a second sealer — and close there, so no call
-//	   is executed twice. Before the receive sequence was checked, a
+//	   reflection of its own, another session's — and close there, so no
+//	   call is executed twice. Before the receive sequence was checked, a
 //	   replayed call was served again.
 func FuzzPeerFrames(f *testing.F) {
 	session := secure.DeriveKey("fuzz", "session")
@@ -61,7 +61,8 @@ func FuzzPeerFrames(f *testing.F) {
 	validReply := append([]byte{kindReply}, encodeReply(7, 0, Response{Body: []byte("b")})...)
 	// A well-formed frame from some other session.
 	var sealedCall bytes.Buffer
-	secure.NewBox(secure.DeriveKey("fuzz", "another session")).SealFrame(&sealedCall, validCall, nil)
+	another := secure.NewSessionBox(secure.DeriveKey("fuzz", "another session"), secure.Dialer)
+	another.SealFrame(&sealedCall, validCall, nil)
 	for mode := uint8(0); mode < 3; mode++ {
 		for _, seed := range [][]byte{nil, hugeHeader, hello.Bytes(), validCall, validReply, sealedCall.Bytes(), sealedCall.Bytes()[:20]} {
 			f.Add(mode, seed)
@@ -71,7 +72,7 @@ func FuzzPeerFrames(f *testing.F) {
 		{playNext, playReplay},              // a captured call sent again
 		{playReflected},                     // the reader's own call, reflected back at it
 		{playNext, playNext, playReflected}, // the same, mid-session
-		{playOtherBox, playNext},            // the first sealer fixes the far side
+		{playOtherBox, playNext},            // another session's call, before the far side's
 		{playNext, playNext, playNext},
 	} {
 		f.Add(uint8(3), seed)
@@ -102,21 +103,21 @@ func FuzzPeerFrames(f *testing.F) {
 			})
 		case 1:
 			ceiling = uint64(len(data)) + wire.MaxField
-			grew = allocatedBytes(func() { readAll(secure.NewBox(session), data) })
+			grew = allocatedBytes(func() { readAll(secure.NewSessionBox(session, secure.Acceptor), data) })
 			if served.Load() != 0 {
 				t.Fatal("bytes sealed without the session key reached a handler")
 			}
 		case 2:
 			var frame bytes.Buffer
-			if err := secure.NewBox(session).SealFrame(&frame, data, nil); err != nil {
+			if err := secure.NewSessionBox(session, secure.Dialer).SealFrame(&frame, data, nil); err != nil {
 				t.Fatal(err)
 			}
 			ceiling = uint64(frame.Len())
-			grew = allocatedBytes(func() { readAll(secure.NewBox(session), frame.Bytes()) })
+			grew = allocatedBytes(func() { readAll(secure.NewSessionBox(session, secure.Acceptor), frame.Bytes()) })
 		case 3:
-			reader := secure.NewBox(session)
-			boxes := [...]*secure.Box{playNext: secure.NewBox(session), playReflected: reader, playOtherBox: secure.NewBox(session)}
-			var far, lastBox *secure.Box
+			reader := secure.NewSessionBox(session, secure.Acceptor)
+			boxes := [...]*secure.Box{playNext: secure.NewSessionBox(session, secure.Dialer), playReflected: reader, playOtherBox: another}
+			var lastBox *secure.Box
 			var last []byte
 			want, open := int32(0), true
 			var stream bytes.Buffer
@@ -137,14 +138,12 @@ func FuzzPeerFrames(f *testing.F) {
 				}
 				stream.Write(rec)
 				// The reader's sequence, modelled: every record a Box seals
-				// is played at once, so a fresh one is its Box's next; the
-				// first fresh record not from the reader's own Box fixes the
-				// far side, and the first record that breaks the sequence
-				// closes the connection.
+				// is played at once, so a fresh one from the session's
+				// dialing end is its next, and the first record that breaks
+				// the sequence closes the connection.
 				switch {
 				case !open:
-				case kind != playReplay && box != reader && (far == nil || box == far):
-					far = box
+				case kind == playNext:
 					want++
 				default:
 					open = false

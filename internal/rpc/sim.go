@@ -32,7 +32,17 @@ type pkt struct {
 	propDelay   time.Duration
 }
 
-func (p *pkt) size() int { return packetOverhead + len(p.Data) }
+// size is what the packet costs on the simulated network: packetOverhead,
+// the plaintext of the record it carries — a call or a reply, or a
+// handshake message, whose clear bytes and one one-chunk sealed value
+// PlainLen counts the same way — and simulatedSeal for the seal. A close
+// carries no record.
+func (p *pkt) size() int {
+	if p.Kind == kindClose {
+		return packetOverhead
+	}
+	return packetOverhead + secure.PlainLen(len(p.Data)) + simulatedSeal
+}
 
 // AddNetDelay implements netsim.DelaySink.
 func (p *pkt) AddNetDelay(queue, serial, prop time.Duration) {
@@ -413,7 +423,7 @@ func (ep *Endpoint) handleHandshake(pk *pkt) {
 				return
 			}
 			ic.user = ic.hs.User()
-			ic.box = secure.NewBox(session)
+			ic.box = secure.NewSessionBox(session, secure.Acceptor)
 			ic.hs = nil
 			ic.hsFinal = append([]byte(nil), final...)
 			ep.send(pk.From, &pkt{Conn: pk.Conn, Kind: kindSession, Data: final})

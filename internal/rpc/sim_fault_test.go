@@ -87,13 +87,14 @@ func TestSimCorruptedReplyIsReplayedWhole(t *testing.T) {
 
 // opened is a packet of one kind as a watched endpoint received it: its
 // bytes on arrival, and whether the endpoint opened it, which a sealed
-// packet shows by its bytes changing in place.
+// packet shows by its bytes changing in place into something other than
+// the zeros a refused record is wiped to.
 type opened struct {
 	arrived []byte
 	pk      *pkt
 }
 
-func (o opened) ok() bool { return !bytes.Equal(o.arrived, o.pk.Data) }
+func (o opened) ok() bool { return !bytes.Equal(o.arrived, o.pk.Data) && !isZero(o.pk.Data) }
 
 // watch records every packet of kind that ep receives.
 func watch(ep *Endpoint, kind uint8) *[]opened {
@@ -152,8 +153,8 @@ func TestSimDuplicatedCallIsSuppressed(t *testing.T) {
 }
 
 // TestSimDuplicatedReplyOpensTwice: a reply duplicated in flight reaches the
-// client twice, in two buffers, and both open where they lie — the second
-// re-seats the receive stream at the record the first already took.
+// client twice, in two buffers, and both open where they lie: Open takes a
+// session's records in any order, the same one twice included.
 func TestSimDuplicatedReplyOpensTwice(t *testing.T) {
 	r, f := faultRig(t)
 	replies := watch(r.client, kindReply)
@@ -217,5 +218,39 @@ func TestSimCorruptedDuplicateLeavesTheOriginal(t *testing.T) {
 				t.Fatal("the corrupted duplicate opened")
 			}
 		}
+	}
+}
+
+// TestSimReflectedCallIsRefused: both directions of a session share its key,
+// so a call the client sealed, reflected back at the client as if the
+// server had placed it, carries tags that verify. Its nonce bears the
+// dialing end's role, and the client refuses it: its callback handler never
+// runs.
+func TestSimReflectedCallIsRefused(t *testing.T) {
+	r := newRig(t, EndpointConfig{Server: echoServer()})
+	runs := 0
+	callbacks := NewServer()
+	callbacks.HandleFallback(func(Ctx, Request) Response { runs++; return Response{} })
+	r.client = NewEndpoint(r.net, r.client.Node(), EndpointConfig{Server: callbacks})
+	calls := watch(r.server, kindCall)
+	var conn *SimConn
+	var callErr error
+	r.k.Spawn("client", func(p *sim.Proc) {
+		if conn, callErr = r.client.Dial(p, r.server.Node().ID, "satya", userKey); callErr == nil {
+			_, callErr = conn.Call(p, Request{Op: opEcho, Body: []byte("reflect me")})
+		}
+	})
+	r.k.Run()
+	if callErr != nil || len(*calls) != 1 {
+		t.Fatalf("call: %v, %d calls arrived", callErr, len(*calls))
+	}
+	reflected := &pkt{Conn: conn.id, Kind: kindCall, Data: (*calls)[0].arrived, From: r.server.Node().ID}
+	r.client.deliver(netsim.Message{From: r.server.Node().ID, To: r.client.Node().ID, Payload: reflected})
+	r.k.Run()
+	if runs != 0 {
+		t.Fatal("the client served its own call, reflected back at it")
+	}
+	if !isZero(reflected.Data) {
+		t.Fatal("the refused call was not wiped")
 	}
 }

@@ -99,7 +99,7 @@ func AcceptPeer(conn io.ReadWriteCloser, keys secure.KeyLookup, server *Server) 
 	if err := wire.WriteFrame(conn, final); err != nil {
 		return nil, fmt.Errorf("rpc: handshake: %w", err)
 	}
-	p := newPeer(conn, secure.NewBox(session), hs.User(), hs.User(), server, true)
+	p := newPeer(conn, secure.NewSessionBox(session, secure.Acceptor), hs.User(), hs.User(), server, true)
 	p.start()
 	return p, nil
 }
@@ -485,8 +485,9 @@ const handOver = 256 << 10
 // holds it. The first holds every call and reply without bulk data and a
 // file of a few KiB with its head (a 4 KiB store). The second holds a 64 KiB
 // payload with its head and seal overhead — a fetch reply's head carries a
-// status, about 100 B, the seal 48 B — where a 64 KiB tier would send every
-// 64 KiB transfer to the next one. The third runs up to handOver.
+// status, about 100 B, and the seal adds 28 B a 32 KiB chunk, 84 B for the
+// three such a reply takes — where a 64 KiB tier would send every 64 KiB
+// transfer to the next one. The third runs up to handOver.
 var frameTiers = [...]int{8 << 10, 72 << 10, handOver}
 
 // framePools holds the idle buffers, one pool of *frame per tier.

@@ -35,7 +35,7 @@ var lendSizes = []int{
 	0, 1, 100,
 	frameTiers[0] - 200, frameTiers[0],
 	64 << 10, frameTiers[1] - 200, frameTiers[1],
-	200 << 10, handOver - 200, handOver, 300 << 10,
+	200 << 10, handOver - 512, handOver, 300 << 10,
 }
 
 // TestPeerHandsOverExactlyTheUnpooledFrames: the pool lends every frame
@@ -62,9 +62,9 @@ func TestPeerHandsOverExactlyTheUnpooledFrames(t *testing.T) {
 	})
 	dialed, _ := pipePair(t, nil, srv)
 	for _, n := range lendSizes {
-		// Every size in lendSizes is at least 200 B from the edge, more
-		// than a head and a seal add: a frame is handed over when its
-		// Bulk is.
+		// Every size in lendSizes is at least 200 B from a tier's edge and
+		// 512 B from the hand-over size, more than a head and a seal (28 B
+		// a 32 KiB chunk) add: a frame is handed over when its Bulk is.
 		want := n >= handOver
 		resp, err := dialed.Call(nil, Request{Op: opEcho, Bulk: seeded(int64(n), n)})
 		if err != nil {
@@ -404,8 +404,9 @@ func TestPeerReplayedFrameClosesPeer(t *testing.T) {
 }
 
 // TestPeerReflectedFrameClosesPeer: a frame a peer sent, reflected back at
-// it before its far side has said anything, carries its own nonce prefix and
-// closes it; the call it carries is never served by the peer that made it.
+// it before its far side has said anything, bears its own end's role in its
+// nonce and closes it; the call it carries is never served by the peer that
+// made it.
 func TestPeerReflectedFrameClosesPeer(t *testing.T) {
 	runs := make(chan struct{}, 1)
 	arrived, stall := make(chan struct{}), make(chan struct{})

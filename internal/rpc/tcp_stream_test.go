@@ -33,7 +33,8 @@ func sealedCallFrame(t *testing.T, box *secure.Box, seq uint32, req Request) []b
 }
 
 // servingPeer starts the receiving half of an authenticated connection (the
-// handshake is skipped: both ends are simply given the session key) whose
+// handshake is skipped: both ends are simply given the session key, the
+// peer as its accepting end) whose
 // handler reports each run on served. The returned conn is the far end.
 func servingPeer(t *testing.T, session secure.Key) (far net.Conn, p *Peer, served chan struct{}) {
 	t.Helper()
@@ -44,7 +45,7 @@ func servingPeer(t *testing.T, session secure.Key) (far net.Conn, p *Peer, serve
 		return Response{}
 	})
 	far, near := net.Pipe()
-	p = newPeer(near, secure.NewBox(session), "satya", "satya", srv, true)
+	p = newPeer(near, secure.NewSessionBox(session, secure.Acceptor), "satya", "satya", srv, true)
 	go p.readLoop()
 	t.Cleanup(func() { p.Close(); far.Close() })
 	return far, p, served
@@ -58,7 +59,7 @@ func TestPeerTamperedFrameClosesPeer(t *testing.T) {
 	session := secure.DeriveKey("session", "key")
 	const chunk = 32 << 10 // the sealer's chunk; any value spreads the flips
 	req := Request{Op: opEcho, Body: []byte("args"), Bulk: bytes.Repeat([]byte{0xAB}, 3*chunk+7)}
-	good := sealedCallFrame(t, secure.NewBox(session), 1, req)
+	good := sealedCallFrame(t, secure.NewSessionBox(session, secure.Dialer), 1, req)
 
 	far, p, served := servingPeer(t, session)
 	go io.Copy(io.Discard, far)
@@ -182,32 +183,33 @@ func boxField(box *secure.Box, path ...string) reflect.Value {
 	return reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
 }
 
-// presetNonceCounter moves a session's block counter to v at both ends: the
-// block sender's next record starts at, and receiver's expectation of it, as
+// presetNonceCounter moves a session's record count to v at both ends: the
+// count sender's next record carries, and receiver's expectation of it, as
 // if every record before had arrived.
 func presetNonceCounter(sender, receiver *secure.Box, v uint64) {
 	boxField(sender, "send", "next").SetUint(v)
 	boxField(receiver, "recv", "next").SetUint(v)
-	boxField(receiver, "recv", "far").Set(boxField(sender, "noncePrefix"))
 }
 
-// TestPeerNonceExhaustionClosesPeer: when the session's 64-bit block counter
+// TestPeerNonceExhaustionClosesPeer: when the session's 64-bit record count
 // is spent the daemon must not die (Box.Seal would panic) and must not reuse
-// a keystream: the peer closes, callers see ErrClosed — which Venus treats
-// as "reconnect", and a new connection has a new session key.
+// a nonce: the peer closes, callers see ErrClosed — which Venus treats as
+// "reconnect", and a new connection has a new session key.
 func TestPeerNonceExhaustionClosesPeer(t *testing.T) {
 	dialed, accepted := pipePair(t, nil, echoServer())
 	last := Request{Op: opEcho, Body: []byte("last record")}
 	if _, err := dialed.Call(nil, last); err != nil {
 		t.Fatal(err)
 	}
-	blocks := boxField(dialed.box, "send", "next").Uint() // what one such call's record takes
-	presetNonceCounter(dialed.box, accepted.box, math.MaxUint64-blocks)
+	if sent := boxField(dialed.box, "send", "next").Uint(); sent != 1 {
+		t.Fatalf("one call's record took %d counts, want 1", sent)
+	}
+	presetNonceCounter(dialed.box, accepted.box, math.MaxUint64-1) // the last count a record may carry
 	if _, err := dialed.Call(nil, last); err != nil {
 		t.Fatalf("the last record: %v", err)
 	}
 	if _, err := dialed.Call(nil, Request{Op: opEcho}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("call past the last block: err = %v, want ErrClosed", err)
+		t.Fatalf("call past the last record: err = %v, want ErrClosed", err)
 	}
 	<-dialed.Done()
 	<-accepted.Done() // its peer hung up

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+
+	"itcfs/internal/wire"
 )
 
 func TestDeriveKeyDeterministic(t *testing.T) {
@@ -141,11 +143,57 @@ func TestHandshakeSuccess(t *testing.T) {
 	if server.User() != "satya" {
 		t.Fatalf("User = %q", server.User())
 	}
-	// The session key actually works for record sealing both ways.
-	cb, sb := NewBox(clientKey), NewBox(serverKey)
-	msg, err := sb.Open(cb.Seal([]byte("fetch /vice/usr/satya/paper.mss")))
+	// The session key actually works for record sealing both ways, each end
+	// with its own role.
+	cb, sb := NewSessionBox(clientKey, Dialer), NewSessionBox(serverKey, Acceptor)
+	msg, err := sb.OpenNext(cb.Seal([]byte("fetch /vice/usr/satya/paper.mss")))
 	if err != nil || string(msg) != "fetch /vice/usr/satya/paper.mss" {
 		t.Fatalf("session channel broken: %v %q", err, msg)
+	}
+	msg, err = cb.OpenNext(sb.Seal([]byte("ok")))
+	if err != nil || string(msg) != "ok" {
+		t.Fatalf("session channel broken back: %v %q", err, msg)
+	}
+}
+
+// TestHandshakeNoncesAreDistinct: every login of a user seals the
+// handshake's four messages under the same long-term key, from Boxes of
+// their own, so nothing but the nonces' randomness keeps them apart. Ten
+// thousand handshakes by one user must seal forty thousand records under
+// pairwise distinct nonces.
+func TestHandshakeNoncesAreDistinct(t *testing.T) {
+	const logins = 10000
+	key := DeriveKey("satya", "pw")
+	lookup := lookupDB(map[string]Key{"satya": key})
+	seen := make(map[[nonceSize]byte]bool, 4*logins)
+	note := func(record []byte) {
+		nonce := [nonceSize]byte(record)
+		if seen[nonce] {
+			t.Fatalf("after %d records, nonce %x sealed twice under the user's key", len(seen), nonce)
+		}
+		seen[nonce] = true
+	}
+	for i := 0; i < logins; i++ {
+		client, server := NewClientHandshake("satya", key), NewServerHandshake(lookup)
+		hello := client.Hello()
+		d := wire.NewDecoder(hello)
+		_ = d.String() // the user, in the clear
+		note(d.Bytes())
+		challenge, err := server.Challenge(hello)
+		if err != nil {
+			t.Fatal(err)
+		}
+		note(challenge)
+		proof, err := client.Proof(challenge)
+		if err != nil {
+			t.Fatal(err)
+		}
+		note(proof)
+		final, _, err := server.Complete(proof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		note(final)
 	}
 }
 
